@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-fleet test-testbed race bench bench-sched bench-sweep bench-telemetry bench-trace bench-engine bench-obs bench-fleet bench-testbed fmt fmt-check vet lint staticcheck govulncheck ci
+.PHONY: build test test-fleet test-testbed race perf perf-compare bench bench-sched bench-sweep bench-telemetry bench-trace bench-engine bench-obs bench-fleet bench-testbed fmt fmt-check vet lint staticcheck govulncheck ci
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,18 @@ test-testbed:
 
 race:
 	$(GO) test -race -timeout 20m ./...
+
+# The repo benchmark (bench/, BENCHMARK.json): every workload untraced
+# then traced, each in its own child process, one JSON result. This is
+# the only place timings are measured; nothing here gates tier-1.
+perf:
+	$(GO) run ./bench -out bench-result.json
+
+# Compare two results of `make perf` (say the parent commit's and this
+# change's, taken on the same box in the same hour):
+#   make perf-compare A=bench-result-parent.json B=bench-result.json
+perf-compare:
+	$(GO) run ./bench -compare $(A) $(B)
 
 # One iteration of every benchmark: a smoke test that the bench
 # harness still compiles and runs, not a performance measurement.
@@ -69,9 +81,9 @@ bench-trace:
 	$(GO) test -run TestTraceAllocGuards -count=1 .
 
 # Engine-layer smoke: one iteration of the tick-vs-event sparse
-# long-tail benchmarks plus the speedup/alloc guard against the
-# engine_layer section of BENCH_baseline.json and the event loop's
-# steady-state zero-alloc guard (both skip under -race).
+# long-tail benchmarks plus the alloc guard against the engine_layer
+# section of BENCH_baseline.json and the event loop's steady-state
+# zero-alloc guard (both skip under -race).
 bench-engine:
 	$(GO) test -bench 'BenchmarkEngine(Tick|Event)Sparse' -benchtime=1x -benchmem -run '^$$' -timeout 10m .
 	$(GO) test -run TestEngineLayerGuards -count=1 .

@@ -1,6 +1,6 @@
 package saath
 
-// Engine-layer benchmarks and the tick-vs-event performance guard.
+// Engine-layer benchmarks and the tick/event allocation guard.
 // The sparse long-tail workload is the event engine's home turf: a
 // long stream of short coflows separated by multi-δ idle gaps, plus
 // occasional large stragglers that keep a thin active tail alive. The
@@ -8,17 +8,16 @@ package saath
 // and an O(pending) next-arrival scan per idle gap — O(N²) over the
 // trace — while the event engine pops arrivals off a heap and runs
 // epochs only while work is active. BENCH_baseline.json's
-// "engine_layer" section records the numbers at the event-engine
-// introduction; TestEngineLayerGuards fails if the event engine slips
-// below 5x the tick engine on this workload or regresses its
-// allocation count past 1.25x baseline. Run `make bench-engine` for
-// the smoke + guard.
+// "engine_layer" section records the allocation counts at the
+// event-engine introduction; TestEngineLayerGuards fails if either
+// loop regresses its count past 1.25x baseline. Wall-clock is not
+// asserted here — timings belong to `go run ./bench` (make perf), never
+// to tier-1. Run `make bench-engine` for the smoke + guard.
 
 import (
 	"encoding/json"
 	"os"
 	"testing"
-	"time"
 )
 
 // sparseTailTrace builds the sparse long-tail workload: single-flow
@@ -82,18 +81,15 @@ type engineBaseline struct {
 		EventSparse struct {
 			AllocsPerOp float64 `json:"allocs_per_op"`
 		} `json:"event_sparse"`
-		MinSpeedup float64 `json:"min_speedup"`
 	} `json:"engine_layer"`
 }
 
-// TestEngineLayerGuards enforces the event engine's performance
-// contract on the sparse long-tail workload: at least the recorded
-// minimum wall-clock speedup over the tick engine (min-of-3 timings
-// on each side), identical results, and allocation counts within
-// 1.25x of the recorded baselines for both loops.
+// TestEngineLayerGuards enforces the engine's deterministic contract
+// on the sparse long-tail workload: identical results from both loops
+// and allocation counts within 1.25x of the recorded baselines.
 func TestEngineLayerGuards(t *testing.T) {
 	if raceEnabled {
-		t.Skip("timings and allocation counts are not meaningful under -race")
+		t.Skip("allocation counts are not meaningful under -race")
 	}
 	raw, err := os.ReadFile("BENCH_baseline.json")
 	if err != nil {
@@ -102,9 +98,6 @@ func TestEngineLayerGuards(t *testing.T) {
 	var base engineBaseline
 	if err := json.Unmarshal(raw, &base); err != nil {
 		t.Fatal(err)
-	}
-	if base.EngineLayer.MinSpeedup == 0 {
-		t.Fatal("engine_layer.min_speedup missing from BENCH_baseline.json")
 	}
 
 	tr := sparseTailTrace()
@@ -116,30 +109,11 @@ func TestEngineLayerGuards(t *testing.T) {
 		}
 		return res
 	}
-	timeRun := func(mode EngineMode) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < 3; i++ {
-			start := time.Now()
-			run(mode)
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best
-	}
 
 	tickRes, eventRes := run(ModeTick), run(ModeEvent)
 	if tickRes.AvgCCT() != eventRes.AvgCCT() || tickRes.Makespan != eventRes.Makespan {
 		t.Fatalf("modes disagree: tick CCT=%v makespan=%v, event CCT=%v makespan=%v",
 			tickRes.AvgCCT(), tickRes.Makespan, eventRes.AvgCCT(), eventRes.Makespan)
-	}
-
-	tick, event := timeRun(ModeTick), timeRun(ModeEvent)
-	speedup := float64(tick) / float64(event)
-	t.Logf("sparse long-tail: tick %v, event %v — %.1fx", tick, event, speedup)
-	if speedup < base.EngineLayer.MinSpeedup {
-		t.Errorf("event engine speedup %.2fx below the guarded %.1fx (tick %v, event %v)",
-			speedup, base.EngineLayer.MinSpeedup, tick, event)
 	}
 
 	checkAllocs := func(name string, baseline, got float64) {

@@ -10,6 +10,7 @@ package coflow
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -225,16 +226,24 @@ type CoFlow struct {
 	Done    bool
 	DoneAt  Time
 
-	// Epoch-stamped derived-state caches. The owner of the CoFlow (the
-	// sim engine, the coordinator) bumps the epoch via Invalidate
-	// whenever a flow's sendability may have changed (completion,
-	// availability flip); SendableFlows and Use then recompute at most
-	// once per epoch instead of once per call site.
-	epoch     uint64
-	sendEpoch uint64
-	sendCache []*Flow
-	useEpoch  uint64
-	useCache  PortUse
+	// Epoch-stamped progress summary. The owner of the CoFlow (the sim
+	// engine, the coordinator) bumps the epoch via Invalidate whenever a
+	// flow's Done or Available state — or a done flow's Sent/DoneAt —
+	// changes. Between two bumps the done flows are frozen, so one pass
+	// over Flows per epoch (sync) records everything about them as
+	// scalars plus the lists of flows still live; the per-interval
+	// accessors then read only the pending flows' Sent, which is the
+	// one thing that moves inside an epoch.
+	epoch    uint64
+	fresh    uint64  // epoch the summary below was computed at
+	pend     []*Flow // not-done flows, in Flows order
+	sendBuf  []*Flow // sendable flows when some pending flow is held back
+	allAvail bool    // every pending flow is Available: sendable == pend
+	doneSum  Bytes   // Σ Sent over done flows
+	doneMax  Bytes   // max Sent over done flows
+	doneLast Time    // max DoneAt over done flows
+	medEpoch uint64  // epoch doneMed was computed at
+	doneMed  Bytes   // median Sent over done flows
 }
 
 // New instantiates runtime state for a spec. All flows start available
@@ -257,14 +266,56 @@ func New(spec *Spec) *CoFlow {
 }
 
 // Invalidate bumps the CoFlow's mutation epoch, marking the cached
-// SendableFlows/Use results stale. Call it after changing any flow's
-// Done or Available state.
+// progress summary stale. Call it after changing any flow's Done or
+// Available state, or the Sent/DoneAt of a flow that is already Done.
 func (c *CoFlow) Invalidate() { c.epoch++ }
 
 // CacheEpoch returns the current mutation epoch. Incremental consumers
 // (sched.ContentionIndex) compare it against a stored value to decide
 // whether a CoFlow's derived state must be refreshed.
 func (c *CoFlow) CacheEpoch() uint64 { return c.epoch }
+
+// sync brings the progress summary up to the current epoch. Epoch 0
+// means the CoFlow was built as a zero value rather than via New;
+// caching would wrongly treat "never computed" as fresh, so such
+// CoFlows recompute every call.
+//
+//saath:hotpath
+func (c *CoFlow) sync() {
+	if c.epoch != 0 && c.fresh == c.epoch {
+		return
+	}
+	if c.pend == nil {
+		c.pend = make([]*Flow, 0, len(c.Flows)) //saath:alloc-ok once per CoFlow, on its first epoch
+	}
+	c.pend, c.sendBuf = c.pend[:0], c.sendBuf[:0]
+	c.allAvail = true
+	c.doneSum, c.doneMax, c.doneLast = 0, 0, 0
+	for _, f := range c.Flows {
+		if f.Done {
+			c.doneSum += f.Sent
+			if f.Sent > c.doneMax {
+				c.doneMax = f.Sent
+			}
+			if f.DoneAt > c.doneLast {
+				c.doneLast = f.DoneAt
+			}
+			continue
+		}
+		c.pend = append(c.pend, f)
+		if !f.Available {
+			c.allAvail = false
+		}
+	}
+	if !c.allAvail {
+		for _, f := range c.pend {
+			if f.Available {
+				c.sendBuf = append(c.sendBuf, f)
+			}
+		}
+	}
+	c.fresh = c.epoch
+}
 
 // ID returns the CoFlow's identifier.
 func (c *CoFlow) ID() CoFlowID { return c.Spec.ID }
@@ -277,9 +328,12 @@ func (c *CoFlow) CCT() Time { return c.DoneAt - c.Arrived }
 
 // MaxSent returns m_c, the maximum bytes sent by any single flow —
 // Saath's queue-assignment signal (Eq. 1).
+//
+//saath:hotpath
 func (c *CoFlow) MaxSent() Bytes {
-	var m Bytes
-	for _, f := range c.Flows {
+	c.sync()
+	m := c.doneMax
+	for _, f := range c.pend {
 		if f.Sent > m {
 			m = f.Sent
 		}
@@ -289,9 +343,12 @@ func (c *CoFlow) MaxSent() Bytes {
 
 // TotalSent returns the sum of bytes sent by all flows — Aalo's
 // queue-assignment signal.
+//
+//saath:hotpath
 func (c *CoFlow) TotalSent() Bytes {
-	var total Bytes
-	for _, f := range c.Flows {
+	c.sync()
+	total := c.doneSum
+	for _, f := range c.pend {
 		total += f.Sent
 	}
 	return total
@@ -306,58 +363,59 @@ func (c *CoFlow) TotalRemaining() Bytes {
 	return total
 }
 
-// PendingFlows returns the flows that are not yet done.
+// PendingFlows returns the flows that are not yet done, in Flows
+// order. Like SendableFlows the result is cached per mutation epoch
+// and owned by the CoFlow.
+//
+//saath:hotpath
 func (c *CoFlow) PendingFlows() []*Flow {
-	var out []*Flow
-	for _, f := range c.Flows {
-		if !f.Done {
-			out = append(out, f)
-		}
-	}
-	return out
+	c.sync()
+	return c.pend
 }
 
-// NumPending counts the flows that are not yet done, without
-// allocating.
-func (c *CoFlow) NumPending() int {
-	n := 0
-	for _, f := range c.Flows {
-		if !f.Done {
-			n++
-		}
-	}
-	return n
-}
+// NumPending counts the flows that are not yet done.
+func (c *CoFlow) NumPending() int { return len(c.PendingFlows()) }
 
-// FinishedFlowSizes returns the sizes (bytes actually moved) of
-// completed flows, used by the dynamics SRTF approximation (§4.3).
-func (c *CoFlow) FinishedFlowSizes() []Bytes {
-	var out []Bytes
+// DoneMedian returns the median bytes moved by the done flows (zero
+// when there are none) — the finished-flow length the dynamics SRTF
+// approximation extrapolates from (§4.3). It is computed at most once
+// per mutation epoch, sorting in the caller's scratch so the CoFlow
+// itself carries no buffer for it.
+//
+//saath:hotpath
+func (c *CoFlow) DoneMedian(scratch *[]Bytes) Bytes {
+	c.sync()
+	if c.epoch != 0 && c.medEpoch == c.epoch {
+		return c.doneMed
+	}
+	ys := (*scratch)[:0]
 	for _, f := range c.Flows {
 		if f.Done {
-			out = append(out, f.Sent)
+			ys = append(ys, f.Sent)
 		}
 	}
-	return out
+	*scratch = ys
+	slices.Sort(ys)
+	c.doneMed = 0
+	if n := len(ys); n%2 == 1 {
+		c.doneMed = ys[n/2]
+	} else if n > 0 {
+		c.doneMed = (ys[n/2-1] + ys[n/2]) / 2
+	}
+	c.medEpoch = c.epoch
+	return c.doneMed
 }
 
 // RefreshDone recomputes Done/DoneAt from flow state. It returns true
 // if the CoFlow just transitioned to done.
+//
+//saath:hotpath
 func (c *CoFlow) RefreshDone() bool {
-	if c.Done {
+	if c.Done || len(c.PendingFlows()) > 0 {
 		return false
 	}
-	var last Time
-	for _, f := range c.Flows {
-		if !f.Done {
-			return false
-		}
-		if f.DoneAt > last {
-			last = f.DoneAt
-		}
-	}
 	c.Done = true
-	c.DoneAt = last
+	c.DoneAt = c.doneLast
 	return true
 }
 
@@ -365,56 +423,18 @@ func (c *CoFlow) RefreshDone() bool {
 // data is available (pipelined frameworks may hold flows back, §4.3).
 func (f *Flow) Sendable() bool { return !f.Done && f.Available }
 
-// SendableFlows returns the flows that can be scheduled right now.
-// The result is cached per mutation epoch (see Invalidate) and the
-// returned slice is owned by the CoFlow: callers must not mutate or
-// retain it across epoch changes.
+// SendableFlows returns the flows that can be scheduled right now, in
+// Flows order. The result is cached per mutation epoch (see
+// Invalidate) and the returned slice is owned by the CoFlow: callers
+// must not mutate or retain it across epoch changes.
+//
+//saath:hotpath
 func (c *CoFlow) SendableFlows() []*Flow {
-	// epoch 0 means the CoFlow was built as a zero value rather than
-	// via New; caching would wrongly treat "never computed" as fresh,
-	// so such CoFlows recompute every call.
-	if c.epoch != 0 && c.sendEpoch == c.epoch {
-		return c.sendCache
+	c.sync()
+	if c.allAvail {
+		return c.pend
 	}
-	c.sendCache = c.sendCache[:0]
-	for _, f := range c.Flows {
-		if f.Sendable() {
-			c.sendCache = append(c.sendCache, f)
-		}
-	}
-	c.sendEpoch = c.epoch
-	return c.sendCache
-}
-
-// PortUse counts, per port, how many of the CoFlow's sendable flows
-// touch it (egress for sources, ingress for destinations).
-type PortUse struct {
-	SrcFlows map[PortID]int // sendable flows sending from each node
-	DstFlows map[PortID]int // sendable flows receiving at each node
-}
-
-// Use computes the current PortUse over sendable flows. Like
-// SendableFlows it is cached per mutation epoch; the returned maps are
-// owned by the CoFlow and must not be mutated or retained.
-func (c *CoFlow) Use() PortUse {
-	if c.epoch != 0 && c.useEpoch == c.epoch && c.useCache.SrcFlows != nil {
-		return c.useCache
-	}
-	if c.useCache.SrcFlows == nil {
-		c.useCache = PortUse{SrcFlows: make(map[PortID]int), DstFlows: make(map[PortID]int)}
-	} else {
-		clear(c.useCache.SrcFlows)
-		clear(c.useCache.DstFlows)
-	}
-	for _, f := range c.Flows {
-		if !f.Sendable() {
-			continue
-		}
-		c.useCache.SrcFlows[f.Src]++
-		c.useCache.DstFlows[f.Dst]++
-	}
-	c.useEpoch = c.epoch
-	return c.useCache
+	return c.sendBuf
 }
 
 // SrcPorts returns the sorted distinct sender nodes of pending flows.

@@ -2,6 +2,7 @@ package coflow
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -187,6 +188,7 @@ func TestRefreshDone(t *testing.T) {
 		f.Done = true
 		f.DoneAt = Time(i+1) * Second
 	}
+	c.Invalidate()
 	if !c.RefreshDone() {
 		t.Fatal("completed coflow not detected")
 	}
@@ -208,9 +210,32 @@ func TestPendingAndFinished(t *testing.T) {
 	if got := len(c.PendingFlows()); got != 3 {
 		t.Fatalf("pending = %d", got)
 	}
-	sizes := c.FinishedFlowSizes()
-	if len(sizes) != 1 || sizes[0] != 20*MB {
-		t.Fatalf("finished sizes = %v", sizes)
+	if got := c.NumPending(); got != 3 {
+		t.Fatalf("NumPending = %d", got)
+	}
+	var scratch []Bytes
+	if got := c.DoneMedian(&scratch); got != 20*MB {
+		t.Fatalf("finished median = %d", got)
+	}
+}
+
+func TestDoneMedian(t *testing.T) {
+	c := New(spec2x2())
+	var scratch []Bytes
+	if got := c.DoneMedian(&scratch); got != 0 {
+		t.Fatalf("median of no finished flows = %d", got)
+	}
+	for i, sent := range []Bytes{3, 1, 2} {
+		c.Flows[i].Done, c.Flows[i].Sent = true, sent
+	}
+	c.Invalidate()
+	if got := c.DoneMedian(&scratch); got != 2 {
+		t.Fatalf("odd median = %d", got)
+	}
+	c.Flows[3].Done, c.Flows[3].Sent = true, 4
+	c.Invalidate()
+	if got := c.DoneMedian(&scratch); got != 2 { // (2+3)/2 truncated
+		t.Fatalf("even median = %d", got)
 	}
 }
 
@@ -223,10 +248,6 @@ func TestPortsAndUse(t *testing.T) {
 	}
 	if len(dst) != 2 || dst[0] != 2 || dst[1] != 3 {
 		t.Fatalf("dst ports = %v", dst)
-	}
-	u := c.Use()
-	if u.SrcFlows[0] != 2 || u.SrcFlows[1] != 2 || u.DstFlows[2] != 2 || u.DstFlows[3] != 2 {
-		t.Fatalf("use = %+v", u)
 	}
 	// Done flows drop out of port sets.
 	c.Flows[0].Done = true
@@ -282,6 +303,96 @@ func TestBottleneckMonotoneProperty(t *testing.T) {
 		after := c.BottleneckRemaining(bw)
 		if after > before {
 			t.Fatalf("trial %d: Γ increased %v -> %v", trial, before, after)
+		}
+	}
+}
+
+// TestProgressSummaryMatchesFullScan drives CoFlows through the
+// mutations their owners perform — byte progress on pending flows,
+// completions, availability flips, restarts — calling Invalidate
+// exactly where the contract asks for it, and checks every cached
+// accessor against a from-scratch pass over Flows after each step.
+func TestProgressSummaryMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var scratch []Bytes
+	for trial := 0; trial < 50; trial++ {
+		spec := &Spec{ID: CoFlowID(trial + 1)}
+		for i, w := 0, rng.Intn(12)+1; i < w; i++ {
+			spec.Flows = append(spec.Flows, FlowSpec{Src: PortID(rng.Intn(4)), Dst: PortID(rng.Intn(4)), Size: Bytes(rng.Intn(1000) + 1)})
+		}
+		c := New(spec)
+		for step := 0; step < 80; step++ {
+			f := c.Flows[rng.Intn(len(c.Flows))]
+			switch rng.Intn(5) {
+			case 0, 1: // bytes move on a pending flow: no Invalidate
+				if !f.Done {
+					f.Sent += Bytes(rng.Intn(int(f.Size)))
+				}
+			case 2: // completion
+				if !f.Done {
+					f.Sent, f.Done, f.DoneAt = f.Size, true, Time(step)
+					c.Invalidate()
+				}
+			case 3: // availability flip
+				f.Available = !f.Available
+				c.Invalidate()
+			case 4: // restart after a failure: progress lost, still pending
+				if !f.Done {
+					f.Sent, f.Restarted = 0, true
+				}
+			}
+
+			var maxSent, total Bytes
+			var pending, sendable []*Flow
+			var done []Bytes
+			var last Time
+			for _, f := range c.Flows {
+				maxSent = max(maxSent, f.Sent)
+				total += f.Sent
+				if f.Sendable() {
+					sendable = append(sendable, f)
+				}
+				if !f.Done {
+					pending = append(pending, f)
+					continue
+				}
+				done = append(done, f.Sent)
+				last = max(last, f.DoneAt)
+			}
+			slices.Sort(done)
+			var median Bytes
+			if n := len(done); n%2 == 1 {
+				median = done[n/2]
+			} else if n > 0 {
+				median = (done[n/2-1] + done[n/2]) / 2
+			}
+
+			if got := c.MaxSent(); got != maxSent {
+				t.Fatalf("trial %d step %d: MaxSent = %d, scan %d", trial, step, got, maxSent)
+			}
+			if got := c.TotalSent(); got != total {
+				t.Fatalf("trial %d step %d: TotalSent = %d, scan %d", trial, step, got, total)
+			}
+			if got := c.NumPending(); got != len(pending) {
+				t.Fatalf("trial %d step %d: NumPending = %d, scan %d", trial, step, got, len(pending))
+			}
+			if !slices.Equal(c.PendingFlows(), pending) {
+				t.Fatalf("trial %d step %d: PendingFlows differs from scan", trial, step)
+			}
+			if !slices.Equal(c.SendableFlows(), sendable) {
+				t.Fatalf("trial %d step %d: SendableFlows differs from scan", trial, step)
+			}
+			if got := c.DoneMedian(&scratch); got != median {
+				t.Fatalf("trial %d step %d: DoneMedian = %d, scan %d", trial, step, got, median)
+			}
+			if len(pending) == 0 {
+				if !c.RefreshDone() || c.DoneAt != last {
+					t.Fatalf("trial %d step %d: RefreshDone missed completion (DoneAt %v, scan %v)", trial, step, c.DoneAt, last)
+				}
+				break
+			} else if c.RefreshDone() {
+				t.Fatalf("trial %d step %d: RefreshDone with %d flows pending", trial, step, len(pending))
+			}
 		}
 	}
 }

@@ -76,24 +76,17 @@ func TestEnsureIndexedPreservesAndFills(t *testing.T) {
 	}
 }
 
-// TestSendableCacheInvalidation: SendableFlows and Use are cached per
-// mutation epoch; Invalidate refreshes them after flow-state changes.
+// TestSendableCacheInvalidation: SendableFlows is cached per mutation
+// epoch; Invalidate refreshes it after flow-state changes.
 func TestSendableCacheInvalidation(t *testing.T) {
 	c := indexedCoflow(1, 3)
 	if got := len(c.SendableFlows()); got != 3 {
 		t.Fatalf("sendable = %d", got)
 	}
-	u := c.Use()
-	if u.SrcFlows[0] != 1 {
-		t.Fatalf("use = %+v", u)
-	}
 	c.Flows[0].Done = true
 	c.Invalidate()
 	if got := len(c.SendableFlows()); got != 2 {
 		t.Fatalf("post-invalidate sendable = %d", got)
-	}
-	if u := c.Use(); u.SrcFlows[0] != 0 {
-		t.Fatalf("post-invalidate use = %+v", u)
 	}
 	c.Flows[1].Available = false
 	c.Invalidate()

@@ -41,6 +41,7 @@ func randomCluster(rng *rand.Rand, nPorts, nCoflows int) []*coflow.CoFlow {
 		}
 		active = append(active, c)
 	}
+	coflow.EnsureIndexed(active) // as the engine does before Arrive
 	return active
 }
 

@@ -33,14 +33,18 @@ import (
 
 	"saath/internal/coflow"
 	"saath/internal/fabric"
+	"saath/internal/queues"
 	"saath/internal/sched"
 )
 
 // Saath is the global coordinator's scheduling policy (Fig. 7).
 type Saath struct {
 	params sched.Params
+	ladder *queues.Ladder // params.Queues with its thresholds computed once
 	name   string
-	state  map[coflow.CoFlowID]*coflowState
+	// states holds the per-CoFlow bookkeeping, indexed densely by
+	// CoFlow.Idx; a slot whose c is nil is free.
+	states []coflowState
 
 	// tracks holds per-flow throughput observations, indexed densely by
 	// Flow.Idx. The zero value means "not yet observed" (lastAlloc 0).
@@ -59,6 +63,7 @@ type Saath struct {
 
 // coflowState is the coordinator's bookkeeping for one live CoFlow.
 type coflowState struct {
+	c         *coflow.CoFlow // holder of the slot, nil when free
 	queue     int
 	enteredAt coflow.Time // when the CoFlow entered its current queue
 	deadline  coflow.Time // absolute starvation deadline for this queue
@@ -98,8 +103,8 @@ func New(p sched.Params) (*Saath, error) {
 	}
 	return &Saath{
 		params:   p,
+		ladder:   p.Queues.Ladder(),
 		name:     name,
-		state:    make(map[coflow.CoFlowID]*coflowState),
 		cindex:   sched.NewContentionIndex(),
 		lastTime: -1,
 	}, nil
@@ -137,19 +142,28 @@ func (s *Saath) Name() string { return s.name }
 func (s *Saath) Params() sched.Params { return s.params }
 
 // Arrive registers a CoFlow; every CoFlow starts in the highest
-// priority queue with a fresh FIFO-derived deadline.
+// priority queue with a fresh FIFO-derived deadline. The CoFlow must
+// already hold its dense index (the engine and the coordinator assign
+// it first); an unindexed one is adopted by the first Schedule that
+// lists it, as if it had arrived then.
 func (s *Saath) Arrive(c *coflow.CoFlow, now coflow.Time) {
-	st := &coflowState{queue: 0, enteredAt: now}
-	s.state[c.ID()] = st
+	if c.Idx < 0 {
+		return
+	}
+	for len(s.states) <= c.Idx {
+		s.states = append(s.states, coflowState{})
+	}
 	// Deadline is set on first Schedule, when the queue population
 	// C_q is known; mark it unset.
-	st.deadline = -1
+	s.states[c.Idx] = coflowState{c: c, enteredAt: now, deadline: -1}
 }
 
 // Depart forgets a finished or withdrawn CoFlow. Flow tracks are
 // cleared by index so a later reuse of the index starts fresh.
 func (s *Saath) Depart(c *coflow.CoFlow, now coflow.Time) {
-	delete(s.state, c.ID())
+	if st := s.lookup(c.Idx, c.ID()); st != nil {
+		*st = coflowState{}
+	}
 	for _, f := range c.Flows {
 		if f.Idx >= 0 && f.Idx < len(s.tracks) {
 			s.tracks[f.Idx] = flowTrack{}
@@ -157,15 +171,30 @@ func (s *Saath) Depart(c *coflow.CoFlow, now coflow.Time) {
 	}
 }
 
+// lookup returns the state slot idx if CoFlow id holds it. Holders are
+// matched by ID, not pointer: the coordinator's update() swaps in a new
+// runtime CoFlow under the same ID and index, and its queue history
+// carries over.
+func (s *Saath) lookup(idx int, id coflow.CoFlowID) *coflowState {
+	if idx < 0 || idx >= len(s.states) {
+		return nil
+	}
+	if st := &s.states[idx]; st.c != nil && st.c.ID() == id {
+		return st
+	}
+	return nil
+}
+
 // QueueOf reports the CoFlow's current queue (for tests and the
 // prototype's introspection endpoint). Second result is false for
 // unknown CoFlows.
 func (s *Saath) QueueOf(id coflow.CoFlowID) (int, bool) {
-	st, ok := s.state[id]
-	if !ok {
-		return 0, false
+	for i := range s.states {
+		if st := s.lookup(i, id); st != nil {
+			return st.queue, true
+		}
 	}
-	return st.queue, true
+	return 0, false
 }
 
 // growScratch sizes the per-interval scratch for this snapshot's index
@@ -185,6 +214,9 @@ func (s *Saath) growScratch(snap *sched.Snapshot) {
 	}
 	for len(s.kc) < snap.CoFlowCap {
 		s.kc = append(s.kc, 0)
+	}
+	for len(s.states) < snap.CoFlowCap {
+		s.states = append(s.states, coflowState{})
 	}
 	for len(s.tracks) < snap.FlowCap {
 		s.tracks = append(s.tracks, flowTrack{})
@@ -217,11 +249,12 @@ func (s *Saath) Schedule(snap *sched.Snapshot) *sched.RateVec {
 	// with the SRTF estimate when flows have finished.
 	queueCount := s.queueCount
 	for _, c := range snap.Active {
-		st := s.state[c.ID()]
+		st := s.lookup(c.Idx, c.ID())
 		if st == nil { // defensive: simulator always calls Arrive first
-			st = &coflowState{queue: 0, enteredAt: snap.Now, deadline: -1}
-			s.state[c.ID()] = st
+			st = &s.states[c.Idx]
+			*st = coflowState{enteredAt: snap.Now, deadline: -1}
 		}
+		st.c = c
 		q := s.targetQueue(c)
 		if q != st.queue {
 			st.queue = q
@@ -233,13 +266,13 @@ func (s *Saath) Schedule(snap *sched.Snapshot) *sched.RateVec {
 	// Fresh deadlines: d · C_q · t, with C_q the queue population at
 	// entry and t the minimum residence time of that queue (§4.2 D5).
 	for _, c := range snap.Active {
-		st := s.state[c.ID()]
+		st := &s.states[c.Idx]
 		if st.deadline < 0 {
 			cq := queueCount[st.queue]
 			if cq < 1 {
 				cq = 1
 			}
-			t := s.params.Queues.MinResidence(st.queue, portRate)
+			t := s.ladder.MinResidence(st.queue, portRate)
 			st.deadline = st.enteredAt + coflow.Time(s.params.DeadlineFactor*float64(cq))*t
 		}
 	}
@@ -252,7 +285,7 @@ func (s *Saath) Schedule(snap *sched.Snapshot) *sched.RateVec {
 		if len(c.SendableFlows()) == 0 {
 			continue // nothing to schedule (all data pending or done)
 		}
-		q := s.state[c.ID()].queue
+		q := s.states[c.Idx].queue
 		s.buckets[q] = append(s.buckets[q], c)
 	}
 
@@ -331,15 +364,12 @@ func (s *Saath) observeProgress(snap *sched.Snapshot) {
 	// mis-measured flow always retains enough allocation to prove
 	// itself and recover (caps double on every kept-up interval).
 	floor := snap.Fabric.PortRate() / 16
+	// Only pending flows are visited: a finished flow's track is never
+	// read again (caps apply to sendable flows) and Depart clears it.
 	for _, c := range snap.Active {
-		for _, f := range c.Flows {
+		for _, f := range c.PendingFlows() {
 			tr := &s.tracks[f.Idx]
 			if tr.lastAlloc <= 0 {
-				continue
-			}
-			if f.Done {
-				tr.estCap = 0
-				tr.lagStreak = 0
 				continue
 			}
 			moved := f.Sent - tr.lastSent
@@ -370,10 +400,7 @@ func (s *Saath) observeProgress(snap *sched.Snapshot) {
 // observation round.
 func (s *Saath) recordAllocations(snap *sched.Snapshot, alloc *sched.RateVec) {
 	for _, c := range snap.Active {
-		for _, f := range c.Flows {
-			if f.Done {
-				continue
-			}
+		for _, f := range c.PendingFlows() {
 			tr := &s.tracks[f.Idx]
 			tr.lastSent = f.Sent
 			tr.lastAlloc = alloc.Rate(f.Idx)
@@ -389,13 +416,13 @@ func (s *Saath) targetQueue(c *coflow.CoFlow) int {
 			// Map the estimated max remaining flow length onto the
 			// per-flow ladder: a CoFlow with little left rejoins high
 			// priority queues even if it has sent a lot (§4.3).
-			return s.params.Queues.QueueForPerFlow(m, c.Width())
+			return s.ladder.QueueForPerFlow(m, c.Width())
 		}
 	}
 	if s.params.PerFlowThresholds {
-		return s.params.Queues.QueueForPerFlow(c.MaxSent(), c.Width())
+		return s.ladder.QueueForPerFlow(c.MaxSent(), c.Width())
 	}
-	return s.params.Queues.QueueForBytes(c.TotalSent())
+	return s.ladder.QueueForBytes(c.TotalSent())
 }
 
 // srtfEstimate implements the §4.3 heuristic: once some flows of a
@@ -408,33 +435,18 @@ func (s *Saath) targetQueue(c *coflow.CoFlow) int {
 // one early small flow of a large unequal-length CoFlow fake a tiny
 // remaining size and hoist the whole CoFlow into the top queue, where
 // it blocks genuinely short CoFlows. The second result is false when
-// the estimate does not apply. The median scratch is reused across
-// calls so the hot path stays allocation-free.
+// the estimate does not apply. The finished-flow median is cached in
+// the CoFlow per mutation epoch (sorted in the scheduler's reused
+// scratch), so a steady-state call reads only the pending flows.
 func (s *Saath) srtfEstimate(c *coflow.CoFlow) (coflow.Bytes, bool) {
-	finished, pending := 0, 0
-	for _, f := range c.Flows {
-		if f.Done {
-			finished++
-		} else {
-			pending++
-		}
-	}
-	if finished == 0 || pending == 0 || finished < pending {
+	pending := c.PendingFlows()
+	finished := c.Width() - len(pending)
+	if finished == 0 || len(pending) == 0 || finished < len(pending) {
 		return 0, false
 	}
-	s.medScratch = s.medScratch[:0]
-	for _, f := range c.Flows {
-		if f.Done {
-			s.medScratch = append(s.medScratch, f.Sent)
-		}
-	}
-	slices.Sort(s.medScratch)
-	fe := medianOfSorted(s.medScratch)
+	fe := c.DoneMedian(&s.medScratch)
 	var worst coflow.Bytes
-	for _, f := range c.Flows {
-		if f.Done {
-			continue
-		}
+	for _, f := range pending {
 		rem := fe - f.Sent
 		if rem < 0 {
 			rem = 0
@@ -446,20 +458,6 @@ func (s *Saath) srtfEstimate(c *coflow.CoFlow) (coflow.Bytes, bool) {
 	return worst, true
 }
 
-func medianOfSorted(ys []coflow.Bytes) coflow.Bytes {
-	n := len(ys)
-	if n%2 == 1 {
-		return ys[n/2]
-	}
-	return (ys[n/2-1] + ys[n/2]) / 2
-}
-
-func median(xs []coflow.Bytes) coflow.Bytes {
-	ys := append([]coflow.Bytes(nil), xs...)
-	slices.Sort(ys)
-	return medianOfSorted(ys)
-}
-
 // orderQueue sorts one queue's CoFlows for scanning: CoFlows past
 // their starvation deadline first (oldest deadline first), then LCoF
 // by ascending contention (ties FIFO), or pure FIFO when LCoF is off.
@@ -467,7 +465,7 @@ func median(xs []coflow.Bytes) coflow.Bytes {
 // off the heap.
 func (s *Saath) orderQueue(bucket []*coflow.CoFlow, now coflow.Time) {
 	slices.SortStableFunc(bucket, func(a, b *coflow.CoFlow) int {
-		sa, sb := s.state[a.ID()], s.state[b.ID()]
+		sa, sb := &s.states[a.Idx], &s.states[b.Idx]
 		ea, eb := now >= sa.deadline, now >= sb.deadline
 		if ea != eb {
 			if ea {

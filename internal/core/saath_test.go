@@ -21,8 +21,14 @@ func newSaath(t *testing.T, mutate func(*sched.Params)) *Saath {
 	return s
 }
 
+// testSpace indexes every CoFlow mk builds, as the engine does before
+// it calls Arrive.
+var testSpace = coflow.NewIndexSpace()
+
 func mk(id coflow.CoFlowID, flows ...coflow.FlowSpec) *coflow.CoFlow {
-	return coflow.New(&coflow.Spec{ID: id, Flows: flows})
+	c := coflow.New(&coflow.Spec{ID: id, Flows: flows})
+	testSpace.Assign(c)
+	return c
 }
 
 func snapshot(numPorts int, now coflow.Time, cs ...*coflow.CoFlow) *sched.Snapshot {
@@ -309,15 +315,6 @@ func TestScheduleWithoutArriveIsDefensive(t *testing.T) {
 	alloc := s.Schedule(snapshot(2, 0, c))
 	if alloc.Len() != 1 {
 		t.Fatalf("alloc = %v", alloc)
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if got := median([]coflow.Bytes{3, 1, 2}); got != 2 {
-		t.Fatalf("odd median = %d", got)
-	}
-	if got := median([]coflow.Bytes{4, 1, 3, 2}); got != 2 { // (2+3)/2 truncated
-		t.Fatalf("even median = %d", got)
 	}
 }
 

@@ -25,6 +25,10 @@ type Fabric struct {
 	egressFree  []coflow.Rate // residual per sender port
 	ingressFree []coflow.Rate // residual per receiver port
 
+	// EqualRateForCoFlow's per-port flow counts, all zero between calls.
+	useEgress  []int32
+	useIngress []int32
+
 	// MaxMinFairInto working state, reused across scheduling rounds so
 	// progressive filling stays off the heap.
 	mmEgress  []coflow.Rate
@@ -47,6 +51,8 @@ func New(numPorts int, rate coflow.Rate) *Fabric {
 		portRate:    rate,
 		egressFree:  make([]coflow.Rate, numPorts),
 		ingressFree: make([]coflow.Rate, numPorts),
+		useEgress:   make([]int32, numPorts),
+		useIngress:  make([]int32, numPorts),
 	}
 	f.Reset()
 	return f
@@ -121,15 +127,14 @@ func (f *Fabric) Release(src, dst coflow.PortID, r coflow.Rate) {
 	}
 }
 
-// CoFlowAvailable reports whether every port a CoFlow's pending flows
+// CoFlowAvailable reports whether every port a CoFlow's sendable flows
 // touch has strictly positive residual capacity — the all-or-none
 // admission test (Fig. 7 line 7).
+//
+//saath:hotpath
 func (f *Fabric) CoFlowAvailable(c *coflow.CoFlow) bool {
 	const eps = 1e-3 // below 1 mB/s a port is effectively busy
-	for _, fl := range c.Flows {
-		if fl.Done || !fl.Available {
-			continue
-		}
+	for _, fl := range c.SendableFlows() {
 		if float64(f.egressFree[fl.Src]) < eps || float64(f.ingressFree[fl.Dst]) < eps {
 			return false
 		}
@@ -140,20 +145,31 @@ func (f *Fabric) CoFlowAvailable(c *coflow.CoFlow) bool {
 // EqualRateForCoFlow computes the MADD-style equal per-flow rate for a
 // CoFlow (§4.2 D2): the slowest flow's achievable share governs all
 // flows, where each port's residual capacity is divided by the number
-// of the CoFlow's pending flows at that port.
+// of the CoFlow's sendable flows at that port. The per-port counts live
+// in fabric-owned scratch that is zero outside this call; each port's
+// share is taken (and its count cleared) the first time a flow reaches
+// it, and a minimum does not depend on the order it is taken in.
+//
+//saath:hotpath
 func (f *Fabric) EqualRateForCoFlow(c *coflow.CoFlow) coflow.Rate {
-	use := c.Use()
-	rate := f.portRate
-	//saath:order-independent min over map values is commutative
-	for p, n := range use.SrcFlows {
-		if share := f.egressFree[p] / coflow.Rate(n); share < rate {
-			rate = share
-		}
+	flows := c.SendableFlows()
+	for _, fl := range flows {
+		f.useEgress[fl.Src]++
+		f.useIngress[fl.Dst]++
 	}
-	//saath:order-independent min over map values is commutative
-	for p, n := range use.DstFlows {
-		if share := f.ingressFree[p] / coflow.Rate(n); share < rate {
-			rate = share
+	rate := f.portRate
+	for _, fl := range flows {
+		if n := f.useEgress[fl.Src]; n > 0 {
+			f.useEgress[fl.Src] = 0
+			if share := f.egressFree[fl.Src] / coflow.Rate(n); share < rate {
+				rate = share
+			}
+		}
+		if n := f.useIngress[fl.Dst]; n > 0 {
+			f.useIngress[fl.Dst] = 0
+			if share := f.ingressFree[fl.Dst] / coflow.Rate(n); share < rate {
+				rate = share
+			}
 		}
 	}
 	if rate < 0 {

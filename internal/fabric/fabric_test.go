@@ -107,6 +107,7 @@ func TestCoFlowAvailable(t *testing.T) {
 	// Done flows do not count.
 	c.Flows[0].Done = true
 	c.Flows[1].Done = true
+	c.Invalidate()
 	if !f.CoFlowAvailable(c) {
 		t.Fatal("coflow with only done flows at busy port rejected")
 	}

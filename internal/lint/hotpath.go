@@ -12,25 +12,29 @@ import (
 // scheduling work (PR 3): functions on the engine tick/event dispatch
 // path — marked with //saath:hotpath on their doc comment — and
 // everything they statically call within the same package must not
-// allocate per call and must not key state by coflow.FlowID or
-// coflow.CoFlowID (dense Idx slices instead).
+// allocate per call and must not touch a map (dense Idx- or
+// port-indexed slices instead).
 //
 // Flagged inside hot functions: make, new, slice/map composite
 // literals, append that does not feed back into its own backing array
 // (x = append(x, ...) and s.buf = append(s.buf[:0], ...) are reuse;
-// y = append(x, ...) is a copy), and any map type keyed by
-// coflow.FlowID / coflow.CoFlowID. //saath:alloc-ok on the line (or
-// the function's doc comment) accepts a finding — grow paths,
-// arrival/retire-path allocations outside steady state, and kept
-// map-based reference implementations are the legitimate uses.
+// y = append(x, ...) is a copy), any map index or range expression,
+// and any map type keyed by coflow.FlowID / coflow.CoFlowID.
+// //saath:alloc-ok on the line (or the function's doc comment) accepts
+// a finding — grow paths, arrival/retire-path work outside steady
+// state, and kept map-based reference implementations are the
+// legitimate uses.
 //
 // Reachability is intra-package and static only: calls through
-// interfaces (e.g. sched.Scheduler.Schedule) are not resolved, so
-// each policy's Schedule carries its own //saath:hotpath root
+// interfaces (e.g. sched.Scheduler.Schedule) and into other packages
+// are not resolved, so each policy's Schedule and every cross-package
+// callee on the path (sched.ContentionIndex.Sync/K,
+// fabric.Fabric.CoFlowAvailable/EqualRateForCoFlow, the cached
+// coflow.CoFlow accessors) carries its own //saath:hotpath root
 // annotation.
 var HotPath = &Analyzer{
 	Name: "hotpath",
-	Doc:  "forbid per-call allocation idioms and map[FlowID]-keyed state in //saath:hotpath functions and their intra-package callees",
+	Doc:  "forbid per-call allocation idioms and map accesses in //saath:hotpath functions and their intra-package callees",
 	Run:  runHotPath,
 }
 
@@ -118,6 +122,14 @@ func checkHotFunc(pass *Pass, fd *ast.FuncDecl, why string) {
 			if name := coflowIDKey(pass.TypesInfo, n.Key); name != "" {
 				report(n.Pos(), "map keyed by coflow.%s violates the dense-Idx-slice discipline", name)
 			}
+		case *ast.IndexExpr:
+			if isMap(pass.TypesInfo, n.X) {
+				report(n.Pos(), "map index hashes per call; key the state by a dense Idx or port slice")
+			}
+		case *ast.RangeStmt:
+			if isMap(pass.TypesInfo, n.X) {
+				report(n.Pos(), "map range walks buckets per call; keep the members in a slice")
+			}
 		case *ast.CallExpr:
 			switch builtinName(pass.TypesInfo, n) {
 			case "make":
@@ -143,6 +155,16 @@ func checkHotFunc(pass *Pass, fd *ast.FuncDecl, why string) {
 		}
 		return true
 	})
+}
+
+// isMap reports whether the expression's type is a map.
+func isMap(info *types.Info, e ast.Expr) bool {
+	tv, ok := info.Types[e]
+	if !ok || tv.Type == nil {
+		return false
+	}
+	_, ok = tv.Type.Underlying().(*types.Map)
+	return ok
 }
 
 // coflowIDKey returns "FlowID" or "CoFlowID" when the map key type is

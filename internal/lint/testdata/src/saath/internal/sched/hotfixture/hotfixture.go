@@ -8,6 +8,8 @@ type sched struct {
 	rates   []float64
 	buf     []int
 	buckets [][]int
+	byName  map[string]int
+	deps    map[int]bool
 }
 
 // Schedule is a hot-path root.
@@ -49,6 +51,20 @@ func (s *sched) Setup(n int) {
 //saath:hotpath
 func (s *sched) Grow(n int) {
 	s.buf = make([]int, n) //saath:alloc-ok amortized growth
+}
+
+// Lookup is hot: any map access is flagged, whatever the key type.
+//
+//saath:hotpath
+func (s *sched) Lookup(name string) int {
+	n := s.byName[name] // want "map index hashes per call"
+	for range s.deps {  // want "map range walks buckets per call"
+		n++
+	}
+	if s.deps[n] { //saath:alloc-ok retire path only, never at steady state
+		n++
+	}
+	return n + s.buf[0] // slice index: no finding
 }
 
 // notHot allocates freely: it is neither annotated nor reachable from

@@ -70,33 +70,62 @@ func (c Config) LoThreshold(q int) coflow.Bytes {
 	return c.HiThreshold(q - 1)
 }
 
+// Ladder is a Config with its thresholds worked out once. Schedulers
+// place every live CoFlow on the ladder every δ, so the exponentials
+// behind HiThreshold are paid when the policy is built, not per
+// CoFlow per interval. Build one with Config.Ladder.
+type Ladder struct {
+	hi   []coflow.Bytes // hi[q] = Q^hi_q, q < K-1
+	span []coflow.Bytes // span[q]: threshold width MinResidence divides by the rate, q < K
+}
+
+// Ladder computes the threshold ladder of a valid Config. The values
+// are HiThreshold's own, evaluated once per rung.
+func (c Config) Ladder() *Ladder {
+	k := max(c.NumQueues, 1)
+	l := &Ladder{hi: make([]coflow.Bytes, k-1), span: make([]coflow.Bytes, k)}
+	for q := range l.hi {
+		l.hi[q] = c.HiThreshold(q)
+		l.span[q] = c.HiThreshold(q) - c.LoThreshold(q)
+	}
+	// Unbounded last queue: extrapolate one more rung.
+	top := float64(c.StartThreshold) * math.Pow(c.Growth, float64(k-1))
+	l.span[k-1] = coflow.Bytes(top - float64(c.LoThreshold(k-1)))
+	for q, s := range l.span {
+		if s <= 0 {
+			l.span[q] = c.StartThreshold
+		}
+	}
+	return l
+}
+
 // QueueForBytes returns the queue whose [lo, hi) interval contains b —
 // Aalo's total-bytes placement. CoFlows sit in q while b < Q^hi_q.
-func (c Config) QueueForBytes(b coflow.Bytes) int {
-	for q := 0; q < c.NumQueues-1; q++ {
-		if b < c.HiThreshold(q) {
+func (l *Ladder) QueueForBytes(b coflow.Bytes) int {
+	for q, hi := range l.hi {
+		if b < hi {
 			return q
 		}
 	}
-	return c.NumQueues - 1
+	return len(l.hi)
 }
 
 // QueueForPerFlow implements Saath's Eq. 1: the queue of a CoFlow of
 // the given width whose largest flow has sent maxSent bytes. The queue
 // threshold is split equally across the CoFlow's flows, so the CoFlow
 // demotes as soon as any flow crosses its share.
-func (c Config) QueueForPerFlow(maxSent coflow.Bytes, width int) int {
+func (l *Ladder) QueueForPerFlow(maxSent coflow.Bytes, width int) int {
 	if width < 1 {
 		width = 1
 	}
 	// m_c·N compared against Q^hi_q, guarding overflow for huge widths.
 	scaled := float64(maxSent) * float64(width)
-	for q := 0; q < c.NumQueues-1; q++ {
-		if scaled < float64(c.HiThreshold(q)) {
+	for q, hi := range l.hi {
+		if scaled < float64(hi) {
 			return q
 		}
 	}
-	return c.NumQueues - 1
+	return len(l.hi)
 }
 
 // MinResidence returns t, the minimum time a CoFlow must spend in
@@ -104,21 +133,9 @@ func (c Config) QueueForPerFlow(maxSent coflow.Bytes, width int) int {
 // by the port rate. It anchors the starvation deadline d·C_q·t (§4.2
 // D5). The last queue has no upper threshold; its residence is the
 // span of the previous queue scaled by the growth factor.
-func (c Config) MinResidence(q int, rate coflow.Rate) coflow.Time {
+func (l *Ladder) MinResidence(q int, rate coflow.Rate) coflow.Time {
 	if rate <= 0 {
 		return 0
 	}
-	var span coflow.Bytes
-	if q >= c.NumQueues-1 {
-		// Unbounded last queue: extrapolate one more rung.
-		hi := float64(c.StartThreshold) * math.Pow(c.Growth, float64(c.NumQueues-1))
-		lo := float64(c.LoThreshold(c.NumQueues - 1))
-		span = coflow.Bytes(hi - lo)
-	} else {
-		span = c.HiThreshold(q) - c.LoThreshold(q)
-	}
-	if span <= 0 {
-		span = c.StartThreshold
-	}
-	return rate.TimeToSend(span)
+	return rate.TimeToSend(l.span[min(max(q, 0), len(l.span)-1)])
 }

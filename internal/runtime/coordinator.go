@@ -384,13 +384,16 @@ func (c *Coordinator) applyStats(s *statsMsg) {
 func (c *Coordinator) mergeStatsLocked(flows []FlowStat, now time.Time) {
 	for i := range flows {
 		fs := &flows[i]
-		lc := c.live[coflow.CoFlowID(fs.CoFlow)]
+		lc := c.live[coflow.CoFlowID(fs.CoFlow)] //saath:alloc-ok the coordinator's live set is still ID-keyed (ROADMAP 6a)
 		if lc == nil || fs.Index < 0 || fs.Index >= len(lc.rt.Flows) {
 			continue
 		}
 		f := lc.rt.Flows[fs.Index]
 		if coflow.Bytes(fs.Sent) > f.Sent {
 			f.Sent = coflow.Bytes(fs.Sent)
+			if f.Done {
+				lc.rt.Invalidate() // a finished flow's bytes are part of the cached summary
+			}
 		}
 		if f.Available != fs.Available {
 			f.Available = fs.Available
@@ -792,6 +795,7 @@ func (c *Coordinator) handleCoFlowByID(w http.ResponseWriter, r *http.Request) {
 					f.DoneAt = old.Flows[i].DoneAt
 				}
 			}
+			lc.rt.Invalidate()
 			c.space.Assign(lc.rt)
 		}
 		c.mu.Unlock()

@@ -81,7 +81,7 @@ func (a *InprocAgent) Step(dt time.Duration) {
 		return
 	}
 	sec := dt.Seconds()
-	for _, f := range a.flows {
+	for _, f := range a.flows { //saath:alloc-ok agent flow table is still keyed by (CoFlow, index) (ROADMAP 6a); per-flow updates commute
 		if f.done || f.rate <= 0 {
 			continue
 		}
@@ -105,7 +105,7 @@ func (a *InprocAgent) Report() {
 		return
 	}
 	a.scratch = a.scratch[:0]
-	for k, f := range a.flows {
+	for k, f := range a.flows { //saath:alloc-ok as Step; the coordinator merges stats per flow, in any order
 		a.scratch = append(a.scratch, FlowStat{
 			CoFlow:    k.CoFlow,
 			Index:     k.Index,

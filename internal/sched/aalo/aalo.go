@@ -15,6 +15,7 @@ import (
 	"slices"
 
 	"saath/internal/coflow"
+	"saath/internal/queues"
 	"saath/internal/sched"
 )
 
@@ -22,8 +23,9 @@ import (
 // reused across intervals (ports are dense indices on the fabric), so
 // steady-state scheduling stays allocation-free.
 type Aalo struct {
-	params sched.Params
-	byPort [][]localFlow // indexed by egress PortID
+	ladder *queues.Ladder   // the configured queue thresholds
+	order  []queued         // the live CoFlows in (queue, arrival, ID) order
+	byPort [][]*coflow.Flow // indexed by egress PortID
 }
 
 // New builds an Aalo scheduler.
@@ -32,7 +34,7 @@ func New(p sched.Params) (*Aalo, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Aalo{params: p}, nil
+	return &Aalo{ladder: p.Queues.Ladder()}, nil
 }
 
 func init() {
@@ -49,28 +51,22 @@ func (a *Aalo) Arrive(c *coflow.CoFlow, now coflow.Time) {}
 // Depart implements sched.Scheduler.
 func (a *Aalo) Depart(c *coflow.CoFlow, now coflow.Time) {}
 
-// localFlow is one sendable flow as seen by its sender port's local
-// scheduler.
-type localFlow struct {
-	f       *coflow.Flow
-	queue   int
-	arrived coflow.Time
-	cid     coflow.CoFlowID
+// queued is one live CoFlow pinned to its logical queue.
+type queued struct {
+	c     *coflow.CoFlow
+	queue int
 }
 
-// cmpLocal orders one port's flows: queue, then arrival, then CoFlow
-// ID, then flow index.
-func cmpLocal(a, b localFlow) int {
+// cmpQueued is every port's local order: queue, then arrival, then
+// CoFlow ID.
+func cmpQueued(a, b queued) int {
 	if a.queue != b.queue {
 		return cmp.Compare(a.queue, b.queue)
 	}
-	if a.arrived != b.arrived {
-		return cmp.Compare(a.arrived, b.arrived)
+	if a.c.Arrived != b.c.Arrived {
+		return cmp.Compare(a.c.Arrived, b.c.Arrived)
 	}
-	if a.cid != b.cid {
-		return cmp.Compare(a.cid, b.cid)
-	}
-	return cmp.Compare(a.f.ID.Index, b.f.ID.Index)
+	return cmp.Compare(a.c.ID(), b.c.ID())
 }
 
 // Schedule emulates Aalo's distributed decision: the coordinator pins
@@ -79,6 +75,11 @@ func cmpLocal(a, b localFlow) int {
 // the residual min(egress, ingress) capacity. Ports are visited in
 // index order, which stands in for the uncoordinated races of the real
 // distributed system while keeping the simulation deterministic.
+//
+// Every port orders its flows by the same key — (queue, arrival,
+// CoFlow ID), then flow index — so the CoFlows are sorted once and
+// their sendable flows (already in flow-index order) dealt to the port
+// lists in that order, which leaves every list sorted.
 func (a *Aalo) Schedule(snap *sched.Snapshot) *sched.RateVec {
 	alloc := snap.Allocation()
 	np := snap.Fabric.NumPorts()
@@ -88,27 +89,25 @@ func (a *Aalo) Schedule(snap *sched.Snapshot) *sched.RateVec {
 	for p := 0; p < np; p++ {
 		a.byPort[p] = a.byPort[p][:0]
 	}
+	a.order = a.order[:0]
 	for _, c := range snap.Active {
-		q := a.params.Queues.QueueForBytes(c.TotalSent())
-		for _, f := range c.SendableFlows() {
-			a.byPort[f.Src] = append(a.byPort[f.Src], localFlow{f: f, queue: q, arrived: c.Arrived, cid: c.ID()})
+		a.order = append(a.order, queued{c: c, queue: a.ladder.QueueForBytes(c.TotalSent())})
+	}
+	slices.SortStableFunc(a.order, cmpQueued)
+	for _, qc := range a.order {
+		for _, f := range qc.c.SendableFlows() {
+			a.byPort[f.Src] = append(a.byPort[f.Src], f)
 		}
 	}
-
 	const eps = 1e-3
 	for p := 0; p < np; p++ {
-		flows := a.byPort[p]
-		if len(flows) == 0 {
-			continue
-		}
-		slices.SortStableFunc(flows, cmpLocal)
-		for _, lf := range flows {
-			r := snap.Fabric.PathFree(lf.f.Src, lf.f.Dst)
+		for _, f := range a.byPort[p] {
+			r := snap.Fabric.PathFree(f.Src, f.Dst)
 			if float64(r) <= eps {
 				continue
 			}
-			alloc.Set(lf.f.Idx, r)
-			snap.Fabric.Allocate(lf.f.Src, lf.f.Dst, r)
+			alloc.Set(f.Idx, r)
+			snap.Fabric.Allocate(f.Src, f.Dst, r)
 		}
 	}
 	return alloc

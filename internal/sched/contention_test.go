@@ -61,12 +61,24 @@ func TestContentionIndexTracksEpochs(t *testing.T) {
 // TestContentionIndexMatchesReference drives random clusters through
 // random per-epoch mutations (completions, availability flips,
 // arrivals, departures) and asserts the incremental index agrees with
-// the reference Contention implementation after every round.
+// the reference Contention implementation after every round. Indices
+// come from an IndexSpace, as in the engine, so a departure followed by
+// an arrival hands the newcomer the departed CoFlow's Idx between two
+// Syncs; the larger trials keep more than 64 and more than 128 CoFlows
+// live so bits land on both sides of the bitset's word boundaries.
 func TestContentionIndexMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 20; trial++ {
+	for trial := 0; trial < 24; trial++ {
 		x := NewContentionIndex()
+		space := coflow.NewIndexSpace()
 		nPorts := rng.Intn(6) + 2
+		initial, minLive := rng.Intn(8)+2, 0
+		switch {
+		case trial >= 22:
+			nPorts, initial, minLive = 40, 160, 129 // three words
+		case trial >= 20:
+			nPorts, initial, minLive = 24, 90, 65 // two words
+		}
 		var active []*coflow.CoFlow
 		nextID := coflow.CoFlowID(1)
 		addCoflow := func() {
@@ -79,20 +91,30 @@ func TestContentionIndexMatchesReference(t *testing.T) {
 					Size: coflow.Bytes(rng.Intn(100) + 1),
 				})
 			}
-			active = append(active, coflow.New(spec))
+			c := coflow.New(spec)
+			space.Assign(c)
+			active = append(active, c)
 		}
-		for i := 0; i < rng.Intn(8)+2; i++ {
+		depart := func() (idx int) {
+			i := rng.Intn(len(active))
+			c := active[i]
+			active = append(active[:i], active[i+1:]...)
+			idx = c.Idx
+			space.Release(c)
+			return idx
+		}
+		for i := 0; i < initial; i++ {
 			addCoflow()
 		}
+		recycled := 0
 		for round := 0; round < 30; round++ {
 			// Random churn between rounds.
-			switch rng.Intn(4) {
+			switch rng.Intn(5) {
 			case 0:
 				addCoflow()
 			case 1:
 				if len(active) > 1 {
-					i := rng.Intn(len(active))
-					active = append(active[:i], active[i+1:]...)
+					depart()
 				}
 			case 2:
 				if len(active) > 0 {
@@ -108,6 +130,17 @@ func TestContentionIndexMatchesReference(t *testing.T) {
 					f.Available = !f.Available
 					c.Invalidate()
 				}
+			case 4:
+				// Depart + arrive with no Sync in between: the LIFO
+				// free list gives the newcomer the departed index.
+				if len(active) > 1 {
+					idx := depart()
+					addCoflow()
+					if got := active[len(active)-1].Idx; got != idx {
+						t.Fatalf("IndexSpace did not recycle index %d: newcomer got %d", idx, got)
+					}
+					recycled++
+				}
 			}
 			got := kOf(x, active)
 			want := Contention(active)
@@ -117,6 +150,10 @@ func TestContentionIndexMatchesReference(t *testing.T) {
 						trial, round, c.ID(), got[c.ID()], want[c.ID()])
 				}
 			}
+		}
+		if minLive > 0 && (len(active) < minLive || recycled == 0) {
+			t.Fatalf("trial %d: %d live (want >= %d), %d recycled — the wide trial lost its coverage",
+				trial, len(active), minLive, recycled)
 		}
 	}
 }

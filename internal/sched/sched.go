@@ -63,8 +63,10 @@ func (s *Snapshot) Allocation() *RateVec {
 
 // Scheduler is a global CoFlow scheduling policy.
 //
-// Implementations may keep per-CoFlow state keyed by ID; Arrive and
-// Depart bracket a CoFlow's lifetime. Schedule must be deterministic
+// Implementations keep per-CoFlow state in slices keyed by CoFlow.Idx;
+// Arrive and Depart bracket a CoFlow's lifetime, and its owner calls
+// them while the CoFlow holds its index (after IndexSpace.Assign,
+// before Release). Schedule must be deterministic
 // given the same event sequence. The returned vector is the one handed
 // out by Snapshot.Allocation (or nil for "nothing scheduled"); it is
 // only valid until the next Schedule call on the same snapshot.

@@ -352,13 +352,15 @@ type engine struct {
 	// the probe path allocates nothing in the engine itself.
 	ivScratch telemetry.Interval
 
-	// restartPending marks flows rolled for a one-time mid-life restart.
-	restartPending map[coflow.FlowID]bool
+	// restartPending marks flows rolled for a one-time mid-life restart,
+	// by Flow.Idx; retire clears a CoFlow's slots with its indices.
+	restartPending []bool
 
 	// Per-interval scratch state, reused across ticks so the hot loop
 	// allocates nothing: the snapshot (whose Alloc vector the scheduler
 	// reuses), the sorted-active scratch, and the dense validation
-	// ledgers.
+	// ledgers. valFlows maps Flow.Idx to the live flow holding it,
+	// maintained at admission and retirement.
 	snap        sched.Snapshot
 	snapScratch []*coflow.CoFlow
 	valFlows    []*coflow.Flow
@@ -380,7 +382,6 @@ type engine struct {
 
 func (e *engine) load(tr *trace.Trace) {
 	e.doneAt = make(map[coflow.CoFlowID]coflow.Time)
-	e.restartPending = make(map[coflow.FlowID]bool)
 	for _, spec := range tr.Specs {
 		p := &pendingSpec{spec: spec}
 		if len(spec.DependsOn) > 0 {
@@ -437,9 +438,17 @@ func (e *engine) admitOne(p *pendingSpec, now coflow.Time) *coflow.CoFlow {
 		// arrives (§2.1).
 		c.Arrived = p.spec.Arrival
 	}
+	e.space.Assign(c)
+	// The Flow.Idx-keyed tables grow together, before anything reads them.
+	for len(e.valFlows) < e.space.FlowCap() {
+		e.valFlows = append(e.valFlows, nil)
+		e.restartPending = append(e.restartPending, false)
+	}
+	for _, f := range c.Flows {
+		e.valFlows[f.Idx] = f
+	}
 	e.applyDynamicsOnArrival(c)
 	e.applyPipelining(c)
-	e.space.Assign(c)
 	e.active = append(e.active, c)
 	e.sched.Arrive(c, now)
 	return c
@@ -459,7 +468,7 @@ func (e *engine) applyDynamicsOnArrival(c *coflow.CoFlow) {
 			f.Slowdown = slow
 		}
 		if d.RestartProb > 0 && e.dynRng.Float64() < d.RestartProb {
-			e.restartPending[f.ID] = true
+			e.restartPending[f.Idx] = true
 		}
 	}
 }
@@ -637,13 +646,15 @@ func (e *engine) beginInterval() (*sched.RateVec, error) {
 // it accumulates the egress-utilization mean that Result reports and,
 // when probes are attached, hands them the full interval observation.
 // Rates are summed in deterministic flow order — float addition is not
-// associative, and ranging over the allocation map would let iteration
-// order perturb the low bits of the reported utilization across runs.
-// With no probes attached this path allocates nothing.
+// associative, and ranging over the allocation's insertion order would
+// let a policy's visiting order perturb the low bits of the reported
+// utilization. Only sendable flows can hold a rate (the audit rejects
+// anything else), so they are the only ones visited. With no probes
+// attached this path allocates nothing.
 func (e *engine) observeInterval(alloc *sched.RateVec) {
 	var total float64
 	for _, c := range e.active {
-		for _, f := range c.Flows {
+		for _, f := range c.SendableFlows() {
 			if r, ok := alloc.Get(f.Idx); ok {
 				total += float64(r)
 			}
@@ -679,7 +690,9 @@ func (e *engine) observeInterval(alloc *sched.RateVec) {
 // ingress or egress is oversubscribed beyond float tolerance. This is
 // the engine's guard against scheduler bugs — policies that bypass the
 // fabric ledger are caught here. The ledgers are dense arrays keyed by
-// flow index / port, reused across intervals.
+// port, reused across intervals; the flow-by-index table is kept
+// current by admitOne and retire, so an index no live flow holds
+// reads nil here.
 func (e *engine) validateAllocation(alloc *sched.RateVec) error {
 	np := e.fab.NumPorts()
 	if len(e.valEgress) < np {
@@ -691,26 +704,7 @@ func (e *engine) validateAllocation(alloc *sched.RateVec) error {
 	for i := range egress {
 		egress[i], ingress[i] = 0, 0
 	}
-	if len(e.valFlows) < e.snap.FlowCap {
-		e.valFlows = make([]*coflow.Flow, e.snap.FlowCap) //saath:alloc-ok amortized ledger growth
-	}
-	flows := e.valFlows
-	for _, c := range e.active {
-		for _, f := range c.Flows {
-			if f.Idx >= 0 && f.Idx < len(flows) {
-				flows[f.Idx] = f
-			}
-		}
-	}
-	err := e.validateFilled(alloc, flows, egress, ingress)
-	for _, c := range e.active {
-		for _, f := range c.Flows {
-			if f.Idx >= 0 && f.Idx < len(flows) {
-				flows[f.Idx] = nil
-			}
-		}
-	}
-	return err
+	return e.validateFilled(alloc, e.valFlows, egress, ingress)
 }
 
 func (e *engine) validateFilled(alloc *sched.RateVec, flows []*coflow.Flow, egress, ingress []float64) error {
@@ -775,10 +769,7 @@ func (e *engine) advance(alloc *sched.RateVec, dt coflow.Time) {
 	still := e.active[:0]
 	for _, c := range e.active {
 		completed := false
-		for _, f := range c.Flows {
-			if !f.Sendable() {
-				continue
-			}
+		for _, f := range c.SendableFlows() {
 			rate, ok := alloc.Get(f.Idx)
 			if !ok || rate <= 0 {
 				continue
@@ -815,7 +806,7 @@ func (e *engine) advance(alloc *sched.RateVec, dt coflow.Time) {
 // progress once it crosses the RestartAt fraction.
 func (e *engine) maybeRestart(f *coflow.Flow) {
 	d := e.cfg.Dynamics
-	if d == nil || !e.restartPending[f.ID] {
+	if d == nil || !e.restartPending[f.Idx] {
 		return
 	}
 	at := d.RestartAt
@@ -825,12 +816,12 @@ func (e *engine) maybeRestart(f *coflow.Flow) {
 	if float64(f.Sent) >= at*float64(f.Size) {
 		f.Sent = 0
 		f.Restarted = true
-		delete(e.restartPending, f.ID)
+		e.restartPending[f.Idx] = false
 	}
 }
 
 func (e *engine) retire(c *coflow.CoFlow) {
-	e.doneAt[c.ID()] = c.DoneAt
+	e.doneAt[c.ID()] = c.DoneAt //saath:alloc-ok once per CoFlow at retirement; DAG gates name CoFlows not yet admitted, so by ID
 	if cnt := e.cfg.Counters; cnt != nil {
 		cnt.Retired++
 	}
@@ -840,10 +831,14 @@ func (e *engine) retire(c *coflow.CoFlow) {
 	// event pops once this interval finishes, before the boundary that
 	// should admit the dependents (releaseDependents clamps to the
 	// post-interval clock).
-	if e.evq != nil && len(e.dependents[c.ID()]) > 0 {
+	if e.evq != nil && len(e.dependents[c.ID()]) > 0 { //saath:alloc-ok as doneAt above
 		e.pushEvent(event{time: c.DoneAt, kind: eventFlowDone, co: c})
 	}
 	e.sched.Depart(c, e.now)
+	for _, f := range c.Flows {
+		e.valFlows[f.Idx] = nil
+		e.restartPending[f.Idx] = false
+	}
 	e.space.Release(c) // after Depart, which still reads the indices
 	res := CoFlowResult{
 		ID:      c.ID(),

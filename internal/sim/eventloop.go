@@ -191,6 +191,8 @@ func (e *engine) admitSpec(p *pendingSpec, now coflow.Time) {
 // releaseDependents fires when a gating coflow completes: any spec
 // whose dependencies are now all retired gets its arrival event at the
 // boundary where the tick engine's pending scan would admit it.
+//
+//saath:alloc-ok runs once per gating CoFlow of a DAG trace, on its completion event; the gates name CoFlows by ID
 func (e *engine) releaseDependents(c *coflow.CoFlow) {
 	for _, idx := range e.dependents[c.ID()] {
 		p := e.pending[idx]

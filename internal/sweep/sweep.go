@@ -349,9 +349,11 @@ dispatch:
 // zero (so every cell of a grid gets distinct but reproducible noise).
 // With an enabled recorder it also times the job's phases (trace
 // synthesis, run loop, metrics export) and attaches engine counters —
-// all out-of-band, never touching the seeds or results above.
-func runJob(ctx context.Context, j Job, rec *obs.Recorder) JobResult {
-	jr := JobResult{Job: j}
+// all out-of-band, never touching the seeds or results above. The
+// result is named so the deferred Elapsed stamp lands in what the
+// caller receives, whichever return it leaves by.
+func runJob(ctx context.Context, j Job, rec *obs.Recorder) (jr JobResult) {
+	jr = JobResult{Job: j}
 	start := time.Now()                               //saath:wallclock JobResult.Elapsed is reporting-only, never study bytes
 	defer func() { jr.Elapsed = time.Since(start) }() //saath:wallclock
 	var span *obs.Span

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"saath/internal/coflow"
 	"saath/internal/sched"
@@ -156,6 +157,44 @@ func TestDeterminismAcrossParallelism(t *testing.T) {
 
 // TestPartialFailure checks that one erroring job does not poison the
 // sweep: the other jobs complete and aggregate normally.
+// TestJobElapsedReachesCaller pins runJob's named result: the wall time
+// it stamps in a defer must be what Run stores and what the progress
+// callback sees, so a ProgressMeter anchors its rate clock at the first
+// job's start instead of at its completion.
+func TestJobElapsedReachesCaller(t *testing.T) {
+	jobs := testGrid().Jobs()[:4]
+	var buf bytes.Buffer
+	m := NewProgressMeter(&buf, 0)
+	var first time.Time // the meter's clock reading at the first completion
+	m.now = func() time.Time {
+		now := time.Now()
+		if first.IsZero() {
+			first = now
+		}
+		return now
+	}
+	var seen []time.Duration
+	res := Run(context.Background(), jobs, Options{Parallel: 1, Progress: func(done, total int, jr JobResult) {
+		seen = append(seen, jr.Elapsed)
+		m.Progress(done, total, jr)
+	}})
+	for i, jr := range res.Jobs {
+		if jr.Err != nil {
+			t.Fatalf("job %d: %v", i, jr.Err)
+		}
+		if jr.Elapsed <= 0 {
+			t.Errorf("job %d: stored Elapsed = %v, want > 0", i, jr.Elapsed)
+		}
+		if seen[i] != jr.Elapsed {
+			t.Errorf("job %d: progress saw Elapsed %v, result holds %v", i, seen[i], jr.Elapsed)
+		}
+	}
+	if want := first.Add(-res.Jobs[0].Elapsed); !m.start.Equal(want) || !m.start.Before(first) {
+		t.Errorf("meter start = %v, want the first completion (%v) back-dated by its %v run time",
+			m.start, first, res.Jobs[0].Elapsed)
+	}
+}
+
 func TestPartialFailure(t *testing.T) {
 	g := testGrid()
 	g.Schedulers = []string{"aalo", "saath", "no-such-scheduler"}

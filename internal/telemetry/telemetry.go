@@ -315,13 +315,9 @@ func (s *Suite) Observe(iv *Interval) {
 	var queuedBytes coflow.Bytes
 	blocked := 0
 	for _, c := range iv.Active {
-		sendable := 0
+		flows := c.SendableFlows()
 		var granted float64
-		for _, f := range c.Flows {
-			if !f.Sendable() {
-				continue
-			}
-			sendable++
+		for _, f := range flows {
 			eg[f.Src]++
 			in[f.Dst]++
 			queuedBytes += f.Remaining()
@@ -329,7 +325,7 @@ func (s *Suite) Observe(iv *Interval) {
 				granted += float64(r)
 			}
 		}
-		if sendable > 0 && granted <= 0 {
+		if len(flows) > 0 && granted <= 0 {
 			blocked++
 		}
 	}

@@ -22,7 +22,7 @@ import (
 // restart after a node failure — making the promotion series a direct
 // failure-churn signal.
 type queueTracker struct {
-	cfg     queues.Config
+	ladder  *queues.Ladder
 	perFlow bool
 	level   *Histogram
 
@@ -38,15 +38,15 @@ func newQueueTracker(cfg queues.Config, perFlow bool) *queueTracker {
 	for i := range bounds {
 		bounds[i] = float64(i)
 	}
-	return &queueTracker{cfg: cfg, perFlow: perFlow, level: NewHistogram(HistQueueLevel, bounds)}
+	return &queueTracker{ladder: cfg.Ladder(), perFlow: perFlow, level: NewHistogram(HistQueueLevel, bounds)}
 }
 
 // place returns the CoFlow's current queue under the tracker's rule.
 func (qt *queueTracker) place(c *coflow.CoFlow) int {
 	if qt.perFlow {
-		return qt.cfg.QueueForPerFlow(c.MaxSent(), c.Width())
+		return qt.ladder.QueueForPerFlow(c.MaxSent(), c.Width())
 	}
-	return qt.cfg.QueueForBytes(c.TotalSent())
+	return qt.ladder.QueueForBytes(c.TotalSent())
 }
 
 // observe places every active CoFlow and returns this interval's
