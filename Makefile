@@ -49,12 +49,12 @@ bench:
 
 # Scheduler hot-path smoke: one iteration of the per-policy Schedule
 # benchmarks plus the allocation-regression guards against
-# BENCH_baseline.json and the steady-state engine-tick zero-alloc
-# guard (the guards need a non-race build — they skip under -race).
+# BENCH_baseline.json (the guards need a non-race build — they skip
+# under -race; the engine's steady-state zero-alloc guard rides on
+# bench-engine).
 bench-sched:
 	$(GO) test -bench 'BenchmarkSchedule' -benchtime=1x -benchmem -run '^$$' -timeout 10m .
 	$(GO) test -run TestScheduleAllocGuards -count=1 .
-	$(GO) test -run TestEngineTickSteadyStateZeroAlloc -count=1 ./internal/sim/
 
 # Sweep-layer smoke: one iteration of the grid-expansion / summary
 # digest / pool benchmarks plus the allocation guard against the
@@ -80,24 +80,24 @@ bench-trace:
 	$(GO) test -bench 'BenchmarkTrace' -benchtime=1x -benchmem -run '^$$' -timeout 10m .
 	$(GO) test -run TestTraceAllocGuards -count=1 .
 
-# Engine-layer smoke: one iteration of the tick-vs-event sparse
-# long-tail benchmarks plus the alloc guard against the engine_layer
-# section of BENCH_baseline.json and the event loop's steady-state
-# zero-alloc guard (both skip under -race).
+# Engine-layer smoke: one iteration of the sparse long-tail benchmark
+# plus the alloc guard against the engine_layer section of
+# BENCH_baseline.json and the run loop's steady-state zero-alloc guard
+# (both skip under -race).
 bench-engine:
-	$(GO) test -bench 'BenchmarkEngine(Tick|Event)Sparse' -benchtime=1x -benchmem -run '^$$' -timeout 10m .
+	$(GO) test -bench 'BenchmarkEngineEventSparse' -benchtime=1x -benchmem -run '^$$' -timeout 10m .
 	$(GO) test -run TestEngineLayerGuards -count=1 .
 	$(GO) test -run TestEngineEventSteadyStateZeroAlloc -count=1 ./internal/sim/
 
 # Observability smoke: one iteration of the span-record / counter-step
 # benchmarks plus the guard against the obs_layer section of
 # BENCH_baseline.json (the engine counter step must allocate exactly
-# nothing) and the engine's counters-attached zero-alloc guards in both
-# run loops (all skip under -race).
+# nothing) and the engine's counters-attached zero-alloc guard (all
+# skip under -race).
 bench-obs:
 	$(GO) test -bench 'BenchmarkObs' -benchtime=1x -benchmem -run '^$$' -timeout 10m .
 	$(GO) test -run TestObsLayerGuards -count=1 .
-	$(GO) test -run 'TestEngine(Tick|Event)CountersZeroAlloc' -count=1 ./internal/sim/
+	$(GO) test -run TestEngineEventCountersZeroAlloc -count=1 ./internal/sim/
 
 # Fleet wire smoke: one iteration of the wire encode/decode benchmarks
 # plus the guard against the fleet_layer section of BENCH_baseline.json

@@ -30,11 +30,10 @@ func recordJobSpan() *obs.Span {
 	return root
 }
 
-// counterStep is one engine observation step: the per-tick and
-// per-dispatch counter bumps plus a schedule-latency observation —
+// counterStep is one engine observation step: the per-dispatch
+// counter bumps plus a schedule-latency observation —
 // everything the engine does per interval when counters are attached.
 func counterStep(c *obs.EngineCounters, i int) {
-	c.Ticks++
 	c.Epochs++
 	c.EventsDispatched++
 	c.EventsByKind[i%obs.NumEventKinds]++

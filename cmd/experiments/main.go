@@ -21,9 +21,6 @@
 //	experiments -study headline -shard 1/2 -out shards
 //	experiments -study headline -merge shards
 //
-// -engine picks the run loop for -study ("tick" or "event"); the two
-// produce byte-identical output, so it only changes wall-clock time.
-//
 // Observability is out-of-band and never changes output bytes:
 // -progress prints a throttled aggregate line (done/total, jobs/s,
 // ETA, per-variant completion); -obs-out (with -study) writes the
@@ -48,7 +45,6 @@ import (
 	"saath/internal/experiments"
 	"saath/internal/obs"
 	"saath/internal/report"
-	"saath/internal/sim"
 	"saath/internal/study"
 	"saath/internal/sweep"
 
@@ -70,7 +66,6 @@ func main() {
 		memProfile   = flag.String("memprofile", "", "write a heap profile to this path (captured at exit, after GC)")
 		runtimeTrace = flag.String("runtime-trace", "", "write a Go runtime execution trace to this path")
 
-		engine    = flag.String("engine", "", `with -study: run loop, "tick" or "event" (default: as the study declares; results are identical)`)
 		studyName = flag.String("study", "", "run a registered study from the catalog instead of the figures (see -studies)")
 		studies   = flag.Bool("studies", false, "list registered studies and exit")
 		shardArg  = flag.String("shard", "", `with -study: simulate only shard i of n ("i/n") into a dump under -out`)
@@ -100,8 +95,7 @@ func main() {
 
 	if *studyName != "" {
 		if err := runStudy(ctx, studyCLI{
-			name: *studyName, engine: *engine,
-			shardArg: *shardArg, mergeDir: *mergeDir, outDir: *outDir,
+			name: *studyName, shardArg: *shardArg, mergeDir: *mergeDir, outDir: *outDir,
 			csvDir: *csvDir, jsonDir: *jsonDir, parallel: *parallel, progress: *progress,
 			obsOut: *obsOut,
 		}); err != nil {
@@ -110,8 +104,8 @@ func main() {
 		}
 		exit(0)
 	}
-	if *shardArg != "" || *mergeDir != "" || *engine != "" || *obsOut != "" {
-		fmt.Fprintln(os.Stderr, "experiments: -shard/-merge/-engine/-obs-out require -study (figures are assembled in-process)")
+	if *shardArg != "" || *mergeDir != "" || *obsOut != "" {
+		fmt.Fprintln(os.Stderr, "experiments: -shard/-merge/-obs-out require -study (figures are assembled in-process)")
 		exit(1)
 	}
 	for _, dir := range []string{*csvDir, *jsonDir} {
@@ -233,7 +227,7 @@ func exit(code int) {
 
 // studyCLI carries the flag values of one -study invocation.
 type studyCLI struct {
-	name, engine               string
+	name                       string
 	shardArg, mergeDir, outDir string
 	csvDir, jsonDir            string
 	obsOut                     string
@@ -246,13 +240,6 @@ func runStudy(ctx context.Context, c studyCLI) error {
 	st, err := study.Build(c.name)
 	if err != nil {
 		return err
-	}
-	if c.engine != "" {
-		m, err := sim.ParseMode(c.engine)
-		if err != nil {
-			return err
-		}
-		st = st.InEngineMode(m)
 	}
 	var observer *obs.Recorder
 	if c.obsOut != "" {

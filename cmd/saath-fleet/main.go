@@ -57,7 +57,6 @@ func main() {
 	var (
 		studyName = flag.String("study", "", "registered study to run (see -studies)")
 		studies   = flag.Bool("studies", false, "list registered studies and exit")
-		engine    = flag.String("engine", "", `worker run loop: "tick" or "event" (results are identical)`)
 
 		workers  = flag.Int("workers", 4, "concurrent worker slots")
 		tasks    = flag.Int("tasks", 0, "shard partition size (0 = 4x workers, capped at the grid)")
@@ -115,7 +114,6 @@ func main() {
 		BackoffBase:    *backoff,
 		Deadline:       *deadline,
 		StallTimeout:   *stall,
-		Engine:         *engine,
 		WorkerParallel: *wpar,
 		Chaos:          chaos,
 	}

@@ -10,7 +10,6 @@
 //	saath-sim -trace path/to/trace.txt -sched saath,varys -delta 8ms
 //	saath-sim -trace osp -sched aalo,saath -seed 1,2,3 -parallel 8
 //	saath-sim -trace fb -json results.json
-//	saath-sim -trace fb -sched saath -engine event
 //
 // The -trace flag accepts "fb" (synthetic Facebook-like), "osp"
 // (synthetic OSP-like), "incast" / "broadcast" (synthetic fan-in /
@@ -48,13 +47,6 @@
 // completion) rather than one line per job. -cpuprofile, -memprofile
 // and -runtime-trace capture the standard Go profiles of the whole
 // run.
-//
-// -engine selects the simulation run loop: "tick" replays the fixed-δ
-// synchronous loop, "event" the discrete-event engine that skips idle
-// gaps. The two are byte-identical by contract (see internal/sim), so
-// the flag only changes wall-clock time; it applies to flag-built
-// grids and named studies alike, and shard dumps produced under either
-// engine merge interchangeably.
 //
 // Any study — flag-built or named — shards across processes: -shard
 // i/n simulates only the i-th of n stripes of the grid and writes a
@@ -109,7 +101,6 @@ func main() {
 		growth   = flag.Float64("E", 10, "queue threshold growth factor")
 		queues   = flag.Int("K", 10, "number of priority queues")
 		deadline = flag.Float64("d", 2, "starvation deadline factor")
-		engine   = flag.String("engine", "", `run loop: "tick" or "event" (default: as the study declares; results are identical)`)
 		parallel = flag.Int("parallel", runtime.NumCPU(), "simulation worker pool size")
 		jsonPath = flag.String("json", "", `write per-run results as JSON to this file ("-" for stdout)`)
 		progress = flag.Bool("progress", false, "print a throttled aggregate progress line to stderr")
@@ -173,20 +164,12 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if *engine != "" {
-			m, err := sim.ParseMode(*engine)
-			if err != nil {
-				fatal(err)
-			}
-			st = st.InEngineMode(m)
-		}
 	} else {
 		fromCLI = true
 		st, err = studyFromFlags(flagGrid{
 			traceArg: *traceArg, seeds: *seeds, scheds: *scheds,
 			delta: *delta, rateGbps: *rateGbps, arrival: *arrival,
 			start: *start, growth: *growth, queues: *queues, deadline: *deadline,
-			engine:  *engine,
 			metrics: *metrics, metricsStep: *metricsStep,
 			describe: *mergeDir == "", // the banner line, skipped when only merging
 		})
@@ -230,7 +213,7 @@ func main() {
 	}
 
 	// Fleet worker mode: stream the shard's wire events on stdout for a
-	// saath-fleet driver (engine mode is already applied to st above).
+	// saath-fleet driver.
 	if *shardStream {
 		if *shardArg == "" {
 			fatal(fmt.Errorf("-shard-stream requires -shard i/n"))
@@ -336,7 +319,6 @@ type flagGrid struct {
 	start                   string
 	growth, deadline        float64
 	queues                  int
-	engine                  string
 	metrics                 bool
 	metricsStep             time.Duration
 	describe                bool
@@ -365,13 +347,6 @@ func studyFromFlags(fg flagGrid) (*study.Study, error) {
 	cfg := sim.Config{
 		Delta:    coflow.Time(fg.delta.Microseconds()) * coflow.Microsecond,
 		PortRate: coflow.GbpsRate(fg.rateGbps),
-	}
-	if fg.engine != "" {
-		m, err := sim.ParseMode(fg.engine)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Mode = m
 	}
 
 	// Describe the workload using the first seed's draw.

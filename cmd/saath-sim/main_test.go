@@ -1,16 +1,12 @@
 package main
 
 import (
-	"bytes"
-	"context"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"saath/internal/coflow"
-	"saath/internal/sim"
-	"saath/internal/study"
 )
 
 func TestMetricsStride(t *testing.T) {
@@ -181,101 +177,5 @@ func TestStudyFromFlags(t *testing.T) {
 	}
 	if got := st2.Jobs()[0].Trace; got != st2.Name() {
 		t.Fatalf("trace name %q != study name %q", got, st2.Name())
-	}
-}
-
-// TestEngineFlagRoundTrip drives the -engine flag through the CLI's
-// study compiler end to end: the same flag set run with -engine tick,
-// -engine event, and -engine event sharded 0/2 + 1/2 then merged must
-// export byte-identical JSON and telemetry CSV. This is the CLI face
-// of the engine equivalence contract.
-func TestEngineFlagRoundTrip(t *testing.T) {
-	base := flagGrid{
-		traceArg: "incast", seeds: "1", scheds: "aalo,saath",
-		delta: 8 * time.Millisecond, rateGbps: 1, arrival: 1,
-		growth: 10, queues: 10, deadline: 2,
-		metrics: true,
-	}
-	build := func(engine string) *study.Study {
-		t.Helper()
-		fg := base
-		fg.engine = engine
-		st, err := studyFromFlags(fg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	exports := func(res *study.Result) (string, string) {
-		t.Helper()
-		var js, csv bytes.Buffer
-		if err := res.Summary().WriteJSON(&js); err != nil {
-			t.Fatal(err)
-		}
-		if err := res.Summary().WriteMetricsCSV(&csv); err != nil {
-			t.Fatal(err)
-		}
-		return js.String(), csv.String()
-	}
-	run := func(st *study.Study) *study.Result {
-		t.Helper()
-		res, err := st.Run(context.Background(), study.Pool{Parallel: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := res.Err(); err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-
-	// A bad -engine value fails at study-compile time, before any
-	// simulation.
-	fg := base
-	fg.engine = "warp"
-	if _, err := studyFromFlags(fg); err == nil {
-		t.Fatal("unknown engine mode accepted")
-	}
-
-	// The flag lands on every job's simulator config.
-	evSt := build("event")
-	for _, j := range evSt.Jobs() {
-		if j.Config.Mode != sim.ModeEvent {
-			t.Fatalf("job %s: mode = %v, want event", j.Key(), j.Config.Mode)
-		}
-	}
-
-	wantJS, wantCSV := exports(run(build("tick")))
-	gotJS, gotCSV := exports(run(evSt))
-	if gotJS != wantJS {
-		t.Error("-engine event JSON export differs from -engine tick")
-	}
-	if gotCSV != wantCSV {
-		t.Error("-engine event telemetry CSV differs from -engine tick")
-	}
-
-	// Event-mode shards merge back into the tick-mode whole: the shard
-	// fingerprint deliberately excludes the mode.
-	dir := t.TempDir()
-	for i := 0; i < 2; i++ {
-		sh := study.Sharded{Index: i, Count: 2, Pool: study.Pool{Parallel: 2}}
-		res, err := evSt.Run(context.Background(), sh)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := res.Err(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := res.WriteShardFile(dir, sh); err != nil {
-			t.Fatal(err)
-		}
-	}
-	merged, err := study.MergeShardDir(build("tick"), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mJS, mCSV := exports(merged)
-	if mJS != wantJS || mCSV != wantCSV {
-		t.Error("event-mode shard+merge exports differ from the tick-mode whole run")
 	}
 }

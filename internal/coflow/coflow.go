@@ -247,12 +247,14 @@ type CoFlow struct {
 }
 
 // New instantiates runtime state for a spec. All flows start available
-// unless the caller marks them otherwise.
+// unless the caller marks them otherwise. The flows live in one slab,
+// so a CoFlow costs three allocations whatever its width.
 func New(spec *Spec) *CoFlow {
 	c := &CoFlow{Spec: spec, Idx: -1, Arrived: spec.Arrival, epoch: 1}
+	slab := make([]Flow, len(spec.Flows))
 	c.Flows = make([]*Flow, len(spec.Flows))
 	for i, fs := range spec.Flows {
-		c.Flows[i] = &Flow{
+		slab[i] = Flow{
 			ID:        FlowID{CoFlow: spec.ID, Index: i},
 			Idx:       -1,
 			Src:       fs.Src,
@@ -261,6 +263,7 @@ func New(spec *Spec) *CoFlow {
 			Available: true,
 			Slowdown:  1,
 		}
+		c.Flows[i] = &slab[i]
 	}
 	return c
 }

@@ -16,8 +16,7 @@ type Task struct {
 	// Shard / Of locate the stripe within the driver's partition.
 	Shard int
 	Of    int
-	// Engine and Parallel forward the corresponding worker flags.
-	Engine   string
+	// Parallel forwards the worker's -parallel flag.
 	Parallel int
 	// Attempt numbers launches of this shard from 1. Informational —
 	// backends may log it; the chaos harness keys on it.
@@ -52,9 +51,6 @@ func SaathSimArgs(t Task) []string {
 		"-study", t.Study,
 		"-shard", fmt.Sprintf("%d/%d", t.Shard, t.Of),
 		"-shard-stream",
-	}
-	if t.Engine != "" {
-		args = append(args, "-engine", t.Engine)
 	}
 	if t.Parallel > 0 {
 		args = append(args, "-parallel", strconv.Itoa(t.Parallel))

@@ -8,7 +8,6 @@ import (
 	"os"
 
 	"saath/internal/obs"
-	"saath/internal/sim"
 	"saath/internal/study"
 	"saath/internal/sweep"
 )
@@ -19,8 +18,6 @@ type StreamOptions struct {
 	// Fleet drivers usually pin this low — the fleet itself is the
 	// parallelism.
 	Parallel int
-	// Engine selects the engine mode ("tick", "event", "" = default).
-	Engine string
 }
 
 // StreamShard runs shard sh of st and emits the wire protocol on w:
@@ -28,13 +25,6 @@ type StreamOptions struct {
 // the whole worker side — `saath-sim -shard-stream` and the test
 // harness's re-exec child both end up here.
 func StreamShard(ctx context.Context, st *study.Study, sh study.Sharded, opts StreamOptions, w io.Writer) error {
-	if opts.Engine != "" {
-		mode, err := sim.ParseMode(opts.Engine)
-		if err != nil {
-			return err
-		}
-		st = st.InEngineMode(mode)
-	}
 	jobs := st.Jobs()
 	own := sh.Jobs(jobs)
 	if err := WriteEvent(w, &Event{Type: EventHello, Hello: &Hello{
@@ -103,7 +93,6 @@ func ChildMain(argv []string) int {
 	studyName := fs.String("study", "", "registered study name")
 	shardSpec := fs.String("shard", "", "shard i/n to run")
 	parallel := fs.Int("parallel", 0, "in-process parallelism (0 = NumCPU)")
-	engine := fs.String("engine", "", "engine mode (tick|event)")
 	fs.Bool("shard-stream", true, "accepted for saath-sim flag compatibility")
 	if err := fs.Parse(argv); err != nil {
 		return 2
@@ -118,7 +107,7 @@ func ChildMain(argv []string) int {
 		fmt.Fprintln(os.Stderr, "saath-fleet worker:", err)
 		return 2
 	}
-	opts := StreamOptions{Parallel: *parallel, Engine: *engine}
+	opts := StreamOptions{Parallel: *parallel}
 	if err := StreamShard(context.Background(), st, sh, opts, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "saath-fleet worker:", err)
 		return 1

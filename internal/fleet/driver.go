@@ -48,8 +48,7 @@ type Options struct {
 	// StallTimeout kills an attempt that stays silent — no wire event —
 	// this long (default 30s).
 	StallTimeout time.Duration
-	// Engine / WorkerParallel forward worker flags.
-	Engine         string
+	// WorkerParallel forwards the workers' -parallel flag.
 	WorkerParallel int
 	// Chaos, when non-nil, injects faults (tests and drills).
 	Chaos *Chaos
@@ -203,7 +202,6 @@ func Run(ctx context.Context, st *study.Study, opts Options) (*Output, error) {
 			Study:    st.Name(),
 			Shard:    req.shard,
 			Of:       opts.Tasks,
-			Engine:   opts.Engine,
 			Parallel: opts.WorkerParallel,
 			Attempt:  req.attempt,
 		}

@@ -426,8 +426,8 @@ func TestParseChaos(t *testing.T) {
 // TestSaathSimArgs pins the worker command line both saath-sim and
 // ChildMain parse.
 func TestSaathSimArgs(t *testing.T) {
-	got := strings.Join(SaathSimArgs(Task{Study: "headline", Shard: 2, Of: 8, Engine: "event", Parallel: 3}), " ")
-	want := "-study headline -shard 2/8 -shard-stream -engine event -parallel 3"
+	got := strings.Join(SaathSimArgs(Task{Study: "headline", Shard: 2, Of: 8, Parallel: 3}), " ")
+	want := "-study headline -shard 2/8 -shard-stream -parallel 3"
 	if got != want {
 		t.Errorf("args = %q, want %q", got, want)
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // HotPath enforces the steady-state discipline from the dense-index
-// scheduling work (PR 3): functions on the engine tick/event dispatch
+// scheduling work (PR 3): functions on the engine event-dispatch
 // path — marked with //saath:hotpath on their doc comment — and
 // everything they statically call within the same package must not
 // allocate per call and must not touch a map (dense Idx- or

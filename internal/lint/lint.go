@@ -7,7 +7,7 @@
 //     -parallel/-shard partition, so determinism-critical packages
 //     must not read the wall clock, draw from the global math/rand
 //     source, or let map iteration order leak into results (detcheck);
-//   - hot path: the engine tick/event dispatch path and annotated
+//   - hot path: the engine event-dispatch path and annotated
 //     scheduler hot functions must stay allocation-free at steady
 //     state and keep the dense-Idx-slice discipline instead of
 //     map[FlowID]-keyed state (hotpath);

@@ -67,7 +67,7 @@ func CapacityTable(title string, cells []Cell) *report.Table {
 // prefix in the variant ("A=2", "deg=12,hot=2", "delta=8ms"), else the
 // same rule on the trace name's "@"-suffix ("fb@A=2"), else a trailing
 // integer in the trace name ("mix-incast25" → 25). Reported ok=false
-// when no numeric axis exists ("engine=tick", plain "fb").
+// when no numeric axis exists ("policy=lcof", plain "fb").
 func AxisValue(variant, trace string) (float64, bool) {
 	if v, ok := axisFromPairs(variant); ok {
 		return v, true

@@ -12,12 +12,12 @@ import (
 // EventsByKind array is indexed by internal/sim's eventKind values;
 // the alignment is pinned by TestEventKindNamesAligned in that
 // package (sim imports obs, never the reverse).
-const NumEventKinds = 5
+const NumEventKinds = 4
 
 // EventKindNames labels EventsByKind slots in declaration order of the
 // engine's eventKind enum: exact-time completions, trace arrivals,
-// availability injections, schedule epochs, probe emissions.
-var EventKindNames = [NumEventKinds]string{"flow_done", "arrival", "avail", "epoch", "probe"}
+// availability injections, schedule epochs.
+var EventKindNames = [NumEventKinds]string{"flow_done", "arrival", "avail", "epoch"}
 
 // latencyBuckets is the fixed bucket count of LatencyHist: powers of 4
 // from 1µs, so the top bucket bound is ~262ms — generously above any
@@ -92,7 +92,7 @@ func (h *LatencyHist) Dump(name string) telemetry.HistogramDump {
 }
 
 // EngineCounters is the engine's introspection sink: attach one per
-// run via sim.Config.Counters and the run loops count into it. Every
+// run via sim.Config.Counters and the run loop counts into it. Every
 // field update is a nil-checked integer increment — the disabled path
 // (nil Counters) and the enabled path are both zero-alloc in steady
 // state. Counters are out-of-band: they never appear in Result or any
@@ -101,42 +101,30 @@ func (h *LatencyHist) Dump(name string) telemetry.HistogramDump {
 // Attach a fresh instance per run; sharing one across runs sums them
 // (which Merge also does explicitly).
 type EngineCounters struct {
-	// Mode is the run loop that filled the counters ("tick"/"event").
-	Mode string `json:"mode,omitempty"`
 	// Epochs counts scheduling intervals (Schedule calls).
 	Epochs int64 `json:"epochs"`
-	// Ticks counts δ-boundary visits of the tick loop (0 in event mode).
-	Ticks int64 `json:"ticks,omitempty"`
 	// Admitted / Retired count CoFlows entering and leaving the cluster.
 	Admitted int64 `json:"admitted"`
 	Retired  int64 `json:"retired"`
-	// EventsDispatched counts event-loop dispatches (0 in tick mode);
-	// EventsByKind splits them by eventKind (see EventKindNames).
+	// EventsDispatched counts run-loop dispatches; EventsByKind splits
+	// them by eventKind (see EventKindNames).
 	EventsDispatched int64                `json:"events_dispatched,omitempty"`
 	EventsByKind     [NumEventKinds]int64 `json:"events_by_kind"`
-	// HeapPushes counts event-queue insertions, HeapMax is the heap
-	// depth high-water mark, HeapCancels counts O(log n) cancellations.
-	HeapPushes  int64 `json:"heap_pushes,omitempty"`
-	HeapMax     int64 `json:"heap_max,omitempty"`
-	HeapCancels int64 `json:"heap_cancels,omitempty"`
+	// HeapPushes counts event-heap insertions (trace arrivals come from
+	// the engine's cursor and are not among them), HeapMax is the heap
+	// depth high-water mark.
+	HeapPushes int64 `json:"heap_pushes,omitempty"`
+	HeapMax    int64 `json:"heap_max,omitempty"`
 	// Schedule is the wall-clock latency histogram of Schedule calls.
 	Schedule LatencyHist `json:"schedule_latency"`
 }
 
-// Merge adds other into c: sums everywhere, max for HeapMax, first
-// non-empty Mode wins (aggregates across mixed modes keep the label of
-// whichever contributed first).
+// Merge adds other into c: sums everywhere, max for HeapMax.
 func (c *EngineCounters) Merge(other *EngineCounters) {
 	if other == nil {
 		return
 	}
-	if c.Mode == "" {
-		c.Mode = other.Mode
-	} else if other.Mode != "" && other.Mode != c.Mode {
-		c.Mode = "mixed"
-	}
 	c.Epochs += other.Epochs
-	c.Ticks += other.Ticks
 	c.Admitted += other.Admitted
 	c.Retired += other.Retired
 	c.EventsDispatched += other.EventsDispatched
@@ -147,7 +135,6 @@ func (c *EngineCounters) Merge(other *EngineCounters) {
 	if other.HeapMax > c.HeapMax {
 		c.HeapMax = other.HeapMax
 	}
-	c.HeapCancels += other.HeapCancels
 	c.Schedule.Merge(&other.Schedule)
 }
 
@@ -161,7 +148,6 @@ type counterValue struct {
 func (c *EngineCounters) scalars() []counterValue {
 	out := []counterValue{
 		{"engine_epochs", c.Epochs},
-		{"engine_ticks", c.Ticks},
 		{"engine_admitted", c.Admitted},
 		{"engine_retired", c.Retired},
 		{"engine_events_dispatched", c.EventsDispatched},
@@ -171,8 +157,7 @@ func (c *EngineCounters) scalars() []counterValue {
 	}
 	return append(out,
 		counterValue{"engine_heap_pushes", c.HeapPushes},
-		counterValue{"engine_heap_max", c.HeapMax},
-		counterValue{"engine_heap_cancels", c.HeapCancels})
+		counterValue{"engine_heap_max", c.HeapMax})
 }
 
 // Metrics exports the counters through the existing telemetry dump
@@ -192,9 +177,6 @@ func (c *EngineCounters) Metrics() *telemetry.Metrics {
 // Table renders the counters and latency summary as one report table.
 func (c *EngineCounters) Table(title string) *report.Table {
 	t := &report.Table{Title: title, Headers: []string{"counter", "value"}}
-	if c.Mode != "" {
-		t.AddRow("engine_mode", c.Mode)
-	}
 	for _, s := range c.scalars() {
 		t.AddRow(s.Name, s.Value)
 	}

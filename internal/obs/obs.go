@@ -9,7 +9,7 @@
 // state, RNG draw order, or the deterministic Summary/shard exports,
 // so every byte-identity golden holds with observability enabled. The
 // engine counters are plain int fields behind a nil check — attaching
-// no sink costs zero allocations per tick or event dispatch (guarded
+// no sink costs zero allocations per event dispatch (guarded
 // by the steady-state alloc tests in internal/sim), and attaching one
 // costs increments only.
 //

@@ -49,22 +49,18 @@ func TestLatencyHistObserveZeroAlloc(t *testing.T) {
 }
 
 func TestEngineCountersMergeAndExports(t *testing.T) {
-	a := &EngineCounters{Mode: "event", Epochs: 10, Admitted: 5, Retired: 5,
-		EventsDispatched: 20, HeapPushes: 20, HeapMax: 7, HeapCancels: 1}
+	a := &EngineCounters{Epochs: 10, Admitted: 5, Retired: 5,
+		EventsDispatched: 20, HeapPushes: 20, HeapMax: 7}
 	a.EventsByKind[1] = 5
 	a.Schedule.Observe(2 * time.Microsecond)
-	b := &EngineCounters{Mode: "event", Epochs: 3, HeapMax: 4}
+	b := &EngineCounters{Epochs: 3, HeapMax: 4}
 	b.EventsByKind[1] = 2
 
 	var sum EngineCounters
 	sum.Merge(a)
 	sum.Merge(b)
-	if sum.Epochs != 13 || sum.HeapMax != 7 || sum.EventsByKind[1] != 7 || sum.Mode != "event" {
+	if sum.Epochs != 13 || sum.HeapMax != 7 || sum.HeapPushes != 20 || sum.EventsByKind[1] != 7 {
 		t.Errorf("merge = %+v", sum)
-	}
-	sum.Merge(&EngineCounters{Mode: "tick"})
-	if sum.Mode != "mixed" {
-		t.Errorf("mixed-mode merge label = %q", sum.Mode)
 	}
 
 	m := a.Metrics()
@@ -224,7 +220,7 @@ func TestAxisValue(t *testing.T) {
 		{"A=0.5", "fb", 0.5, true},
 		{"deg=12,hot=2,skew=0", "fan", 12, true},
 		{"delta=8ms", "fb", 8, true},
-		{"engine=tick", "incast", 0, false},
+		{"policy=lcof", "incast", 0, false},
 		{"", "fb@A=4", 4, true},
 		{"", "mix-incast25", 25, true},
 		{"", "fb", 0, false},

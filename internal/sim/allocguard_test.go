@@ -4,16 +4,16 @@ import (
 	"testing"
 
 	"saath/internal/coflow"
-	"saath/internal/fabric"
 	"saath/internal/sched"
 	"saath/internal/trace"
 )
 
 // steadyEngine builds an engine mid-run: a contended active set of
-// long coflows (no completions for many intervals), warmed through a
-// few real ticks so every piece of scratch — the allocation vector,
-// the scheduler's queue/bucket/contention state, the validation
-// ledgers, the stats reservoir — is grown.
+// long coflows (no completions for many intervals), stepped through
+// every admission and a few real epochs so every piece of scratch —
+// the allocation vector, the scheduler's queue/bucket/contention state,
+// the validation ledgers, the stats reservoir, the event heap — is
+// grown. What remains is the recurring schedule epoch.
 func steadyEngine(t testing.TB, scheduler string) *engine {
 	t.Helper()
 	tr := &trace.Trace{Name: "steady", NumPorts: 12}
@@ -32,45 +32,38 @@ func steadyEngine(t testing.TB, scheduler string) *engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{}.withDefaults()
-	e := &engine{
-		cfg:    cfg,
-		sched:  s,
-		fab:    fabric.New(tr.NumPorts, cfg.PortRate),
-		space:  coflow.NewIndexSpace(),
-		result: &Result{Scheduler: s.Name(), Trace: tr.Name},
+	e, err := newEngine(tr, s, Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	e.snap.Fabric = e.fab
-	e.load(tr)
-	e.admit(0)
-	for i := 0; i < 3; i++ { // warm every scratch path
-		if err := e.tick(cfg.Delta); err != nil {
-			t.Fatal(err)
+	e.loadArrivals()
+	for e.result.Intervals < 3 {
+		if ok, err := e.step(e.cfg.Delta); !ok || err != nil {
+			t.Fatalf("warm step: ok=%v err=%v", ok, err)
 		}
-		e.now += cfg.Delta
 	}
 	return e
 }
 
-// TestEngineTickSteadyStateZeroAlloc is the acceptance guard for the
-// dense-index hot path: a steady-state engine tick — full validation
-// on, no probes, Saath scheduling — performs zero heap allocations.
-// Everything per-interval (allocation vector, queue/bucket/contention
-// scratch, validation ledgers, sorted snapshot) is reused.
-func TestEngineTickSteadyStateZeroAlloc(t *testing.T) {
+// TestEngineEventSteadyStateZeroAlloc is the acceptance guard for the
+// dense-index hot path: a steady-state event dispatch — pop the epoch,
+// schedule, audit (full validation on), advance, push the next epoch —
+// performs zero heap allocations. Everything per-interval (allocation
+// vector, queue/bucket/contention scratch, validation ledgers, sorted
+// snapshot) is reused.
+func TestEngineEventSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	for _, scheduler := range []string{"saath", "aalo", "uc-tcp"} {
 		e := steadyEngine(t, scheduler)
 		n := testing.AllocsPerRun(100, func() {
-			if err := e.tick(e.cfg.Delta); err != nil {
-				t.Fatal(err)
+			if ok, err := e.step(e.cfg.Delta); !ok || err != nil {
+				t.Fatalf("step: ok=%v err=%v", ok, err)
 			}
-			e.now += e.cfg.Delta
 		})
 		if n != 0 {
-			t.Errorf("%s: steady-state tick allocates %.1f times per interval, want 0", scheduler, n)
+			t.Errorf("%s: steady-state event dispatch allocates %.1f times, want 0", scheduler, n)
 		}
 	}
 }

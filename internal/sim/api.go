@@ -7,48 +7,6 @@ import (
 	"saath/internal/trace"
 )
 
-// Mode selects the engine's run loop. Both modes are pinned
-// byte-identical by the golden equivalence tests — Mode changes how
-// fast a simulation runs, never what it computes.
-type Mode uint8
-
-const (
-	// ModeTick is the fixed-interval reference loop: the engine walks
-	// every δ boundary while work is active and scans the pending trace
-	// for releases each round — the paper's discrete-time simulator,
-	// unchanged. It is the default until a config opts into ModeEvent.
-	ModeTick Mode = iota
-	// ModeEvent is the discrete-event loop: arrivals, availability
-	// injections, schedule epochs and probe emissions are a
-	// deterministic min-heap, so idle stretches and the per-tick
-	// pending-trace scans cost nothing. Schedule epochs still fire at
-	// exactly the tick engine's δ boundaries, which is what keeps the
-	// two modes bit-for-bit equivalent.
-	ModeEvent
-)
-
-// String returns the CLI spelling of the mode ("tick" / "event").
-func (m Mode) String() string {
-	switch m {
-	case ModeTick:
-		return "tick"
-	case ModeEvent:
-		return "event"
-	}
-	return fmt.Sprintf("Mode(%d)", uint8(m))
-}
-
-// ParseMode parses the CLI spelling accepted by the -engine flags.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "tick":
-		return ModeTick, nil
-	case "event":
-		return ModeEvent, nil
-	}
-	return 0, fmt.Errorf(`sim: unknown engine mode %q (want "tick" or "event")`, s)
-}
-
 // Engine is a reusable, validated simulation engine: one Config,
 // any number of independent Run calls. Engines are stateless between
 // runs and safe to share across goroutines as long as each Run gets
@@ -59,18 +17,15 @@ type Engine interface {
 	// trace is mutated during simulation — pass a private clone when
 	// the caller retains it.
 	Run(tr *trace.Trace, s sched.Scheduler) (*Result, error)
-	// Mode reports which run loop the engine executes.
-	Mode() Mode
 	// Config returns the engine's validated configuration (defaults
 	// not yet applied — zero fields still mean "paper default").
 	Config() Config
 }
 
-// New validates cfg and returns the Engine for its Mode. This is the
-// construction-time half of the redesigned entry point: configuration
-// mistakes (negative δ, out-of-range dynamics fractions, an unknown
-// mode) surface here as descriptive errors instead of being silently
-// defaulted or exploding mid-run.
+// New validates cfg and returns its Engine: configuration mistakes
+// (negative δ, out-of-range dynamics fractions) surface here as
+// descriptive errors instead of being silently defaulted or exploding
+// mid-run.
 func New(cfg Config) (Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -78,13 +33,12 @@ func New(cfg Config) (Engine, error) {
 	return simEngine{cfg: cfg}, nil
 }
 
-// simEngine implements Engine for both modes; the per-run state lives
-// in the unexported engine struct built inside Run.
+// simEngine implements Engine; the per-run state lives in the
+// unexported engine struct built inside Run.
 type simEngine struct {
 	cfg Config
 }
 
-func (e simEngine) Mode() Mode     { return e.cfg.Mode }
 func (e simEngine) Config() Config { return e.cfg }
 
 func (e simEngine) Run(tr *trace.Trace, s sched.Scheduler) (*Result, error) {
@@ -93,10 +47,10 @@ func (e simEngine) Run(tr *trace.Trace, s sched.Scheduler) (*Result, error) {
 
 // Validate reports configuration errors: negative Delta/PortRate/
 // Horizon, out-of-range Dynamics/Pipelining probabilities and
-// fractions, an unknown Mode. Zero values are not errors — they mean
-// "use the paper default" throughout (see withDefaults). Run and New
-// both call it, so a bad config fails at construction with a message
-// naming the field rather than mid-simulation.
+// fractions. Zero values are not errors — they mean "use the paper
+// default" throughout (see withDefaults). Run and New both call it, so
+// a bad config fails at construction with a message naming the field
+// rather than mid-simulation.
 func (c Config) Validate() error {
 	if c.Delta < 0 {
 		return fmt.Errorf("sim: negative Delta %v", c.Delta)
@@ -106,9 +60,6 @@ func (c Config) Validate() error {
 	}
 	if c.Horizon < 0 {
 		return fmt.Errorf("sim: negative Horizon %v", c.Horizon)
-	}
-	if c.Mode != ModeTick && c.Mode != ModeEvent {
-		return fmt.Errorf("sim: unknown engine mode %d", uint8(c.Mode))
 	}
 	if d := c.Dynamics; d != nil {
 		if d.StragglerProb < 0 || d.StragglerProb > 1 {

@@ -9,21 +9,6 @@ import (
 	"saath/internal/trace"
 )
 
-func TestParseModeRoundTrip(t *testing.T) {
-	for _, m := range []Mode{ModeTick, ModeEvent} {
-		got, err := ParseMode(m.String())
-		if err != nil || got != m {
-			t.Errorf("ParseMode(%q) = %v, %v", m.String(), got, err)
-		}
-	}
-	if _, err := ParseMode("warp"); err == nil {
-		t.Error("ParseMode accepted an unknown mode")
-	}
-	if s := Mode(7).String(); !strings.Contains(s, "7") {
-		t.Errorf("unknown mode String() = %q", s)
-	}
-}
-
 func TestConfigValidate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -33,14 +18,13 @@ func TestConfigValidate(t *testing.T) {
 		{"zero-is-default", Config{}, ""},
 		{"explicit-sane", Config{
 			Delta: 4 * coflow.Millisecond, PortRate: coflow.GbpsRate(10),
-			Horizon: coflow.Second, Mode: ModeEvent,
+			Horizon:    coflow.Second,
 			Dynamics:   &Dynamics{StragglerProb: 0.5, Slowdown: 2, RestartProb: 0.1, RestartAt: 0.5},
 			Pipelining: &Pipelining{Frac: 1, AvailDelay: coflow.Millisecond},
 		}, ""},
 		{"negative-delta", Config{Delta: -1}, "Delta"},
 		{"negative-port-rate", Config{PortRate: -5}, "PortRate"},
 		{"negative-horizon", Config{Horizon: -coflow.Second}, "Horizon"},
-		{"bad-mode", Config{Mode: Mode(9)}, "mode"},
 		{"straggler-prob", Config{Dynamics: &Dynamics{StragglerProb: 1.5}}, "StragglerProb"},
 		{"restart-prob", Config{Dynamics: &Dynamics{RestartProb: -0.1}}, "RestartProb"},
 		{"negative-slowdown", Config{Dynamics: &Dynamics{Slowdown: -2}}, "Slowdown"},
@@ -86,12 +70,12 @@ func TestNewRejectsBadConfig(t *testing.T) {
 // TestEngineReusable runs one Engine twice and requires identical
 // results: engines hold no per-run state.
 func TestEngineReusable(t *testing.T) {
-	eng, err := New(Config{Mode: ModeEvent})
+	eng, err := New(Config{Delta: 4 * coflow.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.Mode() != ModeEvent || eng.Config().Mode != ModeEvent {
-		t.Fatalf("engine mode = %v, config mode = %v", eng.Mode(), eng.Config().Mode)
+	if got := eng.Config().Delta; got != 4*coflow.Millisecond {
+		t.Fatalf("engine config delta = %v", got)
 	}
 	tr := trace.Synthesize(smallSynth(4), "reuse")
 	var results [2]*Result

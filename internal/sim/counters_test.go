@@ -13,7 +13,7 @@ import (
 // eventKind enum: same size, declaration-order labels. The obs package
 // cannot import sim, so the alignment is enforced here.
 func TestEventKindNamesAligned(t *testing.T) {
-	if got := int(eventProbe) + 1; got != obs.NumEventKinds {
+	if got := int(eventEpoch) + 1; got != obs.NumEventKinds {
 		t.Fatalf("eventKind enum has %d values, obs.NumEventKinds = %d", got, obs.NumEventKinds)
 	}
 	want := map[eventKind]string{
@@ -21,7 +21,6 @@ func TestEventKindNamesAligned(t *testing.T) {
 		eventArrival:  "arrival",
 		eventAvail:    "avail",
 		eventEpoch:    "epoch",
-		eventProbe:    "probe",
 	}
 	for kind, name := range want {
 		if got := obs.EventKindNames[kind]; got != name {
@@ -41,32 +40,8 @@ func countersTrace() *trace.Trace {
 	}}
 }
 
-func TestCountersTickMode(t *testing.T) {
-	c := &obs.EngineCounters{}
-	res := runOn(t, countersTrace(), "saath", Config{Counters: c})
-	if c.Mode != "tick" {
-		t.Errorf("mode = %q", c.Mode)
-	}
-	if c.Ticks == 0 || c.Ticks != int64(res.Intervals) {
-		t.Errorf("ticks = %d, intervals = %d", c.Ticks, res.Intervals)
-	}
-	if c.Epochs != int64(res.Intervals) || c.Schedule.Count != c.Epochs {
-		t.Errorf("epochs = %d, schedule samples = %d, intervals = %d", c.Epochs, c.Schedule.Count, res.Intervals)
-	}
-	if c.Admitted != 3 || c.Retired != 3 {
-		t.Errorf("admitted = %d retired = %d, want 3/3", c.Admitted, c.Retired)
-	}
-	if c.EventsDispatched != 0 || c.HeapPushes != 0 {
-		t.Errorf("tick mode counted events: dispatched = %d pushes = %d", c.EventsDispatched, c.HeapPushes)
-	}
-	if res.Ports != 4 {
-		t.Errorf("result ports = %d, want 4", res.Ports)
-	}
-}
-
 func TestCountersEventMode(t *testing.T) {
 	cfg := Config{
-		Mode:       ModeEvent,
 		Pipelining: &Pipelining{Seed: 1, Frac: 1.0, AvailDelay: 16 * coflow.Millisecond},
 	}
 	cfg.Probes = []telemetry.Probe{telemetry.NewSuite(telemetry.Spec{Enabled: true})}
@@ -74,14 +49,14 @@ func TestCountersEventMode(t *testing.T) {
 	cfg.Counters = c
 	res := runOn(t, countersTrace(), "saath", cfg)
 
-	if c.Mode != "event" {
-		t.Errorf("mode = %q", c.Mode)
+	if c.Epochs != int64(res.Intervals) || c.Schedule.Count != c.Epochs {
+		t.Errorf("epochs = %d, schedule samples = %d, intervals = %d", c.Epochs, c.Schedule.Count, res.Intervals)
 	}
-	if c.Ticks != 0 {
-		t.Errorf("event mode counted %d ticks", c.Ticks)
+	if c.Admitted != 3 || c.Retired != 3 {
+		t.Errorf("admitted = %d retired = %d, want 3/3", c.Admitted, c.Retired)
 	}
-	if c.Epochs != int64(res.Intervals) {
-		t.Errorf("epochs = %d, intervals = %d", c.Epochs, res.Intervals)
+	if res.Ports != 4 {
+		t.Errorf("result ports = %d, want 4", res.Ports)
 	}
 	var byKind int64
 	for _, n := range c.EventsByKind {
@@ -96,17 +71,15 @@ func TestCountersEventMode(t *testing.T) {
 	if got := c.EventsByKind[eventEpoch]; got != int64(res.Intervals) {
 		t.Errorf("epoch events = %d, intervals = %d", got, res.Intervals)
 	}
-	if got := c.EventsByKind[eventProbe]; got != int64(res.Intervals) {
-		t.Errorf("probe events = %d, intervals = %d", got, res.Intervals)
-	}
 	if c.EventsByKind[eventFlowDone] == 0 {
 		t.Error("DAG trace dispatched no flow_done events")
 	}
 	if c.EventsByKind[eventAvail] == 0 {
 		t.Error("pipelined trace dispatched no avail events")
 	}
-	if c.HeapPushes != c.EventsDispatched {
-		// Every pushed event pops in a run-to-completion simulation.
+	if c.HeapPushes != c.EventsDispatched-2 {
+		// Every pushed event pops in a run-to-completion simulation; the
+		// two dependency-free arrivals come from the cursor, not the heap.
 		t.Errorf("pushes = %d, dispatched = %d", c.HeapPushes, c.EventsDispatched)
 	}
 	if c.HeapMax < 2 {
@@ -116,49 +89,54 @@ func TestCountersEventMode(t *testing.T) {
 
 // TestCountersDoNotPerturbResult is the out-of-band guarantee: the
 // same run with and without counters attached produces field-identical
-// results in both modes.
+// results.
 func TestCountersDoNotPerturbResult(t *testing.T) {
-	for _, mode := range []Mode{ModeTick, ModeEvent} {
-		cfg := Config{
-			Mode:       mode,
-			Dynamics:   &Dynamics{Seed: 2, StragglerProb: 0.5, Slowdown: 2, RestartProb: 0.5},
-			Pipelining: &Pipelining{Seed: 3, Frac: 0.5, AvailDelay: 16 * coflow.Millisecond},
+	cfg := Config{
+		Dynamics:   &Dynamics{Seed: 2, StragglerProb: 0.5, Slowdown: 2, RestartProb: 0.5},
+		Pipelining: &Pipelining{Seed: 3, Frac: 0.5, AvailDelay: 16 * coflow.Millisecond},
+	}
+	bare := runOn(t, countersTrace(), "saath", cfg)
+	counted := cfg
+	counted.Counters = &obs.EngineCounters{}
+	observed := runOn(t, countersTrace(), "saath", counted)
+	sameResult(t, "counters", bare, observed)
+}
+
+// TestHeapHoldsOnlyDynamicEvents pins the arrival cursor with counters,
+// not clocks: on a dependency-free, un-pipelined trace the heap never
+// holds more than the one pending epoch, however many coflows the trace
+// has, and the only pushes are the epochs themselves.
+func TestHeapHoldsOnlyDynamicEvents(t *testing.T) {
+	for _, n := range []int{10, 1000} {
+		tr := &trace.Trace{Name: "sparse", NumPorts: 4}
+		for i := 0; i < n; i++ {
+			tr.Specs = append(tr.Specs, &coflow.Spec{
+				ID: coflow.CoFlowID(i + 1), Arrival: coflow.Time(i) * 20 * coflow.Millisecond,
+				Flows: []coflow.FlowSpec{{Src: coflow.PortID(i % 4), Dst: coflow.PortID((i + 1) % 4), Size: 2 * coflow.MB}},
+			})
 		}
-		bare := runOn(t, countersTrace(), "saath", cfg)
-		counted := cfg
-		counted.Counters = &obs.EngineCounters{}
-		observed := runOn(t, countersTrace(), "saath", counted)
-		sameResult(t, mode.String(), bare, observed)
+		c := &obs.EngineCounters{}
+		res := runOn(t, tr, "saath", Config{Counters: c})
+		if c.HeapMax > 2 {
+			t.Errorf("n=%d: heap high-water = %d, want <= 2", n, c.HeapMax)
+		}
+		if c.HeapPushes != int64(res.Intervals) {
+			t.Errorf("n=%d: heap pushes = %d, epochs = %d", n, c.HeapPushes, res.Intervals)
+		}
+		if got := c.EventsByKind[eventArrival]; got != int64(n) {
+			t.Errorf("n=%d: arrival events = %d", n, got)
+		}
 	}
 }
 
-// TestEngineTickCountersZeroAlloc extends the steady-state guard to
-// the counting path: attaching EngineCounters adds zero allocations
-// per tick.
-func TestEngineTickCountersZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-	e := steadyEngine(t, "saath")
-	e.cfg.Counters = &obs.EngineCounters{}
-	n := testing.AllocsPerRun(100, func() {
-		if err := e.tick(e.cfg.Delta); err != nil {
-			t.Fatal(err)
-		}
-		e.now += e.cfg.Delta
-	})
-	if n != 0 {
-		t.Errorf("counted steady-state tick allocates %.1f times per interval, want 0", n)
-	}
-}
-
-// TestEngineEventCountersZeroAlloc is the event-loop counterpart:
-// counting a steady-state dispatch adds zero allocations.
+// TestEngineEventCountersZeroAlloc extends the steady-state guard to
+// the counting path: attaching EngineCounters adds zero allocations per
+// dispatch.
 func TestEngineEventCountersZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	e := steadyEventEngine(t, "saath")
+	e := steadyEngine(t, "saath")
 	e.cfg.Counters = &obs.EngineCounters{}
 	n := testing.AllocsPerRun(100, func() {
 		if ok, err := e.step(e.cfg.Delta); !ok || err != nil {

@@ -12,35 +12,30 @@
 //
 // New(Config) builds a reusable Engine; Run is the one-shot form.
 // Config.Validate rejects malformed configurations (negative δ,
-// out-of-range dynamics fractions) at construction. Config.Mode
-// selects between two run loops that produce byte-identical results:
+// out-of-range dynamics fractions) at construction.
 //
-//   - ModeTick (default): the reference discrete-time loop. While any
-//     CoFlow is active it visits every δ boundary, scanning the pending
-//     trace for releases, refreshing pipelined availability, then
-//     running one scheduling interval (schedule → audit → observe →
-//     advance). Idle gaps are skipped in one jump.
+// # One run loop
 //
-//   - ModeEvent: a discrete-event loop over a deterministic min-heap of
-//     typed events — trace arrivals, exact-time flow completions that
-//     release DAG dependents, pipelining availability injections,
-//     schedule epochs, probe emissions — ordered by (time, kind
-//     priority, key, seq). Idle stretches and the per-boundary
-//     pending-trace scans cost nothing, which is the whole win on
-//     sparse long-tail traces.
+// The engine is a discrete-event loop (eventloop.go). Trace arrivals
+// come from a cursor over the dependency-free specs, ordered once at
+// load by (δ boundary, spec index); everything dynamic — the one
+// pending schedule epoch, pipelining availability injections,
+// completions of CoFlows that gate DAG dependents and the arrivals they
+// release — sits in a small deterministic min-heap (events.go) ordered
+// by (time, kind priority, key, seq). The loop takes whichever source
+// is earlier, so idle stretches cost nothing and an epoch costs its
+// live flows. A schedule epoch runs one interval: schedule → audit →
+// observe → advance.
 //
-// # Equivalence contract
+// # Reference stepper
 //
-// The two modes are bit-for-bit equivalent, not approximately so: same
-// Result (CCT bits, makespan, interval count, utilization sums), same
-// telemetry stream, same RNG draws. The event engine earns this by
-// running schedule epochs at exactly the tick engine's δ boundaries
-// through the same beginInterval/observeInterval/advance code path,
-// admitting simultaneous arrivals in trace order (the heap key is the
-// spec index), and releasing DAG dependents at the same boundary the
-// tick engine's pending scan would. Event mode changes how fast a
-// simulation runs, never what it computes — pinned by the golden
-// equivalence tests and the cross-mode study goldens.
+// reference_test.go keeps the discrete-time loop the engine replaced:
+// visit every δ boundary while work is active, scan the pending trace
+// for releases, refresh pipelined availability, run one interval. It
+// shares admitOne/beginInterval/observeInterval/advance with the
+// engine, and the differential tests require the two to agree bit for
+// bit — same Result (CCT bits, makespan, interval count, utilization
+// sums), same telemetry stream, same RNG draws.
 package sim
 
 import (
@@ -60,10 +55,6 @@ import (
 
 // Config controls one simulation run. Zero values take paper defaults.
 type Config struct {
-	// Mode selects the run loop: ModeTick (the default) or ModeEvent.
-	// Both modes produce byte-identical results — see the package doc's
-	// equivalence contract.
-	Mode Mode
 	// Delta is the schedule recomputation interval δ (default 8 ms).
 	Delta coflow.Time
 	// PortRate is per-port line rate (default 1 Gbps).
@@ -86,7 +77,7 @@ type Config struct {
 	// run — attach fresh instances per simulation.
 	Probes []telemetry.Probe
 	// Counters, when non-nil, receives engine introspection: epochs,
-	// ticks, admissions, event dispatches by kind, heap high-water mark,
+	// admissions, event dispatches by kind, heap high-water mark,
 	// schedule-call latency. Counting is out-of-band — it never touches
 	// simulation state, RNG draws, or Result — and both the nil path and
 	// the counting path are zero-alloc in steady state (enforced by the
@@ -269,9 +260,9 @@ func (r *Result) AvgCCT() float64 {
 	return sum / float64(len(r.CoFlows))
 }
 
-// Run replays tr under scheduler s in cfg's engine mode. It is the
-// one-shot convenience form of New(cfg) followed by Engine.Run, with
-// the same construction-time validation.
+// Run replays tr under scheduler s. It is the one-shot convenience form
+// of New(cfg) followed by Engine.Run, with the same construction-time
+// validation.
 func Run(tr *trace.Trace, s sched.Scheduler, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -279,22 +270,33 @@ func Run(tr *trace.Trace, s sched.Scheduler, cfg Config) (*Result, error) {
 	return run(tr, s, cfg)
 }
 
-// run builds the per-run engine state and dispatches on Mode. cfg has
-// already passed Validate.
+// run replays tr on a fresh engine. cfg has already passed Validate.
 func run(tr *trace.Trace, s sched.Scheduler, cfg Config) (*Result, error) {
+	e, err := newEngine(tr, s, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.runEvents(); err != nil {
+		return nil, err
+	}
+	return e.result, nil
+}
+
+// newEngine builds the per-run engine state with the trace loaded.
+func newEngine(tr *trace.Trace, s sched.Scheduler, cfg Config) (*engine, error) {
 	cfg = cfg.withDefaults()
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
 	e := &engine{
-		cfg:    cfg,
-		sched:  s,
-		fab:    fabric.New(tr.NumPorts, cfg.PortRate),
-		space:  coflow.NewIndexSpace(),
-		result: &Result{Scheduler: s.Name(), Trace: tr.Name, Ports: tr.NumPorts},
-	}
-	if c := cfg.Counters; c != nil {
-		c.Mode = cfg.Mode.String()
+		cfg:   cfg,
+		sched: s,
+		fab:   fabric.New(tr.NumPorts, cfg.PortRate),
+		space: coflow.NewIndexSpace(),
+		result: &Result{
+			Scheduler: s.Name(), Trace: tr.Name, Ports: tr.NumPorts,
+			CoFlows: make([]CoFlowResult, 0, len(tr.Specs)),
+		},
 	}
 	e.snap.Fabric = e.fab
 	if cfg.Dynamics != nil {
@@ -304,24 +306,13 @@ func run(tr *trace.Trace, s sched.Scheduler, cfg Config) (*Result, error) {
 		e.pipeRng = rand.New(rand.NewSource(cfg.Pipelining.Seed))
 	}
 	e.load(tr)
-	var err error
-	if cfg.Mode == ModeEvent {
-		err = e.runEvents()
-	} else {
-		err = e.runTicks()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return e.result, nil
+	return e, nil
 }
 
-// pendingSpec is a trace entry not yet released to the scheduler.
+// pendingSpec is one trace entry on its way to the scheduler.
 type pendingSpec struct {
-	spec     *coflow.Spec
-	deps     map[coflow.CoFlowID]bool // unfinished dependencies
-	released bool
-	queued   bool // event mode: arrival event already scheduled
+	spec   *coflow.Spec
+	queued bool // DAG-gated spec whose arrival event is already scheduled
 }
 
 type engine struct {
@@ -334,9 +325,19 @@ type engine struct {
 	// allocation vector and every per-flow scratch array.
 	space *coflow.IndexSpace
 
-	pending []*pendingSpec
+	pending []pendingSpec
 	active  []*coflow.CoFlow
-	doneAt  map[coflow.CoFlowID]coflow.Time
+
+	// flowResults is the one slab every CoFlowResult.Flows is carved
+	// from, sized at load to the trace's flow count.
+	flowResults []FlowResult
+
+	// DAG gates name CoFlows by ID: dependents lists the spec indices
+	// gated on each CoFlow's completion, doneAt records when each such
+	// gating CoFlow retired. Both stay nil on a trace without
+	// dependencies.
+	dependents map[coflow.CoFlowID][]int
+	doneAt     map[coflow.CoFlowID]coflow.Time
 
 	dynRng  *rand.Rand
 	pipeRng *rand.Rand
@@ -344,8 +345,7 @@ type engine struct {
 	utilSum  float64 // accumulated per-interval egress utilization
 	admitted int     // CoFlows released to the scheduler so far
 
-	// unavail counts flows currently held back by pipelining;
-	// refreshAvailability skips its scan entirely while it is zero.
+	// unavail counts flows currently held back by pipelining.
 	unavail int
 
 	// ivScratch is the telemetry observation reused across intervals so
@@ -356,82 +356,68 @@ type engine struct {
 	// by Flow.Idx; retire clears a CoFlow's slots with its indices.
 	restartPending []bool
 
-	// Per-interval scratch state, reused across ticks so the hot loop
-	// allocates nothing: the snapshot (whose Alloc vector the scheduler
-	// reuses), the sorted-active scratch, and the dense validation
-	// ledgers. valFlows maps Flow.Idx to the live flow holding it,
-	// maintained at admission and retirement.
+	// Per-interval scratch state, reused across intervals so the hot
+	// loop allocates nothing: the snapshot (whose Alloc vector the
+	// scheduler reuses), the sorted-active scratch, and the dense
+	// validation ledgers. valFlows maps Flow.Idx to the live flow holding
+	// it, maintained at admission and retirement.
 	snap        sched.Snapshot
 	snapScratch []*coflow.CoFlow
 	valFlows    []*coflow.Flow
 	valEgress   []float64
 	valIngress  []float64
 
-	// Event-mode state (nil/unused in tick mode): the deterministic
-	// event heap, the timestamp of the single pending schedule epoch
-	// (-1 when none), the spec indices gated on each CoFlow's
-	// completion, and the schedule handed from an epoch event to its
-	// same-timestamp probe event.
-	evq          *eventQueue
-	epochAt      coflow.Time
-	dependents   map[coflow.CoFlowID][]int
-	pendingAlloc *sched.RateVec
+	// Run-loop state: the arrival cursor (indices of dependency-free
+	// specs in admission order, and how many have been taken), the event
+	// heap, and whether it holds the single pending schedule epoch.
+	arrivals     []int32
+	cursor       int
+	evq          eventQueue
+	epochPending bool
 
 	now coflow.Time
 }
 
+// load stages the trace: every spec pending, DAG-gated ones indexed by
+// the CoFlows they wait on, and room for every flow's result.
 func (e *engine) load(tr *trace.Trace) {
-	e.doneAt = make(map[coflow.CoFlowID]coflow.Time)
-	for _, spec := range tr.Specs {
-		p := &pendingSpec{spec: spec}
-		if len(spec.DependsOn) > 0 {
-			p.deps = make(map[coflow.CoFlowID]bool, len(spec.DependsOn))
-			for _, id := range spec.DependsOn {
-				p.deps[id] = true
-			}
+	e.pending = make([]pendingSpec, len(tr.Specs))
+	flows := 0
+	for i, spec := range tr.Specs {
+		e.pending[i].spec = spec
+		flows += len(spec.Flows)
+		if len(spec.DependsOn) > 0 && e.dependents == nil {
+			e.dependents = make(map[coflow.CoFlowID][]int)
+			e.doneAt = make(map[coflow.CoFlowID]coflow.Time)
 		}
-		e.pending = append(e.pending, p)
+		for _, id := range spec.DependsOn {
+			e.dependents[id] = append(e.dependents[id], i)
+		}
 	}
+	e.flowResults = make([]FlowResult, 0, flows)
 }
 
-// releasable reports whether the spec may enter the cluster now.
-func (e *engine) releasable(p *pendingSpec, now coflow.Time) bool {
-	if p.released || p.spec.Arrival > now {
-		return false
-	}
-	//saath:order-independent all-deps-done conjunction; any visit order yields the same bool
-	for id := range p.deps {
-		if _, done := e.doneAt[id]; !done {
-			return false
-		}
-	}
-	return true
-}
-
-// admit releases every spec whose arrival time and dependencies allow.
-func (e *engine) admit(now coflow.Time) {
-	for _, p := range e.pending {
-		if !e.releasable(p, now) {
-			continue
-		}
-		e.admitOne(p, now)
+// finish stamps the run-level aggregates once the last interval closed.
+func (e *engine) finish() {
+	e.result.Makespan = e.now
+	if e.result.Intervals > 0 {
+		e.result.AvgEgressUtilization = e.utilSum / float64(e.result.Intervals)
 	}
 }
 
 // admitOne releases one spec at the δ boundary now: build the CoFlow,
 // charge its arrival, roll dynamics and pipelining, hand it to the
-// scheduler. Shared verbatim by the tick engine's per-boundary scan
-// and the event engine's arrival handler, so both modes replay
-// identical RNG streams and scheduler call sequences.
+// scheduler. Shared verbatim by the run loop's arrival handler and the
+// reference stepper's per-boundary scan, so both replay identical RNG
+// streams and scheduler call sequences.
 func (e *engine) admitOne(p *pendingSpec, now coflow.Time) *coflow.CoFlow {
-	p.released = true
 	e.admitted++
 	if c := e.cfg.Counters; c != nil {
 		c.Admitted++
 	}
 	c := coflow.New(p.spec)
 	c.Arrived = now
-	if p.spec.Arrival > 0 && len(p.deps) == 0 {
+	if p.spec.Arrival > 0 && len(p.spec.DependsOn) == 0 {
 		// Standalone CoFlows are charged from their trace arrival,
 		// even though the coordinator only sees them at the next δ
 		// boundary — the CCT clock starts when the first flow
@@ -491,133 +477,11 @@ func (e *engine) applyPipelining(c *coflow.CoFlow) {
 	}
 }
 
-// refreshAvailability releases pipelined flows whose delay elapsed.
-// The outstanding-unavailable counter lets the common case — every
-// flow already released — skip the scan entirely instead of walking
-// every flow of every active CoFlow each interval.
-func (e *engine) refreshAvailability(now coflow.Time) {
-	p := e.cfg.Pipelining
-	if p == nil || e.unavail == 0 {
-		return
-	}
-	for _, c := range e.active {
-		changed := false
-		for _, f := range c.Flows {
-			if !f.Available && now >= c.Arrived+p.AvailDelay {
-				f.Available = true
-				e.unavail--
-				changed = true
-			}
-		}
-		if changed {
-			c.Invalidate()
-		}
-	}
-}
-
-// nextArrival returns the earliest pending release time, or -1.
-func (e *engine) nextArrival() coflow.Time {
-	next := coflow.Time(-1)
-	for _, p := range e.pending {
-		if p.released {
-			continue
-		}
-		t := p.spec.Arrival
-		if len(p.deps) > 0 {
-			ready := true
-			var depDone coflow.Time
-			//saath:order-independent max over dep completion times; early not-done exit yields the same bool
-			for id := range p.deps {
-				dt, done := e.doneAt[id]
-				if !done {
-					ready = false
-					break
-				}
-				if dt > depDone {
-					depDone = dt
-				}
-			}
-			if !ready {
-				continue // will be triggered by a completion, not time
-			}
-			if depDone > t {
-				t = depDone
-			}
-		}
-		if next < 0 || t < next {
-			next = t
-		}
-	}
-	return next
-}
-
 var errHorizon = errors.New("sim: horizon exceeded (scheduler livelock or trace too long)")
 
-// runTicks is the reference discrete-time loop (ModeTick): visit every
-// δ boundary while work is active, jumping idle gaps in one step.
-func (e *engine) runTicks() error {
-	delta := e.cfg.Delta
-	for {
-		// Jump over idle gaps to the next δ boundary at or after the
-		// next release.
-		if len(e.active) == 0 {
-			na := e.nextArrival()
-			if na < 0 {
-				if n := e.unreleasedCount(); n > 0 {
-					return fmt.Errorf("sim: %d coflows unreachable (dependency cycle?)", n)
-				}
-				break // drained
-			}
-			if na > e.now {
-				steps := (na - e.now + delta - 1) / delta
-				e.now += steps * delta
-			}
-		}
-		if e.now > e.cfg.Horizon {
-			return fmt.Errorf("%w at %v", errHorizon, e.now)
-		}
-		e.admit(e.now)
-		e.refreshAvailability(e.now)
-		if len(e.active) == 0 {
-			continue // the top of the loop re-evaluates releases
-		}
-		if err := e.tick(delta); err != nil {
-			return err
-		}
-		e.now += delta
-	}
-	e.result.Makespan = e.now
-	if e.result.Intervals > 0 {
-		e.result.AvgEgressUtilization = e.utilSum / float64(e.result.Intervals)
-	}
-	return nil
-}
-
-// tick runs one scheduling interval [now, now+δ): compute the
-// schedule, audit it, emit telemetry, move bytes. All state it touches
-// is engine-owned scratch; a steady-state tick (no arrivals, no
-// completions, no probes) performs zero heap allocations — guarded by
-// TestEngineTickSteadyStateZeroAlloc.
-//
-//saath:hotpath
-func (e *engine) tick(delta coflow.Time) error {
-	if c := e.cfg.Counters; c != nil {
-		c.Ticks++
-	}
-	alloc, err := e.beginInterval()
-	if err != nil {
-		return err
-	}
-	e.observeInterval(alloc)
-	e.advance(alloc, delta)
-	return nil
-}
-
 // beginInterval opens the scheduling interval at e.now: snapshot the
-// active set, compute the schedule, audit it. The remainder of the
-// interval — observeInterval then advance — is split out so the event
-// engine can interpose its probe event between scheduling and
-// emission while both modes share the exact same code path.
+// active set, compute the schedule, audit it. observeInterval then
+// advance complete the interval.
 func (e *engine) beginInterval() (*sched.RateVec, error) {
 	e.fab.Reset()
 	e.snap.Now = e.now
@@ -742,16 +606,6 @@ func (e *engine) validateFilled(alloc *sched.RateVec, flows []*coflow.Flow, egre
 	return nil
 }
 
-func (e *engine) unreleasedCount() int {
-	n := 0
-	for _, p := range e.pending {
-		if !p.released {
-			n++
-		}
-	}
-	return n
-}
-
 // activeSorted snapshots the active set in arrival order for the
 // scheduler, reusing one scratch slice across intervals.
 func (e *engine) activeSorted() []*coflow.CoFlow {
@@ -762,7 +616,7 @@ func (e *engine) activeSorted() []*coflow.CoFlow {
 
 // advance moves bytes for one interval and retires finished coflows.
 // Survivors are compacted into the active slice in place (writes trail
-// reads), so steady-state ticks reuse its backing array. CoFlows whose
+// reads), so steady-state epochs reuse its backing array. CoFlows whose
 // sendable set changed (a flow completed) have their derived-state
 // caches invalidated.
 func (e *engine) advance(alloc *sched.RateVec, dt coflow.Time) {
@@ -821,17 +675,16 @@ func (e *engine) maybeRestart(f *coflow.Flow) {
 }
 
 func (e *engine) retire(c *coflow.CoFlow) {
-	e.doneAt[c.ID()] = c.DoneAt //saath:alloc-ok once per CoFlow at retirement; DAG gates name CoFlows not yet admitted, so by ID
 	if cnt := e.cfg.Counters; cnt != nil {
 		cnt.Retired++
 	}
-	// Event mode: coflows gating DAG dependents get an exact-time
-	// completion event so releases never need the tick engine's
-	// per-boundary pending scan. DoneAt lies in [now, now+δ], so the
+	// A coflow gating DAG dependents records its completion and gets an
+	// exact-time completion event. DoneAt lies in [now, now+δ], so the
 	// event pops once this interval finishes, before the boundary that
 	// should admit the dependents (releaseDependents clamps to the
 	// post-interval clock).
-	if e.evq != nil && len(e.dependents[c.ID()]) > 0 { //saath:alloc-ok as doneAt above
+	if len(e.dependents[c.ID()]) > 0 { //saath:alloc-ok once per CoFlow at retirement; DAG gates name CoFlows not yet admitted, so by ID
+		e.doneAt[c.ID()] = c.DoneAt //saath:alloc-ok as above
 		e.pushEvent(event{time: c.DoneAt, kind: eventFlowDone, co: c})
 	}
 	e.sched.Depart(c, e.now)
@@ -848,13 +701,15 @@ func (e *engine) retire(c *coflow.CoFlow) {
 		Width:   c.Width(),
 		Bytes:   c.Spec.TotalSize(),
 	}
+	first := len(e.flowResults)
 	for _, f := range c.Flows {
-		res.Flows = append(res.Flows, FlowResult{
+		e.flowResults = append(e.flowResults, FlowResult{
 			ID:     f.ID,
 			Size:   f.Size,
 			FCT:    f.DoneAt - c.Arrived,
 			DoneAt: f.DoneAt,
 		})
 	}
+	res.Flows = e.flowResults[first:len(e.flowResults):len(e.flowResults)]
 	e.result.CoFlows = append(e.result.CoFlows, res)
 }

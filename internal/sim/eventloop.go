@@ -1,34 +1,35 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"saath/internal/coflow"
-	"saath/internal/sched"
 )
 
-// The discrete-event run loop (ModeEvent). It executes exactly the
-// same simulation as runTicks — schedule epochs at the same δ
-// boundaries, admissions at the same boundaries in the same order,
-// the same beginInterval/observeInterval/advance interval body — but
-// drives everything from the deterministic event heap, so idle
-// stretches between coflows and the tick engine's O(pending) scans
-// per boundary cost nothing.
+// The run loop. Everything that happens in a simulation is an event at
+// a δ boundary (or, for DAG-gating completions, at an exact
+// mid-interval time), dispatched in (time, kind, key) order. Events
+// come from two sources merged on that order:
 //
-// Within-timestamp ordering (the eventKind priorities) mirrors one
-// tick-loop iteration: exact-time completions release dependents
-// first, then the boundary's admissions in trace order, then
-// pipelining availability injections, then the schedule epoch, then
-// telemetry emission.
+//   - the arrival cursor: the dependency-free specs of the trace,
+//     ordered once at load by (δ boundary of their arrival, spec
+//     index). Nothing about them changes during a run, so they never
+//     enter the heap;
+//   - the event heap: the one pending schedule epoch, pipelining
+//     availability injections, completions of CoFlows that gate DAG
+//     dependents, and the arrivals those completions release.
+//
+// Within a timestamp the eventKind priorities give: completions release
+// dependents, then the boundary's admissions in trace order, then
+// availability injections, then the schedule epoch.
 
-// runEvents drains the event heap until the simulation completes.
+// runEvents dispatches events until the simulation completes.
 func (e *engine) runEvents() error {
-	delta := e.cfg.Delta
-	e.evq = &eventQueue{}
-	e.epochAt = -1
-	e.loadEvents()
+	e.loadArrivals()
 	for {
-		ok, err := e.step(delta)
+		ok, err := e.step(e.cfg.Delta)
 		if err != nil {
 			return err
 		}
@@ -36,17 +37,34 @@ func (e *engine) runEvents() error {
 			break
 		}
 	}
-	if n := e.unreleasedCount(); n > 0 {
+	if n := len(e.pending) - e.admitted; n > 0 {
 		return fmt.Errorf("sim: %d coflows unreachable (dependency cycle?)", n)
 	}
-	if c := e.cfg.Counters; c != nil {
-		c.HeapCancels += e.evq.cancels
-	}
-	e.result.Makespan = e.now
-	if e.result.Intervals > 0 {
-		e.result.AvgEgressUtilization = e.utilSum / float64(e.result.Intervals)
-	}
+	e.finish()
 	return nil
+}
+
+// loadArrivals builds the arrival cursor: the indices of the
+// dependency-free specs ordered by (δ boundary, spec index). A trace
+// already sorted by arrival yields them in order and skips the sort.
+func (e *engine) loadArrivals() {
+	e.arrivals = make([]int32, 0, len(e.pending))
+	sorted, last := true, coflow.Time(0)
+	for i := range e.pending {
+		spec := e.pending[i].spec
+		if len(spec.DependsOn) > 0 {
+			continue
+		}
+		at := e.ceilDelta(spec.Arrival)
+		sorted = sorted && at >= last
+		last = at
+		e.arrivals = append(e.arrivals, int32(i))
+	}
+	if !sorted {
+		slices.SortStableFunc(e.arrivals, func(a, b int32) int {
+			return cmp.Compare(e.ceilDelta(e.pending[a].spec.Arrival), e.ceilDelta(e.pending[b].spec.Arrival))
+		})
+	}
 }
 
 // pushEvent schedules ev through the introspection seam: every heap
@@ -62,14 +80,33 @@ func (e *engine) pushEvent(ev event) {
 	}
 }
 
-// step pops and dispatches one event; ok is false once the heap has
-// drained. A steady-state step — the recurring epoch of a busy cluster
-// with no arrivals, completions, or probes — allocates nothing
-// (guarded by TestEngineEventSteadyStateZeroAlloc).
+// next takes the earlier of the cursor's head arrival and the heap's
+// top event; ok is false once both have drained. The cursor arrival
+// (t, eventArrival, spec index) goes first unless the heap top is
+// strictly ahead of it in (time, kind, key) order: an earlier time, a
+// completion at the same time, or a DAG-released arrival at the same
+// time with a smaller spec index.
+func (e *engine) next() (ev event, ok bool) {
+	if e.cursor == len(e.arrivals) {
+		return e.evq.pop()
+	}
+	idx := int(e.arrivals[e.cursor])
+	ev = event{time: e.ceilDelta(e.pending[idx].spec.Arrival), kind: eventArrival, key: int64(idx), spec: idx}
+	if e.evq.Len() > 0 && e.evq.heap[0].before(&ev) {
+		return e.evq.pop()
+	}
+	e.cursor++
+	return ev, true
+}
+
+// step dispatches one event; ok is false once none remain. A
+// steady-state step — the recurring epoch of a busy cluster with no
+// arrivals, completions, or probes — allocates nothing (guarded by
+// TestEngineEventSteadyStateZeroAlloc).
 //
 //saath:hotpath
 func (e *engine) step(delta coflow.Time) (bool, error) {
-	ev, ok := e.evq.pop()
+	ev, ok := e.next()
 	if !ok {
 		return false, nil
 	}
@@ -87,71 +124,38 @@ func (e *engine) step(delta coflow.Time) (bool, error) {
 	case eventFlowDone:
 		e.releaseDependents(ev.co)
 	case eventArrival:
-		// Horizon is checked where the tick loop checks it: at δ
-		// boundaries the simulation is still trying to reach.
+		// Horizon is checked at the δ boundaries the simulation is
+		// still trying to reach.
 		if ev.time > e.cfg.Horizon {
 			return false, fmt.Errorf("%w at %v", errHorizon, ev.time)
 		}
-		e.admitSpec(e.pending[ev.spec], ev.time)
+		e.admitSpec(&e.pending[ev.spec], ev.time)
 	case eventAvail:
 		e.injectAvail(ev.co)
 	case eventEpoch:
 		if ev.time > e.cfg.Horizon {
 			return false, fmt.Errorf("%w at %v", errHorizon, ev.time)
 		}
-		e.epochAt = -1
+		e.epochPending = false
 		alloc, err := e.beginInterval()
 		if err != nil {
 			return false, err
 		}
-		if len(e.cfg.Probes) > 0 {
-			// Probe emission is its own event, consuming the interval
-			// the epoch just scheduled. Nothing can pop between the
-			// two: they share a timestamp and only eventProbe sorts
-			// after eventEpoch.
-			e.pendingAlloc = alloc
-			e.pushEvent(event{time: ev.time, kind: eventProbe})
-		} else {
-			e.observeInterval(alloc)
-			e.finishInterval(alloc, delta)
-		}
-	case eventProbe:
-		alloc := e.pendingAlloc
-		e.pendingAlloc = nil
 		e.observeInterval(alloc)
-		e.finishInterval(alloc, delta)
+		// Close the interval: move bytes, retire completions, advance
+		// the clock past the boundary, and keep exactly one epoch
+		// pending while work remains.
+		e.advance(alloc, delta)
+		e.now += delta
+		if len(e.active) > 0 {
+			e.pushEpoch(e.now)
+		}
 	}
 	return true, nil
 }
 
-// loadEvents seeds the heap: every dependency-free spec gets its
-// arrival event up front, keyed by spec index so simultaneous
-// admissions replay in trace order; dependency-gated specs are indexed
-// by the coflows they wait on and enter the heap from releaseDependents
-// when their last dependency completes.
-func (e *engine) loadEvents() {
-	for i, p := range e.pending {
-		if len(p.deps) == 0 {
-			p.queued = true
-			e.pushEvent(event{
-				time: e.ceilDelta(p.spec.Arrival),
-				kind: eventArrival,
-				key:  int64(i),
-				spec: i,
-			})
-			continue
-		}
-		if e.dependents == nil {
-			e.dependents = make(map[coflow.CoFlowID][]int)
-		}
-		for id := range p.deps {
-			e.dependents[id] = append(e.dependents[id], i)
-		}
-	}
-}
-
 // ceilDelta rounds t up to the next δ boundary — the first boundary at
-// which the tick engine could act on something that happens at t.
+// which the coordinator could act on something that happens at t.
 func (e *engine) ceilDelta(t coflow.Time) coflow.Time {
 	if t <= 0 {
 		return 0
@@ -163,46 +167,45 @@ func (e *engine) ceilDelta(t coflow.Time) coflow.Time {
 // pushEpoch schedules the single pending schedule epoch.
 func (e *engine) pushEpoch(t coflow.Time) {
 	e.pushEvent(event{time: t, kind: eventEpoch})
-	e.epochAt = t
+	e.epochPending = true
 }
 
-// admitSpec handles one arrival event at the δ boundary now: admit the
-// coflow through the shared path, schedule its availability injection
-// if pipelining withheld flows, and make sure a schedule epoch is
-// pending for this boundary.
+// admitSpec handles one arrival at the δ boundary now: admit the
+// coflow, schedule its availability injection if pipelining withheld
+// flows, and make sure a schedule epoch is pending for this boundary.
 func (e *engine) admitSpec(p *pendingSpec, now coflow.Time) {
 	before := e.unavail
 	c := e.admitOne(p, now)
 	if e.unavail > before {
-		// The tick engine releases withheld flows at the first boundary
-		// it visits once c.Arrived+AvailDelay has passed — never before
-		// the admission boundary itself.
+		// Withheld flows are released at the first boundary at or after
+		// c.Arrived+AvailDelay — never before the admission boundary
+		// itself.
 		at := e.ceilDelta(c.Arrived + e.cfg.Pipelining.AvailDelay)
 		if at < now {
 			at = now
 		}
 		e.pushEvent(event{time: at, kind: eventAvail, co: c})
 	}
-	if e.epochAt < 0 {
+	if !e.epochPending {
 		e.pushEpoch(now)
 	}
 }
 
 // releaseDependents fires when a gating coflow completes: any spec
 // whose dependencies are now all retired gets its arrival event at the
-// boundary where the tick engine's pending scan would admit it.
+// first boundary at or after both its trace arrival and its last
+// dependency's completion.
 //
 //saath:alloc-ok runs once per gating CoFlow of a DAG trace, on its completion event; the gates name CoFlows by ID
 func (e *engine) releaseDependents(c *coflow.CoFlow) {
 	for _, idx := range e.dependents[c.ID()] {
-		p := e.pending[idx]
-		if p.queued || p.released {
+		p := &e.pending[idx]
+		if p.queued {
 			continue
 		}
 		t := p.spec.Arrival
 		ready := true
-		//saath:order-independent max over dep completion times; early not-done exit yields the same bool
-		for id := range p.deps {
+		for _, id := range p.spec.DependsOn {
 			dt, done := e.doneAt[id]
 			if !done {
 				ready = false
@@ -227,8 +230,8 @@ func (e *engine) releaseDependents(c *coflow.CoFlow) {
 }
 
 // injectAvail releases a coflow's pipelining-withheld flows. The event
-// fires at the boundary refreshAvailability would have caught them, so
-// no time check is needed; the flips are idempotent and commutative.
+// fires at the first boundary past their delay, so no time check is
+// needed; the flips are idempotent and commutative.
 func (e *engine) injectAvail(c *coflow.CoFlow) {
 	changed := false
 	for _, f := range c.Flows {
@@ -240,18 +243,5 @@ func (e *engine) injectAvail(c *coflow.CoFlow) {
 	}
 	if changed {
 		c.Invalidate()
-	}
-}
-
-// finishInterval closes the interval the current epoch opened: move
-// bytes, retire completions, advance the clock past the boundary, and
-// keep exactly one epoch pending while work remains. Steady state —
-// no arrivals, completions, or probes — allocates nothing (guarded by
-// TestEngineEventSteadyStateZeroAlloc).
-func (e *engine) finishInterval(alloc *sched.RateVec, delta coflow.Time) {
-	e.advance(alloc, delta)
-	e.now += delta
-	if len(e.active) > 0 {
-		e.pushEpoch(e.now)
 	}
 }

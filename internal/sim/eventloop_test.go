@@ -1,45 +1,74 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"saath/internal/coflow"
 	"saath/internal/sched"
+	"saath/internal/telemetry"
 	"saath/internal/trace"
 )
 
-// eventCfg flips any Config to the event engine.
-func eventCfg(cfg Config) Config {
-	cfg.Mode = ModeEvent
-	return cfg
+// admissionLog wraps a scheduler and records every Arrive call, making
+// the order and boundary of admissions directly comparable.
+type admissionLog struct {
+	sched.Scheduler
+	admitted []string
 }
 
-// sameResult compares two runs field-for-field at full precision.
-func sameResult(t *testing.T, label string, tick, event *Result) {
+func (l *admissionLog) Arrive(c *coflow.CoFlow, now coflow.Time) {
+	l.admitted = append(l.admitted, fmt.Sprintf("%d@%d", c.ID(), now))
+	l.Scheduler.Arrive(c, now)
+}
+
+// replay runs tr through run (Run or runReference) under a logging
+// scheduler.
+func replay(t *testing.T, run func(*trace.Trace, sched.Scheduler, Config) (*Result, error),
+	tr *trace.Trace, scheduler string, cfg Config) (*Result, []string) {
 	t.Helper()
-	if tick.Makespan != event.Makespan {
-		t.Errorf("%s: makespan tick %v, event %v", label, tick.Makespan, event.Makespan)
+	s, err := sched.New(scheduler, sched.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if tick.Intervals != event.Intervals {
-		t.Errorf("%s: intervals tick %d, event %d", label, tick.Intervals, event.Intervals)
+	log := &admissionLog{Scheduler: s}
+	res, err := run(tr.Clone(), log, cfg)
+	if err != nil {
+		t.Fatalf("%s on %s: %v", scheduler, tr.Name, err)
 	}
-	if tick.AvgEgressUtilization != event.AvgEgressUtilization {
-		t.Errorf("%s: utilization tick %v, event %v", label, tick.AvgEgressUtilization, event.AvgEgressUtilization)
+	return res, log.admitted
+}
+
+// sameResult compares the reference stepper's run and the engine's
+// field-for-field at full precision.
+func sameResult(t *testing.T, label string, ref, got *Result) {
+	t.Helper()
+	if ref.Makespan != got.Makespan {
+		t.Errorf("%s: makespan reference %v, engine %v", label, ref.Makespan, got.Makespan)
 	}
-	if len(tick.CoFlows) != len(event.CoFlows) {
-		t.Fatalf("%s: coflows tick %d, event %d", label, len(tick.CoFlows), len(event.CoFlows))
+	if ref.Intervals != got.Intervals {
+		t.Errorf("%s: intervals reference %d, engine %d", label, ref.Intervals, got.Intervals)
 	}
-	for i := range tick.CoFlows {
-		tc, ec := tick.CoFlows[i], event.CoFlows[i]
-		if tc.ID != ec.ID || tc.Arrival != ec.Arrival || tc.DoneAt != ec.DoneAt ||
-			tc.CCT != ec.CCT || tc.Width != ec.Width || tc.Bytes != ec.Bytes {
-			t.Errorf("%s: coflow[%d] tick %+v, event %+v", label, i, tc, ec)
+	if ref.AvgEgressUtilization != got.AvgEgressUtilization {
+		t.Errorf("%s: utilization reference %v, engine %v", label, ref.AvgEgressUtilization, got.AvgEgressUtilization)
+	}
+	if len(ref.CoFlows) != len(got.CoFlows) {
+		t.Fatalf("%s: coflows reference %d, engine %d", label, len(ref.CoFlows), len(got.CoFlows))
+	}
+	for i := range ref.CoFlows {
+		rc, gc := ref.CoFlows[i], got.CoFlows[i]
+		if rc.ID != gc.ID || rc.Arrival != gc.Arrival || rc.DoneAt != gc.DoneAt ||
+			rc.CCT != gc.CCT || rc.Width != gc.Width || rc.Bytes != gc.Bytes || len(rc.Flows) != len(gc.Flows) {
+			t.Fatalf("%s: coflow[%d] reference %+v, engine %+v", label, i, rc, gc)
 		}
-		for j := range tc.Flows {
-			if tc.Flows[j] != ec.Flows[j] {
-				t.Errorf("%s: coflow %d flow[%d] tick %+v, event %+v",
-					label, tc.ID, j, tc.Flows[j], ec.Flows[j])
+		for j := range rc.Flows {
+			if rc.Flows[j] != gc.Flows[j] {
+				t.Errorf("%s: coflow %d flow[%d] reference %+v, engine %+v",
+					label, rc.ID, j, rc.Flows[j], gc.Flows[j])
 			}
 		}
 	}
@@ -47,10 +76,18 @@ func sameResult(t *testing.T, label string, tick, event *Result) {
 
 // TestEventModeScenarioParity replays every engine edge case — DAG
 // gating, stragglers, restarts, pipelining, combined dynamics, idle
-// gaps, zero-size flows — in both modes and requires identical results
+// gaps, zero-size flows, and the arrival cursor's corner cases — on the
+// engine and on the reference stepper and requires identical results
 // down to each flow's exact completion time.
 func TestEventModeScenarioParity(t *testing.T) {
 	u := coflow.Bytes(trace.MicroUnitBytes)
+	// Per-flow RNG draws make the admission order matter to the outcome:
+	// swap two admissions and the straggler / withheld-flow rolls land
+	// on different flows.
+	orderSensitive := Config{
+		Dynamics:   &Dynamics{Seed: 5, StragglerProb: 0.5, Slowdown: 3},
+		Pipelining: &Pipelining{Seed: 6, Frac: 0.5, AvailDelay: 10 * coflow.Millisecond},
+	}
 	scenarios := []struct {
 		name string
 		tr   *trace.Trace
@@ -103,25 +140,150 @@ func TestEventModeScenarioParity(t *testing.T) {
 			{ID: 1, Arrival: 3 * coflow.Millisecond, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: coflow.MB}}},
 			{ID: 2, Arrival: 5 * coflow.Millisecond, Flows: []coflow.FlowSpec{{Src: 1, Dst: 0, Size: coflow.MB}}},
 		}}, Config{}},
+		// The cursor must order by (δ boundary, spec index), not by
+		// trace position or raw arrival time: specs 1 and 3 share the
+		// 8 ms boundary and admit in index order although 3 arrives
+		// first; spec 2 (24 ms) waits behind spec 4 (16 ms).
+		{"unsorted-arrivals", &trace.Trace{Name: "unsorted", NumPorts: 4, Specs: []*coflow.Spec{
+			{ID: 1, Arrival: 7 * coflow.Millisecond, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 3 * coflow.MB}}},
+			{ID: 2, Arrival: 20 * coflow.Millisecond, Flows: []coflow.FlowSpec{{Src: 0, Dst: 2, Size: 2 * coflow.MB}}},
+			{ID: 3, Arrival: 2 * coflow.Millisecond, Flows: []coflow.FlowSpec{{Src: 0, Dst: 3, Size: 4 * coflow.MB}}},
+			{ID: 4, Arrival: 9 * coflow.Millisecond, Flows: []coflow.FlowSpec{{Src: 1, Dst: 2, Size: coflow.MB}}},
+			{ID: 5, Arrival: 0, Flows: []coflow.FlowSpec{{Src: 2, Dst: 0, Size: 5 * coflow.MB}}},
+		}}, orderSensitive},
+		{"several-arrivals-in-one-delta", &trace.Trace{Name: "burst", NumPorts: 4, Specs: []*coflow.Spec{
+			{ID: 1, Arrival: 9 * coflow.Millisecond, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 2 * coflow.MB}}},
+			{ID: 2, Arrival: 10 * coflow.Millisecond, Flows: []coflow.FlowSpec{{Src: 0, Dst: 2, Size: 2 * coflow.MB}}},
+			{ID: 3, Arrival: 10 * coflow.Millisecond, Flows: []coflow.FlowSpec{{Src: 1, Dst: 2, Size: 2 * coflow.MB}}},
+			{ID: 4, Arrival: 15 * coflow.Millisecond, Flows: []coflow.FlowSpec{{Src: 3, Dst: 2, Size: 2 * coflow.MB}}},
+			{ID: 5, Arrival: 16 * coflow.Millisecond, Flows: []coflow.FlowSpec{{Src: 3, Dst: 0, Size: 2 * coflow.MB}}},
+		}}, orderSensitive},
+		// CoFlow 1 (1 MB, done mid-interval at ≈8.4 ms) releases its
+		// dependent at the 16 ms boundary, where a cursor arrival also
+		// lands: the two must admit in spec-index order whichever of them
+		// comes from the heap (no dynamics here — they would move the
+		// completion off the tie).
+		{"dag-release-ties-cursor/dag-first", &trace.Trace{Name: "tie-a", NumPorts: 4, Specs: []*coflow.Spec{
+			{ID: 1, Arrival: 0, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: coflow.MB}}},
+			{ID: 2, Arrival: 0, DependsOn: []coflow.CoFlowID{1},
+				Flows: []coflow.FlowSpec{{Src: 1, Dst: 2, Size: 3 * coflow.MB}, {Src: 1, Dst: 3, Size: coflow.MB}}},
+			{ID: 3, Arrival: 12 * coflow.Millisecond,
+				Flows: []coflow.FlowSpec{{Src: 1, Dst: 2, Size: 2 * coflow.MB}, {Src: 0, Dst: 3, Size: coflow.MB}}},
+		}}, Config{}},
+		// 1,000,000 B is exactly one interval at line rate: CoFlow 1
+		// completes on the 8 ms boundary itself, so its completion event
+		// ties with a cursor arrival and must pop first for the dependent
+		// (index 1) to admit ahead of it (index 2).
+		{"dag-completion-on-boundary", &trace.Trace{Name: "tie-c", NumPorts: 4, Specs: []*coflow.Spec{
+			{ID: 1, Arrival: 0, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 1000000}}},
+			{ID: 2, Arrival: 0, DependsOn: []coflow.CoFlowID{1},
+				Flows: []coflow.FlowSpec{{Src: 1, Dst: 2, Size: 3 * coflow.MB}}},
+			{ID: 3, Arrival: 5 * coflow.Millisecond, Flows: []coflow.FlowSpec{{Src: 1, Dst: 2, Size: 2 * coflow.MB}}},
+		}}, Config{}},
+		{"dag-release-ties-cursor/cursor-first", &trace.Trace{Name: "tie-b", NumPorts: 4, Specs: []*coflow.Spec{
+			{ID: 1, Arrival: 0, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: coflow.MB}}},
+			{ID: 3, Arrival: 12 * coflow.Millisecond,
+				Flows: []coflow.FlowSpec{{Src: 1, Dst: 2, Size: 2 * coflow.MB}, {Src: 0, Dst: 3, Size: coflow.MB}}},
+			{ID: 2, Arrival: 0, DependsOn: []coflow.CoFlowID{1},
+				Flows: []coflow.FlowSpec{{Src: 1, Dst: 2, Size: 3 * coflow.MB}, {Src: 1, Dst: 3, Size: coflow.MB}}},
+		}}, Config{}},
 	}
 	for _, sc := range scenarios {
 		for _, scheduler := range []string{"saath", "aalo", "varys"} {
 			t.Run(sc.name+"/"+scheduler, func(t *testing.T) {
-				tick := runOn(t, sc.tr, scheduler, sc.cfg)
-				event := runOn(t, sc.tr, scheduler, eventCfg(sc.cfg))
-				sameResult(t, sc.name, tick, event)
+				ref, refAdmitted := replay(t, runReference, sc.tr, scheduler, sc.cfg)
+				got, admitted := replay(t, Run, sc.tr, scheduler, sc.cfg)
+				if !slices.Equal(refAdmitted, admitted) {
+					t.Errorf("admissions (id@boundary) reference %v, engine %v", refAdmitted, admitted)
+				}
+				sameResult(t, sc.name, ref, got)
 				if sc.name != "zero-size-flow-gating" {
 					// A zero-size coflow completes instantly (CCT 0),
 					// legitimately violating the CCT > 0 invariant.
-					checkConservation(t, sc.tr, event)
+					checkConservation(t, sc.tr, got)
 				}
 			})
 		}
 	}
 }
 
-// TestEventModeCycleDetected mirrors TestDAGCycleDetected: specs in a
-// dependency cycle must surface the same error, not hang the heap.
+// diamondTrace is a small diamond-dependency workload: two root
+// shuffles gate a join stage which gates a final aggregation, plus an
+// independent coflow arriving late.
+func diamondTrace() *trace.Trace {
+	flows := func(seed, n int) []coflow.FlowSpec {
+		fs := make([]coflow.FlowSpec, n)
+		for i := range fs {
+			fs[i] = coflow.FlowSpec{
+				Src:  coflow.PortID((seed + i) % 8),
+				Dst:  coflow.PortID((seed + i + 3) % 8),
+				Size: coflow.Bytes(seed+i+1) * 3 * coflow.MB,
+			}
+		}
+		return fs
+	}
+	return &trace.Trace{Name: "dag-diamond", NumPorts: 8, Specs: []*coflow.Spec{
+		{ID: 1, Arrival: 0, Flows: flows(0, 4)},
+		{ID: 2, Arrival: 5 * coflow.Millisecond, Flows: flows(2, 3)},
+		{ID: 3, Arrival: 0, DependsOn: []coflow.CoFlowID{1, 2}, Flows: flows(4, 5)},
+		{ID: 4, Arrival: 0, DependsOn: []coflow.CoFlowID{3}, Flows: flows(1, 2)},
+		{ID: 5, Arrival: 200 * coflow.Millisecond, Flows: flows(3, 6)},
+	}}
+}
+
+// TestEngineMatchesReferenceStepper is the standing equivalence
+// contract on whole workloads: three policies × two seeds of the
+// synthetic trace plus the DAG diamond, in plain, Dynamics and
+// Pipelining configurations, must produce the reference stepper's
+// Result field for field and its telemetry stream byte for byte (the
+// exported metrics JSON holds every per-interval series the probes
+// observed).
+func TestEngineMatchesReferenceStepper(t *testing.T) {
+	configs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"plain", Config{}},
+		{"dynamics", Config{Dynamics: &Dynamics{
+			Seed: 11, StragglerProb: 0.2, Slowdown: 3, RestartProb: 0.15, RestartAt: 0.4,
+		}}},
+		{"pipelining", Config{Pipelining: &Pipelining{
+			Seed: 13, Frac: 0.3, AvailDelay: 40 * coflow.Millisecond,
+		}}},
+	}
+	check := func(t *testing.T, tr *trace.Trace, scheduler string, cfg Config) {
+		refSuite := telemetry.NewSuite(telemetry.Spec{Enabled: true, Seed: 7})
+		gotSuite := telemetry.NewSuite(telemetry.Spec{Enabled: true, Seed: 7})
+		ref, _ := replay(t, runReference, tr, scheduler, cfg.WithProbe(refSuite))
+		got, _ := replay(t, Run, tr, scheduler, cfg.WithProbe(gotSuite))
+		sameResult(t, tr.Name, ref, got)
+		refMetrics, err := json.Marshal(refSuite.Metrics())
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotMetrics, err := json.Marshal(gotSuite.Metrics())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(refMetrics, gotMetrics) {
+			t.Errorf("%s: metrics JSON differs from the reference stepper's", tr.Name)
+		}
+	}
+	for _, c := range configs {
+		for _, scheduler := range []string{"saath", "varys", "aalo"} {
+			for seed := int64(1); seed <= 2; seed++ {
+				t.Run(fmt.Sprintf("%s/%s/seed%d", c.name, scheduler, seed), func(t *testing.T) {
+					check(t, trace.Synthesize(smallSynth(seed), "synth"), scheduler, c.cfg)
+				})
+			}
+		}
+		t.Run(c.name+"/dag", func(t *testing.T) { check(t, diamondTrace(), "saath", c.cfg) })
+	}
+}
+
+// TestEventModeCycleDetected: an all-DAG trace leaves the arrival cursor
+// empty, and specs in a dependency cycle must surface the reference
+// stepper's error instead of hanging on an empty heap.
 func TestEventModeCycleDetected(t *testing.T) {
 	tr := &trace.Trace{Name: "cycle", NumPorts: 2, Specs: []*coflow.Spec{
 		{ID: 1, Arrival: 0, DependsOn: []coflow.CoFlowID{2},
@@ -133,61 +295,30 @@ func TestEventModeCycleDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(tr, s, Config{Mode: ModeEvent})
-	if err == nil || !strings.Contains(err.Error(), "unreachable") {
-		t.Fatalf("cycle not detected in event mode: %v", err)
+	_, refErr := runReference(tr.Clone(), s, Config{})
+	_, err = Run(tr.Clone(), s, Config{})
+	if err == nil || !strings.Contains(err.Error(), "2 coflows unreachable") {
+		t.Fatalf("cycle not detected: %v", err)
+	}
+	if refErr == nil || refErr.Error() != err.Error() {
+		t.Fatalf("cycle errors differ:\nreference: %v\n   engine: %v", refErr, err)
 	}
 }
 
-// TestEventModeHorizonParity requires the two modes to fail a
-// livelocked run with the identical horizon error, boundary included.
+// TestEventModeHorizonParity requires the engine and the reference
+// stepper to fail a livelocked run with the identical horizon error,
+// boundary included.
 func TestEventModeHorizonParity(t *testing.T) {
 	tr := &trace.Trace{Name: "stuck", NumPorts: 2, Specs: []*coflow.Spec{
 		{ID: 1, Arrival: 0, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: coflow.MB}}},
 	}}
-	_, tickErr := Run(tr.Clone(), nullScheduler{}, Config{Horizon: coflow.Second})
-	_, eventErr := Run(tr.Clone(), nullScheduler{}, Config{Horizon: coflow.Second, Mode: ModeEvent})
-	if tickErr == nil || eventErr == nil {
-		t.Fatalf("livelock not detected: tick=%v event=%v", tickErr, eventErr)
+	cfg := Config{Horizon: coflow.Second}
+	_, refErr := runReference(tr.Clone(), nullScheduler{}, cfg)
+	_, err := Run(tr.Clone(), nullScheduler{}, cfg)
+	if refErr == nil || err == nil {
+		t.Fatalf("livelock not detected: reference=%v engine=%v", refErr, err)
 	}
-	if tickErr.Error() != eventErr.Error() {
-		t.Fatalf("horizon errors differ:\n tick: %v\nevent: %v", tickErr, eventErr)
-	}
-}
-
-// steadyEventEngine is steadyEngine mid-run in event mode: the heap
-// holds exactly the recurring schedule epoch, warmed through a few
-// real steps.
-func steadyEventEngine(t testing.TB, scheduler string) *engine {
-	e := steadyEngine(t, scheduler)
-	e.evq = &eventQueue{}
-	e.epochAt = -1
-	e.pushEpoch(e.now)
-	for i := 0; i < 3; i++ {
-		if ok, err := e.step(e.cfg.Delta); !ok || err != nil {
-			t.Fatalf("warm step %d: ok=%v err=%v", i, ok, err)
-		}
-	}
-	return e
-}
-
-// TestEngineEventSteadyStateZeroAlloc is the event-loop counterpart of
-// TestEngineTickSteadyStateZeroAlloc: a steady-state event dispatch —
-// pop the epoch, schedule, audit, advance, push the next epoch —
-// performs zero heap allocations.
-func TestEngineEventSteadyStateZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-	for _, scheduler := range []string{"saath", "aalo", "uc-tcp"} {
-		e := steadyEventEngine(t, scheduler)
-		n := testing.AllocsPerRun(100, func() {
-			if ok, err := e.step(e.cfg.Delta); !ok || err != nil {
-				t.Fatalf("step: ok=%v err=%v", ok, err)
-			}
-		})
-		if n != 0 {
-			t.Errorf("%s: steady-state event dispatch allocates %.1f times, want 0", scheduler, n)
-		}
+	if refErr.Error() != err.Error() {
+		t.Fatalf("horizon errors differ:\nreference: %v\n   engine: %v", refErr, err)
 	}
 }

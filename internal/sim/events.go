@@ -6,45 +6,36 @@ import "saath/internal/coflow"
 //
 // Ordering is total and explicit — (time, kind priority, key, seq) —
 // so two runs of the same simulation pop events in exactly the same
-// order regardless of push order, heap layout, or map iteration
-// anywhere above. The key field carries a domain tiebreak (the trace
-// spec index for arrivals, so simultaneous admissions replay in trace
-// order, matching the tick engine's pending-list scan); seq is the
-// push counter and breaks whatever remains.
+// order regardless of push order or heap layout. The key field carries
+// a domain tiebreak (the trace spec index for arrivals, so simultaneous
+// admissions replay in trace order); seq is the push counter and breaks
+// whatever remains.
 //
-// The queue is built for the engine's hot loop: events are stored by
-// value in slot array + heap-of-slot-ids form, slots are recycled
-// through a free list, and a steady-state pop/push pair allocates
-// nothing (guarded by TestEngineEventSteadyStateZeroAlloc). Push
-// returns a generation-stamped handle so a pending event — e.g. a
-// predicted flow completion invalidated by a Dynamics restart — can be
-// cancelled in O(log n) without leaving a tombstone; the generation
-// check makes a stale handle (its slot already popped and recycled) a
-// harmless no-op instead of cancelling an unrelated event.
+// The heap holds only what is dynamic — the one pending schedule epoch,
+// availability injections, DAG completions and the arrivals they
+// release — so it stays a few entries deep; trace arrivals come from
+// the engine's sorted cursor instead (see eventloop.go). Events are
+// stored by value and a steady-state pop/push pair allocates nothing
+// (guarded by TestEngineEventSteadyStateZeroAlloc).
 
 // eventKind types the engine's events. The declaration order is the
 // within-timestamp priority: exact-time flow completions resolve
 // before the boundary's admissions, admissions before availability
-// injections, those before the schedule epoch, and telemetry emission
-// last — mirroring the tick loop's admit → refreshAvailability →
-// schedule → observe sequence.
+// injections, and those before the schedule epoch.
 type eventKind uint8
 
 const (
-	// eventFlowDone is an exact-time flow/coflow completion. The event
-	// engine uses it to release DAG dependents of a retired CoFlow at
-	// its precise DoneAt (which is generally mid-interval).
+	// eventFlowDone is the exact-time completion of a CoFlow that gates
+	// DAG dependents, fired at its precise DoneAt (generally
+	// mid-interval) to release them.
 	eventFlowDone eventKind = iota
 	// eventArrival admits one trace spec at a δ boundary.
 	eventArrival
-	// eventAvail is the Dynamics/Pipelining injection seam: it flips a
-	// CoFlow's pipelined flows to available once their delay elapses.
+	// eventAvail is the Pipelining injection seam: it flips a CoFlow's
+	// pipelined flows to available once their delay elapses.
 	eventAvail
 	// eventEpoch recomputes the global schedule at a δ boundary.
 	eventEpoch
-	// eventProbe emits the epoch's telemetry observation to the
-	// attached probes (only scheduled when probes exist).
-	eventProbe
 )
 
 // event is one scheduled occurrence. Payload fields are a union: spec
@@ -56,173 +47,71 @@ type event struct {
 	key  int64 // deterministic tiebreak before seq
 	spec int
 	co   *coflow.CoFlow
+	seq  uint64 // push counter, stamped by eventQueue.push
 }
 
-// eventHandle names a pending event for cancellation. The zero handle
-// is invalid (slot generations start at 1).
-type eventHandle struct {
-	slot int32
-	gen  uint32
+// before orders a strictly ahead of b.
+func (a *event) before(b *event) bool {
+	if a.time != b.time {
+		return a.time < b.time
+	}
+	if a.kind != b.kind {
+		return a.kind < b.kind
+	}
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	return a.seq < b.seq
 }
 
-type eventSlot struct {
-	ev  event
-	seq uint64
-	pos int32 // index into heap; -1 while free
-	gen uint32
-}
-
-// eventQueue is the deterministic indexed min-heap. The zero value is
+// eventQueue is the deterministic binary min-heap. The zero value is
 // ready to use.
 type eventQueue struct {
-	heap  []int32
-	slots []eventSlot
-	free  []int32
-	seq   uint64
-	// cancels counts successful cancellations for engine introspection.
-	cancels int64
+	heap []event
+	seq  uint64
 }
 
 // Len returns the number of pending events.
 func (q *eventQueue) Len() int { return len(q.heap) }
 
-// less orders slot a strictly before slot b.
-func (q *eventQueue) less(a, b int32) bool {
-	sa, sb := &q.slots[a], &q.slots[b]
-	if sa.ev.time != sb.ev.time {
-		return sa.ev.time < sb.ev.time
-	}
-	if sa.ev.kind != sb.ev.kind {
-		return sa.ev.kind < sb.ev.kind
-	}
-	if sa.ev.key != sb.ev.key {
-		return sa.ev.key < sb.ev.key
-	}
-	return sa.seq < sb.seq
-}
-
-// push schedules ev and returns a handle valid until the event pops
-// or is cancelled.
-func (q *eventQueue) push(ev event) eventHandle {
-	var id int32
-	if n := len(q.free); n > 0 {
-		id = q.free[n-1]
-		q.free = q.free[:n-1]
-	} else {
-		id = int32(len(q.slots))
-		q.slots = append(q.slots, eventSlot{})
-	}
-	s := &q.slots[id]
+// push schedules ev.
+func (q *eventQueue) push(ev event) {
 	q.seq++
-	s.ev, s.seq, s.pos = ev, q.seq, int32(len(q.heap))
-	if s.gen == 0 {
-		s.gen = 1
-	}
-	q.heap = append(q.heap, id)
-	q.siftUp(int(s.pos))
-	return eventHandle{slot: id, gen: q.slots[id].gen}
-}
-
-// pop removes and returns the earliest event; ok is false on empty.
-func (q *eventQueue) pop() (ev event, ok bool) {
-	if len(q.heap) == 0 {
-		return event{}, false
-	}
-	id := q.heap[0]
-	ev = q.slots[id].ev
-	q.removeAt(0)
-	q.release(id)
-	return ev, true
-}
-
-// peek returns the earliest event without removing it.
-func (q *eventQueue) peek() (ev event, ok bool) {
-	if len(q.heap) == 0 {
-		return event{}, false
-	}
-	return q.slots[q.heap[0]].ev, true
-}
-
-// cancel removes the event named by h if it is still pending. It
-// reports whether an event was removed; stale handles (the event
-// already popped, or its recycled slot reused by a newer event) are
-// detected by the generation stamp and left alone.
-func (q *eventQueue) cancel(h eventHandle) bool {
-	if h.slot < 0 || int(h.slot) >= len(q.slots) {
-		return false
-	}
-	s := &q.slots[h.slot]
-	if s.gen != h.gen || s.pos < 0 {
-		return false
-	}
-	q.removeAt(int(s.pos))
-	q.release(h.slot)
-	q.cancels++
-	return true
-}
-
-// removeAt unlinks the heap entry at position i, restoring heap order.
-func (q *eventQueue) removeAt(i int) {
-	last := len(q.heap) - 1
-	if i != last {
-		q.heap[i] = q.heap[last]
-		q.slots[q.heap[i]].pos = int32(i)
-	}
-	q.heap = q.heap[:last]
-	if i < last {
-		if !q.siftDown(i) {
-			q.siftUp(i)
-		}
-	}
-}
-
-// release recycles a slot: bump the generation so outstanding handles
-// go stale, then put the id on the free list.
-func (q *eventQueue) release(id int32) {
-	s := &q.slots[id]
-	s.pos = -1
-	s.gen++
-	if s.gen == 0 { // generation wrapped; 0 is reserved for "unused"
-		s.gen = 1
-	}
-	s.ev = event{}
-	q.free = append(q.free, id)
-}
-
-func (q *eventQueue) siftUp(i int) {
-	for i > 0 {
+	ev.seq = q.seq
+	q.heap = append(q.heap, ev)
+	for i := len(q.heap) - 1; i > 0; {
 		parent := (i - 1) / 2
-		if !q.less(q.heap[i], q.heap[parent]) {
-			return
+		if !q.heap[i].before(&q.heap[parent]) {
+			break
 		}
-		q.swap(i, parent)
+		q.heap[i], q.heap[parent] = q.heap[parent], q.heap[i]
 		i = parent
 	}
 }
 
-// siftDown reports whether the entry moved.
-func (q *eventQueue) siftDown(i int) bool {
-	moved := false
-	for {
-		left := 2*i + 1
-		if left >= len(q.heap) {
-			return moved
+// pop removes and returns the earliest event; ok is false on empty.
+func (q *eventQueue) pop() (ev event, ok bool) {
+	last := len(q.heap) - 1
+	if last < 0 {
+		return event{}, false
+	}
+	ev = q.heap[0]
+	q.heap[0] = q.heap[last]
+	q.heap[last] = event{} // drop the CoFlow pointer
+	q.heap = q.heap[:last]
+	for i := 0; ; {
+		least := 2*i + 1
+		if least >= last {
+			break
 		}
-		least := left
-		if right := left + 1; right < len(q.heap) && q.less(q.heap[right], q.heap[left]) {
+		if right := least + 1; right < last && q.heap[right].before(&q.heap[least]) {
 			least = right
 		}
-		if !q.less(q.heap[least], q.heap[i]) {
-			return moved
+		if !q.heap[least].before(&q.heap[i]) {
+			break
 		}
-		q.swap(i, least)
+		q.heap[i], q.heap[least] = q.heap[least], q.heap[i]
 		i = least
-		moved = true
 	}
-}
-
-func (q *eventQueue) swap(i, j int) {
-	q.heap[i], q.heap[j] = q.heap[j], q.heap[i]
-	q.slots[q.heap[i]].pos = int32(i)
-	q.slots[q.heap[j]].pos = int32(j)
+	return ev, true
 }

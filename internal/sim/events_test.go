@@ -29,7 +29,7 @@ func popAll(q *eventQueue) []event {
 func TestEventQueueSimultaneousOrdering(t *testing.T) {
 	var batch []event
 	for _, tm := range []coflow.Time{0, 8000, 8000, 16000} {
-		for kind := eventFlowDone; kind <= eventProbe; kind++ {
+		for kind := eventFlowDone; kind <= eventEpoch; kind++ {
 			for key := int64(0); key < 3; key++ {
 				batch = append(batch, event{time: tm, kind: kind, key: key, spec: int(key)})
 			}
@@ -86,103 +86,36 @@ func TestEventQueueSeqBreaksFullTies(t *testing.T) {
 	}
 }
 
-// TestEventQueueCancelRecycling models the Dynamics-restart scenario:
-// predicted flow-completion events get cancelled when a restart wipes
-// the flow's progress, their slots are recycled by later pushes, and
-// the stale handles left behind must become harmless no-ops rather
-// than cancelling whichever event inherited the slot.
-func TestEventQueueCancelRecycling(t *testing.T) {
-	var q eventQueue
-
-	// Predict ten flow completions; a "restart" invalidates the even ones.
-	handles := make([]eventHandle, 10)
-	for i := range handles {
-		handles[i] = q.push(event{time: coflow.Time(1000 * (i + 1)), kind: eventFlowDone, key: int64(i), spec: i})
-	}
-	for i := 0; i < 10; i += 2 {
-		if !q.cancel(handles[i]) {
-			t.Fatalf("cancel of live event %d reported no-op", i)
-		}
-	}
-	if q.Len() != 5 {
-		t.Fatalf("after 5 cancels Len = %d, want 5", q.Len())
-	}
-	// Double-cancel is a detected no-op.
-	if q.cancel(handles[0]) {
-		t.Fatal("second cancel of the same handle reported success")
-	}
-
-	// New completions reuse the freed slots (no slot-table growth).
-	slotsBefore := len(q.slots)
-	reused := make([]eventHandle, 5)
-	for i := range reused {
-		reused[i] = q.push(event{time: coflow.Time(100 * (i + 1)), kind: eventFlowDone, key: int64(100 + i), spec: 100 + i})
-	}
-	if len(q.slots) != slotsBefore {
-		t.Fatalf("slot table grew %d -> %d despite free slots", slotsBefore, len(q.slots))
-	}
-
-	// The recycled slots bumped their generation: every stale handle
-	// must refuse to touch the event now occupying its old slot.
-	for i := 0; i < 10; i += 2 {
-		if q.cancel(handles[i]) {
-			t.Fatalf("stale handle %d cancelled a recycled slot's new event", i)
-		}
-	}
-	if q.Len() != 10 {
-		t.Fatalf("Len = %d after stale cancels, want 10", q.Len())
-	}
-
-	// Remaining events (odd originals at 2000,4000,... and reused at
-	// 100..500) still pop in exact time order.
-	var times []coflow.Time
-	for _, ev := range popAll(&q) {
-		times = append(times, ev.time)
-	}
-	want := []coflow.Time{100, 200, 300, 400, 500, 2000, 4000, 6000, 8000, 10000}
-	if len(times) != len(want) {
-		t.Fatalf("drained %d events, want %d", len(times), len(want))
-	}
-	for i := range want {
-		if times[i] != want[i] {
-			t.Fatalf("pop[%d] at t=%d, want %d (full order: %v)", i, times[i], want[i], times)
-		}
-	}
-
-	// A handle for an already-popped event is stale too.
-	h := q.push(event{time: 1, kind: eventEpoch})
-	if _, ok := q.pop(); !ok {
-		t.Fatal("pop failed")
-	}
-	if q.cancel(h) {
-		t.Fatal("cancel succeeded on a popped event's handle")
-	}
-}
-
-// TestEventQueueInterleavedRandomOps cross-checks the heap against a
-// straightforward reference model under a random push/pop/cancel
-// workload, verifying ordering and slot bookkeeping stay consistent.
+// TestEventQueueInterleavedRandomOps is the ordering property test:
+// under a random interleaving of pushes and pops the heap always pops
+// the minimum of a model kept sorted by (time, kind, key, push order).
 func TestEventQueueInterleavedRandomOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var q eventQueue
-	type live struct {
-		ev event
-		h  eventHandle
-	}
-	var model []live
-	seq := 0
+	var model []event // sorted; spec is the push counter
 	for op := 0; op < 5000; op++ {
-		switch r := rng.Intn(10); {
-		case r < 5: // push
+		if rng.Intn(10) < 6 {
 			ev := event{
 				time: coflow.Time(rng.Intn(50) * 1000),
-				kind: eventKind(rng.Intn(5)),
+				kind: eventKind(rng.Intn(4)),
 				key:  int64(rng.Intn(4)),
-				spec: seq,
+				spec: op,
 			}
-			seq++
-			model = append(model, live{ev, q.push(ev)})
-		case r < 8: // pop and compare against the model's minimum
+			q.push(ev)
+			at := sort.Search(len(model), func(i int) bool {
+				m := model[i]
+				if m.time != ev.time {
+					return m.time > ev.time
+				}
+				if m.kind != ev.kind {
+					return m.kind > ev.kind
+				}
+				return m.key > ev.key // equal (time,kind,key): earlier push stays ahead
+			})
+			model = append(model, event{})
+			copy(model[at+1:], model[at:])
+			model[at] = ev
+		} else {
 			ev, ok := q.pop()
 			if !ok {
 				if len(model) != 0 {
@@ -190,36 +123,10 @@ func TestEventQueueInterleavedRandomOps(t *testing.T) {
 				}
 				continue
 			}
-			best := 0
-			for i := 1; i < len(model); i++ {
-				a, b := model[i].ev, model[best].ev
-				if a.time != b.time {
-					if a.time < b.time {
-						best = i
-					}
-				} else if a.kind != b.kind {
-					if a.kind < b.kind {
-						best = i
-					}
-				} else if a.key != b.key {
-					if a.key < b.key {
-						best = i
-					}
-				} // equal (time,kind,key): earlier push wins — model is in push order
+			if len(model) == 0 || model[0].spec != ev.spec {
+				t.Fatalf("op %d: popped spec %d, model expects %+v", op, ev.spec, model)
 			}
-			if model[best].ev.spec != ev.spec {
-				t.Fatalf("op %d: popped spec %d, model expects %d", op, ev.spec, model[best].ev.spec)
-			}
-			model = append(model[:best], model[best+1:]...)
-		default: // cancel a random live event
-			if len(model) == 0 {
-				continue
-			}
-			i := rng.Intn(len(model))
-			if !q.cancel(model[i].h) {
-				t.Fatalf("op %d: cancel of live event failed", op)
-			}
-			model = append(model[:i], model[i+1:]...)
+			model = model[1:]
 		}
 		if q.Len() != len(model) {
 			t.Fatalf("op %d: Len = %d, model %d", op, q.Len(), len(model))

@@ -224,28 +224,6 @@ func init() {
 			)
 		})
 
-	Register("engine-mode",
-		"tick vs event engine over the incast workload — the equivalence contract as a sweepable axis",
-		func() (*Study, error) {
-			return New("engine-mode",
-				WithDescription("both run loops over the same grid: every derived row must be identical across modes"),
-				WithTraces(sweep.SynthSource("incast", trace.SynthIncast)),
-				WithSchedulers("aalo", "saath"),
-				WithSeeds(1, 2),
-				WithParamGrid(
-					sweep.Variant{Name: "engine=tick"},
-					sweep.Variant{Name: "engine=event", Config: sim.Config{Mode: sim.ModeEvent}},
-				),
-				WithBaseline("aalo"),
-				WithTelemetry(telemetry.Spec{Enabled: true}),
-				WithDerived(
-					DerivedCCT("engine-mode — per-mode CCT"),
-					DerivedSpeedup("engine-mode — per-coflow speedup over aalo", ""),
-					DerivedTelemetry("engine-mode — telemetry (per-interval)"),
-				),
-			)
-		})
-
 	Register("capacity",
 		"offered-rate sweep with knee detection: how many coflows/s each scheduler sustains before P99 CCT departs linearity",
 		func() (*Study, error) {

@@ -40,10 +40,7 @@ type ShardDump struct {
 // drifted flags — a different -rate, -delta, -metrics setting — thus
 // fail the merge instead of silently mixing physical configurations.
 // Trace-mutation closures (Variant.Mutate) cannot be hashed; they are
-// covered indirectly through the variant name in Key(). Config.Mode is
-// deliberately NOT hashed: the engine equivalence contract makes tick
-// and event runs byte-identical, so shards computed under either
-// engine (-engine flag) merge interchangeably.
+// covered indirectly through the variant name in Key().
 func gridFingerprint(jobs []sweep.Job) string {
 	h := sha256.New()
 	for _, j := range jobs {

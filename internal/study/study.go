@@ -339,12 +339,8 @@ func (st *Study) Grid() sweep.Grid {
 
 // mergeConfig fills v's zero-valued fields from the study-level base.
 // A variant can override but not un-set: SkipValidation true at study
-// level stays true, and a study-level ModeEvent applies to variants
-// that left Mode at the default.
+// level stays true.
 func mergeConfig(v, base sim.Config) sim.Config {
-	if v.Mode == sim.ModeTick {
-		v.Mode = base.Mode
-	}
 	if v.Delta == 0 {
 		v.Delta = base.Delta
 	}
@@ -369,22 +365,6 @@ func mergeConfig(v, base sim.Config) sim.Config {
 	return v
 }
 
-// InEngineMode returns a copy of the study with every job forced to
-// engine mode m: the study-level config and each variant's override.
-// Job identities (keys, derived telemetry/RNG seeds) do not include
-// the engine mode, so by the engine equivalence contract the copy's
-// output is byte-identical to the original's — this is what the CLIs'
-// -engine flag rides on, and what the cross-mode goldens pin.
-func (st *Study) InEngineMode(m sim.Mode) *Study {
-	cp := *st
-	cp.config.Mode = m
-	cp.variants = append([]sweep.Variant(nil), st.variants...)
-	for i := range cp.variants {
-		cp.variants[i].Config.Mode = m
-	}
-	return &cp
-}
-
 func (st *Study) effectiveParams() sched.Params {
 	if st.paramsSet {
 		return st.params
@@ -398,9 +378,7 @@ func (st *Study) effectiveParams() sched.Params {
 func (st *Study) Jobs() []sweep.Job { return st.Grid().Jobs() }
 
 // Fingerprint hashes the study's expanded grid — the identity a shard
-// dump must match to merge (see ShardDump.KeysHash). Deliberately
-// engine-mode-blind: by the equivalence contract, dumps computed under
-// either run loop merge interchangeably.
+// dump must match to merge (see ShardDump.KeysHash).
 func (st *Study) Fingerprint() string { return gridFingerprint(st.Jobs()) }
 
 // Run executes the study on the given runner (nil: an in-process Pool

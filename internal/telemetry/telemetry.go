@@ -73,12 +73,9 @@ func (iv *Interval) Utilization() float64 {
 }
 
 // Probe receives one observation per scheduling interval. Observe is
-// called synchronously from the engine's run loop — in the tick engine
-// inline between scheduling and byte movement, in the event engine as
-// a probe-emission event at the same point of the same interval, so
-// the observation sequence is identical in both modes. Implementations
-// need no locking (one engine, one goroutine) but must not retain the
-// Interval's slices or maps.
+// called synchronously from the engine's run loop, between scheduling
+// and byte movement. Implementations need no locking (one engine, one
+// goroutine) but must not retain the Interval's slices or maps.
 type Probe interface {
 	Observe(iv *Interval)
 }

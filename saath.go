@@ -101,8 +101,7 @@ type (
 
 // Simulation types.
 type (
-	// SimConfig controls a simulation run (δ, port rate, dynamics,
-	// engine mode).
+	// SimConfig controls a simulation run (δ, port rate, dynamics).
 	SimConfig = sim.Config
 	// SimResult is the outcome of one simulation.
 	SimResult = sim.Result
@@ -115,27 +114,12 @@ type (
 	// Engine is a reusable, validated simulation engine: one SimConfig,
 	// any number of independent runs. Build one with NewEngine.
 	Engine = sim.Engine
-	// EngineMode selects the engine's run loop: ModeTick or ModeEvent,
-	// byte-identical by contract (see internal/sim's package doc).
-	EngineMode = sim.Mode
 )
 
-// Engine-mode constants.
-const (
-	// ModeTick is the reference fixed-δ discrete-time loop (default).
-	ModeTick = sim.ModeTick
-	// ModeEvent is the discrete-event loop: identical results, idle
-	// gaps and sparse stretches cost nothing.
-	ModeEvent = sim.ModeEvent
-)
-
-// NewEngine validates cfg and returns the reusable engine for its
-// Mode. Simulate/SimulateWith remain the one-shot forms; they route
-// through the same validation and run loops.
+// NewEngine validates cfg and returns its reusable engine.
+// Simulate/SimulateWith remain the one-shot forms; they route through
+// the same validation and run loop.
 func NewEngine(cfg SimConfig) (Engine, error) { return sim.New(cfg) }
-
-// ParseEngineMode parses an -engine flag value ("tick" or "event").
-func ParseEngineMode(s string) (EngineMode, error) { return sim.ParseMode(s) }
 
 // Statistics types.
 type (
