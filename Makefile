@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-fleet test-testbed race perf perf-compare bench bench-sched bench-sweep bench-telemetry bench-trace bench-engine bench-obs bench-fleet bench-testbed fmt fmt-check vet lint staticcheck govulncheck ci
+.PHONY: build test test-fleet test-testbed fuzz race perf perf-compare bench bench-sched bench-sweep bench-telemetry bench-trace bench-engine bench-obs bench-fleet bench-testbed fmt fmt-check vet lint staticcheck govulncheck ci
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,14 @@ test-fleet:
 # (The 10^5-agent scale test stays env-gated: SAATH_LONG=1.)
 test-testbed:
 	$(GO) test -race -count=1 -timeout 10m ./internal/testbed/ ./internal/runtime/
+
+# Fuzz the shard-dump reader for 10 s from the committed seed corpus
+# (internal/study/testdata/fuzz): any input is rejected with an error or
+# decodes to a dump that re-encodes to the same bytes, in memory
+# proportional to the input. Minimising each new input is capped at 1 s
+# (the default, 60 s, would eat the whole budget on the first one).
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadShard$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/study/
 
 race:
 	$(GO) test -race -timeout 20m ./...
@@ -153,4 +161,4 @@ govulncheck:
 		echo "govulncheck not installed; skipping (CI runs it)"; \
 	fi
 
-ci: fmt-check build vet lint staticcheck govulncheck race test-fleet test-testbed bench bench-sched bench-sweep bench-telemetry bench-trace bench-engine bench-obs bench-fleet bench-testbed
+ci: fmt-check build vet lint staticcheck govulncheck race test-fleet test-testbed fuzz bench bench-sched bench-sweep bench-telemetry bench-trace bench-engine bench-obs bench-fleet bench-testbed

@@ -1,12 +1,15 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
 	"time"
+
+	"saath/internal/study"
 )
 
 // Chaos injects worker faults at the driver/backend boundary. Every
@@ -184,9 +187,15 @@ func (p *chaosProc) relay() {
 				continue // drain without forwarding
 			}
 		case chaosCorrupt:
-			if ev.Type == EventDump && ev.Dump != nil && ev.Dump.Dump != nil {
-				// Flip the grid fingerprint: parses fine, fails validation.
-				ev.Dump.Dump.KeysHash = strings.Repeat("deadbeef", 8)
+			if ev.Type == EventDump && ev.Dump != nil {
+				// Flip the grid fingerprint and re-encode: a well-formed dump
+				// (checksum intact) that fails validation.
+				if d, err := study.ReadShard(bytes.NewReader(ev.Dump.Dump)); err == nil {
+					d.KeysHash = strings.Repeat("deadbeef", 8)
+					var buf bytes.Buffer
+					d.Encode(&buf)
+					ev.Dump.Dump = buf.Bytes()
+				}
 			}
 		case chaosSlow:
 			time.Sleep(p.delay)

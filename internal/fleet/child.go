@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -71,13 +72,13 @@ func StreamShard(ctx context.Context, st *study.Study, sh study.Sharded, opts St
 		WriteEvent(w, &Event{Type: EventError, Error: err.Error()})
 		return err
 	}
-	dump, err := res.ShardDump(sh)
-	if err != nil {
+	var dump bytes.Buffer
+	if err := res.WriteShard(&dump, sh); err != nil {
 		WriteEvent(w, &Event{Type: EventError, Error: err.Error()})
 		return err
 	}
 	return WriteEvent(w, &Event{Type: EventDump, Dump: &Dump{
-		Dump:   dump,
+		Dump:   dump.Bytes(),
 		Totals: rec.Manifest().Totals,
 	}})
 }

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -288,15 +289,19 @@ func Run(ctx context.Context, st *study.Study, opts Options) (*Output, error) {
 					if d == nil || d.Dump == nil {
 						return obs.FleetBadDump, "dump event without payload", events
 					}
-					if err := d.Dump.Check(st); err != nil {
+					dump, err := study.ReadShard(bytes.NewReader(d.Dump))
+					if err != nil {
 						return obs.FleetBadDump, err.Error(), events
 					}
-					if d.Dump.Shard != req.shard || d.Dump.Of != opts.Tasks {
+					if err := dump.Check(st); err != nil {
+						return obs.FleetBadDump, err.Error(), events
+					}
+					if dump.Shard != req.shard || dump.Of != opts.Tasks {
 						return obs.FleetBadDump, fmt.Sprintf("dump is shard %d/%d, task was %d/%d",
-							d.Dump.Shard, d.Dump.Of, req.shard, opts.Tasks), events
+							dump.Shard, dump.Of, req.shard, opts.Tasks), events
 					}
 					mu.Lock()
-					states[req.shard].dump = d.Dump
+					states[req.shard].dump = dump
 					states[req.shard].totals = d.Totals
 					mu.Unlock()
 					// The dump is the last event; the deferred cleanup reaps

@@ -336,6 +336,57 @@ func TestFleetDriftRejected(t *testing.T) {
 	}
 }
 
+// TestFleetDamagedDumpRejected: dump bytes damaged between worker and
+// driver fail the codec's checksum — a bad-dump verdict naming the
+// cause, retried like any other, never merged.
+func TestFleetDamagedDumpRejected(t *testing.T) {
+	st := buildStudy(t)
+	backend := &fakeBackend{payload: func(task Task) []byte {
+		var stream bytes.Buffer
+		sh := study.Sharded{Index: task.Shard, Count: task.Of}
+		if err := StreamShard(context.Background(), st, sh, StreamOptions{Parallel: 2}, &stream); err != nil {
+			t.Error(err)
+		}
+		// Re-emit the stream with one bit of the dump payload flipped.
+		var out bytes.Buffer
+		rd := NewEventReader(&stream)
+		for {
+			ev, err := rd.Next()
+			if err != nil {
+				break
+			}
+			if ev.Type == EventDump {
+				ev.Dump.Dump[len(ev.Dump.Dump)/2] ^= 0x04
+			}
+			WriteEvent(&out, ev)
+		}
+		return out.Bytes()
+	}}
+	out, err := Run(context.Background(), st, Options{
+		Backend: backend, Workers: 2, Tasks: 2, MaxAttempts: 2,
+		BackoffBase: time.Millisecond, Deadline: time.Minute, StallTimeout: time.Minute,
+	})
+	if err == nil || out.Result != nil {
+		t.Fatal("a fleet run over damaged dumps produced a result")
+	}
+	rejected := 0
+	for i := range out.Report.Shards {
+		for _, a := range out.Report.Shards[i].Attempts {
+			switch {
+			case a.Outcome == obs.FleetBadDump && strings.Contains(a.Error, "checksum mismatch"):
+				rejected++
+			case a.Outcome == obs.FleetOK || a.Outcome == obs.FleetBadDump:
+				t.Errorf("shard %d attempt %d: %s %q, want bad-dump / checksum mismatch", i, a.Attempt, a.Outcome, a.Error)
+			}
+			// Anything else is the other shard's attempt cancelled once
+			// this one failed terminally.
+		}
+	}
+	if rejected == 0 {
+		t.Error("no attempt was rejected for its checksum")
+	}
+}
+
 // TestWireRoundTrip pins the event encoding: every event type survives
 // a write/read cycle, and corrupt or version-skewed streams are
 // rejected with descriptive errors.
@@ -365,7 +416,7 @@ func TestWireRoundTrip(t *testing.T) {
 		t.Errorf("end of stream = %v, want io.EOF", err)
 	}
 
-	rd = NewEventReader(strings.NewReader("{\"v\":1,\"type\":\"hello\"}\n###garbage"))
+	rd = NewEventReader(strings.NewReader("{\"v\":2,\"type\":\"hello\"}\n###garbage"))
 	if _, err := rd.Next(); err != nil {
 		t.Fatalf("first event: %v", err)
 	}
@@ -373,9 +424,11 @@ func TestWireRoundTrip(t *testing.T) {
 		t.Errorf("corrupt tail = %v", err)
 	}
 
-	rd = NewEventReader(strings.NewReader("{\"v\":99,\"type\":\"hello\"}\n"))
-	if _, err := rd.Next(); err == nil || !strings.Contains(err.Error(), "wire version 99") {
-		t.Errorf("version skew = %v", err)
+	for _, v := range []int{1, 99} { // the pre-codec wire, and a future one
+		rd = NewEventReader(strings.NewReader(fmt.Sprintf("{\"v\":%d,\"type\":\"hello\"}\n", v)))
+		if _, err := rd.Next(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("wire version %d", v)) {
+			t.Errorf("version skew = %v", err)
+		}
 	}
 }
 
@@ -478,8 +531,16 @@ func TestStreamShardWire(t *testing.T) {
 	if dump == nil {
 		t.Fatal("stream ended without a dump")
 	}
-	if err := dump.Dump.Check(st); err != nil {
+	// The payload is the file codec's bytes: the same reader decodes it.
+	decoded, err := study.ReadShard(bytes.NewReader(dump.Dump))
+	if err != nil {
+		t.Fatalf("streamed dump does not decode: %v", err)
+	}
+	if err := decoded.Check(st); err != nil {
 		t.Errorf("streamed dump fails validation: %v", err)
+	}
+	if decoded.Shard != 1 || decoded.Of != 8 || len(decoded.Entries) != 3 {
+		t.Errorf("streamed dump is shard %d/%d with %d entries", decoded.Shard, decoded.Of, len(decoded.Entries))
 	}
 	if dump.Totals.Jobs != 3 || dump.Totals.Counters.Schedule.Count == 0 {
 		t.Errorf("dump totals = %+v", dump.Totals)

@@ -17,12 +17,12 @@ import (
 	"io"
 
 	"saath/internal/obs"
-	"saath/internal/study"
 )
 
 // WireVersion stamps every event; a reader rejects mismatched streams
-// rather than guessing at field semantics.
-const WireVersion = 1
+// rather than guessing at field semantics. Version 2 carries the shard
+// dump as the study package's binary codec instead of nested JSON.
+const WireVersion = 2
 
 // EventType discriminates wire events.
 type EventType string
@@ -72,7 +72,10 @@ type Progress struct {
 // the shard's obs totals (engine counters, schedule-latency histogram)
 // for the fleet report.
 type Dump struct {
-	Dump   *study.ShardDump   `json:"dump"`
+	// Dump is the shard dump exactly as Result.WriteShard writes it to a
+	// file (base64 inside the JSON envelope); study.ReadShard decodes it,
+	// checksum and shape checks included.
+	Dump   []byte             `json:"dump"`
 	Totals obs.ManifestTotals `json:"totals"`
 }
 

@@ -3,8 +3,6 @@ package study
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -15,23 +13,23 @@ import (
 	"saath/internal/sweep"
 )
 
-// ShardDump is the serialized output of one sharded study run: the
-// digested entries for this shard's slice of the grid plus enough
-// identity to validate a merge. Everything in it round-trips through
-// JSON exactly (integer microsecond CCT maps, shortest-form float64),
-// so a merged Summary reproduces single-process output byte for byte.
+// ShardDump is the output of one sharded study run: the digested
+// entries for this shard's slice of the grid plus enough identity to
+// validate a merge. Encode / ReadShard (shardcodec.go) carry every value
+// in it bit-exactly, so a merged Summary reproduces single-process
+// output byte for byte.
 type ShardDump struct {
-	Study string `json:"study"`
-	Shard int    `json:"shard"`
-	Of    int    `json:"of"`
+	Study string
+	Shard int
+	Of    int
 	// Jobs is the FULL grid size (not this shard's share); a merge
 	// across dumps with differing grids fails fast.
-	Jobs int `json:"jobs"`
+	Jobs int
 	// KeysHash fingerprints the grid identity (SHA-256 over every
 	// job's Key() in index order), catching merges of shards produced
 	// from different flag sets or study revisions.
-	KeysHash string        `json:"keys_hash"`
-	Entries  []sweep.Entry `json:"entries"`
+	KeysHash string
+	Entries  []sweep.Entry
 }
 
 // gridFingerprint hashes the study's expanded jobs: key, scheduler
@@ -92,38 +90,7 @@ func (r *Result) WriteShard(w io.Writer, sh Sharded) error {
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(dump)
-}
-
-// ReadShard parses and shape-checks one shard dump. Decode failures
-// are classified — an empty file, a truncated dump (the footprint of a
-// worker killed mid-write) and malformed JSON each get a distinct
-// cause — and a dump that parses but is structurally impossible
-// (negative shard index, non-hex fingerprint, entries outside its own
-// stripe) is rejected here rather than surfacing later as a confusing
-// merge error. MergeShardDir wraps every error with the dump's path.
-func ReadShard(rd io.Reader) (*ShardDump, error) {
-	var dump ShardDump
-	if err := json.NewDecoder(rd).Decode(&dump); err != nil {
-		switch {
-		case errors.Is(err, io.EOF):
-			return nil, fmt.Errorf("study: bad shard dump: empty file (shard run produced no output?)")
-		case errors.Is(err, io.ErrUnexpectedEOF):
-			return nil, fmt.Errorf("study: bad shard dump: truncated JSON (interrupted or partial shard write?): %w", err)
-		default:
-			var syn *json.SyntaxError
-			if errors.As(err, &syn) {
-				return nil, fmt.Errorf("study: bad shard dump: corrupt JSON at byte %d: %w", syn.Offset, err)
-			}
-			return nil, fmt.Errorf("study: bad shard dump: %w", err)
-		}
-	}
-	if err := dump.shape(); err != nil {
-		return nil, fmt.Errorf("study: bad shard dump: %w", err)
-	}
-	return &dump, nil
+	return dump.Encode(w)
 }
 
 // shape checks the dump's internal consistency — everything that can
@@ -249,42 +216,64 @@ func fileSafe(name string) string {
 	}, name)
 }
 
+// shardFileExt marks shard dumps on disk. Dumps written before the
+// binary format were "<stem>.json"; MergeShardDir names them in its
+// error when they are all it finds.
+const shardFileExt = ".shard"
+
 // ShardFileName is the canonical on-disk name for a shard dump.
 func ShardFileName(study string, sh Sharded) string {
-	return fmt.Sprintf("%s-shard-%d-of-%d.json", fileSafe(study), sh.Index, sh.Count)
+	return fmt.Sprintf("%s-shard-%d-of-%d%s", fileSafe(study), sh.Index, sh.Count, shardFileExt)
 }
 
 // WriteShardFile writes the shard dump under dir (created if needed)
-// with the canonical name, returning the path.
+// with the canonical name, returning the path. The dump is written to a
+// temporary file, synced and renamed into place, so a concurrent merge
+// or a killed worker never leaves a partial dump under the name the
+// merge glob matches.
 func (r *Result) WriteShardFile(dir string, sh Sharded) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
 	path := filepath.Join(dir, ShardFileName(r.study.name, sh))
-	f, err := os.Create(path)
+	f, err := os.CreateTemp(dir, ".shard-*.tmp")
 	if err != nil {
 		return "", err
 	}
 	err = r.WriteShard(f, sh)
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
 	if err != nil {
+		os.Remove(f.Name())
 		return "", err
 	}
 	return path, nil
 }
 
 // MergeShardDir merges every shard dump of st found in dir (files
-// matching "<study>-shard-*-of-*.json").
+// matching "<study>-shard-*-of-*.shard").
 func MergeShardDir(st *Study, dir string) (*Result, error) {
-	pattern := filepath.Join(dir, fileSafe(st.name)+"-shard-*-of-*.json")
-	paths, err := filepath.Glob(pattern)
+	stem := filepath.Join(dir, fileSafe(st.name)+"-shard-*-of-*")
+	paths, err := filepath.Glob(stem + shardFileExt)
 	if err != nil {
 		return nil, err
 	}
 	if len(paths) == 0 {
-		return nil, fmt.Errorf("study %s: no shard dumps matching %s", st.name, pattern)
+		if old, _ := filepath.Glob(stem + ".json"); len(old) > 0 {
+			return nil, fmt.Errorf("study %s: no shard dumps matching %s: the directory holds only %d old-format JSON dump(s) (%s, ...); re-run the shards",
+				st.name, stem+shardFileExt, len(old), filepath.Base(old[0]))
+		}
+		return nil, fmt.Errorf("study %s: no shard dumps matching %s", st.name, stem+shardFileExt)
 	}
 	sort.Strings(paths)
 	dumps := make([]*ShardDump, 0, len(paths))

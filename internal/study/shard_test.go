@@ -59,7 +59,7 @@ func exports(t *testing.T, res *Result) (summaryJSON, metricsCSV, metricsJSON, t
 
 // TestShardedMergeGolden is the sharded determinism contract: running
 // shard 0/2 and shard 1/2 in separate Summaries, exporting each
-// through the JSON shard dump, and merging must reproduce the
+// through the shard dump, and merging must reproduce the
 // single-process run byte for byte — summary JSON, telemetry CSV and
 // JSON, and every derived table.
 func TestShardedMergeGolden(t *testing.T) {
@@ -160,7 +160,7 @@ func TestShardFileNameSanitized(t *testing.T) {
 	if strings.ContainsAny(got, "/*? []") {
 		t.Fatalf("unsafe shard file name %q", got)
 	}
-	if got != "_tmp_tiny_trace_.txt-shard-0-of-2.json" {
+	if got != "_tmp_tiny_trace_.txt-shard-0-of-2.shard" {
 		t.Fatalf("shard file name = %q", got)
 	}
 }
@@ -285,6 +285,21 @@ func TestMergeShardDirFailureModes(t *testing.T) {
 	}
 	_, dumpDrift := dumpFile(t, drifted, 1, 2)
 
+	// mutated re-encodes dump1 after an edit no writer would make: the
+	// result is a well-formed dump (valid checksum) with impossible
+	// contents.
+	mutated := func(edit func(*ShardDump)) []byte {
+		d, err := ReadShard(bytes.NewReader(dump1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(d)
+		return encodeDump(t, d)
+	}
+	flipped := append([]byte(nil), dump1...)
+	flipped[len(flipped)/2] ^= 0x10
+	oldName := strings.TrimSuffix(name1, ".shard") + ".json"
+
 	cases := []struct {
 		name  string
 		files map[string][]byte
@@ -328,15 +343,22 @@ func TestMergeShardDirFailureModes(t *testing.T) {
 			want:  "no shard dumps",
 		},
 		{
-			// A worker killed mid-write leaves a syntactically incomplete
-			// dump; the merge must name the file and say "truncated", not
-			// surface a bare "unexpected EOF".
+			// Dumps left by a build from before the binary format are not
+			// silently ignored: the error says what they are.
+			name:  "only old-format dumps",
+			files: map[string][]byte{oldName: []byte("{\"study\": \"shard-golden\"}\n")},
+			want:  "old-format JSON dump",
+		},
+		{
+			// A worker killed mid-write leaves an incomplete dump; the
+			// merge must name the file and say "truncated", not surface a
+			// bare "unexpected EOF".
 			name: "truncated dump file",
 			files: map[string][]byte{
 				name0: dump0,
 				name1: dump1[:len(dump1)/2],
 			},
-			want: "truncated JSON",
+			want: "truncated at byte",
 		},
 		{
 			name: "empty dump file",
@@ -347,20 +369,30 @@ func TestMergeShardDirFailureModes(t *testing.T) {
 			want: "empty file",
 		},
 		{
+			// JSON under the new name — an old dump renamed, or anything
+			// else starting with '{' — is told apart from a corrupt dump.
 			name: "corrupt JSON",
 			files: map[string][]byte{
 				name0: dump0,
 				name1: append([]byte("{\"study\": ###"), dump1...),
 			},
-			want: "corrupt JSON at byte",
+			want: "old-format JSON dump",
 		},
 		{
-			// Valid JSON, impossible dump: a shard index outside its own
+			name: "flipped bit",
+			files: map[string][]byte{
+				name0: dump0,
+				name1: flipped,
+			},
+			want: "checksum mismatch",
+		},
+		{
+			// Well-formed, impossible dump: a shard index outside its own
 			// partition is rejected at read time with the cause.
 			name: "structurally invalid dump",
 			files: map[string][]byte{
 				name0: dump0,
-				name1: bytes.Replace(dump1, []byte(`"shard": 1`), []byte(`"shard": 7`), 1),
+				name1: mutated(func(d *ShardDump) { d.Shard = 7 }),
 			},
 			want: "shard index 7 outside [0, 2)",
 		},
@@ -368,9 +400,25 @@ func TestMergeShardDirFailureModes(t *testing.T) {
 			name: "mangled grid fingerprint",
 			files: map[string][]byte{
 				name0: dump0,
-				name1: bytes.Replace(dump1, []byte(`"keys_hash": "`), []byte(`"keys_hash": "zz`), 1),
+				name1: mutated(func(d *ShardDump) { d.KeysHash = "zz" + d.KeysHash[2:] }),
 			},
 			want: "not a sha256 hex digest",
+		},
+		{
+			name: "entry outside its stripe",
+			files: map[string][]byte{
+				name0: dump0,
+				name1: mutated(func(d *ShardDump) { d.Entries[0].Index-- }),
+			},
+			want: "does not belong to shard 1/2",
+		},
+		{
+			name: "entry outside the grid",
+			files: map[string][]byte{
+				name0: dump0,
+				name1: mutated(func(d *ShardDump) { d.Entries[0].Index += 2 * d.Jobs }),
+			},
+			want: "outside the 4-job grid",
 		},
 	}
 	for _, tc := range cases {
@@ -397,5 +445,60 @@ func TestMergeShardDirFailureModes(t *testing.T) {
 	}
 	if _, err := MergeShardDir(st, dir); err != nil {
 		t.Fatalf("clean merge failed: %v", err)
+	}
+}
+
+func encodeDump(t testing.TB, d *ShardDump) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := d.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestWriteShardFileAtomic: the canonical name only ever holds a
+// complete dump — the write goes through a temporary file that the
+// merge glob does not match and that is gone afterwards.
+func TestWriteShardFileAtomic(t *testing.T) {
+	st := shardStudy(t)
+	dir := t.TempDir()
+	sh := Sharded{Index: 0, Count: 2, Pool: Pool{Parallel: 2}}
+	res, err := st.Run(context.Background(), sh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A stale dump under the final name is replaced, never appended to or
+	// left half-overwritten.
+	path := filepath.Join(dir, ShardFileName(st.Name(), sh))
+	if err := os.WriteFile(path, []byte("stale"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := res.WriteShardFile(dir, sh); err != nil {
+		t.Fatal(err)
+	}
+	names, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 1 || names[0].Name() != filepath.Base(path) {
+		t.Fatalf("directory after write = %v, want only %s", names, filepath.Base(path))
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := ReadShard(f); err != nil {
+		t.Fatalf("dump under the canonical name: %v", err)
+	}
+
+	// A failed write leaves neither a dump nor its temporary behind.
+	bad := Sharded{Index: 0, Count: 3}
+	if _, err := res.WriteShardFile(dir, bad); err == nil {
+		t.Fatal("dump for a mismatched partition accepted")
+	}
+	if names, _ := os.ReadDir(dir); len(names) != 1 {
+		t.Fatalf("failed write left files behind: %v", names)
 	}
 }

@@ -1,0 +1,305 @@
+package study
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"hash/crc32"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+
+	"saath/internal/coflow"
+	"saath/internal/sweep"
+	"saath/internal/telemetry"
+)
+
+// smallDump is a real two-job dump kept small enough to mutate
+// exhaustively: one scheduler, two seeds, every telemetry consumer on,
+// sampled sparsely.
+func smallDump(t testing.TB) []byte {
+	t.Helper()
+	st, err := New("codec-small",
+		WithTraces(tinySource("tiny")),
+		WithSchedulers("saath"),
+		WithSeeds(1, 2),
+		WithTelemetry(telemetry.Spec{
+			Enabled: true, Stride: 16, ProgressCoFlows: 1,
+			QueueTransitions: true, PortHeatmap: true,
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := Sharded{Index: 0, Count: 1, Pool: Pool{Parallel: 2}}
+	res, err := st.Run(context.Background(), sh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := res.WriteShard(&buf, sh); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// oldJSONDump is the head of a dump as builds before the binary format
+// wrote it.
+const oldJSONDump = "{\n  \"study\": \"codec-small\",\n  \"shard\": 0,\n  \"of\": 1,\n  \"jobs\": 2,\n  \"keys_hash\": \"00\",\n  \"entries\": []\n}\n"
+
+// TestShardCodecTruncatedEverywhere: a dump cut at any length — the
+// footprint of a worker killed at any point of its write — is reported
+// as truncated, never as some other corruption and never as a dump.
+func TestShardCodecTruncatedEverywhere(t *testing.T) {
+	dump := smallDump(t)
+	if _, err := ReadShard(bytes.NewReader(dump)); err != nil {
+		t.Fatalf("intact dump: %v", err)
+	}
+	for n := 0; n < len(dump); n++ {
+		_, err := ReadShard(bytes.NewReader(dump[:n]))
+		want := "truncated at byte"
+		if n == 0 {
+			want = "empty file"
+		}
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("dump cut at %d of %d bytes: err = %v, want %q", n, len(dump), err, want)
+		}
+	}
+	if _, err := ReadShard(bytes.NewReader(append(dump[:len(dump):len(dump)], 0))); err == nil || !strings.Contains(err.Error(), "trailing") {
+		t.Errorf("dump with a trailing byte: err = %v", err)
+	}
+}
+
+// TestShardCodecBitFlips: every single-bit corruption of a dump is
+// rejected. CRC-32C detects all of them, so none may decode — and none
+// may panic on the way to the checksum.
+func TestShardCodecBitFlips(t *testing.T) {
+	dump := smallDump(t)
+	mut := append([]byte(nil), dump...)
+	causes := map[string]int{}
+	for i := range mut {
+		for bit := 0; bit < 8; bit++ {
+			mut[i] ^= 1 << bit
+			_, err := ReadShard(bytes.NewReader(mut))
+			mut[i] ^= 1 << bit
+			if err == nil {
+				t.Fatalf("flip of bit %d of byte %d decoded", bit, i)
+			}
+			for _, c := range []string{"checksum mismatch", "truncated", "invalid encoding", "bad magic", "old-format", "version", "trailer counts"} {
+				if strings.Contains(err.Error(), c) {
+					causes[c]++
+				}
+			}
+		}
+	}
+	if causes["checksum mismatch"] == 0 || causes["bad magic"] == 0 {
+		t.Errorf("flips never reached the checksum or the magic check: %v", causes)
+	}
+	t.Logf("%d bytes, causes: %v", len(dump), causes)
+}
+
+// TestShardCodecVersionAndFormat: the remaining classified causes.
+func TestShardCodecVersionAndFormat(t *testing.T) {
+	dump := smallDump(t)
+	future := append([]byte(nil), dump...)
+	future[len(shardMagic)] = shardVersion + 1
+	for _, tc := range []struct {
+		name string
+		in   []byte
+		want string
+	}{
+		{"old JSON dump", []byte(oldJSONDump), "old-format JSON dump, re-run the shard"},
+		{"another file", []byte("PK\x03\x04 not a dump at all"), "bad magic"},
+		{"future version", future, "shard format version 2, this build reads version 1"},
+	} {
+		if _, err := ReadShard(bytes.NewReader(tc.in)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestShardCodecRoundTrip: what a Summary holds is what a merge
+// restores, bit for bit — the values the old text round-trip could only
+// approximate or conflate (negative zero, subnormals, nil against empty)
+// included.
+func TestShardCodecRoundTrip(t *testing.T) {
+	// A real run's entries.
+	st := shardStudy(t)
+	sh := Sharded{Index: 1, Count: 2, Pool: Pool{Parallel: 2}}
+	res, err := st.Run(context.Background(), sh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := res.ShardDump(sh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Entries) != 2 || want.Entries[0].Telemetry == nil {
+		t.Fatalf("unexpected subject: %d entries", len(want.Entries))
+	}
+	got, err := ReadShard(bytes.NewReader(encodeDump(t, want)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("a real dump does not survive the codec unchanged")
+	}
+
+	// Hand-built corner values.
+	negZero := math.Copysign(0, -1)
+	hand := &ShardDump{
+		Study: "corner <&> \xff", Shard: 0, Of: 1, Jobs: 4, KeysHash: want.KeysHash,
+		Entries: []sweep.Entry{
+			{Index: 0, Metrics: sweep.JobMetrics{Trace: "t", Scheduler: "s", Seed: -7, Error: "boom"}},
+			{Index: 1,
+				Metrics: sweep.JobMetrics{Trace: "t", Variant: "v", Scheduler: "s", Seed: math.MaxInt64,
+					CoFlows: 3, Ports: 2, Intervals: 9, AvgCCT: negZero, P50CCT: math.SmallestNonzeroFloat64,
+					P90CCT: math.MaxFloat64, Makespan: 1e21, Utilization: 1e-7},
+				CCTs:    []float64{negZero, 5e-324, 123456789.125},
+				CCTByID: map[coflow.CoFlowID]coflow.Time{3: 1, -1: math.MaxInt64, 0: 0, 1 << 40: -5},
+				Telemetry: &telemetry.Metrics{
+					Intervals: 9, Sampled: 3,
+					Series: []telemetry.SeriesDump{
+						{Name: "nil points"},
+						{Name: "empty points", Unit: "u", Points: []telemetry.Point{}},
+						{Name: "points", Count: 2, Mean: negZero, Max: 1, Last: -1,
+							Points: []telemetry.Point{{T: 0, V: negZero}, {T: 4.9e-324, V: 1e300}}},
+					},
+					Histograms: []telemetry.HistogramDump{
+						{Name: "nil buckets", Overflow: 4},
+						{Name: "buckets", Count: 2, Sum: 3, Max: 2, Buckets: []telemetry.Bucket{{LE: 0, Count: 0}, {LE: 2, Count: 2}}},
+					},
+					Heatmaps: []telemetry.HeatmapDump{
+						{Name: "nil everything"},
+						{Name: "h", Bounds: []float64{0, 1}, Intervals: 3, Ports: []telemetry.HeatmapPortDump{
+							{Port: 0, Counts: []int64{}, Sum: 1, Max: 1},
+							{Port: 1, Counts: []int64{3, 0, -1}, Overflow: 2},
+						}},
+					},
+				}},
+			{Index: 2, CCTs: []float64{}, CCTByID: map[coflow.CoFlowID]coflow.Time{},
+				Telemetry: &telemetry.Metrics{Series: []telemetry.SeriesDump{}, Histograms: []telemetry.HistogramDump{}, Heatmaps: []telemetry.HeatmapDump{}}},
+		},
+	}
+	enc := encodeDump(t, hand)
+	got, err = ReadShard(bytes.NewReader(enc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, hand) {
+		t.Errorf("corner values changed:\n got  %+v\n want %+v", got, hand)
+	}
+	if v := got.Entries[1].Metrics.AvgCCT; !math.Signbit(v) {
+		t.Error("negative zero lost its sign")
+	}
+
+	// NaN is not DeepEqual to itself; pin its payload by bits. The codec
+	// carries it — only the JSON exporters refuse it.
+	nan := math.Float64frombits(0x7ff8_0000_dead_beef)
+	hand.Entries[1].CCTs[0] = nan
+	hand.Entries[1].Telemetry.Series[2].Points[0].V = nan
+	enc = encodeDump(t, hand)
+	got, err = ReadShard(bytes.NewReader(enc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := math.Float64bits(got.Entries[1].CCTs[0]), math.Float64bits(got.Entries[1].Telemetry.Series[2].Points[0].V); a != math.Float64bits(nan) || b != a {
+		t.Errorf("NaN payload changed: %x, %x", a, b)
+	}
+	if !bytes.Equal(encodeDump(t, got), enc) {
+		t.Error("re-encoding a decoded dump changes its bytes")
+	}
+
+	// Dump bytes are a pure function of the dump: map order never shows.
+	for i := 0; i < 20; i++ {
+		if !bytes.Equal(encodeDump(t, hand), enc) {
+			t.Fatal("encoding the same dump twice gave different bytes")
+		}
+	}
+}
+
+// TestShardCodecRejectsNonCanonical: a second encoding of the same
+// value is not a second way to write a dump.
+func TestShardCodecRejectsNonCanonical(t *testing.T) {
+	dump := &ShardDump{Study: "s", Of: 1, Jobs: 1, KeysHash: strings.Repeat("ab", 32),
+		Entries: []sweep.Entry{{CCTByID: map[coflow.CoFlowID]coflow.Time{1: 10, 2: 20}}}}
+	enc := encodeDump(t, dump)
+	// Swap the two (id, time) pairs — ids 1 and 2 are the varints 0x02,
+	// 0x04 followed by 0x14, 0x28 — and fix the checksum up.
+	at := bytes.Index(enc, []byte{0x02, 0x14, 0x04, 0x28})
+	if at < 0 {
+		t.Fatal("cct_by_id pairs not found in the encoding")
+	}
+	copy(enc[at:], []byte{0x04, 0x28, 0x02, 0x14})
+	if _, err := ReadShard(bytes.NewReader(fixChecksum(enc))); err == nil || !strings.Contains(err.Error(), "invalid encoding") {
+		t.Errorf("descending cct_by_id ids: err = %v", err)
+	}
+}
+
+// fixChecksum returns b with its last four bytes replaced by the
+// CRC-32C of the rest, so mutations reach the code behind the checksum.
+func fixChecksum(b []byte) []byte {
+	if len(b) < 4 {
+		return b
+	}
+	out := append([]byte(nil), b...)
+	body := out[:len(out)-4]
+	binary.LittleEndian.PutUint32(out[len(body):], crc32.Checksum(body, crc32c))
+	return out
+}
+
+// TestShardSeedCorpusDecodes pins format version 1: the dump committed
+// as the fuzz seed must keep decoding. A change to the encoding that
+// breaks it needs a shardVersion bump (and a regenerated seed), not a
+// silent reinterpretation of dumps already on disk.
+func TestShardSeedCorpusDecodes(t *testing.T) {
+	b, err := os.ReadFile(filepath.Join("testdata", "two-job.shard"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := ReadShard(bytes.NewReader(b))
+	if err != nil {
+		t.Fatalf("committed version-%d dump no longer decodes: %v", shardVersion, err)
+	}
+	if len(d.Entries) != 2 || d.Entries[1].Telemetry == nil || !bytes.Equal(encodeDump(t, d), b) {
+		t.Errorf("committed dump decodes to %d entries or re-encodes differently", len(d.Entries))
+	}
+}
+
+// FuzzReadShard: any input is either rejected or decodes to a dump that
+// passes shape() and re-encodes to exactly the input — one encoding per
+// dump — and either way the reader allocates in proportion to the input
+// (no length prefix is trusted beyond the bytes that follow it). Every
+// input is also tried with its checksum fixed up, so mutations explore
+// the decoder rather than dying at the CRC. The committed corpus under
+// testdata/fuzz holds a real dump, truncations of it and an old JSON
+// dump.
+func FuzzReadShard(f *testing.F) {
+	dump := smallDump(f)
+	f.Add(dump)
+	f.Add(dump[:len(dump)/3])
+	f.Add([]byte(oldJSONDump))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, in := range [][]byte{data, fixChecksum(data)} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			d, err := ReadShard(bytes.NewReader(in))
+			runtime.ReadMemStats(&after)
+			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(in)+1<<20); got > limit {
+				t.Fatalf("reading %d bytes allocated %d (limit %d)", len(in), got, limit)
+			}
+			if err != nil {
+				continue
+			}
+			if err := d.shape(); err != nil {
+				t.Fatalf("accepted dump fails shape(): %v", err)
+			}
+			if !bytes.Equal(encodeDump(t, d), in) {
+				t.Fatal("accepted dump re-encodes to different bytes")
+			}
+		}
+	})
+}

@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -86,7 +85,7 @@ func (s *Summary) Add(jr JobResult) {
 }
 
 // Entry is the serializable snapshot of one job's digest: everything
-// the Summary keeps per job, in JSON-round-trippable form. CCTs holds
+// the Summary keeps per job. CCTs holds
 // per-CoFlow completion times in simulation-result order (order
 // matters: pooled means accumulate floats in this order, so a restored
 // Summary reproduces table bytes exactly); CCTByID keys the same
@@ -94,11 +93,11 @@ func (s *Summary) Add(jr JobResult) {
 // integer microseconds. A sharded study run exports its entries and a
 // merge restores them — see internal/study.
 type Entry struct {
-	Index     int                             `json:"index"`
-	Metrics   JobMetrics                      `json:"metrics"`
-	CCTs      []float64                       `json:"ccts,omitempty"`
-	CCTByID   map[coflow.CoFlowID]coflow.Time `json:"cct_by_id,omitempty"`
-	Telemetry *telemetry.Metrics              `json:"telemetry,omitempty"`
+	Index     int
+	Metrics   JobMetrics
+	CCTs      []float64
+	CCTByID   map[coflow.CoFlowID]coflow.Time
+	Telemetry *telemetry.Metrics
 }
 
 // Entries snapshots every digested job in grid order. The snapshot
@@ -175,11 +174,33 @@ func (s *Summary) Metrics() []JobMetrics {
 // WriteJSON exports the per-job metrics as indented JSON. Output is
 // deterministic for a given grid.
 func (s *Summary) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Jobs []JobMetrics `json:"jobs"`
-	}{Jobs: s.Metrics()})
+	jobs := s.Metrics()
+	return encodeIndented(w, func(jw *jsonWriter) {
+		jw.beginObject()
+		jw.key("jobs")
+		writeArray(jw, jobs, func(m *JobMetrics) { m.writeJSON(jw) })
+		jw.endObject()
+	})
+}
+
+// writeJSON emits m as its json tags declare it.
+func (m *JobMetrics) writeJSON(w *jsonWriter) {
+	w.beginObject()
+	w.identity(m.Trace, m.Variant, m.Scheduler, m.Seed)
+	if m.Error != "" {
+		w.strField("error", m.Error)
+	}
+	w.intField("coflows", int64(m.CoFlows))
+	if m.Ports != 0 {
+		w.intField("ports", int64(m.Ports))
+	}
+	w.intField("intervals", int64(m.Intervals))
+	w.floatField("avg_cct_s", m.AvgCCT)
+	w.floatField("p50_cct_s", m.P50CCT)
+	w.floatField("p90_cct_s", m.P90CCT)
+	w.floatField("makespan_s", m.Makespan)
+	w.floatField("avg_egress_utilization", m.Utilization)
+	w.endObject()
 }
 
 // cell groups jobs sharing (trace, variant, scheduler); seeds pool.

@@ -172,8 +172,8 @@ func (s *Suite) Metrics() *Metrics {
 	for _, sr := range s.order {
 		m.Series = append(m.Series, sr.Export())
 	}
-	for _, id := range s.progressIDs {
-		m.Series = append(m.Series, s.progress[id].series.Export())
+	for i := range s.progress {
+		m.Series = append(m.Series, s.progress[i].series.Export())
 	}
 	for _, h := range []*Histogram{s.hEgress, s.hIngress, s.hContention} {
 		m.Histograms = append(m.Histograms, h.Export())

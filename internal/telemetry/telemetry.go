@@ -205,8 +205,21 @@ const (
 
 // progressEntry tracks one CoFlow's progress series.
 type progressEntry struct {
+	id     coflow.CoFlowID
 	series *Series
 	total  coflow.Bytes
+}
+
+// fixedSeries are the streams every Suite records each sampled
+// interval, held as fields so Observe reaches them without a lookup.
+// promotions/demotions are nil unless Spec.QueueTransitions.
+type fixedSeries struct {
+	active, admitted, completed *Series
+	egressUtil                  *Series
+	egQueueMean, egQueueMax     *Series
+	inQueueMean, inQueueMax     *Series
+	queuedBytes, blocked        *Series
+	promotions, demotions       *Series
 }
 
 // Suite is the standard collector set. It implements Probe; attach it
@@ -216,18 +229,21 @@ type progressEntry struct {
 type Suite struct {
 	spec Spec
 
-	order  []*Series // stable export order
-	byName map[string]*Series
+	order []*Series // stable export order
+	fixed fixedSeries
 
 	hEgress     *Histogram
 	hIngress    *Histogram
 	hContention *Histogram
 
-	progress     map[coflow.CoFlowID]*progressEntry
-	progressIDs  []coflow.CoFlowID // insertion order for export stability
-	intervals    int64             // intervals observed (pre-stride)
-	sampled      int64             // intervals recorded (post-stride)
-	egOcc, inOcc []int             // per-port scratch, reused
+	// progress holds the first Spec.ProgressCoFlows admitted CoFlows in
+	// admission order (the export order). Observe finds a CoFlow's entry
+	// by scanning it: the cap is a handful (default 4), cheaper than
+	// hashing every active CoFlow every interval.
+	progress     []progressEntry
+	intervals    int64 // intervals observed (pre-stride)
+	sampled      int64 // intervals recorded (post-stride)
+	egOcc, inOcc []int // per-port scratch, reused
 
 	// cindex maintains k_c incrementally across observations instead of
 	// rebuilding the full port-occupancy map every sampled interval.
@@ -246,30 +262,26 @@ func NewSuite(spec Spec) *Suite {
 	spec = spec.withDefaults()
 	s := &Suite{
 		spec:        spec,
-		byName:      make(map[string]*Series),
 		hEgress:     NewHistogram(HistEgressOccupancy, nil),
 		hIngress:    NewHistogram(HistIngressOccupancy, nil),
 		hContention: NewHistogram(HistContention, nil),
-		progress:    make(map[coflow.CoFlowID]*progressEntry),
 		cindex:      sched.NewContentionIndex(),
 	}
-	for _, d := range []struct{ name, unit string }{
-		{SeriesActiveCoFlows, "coflows"},
-		{SeriesAdmittedCoFlows, "coflows"},
-		{SeriesCompletedCoFlows, "coflows"},
-		{SeriesEgressUtil, "fraction"},
-		{SeriesEgressQueueMean, "flows/port"},
-		{SeriesEgressQueueMax, "flows"},
-		{SeriesIngressQueueMean, "flows/port"},
-		{SeriesIngressQueueMax, "flows"},
-		{SeriesQueuedBytes, "bytes"},
-		{SeriesBlockedCoFlows, "coflows"},
-	} {
-		s.addSeries(d.name, d.unit)
-	}
+	// Declaration order is export order.
+	f := &s.fixed
+	f.active = s.addSeries(SeriesActiveCoFlows, "coflows")
+	f.admitted = s.addSeries(SeriesAdmittedCoFlows, "coflows")
+	f.completed = s.addSeries(SeriesCompletedCoFlows, "coflows")
+	f.egressUtil = s.addSeries(SeriesEgressUtil, "fraction")
+	f.egQueueMean = s.addSeries(SeriesEgressQueueMean, "flows/port")
+	f.egQueueMax = s.addSeries(SeriesEgressQueueMax, "flows")
+	f.inQueueMean = s.addSeries(SeriesIngressQueueMean, "flows/port")
+	f.inQueueMax = s.addSeries(SeriesIngressQueueMax, "flows")
+	f.queuedBytes = s.addSeries(SeriesQueuedBytes, "bytes")
+	f.blocked = s.addSeries(SeriesBlockedCoFlows, "coflows")
 	if spec.QueueTransitions {
-		s.addSeries(SeriesQueuePromotions, "transitions")
-		s.addSeries(SeriesQueueDemotions, "transitions")
+		f.promotions = s.addSeries(SeriesQueuePromotions, "transitions")
+		f.demotions = s.addSeries(SeriesQueueDemotions, "transitions")
 		s.qt = newQueueTracker(spec.TransitionQueues, spec.PerFlowPlacement)
 	}
 	if spec.PortHeatmap {
@@ -282,14 +294,22 @@ func NewSuite(spec Spec) *Suite {
 func (s *Suite) addSeries(name, unit string) *Series {
 	sr := newSeries(name, unit, s.spec.RingCap, s.spec.ReservoirCap, s.spec.Seed)
 	s.order = append(s.order, sr)
-	s.byName[name] = sr
 	return sr
 }
 
 // Series returns the named series, or nil.
-func (s *Suite) Series(name string) *Series { return s.byName[name] }
+func (s *Suite) Series(name string) *Series {
+	for _, sr := range s.order {
+		if sr.name == name {
+			return sr
+		}
+	}
+	return nil
+}
 
 // Observe implements Probe.
+//
+//saath:hotpath
 func (s *Suite) Observe(iv *Interval) {
 	s.intervals++
 	if s.spec.Stride > 1 && iv.Index%s.spec.Stride != 0 {
@@ -302,8 +322,8 @@ func (s *Suite) Observe(iv *Interval) {
 	// (sender) and ingress (receiver) port, plus total queued bytes and
 	// head-of-line blocking (CoFlows with sendable flows but no rate).
 	if cap(s.egOcc) < iv.NumPorts {
-		s.egOcc = make([]int, iv.NumPorts)
-		s.inOcc = make([]int, iv.NumPorts)
+		s.egOcc = make([]int, iv.NumPorts) //saath:alloc-ok sized once, on the first interval
+		s.inOcc = make([]int, iv.NumPorts) //saath:alloc-ok sized once, on the first interval
 	}
 	eg, in := s.egOcc[:iv.NumPorts], s.inOcc[:iv.NumPorts]
 	for i := range eg {
@@ -333,24 +353,25 @@ func (s *Suite) Observe(iv *Interval) {
 		s.heatIn.Observe(in)
 	}
 
-	s.byName[SeriesActiveCoFlows].Record(now, float64(len(iv.Active)))
-	s.byName[SeriesAdmittedCoFlows].Record(now, float64(iv.Admitted))
-	s.byName[SeriesCompletedCoFlows].Record(now, float64(iv.Completed))
-	s.byName[SeriesEgressUtil].Record(now, iv.Utilization())
-	s.byName[SeriesEgressQueueMean].Record(now, egMean)
-	s.byName[SeriesEgressQueueMax].Record(now, egMax)
-	s.byName[SeriesIngressQueueMean].Record(now, inMean)
-	s.byName[SeriesIngressQueueMax].Record(now, inMax)
-	s.byName[SeriesQueuedBytes].Record(now, float64(queuedBytes))
-	s.byName[SeriesBlockedCoFlows].Record(now, float64(blocked))
+	f := &s.fixed
+	f.active.Record(now, float64(len(iv.Active)))
+	f.admitted.Record(now, float64(iv.Admitted))
+	f.completed.Record(now, float64(iv.Completed))
+	f.egressUtil.Record(now, iv.Utilization())
+	f.egQueueMean.Record(now, egMean)
+	f.egQueueMax.Record(now, egMax)
+	f.inQueueMean.Record(now, inMean)
+	f.inQueueMax.Record(now, inMax)
+	f.queuedBytes.Record(now, float64(queuedBytes))
+	f.blocked.Record(now, float64(blocked))
 
 	// Queue transitions: place every CoFlow into the observed
 	// priority-queue ladder and count movements since the previous
 	// sampled interval (Fig. 4-style dynamics).
 	if s.qt != nil {
 		promotions, demotions := s.qt.observe(iv.Active)
-		s.byName[SeriesQueuePromotions].Record(now, float64(promotions))
-		s.byName[SeriesQueueDemotions].Record(now, float64(demotions))
+		f.promotions.Record(now, float64(promotions))
+		f.demotions.Record(now, float64(demotions))
 	}
 
 	// Contention histogram: k_c per active CoFlow, the LCoF ordering
@@ -364,18 +385,9 @@ func (s *Suite) Observe(iv *Interval) {
 	// Per-CoFlow progress for the first N admitted CoFlows.
 	if s.spec.ProgressCoFlows > 0 {
 		for _, c := range iv.Active {
-			e, ok := s.progress[c.ID()]
-			if !ok {
-				if len(s.progress) >= s.spec.ProgressCoFlows {
-					continue
-				}
-				e = &progressEntry{
-					series: newSeries(progressName(c.ID()), "fraction",
-						s.spec.RingCap, s.spec.ReservoirCap, s.spec.Seed),
-					total: c.Spec.TotalSize(),
-				}
-				s.progress[c.ID()] = e
-				s.progressIDs = append(s.progressIDs, c.ID())
+			e := s.progressFor(c)
+			if e == nil {
+				continue
 			}
 			frac := 1.0
 			if e.total > 0 {
@@ -384,6 +396,27 @@ func (s *Suite) Observe(iv *Interval) {
 			e.series.Record(now, frac)
 		}
 	}
+}
+
+// progressFor returns c's progress entry, starting one while fewer than
+// Spec.ProgressCoFlows CoFlows are tracked; nil for an untracked CoFlow.
+func (s *Suite) progressFor(c *coflow.CoFlow) *progressEntry {
+	id := c.ID()
+	for i := range s.progress {
+		if s.progress[i].id == id {
+			return &s.progress[i]
+		}
+	}
+	if len(s.progress) >= s.spec.ProgressCoFlows {
+		return nil
+	}
+	s.progress = append(s.progress, progressEntry{
+		id: id,
+		series: newSeries(progressName(id), "fraction",
+			s.spec.RingCap, s.spec.ReservoirCap, s.spec.Seed),
+		total: c.Spec.TotalSize(),
+	})
+	return &s.progress[len(s.progress)-1]
 }
 
 // busyStats feeds every busy port's occupancy into h and returns the

@@ -80,6 +80,7 @@ func (qt *queueTracker) observe(active []*coflow.CoFlow) (promotions, demotions 
 	return promotions, demotions
 }
 
+//saath:alloc-ok amortized growth when the live CoFlow index space widens, never at steady state
 func (qt *queueTracker) grow(n int) {
 	if cap(qt.prevQ) >= n {
 		old := len(qt.prevQ)
@@ -158,6 +159,7 @@ func (h *Heatmap) Observe(occ []int) {
 	}
 }
 
+//saath:alloc-ok sizes the port dimension once, on the first observation
 func (h *Heatmap) growPorts(n int) {
 	for p := len(h.counts); p < n; p++ {
 		h.counts = append(h.counts, make([]int64, len(h.bounds)))
