@@ -27,13 +27,17 @@ test-fleet:
 test-testbed:
 	$(GO) test -race -count=1 -timeout 10m ./internal/testbed/ ./internal/runtime/
 
-# Fuzz the shard-dump reader for 10 s from the committed seed corpus
-# (internal/study/testdata/fuzz): any input is rejected with an error or
-# decodes to a dump that re-encodes to the same bytes, in memory
-# proportional to the input. Minimising each new input is capped at 1 s
-# (the default, 60 s, would eat the whole budget on the first one).
+# Fuzz, 10 s per target, each from its committed seed corpus
+# (<package>/testdata/fuzz). The shard-dump reader: any input is
+# rejected with an error or decodes to a dump that re-encodes to the
+# same bytes, in memory proportional to the input. The coordinator's
+# POST /coflows path: nothing panics, malformed registrations get a 400,
+# an accepted one is live exactly once. Minimising each new input is
+# capped at 1 s (the default, 60 s, would eat the whole budget on the
+# first one).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadShard$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/study/
+	$(GO) test -run '^$$' -fuzz '^FuzzRegistrationJSON$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/runtime/
 
 race:
 	$(GO) test -race -timeout 20m ./...
@@ -115,13 +119,14 @@ bench-fleet:
 	$(GO) test -bench 'BenchmarkFleetWire' -benchtime=1x -benchmem -run '^$$' -timeout 10m .
 	$(GO) test -run TestFleetLayerGuards -count=1 .
 
-# Testbed smoke: one iteration of the agent-step benchmark plus the
-# guard against the testbed_layer section of BENCH_baseline.json (one
-# steady-state Step+Report must allocate exactly nothing; skips under
-# -race).
+# Testbed smoke: one iteration of the agent-step and whole-boundary
+# benchmarks plus the guards against the testbed_layer section of
+# BENCH_baseline.json (one steady-state Step+Report, and one
+# steady-state coordinator boundary on any cluster size, must allocate
+# exactly nothing; both skip under -race).
 bench-testbed:
-	$(GO) test -bench 'BenchmarkTestbedAgentStep' -benchtime=1x -benchmem -run '^$$' -timeout 10m .
-	$(GO) test -run TestTestbedLayerGuards -count=1 .
+	$(GO) test -bench 'BenchmarkTestbed' -benchtime=1x -benchmem -run '^$$' -timeout 10m .
+	$(GO) test -run 'TestTestbedLayerGuards|TestCoordinatorBoundaryZeroAlloc' -count=1 .
 
 fmt:
 	gofmt -w .

@@ -40,6 +40,15 @@ type RuntimeRecord struct {
 	ScheduleP90Ns   int64 `json:"schedule_p90_ns"`
 	ScheduleMaxNs   int64 `json:"schedule_max_ns"`
 	ScheduleTotalNs int64 `json:"schedule_total_ns"`
+
+	// Where the rest of the coordinator's boundary time went, totals
+	// over the job (runtime.PhaseTotals; ScheduleTotalNs above is the
+	// schedule phase): merging agent reports, retiring completed coflows,
+	// encoding the allocation into per-agent orders, delivering them.
+	MergeNs   int64 `json:"merge_ns,omitempty"`
+	RetireNs  int64 `json:"retire_ns,omitempty"`
+	EncodeNs  int64 `json:"encode_ns,omitempty"`
+	DeliverNs int64 `json:"deliver_ns,omitempty"`
 }
 
 // RuntimeReport is the testbed runner's out-of-band section of the

@@ -1,0 +1,405 @@
+package runtime
+
+import (
+	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"saath/internal/coflow"
+	"saath/internal/sched"
+)
+
+// recLink is an agentLink that records every schedule pushed to its
+// port before handing it to the in-process agent behind it.
+type recLink struct {
+	port  int
+	inner *InprocAgent
+	round *[]string // the current round's deliveries, in delivery order
+}
+
+func (l *recLink) DataAddr() string { return "" }
+func (l *recLink) Shut()            {}
+
+func (l *recLink) Deliver(msg *scheduleMsg) error {
+	var b strings.Builder
+	fmt.Fprintf(&b, "p%d[", l.port)
+	for i, o := range msg.Orders {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "c%d/%d>%d:%d@%.0f", o.CoFlow, o.Index, o.DstPort, o.Size, o.RateBps)
+	}
+	b.WriteByte(']')
+	*l.round = append(*l.round, b.String())
+	return l.inner.Deliver(msg)
+}
+
+// recSched records the policy's view of the live set's lifecycle.
+// Depart is called right before IndexSpace.Release on the same CoFlow,
+// and Arrive right after Assign, so the log pins the retire / release
+// order and the dense indices it leads to.
+type recSched struct {
+	sched.Scheduler
+	log *[]string
+}
+
+func (s recSched) Arrive(c *coflow.CoFlow, now coflow.Time) {
+	*s.log = append(*s.log, fmt.Sprintf("arrive c%d idx%d f%d", c.ID(), c.Idx, c.Flows[0].Idx))
+	s.Scheduler.Arrive(c, now)
+}
+
+func (s recSched) Depart(c *coflow.CoFlow, now coflow.Time) {
+	*s.log = append(*s.log, fmt.Sprintf("depart c%d idx%d", c.ID(), c.Idx))
+	s.Scheduler.Depart(c, now)
+}
+
+// TestCoordinatorChurnPinned drives one Manual coordinator through
+// every way its live set and agent table can change — an agent detaching
+// and re-attaching mid-run, a receiver that is not connected, DELETE,
+// PUT with the same and with a different width, a duplicate Register, a
+// MaxLive rejection — and pins what came out: Results(), the admission
+// counters, the Arrive/Depart (= index Assign/Release) sequence, and per
+// round the set of (port, orders) delivered. Every expected value below
+// was recorded from the map-based coordinator at 9c79de2 (the parent of
+// PR 20), where delivery order within a round followed map iteration
+// and only the set could be compared. The dense coordinator delivers
+// first-touched port first — walk the live coflows in (arrival, ID)
+// order and their pending flows by index; a port is touched when its
+// first order is written — so wantChurnPortOrder additionally pins the
+// sequence.
+func TestCoordinatorChurnPinned(t *testing.T) {
+	const (
+		nPorts = 6
+		delta  = 8 * time.Millisecond
+		mb     = 1_000_000 // one δ of a 1 Gbps port
+	)
+	var lifecycle, round []string
+	pol, err := sched.New("saath", sched.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vc := NewVirtualClock(time.Unix(0, 0).UTC())
+	coord, err := NewCoordinator(CoordinatorConfig{
+		Scheduler: recSched{pol, &lifecycle}, NumPorts: nPorts, PortRate: coflow.Rate(125e6),
+		Delta: delta, Clock: vc, Manual: true, Admission: AdmissionConfig{MaxLive: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+
+	links := make([]*recLink, nPorts)
+	attach := func(port int) {
+		a, err := coord.AttachInproc(port)
+		if err != nil {
+			t.Fatal(err)
+		}
+		links[port] = &recLink{port: port, inner: a, round: &round}
+		coord.setAgent(port, links[port])
+	}
+	for p := 0; p < nPorts-1; p++ { // port 5 connects late
+		attach(p)
+	}
+
+	spec := func(id int, flows ...coflow.FlowSpec) *coflow.Spec {
+		return &coflow.Spec{ID: coflow.CoFlowID(id), Flows: flows}
+	}
+	fl := func(src, dst, size int) coflow.FlowSpec {
+		return coflow.FlowSpec{Src: coflow.PortID(src), Dst: coflow.PortID(dst), Size: coflow.Bytes(size)}
+	}
+	register := func(want error, sp *coflow.Spec) func() {
+		return func() {
+			if err := coord.Register(sp); !errors.Is(err, want) {
+				t.Fatalf("Register(c%d) = %v, want %v", sp.ID, err, want)
+			}
+		}
+	}
+	rest := func(method, path, body string, want int) func() {
+		return func() {
+			w := httptest.NewRecorder()
+			coord.handleCoFlowByID(w, httptest.NewRequest(method, path, strings.NewReader(body)))
+			if w.Code != want {
+				t.Fatalf("%s %s = %d (%s), want %d", method, path, w.Code, strings.TrimSpace(w.Body.String()), want)
+			}
+		}
+	}
+
+	// One entry per δ boundary: ops run after the agents stepped and
+	// reported, before the schedule round (where RunJob registers).
+	steps := [][]func(){
+		// 20 and 12 finish in the same boundary and port 1 reports before
+		// port 4, so the retirement pass sees 20 first and must still
+		// retire (and release the indices of) 12 first.
+		{ // register three
+			register(nil, spec(1, fl(0, 1, 6*mb), fl(2, 3, 3*mb))),
+			register(nil, spec(20, fl(1, 2, 2*mb))),
+			register(nil, spec(12, fl(4, 0, 2*mb))),
+		},
+		{ // duplicate; receiver 5 not connected
+			register(ErrDuplicate, spec(1, fl(0, 1, mb))),
+			register(nil, spec(3, fl(0, 5, 2*mb), fl(3, 4, 4*mb))),
+		},
+		{func() { coord.dropAgent(2, links[2]); links[2] = nil }}, // port 2 detaches
+		{func() { attach(2) }}, // and comes back as a fresh agent
+		{ // fill to MaxLive, then one too many
+			register(nil, spec(4, fl(4, 0, 5*mb))),
+			register(nil, spec(5, fl(1, 3, 3*mb))),
+			register(ErrAdmission, spec(6, fl(2, 0, mb))),
+		},
+		{ // DELETE 4; DELETE unknown
+			rest(http.MethodDelete, "/coflows/4", "", http.StatusNoContent),
+			rest(http.MethodDelete, "/coflows/9", "", http.StatusNotFound),
+		},
+		{ // PUT 1, same width
+			rest(http.MethodPut, "/coflows/1", fmt.Sprintf(`{"flows":[{"src":0,"dst":1,"size":%d},{"src":2,"dst":4,"size":%d}]}`, 6*mb, 3*mb), http.StatusOK),
+		},
+		{ // PUT 3, one flow wider; PUT unknown
+			rest(http.MethodPut, "/coflows/3", fmt.Sprintf(`{"flows":[{"src":0,"dst":5,"size":%d},{"src":3,"dst":4,"size":%d},{"src":4,"dst":1,"size":%d}]}`, 2*mb, 4*mb, mb), http.StatusOK),
+			rest(http.MethodPut, "/coflows/9", `{"flows":[{"src":0,"dst":1,"size":1}]}`, http.StatusNotFound),
+		},
+		{ // attach port 5; register 7
+			func() { attach(5) },
+			register(nil, spec(7, fl(5, 0, 2*mb), fl(0, 2, mb))),
+		},
+	}
+
+	var gotRounds, gotPortOrder []string
+	for n := 0; ; n++ {
+		if n > 60 {
+			t.Fatalf("still live after %d boundaries", n)
+		}
+		vc.Advance(delta)
+		for _, l := range links {
+			if l != nil {
+				l.inner.Step(delta)
+			}
+		}
+		for _, l := range links {
+			if l != nil {
+				l.inner.Report()
+			}
+		}
+		if n < len(steps) {
+			for _, op := range steps[n] {
+				op()
+			}
+		}
+		round = round[:0]
+		live := coord.StepSchedule()
+		var ports []string
+		for _, d := range round {
+			ports = append(ports, d[1:strings.IndexByte(d, '[')])
+		}
+		gotPortOrder = append(gotPortOrder, strings.Join(ports, " "))
+		sort.Strings(round)
+		gotRounds = append(gotRounds, fmt.Sprintf("r%d live%d %s", n, live, strings.Join(round, " ")))
+		if live == 0 && n >= len(steps) {
+			break
+		}
+	}
+
+	diff := func(what string, got, want []string) {
+		t.Helper()
+		for i := 0; i < len(got) || i < len(want); i++ {
+			var g, w string
+			if i < len(got) {
+				g = got[i]
+			}
+			if i < len(want) {
+				w = want[i]
+			}
+			if g != w {
+				t.Errorf("%s[%d]:\n got %q\nwant %q", what, i, g, w)
+			}
+		}
+	}
+	diff("rounds", gotRounds, wantChurnRounds)
+	diff("lifecycle", lifecycle, wantChurnLifecycle)
+	diff("port order", gotPortOrder, wantChurnPortOrder)
+
+	var gotResults []string
+	for _, r := range coord.Results() {
+		gotResults = append(gotResults, fmt.Sprintf("c%d reg%v cct%v w%d b%d",
+			r.ID, r.RegisteredAt.Sub(time.Unix(0, 0)), r.CCT, r.Width, r.Bytes))
+	}
+	diff("results", gotResults, wantChurnResults)
+	if admitted, rejected := coord.AdmissionStats(); admitted != 7 || rejected != 1 {
+		t.Errorf("AdmissionStats = (%d, %d), want (7, 1)", admitted, rejected)
+	}
+	if n := coord.AgentCount(); n != nPorts {
+		t.Errorf("AgentCount = %d, want %d", n, nPorts)
+	}
+	if t.Failed() {
+		t.Logf("recorded:\nrounds:\n%q\nlifecycle:\n%q\nport order:\n%q\nresults:\n%q",
+			gotRounds, lifecycle, gotPortOrder, gotResults)
+	}
+}
+
+var wantChurnRounds = []string{
+	"r0 live3 p0[c1/0>1:6000000@125000000] p1[c20/0>2:2000000@125000000] p2[c1/1>3:3000000@125000000] p4[c12/0>0:2000000@125000000]",
+	"r1 live4 p0[c1/0>1:6000000@125000000] p1[c20/0>2:2000000@125000000] p2[c1/1>3:3000000@125000000] p3[c3/1>4:4000000@125000000] p4[c12/0>0:2000000@125000000]",
+	"r2 live2 p0[c1/0>1:6000000@125000000] p3[c3/1>4:4000000@125000000]",
+	"r3 live2 p0[c1/0>1:6000000@125000000] p2[c1/1>3:3000000@125000000] p3[c3/1>4:4000000@125000000]",
+	"r4 live4 p0[c1/0>1:6000000@0] p1[c5/0>3:3000000@125000000] p2[c1/1>3:3000000@0] p3[c3/1>4:4000000@125000000] p4[c4/0>0:5000000@125000000]",
+	"r5 live3 p0[c1/0>1:6000000@0] p1[c5/0>3:3000000@125000000] p2[c1/1>3:3000000@0]",
+	"r6 live3 p0[c1/0>1:6000000@125000000] p1[c5/0>3:3000000@125000000] p2[c1/1>4:3000000@125000000]",
+	"r7 live2 p0[c1/0>1:6000000@7812500] p2[c1/1>4:3000000@7812500] p4[c3/2>1:1000000@117187500]",
+	"r8 live3 p0[c1/0>1:6000000@15625000 c3/0>5:2000000@0 c7/1>2:1000000@109375000] p2[c1/1>4:3000000@15625000] p4[c3/2>1:1000000@109375000] p5[c7/0>0:2000000@109375000]",
+	"r9 live3 p0[c1/0>1:6000000@31250000 c3/0>5:2000000@7812500 c7/1>2:1000000@85937500] p2[c1/1>4:3000000@31250000] p5[c7/0>0:2000000@85937500]",
+	"r10 live3 p0[c1/0>1:6000000@62500000 c3/0>5:2000000@15625000] p2[c1/1>4:3000000@62500000] p5[c7/0>0:2000000@125000000]",
+	"r11 live2 p0[c1/0>1:6000000@93750000 c3/0>5:2000000@31250000] p2[c1/1>4:3000000@93750000]",
+	"r12 live1 p0[c3/0>5:2000000@62500000]",
+	"r13 live1 p0[c3/0>5:2000000@125000000]",
+	"r14 live1 p0[c3/0>5:2000000@125000000]",
+	"r15 live0 ",
+}
+
+var wantChurnLifecycle = []string{
+	"arrive c1 idx0 f0",
+	"arrive c20 idx1 f2",
+	"arrive c12 idx2 f3",
+	"arrive c3 idx3 f4",
+	"depart c12 idx2",
+	"depart c20 idx1",
+	"arrive c4 idx1 f2",
+	"arrive c5 idx2 f3",
+	"depart c4 idx1",
+	"depart c5 idx2",
+	"arrive c7 idx2 f3",
+	"depart c7 idx2",
+	"depart c1 idx0",
+	"depart c3 idx3",
+}
+
+var wantChurnResults = []string{
+	"c1 reg8ms cct96ms w2 b9000000",
+	"c3 reg16ms cct112ms w3 b7000000",
+	"c5 reg40ms cct24ms w1 b3000000",
+	"c7 reg72ms cct24ms w2 b3000000",
+	"c12 reg8ms cct16ms w1 b2000000",
+	"c20 reg8ms cct16ms w1 b2000000",
+}
+
+// wantChurnPortOrder is the delivery sequence of each round, new with
+// the dense coordinator (see the test's comment).
+var wantChurnPortOrder = []string{
+	"0 2 4 1",
+	"0 2 4 1 3",
+	"0 3",
+	"0 2 3",
+	"0 2 3 4 1",
+	"0 2 1",
+	"0 2 1",
+	"0 2 4",
+	"0 2 4 5",
+	"0 2 5",
+	"0 2 5",
+	"0 2",
+	"0",
+	"0",
+	"0",
+	"",
+}
+
+// TestUpdateEdgeCases: a PUT that leaves nothing but finished flows
+// completes the coflow at the next boundary (no flow will ever report
+// again to trigger it), and a PUT naming a port outside the fabric is
+// refused like the same registration would be — the spec reaches
+// port-indexed state either way.
+func TestUpdateEdgeCases(t *testing.T) {
+	delta := 8 * time.Millisecond
+	coord, agents, vc := manualCoordinator(t, "saath", 4, delta, AdmissionConfig{})
+	const mb = 1_000_000
+	if err := coord.Register(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{
+		{Src: 0, Dst: 1, Size: mb}, {Src: 2, Dst: 3, Size: 50 * mb},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ { // flow 0 finishes, flow 1 has most of its bytes to go
+		vc.Advance(delta)
+		for _, a := range agents {
+			a.Step(delta)
+			a.Report()
+		}
+		if live := coord.StepSchedule(); live != 1 {
+			t.Fatalf("boundary %d: live = %d, want 1", i, live)
+		}
+	}
+	put := func(body string) int {
+		w := httptest.NewRecorder()
+		coord.handleCoFlowByID(w, httptest.NewRequest(http.MethodPut, "/coflows/1", strings.NewReader(body)))
+		return w.Code
+	}
+	if code := put(`{"flows":[{"src":0,"dst":4,"size":1}]}`); code != http.StatusBadRequest {
+		t.Fatalf("PUT with port 4 on a 4-port fabric = %d, want 400", code)
+	}
+	if code := put(fmt.Sprintf(`{"flows":[{"src":0,"dst":1,"size":%d}]}`, mb)); code != http.StatusOK {
+		t.Fatalf("PUT narrowing to the finished flow = %d, want 200", code)
+	}
+	vc.Advance(delta)
+	if live := coord.StepSchedule(); live != 0 {
+		t.Fatalf("live = %d after the update left only a finished flow, want 0", live)
+	}
+	if res := coord.Results(); len(res) != 1 || res[0].ID != 1 || res[0].Width != 1 {
+		t.Fatalf("results = %+v, want coflow 1 at width 1", res)
+	}
+}
+
+// TestConcurrentRoundsRegistrationsAndLinks: schedule rounds reuse the
+// coordinator's order buffers, so rounds racing each other, racing
+// registrations and racing links that come and go must stay
+// data-race-free (run under -race by `make test-testbed`) and leave the
+// books consistent.
+func TestConcurrentRoundsRegistrationsAndLinks(t *testing.T) {
+	const nPorts, perWorker = 8, 50
+	coord, _, _ := manualCoordinator(t, "saath", nPorts, 8*time.Millisecond, AdmissionConfig{})
+	var wg sync.WaitGroup
+	run := func(fn func(i int)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				fn(i)
+			}
+		}()
+	}
+	run(func(int) { coord.StepSchedule() })
+	run(func(int) { coord.StepSchedule() })
+	for w := 0; w < 2; w++ {
+		run(func(i int) {
+			id := coflow.CoFlowID(w*perWorker + i + 1)
+			err := coord.Register(&coflow.Spec{ID: id, Flows: []coflow.FlowSpec{
+				{Src: coflow.PortID(i % nPorts), Dst: coflow.PortID((i + 3) % nPorts), Size: coflow.MB},
+			}})
+			if err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	run(func(int) { // port 7's link keeps being replaced and dropped
+		var sink []string
+		l := &recLink{port: 7, inner: &InprocAgent{index: map[flowKey]int{}}, round: &sink}
+		coord.setAgent(7, l)
+		coord.dropAgent(7, l)
+	})
+	run(func(int) { coord.AgentCount(); coord.LiveCount(); coord.Phases(); coord.Results() })
+	wg.Wait()
+
+	if live, want := coord.StepSchedule(), 2*perWorker; live != want || coord.LiveCount() != want {
+		t.Fatalf("live = %d / %d, want %d", live, coord.LiveCount(), want)
+	}
+	if n := coord.AgentCount(); n != nPorts-1 {
+		t.Fatalf("AgentCount = %d, want %d (port 7 ended dropped)", n, nPorts-1)
+	}
+	for i := 1; i < len(coord.snap.Active); i++ {
+		if byArrival(coord.snap.Active[i-1], coord.snap.Active[i]) >= 0 {
+			t.Fatalf("active list out of (arrival, ID) order at %d", i)
+		}
+	}
+}

@@ -1,11 +1,13 @@
 package runtime
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -178,11 +180,40 @@ type Coordinator struct {
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
-	mu      sync.Mutex
-	agents  map[int]agentLink
+	// roundMu serializes whole schedule rounds: the order buffers are
+	// reused, and a round's deliveries read them outside polMu and mu.
+	// Only scheduleOnce takes it, so a stalled delivery holds up the next
+	// round, never a registration. It guards orders (port p's buffer),
+	// touched (the ports holding orders this round, first touched first)
+	// and sends.
+	roundMu sync.Mutex
+	orders  [][]FlowOrder
+	touched []int
+	sends   []pendingSend
+
+	mu sync.Mutex
+	// agents is indexed by port (nil: not connected); setAgent/dropAgent
+	// are its only writers and keep nAgents its non-nil count.
+	agents  []agentLink
+	nAgents int
+	// live is the ID lookup the wire feeds (stats reports, REST); its
+	// writers hold polMu and mu.
 	live    map[coflow.CoFlowID]*liveCoFlow
 	results []CoFlowResult
 	epoch   int64
+	// mergeSince is when the first in-process report since the last
+	// round came in (zero: none). The round charges the span up to its
+	// own start to the merge phase: one clock read per boundary, where
+	// one per report would cost more than the merge it times.
+	mergeSince time.Time
+
+	// snap is the scheduler's view, kept across rounds with its RateVec;
+	// snap.Active is the live set in (arrival, ID) order, maintained on
+	// Register / retire / DELETE / PUT and never rebuilt. finishing are
+	// the live CoFlows with a flow that finished since the last
+	// retirement pass. Both guarded by polMu.
+	snap      sched.Snapshot
+	finishing []*liveCoFlow
 
 	// space assigns the dense flow/coflow indices the scheduler's
 	// allocation vector is keyed by; guarded by polMu (every caller
@@ -205,11 +236,23 @@ type Coordinator struct {
 	nRejected int64
 
 	// schedStats mirrors Table 2: wall-clock cost of Schedule calls,
-	// with the same bounded P90 reservoir the simulator uses. This is
-	// measurement, not simulation state — it never feeds back into
-	// scheduling decisions or results.
+	// with the same bounded P90 reservoir the simulator uses; phases
+	// splits the rest of a boundary. This is measurement, not simulation
+	// state — it never feeds back into scheduling decisions or results.
 	schedMu    sync.Mutex
 	schedStats sim.ScheduleStats
+	phases     PhaseTotals
+}
+
+// PhaseTotals is the wall-clock time the coordinator has spent in each
+// phase of its δ boundaries since startup: folding agent reports into
+// flow state (for in-process agents, the span from a boundary's first
+// report to its schedule round), retiring completed CoFlows and
+// resetting the fabric, the Schedule calls, grouping the allocation
+// into per-agent orders, and pushing them. Out-of-band, like
+// ScheduleLatency.
+type PhaseTotals struct {
+	Merge, Retire, Schedule, Encode, Deliver time.Duration
 }
 
 // NewCoordinator validates the config and binds the listeners; call
@@ -224,11 +267,13 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:     cfg,
 		stopped: make(chan struct{}),
-		agents:  make(map[int]agentLink),
+		agents:  make([]agentLink, cfg.NumPorts),
 		live:    make(map[coflow.CoFlowID]*liveCoFlow),
+		orders:  make([][]FlowOrder, cfg.NumPorts),
 		space:   coflow.NewIndexSpace(),
 		fab:     fabric.New(cfg.NumPorts, cfg.PortRate),
 	}
+	c.snap.Fabric = c.fab
 	if cfg.Admission.RatePerSec > 0 {
 		c.adm = newAdmissionBucket(cfg.Admission.RatePerSec, float64(cfg.Admission.Burst), cfg.Clock.Now)
 	}
@@ -303,7 +348,9 @@ func (c *Coordinator) Close() error {
 		}
 		c.mu.Lock()
 		for _, a := range c.agents {
-			a.Shut()
+			if a != nil {
+				a.Shut()
+			}
 		}
 		c.mu.Unlock()
 	})
@@ -341,13 +388,7 @@ func (c *Coordinator) serveAgent(conn net.Conn) {
 		return
 	}
 	a := &agentConn{port: h.Port, dataAddr: h.DataAddr, conn: conn, timeout: 2 * time.Second}
-	c.mu.Lock()
-	old := c.agents[h.Port]
-	c.agents[h.Port] = a
-	c.mu.Unlock()
-	if old != nil {
-		old.Shut()
-	}
+	c.setAgent(h.Port, a)
 	for {
 		env, err := readFrame(conn)
 		if err != nil {
@@ -357,77 +398,110 @@ func (c *Coordinator) serveAgent(conn net.Conn) {
 			c.applyStats(env.Stats)
 		}
 	}
+	c.dropAgent(h.Port, a)
+}
+
+// setAgent makes link the agent of port (in [0, NumPorts)) and shuts
+// the link it replaces.
+func (c *Coordinator) setAgent(port int, link agentLink) {
 	c.mu.Lock()
-	if c.agents[h.Port] == a {
-		delete(c.agents, h.Port)
+	old := c.agents[port]
+	c.agents[port] = link
+	if old == nil {
+		c.nAgents++
+	}
+	c.mu.Unlock()
+	if old != nil {
+		old.Shut()
+	}
+}
+
+// dropAgent detaches link from port unless a newer link already
+// replaced it.
+func (c *Coordinator) dropAgent(port int, link agentLink) {
+	c.mu.Lock()
+	if c.agents[port] == link {
+		c.agents[port] = nil
+		c.nAgents--
 	}
 	c.mu.Unlock()
 }
 
 // applyStats merges one TCP agent report and retires any completed
 // CoFlows immediately (the prototype path; the testbed retires once
-// per boundary in StepSchedule instead — see mergeStats).
+// per boundary in StepSchedule instead — see InprocAgent.Report).
 func (c *Coordinator) applyStats(s *statsMsg) {
 	now := c.cfg.Clock.Now()
 	c.polMu.Lock()
-	defer c.polMu.Unlock()
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.mergeStatsLocked(s.Flows, now)
+	start := time.Now()
+	for i := range s.Flows {
+		c.mergeStatLocked(&s.Flows[i], now)
+	}
+	merged := time.Now()
 	c.retireLocked(now)
+	retired := time.Now()
+	c.mu.Unlock()
+	c.polMu.Unlock()
+	c.schedMu.Lock()
+	c.phases.Merge += merged.Sub(start)
+	c.phases.Retire += retired.Sub(merged)
+	c.schedMu.Unlock()
 }
 
-// mergeStatsLocked folds per-flow progress into coordinator state.
+// mergeStatLocked folds one flow's reported progress into coordinator
+// state and queues its CoFlow for retireLocked if the flow finished.
 // Caller holds polMu and mu (it mutates runtime state the scheduler
-// reads). Zero-alloc: the testbed's per-boundary agent reports go
-// through here for every agent in the cluster.
-func (c *Coordinator) mergeStatsLocked(flows []FlowStat, now time.Time) {
-	for i := range flows {
-		fs := &flows[i]
-		lc := c.live[coflow.CoFlowID(fs.CoFlow)] //saath:alloc-ok the coordinator's live set is still ID-keyed (ROADMAP 6a)
-		if lc == nil || fs.Index < 0 || fs.Index >= len(lc.rt.Flows) {
-			continue
+// reads). Zero-alloc: every flow of every agent report of every
+// boundary goes through here.
+//
+//saath:hotpath zero-alloc steady state guarded by TestTestbedLayerGuards
+func (c *Coordinator) mergeStatLocked(fs *FlowStat, now time.Time) {
+	lc := c.live[coflow.CoFlowID(fs.CoFlow)] //saath:alloc-ok reports name flows by the wire's (coflow ID, index); the ID lookup is the one map on this path
+	if lc == nil || fs.Index < 0 || fs.Index >= len(lc.rt.Flows) {
+		return
+	}
+	f := lc.rt.Flows[fs.Index]
+	if coflow.Bytes(fs.Sent) > f.Sent {
+		f.Sent = coflow.Bytes(fs.Sent)
+		if f.Done {
+			lc.rt.Invalidate() // a finished flow's bytes are part of the cached summary
 		}
-		f := lc.rt.Flows[fs.Index]
-		if coflow.Bytes(fs.Sent) > f.Sent {
-			f.Sent = coflow.Bytes(fs.Sent)
-			if f.Done {
-				lc.rt.Invalidate() // a finished flow's bytes are part of the cached summary
-			}
-		}
-		if f.Available != fs.Available {
-			f.Available = fs.Available
-			lc.rt.Invalidate()
-		}
-		if fs.Done && !f.Done {
-			f.Done = true
-			f.DoneAt = coflow.Time(now.Sub(lc.registered) / time.Microsecond)
-			lc.rt.Invalidate()
-		}
+	}
+	if f.Available != fs.Available {
+		f.Available = fs.Available
+		lc.rt.Invalidate()
+	}
+	if fs.Done && !f.Done {
+		f.Done = true
+		f.DoneAt = coflow.Time(now.Sub(lc.registered) / time.Microsecond)
+		lc.rt.Invalidate()
+		c.finishing = append(c.finishing, lc)
 	}
 }
 
 // retireLocked moves completed CoFlows from live to results. Caller
-// holds polMu and mu. Completion candidates are processed in ID order:
-// the results append order and — critically — the IndexSpace release
-// order are both deterministic, so later index assignments (and any
-// scheduler tie-break that touches them) cannot drift with map
-// iteration order.
+// holds polMu and mu. Only the CoFlows in finishing — one entry per
+// flow that finished — are looked at, so a pass costs those flows, not
+// the live set; and they are processed in ID order: the results append
+// order and — critically — the IndexSpace release order are both
+// deterministic, so later index assignments (and any scheduler
+// tie-break that touches them) cannot drift with report order.
+//
+//saath:hotpath zero-alloc steady state guarded by TestCoordinatorBoundaryZeroAlloc
 func (c *Coordinator) retireLocked(now time.Time) {
-	var doneIDs []coflow.CoFlowID
-	for id, lc := range c.live {
-		if lc.rt.RefreshDone() {
-			doneIDs = append(doneIDs, id)
-		}
-	}
-	if len(doneIDs) == 0 {
+	if len(c.finishing) == 0 {
 		return
 	}
-	sort.Slice(doneIDs, func(i, j int) bool { return doneIDs[i] < doneIDs[j] })
-	for _, id := range doneIDs {
-		lc := c.live[id]
+	slices.SortFunc(c.finishing, func(a, b *liveCoFlow) int { return cmp.Compare(a.spec.ID, b.spec.ID) })
+	for _, lc := range c.finishing {
+		// An entry may be of a CoFlow deregistered since, with flows still
+		// to go, or retired by an earlier entry of this pass.
+		if c.live[lc.spec.ID] != lc || !lc.rt.RefreshDone() { //saath:alloc-ok completion path: once per finished flow, not per boundary
+			continue
+		}
 		c.results = append(c.results, CoFlowResult{
-			ID:           id,
+			ID:           lc.spec.ID,
 			RegisteredAt: lc.registered,
 			CompletedAt:  now,
 			CCT:          now.Sub(lc.registered),
@@ -435,9 +509,33 @@ func (c *Coordinator) retireLocked(now time.Time) {
 			Bytes:        lc.spec.TotalSize(),
 		})
 		c.cfg.Scheduler.Depart(lc.rt, c.wallTime(now))
-		c.space.Release(lc.rt)
-		delete(c.live, id)
+		c.dropLiveLocked(lc)
 	}
+	clear(c.finishing)
+	c.finishing = c.finishing[:0]
+}
+
+// byArrival is sched.ByArrival's order, the one snap.Active is kept in;
+// (arrival, ID) is unique among live CoFlows, so a binary search lands
+// on exactly one position.
+func byArrival(a, b *coflow.CoFlow) int {
+	if a.Arrived != b.Arrived {
+		return cmp.Compare(a.Arrived, b.Arrived)
+	}
+	return cmp.Compare(a.ID(), b.ID())
+}
+
+// dropLiveLocked takes a retired or deregistered CoFlow out of the ID
+// lookup, the arrival order and the index space; the caller has told
+// the scheduler. Caller holds polMu and mu.
+//
+//saath:alloc-ok completion path: once per departing CoFlow, not per boundary
+func (c *Coordinator) dropLiveLocked(lc *liveCoFlow) {
+	delete(c.live, lc.spec.ID)
+	if i, ok := slices.BinarySearchFunc(c.snap.Active, lc.rt, byArrival); ok {
+		c.snap.Active = slices.Delete(c.snap.Active, i, i+1)
+	}
+	c.space.Release(lc.rt)
 }
 
 // wallTime maps clock time to the scheduler's Time axis (µs since the
@@ -480,94 +578,109 @@ func (c *Coordinator) StepSchedule() (live int) {
 	return c.scheduleOnce()
 }
 
+// scheduleOnce is one δ boundary. Its cost contract: work follows the
+// live flows and the ports they touch — never NumPorts, apart from the
+// fabric's per-port reset — and a boundary whose live set did not
+// change allocates nothing.
+//
+//saath:hotpath zero-alloc steady state guarded by TestCoordinatorBoundaryZeroAlloc
 func (c *Coordinator) scheduleOnce() (liveN int) {
+	c.roundMu.Lock()
+	defer c.roundMu.Unlock()
 	now := c.cfg.Clock.Now()
 	c.polMu.Lock()
 	c.mu.Lock()
+	t0 := time.Now()
+	var merge time.Duration
+	if !c.mergeSince.IsZero() {
+		merge, c.mergeSince = t0.Sub(c.mergeSince), time.Time{}
+	}
 	// Boundary retirement: the testbed path reports stats without
-	// retiring (mergeStats), so completions are collected here, once
-	// per round, in ID order. The TCP path usually retired in
-	// applyStats already; this is then a cheap no-op.
+	// retiring (InprocAgent.Report), so completions are collected here,
+	// once per round, in ID order. The TCP path retired in applyStats
+	// already; this is then a no-op.
 	c.retireLocked(now)
-	liveN = len(c.live)
-	active := make([]*coflow.CoFlow, 0, len(c.live))
-	for _, lc := range c.live {
-		active = append(active, lc.rt)
-	}
-	specs := make(map[coflow.CoFlowID]*coflow.Spec, len(c.live))
-	for id, lc := range c.live {
-		specs[id] = lc.spec
-	}
-	agents := make(map[int]agentLink, len(c.agents))
-	for p, a := range c.agents {
-		agents[p] = a
-	}
+	liveN = len(c.snap.Active)
 	c.epoch++
 	epoch := c.epoch
 	c.mu.Unlock()
-
-	sched.ByArrival(active)
 	c.fab.Reset()
-	snap := &sched.Snapshot{
-		Now: c.wallTime(now), Active: active, Fabric: c.fab,
-		FlowCap: c.space.FlowCap(), CoFlowCap: c.space.CoFlowCap(),
-	}
-	start := time.Now()
-	alloc := c.cfg.Scheduler.Schedule(snap)
-	elapsed := time.Since(start)
-	c.schedMu.Lock()
-	c.schedStats.Record(elapsed)
-	c.schedMu.Unlock()
+	c.snap.Now = c.wallTime(now)
+	c.snap.FlowCap, c.snap.CoFlowCap = c.space.FlowCap(), c.space.CoFlowCap()
+	t1 := time.Now()
+	alloc := c.cfg.Scheduler.Schedule(&c.snap)
+	t2 := time.Now()
 
-	// Group orders by sending agent. Every sendable flow gets an
-	// order (rate 0 pauses), so agents always track the newest rates.
-	orders := make(map[int][]FlowOrder)
-	for _, cf := range active {
-		spec := specs[cf.ID()]
-		for i, f := range cf.Flows {
-			if f.Done {
-				continue
-			}
-			dst := agents[int(f.Dst)]
+	// Group orders by sending agent. Every pending flow gets an order
+	// (rate 0 pauses), so agents always track the newest rates. mu is
+	// held for the agent table only; nothing in here blocks.
+	c.mu.Lock()
+	for _, p := range c.touched {
+		c.orders[p] = c.orders[p][:0]
+	}
+	c.touched = c.touched[:0]
+	for _, cf := range c.snap.Active {
+		for _, f := range cf.PendingFlows() {
+			dst := c.agents[f.Dst]
 			if dst == nil {
 				continue // receiver not connected yet
 			}
-			orders[int(f.Src)] = append(orders[int(f.Src)], FlowOrder{
+			src := int(f.Src)
+			if len(c.orders[src]) == 0 {
+				c.touched = append(c.touched, src)
+			}
+			c.orders[src] = append(c.orders[src], FlowOrder{
 				CoFlow:  int64(cf.ID()),
-				Index:   i,
+				Index:   f.ID.Index,
 				DstPort: int(f.Dst),
 				DstAddr: dst.DataAddr(),
-				Size:    int64(spec.Flows[i].Size),
+				Size:    int64(f.Size),
 				RateBps: float64(alloc.Rate(f.Idx)),
 			})
 		}
 	}
-	sends := make([]pendingSend, 0, len(orders))
-	for port, os := range orders {
-		a := agents[port]
-		if a == nil {
-			continue
+	c.sends = c.sends[:0]
+	for _, p := range c.touched {
+		if a := c.agents[p]; a != nil {
+			c.sends = append(c.sends, pendingSend{port: p, link: a, msg: scheduleMsg{Epoch: epoch, Orders: c.orders[p]}})
 		}
-		sends = append(sends, pendingSend{port: port, link: a, msg: scheduleMsg{Epoch: epoch, Orders: os}})
 	}
+	c.mu.Unlock()
 	c.polMu.Unlock()
+	t3 := time.Now()
 
-	// Deliver outside the policy locks: a stalled TCP agent eats its
-	// own write deadline without blocking registrations or the next
-	// round, and a failed link is detached immediately so the
+	// Deliver outside the policy locks, first-touched port first: a
+	// stalled TCP agent eats its own write deadline without blocking
+	// registrations, and a failed link is detached immediately so the
 	// scheduler sees the reduced fabric next round.
-	for i := range sends {
-		s := &sends[i]
+	for i := range c.sends {
+		s := &c.sends[i]
 		if err := s.link.Deliver(&s.msg); err != nil {
 			s.link.Shut()
-			c.mu.Lock()
-			if c.agents[s.port] == s.link {
-				delete(c.agents, s.port)
-			}
-			c.mu.Unlock()
+			c.dropAgent(s.port, s.link)
 		}
 	}
+	t4 := time.Now()
+
+	c.schedMu.Lock()
+	c.schedStats.Record(t2.Sub(t1))
+	c.phases.Merge += merge
+	c.phases.Retire += t1.Sub(t0)
+	c.phases.Encode += t3.Sub(t2)
+	c.phases.Deliver += t4.Sub(t3)
+	c.schedMu.Unlock()
 	return liveN
+}
+
+// Phases reports where the coordinator's boundary time went so far.
+// Schedule is read from the latency recorder, so it is exactly the sum
+// ScheduleLatency's mean divides.
+func (c *Coordinator) Phases() PhaseTotals {
+	c.schedMu.Lock()
+	defer c.schedMu.Unlock()
+	p := c.phases
+	p.Schedule = c.schedStats.Total
+	return p
 }
 
 // ScheduleLatency reports the coordinator's Table-2 cost: wall-clock
@@ -590,7 +703,7 @@ func (c *Coordinator) SchedOverhead() (calls int, mean, max time.Duration) {
 func (c *Coordinator) AgentCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.agents)
+	return c.nAgents
 }
 
 // LiveCount returns the number of admitted, not-yet-completed CoFlows.
@@ -639,13 +752,8 @@ func (c *Coordinator) Results() []CoFlowResult {
 // round. Returns ErrAdmission on rejection, ErrDuplicate for a reused
 // ID, or a validation error.
 func (c *Coordinator) Register(spec *coflow.Spec) error {
-	if err := spec.Validate(); err != nil {
+	if err := c.checkSpec(spec); err != nil {
 		return err
-	}
-	for _, f := range spec.Flows {
-		if int(f.Src) >= c.cfg.NumPorts || int(f.Dst) >= c.cfg.NumPorts {
-			return fmt.Errorf("runtime: coflow %d: port out of range", spec.ID)
-		}
 	}
 	now := c.cfg.Clock.Now()
 	rt := coflow.New(spec)
@@ -668,12 +776,28 @@ func (c *Coordinator) Register(spec *coflow.Spec) error {
 		return ErrAdmission
 	}
 	c.live[spec.ID] = &liveCoFlow{spec: spec, rt: rt, registered: now}
+	at, _ := slices.BinarySearchFunc(c.snap.Active, rt, byArrival)
+	c.snap.Active = slices.Insert(c.snap.Active, at, rt)
 	c.mu.Unlock()
 	c.space.Assign(rt)
 	c.cfg.Scheduler.Arrive(rt, c.wallTime(now))
 	c.admMu.Lock()
 	c.nAdmitted++
 	c.admMu.Unlock()
+	return nil
+}
+
+// checkSpec is the gate every spec passes before it can reach the
+// port-indexed state: structurally valid, every port inside the fabric.
+func (c *Coordinator) checkSpec(spec *coflow.Spec) error {
+	if err := spec.Validate(); err != nil {
+		return err
+	}
+	for _, f := range spec.Flows {
+		if int(f.Src) >= c.cfg.NumPorts || int(f.Dst) >= c.cfg.NumPorts {
+			return fmt.Errorf("runtime: coflow %d: port out of range", spec.ID)
+		}
+	}
 	return nil
 }
 
@@ -750,13 +874,10 @@ func (c *Coordinator) handleCoFlowByID(w http.ResponseWriter, r *http.Request) {
 		c.mu.Lock()
 		lc, ok := c.live[coflow.CoFlowID(id)]
 		if ok {
-			delete(c.live, coflow.CoFlowID(id))
+			c.cfg.Scheduler.Depart(lc.rt, c.wallTime(c.cfg.Clock.Now()))
+			c.dropLiveLocked(lc)
 		}
 		c.mu.Unlock()
-		if ok {
-			c.cfg.Scheduler.Depart(lc.rt, c.wallTime(c.cfg.Clock.Now()))
-			c.space.Release(lc.rt)
-		}
 		c.polMu.Unlock()
 		if !ok {
 			http.Error(w, "unknown coflow", http.StatusNotFound)
@@ -774,6 +895,9 @@ func (c *Coordinator) handleCoFlowByID(w http.ResponseWriter, r *http.Request) {
 		}
 		sj.ID = id
 		spec, err := sj.toSpec()
+		if err == nil {
+			err = c.checkSpec(spec)
+		}
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -788,6 +912,11 @@ func (c *Coordinator) handleCoFlowByID(w http.ResponseWriter, r *http.Request) {
 			lc.spec = spec
 			lc.rt = coflow.New(spec)
 			lc.rt.Arrived = old.Arrived
+			// Same (arrival, ID), so the new runtime state takes the old
+			// one's place in the arrival order.
+			if i, ok := slices.BinarySearchFunc(c.snap.Active, old, byArrival); ok {
+				c.snap.Active[i] = lc.rt
+			}
 			for i, f := range lc.rt.Flows {
 				if i < len(old.Flows) && old.Flows[i].Size == f.Size {
 					f.Sent = old.Flows[i].Sent
@@ -797,6 +926,7 @@ func (c *Coordinator) handleCoFlowByID(w http.ResponseWriter, r *http.Request) {
 			}
 			lc.rt.Invalidate()
 			c.space.Assign(lc.rt)
+			c.finishing = append(c.finishing, lc) // the new flow set may hold nothing but finished flows
 		}
 		c.mu.Unlock()
 		if !ok {
@@ -830,7 +960,7 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Scheduler string   `json:"scheduler"`
 		Policies  []string `json:"registeredPolicies"`
 	}{
-		Agents:    len(c.agents),
+		Agents:    c.nAgents,
 		Live:      len(c.live),
 		Completed: len(c.results),
 		Admitted:  admitted,

@@ -16,14 +16,18 @@ import (
 // (which synchronously delivers orders back into the agent), so no
 // internal locking exists.
 type InprocAgent struct {
-	port    int
-	coord   *Coordinator
-	flows   map[flowKey]*inprocFlow
-	scratch []FlowStat // reused report buffer: the steady-state step path allocates nothing
+	port  int
+	coord *Coordinator
+	// flows is dense: Step and Report walk it front to back, a completed
+	// flow is swap-removed. index finds a flow by its wire name and is
+	// touched only when orders arrive and when a flow completes.
+	flows []inprocFlow
+	index map[flowKey]int
 }
 
 // inprocFlow is one flow's sender-side state.
 type inprocFlow struct {
+	key  flowKey
 	size float64 // total bytes
 	sent float64 // bytes moved so far (float: rate × δ accumulation)
 	rate float64 // current schedule's bytes/second
@@ -37,14 +41,8 @@ func (c *Coordinator) AttachInproc(port int) (*InprocAgent, error) {
 	if port < 0 || port >= c.cfg.NumPorts {
 		return nil, fmt.Errorf("runtime: inproc agent port %d outside [0, %d)", port, c.cfg.NumPorts)
 	}
-	a := &InprocAgent{port: port, coord: c, flows: make(map[flowKey]*inprocFlow)}
-	c.mu.Lock()
-	old := c.agents[port]
-	c.agents[port] = a
-	c.mu.Unlock()
-	if old != nil {
-		old.Shut()
-	}
+	a := &InprocAgent{port: port, coord: c, index: make(map[flowKey]int)}
+	c.setAgent(port, a)
 	return a, nil
 }
 
@@ -56,16 +54,19 @@ func (a *InprocAgent) Shut() {}
 
 // Deliver implements agentLink: adopt the new schedule. Orders are
 // copied into per-flow state; the message is not retained.
+//
+//saath:hotpath zero-alloc steady state guarded by TestCoordinatorBoundaryZeroAlloc
 func (a *InprocAgent) Deliver(msg *scheduleMsg) error {
 	for i := range msg.Orders {
 		o := &msg.Orders[i]
 		k := flowKey{CoFlow: o.CoFlow, Index: o.Index}
-		f := a.flows[k]
-		if f == nil {
-			f = &inprocFlow{size: float64(o.Size)}
-			a.flows[k] = f
+		at, ok := a.index[k] //saath:alloc-ok orders name flows by the wire's (coflow ID, index); this lookup is the agent's one map access per order
+		if !ok {
+			at = len(a.flows)
+			a.index[k] = at                                                      //saath:alloc-ok first order for a flow, once per flow
+			a.flows = append(a.flows, inprocFlow{key: k, size: float64(o.Size)}) //saath:alloc-ok grow path
 		}
-		f.rate = o.RateBps
+		a.flows[at].rate = o.RateBps
 	}
 	return nil
 }
@@ -77,11 +78,9 @@ func (a *InprocAgent) Deliver(msg *scheduleMsg) error {
 //
 //saath:hotpath zero-alloc steady state guarded by TestTestbedLayerGuards
 func (a *InprocAgent) Step(dt time.Duration) {
-	if len(a.flows) == 0 {
-		return
-	}
 	sec := dt.Seconds()
-	for _, f := range a.flows { //saath:alloc-ok agent flow table is still keyed by (CoFlow, index) (ROADMAP 6a); per-flow updates commute
+	for i := range a.flows {
+		f := &a.flows[i]
 		if f.done || f.rate <= 0 {
 			continue
 		}
@@ -95,43 +94,57 @@ func (a *InprocAgent) Step(dt time.Duration) {
 }
 
 // Report pushes this agent's flow progress into the coordinator, the
-// in-process equivalent of the periodic TCP stats message. Completed
-// flows are reported once (done=true) and then dropped from agent
-// state — delivery is synchronous, so the completion cannot be lost.
+// in-process equivalent of the periodic TCP stats message — without the
+// message: each flow's stat is merged as it is read, under the policy
+// locks. Completed flows are reported once (done=true) and then dropped
+// from agent state — delivery is synchronous, so the completion cannot
+// be lost. Unlike the TCP path a report does not retire: completions
+// are collected once per boundary in StepSchedule, in ID order across
+// all of the boundary's reports.
 //
 //saath:hotpath zero-alloc steady state guarded by TestTestbedLayerGuards
 func (a *InprocAgent) Report() {
 	if len(a.flows) == 0 {
 		return
 	}
-	a.scratch = a.scratch[:0]
-	for k, f := range a.flows { //saath:alloc-ok as Step; the coordinator merges stats per flow, in any order
-		a.scratch = append(a.scratch, FlowStat{
-			CoFlow:    k.CoFlow,
-			Index:     k.Index,
+	c := a.coord
+	now := c.cfg.Clock.Now()
+	c.polMu.Lock()
+	c.mu.Lock()
+	if c.mergeSince.IsZero() {
+		c.mergeSince = time.Now()
+	}
+	for i := 0; i < len(a.flows); {
+		f := &a.flows[i]
+		c.mergeStatLocked(&FlowStat{
+			CoFlow:    f.key.CoFlow,
+			Index:     f.key.Index,
 			Sent:      int64(f.sent),
 			Done:      f.done,
 			Available: true,
-		})
+		}, now)
 		if f.done {
-			delete(a.flows, k)
+			a.dropFlow(i) // the last flow now sits at i
+		} else {
+			i++
 		}
 	}
-	a.coord.reportInproc(a.scratch)
+	c.mu.Unlock()
+	c.polMu.Unlock()
+}
+
+// dropFlow swap-removes flows[i].
+//
+//saath:alloc-ok completion path: once per finished flow, not per boundary
+func (a *InprocAgent) dropFlow(i int) {
+	last := len(a.flows) - 1
+	delete(a.index, a.flows[i].key)
+	if i != last {
+		a.flows[i] = a.flows[last]
+		a.index[a.flows[i].key] = i
+	}
+	a.flows = a.flows[:last]
 }
 
 // FlowCount returns the number of flows the agent currently tracks.
 func (a *InprocAgent) FlowCount() int { return len(a.flows) }
-
-// reportInproc merges an in-process agent report under the policy
-// locks, without the per-report retirement scan of the TCP path —
-// retirement happens once per boundary in StepSchedule, keeping the
-// per-boundary cost O(flows) instead of O(agents × live).
-func (c *Coordinator) reportInproc(stats []FlowStat) {
-	now := c.cfg.Clock.Now()
-	c.polMu.Lock()
-	c.mu.Lock()
-	c.mergeStatsLocked(stats, now)
-	c.mu.Unlock()
-	c.polMu.Unlock()
-}

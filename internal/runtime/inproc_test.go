@@ -246,9 +246,7 @@ func TestScheduleSurvivesStalledAgent(t *testing.T) {
 	us, them := net.Pipe()
 	t.Cleanup(func() { us.Close(); them.Close() })
 	stalled := &agentConn{port: 0, dataAddr: "stalled:0", conn: us, timeout: 50 * time.Millisecond}
-	coord.mu.Lock()
-	coord.agents[0] = stalled
-	coord.mu.Unlock()
+	coord.setAgent(0, stalled)
 
 	spec := &coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 10 * coflow.MB}}}
 	if err := coord.Register(spec); err != nil {
@@ -365,5 +363,40 @@ func TestInprocScaleTenThousand(t *testing.T) {
 	calls, mean, _, _ := coord.ScheduleLatency()
 	if calls == 0 || mean <= 0 {
 		t.Fatalf("schedule latency not measured: calls=%d mean=%v", calls, mean)
+	}
+}
+
+// TestPhasesScheduleTotalExact: Phases().Schedule is the latency
+// recorder's own running total — not mean × calls, which drops up to
+// one nanosecond per call — so it divides back to exactly the reported
+// mean and can never fall below the slowest single call. Every other
+// phase of a boundary that did work has time against it too.
+func TestPhasesScheduleTotalExact(t *testing.T) {
+	delta := 8 * time.Millisecond
+	coord, agents, vc := manualCoordinator(t, "saath", 6, delta, AdmissionConfig{})
+	for id := 1; id <= 7; id++ {
+		spec := &coflow.Spec{ID: coflow.CoFlowID(id), Flows: []coflow.FlowSpec{
+			{Src: coflow.PortID(id % 6), Dst: coflow.PortID((id + 1) % 6), Size: coflow.Bytes(id) * coflow.MB},
+			{Src: coflow.PortID((id + 2) % 6), Dst: coflow.PortID((id + 4) % 6), Size: coflow.Bytes(8-id) * coflow.MB},
+		}}
+		if err := coord.Register(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	driveToCompletion(t, coord, agents, vc, delta, 10000)
+
+	calls, mean, max, _ := coord.ScheduleLatency()
+	ph := coord.Phases()
+	if calls < 7 {
+		t.Fatalf("only %d Schedule calls recorded", calls)
+	}
+	if ph.Schedule < max {
+		t.Errorf("schedule total %v is below the slowest call %v", ph.Schedule, max)
+	}
+	if got := ph.Schedule / time.Duration(calls); got != mean {
+		t.Errorf("schedule total %v / %d calls = %v, want the reported mean %v", ph.Schedule, calls, got, mean)
+	}
+	if ph.Merge <= 0 || ph.Retire <= 0 || ph.Encode <= 0 || ph.Deliver <= 0 {
+		t.Errorf("a phase saw no time: %+v", ph)
 	}
 }

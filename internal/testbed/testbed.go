@@ -18,6 +18,7 @@ package testbed
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"saath/internal/coflow"
@@ -114,6 +115,12 @@ func RunJob(j sweep.Job, tc Config) (*sim.Result, obs.RuntimeRecord, error) {
 	specs := tr.Specs // arrival-sorted
 	cur := 0
 	boundaries := 0
+	// busy lists the ports whose agent may hold flows, in the order they
+	// joined: a boundary steps and reports these, not the cluster. A port
+	// joins when an admitted coflow sends from it and leaves once its
+	// agent holds nothing after a schedule push.
+	var busy []int
+	isBusy := make([]bool, len(agents))
 	for n := 0; ; n++ {
 		if n > maxB {
 			return nil, rec, fmt.Errorf("testbed: job %s: still live after %d boundaries (horizon guard)", j.Key(), n)
@@ -123,8 +130,8 @@ func RunJob(j sweep.Job, tc Config) (*sim.Result, obs.RuntimeRecord, error) {
 			// Interval (n-1)δ → nδ: flows move under the schedule
 			// pushed at the previous boundary — the same one-δ
 			// pipelining lag the real agents have.
-			for _, a := range agents {
-				a.Step(dt)
+			for _, p := range busy {
+				agents[p].Step(dt)
 			}
 		}
 		// Arrivals inside the interval register at their exact virtual
@@ -134,18 +141,30 @@ func RunJob(j sweep.Job, tc Config) (*sim.Result, obs.RuntimeRecord, error) {
 			sp := specs[cur]
 			cur++
 			vc.Set(epoch.Add(time.Duration(sp.Arrival) * time.Microsecond))
-			if err := coord.Register(sp); err != nil && !errors.Is(err, rt.ErrAdmission) {
+			if err := coord.Register(sp); errors.Is(err, rt.ErrAdmission) {
+				continue
+			} else if err != nil {
 				return nil, rec, fmt.Errorf("testbed: job %s: register coflow %d: %w", j.Key(), sp.ID, err)
+			}
+			for _, f := range sp.Flows {
+				if !isBusy[f.Src] {
+					isBusy[f.Src] = true
+					busy = append(busy, int(f.Src))
+				}
 			}
 		}
 		vc.Set(epoch.Add(time.Duration(bound) * time.Microsecond))
 		if n > 0 {
-			for _, a := range agents {
-				a.Report()
+			for _, p := range busy {
+				agents[p].Report()
 			}
 		}
 		live := coord.StepSchedule()
 		boundaries++
+		busy = slices.DeleteFunc(busy, func(p int) bool {
+			isBusy[p] = agents[p].FlowCount() > 0
+			return !isBusy[p]
+		})
 		if cur == len(specs) && live == 0 && (n > 0 || len(specs) == 0) {
 			break
 		}
@@ -158,15 +177,12 @@ func RunJob(j sweep.Job, tc Config) (*sim.Result, obs.RuntimeRecord, error) {
 		Ports:     tr.NumPorts,
 		Intervals: boundaries,
 	}
-	arrivals := make(map[coflow.CoFlowID]coflow.Time, len(specs))
-	for _, sp := range specs {
-		arrivals[sp.ID] = sp.Arrival
-	}
+	res.CoFlows = make([]sim.CoFlowResult, 0, len(results))
 	for _, r := range results {
 		done := coflow.Time(r.CompletedAt.Sub(epoch) / time.Microsecond)
 		res.CoFlows = append(res.CoFlows, sim.CoFlowResult{
 			ID:      r.ID,
-			Arrival: arrivals[r.ID],
+			Arrival: coflow.Time(r.RegisteredAt.Sub(epoch) / time.Microsecond), // registered at its exact virtual arrival
 			DoneAt:  done,
 			CCT:     coflow.Time(r.CCT / time.Microsecond),
 			Width:   r.Width,
@@ -180,6 +196,7 @@ func RunJob(j sweep.Job, tc Config) (*sim.Result, obs.RuntimeRecord, error) {
 	// only — res must stay a pure function of the workload.
 	admitted, rejected := coord.AdmissionStats()
 	calls, mean, max, p90 := coord.ScheduleLatency()
+	phases := coord.Phases()
 	rec.Admitted, rec.Rejected = admitted, rejected
 	rec.Completed = len(results)
 	rec.Boundaries = boundaries
@@ -187,6 +204,10 @@ func RunJob(j sweep.Job, tc Config) (*sim.Result, obs.RuntimeRecord, error) {
 	rec.ScheduleMeanNs = mean.Nanoseconds()
 	rec.ScheduleMaxNs = max.Nanoseconds()
 	rec.ScheduleP90Ns = p90.Nanoseconds()
-	rec.ScheduleTotalNs = mean.Nanoseconds() * int64(calls)
+	rec.ScheduleTotalNs = phases.Schedule.Nanoseconds()
+	rec.MergeNs = phases.Merge.Nanoseconds()
+	rec.RetireNs = phases.Retire.Nanoseconds()
+	rec.EncodeNs = phases.Encode.Nanoseconds()
+	rec.DeliverNs = phases.Deliver.Nanoseconds()
 	return res, rec, nil
 }
