@@ -94,11 +94,12 @@ bench-trace:
 
 # Engine-layer smoke: one iteration of the sparse long-tail benchmark
 # plus the alloc guard against the engine_layer section of
-# BENCH_baseline.json and the run loop's steady-state zero-alloc guard
-# (both skip under -race).
+# BENCH_baseline.json, the counter guard that an epoch's flow passes
+# follow the flows holding a rate, and the run loop's steady-state
+# zero-alloc guard (the alloc guards skip under -race).
 bench-engine:
 	$(GO) test -bench 'BenchmarkEngineEventSparse' -benchtime=1x -benchmem -run '^$$' -timeout 10m .
-	$(GO) test -run TestEngineLayerGuards -count=1 .
+	$(GO) test -run 'TestEngineLayerGuards|TestEpochCostsRatedFlows' -count=1 .
 	$(GO) test -run TestEngineEventSteadyStateZeroAlloc -count=1 ./internal/sim/
 
 # Observability smoke: one iteration of the span-record / counter-step

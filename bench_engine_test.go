@@ -8,12 +8,16 @@ package saath
 // bookkeeping. BENCH_baseline.json's "engine_layer" section records
 // that count; TestEngineLayerGuards fails past 1.25x of it. Wall-clock
 // is not asserted here — timings belong to `go run ./bench` (make
-// perf), never to tier-1. Run `make bench-engine` for the smoke + guard.
+// perf), never to tier-1. TestEpochCostsRatedFlows pins, with counters,
+// that an epoch's flow passes follow the flows holding a rate. Run
+// `make bench-engine` for the smoke + guards.
 
 import (
 	"encoding/json"
 	"os"
 	"testing"
+
+	"saath/internal/obs"
 )
 
 // sparseTailTrace builds the sparse long-tail workload: single-flow
@@ -97,5 +101,37 @@ func TestEngineLayerGuards(t *testing.T) {
 	t.Logf("event_sparse: %.0f allocs/op (baseline %.0f)", got, baseline)
 	if got > baseline*1.25 {
 		t.Errorf("event_sparse: %.0f allocs/op exceeds 1.25x baseline %.0f", got, baseline)
+	}
+}
+
+// TestEpochCostsRatedFlows pins the engine's per-epoch flow passes to
+// the allocation with counters, not clocks: fifty four-flow coflows
+// arrive together on one port pair, so all-or-none serves one of them at
+// a time and parks the other forty-nine. The observe and advance passes
+// may then visit each rated flow once each, plus — on the epochs near
+// the end, when the few coflows left put the rated share above the
+// density choice — less than one more coflow's worth; walking the
+// pending flows instead would cost 400 visits an epoch here.
+func TestEpochCostsRatedFlows(t *testing.T) {
+	const live = 50
+	specs := make([]*Spec, live)
+	for i := range specs {
+		specs[i] = &Spec{ID: CoFlowID(i + 1), Flows: []FlowSpec{
+			{Src: 0, Dst: 1, Size: MB}, {Src: 0, Dst: 1, Size: MB},
+			{Src: 0, Dst: 1, Size: MB}, {Src: 0, Dst: 1, Size: MB},
+		}}
+	}
+	c := &obs.EngineCounters{}
+	res, err := Simulate(&Trace{Name: "one-in-fifty", NumPorts: 2, Specs: specs}, "saath", SimConfig{Counters: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.CoFlows) != live || c.RatedFlows == 0 {
+		t.Fatalf("completed %d coflows, %d rated flows", len(res.CoFlows), c.RatedFlows)
+	}
+	t.Logf("%d epochs: %d rated flows, %d walked", c.Epochs, c.RatedFlows, c.FlowsWalked)
+	if bound := 2*c.RatedFlows + c.Epochs*live; c.FlowsWalked > bound {
+		t.Errorf("observe+advance walked %d flows over %d epochs, want <= 2 x %d rated + %d epochs x %d coflows = %d",
+			c.FlowsWalked, c.Epochs, c.RatedFlows, c.Epochs, live, bound)
 	}
 }

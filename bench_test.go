@@ -22,7 +22,6 @@ import (
 	"saath/internal/experiments"
 	"saath/internal/fabric"
 	"saath/internal/report"
-	"saath/internal/sched"
 	"saath/internal/trace"
 )
 
@@ -196,17 +195,6 @@ func benchCluster(n, p int) ([]*coflow.CoFlow, *fabric.Fabric) {
 // The per-policy Schedule-round benchmarks live in bench_sched_test.go
 // (BenchmarkSchedule, BenchmarkScheduleQuick) alongside their
 // allocation-regression guards against BENCH_baseline.json.
-
-// BenchmarkContention500 measures the reference (rebuild-everything)
-// contention implementation; compare BenchmarkContentionIndexSteadyState
-// in internal/sched for the incremental path.
-func BenchmarkContention500(b *testing.B) {
-	active, _ := benchCluster(500, 150)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sched.Contention(active)
-	}
-}
 
 func BenchmarkMaxMinFair(b *testing.B) {
 	active, fab := benchCluster(200, 100)

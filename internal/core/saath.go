@@ -25,6 +25,17 @@
 // counts, buckets, the contention vector and the sort scratch — is
 // reused across ticks, and contention is maintained incrementally
 // (sched.ContentionIndex). A steady-state tick allocates nothing.
+//
+// Straggler tracking (§4.3) follows the allocation, not the live set:
+// all-or-none serves few CoFlows per interval and parks the rest, and
+// only a flow that held a rate has progress to compare with it. Schedule
+// lists the flows it rates where it rates them, and the next call
+// observes exactly those, by position under whoever holds their indices
+// then. The walks over every pending flow that this replaced live in
+// oracle_test.go; TestRateDrivenTrackingMatchesFullWalks holds the two
+// equal — rates, caps, streaks, queue history, deadlines — through
+// arrivals, departures with index reuse, restarts, withheld flows and
+// the coordinator's update() swaps.
 package core
 
 import (
@@ -50,6 +61,12 @@ type Saath struct {
 	// Flow.Idx. The zero value means "not yet observed" (lastAlloc 0).
 	tracks   []flowTrack
 	lastTime coflow.Time // previous Schedule invocation, for rate observation
+
+	// rated names every live flow whose track carries a rate (lastAlloc
+	// > 0): the flows the previous Schedule rated, plus any relist found.
+	// Straggler tracking visits these and nothing else, so it costs the
+	// flows that were served, not every pending flow.
+	rated []ratedRef
 
 	// Per-interval scratch, reused across ticks so the steady-state
 	// Schedule call performs zero heap allocations.
@@ -79,6 +96,29 @@ type flowTrack struct {
 	lastAlloc coflow.Rate
 	estCap    coflow.Rate // 0 = no cap (flow keeps up with its allocation)
 	lagStreak int         // consecutive intervals below the laggard ratio
+}
+
+// ratedRef names a rated flow by position — owner's CoFlow.Idx, then
+// FlowID.Index within it — and is resolved through states at the next
+// Schedule. A CoFlow swapped in under the same indices (the
+// coordinator's update()) resolves to its new flows; one that departed
+// resolves to nothing, or to a successor whose tracks Depart cleared.
+type ratedRef struct {
+	coflow, flow int32
+}
+
+// relist puts c's flows that inherit a rated track on the rated list.
+// Depart clears a CoFlow's tracks, so a flow index normally reaches its
+// next holder clean; update() hands indices over without a Depart — a
+// finished flow restarted under its old index, a dropped flow's index
+// taken by a later arrival — and the new holder is then observed against
+// the track it found, as any pending flow with a rated track is.
+func (s *Saath) relist(c *coflow.CoFlow) {
+	for _, f := range c.Flows {
+		if f.Idx >= 0 && f.Idx < len(s.tracks) && s.tracks[f.Idx].lastAlloc > 0 {
+			s.rated = append(s.rated, ratedRef{coflow: int32(c.Idx), flow: int32(f.ID.Index)})
+		}
+	}
 }
 
 // New builds a Saath scheduler. Use sched.DefaultParams for the full
@@ -156,6 +196,7 @@ func (s *Saath) Arrive(c *coflow.CoFlow, now coflow.Time) {
 	// Deadline is set on first Schedule, when the queue population
 	// C_q is known; mark it unset.
 	s.states[c.Idx] = coflowState{c: c, enteredAt: now, deadline: -1}
+	s.relist(c)
 }
 
 // Depart forgets a finished or withdrawn CoFlow. Flow tracks are
@@ -238,15 +279,11 @@ func (s *Saath) Schedule(snap *sched.Snapshot) *sched.RateVec {
 	portRate := fab.PortRate()
 	s.growScratch(snap)
 
-	// (0) Observe achieved throughput since the previous interval and
-	// refresh straggler caps (§4.3): a flow that moved well under its
-	// allocation gets its future reservation capped near what it
-	// demonstrably sustains; caps decay quickly once the flow recovers.
-	s.observeProgress(snap)
-
 	// (1) AssignQueue: per-flow thresholds (Eq. 1) or Aalo-style
 	// total bytes for the ablation; the §4.3 dynamics path overrides
-	// with the SRTF estimate when flows have finished.
+	// with the SRTF estimate when flows have finished. It reads no flow
+	// track, so it runs ahead of (0), which resolves the rated flows
+	// through the holders refreshed here.
 	queueCount := s.queueCount
 	for _, c := range snap.Active {
 		st := s.lookup(c.Idx, c.ID())
@@ -254,7 +291,10 @@ func (s *Saath) Schedule(snap *sched.Snapshot) *sched.RateVec {
 			st = &s.states[c.Idx]
 			*st = coflowState{enteredAt: snap.Now, deadline: -1}
 		}
-		st.c = c
+		if st.c != c { // swapped in by update(), or never announced
+			st.c = c
+			s.relist(c)
+		}
 		q := s.targetQueue(c)
 		if q != st.queue {
 			st.queue = q
@@ -263,6 +303,12 @@ func (s *Saath) Schedule(snap *sched.Snapshot) *sched.RateVec {
 		}
 		queueCount[st.queue]++
 	}
+	// (0) Observe achieved throughput since the previous interval and
+	// refresh straggler caps (§4.3): a flow that moved well under its
+	// allocation gets its future reservation capped near what it
+	// demonstrably sustains; caps decay quickly once the flow recovers.
+	s.observeProgress(snap)
+
 	// Fresh deadlines: d · C_q · t, with C_q the queue population at
 	// entry and t the minimum residence time of that queue (§4.2 D5).
 	for _, c := range snap.Active {
@@ -336,13 +382,14 @@ func (s *Saath) Schedule(snap *sched.Snapshot) *sched.RateVec {
 			for _, f := range c.SendableFlows() {
 				alloc.Set(f.Idx, rate)
 				fab.Allocate(f.Src, f.Dst, rate)
+				s.recordAllocation(c, f, rate)
 			}
 		}
 		if s.params.WorkConservation {
 			s.workConserve(fab, s.missed, alloc)
 		}
 	}
-	s.recordAllocations(snap, alloc)
+	s.lastTime = snap.Now
 	return alloc
 }
 
@@ -350,11 +397,15 @@ func (s *Saath) Schedule(snap *sched.Snapshot) *sched.RateVec {
 // interval against the rate it was allocated, deriving the straggler
 // cap used by MADD rate assignment. Caps double each interval the flow
 // keeps up, so recovered flows quickly regain their full share.
+//
+// Only the flows on the rated list are visited: any other has lastAlloc
+// 0 and nothing to compare. Each visited track goes back to lastAlloc 0
+// — recordAllocation sets it again if this Schedule rates the flow — so
+// an unrated flow's lagStreak and estCap stay as they were, and its
+// lastSent goes stale unread.
 func (s *Saath) observeProgress(snap *sched.Snapshot) {
 	dt := snap.Now - s.lastTime
-	if s.lastTime < 0 || dt <= 0 {
-		return
-	}
+	observe := s.lastTime >= 0 && dt > 0
 	const (
 		laggard  = 0.6 // achieving < 60% of the allocation marks a laggard interval
 		streak   = 3   // consecutive laggard intervals before capping (noise guard)
@@ -364,49 +415,58 @@ func (s *Saath) observeProgress(snap *sched.Snapshot) {
 	// mis-measured flow always retains enough allocation to prove
 	// itself and recover (caps double on every kept-up interval).
 	floor := snap.Fabric.PortRate() / 16
-	// Only pending flows are visited: a finished flow's track is never
-	// read again (caps apply to sendable flows) and Depart clears it.
-	for _, c := range snap.Active {
-		for _, f := range c.PendingFlows() {
-			tr := &s.tracks[f.Idx]
-			if tr.lastAlloc <= 0 {
-				continue
-			}
-			moved := f.Sent - tr.lastSent
-			observed := coflow.Rate(float64(moved) / dt.Seconds())
-			if observed < tr.lastAlloc*laggard {
-				tr.lagStreak++
-				if tr.lagStreak >= streak {
-					cap := observed * headroom
-					if cap < floor {
-						cap = floor
-					}
-					tr.estCap = cap
+	for _, ref := range s.rated {
+		c := s.states[ref.coflow].c
+		if c == nil || int(ref.flow) >= len(c.Flows) {
+			continue // departed, or narrowed by an update
+		}
+		// A finished flow's track is never read again (caps apply to
+		// sendable flows) and Depart clears it.
+		f := c.Flows[ref.flow]
+		if f.Done || f.Idx < 0 || f.Idx >= len(s.tracks) {
+			continue
+		}
+		tr := &s.tracks[f.Idx]
+		if tr.lastAlloc <= 0 {
+			continue // listed twice, or Depart cleared it and the index changed hands
+		}
+		last := tr.lastAlloc
+		tr.lastAlloc = 0
+		if !observe {
+			continue
+		}
+		moved := f.Sent - tr.lastSent
+		observed := coflow.Rate(float64(moved) / dt.Seconds())
+		if observed < last*laggard {
+			tr.lagStreak++
+			if tr.lagStreak >= streak {
+				cap := observed * headroom
+				if cap < floor {
+					cap = floor
 				}
-				continue
+				tr.estCap = cap
 			}
-			tr.lagStreak = 0
-			if tr.estCap > 0 {
-				tr.estCap *= 2
-				if tr.estCap >= snap.Fabric.PortRate() {
-					tr.estCap = 0
-				}
+			continue
+		}
+		tr.lagStreak = 0
+		if tr.estCap > 0 {
+			tr.estCap *= 2
+			if tr.estCap >= snap.Fabric.PortRate() {
+				tr.estCap = 0
 			}
 		}
 	}
+	s.rated = s.rated[:0]
 }
 
-// recordAllocations snapshots the progress baseline for the next
-// observation round.
-func (s *Saath) recordAllocations(snap *sched.Snapshot, alloc *sched.RateVec) {
-	for _, c := range snap.Active {
-		for _, f := range c.PendingFlows() {
-			tr := &s.tracks[f.Idx]
-			tr.lastSent = f.Sent
-			tr.lastAlloc = alloc.Rate(f.Idx)
-		}
-	}
-	s.lastTime = snap.Now
+// recordAllocation snapshots one rated flow's progress baseline for the
+// next observation round; rate is the flow's whole allocation so far
+// this interval.
+func (s *Saath) recordAllocation(c *coflow.CoFlow, f *coflow.Flow, rate coflow.Rate) {
+	tr := &s.tracks[f.Idx]
+	tr.lastSent = f.Sent
+	tr.lastAlloc = rate
+	s.rated = append(s.rated, ratedRef{coflow: int32(c.Idx), flow: int32(f.ID.Index)})
 }
 
 // targetQueue returns the queue a CoFlow belongs in right now.
@@ -503,6 +563,7 @@ func (s *Saath) workConserve(fab *fabric.Fabric, missed []*coflow.CoFlow, alloc 
 			}
 			alloc.Add(f.Idx, r)
 			fab.Allocate(f.Src, f.Dst, r)
+			s.recordAllocation(c, f, alloc.Rate(f.Idx))
 		}
 	}
 }

@@ -115,6 +115,13 @@ type EngineCounters struct {
 	// depth high-water mark.
 	HeapPushes int64 `json:"heap_pushes,omitempty"`
 	HeapMax    int64 `json:"heap_max,omitempty"`
+	// RatedFlows sums, over epochs, the flows the allocation gave a rate;
+	// FlowsWalked the flows the engine's observe and advance passes
+	// visited. An epoch costs the flows holding a rate, so on a cluster
+	// that serves few of its pending flows FlowsWalked tracks 2·RatedFlows,
+	// not the pending population.
+	RatedFlows  int64 `json:"rated_flows,omitempty"`
+	FlowsWalked int64 `json:"flows_walked,omitempty"`
 	// Schedule is the wall-clock latency histogram of Schedule calls.
 	Schedule LatencyHist `json:"schedule_latency"`
 }
@@ -135,6 +142,8 @@ func (c *EngineCounters) Merge(other *EngineCounters) {
 	if other.HeapMax > c.HeapMax {
 		c.HeapMax = other.HeapMax
 	}
+	c.RatedFlows += other.RatedFlows
+	c.FlowsWalked += other.FlowsWalked
 	c.Schedule.Merge(&other.Schedule)
 }
 
@@ -157,7 +166,9 @@ func (c *EngineCounters) scalars() []counterValue {
 	}
 	return append(out,
 		counterValue{"engine_heap_pushes", c.HeapPushes},
-		counterValue{"engine_heap_max", c.HeapMax})
+		counterValue{"engine_heap_max", c.HeapMax},
+		counterValue{"engine_rated_flows", c.RatedFlows},
+		counterValue{"engine_flows_walked", c.FlowsWalked})
 }
 
 // Metrics exports the counters through the existing telemetry dump

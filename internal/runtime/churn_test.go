@@ -309,10 +309,12 @@ var wantChurnPortOrder = []string{
 
 // TestUpdateEdgeCases: a PUT that leaves nothing but finished flows
 // completes the coflow at the next boundary (no flow will ever report
-// again to trigger it), and a PUT naming a port outside the fabric is
+// again to trigger it), a PUT naming a port outside the fabric is
 // refused like the same registration would be — the spec reaches
-// port-indexed state either way.
+// port-indexed state either way — and a PUT that restates the coflow as
+// it stands is invisible in the schedules that follow.
 func TestUpdateEdgeCases(t *testing.T) {
+	t.Run("restated", testUpdateRestated)
 	delta := 8 * time.Millisecond
 	coord, agents, vc := manualCoordinator(t, "saath", 4, delta, AdmissionConfig{})
 	const mb = 1_000_000
@@ -348,6 +350,88 @@ func TestUpdateEdgeCases(t *testing.T) {
 	}
 	if res := coord.Results(); len(res) != 1 || res[0].ID != 1 || res[0].Width != 1 {
 		t.Fatalf("results = %+v, want coflow 1 at width 1", res)
+	}
+}
+
+// testUpdateRestated runs two coordinators through the same job in
+// lockstep; one takes a PUT, mid-run, that changes nothing. The swap
+// puts a new runtime coflow under the old one's indices while its flows
+// hold rates and one of them is mid-way into a straggler streak: port
+// 2's sender stalls over boundaries 14–19, coflow 1 gets its ports back
+// at 16, the PUT lands at 18 and the cap is due at 19. The policy
+// follows the flows it rated by position under the holder of those
+// indices, so the streak carries over and the cap lands where the
+// twin's does; an observation lost to the swap would land it one
+// boundary later and the orders would part. Every boundary's orders
+// must match to the end.
+func testUpdateRestated(t *testing.T) {
+	const (
+		delta = 8 * time.Millisecond
+		mb    = 1_000_000
+	)
+	specs := []*coflow.Spec{
+		{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 40 * mb}, {Src: 2, Dst: 3, Size: 25 * mb}}},
+		{ID: 2, Flows: []coflow.FlowSpec{{Src: 0, Dst: 3, Size: 10 * mb}}},
+	}
+	type side struct {
+		coord *Coordinator
+		links []*recLink
+		vc    *VirtualClock
+		round []string
+	}
+	var sides [2]*side
+	for i := range sides {
+		sd := &side{}
+		var agents []*InprocAgent
+		sd.coord, agents, sd.vc = manualCoordinator(t, "saath", 4, delta, AdmissionConfig{})
+		for p, a := range agents {
+			l := &recLink{port: p, inner: a, round: &sd.round}
+			sd.links = append(sd.links, l)
+			sd.coord.setAgent(p, l)
+		}
+		for _, sp := range specs {
+			if err := sd.coord.Register(sp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sides[i] = sd
+	}
+	for n := 0; ; n++ {
+		if n > 200 {
+			t.Fatal("still live after 200 boundaries")
+		}
+		live := 0
+		for i, sd := range sides {
+			sd.vc.Advance(delta)
+			for p, l := range sd.links {
+				if stalled := p == 2 && n >= 14 && n < 20; !stalled {
+					l.inner.Step(delta)
+				}
+			}
+			for _, l := range sd.links {
+				l.inner.Report()
+			}
+			if i == 0 && n == 18 {
+				w := httptest.NewRecorder()
+				body := fmt.Sprintf(`{"flows":[{"src":0,"dst":1,"size":%d},{"src":2,"dst":3,"size":%d}]}`, 40*mb, 25*mb)
+				sd.coord.handleCoFlowByID(w, httptest.NewRequest(http.MethodPut, "/coflows/1", strings.NewReader(body)))
+				if w.Code != http.StatusOK {
+					t.Fatalf("PUT = %d (%s)", w.Code, w.Body.String())
+				}
+			}
+			sd.round = sd.round[:0]
+			live = sd.coord.StepSchedule()
+		}
+		if got, want := strings.Join(sides[0].round, " "), strings.Join(sides[1].round, " "); got != want {
+			t.Fatalf("boundary %d: orders after the PUT\n%s\nwithout it\n%s", n, got, want)
+		}
+		if live == 0 {
+			break
+		}
+	}
+	if got, want := sides[0].coord.Results(), sides[1].coord.Results(); len(got) != 2 || len(want) != 2 ||
+		got[0].CCT != want[0].CCT || got[1].CCT != want[1].CCT {
+		t.Fatalf("results %+v, without the PUT %+v", got, want)
 	}
 }
 

@@ -17,8 +17,9 @@ import (
 // steady-state tick Sync touches no memory beyond the live set and K
 // allocates nothing.
 //
-// Values are exactly those of Contention for the same active set; the
-// equivalence is pinned by TestContentionIndexMatchesReference.
+// Values are exactly those of the map-based reference, Contention in
+// contention_test.go, for the same active set; the equivalence is
+// pinned by TestContentionIndexMatchesReference.
 type ContentionIndex struct {
 	words   int      // uint64s per row: rows cover CoFlow.Idx < 64·words
 	rows    []uint64 // slot s is rows[s·words : (s+1)·words]

@@ -7,6 +7,58 @@ import (
 	"saath/internal/coflow"
 )
 
+// Contention is the reference k_c: rebuild the port occupancy of the
+// whole active set in maps and count, for every CoFlow, the *other*
+// CoFlows with at least one sendable flow on any port (sender egress or
+// receiver ingress) its sendable flows occupy (§3 idea 3). Nothing
+// ships it; ContentionIndex is held to it by
+// TestContentionIndexMatchesReference.
+func Contention(active []*coflow.CoFlow) map[coflow.CoFlowID]int {
+	// Port occupancy: which coflows touch each egress/ingress port.
+	type portKey struct {
+		p       coflow.PortID
+		ingress bool
+	}
+	occupancy := make(map[portKey][]coflow.CoFlowID)
+	for _, c := range active {
+		seen := make(map[portKey]bool)
+		for _, f := range c.Flows {
+			if !f.Sendable() {
+				continue
+			}
+			for _, k := range [2]portKey{{f.Src, false}, {f.Dst, true}} {
+				if !seen[k] {
+					seen[k] = true
+					occupancy[k] = append(occupancy[k], c.ID())
+				}
+			}
+		}
+	}
+	out := make(map[coflow.CoFlowID]int, len(active))
+	for _, c := range active {
+		blocked := make(map[coflow.CoFlowID]bool)
+		counted := make(map[portKey]bool)
+		for _, f := range c.Flows {
+			if !f.Sendable() {
+				continue
+			}
+			for _, k := range [2]portKey{{f.Src, false}, {f.Dst, true}} {
+				if counted[k] {
+					continue
+				}
+				counted[k] = true
+				for _, id := range occupancy[k] {
+					if id != c.ID() {
+						blocked[id] = true
+					}
+				}
+			}
+		}
+		out[c.ID()] = len(blocked)
+	}
+	return out
+}
+
 // kOf runs one Sync+query round over active.
 func kOf(x *ContentionIndex, active []*coflow.CoFlow) map[coflow.CoFlowID]int {
 	coflow.EnsureIndexed(active)

@@ -139,55 +139,6 @@ func (p Params) Normalize() (Params, error) {
 	return p, nil
 }
 
-// Contention computes k_c for every active CoFlow: the number of
-// *other* CoFlows with at least one pending flow on any port (sender
-// egress or receiver ingress) that c's pending flows occupy (§3 idea 3).
-func Contention(active []*coflow.CoFlow) map[coflow.CoFlowID]int {
-	// Port occupancy: which coflows touch each egress/ingress port.
-	type portKey struct {
-		p       coflow.PortID
-		ingress bool
-	}
-	occupancy := make(map[portKey][]coflow.CoFlowID)
-	for _, c := range active {
-		seen := make(map[portKey]bool)
-		for _, f := range c.Flows {
-			if !f.Sendable() {
-				continue
-			}
-			for _, k := range [2]portKey{{f.Src, false}, {f.Dst, true}} {
-				if !seen[k] {
-					seen[k] = true
-					occupancy[k] = append(occupancy[k], c.ID())
-				}
-			}
-		}
-	}
-	out := make(map[coflow.CoFlowID]int, len(active))
-	for _, c := range active {
-		blocked := make(map[coflow.CoFlowID]bool)
-		counted := make(map[portKey]bool)
-		for _, f := range c.Flows {
-			if !f.Sendable() {
-				continue
-			}
-			for _, k := range [2]portKey{{f.Src, false}, {f.Dst, true}} {
-				if counted[k] {
-					continue
-				}
-				counted[k] = true
-				for _, id := range occupancy[k] {
-					if id != c.ID() {
-						blocked[id] = true
-					}
-				}
-			}
-		}
-		out[c.ID()] = len(blocked)
-	}
-	return out
-}
-
 // ByArrival sorts CoFlows in place by (arrival, ID): the canonical
 // FIFO order used by Aalo and by Saath's deadline bookkeeping. It
 // allocates nothing, so the engine calls it every interval.

@@ -27,6 +27,26 @@
 // live flows. A schedule epoch runs one interval: schedule → audit →
 // observe → advance.
 //
+// # An epoch costs the flows holding a rate
+//
+// The audit, the utilisation sum and the byte advance follow the
+// allocation, not the live set: a loaded cluster under all-or-none
+// (Saath) or strict queue priority (Aalo) serves a few percent of its
+// pending flows per interval. The audit clears and checks only the ports
+// a rate touched. For observe and advance, planInterval looks at the
+// rated share the allocation shows: at or under one sendable flow in
+// four it builds the rated list — the sendable flows holding a rate, put
+// in the order the utilisation sum has always been added in (e.active
+// order, then flow index; the sum is a float and goldens pin its low
+// bits) by a counting pass, no comparison sort — and both passes run
+// over that; above it (max-min fairness rates everything) ordering the
+// list costs more than it saves and both walk the sendable flows,
+// asking the allocation for each one's rate, as every epoch did before.
+// The choice is made per epoch from what the engine observes; nothing
+// configures it. TestRateDrivenIntervalMatchesDenseWalk holds the two
+// sides bit-identical, and obs.EngineCounters.FlowsWalked/RatedFlows
+// make the property countable (the root TestEpochCostsRatedFlows).
+//
 // # Reference stepper
 //
 // reference_test.go keeps the discrete-time loop the engine replaced:
@@ -39,6 +59,7 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -359,13 +380,25 @@ type engine struct {
 	// Per-interval scratch state, reused across intervals so the hot
 	// loop allocates nothing: the snapshot (whose Alloc vector the
 	// scheduler reuses), the sorted-active scratch, and the dense
-	// validation ledgers. valFlows maps Flow.Idx to the live flow holding
-	// it, maintained at admission and retirement.
+	// validation ledgers with the ports whose ledger is non-zero.
+	// valFlows maps Flow.Idx to the live flow holding it and its CoFlow,
+	// maintained at admission and retirement.
 	snap        sched.Snapshot
 	snapScratch []*coflow.CoFlow
-	valFlows    []*coflow.Flow
+	valFlows    []flowSlot
 	valEgress   []float64
 	valIngress  []float64
+	valPorts    []coflow.PortID
+
+	// The interval's rated list (see rateDriven): the sendable flows
+	// holding a rate, in observeInterval's summation order. rateDriven
+	// says whether beginInterval built it for the interval in progress;
+	// ratedRaw is the list before ordering, ratedRun the per-CoFlow.Idx
+	// run counts and offsets that order it, all zero between builds.
+	rated      []ratedFlow
+	ratedRaw   []ratedFlow
+	ratedRun   []int32
+	rateDriven bool
 
 	// Run-loop state: the arrival cursor (indices of dependency-free
 	// specs in admission order, and how many have been taken), the event
@@ -376,6 +409,18 @@ type engine struct {
 	epochPending bool
 
 	now coflow.Time
+}
+
+// flowSlot is one Flow.Idx's entry in the engine's flow table.
+type flowSlot struct {
+	f     *coflow.Flow
+	owner *coflow.CoFlow
+}
+
+// ratedFlow is one sendable flow the interval's allocation names.
+type ratedFlow struct {
+	flowSlot
+	rate coflow.Rate
 }
 
 // load stages the trace: every spec pending, DAG-gated ones indexed by
@@ -427,11 +472,11 @@ func (e *engine) admitOne(p *pendingSpec, now coflow.Time) *coflow.CoFlow {
 	e.space.Assign(c)
 	// The Flow.Idx-keyed tables grow together, before anything reads them.
 	for len(e.valFlows) < e.space.FlowCap() {
-		e.valFlows = append(e.valFlows, nil)
+		e.valFlows = append(e.valFlows, flowSlot{})
 		e.restartPending = append(e.restartPending, false)
 	}
 	for _, f := range c.Flows {
-		e.valFlows[f.Idx] = f
+		e.valFlows[f.Idx] = flowSlot{f: f, owner: c}
 	}
 	e.applyDynamicsOnArrival(c)
 	e.applyPipelining(c)
@@ -503,7 +548,96 @@ func (e *engine) beginInterval() (*sched.RateVec, error) {
 			return nil, err
 		}
 	}
+	e.planInterval(alloc)
 	return alloc, nil
+}
+
+// ratedShare is the density choice between the interval's two flow
+// passes: when at most one sendable flow in ratedShare holds a rate —
+// Saath's all-or-none and Aalo's queues park most of a loaded cluster —
+// observeInterval and advance run over the rated list and cost the
+// flows that are served; above it (max-min fairness rates every
+// sendable flow) ordering that list costs more than it saves, and both
+// walk the sendable flows checking each for a rate.
+const ratedShare = 4
+
+// planInterval picks the interval's flow pass from the rated share the
+// allocation shows and, on the rate-driven side, builds the rated list.
+func (e *engine) planInterval(alloc *sched.RateVec) {
+	sendable := 0
+	for _, c := range e.active {
+		sendable += len(c.SendableFlows())
+	}
+	e.rateDriven = alloc.Len()*ratedShare <= sendable
+	walked := sendable
+	if e.rateDriven {
+		e.buildRated(alloc)
+		walked = len(e.rated)
+	}
+	if c := e.cfg.Counters; c != nil {
+		c.RatedFlows += int64(alloc.Len())
+		c.FlowsWalked += 2 * int64(walked) // once to observe, once to advance
+	}
+}
+
+// buildRated lists the sendable flows the allocation names in
+// observeInterval's summation order — e.active order, then FlowID.Index
+// — in time linear in the allocation and the active set: count each
+// CoFlow's rated flows, turn the counts into run offsets in e.active
+// order, place. Policies rate a CoFlow's flows in Flows order, so a run
+// comes out ascending as placed; one that does not is sorted.
+func (e *engine) buildRated(alloc *sched.RateVec) {
+	for len(e.ratedRun) < e.space.CoFlowCap() {
+		e.ratedRun = append(e.ratedRun, 0)
+	}
+	raw, run := e.ratedRaw[:0], e.ratedRun
+	alloc.Range(func(idx int, r coflow.Rate) bool {
+		if idx >= len(e.valFlows) {
+			return true
+		}
+		// Only sendable flows of live CoFlows take part in an interval;
+		// with the audit skipped the allocation may name others.
+		if s := e.valFlows[idx]; s.f != nil && s.f.Sendable() {
+			raw = append(raw, ratedFlow{flowSlot: s, rate: r})
+			run[s.owner.Idx]++
+		}
+		return true
+	})
+	e.ratedRaw = raw
+	e.rated = append(e.rated[:0], raw...) // sized; every entry is placed below
+	rated := e.rated
+
+	next := int32(0)
+	for _, c := range e.active {
+		if n := run[c.Idx]; n > 0 {
+			run[c.Idx] = next
+			next += n
+		}
+	}
+	for _, r := range raw {
+		rated[run[r.owner.Idx]] = r
+		run[r.owner.Idx]++
+	}
+	ascending := true
+	for i := range rated {
+		run[rated[i].owner.Idx] = 0
+		if i > 0 && rated[i].owner == rated[i-1].owner && rated[i].f.ID.Index < rated[i-1].f.ID.Index {
+			ascending = false
+		}
+	}
+	if ascending {
+		return
+	}
+	for lo := 0; lo < len(rated); {
+		hi := lo + 1
+		for hi < len(rated) && rated[hi].owner == rated[lo].owner {
+			hi++
+		}
+		slices.SortFunc(rated[lo:hi], func(a, b ratedFlow) int {
+			return cmp.Compare(a.f.ID.Index, b.f.ID.Index)
+		})
+		lo = hi
+	}
 }
 
 // observeInterval is the engine's single per-interval emission path:
@@ -513,16 +647,17 @@ func (e *engine) beginInterval() (*sched.RateVec, error) {
 // associative, and ranging over the allocation's insertion order would
 // let a policy's visiting order perturb the low bits of the reported
 // utilization. Only sendable flows can hold a rate (the audit rejects
-// anything else), so they are the only ones visited. With no probes
-// attached this path allocates nothing.
+// anything else), so they are the only ones visited: off the rated
+// list, which is in this order, when beginInterval built one. With no
+// probes attached this path allocates nothing.
 func (e *engine) observeInterval(alloc *sched.RateVec) {
 	var total float64
-	for _, c := range e.active {
-		for _, f := range c.SendableFlows() {
-			if r, ok := alloc.Get(f.Idx); ok {
-				total += float64(r)
-			}
+	if e.rateDriven {
+		for i := range e.rated {
+			total += float64(e.rated[i].rate)
 		}
+	} else {
+		total = e.sumRatesDense(alloc)
 	}
 	capTotal := float64(e.cfg.PortRate) * float64(e.fab.NumPorts())
 	if capTotal > 0 {
@@ -549,14 +684,29 @@ func (e *engine) observeInterval(alloc *sched.RateVec) {
 	}
 }
 
+// sumRatesDense adds the interval's rates by walking every sendable
+// flow of the active set, in (e.active, Flows) order.
+func (e *engine) sumRatesDense(alloc *sched.RateVec) float64 {
+	var total float64
+	for _, c := range e.active {
+		for _, f := range c.SendableFlows() {
+			if r, ok := alloc.Get(f.Idx); ok {
+				total += float64(r)
+			}
+		}
+	}
+	return total
+}
+
 // validateAllocation audits one interval's schedule: every rate maps
 // to a live sendable flow, rates are non-negative, and no port's
 // ingress or egress is oversubscribed beyond float tolerance. This is
 // the engine's guard against scheduler bugs — policies that bypass the
 // fabric ledger are caught here. The ledgers are dense arrays keyed by
-// port, reused across intervals; the flow-by-index table is kept
-// current by admitOne and retire, so an index no live flow holds
-// reads nil here.
+// port, reused across intervals and zero outside valPorts — the ports
+// a rate touched — so an audit costs the allocation, not the cluster;
+// the flow-by-index table is kept current by admitOne and retire, so an
+// index no live flow holds reads an empty slot here.
 func (e *engine) validateAllocation(alloc *sched.RateVec) error {
 	np := e.fab.NumPorts()
 	if len(e.valEgress) < np {
@@ -565,45 +715,60 @@ func (e *engine) validateAllocation(alloc *sched.RateVec) error {
 		e.valIngress = make([]float64, np) //saath:alloc-ok
 	}
 	egress, ingress := e.valEgress[:np], e.valIngress[:np]
-	for i := range egress {
-		egress[i], ingress[i] = 0, 0
+	for _, p := range e.valPorts {
+		egress[p], ingress[p] = 0, 0
 	}
-	return e.validateFilled(alloc, e.valFlows, egress, ingress)
-}
-
-func (e *engine) validateFilled(alloc *sched.RateVec, flows []*coflow.Flow, egress, ingress []float64) error {
+	ports := e.valPorts[:0]
 	var err error
 	alloc.Range(func(idx int, r coflow.Rate) bool {
-		if idx >= len(flows) || flows[idx] == nil {
+		if idx >= len(e.valFlows) || e.valFlows[idx].f == nil {
 			err = fmt.Errorf("sim: schedule names unknown flow index %d", idx)
 			return false
 		}
-		f := flows[idx]
+		f := e.valFlows[idx].f
 		if r < 0 {
 			err = fmt.Errorf("sim: negative rate %v for flow %v", r, f.ID)
 			return false
 		}
-		if r > 0 && !f.Sendable() {
+		if r == 0 {
+			return true
+		}
+		if !f.Sendable() {
 			err = fmt.Errorf("sim: rate %v for non-sendable flow %v", r, f.ID)
 			return false
 		}
+		// A ledger only grows, so a port enters the list once: when the
+		// first of its two ledgers leaves zero.
+		if egress[f.Src] == 0 && ingress[f.Src] == 0 {
+			ports = append(ports, f.Src)
+		}
 		egress[f.Src] += float64(r)
+		if egress[f.Dst] == 0 && ingress[f.Dst] == 0 {
+			ports = append(ports, f.Dst)
+		}
 		ingress[f.Dst] += float64(r)
 		return true
 	})
+	e.valPorts = ports
 	if err != nil {
 		return err
 	}
+	// The lowest oversubscribed port is the one reported, egress first.
 	limit := float64(e.cfg.PortRate) * 1.0001
-	for p := range egress {
-		if egress[p] > limit {
-			return fmt.Errorf("sim: egress port %d oversubscribed: %.0f > %.0f B/s", p, egress[p], float64(e.cfg.PortRate))
-		}
-		if ingress[p] > limit {
-			return fmt.Errorf("sim: ingress port %d oversubscribed: %.0f > %.0f B/s", p, ingress[p], float64(e.cfg.PortRate))
+	worst := coflow.PortID(-1)
+	for _, p := range ports {
+		if (egress[p] > limit || ingress[p] > limit) && (worst < 0 || p < worst) {
+			worst = p
 		}
 	}
-	return nil
+	switch {
+	case worst < 0:
+		return nil
+	case egress[worst] > limit:
+		return fmt.Errorf("sim: egress port %d oversubscribed: %.0f > %.0f B/s", worst, egress[worst], float64(e.cfg.PortRate))
+	default:
+		return fmt.Errorf("sim: ingress port %d oversubscribed: %.0f > %.0f B/s", worst, ingress[worst], float64(e.cfg.PortRate))
+	}
 }
 
 // activeSorted snapshots the active set in arrival order for the
@@ -615,38 +780,26 @@ func (e *engine) activeSorted() []*coflow.CoFlow {
 }
 
 // advance moves bytes for one interval and retires finished coflows.
-// Survivors are compacted into the active slice in place (writes trail
-// reads), so steady-state epochs reuse its backing array. CoFlows whose
-// sendable set changed (a flow completed) have their derived-state
-// caches invalidated.
+// Bytes move off the rated list when beginInterval built one, else by
+// walking every sendable flow; CoFlows whose sendable set changed (a
+// flow completed) have their derived-state caches invalidated. Then one
+// pass in e.active order retires the finished — so Result.CoFlows keeps
+// admission order within an interval — and compacts the survivors into
+// the active slice in place (writes trail reads), so steady-state
+// epochs reuse its backing array.
 func (e *engine) advance(alloc *sched.RateVec, dt coflow.Time) {
+	if e.rateDriven {
+		for i := range e.rated {
+			if r := &e.rated[i]; r.rate > 0 && e.moveBytes(r.f, r.rate, dt) {
+				r.owner.Invalidate()
+			}
+		}
+		e.rateDriven = false // the list was this interval's
+	} else {
+		e.moveBytesDense(alloc, dt)
+	}
 	still := e.active[:0]
 	for _, c := range e.active {
-		completed := false
-		for _, f := range c.SendableFlows() {
-			rate, ok := alloc.Get(f.Idx)
-			if !ok || rate <= 0 {
-				continue
-			}
-			eff := f.EffectiveRate(rate, e.cfg.PortRate)
-			moved := eff.Transfer(dt)
-			rem := f.Remaining()
-			if moved >= rem {
-				f.Sent = f.Size
-				f.Done = true
-				f.DoneAt = e.now + eff.TimeToSend(rem)
-				if f.DoneAt > e.now+dt {
-					f.DoneAt = e.now + dt
-				}
-				completed = true
-			} else {
-				f.Sent += moved
-				e.maybeRestart(f)
-			}
-		}
-		if completed {
-			c.Invalidate()
-		}
 		if c.RefreshDone() {
 			e.retire(c)
 		} else {
@@ -654,6 +807,42 @@ func (e *engine) advance(alloc *sched.RateVec, dt coflow.Time) {
 		}
 	}
 	e.active = still
+}
+
+// moveBytesDense advances every sendable flow of the active set that
+// holds a positive rate.
+func (e *engine) moveBytesDense(alloc *sched.RateVec, dt coflow.Time) {
+	for _, c := range e.active {
+		completed := false
+		for _, f := range c.SendableFlows() {
+			if rate, ok := alloc.Get(f.Idx); ok && rate > 0 && e.moveBytes(f, rate, dt) {
+				completed = true
+			}
+		}
+		if completed {
+			c.Invalidate()
+		}
+	}
+}
+
+// moveBytes sends f at rate for dt and reports whether that finished
+// it, crediting the completion at its exact time inside the interval.
+func (e *engine) moveBytes(f *coflow.Flow, rate coflow.Rate, dt coflow.Time) bool {
+	eff := f.EffectiveRate(rate, e.cfg.PortRate)
+	moved := eff.Transfer(dt)
+	rem := f.Remaining()
+	if moved < rem {
+		f.Sent += moved
+		e.maybeRestart(f)
+		return false
+	}
+	f.Sent = f.Size
+	f.Done = true
+	f.DoneAt = e.now + eff.TimeToSend(rem)
+	if f.DoneAt > e.now+dt {
+		f.DoneAt = e.now + dt
+	}
+	return true
 }
 
 // maybeRestart applies a rolled one-time failure: the flow loses all
@@ -689,7 +878,7 @@ func (e *engine) retire(c *coflow.CoFlow) {
 	}
 	e.sched.Depart(c, e.now)
 	for _, f := range c.Flows {
-		e.valFlows[f.Idx] = nil
+		e.valFlows[f.Idx] = flowSlot{}
 		e.restartPending[f.Idx] = false
 	}
 	e.space.Release(c) // after Depart, which still reads the indices

@@ -36,6 +36,10 @@ func (r rogueScheduler) Schedule(snap *sched.Snapshot) *sched.RateVec {
 			case "done":
 				f.Done = true
 				alloc.Set(f.Idx, snap.Fabric.PortRate())
+			case "add":
+				// No single write is over the line; the two together are.
+				alloc.Add(f.Idx, snap.Fabric.PortRate()*0.6)
+				alloc.Add(f.Idx, snap.Fabric.PortRate()*0.6)
 			}
 		}
 	}
@@ -60,6 +64,36 @@ func TestValidationCatchesRogueSchedulers(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "sim:") {
 			t.Errorf("mode %q: unexpected error %v", mode, err)
+		}
+	}
+}
+
+// TestValidationNamesLowestOversubscribedPort: the audit's ledgers are
+// cleared and checked only on the ports a rate touched, in the order the
+// allocation touched them; the port it reports is still the lowest one
+// over the line, egress before ingress — on the fabric's last port, on a
+// port the allocation reached last, and for a rate built up by Add.
+func TestValidationNamesLowestOversubscribedPort(t *testing.T) {
+	flows := func(pairs ...[2]int) *trace.Trace {
+		spec := &coflow.Spec{ID: 1}
+		for _, p := range pairs {
+			spec.Flows = append(spec.Flows, coflow.FlowSpec{Src: coflow.PortID(p[0]), Dst: coflow.PortID(p[1]), Size: coflow.MB})
+		}
+		return &trace.Trace{Name: "rogue", NumPorts: 4, Specs: []*coflow.Spec{spec}}
+	}
+	for _, tc := range []struct {
+		name, mode string
+		tr         *trace.Trace
+		want       string
+	}{
+		{"last port", "oversubscribe", flows([2]int{0, 3}, [2]int{1, 3}), "ingress port 3 oversubscribed"},
+		{"lowest of several, touched last", "oversubscribe", flows([2]int{2, 3}, [2]int{2, 3}, [2]int{1, 0}, [2]int{1, 0}), "ingress port 0 oversubscribed"},
+		{"egress before ingress", "oversubscribe", flows([2]int{1, 2}, [2]int{1, 3}, [2]int{0, 1}, [2]int{3, 1}), "egress port 1 oversubscribed"},
+		{"through Add", "add", flows([2]int{0, 3}), "egress port 0 oversubscribed"},
+	} {
+		_, err := Run(tc.tr, rogueScheduler{mode: tc.mode}, Config{})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
 		}
 	}
 }
