@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-fleet test-testbed fuzz race perf perf-compare bench bench-sched bench-sweep bench-telemetry bench-trace bench-engine bench-obs bench-fleet bench-testbed fmt fmt-check vet lint staticcheck govulncheck ci
+.PHONY: build test test-fleet test-testbed fuzz race perf perf-compare bench guards fmt fmt-check vet lint staticcheck govulncheck ci
 
 build:
 	$(GO) build ./...
@@ -19,7 +19,7 @@ test:
 test-fleet:
 	$(GO) test -race -count=1 -timeout 10m ./internal/fleet/
 
-# Testbed suite under -race: the coordinator-backed study runner with
+# Testbed suite under -race: coordinator-backed studies with
 # in-process agents — byte-identity across parallelism and sharding,
 # admission-drop determinism, the 10^4-agent coordinator-latency run,
 # and the agent-disconnect / stalled-agent paths in internal/runtime.
@@ -59,75 +59,15 @@ perf-compare:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' -timeout 20m ./...
 
-# Scheduler hot-path smoke: one iteration of the per-policy Schedule
-# benchmarks plus the allocation-regression guards against
-# BENCH_baseline.json (the guards need a non-race build — they skip
-# under -race; the engine's steady-state zero-alloc guard rides on
-# bench-engine).
-bench-sched:
-	$(GO) test -bench 'BenchmarkSchedule' -benchtime=1x -benchmem -run '^$$' -timeout 10m .
-	$(GO) test -run TestScheduleAllocGuards -count=1 .
-
-# Sweep-layer smoke: one iteration of the grid-expansion / summary
-# digest / pool benchmarks plus the allocation guard against the
-# sweep_layer section of BENCH_baseline.json and the grid-key
-# uniqueness pin (the guard needs a non-race build — it skips under
-# -race).
-bench-sweep:
-	$(GO) test -bench 'BenchmarkSweep' -benchtime=1x -benchmem -run '^$$' -timeout 10m . ./internal/sweep/
-	$(GO) test -run TestSweepAllocGuards -count=1 .
-	$(GO) test -run TestGridJobKeyUniqueness -count=1 ./internal/sweep/
-
-# Telemetry smoke: one iteration of the telemetry benchmarks plus the
-# zero-allocation guard on the engine's no-probe emission path (the
-# guard needs a non-race build — AllocsPerRun skips itself under -race).
-bench-telemetry:
-	$(GO) test -bench Telemetry -benchtime=1x -run '^$$' -timeout 10m ./...
-	$(GO) test -run TestObserveIntervalNoProbesZeroAlloc -count=1 ./internal/sim/
-
-# Trace-layer smoke: one iteration of the synthetic-generation and
-# trace.Mix benchmarks plus the allocation guard against the
-# trace_layer section of BENCH_baseline.json (skips under -race).
-bench-trace:
-	$(GO) test -bench 'BenchmarkTrace' -benchtime=1x -benchmem -run '^$$' -timeout 10m .
-	$(GO) test -run TestTraceAllocGuards -count=1 .
-
-# Engine-layer smoke: one iteration of the sparse long-tail benchmark
-# plus the alloc guard against the engine_layer section of
-# BENCH_baseline.json, the counter guard that an epoch's flow passes
-# follow the flows holding a rate, and the run loop's steady-state
-# zero-alloc guard (the alloc guards skip under -race).
-bench-engine:
-	$(GO) test -bench 'BenchmarkEngineEventSparse' -benchtime=1x -benchmem -run '^$$' -timeout 10m .
-	$(GO) test -run 'TestEngineLayerGuards|TestEpochCostsRatedFlows' -count=1 .
-	$(GO) test -run TestEngineEventSteadyStateZeroAlloc -count=1 ./internal/sim/
-
-# Observability smoke: one iteration of the span-record / counter-step
-# benchmarks plus the guard against the obs_layer section of
-# BENCH_baseline.json (the engine counter step must allocate exactly
-# nothing) and the engine's counters-attached zero-alloc guard (all
-# skip under -race).
-bench-obs:
-	$(GO) test -bench 'BenchmarkObs' -benchtime=1x -benchmem -run '^$$' -timeout 10m .
-	$(GO) test -run TestObsLayerGuards -count=1 .
-	$(GO) test -run TestEngineEventCountersZeroAlloc -count=1 ./internal/sim/
-
-# Fleet wire smoke: one iteration of the wire encode/decode benchmarks
-# plus the guard against the fleet_layer section of BENCH_baseline.json
-# (encode must allocate exactly nothing at steady state; skips under
-# -race).
-bench-fleet:
-	$(GO) test -bench 'BenchmarkFleetWire' -benchtime=1x -benchmem -run '^$$' -timeout 10m .
-	$(GO) test -run TestFleetLayerGuards -count=1 .
-
-# Testbed smoke: one iteration of the agent-step and whole-boundary
-# benchmarks plus the guards against the testbed_layer section of
-# BENCH_baseline.json (one steady-state Step+Report, and one
-# steady-state coordinator boundary on any cluster size, must allocate
-# exactly nothing; both skip under -race).
-bench-testbed:
-	$(GO) test -bench 'BenchmarkTestbed' -benchtime=1x -benchmem -run '^$$' -timeout 10m .
-	$(GO) test -run 'TestTestbedLayerGuards|TestCoordinatorBoundaryZeroAlloc' -count=1 .
+# The deterministic cost guards, all layers in one run (they need a
+# non-race build — alloc counts skip themselves under -race): the one
+# table of allocation guards against BENCH_baseline.json plus the
+# rated-flows counter guard (bench_guards_test.go), the engine's, the
+# telemetry path's and the latency histogram's steady-state zero-alloc
+# guards, and the grid-key uniqueness pin the seed-derivation contract rests on. Counts
+# only: timings belong to `make perf`.
+guards:
+	$(GO) test -count=1 -run 'Guards$$|ZeroAlloc$$|^TestEpochCostsRatedFlows$$|^TestGridJobKeyUniqueness$$' . ./internal/sim/ ./internal/sweep/ ./internal/obs/
 
 fmt:
 	gofmt -w .
@@ -167,4 +107,4 @@ govulncheck:
 		echo "govulncheck not installed; skipping (CI runs it)"; \
 	fi
 
-ci: fmt-check build vet lint staticcheck govulncheck race test-fleet test-testbed fuzz bench bench-sched bench-sweep bench-telemetry bench-trace bench-engine bench-obs bench-fleet bench-testbed
+ci: fmt-check build vet lint staticcheck govulncheck race test-fleet test-testbed fuzz bench guards

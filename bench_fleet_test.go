@@ -6,14 +6,12 @@ package saath
 // the driver — so its cost contract is explicit: encoding a progress
 // event allocates exactly nothing at steady state (pooled encoder
 // machinery), and decoding one stays within 1.25x of the allocations
-// recorded in BENCH_baseline.json's fleet_layer section. Run
-// `make bench-fleet` for the smoke + guard.
+// recorded in BENCH_baseline.json's fleet_layer section
+// (bench_guards_test.go).
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
-	"os"
 	"testing"
 
 	"saath/internal/fleet"
@@ -73,54 +71,5 @@ func BenchmarkFleetWireDecode(b *testing.B) {
 		if ev.Type != fleet.EventProgress {
 			b.Fatalf("decoded %q, want progress", ev.Type)
 		}
-	}
-}
-
-// fleetBaseline mirrors BENCH_baseline.json's fleet_layer section.
-type fleetBaseline struct {
-	FleetLayer struct {
-		WireDecode struct {
-			AllocsPerOp float64 `json:"allocs_per_op"`
-		} `json:"wire_decode"`
-	} `json:"fleet_layer"`
-}
-
-// TestFleetLayerGuards enforces the wire cost contract: encoding one
-// progress event allocates exactly nothing at steady state, and
-// decoding one stays within 1.25x of the recorded baseline.
-func TestFleetLayerGuards(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-	raw, err := os.ReadFile("BENCH_baseline.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var base fleetBaseline
-	if err := json.Unmarshal(raw, &base); err != nil {
-		t.Fatal(err)
-	}
-	if base.FleetLayer.WireDecode.AllocsPerOp == 0 {
-		t.Fatal("fleet_layer.wire_decode missing from BENCH_baseline.json")
-	}
-
-	ev := benchProgressEvent()
-	if got := testing.AllocsPerRun(200, func() {
-		if err := fleet.WriteEvent(io.Discard, ev); err != nil {
-			t.Fatal(err)
-		}
-	}); got != 0 {
-		t.Errorf("wire encode: %.1f allocs/op, want exactly 0", got)
-	}
-
-	rd := fleet.NewEventReader(bytes.NewReader(encodeProgressStream(512)))
-	got := testing.AllocsPerRun(200, func() {
-		if _, err := rd.Next(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if limit := base.FleetLayer.WireDecode.AllocsPerOp * 1.25; got > limit {
-		t.Errorf("wire decode: %.1f allocs/op exceeds 1.25x baseline %.0f",
-			got, base.FleetLayer.WireDecode.AllocsPerOp)
 	}
 }

@@ -1,0 +1,244 @@
+package saath
+
+// The allocation and counter guards of every layer, in one table over
+// one schema. BENCH_baseline.json records, per layer and operation,
+// the allocations one steady-state run of it made when the layer
+// landed; each row below re-measures its operation and fails past the
+// row's multiple of that record. Counts are deterministic, so they may
+// gate tier-1; timings never do — they belong to `go run ./bench`.
+// `make guards` runs these plus the in-package zero-alloc guards.
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"os"
+	"testing"
+
+	"saath/internal/fleet"
+	"saath/internal/obs"
+	"saath/internal/trace"
+)
+
+// loadBaseline reads BENCH_baseline.json: layer → operation →
+// allocs/op. The file's prose fields ("recorded", "workload", ...) are
+// not sections and are skipped.
+func loadBaseline(t *testing.T) map[string]map[string]float64 {
+	t.Helper()
+	raw, err := os.ReadFile("BENCH_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	base := map[string]map[string]float64{}
+	for layer, field := range fields {
+		var ops map[string]struct {
+			AllocsPerOp float64 `json:"allocs_per_op"`
+		}
+		if json.Unmarshal(field, &ops) != nil {
+			continue
+		}
+		base[layer] = map[string]float64{}
+		for op, rec := range ops {
+			base[layer][op] = rec.AllocsPerOp
+		}
+	}
+	return base
+}
+
+// allocGuard is one row: the operation a layer's cost contract is
+// about, and how far from the recorded count it may drift.
+type allocGuard struct {
+	test      string // the Test function that runs the row
+	layer, op string // BENCH_baseline.json section and entry
+	runs      int
+	// factor is the allowed multiple of the recorded allocs/op: 1.25 for
+	// drift (which is exactly zero where the record is zero), 0.5 where
+	// the record is the slower design the layer replaced, 0 where the
+	// contract is no allocation at all whatever the record says.
+	factor float64
+	build  func(tb testing.TB) func() // warms up, returns the measured step
+}
+
+func allocGuards() []allocGuard {
+	step := func(f func()) func(testing.TB) func() { return func(testing.TB) func() { return f } }
+	guards := []allocGuard{
+		{"TestSweepAllocGuards", "sweep_layer", "grid_jobs_24", 100, 1.25, func(tb testing.TB) func() {
+			g := benchSweepGrid()
+			return func() {
+				if jobs := g.Jobs(); len(jobs) != 24 {
+					tb.Fatalf("jobs = %d", len(jobs))
+				}
+			}
+		}},
+		{"TestSweepAllocGuards", "sweep_layer", "summary_add", 100, 1.25, func(tb testing.TB) func() {
+			jr, sum := benchJobResult(tb), NewSweepSummary()
+			sum.Add(jr) // warm the entry map
+			return func() { sum.Add(jr) }
+		}},
+		{"TestEngineLayerGuards", "engine_layer", "event_sparse", 1, 1.25, func(tb testing.TB) func() {
+			tr := sparseTailTrace()
+			return func() {
+				if _, err := Simulate(tr, "saath", SimConfig{}); err != nil {
+					tb.Fatal(err)
+				}
+			}
+		}},
+		{"TestObsLayerGuards", "obs_layer", "counter_step", 100, 1.25, func(testing.TB) func() {
+			var c obs.EngineCounters
+			i := 0
+			return func() { counterStep(&c, i); i++ }
+		}},
+		{"TestObsLayerGuards", "obs_layer", "span_record", 100, 1.25, step(func() { recordJobSpan() })},
+		{"TestFleetLayerGuards", "fleet_layer", "wire_encode", 200, 1.25, func(tb testing.TB) func() {
+			ev := benchProgressEvent()
+			return func() {
+				if err := fleet.WriteEvent(io.Discard, ev); err != nil {
+					tb.Fatal(err)
+				}
+			}
+		}},
+		{"TestFleetLayerGuards", "fleet_layer", "wire_decode", 200, 1.25, func(tb testing.TB) func() {
+			rd := fleet.NewEventReader(bytes.NewReader(encodeProgressStream(512)))
+			return func() {
+				if _, err := rd.Next(); err != nil {
+					tb.Fatal(err)
+				}
+			}
+		}},
+		{"TestTestbedLayerGuards", "testbed_layer", "agent_step", 200, 1.25, func(tb testing.TB) func() {
+			_, agents := benchTestbedCluster(tb, 64, 4)
+			return func() { agents[0].Step(benchStepDelta); agents[0].Report() }
+		}},
+		{"TestCoordinatorBoundaryZeroAlloc", "testbed_layer", "boundary", 200, 1.25, func(tb testing.TB) func() {
+			coord, _ := benchTestbedCluster(tb, 64, 4)
+			coord.StepSchedule() // the cluster's first round grew the buffers; this one settles the scheduler's
+			return func() { coord.StepSchedule() }
+		}},
+		{"TestTraceAllocGuards", "trace_layer", "synth_fb", 10, 1.25, step(func() { SynthFB(1) })},
+		{"TestTraceAllocGuards", "trace_layer", "synth_incast", 10, 1.25, step(func() { trace.SynthIncast(1) })},
+		{"TestTraceAllocGuards", "trace_layer", "mix_300", 10, 1.25, step(func() { benchMix(1) })},
+	}
+	// Every policy's steady-state Schedule round allocates at most half
+	// of what it did on the map path; Saath's — queue counts, buckets,
+	// contention vector, allocation vector, ordering — nothing at all.
+	for _, policy := range benchPolicies {
+		factor := 0.5
+		if policy == "saath" {
+			factor = 0
+		}
+		guards = append(guards, allocGuard{"TestScheduleAllocGuards", "schedule_round", policy, 3, factor,
+			func(tb testing.TB) func() { return benchSchedCluster(tb, policy, 500, 150) }})
+	}
+	return guards
+}
+
+// checkAllocGuards runs the calling test's rows of the table.
+func checkAllocGuards(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	base := loadBaseline(t)
+	ran := 0
+	for _, g := range allocGuards() {
+		if g.test != t.Name() {
+			continue
+		}
+		ran++
+		recorded, ok := base[g.layer][g.op]
+		if !ok {
+			t.Errorf("%s.%s: missing from BENCH_baseline.json", g.layer, g.op)
+			continue
+		}
+		got := testing.AllocsPerRun(g.runs, g.build(t))
+		t.Logf("%s.%s: %.0f allocs/op (recorded %.0f)", g.layer, g.op, got, recorded)
+		if limit := recorded * g.factor; got > limit {
+			t.Errorf("%s.%s: %.1f allocs/op, want <= %.1f (%.2f x the recorded %.0f)", g.layer, g.op, got, limit, g.factor, recorded)
+		}
+	}
+	if ran == 0 {
+		t.Fatalf("no guard row names %s", t.Name())
+	}
+}
+
+func TestScheduleAllocGuards(t *testing.T) { checkAllocGuards(t) }
+func TestSweepAllocGuards(t *testing.T)    { checkAllocGuards(t) }
+func TestEngineLayerGuards(t *testing.T)   { checkAllocGuards(t) }
+func TestObsLayerGuards(t *testing.T)      { checkAllocGuards(t) }
+func TestFleetLayerGuards(t *testing.T)    { checkAllocGuards(t) }
+func TestTestbedLayerGuards(t *testing.T)  { checkAllocGuards(t) }
+func TestTraceAllocGuards(t *testing.T)    { checkAllocGuards(t) }
+
+// TestCoordinatorBoundaryZeroAlloc enforces the coordinator's side of
+// the cost contract: with the live set settled, a StepSchedule — retire
+// pass, Schedule over the retained snapshot, per-port order buffers,
+// in-process delivery — allocates exactly nothing (the table's boundary
+// row); and the same live set costs the same on a cluster with 64 times
+// the ports, i.e. a boundary does not pay for idle ports.
+func TestCoordinatorBoundaryZeroAlloc(t *testing.T) {
+	checkAllocGuards(t)
+
+	// The same live set — 4 coflows over ports 0..63 — on 64 and on
+	// 4,096 ports: a whole boundary (the busy agents step and report, the
+	// coordinator schedules and delivers) costs the same.
+	boundary := func(nPorts int) float64 {
+		coord, agents := benchTestbedCluster(t, nPorts, 0)
+		for id := 1; id <= 4; id++ {
+			spec := &Spec{ID: CoFlowID(id)}
+			for p := 0; p < 64; p++ {
+				spec.Flows = append(spec.Flows, FlowSpec{Src: PortID(p), Dst: PortID((p + 1) % 64), Size: Bytes(1) << 50})
+			}
+			if err := coord.Register(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		step := func() {
+			for _, a := range agents[:64] {
+				a.Step(benchStepDelta)
+				a.Report()
+			}
+			coord.StepSchedule()
+		}
+		step()
+		step()
+		return testing.AllocsPerRun(200, step)
+	}
+	if small, large := boundary(64), boundary(4096); small != large {
+		t.Errorf("the same live set allocates %.1f per boundary on 64 ports but %.1f on 4096: a boundary scales with idle ports", small, large)
+	}
+}
+
+// TestEpochCostsRatedFlows pins the engine's per-epoch flow passes to
+// the allocation with counters, not clocks: fifty four-flow coflows
+// arrive together on one port pair, so all-or-none serves one of them at
+// a time and parks the other forty-nine. The observe and advance passes
+// may then visit each rated flow once each, plus — on the epochs near
+// the end, when the few coflows left put the rated share above the
+// density choice — less than one more coflow's worth; walking the
+// pending flows instead would cost 400 visits an epoch here.
+func TestEpochCostsRatedFlows(t *testing.T) {
+	const live = 50
+	specs := make([]*Spec, live)
+	for i := range specs {
+		specs[i] = &Spec{ID: CoFlowID(i + 1), Flows: []FlowSpec{
+			{Src: 0, Dst: 1, Size: MB}, {Src: 0, Dst: 1, Size: MB},
+			{Src: 0, Dst: 1, Size: MB}, {Src: 0, Dst: 1, Size: MB},
+		}}
+	}
+	c := &obs.EngineCounters{}
+	res, err := Simulate(&Trace{Name: "one-in-fifty", NumPorts: 2, Specs: specs}, "saath", SimConfig{Counters: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.CoFlows) != live || c.RatedFlows == 0 {
+		t.Fatalf("completed %d coflows, %d rated flows", len(res.CoFlows), c.RatedFlows)
+	}
+	t.Logf("%d epochs: %d rated flows, %d walked", c.Epochs, c.RatedFlows, c.FlowsWalked)
+	if bound := 2*c.RatedFlows + c.Epochs*live; c.FlowsWalked > bound {
+		t.Errorf("observe+advance walked %d flows over %d epochs, want <= 2 x %d rated + %d epochs x %d coflows = %d",
+			c.FlowsWalked, c.Epochs, c.RatedFlows, c.Epochs, live, bound)
+	}
+}

@@ -1,19 +1,12 @@
 package saath
 
-// Scheduler hot-path microbenchmarks and their allocation-regression
-// guards. BENCH_baseline.json records the map-based engine's numbers
-// (the state of the tree before the dense-index rewrite); the guards
-// fail if a change regresses the steady-state Schedule round back to
-// within 2x of that baseline, and pin Saath's round at exactly zero
-// heap allocations. Run `make bench-sched` for the smoke + guards, or
-//
-//	go test -bench 'BenchmarkSchedule' -benchmem -run '^$' .
-//
-// for real measurements.
+// Scheduler hot-path microbenchmarks. BENCH_baseline.json records the
+// map-based engine's allocation counts (the state of the tree before
+// the dense-index rewrite); bench_guards_test.go fails if a change
+// regresses the steady-state Schedule round back to within 2x of that
+// baseline, and pins Saath's round at exactly zero heap allocations.
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
 
 	"saath/internal/coflow"
@@ -94,54 +87,5 @@ func BenchmarkScheduleQuick(b *testing.B) {
 				round()
 			}
 		})
-	}
-}
-
-// benchBaseline mirrors BENCH_baseline.json.
-type benchBaseline struct {
-	ScheduleRound map[string]struct {
-		AllocsPerOp float64 `json:"allocs_per_op"`
-	} `json:"schedule_round"`
-}
-
-func loadBaseline(t *testing.T) benchBaseline {
-	t.Helper()
-	raw, err := os.ReadFile("BENCH_baseline.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b benchBaseline
-	if err := json.Unmarshal(raw, &b); err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-// TestScheduleAllocGuards enforces the perf contract of the
-// dense-index rewrite against the recorded map-based baseline: every
-// policy's steady-state Schedule round must allocate at least 2x less
-// than it did on the map path, and Saath's round — queue counts,
-// buckets, contention vector, allocation vector, ordering — must not
-// touch the heap at all.
-func TestScheduleAllocGuards(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-	baseline := loadBaseline(t)
-	for _, policy := range benchPolicies {
-		base, ok := baseline.ScheduleRound[policy]
-		if !ok {
-			t.Errorf("%s: missing from BENCH_baseline.json", policy)
-			continue
-		}
-		round := benchSchedCluster(t, policy, 500, 150)
-		got := testing.AllocsPerRun(3, round)
-		if got*2 > base.AllocsPerOp {
-			t.Errorf("%s: %.0f allocs/round, want <= half the map-based baseline (%.0f)",
-				policy, got, base.AllocsPerOp)
-		}
-		if policy == "saath" && got != 0 {
-			t.Errorf("saath: %.0f allocs/round, want 0 (scratch must be fully reused)", got)
-		}
 	}
 }

@@ -6,14 +6,12 @@ package saath
 // expansion and per-job Summary digestion — so full-scale studies
 // (thousands of jobs, sharded across processes) do not silently grow
 // per-job overhead. BENCH_baseline.json's "sweep_layer" section
-// records the numbers at the Study-API introduction; the guard fails
-// if a change regresses either path past 1.25x of that baseline. Run
-// `make bench-sweep` for the smoke + guard.
+// records the allocation counts at the Study-API introduction; the
+// guard (bench_guards_test.go) fails if a change regresses either path
+// past 1.25x of that baseline.
 
 import (
 	"context"
-	"encoding/json"
-	"os"
 	"testing"
 
 	"saath/internal/coflow"
@@ -90,52 +88,4 @@ func BenchmarkSweepSummaryAdd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sum.Add(jr)
 	}
-}
-
-// sweepBaseline mirrors BENCH_baseline.json's sweep_layer section.
-type sweepBaseline struct {
-	SweepLayer map[string]struct {
-		AllocsPerOp float64 `json:"allocs_per_op"`
-	} `json:"sweep_layer"`
-}
-
-// TestSweepAllocGuards enforces the sweep-layer overhead contract:
-// grid expansion and Summary digestion must stay within 1.25x of the
-// allocation counts recorded when the Study API landed.
-func TestSweepAllocGuards(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-	raw, err := os.ReadFile("BENCH_baseline.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var base sweepBaseline
-	if err := json.Unmarshal(raw, &base); err != nil {
-		t.Fatal(err)
-	}
-
-	check := func(name string, got float64) {
-		t.Helper()
-		b, ok := base.SweepLayer[name]
-		if !ok {
-			t.Errorf("%s: missing from BENCH_baseline.json sweep_layer", name)
-			return
-		}
-		if limit := b.AllocsPerOp * 1.25; got > limit {
-			t.Errorf("%s: %.0f allocs/op exceeds 1.25x baseline %.0f", name, got, b.AllocsPerOp)
-		}
-	}
-
-	g := benchSweepGrid()
-	check("grid_jobs_24", testing.AllocsPerRun(100, func() {
-		if jobs := g.Jobs(); len(jobs) != 24 {
-			t.Fatalf("jobs = %d", len(jobs))
-		}
-	}))
-
-	jr := benchJobResult(t)
-	sum := NewSweepSummary()
-	sum.Add(jr) // warm the entry map
-	check("summary_add", testing.AllocsPerRun(100, func() { sum.Add(jr) }))
 }

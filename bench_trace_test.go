@@ -5,14 +5,11 @@ package saath
 // full-scale sharded study regenerates its workload for every
 // (trace, variant, seed) cell — so generator overhead multiplies by
 // the grid size. BENCH_baseline.json's "trace_layer" section records
-// the numbers at the scenario-diversity introduction (fan validation +
-// trace.Mix); the guard fails if a change regresses any generator past
-// 1.25x of that baseline. Run `make bench-trace` for the smoke +
-// guard.
+// the allocation counts at the scenario-diversity introduction (fan
+// validation + trace.Mix); the guard (bench_guards_test.go) fails if a
+// change regresses any generator past 1.25x of that baseline.
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
 
 	"saath/internal/trace"
@@ -20,8 +17,8 @@ import (
 
 // benchMixComponents pairs a reduced FB draw with an incast draw on a
 // shared port space — the trace-mix study's shape at bench scale.
-func benchMixComponents() []MixComponent {
-	return []MixComponent{
+func benchMixComponents() []trace.MixComponent {
+	return []trace.MixComponent{
 		{Name: "fb", Weight: 1, Gen: func(seed int64) *Trace {
 			cfg := trace.DefaultFBConfig(seed)
 			cfg.NumPorts, cfg.NumCoFlows = 48, 200
@@ -43,7 +40,7 @@ func benchMixComponents() []MixComponent {
 }
 
 func benchMix(seed int64) *Trace {
-	tr, err := MixTraces("mix-bench", MixConfig{Seed: seed, NumCoFlows: 300}, benchMixComponents()...)
+	tr, err := trace.Mix("mix-bench", trace.MixConfig{Seed: seed, NumCoFlows: 300}, benchMixComponents()...)
 	if err != nil {
 		panic(err)
 	}
@@ -66,7 +63,7 @@ func BenchmarkTraceSynthFB(b *testing.B) {
 func BenchmarkTraceSynthIncast(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if tr := SynthIncast(1); len(tr.Specs) == 0 {
+		if tr := trace.SynthIncast(1); len(tr.Specs) == 0 {
 			b.Fatal("empty trace")
 		}
 	}
@@ -81,42 +78,4 @@ func BenchmarkTraceMix(b *testing.B) {
 			b.Fatalf("mixed %d coflows", len(tr.Specs))
 		}
 	}
-}
-
-// traceBaseline mirrors BENCH_baseline.json's trace_layer section.
-type traceBaseline struct {
-	TraceLayer map[string]struct {
-		AllocsPerOp float64 `json:"allocs_per_op"`
-	} `json:"trace_layer"`
-}
-
-// TestTraceAllocGuards enforces the trace-layer overhead contract:
-// synthetic generation and mixing must stay within 1.25x of the
-// allocation counts recorded when the scenario-diversity layer landed.
-func TestTraceAllocGuards(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-	raw, err := os.ReadFile("BENCH_baseline.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var base traceBaseline
-	if err := json.Unmarshal(raw, &base); err != nil {
-		t.Fatal(err)
-	}
-	check := func(name string, got float64) {
-		t.Helper()
-		b, ok := base.TraceLayer[name]
-		if !ok {
-			t.Errorf("%s: missing from BENCH_baseline.json trace_layer", name)
-			return
-		}
-		if limit := b.AllocsPerOp * 1.25; got > limit {
-			t.Errorf("%s: %.0f allocs/op exceeds 1.25x baseline %.0f", name, got, b.AllocsPerOp)
-		}
-	}
-	check("synth_fb", testing.AllocsPerRun(10, func() { SynthFB(1) }))
-	check("synth_incast", testing.AllocsPerRun(10, func() { SynthIncast(1) }))
-	check("mix_300", testing.AllocsPerRun(10, func() { benchMix(1) }))
 }

@@ -2,7 +2,9 @@
 // policies and reports per-policy CCT statistics and speedups. The
 // scheduler × seed grid is declared as an internal/study Study and
 // fans out over a bounded worker pool; output is identical at any
-// -parallel setting.
+// -parallel setting. It is the one binary that runs a study: in this
+// process, as one shard of several, merged from shard dumps, or across
+// a fleet of worker processes.
 //
 // Usage:
 //
@@ -32,6 +34,9 @@
 //
 // -study runs a named study from the built-in catalog (-studies lists
 // them) instead of the flag-built grid, rendering its derived tables.
+// Catalog studies that declare the testbed's job body (overload,
+// coordinator-latency) run through the real coordinator on the same
+// pool, and print its wall-clock measurements after the tables.
 //
 // Observability (internal/obs) is out-of-band: none of these flags
 // changes a single byte of the study output. -observe appends the
@@ -42,11 +47,11 @@
 //	saath-sim -study capacity -observe
 //
 // -obs-out writes the run's execution manifest (per-job phase spans
-// and engine introspection counters) as JSON. -progress prints a
-// throttled aggregate line (done/total, jobs/s, ETA, per-variant
-// completion) rather than one line per job. -cpuprofile, -memprofile
-// and -runtime-trace capture the standard Go profiles of the whole
-// run.
+// and engine introspection counters; under -workers the fleet's
+// per-shard attempt report) as JSON. -progress prints a throttled
+// aggregate line (done/total, jobs/s, ETA, per-variant completion)
+// rather than one line per job. -cpuprofile, -memprofile and
+// -runtime-trace capture the standard Go profiles of the whole run.
 //
 // Any study — flag-built or named — shards across processes: -shard
 // i/n simulates only the i-th of n stripes of the grid and writes a
@@ -57,12 +62,31 @@
 //	saath-sim -trace fb -seed 1,2 -shard 0/2 -out shards   # machine A
 //	saath-sim -trace fb -seed 1,2 -shard 1/2 -out shards   # machine B
 //	saath-sim -trace fb -seed 1,2 -merge shards            # anywhere
+//
+// -study NAME -workers N does the same on this machine without the
+// bookkeeping: the grid is cut into -tasks striped shards, each runs in
+// a worker process (this same executable, so driver and worker cannot
+// drift apart) that streams its dump back over stdout, and the merged
+// output is byte-identical to the in-process run at any worker count,
+// partition or retry history. -parallel stays the bound on simulations
+// running at once, shared out between the workers. Each attempt runs
+// under -deadline and a -stall timeout (liveness judged by the worker's
+// event stream); a failed attempt retries up to -retries times with
+// deterministic -backoff on whichever slot frees up first; a dump whose
+// grid fingerprint does not match is rejected as drift. -chaos injects
+// worker faults (kill=N, hang=N, corrupt=N, slow=N; comma-separated) on
+// the first attempt of the named shard — drills for the recovery
+// paths; -v narrates the driver's decisions:
+//
+//	saath-sim -study headline -workers 8 -tasks 32 -progress -obs-out fleet.json
+//	saath-sim -study headline -workers 4 -chaos kill=0 -stall 5s   # fault drill
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -86,7 +110,7 @@ import (
 	_ "saath/internal/sched/clair"
 	_ "saath/internal/sched/uctcp"
 	_ "saath/internal/sched/varys"
-	_ "saath/internal/testbed" // registers the testbed runner + its studies
+	_ "saath/internal/testbed" // registers the coordinator-backed catalog studies
 )
 
 func main() {
@@ -101,13 +125,13 @@ func main() {
 		growth   = flag.Float64("E", 10, "queue threshold growth factor")
 		queues   = flag.Int("K", 10, "number of priority queues")
 		deadline = flag.Float64("d", 2, "starvation deadline factor")
-		parallel = flag.Int("parallel", runtime.NumCPU(), "simulation worker pool size")
+		parallel = flag.Int("parallel", runtime.NumCPU(), "simulations running at once (with -workers: shared out between the worker processes)")
 		jsonPath = flag.String("json", "", `write per-run results as JSON to this file ("-" for stdout)`)
 		progress = flag.Bool("progress", false, "print a throttled aggregate progress line to stderr")
 		list     = flag.Bool("list", false, "list registered schedulers and exit")
 
 		observe = flag.Bool("observe", false, "append the capacity report (throughput per cell, saturation knee, sustainable load)")
-		obsOut  = flag.String("obs-out", "", `write the run's observability manifest (per-job spans + engine counters) as JSON ("-" for stdout)`)
+		obsOut  = flag.String("obs-out", "", `write the run's observability manifest (per-job spans + engine counters; with -workers the per-shard attempt report) as JSON ("-" for stdout)`)
 
 		cpuProfile   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
 		memProfile   = flag.String("memprofile", "", "write a heap profile to this path (captured at exit, after GC)")
@@ -124,6 +148,16 @@ func main() {
 		mergeDir  = flag.String("merge", "", "merge shard dumps from this directory (same flags / -study as the shard runs) instead of simulating")
 
 		shardStream = flag.Bool("shard-stream", false, "with -shard: run as a fleet worker, streaming wire events (hello/progress/dump) on stdout instead of writing a dump file")
+
+		workers      = flag.Int("workers", 0, "with -study: run the study across this many worker processes (0 = in this process)")
+		tasks        = flag.Int("tasks", 0, "with -workers: shard partition size (0 = 4x workers, capped at the grid)")
+		retries      = flag.Int("retries", 3, "with -workers: max attempts per shard, including the first")
+		backoff      = flag.Duration("backoff", 250*time.Millisecond, "with -workers: base retry backoff (doubles per attempt, deterministic jitter)")
+		taskDeadline = flag.Duration("deadline", 10*time.Minute, "with -workers: per-attempt wall-clock deadline")
+		stall        = flag.Duration("stall", 30*time.Second, "with -workers: kill an attempt with no wire event for this long")
+		chaosSpec    = flag.String("chaos", "", "with -workers: inject worker faults: kill=N,hang=N,corrupt=N,slow=N (shard N, first attempt)")
+		slowDelay    = flag.Duration("slow-delay", 20*time.Millisecond, "with -chaos: per-event delay for the slow fault")
+		verbose      = flag.Bool("v", false, "with -workers: narrate driver decisions (launches, retries, kills) to stderr")
 	)
 	flag.Parse()
 
@@ -155,17 +189,12 @@ func main() {
 	stopProfiles = stop
 
 	var (
-		st      *study.Study
-		fromCLI bool
-		err     error
+		st  *study.Study
+		err error
 	)
 	if *studyName != "" {
 		st, err = study.Build(*studyName)
-		if err != nil {
-			fatal(err)
-		}
 	} else {
-		fromCLI = true
 		st, err = studyFromFlags(flagGrid{
 			traceArg: *traceArg, seeds: *seeds, scheds: *scheds,
 			delta: *delta, rateGbps: *rateGbps, arrival: *arrival,
@@ -173,9 +202,21 @@ func main() {
 			metrics: *metrics, metricsStep: *metricsStep,
 			describe: *mergeDir == "", // the banner line, skipped when only merging
 		})
-		if err != nil {
-			fatal(err)
+	}
+	if err != nil {
+		fatal(err)
+	}
+	out := outputs{
+		fromCLI: *studyName == "", metrics: *metrics, observe: *observe,
+		jsonPath: *jsonPath, metricsOut: *metricsOut,
+	}
+	// finish renders a complete result and exits: 1 when a job failed.
+	finish := func(res *study.Result) {
+		out.render(res)
+		if res.Err() != nil {
+			exit(1)
 		}
+		exit(0)
 	}
 
 	// Merge mode: no simulation — reassemble shard dumps and render
@@ -188,32 +229,11 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		render(res, fromCLI, *metrics, *observe, *jsonPath, *metricsOut)
-		if res.Err() != nil {
-			exit(1)
-		}
-		exit(0)
+		finish(res)
 	}
 
-	var observer *obs.Recorder
-	if *obsOut != "" {
-		observer = obs.NewRecorder(st.Name())
-	}
-	// newRunner builds the study's execution backend — the in-process
-	// Pool by default, the coordinator-backed testbed when the study
-	// declares it (WithRunner).
-	newRunner := func(progress sweep.ProgressFunc) study.Runner {
-		r, err := study.NewRunnerFor(st, study.RunnerOpts{
-			Parallel: *parallel, Progress: progress, Observer: observer,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		return r
-	}
-
-	// Fleet worker mode: stream the shard's wire events on stdout for a
-	// saath-fleet driver.
+	// Fleet worker mode: stream the shard's wire events on stdout for
+	// the -workers driver that launched this process.
 	if *shardStream {
 		if *shardArg == "" {
 			fatal(fmt.Errorf("-shard-stream requires -shard i/n"))
@@ -228,87 +248,128 @@ func main() {
 		exit(0)
 	}
 
-	// Shard mode: simulate this stripe only and write the dump.
-	if *shardArg != "" {
-		sh, err := study.ParseShard(*shardArg)
+	// Fleet driver mode: the workers are this executable.
+	if *workers > 0 {
+		if out.fromCLI {
+			fatal(fmt.Errorf("-workers drives registered studies: name one with -study (-studies lists them)"))
+		}
+		if *shardArg != "" {
+			fatal(fmt.Errorf("-workers partitions the grid itself; drop -shard"))
+		}
+		self, err := os.Executable()
 		if err != nil {
+			fatal(err)
+		}
+		chaos, err := fleet.ParseChaos(*chaosSpec)
+		if err != nil {
+			fatal(err)
+		}
+		chaos.SlowDelay = *slowDelay
+		opts := fleet.Options{
+			Backend:        &fleet.LocalExec{Bin: self},
+			Workers:        *workers,
+			Tasks:          *tasks,
+			MaxAttempts:    *retries,
+			BackoffBase:    *backoff,
+			Deadline:       *taskDeadline,
+			StallTimeout:   *stall,
+			WorkerParallel: max(1, *parallel / *workers),
+			Chaos:          chaos,
+		}
+		if *progress {
+			opts.Progress = sweep.NewProgressMeter(os.Stderr, 0)
+			opts.Progress.SetJobs(st.Jobs())
+		}
+		if *verbose {
+			opts.Log = os.Stderr
+		}
+		began := time.Now()
+		run, runErr := fleet.Run(ctx, st, opts)
+		// The report flushes even on failure — it is the forensics.
+		if run != nil && *obsOut != "" {
+			if err := writeFile(*obsOut, run.Manifest(st.Name()).WriteJSON); err != nil {
+				fatal(err)
+			}
+		}
+		if runErr != nil {
+			fatal(runErr)
+		}
+		fmt.Printf("study %s: %d jobs on %d workers (%d shards, %d retries) in %.1fs\n",
+			st.Name(), len(st.Jobs()), run.Report.Workers, run.Report.Tasks,
+			run.Report.Retries, time.Since(began).Seconds())
+		if err := run.Result.Err(); err != nil {
+			fmt.Fprintln(os.Stderr, "saath-sim:", err)
+		}
+		finish(run.Result)
+	}
+
+	// In-process: with -shard this stripe of the grid, otherwise the one
+	// stripe that is all of it.
+	var observer *obs.Recorder
+	if *obsOut != "" {
+		observer = obs.NewRecorder(st.Name())
+	}
+	sharded := *shardArg != ""
+	sh := study.Sharded{Index: 0, Count: 1}
+	if sharded {
+		if sh, err = study.ParseShard(*shardArg); err != nil {
 			fatal(err)
 		}
 		if *jsonPath != "" || *metricsOut != "" {
 			fmt.Fprintln(os.Stderr, "saath-sim: -json/-metrics-out apply to the full study; export them from the -merge run")
 		}
-		runner := newRunner(sweep.CLIProgress(*progress, os.Stderr, sh.Jobs(st.Jobs())))
-		sh.Runner = runner
-		res, err := st.Run(ctx, sh)
-		if err != nil {
-			fatal(err)
-		}
+	}
+	sh.Pool = study.Pool{
+		Parallel: *parallel, Observer: observer,
+		Progress: sweep.CLIProgress(*progress, os.Stderr, sh.Jobs(st.Jobs())),
+	}
+	res, err := st.Run(ctx, sh)
+	if err != nil {
+		fatal(err)
+	}
+	ran := res.Sweep()
+	if sharded {
+		// The dump is written before job errors are reported: error
+		// entries round-trip through the merge, and completed sibling
+		// simulations must not be discarded over one failed cell.
 		path, err := res.WriteShardFile(*outDir, sh)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("shard %d/%d: %d/%d jobs in %.1fs -> %s\n",
-			sh.Index, sh.Count, res.Sweep().Completed(), len(res.Sweep().Jobs),
-			res.Sweep().Elapsed.Seconds(), path)
-		for _, jr := range res.Sweep().Failed() {
-			fmt.Fprintln(os.Stderr, "saath-sim:", jr.Err)
-		}
-		if *obsOut != "" {
-			if err := writeManifest(*obsOut, observer); err != nil {
-				fatal(err)
-			}
-		}
-		printRuntime(runner)
-		if res.Err() != nil {
-			exit(1)
-		}
-		exit(0)
+			sh.Index, sh.Count, ran.Completed(), len(ran.Jobs), ran.Elapsed.Seconds(), path)
+	} else {
+		fmt.Printf("%d/%d simulations in %.1fs (-parallel %d)\n",
+			ran.Completed(), len(ran.Jobs), ran.Elapsed.Seconds(), *parallel)
 	}
-
-	runner := newRunner(sweep.CLIProgress(*progress, os.Stderr, st.Jobs()))
-	res, err := st.Run(ctx, runner)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("%d/%d simulations in %.1fs (-parallel %d)\n",
-		res.Sweep().Completed(), len(res.Sweep().Jobs), res.Sweep().Elapsed.Seconds(), *parallel)
-	for _, jr := range res.Sweep().Failed() {
+	for _, jr := range ran.Failed() {
 		fmt.Fprintln(os.Stderr, "saath-sim:", jr.Err)
 	}
 	// Flush the manifest before rendering: an interrupted run keeps its
 	// partial observability even when table assembly can't proceed.
 	if *obsOut != "" {
-		if err := writeManifest(*obsOut, observer); err != nil {
+		if err := writeFile(*obsOut, observer.Manifest().WriteJSON); err != nil {
 			fatal(err)
 		}
 	}
-	if ctx.Err() != nil {
-		fmt.Fprintln(os.Stderr, "saath-sim: interrupted; partial manifest and profiles flushed, skipping tables")
-		exit(1)
+	if !sharded {
+		if ctx.Err() != nil {
+			fmt.Fprintln(os.Stderr, "saath-sim: interrupted; partial manifest and profiles flushed, skipping tables")
+			exit(1)
+		}
+		out.render(res)
 	}
-	render(res, fromCLI, *metrics, *observe, *jsonPath, *metricsOut)
-	printRuntime(runner)
+	// The coordinator's measurements, when the study's jobs went through
+	// it: wall-clock of this machine — informational, never part of the
+	// deterministic tables above.
+	if rep := ran.RuntimeReport(); len(rep.Records) > 0 {
+		fmt.Println()
+		must(obs.RuntimeTable("coordinator runtime (wall-clock, out-of-band)", rep).Render(os.Stdout))
+	}
 	if res.Err() != nil {
 		exit(1)
 	}
 	exit(0)
-}
-
-// printRuntime renders the out-of-band coordinator measurements when
-// the study ran on a measuring backend (the testbed runner). These
-// are wall-clock numbers of this machine — informational, never part
-// of the deterministic tables above.
-func printRuntime(r study.Runner) {
-	rr, ok := r.(study.RuntimeReporter)
-	if !ok {
-		return
-	}
-	rep := rr.RuntimeReport()
-	if len(rep.Records) == 0 {
-		return
-	}
-	fmt.Println()
-	obs.RuntimeTable("coordinator runtime (wall-clock, out-of-band)", rep).Render(os.Stdout)
 }
 
 // flagGrid carries the flag values studyFromFlags compiles.
@@ -431,107 +492,60 @@ func studyFromFlags(fg flagGrid) (*study.Study, error) {
 	return st, nil
 }
 
+// outputs is what a complete result is rendered to.
+type outputs struct {
+	fromCLI          bool // flag-built grid: the classic table set
+	metrics, observe bool
+	jsonPath         string
+	metricsOut       string
+}
+
 // render prints the study's tables and writes the requested exports.
 // Flag-built grids keep the CLI's classic table set; named studies
 // render their own derived tables; -observe appends the capacity
 // report to either.
-func render(res *study.Result, fromCLI bool, metrics, observe bool, jsonPath, metricsOut string) {
+func (o outputs) render(res *study.Result) {
 	agg := res.Summary()
-	if fromCLI {
-		if err := agg.CCTTable("per-scheduler CCT").Render(os.Stdout); err != nil {
-			fatal(err)
-		}
+	if o.fromCLI {
+		must(agg.CCTTable("per-scheduler CCT").Render(os.Stdout))
 		if baseline := res.Study().Baseline(); baseline != "" {
-			title := fmt.Sprintf("per-coflow speedup over %s", baseline)
-			if err := agg.SpeedupTable(title, baseline).Render(os.Stdout); err != nil {
-				fatal(err)
-			}
+			must(agg.SpeedupTable(fmt.Sprintf("per-coflow speedup over %s", baseline), baseline).Render(os.Stdout))
 		}
-		if metrics {
-			if err := agg.TelemetryTable("telemetry (per-interval)").Render(os.Stdout); err != nil {
-				fatal(err)
-			}
-			if err := agg.QueueTransitionTable("queue transitions (Fig. 4-style)").Render(os.Stdout); err != nil {
-				fatal(err)
-			}
-			if err := agg.PortHeatmapTable("per-port occupancy heatmap (hottest ports)", 8).Render(os.Stdout); err != nil {
-				fatal(err)
-			}
+		if o.metrics {
+			must(agg.TelemetryTable("telemetry (per-interval)").Render(os.Stdout))
+			must(agg.QueueTransitionTable("queue transitions (Fig. 4-style)").Render(os.Stdout))
+			must(agg.PortHeatmapTable("per-port occupancy heatmap (hottest ports)", 8).Render(os.Stdout))
 		}
 	} else {
 		tables, err := res.Tables()
-		if err != nil {
-			fatal(err)
-		}
+		must(err)
 		for _, t := range tables {
-			if err := t.Render(os.Stdout); err != nil {
-				fatal(err)
-			}
+			must(t.Render(os.Stdout))
 			fmt.Println()
 		}
 	}
-	if observe {
+	if o.observe {
 		for _, t := range obs.CapacityReport(res.Study().Name(), agg.CapacityCells(), 0) {
-			if err := t.Render(os.Stdout); err != nil {
-				fatal(err)
-			}
+			must(t.Render(os.Stdout))
 			fmt.Println()
 		}
 	}
-	if jsonPath != "" {
-		if err := exportJSON(jsonPath, agg); err != nil {
-			fatal(err)
+	if o.jsonPath != "" {
+		must(writeFile(o.jsonPath, agg.WriteJSON))
+	}
+	if o.metricsOut != "" {
+		// CSV when the path ends in .csv, JSON otherwise.
+		write := agg.WriteMetricsJSON
+		if strings.HasSuffix(strings.ToLower(o.metricsOut), ".csv") {
+			write = agg.WriteMetricsCSV
 		}
-	}
-	if metricsOut != "" {
-		if err := exportMetrics(metricsOut, agg); err != nil {
-			fatal(err)
-		}
+		must(writeFile(o.metricsOut, write))
 	}
 }
 
-// writeManifest exports the observability manifest collected by rec
-// ("-" for stdout).
-func writeManifest(path string, rec *obs.Recorder) error {
-	m := rec.Manifest()
-	if path == "-" {
-		return m.WriteJSON(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = m.WriteJSON(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// exportJSON writes the aggregate to path ("-" for stdout),
-// propagating the Close error so a failed flush cannot exit 0.
-func exportJSON(path string, agg *sweep.Summary) error {
-	if path == "-" {
-		return agg.WriteJSON(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = agg.WriteJSON(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// exportMetrics writes the per-job telemetry to path: CSV when the
-// path ends in .csv, JSON otherwise ("-" for JSON on stdout).
-func exportMetrics(path string, agg *sweep.Summary) error {
-	write := agg.WriteMetricsJSON
-	if strings.HasSuffix(strings.ToLower(path), ".csv") {
-		write = agg.WriteMetricsCSV
-	}
+// writeFile streams one export into path ("-" for stdout), propagating
+// the Close error so a failed flush cannot exit 0.
+func writeFile(path string, write func(io.Writer) error) error {
 	if path == "-" {
 		return write(os.Stdout)
 	}
@@ -637,4 +651,11 @@ func exit(code int) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "saath-sim:", err)
 	exit(1)
+}
+
+// must is fatal for the render path, where every error ends the run.
+func must(err error) {
+	if err != nil {
+		fatal(err)
+	}
 }

@@ -79,6 +79,6 @@ func main() {
 		fmt.Printf("  coflow %d: width %d, %.1f MB, CCT %v\n",
 			r.ID, r.Width, float64(r.Bytes)/float64(saath.MB), r.CCT.Round(time.Millisecond))
 	}
-	calls, mean, max := coord.SchedOverhead()
+	calls, mean, max, _ := coord.ScheduleLatency()
 	fmt.Printf("\ncoordinator: %d schedule computations, mean %v, max %v\n", calls, mean, max)
 }

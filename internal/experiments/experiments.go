@@ -11,8 +11,8 @@
 // Figures that need several simulations declare them as internal/study
 // Studies: each figure states the (trace, scheduler, params) grid it
 // needs as a study declaration, Prime or the figure's own study runs
-// the missing cells on the Env's Runner backend (default: the bounded
-// in-process pool on Env.Parallel workers), and the figure assembles
+// the missing cells on the bounded in-process pool (Env.Parallel
+// workers), and the figure assembles
 // its tables from the memoized results. Output is identical at any
 // parallelism (see internal/sweep's determinism contract).
 //
@@ -75,14 +75,6 @@ type Env struct {
 	// Ctx, when set, cancels figure sweeps mid-flight (cmd/experiments'
 	// graceful shutdown); nil means context.Background().
 	Ctx context.Context
-	// Runner, when set, overrides the execution backend figure studies
-	// run on (default: study.Pool{Parallel, Progress}). Figure output
-	// is a pure function of the study declarations, so any runner that
-	// executes the full grid reproduces the same tables. Subset
-	// runners (study.Sharded) are rejected by runStudy — figures
-	// assemble from every cell; sharding belongs to the study CLIs,
-	// which merge before rendering.
-	Runner study.Runner
 
 	mu    sync.Mutex
 	cache map[string]*sim.Result
@@ -154,11 +146,8 @@ func (e *Env) Run(tr *trace.Trace, scheduler string) (*sim.Result, error) {
 	return r, nil
 }
 
-// runner returns the execution backend figure studies run on.
-func (e *Env) runner() study.Runner {
-	if e.Runner != nil {
-		return e.Runner
-	}
+// runner returns the pool figure studies run on.
+func (e *Env) runner() study.Pool {
 	return study.Pool{Parallel: e.Parallel, Progress: e.Progress}
 }
 
@@ -170,18 +159,14 @@ func (e *Env) ctx() context.Context {
 	return context.Background()
 }
 
-// runStudy executes a figure's study declaration on the Env's runner,
-// failing on the first job error or an under-covering runner —
-// figures index every cell of their grid, so a partial result must
-// error here rather than panic during table assembly.
+// runStudy executes a figure's study declaration on the Env's pool,
+// failing on the first job error — figures index every cell of their
+// grid, so a partial result must error here rather than panic during
+// table assembly.
 func (e *Env) runStudy(st *study.Study) (*study.Result, error) {
 	res, err := st.Run(e.ctx(), e.runner())
 	if err != nil {
 		return nil, err
-	}
-	if got, want := len(res.Sweep().Jobs), len(st.Jobs()); got != want {
-		return nil, fmt.Errorf("experiments: study %s: runner executed %d of %d jobs (figures need a full-coverage runner, not a shard)",
-			st.Name(), got, want)
 	}
 	if err := res.Err(); err != nil {
 		return nil, err

@@ -39,12 +39,10 @@ func StreamShard(ctx context.Context, st *study.Study, sh study.Sharded, opts St
 		return err
 	}
 	rec := obs.NewRecorder(st.Name())
-	// The study's declared backend (default Pool, or the testbed's
-	// coordinator-backed runner) executes the shard, so testbed studies
-	// are fleet-capable like simulator ones. Both backends serialize
-	// progress callbacks, so events never interleave mid-line on the
-	// pipe.
-	runner, err := study.NewRunnerFor(st, study.RunnerOpts{
+	// The pool serializes progress callbacks, so events never interleave
+	// mid-line on the pipe. The jobs carry their own body (simulator or
+	// testbed), so any study is fleet-capable.
+	sh.Pool = study.Pool{
 		Parallel: opts.Parallel,
 		Observer: rec,
 		Progress: func(done, total int, jr sweep.JobResult) {
@@ -61,12 +59,7 @@ func StreamShard(ctx context.Context, st *study.Study, sh study.Sharded, opts St
 			}
 			WriteEvent(w, &Event{Type: EventProgress, Progress: p})
 		},
-	})
-	if err != nil {
-		WriteEvent(w, &Event{Type: EventError, Error: err.Error()})
-		return err
 	}
-	sh.Runner = runner
 	res, err := st.Run(ctx, sh)
 	if err != nil {
 		WriteEvent(w, &Event{Type: EventError, Error: err.Error()})
@@ -100,17 +93,17 @@ func ChildMain(argv []string) int {
 	}
 	st, err := study.Build(*studyName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "saath-fleet worker:", err)
+		fmt.Fprintln(os.Stderr, "fleet worker:", err)
 		return 2
 	}
 	sh, err := study.ParseShard(*shardSpec)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "saath-fleet worker:", err)
+		fmt.Fprintln(os.Stderr, "fleet worker:", err)
 		return 2
 	}
 	opts := StreamOptions{Parallel: *parallel}
 	if err := StreamShard(context.Background(), st, sh, opts, os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "saath-fleet worker:", err)
+		fmt.Fprintln(os.Stderr, "fleet worker:", err)
 		return 1
 	}
 	return 0

@@ -20,6 +20,7 @@ import (
 	_ "saath/internal/sched/aalo"
 	_ "saath/internal/sched/uctcp"
 	_ "saath/internal/sched/varys"
+	_ "saath/internal/testbed" // registers the coordinator-backed catalog studies
 )
 
 // The chaos goldens need real worker processes. Rather than building
@@ -544,6 +545,43 @@ func TestStreamShardWire(t *testing.T) {
 	}
 	if dump.Totals.Jobs != 3 || dump.Totals.Counters.Schedule.Count == 0 {
 		t.Errorf("dump totals = %+v", dump.Totals)
+	}
+}
+
+// TestTestbedShardStampsProgress: a testbed-backed study streams
+// through the same pool as a simulator one, so its progress events
+// carry each job's wall time (the driver's meter and straggler marks
+// read it) and nothing else about the stream differs.
+func TestTestbedShardStampsProgress(t *testing.T) {
+	st, err := study.Build("overload")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := StreamShard(context.Background(), st, study.Sharded{Index: 0, Count: 4}, StreamOptions{Parallel: 2}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	progressed, dumped := 0, false
+	for rd := NewEventReader(&buf); ; {
+		ev, err := rd.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch ev.Type {
+		case EventProgress:
+			progressed++
+			if ev.Progress.ElapsedNs <= 0 || ev.Progress.Error != "" {
+				t.Errorf("progress event %+v: want a stamped, clean job", ev.Progress)
+			}
+		case EventDump:
+			dumped = true
+		}
+	}
+	if progressed != 2 || !dumped {
+		t.Errorf("stream carried %d progress events (want 2) and a dump: %t", progressed, dumped)
 	}
 }
 

@@ -42,7 +42,7 @@ type Manifest struct {
 	// by the fleet driver: per-shard attempt history, retries,
 	// stragglers, injected chaos. Absent on in-process runs.
 	Fleet *FleetReport `json:"fleet,omitempty"`
-	// Runtime is the testbed runner's coordinator measurements
+	// Runtime is the testbed jobs' coordinator measurements
 	// (schedule latency, admission counts) when the run went through
 	// the real coordinator. Absent on simulator-backed runs.
 	Runtime *RuntimeReport `json:"runtime,omitempty"`

@@ -51,7 +51,7 @@ type RuntimeRecord struct {
 	DeliverNs int64 `json:"deliver_ns,omitempty"`
 }
 
-// RuntimeReport is the testbed runner's out-of-band section of the
+// RuntimeReport is the testbed's out-of-band section of the
 // manifest: one record per job, grid order.
 type RuntimeReport struct {
 	Records []RuntimeRecord `json:"records"`

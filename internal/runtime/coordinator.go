@@ -17,7 +17,6 @@ import (
 	"saath/internal/coflow"
 	"saath/internal/fabric"
 	"saath/internal/sched"
-	"saath/internal/sim"
 )
 
 // AdmissionConfig is the coordinator's admission-control front: a
@@ -236,11 +235,11 @@ type Coordinator struct {
 	nRejected int64
 
 	// schedStats mirrors Table 2: wall-clock cost of Schedule calls,
-	// with the same bounded P90 reservoir the simulator uses; phases
-	// splits the rest of a boundary. This is measurement, not simulation
-	// state — it never feeds back into scheduling decisions or results.
+	// with a bounded P90 reservoir; phases splits the rest of a
+	// boundary. This is measurement, not simulation state — it never
+	// feeds back into scheduling decisions or results.
 	schedMu    sync.Mutex
-	schedStats sim.ScheduleStats
+	schedStats scheduleStats
 	phases     PhaseTotals
 }
 
@@ -663,7 +662,7 @@ func (c *Coordinator) scheduleOnce() (liveN int) {
 	t4 := time.Now()
 
 	c.schedMu.Lock()
-	c.schedStats.Record(t2.Sub(t1))
+	c.schedStats.record(t2.Sub(t1))
 	c.phases.Merge += merge
 	c.phases.Retire += t1.Sub(t0)
 	c.phases.Encode += t3.Sub(t2)
@@ -679,7 +678,7 @@ func (c *Coordinator) Phases() PhaseTotals {
 	c.schedMu.Lock()
 	defer c.schedMu.Unlock()
 	p := c.phases
-	p.Schedule = c.schedStats.Total
+	p.Schedule = c.schedStats.total
 	return p
 }
 
@@ -689,14 +688,7 @@ func (c *Coordinator) Phases() PhaseTotals {
 func (c *Coordinator) ScheduleLatency() (calls int, mean, max, p90 time.Duration) {
 	c.schedMu.Lock()
 	defer c.schedMu.Unlock()
-	return c.schedStats.Calls, c.schedStats.Mean(), c.schedStats.Max, c.schedStats.P90()
-}
-
-// SchedOverhead reports Table-2 style coordinator cost (kept for the
-// prototype CLI; ScheduleLatency adds the P90).
-func (c *Coordinator) SchedOverhead() (calls int, mean, max time.Duration) {
-	calls, mean, max, _ = c.ScheduleLatency()
-	return calls, mean, max
+	return c.schedStats.calls, c.schedStats.mean(), c.schedStats.max, c.schedStats.p90()
 }
 
 // AgentCount returns the number of connected agents.

@@ -36,7 +36,7 @@ type inprocFlow struct {
 
 // AttachInproc registers an in-process agent for the given port,
 // replacing any previous link. Used with Manual-mode coordinators by
-// the testbed runner.
+// the testbed (testbed.RunJob).
 func (c *Coordinator) AttachInproc(port int) (*InprocAgent, error) {
 	if port < 0 || port >= c.cfg.NumPorts {
 		return nil, fmt.Errorf("runtime: inproc agent port %d outside [0, %d)", port, c.cfg.NumPorts)

@@ -197,7 +197,7 @@ func TestEndToEndSingleCoFlow(t *testing.T) {
 	if got := agents[1].Received(1, 0); got != int64(400*coflow.KB) {
 		t.Fatalf("received %d bytes", got)
 	}
-	calls, mean, max := coord.SchedOverhead()
+	calls, mean, max, _ := coord.ScheduleLatency()
 	if calls == 0 || mean <= 0 || max < mean {
 		t.Fatalf("overhead stats: calls=%d mean=%v max=%v", calls, mean, max)
 	}

@@ -173,77 +173,6 @@ type CoFlowResult struct {
 	Flows   []FlowResult
 }
 
-// ScheduleStats summarizes the coordinator's wall-clock compute cost,
-// the quantity Table 2 reports. Samples are held in a fixed-capacity
-// reservoir (Vitter's algorithm R with a deterministic xorshift
-// stream), so memory stays bounded on arbitrarily long runs while P90
-// remains a faithful estimate.
-type ScheduleStats struct {
-	Calls   int
-	Total   time.Duration
-	Max     time.Duration
-	samples []time.Duration
-	rng     uint64
-}
-
-// schedSampleCap bounds the P90 sample reservoir.
-const schedSampleCap = 2048
-
-// Record accumulates one Schedule call's wall-clock cost. Exported so
-// the coordinator runtime (internal/runtime) measures its Table-2
-// scheduling latency with the same bounded reservoir the simulator
-// uses.
-func (s *ScheduleStats) Record(d time.Duration) { s.record(d) }
-
-// record accumulates one Schedule call's wall-clock cost.
-func (s *ScheduleStats) record(d time.Duration) {
-	s.Calls++
-	s.Total += d
-	if d > s.Max {
-		s.Max = d
-	}
-	if len(s.samples) < schedSampleCap {
-		if cap(s.samples) < schedSampleCap {
-			//saath:alloc-ok one-time reservoir preallocation
-			s.samples = append(make([]time.Duration, 0, schedSampleCap), s.samples...)
-		}
-		s.samples = append(s.samples, d)
-		return
-	}
-	// Reservoir replacement. Wall-clock timings are measurement noise
-	// already, so a deterministic pseudo-random stream (not seeded from
-	// the simulation) is fine and keeps the engine rand-free.
-	if s.rng == 0 {
-		s.rng = 0x9e3779b97f4a7c15
-	}
-	s.rng ^= s.rng << 13
-	s.rng ^= s.rng >> 7
-	s.rng ^= s.rng << 17
-	if j := s.rng % uint64(s.Calls); j < schedSampleCap {
-		s.samples[j] = d
-	}
-}
-
-// Mean returns the average schedule computation time.
-func (s ScheduleStats) Mean() time.Duration {
-	if s.Calls == 0 {
-		return 0
-	}
-	return s.Total / time.Duration(s.Calls)
-}
-
-// P90 returns the 90th-percentile schedule computation time over the
-// retained sample reservoir.
-func (s ScheduleStats) P90() time.Duration {
-	if len(s.samples) == 0 {
-		return 0
-	}
-	cp := append([]time.Duration(nil), s.samples...)
-	slices.Sort(cp)
-	idx := int(0.9 * float64(len(cp)-1))
-	return cp[idx]
-}
-
 // Result is the outcome of one simulation.
 type Result struct {
 	Scheduler string
@@ -252,7 +181,6 @@ type Result struct {
 	CoFlows   []CoFlowResult
 	Makespan  coflow.Time
 	Intervals int // scheduling rounds executed
-	Sched     ScheduleStats
 
 	// AvgEgressUtilization is the mean fraction of total sender-side
 	// capacity allocated across busy intervals — how well the policy
@@ -533,15 +461,20 @@ func (e *engine) beginInterval() (*sched.RateVec, error) {
 	e.snap.Active = e.activeSorted()
 	e.snap.FlowCap = e.space.FlowCap()
 	e.snap.CoFlowCap = e.space.CoFlowCap()
-	start := time.Now() //saath:wallclock schedule-latency measurement, out-of-band counters only
-	alloc := e.sched.Schedule(&e.snap)
-	elapsed := time.Since(start) //saath:wallclock
-	e.result.Sched.record(elapsed)
-	e.result.Intervals++
-	if c := e.cfg.Counters; c != nil {
-		c.Epochs++
-		c.Schedule.Observe(elapsed)
+	// The clock is read only for attached counters: their LatencyHist is
+	// the engine's one schedule-latency recorder, and a Result holds no
+	// wall-clock.
+	c := e.cfg.Counters
+	var start time.Time
+	if c != nil {
+		start = time.Now() //saath:wallclock schedule-latency measurement, out-of-band counters only
 	}
+	alloc := e.sched.Schedule(&e.snap)
+	if c != nil {
+		c.Epochs++
+		c.Schedule.Observe(time.Since(start)) //saath:wallclock
+	}
+	e.result.Intervals++
 
 	if !e.cfg.SkipValidation {
 		if err := e.validateAllocation(alloc); err != nil {

@@ -88,7 +88,7 @@ func capacityCfg(seed int64, a float64) trace.SynthConfig {
 
 // The catalog registers the canonical full-scale studies every binary
 // with the policy packages linked in can run by name (saath-sim
-// -study, experiments -study). Each is a plain declaration — the
+// -study). Each is a plain declaration — the
 // scenario PRs the ROADMAP calls for add entries here instead of
 // hand-rolled loops.
 func init() {

@@ -18,8 +18,8 @@ var (
 )
 
 // Register adds a named study to the registry (the `-study <name>`
-// namespace of cmd/saath-sim and cmd/experiments). Re-registering a
-// name panics — names are a flat global namespace.
+// namespace of cmd/saath-sim). Re-registering a name panics — names
+// are a flat global namespace.
 func Register(name, description string, build Builder) {
 	regMu.Lock()
 	defer regMu.Unlock()

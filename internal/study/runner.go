@@ -3,10 +3,8 @@ package study
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"saath/internal/obs"
 	"saath/internal/sweep"
@@ -44,81 +42,6 @@ func (p Pool) Run(ctx context.Context, jobs []sweep.Job, collectors []sweep.Coll
 	}), nil
 }
 
-// RunnerOpts carries the execution knobs a CLI hands every backend:
-// parallelism, progress callback, and the out-of-band obs recorder.
-type RunnerOpts struct {
-	// Parallel bounds the worker pool; <=0 means runtime.NumCPU().
-	Parallel int
-	// Progress, if set, is called after every job completes.
-	Progress sweep.ProgressFunc
-	// Observer, when non-nil, collects the run's obs manifest.
-	Observer *obs.Recorder
-}
-
-// RunnerFactory builds a Runner for one study execution. Factories see
-// the study so backend-specific per-study configuration (the testbed's
-// admission and port settings) can key off the study name.
-type RunnerFactory func(st *Study, opts RunnerOpts) (Runner, error)
-
-var (
-	runnerMu  sync.Mutex
-	factories = map[string]RunnerFactory{}
-)
-
-// RegisterRunner registers a named execution backend. Called from
-// package init (the testbed registers "testbed"); duplicate names
-// panic, like a duplicate scheduler registration would.
-func RegisterRunner(name string, f RunnerFactory) {
-	runnerMu.Lock()
-	defer runnerMu.Unlock()
-	if name == "" || f == nil {
-		panic("study: RegisterRunner with empty name or nil factory")
-	}
-	if _, dup := factories[name]; dup {
-		panic("study: duplicate runner " + name)
-	}
-	factories[name] = f
-}
-
-// RunnerNames lists the registered backends, sorted.
-func RunnerNames() []string {
-	runnerMu.Lock()
-	defer runnerMu.Unlock()
-	names := make([]string, 0, len(factories))
-	for n := range factories {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// NewRunnerFor builds the execution backend for a study: the study's
-// declared runner (WithRunner) when it names one, an in-process Pool
-// otherwise. This is the single construction point the CLIs and the
-// fleet child share, so a catalog study that needs the real
-// coordinator runs through it from every entry path.
-func NewRunnerFor(st *Study, opts RunnerOpts) (Runner, error) {
-	name := st.RunnerName()
-	if name == "" {
-		return Pool{Parallel: opts.Parallel, Progress: opts.Progress, Observer: opts.Observer}, nil
-	}
-	runnerMu.Lock()
-	f := factories[name]
-	runnerMu.Unlock()
-	if f == nil {
-		return nil, fmt.Errorf("study %s: unknown runner %q (registered: %v)", st.Name(), name, RunnerNames())
-	}
-	return f(st, opts)
-}
-
-// RuntimeReporter is implemented by runners that measure the real
-// system while executing (the testbed backend): the report carries
-// wall-clock coordinator measurements, strictly out-of-band from the
-// deterministic study output.
-type RuntimeReporter interface {
-	RuntimeReport() *obs.RuntimeReport
-}
-
 // Sharded runs shard Index of Count: the jobs whose grid index ≡ Index
 // (mod Count), striped so every shard gets an even mix of the grid
 // (contiguous splits would hand one shard all the expensive variants).
@@ -132,9 +55,6 @@ type Sharded struct {
 	Count int
 	// Pool executes the shard's jobs in-process.
 	Pool Pool
-	// Runner, when non-nil, executes the shard's jobs instead of Pool —
-	// how a testbed-backed study shards across processes.
-	Runner Runner
 }
 
 // ParseShard parses the CLI "i/n" shard notation ("0/4" is the first
@@ -184,9 +104,6 @@ func (s Sharded) Jobs(jobs []sweep.Job) []sweep.Job {
 func (s Sharded) Run(ctx context.Context, jobs []sweep.Job, collectors []sweep.Collector) (*sweep.Result, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
-	}
-	if s.Runner != nil {
-		return s.Runner.Run(ctx, s.Jobs(jobs), collectors)
 	}
 	return s.Pool.Run(ctx, s.Jobs(jobs), collectors)
 }

@@ -58,7 +58,7 @@ type Study struct {
 	telemetry   telemetry.Spec
 	baseline    string
 	derived     []Derived
-	runner      string
+	exec        sweep.ExecFunc
 }
 
 // Option configures a Study under construction. Options returning an
@@ -157,13 +157,11 @@ func WithBaseline(scheduler string) Option {
 	return func(st *Study) error { st.baseline = scheduler; return nil }
 }
 
-// WithRunner names the execution backend the study requires (see
-// RegisterRunner); "" keeps the default in-process Pool. Validation is
-// lazy — the registry is consulted by NewRunnerFor at execution time,
-// not here, because catalog packages register studies and runners in
-// the same init pass.
-func WithRunner(name string) Option {
-	return func(st *Study) error { st.runner = name; return nil }
+// WithExec sets the body every job of the study runs instead of the
+// simulator (the testbed's coordinator-backed testbed.Exec). It is
+// compiled onto the jobs, so every runner executes it unchanged.
+func WithExec(exec sweep.ExecFunc) Option {
+	return func(st *Study) error { st.exec = exec; return nil }
 }
 
 // WithDerived appends derived-output builders, rendered in declaration
@@ -308,10 +306,6 @@ func (st *Study) Description() string { return st.description }
 // Baseline returns the speedup baseline scheduler ("" if unset).
 func (st *Study) Baseline() string { return st.baseline }
 
-// RunnerName returns the execution backend the study declared with
-// WithRunner ("" means the default Pool).
-func (st *Study) RunnerName() string { return st.runner }
-
 // Grid compiles the study to the sweep grid it executes. Variants
 // inherit study-level settings for whatever they left unset — Params
 // as a whole (a zero Params is not a valid configuration), Config
@@ -334,6 +328,7 @@ func (st *Study) Grid() sweep.Grid {
 		Params:     st.effectiveParams(),
 		Config:     st.config,
 		Telemetry:  st.telemetry,
+		Exec:       st.exec,
 	}
 }
 

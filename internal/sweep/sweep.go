@@ -37,7 +37,9 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -112,6 +114,10 @@ type Grid struct {
 	// this instead of Config.Probes in grids — probes placed in Config
 	// would be shared across jobs.
 	Telemetry telemetry.Spec
+
+	// Exec, when set, is the body every job of the grid runs instead
+	// of the simulator (see ExecFunc).
+	Exec ExecFunc
 }
 
 // Jobs expands the grid in deterministic order: trace-major, then
@@ -144,6 +150,7 @@ func (g Grid) Jobs() []Job {
 						Config:    v.Config,
 						Telemetry: g.Telemetry,
 						Gen:       bindGen(ts, v, seed),
+						Exec:      g.Exec,
 					})
 				}
 			}
@@ -189,7 +196,20 @@ type Job struct {
 	Config    sim.Config
 	Telemetry telemetry.Spec
 	Gen       func() *trace.Trace
+	// Exec is the job's body; nil runs the simulator.
+	Exec ExecFunc
 }
+
+// ExecFunc is the body of one job: it fills jr.Res (and jr.Metrics or
+// jr.Runtime when it has them) or returns the job's error. The pool
+// owns everything around it — timing, the obs span and job record,
+// skipping after cancellation, panic containment and serialized
+// delivery — so a body only runs the workload. span and counters are
+// the pool's out-of-band observation handles, both nil without an
+// Observer (a nil span's methods are no-ops). A body must keep the
+// result a pure function of the job: same job, same bytes, on any
+// worker of any process.
+type ExecFunc func(j Job, jr *JobResult, span *obs.Span, counters *obs.EngineCounters) error
 
 // Key identifies the job's cell in the grid (everything but the
 // index), used for seed derivation and aggregation grouping.
@@ -198,13 +218,16 @@ func (j Job) Key() string {
 }
 
 // JobResult pairs a job with its outcome. Exactly one of Res/Err is
-// meaningful; Elapsed is wall-clock (informational only — it is never
-// part of aggregated output, which must stay deterministic).
+// meaningful; Elapsed and Runtime are wall-clock (informational only —
+// never part of aggregated output, which must stay deterministic).
 type JobResult struct {
 	Job     Job
 	Res     *sim.Result
 	Err     error
 	Elapsed time.Duration
+	// Runtime is the coordinator's measurement of the job when its body
+	// drove the real system (the testbed), nil otherwise.
+	Runtime *obs.RuntimeRecord
 	// Metrics holds the job's exported telemetry when Job.Telemetry
 	// was enabled (nil otherwise, or on error). Like Res, it is a pure
 	// function of the job identity — never of execution interleaving.
@@ -277,11 +300,24 @@ func (r *Result) Completed() int {
 	return n
 }
 
-// Run executes jobs on a bounded worker pool. A job failing records
-// its error in the corresponding slot and does not stop the sweep;
-// cancelling ctx stops handing out new jobs (in-flight simulations
-// finish — sim.Run is not interruptible) and marks never-started jobs
-// with the context error. Run never returns nil.
+// RuntimeReport collects the coordinator measurements of the jobs that
+// carry one (testbed-backed studies), in grid order. Wall-clock of
+// this machine: out-of-band, never part of the deterministic tables.
+func (r *Result) RuntimeReport() *obs.RuntimeReport {
+	rep := &obs.RuntimeReport{}
+	for _, jr := range r.Jobs {
+		if jr.Runtime != nil {
+			rep.Records = append(rep.Records, *jr.Runtime)
+		}
+	}
+	return rep
+}
+
+// Run executes jobs on a bounded worker pool. A job failing — or
+// panicking — records its error in the corresponding slot and does not
+// stop the sweep; cancelling ctx stops handing out new jobs (in-flight
+// simulations finish — sim.Run is not interruptible) and marks
+// never-started jobs with the context error. Run never returns nil.
 func Run(ctx context.Context, jobs []Job, opts Options) *Result {
 	start := time.Now() //saath:wallclock Result.Elapsed is reporting-only, never study bytes
 	workers := opts.Parallel
@@ -344,53 +380,99 @@ dispatch:
 	return &Result{Jobs: out, Elapsed: time.Since(start)} //saath:wallclock
 }
 
-// runJob executes one simulation, deriving deterministic RNG seeds for
-// dynamics/pipelining from the job identity when the caller left them
-// zero (so every cell of a grid gets distinct but reproducible noise).
-// With an enabled recorder it also times the job's phases (trace
-// synthesis, run loop, metrics export) and attaches engine counters —
-// all out-of-band, never touching the seeds or results above. The
-// result is named so the deferred Elapsed stamp lands in what the
-// caller receives, whichever return it leaves by.
+// runJob is the one job boundary: it runs the job's body (Job.Exec,
+// the simulator by default) and owns what every body shares — the
+// Elapsed stamp, the obs span / job record / runtime record, the skip
+// once ctx is cancelled, and panic containment: a panic in a
+// scheduler, the allocation audit or the coordinator costs this job an
+// error naming where it blew up, never the worker or its siblings. The
+// result is named so the deferred stamp lands in what the caller
+// receives, whichever way the body leaves.
 func runJob(ctx context.Context, j Job, rec *obs.Recorder) (jr JobResult) {
 	jr = JobResult{Job: j}
-	start := time.Now()                               //saath:wallclock JobResult.Elapsed is reporting-only, never study bytes
-	defer func() { jr.Elapsed = time.Since(start) }() //saath:wallclock
+	start := time.Now() //saath:wallclock JobResult.Elapsed is reporting-only, never study bytes
 	var span *obs.Span
 	var counters *obs.EngineCounters
 	if rec.Enabled() {
 		span = obs.StartSpan("job:" + j.Key())
 		counters = &obs.EngineCounters{}
-		defer func() {
-			span.End()
-			errStr := ""
-			if jr.Err != nil {
-				errStr = jr.Err.Error()
-			}
-			rec.RecordJob(obs.JobRecord{
-				Index:     j.Index,
-				Trace:     j.Trace,
-				Variant:   j.Variant,
-				Scheduler: j.Scheduler,
-				Seed:      j.Seed,
-				Error:     errStr,
-				Span:      span,
-				Counters:  counters,
-			})
-		}()
 	}
+	defer func() {
+		if p := recover(); p != nil {
+			jr.Res, jr.Metrics, jr.Runtime = nil, nil, nil
+			jr.Err = fmt.Errorf("sweep: job %s panicked: %v%s", j.Key(), p, panicSite())
+		}
+		jr.Elapsed = time.Since(start) //saath:wallclock
+		if !rec.Enabled() {
+			return
+		}
+		span.End()
+		errStr := ""
+		if jr.Err != nil {
+			errStr = jr.Err.Error()
+		}
+		rec.RecordJob(obs.JobRecord{
+			Index:     j.Index,
+			Trace:     j.Trace,
+			Variant:   j.Variant,
+			Scheduler: j.Scheduler,
+			Seed:      j.Seed,
+			Error:     errStr,
+			Span:      span,
+			Counters:  counters,
+		})
+		if jr.Runtime != nil {
+			rec.RecordRuntime(*jr.Runtime)
+		}
+	}()
 	if err := ctx.Err(); err != nil {
 		jr.Err = fmt.Errorf("sweep: job %s skipped: %w", j.Key(), err)
 		return jr
 	}
+	exec := j.Exec
+	if exec == nil {
+		exec = simulate
+	}
+	jr.Err = exec(j, &jr, span, counters)
+	return jr
+}
+
+// panicSite renders where a recovered panic was raised: the frames
+// between the panic and the pool's job boundary, innermost first, at
+// most eight. Call it from the recovering deferred function.
+func panicSite() string {
+	pc := make([]uintptr, 64)
+	frames := runtime.CallersFrames(pc[:runtime.Callers(3, pc)]) // skip Callers, panicSite, the deferred func
+	var b strings.Builder
+	for n := 0; n < 8; {
+		f, more := frames.Next()
+		if strings.HasSuffix(f.Function, "sweep.runJob") {
+			break
+		}
+		if !strings.HasPrefix(f.Function, "runtime.") { // gopanic, panicmem, sigpanic, ...
+			fmt.Fprintf(&b, "\n\tat %s (%s:%d)", f.Function, filepath.Base(f.File), f.Line)
+			n++
+		}
+		if !more {
+			break
+		}
+	}
+	return b.String()
+}
+
+// simulate is the default job body: one simulator run. It derives
+// deterministic RNG seeds for dynamics/pipelining/telemetry from the
+// job identity when the caller left them zero (so every cell of a grid
+// gets distinct but reproducible noise), and times the job's phases
+// (trace synthesis, run loop, metrics export) under span — all
+// out-of-band, never touching the seeds or results.
+func simulate(j Job, jr *JobResult, span *obs.Span, counters *obs.EngineCounters) error {
 	if j.Gen == nil {
-		jr.Err = fmt.Errorf("sweep: job %s has no trace generator", j.Key())
-		return jr
+		return fmt.Errorf("sweep: job %s has no trace generator", j.Key())
 	}
 	s, err := sched.New(j.Scheduler, j.Params)
 	if err != nil {
-		jr.Err = fmt.Errorf("sweep: job %s: %w", j.Key(), err)
-		return jr
+		return fmt.Errorf("sweep: job %s: %w", j.Key(), err)
 	}
 	cfg := j.Config
 	cfg.Counters = counters // nil when observation is off
@@ -426,8 +508,7 @@ func runJob(ctx context.Context, j Job, rec *obs.Recorder) (jr JobResult) {
 	res, err := sim.Run(tr, s, cfg)
 	runSpan.End()
 	if err != nil {
-		jr.Err = fmt.Errorf("sweep: job %s: %w", j.Key(), err)
-		return jr
+		return fmt.Errorf("sweep: job %s: %w", j.Key(), err)
 	}
 	jr.Res = res
 	if suite != nil {
@@ -435,7 +516,7 @@ func runJob(ctx context.Context, j Job, rec *obs.Recorder) (jr JobResult) {
 		jr.Metrics = suite.Metrics()
 		export.End()
 	}
-	return jr
+	return nil
 }
 
 // DeriveSeed mixes a base seed with a salt string into a stable,

@@ -12,13 +12,6 @@ import (
 	"saath/internal/trace"
 )
 
-// admissionFor keys the testbed backend's admission configuration off
-// the study name: catalog studies that exercise the admission front
-// declare their bucket here, everything else runs open.
-var admissionFor = map[string]rt.AdmissionConfig{
-	"overload": {RatePerSec: 50, Burst: 15},
-}
-
 // latencyPorts is the coordinator-latency study's cluster-size axis —
 // the paper's Table 2 sweeps coordinator scheduling latency against
 // cluster size; 10^4 agents run in-process in the default grid (10^5
@@ -62,14 +55,6 @@ func overloadCfg(seed int64) trace.SynthConfig {
 }
 
 func init() {
-	study.RegisterRunner("testbed", func(st *study.Study, opts study.RunnerOpts) (study.Runner, error) {
-		r := &Runner{Parallel: opts.Parallel, Progress: opts.Progress, Observer: opts.Observer}
-		if adm, ok := admissionFor[st.Name()]; ok {
-			r.Admission = adm
-		}
-		return r, nil
-	})
-
 	study.Register("coordinator-latency",
 		"Table 2-style testbed run: coordinator scheduling latency vs cluster size, measured through the real coordinator with in-process agents",
 		buildCoordinatorLatency)
@@ -92,7 +77,7 @@ func buildCoordinatorLatency() (*study.Study, error) {
 	}
 	return study.New("coordinator-latency",
 		study.WithDescription("schedule-latency vs cluster size on the system path; the latency table itself is out-of-band (obs runtime section)"),
-		study.WithRunner("testbed"),
+		study.WithExec(Exec(Config{})),
 		study.WithTraces(sweep.SynthSource("fb-lat", func(seed int64) *trace.Trace {
 			// Placeholder draw; every variant regenerates it at its
 			// own cluster size (MutateSeeded).
@@ -122,7 +107,7 @@ func buildOverload() (*study.Study, error) {
 	}
 	return study.New("overload",
 		study.WithDescription("a fixed coflow population offered at swept rates against a 50/s token bucket: drops are arrival-time decisions on the system path"),
-		study.WithRunner("testbed"),
+		study.WithExec(Exec(Config{Admission: rt.AdmissionConfig{RatePerSec: 50, Burst: 15}})),
 		study.WithTraces(sweep.SynthSource("fb-overload", func(seed int64) *trace.Trace {
 			return trace.Synthesize(overloadCfg(seed), "fb-overload")
 		})),

@@ -1,148 +1,22 @@
 package testbed
 
 import (
-	"context"
-	"fmt"
-	"runtime"
-	"sync"
-	"time"
-
 	"saath/internal/obs"
-	saathrt "saath/internal/runtime"
 	"saath/internal/sweep"
 )
 
-// Runner is the testbed execution backend for internal/study: it runs
-// every job through the real coordinator (see RunJob) on a bounded
-// worker pool, mirroring sweep.Run's delivery contract — results land
-// in grid order, collectors are fed serialized, and cancelling the
-// context skips jobs not yet started. It implements study.Runner and
-// study.RuntimeReporter.
-type Runner struct {
-	// Parallel bounds the worker pool; <=0 means runtime.NumCPU().
-	Parallel int
-	// Progress, if set, is called after every job completes.
-	Progress sweep.ProgressFunc
-	// Observer, when non-nil, collects the obs manifest: per-job spans
-	// plus the runtime section (coordinator measurements).
-	Observer *obs.Recorder
-	// Admission configures every job's coordinator admission front.
-	Admission saathrt.AdmissionConfig
-	// MaxBoundaries caps each job's δ boundaries (<=0: see Config).
-	MaxBoundaries int
-
-	mu      sync.Mutex
-	records []obs.RuntimeRecord
-}
-
-// Run implements study.Runner.
-func (r *Runner) Run(ctx context.Context, jobs []sweep.Job, collectors []sweep.Collector) (*sweep.Result, error) {
-	start := time.Now() //saath:wallclock Result.Elapsed is reporting-only, never study bytes
-	workers := r.Parallel
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	out := make([]sweep.JobResult, len(jobs))
-	ran := make([]bool, len(jobs))
-
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex // serializes done/Progress/Collectors
-		done int
-	)
-	deliver := func(jr sweep.JobResult) {
-		mu.Lock()
-		defer mu.Unlock()
-		done++
-		for _, c := range collectors {
-			c.Add(jr)
+// Exec returns the job body that runs a study through the real
+// coordinator (see RunJob) under tc: declare it on a study with
+// study.WithExec and every runner — pool, shard, fleet worker —
+// executes its jobs on the system path. The wall-clock runtime record
+// rides out on the job result, beside Elapsed.
+func Exec(tc Config) sweep.ExecFunc {
+	return func(j sweep.Job, jr *sweep.JobResult, _ *obs.Span, _ *obs.EngineCounters) error {
+		res, rec, err := RunJob(j, tc)
+		if err != nil {
+			return err
 		}
-		if r.Progress != nil {
-			r.Progress(done, len(jobs), jr)
-		}
+		jr.Res, jr.Runtime = res, &rec
+		return nil
 	}
-
-	feed := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range feed {
-				jr := r.runOne(ctx, jobs[i])
-				out[i], ran[i] = jr, true
-				deliver(jr)
-			}
-		}()
-	}
-dispatch:
-	for i := range jobs {
-		select {
-		case feed <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(feed)
-	wg.Wait()
-
-	for i := range out {
-		if !ran[i] {
-			jr := sweep.JobResult{Job: jobs[i], Err: fmt.Errorf("testbed: job %s skipped: %w", jobs[i].Key(), ctx.Err())}
-			out[i] = jr
-			deliver(jr)
-		}
-	}
-	return &sweep.Result{Jobs: out, Elapsed: time.Since(start)}, nil //saath:wallclock
-}
-
-// runOne executes one job through the coordinator, timing it and
-// collecting its runtime record.
-func (r *Runner) runOne(ctx context.Context, j sweep.Job) sweep.JobResult {
-	jr := sweep.JobResult{Job: j}
-	start := time.Now()                               //saath:wallclock JobResult.Elapsed is reporting-only, never study bytes
-	defer func() { jr.Elapsed = time.Since(start) }() //saath:wallclock
-	var span *obs.Span
-	if r.Observer.Enabled() {
-		span = obs.StartSpan("testbed:" + j.Key())
-		defer func() {
-			span.End()
-			errStr := ""
-			if jr.Err != nil {
-				errStr = jr.Err.Error()
-			}
-			r.Observer.RecordJob(obs.JobRecord{
-				Index: j.Index, Trace: j.Trace, Variant: j.Variant,
-				Scheduler: j.Scheduler, Seed: j.Seed, Error: errStr, Span: span,
-			})
-		}()
-	}
-	if err := ctx.Err(); err != nil {
-		jr.Err = fmt.Errorf("testbed: job %s skipped: %w", j.Key(), err)
-		return jr
-	}
-	res, rec, err := RunJob(j, Config{Admission: r.Admission, MaxBoundaries: r.MaxBoundaries})
-	if err != nil {
-		jr.Err = err
-		return jr
-	}
-	jr.Res = res
-	r.mu.Lock()
-	r.records = append(r.records, rec)
-	r.mu.Unlock()
-	r.Observer.RecordRuntime(rec)
-	return jr
-}
-
-// RuntimeReport implements study.RuntimeReporter: the coordinator
-// measurements of every job run so far, grid order.
-func (r *Runner) RuntimeReport() *obs.RuntimeReport {
-	r.mu.Lock()
-	recs := append([]obs.RuntimeRecord(nil), r.records...)
-	r.mu.Unlock()
-	rep := &obs.RuntimeReport{Records: recs}
-	rep.Sort()
-	return rep
 }

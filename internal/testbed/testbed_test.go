@@ -119,15 +119,6 @@ func mustBuild(t *testing.T, name string) *study.Study {
 	return st
 }
 
-func mustRunner(t *testing.T, st *study.Study, opts study.RunnerOpts) study.Runner {
-	t.Helper()
-	r, err := study.NewRunnerFor(st, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
-}
-
 func renderAll(t *testing.T, res *study.Result) []byte {
 	t.Helper()
 	tables, err := res.Tables()
@@ -152,7 +143,7 @@ func TestOverloadByteIdentity(t *testing.T) {
 	st := mustBuild(t, "overload")
 
 	run := func(parallel int) []byte {
-		res, err := st.Run(ctx, mustRunner(t, st, study.RunnerOpts{Parallel: parallel}))
+		res, err := st.Run(ctx, study.Pool{Parallel: parallel})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +159,7 @@ func TestOverloadByteIdentity(t *testing.T) {
 
 	var dumps []*study.ShardDump
 	for i := 0; i < 3; i++ {
-		sh := study.Sharded{Index: i, Count: 3, Runner: mustRunner(t, st, study.RunnerOpts{Parallel: 2})}
+		sh := study.Sharded{Index: i, Count: 3, Pool: study.Pool{Parallel: 2}}
 		res, err := st.Run(ctx, sh)
 		if err != nil {
 			t.Fatal(err)
@@ -193,7 +184,7 @@ func TestOverloadByteIdentity(t *testing.T) {
 // rate above it.
 func TestOverloadDropsScaleWithRate(t *testing.T) {
 	st := mustBuild(t, "overload")
-	res, err := st.Run(context.Background(), mustRunner(t, st, study.RunnerOpts{Parallel: 4}))
+	res, err := st.Run(context.Background(), study.Pool{Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,19 +209,14 @@ func TestOverloadDropsScaleWithRate(t *testing.T) {
 // schedule-latency measurements.
 func TestCoordinatorLatencyStudy(t *testing.T) {
 	st := mustBuild(t, "coordinator-latency")
-	r := mustRunner(t, st, study.RunnerOpts{Parallel: 3})
-	res, err := st.Run(context.Background(), r)
+	res, err := st.Run(context.Background(), study.Pool{Parallel: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := res.Err(); err != nil {
 		t.Fatal(err)
 	}
-	rr, ok := r.(study.RuntimeReporter)
-	if !ok {
-		t.Fatal("testbed runner does not implement study.RuntimeReporter")
-	}
-	rep := rr.RuntimeReport()
+	rep := res.Sweep().RuntimeReport()
 	if len(rep.Records) != len(latencyPorts) {
 		t.Fatalf("runtime records = %d, want %d", len(rep.Records), len(latencyPorts))
 	}
@@ -258,8 +244,7 @@ func TestCoordinatorLatencyStudy(t *testing.T) {
 func TestManifestRuntimeSection(t *testing.T) {
 	st := mustBuild(t, "overload")
 	rec := obs.NewRecorder("overload")
-	r := mustRunner(t, st, study.RunnerOpts{Parallel: 4, Observer: rec})
-	res, err := st.Run(context.Background(), r)
+	res, err := st.Run(context.Background(), study.Pool{Parallel: 4, Observer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,5 +332,117 @@ func TestDeltaOverride(t *testing.T) {
 	}
 	if rec16.Boundaries >= rec8.Boundaries {
 		t.Fatalf("doubling δ did not reduce boundaries: %d vs %d", rec16.Boundaries, rec8.Boundaries)
+	}
+}
+
+// TestTestbedJobsAreStamped: a testbed-backed study's jobs go through
+// the one pool, so each carries its wall time — what fleet progress
+// events, straggler marking and -progress read. Not a threshold: only
+// "was stamped".
+func TestTestbedJobsAreStamped(t *testing.T) {
+	st := mustBuild(t, "overload")
+	res, err := st.Run(context.Background(), study.Pool{Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, jr := range res.Sweep().Jobs {
+		if jr.Err != nil {
+			t.Fatal(jr.Err)
+		}
+		if jr.Elapsed <= 0 {
+			t.Errorf("job %s: Elapsed = %v, want > 0", jr.Job.Key(), jr.Elapsed)
+		}
+		if jr.Runtime == nil || jr.Runtime.Index != jr.Job.Index {
+			t.Errorf("job %s: runtime record = %+v, want this job's", jr.Job.Key(), jr.Runtime)
+		}
+	}
+}
+
+// panicPolicy is Saath until its third Schedule call, which panics the
+// way a scheduler bug would.
+type panicPolicy struct {
+	sched.Scheduler
+	calls int
+}
+
+func (p *panicPolicy) Schedule(snap *sched.Snapshot) *sched.RateVec {
+	if p.calls++; p.calls == 3 {
+		panic("test-panic: scheduler bug")
+	}
+	return p.Scheduler.Schedule(snap)
+}
+
+func init() {
+	sched.Register("test-panic", func(p sched.Params) (sched.Scheduler, error) {
+		inner, err := sched.New("saath", p)
+		return &panicPolicy{Scheduler: inner}, err
+	})
+}
+
+// countingCollector counts deliveries per grid index.
+type countingCollector map[int]int
+
+func (c countingCollector) Add(jr sweep.JobResult) { c[jr.Job.Index]++ }
+
+// TestPanicCostsOneJob: a panic inside a job — here a policy blowing up
+// mid-run, under the simulator's body and under the testbed's — becomes
+// that job's error (key, panic value, where it was raised); the sweep
+// finishes, sibling jobs produce what they produce without it, and the
+// collectors, progress and the obs record see the job exactly once.
+func TestPanicCostsOneJob(t *testing.T) {
+	source := sweep.SynthSource("tb-panic", func(seed int64) *trace.Trace {
+		cfg := latencyCfg(seed, 12)
+		cfg.NumCoFlows = 10
+		return trace.Synthesize(cfg, "tb-panic")
+	})
+	for _, body := range []struct {
+		name string
+		exec sweep.ExecFunc
+	}{{"simulator", nil}, {"testbed", Exec(Config{})}} {
+		t.Run(body.name, func(t *testing.T) {
+			grid := sweep.Grid{
+				Traces: []sweep.TraceSource{source}, Seeds: []int64{1, 2},
+				Schedulers: []string{"saath", "test-panic"},
+				Params:     sched.DefaultParams(), Exec: body.exec,
+			}
+			jobs := grid.Jobs()
+			grid.Schedulers = []string{"saath"}
+			want := sweep.Run(context.Background(), grid.Jobs(), sweep.Options{Parallel: 1})
+
+			seen, progressed := countingCollector{}, 0
+			rec := obs.NewRecorder("panic")
+			res := sweep.Run(context.Background(), jobs, sweep.Options{
+				Parallel: 2, Observer: rec, Collectors: []sweep.Collector{seen},
+				Progress: func(done, total int, jr sweep.JobResult) { progressed++ },
+			})
+			if progressed != len(jobs) || len(rec.Manifest().Jobs) != len(jobs) {
+				t.Errorf("progress saw %d jobs, the manifest %d, want %d", progressed, len(rec.Manifest().Jobs), len(jobs))
+			}
+			healthy := 0
+			for i, jr := range res.Jobs {
+				if seen[i] != 1 {
+					t.Errorf("job %s delivered %d times", jr.Job.Key(), seen[i])
+				}
+				if jr.Elapsed <= 0 {
+					t.Errorf("job %s: Elapsed not stamped", jr.Job.Key())
+				}
+				if jr.Job.Scheduler == "test-panic" {
+					if jr.Err == nil || jr.Res != nil {
+						t.Fatalf("job %s: err = %v, res = %v, want the panic as its error", jr.Job.Key(), jr.Err, jr.Res)
+					}
+					for _, part := range []string{jr.Job.Key(), "test-panic: scheduler bug", "panicPolicy).Schedule"} {
+						if !strings.Contains(jr.Err.Error(), part) {
+							t.Errorf("job %s: error %q does not name %q", jr.Job.Key(), jr.Err, part)
+						}
+					}
+					continue
+				}
+				sibling := want.Jobs[healthy]
+				healthy++
+				if jr.Err != nil || jr.Res.Makespan != sibling.Res.Makespan || len(jr.Res.CoFlows) != len(sibling.Res.CoFlows) {
+					t.Errorf("job %s: sibling of a panicking job diverged (err %v)", jr.Job.Key(), jr.Err)
+				}
+			}
+		})
 	}
 }
