@@ -125,6 +125,9 @@ func allocGuards() []allocGuard {
 	// Every policy's steady-state Schedule round allocates at most half
 	// of what it did on the map path; Saath's — queue counts, buckets,
 	// contention vector, allocation vector, ordering — nothing at all.
+	// These rounds schedule afresh; the two policies that hold their
+	// previous decision over a boundary that changed nothing get a row for
+	// that round too, and it allocates nothing either.
 	for _, policy := range benchPolicies {
 		factor := 0.5
 		if policy == "saath" {
@@ -132,6 +135,10 @@ func allocGuards() []allocGuard {
 		}
 		guards = append(guards, allocGuard{"TestScheduleAllocGuards", "schedule_round", policy, 3, factor,
 			func(tb testing.TB) func() { return benchSchedCluster(tb, policy, 500, 150) }})
+	}
+	for _, policy := range []string{"saath", "aalo"} {
+		guards = append(guards, allocGuard{"TestScheduleAllocGuards", "schedule_round", policy + "/held", 3, 0,
+			func(tb testing.TB) func() { _, held := benchSchedRounds(tb, policy, 500, 150); return held }})
 	}
 	return guards
 }
@@ -218,7 +225,8 @@ func TestCoordinatorBoundaryZeroAlloc(t *testing.T) {
 // may then visit each rated flow once each, plus — on the epochs near
 // the end, when the few coflows left put the rated share above the
 // density choice — less than one more coflow's worth; walking the
-// pending flows instead would cost 400 visits an epoch here.
+// pending flows instead would cost 400 visits an epoch here. The same
+// replay pins how many epochs are held (obs.EngineCounters.HeldEpochs).
 func TestEpochCostsRatedFlows(t *testing.T) {
 	const live = 50
 	specs := make([]*Spec, live)
@@ -236,9 +244,17 @@ func TestEpochCostsRatedFlows(t *testing.T) {
 	if len(res.CoFlows) != live || c.RatedFlows == 0 {
 		t.Fatalf("completed %d coflows, %d rated flows", len(res.CoFlows), c.RatedFlows)
 	}
-	t.Logf("%d epochs: %d rated flows, %d walked", c.Epochs, c.RatedFlows, c.FlowsWalked)
+	t.Logf("%d epochs: %d rated flows, %d walked, %d held", c.Epochs, c.RatedFlows, c.FlowsWalked, c.HeldEpochs)
 	if bound := 2*c.RatedFlows + c.Epochs*live; c.FlowsWalked > bound {
 		t.Errorf("observe+advance walked %d flows over %d epochs, want <= 2 x %d rated + %d epochs x %d coflows = %d",
 			c.FlowsWalked, c.Epochs, c.RatedFlows, c.Epochs, live, bound)
+	}
+	// Each coflow is served alone for five epochs. The first follows a
+	// departure and is scheduled, audited and planned afresh; over the
+	// other four nothing but bytes moves — no flow finishes, no queue
+	// threshold is near — so the policy reissues its decision and the
+	// engine keeps its plan.
+	if want := int64(4 * live); c.Epochs != 5*live || c.HeldEpochs != want {
+		t.Errorf("%d of %d epochs held, want %d of %d", c.HeldEpochs, c.Epochs, want, 5*live)
 	}
 }

@@ -33,6 +33,7 @@ func recordJobSpan() *obs.Span {
 // everything the engine does per interval when counters are attached.
 func counterStep(c *obs.EngineCounters, i int) {
 	c.Epochs++
+	c.HeldEpochs++
 	c.EventsDispatched++
 	c.EventsByKind[i%obs.NumEventKinds]++
 	c.HeapPushes++

@@ -23,8 +23,18 @@ var benchPolicies = []string{"saath", "aalo", "baraat", "lwtf", "uc-tcp", "varys
 // benchSchedCluster builds the benchmark active set: n CoFlows on p
 // ports, all live at once (the busy case), with a warmed scheduler and
 // a reusable snapshot — one call to round() is one steady-state
-// Schedule invocation.
+// Schedule invocation that schedules afresh.
 func benchSchedCluster(tb testing.TB, policy string, n, p int) (round func()) {
+	round, _ = benchSchedRounds(tb, policy, n, p)
+	return round
+}
+
+// benchSchedRounds is benchSchedCluster with both kinds of boundary.
+// Before a full round one CoFlow's mutation epoch moves, as a flow
+// completing would move it, so a policy that holds its previous decision
+// (saath, aalo) has to work the schedule out again; before a held round
+// nothing moves, and those policies hand the decision out again.
+func benchSchedRounds(tb testing.TB, policy string, n, p int) (full, held func()) {
 	tb.Helper()
 	tr := trace.Synthesize(trace.SynthConfig{
 		Seed: 42, NumPorts: p, NumCoFlows: n,
@@ -52,12 +62,27 @@ func benchSchedCluster(tb testing.TB, policy string, n, p int) (round func()) {
 		Now: 0, Active: active, Fabric: fab,
 		FlowCap: space.FlowCap(), CoFlowCap: space.CoFlowCap(),
 	}
-	round = func() {
+	held = func() {
 		fab.Reset()
 		s.Schedule(snap)
 	}
-	round() // warm scratch so measurements see the steady state
-	return round
+	full = func() {
+		active[0].Invalidate()
+		held()
+	}
+	full() // warm scratch so measurements see the steady state
+	// Each round is the kind it says: the vector's content stamp moves
+	// exactly when the policy writes a schedule into it.
+	stamp := snap.Alloc.ContentStamp()
+	if full(); snap.Alloc.ContentStamp() == stamp {
+		tb.Fatalf("%s: a full round did not rewrite the allocation", policy)
+	}
+	stamp = snap.Alloc.ContentStamp()
+	holds := policy == "saath" || policy == "aalo"
+	if held(); (snap.Alloc.ContentStamp() == stamp) != holds {
+		tb.Fatalf("%s: a round after which nothing moved reissued the allocation = %v, want %v", policy, !holds, holds)
+	}
+	return full, held
 }
 
 // BenchmarkSchedule measures one steady-state Schedule round per

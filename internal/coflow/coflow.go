@@ -6,6 +6,17 @@
 // (e.g. all shuffle flows of one MapReduce job). Its completion time
 // (CCT) is the span from the arrival of its first flow to the
 // completion of its last flow.
+//
+// A CoFlow carries two stamps its owner moves as it changes the flows,
+// and everything derived from a CoFlow is keyed on them. Invalidate
+// moves the mutation epoch: call it after a change to any flow's Done or
+// Available, or to a finished flow's Sent or DoneAt; the cached pending
+// and sendable lists and the finished-flow summary follow it.
+// NoteProgress moves the progress stamp: call it after writing the Sent
+// of a flow that is not Done. With both unchanged, nothing a scheduler's
+// queue rule reads has moved, and the schedulers hold their decisions on
+// exactly that (internal/core, internal/sched/aalo). saath-vet's detcheck
+// keeps writers of Flow.Sent to it.
 package coflow
 
 import (
@@ -244,6 +255,10 @@ type CoFlow struct {
 	doneLast Time    // max DoneAt over done flows
 	medEpoch uint64  // epoch doneMed was computed at
 	doneMed  Bytes   // median Sent over done flows
+
+	// progress is the stamp NoteProgress moves: the one thing the epoch
+	// does not cover, a pending flow's Sent.
+	progress uint64
 }
 
 // New instantiates runtime state for a spec. All flows start available
@@ -277,6 +292,18 @@ func (c *CoFlow) Invalidate() { c.epoch++ }
 // (sched.ContentionIndex) compare it against a stored value to decide
 // whether a CoFlow's derived state must be refreshed.
 func (c *CoFlow) CacheEpoch() uint64 { return c.epoch }
+
+// NoteProgress moves the CoFlow's progress stamp. Call it after writing
+// the Sent of a flow that is not Done — the byte movement of an interval,
+// a restart's reset, an agent's report. Invalidate covers everything else
+// that changes, so an unchanged (CacheEpoch, ProgressStamp) pair says that
+// nothing a queue rule reads — MaxSent, TotalSent, the pending and
+// sendable lists, the finished-flow median — has moved, and a scheduler
+// may keep the queue it last derived from them.
+func (c *CoFlow) NoteProgress() { c.progress++ }
+
+// ProgressStamp returns the stamp NoteProgress moves.
+func (c *CoFlow) ProgressStamp() uint64 { return c.progress }
 
 // sync brings the progress summary up to the current epoch. Epoch 0
 // means the CoFlow was built as a zero value rather than via New;

@@ -156,6 +156,27 @@ func TestMaxAndTotalSent(t *testing.T) {
 	}
 }
 
+// TestProgressStamp: NoteProgress moves the progress stamp and nothing
+// else; Invalidate moves the epoch and not the stamp. Together they are
+// what a scheduler keys a derived queue on.
+func TestProgressStamp(t *testing.T) {
+	c := New(spec2x2())
+	epoch, stamp := c.CacheEpoch(), c.ProgressStamp()
+	c.Flows[0].Sent = MB
+	c.NoteProgress()
+	if c.ProgressStamp() == stamp || c.CacheEpoch() != epoch {
+		t.Fatalf("after NoteProgress: stamp %d -> %d, epoch %d -> %d", stamp, c.ProgressStamp(), epoch, c.CacheEpoch())
+	}
+	if c.MaxSent() != MB {
+		t.Fatalf("MaxSent = %d: a pending flow's bytes are read live", c.MaxSent())
+	}
+	stamp = c.ProgressStamp()
+	c.Invalidate()
+	if c.ProgressStamp() != stamp || c.CacheEpoch() == epoch {
+		t.Fatal("Invalidate moved the progress stamp, or not the epoch")
+	}
+}
+
 func TestFlowRemainingClamped(t *testing.T) {
 	f := &Flow{Size: 10, Sent: 15}
 	if got := f.Remaining(); got != 0 {

@@ -69,13 +69,25 @@ func (s *Saath) recordAllocationsFull(snap *sched.Snapshot, alloc *sched.RateVec
 	}
 }
 
+// forget drops what Schedule keeps of its previous call — the decision
+// and every CoFlow's derived queue — so the next call takes the full
+// path: the oracle the held path is compared with.
+func (s *Saath) forget() {
+	s.last = lastDecision{}
+	for i := range s.states {
+		s.states[i].epoch = 0
+	}
+}
+
 // scheduleFullWalks is one Schedule with the full walks in place of the
 // rated list: observe everything first (step (0) reads only tracks and
 // flows, so it commutes with the queue assignment ahead of it), run
 // Schedule with nothing left for it to observe — an empty list and no
 // rated track for relist to find; the record walk rewrites every one of
-// those baselines anyway — then record everything.
+// those baselines anyway — then record everything. Nothing is held: the
+// held path re-records off the list this empties.
 func (s *Saath) scheduleFullWalks(snap *sched.Snapshot) *sched.RateVec {
+	s.forget()
 	s.growScratch(snap)
 	s.observeProgressFull(snap)
 	s.rated = s.rated[:0]
@@ -189,6 +201,7 @@ func (tc *trackingCluster) advance(alloc *sched.RateVec, now, dt coflow.Time, sc
 				r = coflow.Rate(float64(r) * k)
 			}
 			f.Sent += r.Transfer(dt)
+			c.NoteProgress() // covers the restart below
 			switch {
 			case f.Sent >= f.Size:
 				f.Sent, f.Done, f.DoneAt = f.Size, true, now+dt

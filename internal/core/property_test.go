@@ -36,6 +36,7 @@ func randomCluster(rng *rand.Rand, nPorts, nCoflows int) []*coflow.CoFlow {
 				f.Available = false
 			}
 		}
+		c.NoteProgress()
 		if len(c.PendingFlows()) == 0 {
 			continue // fully-done coflows never reach the scheduler
 		}

@@ -36,6 +36,21 @@
 // equal — rates, caps, streaks, queue history, deadlines — through
 // arrivals, departures with index reuse, restarts, withheld flows and
 // the coordinator's update() swaps.
+//
+// Schedule runs every δ and most boundaries give it nothing new to
+// decide from, so it keeps its last decision. Per CoFlow it keeps the
+// queue it derived, and derives it again only where the CoFlow's
+// mutation epoch or progress stamp moved (coflow.CoFlow.NoteProgress —
+// every writer of a pending flow's Sent moves it). And when the call as a
+// whole repeats the previous one — the same CoFlows, pointer for pointer,
+// under the same epochs and in the same queues; the same ones past their
+// starvation deadline; no straggler cap moved; the same fabric, full; the
+// vector it returned still under the content stamp it left it with — it
+// runs the queue check and the straggler observation as always and then
+// hands that vector out again, re-recording the flows it rated
+// (reissue). Each condition is exact, not a heuristic: a reissued call
+// leaves every track, deadline and list as the full path would, which
+// TestHeldScheduleMatchesFull holds it to against a twin that forgets.
 package core
 
 import (
@@ -65,8 +80,14 @@ type Saath struct {
 	// rated names every live flow whose track carries a rate (lastAlloc
 	// > 0): the flows the previous Schedule rated, plus any relist found.
 	// Straggler tracking visits these and nothing else, so it costs the
-	// flows that were served, not every pending flow.
-	rated []ratedRef
+	// flows that were served, not every pending flow. observeProgress
+	// empties it into observed, where a held Schedule finds the flows to
+	// rate again.
+	rated    []ratedRef
+	observed []ratedRef
+
+	// last is what the previous Schedule decided and from what; see reissue.
+	last lastDecision
 
 	// Per-interval scratch, reused across ticks so the steady-state
 	// Schedule call performs zero heap allocations.
@@ -84,6 +105,28 @@ type coflowState struct {
 	queue     int
 	enteredAt coflow.Time // when the CoFlow entered its current queue
 	deadline  coflow.Time // absolute starvation deadline for this queue
+
+	// c's CacheEpoch and ProgressStamp when the previous Schedule looked
+	// at it: while both stand, targetQueue(c) is still queue. Epoch 0 is
+	// "not looked at yet" — a new holder, or a zero-value CoFlow, which
+	// has no epoch to go by.
+	epoch, progress uint64
+}
+
+// lastDecision is the previous Schedule's output and the inputs of it
+// that are not per-CoFlow state. A δ boundary mostly finds nothing
+// changed: the same CoFlows with the same flows sendable, each in the
+// queue it was in, the same ones past their deadline, no straggler cap
+// moved. The order, the admissions and the rates would then come out as
+// they did, so Schedule hands the vector out again as it is (reissue).
+type lastDecision struct {
+	issued sched.Issued     // the vector returned and the fabric it was drawn from
+	active []*coflow.CoFlow // snap.Active, copied: the caller reuses its array
+	rated  int              // len(s.rated) on return, before any relist
+	// capsMoved is set when observeProgress changes a track's estCap;
+	// Schedule takes it down once it has scheduled with the new caps.
+	// (Depart clears caps too, but of a CoFlow that then leaves active.)
+	capsMoved bool
 }
 
 // flowTrack observes one flow's achieved throughput so the coordinator
@@ -270,11 +313,17 @@ func (s *Saath) growScratch(snap *sched.Snapshot) {
 //
 //saath:hotpath zero-alloc steady state guarded by TestScheduleAllocGuards
 func (s *Saath) Schedule(snap *sched.Snapshot) *sched.RateVec {
-	alloc := snap.Allocation()
+	// hold stays true while this call looks like the last one: here, the
+	// vector it returned still as it left it, drawn from this fabric at
+	// full capacity, which it has again; in (1), the same CoFlows one by
+	// one.
+	last := &s.last
+	prev, hold := last.issued.Begin(snap)
 	if len(snap.Active) == 0 {
 		s.lastTime = snap.Now
-		return alloc
+		return snap.Allocation() // the reset moves the stamp: nothing is held past here
 	}
+	hold = hold && len(snap.Active) == len(last.active)
 	fab := snap.Fabric
 	portRate := fab.PortRate()
 	s.growScratch(snap)
@@ -285,17 +334,30 @@ func (s *Saath) Schedule(snap *sched.Snapshot) *sched.RateVec {
 	// track, so it runs ahead of (0), which resolves the rated flows
 	// through the holders refreshed here.
 	queueCount := s.queueCount
-	for _, c := range snap.Active {
+	for i, c := range snap.Active {
 		st := s.lookup(c.Idx, c.ID())
 		if st == nil { // defensive: simulator always calls Arrive first
 			st = &s.states[c.Idx]
 			*st = coflowState{enteredAt: snap.Now, deadline: -1}
 		}
 		if st.c != c { // swapped in by update(), or never announced
-			st.c = c
+			st.c, st.epoch = c, 0
 			s.relist(c)
 		}
-		q := s.targetQueue(c)
+		// The queue rules read what the epoch and the progress stamp
+		// cover, so the queue stands while both do. The rest of the
+		// decision reads the sendable set, which the epoch covers alone.
+		epoch, progress := c.CacheEpoch(), c.ProgressStamp()
+		sameFlows := epoch != 0 && epoch == st.epoch
+		q := st.queue
+		if !sameFlows || progress != st.progress {
+			q = s.targetQueue(c)
+			st.epoch, st.progress = epoch, progress
+		}
+		hold = hold && sameFlows && last.active[i] == c && q == st.queue &&
+			// A deadline passed since the last call reorders the queue. (One
+			// not derived yet belongs to a state not looked at yet.)
+			(s.lastTime >= st.deadline) == (snap.Now >= st.deadline)
 		if q != st.queue {
 			st.queue = q
 			st.enteredAt = snap.Now
@@ -308,6 +370,11 @@ func (s *Saath) Schedule(snap *sched.Snapshot) *sched.RateVec {
 	// allocation gets its future reservation capped near what it
 	// demonstrably sustains; caps decay quickly once the flow recovers.
 	s.observeProgress(snap)
+
+	if hold && !last.capsMoved {
+		return s.reissue(prev, snap.Now)
+	}
+	alloc := snap.Allocation()
 
 	// Fresh deadlines: d · C_q · t, with C_q the queue population at
 	// entry and t the minimum residence time of that queue (§4.2 D5).
@@ -390,6 +457,26 @@ func (s *Saath) Schedule(snap *sched.Snapshot) *sched.RateVec {
 		}
 	}
 	s.lastTime = snap.Now
+	last.issued.End(snap, alloc)
+	last.active = append(last.active[:0], snap.Active...) //saath:alloc-ok amortized: grows with the live set, on arrival epochs
+	last.rated, last.capsMoved = len(s.rated), false
+	return alloc
+}
+
+// reissue is Schedule's way out when nothing it decides from has changed
+// since the previous call: the vector goes out again as it is, and the
+// flows that call rated — observeProgress just moved them, in order,
+// from rated to observed, ahead of anything relisted since — are
+// recorded again at their rates with today's Sent as the baseline. Every
+// track, the rated list and lastTime end up as the full path would leave
+// them. The fabric is not drawn down; see sched.Snapshot.Fabric.
+func (s *Saath) reissue(alloc *sched.RateVec, now coflow.Time) *sched.RateVec {
+	for _, ref := range s.observed[:s.last.rated] {
+		c := s.states[ref.coflow].c
+		f := c.Flows[ref.flow]
+		s.recordAllocation(c, f, alloc.Rate(f.Idx))
+	}
+	s.lastTime = now
 	return alloc
 }
 
@@ -402,7 +489,8 @@ func (s *Saath) Schedule(snap *sched.Snapshot) *sched.RateVec {
 // 0 and nothing to compare. Each visited track goes back to lastAlloc 0
 // — recordAllocation sets it again if this Schedule rates the flow — so
 // an unrated flow's lagStreak and estCap stay as they were, and its
-// lastSent goes stale unread.
+// lastSent goes stale unread. The list ends up empty and what it held in
+// observed, for reissue.
 func (s *Saath) observeProgress(snap *sched.Snapshot) {
 	dt := snap.Now - s.lastTime
 	observe := s.lastTime >= 0 && dt > 0
@@ -444,7 +532,10 @@ func (s *Saath) observeProgress(snap *sched.Snapshot) {
 				if cap < floor {
 					cap = floor
 				}
-				tr.estCap = cap
+				if cap != tr.estCap {
+					tr.estCap = cap
+					s.last.capsMoved = true
+				}
 			}
 			continue
 		}
@@ -454,9 +545,10 @@ func (s *Saath) observeProgress(snap *sched.Snapshot) {
 			if tr.estCap >= snap.Fabric.PortRate() {
 				tr.estCap = 0
 			}
+			s.last.capsMoved = true
 		}
 	}
-	s.rated = s.rated[:0]
+	s.rated, s.observed = s.observed[:0], s.rated
 }
 
 // recordAllocation snapshots one rated flow's progress baseline for the

@@ -204,6 +204,7 @@ func TestPerFlowThresholdDemotesFaster(t *testing.T) {
 	c := mk(1, spec...)
 	// One flow sent 4 MB: m_c·N = 16 MB > S=10MB -> queue 1.
 	c.Flows[0].Sent = 4 * coflow.MB
+	c.NoteProgress()
 	s.Arrive(c, 0)
 	s.Schedule(snapshot(8, 0, c))
 	if q, _ := s.QueueOf(1); q != 1 {
@@ -272,6 +273,7 @@ func TestDynamicsSRTFPromotesNearlyDoneCoFlow(t *testing.T) {
 	c.Flows[0].Sent = coflow.GB
 	c.Flows[0].Done = true
 	c.Flows[1].Sent = coflow.GB - 2*coflow.MB // ~2 MB left
+	c.NoteProgress()
 
 	s := newSaath(t, nil)
 	s.Arrive(c, 0)

@@ -24,6 +24,7 @@ type Fabric struct {
 	portRate    coflow.Rate
 	egressFree  []coflow.Rate // residual per sender port
 	ingressFree []coflow.Rate // residual per receiver port
+	drawn       bool          // Allocate ran since the last Reset
 
 	// EqualRateForCoFlow's per-port flow counts, all zero between calls.
 	useEgress  []int32
@@ -53,6 +54,7 @@ func New(numPorts int, rate coflow.Rate) *Fabric {
 		ingressFree: make([]coflow.Rate, numPorts),
 		useEgress:   make([]int32, numPorts),
 		useIngress:  make([]int32, numPorts),
+		drawn:       true, // nothing is at line rate until the Reset below
 	}
 	f.Reset()
 	return f
@@ -64,13 +66,23 @@ func (f *Fabric) NumPorts() int { return f.numPorts }
 // PortRate returns the per-port line rate.
 func (f *Fabric) PortRate() coflow.Rate { return f.portRate }
 
-// Reset restores full capacity at every port, starting a new round.
+// Reset restores full capacity at every port, starting a new round. A
+// fabric nothing drew from since the last Reset is left as it is.
 func (f *Fabric) Reset() {
+	if !f.drawn {
+		return
+	}
 	for i := range f.egressFree {
 		f.egressFree[i] = f.portRate
 		f.ingressFree[i] = f.portRate
 	}
+	f.drawn = false
 }
+
+// Full reports whether every port is at line rate because nothing was
+// allocated since the last Reset — what a scheduler is handed at the
+// start of a round.
+func (f *Fabric) Full() bool { return !f.drawn }
 
 // EgressFree returns residual sender-side capacity at port p.
 func (f *Fabric) EgressFree(p coflow.PortID) coflow.Rate { return f.egressFree[p] }
@@ -102,6 +114,7 @@ func (f *Fabric) Allocate(src, dst coflow.PortID, r coflow.Rate) {
 	if r > f.ingressFree[dst]+coflow.Rate(tol*float64(f.portRate)) {
 		panic(fmt.Sprintf("fabric: ingress port %d oversubscribed: want %v, free %v", dst, r, f.ingressFree[dst]))
 	}
+	f.drawn = true
 	f.egressFree[src] -= r
 	f.ingressFree[dst] -= r
 	if f.egressFree[src] < 0 {

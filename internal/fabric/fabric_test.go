@@ -13,10 +13,25 @@ func TestNewAndReset(t *testing.T) {
 	if f.NumPorts() != 4 || f.PortRate() != DefaultPortRate {
 		t.Fatalf("shape: %d ports rate %v", f.NumPorts(), f.PortRate())
 	}
+	if !f.Full() {
+		t.Fatal("a new fabric is not full")
+	}
+	f.Allocate(0, 1, DefaultPortRate/2)
+	if f.Full() {
+		t.Fatal("full after an allocation")
+	}
+	f.Release(0, 1, DefaultPortRate/2)
+	if f.Full() {
+		t.Fatal("Full vouches for a fabric that was drawn from since its Reset")
+	}
 	f.Allocate(0, 1, DefaultPortRate/2)
 	f.Reset()
-	if f.EgressFree(0) != DefaultPortRate || f.IngressFree(1) != DefaultPortRate {
+	if f.EgressFree(0) != DefaultPortRate || f.IngressFree(1) != DefaultPortRate || !f.Full() {
 		t.Fatal("Reset did not restore capacity")
+	}
+	f.Reset() // nothing drawn since: left as it is
+	if f.EgressFree(0) != DefaultPortRate || !f.Full() {
+		t.Fatal("a second Reset disturbed a full fabric")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // detPackages are the determinism-critical packages: everything whose
@@ -27,6 +28,13 @@ var detPackages = []string{
 	"saath/internal/fabric",
 	"saath/internal/core",
 	"saath/internal/experiments",
+}
+
+// progressPackages also hold writers of coflow.Flow.Sent — the
+// coordinator merges agent reports into it — and get the progress-stamp
+// rule, and only that one, of detcheck.
+var progressPackages = []string{
+	"saath/internal/runtime",
 }
 
 // wallclockFuncs are the time-package functions whose results depend
@@ -58,16 +66,30 @@ var seededRandFuncs = map[string]bool{
 // Everything else needs a //saath:order-independent annotation or a
 // rewrite. Wall-clock reads feeding observability carry
 // //saath:wallclock; global math/rand has no escape hatch.
+//
+// It also keeps the progress-stamp contract: schedulers hold a decision
+// while a CoFlow's (CacheEpoch, ProgressStamp) stand, so an assignment
+// to coflow.Flow.Sent must sit in a function that also calls
+// NoteProgress or Invalidate on a CoFlow — or carry
+// //saath:progress-ok saying who does. A writer that moves bytes
+// silently would stale a held schedule and change results with no test
+// of its own to notice.
 var DetCheck = &Analyzer{
 	Name: "detcheck",
-	Doc:  "forbid wall-clock, global math/rand, and order-dependent map iteration in determinism-critical packages",
+	Doc:  "forbid wall-clock, global math/rand, order-dependent map iteration and unstamped Flow.Sent writes in determinism-critical packages",
 	AppliesTo: func(path string) bool {
-		return pathIn(path, detPackages)
+		return pathIn(path, detPackages) || pathIn(path, progressPackages)
 	},
 	Run: runDetCheck,
 }
 
 func runDetCheck(pass *Pass) error {
+	for _, file := range pass.Files {
+		checkSentWrites(pass, file)
+	}
+	if !pathIn(pass.Pkg.Path(), detPackages) {
+		return nil
+	}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -85,6 +107,69 @@ func runDetCheck(pass *Pass) error {
 		})
 	}
 	return nil
+}
+
+// checkSentWrites flags every assignment to coflow.Flow.Sent in a
+// function that never calls NoteProgress or Invalidate on a CoFlow.
+func checkSentWrites(pass *Pass, file *ast.File) {
+	for _, d := range file.Decls {
+		fd, ok := d.(*ast.FuncDecl)
+		if !ok || fd.Body == nil {
+			continue
+		}
+		var writes []ast.Expr
+		stamped := false
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if isCoflowMember(pass.TypesInfo, lhs, "Flow", "Sent") {
+						writes = append(writes, lhs)
+					}
+				}
+			case *ast.IncDecStmt:
+				if isCoflowMember(pass.TypesInfo, n.X, "Flow", "Sent") {
+					writes = append(writes, n.X)
+				}
+			case *ast.CallExpr:
+				stamped = stamped || isCoflowMember(pass.TypesInfo, n.Fun, "CoFlow", "NoteProgress") ||
+					isCoflowMember(pass.TypesInfo, n.Fun, "CoFlow", "Invalidate")
+			}
+			return true
+		})
+		if stamped {
+			continue
+		}
+		for _, w := range writes {
+			if pass.Notes.Suppressed(pass.Fset, w.Pos(), fd, NoteProgressOK) {
+				continue
+			}
+			pass.Reportf(w.Pos(),
+				"Flow.Sent is written in a function that calls neither NoteProgress nor Invalidate on the CoFlow; a scheduler holding its last decision would not see the bytes move (//saath:progress-ok naming who stamps it, if someone does)")
+		}
+	}
+}
+
+// isCoflowMember reports whether e selects the field or method member
+// of the internal/coflow type named typ.
+func isCoflowMember(info *types.Info, e ast.Expr, typ, member string) bool {
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != member {
+		return false
+	}
+	selection := info.Selections[sel]
+	if selection == nil {
+		return false
+	}
+	recv := selection.Recv()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	named, ok := recv.(*types.Named)
+	if !ok || named.Obj().Name() != typ || named.Obj().Pkg() == nil {
+		return false
+	}
+	return strings.HasSuffix(named.Obj().Pkg().Path(), "internal/coflow")
 }
 
 func checkDetCall(pass *Pass, file *ast.File, call *ast.CallExpr) {

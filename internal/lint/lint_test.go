@@ -12,6 +12,15 @@ func TestDetCheckAllowlistedPackage(t *testing.T) {
 	expectNoFindings(t, DetCheck, "saath/internal/runtime/rtfixture")
 }
 
+func TestDetCheckProgressRuleReachesRuntime(t *testing.T) {
+	// The coordinator writes Flow.Sent too, so the progress-stamp rule —
+	// alone of detcheck's — runs there: the package is analysed, and the
+	// fixture above shows the wall-clock and map rules staying out of it.
+	if !DetCheck.AppliesTo("saath/internal/runtime") || DetCheck.AppliesTo("saath/internal/obs") {
+		t.Error("detcheck should apply to internal/runtime (progress rule) and not to internal/obs")
+	}
+}
+
 func TestHotPathFixture(t *testing.T) {
 	runFixture(t, HotPath, "saath/internal/sched/hotfixture")
 }

@@ -1,6 +1,7 @@
 // Package coflow is a typing stub for analyzer fixtures: hotpath
 // matches map keys against the FlowID/CoFlowID named types of any
-// package whose path ends in internal/coflow.
+// package whose path ends in internal/coflow, and detcheck matches
+// Flow.Sent writes against CoFlow's two stamping methods.
 package coflow
 
 type CoFlowID int64
@@ -9,3 +10,13 @@ type FlowID struct {
 	CoFlow CoFlowID
 	Index  int
 }
+
+type Flow struct {
+	Sent int64
+	Done bool
+}
+
+type CoFlow struct{ Flows []*Flow }
+
+func (c *CoFlow) NoteProgress() {}
+func (c *CoFlow) Invalidate()   {}

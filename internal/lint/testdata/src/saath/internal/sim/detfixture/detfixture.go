@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sort"
 	"time"
+
+	"saath/internal/coflow"
 )
 
 // --- wall clock ---
@@ -119,4 +121,36 @@ func mapAnnotated(m map[string]float64) float64 {
 		}
 	}
 	return worst
+}
+
+// --- progress stamp ---
+
+func sentUnstamped(f *coflow.Flow) {
+	f.Sent += 10 // want "Flow.Sent is written in a function that calls neither NoteProgress nor Invalidate"
+}
+
+func sentUnstampedForms(c *coflow.CoFlow) {
+	c.Flows[0].Sent++                          // want "Flow.Sent is written"
+	c.Flows[1].Sent, c.Flows[1].Done = 5, true // want "Flow.Sent is written"
+}
+
+func sentNoted(c *coflow.CoFlow, moved int64) {
+	for _, f := range c.Flows {
+		f.Sent += moved // the CoFlow is stamped below: no finding
+	}
+	c.NoteProgress()
+}
+
+func sentInvalidated(c *coflow.CoFlow) {
+	c.Flows[0].Sent, c.Flows[0].Done = 0, false // Invalidate covers it: no finding
+	c.Invalidate()
+}
+
+func sentReset(f *coflow.Flow) {
+	f.Sent = 0 //saath:progress-ok sentNoted, the only caller, stamps the CoFlow
+}
+
+func sentRead(f *coflow.Flow) int64 {
+	left := 100 - f.Sent // a read is not a write
+	return left
 }

@@ -122,6 +122,10 @@ type EngineCounters struct {
 	// not the pending population.
 	RatedFlows  int64 `json:"rated_flows,omitempty"`
 	FlowsWalked int64 `json:"flows_walked,omitempty"`
+	// HeldEpochs counts the epochs whose policy handed out its previous
+	// vector untouched over an unchanged live set, so the engine kept its
+	// audit verdict and rated list instead of redoing them.
+	HeldEpochs int64 `json:"held_epochs,omitempty"`
 	// Schedule is the wall-clock latency histogram of Schedule calls.
 	Schedule LatencyHist `json:"schedule_latency"`
 }
@@ -144,6 +148,7 @@ func (c *EngineCounters) Merge(other *EngineCounters) {
 	}
 	c.RatedFlows += other.RatedFlows
 	c.FlowsWalked += other.FlowsWalked
+	c.HeldEpochs += other.HeldEpochs
 	c.Schedule.Merge(&other.Schedule)
 }
 
@@ -168,7 +173,8 @@ func (c *EngineCounters) scalars() []counterValue {
 		counterValue{"engine_heap_pushes", c.HeapPushes},
 		counterValue{"engine_heap_max", c.HeapMax},
 		counterValue{"engine_rated_flows", c.RatedFlows},
-		counterValue{"engine_flows_walked", c.FlowsWalked})
+		counterValue{"engine_flows_walked", c.FlowsWalked},
+		counterValue{"engine_held_epochs", c.HeldEpochs})
 }
 
 // Metrics exports the counters through the existing telemetry dump

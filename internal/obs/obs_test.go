@@ -50,16 +50,16 @@ func TestLatencyHistObserveZeroAlloc(t *testing.T) {
 
 func TestEngineCountersMergeAndExports(t *testing.T) {
 	a := &EngineCounters{Epochs: 10, Admitted: 5, Retired: 5,
-		EventsDispatched: 20, HeapPushes: 20, HeapMax: 7}
+		EventsDispatched: 20, HeapPushes: 20, HeapMax: 7, HeldEpochs: 6}
 	a.EventsByKind[1] = 5
 	a.Schedule.Observe(2 * time.Microsecond)
-	b := &EngineCounters{Epochs: 3, HeapMax: 4}
+	b := &EngineCounters{Epochs: 3, HeapMax: 4, HeldEpochs: 1}
 	b.EventsByKind[1] = 2
 
 	var sum EngineCounters
 	sum.Merge(a)
 	sum.Merge(b)
-	if sum.Epochs != 13 || sum.HeapMax != 7 || sum.HeapPushes != 20 || sum.EventsByKind[1] != 7 {
+	if sum.Epochs != 13 || sum.HeapMax != 7 || sum.HeapPushes != 20 || sum.EventsByKind[1] != 7 || sum.HeldEpochs != 7 {
 		t.Errorf("merge = %+v", sum)
 	}
 
@@ -69,6 +69,9 @@ func TestEngineCountersMergeAndExports(t *testing.T) {
 	}
 	if s := m.FindSeries("engine_events_arrival"); s == nil || s.Last != 5 {
 		t.Errorf("events_arrival series = %+v", s)
+	}
+	if s := m.FindSeries("engine_held_epochs"); s == nil || s.Last != 6 {
+		t.Errorf("held_epochs series = %+v", s)
 	}
 	if h := m.FindHistogram("engine_schedule_latency_ns"); h == nil || h.Count != 1 {
 		t.Errorf("latency histogram = %+v", h)

@@ -13,6 +13,7 @@ import (
 
 	"saath/internal/coflow"
 	"saath/internal/sched"
+	_ "saath/internal/sched/aalo" // registers "aalo"
 )
 
 // recLink is an agentLink that records every schedule pushed to its
@@ -432,6 +433,230 @@ func testUpdateRestated(t *testing.T) {
 	if got, want := sides[0].coord.Results(), sides[1].coord.Results(); len(got) != 2 || len(want) != 2 ||
 		got[0].CCT != want[0].CCT || got[1].CCT != want[1].CCT {
 		t.Fatalf("results %+v, without the PUT %+v", got, want)
+	}
+}
+
+// forgetfulSched moves every stamp the policy could hold something under
+// before each Schedule — the listed CoFlows' progress stamps, the
+// vector's content stamp — so the policy derives every queue and the
+// whole schedule afresh. held counts the calls that came back without a
+// write to the vector: the previous decision reissued.
+type forgetfulSched struct {
+	sched.Scheduler
+	forget bool
+	held   *int
+}
+
+func (s forgetfulSched) Schedule(snap *sched.Snapshot) *sched.RateVec {
+	if s.forget {
+		for _, c := range snap.Active {
+			c.NoteProgress()
+		}
+		if snap.Alloc != nil {
+			snap.Alloc.Reset(snap.FlowCap)
+		}
+	}
+	before := snap.Alloc.ContentStamp()
+	alloc := s.Scheduler.Schedule(snap)
+	if snap.Alloc != nil && alloc.ContentStamp() == before {
+		*s.held++
+	}
+	return alloc
+}
+
+// TestCoordinatorHeldScheduleMatchesFull runs two coordinators through
+// the same job in lockstep, one under a policy that keeps its previous
+// decision over the boundaries that change nothing, one under the same
+// policy made to forget before every call. The job has what moves a
+// coordinator's schedule — registrations over time, agents reporting
+// bytes that carry coflows over queue thresholds, a sender stalling into
+// a straggler cap, a PUT, a DELETE, completions — and every boundary's
+// orders must match to the end.
+func TestCoordinatorHeldScheduleMatchesFull(t *testing.T) {
+	const (
+		delta = 8 * time.Millisecond
+		mb    = 1_000_000
+	)
+	specs := []*coflow.Spec{
+		{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 40 * mb}, {Src: 2, Dst: 3, Size: 25 * mb}}},
+		{ID: 2, Flows: []coflow.FlowSpec{{Src: 0, Dst: 3, Size: 10 * mb}}},
+		{ID: 3, Flows: []coflow.FlowSpec{{Src: 4, Dst: 5, Size: 30 * mb}, {Src: 0, Dst: 5, Size: 5 * mb}}},
+		{ID: 4, Flows: []coflow.FlowSpec{{Src: 2, Dst: 1, Size: 60 * mb}}},
+		{ID: 5, Flows: []coflow.FlowSpec{{Src: 4, Dst: 3, Size: 15 * mb}, {Src: 5, Dst: 0, Size: 15 * mb}}},
+	}
+	registerAt := map[int]int{0: 0, 1: 0, 2: 6, 3: 6, 4: 30} // spec index -> boundary
+	for _, policy := range []string{"saath", "aalo"} {
+		t.Run(policy, func(t *testing.T) {
+			type side struct {
+				coord *Coordinator
+				links []*recLink
+				vc    *VirtualClock
+				round []string
+				held  int
+			}
+			var sides [2]*side
+			for i := range sides {
+				sd := &side{vc: NewVirtualClock(time.Unix(0, 0).UTC())}
+				inner, err := sched.New(policy, sched.DefaultParams())
+				if err != nil {
+					t.Fatal(err)
+				}
+				sd.coord, err = NewCoordinator(CoordinatorConfig{
+					Scheduler: forgetfulSched{Scheduler: inner, forget: i == 1, held: &sd.held},
+					NumPorts:  6, PortRate: coflow.Rate(125e6), Delta: delta, Clock: sd.vc, Manual: true,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { sd.coord.Close() })
+				for p := 0; p < 6; p++ {
+					a, err := sd.coord.AttachInproc(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					l := &recLink{port: p, inner: a, round: &sd.round}
+					sd.links = append(sd.links, l)
+					sd.coord.setAgent(p, l)
+				}
+				sides[i] = sd
+			}
+			request := func(sd *side, method, path, body string) {
+				w := httptest.NewRecorder()
+				sd.coord.handleCoFlowByID(w, httptest.NewRequest(method, path, strings.NewReader(body)))
+				if w.Code != http.StatusOK && w.Code != http.StatusNoContent {
+					t.Fatalf("%s %s = %d (%s)", method, path, w.Code, w.Body.String())
+				}
+			}
+			for n := 0; ; n++ {
+				if n > 400 {
+					t.Fatal("still live after 400 boundaries")
+				}
+				live := 0
+				for _, sd := range sides {
+					for i, sp := range specs {
+						if registerAt[i] == n {
+							if err := sd.coord.Register(sp); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					sd.vc.Advance(delta)
+					for p, l := range sd.links {
+						if stalled := p == 2 && n >= 14 && n < 20; !stalled {
+							l.inner.Step(delta)
+						}
+					}
+					for _, l := range sd.links {
+						l.inner.Report()
+					}
+					switch n {
+					case 18: // update(): coflow 3's second flow resized, so restarted
+						request(sd, http.MethodPut, "/coflows/3", fmt.Sprintf(`{"flows":[{"src":4,"dst":5,"size":%d},{"src":0,"dst":5,"size":%d}]}`, 30*mb, 8*mb))
+					case 40:
+						request(sd, http.MethodDelete, "/coflows/4", "")
+					}
+					sd.round = sd.round[:0]
+					live = sd.coord.StepSchedule()
+				}
+				if got, want := strings.Join(sides[0].round, " "), strings.Join(sides[1].round, " "); got != want {
+					t.Fatalf("boundary %d: orders\n%s\nwith nothing held\n%s", n, got, want)
+				}
+				if live == 0 && n > 30 {
+					if sides[1].held != 0 {
+						t.Errorf("the forgetful side reissued %d decisions", sides[1].held)
+					}
+					if sides[0].held*4 < n {
+						t.Errorf("%d of %d boundaries reissued the previous decision: the run hardly reached the held path", sides[0].held, n)
+					}
+					break
+				}
+			}
+			got, want := sides[0].coord.Results(), sides[1].coord.Results()
+			if len(got) != 4 || len(want) != 4 {
+				t.Fatalf("%d and %d results, want 4 each (coflow 4 was deleted)", len(got), len(want))
+			}
+			for i := range got {
+				if got[i].ID != want[i].ID || got[i].CCT != want[i].CCT {
+					t.Fatalf("result %d: %+v, with nothing held %+v", i, got[i], want[i])
+				}
+			}
+		})
+	}
+}
+
+// panicOnce is a policy with a bug that fires on one Schedule call.
+type panicOnce struct {
+	sched.Scheduler
+	armed *bool
+}
+
+func (p panicOnce) Schedule(snap *sched.Snapshot) *sched.RateVec {
+	if *p.armed {
+		*p.armed = false
+		panic("policy bug")
+	}
+	return p.Scheduler.Schedule(snap)
+}
+
+// TestPolicyPanicCostsOneRound: a policy panic inside a schedule round
+// reaches the round's caller and leaves the coordinator usable — the
+// policy lock is released on the way out, so the next round, a
+// registration and a report all get in, and the job completes.
+func TestPolicyPanicCostsOneRound(t *testing.T) {
+	const delta = 8 * time.Millisecond
+	inner, err := sched.New("saath", sched.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	armed := false
+	vc := NewVirtualClock(time.Unix(0, 0).UTC())
+	coord, err := NewCoordinator(CoordinatorConfig{
+		Scheduler: panicOnce{inner, &armed}, NumPorts: 4, PortRate: coflow.Rate(125e6),
+		Delta: delta, Clock: vc, Manual: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+	var agents []*InprocAgent
+	for p := 0; p < 4; p++ {
+		a, err := coord.AttachInproc(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		agents = append(agents, a)
+	}
+	if err := coord.Register(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 3_000_000}}}); err != nil {
+		t.Fatal(err)
+	}
+	coord.StepSchedule()
+
+	armed = true
+	func() {
+		defer func() {
+			if r := recover(); r != "policy bug" {
+				t.Fatalf("the round recovered %v, want the policy's panic", r)
+			}
+		}()
+		vc.Advance(delta)
+		coord.StepSchedule()
+	}()
+
+	registered := make(chan error, 1)
+	go func() {
+		registered <- coord.Register(&coflow.Spec{ID: 2, Flows: []coflow.FlowSpec{{Src: 2, Dst: 3, Size: 3_000_000}}})
+	}()
+	select {
+	case err := <-registered:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the coordinator is wedged after the policy's panic")
+	}
+	driveToCompletion(t, coord, agents, vc, delta, 50)
+	if n := coord.CompletedCount(); n != 2 {
+		t.Fatalf("%d coflows completed, want 2", n)
 	}
 }
 

@@ -465,6 +465,8 @@ func (c *Coordinator) mergeStatLocked(fs *FlowStat, now time.Time) {
 		f.Sent = coflow.Bytes(fs.Sent)
 		if f.Done {
 			lc.rt.Invalidate() // a finished flow's bytes are part of the cached summary
+		} else {
+			lc.rt.NoteProgress() // a pending flow's are what the queue rules read
 		}
 	}
 	if f.Available != fs.Available {
@@ -588,6 +590,15 @@ func (c *Coordinator) scheduleOnce() (liveN int) {
 	defer c.roundMu.Unlock()
 	now := c.cfg.Clock.Now()
 	c.polMu.Lock()
+	// A policy that panics in Schedule must not take the lock with it:
+	// the panic is this round's caller's to see, and the next round,
+	// registration or report still has to get in.
+	polLocked := true
+	defer func() {
+		if polLocked {
+			c.polMu.Unlock()
+		}
+	}()
 	c.mu.Lock()
 	t0 := time.Now()
 	var merge time.Duration
@@ -646,6 +657,7 @@ func (c *Coordinator) scheduleOnce() (liveN int) {
 	}
 	c.mu.Unlock()
 	c.polMu.Unlock()
+	polLocked = false
 	t3 := time.Now()
 
 	// Deliver outside the policy locks, first-touched port first: a

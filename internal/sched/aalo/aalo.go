@@ -8,6 +8,13 @@
 // across queues, FIFO (by CoFlow arrival) within a queue. There is no
 // coordination of a CoFlow's flows across ports, which produces the
 // out-of-sync behaviour Saath eliminates.
+//
+// Schedule runs every δ and most boundaries change nothing it decides
+// from, so it keeps its last decision: per CoFlow the queue it derived,
+// re-derived only where the CoFlow's progress stamp or mutation epoch
+// moved, and the vector it returned, handed out again when the same
+// CoFlows with the same flows sendable sit in the same queues (held).
+// TestHeldScheduleMatchesFull holds that to a twin that forgets.
 package aalo
 
 import (
@@ -26,6 +33,19 @@ type Aalo struct {
 	ladder *queues.Ladder   // the configured queue thresholds
 	order  []queued         // the live CoFlows in (queue, arrival, ID) order
 	byPort [][]*coflow.Flow // indexed by egress PortID
+
+	// The previous Schedule's decision: snap.Active slot by slot with
+	// the queue each CoFlow was in, and the vector that came of it.
+	last   []placed
+	issued sched.Issued
+}
+
+// placed is one snap.Active slot of the previous Schedule: the CoFlow,
+// its queue, and the CacheEpoch and ProgressStamp the queue was derived
+// under — it stands while both do.
+type placed struct {
+	queued
+	epoch, progress uint64
 }
 
 // New builds an Aalo scheduler.
@@ -80,7 +100,35 @@ func cmpQueued(a, b queued) int {
 // CoFlow ID), then flow index — so the CoFlows are sorted once and
 // their sendable flows (already in flow-index order) dealt to the port
 // lists in that order, which leaves every list sorted.
+//
+// The decision reads, per CoFlow, its queue and its sendable flows, and
+// beyond that only the fabric. When every slot of snap.Active holds the
+// CoFlow it held last time, in the queue it was in, under the same
+// mutation epoch, the vector returned then is still as it was left, and
+// the fabric is at full capacity as it was then, the same walk would fill
+// it the same way: it goes out again as it is, the fabric left full (see
+// sched.Snapshot.Fabric).
 func (a *Aalo) Schedule(snap *sched.Snapshot) *sched.RateVec {
+	prev, hold := a.issued.Begin(snap)
+	hold = hold && len(snap.Active) == len(a.last)
+	for len(a.last) < len(snap.Active) {
+		a.last = append(a.last, placed{})
+	}
+	a.last = a.last[:len(snap.Active)]
+	for i, c := range snap.Active {
+		p := &a.last[i]
+		epoch, progress := c.CacheEpoch(), c.ProgressStamp()
+		sameFlows := p.c == c && epoch != 0 && epoch == p.epoch
+		q := p.queue
+		if !sameFlows || progress != p.progress {
+			q = a.ladder.QueueForBytes(c.TotalSent())
+		}
+		hold = hold && sameFlows && q == p.queue
+		*p = placed{queued{c, q}, epoch, progress}
+	}
+	if hold {
+		return prev
+	}
 	alloc := snap.Allocation()
 	np := snap.Fabric.NumPorts()
 	for len(a.byPort) < np {
@@ -90,8 +138,8 @@ func (a *Aalo) Schedule(snap *sched.Snapshot) *sched.RateVec {
 		a.byPort[p] = a.byPort[p][:0]
 	}
 	a.order = a.order[:0]
-	for _, c := range snap.Active {
-		a.order = append(a.order, queued{c: c, queue: a.ladder.QueueForBytes(c.TotalSent())})
+	for i := range a.last {
+		a.order = append(a.order, a.last[i].queued)
 	}
 	slices.SortStableFunc(a.order, cmpQueued)
 	for _, qc := range a.order {
@@ -110,5 +158,6 @@ func (a *Aalo) Schedule(snap *sched.Snapshot) *sched.RateVec {
 			snap.Fabric.Allocate(f.Src, f.Dst, r)
 		}
 	}
+	a.issued.End(snap, alloc)
 	return alloc
 }

@@ -15,11 +15,18 @@ import (
 // Entries distinguish "set" from "zero": flows absent from the vector
 // are paused, exactly as flows absent from the old map were. A nil
 // *RateVec is a valid empty allocation for all read methods.
+//
+// A vector a Schedule call returned is read-only to its callers, and
+// ContentStamp says whether that was honoured: Reset, Set and Add all
+// move it, so a policy (and the engine) that finds the vector it last
+// handed out under the stamp it last saw knows the contents are still
+// the ones it wrote, and may hand them out again unrecomputed.
 type RateVec struct {
 	rates   []coflow.Rate
 	stamp   []uint32
 	epoch   uint32
 	touched []int32 // indices set this epoch, in insertion order
+	content uint64  // moved by every write: Reset, Set, Add
 }
 
 // NewRateVec returns a vector with capacity for flow indices [0, n).
@@ -35,6 +42,7 @@ func NewRateVec(n int) *RateVec {
 func (v *RateVec) Reset(n int) {
 	v.grow(n)
 	v.touched = v.touched[:0]
+	v.content++
 	v.epoch++
 	if v.epoch == 0 { // epoch wrapped: stamps are ambiguous, wipe them
 		clear(v.stamp)
@@ -42,10 +50,15 @@ func (v *RateVec) Reset(n int) {
 	}
 }
 
+// grow makes room for indices below n, at least doubling: the index
+// space creeps up by a CoFlow's width per arrival, and growing to the
+// exact size would copy both slices on every one. Slots at or past the
+// size asked for carry no current stamp, so they read as unset.
 func (v *RateVec) grow(n int) {
 	if n <= len(v.stamp) {
 		return
 	}
+	n = max(n, 2*len(v.stamp))
 	rates := make([]coflow.Rate, n)
 	stamp := make([]uint32, n)
 	copy(rates, v.rates)
@@ -59,6 +72,15 @@ func (v *RateVec) Len() int {
 		return 0
 	}
 	return len(v.touched)
+}
+
+// ContentStamp returns a value every write to the vector moves. It only
+// ever grows, so equal stamps on one vector mean equal contents.
+func (v *RateVec) ContentStamp() uint64 {
+	if v == nil {
+		return 0
+	}
+	return v.content
 }
 
 // Get returns the rate set for flow index idx and whether one was set.
@@ -83,6 +105,7 @@ func (v *RateVec) Set(idx int, r coflow.Rate) {
 	if idx >= len(v.stamp) {
 		v.grow(idx + 1)
 	}
+	v.content++
 	if v.stamp[idx] != v.epoch {
 		v.stamp[idx] = v.epoch
 		v.touched = append(v.touched, int32(idx))
@@ -97,6 +120,7 @@ func (v *RateVec) Set(idx int, r coflow.Rate) {
 func (v *RateVec) Add(idx int, r coflow.Rate) {
 	if cur, ok := v.Get(idx); ok {
 		v.rates[idx] = cur + r
+		v.content++
 		return
 	}
 	v.Set(idx, r)

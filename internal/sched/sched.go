@@ -30,7 +30,9 @@ type Snapshot struct {
 	// its backing array across intervals; copy it to retain it.
 	Active []*coflow.CoFlow
 	// Fabric carries full residual capacity; the scheduler draws it
-	// down as it assigns rates.
+	// down as it assigns rates. What it holds after Schedule returns is
+	// scratch no caller reads: a policy that hands out its last decision
+	// again (Saath, Aalo) leaves it full rather than redrawing it.
 	Fabric *fabric.Fabric
 
 	// FlowCap and CoFlowCap are exclusive upper bounds on the dense
@@ -47,18 +49,60 @@ type Snapshot struct {
 	Alloc *RateVec
 }
 
-// Allocation returns the snapshot's allocation vector, reset and sized
-// for every flow index in Active. Every policy starts its Schedule
-// with this call and returns the filled vector.
-func (s *Snapshot) Allocation() *RateVec {
+// sizeCaps derives FlowCap and CoFlowCap for a hand-built snapshot,
+// indexing whatever in Active is not.
+func (s *Snapshot) sizeCaps() {
 	if s.FlowCap <= 0 || s.CoFlowCap <= 0 {
 		s.FlowCap, s.CoFlowCap = coflow.EnsureIndexed(s.Active)
 	}
+}
+
+// Allocation returns the snapshot's allocation vector, reset and sized
+// for every flow index in Active. Every policy starts its Schedule with
+// this call — or with Issued.Begin, and reaches this one when it has to
+// schedule afresh — and returns the filled vector.
+func (s *Snapshot) Allocation() *RateVec {
+	s.sizeCaps()
 	if s.Alloc == nil {
 		s.Alloc = NewRateVec(s.FlowCap)
 	}
 	s.Alloc.Reset(s.FlowCap)
 	return s.Alloc
+}
+
+// Issued is what a policy that may hold its last decision keeps of the
+// call that made it: the vector it returned, under which content stamp,
+// drawn from which fabric. The rest of a hold decision — the CoFlows and
+// whatever else the policy reads — is the policy's own.
+type Issued struct {
+	alloc   *RateVec
+	content uint64
+	fab     *fabric.Fabric // nil when the decision is not one to repeat
+	full    bool           // the call in progress was handed its fabric full
+}
+
+// Begin opens a Schedule call in place of Snapshot.Allocation: it sizes
+// the snapshot's index caps as that does, resets nothing, and reports
+// whether the previous call's vector is still in the snapshot as End
+// saw it and was drawn, as this call's would be, from snap.Fabric at
+// full capacity. If so, that vector is returned and the policy may hand
+// it out again as it is; if not, the policy calls Allocation, schedules
+// afresh and closes with End.
+func (h *Issued) Begin(snap *Snapshot) (prev *RateVec, stands bool) {
+	snap.sizeCaps()
+	h.full = snap.Fabric.Full()
+	prev = snap.Alloc
+	return prev, h.full && snap.Fabric == h.fab && prev == h.alloc && prev.ContentStamp() == h.content
+}
+
+// End records the vector a call that scheduled afresh is about to
+// return. A decision drawn from a fabric handed over partly drawn is
+// not one to repeat: the next Begin reports false.
+func (h *Issued) End(snap *Snapshot, alloc *RateVec) {
+	h.alloc, h.content, h.fab = alloc, alloc.ContentStamp(), snap.Fabric
+	if !h.full {
+		h.fab = nil
+	}
 }
 
 // Scheduler is a global CoFlow scheduling policy.
@@ -69,7 +113,10 @@ func (s *Snapshot) Allocation() *RateVec {
 // before Release). Schedule must be deterministic
 // given the same event sequence. The returned vector is the one handed
 // out by Snapshot.Allocation (or nil for "nothing scheduled"); it is
-// only valid until the next Schedule call on the same snapshot.
+// only valid until the next Schedule call on the same snapshot, and
+// read-only to the caller — a policy may hand the same vector out again
+// for a boundary that changed nothing, and tells by its ContentStamp
+// whether a caller wrote to it (it then schedules afresh).
 type Scheduler interface {
 	Name() string
 	Arrive(c *coflow.CoFlow, now coflow.Time)

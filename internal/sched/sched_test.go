@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"saath/internal/coflow"
+	"saath/internal/fabric"
 )
 
 func mkCoflow(id coflow.CoFlowID, arrived coflow.Time, flows ...coflow.FlowSpec) *coflow.CoFlow {
@@ -116,4 +117,109 @@ func TestRegistry(t *testing.T) {
 		}
 	}()
 	Register("sched-test-dummy", func(p Params) (Scheduler, error) { return nil, nil })
+}
+
+// TestRateVecGrowthAndContentStamp: the vector grows past what was asked
+// for without any slot beyond it reading as set, and every write —
+// Reset, Set, Add on a new or a present entry — moves the content stamp,
+// which reads leave alone.
+func TestRateVecGrowthAndContentStamp(t *testing.T) {
+	v := NewRateVec(4)
+	v.Set(3, 7)
+	v.Reset(5) // grows to at least 8 slots; indices 5.. were never part of the snapshot
+	for idx := 0; idx < 16; idx++ {
+		if r, ok := v.Get(idx); ok || r != 0 {
+			t.Fatalf("after Reset(5): index %d reads %v, set = %v", idx, r, ok)
+		}
+	}
+	v.Set(9, 2) // past the end: grows again
+	if r, ok := v.Get(9); !ok || r != 2 || v.Len() != 1 {
+		t.Fatalf("Get(9) = %v, %v with %d entries", r, ok, v.Len())
+	}
+
+	if (*RateVec)(nil).ContentStamp() != 0 {
+		t.Error("a nil vector has a content stamp")
+	}
+	last := v.ContentStamp()
+	moved := func(what string, want bool) {
+		t.Helper()
+		if now := v.ContentStamp(); (now != last) != want {
+			t.Errorf("%s: content stamp moved = %v, want %v", what, now != last, want)
+		} else if now < last {
+			t.Errorf("%s: content stamp went back", what)
+		}
+		last = v.ContentStamp()
+	}
+	v.Get(9)
+	v.Rate(1)
+	v.Range(func(int, coflow.Rate) bool { return true })
+	_ = v.Equal(v)
+	moved("reads", false)
+	v.Set(1, 3)
+	moved("Set on a new entry", true)
+	v.Set(1, 3)
+	moved("Set on a present entry", true)
+	v.Add(1, 0)
+	moved("Add on a present entry", true)
+	v.Add(2, 1)
+	moved("Add on a new entry", true)
+	v.Reset(4)
+	moved("Reset", true)
+}
+
+// TestIssued: Begin sizes a hand-built snapshot's caps like Allocation
+// and resets nothing; it reports a standing vector only for the vector
+// End recorded, unwritten, with the same fabric full then and now.
+func TestIssued(t *testing.T) {
+	c := mkCoflow(1, 0, coflow.FlowSpec{Src: 0, Dst: 1, Size: 1}, coflow.FlowSpec{Src: 1, Dst: 0, Size: 1})
+	fab := fabric.New(2, fabric.DefaultPortRate)
+	snap := &Snapshot{Active: []*coflow.CoFlow{c}, Fabric: fab}
+	var h Issued
+	if prev, stands := h.Begin(snap); prev != nil || stands {
+		t.Fatalf("first Begin = %v, %v", prev, stands)
+	}
+	if snap.FlowCap != 2 || snap.CoFlowCap != 1 || c.Flows[1].Idx != 1 {
+		t.Fatalf("caps %d/%d, flow index %d: Begin did not index the snapshot", snap.FlowCap, snap.CoFlowCap, c.Flows[1].Idx)
+	}
+	issue := func() *RateVec {
+		v := snap.Allocation()
+		v.Set(1, 9)
+		h.End(snap, v)
+		return v
+	}
+	v := issue()
+	stamp := v.ContentStamp()
+	if prev, stands := h.Begin(snap); prev != v || !stands || v.Rate(1) != 9 || v.ContentStamp() != stamp {
+		t.Fatalf("Begin after End = %v, %v (vector touched: %v)", prev == v, stands, v.ContentStamp() != stamp)
+	}
+	stands := func() bool { _, ok := h.Begin(snap); return ok }
+
+	v.Add(1, 0)
+	if stands() {
+		t.Error("stands after a write to the vector")
+	}
+	v = issue()
+	twin := NewRateVec(2) // v's content stamp on another vector
+	for twin.ContentStamp() < v.ContentStamp() {
+		twin.Set(0, 1)
+	}
+	if snap.Alloc = twin; stands() {
+		t.Error("stands for another vector under the same stamp")
+	}
+	snap.Alloc = v
+	if snap.Fabric = fabric.New(2, fabric.DefaultPortRate); stands() {
+		t.Error("stands on another fabric")
+	}
+	snap.Fabric = fab
+	if fab.Allocate(0, 1, 1); stands() {
+		t.Error("stands on a fabric handed over partly drawn")
+	}
+	issue() // drawn from that fabric
+	if fab.Reset(); stands() {
+		t.Error("a decision drawn from a partly drawn fabric stands once the fabric is full")
+	}
+	issue()
+	if !stands() {
+		t.Error("does not stand with nothing changed")
+	}
 }

@@ -47,6 +47,22 @@
 // sides bit-identical, and obs.EngineCounters.FlowsWalked/RatedFlows
 // make the property countable (the root TestEpochCostsRatedFlows).
 //
+// # A quiet epoch keeps its plan
+//
+// Saath and Aalo hand out the vector they returned last time, untouched,
+// when a boundary gives them nothing new to decide from. beginInterval
+// recognises that by the vector's pointer and content stamp
+// (sched.RateVec.ContentStamp), and if the live set stands too — no
+// CoFlow admitted or retired, the sum of the live ones' mutation epochs
+// where it was — the audit would pass again and planInterval would
+// choose and build what it did, so the verdict, the flow pass and the
+// rated list are kept (heldPlan; obs.EngineCounters.HeldEpochs counts
+// these). The boundary still happens: the policy is called, telemetry
+// observes, bytes move. Every byte the engine moves or takes back notes
+// the owner's progress (moveBytes), which is what lets the policies hold
+// a queue. TestHeldIntervalMatchesFull holds all of it to a twin under a
+// policy that never holds.
+//
 // # Reference stepper
 //
 // reference_test.go keeps the discrete-time loop the engine replaced:
@@ -320,13 +336,18 @@ type engine struct {
 
 	// The interval's rated list (see rateDriven): the sendable flows
 	// holding a rate, in observeInterval's summation order. rateDriven
-	// says whether beginInterval built it for the interval in progress;
-	// ratedRaw is the list before ordering, ratedRun the per-CoFlow.Idx
-	// run counts and offsets that order it, all zero between builds.
+	// says whether the plan in force — this interval's, or the earlier
+	// one beginInterval kept for it — runs over the list; ratedRaw is the
+	// list before ordering, ratedRun the per-CoFlow.Idx run counts and
+	// offsets that order it, all zero between builds.
 	rated      []ratedFlow
 	ratedRaw   []ratedFlow
 	ratedRun   []int32
 	rateDriven bool
+
+	// plan is what beginInterval last worked out from an allocation, and
+	// what it worked it out from; see heldPlan.
+	plan intervalPlan
 
 	// Run-loop state: the arrival cursor (indices of dependency-free
 	// specs in admission order, and how many have been taken), the event
@@ -337,6 +358,25 @@ type engine struct {
 	epochPending bool
 
 	now coflow.Time
+}
+
+// intervalPlan is the outcome of one interval's audit and planInterval —
+// the audit passed, e.rateDriven and e.rated are as chosen and built —
+// under the key it was worked out from.
+type intervalPlan struct {
+	key    planKey
+	walked int // flows each of the two passes visits
+}
+
+// planKey is everything the audit and planInterval read: the allocation
+// (its vector and content stamp), and which flows are live and sendable
+// (CoFlows admitted and retired so far, and the sum of the live ones'
+// mutation epochs, which only grow).
+type planKey struct {
+	alloc             *sched.RateVec
+	content           uint64
+	admitted, retired int
+	epochs            uint64
 }
 
 // flowSlot is one Flow.Idx's entry in the engine's flow table.
@@ -476,13 +516,45 @@ func (e *engine) beginInterval() (*sched.RateVec, error) {
 	}
 	e.result.Intervals++
 
-	if !e.cfg.SkipValidation {
-		if err := e.validateAllocation(alloc); err != nil {
-			return nil, err
+	if e.heldPlan(alloc) {
+		if c != nil {
+			c.HeldEpochs++
 		}
+	} else {
+		if !e.cfg.SkipValidation {
+			if err := e.validateAllocation(alloc); err != nil {
+				return nil, err
+			}
+		}
+		e.planInterval(alloc)
 	}
-	e.planInterval(alloc)
+	if c != nil {
+		c.RatedFlows += int64(alloc.Len())
+		c.FlowsWalked += 2 * int64(e.plan.walked) // once to observe, once to advance
+	}
 	return alloc, nil
+}
+
+// heldPlan reports whether the previous interval's plan stands for
+// alloc: a policy that found nothing changed hands out the vector it
+// handed out last time, untouched (Saath and Aalo do, most boundaries),
+// and if no CoFlow arrived, retired or changed its sendable set either,
+// the audit would pass again and planInterval would choose and build
+// what it did — so both are kept. Otherwise it notes what the coming plan
+// is made from.
+func (e *engine) heldPlan(alloc *sched.RateVec) bool {
+	key := planKey{
+		alloc: alloc, content: alloc.ContentStamp(),
+		admitted: e.admitted, retired: len(e.result.CoFlows),
+	}
+	for _, c := range e.active {
+		key.epochs += c.CacheEpoch()
+	}
+	if alloc != nil && key == e.plan.key {
+		return true
+	}
+	e.plan.key = key
+	return false
 }
 
 // ratedShare is the density choice between the interval's two flow
@@ -507,10 +579,7 @@ func (e *engine) planInterval(alloc *sched.RateVec) {
 		e.buildRated(alloc)
 		walked = len(e.rated)
 	}
-	if c := e.cfg.Counters; c != nil {
-		c.RatedFlows += int64(alloc.Len())
-		c.FlowsWalked += 2 * int64(walked) // once to observe, once to advance
-	}
+	e.plan.walked = walked
 }
 
 // buildRated lists the sendable flows the allocation names in
@@ -723,11 +792,10 @@ func (e *engine) activeSorted() []*coflow.CoFlow {
 func (e *engine) advance(alloc *sched.RateVec, dt coflow.Time) {
 	if e.rateDriven {
 		for i := range e.rated {
-			if r := &e.rated[i]; r.rate > 0 && e.moveBytes(r.f, r.rate, dt) {
+			if r := &e.rated[i]; r.rate > 0 && e.moveBytes(r.owner, r.f, r.rate, dt) {
 				r.owner.Invalidate()
 			}
 		}
-		e.rateDriven = false // the list was this interval's
 	} else {
 		e.moveBytesDense(alloc, dt)
 	}
@@ -748,7 +816,7 @@ func (e *engine) moveBytesDense(alloc *sched.RateVec, dt coflow.Time) {
 	for _, c := range e.active {
 		completed := false
 		for _, f := range c.SendableFlows() {
-			if rate, ok := alloc.Get(f.Idx); ok && rate > 0 && e.moveBytes(f, rate, dt) {
+			if rate, ok := alloc.Get(f.Idx); ok && rate > 0 && e.moveBytes(c, f, rate, dt) {
 				completed = true
 			}
 		}
@@ -758,9 +826,13 @@ func (e *engine) moveBytesDense(alloc *sched.RateVec, dt coflow.Time) {
 	}
 }
 
-// moveBytes sends f at rate for dt and reports whether that finished
-// it, crediting the completion at its exact time inside the interval.
-func (e *engine) moveBytes(f *coflow.Flow, rate coflow.Rate, dt coflow.Time) bool {
+// moveBytes sends owner's flow f at rate for dt and reports whether that
+// finished it, crediting the completion at its exact time inside the
+// interval. Every byte the engine moves, or takes back in a restart, goes
+// through here, so this is where the owner's progress is noted; the
+// caller invalidates it on a completion.
+func (e *engine) moveBytes(owner *coflow.CoFlow, f *coflow.Flow, rate coflow.Rate, dt coflow.Time) bool {
+	owner.NoteProgress()
 	eff := f.EffectiveRate(rate, e.cfg.PortRate)
 	moved := eff.Transfer(dt)
 	rem := f.Remaining()
@@ -790,7 +862,7 @@ func (e *engine) maybeRestart(f *coflow.Flow) {
 		at = 0.5
 	}
 	if float64(f.Sent) >= at*float64(f.Size) {
-		f.Sent = 0
+		f.Sent = 0 //saath:progress-ok moveBytes, the only caller, has noted it
 		f.Restarted = true
 		e.restartPending[f.Idx] = false
 	}
