@@ -3,21 +3,13 @@
 
 GO ?= go
 
-.PHONY: build test test-fleet test-testbed fuzz race perf perf-compare bench guards fmt fmt-check vet lint staticcheck govulncheck ci
+.PHONY: build test test-testbed fuzz race perf perf-compare bench guards fmt fmt-check vet lint staticcheck govulncheck ci
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
-
-# Fleet chaos suite under -race: the driver recovers a killed, hung,
-# corrupted, and slow worker (goldens assert the merged output stays
-# byte-identical to a single-process run) plus terminal-failure and
-# drift-rejection paths. The tests re-exec the test binary as the
-# worker, so no separate build step is needed.
-test-fleet:
-	$(GO) test -race -count=1 -timeout 10m ./internal/fleet/
 
 # Testbed suite under -race: coordinator-backed studies with
 # in-process agents — byte-identity across parallelism and sharding,
@@ -107,4 +99,4 @@ govulncheck:
 		echo "govulncheck not installed; skipping (CI runs it)"; \
 	fi
 
-ci: fmt-check build vet lint staticcheck govulncheck race test-fleet test-testbed fuzz bench guards
+ci: fmt-check build vet lint staticcheck govulncheck race test-testbed fuzz bench guards

@@ -9,13 +9,10 @@ package saath
 // `make guards` runs these plus the in-package zero-alloc guards.
 
 import (
-	"bytes"
 	"encoding/json"
-	"io"
 	"os"
 	"testing"
 
-	"saath/internal/fleet"
 	"saath/internal/obs"
 	"saath/internal/trace"
 )
@@ -93,22 +90,6 @@ func allocGuards() []allocGuard {
 			return func() { counterStep(&c, i); i++ }
 		}},
 		{"TestObsLayerGuards", "obs_layer", "span_record", 100, 1.25, step(func() { recordJobSpan() })},
-		{"TestFleetLayerGuards", "fleet_layer", "wire_encode", 200, 1.25, func(tb testing.TB) func() {
-			ev := benchProgressEvent()
-			return func() {
-				if err := fleet.WriteEvent(io.Discard, ev); err != nil {
-					tb.Fatal(err)
-				}
-			}
-		}},
-		{"TestFleetLayerGuards", "fleet_layer", "wire_decode", 200, 1.25, func(tb testing.TB) func() {
-			rd := fleet.NewEventReader(bytes.NewReader(encodeProgressStream(512)))
-			return func() {
-				if _, err := rd.Next(); err != nil {
-					tb.Fatal(err)
-				}
-			}
-		}},
 		{"TestTestbedLayerGuards", "testbed_layer", "agent_step", 200, 1.25, func(tb testing.TB) func() {
 			_, agents := benchTestbedCluster(tb, 64, 4)
 			return func() { agents[0].Step(benchStepDelta); agents[0].Report() }
@@ -175,7 +156,6 @@ func TestScheduleAllocGuards(t *testing.T) { checkAllocGuards(t) }
 func TestSweepAllocGuards(t *testing.T)    { checkAllocGuards(t) }
 func TestEngineLayerGuards(t *testing.T)   { checkAllocGuards(t) }
 func TestObsLayerGuards(t *testing.T)      { checkAllocGuards(t) }
-func TestFleetLayerGuards(t *testing.T)    { checkAllocGuards(t) }
 func TestTestbedLayerGuards(t *testing.T)  { checkAllocGuards(t) }
 func TestTraceAllocGuards(t *testing.T)    { checkAllocGuards(t) }
 

@@ -12,7 +12,7 @@
 //	experiments -json out/             # also export tables as JSON
 //
 // Figures only: named studies from the internal/study catalog —
-// sharded, merged, fleet-run or observed — are saath-sim's (-study).
+// sharded, merged or observed — are saath-sim's (-study).
 //
 // Observability is out-of-band and never changes output bytes:
 // -progress prints a throttled aggregate line (done/total, jobs/s,

@@ -19,10 +19,8 @@ import (
 )
 
 // The CLI tests drive the real main(): TestMain re-execs this test
-// binary as saath-sim when the child env var is set (the
-// internal/fleet harness pattern), so a child sees the test-registered
-// studies below — and, as a -workers driver, launches its workers from
-// the same binary with the variable inherited.
+// binary as saath-sim when the child env var is set, so a child sees
+// the test-registered studies below.
 const childEnv = "SAATH_SIM_CHILD"
 
 func TestMain(m *testing.M) {
@@ -118,10 +116,10 @@ func tables(t *testing.T, stdout string) string {
 	return strings.TrimRight(out, "\n")
 }
 
-// TestOneEntryPointSameBytes: one study through saath-sim's three ways
-// of running it — in this process, as two shards merged, across two
-// worker processes — renders identical tables and identical -json
-// bytes, for a simulator-backed and a testbed-backed study.
+// TestOneEntryPointSameBytes: one study through saath-sim's two ways
+// of running it — in this process, and as two shards merged — renders
+// identical tables and identical -json bytes, for a simulator-backed
+// and a testbed-backed study.
 func TestOneEntryPointSameBytes(t *testing.T) {
 	for _, name := range []string{"headline-cli", "overload"} {
 		t.Run(name, func(t *testing.T) {
@@ -146,14 +144,6 @@ func TestOneEntryPointSameBytes(t *testing.T) {
 			}
 			if !bytes.Equal(export("merged.json"), want) {
 				t.Error("-shard + -merge -json bytes differ from the direct run")
-			}
-
-			fleet := tables(t, run(t, "-study", name, "-workers", "2", "-parallel", "2", "-json", path("fleet.json")))
-			if fleet != direct {
-				t.Errorf("-workers tables differ from the direct run:\n%s\n--- direct ---\n%s", fleet, direct)
-			}
-			if !bytes.Equal(export("fleet.json"), want) {
-				t.Error("-workers -json bytes differ from the direct run")
 			}
 		})
 	}

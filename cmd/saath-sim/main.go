@@ -3,8 +3,7 @@
 // scheduler × seed grid is declared as an internal/study Study and
 // fans out over a bounded worker pool; output is identical at any
 // -parallel setting. It is the one binary that runs a study: in this
-// process, as one shard of several, merged from shard dumps, or across
-// a fleet of worker processes.
+// process, as one shard of several, or merged from shard dumps.
 //
 // Usage:
 //
@@ -47,10 +46,9 @@
 //	saath-sim -study capacity -observe
 //
 // -obs-out writes the run's execution manifest (per-job phase spans
-// and engine introspection counters; under -workers the fleet's
-// per-shard attempt report) as JSON. -progress prints a throttled
-// aggregate line (done/total, jobs/s, ETA, per-variant completion)
-// rather than one line per job. -cpuprofile, -memprofile and
+// and engine introspection counters) as JSON. -progress prints a
+// throttled aggregate line (done/total, jobs/s, ETA, per-variant
+// completion) rather than one line per job. -cpuprofile, -memprofile and
 // -runtime-trace capture the standard Go profiles of the whole run.
 //
 // Any study — flag-built or named — shards across processes: -shard
@@ -62,24 +60,6 @@
 //	saath-sim -trace fb -seed 1,2 -shard 0/2 -out shards   # machine A
 //	saath-sim -trace fb -seed 1,2 -shard 1/2 -out shards   # machine B
 //	saath-sim -trace fb -seed 1,2 -merge shards            # anywhere
-//
-// -study NAME -workers N does the same on this machine without the
-// bookkeeping: the grid is cut into -tasks striped shards, each runs in
-// a worker process (this same executable, so driver and worker cannot
-// drift apart) that streams its dump back over stdout, and the merged
-// output is byte-identical to the in-process run at any worker count,
-// partition or retry history. -parallel stays the bound on simulations
-// running at once, shared out between the workers. Each attempt runs
-// under -deadline and a -stall timeout (liveness judged by the worker's
-// event stream); a failed attempt retries up to -retries times with
-// deterministic -backoff on whichever slot frees up first; a dump whose
-// grid fingerprint does not match is rejected as drift. -chaos injects
-// worker faults (kill=N, hang=N, corrupt=N, slow=N; comma-separated) on
-// the first attempt of the named shard — drills for the recovery
-// paths; -v narrates the driver's decisions:
-//
-//	saath-sim -study headline -workers 8 -tasks 32 -progress -obs-out fleet.json
-//	saath-sim -study headline -workers 4 -chaos kill=0 -stall 5s   # fault drill
 package main
 
 import (
@@ -96,7 +76,6 @@ import (
 	"time"
 
 	"saath/internal/coflow"
-	"saath/internal/fleet"
 	"saath/internal/obs"
 	"saath/internal/sched"
 	"saath/internal/sim"
@@ -125,13 +104,13 @@ func main() {
 		growth   = flag.Float64("E", 10, "queue threshold growth factor")
 		queues   = flag.Int("K", 10, "number of priority queues")
 		deadline = flag.Float64("d", 2, "starvation deadline factor")
-		parallel = flag.Int("parallel", runtime.NumCPU(), "simulations running at once (with -workers: shared out between the worker processes)")
+		parallel = flag.Int("parallel", runtime.NumCPU(), "simulations running at once")
 		jsonPath = flag.String("json", "", `write per-run results as JSON to this file ("-" for stdout)`)
 		progress = flag.Bool("progress", false, "print a throttled aggregate progress line to stderr")
 		list     = flag.Bool("list", false, "list registered schedulers and exit")
 
 		observe = flag.Bool("observe", false, "append the capacity report (throughput per cell, saturation knee, sustainable load)")
-		obsOut  = flag.String("obs-out", "", `write the run's observability manifest (per-job spans + engine counters; with -workers the per-shard attempt report) as JSON ("-" for stdout)`)
+		obsOut  = flag.String("obs-out", "", `write the run's observability manifest (per-job spans + engine counters) as JSON ("-" for stdout)`)
 
 		cpuProfile   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
 		memProfile   = flag.String("memprofile", "", "write a heap profile to this path (captured at exit, after GC)")
@@ -146,18 +125,6 @@ func main() {
 		shardArg  = flag.String("shard", "", `simulate only shard i of n ("i/n") and write a mergeable dump into -out`)
 		outDir    = flag.String("out", "shards", "directory -shard writes its partial dump into")
 		mergeDir  = flag.String("merge", "", "merge shard dumps from this directory (same flags / -study as the shard runs) instead of simulating")
-
-		shardStream = flag.Bool("shard-stream", false, "with -shard: run as a fleet worker, streaming wire events (hello/progress/dump) on stdout instead of writing a dump file")
-
-		workers      = flag.Int("workers", 0, "with -study: run the study across this many worker processes (0 = in this process)")
-		tasks        = flag.Int("tasks", 0, "with -workers: shard partition size (0 = 4x workers, capped at the grid)")
-		retries      = flag.Int("retries", 3, "with -workers: max attempts per shard, including the first")
-		backoff      = flag.Duration("backoff", 250*time.Millisecond, "with -workers: base retry backoff (doubles per attempt, deterministic jitter)")
-		taskDeadline = flag.Duration("deadline", 10*time.Minute, "with -workers: per-attempt wall-clock deadline")
-		stall        = flag.Duration("stall", 30*time.Second, "with -workers: kill an attempt with no wire event for this long")
-		chaosSpec    = flag.String("chaos", "", "with -workers: inject worker faults: kill=N,hang=N,corrupt=N,slow=N (shard N, first attempt)")
-		slowDelay    = flag.Duration("slow-delay", 20*time.Millisecond, "with -chaos: per-event delay for the slow fault")
-		verbose      = flag.Bool("v", false, "with -workers: narrate driver decisions (launches, retries, kills) to stderr")
 	)
 	flag.Parse()
 
@@ -210,15 +177,6 @@ func main() {
 		fromCLI: *studyName == "", metrics: *metrics, observe: *observe,
 		jsonPath: *jsonPath, metricsOut: *metricsOut,
 	}
-	// finish renders a complete result and exits: 1 when a job failed.
-	finish := func(res *study.Result) {
-		out.render(res)
-		if res.Err() != nil {
-			exit(1)
-		}
-		exit(0)
-	}
-
 	// Merge mode: no simulation — reassemble shard dumps and render
 	// exactly what the unsharded run would have.
 	if *mergeDir != "" {
@@ -229,78 +187,11 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		finish(res)
-	}
-
-	// Fleet worker mode: stream the shard's wire events on stdout for
-	// the -workers driver that launched this process.
-	if *shardStream {
-		if *shardArg == "" {
-			fatal(fmt.Errorf("-shard-stream requires -shard i/n"))
-		}
-		sh, err := study.ParseShard(*shardArg)
-		if err != nil {
-			fatal(err)
-		}
-		if err := fleet.StreamShard(ctx, st, sh, fleet.StreamOptions{Parallel: *parallel}, os.Stdout); err != nil {
-			fatal(err)
+		out.render(res)
+		if res.Err() != nil {
+			exit(1)
 		}
 		exit(0)
-	}
-
-	// Fleet driver mode: the workers are this executable.
-	if *workers > 0 {
-		if out.fromCLI {
-			fatal(fmt.Errorf("-workers drives registered studies: name one with -study (-studies lists them)"))
-		}
-		if *shardArg != "" {
-			fatal(fmt.Errorf("-workers partitions the grid itself; drop -shard"))
-		}
-		self, err := os.Executable()
-		if err != nil {
-			fatal(err)
-		}
-		chaos, err := fleet.ParseChaos(*chaosSpec)
-		if err != nil {
-			fatal(err)
-		}
-		chaos.SlowDelay = *slowDelay
-		opts := fleet.Options{
-			Backend:        &fleet.LocalExec{Bin: self},
-			Workers:        *workers,
-			Tasks:          *tasks,
-			MaxAttempts:    *retries,
-			BackoffBase:    *backoff,
-			Deadline:       *taskDeadline,
-			StallTimeout:   *stall,
-			WorkerParallel: max(1, *parallel / *workers),
-			Chaos:          chaos,
-		}
-		if *progress {
-			opts.Progress = sweep.NewProgressMeter(os.Stderr, 0)
-			opts.Progress.SetJobs(st.Jobs())
-		}
-		if *verbose {
-			opts.Log = os.Stderr
-		}
-		began := time.Now()
-		run, runErr := fleet.Run(ctx, st, opts)
-		// The report flushes even on failure — it is the forensics.
-		if run != nil && *obsOut != "" {
-			if err := writeFile(*obsOut, run.Manifest(st.Name()).WriteJSON); err != nil {
-				fatal(err)
-			}
-		}
-		if runErr != nil {
-			fatal(runErr)
-		}
-		fmt.Printf("study %s: %d jobs on %d workers (%d shards, %d retries) in %.1fs\n",
-			st.Name(), len(st.Jobs()), run.Report.Workers, run.Report.Tasks,
-			run.Report.Retries, time.Since(began).Seconds())
-		if err := run.Result.Err(); err != nil {
-			fmt.Fprintln(os.Stderr, "saath-sim:", err)
-		}
-		finish(run.Result)
 	}
 
 	// In-process: with -shard this stripe of the grid, otherwise the one

@@ -10,9 +10,7 @@ import (
 // detPackages are the determinism-critical packages: everything whose
 // computation can reach study output bytes. internal/obs and
 // internal/runtime are deliberately absent — wall-clock time is
-// out-of-band there by contract (spans, coordinator deadlines) — and
-// internal/fleet owns wall-clock retry/backoff/stall machinery whose
-// outputs are pinned byte-identical by the chaos goldens instead.
+// out-of-band there by contract (spans, coordinator deadlines).
 var detPackages = []string{
 	"saath/internal/sim",
 	"saath/internal/sched",

@@ -9,7 +9,7 @@ import (
 
 // obsPurePackages must stay entirely obs-free: they compute or render
 // study output, so even an import of internal/obs is a layering leak.
-// sim, sweep, study, testbed, and fleet legitimately carry obs
+// sim, sweep, study and testbed legitimately carry obs
 // plumbing (the Config.Counters seam, recorder hooks, manifests) —
 // their discipline is behavioral (obsgolden byte-identity tests) plus
 // the Counters-write rule below.

@@ -38,10 +38,6 @@ type Manifest struct {
 	Jobs   []JobRecord    `json:"jobs"`
 	Spans  []*Span        `json:"spans,omitempty"`
 	Totals ManifestTotals `json:"totals"`
-	// Fleet is the distributed-execution report when the run was driven
-	// by the fleet driver: per-shard attempt history, retries,
-	// stragglers, injected chaos. Absent on in-process runs.
-	Fleet *FleetReport `json:"fleet,omitempty"`
 	// Runtime is the testbed jobs' coordinator measurements
 	// (schedule latency, admission counts) when the run went through
 	// the real coordinator. Absent on simulator-backed runs.

@@ -58,10 +58,8 @@ func gridFingerprint(jobs []sweep.Job) string {
 }
 
 // ShardDump packages a sharded run for merging: the same payload
-// WriteShard serializes, as a struct, so transports other than files
-// (the fleet wire protocol streams it over worker stdout) can carry
-// it. Call it on the Result of st.Run(ctx, sh) with the same Sharded
-// runner.
+// WriteShard serializes to a file, as a struct. Call it on the Result
+// of st.Run(ctx, sh) with the same Sharded runner.
 func (r *Result) ShardDump(sh Sharded) (*ShardDump, error) {
 	if err := sh.validate(); err != nil {
 		return nil, err
@@ -123,17 +121,10 @@ func (d *ShardDump) shape() error {
 	return nil
 }
 
-// Check validates the dump against the study it claims to belong to:
-// name, grid size, and the grid fingerprint. This is the per-dump
-// subset of the merge validation, exposed so a driver can reject a
-// drifted or corrupt dump the moment it arrives (and retry the shard)
-// instead of discovering it at merge time.
-func (d *ShardDump) Check(st *Study) error {
-	return d.check(st.name, len(st.Jobs()), st.Fingerprint())
-}
-
-// check is the allocation-shared core of Check and MergeShards: the
-// caller supplies the study identity it already computed.
+// check validates the dump against the study it claims to belong to:
+// name, grid size, and the grid fingerprint — the per-dump part of
+// MergeShards' validation, given the study identity it already
+// computed.
 func (d *ShardDump) check(study string, jobs int, hash string) error {
 	if err := d.shape(); err != nil {
 		return fmt.Errorf("study %s: shard dump: %w", study, err)

@@ -15,7 +15,7 @@ import (
 )
 
 // The shard dump is an internal, versioned binary format — the one
-// serialisation of a ShardDump, on disk and on the fleet wire:
+// serialisation of a ShardDump, the bytes of a shard file:
 //
 //	magic "saathshd" | version byte
 //	header: study, shard, of, jobs, keys_hash

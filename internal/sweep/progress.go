@@ -36,25 +36,17 @@ const defaultProgressEvery = 500 * time.Millisecond
 // done/total, completion rate, ETA, variants finished, failures — with
 // a per-variant breakdown on the final print. One meter serves one
 // sweep at a time; a reused meter resets itself when a new sweep's
-// first job completes after the previous sweep finished.
-//
-// The meter is delivery-tolerant: the fleet driver feeds it from
-// worker event streams, where a retried shard redelivers completions
-// it already reported and concurrent streams interleave out of order.
-// Duplicate or stale callbacks never walk the progress line backwards,
-// overshoot a variant's total, or reset a sweep that is still running.
+// first job completes. It relies on Run's delivery: serialized, with
+// done strictly increasing from 1.
 type ProgressMeter struct {
 	mu    sync.Mutex
 	w     io.Writer
 	every time.Duration
 	now   func() time.Time // injectable clock for tests
 
-	start      time.Time
-	lastPrint  time.Time
-	failed     int
-	total      int
-	maxDone    int
-	finalShown bool
+	start     time.Time
+	lastPrint time.Time
+	failed    int
 
 	// Per-group completion, keyed by variant name (or trace name for
 	// unnamed variants), in first-seen job order.
@@ -73,9 +65,7 @@ func NewProgressMeter(w io.Writer, every time.Duration) *ProgressMeter {
 }
 
 // Group labels the job's progress bucket: the variant name, or the
-// trace name for unnamed variants. Exported so remote executors can
-// put the label on the wire (fleet workers stream it back with each
-// completion) and feed ProgressMeter.Observe without a full Job.
+// trace name for unnamed variants.
 func (j Job) Group() string {
 	if j.Variant != "" {
 		return j.Variant
@@ -104,63 +94,38 @@ func (m *ProgressMeter) SetJobs(jobs []Job) {
 
 // Progress is the ProgressFunc: feed it to Options.Progress.
 func (m *ProgressMeter) Progress(done, total int, jr JobResult) {
-	m.Observe(done, total, jr.Job.Group(), jr.Elapsed, jr.Err != nil)
-}
-
-// Observe is the decomposed progress entry point for callers that have
-// no JobResult in hand — the fleet driver receives (done, group,
-// elapsed, failed) tuples over the wire from worker processes. It is
-// tolerant of redelivery: done values below the high-water mark (a
-// retried shard replaying completions, or interleaved worker streams)
-// update group/failure tallies but never regress the printed line, and
-// a done <= 1 only resets the meter when no sweep is mid-flight.
-func (m *ProgressMeter) Observe(done, total int, group string, elapsed time.Duration, failed bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	now := m.now()
-	finished := m.total > 0 && m.maxDone >= m.total
-	if m.start.IsZero() || (done <= 1 && (finished || m.maxDone <= 1)) {
+	if done == 1 {
 		// First completion of a (possibly re-run) sweep: anchor the rate
 		// clock at the job's start so rate/ETA don't divide by ~zero.
-		m.start = now.Add(-elapsed)
+		m.start = now.Add(-jr.Elapsed)
 		m.lastPrint = time.Time{}
 		m.failed = 0
-		m.maxDone = 0
-		m.finalShown = false
 		for g := range m.groupDone {
 			delete(m.groupDone, g)
 		}
 	}
-	m.total = total
-	if failed {
+	if jr.Err != nil {
 		m.failed++
 	}
 	if m.groupDone == nil {
 		m.groupDone = make(map[string]int)
 	}
+	group := jr.Job.Group()
 	if m.groupTotal[group] == 0 && m.groupDone[group] == 0 {
 		m.groupOrder = append(m.groupOrder, group)
 	}
-	if t := m.groupTotal[group]; t == 0 || m.groupDone[group] < t {
-		// Clamp at the group's total: a duplicate delivery must not
-		// render a "4/2" breakdown.
-		m.groupDone[group]++
-	}
-	if done > m.maxDone {
-		m.maxDone = done
-	}
+	m.groupDone[group]++
 
-	final := m.maxDone >= total
-	if final && m.finalShown {
-		return // duplicate of the final completion; summary already out
-	}
+	final := done >= total
 	if !final && !m.lastPrint.IsZero() && now.Sub(m.lastPrint) < m.every {
 		return
 	}
 	m.lastPrint = now
-	m.printLine(m.maxDone, total, now)
+	m.printLine(done, total, now)
 	if final {
-		m.finalShown = true
 		m.printGroups()
 	}
 }

@@ -117,76 +117,6 @@ func TestProgressMeterResetsBetweenSweeps(t *testing.T) {
 	}
 }
 
-// TestProgressMeterOutOfOrderAndDuplicates pins the delivery
-// tolerance the fleet path relies on: worker event streams interleave
-// (done values arrive out of order) and a retried shard replays
-// completions it already reported (duplicates, including a late done=1
-// while the sweep is mid-flight). None of that may regress the printed
-// line, reset a running sweep, or overshoot a group breakdown.
-func TestProgressMeterOutOfOrderAndDuplicates(t *testing.T) {
-	var buf bytes.Buffer
-	clock := newFakeClock()
-	m := NewProgressMeter(&buf, time.Millisecond) // effectively unthrottled
-	m.now = clock.now
-	jobs := meterJobs("A=1", "A=1", "A=2", "A=2")
-	m.SetJobs(jobs)
-
-	step := func(done int, jr JobResult) string {
-		buf.Reset()
-		clock.advance(10 * time.Millisecond)
-		m.Progress(done, 4, jr)
-		return buf.String()
-	}
-
-	step(1, jobResult(jobs[0], nil))
-	if out := step(3, jobResult(jobs[2], nil)); !strings.Contains(out, "3/4 jobs") {
-		t.Errorf("out-of-order jump not rendered:\n%s", out)
-	}
-	// A stale completion (done=2 arriving after done=3) must not walk
-	// the line backwards.
-	if out := step(2, jobResult(jobs[1], &errString{"boom"})); !strings.Contains(out, "3/4 jobs") {
-		t.Errorf("stale delivery regressed the line:\n%s", out)
-	}
-	// A duplicate of the first completion mid-sweep must not reset the
-	// meter: the failure above stays counted.
-	if out := step(1, jobResult(jobs[0], nil)); !strings.Contains(out, "failed 1") {
-		t.Errorf("mid-sweep duplicate done=1 reset the meter:\n%s", out)
-	}
-	// The duplicate re-counted an A=1 completion; the final breakdown
-	// clamps at the group's total instead of printing 3/2.
-	out := step(4, jobResult(jobs[3], nil))
-	if !strings.Contains(out, "4/4 jobs") || !strings.Contains(out, "A=2") {
-		t.Errorf("final print malformed:\n%s", out)
-	}
-	if strings.Contains(out, "3/2") {
-		t.Errorf("group breakdown overshot its total:\n%s", out)
-	}
-	// A redelivered final completion prints nothing new.
-	if out := step(4, jobResult(jobs[3], nil)); out != "" {
-		t.Errorf("duplicate final completion reprinted:\n%s", out)
-	}
-}
-
-// TestProgressMeterObserveWireShape drives Observe directly — the
-// fleet driver's path, where only (done, total, group, elapsed,
-// failed) tuples cross the process boundary.
-func TestProgressMeterObserveWireShape(t *testing.T) {
-	var buf bytes.Buffer
-	clock := newFakeClock()
-	m := NewProgressMeter(&buf, time.Millisecond)
-	m.now = clock.now
-
-	m.Observe(1, 2, "shardA", time.Second, false)
-	if !strings.Contains(buf.String(), "1/2 jobs") || !strings.Contains(buf.String(), "1.0 jobs/s") {
-		t.Errorf("wire observe line malformed:\n%s", buf.String())
-	}
-	clock.advance(time.Second)
-	m.Observe(2, 2, "shardB", time.Second, true)
-	if !strings.Contains(buf.String(), "failed 1") {
-		t.Errorf("wire failure not counted:\n%s", buf.String())
-	}
-}
-
 func TestCLIProgress(t *testing.T) {
 	if CLIProgress(false, nil, nil) != nil {
 		t.Error("disabled CLIProgress should be nil")

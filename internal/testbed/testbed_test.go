@@ -11,6 +11,7 @@ import (
 	"saath/internal/coflow"
 	"saath/internal/obs"
 	"saath/internal/sched"
+	"saath/internal/sim"
 	"saath/internal/study"
 	"saath/internal/sweep"
 	"saath/internal/trace"
@@ -336,9 +337,8 @@ func TestDeltaOverride(t *testing.T) {
 }
 
 // TestTestbedJobsAreStamped: a testbed-backed study's jobs go through
-// the one pool, so each carries its wall time — what fleet progress
-// events, straggler marking and -progress read. Not a threshold: only
-// "was stamped".
+// the one pool, so each carries its wall time — what -progress and the
+// obs manifest read. Not a threshold: only "was stamped".
 func TestTestbedJobsAreStamped(t *testing.T) {
 	st := mustBuild(t, "overload")
 	res, err := st.Run(context.Background(), study.Pool{Parallel: 2})
@@ -372,10 +372,20 @@ func (p *panicPolicy) Schedule(snap *sched.Snapshot) *sched.RateVec {
 	return p.Scheduler.Schedule(snap)
 }
 
+// starvePolicy never rates a flow: a livelock that only the horizon
+// guard ends.
+type starvePolicy struct{ sched.Scheduler }
+
+func (starvePolicy) Schedule(snap *sched.Snapshot) *sched.RateVec { return snap.Allocation() }
+
 func init() {
 	sched.Register("test-panic", func(p sched.Params) (sched.Scheduler, error) {
 		inner, err := sched.New("saath", p)
 		return &panicPolicy{Scheduler: inner}, err
+	})
+	sched.Register("test-starve", func(p sched.Params) (sched.Scheduler, error) {
+		inner, err := sched.New("saath", p)
+		return starvePolicy{inner}, err
 	})
 }
 
@@ -384,9 +394,10 @@ type countingCollector map[int]int
 
 func (c countingCollector) Add(jr sweep.JobResult) { c[jr.Job.Index]++ }
 
-// TestPanicCostsOneJob: a panic inside a job — here a policy blowing up
-// mid-run, under the simulator's body and under the testbed's — becomes
-// that job's error (key, panic value, where it was raised); the sweep
+// TestPanicCostsOneJob: a job that fails — a policy blowing up mid-run,
+// or one that never rates a flow and so runs into the horizon guard —
+// under the simulator's body and under the testbed's, becomes that
+// job's error (key, cause, where a panic was raised); the sweep
 // finishes, sibling jobs produce what they produce without it, and the
 // collectors, progress and the obs record see the job exactly once.
 func TestPanicCostsOneJob(t *testing.T) {
@@ -396,14 +407,24 @@ func TestPanicCostsOneJob(t *testing.T) {
 		return trace.Synthesize(cfg, "tb-panic")
 	})
 	for _, body := range []struct {
-		name string
-		exec sweep.ExecFunc
-	}{{"simulator", nil}, {"testbed", Exec(Config{})}} {
+		name    string
+		exec    sweep.ExecFunc
+		horizon string // how the body's horizon guard words its error
+	}{{"simulator", nil, "sim: horizon exceeded"}, {"testbed", Exec(Config{}), "(horizon guard)"}} {
 		t.Run(body.name, func(t *testing.T) {
+			faults := map[string][]string{
+				"test-panic":  {"test-panic: scheduler bug", "panicPolicy).Schedule"},
+				"test-starve": {body.horizon},
+			}
 			grid := sweep.Grid{
 				Traces: []sweep.TraceSource{source}, Seeds: []int64{1, 2},
-				Schedulers: []string{"saath", "test-panic"},
+				// Failing jobs first, and one worker below: a failure that
+				// ended the sweep would skip every healthy job after it.
+				Schedulers: []string{"test-panic", "test-starve", "saath"},
 				Params:     sched.DefaultParams(), Exec: body.exec,
+				// Far past the healthy jobs' makespan, and short enough
+				// that a starving job reaches it in milliseconds.
+				Config: sim.Config{Horizon: 60 * coflow.Second},
 			}
 			jobs := grid.Jobs()
 			grid.Schedulers = []string{"saath"}
@@ -412,7 +433,7 @@ func TestPanicCostsOneJob(t *testing.T) {
 			seen, progressed := countingCollector{}, 0
 			rec := obs.NewRecorder("panic")
 			res := sweep.Run(context.Background(), jobs, sweep.Options{
-				Parallel: 2, Observer: rec, Collectors: []sweep.Collector{seen},
+				Parallel: 1, Observer: rec, Collectors: []sweep.Collector{seen},
 				Progress: func(done, total int, jr sweep.JobResult) { progressed++ },
 			})
 			if progressed != len(jobs) || len(rec.Manifest().Jobs) != len(jobs) {
@@ -426,11 +447,11 @@ func TestPanicCostsOneJob(t *testing.T) {
 				if jr.Elapsed <= 0 {
 					t.Errorf("job %s: Elapsed not stamped", jr.Job.Key())
 				}
-				if jr.Job.Scheduler == "test-panic" {
+				if parts, ok := faults[jr.Job.Scheduler]; ok {
 					if jr.Err == nil || jr.Res != nil {
-						t.Fatalf("job %s: err = %v, res = %v, want the panic as its error", jr.Job.Key(), jr.Err, jr.Res)
+						t.Fatalf("job %s: err = %v, res = %v, want its failure as its error", jr.Job.Key(), jr.Err, jr.Res)
 					}
-					for _, part := range []string{jr.Job.Key(), "test-panic: scheduler bug", "panicPolicy).Schedule"} {
+					for _, part := range append([]string{jr.Job.Key()}, parts...) {
 						if !strings.Contains(jr.Err.Error(), part) {
 							t.Errorf("job %s: error %q does not name %q", jr.Job.Key(), jr.Err, part)
 						}
@@ -440,7 +461,7 @@ func TestPanicCostsOneJob(t *testing.T) {
 				sibling := want.Jobs[healthy]
 				healthy++
 				if jr.Err != nil || jr.Res.Makespan != sibling.Res.Makespan || len(jr.Res.CoFlows) != len(sibling.Res.CoFlows) {
-					t.Errorf("job %s: sibling of a panicking job diverged (err %v)", jr.Job.Key(), jr.Err)
+					t.Errorf("job %s: sibling of a failing job diverged (err %v)", jr.Job.Key(), jr.Err)
 				}
 			}
 		})

@@ -12,9 +12,9 @@
 // statistics, the sweep engine, the declarative study layer (NewStudy:
 // experiment grids executed in-process or as mergeable shards), and
 // the distributed coordinator/agent prototype. Everything else — the
-// fleet driver, the testbed job body, observability, capacity
-// analytics — is reached through the CLIs (cmd/saath-sim) or, inside
-// this module, through the internal packages directly.
+// testbed job body, observability, capacity analytics — is reached
+// through the CLIs (cmd/saath-sim) or, inside this module, through the
+// internal packages directly.
 //
 // Quick start (see examples/quickstart for a runnable version):
 //
