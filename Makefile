@@ -24,12 +24,14 @@ test-testbed:
 # rejected with an error or decodes to a dump that re-encodes to the
 # same bytes, in memory proportional to the input. The coordinator's
 # POST /coflows path: nothing panics, malformed registrations get a 400,
-# an accepted one is live exactly once. Minimising each new input is
-# capped at 1 s (the default, 60 s, would eat the whole budget on the
-# first one).
+# an accepted one is live exactly once. The coflow-benchmark trace
+# parser: any input is rejected with an error or parses to a trace that
+# Write + Parse round-trip. Minimising each new input is capped at 1 s
+# (the default, 60 s, would eat the whole budget on the first one).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadShard$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/study/
 	$(GO) test -run '^$$' -fuzz '^FuzzRegistrationJSON$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/runtime/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trace/
 
 race:
 	$(GO) test -race -timeout 20m ./...

@@ -69,13 +69,17 @@ func (s *Saath) recordAllocationsFull(snap *sched.Snapshot, alloc *sched.RateVec
 	}
 }
 
-// forget drops what Schedule keeps of its previous call — the decision
-// and every CoFlow's derived queue — so the next call takes the full
-// path: the oracle the held path is compared with.
+// forget drops what Schedule keeps of its previous call — the decision,
+// every CoFlow's derived queue and each queue's order — so the next call
+// takes the full path and orders every queue from scratch: the oracle
+// the held path is compared with.
 func (s *Saath) forget() {
 	s.last = lastDecision{}
 	for i := range s.states {
 		s.states[i].epoch = 0
+	}
+	for q := range s.buckets {
+		s.buckets[q] = s.buckets[q][:0]
 	}
 }
 

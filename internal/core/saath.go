@@ -22,9 +22,14 @@
 //
 // Schedule runs every δ (8 ms in the paper), so it is the simulator's
 // hottest path: all per-interval state — the allocation vector, queue
-// counts, buckets, the contention vector and the sort scratch — is
-// reused across ticks, and contention is maintained incrementally
-// (sched.ContentionIndex). A steady-state tick allocates nothing.
+// counts, buckets and the contention vector — is reused across ticks,
+// and a call that does change something costs about what changed.
+// Contention is kept as pairwise counts that move only when a CoFlow's
+// port signature does (sched.ContentionIndex); each queue starts from
+// the order the last full call left it in and is repaired, not sorted
+// afresh (orderQueue); and work conservation passes over a missed
+// CoFlow none of whose egress or none of whose ingress ports is still
+// open (fabric.Fabric.OpenEnds). A steady-state tick allocates nothing.
 //
 // Straggler tracking (§4.3) follows the allocation, not the live set:
 // all-or-none serves few CoFlows per interval and parks the rest, and
@@ -55,7 +60,6 @@ package core
 
 import (
 	"cmp"
-	"slices"
 
 	"saath/internal/coflow"
 	"saath/internal/fabric"
@@ -90,11 +94,14 @@ type Saath struct {
 	last lastDecision
 
 	// Per-interval scratch, reused across ticks so the steady-state
-	// Schedule call performs zero heap allocations.
+	// Schedule call performs zero heap allocations. buckets is more than
+	// scratch: each queue's order as the last full call left it, which the
+	// next one repairs (orderQueue).
 	cindex     *sched.ContentionIndex
 	queueCount []int
 	buckets    [][]*coflow.CoFlow
-	kc         []int // contention k_c (or width proxy) by CoFlow.Idx
+	kc         []int  // contention k_c (or width proxy) by CoFlow.Idx
+	gen        uint64 // Schedule calls over a live set so far, for coflowState's stamps
 	missed     []*coflow.CoFlow
 	medScratch []coflow.Bytes
 }
@@ -111,6 +118,10 @@ type coflowState struct {
 	// "not looked at yet" — a new holder, or a zero-value CoFlow, which
 	// has no epoch to go by.
 	epoch, progress uint64
+
+	// The Saath.gen of the last call that listed c, and of the last one
+	// that kept c in its bucket's order.
+	listed, placed uint64
 }
 
 // lastDecision is the previous Schedule's output and the inputs of it
@@ -324,6 +335,7 @@ func (s *Saath) Schedule(snap *sched.Snapshot) *sched.RateVec {
 		return snap.Allocation() // the reset moves the stamp: nothing is held past here
 	}
 	hold = hold && len(snap.Active) == len(last.active)
+	s.gen++
 	fab := snap.Fabric
 	portRate := fab.PortRate()
 	s.growScratch(snap)
@@ -344,6 +356,7 @@ func (s *Saath) Schedule(snap *sched.Snapshot) *sched.RateVec {
 			st.c, st.epoch = c, 0
 			s.relist(c)
 		}
+		st.listed = s.gen
 		// The queue rules read what the epoch and the progress stamp
 		// cover, so the queue stands while both do. The rest of the
 		// decision reads the sendable set, which the epoch covers alone.
@@ -390,31 +403,44 @@ func (s *Saath) Schedule(snap *sched.Snapshot) *sched.RateVec {
 		}
 	}
 
-	// (2) Bucket by queue.
-	for q := range s.buckets {
-		s.buckets[q] = s.buckets[q][:0]
+	// (2) Bucket by queue, starting from each queue's order of the last
+	// full call: keep the CoFlows still in it, append the newcomers in
+	// Active order, and let (4) repair the order.
+	for q, bucket := range s.buckets {
+		kept := bucket[:0]
+		for _, c := range bucket {
+			if c.Idx < 0 || c.Idx >= len(s.states) {
+				continue // departed: its indices went back to the space
+			}
+			if st := &s.states[c.Idx]; st.c == c && st.listed == s.gen && st.queue == q && len(c.SendableFlows()) > 0 {
+				kept = append(kept, c)
+				st.placed = s.gen
+			}
+		}
+		s.buckets[q] = kept
 	}
 	for _, c := range snap.Active {
-		if len(c.SendableFlows()) == 0 {
-			continue // nothing to schedule (all data pending or done)
+		if st := &s.states[c.Idx]; st.placed != s.gen && len(c.SendableFlows()) > 0 {
+			q := st.queue
+			s.buckets[q] = append(s.buckets[q], c)
 		}
-		q := s.states[c.Idx].queue
-		s.buckets[q] = append(s.buckets[q], c)
 	}
 
 	// (3) Contention k_c over the live set, refreshed incrementally:
 	// only CoFlows whose sendable set changed since the last interval
 	// are re-indexed. The width-proxy ablation swaps in CoFlow width as
-	// a cheaper stand-in for the blocked-CoFlow count.
+	// a cheaper stand-in for the blocked-CoFlow count. Work conservation
+	// reads the index's port signatures, so it syncs the index too.
+	lcof := s.params.LCoF && !s.params.WidthContentionProxy
+	if lcof || s.params.WorkConservation {
+		s.cindex.Sync(snap.Active)
+	}
 	if s.params.LCoF {
-		if s.params.WidthContentionProxy {
-			for _, c := range snap.Active {
-				s.kc[c.Idx] = c.NumPending()
-			}
-		} else {
-			s.cindex.Sync(snap.Active)
-			for _, c := range snap.Active {
+		for _, c := range snap.Active {
+			if lcof {
 				s.kc[c.Idx] = s.cindex.K(c)
+			} else {
+				s.kc[c.Idx] = c.NumPending()
 			}
 		}
 	}
@@ -610,44 +636,67 @@ func (s *Saath) srtfEstimate(c *coflow.CoFlow) (coflow.Bytes, bool) {
 	return worst, true
 }
 
-// orderQueue sorts one queue's CoFlows for scanning: CoFlows past
-// their starvation deadline first (oldest deadline first), then LCoF
-// by ascending contention (ties FIFO), or pure FIFO when LCoF is off.
-// slices.SortStableFunc with a stack-allocated closure keeps the sort
-// off the heap.
+// orderQueue puts one queue's CoFlows in scanning order: CoFlows past
+// their starvation deadline first (oldest deadline first), then LCoF by
+// ascending contention, or pure FIFO when LCoF is off. The bucket
+// arrives in the order the last full call left it, newcomers at the
+// back; between two calls few CoFlows move, so an insertion sort repairs
+// it in about one comparison per CoFlow. inQueueOrder is a strict total
+// order, so the result is the sorted order whatever the starting
+// permutation; TestRepairedOrderMatchesFreshSort holds it to a stable
+// sort from scratch.
 func (s *Saath) orderQueue(bucket []*coflow.CoFlow, now coflow.Time) {
-	slices.SortStableFunc(bucket, func(a, b *coflow.CoFlow) int {
-		sa, sb := &s.states[a.Idx], &s.states[b.Idx]
-		ea, eb := now >= sa.deadline, now >= sb.deadline
-		if ea != eb {
-			if ea {
-				return -1 // expired first
-			}
-			return 1
+	for i := 1; i < len(bucket); i++ {
+		c, j := bucket[i], i
+		for ; j > 0 && s.inQueueOrder(c, bucket[j-1], now) < 0; j-- {
+			bucket[j] = bucket[j-1]
 		}
-		if ea && eb && sa.deadline != sb.deadline {
-			return cmp.Compare(sa.deadline, sb.deadline)
+		bucket[j] = c
+	}
+}
+
+// inQueueOrder compares two CoFlows of one queue: expired first, then
+// by deadline among the expired, then by k_c under LCoF, then by
+// arrival, then by ID.
+func (s *Saath) inQueueOrder(a, b *coflow.CoFlow, now coflow.Time) int {
+	sa, sb := &s.states[a.Idx], &s.states[b.Idx]
+	ea, eb := now >= sa.deadline, now >= sb.deadline
+	if ea != eb {
+		if ea {
+			return -1 // expired first
 		}
-		if s.params.LCoF {
-			if ka, kb := s.kc[a.Idx], s.kc[b.Idx]; ka != kb {
-				return cmp.Compare(ka, kb)
-			}
+		return 1
+	}
+	if ea && eb && sa.deadline != sb.deadline {
+		return cmp.Compare(sa.deadline, sb.deadline)
+	}
+	if s.params.LCoF {
+		if ka, kb := s.kc[a.Idx], s.kc[b.Idx]; ka != kb {
+			return cmp.Compare(ka, kb)
 		}
-		if a.Arrived != b.Arrived {
-			return cmp.Compare(a.Arrived, b.Arrived)
-		}
-		return cmp.Compare(a.ID(), b.ID())
-	})
+	}
+	if a.Arrived != b.Arrived {
+		return cmp.Compare(a.Arrived, b.Arrived)
+	}
+	return cmp.Compare(a.ID(), b.ID())
 }
 
 // workConserve hands residual port bandwidth to the CoFlows that
 // missed all-or-none admission, in their queue order (§4.2 D4): each
 // flow gets min(sender residual, receiver residual), outside
 // all-or-none, so otherwise-idle ports speed CoFlows up without
-// pushing anyone back.
+// pushing anyone back. Most missed CoFlows find every port they occupy
+// drawn down by then: one whose port signature has no open egress or no
+// open ingress port is passed over without asking its flows, and one
+// whose grants close the last of either is left there. Residuals only
+// fall within a call, so neither skips a flow that could get anything.
 func (s *Saath) workConserve(fab *fabric.Fabric, missed []*coflow.CoFlow, alloc *sched.RateVec) {
 	const eps = 1e-3
 	for _, c := range missed {
+		sig := s.cindex.Signature(c)
+		if !fab.OpenEnds(sig) {
+			continue
+		}
 		for _, f := range c.SendableFlows() {
 			r := fab.PathFree(f.Src, f.Dst)
 			if float64(r) <= eps {
@@ -656,6 +705,9 @@ func (s *Saath) workConserve(fab *fabric.Fabric, missed []*coflow.CoFlow, alloc 
 			alloc.Add(f.Idx, r)
 			fab.Allocate(f.Src, f.Dst, r)
 			s.recordAllocation(c, f, alloc.Rate(f.Idx))
+			if !fab.OpenEnds(sig) {
+				break
+			}
 		}
 	}
 }

@@ -25,6 +25,10 @@ type Fabric struct {
 	egressFree  []coflow.Rate // residual per sender port
 	ingressFree []coflow.Rate // residual per receiver port
 	drawn       bool          // Allocate ran since the last Reset
+	// open has bit 2p set while egress p has more than openEps of
+	// residual and bit 2p+1 while ingress p does: the port-direction
+	// layout of sched.ContentionIndex's signatures, for OpenEnds.
+	open []uint64
 
 	// EqualRateForCoFlow's per-port flow counts, all zero between calls.
 	useEgress  []int32
@@ -54,6 +58,7 @@ func New(numPorts int, rate coflow.Rate) *Fabric {
 		ingressFree: make([]coflow.Rate, numPorts),
 		useEgress:   make([]int32, numPorts),
 		useIngress:  make([]int32, numPorts),
+		open:        make([]uint64, (2*numPorts+63)/64),
 		drawn:       true, // nothing is at line rate until the Reset below
 	}
 	f.Reset()
@@ -66,8 +71,14 @@ func (f *Fabric) NumPorts() int { return f.numPorts }
 // PortRate returns the per-port line rate.
 func (f *Fabric) PortRate() coflow.Rate { return f.portRate }
 
+// openEps is the residual at or below which a port is busy to work
+// conservation (and so closed in the open bitset): 1 mB/s.
+const openEps = 1e-3
+
 // Reset restores full capacity at every port, starting a new round. A
 // fabric nothing drew from since the last Reset is left as it is.
+//
+//saath:hotpath
 func (f *Fabric) Reset() {
 	if !f.drawn {
 		return
@@ -75,6 +86,12 @@ func (f *Fabric) Reset() {
 	for i := range f.egressFree {
 		f.egressFree[i] = f.portRate
 		f.ingressFree[i] = f.portRate
+	}
+	for w := range f.open {
+		f.open[w] = ^uint64(0)
+	}
+	if tail := 2 * f.numPorts % 64; tail != 0 {
+		f.open[len(f.open)-1] = 1<<tail - 1
 	}
 	f.drawn = false
 }
@@ -103,6 +120,8 @@ func (f *Fabric) PathFree(src, dst coflow.PortID) coflow.Rate {
 // Allocate reserves rate r on the src→dst path. It panics if the
 // reservation exceeds residual capacity beyond a tiny floating-point
 // tolerance — schedulers must never oversubscribe ports.
+//
+//saath:hotpath
 func (f *Fabric) Allocate(src, dst coflow.PortID, r coflow.Rate) {
 	if r < 0 {
 		panic(fmt.Sprintf("fabric: negative allocation %v", r))
@@ -123,9 +142,13 @@ func (f *Fabric) Allocate(src, dst coflow.PortID, r coflow.Rate) {
 	if f.ingressFree[dst] < 0 {
 		f.ingressFree[dst] = 0
 	}
+	f.mark(src, f.egressFree[src], 0)
+	f.mark(dst, f.ingressFree[dst], 1)
 }
 
 // Release returns rate r to the src→dst path, clamped at line rate.
+//
+//saath:hotpath
 func (f *Fabric) Release(src, dst coflow.PortID, r coflow.Rate) {
 	if r < 0 {
 		panic(fmt.Sprintf("fabric: negative release %v", r))
@@ -138,6 +161,38 @@ func (f *Fabric) Release(src, dst coflow.PortID, r coflow.Rate) {
 	if f.ingressFree[dst] > f.portRate {
 		f.ingressFree[dst] = f.portRate
 	}
+	f.mark(src, f.egressFree[src], 0)
+	f.mark(dst, f.ingressFree[dst], 1)
+}
+
+// mark sets port p's bit for one direction (0 egress, 1 ingress) in the
+// open bitset to whether residual free is above openEps.
+func (f *Fabric) mark(p coflow.PortID, free coflow.Rate, dir int) {
+	w, bit := p>>5, uint64(1)<<(2*(p&31)+coflow.PortID(dir))
+	if float64(free) > openEps {
+		f.open[w] |= bit
+	} else {
+		f.open[w] &^= bit
+	}
+}
+
+// OpenEnds reports whether a port-direction signature — bit 2p for
+// egress p, bit 2p+1 for ingress p, as sched.ContentionIndex builds
+// them — names an open egress port and an open ingress port. A CoFlow
+// whose signature fails it can get nothing from work conservation now
+// or later in the round: every flow's PathFree is at most the residual
+// at either end, and residuals only fall until the next Reset.
+//
+//saath:hotpath
+func (f *Fabric) OpenEnds(sig []uint64) bool {
+	const egress = 0x5555555555555555 // the even bits
+	var eg, in uint64
+	for w, v := range sig[:min(len(sig), len(f.open))] {
+		v &= f.open[w]
+		eg |= v & egress
+		in |= v &^ egress
+	}
+	return eg != 0 && in != 0
 }
 
 // CoFlowAvailable reports whether every port a CoFlow's sendable flows

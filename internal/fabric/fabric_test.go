@@ -259,3 +259,79 @@ func TestMaxMinFairProperties(t *testing.T) {
 		}
 	}
 }
+
+// TestOpenBitsetTracksResiduals runs random Allocate / Release / Reset
+// sequences — draws to nothing, to within openEps of nothing, to half,
+// and releases back — and checks after every step that the open bitset
+// says exactly which port directions have more than openEps of
+// residual, and that OpenEnds answers as that openness recomputed from
+// EgressFree/IngressFree does for random signatures, longer and
+// shorter than the bitset.
+func TestOpenBitsetTracksResiduals(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 40; trial++ {
+		ports := 1 + rng.Intn(100)
+		f := New(ports, DefaultPortRate)
+		type draw struct {
+			src, dst coflow.PortID
+			r        coflow.Rate
+		}
+		var drawn []draw
+		for step := 0; step < 200; step++ {
+			src, dst := coflow.PortID(rng.Intn(ports)), coflow.PortID(rng.Intn(ports))
+			switch free := f.PathFree(src, dst); rng.Intn(6) {
+			case 0:
+				f.Allocate(src, dst, free)
+				drawn = append(drawn, draw{src, dst, free})
+			case 1:
+				r := max(free-coflow.Rate(openEps/2), 0)
+				f.Allocate(src, dst, r)
+				drawn = append(drawn, draw{src, dst, r})
+			case 2:
+				f.Allocate(src, dst, free/2)
+				drawn = append(drawn, draw{src, dst, free / 2})
+			case 3, 4:
+				if len(drawn) > 0 {
+					i := rng.Intn(len(drawn))
+					d := drawn[i]
+					f.Release(d.src, d.dst, d.r)
+					drawn = append(drawn[:i], drawn[i+1:]...)
+				}
+			case 5:
+				if rng.Intn(4) == 0 {
+					f.Reset()
+					drawn = drawn[:0]
+				}
+			}
+			open := func(b int) bool {
+				p := coflow.PortID(b / 2)
+				if int(p) >= ports {
+					return false
+				}
+				if b%2 == 0 {
+					return float64(f.EgressFree(p)) > openEps
+				}
+				return float64(f.IngressFree(p)) > openEps
+			}
+			for b := 0; b < 64*len(f.open); b++ {
+				if got := f.open[b/64]>>(b%64)&1 == 1; got != open(b) {
+					t.Fatalf("trial %d step %d: bit %d (port %d, ingress %v) open = %v, residuals say %v",
+						trial, step, b, b/2, b%2 == 1, got, open(b))
+				}
+			}
+			sig := make([]uint64, rng.Intn(len(f.open)+2))
+			var eg, in bool
+			for b := 0; b < 64*len(sig); b++ {
+				if rng.Intn(40) == 0 {
+					sig[b/64] |= 1 << (b % 64)
+					if open(b) {
+						eg, in = eg || b%2 == 0, in || b%2 == 1
+					}
+				}
+			}
+			if got := f.OpenEnds(sig); got != (eg && in) {
+				t.Fatalf("trial %d step %d: OpenEnds(%x) = %v, want %v", trial, step, sig, got, eg && in)
+			}
+		}
+	}
+}

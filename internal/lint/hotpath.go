@@ -28,10 +28,10 @@ import (
 // Reachability is intra-package and static only: calls through
 // interfaces (e.g. sched.Scheduler.Schedule) and into other packages
 // are not resolved, so each policy's Schedule and every cross-package
-// callee on the path (sched.ContentionIndex.Sync/K,
-// fabric.Fabric.CoFlowAvailable/EqualRateForCoFlow, the cached
-// coflow.CoFlow accessors) carries its own //saath:hotpath root
-// annotation.
+// callee on the path (sched.ContentionIndex.Sync/K/Signature,
+// fabric.Fabric.Reset/Allocate/Release/CoFlowAvailable/
+// EqualRateForCoFlow/OpenEnds, the cached coflow.CoFlow accessors)
+// carries its own //saath:hotpath root annotation.
 var HotPath = &Analyzer{
 	Name: "hotpath",
 	Doc:  "forbid per-call allocation idioms and map accesses in //saath:hotpath functions and their intra-package callees",

@@ -1,118 +1,186 @@
 package sched
 
 import (
-	"math/bits"
-
 	"saath/internal/coflow"
 )
 
-// ContentionIndex computes k_c — the number of *other* CoFlows with a
-// sendable flow on any port a CoFlow occupies (§3 idea 3) —
-// incrementally, as port-occupancy bitsets. Every port direction owns
-// one row of bits (slot 2·port for egress, 2·port+1 for ingress); bit i
-// of a row is set while the CoFlow with Idx i has a sendable flow
-// there. A CoFlow's bits are rewritten only when its mutation epoch
-// changed (arrival, flow completion, availability flip) and cleared
-// when it departs, and k_c is a popcount over the OR of its rows. On a
-// steady-state tick Sync touches no memory beyond the live set and K
-// allocates nothing.
+// ContentionIndex keeps k_c — the number of *other* CoFlows with a
+// sendable flow on any port a CoFlow occupies (§3 idea 3) — as a count
+// per CoFlow, maintained pair by pair. Each CoFlow has one
+// port-direction signature, a bitset with bit 2p set while it has a
+// sendable flow leaving port p and bit 2p+1 while one enters port p;
+// two CoFlows contend when their signatures intersect. When a
+// signature changes — the CoFlow arrives, departs, or its sendable set
+// moves onto other ports — Sync walks the other live CoFlows once and
+// moves each one's count by one where intersecting the old signature
+// and intersecting the new one differ; the changed CoFlow's own count
+// is the number it intersects now. An epoch move that leaves the
+// signature as it was costs the pass over the sendable flows that
+// rebuilt it, and K is a read. On a steady-state tick Sync touches no
+// memory beyond the live set and nothing allocates.
 //
 // Values are exactly those of the map-based reference, Contention in
 // contention_test.go, for the same active set; the equivalence is
 // pinned by TestContentionIndexMatchesReference.
 type ContentionIndex struct {
-	words   int      // uint64s per row: rows cover CoFlow.Idx < 64·words
-	rows    []uint64 // slot s is rows[s·words : (s+1)·words]
-	acc     []uint64 // K's OR accumulator, one row long
+	words   int      // uint64s per signature: signatures cover ports < 32·words
+	sigs    []uint64 // Idx i's signature is sigs[i·words : (i+1)·words]
+	scratch []uint64 // the signature being built, one signature long
 	states  []cfOcc  // by CoFlow.Idx
-	live    int      // states currently holding a CoFlow
+	members []int32  // the Idx of every state holding a CoFlow, in no order
 	syncGen uint64
 }
 
 // cfOcc is the index's state for one CoFlow.Idx. The holder is
-// compared by pointer, so an Idx released and handed to another CoFlow
-// between two Syncs is seen as a departure plus an arrival.
+// compared by pointer, so an Idx handed to another CoFlow between two
+// Syncs — a departure and an arrival, or the coordinator's update()
+// swap — is seen as a change of that Idx's signature.
 type cfOcc struct {
-	c     *coflow.CoFlow
-	epoch uint64  // c.CacheEpoch when slots was last rewritten
-	seen  uint64  // last Sync generation that listed c
-	slots []int32 // the rows carrying this Idx's bit, each once
+	c      *coflow.CoFlow
+	epoch  uint64 // c.CacheEpoch when the signature was last rebuilt
+	seen   uint64 // last Sync generation that listed c
+	k      int32  // live CoFlows other than c whose signature meets c's
+	lo, hi int32  // the signature's nonzero words all lie in [lo, hi)
 }
 
 // NewContentionIndex returns an empty index.
 func NewContentionIndex() *ContentionIndex { return &ContentionIndex{} }
 
-// Sync reconciles the index with the current active set: new CoFlows
-// are added, CoFlows whose mutation epoch changed are refreshed, and
-// CoFlows that disappeared are dropped. Call once per interval before
-// querying K.
+// Sync reconciles the index with the current active set: CoFlows that
+// disappeared are dropped, and new CoFlows and those whose mutation
+// epoch changed get their signature rebuilt. Call once per interval
+// before querying K or Signature.
 //
 //saath:hotpath
 func (x *ContentionIndex) Sync(active []*coflow.CoFlow) {
 	x.syncGen++
+	listed := 0 // members the active set names
 	for _, c := range active {
 		if c.Idx >= len(x.states) {
 			x.grow(c.Idx + 1)
 		}
 		st := &x.states[c.Idx]
-		if st.c != c || st.epoch != c.CacheEpoch() {
-			if st.c == nil {
-				x.live++
-			}
-			st.c, st.epoch = c, c.CacheEpoch()
-			x.setSlots(st, c.Idx, c.SendableFlows())
-		}
 		st.seen = x.syncGen
-	}
-	// Every listed CoFlow now holds a state, so a departure shows as a
-	// surplus of held states — sweep only then.
-	for i := 0; x.live > len(active) && i < len(x.states); i++ {
-		if st := &x.states[i]; st.c != nil && st.seen != x.syncGen {
-			x.setSlots(st, i, nil)
-			st.c = nil
-			x.live--
+		if st.c != nil {
+			listed++
 		}
+	}
+	// Departures first, so the signatures rebuilt below walk only the
+	// CoFlows still live. A departure shows as a member the active set
+	// does not name — sweep only while there is one. Removal moves the
+	// last member into the hole, which the backward walk has passed.
+	for i := len(x.members) - 1; i >= 0 && len(x.members) > listed; i-- {
+		idx := int(x.members[i])
+		if x.states[idx].seen == x.syncGen {
+			continue
+		}
+		x.resign(idx, nil)
+		x.members[i] = x.members[len(x.members)-1]
+		x.members = x.members[:len(x.members)-1]
+		x.states[idx] = cfOcc{}
+	}
+	for _, c := range active {
+		st := &x.states[c.Idx]
+		if st.c == c && st.epoch == c.CacheEpoch() {
+			continue
+		}
+		if st.c == nil {
+			x.members = append(x.members, int32(c.Idx))
+		}
+		st.c, st.epoch = c, c.CacheEpoch()
+		x.resign(c.Idx, c.SendableFlows())
 	}
 }
 
-// grow makes room for CoFlow indices below n, re-striding the rows
-// when they need more words.
+// grow makes room for CoFlow indices below n.
 //
 //saath:alloc-ok amortized growth on arrival epochs, never at steady state
 func (x *ContentionIndex) grow(n int) {
 	for len(x.states) < n {
 		x.states = append(x.states, cfOcc{})
 	}
-	if n <= 64*x.words {
-		return
+	for len(x.sigs) < n*x.words {
+		x.sigs = append(x.sigs, 0)
 	}
-	words := max(2*x.words, (n+63)/64)
-	rows := make([]uint64, len(x.rows)/max(x.words, 1)*words)
-	for s := 0; s*x.words < len(x.rows); s++ {
-		copy(rows[s*words:], x.rows[s*x.words:(s+1)*x.words])
-	}
-	x.words, x.rows, x.acc = words, rows, make([]uint64, words)
 }
 
-// setSlots clears bit idx in the rows that carry it and sets it in the
-// rows of both ends of every flow given.
-func (x *ContentionIndex) setSlots(st *cfOcc, idx int, flows []*coflow.Flow) {
-	word, bit := idx>>6, uint64(1)<<(idx&63)
-	for _, s := range st.slots {
-		x.rows[int(s)*x.words+word] &^= bit
+// restride widens every signature to cover bit b.
+//
+//saath:alloc-ok amortized growth when a port beyond every earlier one shows up
+func (x *ContentionIndex) restride(b int) {
+	words := max(2*x.words, b/64+1)
+	sigs := make([]uint64, len(x.states)*words)
+	for i := range x.states {
+		copy(sigs[i*words:], x.sigs[i*x.words:(i+1)*x.words])
 	}
-	st.slots = st.slots[:0]
+	scratch := make([]uint64, words)
+	copy(scratch, x.scratch)
+	x.words, x.sigs, x.scratch = words, sigs, scratch
+}
+
+// resign gives Idx idx the signature of flows and brings every count
+// it enters up to date: the other members' by the pair they form with
+// idx, and idx's own from scratch.
+func (x *ContentionIndex) resign(idx int, flows []*coflow.Flow) {
+	clear(x.scratch)
 	for _, f := range flows {
-		for _, s := range [2]int{2 * int(f.Src), 2*int(f.Dst) + 1} {
-			for len(x.rows) < (s+1)*x.words {
-				x.rows = append(x.rows, 0)
+		eg, in := 2*int(f.Src), 2*int(f.Dst)+1
+		if b := max(eg, in); b >= 64*x.words {
+			x.restride(b)
+		}
+		x.scratch[eg>>6] |= 1 << (eg & 63)
+		x.scratch[in>>6] |= 1 << (in & 63)
+	}
+	next := x.scratch
+	lo, hi := int32(0), int32(0)
+	for w, v := range next {
+		if v != 0 {
+			if hi == 0 {
+				lo = int32(w)
 			}
-			if w := &x.rows[s*x.words+word]; *w&bit == 0 {
-				*w |= bit
-				st.slots = append(st.slots, int32(s))
-			}
+			hi = int32(w + 1)
 		}
 	}
+	st := &x.states[idx]
+	prev := x.sigs[idx*x.words : (idx+1)*x.words]
+	// The words either signature has bits in; empty ranges take no part.
+	ulo, uhi := lo, hi
+	if hi == 0 {
+		ulo, uhi = st.lo, st.hi
+	} else if st.hi != 0 {
+		ulo, uhi = min(lo, st.lo), max(hi, st.hi)
+	}
+	same := true
+	for w := ulo; w < uhi && same; w++ {
+		same = prev[w] == next[w]
+	}
+	if same {
+		return
+	}
+	k := int32(0)
+	for _, j := range x.members {
+		o := &x.states[j]
+		if int(j) == idx {
+			continue
+		}
+		sig := x.sigs[int(j)*x.words:]
+		var before, after uint64
+		for w := max(ulo, o.lo); w < min(uhi, o.hi); w++ {
+			before |= sig[w] & prev[w]
+			after |= sig[w] & next[w]
+		}
+		if after != 0 {
+			k++
+		}
+		switch {
+		case before == 0 && after != 0:
+			o.k++
+		case before != 0 && after == 0:
+			o.k--
+		}
+	}
+	copy(prev, next)
+	st.k, st.lo, st.hi = k, lo, hi
 }
 
 // K returns k_c for a CoFlow present in the last Sync (zero
@@ -124,15 +192,18 @@ func (x *ContentionIndex) K(c *coflow.CoFlow) int {
 	if c.Idx < 0 || c.Idx >= len(x.states) || x.states[c.Idx].c != c {
 		return 0
 	}
-	clear(x.acc)
-	for _, s := range x.states[c.Idx].slots {
-		for w, v := range x.rows[int(s)*x.words : (int(s)+1)*x.words] {
-			x.acc[w] |= v
-		}
+	return int(x.states[c.Idx].k)
+}
+
+// Signature returns the port-direction signature of a CoFlow present in
+// the last Sync — bit 2p for egress p, bit 2p+1 for ingress p, trailing
+// zero words trimmed — and nil for any other. The words are the index's
+// own: read them before the next Sync.
+//
+//saath:hotpath
+func (x *ContentionIndex) Signature(c *coflow.CoFlow) []uint64 {
+	if c.Idx < 0 || c.Idx >= len(x.states) || x.states[c.Idx].c != c {
+		return nil
 	}
-	k := 0
-	for _, v := range x.acc {
-		k += bits.OnesCount64(v)
-	}
-	return max(k-1, 0) // c's own bit is in every one of its rows
+	return x.sigs[c.Idx*x.words : c.Idx*x.words+int(x.states[c.Idx].hi)]
 }

@@ -112,30 +112,37 @@ func TestContentionIndexTracksEpochs(t *testing.T) {
 
 // TestContentionIndexMatchesReference drives random clusters through
 // random per-epoch mutations (completions, availability flips,
-// arrivals, departures) and asserts the incremental index agrees with
-// the reference Contention implementation after every round. Indices
-// come from an IndexSpace, as in the engine, so a departure followed by
-// an arrival hands the newcomer the departed CoFlow's Idx between two
-// Syncs; the larger trials keep more than 64 and more than 128 CoFlows
-// live so bits land on both sides of the bitset's word boundaries.
+// arrivals, departures, epoch moves that change nothing, update()-style
+// swaps) and asserts the incremental index agrees with the reference
+// Contention implementation after every round. Indices come from an
+// IndexSpace, as in the engine, so a departure followed by an arrival
+// hands the newcomer the departed CoFlow's Idx between two Syncs, and
+// an arrival followed by a departure leaves as many CoFlows listed as
+// the index holds. The wide trials put ports on both sides of a
+// signature's word boundaries, one trial widens the port range mid-run
+// so every signature is re-strided under live counts, and the last has
+// the coordinator testbed's shape: 2,000 ports.
 func TestContentionIndexMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 24; trial++ {
+	for trial := 0; trial < 26; trial++ {
 		x := NewContentionIndex()
 		space := coflow.NewIndexSpace()
 		nPorts := rng.Intn(6) + 2
-		initial, minLive := rng.Intn(8)+2, 0
+		initial, minLive, widenAt := rng.Intn(8)+2, 0, -1
 		switch {
+		case trial == 25:
+			nPorts, initial, minLive = 2000, 300, 200 // sixty-three words
+		case trial == 24:
+			nPorts, initial, minLive, widenAt = 20, 60, 40, 10 // one word, then four
 		case trial >= 22:
-			nPorts, initial, minLive = 40, 160, 129 // three words
+			nPorts, initial, minLive = 80, 160, 129 // three words
 		case trial >= 20:
-			nPorts, initial, minLive = 24, 90, 65 // two words
+			nPorts, initial, minLive = 40, 90, 65 // two words
 		}
 		var active []*coflow.CoFlow
 		nextID := coflow.CoFlowID(1)
-		addCoflow := func() {
-			spec := &coflow.Spec{ID: nextID}
-			nextID++
+		newSpec := func(id coflow.CoFlowID) *coflow.Spec {
+			spec := &coflow.Spec{ID: id}
 			for j := 0; j <= rng.Intn(4); j++ {
 				spec.Flows = append(spec.Flows, coflow.FlowSpec{
 					Src:  coflow.PortID(rng.Intn(nPorts)),
@@ -143,7 +150,11 @@ func TestContentionIndexMatchesReference(t *testing.T) {
 					Size: coflow.Bytes(rng.Intn(100) + 1),
 				})
 			}
-			c := coflow.New(spec)
+			return spec
+		}
+		addCoflow := func() {
+			c := coflow.New(newSpec(nextID))
+			nextID++
 			space.Assign(c)
 			active = append(active, c)
 		}
@@ -158,10 +169,13 @@ func TestContentionIndexMatchesReference(t *testing.T) {
 		for i := 0; i < initial; i++ {
 			addCoflow()
 		}
-		recycled := 0
+		recycled, unchanged, swapped, crossed := 0, 0, 0, 0
 		for round := 0; round < 30; round++ {
+			if round == widenAt {
+				nPorts = 120
+			}
 			// Random churn between rounds.
-			switch rng.Intn(5) {
+			switch rng.Intn(9) {
 			case 0:
 				addCoflow()
 			case 1:
@@ -193,6 +207,39 @@ func TestContentionIndexMatchesReference(t *testing.T) {
 					}
 					recycled++
 				}
+			case 5:
+				// Arrive + depart: the index holds exactly as many CoFlows
+				// as the next Sync lists, one of them not listed.
+				if len(active) > 1 {
+					addCoflow()
+					depart()
+				}
+			case 6:
+				// The epoch moves and the sendable set stays.
+				if len(active) > 0 {
+					active[rng.Intn(len(active))].Invalidate()
+					unchanged++
+				}
+			case 7:
+				// The coordinator's update(): a new CoFlow under the same
+				// ID takes the old one's Idx, on the same ports or others.
+				if len(active) > 0 {
+					i := rng.Intn(len(active))
+					old := active[i]
+					spec := newSpec(old.ID())
+					if rng.Intn(2) == 0 {
+						spec = old.Spec
+					}
+					space.Release(old)
+					c := coflow.New(spec)
+					space.Assign(c)
+					active[i] = c
+					swapped++
+				}
+			case 8:
+				if len(active) > 0 {
+					addCoflow()
+				}
 			}
 			got := kOf(x, active)
 			want := Contention(active)
@@ -202,15 +249,23 @@ func TestContentionIndexMatchesReference(t *testing.T) {
 						trial, round, c.ID(), got[c.ID()], want[c.ID()])
 				}
 			}
+			if x.words > 1 {
+				crossed++
+			}
 		}
-		if minLive > 0 && (len(active) < minLive || recycled == 0) {
-			t.Fatalf("trial %d: %d live (want >= %d), %d recycled — the wide trial lost its coverage",
-				trial, len(active), minLive, recycled)
+		if minLive > 0 && (len(active) < minLive || recycled == 0 || unchanged == 0 || swapped == 0) {
+			t.Fatalf("trial %d: %d live (want >= %d), %d recycled, %d unchanged, %d swapped — the wide trial lost its coverage",
+				trial, len(active), minLive, recycled, unchanged, swapped)
+		}
+		if widenAt >= 0 && (crossed == 0 || crossed == 30) {
+			t.Fatalf("trial %d: signatures spanned several words in %d of 30 rounds — the re-stride did not happen mid-run", trial, crossed)
 		}
 	}
 }
 
-func BenchmarkContentionIndexSteadyState(b *testing.B) {
+// benchIndexCluster is the index benchmarks' active set: 500 CoFlows
+// of up to six flows on 150 ports.
+func benchIndexCluster() []*coflow.CoFlow {
 	rng := rand.New(rand.NewSource(3))
 	var active []*coflow.CoFlow
 	for i := 0; i < 500; i++ {
@@ -225,11 +280,37 @@ func BenchmarkContentionIndexSteadyState(b *testing.B) {
 		active = append(active, coflow.New(spec))
 	}
 	coflow.EnsureIndexed(active)
+	return active
+}
+
+func BenchmarkContentionIndexSteadyState(b *testing.B) {
+	active := benchIndexCluster()
 	x := NewContentionIndex()
 	x.Sync(active)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		x.Sync(active)
+		for _, c := range active {
+			x.K(c)
+		}
+	}
+}
+
+// BenchmarkContentionIndexOneChanged is the steady state with one
+// CoFlow's sendable set moving per round, as a flow completing moves
+// it: a flow of it toggles between done and pending, so every round
+// rebuilds its signature and walks the other CoFlows' counts.
+func BenchmarkContentionIndexOneChanged(b *testing.B) {
+	active := benchIndexCluster()
+	x := NewContentionIndex()
+	x.Sync(active)
+	c := active[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Flows[0].Done = !c.Flows[0].Done
+		c.Invalidate()
 		x.Sync(active)
 		for _, c := range active {
 			x.K(c)

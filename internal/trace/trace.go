@@ -20,6 +20,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -137,8 +138,12 @@ func Parse(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace line %d: bad coflow count: %w", line, err)
 	}
+	if numCoflows < 0 {
+		return nil, fmt.Errorf("trace line %d: negative coflow count %d", line, numCoflows)
+	}
 
-	t := &Trace{NumPorts: numPorts, Specs: make([]*coflow.Spec, 0, numCoflows)}
+	// The count is the header's claim, not a size: the records prove it.
+	t := &Trace{NumPorts: numPorts, Specs: make([]*coflow.Spec, 0, min(numCoflows, 1<<12))}
 	for i := 0; i < numCoflows; i++ {
 		fields, err := next()
 		if err != nil {
@@ -169,15 +174,15 @@ func parseCoflowLine(fields []string, line int) (*coflow.Spec, error) {
 		return nil, bad("bad coflow id %q: %v", fields[0], err)
 	}
 	arrivalMS, err := strconv.ParseInt(fields[1], 10, 64)
-	if err != nil {
-		return nil, bad("bad arrival %q: %v", fields[1], err)
+	if err != nil || arrivalMS > math.MaxInt64/int64(coflow.Millisecond) {
+		return nil, bad("bad arrival %q", fields[1])
 	}
 	numMappers, err := strconv.Atoi(fields[2])
 	if err != nil || numMappers <= 0 {
 		return nil, bad("bad mapper count %q", fields[2])
 	}
 	pos := 3
-	if len(fields) < pos+numMappers+1 {
+	if numMappers > len(fields)-pos-1 {
 		return nil, bad("record too short for %d mappers", numMappers)
 	}
 	mappers := make([]coflow.PortID, numMappers)
@@ -194,7 +199,7 @@ func parseCoflowLine(fields []string, line int) (*coflow.Spec, error) {
 		return nil, bad("bad reducer count %q", fields[pos])
 	}
 	pos++
-	if len(fields) != pos+numReducers {
+	if numReducers != len(fields)-pos {
 		return nil, bad("expected %d reducer entries, got %d", numReducers, len(fields)-pos)
 	}
 
@@ -202,6 +207,7 @@ func parseCoflowLine(fields []string, line int) (*coflow.Spec, error) {
 		ID:      coflow.CoFlowID(id),
 		Arrival: coflow.Time(arrivalMS) * coflow.Millisecond,
 	}
+	var total float64 // bytes the record carries so far
 	for i := 0; i < numReducers; i++ {
 		entry := fields[pos+i]
 		colon := strings.IndexByte(entry, ':')
@@ -213,8 +219,13 @@ func parseCoflowLine(fields []string, line int) (*coflow.Spec, error) {
 			return nil, bad("bad reducer port in %q: %v", entry, err)
 		}
 		sizeMB, err := strconv.ParseFloat(entry[colon+1:], 64)
-		if err != nil || sizeMB < 0 {
+		if err != nil || !(sizeMB >= 0) {
 			return nil, bad("bad reducer size in %q", entry)
+		}
+		// A CoFlow carries under 2^53 bytes, where a float64 holds every
+		// byte count exactly, so Write and Parse carry sizes unrounded.
+		if total += sizeMB * float64(coflow.MB); total >= 1<<53 {
+			return nil, bad("coflow %d carries 2^53 bytes or more", id)
 		}
 		perFlow := coflow.Bytes(sizeMB * float64(coflow.MB) / float64(numMappers))
 		if perFlow <= 0 {

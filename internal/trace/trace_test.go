@@ -74,6 +74,12 @@ func TestParseErrors(t *testing.T) {
 		{"negative size", "4 1\n0 0 1 0 1 1:-3\n"},
 		{"port out of range", "2 1\n0 0 1 0 1 9:1\n"},
 		{"duplicate id", "4 2\n0 0 1 0 1 1:1\n0 0 1 2 1 3:1\n"},
+		{"negative coflow count", "4 -1\n"},
+		{"coflow count beyond the records", "0 10000000000"},
+		{"mapper count beyond the record", "4 1\n0 0 9223372036854775807 0 1 1:1\n"},
+		{"arrival overflows", "4 1\n0 9223372036854775807 1 0 1 1:1\n"},
+		{"NaN size", "4 1\n0 0 1 0 1 1:NaN\n"},
+		{"2^53 bytes", "4 1\n0 0 1 0 2 1:5e9 2:5e9\n"},
 	}
 	for _, tc := range cases {
 		if _, err := Parse(strings.NewReader(tc.in)); err == nil {
