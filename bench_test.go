@@ -1,175 +1,21 @@
 package saath
 
-// The benchmark harness regenerates every table and figure of the
-// paper's evaluation (deliverable (d) in DESIGN.md). Run with
+// Micro-benchmarks of the scheduler's hot paths and of one quick
+// simulation. Run with
 //
 //	go test -bench=. -benchmem
 //
-// Each BenchmarkFigN / BenchmarkTableN measures the cost of producing
-// that experiment's data and, on the first iteration, prints the rows
-// or series the paper reports. Workloads use the quick-scale
-// environment (see internal/experiments); cmd/experiments regenerates
-// the same output at full published scale.
+// The paper's figures are catalog studies (saath-sim -study fig9, ...);
+// the repo benchmark of end-to-end runs is bench/.
 
 import (
-	"fmt"
-	"os"
-	"sync"
 	"testing"
 	"time"
 
 	"saath/internal/coflow"
-	"saath/internal/experiments"
 	"saath/internal/fabric"
-	"saath/internal/report"
 	"saath/internal/trace"
 )
-
-var (
-	benchEnvOnce sync.Once
-	benchEnv     *experiments.Env
-)
-
-// env returns the shared quick-scale experiment environment; sharing
-// it across benchmarks lets memoized simulation results be reused.
-func env() *experiments.Env {
-	benchEnvOnce.Do(func() { benchEnv = experiments.NewEnv(experiments.ScaleQuick) })
-	return benchEnv
-}
-
-var printed sync.Map
-
-// emit prints the tables once per benchmark name, so -bench runs show
-// each figure's data exactly once regardless of b.N.
-func emit(b *testing.B, tables []*report.Table, err error) {
-	b.Helper()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, dup := printed.LoadOrStore(b.Name(), true); dup {
-		return
-	}
-	fmt.Fprintf(os.Stdout, "\n--- %s ---\n", b.Name())
-	for _, t := range tables {
-		if err := t.Render(os.Stdout); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig1OutOfSync(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tables, err := env().Fig1()
-		emit(b, tables, err)
-	}
-}
-
-func BenchmarkFig2WidthAndDeviation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tables, err := env().Fig2()
-		emit(b, tables, err)
-	}
-}
-
-func BenchmarkFig3ClairvoyantPolicies(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tables, err := env().Fig3()
-		emit(b, tables, err)
-	}
-}
-
-func BenchmarkFig9Speedup(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tables, err := env().Fig9()
-		emit(b, tables, err)
-	}
-}
-
-func BenchmarkFig10Breakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tables, err := env().Fig10()
-		emit(b, tables, err)
-	}
-}
-
-func BenchmarkFig11BinsFB(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tables, err := env().Fig11()
-		emit(b, tables, err)
-	}
-}
-
-func BenchmarkFig12BinsOSP(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tables, err := env().Fig12()
-		emit(b, tables, err)
-	}
-}
-
-func BenchmarkFig13FCTDeviation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tables, err := env().Fig13()
-		emit(b, tables, err)
-	}
-}
-
-func BenchmarkFig14Sensitivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tables, err := env().Fig14()
-		emit(b, tables, err)
-	}
-}
-
-func BenchmarkTable2SchedulingOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tables, err := env().Table2()
-		emit(b, tables, err)
-	}
-}
-
-func BenchmarkFig15Testbed(b *testing.B) {
-	cfg := experiments.DefaultTestbedConfig()
-	for i := 0; i < b.N; i++ {
-		tables, err := experiments.Fig15(cfg)
-		emit(b, tables, err)
-	}
-}
-
-func BenchmarkFig16JobCompletion(b *testing.B) {
-	cfg := experiments.DefaultTestbedConfig()
-	for i := 0; i < b.N; i++ {
-		tables, err := experiments.Fig16(cfg)
-		emit(b, tables, err)
-	}
-}
-
-func BenchmarkFig17SJFSuboptimal(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tables, err := env().Fig17()
-		emit(b, tables, err)
-	}
-}
-
-func BenchmarkAblationWorkConservation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tables, err := env().AblationWorkConservation()
-		emit(b, tables, err)
-	}
-}
-
-func BenchmarkAblationContentionMetric(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tables, err := env().AblationContentionMetric()
-		emit(b, tables, err)
-	}
-}
-
-func BenchmarkAblationDynamics(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tables, err := env().AblationDynamics()
-		emit(b, tables, err)
-	}
-}
 
 // --- Micro-benchmarks of the scheduler's hot paths (Table 2's cost
 // drivers: ordering with LCoF, all-or-none admission, rate filling).
@@ -211,7 +57,13 @@ func BenchmarkMaxMinFair(b *testing.B) {
 }
 
 func BenchmarkSimulateQuickFB(b *testing.B) {
-	tr := trace.Synthesize(experiments.QuickFBConfig(9), "bench-fb")
+	// The quick FB-like workload: the FB mix on 40 ports, 120 coflows.
+	cfg := trace.DefaultFBConfig(9)
+	cfg.NumPorts = 40
+	cfg.NumCoFlows = 120
+	cfg.MeanInterArrival = 40 * coflow.Millisecond
+	cfg.MaxLarge = 2 * coflow.GB
+	tr := trace.Synthesize(cfg, "bench-fb")
 	for i := 0; i < b.N; i++ {
 		if _, err := Simulate(tr, "saath", SimConfig{}); err != nil {
 			b.Fatal(err)

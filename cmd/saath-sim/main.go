@@ -37,15 +37,16 @@
 // coordinator-latency) run through the real coordinator on the same
 // pool, and print its wall-clock measurements after the tables.
 //
+// The paper's figures are catalog studies too (fig1, fig2, fig3, fig9,
+// fig10, fig13, fig14, fig17, ablations, and the testbed's fig15), and
+// so is the one-command capacity answer — per-cell throughput/latency
+// plus saturation-knee detection over the offered load:
+//
+//	saath-sim -study fig9
+//	saath-sim -study capacity
+//
 // Observability (internal/obs) is out-of-band: none of these flags
-// changes a single byte of the study output. -observe appends the
-// capacity report — per-cell throughput/latency plus saturation-knee
-// detection over any numeric load axis — to whatever ran (or merged);
-// the one-command capacity answer is:
-//
-//	saath-sim -study capacity -observe
-//
-// -obs-out writes the run's execution manifest (per-job phase spans
+// changes a single byte of the study output. -obs-out writes the run's execution manifest (per-job phase spans
 // and engine introspection counters) as JSON. -progress prints a
 // throttled aggregate line (done/total, jobs/s, ETA, per-variant
 // completion) rather than one line per job. -cpuprofile, -memprofile and
@@ -109,8 +110,7 @@ func main() {
 		progress = flag.Bool("progress", false, "print a throttled aggregate progress line to stderr")
 		list     = flag.Bool("list", false, "list registered schedulers and exit")
 
-		observe = flag.Bool("observe", false, "append the capacity report (throughput per cell, saturation knee, sustainable load)")
-		obsOut  = flag.String("obs-out", "", `write the run's observability manifest (per-job spans + engine counters) as JSON ("-" for stdout)`)
+		obsOut = flag.String("obs-out", "", `write the run's observability manifest (per-job spans + engine counters) as JSON ("-" for stdout)`)
 
 		cpuProfile   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
 		memProfile   = flag.String("memprofile", "", "write a heap profile to this path (captured at exit, after GC)")
@@ -174,7 +174,7 @@ func main() {
 		fatal(err)
 	}
 	out := outputs{
-		fromCLI: *studyName == "", metrics: *metrics, observe: *observe,
+		fromCLI: *studyName == "", metrics: *metrics,
 		jsonPath: *jsonPath, metricsOut: *metricsOut,
 	}
 	// Merge mode: no simulation — reassemble shard dumps and render
@@ -385,16 +385,15 @@ func studyFromFlags(fg flagGrid) (*study.Study, error) {
 
 // outputs is what a complete result is rendered to.
 type outputs struct {
-	fromCLI          bool // flag-built grid: the classic table set
-	metrics, observe bool
-	jsonPath         string
-	metricsOut       string
+	fromCLI    bool // flag-built grid: the classic table set
+	metrics    bool
+	jsonPath   string
+	metricsOut string
 }
 
 // render prints the study's tables and writes the requested exports.
 // Flag-built grids keep the CLI's classic table set; named studies
-// render their own derived tables; -observe appends the capacity
-// report to either.
+// render their own derived tables.
 func (o outputs) render(res *study.Result) {
 	agg := res.Summary()
 	if o.fromCLI {
@@ -411,12 +410,6 @@ func (o outputs) render(res *study.Result) {
 		tables, err := res.Tables()
 		must(err)
 		for _, t := range tables {
-			must(t.Render(os.Stdout))
-			fmt.Println()
-		}
-	}
-	if o.observe {
-		for _, t := range obs.CapacityReport(res.Study().Name(), agg.CapacityCells(), 0) {
 			must(t.Render(os.Stdout))
 			fmt.Println()
 		}

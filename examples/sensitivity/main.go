@@ -1,7 +1,8 @@
 // Sensitivity example: sweeps the start queue threshold S and the
-// arrival-speed factor A through the public API (the Fig. 14(a)/(d)
-// experiments) and prints Saath's and Aalo's speedup over default
-// Aalo at each point.
+// arrival-speed factor A through the public API on a small workload
+// and prints Saath's and Aalo's speedup over default Aalo at each
+// point — Fig. 14(a)/(d) in miniature; the full figure is the fig14
+// catalog study (saath-sim -study fig14).
 //
 //	go run ./examples/sensitivity
 package main

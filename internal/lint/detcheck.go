@@ -25,7 +25,6 @@ var detPackages = []string{
 	"saath/internal/report",
 	"saath/internal/fabric",
 	"saath/internal/core",
-	"saath/internal/experiments",
 }
 
 // progressPackages also hold writers of coflow.Flow.Sent — the

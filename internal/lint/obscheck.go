@@ -23,7 +23,6 @@ var obsPurePackages = []string{
 	"saath/internal/report",
 	"saath/internal/fabric",
 	"saath/internal/core",
-	"saath/internal/experiments",
 }
 
 // obsCountersWriters are the only packages that may attach engine

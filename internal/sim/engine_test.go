@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"saath/internal/coflow"
@@ -155,6 +156,71 @@ func TestFig8LCoFPreemptsHighContentionCoFlow(t *testing.T) {
 	}
 	if avg := res.AvgCCT(); avg > 2.83*unit {
 		t.Fatalf("fig8: avg CCT %.3fs worse than paper's LCoF 2.83t", avg)
+	}
+}
+
+// TestFig4ExactCCTs pins Fig. 4's CCTs to the microsecond, derived by
+// hand. Model: fluid rates, 125 bytes/µs per idle port (1 Gbps), one
+// unit t = 12,500,000 bytes = 100 ms, schedules change only at δ = 8 ms
+// boundaries, S = 10 MiB, and a width-2 coflow demotes (Eq. 1) at the
+// first boundary at which its largest flow has 5 MiB (41.9 ms of
+// sending) — with 6,000,000 bytes sent when it started at a boundary
+// 48 ms earlier. C1 (P1, P3), C2 (P1, P2), C3 (P2, P3) arrive at 0, 1
+// and 2 ms; every pair shares a port, so LCoF ties and arrival order
+// decides.
+//
+// saath:
+//   - 0: C1 runs. 8 ms: C2 and C3 miss all-or-none; work conservation
+//     gives C2's P2 flow the idle P2.
+//   - 48 ms: C1 demotes (6,000,000 per flow); C2 (5,000,000 on P2) runs
+//     on P1 and P2, and work conservation gives C3's P3 flow P3.
+//   - 56 ms: C2 demotes; C3 (1,000,000) runs on P2, P3; work
+//     conservation gives C1's P1 flow P1.
+//   - 96 ms: C3 demotes; all in queue 1, C1 first: it runs on P1, P3
+//     (11,000,000 and 6,000,000 sent) and C2's P2 flow takes P2. C1's
+//     P1 flow ends at 108 ms, its P3 flow at 148 ms: C1 = 148,000 µs.
+//   - 112 ms: C2 runs on P1 and P2 (1,000,000 and 8,000,000 sent); its
+//     P2 flow ends at 148 ms.
+//   - 152 ms: C3 (5,000,000 and 6,000,000) takes P2 and P3 beside C2's
+//     P1 flow, which ends 52 ms later at 204 ms: C2 = 203,000 µs. C3's
+//     flows end at 204 and 212 ms: C3 = 210,000 µs.
+//
+// saath/nowc (no work conservation): each coflow runs 48 ms from a
+// boundary in queue 0 and demotes with 6,000,000 bytes per flow: C1
+// 0–48, C2 48–96, C3 96–144 ms. In queue 1 they finish their 6,500,000
+// bytes (52 ms) one after another from the boundaries 144, 200 and
+// 256 ms: C1 ends at 196 ms (196,000 µs), C2 at 252 ms (251,000), C3
+// at 308 ms (306,000).
+func TestFig4ExactCCTs(t *testing.T) {
+	tr := trace.Fig4Trace()
+	for sn, want := range map[string]map[coflow.CoFlowID]coflow.Time{
+		"saath":      {1: 148_000, 2: 203_000, 3: 210_000}, // 1.48t, 2.03t, 2.10t; avg 1.87t
+		"saath/nowc": {1: 196_000, 2: 251_000, 3: 306_000}, // 1.96t, 2.51t, 3.06t; avg 2.51t
+	} {
+		if got := runOn(t, tr, sn, Config{}).CCTByID(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("fig4 %s: CCTs %v µs, want %v", sn, got, want)
+		}
+	}
+}
+
+// TestFig8ExactCCTs pins Fig. 8's Saath CCTs to the microsecond (model
+// as TestFig4ExactCCTs). C2 arrives at 0 with two 2.5-unit flows on
+// S1, S2; C1 (S1) and C3 (S2) arrive at 1 and 2 ms with one unit each.
+//   - 0: C2 runs alone. 8 ms: C2 blocks C1 and C3 (k_c = 2), each of
+//     them blocks only C2 (k_c = 1), so LCoF runs C1 and C3 and C2
+//     waits with 1,000,000 bytes per flow.
+//   - 96 ms: C1 and C3 demote (11,000,000 sent); C2 runs.
+//   - 136 ms: C2 demotes (6,000,000 per flow); in queue 1 LCoF runs C1
+//     and C3 again; they end at 148 ms: C1 = 147,000 µs, C3 = 146,000.
+//   - 152 ms: C2 sends its last 25,250,000 bytes per flow (202 ms),
+//     ending at 354 ms: C2 = 354,000 µs.
+//
+// Average 2.16t: C1/C3 first, where the paper's Fig. 8 has LCoF run C2
+// first (2.83t) — the README records the divergence.
+func TestFig8ExactCCTs(t *testing.T) {
+	want := map[coflow.CoFlowID]coflow.Time{1: 147_000, 2: 354_000, 3: 146_000} // 1.47t, 3.54t, 1.46t
+	if got := runOn(t, trace.Fig8Trace(), "saath", Config{}).CCTByID(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("fig8 saath: CCTs %v µs, want %v", got, want)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"saath/internal/coflow"
+	"saath/internal/report"
 	"saath/internal/sim"
 	"saath/internal/sweep"
 	"saath/internal/telemetry"
@@ -126,6 +127,7 @@ func init() {
 					DerivedCCT("incast-telemetry — per-scheduler CCT"),
 					DerivedSpeedup("incast-telemetry — per-coflow speedup over aalo", ""),
 					DerivedTelemetry("incast-telemetry — telemetry (per-interval)"),
+					derivedTelemetryDrilldown("incast-telemetry"),
 				),
 			)
 		})
@@ -250,8 +252,7 @@ func init() {
 				WithBaseline("aalo"),
 				WithDerived(
 					DerivedCCT("capacity — per-load CCT"),
-					DerivedCapacity("capacity — throughput/latency per cell"),
-					DerivedSaturation("capacity — saturation knee & sustainable load", 0),
+					DerivedCapacityReport("capacity", 0),
 				),
 			)
 		})
@@ -278,4 +279,33 @@ func init() {
 				),
 			)
 		})
+}
+
+// derivedTelemetryDrilldown renders the per-run detail behind a
+// study's pooled telemetry summary: the hot-port queue series, the
+// HOL-blocking series and the contention histogram of every
+// (scheduler, seed) run, in grid order.
+func derivedTelemetryDrilldown(name string) Derived {
+	return func(st *Study, sum *sweep.Summary) ([]*report.Table, error) {
+		var tables []*report.Table
+		for _, jt := range sum.Telemetry() {
+			m, sn := jt.Metrics, jt.Scheduler
+			if t := m.SeriesTable(
+				fmt.Sprintf("Telemetry — ingress queue max over time (%s, %s, seed %d)", name, sn, jt.Seed),
+				telemetry.SeriesIngressQueueMax, cdfPoints); t != nil {
+				tables = append(tables, t)
+			}
+			if t := m.SeriesTable(
+				fmt.Sprintf("Telemetry — HOL-blocked CoFlows over time (%s, %s, seed %d)", name, sn, jt.Seed),
+				telemetry.SeriesBlockedCoFlows, cdfPoints); t != nil {
+				tables = append(tables, t)
+			}
+			if t := m.HistogramTable(
+				fmt.Sprintf("Telemetry — contention k_c histogram (%s, %s, seed %d)", name, sn, jt.Seed),
+				telemetry.HistContention); t != nil {
+				tables = append(tables, t)
+			}
+		}
+		return tables, nil
+	}
 }

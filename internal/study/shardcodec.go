@@ -28,12 +28,13 @@ import (
 // list's prefix is its length plus one, zero meaning nil: exports render
 // nil and empty slices differently (null vs []), so the distinction
 // must survive a merge. cct_by_id is written in ascending ID order,
-// which makes the bytes a pure function of the dump. The reader accepts
+// which makes the bytes a pure function of the dump; the per-coflow
+// column follows it in result order. Version 2 added that column. The reader accepts
 // exactly what the writer produces: any other encoding of the same
 // value (an over-long varint, unsorted IDs) is rejected.
 const (
 	shardMagic   = "saathshd"
-	shardVersion = 1
+	shardVersion = 2
 )
 
 var crc32c = crc32.MakeTable(crc32.Castagnoli)
@@ -131,6 +132,14 @@ func (e *shardEncoder) entry(en *sweep.Entry) {
 		e.int(int64(id))
 		e.int(int64(en.CCTByID[id]))
 	}
+	e.list(len(en.CoFlows), en.CoFlows == nil)
+	for _, r := range en.CoFlows {
+		e.int(int64(r.ID))
+		e.int(int64(r.Width))
+		e.int(int64(r.Bytes))
+		e.float(r.SizeDev)
+		e.float(r.FCTDev)
+	}
 
 	if en.Telemetry == nil {
 		e.b = append(e.b, 0)
@@ -204,6 +213,7 @@ const (
 	minVarint   = 1
 	minPoint    = 2 * minFloat
 	minIDPair   = 2 * minVarint
+	minRecord   = 3*minVarint + 2*minFloat
 	minSeries   = 2 + minVarint + 3*minFloat + 1 // name, unit, count, mean/max/last, points
 	minBucket   = minFloat + minVarint
 	minHist     = 1 + minVarint + 2*minFloat + 1 + minVarint
@@ -350,6 +360,15 @@ func (d *shardDecoder) entry(en *sweep.Entry) {
 			}
 			prev = id
 			en.CCTByID[id] = coflow.Time(d.int())
+		}
+	}
+	if n, ok := d.list(minRecord); ok {
+		en.CoFlows = make([]sweep.CoFlowRecord, n)
+		for i := range en.CoFlows {
+			en.CoFlows[i] = sweep.CoFlowRecord{
+				ID: coflow.CoFlowID(d.int()), Width: d.intN(), Bytes: coflow.Bytes(d.int()),
+				SizeDev: d.float(), FCTDev: d.float(),
+			}
 		}
 	}
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
@@ -113,7 +114,7 @@ func TestShardCodecVersionAndFormat(t *testing.T) {
 	}{
 		{"old JSON dump", []byte(oldJSONDump), "old-format JSON dump, re-run the shard"},
 		{"another file", []byte("PK\x03\x04 not a dump at all"), "bad magic"},
-		{"future version", future, "shard format version 2, this build reads version 1"},
+		{"future version", future, fmt.Sprintf("shard format version %d, this build reads version %d", shardVersion+1, shardVersion)},
 	} {
 		if _, err := ReadShard(bytes.NewReader(tc.in)); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
@@ -160,6 +161,10 @@ func TestShardCodecRoundTrip(t *testing.T) {
 					P90CCT: math.MaxFloat64, Makespan: 1e21, Utilization: 1e-7},
 				CCTs:    []float64{negZero, 5e-324, 123456789.125},
 				CCTByID: map[coflow.CoFlowID]coflow.Time{3: 1, -1: math.MaxInt64, 0: 0, 1 << 40: -5},
+				CoFlows: []sweep.CoFlowRecord{
+					{ID: 3, Width: 2, Bytes: math.MaxInt64, SizeDev: negZero, FCTDev: math.SmallestNonzeroFloat64},
+					{ID: -1, Width: 0, Bytes: -5, SizeDev: 0.5, FCTDev: 1e300},
+				},
 				Telemetry: &telemetry.Metrics{
 					Intervals: 9, Sampled: 3,
 					Series: []telemetry.SeriesDump{
@@ -180,7 +185,7 @@ func TestShardCodecRoundTrip(t *testing.T) {
 						}},
 					},
 				}},
-			{Index: 2, CCTs: []float64{}, CCTByID: map[coflow.CoFlowID]coflow.Time{},
+			{Index: 2, CCTs: []float64{}, CCTByID: map[coflow.CoFlowID]coflow.Time{}, CoFlows: []sweep.CoFlowRecord{},
 				Telemetry: &telemetry.Metrics{Series: []telemetry.SeriesDump{}, Histograms: []telemetry.HistogramDump{}, Heatmaps: []telemetry.HeatmapDump{}}},
 		},
 	}
@@ -251,7 +256,7 @@ func fixChecksum(b []byte) []byte {
 	return out
 }
 
-// TestShardSeedCorpusDecodes pins format version 1: the dump committed
+// TestShardSeedCorpusDecodes pins the format version: the dump committed
 // as the fuzz seed must keep decoding. A change to the encoding that
 // breaks it needs a shardVersion bump (and a regenerated seed), not a
 // silent reinterpretation of dumps already on disk.

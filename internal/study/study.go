@@ -516,35 +516,12 @@ func DerivedPortHeatmap(title string, maxPorts int) Derived {
 	}
 }
 
-// DerivedCapacity renders the per-(workload, scheduler) capacity
-// table: completed coflows per simulated second, pooled CCT
-// percentiles, cluster size.
-func DerivedCapacity(title string) Derived {
-	return func(st *Study, sum *sweep.Summary) ([]*report.Table, error) {
-		return []*report.Table{obs.CapacityTable(title, sum.CapacityCells())}, nil
-	}
-}
-
-// DerivedSaturation runs knee detection over the study's load axis
-// (numeric variant or trace-name sweeps — see obs.AxisValue) and
-// renders the saturation table: where each scheduler's P99 CCT departs
-// linearity and the sustainable coflows/s at that cluster size.
-// tol <= 0 uses obs.DefaultKneeTolerance. Purely derived — identical
-// for live, parallel and merged shard executions.
-func DerivedSaturation(title string, tol float64) Derived {
-	return func(st *Study, sum *sweep.Summary) ([]*report.Table, error) {
-		series := obs.SaturationSeriesOf(sum.CapacityCells(), tol)
-		if len(series) == 0 {
-			return nil, fmt.Errorf("derived saturation %q: no numeric load axis in study %s (sweep a rate or degree parameter)", title, st.name)
-		}
-		return []*report.Table{obs.SaturationTable(title, series)}, nil
-	}
-}
-
-// DerivedCapacityReport renders the full capacity report — the
-// per-cell table, the saturation/knee table (with a hint row when the
-// study has no numeric load axis), and the per-point load-curve
-// detail. This is what the CLIs' -observe flag renders.
+// DerivedCapacityReport renders the full capacity report over the
+// study's cells: completed coflows per simulated second with pooled
+// CCT percentiles per cell, the saturation table — knee detection over
+// the numeric load axis (variant or trace-name sweeps, see
+// obs.AxisValue), with a hint row when the study has none — and the
+// per-point load-curve detail. tol <= 0 uses obs.DefaultKneeTolerance.
 func DerivedCapacityReport(title string, tol float64) Derived {
 	return func(st *Study, sum *sweep.Summary) ([]*report.Table, error) {
 		return obs.CapacityReport(title, sum.CapacityCells(), tol), nil

@@ -9,6 +9,7 @@ import (
 	"saath/internal/coflow"
 	"saath/internal/obs"
 	"saath/internal/report"
+	"saath/internal/sim"
 	"saath/internal/stats"
 	"saath/internal/telemetry"
 )
@@ -36,7 +37,48 @@ type jobEntry struct {
 	metrics   JobMetrics
 	ccts      []float64                       // per-coflow CCT seconds, result order
 	byID      map[coflow.CoFlowID]coflow.Time // for cross-scheduler speedup matching
+	coflows   []CoFlowRecord                  // per-coflow shape column, result order
 	telemetry *telemetry.Metrics              // per-interval series, when enabled
+}
+
+// CoFlowRecord is one coflow's shape and out-of-sync digest, taken
+// from the simulation result: the per-coflow column the paper's
+// trace-shape and per-bin figures (Figs 2, 11, 12, 13) are derived
+// from. It never enters the JSON exports.
+type CoFlowRecord struct {
+	ID    coflow.CoFlowID
+	Width int          // flow count
+	Bytes coflow.Bytes // total size
+	// SizeDev is the normalized stddev of the flow sizes (Fig 2b, and
+	// with Width the coflow's trace.ClassOf).
+	SizeDev float64
+	// FCTDev is the normalized stddev of the flows' completion times,
+	// the out-of-sync metric of Figs 2c and 13; 0 for a single flow.
+	FCTDev float64
+}
+
+// coflowRecords digests r's coflows into the per-coflow column, in
+// result order, with xs as scratch; it returns the scratch for reuse.
+func coflowRecords(r *sim.Result, xs []float64) ([]CoFlowRecord, []float64) {
+	out := make([]CoFlowRecord, len(r.CoFlows))
+	for i := range r.CoFlows {
+		c := &r.CoFlows[i]
+		rec := CoFlowRecord{ID: c.ID, Width: c.Width, Bytes: c.Bytes}
+		xs = xs[:0]
+		for _, f := range c.Flows {
+			xs = append(xs, float64(f.Size))
+		}
+		rec.SizeDev = stats.NormStdDev(xs)
+		if len(c.Flows) > 1 {
+			xs = xs[:0]
+			for _, f := range c.Flows {
+				xs = append(xs, f.FCT.Seconds())
+			}
+			rec.FCTDev = stats.NormStdDev(xs)
+		}
+		out[i] = rec
+	}
+	return out, xs
 }
 
 // Summary is a thread-safe Collector that aggregates sweep results
@@ -46,6 +88,7 @@ type jobEntry struct {
 type Summary struct {
 	mu      sync.Mutex
 	entries map[int]*jobEntry
+	scratch []float64 // coflowRecords' buffer, reused across Add calls
 }
 
 // NewSummary returns an empty Summary.
@@ -80,6 +123,9 @@ func (s *Summary) Add(jr JobResult) {
 	}
 	e.telemetry = jr.Metrics
 	s.mu.Lock()
+	if jr.Err == nil && jr.Res != nil {
+		e.coflows, s.scratch = coflowRecords(jr.Res, s.scratch)
+	}
 	s.entries[jr.Job.Index] = e
 	s.mu.Unlock()
 }
@@ -90,13 +136,15 @@ func (s *Summary) Add(jr JobResult) {
 // matters: pooled means accumulate floats in this order, so a restored
 // Summary reproduces table bytes exactly); CCTByID keys the same
 // values by CoFlow for cross-scheduler speedup matching, in exact
-// integer microseconds. A sharded study run exports its entries and a
+// integer microseconds; CoFlows is the per-coflow shape column in the
+// same result order. A sharded study run exports its entries and a
 // merge restores them — see internal/study.
 type Entry struct {
 	Index     int
 	Metrics   JobMetrics
 	CCTs      []float64
 	CCTByID   map[coflow.CoFlowID]coflow.Time
+	CoFlows   []CoFlowRecord
 	Telemetry *telemetry.Metrics
 }
 
@@ -112,7 +160,7 @@ func (s *Summary) Entries() []Entry {
 	out := make([]Entry, len(idx))
 	for i, j := range idx {
 		e := s.entries[j]
-		out[i] = Entry{Index: j, Metrics: e.metrics, CCTs: e.ccts, CCTByID: e.byID, Telemetry: e.telemetry}
+		out[i] = Entry{Index: j, Metrics: e.metrics, CCTs: e.ccts, CCTByID: e.byID, CoFlows: e.coflows, Telemetry: e.telemetry}
 	}
 	s.mu.Unlock()
 	return out
@@ -133,7 +181,7 @@ func (s *Summary) Restore(entries ...Entry) error {
 			return fmt.Errorf("sweep: restore: duplicate job index %d (%s|%s|%d|%s)",
 				e.Index, e.Metrics.Trace, e.Metrics.Variant, e.Metrics.Seed, e.Metrics.Scheduler)
 		}
-		s.entries[e.Index] = &jobEntry{metrics: e.Metrics, ccts: e.CCTs, byID: e.CCTByID, telemetry: e.Telemetry}
+		s.entries[e.Index] = &jobEntry{metrics: e.Metrics, ccts: e.CCTs, byID: e.CCTByID, coflows: e.CoFlows, telemetry: e.Telemetry}
 	}
 	return nil
 }

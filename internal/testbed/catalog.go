@@ -7,6 +7,7 @@ import (
 	"saath/internal/report"
 	rt "saath/internal/runtime"
 	"saath/internal/sim"
+	"saath/internal/stats"
 	"saath/internal/study"
 	"saath/internal/sweep"
 	"saath/internal/trace"
@@ -62,6 +63,10 @@ func init() {
 	study.Register("overload",
 		"offered coflow rate vs arrival-time admission drops through the coordinator's token-bucket front",
 		buildOverload)
+
+	study.Register("fig15",
+		"Figs 15-16: saath vs aalo through the real coordinator on a small FB-mix trace, CCT speedup CDF and modelled JCT speedup",
+		Fig15)
 }
 
 func buildCoordinatorLatency() (*study.Study, error) {
@@ -147,4 +152,104 @@ func DerivedAdmission(title string, offered int) study.Derived {
 		}
 		return []*report.Table{t}, nil
 	}
+}
+
+// fig15Trace is the small FB-mix workload of the testbed figures: six
+// ports, twelve coflows, flow sizes in the hundreds of kilobytes.
+func fig15Trace() *trace.Trace {
+	return trace.Synthesize(trace.SynthConfig{
+		Seed:             3,
+		NumPorts:         6,
+		NumCoFlows:       12,
+		MeanInterArrival: 60 * coflow.Millisecond,
+		SingleFlowFrac:   0.25,
+		EqualLengthFrac:  0.5,
+		WideFracNarrowCF: 0.3,
+		SmallFracNarrow:  0.8,
+		SmallFracWide:    0.5,
+		MinSmall:         100 * coflow.KB,
+		MaxSmall:         600 * coflow.KB,
+		MinLarge:         600 * coflow.KB,
+		MaxLarge:         3 * coflow.MB,
+	}, "testbed-3")
+}
+
+// fig16Buckets are Fig. 16's shuffle-fraction buckets, each with the
+// fraction its jobs are modelled at.
+var fig16Buckets = []struct {
+	label string
+	frac  float64
+}{
+	{"<25%", 0.15},
+	{"25-50%", 0.375},
+	{"50-75%", 0.625},
+	{">=75%", 0.85},
+}
+
+// Fig15 reproduces the testbed evaluation (§7) through the real
+// coordinator on the virtual clock: Fig. 15, the CDF of per-CoFlow
+// speedup of Saath over Aalo, and Fig. 16, those CCTs mapped to job
+// completion times with the shuffle-fraction model. The line rate is
+// scaled down (25 MB/s per port) and δ is 10 ms.
+func Fig15() (*study.Study, error) {
+	return study.New("fig15",
+		study.WithExec(Exec(Config{})),
+		study.WithTraces(sweep.FixedTrace(fig15Trace())),
+		study.WithSchedulers("aalo", "saath"),
+		study.WithSimConfig(sim.Config{Delta: 10 * coflow.Millisecond, PortRate: coflow.Rate(25e6)}),
+		study.WithDerived(derivedFig15),
+	)
+}
+
+// derivedFig15 renders Fig. 15 (the speedup CDF and its summary) and
+// Fig. 16 from the study's aalo and saath runs.
+func derivedFig15(st *study.Study, sum *sweep.Summary) ([]*report.Table, error) {
+	var aalo, saath *sweep.Entry
+	entries := sum.Entries()
+	for i := range entries {
+		e := &entries[i]
+		if e.Metrics.Error != "" {
+			return nil, fmt.Errorf("figure fig15: %s: %s", e.Metrics.Scheduler, e.Metrics.Error)
+		}
+		switch e.Metrics.Scheduler {
+		case "aalo":
+			aalo = e
+		case "saath":
+			saath = e
+		}
+	}
+	sp := stats.Speedups(aalo.CCTByID, saath.CCTByID)
+	cdf := report.SampledCDFTable("Fig 15 — [testbed] CDF of CCT speedup of Saath over Aalo", "speedup", stats.CDF(sp), 25)
+	s := stats.Summarize(sp)
+	summary := &report.Table{Title: "Fig 15 — summary", Headers: []string{"median", "mean", "p90", "n"}}
+	summary.AddRow(fmt.Sprintf("%.2f", s.Median), fmt.Sprintf("%.2f", s.Mean), fmt.Sprintf("%.2f", s.P90), s.N)
+
+	jct := &report.Table{
+		Title:   "Fig 16 — [testbed] JCT speedup by shuffle fraction",
+		Headers: []string{"shuffle fraction", "p50", "p90", "n"},
+	}
+	// Coflow ID modulo the bucket count assigns each job its shuffle
+	// fraction: the same assignment for both schedulers.
+	var all []float64
+	for bi, b := range fig16Buckets {
+		model := stats.JCTModel{ShuffleFraction: b.frac}
+		var bsp []float64
+		for _, r := range aalo.CoFlows {
+			base, target := aalo.CCTByID[r.ID], saath.CCTByID[r.ID]
+			if int(r.ID)%len(fig16Buckets) != bi || base <= 0 || target <= 0 {
+				continue
+			}
+			bsp = append(bsp, model.JCTSpeedup(base, target))
+		}
+		all = append(all, bsp...)
+		if len(bsp) == 0 {
+			jct.AddRow(b.label, "-", "-", 0)
+			continue
+		}
+		jct.AddRow(b.label, fmt.Sprintf("%.2f", stats.Percentile(bsp, 50)), fmt.Sprintf("%.2f", stats.Percentile(bsp, 90)), len(bsp))
+	}
+	if len(all) > 0 {
+		jct.AddRow("all", fmt.Sprintf("%.2f", stats.Percentile(all, 50)), fmt.Sprintf("%.2f", stats.Percentile(all, 90)), len(all))
+	}
+	return []*report.Table{cdf, summary, jct}, nil
 }

@@ -65,9 +65,11 @@ func Fig4Trace() *Trace {
 //
 //	S1: C2, C1        S2: C2, C3
 //
-// C2 has the least contention count per port but is long, so LCoF
-// schedules it first (average CCT 2.83t); optimal runs C1/C3 first
-// (average 2.66t).
+// In the paper C2 has the least contention count per port but is
+// long, so LCoF schedules it first (average CCT 2.83t); optimal runs
+// C1/C3 first (average 2.66t). Under this reproduction's k_c — the
+// coflows a coflow blocks — C2 (k_c = 2) ranks behind C1 and C3 (k_c =
+// 1), so Saath runs C1/C3 first (TestFig8ExactCCTs in internal/sim).
 func Fig8Trace() *Trace {
 	eps := coflow.Millisecond
 	half := coflow.Bytes(MicroUnitBytes / 2)

@@ -42,7 +42,16 @@ func Classify(s *coflow.Spec) FlowLengthClass {
 	if len(s.Flows) <= 1 {
 		return SingleFlow
 	}
-	if NormalizedSizeStdDev(s) <= equalTolerance {
+	return ClassOf(len(s.Flows), NormalizedSizeStdDev(s))
+}
+
+// ClassOf buckets a coflow of width flows whose normalized flow-size
+// stddev is sizeDev, as Classify does its spec.
+func ClassOf(width int, sizeDev float64) FlowLengthClass {
+	switch {
+	case width <= 1:
+		return SingleFlow
+	case sizeDev <= equalTolerance:
 		return EqualLength
 	}
 	return UnequalLength
