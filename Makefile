@@ -26,12 +26,16 @@ test-testbed:
 # POST /coflows path: nothing panics, malformed registrations get a 400,
 # an accepted one is live exactly once. The coflow-benchmark trace
 # parser: any input is rejected with an error or parses to a trace that
-# Write + Parse round-trip. Minimising each new input is capped at 1 s
-# (the default, 60 s, would eat the whole budget on the first one).
+# Write + Parse round-trip. A CoFlow's pending/done summary: after any
+# interleaving of progress, Finish, availability flips, restarts and
+# update() swaps, every accessor equals a full scan of its flows.
+# Minimising each new input is capped at 1 s (the default, 60 s, would
+# eat the whole budget on the first one).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadShard$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/study/
 	$(GO) test -run '^$$' -fuzz '^FuzzRegistrationJSON$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/runtime/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz '^FuzzProgressSummary$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/coflow/
 
 race:
 	$(GO) test -race -timeout 20m ./...

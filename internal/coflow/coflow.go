@@ -7,19 +7,32 @@
 // (CCT) is the span from the arrival of its first flow to the
 // completion of its last flow.
 //
-// A CoFlow carries two stamps its owner moves as it changes the flows,
-// and everything derived from a CoFlow is keyed on them. Invalidate
-// moves the mutation epoch: call it after a change to any flow's Done or
-// Available, or to a finished flow's Sent or DoneAt; the cached pending
-// and sendable lists and the finished-flow summary follow it.
-// NoteProgress moves the progress stamp: call it after writing the Sent
-// of a flow that is not Done. With both unchanged, nothing a scheduler's
-// queue rule reads has moved, and the schedulers hold their decisions on
-// exactly that (internal/core, internal/sched/aalo). saath-vet's detcheck
-// keeps writers of Flow.Sent to it.
+// A CoFlow keeps a summary of its flows — the pending and sendable
+// lists, their compact (src, dst) view, and what the finished flows sent
+// — and carries two stamps its owner moves as it changes the flows;
+// everything derived from a CoFlow is keyed on them. Three calls keep
+// both current, each from the code that makes the change:
+//
+//   - Finish marks a pending flow done, once its Sent and DoneAt are
+//     final. It moves the mutation epoch and, while the summary is
+//     fresh, updates it in place: the flow leaves the lists and joins the
+//     finished-flow figures, so a completion costs the flow, not a pass
+//     over every flow the CoFlow ever had.
+//   - Invalidate moves the mutation epoch for a wholesale change: a flow's
+//     Available flipped, a finished flow's Sent or DoneAt rewritten, a
+//     flow set swapped in. The next read rebuilds the summary with one
+//     pass over Flows, as a CoFlow's first read does.
+//   - NoteProgress moves the progress stamp: call it after writing the
+//     Sent of a flow that is not Done.
+//
+// With both stamps unchanged, nothing a scheduler's queue rule reads has
+// moved, and the schedulers hold their decisions on exactly that
+// (internal/core, internal/sched/aalo). saath-vet's detcheck keeps
+// writers of Flow.Sent, Flow.Done and Flow.Available to it.
 package coflow
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -110,6 +123,12 @@ type FlowID struct {
 
 func (id FlowID) String() string { return fmt.Sprintf("c%d/f%d", id.CoFlow, id.Index) }
 
+// PortPair is one flow's sender and receiver node, packed: the compact
+// view of a CoFlow's sendable flows (SendablePorts) that the port scans
+// of all-or-none, LCoF and work conservation read without touching the
+// flows themselves.
+type PortPair struct{ Src, Dst int32 }
+
 // FlowSpec is the static description of one flow: endpoints and size.
 type FlowSpec struct {
 	Src  PortID // sender node
@@ -190,14 +209,15 @@ type Flow struct {
 	Size Bytes // ground truth; online schedulers must not read it
 
 	Sent      Bytes // bytes moved so far
-	Done      bool
 	DoneAt    Time
+	Done      bool
 	Available bool // data ready to send (pipelined frameworks, §4.3)
 
 	// Restarted marks a flow whose progress was reset by a node
 	// failure; Slowdown > 1 models a straggler whose achievable rate
 	// is divided by the factor. Both are injected by the simulator's
-	// dynamics layer.
+	// dynamics layer. (The flags sit together so the struct packs into
+	// 80 bytes.)
 	Restarted bool
 	Slowdown  float64
 }
@@ -235,39 +255,58 @@ type CoFlow struct {
 	Flows   []*Flow
 	Arrived Time // when it was released to the scheduler
 	Done    bool
-	DoneAt  Time
+	// Summary flags, beside Done so the struct packs: every pending flow
+	// is Available (the sendable lists are pend's), and the list entries
+	// Finish has moved since the last build.
+	allAvail bool
+	shifted  int32
+	DoneAt   Time
 
 	// Epoch-stamped progress summary. The owner of the CoFlow (the sim
-	// engine, the coordinator) bumps the epoch via Invalidate whenever a
-	// flow's Done or Available state — or a done flow's Sent/DoneAt —
-	// changes. Between two bumps the done flows are frozen, so one pass
-	// over Flows per epoch (sync) records everything about them as
+	// engine, the coordinator) moves the epoch whenever a flow's Done or
+	// Available state — or a done flow's Sent/DoneAt — changes: Finish
+	// for one pending flow's completion, which keeps a fresh summary
+	// fresh, and Invalidate for anything else, which leaves it to the
+	// next read's one pass over Flows (build). Between two moves the done
+	// flows are frozen, so the summary holds everything about them as
 	// scalars plus the lists of flows still live; the per-interval
-	// accessors then read only the pending flows' Sent, which is the
-	// one thing that moves inside an epoch.
-	epoch    uint64
-	fresh    uint64  // epoch the summary below was computed at
-	pend     []*Flow // not-done flows, in Flows order
-	sendBuf  []*Flow // sendable flows when some pending flow is held back
-	allAvail bool    // every pending flow is Available: sendable == pend
-	doneSum  Bytes   // Σ Sent over done flows
-	doneMax  Bytes   // max Sent over done flows
-	doneLast Time    // max DoneAt over done flows
-	medEpoch uint64  // epoch doneMed was computed at
-	doneMed  Bytes   // median Sent over done flows
+	// accessors then read only the pending flows' Sent, which is the one
+	// thing that moves inside an epoch.
+	epoch     uint64
+	fresh     uint64     // epoch the summary below was computed at
+	pend      []*Flow    // not-done flows, in Flows order
+	pendPorts []PortPair // pend's (Src, Dst), position for position
+	doneSum   Bytes      // Σ Sent over done flows
+	doneMax   Bytes      // max Sent over done flows
+	doneLast  Time       // max DoneAt over done flows
+	extra     *summaryExtra
 
 	// progress is the stamp NoteProgress moves: the one thing the epoch
 	// does not cover, a pending flow's Sent.
 	progress uint64
 }
 
+// summaryExtra is the part of a CoFlow's summary that only some CoFlows
+// need, allocated on first use: the sendable lists once a pending flow is
+// held back, and the done flows' sorted Sent once DoneMedian is asked.
+type summaryExtra struct {
+	send      []*Flow    // sendable flows, when not every pending flow is
+	sendPorts []PortPair // send's (Src, Dst), position for position
+	medEpoch  uint64     // epoch doneSent was sorted at
+	doneSent  []Bytes    // Sent of the done flows, ascending
+}
+
 // New instantiates runtime state for a spec. All flows start available
 // unless the caller marks them otherwise. The flows live in one slab,
-// so a CoFlow costs three allocations whatever its width.
+// and Flows shares one array with the pending list's storage, so a
+// CoFlow costs three allocations whatever its width, and its first read
+// one more (the pending flows' port pairs).
 func New(spec *Spec) *CoFlow {
+	w := len(spec.Flows)
 	c := &CoFlow{Spec: spec, Idx: -1, Arrived: spec.Arrival, epoch: 1}
-	slab := make([]Flow, len(spec.Flows))
-	c.Flows = make([]*Flow, len(spec.Flows))
+	slab := make([]Flow, w)
+	ptrs := make([]*Flow, 2*w)
+	c.Flows, c.pend = ptrs[:w:w], ptrs[w:w]
 	for i, fs := range spec.Flows {
 		slab[i] = Flow{
 			ID:        FlowID{CoFlow: spec.ID, Index: i},
@@ -284,9 +323,180 @@ func New(spec *Spec) *CoFlow {
 }
 
 // Invalidate bumps the CoFlow's mutation epoch, marking the cached
-// progress summary stale. Call it after changing any flow's Done or
-// Available state, or the Sent/DoneAt of a flow that is already Done.
+// progress summary stale. Call it after changing any flow's Available
+// state, the Sent/DoneAt of a flow that is already Done, or Done by any
+// other route than Finish.
 func (c *CoFlow) Invalidate() { c.epoch++ }
+
+// Finish marks flows — pending flows of c whose Sent and DoneAt are
+// final — Done, and moves the mutation epoch as Invalidate does. While
+// the summary is fresh it stays fresh, in place and with no allocation:
+// the flows leave the pending and sendable lists and join the
+// finished-flow sum, maximum, last completion and, once DoneMedian has
+// been asked for, its sorted list.
+//
+// One flow is found by binary search on FlowID.Index and cut out of the
+// lists by shifting their shorter side (cut): what a wide CoFlow whose
+// flows finish one at a time needs. The entries shifted between two
+// builds are bounded by shiftBudget per flow of the CoFlow; past that,
+// and for a flow it cannot find in the lists, Finish leaves the summary
+// stale for the next read to rebuild. A batch — the flows one walk
+// finished — is taken out by one pass over the lists instead (sweep),
+// which costs the pending flows, not every flow the CoFlow had.
+//
+//saath:hotpath
+func (c *CoFlow) Finish(flows ...*Flow) {
+	if len(flows) == 0 {
+		return
+	}
+	for _, f := range flows {
+		f.Done = true //saath:progress-ok Finish is the stamp: it moves the epoch below
+	}
+	was := c.epoch
+	c.epoch++
+	if was == 0 || c.fresh != was {
+		return // stale already: the next read rebuilds
+	}
+	if len(flows) > 1 {
+		c.sweep(was)
+	} else if !c.cutOut(flows[0], was) {
+		return
+	}
+	if x := c.extra; x != nil && x.medEpoch == was {
+		x.medEpoch = c.epoch
+	}
+	c.fresh = c.epoch
+}
+
+// cutOut takes one finished flow out of a fresh summary at epoch was,
+// reporting false — nothing changed — when the flow is not in the lists
+// or the shift budget is spent.
+func (c *CoFlow) cutOut(f *Flow, was uint64) bool {
+	i, ok := position(c.pend, len(c.Flows), f)
+	if !ok {
+		return false
+	}
+	x, j, inSend := c.extra, 0, !c.allAvail && f.Available
+	shift := min(i, len(c.pend)-1-i)
+	if inSend {
+		if j, ok = position(x.send, len(c.Flows), f); !ok {
+			return false
+		}
+		shift += min(j, len(x.send)-1-j)
+	}
+	if int(c.shifted)+shift > shiftBudget*len(c.Flows) {
+		return false
+	}
+	c.shifted += int32(shift)
+	if inSend {
+		x.send, x.sendPorts = cut(x.send, x.sendPorts, j)
+	}
+	c.pend, c.pendPorts = cut(c.pend, c.pendPorts, i)
+	c.fold(f, was)
+	return true
+}
+
+// sweep drops every entry now Done from the lists of a fresh summary at
+// epoch was, folding each into the finished-flow figures.
+func (c *CoFlow) sweep(was uint64) {
+	n := 0
+	for i, f := range c.pend {
+		if f.Done {
+			c.fold(f, was)
+			continue
+		}
+		if n != i {
+			c.pend[n], c.pendPorts[n] = f, c.pendPorts[i]
+		}
+		n++
+	}
+	c.pend, c.pendPorts = c.pend[:n], c.pendPorts[:n]
+	if c.allAvail {
+		return
+	}
+	x := c.extra
+	n = 0
+	for i, f := range x.send {
+		if f.Done {
+			continue
+		}
+		if n != i {
+			x.send[n], x.sendPorts[n] = f, x.sendPorts[i]
+		}
+		n++
+	}
+	x.send, x.sendPorts = x.send[:n], x.sendPorts[:n]
+}
+
+// fold adds a flow that just left the lists of a summary fresh at epoch
+// was to the finished-flow figures.
+func (c *CoFlow) fold(f *Flow, was uint64) {
+	c.doneSum += f.Sent
+	c.doneMax = max(c.doneMax, f.Sent)
+	c.doneLast = max(c.doneLast, f.DoneAt)
+	if x := c.extra; x != nil && x.medEpoch == was {
+		k, _ := slices.BinarySearch(x.doneSent, f.Sent)
+		x.doneSent = slices.Insert(x.doneSent, k, f.Sent)
+	}
+}
+
+// shiftBudget is how many list entries Finish may shift between two
+// builds, per flow of the CoFlow. A shifted entry is a copied pointer and
+// port pair, cheaper than the flow a build dereferences — until a GC
+// cycle puts a write barrier on every pointer copied. Measured on the
+// benchmark's workloads, 4 keeps the in-place upkeep of dense-burst's
+// wide CoFlows, whose flows finish a few per interval (no slower than
+// no bound at all), and hands coordinator-testbed's narrower ones, which
+// finish several per boundary under frequent GC, back to one build when
+// that is cheaper (64 measured ≈6 % slower there, 2 ≈1.6 % slower on
+// dense-burst). Many flows finishing mid-list in one interval —
+// quadratic in the width, left unbounded — fall back to one build too.
+const shiftBudget = 4
+
+// position finds f in a list of some of a CoFlow's width flows, kept in
+// Flows order. The flow at Flows index k sits at list position k less
+// the flows before it that the list leaves out, of which there are at
+// most width − len(flows), so the search runs over that window: a few
+// positions while few flows have finished. A batch finished from either
+// end finds each flow at an end of the window.
+func position(flows []*Flow, width int, f *Flow) (int, bool) {
+	k := f.ID.Index
+	lo, hi := max(0, k-(width-len(flows))), min(k+1, len(flows))
+	switch {
+	case lo >= hi:
+		return 0, false
+	case flows[lo] == f:
+		return lo, true
+	case flows[hi-1] == f:
+		return hi - 1, true
+	}
+	i, ok := slices.BinarySearchFunc(flows[lo:hi], k, func(g *Flow, t int) int { return cmp.Compare(g.ID.Index, t) })
+	i += lo
+	return i, ok && flows[i] == f
+}
+
+// cut removes position i from a list and from its port view by shifting
+// the shorter side of it: the entries after i back, or those before it
+// forward and the lists' start past the freed slot. Either way a batch
+// of completions finished from one end shifts nothing. A list only
+// shrinks between builds, and a build starts over at the capacity left,
+// which still holds every pending flow: flows never leave Done.
+func cut(flows []*Flow, ports []PortPair, i int) ([]*Flow, []PortPair) {
+	n := len(flows) - 1
+	switch {
+	case i == 0:
+		return flows[1:], ports[1:]
+	case i == n:
+		return flows[:n], ports[:n]
+	case i < n-i:
+		copy(flows[1:i+1], flows[:i])
+		copy(ports[1:i+1], ports[:i])
+		return flows[1:], ports[1:]
+	}
+	copy(flows[i:], flows[i+1:])
+	copy(ports[i:], ports[i+1:])
+	return flows[:n], ports[:n]
+}
 
 // CacheEpoch returns the current mutation epoch. Incremental consumers
 // (sched.ContentionIndex) compare it against a stored value to decide
@@ -315,36 +525,52 @@ func (c *CoFlow) sync() {
 	if c.epoch != 0 && c.fresh == c.epoch {
 		return
 	}
-	if c.pend == nil {
-		c.pend = make([]*Flow, 0, len(c.Flows)) //saath:alloc-ok once per CoFlow, on its first epoch
+	c.build()
+}
+
+// build computes the summary with one pass over Flows: a CoFlow's first
+// read, and the first read after an Invalidate.
+//
+//saath:hotpath
+func (c *CoFlow) build() {
+	if c.pendPorts == nil {
+		c.pendPorts = make([]PortPair, 0, len(c.Flows)) //saath:alloc-ok once per CoFlow, on its first read
 	}
-	c.pend, c.sendBuf = c.pend[:0], c.sendBuf[:0]
-	c.allAvail = true
+	c.pend, c.pendPorts = c.pend[:0], c.pendPorts[:0]
+	c.allAvail, c.shifted = true, 0
 	c.doneSum, c.doneMax, c.doneLast = 0, 0, 0
 	for _, f := range c.Flows {
 		if f.Done {
 			c.doneSum += f.Sent
-			if f.Sent > c.doneMax {
-				c.doneMax = f.Sent
-			}
-			if f.DoneAt > c.doneLast {
-				c.doneLast = f.DoneAt
-			}
+			c.doneMax = max(c.doneMax, f.Sent)
+			c.doneLast = max(c.doneLast, f.DoneAt)
 			continue
 		}
 		c.pend = append(c.pend, f)
+		c.pendPorts = append(c.pendPorts, PortPair{int32(f.Src), int32(f.Dst)})
 		if !f.Available {
 			c.allAvail = false
 		}
 	}
 	if !c.allAvail {
-		for _, f := range c.pend {
+		x := c.extras()
+		x.send, x.sendPorts = x.send[:0], x.sendPorts[:0]
+		for i, f := range c.pend {
 			if f.Available {
-				c.sendBuf = append(c.sendBuf, f)
+				x.send = append(x.send, f)                        //saath:alloc-ok grows with the sendable set: once per CoFlow, and again if Finish trimmed its front
+				x.sendPorts = append(x.sendPorts, c.pendPorts[i]) //saath:alloc-ok as above
 			}
 		}
 	}
 	c.fresh = c.epoch
+}
+
+// extras returns the CoFlow's summaryExtra, allocating it on first use.
+func (c *CoFlow) extras() *summaryExtra {
+	if c.extra == nil {
+		c.extra = &summaryExtra{} //saath:alloc-ok once per CoFlow that holds a flow back or asks DoneMedian
+	}
+	return c.extra
 }
 
 // ID returns the CoFlow's identifier.
@@ -408,32 +634,37 @@ func (c *CoFlow) NumPending() int { return len(c.PendingFlows()) }
 
 // DoneMedian returns the median bytes moved by the done flows (zero
 // when there are none) — the finished-flow length the dynamics SRTF
-// approximation extrapolates from (§4.3). It is computed at most once
-// per mutation epoch, sorting in the caller's scratch so the CoFlow
-// itself carries no buffer for it.
+// approximation extrapolates from (§4.3). The first call sorts the done
+// flows' Sent into a list sized to the CoFlow's width, which Finish then
+// keeps sorted; after an Invalidate the next call sorts it afresh. A
+// call between two such changes is a read.
 //
 //saath:hotpath
-func (c *CoFlow) DoneMedian(scratch *[]Bytes) Bytes {
+func (c *CoFlow) DoneMedian() Bytes {
 	c.sync()
-	if c.epoch != 0 && c.medEpoch == c.epoch {
-		return c.doneMed
-	}
-	ys := (*scratch)[:0]
-	for _, f := range c.Flows {
-		if f.Done {
-			ys = append(ys, f.Sent)
+	x := c.extras()
+	if c.epoch == 0 || x.medEpoch != c.epoch {
+		if x.doneSent == nil {
+			x.doneSent = make([]Bytes, 0, len(c.Flows)) //saath:alloc-ok once per CoFlow, on its first ask
 		}
+		ys := x.doneSent[:0]
+		for _, f := range c.Flows {
+			if f.Done {
+				ys = append(ys, f.Sent)
+			}
+		}
+		slices.Sort(ys)
+		x.doneSent, x.medEpoch = ys, c.epoch
 	}
-	*scratch = ys
-	slices.Sort(ys)
-	c.doneMed = 0
-	if n := len(ys); n%2 == 1 {
-		c.doneMed = ys[n/2]
-	} else if n > 0 {
-		c.doneMed = (ys[n/2-1] + ys[n/2]) / 2
+	ys := x.doneSent
+	switch n := len(ys); {
+	case n == 0:
+		return 0
+	case n%2 == 1:
+		return ys[n/2]
+	default:
+		return (ys[n/2-1] + ys[n/2]) / 2
 	}
-	c.medEpoch = c.epoch
-	return c.doneMed
 }
 
 // RefreshDone recomputes Done/DoneAt from flow state. It returns true
@@ -464,7 +695,21 @@ func (c *CoFlow) SendableFlows() []*Flow {
 	if c.allAvail {
 		return c.pend
 	}
-	return c.sendBuf
+	return c.extra.send
+}
+
+// SendablePorts returns the (Src, Dst) of every flow SendableFlows
+// returns, at the same positions: a scan over ports reads these and
+// dereferences SendableFlows()[i] only for a flow it acts on. Owned by
+// the CoFlow, like SendableFlows.
+//
+//saath:hotpath
+func (c *CoFlow) SendablePorts() []PortPair {
+	c.sync()
+	if c.allAvail {
+		return c.pendPorts
+	}
+	return c.extra.sendPorts
 }
 
 // SrcPorts returns the sorted distinct sender nodes of pending flows.

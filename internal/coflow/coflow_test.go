@@ -234,28 +234,26 @@ func TestPendingAndFinished(t *testing.T) {
 	if got := c.NumPending(); got != 3 {
 		t.Fatalf("NumPending = %d", got)
 	}
-	var scratch []Bytes
-	if got := c.DoneMedian(&scratch); got != 20*MB {
+	if got := c.DoneMedian(); got != 20*MB {
 		t.Fatalf("finished median = %d", got)
 	}
 }
 
 func TestDoneMedian(t *testing.T) {
 	c := New(spec2x2())
-	var scratch []Bytes
-	if got := c.DoneMedian(&scratch); got != 0 {
+	if got := c.DoneMedian(); got != 0 {
 		t.Fatalf("median of no finished flows = %d", got)
 	}
 	for i, sent := range []Bytes{3, 1, 2} {
 		c.Flows[i].Done, c.Flows[i].Sent = true, sent
 	}
 	c.Invalidate()
-	if got := c.DoneMedian(&scratch); got != 2 {
+	if got := c.DoneMedian(); got != 2 {
 		t.Fatalf("odd median = %d", got)
 	}
 	c.Flows[3].Done, c.Flows[3].Sent = true, 4
 	c.Invalidate()
-	if got := c.DoneMedian(&scratch); got != 2 { // (2+3)/2 truncated
+	if got := c.DoneMedian(); got != 2 { // (2+3)/2 truncated
 		t.Fatalf("even median = %d", got)
 	}
 }
@@ -335,7 +333,6 @@ func TestBottleneckMonotoneProperty(t *testing.T) {
 // accessor against a from-scratch pass over Flows after each step.
 func TestProgressSummaryMatchesFullScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	var scratch []Bytes
 	for trial := 0; trial < 50; trial++ {
 		spec := &Spec{ID: CoFlowID(trial + 1)}
 		for i, w := 0, rng.Intn(12)+1; i < w; i++ {
@@ -403,7 +400,7 @@ func TestProgressSummaryMatchesFullScan(t *testing.T) {
 			if !slices.Equal(c.SendableFlows(), sendable) {
 				t.Fatalf("trial %d step %d: SendableFlows differs from scan", trial, step)
 			}
-			if got := c.DoneMedian(&scratch); got != median {
+			if got := c.DoneMedian(); got != median {
 				t.Fatalf("trial %d step %d: DoneMedian = %d, scan %d", trial, step, got, median)
 			}
 			if len(pending) == 0 {
@@ -414,6 +411,48 @@ func TestProgressSummaryMatchesFullScan(t *testing.T) {
 			} else if c.RefreshDone() {
 				t.Fatalf("trial %d step %d: RefreshDone with %d flows pending", trial, step, len(pending))
 			}
+		}
+	}
+}
+
+// TestFinishAllocatesNothing: a completion costs the flow — Finish
+// updates a fresh summary, the sorted done list included, in place. Each
+// run finishes every flow of its own CoFlow, out of order and with reads
+// in between, so every Finish meets a fresh summary.
+func TestFinishAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const runs, width = 20, 24
+	cs := make([]*CoFlow, runs+1) // AllocsPerRun warms up with one run
+	for i := range cs {
+		spec := &Spec{ID: CoFlowID(i)}
+		for j := 0; j < width; j++ {
+			spec.Flows = append(spec.Flows, FlowSpec{Src: PortID(j % 5), Dst: PortID(j % 3), Size: Bytes(10 + j)})
+		}
+		cs[i] = New(spec)
+		cs[i].Flows[width/2].Available = false
+		cs[i].Invalidate()
+		cs[i].DoneMedian() // builds the summary and the done list
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		c := cs[next]
+		next++
+		for k := 0; k < width; k++ {
+			f := c.Flows[(k*7)%width]
+			f.Sent, f.DoneAt = f.Size, Time(k)
+			c.Finish(f)
+			_ = c.SendablePorts()
+			_ = c.DoneMedian()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("finishing a CoFlow allocated %.1f times", allocs)
+	}
+	for _, c := range cs {
+		if !c.RefreshDone() {
+			t.Fatal("a CoFlow with every flow finished is not done")
 		}
 	}
 }

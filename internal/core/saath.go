@@ -103,7 +103,6 @@ type Saath struct {
 	kc         []int  // contention k_c (or width proxy) by CoFlow.Idx
 	gen        uint64 // Schedule calls over a live set so far, for coflowState's stamps
 	missed     []*coflow.CoFlow
-	medScratch []coflow.Bytes
 }
 
 // coflowState is the coordinator's bookkeeping for one live CoFlow.
@@ -613,16 +612,16 @@ func (s *Saath) targetQueue(c *coflow.CoFlow) int {
 // one early small flow of a large unequal-length CoFlow fake a tiny
 // remaining size and hoist the whole CoFlow into the top queue, where
 // it blocks genuinely short CoFlows. The second result is false when
-// the estimate does not apply. The finished-flow median is cached in
-// the CoFlow per mutation epoch (sorted in the scheduler's reused
-// scratch), so a steady-state call reads only the pending flows.
+// the estimate does not apply. The finished-flow median is kept by the
+// CoFlow (Finish folds each completion into it), so a call reads only
+// the pending flows.
 func (s *Saath) srtfEstimate(c *coflow.CoFlow) (coflow.Bytes, bool) {
 	pending := c.PendingFlows()
 	finished := c.Width() - len(pending)
 	if finished == 0 || len(pending) == 0 || finished < len(pending) {
 		return 0, false
 	}
-	fe := c.DoneMedian(&s.medScratch)
+	fe := c.DoneMedian()
 	var worst coflow.Bytes
 	for _, f := range pending {
 		rem := fe - f.Sent
@@ -690,6 +689,8 @@ func (s *Saath) inQueueOrder(a, b *coflow.CoFlow, now coflow.Time) int {
 // open ingress port is passed over without asking its flows, and one
 // whose grants close the last of either is left there. Residuals only
 // fall within a call, so neither skips a flow that could get anything.
+// The walk reads the CoFlow's compact (src, dst) view and touches a
+// flow only to grant it.
 func (s *Saath) workConserve(fab *fabric.Fabric, missed []*coflow.CoFlow, alloc *sched.RateVec) {
 	const eps = 1e-3
 	for _, c := range missed {
@@ -697,13 +698,15 @@ func (s *Saath) workConserve(fab *fabric.Fabric, missed []*coflow.CoFlow, alloc 
 		if !fab.OpenEnds(sig) {
 			continue
 		}
-		for _, f := range c.SendableFlows() {
-			r := fab.PathFree(f.Src, f.Dst)
+		for i, p := range c.SendablePorts() {
+			src, dst := coflow.PortID(p.Src), coflow.PortID(p.Dst)
+			r := fab.PathFree(src, dst)
 			if float64(r) <= eps {
 				continue
 			}
+			f := c.SendableFlows()[i]
 			alloc.Add(f.Idx, r)
-			fab.Allocate(f.Src, f.Dst, r)
+			fab.Allocate(src, dst, r)
 			s.recordAllocation(c, f, alloc.Rate(f.Idx))
 			if !fab.OpenEnds(sig) {
 				break

@@ -24,7 +24,17 @@ type Fabric struct {
 	portRate    coflow.Rate
 	egressFree  []coflow.Rate // residual per sender port
 	ingressFree []coflow.Rate // residual per receiver port
-	drawn       bool          // Allocate ran since the last Reset
+	// drawn lists the ports Allocate drew from since the last Reset, for
+	// Reset to restore: a port enters when a draw finds the direction it
+	// draws from at line rate, so every port below line rate is listed
+	// (one drawn in both directions, or released back to line rate and
+	// drawn again, may be listed twice). Past a quarter of the ports'
+	// worth of entries the list stops and overflow is set: a round that
+	// draws that many — a policy that rates every flow — is restored by
+	// one pass over every port, which is then cheaper, and its later
+	// draws skip the bookkeeping.
+	drawn    []coflow.PortID
+	overflow bool
 	// open has bit 2p set while egress p has more than openEps of
 	// residual and bit 2p+1 while ingress p does: the port-direction
 	// layout of sched.ContentionIndex's signatures, for OpenEnds.
@@ -59,9 +69,9 @@ func New(numPorts int, rate coflow.Rate) *Fabric {
 		useEgress:   make([]int32, numPorts),
 		useIngress:  make([]int32, numPorts),
 		open:        make([]uint64, (2*numPorts+63)/64),
-		drawn:       true, // nothing is at line rate until the Reset below
+		drawn:       make([]coflow.PortID, 0, numPorts/4),
 	}
-	f.Reset()
+	f.fill()
 	return f
 }
 
@@ -76,16 +86,25 @@ func (f *Fabric) PortRate() coflow.Rate { return f.portRate }
 const openEps = 1e-3
 
 // Reset restores full capacity at every port, starting a new round. A
-// fabric nothing drew from since the last Reset is left as it is.
+// round that drew from few ports costs those ports, not NumPorts.
 //
 //saath:hotpath
 func (f *Fabric) Reset() {
-	if !f.drawn {
-		return
+	if f.overflow {
+		f.fill()
+	} else {
+		for _, p := range f.drawn {
+			f.egressFree[p], f.ingressFree[p] = f.portRate, f.portRate
+			f.open[p>>5] |= 3 << (2 * (p & 31))
+		}
 	}
-	for i := range f.egressFree {
-		f.egressFree[i] = f.portRate
-		f.ingressFree[i] = f.portRate
+	f.drawn, f.overflow = f.drawn[:0], false
+}
+
+// fill puts every port at line rate and open.
+func (f *Fabric) fill() {
+	for p := range f.egressFree {
+		f.egressFree[p], f.ingressFree[p] = f.portRate, f.portRate
 	}
 	for w := range f.open {
 		f.open[w] = ^uint64(0)
@@ -93,13 +112,12 @@ func (f *Fabric) Reset() {
 	if tail := 2 * f.numPorts % 64; tail != 0 {
 		f.open[len(f.open)-1] = 1<<tail - 1
 	}
-	f.drawn = false
 }
 
 // Full reports whether every port is at line rate because nothing was
 // allocated since the last Reset — what a scheduler is handed at the
 // start of a round.
-func (f *Fabric) Full() bool { return !f.drawn }
+func (f *Fabric) Full() bool { return len(f.drawn) == 0 && !f.overflow }
 
 // EgressFree returns residual sender-side capacity at port p.
 func (f *Fabric) EgressFree(p coflow.PortID) coflow.Rate { return f.egressFree[p] }
@@ -133,7 +151,14 @@ func (f *Fabric) Allocate(src, dst coflow.PortID, r coflow.Rate) {
 	if r > f.ingressFree[dst]+coflow.Rate(tol*float64(f.portRate)) {
 		panic(fmt.Sprintf("fabric: ingress port %d oversubscribed: want %v, free %v", dst, r, f.ingressFree[dst]))
 	}
-	f.drawn = true
+	if !f.overflow {
+		if f.egressFree[src] == f.portRate {
+			f.note(src)
+		}
+		if f.ingressFree[dst] == f.portRate {
+			f.note(dst)
+		}
+	}
 	f.egressFree[src] -= r
 	f.ingressFree[dst] -= r
 	if f.egressFree[src] < 0 {
@@ -144,6 +169,15 @@ func (f *Fabric) Allocate(src, dst coflow.PortID, r coflow.Rate) {
 	}
 	f.mark(src, f.egressFree[src], 0)
 	f.mark(dst, f.ingressFree[dst], 1)
+}
+
+// note lists port p in drawn, or sets overflow if the list is full.
+func (f *Fabric) note(p coflow.PortID) {
+	if len(f.drawn) == cap(f.drawn) {
+		f.overflow = true
+		return
+	}
+	f.drawn = append(f.drawn, p)
 }
 
 // Release returns rate r to the src→dst path, clamped at line rate.
@@ -202,8 +236,8 @@ func (f *Fabric) OpenEnds(sig []uint64) bool {
 //saath:hotpath
 func (f *Fabric) CoFlowAvailable(c *coflow.CoFlow) bool {
 	const eps = 1e-3 // below 1 mB/s a port is effectively busy
-	for _, fl := range c.SendableFlows() {
-		if float64(f.egressFree[fl.Src]) < eps || float64(f.ingressFree[fl.Dst]) < eps {
+	for _, p := range c.SendablePorts() {
+		if float64(f.egressFree[p.Src]) < eps || float64(f.ingressFree[p.Dst]) < eps {
 			return false
 		}
 	}
@@ -220,22 +254,22 @@ func (f *Fabric) CoFlowAvailable(c *coflow.CoFlow) bool {
 //
 //saath:hotpath
 func (f *Fabric) EqualRateForCoFlow(c *coflow.CoFlow) coflow.Rate {
-	flows := c.SendableFlows()
-	for _, fl := range flows {
-		f.useEgress[fl.Src]++
-		f.useIngress[fl.Dst]++
+	ports := c.SendablePorts()
+	for _, p := range ports {
+		f.useEgress[p.Src]++
+		f.useIngress[p.Dst]++
 	}
 	rate := f.portRate
-	for _, fl := range flows {
-		if n := f.useEgress[fl.Src]; n > 0 {
-			f.useEgress[fl.Src] = 0
-			if share := f.egressFree[fl.Src] / coflow.Rate(n); share < rate {
+	for _, p := range ports {
+		if n := f.useEgress[p.Src]; n > 0 {
+			f.useEgress[p.Src] = 0
+			if share := f.egressFree[p.Src] / coflow.Rate(n); share < rate {
 				rate = share
 			}
 		}
-		if n := f.useIngress[fl.Dst]; n > 0 {
-			f.useIngress[fl.Dst] = 0
-			if share := f.ingressFree[fl.Dst] / coflow.Rate(n); share < rate {
+		if n := f.useIngress[p.Dst]; n > 0 {
+			f.useIngress[p.Dst] = 0
+			if share := f.ingressFree[p.Dst] / coflow.Rate(n); share < rate {
 				rate = share
 			}
 		}

@@ -3,6 +3,7 @@ package fabric
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"saath/internal/coflow"
@@ -331,6 +332,48 @@ func TestOpenBitsetTracksResiduals(t *testing.T) {
 			}
 			if got := f.OpenEnds(sig); got != (eg && in) {
 				t.Fatalf("trial %d step %d: OpenEnds(%x) = %v, want %v", trial, step, sig, got, eg && in)
+			}
+		}
+	}
+}
+
+// TestResetMatchesNew: Reset restores only the ports drawn from since
+// the last Reset (or every port, once the draws overflow its list), so
+// after random Allocate/Release/Reset sequences — zero draws, full
+// draws, draws released back to line rate and drawn again, fabrics
+// small enough to overflow every round — every residual, the open bitset
+// and Full must be exactly those of a fabric just built by New.
+func TestResetMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 60; trial++ {
+		ports := 1 + rng.Intn(150)
+		rate := DefaultPortRate * coflow.Rate(1+rng.Intn(3))
+		f, fresh := New(ports, rate), New(ports, rate)
+		for step := 0; step < 300; step++ {
+			src, dst := coflow.PortID(rng.Intn(ports)), coflow.PortID(rng.Intn(ports))
+			switch free := f.PathFree(src, dst); rng.Intn(5) {
+			case 0:
+				f.Allocate(src, dst, free)
+			case 1:
+				f.Allocate(src, dst, free*coflow.Rate(rng.Float64()))
+			case 2:
+				f.Allocate(src, dst, 0)
+			case 3:
+				f.Release(src, dst, rate*coflow.Rate(rng.Float64()))
+			case 4:
+				f.Reset()
+				if !f.Full() {
+					t.Fatalf("trial %d step %d: not Full after Reset", trial, step)
+				}
+				for p := coflow.PortID(0); int(p) < ports; p++ {
+					if f.EgressFree(p) != fresh.EgressFree(p) || f.IngressFree(p) != fresh.IngressFree(p) {
+						t.Fatalf("trial %d step %d: port %d residuals %v/%v after Reset, New has %v/%v",
+							trial, step, p, f.EgressFree(p), f.IngressFree(p), fresh.EgressFree(p), fresh.IngressFree(p))
+					}
+				}
+				if !slices.Equal(f.open, fresh.open) {
+					t.Fatalf("trial %d step %d: open bitset %x after Reset, New has %x", trial, step, f.open, fresh.open)
+				}
 			}
 		}
 	}

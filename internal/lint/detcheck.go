@@ -27,9 +27,9 @@ var detPackages = []string{
 	"saath/internal/core",
 }
 
-// progressPackages also hold writers of coflow.Flow.Sent — the
-// coordinator merges agent reports into it — and get the progress-stamp
-// rule, and only that one, of detcheck.
+// progressPackages also hold writers of coflow.Flow.Sent, Done and
+// Available — the coordinator merges agent reports into them — and get
+// the stamp rules, and only those, of detcheck.
 var progressPackages = []string{
 	"saath/internal/runtime",
 }
@@ -64,16 +64,18 @@ var seededRandFuncs = map[string]bool{
 // rewrite. Wall-clock reads feeding observability carry
 // //saath:wallclock; global math/rand has no escape hatch.
 //
-// It also keeps the progress-stamp contract: schedulers hold a decision
-// while a CoFlow's (CacheEpoch, ProgressStamp) stand, so an assignment
-// to coflow.Flow.Sent must sit in a function that also calls
-// NoteProgress or Invalidate on a CoFlow — or carry
-// //saath:progress-ok saying who does. A writer that moves bytes
-// silently would stale a held schedule and change results with no test
-// of its own to notice.
+// It also keeps the CoFlow stamp contract: schedulers hold a decision
+// while a CoFlow's (CacheEpoch, ProgressStamp) stand, and the CoFlow's
+// pending/sendable summary is kept per epoch. So an assignment to
+// coflow.Flow.Sent must sit in a function that also calls NoteProgress
+// or Invalidate on a CoFlow, and one to Flow.Done or Flow.Available in a
+// function that also calls Finish or Invalidate — or carry
+// //saath:progress-ok saying who does. A writer that changes a flow
+// silently would stale a held schedule or the summary and change results
+// with no test of its own to notice.
 var DetCheck = &Analyzer{
 	Name: "detcheck",
-	Doc:  "forbid wall-clock, global math/rand, order-dependent map iteration and unstamped Flow.Sent writes in determinism-critical packages",
+	Doc:  "forbid wall-clock, global math/rand, order-dependent map iteration and unstamped Flow.Sent/Done/Available writes in determinism-critical packages",
 	AppliesTo: func(path string) bool {
 		return pathIn(path, detPackages) || pathIn(path, progressPackages)
 	},
@@ -82,7 +84,7 @@ var DetCheck = &Analyzer{
 
 func runDetCheck(pass *Pass) error {
 	for _, file := range pass.Files {
-		checkSentWrites(pass, file)
+		checkStampedWrites(pass, file)
 	}
 	if !pathIn(pass.Pkg.Path(), detPackages) {
 		return nil
@@ -106,43 +108,53 @@ func runDetCheck(pass *Pass) error {
 	return nil
 }
 
-// checkSentWrites flags every assignment to coflow.Flow.Sent in a
-// function that never calls NoteProgress or Invalidate on a CoFlow.
-func checkSentWrites(pass *Pass, file *ast.File) {
+// checkStampedWrites flags every assignment to coflow.Flow.Sent in a
+// function that never calls NoteProgress or Invalidate on a CoFlow, and
+// every one to Flow.Done or Flow.Available in a function that never
+// calls Finish or Invalidate.
+func checkStampedWrites(pass *Pass, file *ast.File) {
 	for _, d := range file.Decls {
 		fd, ok := d.(*ast.FuncDecl)
 		if !ok || fd.Body == nil {
 			continue
 		}
-		var writes []ast.Expr
-		stamped := false
+		var sent, state []ast.Expr
+		noted, finished, invalidated := false, false, false
+		write := func(e ast.Expr) {
+			switch {
+			case isCoflowMember(pass.TypesInfo, e, "Flow", "Sent"):
+				sent = append(sent, e)
+			case isCoflowMember(pass.TypesInfo, e, "Flow", "Done"), isCoflowMember(pass.TypesInfo, e, "Flow", "Available"):
+				state = append(state, e)
+			}
+		}
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
-					if isCoflowMember(pass.TypesInfo, lhs, "Flow", "Sent") {
-						writes = append(writes, lhs)
-					}
+					write(lhs)
 				}
 			case *ast.IncDecStmt:
-				if isCoflowMember(pass.TypesInfo, n.X, "Flow", "Sent") {
-					writes = append(writes, n.X)
-				}
+				write(n.X)
 			case *ast.CallExpr:
-				stamped = stamped || isCoflowMember(pass.TypesInfo, n.Fun, "CoFlow", "NoteProgress") ||
-					isCoflowMember(pass.TypesInfo, n.Fun, "CoFlow", "Invalidate")
+				noted = noted || isCoflowMember(pass.TypesInfo, n.Fun, "CoFlow", "NoteProgress")
+				finished = finished || isCoflowMember(pass.TypesInfo, n.Fun, "CoFlow", "Finish")
+				invalidated = invalidated || isCoflowMember(pass.TypesInfo, n.Fun, "CoFlow", "Invalidate")
 			}
 			return true
 		})
-		if stamped {
-			continue
-		}
-		for _, w := range writes {
-			if pass.Notes.Suppressed(pass.Fset, w.Pos(), fd, NoteProgressOK) {
-				continue
+		report := func(writes []ast.Expr, msg string) {
+			for _, w := range writes {
+				if !pass.Notes.Suppressed(pass.Fset, w.Pos(), fd, NoteProgressOK) {
+					pass.Reportf(w.Pos(), "%s", msg)
+				}
 			}
-			pass.Reportf(w.Pos(),
-				"Flow.Sent is written in a function that calls neither NoteProgress nor Invalidate on the CoFlow; a scheduler holding its last decision would not see the bytes move (//saath:progress-ok naming who stamps it, if someone does)")
+		}
+		if !noted && !invalidated {
+			report(sent, "Flow.Sent is written in a function that calls neither NoteProgress nor Invalidate on the CoFlow; a scheduler holding its last decision would not see the bytes move (//saath:progress-ok naming who stamps it, if someone does)")
+		}
+		if !finished && !invalidated {
+			report(state, "Flow.Done or Flow.Available is written in a function that calls neither Finish nor Invalidate on the CoFlow; its pending/sendable summary would go stale (//saath:progress-ok naming who does, if someone does)")
 		}
 	}
 }

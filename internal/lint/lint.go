@@ -29,7 +29,7 @@
 //
 //	//saath:wallclock         this wall-clock read is out-of-band by contract
 //	//saath:order-independent this map iteration cannot affect results
-//	//saath:progress-ok       this Flow.Sent write is stamped by the named caller
+//	//saath:progress-ok       this Flow.Sent/Done/Available write is stamped by the named caller
 //	//saath:hotpath           marks a function as a hot-path root
 //	//saath:alloc-ok          this allocation/map in a hot function is intentional
 //	//saath:obs-ok            this obs reference is sanctioned out-of-band plumbing

@@ -1,7 +1,8 @@
 // Package coflow is a typing stub for analyzer fixtures: hotpath
 // matches map keys against the FlowID/CoFlowID named types of any
 // package whose path ends in internal/coflow, and detcheck matches
-// Flow.Sent writes against CoFlow's two stamping methods.
+// Flow.Sent, Done and Available writes against CoFlow's stamping
+// methods.
 package coflow
 
 type CoFlowID int64
@@ -12,11 +13,13 @@ type FlowID struct {
 }
 
 type Flow struct {
-	Sent int64
-	Done bool
+	Sent      int64
+	Done      bool
+	Available bool
 }
 
 type CoFlow struct{ Flows []*Flow }
 
-func (c *CoFlow) NoteProgress() {}
-func (c *CoFlow) Invalidate()   {}
+func (c *CoFlow) NoteProgress()         {}
+func (c *CoFlow) Invalidate()           {}
+func (c *CoFlow) Finish(flows ...*Flow) {}

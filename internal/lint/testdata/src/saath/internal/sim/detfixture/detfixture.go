@@ -131,7 +131,7 @@ func sentUnstamped(f *coflow.Flow) {
 
 func sentUnstampedForms(c *coflow.CoFlow) {
 	c.Flows[0].Sent++                          // want "Flow.Sent is written"
-	c.Flows[1].Sent, c.Flows[1].Done = 5, true // want "Flow.Sent is written"
+	c.Flows[1].Sent, c.Flows[1].Done = 5, true // want "Flow.Sent is written" "Flow.Done or Flow.Available is written"
 }
 
 func sentNoted(c *coflow.CoFlow, moved int64) {
@@ -146,6 +146,11 @@ func sentInvalidated(c *coflow.CoFlow) {
 	c.Invalidate()
 }
 
+func sentFinishedOnly(c *coflow.CoFlow, f *coflow.Flow) {
+	f.Sent = 100 // want "Flow.Sent is written"
+	c.Finish(f)  // Finish stamps the summary, not the progress of the flows left
+}
+
 func sentReset(f *coflow.Flow) {
 	f.Sent = 0 //saath:progress-ok sentNoted, the only caller, stamps the CoFlow
 }
@@ -153,4 +158,35 @@ func sentReset(f *coflow.Flow) {
 func sentRead(f *coflow.Flow) int64 {
 	left := 100 - f.Sent // a read is not a write
 	return left
+}
+
+// --- flow state: Done and Available ---
+
+func doneUnstamped(f *coflow.Flow) {
+	f.Done = true // want "Flow.Done or Flow.Available is written in a function that calls neither Finish nor Invalidate"
+}
+
+func availableUnstamped(c *coflow.CoFlow) {
+	c.Flows[0].Available = false // want "Flow.Done or Flow.Available is written"
+}
+
+func doneNotedOnly(c *coflow.CoFlow, f *coflow.Flow) {
+	f.Sent, f.Done = 100, true // want "Flow.Done or Flow.Available is written"
+	c.NoteProgress()           // a progress stamp does not cover the summary
+}
+
+func doneFinished(c *coflow.CoFlow, f *coflow.Flow) {
+	f.Done = true // Finish keeps the summary: no finding
+	c.Finish(f)
+}
+
+func availableInvalidated(c *coflow.CoFlow) {
+	for _, f := range c.Flows {
+		f.Available = true // Invalidate covers it: no finding
+	}
+	c.Invalidate()
+}
+
+func availableEscaped(f *coflow.Flow) {
+	f.Available = false //saath:progress-ok availableInvalidated, the only caller, invalidates the CoFlow
 }

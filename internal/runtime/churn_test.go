@@ -660,6 +660,99 @@ func TestPolicyPanicCostsOneRound(t *testing.T) {
 	}
 }
 
+// departPanicsOnce is a policy whose Depart has a bug that fires once.
+type departPanicsOnce struct {
+	sched.Scheduler
+	armed *bool
+}
+
+func (p departPanicsOnce) Depart(c *coflow.CoFlow, now coflow.Time) {
+	if *p.armed {
+		*p.armed = false
+		panic("depart bug")
+	}
+	p.Scheduler.Depart(c, now)
+}
+
+// TestDepartPanicReleasesLocks: a policy panic in Depart, which a round
+// calls under mu while retiring, reaches the round's caller with mu and
+// the policy lock released — the next registration and round get in
+// instead of wedging behind a lock the panic took with it.
+func TestDepartPanicReleasesLocks(t *testing.T) {
+	const delta = 8 * time.Millisecond
+	inner, err := sched.New("saath", sched.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	armed := true
+	vc := NewVirtualClock(time.Unix(0, 0).UTC())
+	coord, err := NewCoordinator(CoordinatorConfig{
+		Scheduler: departPanicsOnce{inner, &armed}, NumPorts: 2, PortRate: coflow.Rate(125e6),
+		Delta: delta, Clock: vc, Manual: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wedged := false // Close takes mu too: a wedged coordinator is left behind
+	t.Cleanup(func() {
+		if !wedged {
+			coord.Close()
+		}
+	})
+	var agents []*InprocAgent
+	for p := 0; p < 2; p++ {
+		a, err := coord.AttachInproc(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		agents = append(agents, a)
+	}
+	if err := coord.Register(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 100_000}}}); err != nil {
+		t.Fatal(err)
+	}
+	panicked := false
+	for step := 0; step < 50 && !panicked; step++ {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					if r != "depart bug" {
+						t.Fatalf("the round recovered %v, want the policy's panic", r)
+					}
+					panicked = true
+				}
+			}()
+			vc.Advance(delta)
+			for _, a := range agents {
+				a.Step(delta)
+			}
+			for _, a := range agents {
+				a.Report()
+			}
+			coord.StepSchedule()
+		}()
+	}
+	if !panicked {
+		t.Fatal("the coflow never retired, so Depart never ran")
+	}
+	done := make(chan error, 1)
+	go func() {
+		err := coord.Register(&coflow.Spec{ID: 2, Flows: []coflow.FlowSpec{{Src: 1, Dst: 0, Size: 100_000}}})
+		if err == nil {
+			coord.StepSchedule()
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		wedged = true
+		t.Fatal("the coordinator is wedged after the policy's Depart panic")
+	}
+}
+
 // TestConcurrentRoundsRegistrationsAndLinks: schedule rounds reuse the
 // coordinator's order buffers, so rounds racing each other, racing
 // registrations and racing links that come and go must stay

@@ -241,6 +241,9 @@ type Coordinator struct {
 	schedMu    sync.Mutex
 	schedStats scheduleStats
 	phases     PhaseTotals
+	// failedRounds counts the ticker's rounds lost to a panic (under
+	// schedMu); see scheduleTick.
+	failedRounds int64
 }
 
 // PhaseTotals is the wall-clock time the coordinator has spent in each
@@ -474,9 +477,8 @@ func (c *Coordinator) mergeStatLocked(fs *FlowStat, now time.Time) {
 		lc.rt.Invalidate()
 	}
 	if fs.Done && !f.Done {
-		f.Done = true
 		f.DoneAt = coflow.Time(now.Sub(lc.registered) / time.Microsecond)
-		lc.rt.Invalidate()
+		lc.rt.Finish(f)
 		c.finishing = append(c.finishing, lc)
 	}
 }
@@ -557,8 +559,25 @@ func (c *Coordinator) scheduleLoop() {
 			return
 		case <-ticker.C:
 		}
-		c.scheduleOnce()
+		c.scheduleTick()
 	}
+}
+
+// scheduleTick is one ticker round. A round that panics — a policy bug
+// in Schedule or Depart — is recovered and counted (FailedRounds), and
+// the loop ticks on: scheduleOnce releases its locks on the way out, so
+// the next round, registrations and reports still get in, and agents
+// keep the last orders they were sent. StepSchedule, the caller-driven
+// round, lets the panic reach its caller instead.
+func (c *Coordinator) scheduleTick() {
+	defer func() {
+		if recover() != nil {
+			c.schedMu.Lock()
+			c.failedRounds++
+			c.schedMu.Unlock()
+		}
+	}()
+	c.scheduleOnce()
 }
 
 // pendingSend is one computed schedule awaiting delivery; sends happen
@@ -581,8 +600,8 @@ func (c *Coordinator) StepSchedule() (live int) {
 
 // scheduleOnce is one δ boundary. Its cost contract: work follows the
 // live flows and the ports they touch — never NumPorts, apart from the
-// fabric's per-port reset — and a boundary whose live set did not
-// change allocates nothing.
+// fabric reset of a round that drew from a quarter of the ports — and a
+// boundary whose live set did not change allocates nothing.
 //
 //saath:hotpath zero-alloc steady state guarded by TestCoordinatorBoundaryZeroAlloc
 func (c *Coordinator) scheduleOnce() (liveN int) {
@@ -590,16 +609,21 @@ func (c *Coordinator) scheduleOnce() (liveN int) {
 	defer c.roundMu.Unlock()
 	now := c.cfg.Clock.Now()
 	c.polMu.Lock()
-	// A policy that panics in Schedule must not take the lock with it:
-	// the panic is this round's caller's to see, and the next round,
-	// registration or report still has to get in.
-	polLocked := true
+	// A policy that panics — in Schedule, or in a Depart under mu — must
+	// not take the locks with it: the panic is this round's caller's to
+	// see, and the next round, registration or report still has to get
+	// in.
+	polLocked, muLocked := true, false
 	defer func() {
+		if muLocked {
+			c.mu.Unlock()
+		}
 		if polLocked {
 			c.polMu.Unlock()
 		}
 	}()
 	c.mu.Lock()
+	muLocked = true
 	t0 := time.Now()
 	var merge time.Duration
 	if !c.mergeSince.IsZero() {
@@ -614,6 +638,7 @@ func (c *Coordinator) scheduleOnce() (liveN int) {
 	c.epoch++
 	epoch := c.epoch
 	c.mu.Unlock()
+	muLocked = false
 	c.fab.Reset()
 	c.snap.Now = c.wallTime(now)
 	c.snap.FlowCap, c.snap.CoFlowCap = c.space.FlowCap(), c.space.CoFlowCap()
@@ -625,6 +650,7 @@ func (c *Coordinator) scheduleOnce() (liveN int) {
 	// (rate 0 pauses), so agents always track the newest rates. mu is
 	// held for the agent table only; nothing in here blocks.
 	c.mu.Lock()
+	muLocked = true
 	for _, p := range c.touched {
 		c.orders[p] = c.orders[p][:0]
 	}
@@ -657,7 +683,7 @@ func (c *Coordinator) scheduleOnce() (liveN int) {
 	}
 	c.mu.Unlock()
 	c.polMu.Unlock()
-	polLocked = false
+	muLocked, polLocked = false, false
 	t3 := time.Now()
 
 	// Deliver outside the policy locks, first-touched port first: a
@@ -692,6 +718,15 @@ func (c *Coordinator) Phases() PhaseTotals {
 	p := c.phases
 	p.Schedule = c.schedStats.total
 	return p
+}
+
+// FailedRounds reports how many ticker rounds a panic cost since
+// startup (always zero in Manual mode, where StepSchedule's caller sees
+// the panic).
+func (c *Coordinator) FailedRounds() int64 {
+	c.schedMu.Lock()
+	defer c.schedMu.Unlock()
+	return c.failedRounds
 }
 
 // ScheduleLatency reports the coordinator's Table-2 cost: wall-clock
@@ -954,23 +989,26 @@ func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	admitted, rejected := c.AdmissionStats()
+	failed := c.FailedRounds()
 	c.mu.Lock()
 	status := struct {
-		Agents    int      `json:"agents"`
-		Live      int      `json:"live"`
-		Completed int      `json:"completed"`
-		Admitted  int64    `json:"admitted"`
-		Rejected  int64    `json:"rejected"`
-		Scheduler string   `json:"scheduler"`
-		Policies  []string `json:"registeredPolicies"`
+		Agents       int      `json:"agents"`
+		Live         int      `json:"live"`
+		Completed    int      `json:"completed"`
+		Admitted     int64    `json:"admitted"`
+		Rejected     int64    `json:"rejected"`
+		FailedRounds int64    `json:"failedRounds"`
+		Scheduler    string   `json:"scheduler"`
+		Policies     []string `json:"registeredPolicies"`
 	}{
-		Agents:    c.nAgents,
-		Live:      len(c.live),
-		Completed: len(c.results),
-		Admitted:  admitted,
-		Rejected:  rejected,
-		Scheduler: c.cfg.Scheduler.Name(),
-		Policies:  sched.Names(),
+		Agents:       c.nAgents,
+		Live:         len(c.live),
+		Completed:    len(c.results),
+		Admitted:     admitted,
+		Rejected:     rejected,
+		FailedRounds: failed,
+		Scheduler:    c.cfg.Scheduler.Name(),
+		Policies:     sched.Names(),
 	}
 	c.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")

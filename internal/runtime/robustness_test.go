@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -120,5 +121,54 @@ func TestGarbageOnControlPort(t *testing.T) {
 	// Coordinator still serves HTTP.
 	if _, err := NewClient(coord.HTTPAddr()).Status(); err != nil {
 		t.Fatalf("coordinator down after garbage: %v", err)
+	}
+}
+
+// alwaysPanics is a policy whose Schedule is broken outright.
+type alwaysPanics struct {
+	sched.Scheduler
+	calls atomic.Int64
+}
+
+func (p *alwaysPanics) Schedule(*sched.Snapshot) *sched.RateVec {
+	p.calls.Add(1)
+	panic("policy bug")
+}
+
+// TestServePolicyPanicCostsTheRound: under Serve a policy panic is the
+// ticker's to recover — it costs that round, is counted, and the loop
+// ticks on — so the process survives a policy that panics on every
+// round, and registrations and /status still get answered afterwards.
+func TestServePolicyPanicCostsTheRound(t *testing.T) {
+	inner, err := sched.New("saath", sched.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := &alwaysPanics{Scheduler: inner}
+	coord, err := NewCoordinator(CoordinatorConfig{
+		Scheduler: pol, NumPorts: 2, PortRate: coflow.Rate(20e6), Delta: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go coord.Serve()
+	t.Cleanup(func() { coord.Close() })
+	client := NewClient(coord.HTTPAddr())
+	if err := client.Register(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: coflow.MB}}}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool { return coord.FailedRounds() >= 3 })
+	if err := client.Register(&coflow.Spec{ID: 2, Flows: []coflow.FlowSpec{{Src: 1, Dst: 0, Size: coflow.MB}}}); err != nil {
+		t.Fatalf("registration after the policy's panics: %v", err)
+	}
+	st, err := client.Status()
+	if err != nil {
+		t.Fatalf("/status after the policy's panics: %v", err)
+	}
+	if live := int(st["live"].(float64)); live != 2 {
+		t.Fatalf("/status live = %d, want 2", live)
+	}
+	if failed := int64(st["failedRounds"].(float64)); failed < 3 || failed > pol.calls.Load() {
+		t.Fatalf("/status failedRounds = %d, want between 3 and the %d Schedule calls", failed, pol.calls.Load())
 	}
 }

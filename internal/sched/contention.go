@@ -88,7 +88,7 @@ func (x *ContentionIndex) Sync(active []*coflow.CoFlow) {
 			x.members = append(x.members, int32(c.Idx))
 		}
 		st.c, st.epoch = c, c.CacheEpoch()
-		x.resign(c.Idx, c.SendableFlows())
+		x.resign(c.Idx, c.SendablePorts())
 	}
 }
 
@@ -118,13 +118,13 @@ func (x *ContentionIndex) restride(b int) {
 	x.words, x.sigs, x.scratch = words, sigs, scratch
 }
 
-// resign gives Idx idx the signature of flows and brings every count
-// it enters up to date: the other members' by the pair they form with
-// idx, and idx's own from scratch.
-func (x *ContentionIndex) resign(idx int, flows []*coflow.Flow) {
+// resign gives Idx idx the signature of the sendable flows at ports
+// and brings every count it enters up to date: the other members' by the
+// pair they form with idx, and idx's own from scratch.
+func (x *ContentionIndex) resign(idx int, ports []coflow.PortPair) {
 	clear(x.scratch)
-	for _, f := range flows {
-		eg, in := 2*int(f.Src), 2*int(f.Dst)+1
+	for _, p := range ports {
+		eg, in := 2*int(p.Src), 2*int(p.Dst)+1
 		if b := max(eg, in); b >= 64*x.words {
 			x.restride(b)
 		}

@@ -345,6 +345,10 @@ type engine struct {
 	ratedRun   []int32
 	rateDriven bool
 
+	// finished holds one CoFlow's completions during the dense walk,
+	// until the walk is over and they are finished in its summary.
+	finished []*coflow.Flow
+
 	// plan is what beginInterval last worked out from an allocation, and
 	// what it worked it out from; see heldPlan.
 	plan intervalPlan
@@ -783,8 +787,8 @@ func (e *engine) activeSorted() []*coflow.CoFlow {
 
 // advance moves bytes for one interval and retires finished coflows.
 // Bytes move off the rated list when beginInterval built one, else by
-// walking every sendable flow; CoFlows whose sendable set changed (a
-// flow completed) have their derived-state caches invalidated. Then one
+// walking every sendable flow; each completed flow is finished in its
+// CoFlow's summary (coflow.CoFlow.Finish). Then one
 // pass in e.active order retires the finished — so Result.CoFlows keeps
 // admission order within an interval — and compacts the survivors into
 // the active slice in place (writes trail reads), so steady-state
@@ -793,7 +797,7 @@ func (e *engine) advance(alloc *sched.RateVec, dt coflow.Time) {
 	if e.rateDriven {
 		for i := range e.rated {
 			if r := &e.rated[i]; r.rate > 0 && e.moveBytes(r.owner, r.f, r.rate, dt) {
-				r.owner.Invalidate()
+				r.owner.Finish(r.f)
 			}
 		}
 	} else {
@@ -811,26 +815,27 @@ func (e *engine) advance(alloc *sched.RateVec, dt coflow.Time) {
 }
 
 // moveBytesDense advances every sendable flow of the active set that
-// holds a positive rate.
+// holds a positive rate. A CoFlow's completions are finished together
+// after its walk, which Finish would otherwise shorten under it.
 func (e *engine) moveBytesDense(alloc *sched.RateVec, dt coflow.Time) {
 	for _, c := range e.active {
-		completed := false
+		done := e.finished[:0]
 		for _, f := range c.SendableFlows() {
 			if rate, ok := alloc.Get(f.Idx); ok && rate > 0 && e.moveBytes(c, f, rate, dt) {
-				completed = true
+				done = append(done, f) //saath:alloc-ok amortized: grows to the widest CoFlow's completions in one interval
 			}
 		}
-		if completed {
-			c.Invalidate()
-		}
+		c.Finish(done...)
+		e.finished = done
 	}
 }
 
 // moveBytes sends owner's flow f at rate for dt and reports whether that
 // finished it, crediting the completion at its exact time inside the
 // interval. Every byte the engine moves, or takes back in a restart, goes
-// through here, so this is where the owner's progress is noted; the
-// caller invalidates it on a completion.
+// through here, so this is where the owner's progress is noted; on a
+// completion it leaves f with its final Sent and DoneAt for the caller
+// to Finish.
 func (e *engine) moveBytes(owner *coflow.CoFlow, f *coflow.Flow, rate coflow.Rate, dt coflow.Time) bool {
 	owner.NoteProgress()
 	eff := f.EffectiveRate(rate, e.cfg.PortRate)
@@ -842,7 +847,6 @@ func (e *engine) moveBytes(owner *coflow.CoFlow, f *coflow.Flow, rate coflow.Rat
 		return false
 	}
 	f.Sent = f.Size
-	f.Done = true
 	f.DoneAt = e.now + eff.TimeToSend(rem)
 	if f.DoneAt > e.now+dt {
 		f.DoneAt = e.now + dt
