@@ -10,6 +10,7 @@ package fabric
 
 import (
 	"fmt"
+	"math/bits"
 
 	"saath/internal/coflow"
 )
@@ -24,21 +25,14 @@ type Fabric struct {
 	portRate    coflow.Rate
 	egressFree  []coflow.Rate // residual per sender port
 	ingressFree []coflow.Rate // residual per receiver port
-	// drawn lists the ports Allocate drew from since the last Reset, for
-	// Reset to restore: a port enters when a draw finds the direction it
-	// draws from at line rate, so every port below line rate is listed
-	// (one drawn in both directions, or released back to line rate and
-	// drawn again, may be listed twice). Past a quarter of the ports'
-	// worth of entries the list stops and overflow is set: a round that
-	// draws that many — a policy that rates every flow — is restored by
-	// one pass over every port, which is then cheaper, and its later
-	// draws skip the bookkeeping.
-	drawn    []coflow.PortID
-	overflow bool
 	// open has bit 2p set while egress p has more than openEps of
 	// residual and bit 2p+1 while ingress p does: the port-direction
 	// layout of sched.ContentionIndex's signatures, for OpenEnds.
 	open []uint64
+	// drawn has, in open's layout, the bit of every port direction that
+	// Allocate or Release touched since the last Reset: every direction
+	// below line rate is marked, and Reset restores the marked ones only.
+	drawn []uint64
 
 	// EqualRateForCoFlow's per-port flow counts, all zero between calls.
 	useEgress  []int32
@@ -69,9 +63,15 @@ func New(numPorts int, rate coflow.Rate) *Fabric {
 		useEgress:   make([]int32, numPorts),
 		useIngress:  make([]int32, numPorts),
 		open:        make([]uint64, (2*numPorts+63)/64),
-		drawn:       make([]coflow.PortID, 0, numPorts/4),
+		drawn:       make([]uint64, (2*numPorts+63)/64),
 	}
-	f.fill()
+	for w := range f.drawn { // nothing is at line rate until the Reset below
+		f.drawn[w] = ^uint64(0)
+	}
+	if tail := 2 * numPorts % 64; tail != 0 {
+		f.drawn[len(f.drawn)-1] = 1<<tail - 1
+	}
+	f.Reset()
 	return f
 }
 
@@ -86,38 +86,38 @@ func (f *Fabric) PortRate() coflow.Rate { return f.portRate }
 const openEps = 1e-3
 
 // Reset restores full capacity at every port, starting a new round. A
-// round that drew from few ports costs those ports, not NumPorts.
+// round costs the port directions it drew from and one word per 32
+// ports, not NumPorts.
 //
 //saath:hotpath
 func (f *Fabric) Reset() {
-	if f.overflow {
-		f.fill()
-	} else {
-		for _, p := range f.drawn {
-			f.egressFree[p], f.ingressFree[p] = f.portRate, f.portRate
-			f.open[p>>5] |= 3 << (2 * (p & 31))
+	const egress = 0x5555555555555555 // the even bits
+	for w, v := range f.drawn {
+		if v == 0 {
+			continue
 		}
-	}
-	f.drawn, f.overflow = f.drawn[:0], false
-}
-
-// fill puts every port at line rate and open.
-func (f *Fabric) fill() {
-	for p := range f.egressFree {
-		f.egressFree[p], f.ingressFree[p] = f.portRate, f.portRate
-	}
-	for w := range f.open {
-		f.open[w] = ^uint64(0)
-	}
-	if tail := 2 * f.numPorts % 64; tail != 0 {
-		f.open[len(f.open)-1] = 1<<tail - 1
+		f.drawn[w] = 0
+		f.open[w] |= v
+		for e := v & egress; e != 0; e &= e - 1 {
+			f.egressFree[w<<5|bits.TrailingZeros64(e)>>1] = f.portRate
+		}
+		for i := v >> 1 & egress; i != 0; i &= i - 1 {
+			f.ingressFree[w<<5|bits.TrailingZeros64(i)>>1] = f.portRate
+		}
 	}
 }
 
 // Full reports whether every port is at line rate because nothing was
-// allocated since the last Reset — what a scheduler is handed at the
-// start of a round.
-func (f *Fabric) Full() bool { return len(f.drawn) == 0 && !f.overflow }
+// allocated or released since the last Reset — what a scheduler is
+// handed at the start of a round.
+func (f *Fabric) Full() bool {
+	for _, v := range f.drawn {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}
 
 // EgressFree returns residual sender-side capacity at port p.
 func (f *Fabric) EgressFree(p coflow.PortID) coflow.Rate { return f.egressFree[p] }
@@ -145,39 +145,23 @@ func (f *Fabric) Allocate(src, dst coflow.PortID, r coflow.Rate) {
 		panic(fmt.Sprintf("fabric: negative allocation %v", r))
 	}
 	const tol = 1e-6
-	if r > f.egressFree[src]+coflow.Rate(tol*float64(f.portRate)) {
-		panic(fmt.Sprintf("fabric: egress port %d oversubscribed: want %v, free %v", src, r, f.egressFree[src]))
+	e, i := f.egressFree[src], f.ingressFree[dst]
+	if r > e+coflow.Rate(tol*float64(f.portRate)) {
+		panic(fmt.Sprintf("fabric: egress port %d oversubscribed: want %v, free %v", src, r, e))
 	}
-	if r > f.ingressFree[dst]+coflow.Rate(tol*float64(f.portRate)) {
-		panic(fmt.Sprintf("fabric: ingress port %d oversubscribed: want %v, free %v", dst, r, f.ingressFree[dst]))
+	if r > i+coflow.Rate(tol*float64(f.portRate)) {
+		panic(fmt.Sprintf("fabric: ingress port %d oversubscribed: want %v, free %v", dst, r, i))
 	}
-	if !f.overflow {
-		if f.egressFree[src] == f.portRate {
-			f.note(src)
-		}
-		if f.ingressFree[dst] == f.portRate {
-			f.note(dst)
-		}
+	e, i = e-r, i-r
+	if e < 0 {
+		e = 0
 	}
-	f.egressFree[src] -= r
-	f.ingressFree[dst] -= r
-	if f.egressFree[src] < 0 {
-		f.egressFree[src] = 0
+	if i < 0 {
+		i = 0
 	}
-	if f.ingressFree[dst] < 0 {
-		f.ingressFree[dst] = 0
-	}
-	f.mark(src, f.egressFree[src], 0)
-	f.mark(dst, f.ingressFree[dst], 1)
-}
-
-// note lists port p in drawn, or sets overflow if the list is full.
-func (f *Fabric) note(p coflow.PortID) {
-	if len(f.drawn) == cap(f.drawn) {
-		f.overflow = true
-		return
-	}
-	f.drawn = append(f.drawn, p)
+	f.egressFree[src], f.ingressFree[dst] = e, i
+	f.mark(src, e, 0)
+	f.mark(dst, i, 1)
 }
 
 // Release returns rate r to the src→dst path, clamped at line rate.
@@ -187,22 +171,23 @@ func (f *Fabric) Release(src, dst coflow.PortID, r coflow.Rate) {
 	if r < 0 {
 		panic(fmt.Sprintf("fabric: negative release %v", r))
 	}
-	f.egressFree[src] += r
-	f.ingressFree[dst] += r
-	if f.egressFree[src] > f.portRate {
-		f.egressFree[src] = f.portRate
+	e, i := f.egressFree[src]+r, f.ingressFree[dst]+r
+	if e > f.portRate {
+		e = f.portRate
 	}
-	if f.ingressFree[dst] > f.portRate {
-		f.ingressFree[dst] = f.portRate
+	if i > f.portRate {
+		i = f.portRate
 	}
-	f.mark(src, f.egressFree[src], 0)
-	f.mark(dst, f.ingressFree[dst], 1)
+	f.egressFree[src], f.ingressFree[dst] = e, i
+	f.mark(src, e, 0)
+	f.mark(dst, i, 1)
 }
 
 // mark sets port p's bit for one direction (0 egress, 1 ingress) in the
-// open bitset to whether residual free is above openEps.
+// open bitset to whether residual free is above openEps, and in drawn.
 func (f *Fabric) mark(p coflow.PortID, free coflow.Rate, dir int) {
 	w, bit := p>>5, uint64(1)<<(2*(p&31)+coflow.PortID(dir))
+	f.drawn[w] |= bit
 	if float64(free) > openEps {
 		f.open[w] |= bit
 	} else {

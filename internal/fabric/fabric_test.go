@@ -338,11 +338,11 @@ func TestOpenBitsetTracksResiduals(t *testing.T) {
 }
 
 // TestResetMatchesNew: Reset restores only the ports drawn from since
-// the last Reset (or every port, once the draws overflow its list), so
-// after random Allocate/Release/Reset sequences — zero draws, full
-// draws, draws released back to line rate and drawn again, fabrics
-// small enough to overflow every round — every residual, the open bitset
-// and Full must be exactly those of a fabric just built by New.
+// the last Reset, so after random Allocate/Release/Reset sequences —
+// zero draws, full draws, draws released back to line rate and drawn
+// again, fabrics from one port to past two words of ports — every
+// residual, the open bitset and Full must be exactly those of a fabric
+// just built by New.
 func TestResetMatchesNew(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 60; trial++ {

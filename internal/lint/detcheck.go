@@ -68,8 +68,9 @@ var seededRandFuncs = map[string]bool{
 // while a CoFlow's (CacheEpoch, ProgressStamp) stand, and the CoFlow's
 // pending/sendable summary is kept per epoch. So an assignment to
 // coflow.Flow.Sent must sit in a function that also calls NoteProgress
-// or Invalidate on a CoFlow, and one to Flow.Done or Flow.Available in a
-// function that also calls Finish or Invalidate — or carry
+// or Invalidate on a CoFlow, one to Flow.Done in a function that also
+// calls Finish or Invalidate, and one to Flow.Available in a function
+// that also calls Invalidate — or carry
 // //saath:progress-ok saying who does. A writer that changes a flow
 // silently would stale a held schedule or the summary and change results
 // with no test of its own to notice.
@@ -109,23 +110,27 @@ func runDetCheck(pass *Pass) error {
 }
 
 // checkStampedWrites flags every assignment to coflow.Flow.Sent in a
-// function that never calls NoteProgress or Invalidate on a CoFlow, and
-// every one to Flow.Done or Flow.Available in a function that never
-// calls Finish or Invalidate.
+// function that never calls NoteProgress or Invalidate on a CoFlow,
+// every one to Flow.Done in a function that never calls Finish or
+// Invalidate, and every one to Flow.Available in a function that never
+// calls Invalidate: Finish only takes finished flows out of the summary,
+// so it does not cover a flip.
 func checkStampedWrites(pass *Pass, file *ast.File) {
 	for _, d := range file.Decls {
 		fd, ok := d.(*ast.FuncDecl)
 		if !ok || fd.Body == nil {
 			continue
 		}
-		var sent, state []ast.Expr
+		var sent, done, avail []ast.Expr
 		noted, finished, invalidated := false, false, false
 		write := func(e ast.Expr) {
 			switch {
 			case isCoflowMember(pass.TypesInfo, e, "Flow", "Sent"):
 				sent = append(sent, e)
-			case isCoflowMember(pass.TypesInfo, e, "Flow", "Done"), isCoflowMember(pass.TypesInfo, e, "Flow", "Available"):
-				state = append(state, e)
+			case isCoflowMember(pass.TypesInfo, e, "Flow", "Done"):
+				done = append(done, e)
+			case isCoflowMember(pass.TypesInfo, e, "Flow", "Available"):
+				avail = append(avail, e)
 			}
 		}
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -154,7 +159,10 @@ func checkStampedWrites(pass *Pass, file *ast.File) {
 			report(sent, "Flow.Sent is written in a function that calls neither NoteProgress nor Invalidate on the CoFlow; a scheduler holding its last decision would not see the bytes move (//saath:progress-ok naming who stamps it, if someone does)")
 		}
 		if !finished && !invalidated {
-			report(state, "Flow.Done or Flow.Available is written in a function that calls neither Finish nor Invalidate on the CoFlow; its pending/sendable summary would go stale (//saath:progress-ok naming who does, if someone does)")
+			report(done, "Flow.Done is written in a function that calls neither Finish nor Invalidate on the CoFlow; its pending/sendable summary would go stale (//saath:progress-ok naming who does, if someone does)")
+		}
+		if !invalidated {
+			report(avail, "Flow.Available is written in a function that does not call Invalidate on the CoFlow (Finish does not rebuild the sendable lists); its pending/sendable summary would go stale (//saath:progress-ok naming who does, if someone does)")
 		}
 	}
 }

@@ -131,7 +131,7 @@ func sentUnstamped(f *coflow.Flow) {
 
 func sentUnstampedForms(c *coflow.CoFlow) {
 	c.Flows[0].Sent++                          // want "Flow.Sent is written"
-	c.Flows[1].Sent, c.Flows[1].Done = 5, true // want "Flow.Sent is written" "Flow.Done or Flow.Available is written"
+	c.Flows[1].Sent, c.Flows[1].Done = 5, true // want "Flow.Sent is written" "Flow.Done is written"
 }
 
 func sentNoted(c *coflow.CoFlow, moved int64) {
@@ -163,21 +163,26 @@ func sentRead(f *coflow.Flow) int64 {
 // --- flow state: Done and Available ---
 
 func doneUnstamped(f *coflow.Flow) {
-	f.Done = true // want "Flow.Done or Flow.Available is written in a function that calls neither Finish nor Invalidate"
+	f.Done = true // want "Flow.Done is written in a function that calls neither Finish nor Invalidate"
 }
 
 func availableUnstamped(c *coflow.CoFlow) {
-	c.Flows[0].Available = false // want "Flow.Done or Flow.Available is written"
+	c.Flows[0].Available = false // want "Flow.Available is written in a function that does not call Invalidate"
 }
 
 func doneNotedOnly(c *coflow.CoFlow, f *coflow.Flow) {
-	f.Sent, f.Done = 100, true // want "Flow.Done or Flow.Available is written"
+	f.Sent, f.Done = 100, true // want "Flow.Done is written"
 	c.NoteProgress()           // a progress stamp does not cover the summary
 }
 
 func doneFinished(c *coflow.CoFlow, f *coflow.Flow) {
 	f.Done = true // Finish keeps the summary: no finding
 	c.Finish(f)
+}
+
+func availableFinishedOnly(c *coflow.CoFlow, f *coflow.Flow) {
+	f.Available = false // want "Flow.Available is written"
+	c.Finish(f)         // Finish takes finished flows out, it does not rebuild the sendable lists
 }
 
 func availableInvalidated(c *coflow.CoFlow) {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"strconv"
@@ -241,9 +242,11 @@ type Coordinator struct {
 	schedMu    sync.Mutex
 	schedStats scheduleStats
 	phases     PhaseTotals
-	// failedRounds counts the ticker's rounds lost to a panic (under
+	// failedRounds counts the ticker's rounds lost to a panic, and
+	// lastPanic holds the last one's value and stack (both under
 	// schedMu); see scheduleTick.
 	failedRounds int64
+	lastPanic    string
 }
 
 // PhaseTotals is the wall-clock time the coordinator has spent in each
@@ -564,16 +567,19 @@ func (c *Coordinator) scheduleLoop() {
 }
 
 // scheduleTick is one ticker round. A round that panics — a policy bug
-// in Schedule or Depart — is recovered and counted (FailedRounds), and
-// the loop ticks on: scheduleOnce releases its locks on the way out, so
-// the next round, registrations and reports still get in, and agents
-// keep the last orders they were sent. StepSchedule, the caller-driven
+// in Schedule or Depart — is recovered, counted and its panic value and
+// stack kept (FailedRounds, /status), and the loop ticks on: scheduleOnce
+// releases its locks on the way out, so the next round, registrations
+// and reports still get in, and agents keep the last orders they were
+// sent. StepSchedule, the caller-driven
 // round, lets the panic reach its caller instead.
 func (c *Coordinator) scheduleTick() {
 	defer func() {
-		if recover() != nil {
+		if p := recover(); p != nil {
+			last := fmt.Sprintf("%v\n%s", p, debug.Stack())
 			c.schedMu.Lock()
 			c.failedRounds++
+			c.lastPanic = last
 			c.schedMu.Unlock()
 		}
 	}()
@@ -599,9 +605,9 @@ func (c *Coordinator) StepSchedule() (live int) {
 }
 
 // scheduleOnce is one δ boundary. Its cost contract: work follows the
-// live flows and the ports they touch — never NumPorts, apart from the
-// fabric reset of a round that drew from a quarter of the ports — and a
-// boundary whose live set did not change allocates nothing.
+// live flows and the ports they touch — never NumPorts, apart from one
+// word per 32 ports in the fabric reset — and a boundary whose live set
+// did not change allocates nothing.
 //
 //saath:hotpath zero-alloc steady state guarded by TestCoordinatorBoundaryZeroAlloc
 func (c *Coordinator) scheduleOnce() (liveN int) {
@@ -721,12 +727,13 @@ func (c *Coordinator) Phases() PhaseTotals {
 }
 
 // FailedRounds reports how many ticker rounds a panic cost since
-// startup (always zero in Manual mode, where StepSchedule's caller sees
-// the panic).
-func (c *Coordinator) FailedRounds() int64 {
+// startup, and the last such panic's value and goroutine stack ("" if
+// none). Both stay zero in Manual mode, where StepSchedule's caller sees
+// the panic.
+func (c *Coordinator) FailedRounds() (n int64, lastPanic string) {
 	c.schedMu.Lock()
 	defer c.schedMu.Unlock()
-	return c.failedRounds
+	return c.failedRounds, c.lastPanic
 }
 
 // ScheduleLatency reports the coordinator's Table-2 cost: wall-clock
@@ -989,7 +996,7 @@ func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	admitted, rejected := c.AdmissionStats()
-	failed := c.FailedRounds()
+	failed, lastPanic := c.FailedRounds()
 	c.mu.Lock()
 	status := struct {
 		Agents       int      `json:"agents"`
@@ -998,6 +1005,7 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Admitted     int64    `json:"admitted"`
 		Rejected     int64    `json:"rejected"`
 		FailedRounds int64    `json:"failedRounds"`
+		LastPanic    string   `json:"lastPanic,omitempty"`
 		Scheduler    string   `json:"scheduler"`
 		Policies     []string `json:"registeredPolicies"`
 	}{
@@ -1007,6 +1015,7 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Admitted:     admitted,
 		Rejected:     rejected,
 		FailedRounds: failed,
+		LastPanic:    lastPanic,
 		Scheduler:    c.cfg.Scheduler.Name(),
 		Policies:     sched.Names(),
 	}

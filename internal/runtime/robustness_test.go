@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -138,7 +139,8 @@ func (p *alwaysPanics) Schedule(*sched.Snapshot) *sched.RateVec {
 // TestServePolicyPanicCostsTheRound: under Serve a policy panic is the
 // ticker's to recover — it costs that round, is counted, and the loop
 // ticks on — so the process survives a policy that panics on every
-// round, and registrations and /status still get answered afterwards.
+// round, registrations and /status still get answered afterwards, and
+// /status shows the last panic's value and where it was raised.
 func TestServePolicyPanicCostsTheRound(t *testing.T) {
 	inner, err := sched.New("saath", sched.DefaultParams())
 	if err != nil {
@@ -157,7 +159,7 @@ func TestServePolicyPanicCostsTheRound(t *testing.T) {
 	if err := client.Register(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: coflow.MB}}}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, func() bool { return coord.FailedRounds() >= 3 })
+	waitFor(t, 5*time.Second, func() bool { n, _ := coord.FailedRounds(); return n >= 3 })
 	if err := client.Register(&coflow.Spec{ID: 2, Flows: []coflow.FlowSpec{{Src: 1, Dst: 0, Size: coflow.MB}}}); err != nil {
 		t.Fatalf("registration after the policy's panics: %v", err)
 	}
@@ -170,5 +172,8 @@ func TestServePolicyPanicCostsTheRound(t *testing.T) {
 	}
 	if failed := int64(st["failedRounds"].(float64)); failed < 3 || failed > pol.calls.Load() {
 		t.Fatalf("/status failedRounds = %d, want between 3 and the %d Schedule calls", failed, pol.calls.Load())
+	}
+	if last, _ := st["lastPanic"].(string); !strings.HasPrefix(last, "policy bug\n") || !strings.Contains(last, "alwaysPanics).Schedule") {
+		t.Fatalf("/status lastPanic = %q, want the panic value and a stack through the policy", last)
 	}
 }

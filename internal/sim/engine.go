@@ -825,8 +825,10 @@ func (e *engine) moveBytesDense(alloc *sched.RateVec, dt coflow.Time) {
 				done = append(done, f) //saath:alloc-ok amortized: grows to the widest CoFlow's completions in one interval
 			}
 		}
-		c.Finish(done...)
-		e.finished = done
+		if len(done) > 0 {
+			c.Finish(done...)
+			e.finished = done
+		}
 	}
 }
 
