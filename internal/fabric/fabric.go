@@ -81,6 +81,10 @@ func (f *Fabric) NumPorts() int { return f.numPorts }
 // PortRate returns the per-port line rate.
 func (f *Fabric) PortRate() coflow.Rate { return f.portRate }
 
+// egressBits has the even bits of a port-direction word set: the egress
+// directions, in the layout of open and drawn.
+const egressBits = 0x5555555555555555
+
 // openEps is the residual at or below which a port is busy to work
 // conservation (and so closed in the open bitset): 1 mB/s.
 const openEps = 1e-3
@@ -91,17 +95,16 @@ const openEps = 1e-3
 //
 //saath:hotpath
 func (f *Fabric) Reset() {
-	const egress = 0x5555555555555555 // the even bits
 	for w, v := range f.drawn {
 		if v == 0 {
 			continue
 		}
 		f.drawn[w] = 0
 		f.open[w] |= v
-		for e := v & egress; e != 0; e &= e - 1 {
+		for e := v & egressBits; e != 0; e &= e - 1 {
 			f.egressFree[w<<5|bits.TrailingZeros64(e)>>1] = f.portRate
 		}
-		for i := v >> 1 & egress; i != 0; i &= i - 1 {
+		for i := v >> 1 & egressBits; i != 0; i &= i - 1 {
 			f.ingressFree[w<<5|bits.TrailingZeros64(i)>>1] = f.portRate
 		}
 	}
@@ -204,12 +207,11 @@ func (f *Fabric) mark(p coflow.PortID, free coflow.Rate, dir int) {
 //
 //saath:hotpath
 func (f *Fabric) OpenEnds(sig []uint64) bool {
-	const egress = 0x5555555555555555 // the even bits
 	var eg, in uint64
 	for w, v := range sig[:min(len(sig), len(f.open))] {
 		v &= f.open[w]
-		eg |= v & egress
-		in |= v &^ egress
+		eg |= v & egressBits
+		in |= v &^ egressBits
 	}
 	return eg != 0 && in != 0
 }
