@@ -29,6 +29,8 @@ test-testbed:
 # Write + Parse round-trip. A CoFlow's pending/done summary: after any
 # interleaving of progress, Finish, availability flips, restarts and
 # update() swaps, every accessor equals a full scan of its flows.
+# Max-min filling: on any demands, caps and pre-drawn fabric, the rates
+# equal a round-by-round walk over every demand bit for bit.
 # Minimising each new input is capped at 1 s (the default, 60 s, would
 # eat the whole budget on the first one).
 fuzz:
@@ -36,6 +38,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRegistrationJSON$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/runtime/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzProgressSummary$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/coflow/
+	$(GO) test -run '^$$' -fuzz '^FuzzMaxMinFair$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fabric/
 
 race:
 	$(GO) test -race -timeout 20m ./...
@@ -61,11 +64,12 @@ bench:
 # non-race build — alloc counts skip themselves under -race): the one
 # table of allocation guards against BENCH_baseline.json plus the
 # rated-flows counter guard (bench_guards_test.go), the engine's, the
-# telemetry path's and the latency histogram's steady-state zero-alloc
-# guards, and the grid-key uniqueness pin the seed-derivation contract rests on. Counts
+# telemetry path's (the engine's probe emission and the Suite's Observe)
+# and the latency histogram's steady-state zero-alloc guards, and the
+# grid-key uniqueness pin the seed-derivation contract rests on. Counts
 # only: timings belong to `make perf`.
 guards:
-	$(GO) test -count=1 -run 'Guards$$|ZeroAlloc$$|^TestEpochCostsRatedFlows$$|^TestGridJobKeyUniqueness$$' . ./internal/sim/ ./internal/sweep/ ./internal/obs/
+	$(GO) test -count=1 -run 'Guards$$|ZeroAlloc$$|^TestEpochCostsRatedFlows$$|^TestGridJobKeyUniqueness$$' . ./internal/sim/ ./internal/sweep/ ./internal/obs/ ./internal/telemetry/
 
 fmt:
 	gofmt -w .

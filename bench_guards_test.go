@@ -106,9 +106,9 @@ func allocGuards() []allocGuard {
 	// Every policy's steady-state Schedule round allocates at most half
 	// of what it did on the map path; Saath's — queue counts, buckets,
 	// contention vector, allocation vector, ordering — nothing at all.
-	// These rounds schedule afresh; the two policies that hold their
-	// previous decision over a boundary that changed nothing get a row for
-	// that round too, and it allocates nothing either.
+	// These rounds schedule afresh; the policies that hold their previous
+	// decision over a boundary that changed nothing get a row for that
+	// round too, and it allocates nothing either.
 	for _, policy := range benchPolicies {
 		factor := 0.5
 		if policy == "saath" {
@@ -117,7 +117,7 @@ func allocGuards() []allocGuard {
 		guards = append(guards, allocGuard{"TestScheduleAllocGuards", "schedule_round", policy, 3, factor,
 			func(tb testing.TB) func() { return benchSchedCluster(tb, policy, 500, 150) }})
 	}
-	for _, policy := range []string{"saath", "aalo"} {
+	for _, policy := range []string{"saath", "aalo", "uc-tcp"} {
 		guards = append(guards, allocGuard{"TestScheduleAllocGuards", "schedule_round", policy + "/held", 3, 0,
 			func(tb testing.TB) func() { _, held := benchSchedRounds(tb, policy, 500, 150); return held }})
 	}

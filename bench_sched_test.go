@@ -32,7 +32,7 @@ func benchSchedCluster(tb testing.TB, policy string, n, p int) (round func()) {
 // benchSchedRounds is benchSchedCluster with both kinds of boundary.
 // Before a full round one CoFlow's mutation epoch moves, as a flow
 // completing would move it, so a policy that holds its previous decision
-// (saath, aalo) has to work the schedule out again; before a held round
+// (saath, aalo, uc-tcp) has to work the schedule out again; before a held round
 // nothing moves, and those policies hand the decision out again.
 func benchSchedRounds(tb testing.TB, policy string, n, p int) (full, held func()) {
 	tb.Helper()
@@ -78,7 +78,7 @@ func benchSchedRounds(tb testing.TB, policy string, n, p int) (full, held func()
 		tb.Fatalf("%s: a full round did not rewrite the allocation", policy)
 	}
 	stamp = snap.Alloc.ContentStamp()
-	holds := policy == "saath" || policy == "aalo"
+	holds := policy == "saath" || policy == "aalo" || policy == "uc-tcp"
 	if held(); (snap.Alloc.ContentStamp() == stamp) != holds {
 		tb.Fatalf("%s: a round after which nothing moved reissued the allocation = %v, want %v", policy, !holds, holds)
 	}

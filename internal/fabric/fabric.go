@@ -3,9 +3,14 @@
 // node ports (§6 Setup). Every node owns one egress (sender) port and
 // one ingress (receiver) port of equal capacity, 1 Gbps by default.
 //
-// The Fabric tracks residual capacity as a scheduler hands out rates;
-// package-level helpers implement max-min fair water-filling, used by
-// the UC-TCP baseline and by work conservation.
+// The Fabric tracks residual capacity as a scheduler hands out rates,
+// and computes max-min fair water-filling over it (MaxMinFairInto), used
+// by the UC-TCP baseline and by Varys' backfill. A filling round costs
+// its active demands' residual updates plus the ports and capped demands
+// still in play, not a walk over every demand: each demand's rate is the
+// running sum of levels when it froze, and a saturated port freezes the
+// demands listed under it. FuzzMaxMinFair holds it, bit for bit, to the
+// round-by-round walk it replaced.
 package fabric
 
 import (
@@ -38,13 +43,8 @@ type Fabric struct {
 	useEgress  []int32
 	useIngress []int32
 
-	// MaxMinFairInto working state, reused across scheduling rounds so
-	// progressive filling stays off the heap.
-	mmEgress  []coflow.Rate
-	mmIngress []coflow.Rate
-	mmEgCount []int
-	mmInCount []int
-	mmActive  []bool
+	// MaxMinFairInto's working state, reused across calls.
+	mm maxMinScratch
 }
 
 // New creates a fabric of numPorts nodes with the given per-port rate.

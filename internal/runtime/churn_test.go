@@ -677,7 +677,9 @@ func (p departPanicsOnce) Depart(c *coflow.CoFlow, now coflow.Time) {
 // TestDepartPanicReleasesLocks: a policy panic in Depart, which a round
 // calls under mu while retiring, reaches the round's caller with mu and
 // the policy lock released — the next registration and round get in
-// instead of wedging behind a lock the panic took with it.
+// instead of wedging behind a lock the panic took with it — and with the
+// CoFlow retired all the same: its result recorded, out of the live set,
+// and the next CoFlow scheduled to completion beside nothing else.
 func TestDepartPanicReleasesLocks(t *testing.T) {
 	const delta = 8 * time.Millisecond
 	inner, err := sched.New("saath", sched.DefaultParams())
@@ -734,11 +736,15 @@ func TestDepartPanicReleasesLocks(t *testing.T) {
 	if !panicked {
 		t.Fatal("the coflow never retired, so Depart never ran")
 	}
+	if n, res := coord.LiveCount(), coord.Results(); n != 0 || len(res) != 1 || res[0].ID != 1 {
+		t.Fatalf("after the panicking Depart: %d live, results %+v; want 0 live and coflow 1's result", n, res)
+	}
 	done := make(chan error, 1)
+	live := -1
 	go func() {
 		err := coord.Register(&coflow.Spec{ID: 2, Flows: []coflow.FlowSpec{{Src: 1, Dst: 0, Size: 100_000}}})
 		if err == nil {
-			coord.StepSchedule()
+			live = coord.StepSchedule()
 		}
 		done <- err
 	}()
@@ -750,6 +756,22 @@ func TestDepartPanicReleasesLocks(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		wedged = true
 		t.Fatal("the coordinator is wedged after the policy's Depart panic")
+	}
+	if live != 1 {
+		t.Fatalf("the round after the panic saw %d live coflows, want 1 (coflow 2 alone)", live)
+	}
+	for step := 0; step < 50 && len(coord.Results()) < 2; step++ {
+		vc.Advance(delta)
+		for _, a := range agents {
+			a.Step(delta)
+		}
+		for _, a := range agents {
+			a.Report()
+		}
+		coord.StepSchedule()
+	}
+	if res := coord.Results(); len(res) != 2 || res[1].ID != 2 {
+		t.Fatalf("results %+v: coflow 2 was not scheduled to completion after the panic", res)
 	}
 }
 

@@ -514,11 +514,19 @@ func (c *Coordinator) retireLocked(now time.Time) {
 			Width:        lc.rt.Width(),
 			Bytes:        lc.spec.TotalSize(),
 		})
-		c.cfg.Scheduler.Depart(lc.rt, c.wallTime(now))
-		c.dropLiveLocked(lc)
+		c.departLocked(lc, now)
 	}
 	clear(c.finishing)
 	c.finishing = c.finishing[:0]
+}
+
+// departLocked tells the policy a retired CoFlow is gone and drops it
+// from the live set. A Depart that panics still drops it, before the
+// panic goes on to the round's caller: its result is recorded, so it
+// must not stay live with nothing pending. Caller holds polMu and mu.
+func (c *Coordinator) departLocked(lc *liveCoFlow, now time.Time) {
+	defer c.dropLiveLocked(lc)
+	c.cfg.Scheduler.Depart(lc.rt, c.wallTime(now))
 }
 
 // byArrival is sched.ByArrival's order, the one snap.Active is kept in;

@@ -239,3 +239,45 @@ func Names() []string {
 	sort.Strings(out)
 	return out
 }
+
+// SlotStamps is what a consumer of an active list keeps of the one it
+// last computed from: slot by slot, the CoFlow and its mutation epoch.
+// Whatever is derived from the CoFlows' flow sets alone — which flows
+// are pending and sendable, between which ports — stands while the list
+// holds the same CoFlows under the same epochs. UC-TCP's schedule and
+// telemetry's port occupancy are two such things; neither reads Sent, so
+// the progress stamp is not part of the key.
+type SlotStamps struct {
+	last  []slotStamp
+	valid bool
+}
+
+type slotStamp struct {
+	c     *coflow.CoFlow
+	epoch uint64
+}
+
+// Same records active as the list last seen and reports whether it
+// holds, slot by slot, the CoFlows the previous call recorded, under the
+// same mutation epochs. A CoFlow at epoch 0 (built as a zero value, so
+// uncached) never stands, and neither does anything before the first
+// call or after Reset.
+//
+//saath:hotpath
+func (s *SlotStamps) Same(active []*coflow.CoFlow) bool {
+	same := s.valid && len(active) == len(s.last)
+	for len(s.last) < len(active) {
+		s.last = append(s.last, slotStamp{})
+	}
+	s.last = s.last[:len(active)]
+	for i, c := range active {
+		st := slotStamp{c, c.CacheEpoch()}
+		same = same && st.epoch != 0 && st == s.last[i]
+		s.last[i] = st
+	}
+	s.valid = true
+	return same
+}
+
+// Reset forgets the list last seen: the next Same reports false.
+func (s *SlotStamps) Reset() { s.last, s.valid = s.last[:0], false }

@@ -2,6 +2,16 @@
 // no global coordinator, no priority queues — every flow starts as it
 // arrives and the fabric's bandwidth settles to the max-min fair
 // allocation that competing TCP flows converge to.
+//
+// The allocation depends only on which flows are sendable, between
+// which ports, and on the fabric: not on bytes sent or flow sizes. So
+// UC-TCP keeps its last decision, as Aalo does: when snap.Active holds,
+// slot by slot, the CoFlows of the previous call under the same
+// mutation epochs (sched.SlotStamps), and the vector returned then is
+// as it was left and was drawn from the same fabric at full capacity
+// (sched.Issued), it goes out again without filling. A boundary at
+// which no flow arrived, finished or changed availability costs a
+// check. TestHeldScheduleMatchesFull holds that to a twin that forgets.
 package uctcp
 
 import (
@@ -16,6 +26,11 @@ type UCTCP struct {
 	demands []fabric.Demand
 	flows   []*coflow.Flow
 	rates   []coflow.Rate
+
+	// The previous Schedule's decision: the CoFlows it was computed
+	// for, and the vector that came of it.
+	slots  sched.SlotStamps
+	issued sched.Issued
 }
 
 // New builds a UC-TCP scheduler.
@@ -34,8 +49,13 @@ func (u *UCTCP) Arrive(*coflow.CoFlow, coflow.Time) {}
 // Depart implements sched.Scheduler.
 func (u *UCTCP) Depart(*coflow.CoFlow, coflow.Time) {}
 
-// Schedule gives every sendable flow its max-min fair share.
+// Schedule gives every sendable flow its max-min fair share, or hands
+// out the previous call's vector again when nothing it reads moved.
 func (u *UCTCP) Schedule(snap *sched.Snapshot) *sched.RateVec {
+	prev, stands := u.issued.Begin(snap)
+	if same := u.slots.Same(snap.Active); stands && same {
+		return prev
+	}
 	alloc := snap.Allocation()
 	u.demands = u.demands[:0]
 	u.flows = u.flows[:0]
@@ -45,9 +65,6 @@ func (u *UCTCP) Schedule(snap *sched.Snapshot) *sched.RateVec {
 			u.flows = append(u.flows, f)
 		}
 	}
-	if len(u.flows) == 0 {
-		return alloc
-	}
 	u.rates = snap.Fabric.MaxMinFairInto(u.rates[:0], u.demands)
 	for i, f := range u.flows {
 		if u.rates[i] > 0 {
@@ -55,5 +72,6 @@ func (u *UCTCP) Schedule(snap *sched.Snapshot) *sched.RateVec {
 			snap.Fabric.Allocate(f.Src, f.Dst, u.rates[i])
 		}
 	}
+	u.issued.End(snap, alloc)
 	return alloc
 }

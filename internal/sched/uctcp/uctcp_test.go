@@ -2,6 +2,8 @@ package uctcp
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"saath/internal/coflow"
@@ -58,5 +60,163 @@ func TestSkipsDoneAndUnavailable(t *testing.T) {
 	snap := &sched.Snapshot{Active: []*coflow.CoFlow{c}, Fabric: fabric.New(3, 100)}
 	if alloc := u.Schedule(snap); alloc.Len() != 0 {
 		t.Fatalf("alloc = %v", alloc)
+	}
+}
+
+// forget drops what Schedule keeps of its previous call, so the next one
+// fills afresh: the oracle the held path is compared with.
+func (u *UCTCP) forget() {
+	u.slots.Reset()
+	u.issued = sched.Issued{}
+}
+
+// heldCluster is a small live set for the twin test: CoFlows arrive,
+// move bytes at the rates they were given, finish flow by flow, have
+// flows withheld and released, and are swapped for a new runtime CoFlow
+// under the same ID and indices, as the coordinator's update() does.
+type heldCluster struct {
+	rng    *rand.Rand
+	ports  int
+	space  *coflow.IndexSpace
+	live   []*coflow.CoFlow
+	nextID coflow.CoFlowID
+}
+
+func (hc *heldCluster) arrive(now coflow.Time) {
+	hc.nextID++
+	spec := &coflow.Spec{ID: hc.nextID}
+	for j := hc.rng.Intn(5) + 1; j > 0; j-- {
+		spec.Flows = append(spec.Flows, coflow.FlowSpec{
+			Src:  coflow.PortID(hc.rng.Intn(hc.ports)),
+			Dst:  coflow.PortID(hc.rng.Intn(hc.ports)),
+			Size: coflow.Bytes(hc.rng.Intn(24)+1) * coflow.MB,
+		})
+	}
+	c := coflow.New(spec)
+	c.Arrived = now
+	for _, f := range c.Flows {
+		f.Available = hc.rng.Intn(8) != 0
+	}
+	c.Invalidate()
+	hc.space.Assign(c)
+	hc.live = append(hc.live, c)
+}
+
+func (hc *heldCluster) swap(i int) {
+	old := hc.live[i]
+	c := coflow.New(old.Spec)
+	c.Arrived = old.Arrived
+	for j, f := range c.Flows {
+		f.Sent, f.Done, f.DoneAt, f.Available = old.Flows[j].Sent, old.Flows[j].Done, old.Flows[j].DoneAt, old.Flows[j].Available
+	}
+	c.Invalidate()
+	hc.space.Release(old)
+	hc.space.Assign(c)
+	hc.live[i] = c
+}
+
+func (hc *heldCluster) advance(alloc *sched.RateVec, now, dt coflow.Time) {
+	still := hc.live[:0]
+	for _, c := range hc.live {
+		for _, f := range c.Flows {
+			if !f.Available && hc.rng.Intn(4) == 0 {
+				f.Available = true
+				c.Invalidate()
+			}
+			r := alloc.Rate(f.Idx)
+			if f.Done || r <= 0 {
+				continue
+			}
+			f.Sent += r.Transfer(dt)
+			c.NoteProgress()
+			if f.Sent >= f.Size {
+				f.Sent, f.DoneAt = f.Size, now+dt
+				c.Finish(f)
+			}
+		}
+		if c.RefreshDone() {
+			hc.space.Release(c)
+		} else {
+			still = append(still, c)
+		}
+	}
+	hc.live = still
+}
+
+// TestHeldScheduleMatchesFull: a UC-TCP that hands out its previous
+// vector when the same CoFlows sit in the same slots under the same
+// epochs must decide exactly what one that forgets before each call
+// decides. Beside arrivals, completions, availability flips and swaps,
+// the run covers what each hold condition guards: a CoFlow left out of
+// one boundary's list, a fabric handed over partly drawn, a new fabric
+// at another line rate, a returned vector that was written to, and a
+// vector that only carries the returned one's content stamp.
+func TestHeldScheduleMatchesFull(t *testing.T) {
+	const delta = 8 * coflow.Millisecond
+	boundaries, reissued := 0, 0
+	for seed := int64(1); seed <= 8; seed++ {
+		hc := &heldCluster{rng: rand.New(rand.NewSource(seed)), ports: 6, space: coflow.NewIndexSpace()}
+		rng := rand.New(rand.NewSource(seed + 100))
+		held, _ := New(sched.Params{})
+		full, _ := New(sched.Params{})
+		rate := fabric.DefaultPortRate
+		snaps := [2]*sched.Snapshot{
+			{Fabric: fabric.New(hc.ports, rate)},
+			{Fabric: fabric.New(hc.ports, rate)},
+		}
+		for step := 0; step < 400; step++ {
+			now := coflow.Time(step) * delta
+			quiet := step/20%2 == 1
+			for n := hc.rng.Intn(3); !quiet && n > 0 && len(hc.live) < 12; n-- {
+				hc.arrive(now)
+			}
+			if len(hc.live) > 0 && !quiet && hc.rng.Intn(10) == 0 {
+				hc.swap(hc.rng.Intn(len(hc.live)))
+			}
+			active := hc.live
+			if len(active) > 1 && rng.Intn(4) == 0 { // one CoFlow sits this boundary out
+				k := rng.Intn(len(active))
+				active = slices.Delete(slices.Clone(active), k, k+1)
+			}
+			if rng.Intn(40) == 0 {
+				rate = fabric.DefaultPortRate / coflow.Rate(1+rng.Intn(2))
+				snaps[0].Fabric, snaps[1].Fabric = fabric.New(hc.ports, rate), fabric.New(hc.ports, rate)
+			}
+			predraw := rng.Intn(12) == 0
+			src, dst := coflow.PortID(rng.Intn(hc.ports)), coflow.PortID(rng.Intn(hc.ports))
+			if v := snaps[0].Alloc; v != nil && rng.Intn(12) == 0 {
+				d := sched.NewRateVec(1) // v's content stamp, none of its contents
+				for d.ContentStamp() < v.ContentStamp() {
+					d.Set(0, 1)
+				}
+				snaps[0].Alloc = d
+			}
+			for _, s := range snaps {
+				s.Fabric.Reset()
+				if predraw {
+					s.Fabric.Allocate(src, dst, rate/2)
+				}
+				s.Now, s.Active = now, active
+				s.FlowCap, s.CoFlowCap = hc.space.FlowCap(), hc.space.CoFlowCap()
+			}
+			full.forget()
+			before := snaps[0].Alloc.ContentStamp()
+			got, want := held.Schedule(snaps[0]), full.Schedule(snaps[1])
+			if snaps[0].Alloc != nil && before == got.ContentStamp() {
+				reissued++
+			}
+			if !got.Equal(want) {
+				t.Fatalf("seed %d step %d: allocations differ", seed, step)
+			}
+			hc.advance(got, now, delta)
+			if rng.Intn(12) == 0 {
+				got.Set(rng.Intn(hc.space.FlowCap()+1), 1) // a caller writes to what it was handed
+			}
+		}
+		boundaries += 400
+	}
+	t.Logf("%d of %d boundaries reissued the previous decision", reissued, boundaries)
+	if reissued*10 < boundaries {
+		t.Errorf("only %d of %d boundaries reissued: the run hardly reached the held path", reissued, boundaries)
 	}
 }

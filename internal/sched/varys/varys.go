@@ -69,13 +69,12 @@ func portSlot(p coflow.PortID, ingress bool, numPorts int) int {
 
 // bottleneck computes Γ — the CoFlow's completion time if every port
 // ran dedicated at full rate — equivalently to
-// coflow.BottleneckRemaining but against reusable per-port arrays.
+// coflow.BottleneckRemaining but against reusable per-port arrays. It
+// walks the pending flows only; the per-port sums are integers, so they
+// do not depend on the order they are taken in.
 func (v *Varys) bottleneck(c *coflow.CoFlow, np int, bw coflow.Rate) coflow.Time {
 	v.touched = v.touched[:0]
-	for _, f := range c.Flows {
-		if f.Done {
-			continue
-		}
+	for _, f := range c.PendingFlows() {
 		for _, slot := range [2]int{portSlot(f.Src, false, np), portSlot(f.Dst, true, np)} {
 			if v.portBytes[slot] == 0 {
 				v.touched = append(v.touched, int32(slot))

@@ -153,6 +153,13 @@ func (w *jsonWriter) float(f float64) {
 		return
 	}
 	w.element()
+	// An integral value below 1e15 prints as its integer digits in 'f'
+	// form; AppendInt writes those without the shortest-digits search.
+	// −0 is not one: encoding/json writes it "-0".
+	if i := int64(f); float64(i) == f && i > -1e15 && i < 1e15 && (i != 0 || !math.Signbit(f)) {
+		w.buf = strconv.AppendInt(w.buf, i, 10)
+		return
+	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'

@@ -86,6 +86,9 @@ var (
 		1e21, 9.999999999999999e20, 1e-6, 9.99999e-7, 1e-7, -1e-7, 1.5e-10, 1e100, 1e-100,
 		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, 2.2250738585072014e-308,
 		float64(1 << 53), 4503599627370497.5, 5e-324,
+		// Either side of the writer's integer path, which takes integral
+		// values strictly inside ±1e15 and never −0.
+		1e15, -1e15, 1e15 - 1, -(1e15 - 1), 1e15 + 1, 1e15 - 0.5, -1e15 + 0.5, 42, -42, 1e16,
 	}
 	awkwardStrings = []string{
 		"", "plain", "a<b", "x&y", `q"uote`, `back\slash`, "sep\u2028para\u2029", "tab\tnl\n", "nul\x00",
@@ -253,13 +256,19 @@ func fillRandom(rng *rand.Rand, v reflect.Value, depth int) {
 			v.SetInt(int64(rng.Intn(2000) - 100))
 		}
 	case reflect.Float64:
-		switch rng.Intn(4) {
+		switch rng.Intn(5) {
 		case 0:
 			v.SetFloat(awkwardFloats[rng.Intn(len(awkwardFloats))])
 		case 1:
 			v.SetFloat(math.Float64frombits(rng.Uint64() &^ (1 << 62))) // any finite magnitude
 		case 2:
 			v.SetFloat(float64(rng.Intn(100000)) / 1000)
+		case 3: // integral: small, or anywhere to just past ±1e15
+			if rng.Intn(2) == 0 {
+				v.SetFloat(float64(rng.Intn(2001) - 1000))
+			} else {
+				v.SetFloat(float64(rng.Int63n(2e15+5) - 1e15 - 2))
+			}
 		default:
 			v.SetFloat(rng.NormFloat64() * 1e3)
 		}

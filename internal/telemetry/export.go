@@ -168,6 +168,7 @@ type Metrics struct {
 // Metrics exports the suite's state. It may be called mid-run (the
 // dump is a snapshot) or after the simulation completes.
 func (s *Suite) Metrics() *Metrics {
+	s.flush()
 	m := &Metrics{Intervals: s.intervals, Sampled: s.sampled}
 	for _, sr := range s.order {
 		m.Series = append(m.Series, sr.Export())

@@ -226,20 +226,28 @@ func NewHistogram(name string, bounds []float64) *Histogram {
 }
 
 // Add records one observation.
-func (h *Histogram) Add(v float64) {
-	h.total++
-	h.sum += v
-	if v > h.max || h.total == 1 {
+func (h *Histogram) Add(v float64) { h.AddN(v, 1) }
+
+// AddN records n observations of v at once. The sum moves by v·n, which
+// is what n additions of v would give whenever every value and partial
+// sum is an integer below 2^53 — as the Suite's counts are.
+func (h *Histogram) AddN(v float64, n int64) {
+	if n <= 0 {
+		return
+	}
+	h.total += n
+	h.sum += v * float64(n)
+	if v > h.max || h.total == n {
 		h.max = v
 	}
 	// Bucket count is ~10; linear scan beats binary search at this size.
 	for i, b := range h.bounds {
 		if v <= b {
-			h.counts[i]++
+			h.counts[i] += n
 			return
 		}
 	}
-	h.overflow++
+	h.overflow += n
 }
 
 // Count returns the number of observations.

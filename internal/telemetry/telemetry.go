@@ -15,6 +15,21 @@
 // reservoirs (seeded from the job identity) covering the whole run.
 // Million-interval simulations therefore stay flat on RSS, and sweep
 // exports stay byte-identical at any worker count.
+//
+// An interval costs what changed since the last one. Port occupancy,
+// its busy-port statistics and k_c depend only on which flows of the
+// active CoFlows are sendable, between which ports, so the Suite derives
+// them again only when some Active slot's CoFlow or mutation epoch moved
+// (sched.SlotStamps); an interval that finds them standing counts one
+// more repeat of the vectors it has, and the repeats reach the
+// occupancy and contention histograms and the heatmaps in one batch
+// (Histogram.AddN, Heatmap.ObserveN) before the next change and in
+// Metrics. Every batched value is an integer, so a batch of n adds what
+// n single additions would, bit for bit. What reads bytes sent or the
+// allocation — queued bytes, blocked CoFlows, every series, queue
+// transitions and progress — is taken every sampled interval.
+// TestBatchedSuiteMatchesPerInterval holds the Suite to one that takes
+// everything every interval.
 package telemetry
 
 import (
@@ -240,10 +255,20 @@ type Suite struct {
 	// admission order (the export order). Observe finds a CoFlow's entry
 	// by scanning it: the cap is a handful (default 4), cheaper than
 	// hashing every active CoFlow every interval.
-	progress     []progressEntry
-	intervals    int64 // intervals observed (pre-stride)
-	sampled      int64 // intervals recorded (post-stride)
-	egOcc, inOcc []int // per-port scratch, reused
+	progress  []progressEntry
+	intervals int64 // intervals observed (pre-stride)
+	sampled   int64 // intervals recorded (post-stride)
+
+	// The occupancy of the last sampled interval at which some Active
+	// slot moved (slots): sendable flows per egress and ingress port,
+	// their busy-port mean and max, and k_c per Active slot. repeats
+	// counts the sampled intervals since, that one included, not yet in
+	// the histograms and heatmaps.
+	slots                        sched.SlotStamps
+	egOcc, inOcc                 []int
+	egMean, egMax, inMean, inMax float64
+	kc                           []int
+	repeats                      int64
 
 	// cindex maintains k_c incrementally across observations instead of
 	// rebuilding the full port-occupancy map every sampled interval.
@@ -319,24 +344,23 @@ func (s *Suite) Observe(iv *Interval) {
 	now := iv.Now
 
 	// Per-port queue occupancy: sendable flows pending at each egress
-	// (sender) and ingress (receiver) port, plus total queued bytes and
-	// head-of-line blocking (CoFlows with sendable flows but no rate).
-	if cap(s.egOcc) < iv.NumPorts {
-		s.egOcc = make([]int, iv.NumPorts) //saath:alloc-ok sized once, on the first interval
-		s.inOcc = make([]int, iv.NumPorts) //saath:alloc-ok sized once, on the first interval
+	// (sender) and ingress (receiver) port, and k_c, taken afresh only
+	// when the active CoFlows' flow sets moved.
+	if !s.slots.Same(iv.Active) || len(s.egOcc) != iv.NumPorts {
+		s.flush()
+		s.occupy(iv)
 	}
-	eg, in := s.egOcc[:iv.NumPorts], s.inOcc[:iv.NumPorts]
-	for i := range eg {
-		eg[i], in[i] = 0, 0
-	}
+	s.repeats++
+
+	// Total queued bytes and head-of-line blocking (CoFlows with
+	// sendable flows but no rate) read Sent and the allocation, so they
+	// are taken every sampled interval.
 	var queuedBytes coflow.Bytes
 	blocked := 0
 	for _, c := range iv.Active {
 		flows := c.SendableFlows()
 		var granted float64
 		for _, f := range flows {
-			eg[f.Src]++
-			in[f.Dst]++
 			queuedBytes += f.Remaining()
 			if r, ok := iv.Alloc.Get(f.Idx); ok {
 				granted += float64(r)
@@ -346,22 +370,16 @@ func (s *Suite) Observe(iv *Interval) {
 			blocked++
 		}
 	}
-	egMean, egMax := busyStats(eg, s.hEgress)
-	inMean, inMax := busyStats(in, s.hIngress)
-	if s.heatEg != nil {
-		s.heatEg.Observe(eg)
-		s.heatIn.Observe(in)
-	}
 
 	f := &s.fixed
 	f.active.Record(now, float64(len(iv.Active)))
 	f.admitted.Record(now, float64(iv.Admitted))
 	f.completed.Record(now, float64(iv.Completed))
 	f.egressUtil.Record(now, iv.Utilization())
-	f.egQueueMean.Record(now, egMean)
-	f.egQueueMax.Record(now, egMax)
-	f.inQueueMean.Record(now, inMean)
-	f.inQueueMax.Record(now, inMax)
+	f.egQueueMean.Record(now, s.egMean)
+	f.egQueueMax.Record(now, s.egMax)
+	f.inQueueMean.Record(now, s.inMean)
+	f.inQueueMax.Record(now, s.inMax)
 	f.queuedBytes.Record(now, float64(queuedBytes))
 	f.blocked.Record(now, float64(blocked))
 
@@ -372,14 +390,6 @@ func (s *Suite) Observe(iv *Interval) {
 		promotions, demotions := s.qt.observe(iv.Active)
 		f.promotions.Record(now, float64(promotions))
 		f.demotions.Record(now, float64(demotions))
-	}
-
-	// Contention histogram: k_c per active CoFlow, the LCoF ordering
-	// signal (§3 idea 3), maintained incrementally and fed in the
-	// deterministic Active order.
-	s.cindex.Sync(iv.Active)
-	for _, c := range iv.Active {
-		s.hContention.Add(float64(s.cindex.K(c)))
 	}
 
 	// Per-CoFlow progress for the first N admitted CoFlows.
@@ -395,6 +405,53 @@ func (s *Suite) Observe(iv *Interval) {
 			}
 			e.series.Record(now, frac)
 		}
+	}
+}
+
+// occupy takes the occupancy of iv's active CoFlows afresh: the
+// sendable flows at each egress and ingress port with their busy-port
+// statistics, and k_c — the LCoF ordering signal (§3 idea 3),
+// maintained incrementally — per Active slot.
+func (s *Suite) occupy(iv *Interval) {
+	if cap(s.egOcc) < iv.NumPorts {
+		s.egOcc = make([]int, iv.NumPorts) //saath:alloc-ok sized once, on the first interval
+		s.inOcc = make([]int, iv.NumPorts) //saath:alloc-ok sized once, on the first interval
+	}
+	eg, in := s.egOcc[:iv.NumPorts], s.inOcc[:iv.NumPorts]
+	clear(eg)
+	clear(in)
+	for _, c := range iv.Active {
+		for _, p := range c.SendablePorts() {
+			eg[p.Src]++
+			in[p.Dst]++
+		}
+	}
+	s.egOcc, s.inOcc = eg, in
+	s.egMean, s.egMax = busyStats(eg)
+	s.inMean, s.inMax = busyStats(in)
+	s.cindex.Sync(iv.Active)
+	s.kc = s.kc[:0]
+	for _, c := range iv.Active {
+		s.kc = append(s.kc, s.cindex.K(c))
+	}
+}
+
+// flush feeds the pending repeats of the last occupancy taken into the
+// occupancy and contention histograms and the heatmaps, in one batch.
+func (s *Suite) flush() {
+	n := s.repeats
+	if n == 0 {
+		return
+	}
+	s.repeats = 0
+	addBusy(s.hEgress, s.egOcc, n)
+	addBusy(s.hIngress, s.inOcc, n)
+	if s.heatEg != nil {
+		s.heatEg.ObserveN(s.egOcc, n)
+		s.heatIn.ObserveN(s.inOcc, n)
+	}
+	for _, k := range s.kc {
+		s.hContention.AddN(float64(k), n)
 	}
 }
 
@@ -419,11 +476,11 @@ func (s *Suite) progressFor(c *coflow.CoFlow) *progressEntry {
 	return &s.progress[len(s.progress)-1]
 }
 
-// busyStats feeds every busy port's occupancy into h and returns the
-// mean over busy ports and the max over all ports. Idle ports are
-// excluded from the mean and histogram so sparse clusters do not drown
-// the contention signal in zeros.
-func busyStats(occ []int, h *Histogram) (mean, max float64) {
+// busyStats returns the mean occupancy over busy ports and the max over
+// all ports. Idle ports are excluded from the mean (and, in addBusy,
+// from the histograms) so sparse clusters do not drown the contention
+// signal in zeros.
+func busyStats(occ []int) (mean, max float64) {
 	busy, sum := 0, 0
 	for _, n := range occ {
 		if n == 0 {
@@ -434,12 +491,20 @@ func busyStats(occ []int, h *Histogram) (mean, max float64) {
 		if f := float64(n); f > max {
 			max = f
 		}
-		h.Add(float64(n))
 	}
 	if busy > 0 {
 		mean = float64(sum) / float64(busy)
 	}
 	return mean, max
+}
+
+// addBusy records every busy port's occupancy in h, n times over.
+func addBusy(h *Histogram, occ []int, n int64) {
+	for _, v := range occ {
+		if v != 0 {
+			h.AddN(float64(v), n)
+		}
+	}
 }
 
 func progressName(id coflow.CoFlowID) string {

@@ -135,26 +135,32 @@ func NewHeatmap(name string, bounds []float64) *Heatmap {
 // Observe records one interval's per-port occupancy vector. The first
 // observation sizes the port dimension; occ must keep its length for
 // the rest of the run (one simulation, one fabric).
-func (h *Heatmap) Observe(occ []int) {
-	h.intervals++
+func (h *Heatmap) Observe(occ []int) { h.ObserveN(occ, 1) }
+
+// ObserveN records n intervals of the same occupancy vector at once.
+func (h *Heatmap) ObserveN(occ []int, n int64) {
+	if n <= 0 {
+		return
+	}
+	h.intervals += n
 	if len(h.counts) < len(occ) {
 		h.growPorts(len(occ))
 	}
 	for p, v := range occ {
-		h.sum[p] += int64(v)
+		h.sum[p] += int64(v) * n
 		if int64(v) > h.max[p] {
 			h.max[p] = int64(v)
 		}
 		placed := false
 		for i, b := range h.bounds {
 			if float64(v) <= b {
-				h.counts[p][i]++
+				h.counts[p][i] += n
 				placed = true
 				break
 			}
 		}
 		if !placed {
-			h.overflow[p]++
+			h.overflow[p] += n
 		}
 	}
 }
