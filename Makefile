@@ -30,7 +30,12 @@ test-testbed:
 # interleaving of progress, Finish, availability flips, restarts and
 # update() swaps, every accessor equals a full scan of its flows.
 # Max-min filling: on any demands, caps and pre-drawn fabric, the rates
-# equal a round-by-round walk over every demand bit for bit.
+# equal a round-by-round walk over every demand bit for bit. In-process
+# agents: under any churn script — registrations, deregistrations with
+# flows left lingering, updates that move senders, agents detached and
+# re-attached, flow indices reused across agents — the slot-table agents
+# hold the same flows as map-keyed reference agents and the coordinators
+# agree on every result.
 # Minimising each new input is capped at 1 s (the default, 60 s, would
 # eat the whole budget on the first one).
 fuzz:
@@ -39,6 +44,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzProgressSummary$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/coflow/
 	$(GO) test -run '^$$' -fuzz '^FuzzMaxMinFair$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fabric/
+	$(GO) test -run '^$$' -fuzz '^FuzzInprocAgents$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/runtime/
 
 race:
 	$(GO) test -race -timeout 20m ./...

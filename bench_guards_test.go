@@ -94,6 +94,10 @@ func allocGuards() []allocGuard {
 			_, agents := benchTestbedCluster(tb, 64, 4)
 			return func() { agents[0].Step(benchStepDelta); agents[0].Report() }
 		}},
+		{"TestTestbedLayerGuards", "testbed_layer", "report_batch", 200, 1.25, func(tb testing.TB) func() {
+			coord, agents := benchTestbedCluster(tb, 64, 4)
+			return func() { coord.ReportInproc(agents) }
+		}},
 		{"TestCoordinatorBoundaryZeroAlloc", "testbed_layer", "boundary", 200, 1.25, func(tb testing.TB) func() {
 			coord, _ := benchTestbedCluster(tb, 64, 4)
 			coord.StepSchedule() // the cluster's first round grew the buffers; this one settles the scheduler's

@@ -18,7 +18,7 @@ import (
 // benchPolicies are the per-policy benchmark/guard subjects: Saath and
 // every baseline family, over the same cluster the baseline file was
 // recorded on.
-var benchPolicies = []string{"saath", "aalo", "baraat", "lwtf", "uc-tcp", "varys"}
+var benchPolicies = []string{"saath", "aalo", "lwtf", "uc-tcp", "varys"}
 
 // benchSchedCluster builds the benchmark active set: n CoFlows on p
 // ports, all live at once (the busy case), with a warmed scheduler and

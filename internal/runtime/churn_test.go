@@ -808,7 +808,7 @@ func TestConcurrentRoundsRegistrationsAndLinks(t *testing.T) {
 	}
 	run(func(int) { // port 7's link keeps being replaced and dropped
 		var sink []string
-		l := &recLink{port: 7, inner: &InprocAgent{index: map[flowKey]int{}}, round: &sink}
+		l := &recLink{port: 7, inner: &InprocAgent{}, round: &sink}
 		coord.setAgent(7, l)
 		coord.dropAgent(7, l)
 	})

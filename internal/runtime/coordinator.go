@@ -141,7 +141,9 @@ type agentLink interface {
 	DataAddr() string
 	// Deliver pushes one schedule to the agent. It must not call back
 	// into the coordinator and must not retain msg or its orders past
-	// the call (the TCP link serializes, the inproc link copies).
+	// the call (the TCP link serializes, the inproc link copies). It runs
+	// under roundMu, which is what lets in-process agents share one slot
+	// table: each order carries its flow's dense index (FlowOrder.slot).
 	Deliver(msg *scheduleMsg) error
 	// Shut tears the link down after a delivery failure.
 	Shut()
@@ -182,14 +184,16 @@ type Coordinator struct {
 
 	// roundMu serializes whole schedule rounds: the order buffers are
 	// reused, and a round's deliveries read them outside polMu and mu.
-	// Only scheduleOnce takes it, so a stalled delivery holds up the next
-	// round, never a registration. It guards orders (port p's buffer),
-	// touched (the ports holding orders this round, first touched first)
-	// and sends.
+	// Rounds and in-process reports take it, registrations do not, so a
+	// stalled delivery holds up the next round, never a registration. It
+	// guards orders (port p's buffer), touched (the ports holding orders
+	// this round, first touched first), sends, and the slot table the
+	// in-process agents find their flows by.
 	roundMu sync.Mutex
 	orders  [][]FlowOrder
 	touched []int
 	sends   []pendingSend
+	slots   slotTable
 
 	mu sync.Mutex
 	// agents is indexed by port (nil: not connected); setAgent/dropAgent
@@ -686,6 +690,7 @@ func (c *Coordinator) scheduleOnce() (liveN int) {
 				DstAddr: dst.DataAddr(),
 				Size:    int64(f.Size),
 				RateBps: float64(alloc.Rate(f.Idx)),
+				slot:    int32(f.Idx),
 			})
 		}
 	}

@@ -1,0 +1,321 @@
+package runtime
+
+import (
+	"cmp"
+	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"saath/internal/coflow"
+	"saath/internal/sched"
+)
+
+// mapAgent is the in-process agent as it stood before the shared slot
+// table: it finds a flow by its wire name in a map of its own and
+// reports under the policy locks alone. It is the reference
+// FuzzInprocAgents holds InprocAgent (slot lookup, ownership-checked
+// drops, the batched ReportInproc) to. Step is InprocAgent's.
+type mapAgent struct {
+	InprocAgent
+	index map[flowKey]int
+}
+
+func newMapAgent(c *Coordinator) *mapAgent {
+	return &mapAgent{InprocAgent: InprocAgent{coord: c}, index: map[flowKey]int{}}
+}
+
+func (a *mapAgent) Deliver(msg *scheduleMsg) error {
+	for i := range msg.Orders {
+		o := &msg.Orders[i]
+		k := flowKey{CoFlow: o.CoFlow, Index: o.Index}
+		at, ok := a.index[k]
+		if !ok {
+			at = len(a.flows)
+			a.index[k] = at
+			a.flows = append(a.flows, inprocFlow{key: k, size: float64(o.Size)})
+		}
+		a.flows[at].rate = o.RateBps
+	}
+	return nil
+}
+
+func (a *mapAgent) Report() {
+	if len(a.flows) == 0 {
+		return
+	}
+	c := a.coord
+	now := c.cfg.Clock.Now()
+	c.polMu.Lock()
+	c.mu.Lock()
+	for i := 0; i < len(a.flows); {
+		f := &a.flows[i]
+		c.mergeStatLocked(&FlowStat{
+			CoFlow: f.key.CoFlow, Index: f.key.Index,
+			Sent: int64(f.sent), Done: f.done, Available: true,
+		}, now)
+		if !f.done {
+			i++
+			continue
+		}
+		last := len(a.flows) - 1
+		delete(a.index, a.flows[i].key)
+		if i != last {
+			a.flows[i] = a.flows[last]
+			a.index[a.flows[i].key] = i
+		}
+		a.flows = a.flows[:last]
+	}
+	c.mu.Unlock()
+	c.polMu.Unlock()
+}
+
+// agentFlows is an agent's flow set in a comparable form: (key, size,
+// sent, rate, done) per flow, ordered by key.
+func agentFlows(flows []inprocFlow) string {
+	fs := slices.Clone(flows)
+	slices.SortFunc(fs, func(a, b inprocFlow) int {
+		return cmp.Or(cmp.Compare(a.key.CoFlow, b.key.CoFlow), cmp.Compare(a.key.Index, b.key.Index))
+	})
+	var b strings.Builder
+	for _, f := range fs {
+		fmt.Fprintf(&b, "c%d/%d %.0f/%.0f@%.0f done=%v; ", f.key.CoFlow, f.key.Index, f.sent, f.size, f.rate, f.done)
+	}
+	return b.String()
+}
+
+// FuzzInprocAgents drives one churn script through two Manual
+// coordinators in lockstep: one whose agents are InprocAgents — slot
+// lookup in the table they share, reported in one ReportInproc per
+// boundary or one Report each — and one whose agents are the map-keyed
+// mapAgent. The script registers (under a fresh ID, or again under one
+// whose flows may still linger), deregisters (the flows linger at their
+// agents and run out there), updates (a flow's sender may move, the
+// width may change), detaches a port's agent (it keeps its flows and
+// keeps stepping and reporting) and attaches a fresh one. Flow indices are reused all along, by flows at other
+// agents too. After every boundary every agent ever attached must hold
+// the same flows — (key, size, sent, rate, done) — on both sides, and
+// the coordinators must agree on Results(). The committed corpus holds
+// the case the ownership check in dropFlow exists for: a deregistered
+// coflow's flow finishing at one agent after its index went to a flow at
+// another.
+func FuzzInprocAgents(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 1, 2, 5, 1, 0, 0, 0, 0, 2, 3, 2, 5, 5, 5, 5, 5, 5})
+	f.Add([]byte{0, 0, 1, 0, 1, 3, 0, 5, 3, 0, 5, 5, 4, 0, 6, 2, 0, 2, 1, 3, 4, 5, 0, 0, 5, 6, 5})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) > 256 {
+			script = script[:256]
+		}
+		const (
+			nPorts = 6
+			delta  = 8 * time.Millisecond
+		)
+		type side struct {
+			coord *Coordinator
+			vc    *VirtualClock
+			slots []*InprocAgent // slot side: every agent ever attached, in attach order
+			refs  []*mapAgent    // reference side: the same
+			cur   []int          // port -> index of its attached agent (-1: none)
+		}
+		newSide := func() *side {
+			s, err := sched.New("saath", sched.DefaultParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sd := &side{vc: NewVirtualClock(time.Unix(0, 0).UTC()), cur: make([]int, nPorts)}
+			sd.coord, err = NewCoordinator(CoordinatorConfig{
+				Scheduler: s, NumPorts: nPorts, PortRate: coflow.Rate(125e6),
+				Delta: delta, Clock: sd.vc, Manual: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { sd.coord.Close() })
+			return sd
+		}
+		slotSide, refSide := newSide(), newSide()
+		attach := func(p int) {
+			a, err := slotSide.coord.AttachInproc(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slotSide.cur[p] = len(slotSide.slots)
+			slotSide.slots = append(slotSide.slots, a)
+			r := newMapAgent(refSide.coord)
+			refSide.coord.setAgent(p, r)
+			refSide.cur[p] = len(refSide.refs)
+			refSide.refs = append(refSide.refs, r)
+		}
+		for p := 0; p < nPorts; p++ {
+			attach(p)
+		}
+
+		pos := 0
+		next := func() int {
+			if pos >= len(script) {
+				return 0
+			}
+			pos++
+			return int(script[pos-1])
+		}
+		flowsJSON := func() (string, *coflow.Spec) {
+			sp := &coflow.Spec{}
+			w := 1 + next()%3
+			var parts []string
+			for i := 0; i < w; i++ {
+				src, dst := next()%nPorts, next()%nPorts
+				if dst == src {
+					dst = (src + 1) % nPorts
+				}
+				size := (1 + next()%6) * 400_000
+				sp.Flows = append(sp.Flows, coflow.FlowSpec{Src: coflow.PortID(src), Dst: coflow.PortID(dst), Size: coflow.Bytes(size)})
+				parts = append(parts, fmt.Sprintf(`{"src":%d,"dst":%d,"size":%d}`, src, dst, size))
+			}
+			return `{"flows":[` + strings.Join(parts, ",") + `]}`, sp
+		}
+		rest := func(method string, id int, body string) {
+			var codes [2]int
+			for i, sd := range []*side{slotSide, refSide} {
+				w := httptest.NewRecorder()
+				sd.coord.handleCoFlowByID(w, httptest.NewRequest(method, fmt.Sprintf("/coflows/%d", id), strings.NewReader(body)))
+				codes[i] = w.Code
+			}
+			if codes[0] != codes[1] {
+				t.Fatalf("%s /coflows/%d: %d with slot agents, %d with map agents", method, id, codes[0], codes[1])
+			}
+		}
+		var ids []int // every ID registered, in order
+		// filed is what the slot table resolved to after the last round:
+		// index -> (agent, wire name). A report moves or clears only the
+		// entries of the flows it drops, so every entry whose flow its
+		// agent still holds must resolve to it after the next reports.
+		type filing struct {
+			a *InprocAgent
+			k flowKey
+		}
+		filed := map[int32]filing{}
+		table := func(n int, when string) {
+			owners := map[int32]*InprocAgent{}
+			for _, a := range slotSide.slots {
+				owners[a.id] = a
+			}
+			for s, e := range slotSide.coord.slots.entries {
+				if e.owner == 0 {
+					continue
+				}
+				a := owners[e.owner]
+				if int(e.at) >= len(a.flows) || a.flows[e.at].slot != int32(s) {
+					t.Fatalf("boundary %d, %s: entry %d points at flow %d of agent %d, not filed under it", n, when, s, e.at, e.owner)
+				}
+			}
+		}
+		boundary := func(n int, batched bool) {
+			var live [2]int
+			for i, sd := range []*side{slotSide, refSide} {
+				sd.vc.Advance(delta)
+				if i == 0 {
+					for _, a := range sd.slots {
+						a.Step(delta)
+					}
+					if batched {
+						sd.coord.ReportInproc(sd.slots)
+					} else {
+						for _, a := range sd.slots {
+							a.Report()
+						}
+					}
+					table(n, "after the reports")
+					for s, fl := range filed {
+						for j := range fl.a.flows {
+							if e := sd.coord.slots.entries[s]; fl.a.flows[j].key == fl.k && (e.owner != fl.a.id || int(e.at) != j) {
+								t.Fatalf("boundary %d: the reports lost entry %d of c%d/%d at agent %d", n, s, fl.k.CoFlow, fl.k.Index, fl.a.id)
+							}
+						}
+					}
+				} else {
+					for _, a := range sd.refs {
+						a.Step(delta)
+					}
+					for _, a := range sd.refs {
+						a.Report()
+					}
+				}
+				live[i] = sd.coord.StepSchedule()
+			}
+			table(n, "after the round")
+			clear(filed)
+			for _, a := range slotSide.slots {
+				for j, f := range a.flows {
+					if e := slotSide.coord.slots.entries[f.slot]; e.owner == a.id && int(e.at) == j {
+						filed[f.slot] = filing{a, f.key}
+					}
+				}
+			}
+			if live[0] != live[1] {
+				t.Fatalf("boundary %d: %d live with slot agents, %d with map agents", n, live[0], live[1])
+			}
+			for i, a := range slotSide.slots {
+				if got, want := agentFlows(a.flows), agentFlows(refSide.refs[i].flows); got != want {
+					t.Fatalf("boundary %d, agent %d (port %d):\nslot agent %s\n map agent %s", n, i, a.port, got, want)
+				}
+			}
+			if got, want := fmt.Sprint(slotSide.coord.Results()), fmt.Sprint(refSide.coord.Results()); got != want {
+				t.Fatalf("boundary %d: results\nslot agents %s\n map agents %s", n, got, want)
+			}
+		}
+
+		n := 0
+		for pos < len(script) {
+			switch next() % 7 {
+			case 0: // register, under a fresh ID or again under an earlier one
+				id := len(ids) + 1
+				if r := next(); r%2 == 1 && len(ids) > 0 {
+					id = ids[r/2%len(ids)]
+				} else {
+					ids = append(ids, id)
+				}
+				_, sp := flowsJSON()
+				sp.ID = coflow.CoFlowID(id)
+				slotErr, refErr := slotSide.coord.Register(sp), refSide.coord.Register(sp)
+				if !errors.Is(slotErr, refErr) {
+					t.Fatalf("Register(c%d): %v with slot agents, %v with map agents", id, slotErr, refErr)
+				}
+			case 1: // deregister: the coflow's flows linger at their agents
+				if len(ids) > 0 {
+					rest(http.MethodDelete, ids[next()%len(ids)], "")
+				}
+			case 2: // update: same or new width, senders may move
+				if len(ids) > 0 {
+					id := ids[next()%len(ids)]
+					body, _ := flowsJSON()
+					rest(http.MethodPut, id, body)
+				}
+			case 3: // detach: the agent keeps its flows, stepping and reporting
+				p := next() % nPorts
+				if i := slotSide.cur[p]; i >= 0 {
+					slotSide.coord.dropAgent(p, slotSide.slots[i])
+					refSide.coord.dropAgent(p, refSide.refs[i])
+					slotSide.cur[p], refSide.cur[p] = -1, -1
+				}
+			case 4: // attach a fresh agent, replacing any
+				attach(next() % nPorts)
+			case 5:
+				boundary(n, true)
+				n++
+			case 6:
+				boundary(n, false)
+				n++
+			}
+		}
+		for end := n + 200; n < end; n++ {
+			boundary(n, n%2 == 0)
+			if slotSide.coord.LiveCount() == 0 {
+				break
+			}
+		}
+	})
+}

@@ -66,6 +66,9 @@ type FlowOrder struct {
 	DstAddr string  `json:"dstAddr"`
 	Size    int64   `json:"size"`
 	RateBps float64 `json:"rateBps"` // bytes per second; 0 pauses the flow
+	// slot is the flow's dense index in the coordinator (coflow.Flow.Idx),
+	// where in-process agents look the flow up; never on the wire.
+	slot int32
 }
 
 // scheduleMsg is the coordinator→agent schedule push for one interval.

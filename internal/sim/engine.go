@@ -527,7 +527,7 @@ func (e *engine) beginInterval() (*sched.RateVec, error) {
 	} else {
 		if !e.cfg.SkipValidation {
 			if err := e.validateAllocation(alloc); err != nil {
-				return nil, err
+				return nil, fmt.Errorf("sim: interval %d (t=%.3fs, %s): %w", e.result.Intervals-1, e.now.Seconds(), e.sched.Name(), err)
 			}
 		}
 		e.planInterval(alloc)
@@ -704,7 +704,8 @@ func (e *engine) sumRatesDense(alloc *sched.RateVec) float64 {
 	return total
 }
 
-// validateAllocation audits one interval's schedule: every rate maps
+// validateAllocation audits one interval's schedule (beginInterval names
+// the interval in the error it returns): every rate maps
 // to a live sendable flow, rates are non-negative, and no port's
 // ingress or egress is oversubscribed beyond float tolerance. This is
 // the engine's guard against scheduler bugs — policies that bypass the
@@ -728,19 +729,19 @@ func (e *engine) validateAllocation(alloc *sched.RateVec) error {
 	var err error
 	alloc.Range(func(idx int, r coflow.Rate) bool {
 		if idx >= len(e.valFlows) || e.valFlows[idx].f == nil {
-			err = fmt.Errorf("sim: schedule names unknown flow index %d", idx)
+			err = fmt.Errorf("schedule names unknown flow index %d", idx)
 			return false
 		}
 		f := e.valFlows[idx].f
 		if r < 0 {
-			err = fmt.Errorf("sim: negative rate %v for flow %v", r, f.ID)
+			err = fmt.Errorf("negative rate %v for flow %v", r, f.ID)
 			return false
 		}
 		if r == 0 {
 			return true
 		}
 		if !f.Sendable() {
-			err = fmt.Errorf("sim: rate %v for non-sendable flow %v", r, f.ID)
+			err = fmt.Errorf("rate %v for non-sendable flow %v", r, f.ID)
 			return false
 		}
 		// A ledger only grows, so a port enters the list once: when the
@@ -771,9 +772,9 @@ func (e *engine) validateAllocation(alloc *sched.RateVec) error {
 	case worst < 0:
 		return nil
 	case egress[worst] > limit:
-		return fmt.Errorf("sim: egress port %d oversubscribed: %.0f > %.0f B/s", worst, egress[worst], float64(e.cfg.PortRate))
+		return fmt.Errorf("egress port %d oversubscribed: %.0f > %.0f B/s", worst, egress[worst], float64(e.cfg.PortRate))
 	default:
-		return fmt.Errorf("sim: ingress port %d oversubscribed: %.0f > %.0f B/s", worst, ingress[worst], float64(e.cfg.PortRate))
+		return fmt.Errorf("ingress port %d oversubscribed: %.0f > %.0f B/s", worst, ingress[worst], float64(e.cfg.PortRate))
 	}
 }
 

@@ -9,12 +9,11 @@ import (
 	"saath/internal/sched"
 	"saath/internal/trace"
 
-	_ "saath/internal/core"         // register saath variants
-	_ "saath/internal/sched/aalo"   // register aalo
-	_ "saath/internal/sched/baraat" // register baraat
-	_ "saath/internal/sched/clair"  // register clairvoyant policies
-	_ "saath/internal/sched/uctcp"  // register uc-tcp
-	_ "saath/internal/sched/varys"  // register varys
+	_ "saath/internal/core"        // register saath variants
+	_ "saath/internal/sched/aalo"  // register aalo
+	_ "saath/internal/sched/clair" // register clairvoyant policies
+	_ "saath/internal/sched/uctcp" // register uc-tcp
+	_ "saath/internal/sched/varys" // register varys
 )
 
 func runOn(t *testing.T, tr *trace.Trace, scheduler string, cfg Config) *Result {
@@ -84,7 +83,7 @@ func TestSingleFlowExactCCT(t *testing.T) {
 func TestAllSchedulersCompleteMicroTraces(t *testing.T) {
 	traces := []*trace.Trace{trace.Fig1Trace(), trace.Fig4Trace(), trace.Fig8Trace(), trace.Fig17Trace()}
 	scheds := []string{"saath", "saath/an+fifo", "saath/an+pf+fifo", "saath/nowc",
-		"aalo", "baraat", "baraat/fifo", "varys", "scf", "srtf", "sjf-duration", "lwtf", "uc-tcp"}
+		"aalo", "varys", "scf", "srtf", "sjf-duration", "lwtf", "uc-tcp"}
 	for _, tr := range traces {
 		for _, sn := range scheds {
 			res := runOn(t, tr, sn, Config{})

@@ -98,6 +98,55 @@ func TestValidationNamesLowestOversubscribedPort(t *testing.T) {
 	}
 }
 
+// lateRogue schedules like Saath until its call number bad, where it
+// hands every flow the full line rate: a policy that oversubscribes at a
+// known interval.
+type lateRogue struct {
+	sched.Scheduler
+	bad, calls int
+}
+
+func (r *lateRogue) Name() string { return "late-rogue" }
+
+func (r *lateRogue) Schedule(snap *sched.Snapshot) *sched.RateVec {
+	alloc := r.Scheduler.Schedule(snap)
+	if r.calls++; r.calls-1 == r.bad {
+		for _, c := range snap.Active {
+			for _, f := range c.Flows {
+				alloc.Set(f.Idx, snap.Fabric.PortRate())
+			}
+		}
+	}
+	return alloc
+}
+
+// TestValidationNamesTheInterval: the audit's error says which interval
+// broke — its number, its start time and the policy — in front of what
+// broke, and the reference stepper fails the run with the same words.
+func TestValidationNamesTheInterval(t *testing.T) {
+	tr := &trace.Trace{Name: "late", NumPorts: 3, Specs: []*coflow.Spec{
+		{ID: 1, Arrival: 0, Flows: []coflow.FlowSpec{
+			{Src: 0, Dst: 1, Size: 400 * coflow.MB},
+			{Src: 2, Dst: 1, Size: 400 * coflow.MB},
+		}},
+	}}
+	rogue := func() sched.Scheduler {
+		s, err := sched.New("saath", sched.DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &lateRogue{Scheduler: s, bad: 412}
+	}
+	_, err := Run(tr.Clone(), rogue(), Config{})
+	const want = "sim: interval 412 (t=3.296s, late-rogue): ingress port 1 oversubscribed: 250000000 > 125000000 B/s"
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+	if _, refErr := runReference(tr.Clone(), rogue(), Config{}); refErr == nil || refErr.Error() != err.Error() {
+		t.Fatalf("audit errors differ:\nreference: %v\n   engine: %v", refErr, err)
+	}
+}
+
 func TestValidationCanBeSkipped(t *testing.T) {
 	// With validation off, the oversubscribing scheduler is not caught
 	// (the engine happily moves the bytes — that is the caller's risk).

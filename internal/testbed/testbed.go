@@ -121,6 +121,7 @@ func RunJob(j sweep.Job, tc Config) (*sim.Result, obs.RuntimeRecord, error) {
 	// agent holds nothing after a schedule push.
 	var busy []int
 	isBusy := make([]bool, len(agents))
+	var reporting []*rt.InprocAgent // busy's agents, reported in one batch
 	for n := 0; ; n++ {
 		if n > maxB {
 			return nil, rec, fmt.Errorf("testbed: job %s: still live after %d boundaries (horizon guard)", j.Key(), n)
@@ -155,9 +156,11 @@ func RunJob(j sweep.Job, tc Config) (*sim.Result, obs.RuntimeRecord, error) {
 		}
 		vc.Set(epoch.Add(time.Duration(bound) * time.Microsecond))
 		if n > 0 {
+			reporting = reporting[:0]
 			for _, p := range busy {
-				agents[p].Report()
+				reporting = append(reporting, agents[p])
 			}
+			coord.ReportInproc(reporting)
 		}
 		live := coord.StepSchedule()
 		boundaries++

@@ -37,12 +37,11 @@ import (
 	"saath/internal/telemetry"
 	"saath/internal/trace"
 
-	_ "saath/internal/core"         // register saath + ablation variants
-	_ "saath/internal/sched/aalo"   // register aalo
-	_ "saath/internal/sched/baraat" // register baraat + baraat/fifo
-	_ "saath/internal/sched/clair"  // register scf / srtf / sjf-duration / lwtf
-	_ "saath/internal/sched/uctcp"  // register uc-tcp
-	_ "saath/internal/sched/varys"  // register varys
+	_ "saath/internal/core"        // register saath + ablation variants
+	_ "saath/internal/sched/aalo"  // register aalo
+	_ "saath/internal/sched/clair" // register scf / srtf / sjf-duration / lwtf
+	_ "saath/internal/sched/uctcp" // register uc-tcp
+	_ "saath/internal/sched/varys" // register varys
 )
 
 // Core data-model types.
@@ -256,7 +255,7 @@ type (
 func DefaultParams() Params { return sched.DefaultParams() }
 
 // Schedulers lists the registered scheduling policies: "saath" and its
-// ablation variants, "aalo", "baraat", "varys", "scf", "srtf", "sjf-duration",
+// ablation variants, "aalo", "varys", "scf", "srtf", "sjf-duration",
 // "lwtf", and "uc-tcp".
 func Schedulers() []string { return sched.Names() }
 

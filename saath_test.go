@@ -16,7 +16,7 @@ func TestSchedulersRegistered(t *testing.T) {
 	}
 	for _, want := range []string{
 		"saath", "saath/an+fifo", "saath/an+pf+fifo", "saath/nowc",
-		"saath/width-contention", "aalo", "baraat", "baraat/fifo", "varys", "scf", "srtf",
+		"saath/width-contention", "aalo", "varys", "scf", "srtf",
 		"sjf-duration", "lwtf", "uc-tcp",
 	} {
 		if !have[want] {
