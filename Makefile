@@ -35,7 +35,10 @@ test-testbed:
 # flows left lingering, updates that move senders, agents detached and
 # re-attached, flow indices reused across agents — the slot-table agents
 # hold the same flows as map-keyed reference agents and the coordinators
-# agree on every result.
+# agree on every result. Aalo's fill: on any CoFlows over any queues,
+# withheld and done flows, and any pre-drawn fabric (closed egresses,
+# residuals a hair from eps), the rates and the fabric left behind equal
+# the sort-and-walk-every-flow reference bit for bit.
 # Minimising each new input is capped at 1 s (the default, 60 s, would
 # eat the whole budget on the first one).
 fuzz:
@@ -45,6 +48,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzProgressSummary$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/coflow/
 	$(GO) test -run '^$$' -fuzz '^FuzzMaxMinFair$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fabric/
 	$(GO) test -run '^$$' -fuzz '^FuzzInprocAgents$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/runtime/
+	$(GO) test -run '^$$' -fuzz '^FuzzAaloFill$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sched/aalo/
 
 race:
 	$(GO) test -race -timeout 20m ./...

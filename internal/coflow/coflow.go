@@ -35,7 +35,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // Time is simulated time in microseconds. Integer microseconds keep the
@@ -720,32 +719,6 @@ func (c *CoFlow) SendablePorts() []PortPair {
 		return c.pendPorts
 	}
 	return c.extra.sendPorts
-}
-
-// SrcPorts returns the sorted distinct sender nodes of pending flows.
-func (c *CoFlow) SrcPorts() []PortID { return c.ports(true) }
-
-// DstPorts returns the sorted distinct receiver nodes of pending flows.
-func (c *CoFlow) DstPorts() []PortID { return c.ports(false) }
-
-func (c *CoFlow) ports(src bool) []PortID {
-	seen := make(map[PortID]bool)
-	for _, f := range c.Flows {
-		if f.Done {
-			continue
-		}
-		if src {
-			seen[f.Src] = true
-		} else {
-			seen[f.Dst] = true
-		}
-	}
-	out := make([]PortID, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // BottleneckRemaining returns Γ, the minimum time to finish the CoFlow

@@ -258,24 +258,6 @@ func TestDoneMedian(t *testing.T) {
 	}
 }
 
-func TestPortsAndUse(t *testing.T) {
-	c := New(spec2x2())
-	src := c.SrcPorts()
-	dst := c.DstPorts()
-	if len(src) != 2 || src[0] != 0 || src[1] != 1 {
-		t.Fatalf("src ports = %v", src)
-	}
-	if len(dst) != 2 || dst[0] != 2 || dst[1] != 3 {
-		t.Fatalf("dst ports = %v", dst)
-	}
-	// Done flows drop out of port sets.
-	c.Flows[0].Done = true
-	c.Flows[1].Done = true // both flows from src 0
-	if got := c.SrcPorts(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("src ports after done = %v", got)
-	}
-}
-
 func TestBottleneckRemaining(t *testing.T) {
 	c := New(spec2x2())
 	bw := Rate(10 * 1e6) // 10 MB/s

@@ -15,13 +15,20 @@
 // moved, and the vector it returned, handed out again when the same
 // CoFlows with the same flows sendable sit in the same queues (held).
 // TestHeldScheduleMatchesFull holds that to a twin that forgets.
+//
+// A boundary that does decide afresh costs the ports it can still fill:
+// the CoFlows are bucketed by queue in arrival order, their flows dealt
+// from the compact port view, and a sender's walk ends where its egress
+// closes. Each step is exact (see Schedule); TestFillMatchesReference and
+// FuzzAaloFill hold the fill bit for bit to a reference that sorts the
+// CoFlows and walks every sendable flow.
 package aalo
 
 import (
-	"cmp"
 	"slices"
 
 	"saath/internal/coflow"
+	"saath/internal/fabric"
 	"saath/internal/queues"
 	"saath/internal/sched"
 )
@@ -31,13 +38,22 @@ import (
 // steady-state scheduling stays allocation-free.
 type Aalo struct {
 	ladder *queues.Ladder   // the configured queue thresholds
-	order  []queued         // the live CoFlows in (queue, arrival, ID) order
-	byPort [][]*coflow.Flow // indexed by egress PortID
+	starts []int            // counting-sort bucket starts, one per queue and one past
+	order  []*coflow.CoFlow // the live CoFlows in (queue, arrival, ID) order
+	byPort [][]dealt        // indexed by egress PortID
 
 	// The previous Schedule's decision: snap.Active slot by slot with
 	// the queue each CoFlow was in, and the vector that came of it.
 	last   []placed
 	issued sched.Issued
+}
+
+// dealt is one sendable flow on its sender's list, with its receiver
+// copied out of the CoFlow's port view: the walk reads the flow itself
+// only to grant it a rate.
+type dealt struct {
+	f   *coflow.Flow
+	dst coflow.PortID
 }
 
 // placed is one snap.Active slot of the previous Schedule: the CoFlow,
@@ -54,7 +70,7 @@ func New(p sched.Params) (*Aalo, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Aalo{ladder: p.Queues.Ladder()}, nil
+	return &Aalo{ladder: p.Queues.Ladder(), starts: make([]int, p.Queues.NumQueues+1)}, nil
 }
 
 func init() {
@@ -77,17 +93,10 @@ type queued struct {
 	queue int
 }
 
-// cmpQueued is every port's local order: queue, then arrival, then
-// CoFlow ID.
-func cmpQueued(a, b queued) int {
-	if a.queue != b.queue {
-		return cmp.Compare(a.queue, b.queue)
-	}
-	if a.c.Arrived != b.c.Arrived {
-		return cmp.Compare(a.c.Arrived, b.c.Arrived)
-	}
-	return cmp.Compare(a.c.ID(), b.c.ID())
-}
+// eps is the residual at or below which a path is busy: a flow is
+// granted nothing there, and a sender whose egress is down to it has
+// nothing left to give.
+const eps = 1e-3
 
 // Schedule emulates Aalo's distributed decision: the coordinator pins
 // every CoFlow to a logical queue; each sender port then walks its
@@ -96,11 +105,6 @@ func cmpQueued(a, b queued) int {
 // index order, which stands in for the uncoordinated races of the real
 // distributed system while keeping the simulation deterministic.
 //
-// Every port orders its flows by the same key — (queue, arrival,
-// CoFlow ID), then flow index — so the CoFlows are sorted once and
-// their sendable flows (already in flow-index order) dealt to the port
-// lists in that order, which leaves every list sorted.
-//
 // The decision reads, per CoFlow, its queue and its sendable flows, and
 // beyond that only the fabric. When every slot of snap.Active holds the
 // CoFlow it held last time, in the queue it was in, under the same
@@ -108,6 +112,27 @@ func cmpQueued(a, b queued) int {
 // the fabric is at full capacity as it was then, the same walk would fill
 // it the same way: it goes out again as it is, the fabric left full (see
 // sched.Snapshot.Fabric).
+//
+// Otherwise fill decides afresh. Every port orders its flows by the same
+// key — (queue, arrival, CoFlow ID), then flow index — and fill reaches
+// the walk's result in three steps, each exact:
+//
+//  1. Queue order without a comparison sort. The CoFlows are bucketed
+//     by queue in one stable counting pass over snap.Active. The
+//     sched.Snapshot contract keeps Active in (arrival, ID) order, and a
+//     stable pass keeps that order within each bucket, so the result is
+//     the (queue, arrival, ID) sort.
+//  2. Deal from the compact view. Each CoFlow's sendable flows, already
+//     in flow-index order, are dealt to their senders' lists in that
+//     order, which leaves every list sorted. The (Src, Dst) come from
+//     the CoFlow's port view (SendablePorts), so the walk dereferences
+//     only the flows it grants.
+//  3. Stop at a closed egress. A grant is PathFree, at most the sender's
+//     egress residual, and within a call residuals only fall. A sender
+//     whose egress is at or below eps when its turn comes would grant
+//     every flow nothing, so it is skipped; once a grant takes its
+//     egress to eps or below, every later flow of its list would be
+//     granted nothing too, so its walk stops there.
 func (a *Aalo) Schedule(snap *sched.Snapshot) *sched.RateVec {
 	prev, hold := a.issued.Begin(snap)
 	hold = hold && len(snap.Active) == len(a.last)
@@ -130,34 +155,59 @@ func (a *Aalo) Schedule(snap *sched.Snapshot) *sched.RateVec {
 		return prev
 	}
 	alloc := snap.Allocation()
-	np := snap.Fabric.NumPorts()
+	a.fill(snap.Fabric, alloc)
+	a.issued.End(snap, alloc)
+	return alloc
+}
+
+// fill grants every sender port's flows, in the order they are queued
+// at that port, the residual path capacity, drawing it from fab (the
+// three steps are Schedule's). It takes the *fabric.Fabric itself, so
+// this package imports fabric: with fabric reached only through
+// sched.Snapshot, go1.24 left PathFree and EgressFree calls instead of
+// inlining them into the walk.
+func (a *Aalo) fill(fab *fabric.Fabric, alloc *sched.RateVec) {
+	np := fab.NumPorts()
 	for len(a.byPort) < np {
 		a.byPort = append(a.byPort, nil)
 	}
 	for p := 0; p < np; p++ {
 		a.byPort[p] = a.byPort[p][:0]
 	}
-	a.order = a.order[:0]
+	clear(a.starts)
 	for i := range a.last {
-		a.order = append(a.order, a.last[i].queued)
+		a.starts[a.last[i].queue+1]++
 	}
-	slices.SortStableFunc(a.order, cmpQueued)
-	for _, qc := range a.order {
-		for _, f := range qc.c.SendableFlows() {
-			a.byPort[f.Src] = append(a.byPort[f.Src], f)
+	for q := 1; q < len(a.starts); q++ {
+		a.starts[q] += a.starts[q-1]
+	}
+	a.order = slices.Grow(a.order[:0], len(a.last))[:len(a.last)]
+	for i := range a.last {
+		q := a.last[i].queue
+		a.order[a.starts[q]] = a.last[i].c
+		a.starts[q]++
+	}
+	for _, c := range a.order {
+		flows := c.SendableFlows()
+		for i, pp := range c.SendablePorts() {
+			a.byPort[pp.Src] = append(a.byPort[pp.Src], dealt{flows[i], coflow.PortID(pp.Dst)})
 		}
 	}
-	const eps = 1e-3
 	for p := 0; p < np; p++ {
-		for _, f := range a.byPort[p] {
-			r := snap.Fabric.PathFree(f.Src, f.Dst)
+		src := coflow.PortID(p)
+		if float64(fab.EgressFree(src)) <= eps {
+			continue
+		}
+		for _, d := range a.byPort[p] {
+			r := fab.PathFree(src, d.dst)
 			if float64(r) <= eps {
 				continue
 			}
-			alloc.Set(f.Idx, r)
-			snap.Fabric.Allocate(f.Src, f.Dst, r)
+			alloc.Set(d.f.Idx, r)
+			fab.Allocate(src, d.dst, r)
+			if float64(fab.EgressFree(src)) <= eps {
+				break
+			}
 		}
 	}
-	a.issued.End(snap, alloc)
-	return alloc
 }

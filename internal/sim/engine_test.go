@@ -223,6 +223,62 @@ func TestFig8ExactCCTs(t *testing.T) {
 	}
 }
 
+// TestAaloExactCCTs pins Aalo's CCTs on the Fig. 4, 8 and 17 traces to
+// the microsecond (model as TestFig4ExactCCTs). Aalo places a coflow by
+// its total bytes sent: queue 0 below S = 10,485,760 bytes, queue 1
+// below 10·S = 104,857,600, then queue 2. Each sender port serves its
+// flows in (queue, arrival, ID) order; every receiver here is distinct,
+// so only senders contend.
+//
+// Fig. 4 (C1 on P1, P3; C2 on P1, P2; C3 on P2, P3; one unit per flow):
+//   - 0: C1 runs on P1 and P3. 8 ms: C2 (queue 0) takes the idle P2.
+//   - 48 ms: C1 demotes (12,000,000 sent); C2 runs on P1 and P2, C3 on
+//     P3.
+//   - 72 ms: C2 demotes (11,000,000); C3 runs on P2 and P3, and C1, ahead
+//     of C2 in queue 1, takes P1.
+//   - 104 ms: C3 demotes (11,000,000); all in queue 1, C1 runs on P1 and
+//     P3 (10,000,000 and 6,000,000 sent), C2 on P2 (8,000,000). C1's P1
+//     flow ends at 124 ms, its P3 flow at 156 ms: C1 = 156,000 µs. C2's
+//     P2 flow ends at 140 ms.
+//   - 128 ms: C2's P1 flow (3,000,000) takes P1 and ends at 204 ms:
+//     C2 = 203,000 µs. 144 ms: C3's P2 flow (4,000,000) takes P2 and
+//     ends at 212 ms; 160 ms: its P3 flow (7,000,000) takes P3 and ends
+//     at 204 ms: C3 = 210,000 µs.
+//
+// Fig. 8 (C2 on S1, S2 with 2.5 units per flow; C1 on S1 and C3 on S2
+// with one unit):
+//   - 0: C2 runs on both. 48 ms: C2 demotes (12,000,000); C1 and C3 run.
+//   - 136 ms: C1 and C3 demote (11,000,000 each); C2, first by arrival
+//     in queue 1, runs its last 25,250,000 bytes per flow (202 ms) and
+//     ends at 338 ms: C2 = 338,000 µs.
+//   - 344 ms: C1 and C3 send their last 1,500,000 bytes (12 ms) and end
+//     at 356 ms: C1 = 355,000 µs, C3 = 354,000.
+//
+// Fig. 17 (all at 0; C1 on P1 and P2 with 5 units per flow, C2 on P1
+// with 6, C3 on P2 with 7; C1 is first by ID):
+//   - 0: C1 runs on both. 48 ms: C1 demotes (12,000,000); C2 and C3 run.
+//   - 136 ms: C2 and C3 demote (11,000,000); C1, first in queue 1, runs
+//     on both ports.
+//   - 512 ms: C1 reaches queue 2 (106,000,000 sent, 53,000,000 per
+//     flow); C2 and C3 run their last 64,000,000 and 76,500,000 bytes
+//     and end at 1024 and 1124 ms: C2 = 1,024,000 µs, C3 = 1,124,000.
+//   - C1's 9,500,000 bytes per flow (76 ms) then run from the boundaries
+//     at 1024 and 1128 ms, ending at 1100 and 1204 ms: C1 = 1,204,000 µs.
+func TestAaloExactCCTs(t *testing.T) {
+	for _, tc := range []struct {
+		tr   *trace.Trace
+		want map[coflow.CoFlowID]coflow.Time
+	}{
+		{trace.Fig4Trace(), map[coflow.CoFlowID]coflow.Time{1: 156_000, 2: 203_000, 3: 210_000}},        // 1.56t, 2.03t, 2.10t
+		{trace.Fig8Trace(), map[coflow.CoFlowID]coflow.Time{1: 355_000, 2: 338_000, 3: 354_000}},        // 3.55t, 3.38t, 3.54t
+		{trace.Fig17Trace(), map[coflow.CoFlowID]coflow.Time{1: 1_204_000, 2: 1_024_000, 3: 1_124_000}}, // 12.04t, 10.24t, 11.24t
+	} {
+		if got := runOn(t, tc.tr, "aalo", Config{}).CCTByID(); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%s aalo: CCTs %v µs, want %v", tc.tr.Name, got, tc.want)
+		}
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	tr := trace.Synthesize(smallSynth(1), "det")
 	a := runOn(t, tr, "saath", Config{})
