@@ -38,7 +38,13 @@ test-testbed:
 # agree on every result. Aalo's fill: on any CoFlows over any queues,
 # withheld and done flows, and any pre-drawn fabric (closed egresses,
 # residuals a hair from eps), the rates and the fabric left behind equal
-# the sort-and-walk-every-flow reference bit for bit.
+# the sort-and-walk-every-flow reference bit for bit. Saath's admission
+# and work conservation: on any CoFlows — reducer-major, mapper-major or
+# scattered, with finished and withheld flows — and any pre-drawn fabric
+# (closed ports, residuals at exactly 1e-3 and a hair either side), the
+# signature admission and the run-skipping walk grant what the flow scan
+# and the walk that asks every flow grant, rates, residuals and rated
+# list bit for bit.
 # Minimising each new input is capped at 1 s (the default, 60 s, would
 # eat the whole budget on the first one).
 fuzz:
@@ -49,6 +55,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMaxMinFair$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fabric/
 	$(GO) test -run '^$$' -fuzz '^FuzzInprocAgents$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/runtime/
 	$(GO) test -run '^$$' -fuzz '^FuzzAaloFill$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sched/aalo/
+	$(GO) test -run '^$$' -fuzz '^FuzzWorkConserve$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core/
 
 race:
 	$(GO) test -race -timeout 20m ./...

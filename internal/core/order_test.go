@@ -35,12 +35,22 @@ func (s *Saath) freshBuckets(snap *sched.Snapshot) [][]*coflow.CoFlow {
 	return out
 }
 
-// workConserveUnfiltered is workConserve before the open-port reject:
-// every sendable flow of every missed CoFlow asks PathFree.
-func (s *Saath) workConserveUnfiltered(fab *fabric.Fabric, missed []*coflow.CoFlow, alloc *sched.RateVec) {
+// workConserveUnfiltered is workConserve before the open-port reject
+// and the receiver-run skip: every sendable flow of every missed CoFlow
+// asks PathFree. It returns how many of those flows the run skip passes
+// over: a position whose receiver was closed at the position before it,
+// of the same run, in a CoFlow whose signature still had an open egress
+// and an open ingress there. (Open bits only clear within a call, so
+// workConserve has not left the CoFlow by then, and skips this one.) The
+// index must be synced over missed.
+func (s *Saath) workConserveUnfiltered(fab *fabric.Fabric, missed []*coflow.CoFlow, alloc *sched.RateVec) (runSkipped int) {
 	const eps = 1e-3
 	for _, c := range missed {
-		for _, f := range c.SendableFlows() {
+		sig, ports := s.cindex.Signature(c), c.SendablePorts()
+		for i, f := range c.SendableFlows() {
+			if i > 0 && ports[i-1].Dst == ports[i].Dst && float64(fab.IngressFree(f.Dst)) <= eps && fab.OpenEnds(sig) {
+				runSkipped++
+			}
 			r := fab.PathFree(f.Src, f.Dst)
 			if float64(r) <= eps {
 				continue
@@ -50,6 +60,7 @@ func (s *Saath) workConserveUnfiltered(fab *fabric.Fabric, missed []*coflow.CoFl
 			s.recordAllocation(c, f, alloc.Rate(f.Idx))
 		}
 	}
+	return runSkipped
 }
 
 // TestRepairedOrderMatchesFreshSort: after every full Schedule each
@@ -131,22 +142,35 @@ func ids(cs []*coflow.CoFlow) []coflow.CoFlowID {
 
 // TestWorkConserveRejectIsExact: on random fabrics, drawn down port by
 // port to nothing, to just under the open threshold, to half or not at
-// all, work conservation with the open-port reject grants exactly what
-// the loop that asks every flow grants — the same rates, residuals and
-// rated list — and the reject fires.
+// all, work conservation with the open-port reject and the receiver-run
+// skip grants exactly what the loop that asks every flow grants — the
+// same rates, residuals and rated list — and both fire. Every third
+// CoFlow is wide and reducer-major, as trace.Parse and trace.Synthesize
+// lay them out, so receivers close partway through a run.
 func TestWorkConserveRejectIsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	rejected := 0
+	rejected, runSkipped := 0, 0
 	for trial := 0; trial < 300; trial++ {
 		ports := 2 + rng.Intn(70)
 		space := coflow.NewIndexSpace()
 		var missed []*coflow.CoFlow
 		for i := 0; i < 1+rng.Intn(12); i++ {
 			spec := &coflow.Spec{ID: coflow.CoFlowID(i + 1)}
-			for j := 0; j <= rng.Intn(5); j++ {
-				spec.Flows = append(spec.Flows, coflow.FlowSpec{
-					Src: coflow.PortID(rng.Intn(ports)), Dst: coflow.PortID(rng.Intn(ports)), Size: coflow.MB,
-				})
+			if i%3 == 0 {
+				mappers, reducers := 4+rng.Intn(9), 2+rng.Intn(3)
+				srcs := rng.Perm(ports)[:min(mappers, ports)]
+				for r := 0; r < reducers; r++ {
+					dst := coflow.PortID(rng.Intn(ports))
+					for _, src := range srcs {
+						spec.Flows = append(spec.Flows, coflow.FlowSpec{Src: coflow.PortID(src), Dst: dst, Size: coflow.MB})
+					}
+				}
+			} else {
+				for j := 0; j <= rng.Intn(5); j++ {
+					spec.Flows = append(spec.Flows, coflow.FlowSpec{
+						Src: coflow.PortID(rng.Intn(ports)), Dst: coflow.PortID(rng.Intn(ports)), Size: coflow.MB,
+					})
+				}
 			}
 			c := coflow.New(spec)
 			space.Assign(c)
@@ -189,7 +213,7 @@ func TestWorkConserveRejectIsExact(t *testing.T) {
 				}
 				s.workConserve(fab, missed, alloc)
 			} else {
-				s.workConserveUnfiltered(fab, missed, alloc)
+				runSkipped += s.workConserveUnfiltered(fab, missed, alloc)
 			}
 			allocs[side], fabs[side], rated[side] = alloc, fab, s.rated
 		}
@@ -206,8 +230,8 @@ func TestWorkConserveRejectIsExact(t *testing.T) {
 			t.Fatalf("%s: rated %v, unfiltered %v", where, rated[0], rated[1])
 		}
 	}
-	t.Logf("%d missed CoFlows rejected", rejected)
-	if rejected == 0 {
-		t.Error("no missed CoFlow was rejected: the filter was never exercised")
+	t.Logf("%d missed CoFlows rejected, %d flows passed over in a closed receiver's run", rejected, runSkipped)
+	if rejected == 0 || runSkipped == 0 {
+		t.Errorf("%d rejected, %d run skips: a filter was never exercised", rejected, runSkipped)
 	}
 }

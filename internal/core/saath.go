@@ -27,9 +27,14 @@
 // Contention is kept as pairwise counts that move only when a CoFlow's
 // port signature does (sched.ContentionIndex); each queue starts from
 // the order the last full call left it in and is repaired, not sorted
-// afresh (orderQueue); and work conservation passes over a missed
-// CoFlow none of whose egress or none of whose ingress ports is still
-// open (fabric.Fabric.OpenEnds). A steady-state tick allocates nothing.
+// afresh (orderQueue). The index's port signatures serve admission and
+// work conservation too: all-or-none admits a CoFlow by one test of its
+// signature against the fabric's open ports
+// (fabric.Fabric.SignatureAvailable), not a walk over its flows; work
+// conservation passes over a missed CoFlow none of whose egress or none
+// of whose ingress ports is still open (fabric.Fabric.OpenEnds), and
+// within one it passes over the rest of a receiver's run of flows once
+// that receiver is closed. A steady-state tick allocates nothing.
 //
 // Straggler tracking (§4.3) follows the allocation, not the live set:
 // all-or-none serves few CoFlows per interval and parks the rest, and
@@ -319,7 +324,8 @@ func (s *Saath) growScratch(snap *sched.Snapshot) {
 
 // Schedule computes the next interval's allocation, following Fig. 7:
 // assign queues, order each queue (deadline-expired first, then LCoF
-// or FIFO), admit all-or-none, then work-conserve leftovers per queue.
+// or FIFO), admit all-or-none, then work-conserve leftovers per queue
+// (serve).
 //
 //saath:hotpath zero-alloc steady state guarded by TestScheduleAllocGuards
 func (s *Saath) Schedule(snap *sched.Snapshot) *sched.RateVec {
@@ -428,13 +434,12 @@ func (s *Saath) Schedule(snap *sched.Snapshot) *sched.RateVec {
 	// (3) Contention k_c over the live set, refreshed incrementally:
 	// only CoFlows whose sendable set changed since the last interval
 	// are re-indexed. The width-proxy ablation swaps in CoFlow width as
-	// a cheaper stand-in for the blocked-CoFlow count. Work conservation
-	// reads the index's port signatures, so it syncs the index too.
-	lcof := s.params.LCoF && !s.params.WidthContentionProxy
-	if lcof || s.params.WorkConservation {
-		s.cindex.Sync(snap.Active)
-	}
+	// a cheaper stand-in for the blocked-CoFlow count. Admission and work
+	// conservation read the index's port signatures, so every full call
+	// syncs it, whatever the variant.
+	s.cindex.Sync(snap.Active)
 	if s.params.LCoF {
+		lcof := !s.params.WidthContentionProxy
 		for _, c := range snap.Active {
 			if lcof {
 				s.kc[c.Idx] = s.cindex.K(c)
@@ -452,40 +457,51 @@ func (s *Saath) Schedule(snap *sched.Snapshot) *sched.RateVec {
 			continue
 		}
 		s.orderQueue(bucket, snap.Now)
-
-		s.missed = s.missed[:0]
-		for _, c := range bucket {
-			if !fab.CoFlowAvailable(c) {
-				s.missed = append(s.missed, c)
-				continue
-			}
-			rate := fab.EqualRateForCoFlow(c)
-			// MADD (D2): the slowest flow's achievable rate binds the
-			// CoFlow; straggler caps make that observable online.
-			for _, f := range c.SendableFlows() {
-				if tr := &s.tracks[f.Idx]; tr.estCap > 0 && tr.estCap < rate {
-					rate = tr.estCap
-				}
-			}
-			if rate <= 0 {
-				s.missed = append(s.missed, c)
-				continue
-			}
-			for _, f := range c.SendableFlows() {
-				alloc.Set(f.Idx, rate)
-				fab.Allocate(f.Src, f.Dst, rate)
-				s.recordAllocation(c, f, rate)
-			}
-		}
-		if s.params.WorkConservation {
-			s.workConserve(fab, s.missed, alloc)
-		}
+		s.serve(fab, bucket, alloc)
 	}
 	s.lastTime = snap.Now
 	last.issued.End(snap, alloc)
 	last.active = append(last.active[:0], snap.Active...) //saath:alloc-ok amortized: grows with the live set, on arrival epochs
 	last.rated, last.capsMoved = len(s.rated), false
 	return alloc
+}
+
+// serve admits one queue's CoFlows all-or-none, in the queue's order,
+// and then work-conserves the ones that missed (Fig. 7 lines 6-14).
+// Admission asks whether every port direction in the CoFlow's signature
+// still has capacity (fabric.Fabric.SignatureAvailable): a test of a few
+// bitset words against the fabric's open set, not of each sendable flow.
+// The signature names exactly the ports of the CoFlow's sendable flows,
+// so the answer is a scan of its flows' residuals; TestServeMatchesReference
+// and FuzzWorkConserve hold the two equal.
+func (s *Saath) serve(fab *fabric.Fabric, bucket []*coflow.CoFlow, alloc *sched.RateVec) {
+	s.missed = s.missed[:0]
+	for _, c := range bucket {
+		if !fab.SignatureAvailable(s.cindex.Signature(c)) {
+			s.missed = append(s.missed, c)
+			continue
+		}
+		rate := fab.EqualRateForCoFlow(c)
+		// MADD (D2): the slowest flow's achievable rate binds the
+		// CoFlow; straggler caps make that observable online.
+		for _, f := range c.SendableFlows() {
+			if tr := &s.tracks[f.Idx]; tr.estCap > 0 && tr.estCap < rate {
+				rate = tr.estCap
+			}
+		}
+		if rate <= 0 {
+			s.missed = append(s.missed, c)
+			continue
+		}
+		for _, f := range c.SendableFlows() {
+			alloc.Set(f.Idx, rate)
+			fab.Allocate(f.Src, f.Dst, rate)
+			s.recordAllocation(c, f, rate)
+		}
+	}
+	if s.params.WorkConservation {
+		s.workConserve(fab, s.missed, alloc)
+	}
 }
 
 // reissue is Schedule's way out when nothing it decides from has changed
@@ -687,10 +703,15 @@ func (s *Saath) inQueueOrder(a, b *coflow.CoFlow, now coflow.Time) int {
 // pushing anyone back. Most missed CoFlows find every port they occupy
 // drawn down by then: one whose port signature has no open egress or no
 // open ingress port is passed over without asking its flows, and one
-// whose grants close the last of either is left there. Residuals only
-// fall within a call, so neither skips a flow that could get anything.
-// The walk reads the CoFlow's compact (src, dst) view and touches a
-// flow only to grant it.
+// whose grants close the last of either is left there. Within a CoFlow,
+// once a position's receiver is closed, the positions right after it
+// with the same receiver are passed over too: the trace formats write a
+// CoFlow's flows reducer-major (trace.Parse, trace.Synthesize), one run
+// of mappers per reducer, so that skips the rest of the run. Residuals
+// only fall within a call, so none of the three skips a flow that could
+// get anything, and the grants come in the order the flow-by-flow walk
+// made them. The walk reads the CoFlow's compact (src, dst) view and
+// touches a flow only to grant it.
 func (s *Saath) workConserve(fab *fabric.Fabric, missed []*coflow.CoFlow, alloc *sched.RateVec) {
 	const eps = 1e-3
 	for _, c := range missed {
@@ -698,18 +719,28 @@ func (s *Saath) workConserve(fab *fabric.Fabric, missed []*coflow.CoFlow, alloc 
 		if !fab.OpenEnds(sig) {
 			continue
 		}
-		for i, p := range c.SendablePorts() {
-			src, dst := coflow.PortID(p.Src), coflow.PortID(p.Dst)
-			r := fab.PathFree(src, dst)
-			if float64(r) <= eps {
-				continue
+		ports := c.SendablePorts()
+		for i := 0; i < len(ports); i++ {
+			src, dst := coflow.PortID(ports[i].Src), coflow.PortID(ports[i].Dst)
+			if float64(fab.IngressFree(dst)) > eps {
+				r := fab.PathFree(src, dst)
+				if float64(r) <= eps {
+					continue // the sender is closed
+				}
+				f := c.SendableFlows()[i]
+				alloc.Add(f.Idx, r)
+				fab.Allocate(src, dst, r)
+				s.recordAllocation(c, f, alloc.Rate(f.Idx))
+				if !fab.OpenEnds(sig) {
+					break
+				}
+				if float64(fab.IngressFree(dst)) > eps {
+					continue
+				}
 			}
-			f := c.SendableFlows()[i]
-			alloc.Add(f.Idx, r)
-			fab.Allocate(src, dst, r)
-			s.recordAllocation(c, f, alloc.Rate(f.Idx))
-			if !fab.OpenEnds(sig) {
-				break
+			// The receiver is closed: pass over the rest of its run.
+			for d := ports[i].Dst; i+1 < len(ports) && ports[i+1].Dst == d; {
+				i++
 			}
 		}
 	}

@@ -32,7 +32,8 @@ type Fabric struct {
 	ingressFree []coflow.Rate // residual per receiver port
 	// open has bit 2p set while egress p has more than openEps of
 	// residual and bit 2p+1 while ingress p does: the port-direction
-	// layout of sched.ContentionIndex's signatures, for OpenEnds.
+	// layout of sched.ContentionIndex's signatures, for OpenEnds and
+	// SignatureAvailable.
 	open []uint64
 	// drawn has, in open's layout, the bit of every port direction that
 	// Allocate or Release touched since the last Reset: every direction
@@ -86,7 +87,8 @@ func (f *Fabric) PortRate() coflow.Rate { return f.portRate }
 const egressBits = 0x5555555555555555
 
 // openEps is the residual at or below which a port is busy to work
-// conservation (and so closed in the open bitset): 1 mB/s.
+// conservation (and so closed in the open bitset), and below which it is
+// busy to all-or-none admission: 1 mB/s.
 const openEps = 1e-3
 
 // Reset restores full capacity at every port, starting a new round. A
@@ -216,16 +218,33 @@ func (f *Fabric) OpenEnds(sig []uint64) bool {
 	return eg != 0 && in != 0
 }
 
-// CoFlowAvailable reports whether every port a CoFlow's sendable flows
-// touch has strictly positive residual capacity — the all-or-none
-// admission test (Fig. 7 line 7).
+// SignatureAvailable reports whether every port direction of a
+// signature, in OpenEnds' layout, has at least openEps of residual: the
+// all-or-none admission test (Fig. 7 line 7) over the ports a CoFlow's
+// sendable flows touch, read from the CoFlow's sched.ContentionIndex
+// signature rather than from its flows. A direction in the open bitset
+// admits without a look at its residual; only one outside it is looked
+// up, because open means above openEps and admission refuses only below
+// it, so a residual of exactly openEps is closed to work conservation
+// yet admits. A signature shorter than open leaves the ports past it
+// unasked; one naming a port beyond the fabric panics, as asking its
+// residual would.
 //
 //saath:hotpath
-func (f *Fabric) CoFlowAvailable(c *coflow.CoFlow) bool {
-	const eps = 1e-3 // below 1 mB/s a port is effectively busy
-	for _, p := range c.SendablePorts() {
-		if float64(f.egressFree[p.Src]) < eps || float64(f.ingressFree[p.Dst]) < eps {
-			return false
+func (f *Fabric) SignatureAvailable(sig []uint64) bool {
+	for w, v := range sig {
+		if w < len(f.open) {
+			v &^= f.open[w]
+		}
+		for ; v != 0; v &= v - 1 {
+			b := bits.TrailingZeros64(v)
+			free := f.egressFree
+			if b&1 != 0 {
+				free = f.ingressFree
+			}
+			if float64(free[w<<5|b>>1]) < openEps {
+				return false
+			}
 		}
 	}
 	return true

@@ -105,26 +105,68 @@ func coflow2x2() *coflow.CoFlow {
 	}})
 }
 
+// coflowAvailable is the all-or-none admission test as a scan of the
+// CoFlow's sendable flows, the oracle SignatureAvailable is held to:
+// every port a sendable flow touches has at least 1e-3 of residual.
+func coflowAvailable(f *Fabric, c *coflow.CoFlow) bool {
+	const eps = 1e-3 // below 1 mB/s a port is effectively busy
+	for _, p := range c.SendablePorts() {
+		if float64(f.egressFree[p.Src]) < eps || float64(f.ingressFree[p.Dst]) < eps {
+			return false
+		}
+	}
+	return true
+}
+
+// signature is the port-direction signature sched.ContentionIndex builds
+// from a CoFlow's sendable ports — bit 2p for egress p, 2p+1 for
+// ingress p — with trailing zero words trimmed.
+func signature(ports []coflow.PortPair) []uint64 {
+	var sig []uint64
+	set := func(b int) {
+		for len(sig) <= b/64 {
+			sig = append(sig, 0)
+		}
+		sig[b/64] |= 1 << (b % 64)
+	}
+	for _, p := range ports {
+		set(2 * int(p.Src))
+		set(2*int(p.Dst) + 1)
+	}
+	return sig
+}
+
+// admits asks SignatureAvailable about c's signature, and fails the test
+// unless the flow scan agrees.
+func admits(t *testing.T, f *Fabric, c *coflow.CoFlow) bool {
+	t.Helper()
+	got, want := f.SignatureAvailable(signature(c.SendablePorts())), coflowAvailable(f, c)
+	if got != want {
+		t.Fatalf("SignatureAvailable = %v, the flow scan says %v", got, want)
+	}
+	return got
+}
+
 func TestCoFlowAvailable(t *testing.T) {
 	f := New(4, 100)
 	c := coflow2x2()
-	if !f.CoFlowAvailable(c) {
+	if !admits(t, f, c) {
 		t.Fatal("fresh fabric should admit coflow")
 	}
 	f.Allocate(0, 0, 100) // saturate egress 0 (ingress 0 is unused by c)
-	if f.CoFlowAvailable(c) {
+	if admits(t, f, c) {
 		t.Fatal("coflow admitted with saturated port")
 	}
 	// A coflow whose flows avoid port 0 is still admissible.
 	other := coflow.New(&coflow.Spec{ID: 2, Flows: []coflow.FlowSpec{{Src: 1, Dst: 3, Size: 1}}})
-	if !f.CoFlowAvailable(other) {
+	if !admits(t, f, other) {
 		t.Fatal("unrelated coflow rejected")
 	}
 	// Done flows do not count.
 	c.Flows[0].Done = true
 	c.Flows[1].Done = true
 	c.Invalidate()
-	if !f.CoFlowAvailable(c) {
+	if !admits(t, f, c) {
 		t.Fatal("coflow with only done flows at busy port rejected")
 	}
 }
@@ -138,8 +180,72 @@ func TestCoFlowAvailableSkipsUnavailableFlows(t *testing.T) {
 			c.Flows[i].Available = false
 		}
 	}
-	if !f.CoFlowAvailable(c) {
+	c.Invalidate()
+	if !admits(t, f, c) {
 		t.Fatal("unavailable flows should not block admission")
+	}
+}
+
+// TestSignatureAdmissionEdge pins the admission edge: on each direction
+// of one port, at residuals of 0, one ulp under 1e-3, exactly 1e-3 (not
+// open, yet admitted), one ulp over and line rate, SignatureAvailable
+// answers as the flow scan does — on fabrics of one word and of several
+// (more than 32 ports), for a CoFlow through the direction under test
+// and, by a signature shorter than the fabric's bitset, one on port 2.
+func TestSignatureAdmissionEdge(t *testing.T) {
+	residuals := []struct {
+		name  string
+		r     coflow.Rate
+		admit bool
+	}{
+		{"zero", 0, false},
+		{"eps-ulp", coflow.Rate(math.Nextafter(1e-3, 0)), false},
+		{"eps", 1e-3, true},
+		{"eps+ulp", coflow.Rate(math.Nextafter(1e-3, 1)), true},
+		{"line-rate", DefaultPortRate, true},
+	}
+	for _, ports := range []int{4, 33, 70} {
+		for _, port := range []coflow.PortID{1, coflow.PortID(ports - 1)} {
+			for _, ingress := range []bool{false, true} {
+				for _, tc := range residuals {
+					f := New(ports, DefaultPortRate)
+					// Leave exactly tc.r at the direction under test: close the
+					// path through it, then hand tc.r back to both its ends (the
+					// other end, at port 0, is then at tc.r too).
+					src, dst := port, coflow.PortID(0)
+					if ingress {
+						src, dst = 0, port
+					}
+					if tc.r < DefaultPortRate {
+						f.Allocate(src, dst, DefaultPortRate)
+						f.Release(src, dst, tc.r)
+					}
+					if got := f.EgressFree(src); got != tc.r {
+						t.Fatalf("set-up left %v, want %v", got, tc.r)
+					}
+					if open := f.OpenEnds(signature([]coflow.PortPair{{Src: int32(src), Dst: int32(dst)}})); open != (float64(tc.r) > openEps) {
+						t.Fatalf("%d ports, port %d ingress=%v at %s: open %v", ports, port, ingress, tc.name, open)
+					}
+					// A CoFlow through the direction under test (its other end at
+					// port 2, at line rate), and one on port 2 alone.
+					through := coflow.New(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 2, Dst: 2, Size: 1}, {Src: port, Dst: 2, Size: 1}}})
+					if ingress {
+						through.Flows[1].Src, through.Flows[1].Dst = 2, port
+						through.Invalidate()
+					}
+					if got := admits(t, f, through); got != tc.admit {
+						t.Fatalf("%d ports, port %d ingress=%v at %s: admitted %v, want %v", ports, port, ingress, tc.name, got, tc.admit)
+					}
+					low := coflow.New(&coflow.Spec{ID: 2, Flows: []coflow.FlowSpec{{Src: 2, Dst: 2, Size: 1}}})
+					if sig := signature(low.SendablePorts()); len(sig) >= len(f.open) && len(f.open) > 1 {
+						t.Fatalf("signature of %d words is not shorter than the %d-word bitset", len(sig), len(f.open))
+					}
+					if !admits(t, f, low) {
+						t.Fatalf("%d ports, port %d ingress=%v at %s: a CoFlow on port 2 refused", ports, port, ingress, tc.name)
+					}
+				}
+			}
+		}
 	}
 }
 

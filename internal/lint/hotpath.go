@@ -29,7 +29,7 @@ import (
 // interfaces (e.g. sched.Scheduler.Schedule) and into other packages
 // are not resolved, so each policy's Schedule and every cross-package
 // callee on the path (sched.ContentionIndex.Sync/K/Signature,
-// fabric.Fabric.Reset/Allocate/Release/CoFlowAvailable/
+// fabric.Fabric.Reset/Allocate/Release/SignatureAvailable/
 // EqualRateForCoFlow/OpenEnds, the cached coflow.CoFlow accessors)
 // carries its own //saath:hotpath root annotation.
 var HotPath = &Analyzer{

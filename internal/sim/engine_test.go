@@ -279,6 +279,86 @@ func TestAaloExactCCTs(t *testing.T) {
 	}
 }
 
+// TestSaathAblationExactCCTs pins the Saath ablations on the Fig. 4 and
+// Fig. 8 traces to the microsecond (model as TestFig4ExactCCTs: 1 Gbps
+// is 1,000,000 bytes per δ = 8 ms, one unit is 12,500,000 bytes, the
+// schedule changes only at δ boundaries). No starvation deadline
+// passes: the shortest, 2·C_q times queue 0's 83.9 ms residence, is
+// longer than any CoFlow's stay in queue 0 here.
+//
+// Fig. 4, saath/an+pf+fifo (per-flow thresholds: a width-2 CoFlow
+// demotes once a flow has 5,242,880 bytes; FIFO order; work
+// conservation on) is the saath walk of TestFig4ExactCCTs boundary for
+// boundary, since LCoF's k_c ties wherever it would order two CoFlows:
+//   - 0: C1 runs. 8 ms: C2, C3 miss; C2's P2 flow takes the idle P2.
+//   - 48 ms: C1 demotes (6,000,000 per flow); C2 (5,000,000 on P2) runs
+//     on P1, P2; C3's P3 flow takes P3. 56 ms: C2 demotes (6,000,000 on
+//     P2); C3 runs on P2, P3; C1's P1 flow takes P1.
+//   - 96 ms: C3 demotes (6,000,000 on P3); in queue 1, C1 (11,000,000
+//     and 6,000,000) runs and C2's P2 flow (6,000,000) takes P2. C1 ends
+//     at 108 (P1) and 148 ms (P3): C1 = 148,000 µs. C2's P2 flow ends at
+//     148 ms.
+//   - 112 ms: C1 on P3, C2 (1,000,000 on P1) on P1 and P2; its P1 flow
+//     ends at 204 ms: C2 = 203,000 µs. 152 ms: C3 (5,000,000 and
+//     6,000,000) runs on P2, P3 and ends at 212 ms: C3 = 210,000 µs.
+//
+// saath/width-contention (k_c = pending flows) ties the same way: 2, 2,
+// 2 until C1's P1 flow ends, then C1 (1) leads, as FIFO has it; so the
+// same CCTs.
+//
+// saath/an+fifo (total bytes: queue 0 below S = 10,485,760, FIFO):
+//   - 0: C1 runs (250,000 bytes per ms in total). 8 ms: C2's P2 flow
+//     takes P2. 48 ms: C1 demotes (12,000,000); C2 (5,000,000) runs on
+//     P1, P2 and C3's P3 flow takes P3, also at 56 ms (C2 7,000,000).
+//   - 72 ms: C2 demotes (11,000,000); C3 (3,000,000) runs on P2, P3 and
+//     C1's P1 flow (6,000,000) takes P1.
+//   - 104 ms: C3 demotes (11,000,000); in queue 1 C1 (10,000,000 and
+//     6,000,000) runs, ending at 124 and 156 ms: C1 = 156,000 µs; C2's
+//     P2 flow (8,000,000) takes P2 and ends at 140 ms.
+//   - 128 ms: C2 runs on P1 (3,000,000) and P2; its P1 flow ends at
+//     204 ms: C2 = 203,000 µs. 144 ms: C3's P2 flow (4,000,000) takes P2
+//     and ends at 212 ms; 160 ms: its P3 flow (7,000,000) runs and ends
+//     at 204 ms: C3 = 210,000 µs.
+//
+// Fig. 8 (C2 on S1, S2 with 31,250,000 bytes per flow; C1 on S1 and C3
+// on S2 with 12,500,000), saath/an+fifo and saath/an+pf+fifo: FIFO puts
+// C2, the first arrival, ahead of C1 and C3 in queue 0, and work
+// conservation finds both senders closed.
+//   - 0: C2 runs; at 48 ms it demotes — 12,000,000 in total (an+fifo)
+//     or 6,000,000 per flow over a 5,242,880 threshold (an+pf+fifo).
+//   - 48 ms: C1 and C3 run; at 136 ms they demote (11,000,000 over
+//     10,485,760, a width-1 CoFlow's threshold either way).
+//   - 136 ms: in queue 1, C2 first by arrival runs its last 25,250,000
+//     bytes per flow (202 ms), ending at 338 ms: C2 = 338,000 µs. 344 ms:
+//     C1 and C3 send their last 1,500,000 and end at 356 ms: C1 =
+//     355,000 µs, C3 = 354,000.
+//
+// saath/width-contention: C1 and C3 (k_c 1) go ahead of C2 (2).
+//   - 0: C2 runs alone. 8 ms: C1 and C3 run; C2 waits with 1,000,000 per
+//     flow. 96 ms: C1 and C3 demote (11,000,000); C2 runs.
+//   - 136 ms: C2 demotes (6,000,000 per flow); in queue 1 C1 and C3 run
+//     again and end at 148 ms: C1 = 147,000 µs, C3 = 146,000. 152 ms: C2
+//     sends its last 25,250,000 bytes per flow, ending at 354 ms: C2 =
+//     354,000 µs — Saath's own Fig. 8 outcome (TestFig8ExactCCTs).
+func TestSaathAblationExactCCTs(t *testing.T) {
+	for _, tc := range []struct {
+		tr    *trace.Trace
+		sched string
+		want  map[coflow.CoFlowID]coflow.Time
+	}{
+		{trace.Fig4Trace(), "saath/an+fifo", map[coflow.CoFlowID]coflow.Time{1: 156_000, 2: 203_000, 3: 210_000}},          // 1.56t, 2.03t, 2.10t
+		{trace.Fig4Trace(), "saath/an+pf+fifo", map[coflow.CoFlowID]coflow.Time{1: 148_000, 2: 203_000, 3: 210_000}},       // 1.48t, 2.03t, 2.10t
+		{trace.Fig4Trace(), "saath/width-contention", map[coflow.CoFlowID]coflow.Time{1: 148_000, 2: 203_000, 3: 210_000}}, // 1.48t, 2.03t, 2.10t
+		{trace.Fig8Trace(), "saath/an+fifo", map[coflow.CoFlowID]coflow.Time{1: 355_000, 2: 338_000, 3: 354_000}},          // 3.55t, 3.38t, 3.54t
+		{trace.Fig8Trace(), "saath/an+pf+fifo", map[coflow.CoFlowID]coflow.Time{1: 355_000, 2: 338_000, 3: 354_000}},       // 3.55t, 3.38t, 3.54t
+		{trace.Fig8Trace(), "saath/width-contention", map[coflow.CoFlowID]coflow.Time{1: 147_000, 2: 354_000, 3: 146_000}}, // 1.47t, 3.54t, 1.46t
+	} {
+		if got := runOn(t, tc.tr, tc.sched, Config{}).CCTByID(); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%s %s: CCTs %v µs, want %v", tc.tr.Name, tc.sched, got, tc.want)
+		}
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	tr := trace.Synthesize(smallSynth(1), "det")
 	a := runOn(t, tr, "saath", Config{})
