@@ -27,8 +27,9 @@ test-testbed:
 # an accepted one is live exactly once. The coflow-benchmark trace
 # parser: any input is rejected with an error or parses to a trace that
 # Write + Parse round-trip. A CoFlow's pending/done summary: after any
-# interleaving of progress, Finish, availability flips, restarts and
-# update() swaps, every accessor equals a full scan of its flows.
+# interleaving of its writers — progress, completions, availability
+# flips, restarts and update() swaps — every accessor equals a full
+# scan of its flows.
 # Max-min filling: on any demands, caps and pre-drawn fabric, the rates
 # equal a round-by-round walk over every demand bit for bit. In-process
 # agents: under any churn script — registrations, deregistrations with
@@ -100,10 +101,14 @@ vet:
 
 # saath-vet is the project's own analyzer suite (detcheck, hotpath,
 # obscheck — see internal/lint). It must report zero unsuppressed
-# findings over the whole tree; any new finding fails the build. The
-# analyzer unit tests ride along so broken fixtures fail here too.
+# findings over the whole tree; any new finding fails the build. It runs
+# both ways it can: as its own driver, and built as a `go vet -vettool`,
+# the path CI's lint job takes. The analyzer unit tests ride along so
+# broken fixtures fail here too.
 lint:
 	$(GO) run ./cmd/saath-vet ./...
+	$(GO) build -o bin/saath-vet ./cmd/saath-vet
+	$(GO) vet -vettool=$(CURDIR)/bin/saath-vet ./...
 	$(GO) test -count=1 ./internal/lint/
 
 # staticcheck runs when the binary is installed and skips (with a

@@ -78,6 +78,9 @@ func main() {
 		} else {
 			cfg.MeanInterArrival = 100 * coflow.Millisecond
 		}
+		if err := cfg.Validate(); err != nil {
+			fatal(err)
+		}
 		tr = trace.Synthesize(cfg, "custom")
 	default:
 		fatal(fmt.Errorf("unknown kind %q", *kind))

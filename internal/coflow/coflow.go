@@ -9,26 +9,31 @@
 //
 // A CoFlow keeps a summary of its flows — the pending and sendable
 // lists, their compact (src, dst) view, and what the finished flows sent
-// — and carries two stamps its owner moves as it changes the flows;
-// everything derived from a CoFlow is keyed on them. Three calls keep
-// both current, each from the code that makes the change:
+// — and carries two stamps: a mutation epoch (CacheEpoch) that moves
+// when a flow's Done or Available state changes or a finished flow's
+// figures are rewritten, and a progress stamp (ProgressStamp) that moves
+// when a pending flow's Sent does. Everything derived from a CoFlow is
+// keyed on them. A flow's Sent, Done, DoneAt and Available are read
+// through its accessors and written only through its CoFlow, whose
+// writers move the stamps themselves:
 //
-//   - Finish marks a pending flow done, once its Sent and DoneAt are
-//     final. It moves the mutation epoch and, while the summary is
-//     fresh, updates it in place: the flow leaves the lists and joins the
-//     finished-flow figures, so a completion costs the flow, not a pass
-//     over every flow the CoFlow ever had.
-//   - Invalidate moves the mutation epoch for a wholesale change: a flow's
-//     Available flipped, a finished flow's Sent or DoneAt rewritten, a
-//     flow set swapped in. The next read rebuilds the summary with one
-//     pass over Flows, as a CoFlow's first read does.
-//   - NoteProgress moves the progress stamp: call it after writing the
-//     Sent of a flow that is not Done.
+//   - Progress(f, sent) records what f has sent: the progress stamp for
+//     a pending flow, the epoch for a finished one (its bytes are part
+//     of the summary);
+//   - Restart(f) takes back everything f sent (a node failure), as
+//     Progress does;
+//   - SetAvailable(f, v) holds f back or releases it, moving the epoch
+//     only when v differs;
+//   - Complete(f, at) finishes a pending flow at its last Progress,
+//     moving the epoch and, while the summary is fresh, updating it in
+//     place; CompleteAll finishes the completions of one walk together;
+//     a flow already done is left as it is;
+//   - CarryOver(old) takes over an earlier flow set's progress when a
+//     CoFlow is restated, moving the epoch.
 //
 // With both stamps unchanged, nothing a scheduler's queue rule reads has
 // moved, and the schedulers hold their decisions on exactly that
-// (internal/core, internal/sched/aalo). saath-vet's detcheck keeps
-// writers of Flow.Sent, Flow.Done and Flow.Available to it.
+// (internal/core, internal/sched/aalo).
 package coflow
 
 import (
@@ -207,10 +212,12 @@ type Flow struct {
 	Dst  PortID
 	Size Bytes // ground truth; online schedulers must not read it
 
-	Sent      Bytes // bytes moved so far
-	DoneAt    Time
-	Done      bool
-	Available bool // data ready to send (pipelined frameworks, §4.3)
+	// Progress, written through the owning CoFlow (see the package doc)
+	// and read through the accessors below.
+	sent      Bytes // bytes moved so far
+	doneAt    Time
+	done      bool
+	available bool // data ready to send (pipelined frameworks, §4.3)
 
 	// Restarted marks a flow whose progress was reset by a node
 	// failure; Slowdown > 1 models a straggler whose achievable rate
@@ -221,9 +228,22 @@ type Flow struct {
 	Slowdown  float64
 }
 
+// Sent returns the bytes the flow has moved so far.
+func (f *Flow) Sent() Bytes { return f.sent }
+
+// Done reports whether the flow has finished.
+func (f *Flow) Done() bool { return f.done }
+
+// DoneAt returns when the flow finished, valid once Done.
+func (f *Flow) DoneAt() Time { return f.doneAt }
+
+// Available reports whether the flow's data is ready to send (pipelined
+// frameworks may hold flows back, §4.3).
+func (f *Flow) Available() bool { return f.available }
+
 // Remaining returns the bytes still to send.
 func (f *Flow) Remaining() Bytes {
-	r := f.Size - f.Sent
+	r := f.Size - f.sent
 	if r < 0 {
 		return 0
 	}
@@ -256,16 +276,14 @@ type CoFlow struct {
 	Done    bool
 	// Summary flags, beside Done so the struct packs: every pending flow
 	// is Available (the sendable lists are pend's), and the list entries
-	// Finish has moved since the last build.
+	// Complete has shifted since the last build.
 	allAvail bool
 	shifted  int32
 	DoneAt   Time
 
-	// Epoch-stamped progress summary. The owner of the CoFlow (the sim
-	// engine, the coordinator) moves the epoch whenever a flow's Done or
-	// Available state — or a done flow's Sent/DoneAt — changes: Finish
-	// for one pending flow's completion, which keeps a fresh summary
-	// fresh, and Invalidate for anything else, which leaves it to the
+	// Epoch-stamped progress summary. The writers move the epoch whenever
+	// a flow's Done or Available state — or a done flow's Sent — changes:
+	// Complete keeps a fresh summary fresh, and the others leave it to the
 	// next read's one pass over Flows (build). Between two moves the done
 	// flows are frozen, so the summary holds everything about them as
 	// scalars plus the lists of flows still live; the per-interval
@@ -280,8 +298,8 @@ type CoFlow struct {
 	doneLast  Time       // max DoneAt over done flows
 	extra     *summaryExtra
 
-	// progress is the stamp NoteProgress moves: the one thing the epoch
-	// does not cover, a pending flow's Sent.
+	// progress is the stamp Progress moves for a pending flow: the one
+	// thing the epoch does not cover.
 	progress uint64
 }
 
@@ -313,7 +331,7 @@ func New(spec *Spec) *CoFlow {
 			Src:       fs.Src,
 			Dst:       fs.Dst,
 			Size:      fs.Size,
-			Available: true,
+			available: true,
 			Slowdown:  1,
 		}
 		c.Flows[i] = &slab[i]
@@ -321,56 +339,134 @@ func New(spec *Spec) *CoFlow {
 	return c
 }
 
-// Invalidate bumps the CoFlow's mutation epoch, marking the cached
-// progress summary stale. Call it after changing any flow's Available
-// state, the Sent/DoneAt of a flow that is already Done, or Done by any
-// other route than Finish.
-func (c *CoFlow) Invalidate() { c.epoch++ }
-
-// Finish marks flows — pending flows of c whose Sent and DoneAt are
-// final — Done, and moves the mutation epoch as Invalidate does. While
-// the summary is fresh it stays fresh, in place and with no allocation:
-// the flows leave the pending and sendable lists and join the
-// finished-flow sum, maximum, last completion and, once DoneMedian has
-// been asked for, its sorted list.
+// Progress records that f has sent sent bytes so far. For a pending
+// flow it moves the progress stamp, even when sent is unchanged (a
+// boundary that moved no byte still asked); for a finished one — a late
+// report — the epoch, since a finished flow's bytes are part of the
+// summary.
 //
-// One flow is found by binary search on FlowID.Index and cut out of the
+//saath:hotpath
+func (c *CoFlow) Progress(f *Flow, sent Bytes) {
+	f.sent = sent
+	if f.done {
+		c.epoch++
+		return
+	}
+	c.progress++
+}
+
+// Restart takes back everything f sent, as a node failure does, and
+// marks it Restarted. The stamps move as Progress moves them.
+//
+//saath:hotpath
+func (c *CoFlow) Restart(f *Flow) {
+	c.Progress(f, 0)
+	f.Restarted = true
+}
+
+// SetAvailable holds f back (false) or releases it (true). The epoch
+// moves when v differs from what f had, and nothing moves when it does
+// not.
+//
+//saath:hotpath
+func (c *CoFlow) SetAvailable(f *Flow, v bool) {
+	if f.available == v {
+		return
+	}
+	f.available = v
+	c.epoch++
+}
+
+// CarryOver takes over an earlier flow set's progress when c restates
+// old: every flow of c whose index old has, at the same size, starts
+// from old's Sent, Done and DoneAt, and any other starts over. The epoch
+// moves, and the next read rebuilds the summary.
+func (c *CoFlow) CarryOver(old *CoFlow) {
+	for i, f := range c.Flows {
+		if i < len(old.Flows) && old.Flows[i].Size == f.Size {
+			o := old.Flows[i]
+			f.sent, f.done, f.doneAt = o.sent, o.done, o.doneAt
+		}
+	}
+	c.epoch++
+}
+
+// Completion is one flow a walk finished and when: CompleteAll's input.
+type Completion struct {
+	Flow *Flow
+	At   Time
+}
+
+// Complete marks pending flow f done at time at, with the Sent its last
+// Progress recorded as final, and moves the epoch. A flow already done
+// is left as it is. While the summary is fresh it stays fresh, in place
+// and with no allocation: the flow leaves the pending and sendable lists
+// and joins the finished-flow sum, maximum, last completion and, once
+// DoneMedian has been asked for, its sorted list.
+//
+// The flow is found by binary search on FlowID.Index and cut out of the
 // lists by shifting their shorter side (cut): what a wide CoFlow whose
 // flows finish one at a time needs. The entries shifted between two
 // builds are bounded by shiftBudget per flow of the CoFlow; past that,
-// and for a flow it cannot find in the lists, Finish leaves the summary
-// stale for the next read to rebuild. A batch — the flows one walk
-// finished — is taken out by one pass over the lists instead (sweep),
-// which costs the pending flows, not every flow the CoFlow had.
-//
-// The single-flow path is measured, not assumed: on the benchmark's
-// workloads (2-core Xeon, alternating 4 s pairs on seeds 1 and 7) a
-// Finish that always sweeps was slower in 10 of 12 pairs on dense-burst
-// (paired median +10.5 %) and in 12 of 12 on coordinator-testbed
-// (+24.8 %), since a sweep reads every pending flow's Done where cut
-// compares a few pointers; a plain binary search over the whole list
-// with slices.Delete was slower in 9 of 12 (+7.4 %) and 9 of 10
-// (+6.3 %): its probes dereference flows all over the list, and the
-// deletion shifts the longer side as often as the shorter.
+// and for a flow it cannot find in the lists, Complete leaves the
+// summary stale for the next read to rebuild.
 //
 //saath:hotpath
-func (c *CoFlow) Finish(flows ...*Flow) {
-	if len(flows) == 0 {
+func (c *CoFlow) Complete(f *Flow, at Time) {
+	if f.done {
 		return
 	}
-	for _, f := range flows {
-		f.Done = true //saath:progress-ok Finish is the stamp: it moves the epoch below
+	f.done, f.doneAt = true, at
+	was := c.epoch
+	c.epoch++
+	if was != 0 && c.fresh == was && c.cutOut(f, was) {
+		c.keepFresh(was)
+	}
+}
+
+// CompleteAll completes every flow of done, as Complete does each, and
+// moves the epoch once. A batch — the flows one walk finished — is taken
+// out of a fresh summary by one pass over the lists (sweep), which costs
+// the pending flows, not every flow the CoFlow had; a batch of one goes
+// through Complete.
+//
+// That split is measured, not assumed: on the benchmark's workloads
+// (2-core Xeon, alternating 4 s pairs on seeds 1 and 7) completing one
+// flow by a sweep was slower in 10 of 12 pairs on dense-burst (paired
+// median +10.5 %) and in 12 of 12 on coordinator-testbed (+24.8 %),
+// since a sweep reads every pending flow's Done where cut compares a few
+// pointers; a plain binary search over the whole list with
+// slices.Delete was slower in 9 of 12 (+7.4 %) and 9 of 10 (+6.3 %): its
+// probes dereference flows all over the list, and the deletion shifts
+// the longer side as often as the shorter.
+//
+//saath:hotpath
+func (c *CoFlow) CompleteAll(done []Completion) {
+	if len(done) == 1 {
+		c.Complete(done[0].Flow, done[0].At)
+		return
+	}
+	n := 0
+	for _, d := range done {
+		if f := d.Flow; !f.done {
+			f.done, f.doneAt = true, d.At
+			n++
+		}
+	}
+	if n == 0 {
+		return
 	}
 	was := c.epoch
 	c.epoch++
-	if was == 0 || c.fresh != was {
-		return // stale already: the next read rebuilds
-	}
-	if len(flows) > 1 {
+	if was != 0 && c.fresh == was {
 		c.sweep(was)
-	} else if !c.cutOut(flows[0], was) {
-		return
+		c.keepFresh(was)
 	}
+}
+
+// keepFresh carries a summary fresh at epoch was, which Complete or
+// CompleteAll just brought up to date, over to the current epoch.
+func (c *CoFlow) keepFresh(was uint64) {
 	if x := c.extra; x != nil && x.medEpoch == was {
 		x.medEpoch = c.epoch
 	}
@@ -385,7 +481,7 @@ func (c *CoFlow) cutOut(f *Flow, was uint64) bool {
 	if !ok {
 		return false
 	}
-	x, j, inSend := c.extra, 0, !c.allAvail && f.Available
+	x, j, inSend := c.extra, 0, !c.allAvail && f.available
 	shift := min(i, len(c.pend)-1-i)
 	if inSend {
 		if j, ok = position(x.send, len(c.Flows), f); !ok {
@@ -410,7 +506,7 @@ func (c *CoFlow) cutOut(f *Flow, was uint64) bool {
 func (c *CoFlow) sweep(was uint64) {
 	n := 0
 	for i, f := range c.pend {
-		if f.Done {
+		if f.done {
 			c.fold(f, was)
 			continue
 		}
@@ -426,7 +522,7 @@ func (c *CoFlow) sweep(was uint64) {
 	x := c.extra
 	n = 0
 	for i, f := range x.send {
-		if f.Done {
+		if f.done {
 			continue
 		}
 		if n != i {
@@ -440,16 +536,16 @@ func (c *CoFlow) sweep(was uint64) {
 // fold adds a flow that just left the lists of a summary fresh at epoch
 // was to the finished-flow figures.
 func (c *CoFlow) fold(f *Flow, was uint64) {
-	c.doneSum += f.Sent
-	c.doneMax = max(c.doneMax, f.Sent)
-	c.doneLast = max(c.doneLast, f.DoneAt)
+	c.doneSum += f.sent
+	c.doneMax = max(c.doneMax, f.sent)
+	c.doneLast = max(c.doneLast, f.doneAt)
 	if x := c.extra; x != nil && x.medEpoch == was {
-		k, _ := slices.BinarySearch(x.doneSent, f.Sent)
-		x.doneSent = slices.Insert(x.doneSent, k, f.Sent)
+		k, _ := slices.BinarySearch(x.doneSent, f.sent)
+		x.doneSent = slices.Insert(x.doneSent, k, f.sent)
 	}
 }
 
-// shiftBudget is how many list entries Finish may shift between two
+// shiftBudget is how many list entries Complete may shift between two
 // builds, per flow of the CoFlow. A shifted entry is a copied pointer and
 // port pair, cheaper than the flow a build dereferences — until a GC
 // cycle puts a write barrier on every pointer copied. Measured on the
@@ -512,16 +608,12 @@ func cut(flows []*Flow, ports []PortPair, i int) ([]*Flow, []PortPair) {
 // whether a CoFlow's derived state must be refreshed.
 func (c *CoFlow) CacheEpoch() uint64 { return c.epoch }
 
-// NoteProgress moves the CoFlow's progress stamp. Call it after writing
-// the Sent of a flow that is not Done — the byte movement of an interval,
-// a restart's reset, an agent's report. Invalidate covers everything else
-// that changes, so an unchanged (CacheEpoch, ProgressStamp) pair says that
-// nothing a queue rule reads — MaxSent, TotalSent, the pending and
-// sendable lists, the finished-flow median — has moved, and a scheduler
-// may keep the queue it last derived from them.
-func (c *CoFlow) NoteProgress() { c.progress++ }
-
-// ProgressStamp returns the stamp NoteProgress moves.
+// ProgressStamp returns the stamp Progress moves for a pending flow. The
+// epoch covers everything else that changes, so an unchanged
+// (CacheEpoch, ProgressStamp) pair says that nothing a queue rule reads —
+// MaxSent, TotalSent, the pending and sendable lists, the finished-flow
+// median — has moved, and a scheduler may keep the queue it last derived
+// from them.
 func (c *CoFlow) ProgressStamp() uint64 { return c.progress }
 
 // sync brings the progress summary up to the current epoch. Epoch 0
@@ -538,7 +630,7 @@ func (c *CoFlow) sync() {
 }
 
 // build computes the summary with one pass over Flows: a CoFlow's first
-// read, and the first read after an Invalidate.
+// read, and the first read after a change Complete did not keep.
 //
 //saath:hotpath
 func (c *CoFlow) build() {
@@ -549,15 +641,15 @@ func (c *CoFlow) build() {
 	c.allAvail, c.shifted = true, 0
 	c.doneSum, c.doneMax, c.doneLast = 0, 0, 0
 	for _, f := range c.Flows {
-		if f.Done {
-			c.doneSum += f.Sent
-			c.doneMax = max(c.doneMax, f.Sent)
-			c.doneLast = max(c.doneLast, f.DoneAt)
+		if f.done {
+			c.doneSum += f.sent
+			c.doneMax = max(c.doneMax, f.sent)
+			c.doneLast = max(c.doneLast, f.doneAt)
 			continue
 		}
 		c.pend = append(c.pend, f)
 		c.pendPorts = append(c.pendPorts, PortPair{int32(f.Src), int32(f.Dst)})
-		if !f.Available {
+		if !f.available {
 			c.allAvail = false
 		}
 	}
@@ -565,8 +657,8 @@ func (c *CoFlow) build() {
 		x := c.extras()
 		x.send, x.sendPorts = x.send[:0], x.sendPorts[:0]
 		for i, f := range c.pend {
-			if f.Available {
-				x.send = append(x.send, f)                        //saath:alloc-ok grows with the sendable set: once per CoFlow, and again if Finish trimmed its front
+			if f.available {
+				x.send = append(x.send, f)                        //saath:alloc-ok grows with the sendable set: once per CoFlow, and again if Complete trimmed its front
 				x.sendPorts = append(x.sendPorts, c.pendPorts[i]) //saath:alloc-ok as above
 			}
 		}
@@ -599,8 +691,8 @@ func (c *CoFlow) MaxSent() Bytes {
 	c.sync()
 	m := c.doneMax
 	for _, f := range c.pend {
-		if f.Sent > m {
-			m = f.Sent
+		if f.sent > m {
+			m = f.sent
 		}
 	}
 	return m
@@ -614,7 +706,7 @@ func (c *CoFlow) TotalSent() Bytes {
 	c.sync()
 	total := c.doneSum
 	for _, f := range c.pend {
-		total += f.Sent
+		total += f.sent
 	}
 	return total
 }
@@ -644,8 +736,8 @@ func (c *CoFlow) NumPending() int { return len(c.PendingFlows()) }
 // DoneMedian returns the median bytes moved by the done flows (zero
 // when there are none) — the finished-flow length the dynamics SRTF
 // approximation extrapolates from (§4.3). The first call sorts the done
-// flows' Sent into a list sized to the CoFlow's width, which Finish then
-// keeps sorted; after an Invalidate the next call sorts it afresh. A
+// flows' Sent into a list sized to the CoFlow's width, which Complete then
+// keeps sorted; after any other change the next call sorts it afresh. A
 // call between two such changes is a read.
 //
 //saath:hotpath
@@ -658,8 +750,8 @@ func (c *CoFlow) DoneMedian() Bytes {
 		}
 		ys := x.doneSent[:0]
 		for _, f := range c.Flows {
-			if f.Done {
-				ys = append(ys, f.Sent)
+			if f.done {
+				ys = append(ys, f.sent)
 			}
 		}
 		slices.Sort(ys)
@@ -691,11 +783,11 @@ func (c *CoFlow) RefreshDone() bool {
 
 // Sendable reports whether the flow still has bytes to move and its
 // data is available (pipelined frameworks may hold flows back, §4.3).
-func (f *Flow) Sendable() bool { return !f.Done && f.Available }
+func (f *Flow) Sendable() bool { return !f.done && f.available }
 
 // SendableFlows returns the flows that can be scheduled right now, in
 // Flows order. The result is cached per mutation epoch (see
-// Invalidate) and the returned slice is owned by the CoFlow: callers
+// CacheEpoch) and the returned slice is owned by the CoFlow: callers
 // must not mutate or retain it across epoch changes.
 //
 //saath:hotpath
@@ -732,7 +824,7 @@ func (c *CoFlow) BottleneckRemaining(bw Rate) Time {
 	srcRem := make(map[PortID]Bytes)
 	dstRem := make(map[PortID]Bytes)
 	for _, f := range c.Flows {
-		if f.Done {
+		if f.done {
 			continue
 		}
 		srcRem[f.Src] += f.Remaining()

@@ -129,7 +129,7 @@ func TestNewRuntimeState(t *testing.T) {
 		t.Fatalf("Arrived = %v", c.Arrived)
 	}
 	for i, f := range c.Flows {
-		if !f.Available {
+		if !f.Available() {
 			t.Errorf("flow %d not available", i)
 		}
 		if f.Slowdown != 1 {
@@ -143,8 +143,8 @@ func TestNewRuntimeState(t *testing.T) {
 
 func TestMaxAndTotalSent(t *testing.T) {
 	c := New(spec2x2())
-	c.Flows[0].Sent = 3 * MB
-	c.Flows[2].Sent = 9 * MB
+	c.Progress(c.Flows[0], 3*MB)
+	c.Progress(c.Flows[2], 9*MB)
 	if got := c.MaxSent(); got != 9*MB {
 		t.Fatalf("MaxSent = %d", got)
 	}
@@ -156,29 +156,86 @@ func TestMaxAndTotalSent(t *testing.T) {
 	}
 }
 
-// TestProgressStamp: NoteProgress moves the progress stamp and nothing
-// else; Invalidate moves the epoch and not the stamp. Together they are
-// what a scheduler keys a derived queue on.
+// TestProgressStamp: Progress on a pending flow moves the progress stamp
+// and nothing else; SetAvailable moves the epoch and not the stamp.
+// Together they are what a scheduler keys a derived queue on.
 func TestProgressStamp(t *testing.T) {
 	c := New(spec2x2())
 	epoch, stamp := c.CacheEpoch(), c.ProgressStamp()
-	c.Flows[0].Sent = MB
-	c.NoteProgress()
+	c.Progress(c.Flows[0], MB)
 	if c.ProgressStamp() == stamp || c.CacheEpoch() != epoch {
-		t.Fatalf("after NoteProgress: stamp %d -> %d, epoch %d -> %d", stamp, c.ProgressStamp(), epoch, c.CacheEpoch())
+		t.Fatalf("after Progress: stamp %d -> %d, epoch %d -> %d", stamp, c.ProgressStamp(), epoch, c.CacheEpoch())
 	}
 	if c.MaxSent() != MB {
 		t.Fatalf("MaxSent = %d: a pending flow's bytes are read live", c.MaxSent())
 	}
 	stamp = c.ProgressStamp()
-	c.Invalidate()
+	c.SetAvailable(c.Flows[1], false)
 	if c.ProgressStamp() != stamp || c.CacheEpoch() == epoch {
-		t.Fatal("Invalidate moved the progress stamp, or not the epoch")
+		t.Fatal("SetAvailable moved the progress stamp, or not the epoch")
+	}
+}
+
+// TestWriterStamps holds each writer to the stamps it moves, on a
+// pending flow, on a finished one and for a write that changes nothing.
+// A scheduler holds its decision while both stamps stand, so a writer
+// that moved one more or one less than this would change how many
+// schedules are held. Progress moves the progress stamp on a pending
+// flow even when the count is unchanged: the engine reports every rated
+// flow's interval, whether or not a byte moved.
+func TestWriterStamps(t *testing.T) {
+	one := func(c *CoFlow, f *Flow) { c.Complete(f, Second) }
+	rows := []struct {
+		name            string
+		finished        bool // the flow written is finished first
+		write           func(c *CoFlow, f *Flow)
+		epoch, progress bool // which stamps move
+	}{
+		{"Progress/pending", false, func(c *CoFlow, f *Flow) { c.Progress(f, MB) }, false, true},
+		{"Progress/finished", true, func(c *CoFlow, f *Flow) { c.Progress(f, f.Sent()+MB) }, true, false},
+		{"Progress/no-op", false, func(c *CoFlow, f *Flow) { c.Progress(f, f.Sent()) }, false, true},
+		{"Restart/pending", false, func(c *CoFlow, f *Flow) { c.Restart(f) }, false, true},
+		{"Restart/finished", true, func(c *CoFlow, f *Flow) { c.Restart(f) }, true, false},
+		{"SetAvailable/pending", false, func(c *CoFlow, f *Flow) { c.SetAvailable(f, false) }, true, false},
+		{"SetAvailable/finished", true, func(c *CoFlow, f *Flow) { c.SetAvailable(f, false) }, true, false},
+		{"SetAvailable/no-op", false, func(c *CoFlow, f *Flow) { c.SetAvailable(f, true) }, false, false},
+		{"Complete/pending", false, one, true, false},
+		{"Complete/finished", true, one, false, false},
+		{"CompleteAll/pending", false, func(c *CoFlow, f *Flow) {
+			c.CompleteAll([]Completion{{f, Second}, {c.Flows[3], Second}})
+		}, true, false},
+		{"CompleteAll/finished", true, func(c *CoFlow, f *Flow) {
+			c.CompleteAll([]Completion{{f, Second}, {f, Second}})
+		}, false, false},
+		{"CarryOver/pending", false, func(c *CoFlow, f *Flow) { c.CarryOver(New(c.Spec)) }, true, false},
+		{"CarryOver/finished", true, func(c *CoFlow, f *Flow) { c.CarryOver(New(c.Spec)) }, true, false},
+		{"CarryOver/no-op", false, func(c *CoFlow, f *Flow) { c.CarryOver(c) }, true, false},
+	}
+	for _, r := range rows {
+		c := New(spec2x2())
+		f := c.Flows[0]
+		c.Progress(f, MB/2)
+		if r.finished {
+			c.Progress(f, f.Size)
+			c.Complete(f, Millisecond)
+		}
+		c.MaxSent() // a fresh summary
+		epoch, stamp := c.CacheEpoch(), c.ProgressStamp()
+		r.write(c, f)
+		if moved := c.CacheEpoch() != epoch; moved != r.epoch {
+			t.Errorf("%s: epoch moved %v, want %v", r.name, moved, r.epoch)
+		}
+		if moved := c.ProgressStamp() != stamp; moved != r.progress {
+			t.Errorf("%s: progress stamp moved %v, want %v", r.name, moved, r.progress)
+		}
+		checkSummary(t, c, true, 0)
 	}
 }
 
 func TestFlowRemainingClamped(t *testing.T) {
-	f := &Flow{Size: 10, Sent: 15}
+	c := New(&Spec{Flows: []FlowSpec{{Size: 10}}})
+	f := c.Flows[0]
+	c.Progress(f, 15)
 	if got := f.Remaining(); got != 0 {
 		t.Fatalf("Remaining = %d, want 0", got)
 	}
@@ -206,10 +263,8 @@ func TestRefreshDone(t *testing.T) {
 		t.Fatal("fresh coflow reported done")
 	}
 	for i, f := range c.Flows {
-		f.Done = true
-		f.DoneAt = Time(i+1) * Second
+		c.Complete(f, Time(i+1)*Second)
 	}
-	c.Invalidate()
 	if !c.RefreshDone() {
 		t.Fatal("completed coflow not detected")
 	}
@@ -226,8 +281,8 @@ func TestRefreshDone(t *testing.T) {
 
 func TestPendingAndFinished(t *testing.T) {
 	c := New(spec2x2())
-	c.Flows[1].Done = true
-	c.Flows[1].Sent = 20 * MB
+	c.Progress(c.Flows[1], 20*MB)
+	c.Complete(c.Flows[1], 0)
 	if got := len(c.PendingFlows()); got != 3 {
 		t.Fatalf("pending = %d", got)
 	}
@@ -245,14 +300,14 @@ func TestDoneMedian(t *testing.T) {
 		t.Fatalf("median of no finished flows = %d", got)
 	}
 	for i, sent := range []Bytes{3, 1, 2} {
-		c.Flows[i].Done, c.Flows[i].Sent = true, sent
+		c.Progress(c.Flows[i], sent)
+		c.Complete(c.Flows[i], 0)
 	}
-	c.Invalidate()
 	if got := c.DoneMedian(); got != 2 {
 		t.Fatalf("odd median = %d", got)
 	}
-	c.Flows[3].Done, c.Flows[3].Sent = true, 4
-	c.Invalidate()
+	c.Progress(c.Flows[3], 4)
+	c.Complete(c.Flows[3], 0)
 	if got := c.DoneMedian(); got != 2 { // (2+3)/2 truncated
 		t.Fatalf("even median = %d", got)
 	}
@@ -270,8 +325,8 @@ func TestBottleneckRemaining(t *testing.T) {
 		t.Fatalf("Γ at zero bw = %v", got)
 	}
 	// Progress reduces the bottleneck.
-	c.Flows[3].Sent = 40 * MB
-	c.Flows[3].Done = true
+	c.Progress(c.Flows[3], 40*MB)
+	c.Complete(c.Flows[3], 0)
 	want = bw.TimeToSend(70 * MB) // src 1 now has 30, dst 2 has 40... recompute: src0=30,src1=30,dst2=40,dst3=20
 	_ = want
 	got := c.BottleneckRemaining(bw)
@@ -297,9 +352,9 @@ func TestBottleneckMonotoneProperty(t *testing.T) {
 		bw := GbpsRate(1)
 		before := c.BottleneckRemaining(bw)
 		f := c.Flows[rng.Intn(n)]
-		f.Sent += Bytes(rng.Intn(int(f.Size)) + 1)
+		c.Progress(f, f.Sent()+Bytes(rng.Intn(int(f.Size))+1))
 		if f.Remaining() == 0 {
-			f.Done = true
+			c.Complete(f, 0)
 		}
 		after := c.BottleneckRemaining(bw)
 		if after > before {
@@ -310,9 +365,9 @@ func TestBottleneckMonotoneProperty(t *testing.T) {
 
 // TestProgressSummaryMatchesFullScan drives CoFlows through the
 // mutations their owners perform — byte progress on pending flows,
-// completions, availability flips, restarts — calling Invalidate
-// exactly where the contract asks for it, and checks every cached
-// accessor against a from-scratch pass over Flows after each step.
+// completions, availability flips, restarts — through the writers, and
+// checks every cached accessor against a from-scratch pass over Flows
+// after each step.
 func TestProgressSummaryMatchesFullScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 50; trial++ {
@@ -324,21 +379,20 @@ func TestProgressSummaryMatchesFullScan(t *testing.T) {
 		for step := 0; step < 80; step++ {
 			f := c.Flows[rng.Intn(len(c.Flows))]
 			switch rng.Intn(5) {
-			case 0, 1: // bytes move on a pending flow: no Invalidate
-				if !f.Done {
-					f.Sent += Bytes(rng.Intn(int(f.Size)))
+			case 0, 1: // bytes move on a pending flow
+				if !f.Done() {
+					c.Progress(f, f.Sent()+Bytes(rng.Intn(int(f.Size))))
 				}
 			case 2: // completion
-				if !f.Done {
-					f.Sent, f.Done, f.DoneAt = f.Size, true, Time(step)
-					c.Invalidate()
+				if !f.Done() {
+					c.Progress(f, f.Size)
+					c.Complete(f, Time(step))
 				}
 			case 3: // availability flip
-				f.Available = !f.Available
-				c.Invalidate()
+				c.SetAvailable(f, !f.Available())
 			case 4: // restart after a failure: progress lost, still pending
-				if !f.Done {
-					f.Sent, f.Restarted = 0, true
+				if !f.Done() {
+					c.Restart(f)
 				}
 			}
 
@@ -347,17 +401,17 @@ func TestProgressSummaryMatchesFullScan(t *testing.T) {
 			var done []Bytes
 			var last Time
 			for _, f := range c.Flows {
-				maxSent = max(maxSent, f.Sent)
-				total += f.Sent
+				maxSent = max(maxSent, f.Sent())
+				total += f.Sent()
 				if f.Sendable() {
 					sendable = append(sendable, f)
 				}
-				if !f.Done {
+				if !f.Done() {
 					pending = append(pending, f)
 					continue
 				}
-				done = append(done, f.Sent)
-				last = max(last, f.DoneAt)
+				done = append(done, f.Sent())
+				last = max(last, f.DoneAt())
 			}
 			slices.Sort(done)
 			var median Bytes
@@ -397,10 +451,10 @@ func TestProgressSummaryMatchesFullScan(t *testing.T) {
 	}
 }
 
-// TestFinishAllocatesNothing: a completion costs the flow — Finish
+// TestFinishAllocatesNothing: a completion costs the flow — Complete
 // updates a fresh summary, the sorted done list included, in place. Each
 // run finishes every flow of its own CoFlow, out of order and with reads
-// in between, so every Finish meets a fresh summary.
+// in between, so every Complete meets a fresh summary.
 func TestFinishAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -413,8 +467,7 @@ func TestFinishAllocatesNothing(t *testing.T) {
 			spec.Flows = append(spec.Flows, FlowSpec{Src: PortID(j % 5), Dst: PortID(j % 3), Size: Bytes(10 + j)})
 		}
 		cs[i] = New(spec)
-		cs[i].Flows[width/2].Available = false
-		cs[i].Invalidate()
+		cs[i].SetAvailable(cs[i].Flows[width/2], false)
 		cs[i].DoneMedian() // builds the summary and the done list
 	}
 	next := 0
@@ -423,8 +476,8 @@ func TestFinishAllocatesNothing(t *testing.T) {
 		next++
 		for k := 0; k < width; k++ {
 			f := c.Flows[(k*7)%width]
-			f.Sent, f.DoneAt = f.Size, Time(k)
-			c.Finish(f)
+			c.Progress(f, f.Size)
+			c.Complete(f, Time(k))
 			_ = c.SendablePorts()
 			_ = c.DoneMedian()
 		}

@@ -6,14 +6,15 @@ import (
 )
 
 // FuzzProgressSummary drives one CoFlow through random interleavings of
-// what its owners do to it — bytes moving on pending flows
-// (NoteProgress), completions (Finish: one flow, several one call
-// each, or several in one call), availability flips, rewrites of a
-// finished flow's Sent and update()-style swaps to a new flow set (Invalidate), restarts — and
-// after every step that reads, checks every summary accessor against a
-// from-scratch pass over Flows. Reads are skipped on some steps and
-// DoneMedian is asked only on some, so Finish meets fresh and stale
-// summaries, with and without its sorted done list.
+// its writers — bytes moving on pending flows (Progress), completions
+// (Complete one flow, several one call each, or CompleteAll several in
+// one call), availability flips (SetAvailable), rewrites of a finished
+// flow's Sent (Progress), update()-style swaps to a new flow set
+// (CarryOver), restarts (Restart) — and after every step that reads,
+// checks every summary accessor against a from-scratch pass over Flows.
+// Reads are skipped on some steps and DoneMedian is asked only on some,
+// so Complete meets fresh and stale summaries, with and without its
+// sorted done list.
 //
 // The input is a width byte (a quarter of the width) followed by (op,
 // arg) byte pairs. The op's low three bits pick the mutation, bit 3 skips
@@ -21,10 +22,10 @@ import (
 // where along Flows to start looking), the bytes or the batch size (and,
 // by its low bit, whether a batch is one call). The committed corpus
 // under testdata/fuzz holds one input per mutation, a wide CoFlow
-// finished from the middle one flow at a time past Finish's shift
+// finished from the middle one flow at a time past Complete's shift
 // budget, batches in one call, a swap that leaves finished and pending
 // flows mixed, and an availability flip that nothing reads before the
-// next Finish.
+// next Complete.
 func FuzzProgressSummary(f *testing.F) {
 	f.Add([]byte{6, 0, 3, 1, 2, 2, 4, 17, 1, 4, 0, 0x11, 5})
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -40,7 +41,7 @@ func FuzzProgressSummary(f *testing.F) {
 		pick := func(arg byte, pending bool) *Flow { // from arg/256 of the way along
 			for k, at := 0, int(arg)*len(c.Flows)/256; k < len(c.Flows); k++ {
 				f := c.Flows[(at+k)%len(c.Flows)]
-				if f.Done != pending {
+				if f.Done() != pending {
 					return f
 				}
 			}
@@ -51,45 +52,41 @@ func FuzzProgressSummary(f *testing.F) {
 			switch op & 7 {
 			case 0: // bytes move on a pending flow
 				if f := pick(arg, true); f != nil {
-					f.Sent = min(f.Size-1, f.Sent+Bytes(arg))
-					c.NoteProgress()
+					c.Progress(f, min(f.Size-1, f.Sent()+Bytes(arg)))
 				}
 			case 1: // one completion
 				if f := pick(arg, true); f != nil {
-					f.Sent, f.DoneAt = f.Size, Time(step)
-					c.Finish(f)
+					c.Progress(f, f.Size)
+					c.Complete(f, Time(step))
 				}
 			case 2: // completions first position first: one call each, or one for all
-				var batch []*Flow
+				var batch []Completion
 				for _, f := range c.Flows {
-					if !f.Done && len(batch) < int(arg>>1) {
-						f.Sent, f.DoneAt = f.Size, Time(step)
-						batch = append(batch, f)
+					if !f.Done() && len(batch) < int(arg>>1) {
+						c.Progress(f, f.Size)
+						batch = append(batch, Completion{f, Time(step)})
 					}
 				}
 				if arg&1 == 0 {
-					for _, f := range batch {
-						c.Finish(f)
+					for _, d := range batch {
+						c.Complete(d.Flow, d.At)
 					}
 				} else {
 					if f := pick(arg, false); f != nil {
-						batch = append(batch, f) // already finished: in no list
+						batch = append(batch, Completion{f, Time(step)}) // already finished: left as it is
 					}
-					c.Finish(batch...)
+					c.CompleteAll(batch)
 				}
 			case 3: // availability flip
 				f := c.Flows[int(arg)*len(c.Flows)/256]
-				f.Available = !f.Available
-				c.Invalidate()
+				c.SetAvailable(f, !f.Available())
 			case 4: // restart: progress lost, still pending
 				if f := pick(arg, true); f != nil {
-					f.Sent, f.Restarted = 0, true
-					c.NoteProgress()
+					c.Restart(f)
 				}
 			case 5: // a finished flow's Sent rewritten
 				if f := pick(arg, false); f != nil {
-					f.Sent += Bytes(arg)
-					c.Invalidate()
+					c.Progress(f, f.Sent()+Bytes(arg))
 				}
 			case 6: // update(): a new flow set, progress carried where sizes match
 				next := &Spec{ID: 1, Flows: slices.Clone(c.Spec.Flows)}
@@ -99,16 +96,15 @@ func FuzzProgressSummary(f *testing.F) {
 				}
 				old := c
 				c = New(next)
+				c.CarryOver(old)
 				for i, f := range c.Flows {
 					if i < len(old.Flows) && old.Flows[i].Size == f.Size {
-						f.Sent, f.Done, f.DoneAt = old.Flows[i].Sent, old.Flows[i].Done, old.Flows[i].DoneAt
-						f.Available = old.Flows[i].Available
+						c.SetAvailable(f, old.Flows[i].Available())
 					}
 				}
-				c.Invalidate()
-			case 7: // Finish on a flow that is no longer pending: stale, never wrong
+			case 7: // Complete on a flow that is no longer pending: left as it is
 				if f := pick(arg, false); f != nil {
-					c.Finish(f)
+					c.Complete(f, Time(step))
 				}
 			}
 			if op&8 != 0 {
@@ -131,18 +127,18 @@ func checkSummary(t *testing.T, c *CoFlow, median bool, step int) bool {
 	var done []Bytes
 	var last Time
 	for _, f := range c.Flows {
-		maxSent = max(maxSent, f.Sent)
-		total += f.Sent
+		maxSent = max(maxSent, f.Sent())
+		total += f.Sent()
 		if f.Sendable() {
 			sendable = append(sendable, f)
 			ports = append(ports, PortPair{int32(f.Src), int32(f.Dst)})
 		}
-		if !f.Done {
+		if !f.Done() {
 			pending = append(pending, f)
 			continue
 		}
-		done = append(done, f.Sent)
-		last = max(last, f.DoneAt)
+		done = append(done, f.Sent())
+		last = max(last, f.DoneAt())
 	}
 	if got := c.MaxSent(); got != maxSent {
 		t.Fatalf("step %d: MaxSent = %d, scan %d", step, got, maxSent)

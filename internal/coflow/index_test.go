@@ -77,19 +77,17 @@ func TestEnsureIndexedPreservesAndFills(t *testing.T) {
 }
 
 // TestSendableCacheInvalidation: SendableFlows is cached per mutation
-// epoch; Invalidate refreshes it after flow-state changes.
+// epoch; the writers refresh it after flow-state changes.
 func TestSendableCacheInvalidation(t *testing.T) {
 	c := indexedCoflow(1, 3)
 	if got := len(c.SendableFlows()); got != 3 {
 		t.Fatalf("sendable = %d", got)
 	}
-	c.Flows[0].Done = true
-	c.Invalidate()
+	c.Complete(c.Flows[0], 0)
 	if got := len(c.SendableFlows()); got != 2 {
 		t.Fatalf("post-invalidate sendable = %d", got)
 	}
-	c.Flows[1].Available = false
-	c.Invalidate()
+	c.SetAvailable(c.Flows[1], false)
 	if got := c.NumPending(); got != 2 {
 		t.Fatalf("pending = %d", got) // availability does not affect pending
 	}

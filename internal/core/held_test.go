@@ -217,15 +217,14 @@ func TestHeldScheduleConditions(t *testing.T) {
 		live := []*coflow.CoFlow{x}
 		move := func(alloc *sched.RateVec) { // every flow keeps up with its rate: no caps
 			for _, f := range live[0].Flows {
-				f.Sent += alloc.Rate(f.Idx).Transfer(delta)
+				live[0].Progress(f, f.Sent()+alloc.Rate(f.Idx).Transfer(delta))
 			}
-			live[0].NoteProgress()
 		}
 		move(tw.schedule("wide", 0, live, live, space.FlowCap(), space.CoFlowCap(), nil))
 
 		space.Release(x)
 		narrow := build(space, 1, coflow.FlowSpec{Src: 0, Dst: 1, Size: coflow.GB})
-		narrow.Flows[0].Sent = x.Flows[0].Sent
+		narrow.Progress(narrow.Flows[0], x.Flows[0].Sent())
 		live[0] = narrow
 		move(tw.schedule("narrowed", delta, live, live, space.FlowCap(), space.CoFlowCap(), nil))
 		move(tw.schedule("quiet", 2*delta, live, live, space.FlowCap(), space.CoFlowCap(), nil))

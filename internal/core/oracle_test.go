@@ -34,7 +34,7 @@ func (s *Saath) observeProgressFull(snap *sched.Snapshot) {
 			if tr.lastAlloc <= 0 {
 				continue
 			}
-			moved := f.Sent - tr.lastSent
+			moved := f.Sent() - tr.lastSent
 			observed := coflow.Rate(float64(moved) / dt.Seconds())
 			if observed < tr.lastAlloc*laggard {
 				tr.lagStreak++
@@ -63,7 +63,7 @@ func (s *Saath) recordAllocationsFull(snap *sched.Snapshot, alloc *sched.RateVec
 	for _, c := range snap.Active {
 		for _, f := range c.PendingFlows() {
 			tr := &s.tracks[f.Idx]
-			tr.lastSent = f.Sent
+			tr.lastSent = f.Sent()
 			tr.lastAlloc = alloc.Rate(f.Idx)
 		}
 	}
@@ -138,10 +138,9 @@ func (tc *trackingCluster) roll(c *coflow.CoFlow) {
 		case 0:
 			tc.slow[f] = 0.1 + 0.4*tc.rng.Float64() // under the laggard ratio
 		case 1:
-			f.Available = false
+			c.SetAvailable(f, false)
 		}
 	}
-	c.Invalidate()
 }
 
 func (tc *trackingCluster) arrive(now coflow.Time, scheds ...*Saath) {
@@ -173,16 +172,15 @@ func (tc *trackingCluster) swap(i int) {
 	tc.space.Release(old)
 	c := coflow.New(spec)
 	c.Arrived = old.Arrived
+	c.CarryOver(old)
 	for j, f := range c.Flows {
 		if j < len(old.Flows) && old.Flows[j].Size == f.Size {
-			f.Sent, f.Done, f.DoneAt = old.Flows[j].Sent, old.Flows[j].Done, old.Flows[j].DoneAt
-			f.Available = old.Flows[j].Available
+			c.SetAvailable(f, old.Flows[j].Available())
 			if k, ok := tc.slow[old.Flows[j]]; ok {
 				tc.slow[f] = k
 			}
 		}
 	}
-	c.Invalidate()
 	tc.space.Assign(c)
 	tc.live[i] = c
 }
@@ -193,25 +191,22 @@ func (tc *trackingCluster) advance(alloc *sched.RateVec, now, dt coflow.Time, sc
 	still := tc.live[:0]
 	for _, c := range tc.live {
 		for _, f := range c.Flows {
-			if !f.Available && tc.rng.Intn(4) == 0 {
-				f.Available = true
-				c.Invalidate()
+			if !f.Available() && tc.rng.Intn(4) == 0 {
+				c.SetAvailable(f, true)
 			}
 			r := alloc.Rate(f.Idx)
-			if f.Done || r <= 0 {
+			if f.Done() || r <= 0 {
 				continue
 			}
 			if k, ok := tc.slow[f]; ok {
 				r = coflow.Rate(float64(r) * k)
 			}
-			f.Sent += r.Transfer(dt)
-			c.NoteProgress() // covers the restart below
+			c.Progress(f, min(f.Size, f.Sent()+r.Transfer(dt)))
 			switch {
-			case f.Sent >= f.Size:
-				f.Sent, f.Done, f.DoneAt = f.Size, true, now+dt
-				c.Invalidate()
+			case f.Sent() == f.Size:
+				c.Complete(f, now+dt)
 			case tc.rng.Intn(40) == 0:
-				f.Sent = 0 // mid-life restart
+				c.Restart(f) // mid-life
 			}
 		}
 		if c.RefreshDone() {

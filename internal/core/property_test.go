@@ -26,17 +26,17 @@ func randomCluster(rng *rand.Rand, nPorts, nCoflows int) []*coflow.CoFlow {
 		c := coflow.New(spec)
 		c.Arrived = coflow.Time(rng.Intn(1000)) * coflow.Millisecond
 		for _, f := range c.Flows {
-			f.Sent = coflow.Bytes(rng.Int63n(int64(f.Size) + 1))
-			if f.Sent == f.Size && rng.Intn(2) == 0 {
-				f.Done = true
+			sent := coflow.Bytes(rng.Int63n(int64(f.Size) + 1))
+			if sent == f.Size && rng.Intn(2) == 0 {
+				c.Progress(f, sent)
+				c.Complete(f, 0)
 			} else {
-				f.Sent = f.Sent / 2 // keep pending flows genuinely pending
+				c.Progress(f, sent/2) // keep pending flows genuinely pending
 			}
 			if rng.Intn(10) == 0 {
-				f.Available = false
+				c.SetAvailable(f, false)
 			}
 		}
-		c.NoteProgress()
 		if len(c.PendingFlows()) == 0 {
 			continue // fully-done coflows never reach the scheduler
 		}

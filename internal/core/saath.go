@@ -50,8 +50,8 @@
 // Schedule runs every δ and most boundaries give it nothing new to
 // decide from, so it keeps its last decision. Per CoFlow it keeps the
 // queue it derived, and derives it again only where the CoFlow's
-// mutation epoch or progress stamp moved (coflow.CoFlow.NoteProgress —
-// every writer of a pending flow's Sent moves it). And when the call as a
+// mutation epoch or progress stamp moved (coflow.CoFlow.Progress, the
+// one writer of a pending flow's Sent, moves it). And when the call as a
 // whole repeats the previous one — the same CoFlows, pointer for pointer,
 // under the same epochs and in the same queues; the same ones past their
 // starvation deadline; no straggler cap moved; the same fabric, full; the
@@ -552,7 +552,7 @@ func (s *Saath) observeProgress(snap *sched.Snapshot) {
 		// A finished flow's track is never read again (caps apply to
 		// sendable flows) and Depart clears it.
 		f := c.Flows[ref.flow]
-		if f.Done || f.Idx < 0 || f.Idx >= len(s.tracks) {
+		if f.Done() || f.Idx < 0 || f.Idx >= len(s.tracks) {
 			continue
 		}
 		tr := &s.tracks[f.Idx]
@@ -564,7 +564,7 @@ func (s *Saath) observeProgress(snap *sched.Snapshot) {
 		if !observe {
 			continue
 		}
-		moved := f.Sent - tr.lastSent
+		moved := f.Sent() - tr.lastSent
 		observed := coflow.Rate(float64(moved) / dt.Seconds())
 		if observed < last*laggard {
 			tr.lagStreak++
@@ -597,7 +597,7 @@ func (s *Saath) observeProgress(snap *sched.Snapshot) {
 // this interval.
 func (s *Saath) recordAllocation(c *coflow.CoFlow, f *coflow.Flow, rate coflow.Rate) {
 	tr := &s.tracks[f.Idx]
-	tr.lastSent = f.Sent
+	tr.lastSent = f.Sent()
 	tr.lastAlloc = rate
 	s.rated = append(s.rated, ratedRef{coflow: int32(c.Idx), flow: int32(f.ID.Index)})
 }
@@ -629,7 +629,7 @@ func (s *Saath) targetQueue(c *coflow.CoFlow) int {
 // remaining size and hoist the whole CoFlow into the top queue, where
 // it blocks genuinely short CoFlows. The second result is false when
 // the estimate does not apply. The finished-flow median is kept by the
-// CoFlow (Finish folds each completion into it), so a call reads only
+// CoFlow (Complete folds each completion into it), so a call reads only
 // the pending flows.
 func (s *Saath) srtfEstimate(c *coflow.CoFlow) (coflow.Bytes, bool) {
 	pending := c.PendingFlows()
@@ -640,7 +640,7 @@ func (s *Saath) srtfEstimate(c *coflow.CoFlow) (coflow.Bytes, bool) {
 	fe := c.DoneMedian()
 	var worst coflow.Bytes
 	for _, f := range pending {
-		rem := fe - f.Sent
+		rem := fe - f.Sent()
 		if rem < 0 {
 			rem = 0
 		}

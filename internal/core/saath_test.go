@@ -203,8 +203,7 @@ func TestPerFlowThresholdDemotesFaster(t *testing.T) {
 	}
 	c := mk(1, spec...)
 	// One flow sent 4 MB: m_c·N = 16 MB > S=10MB -> queue 1.
-	c.Flows[0].Sent = 4 * coflow.MB
-	c.NoteProgress()
+	c.Progress(c.Flows[0], 4*coflow.MB)
 	s.Arrive(c, 0)
 	s.Schedule(snapshot(8, 0, c))
 	if q, _ := s.QueueOf(1); q != 1 {
@@ -270,10 +269,9 @@ func TestDynamicsSRTFPromotesNearlyDoneCoFlow(t *testing.T) {
 		{Src: 1, Dst: 3, Size: coflow.GB},
 	}
 	c := mk(1, spec...)
-	c.Flows[0].Sent = coflow.GB
-	c.Flows[0].Done = true
-	c.Flows[1].Sent = coflow.GB - 2*coflow.MB // ~2 MB left
-	c.NoteProgress()
+	c.Progress(c.Flows[0], coflow.GB)
+	c.Complete(c.Flows[0], 0)
+	c.Progress(c.Flows[1], coflow.GB-2*coflow.MB) // ~2 MB left
 
 	s := newSaath(t, nil)
 	s.Arrive(c, 0)
@@ -303,7 +301,7 @@ func TestScheduleEmptySnapshot(t *testing.T) {
 func TestScheduleSkipsFullyUnavailableCoFlow(t *testing.T) {
 	s := newSaath(t, nil)
 	c := mk(1, coflow.FlowSpec{Src: 0, Dst: 1, Size: coflow.MB})
-	c.Flows[0].Available = false
+	c.SetAvailable(c.Flows[0], false)
 	s.Arrive(c, 0)
 	if alloc := s.Schedule(snapshot(2, 0, c)); alloc.Len() != 0 {
 		t.Fatalf("unavailable coflow scheduled: %v", alloc)

@@ -99,7 +99,7 @@ func leave(fabs []*fabric.Fabric, src, dst coflow.PortID, r coflow.Rate) {
 // (2-71) and the CoFlow count (1-10); per CoFlow its layout — reducer-
 // major, mapper-major or scattered — 1-6 mappers and 1-6 reducers and
 // their ports (scattered then draws each flow's two ports), then one byte
-// per flow: 0 finished (by Finish, so the compact view goes ragged), 1
+// per flow: 0 finished (by Complete, so the compact view goes ragged), 1
 // withheld (the sendable view apart from the pending one), 2 given a
 // straggler cap of a quarter of line rate; then up to 2·ports draws of
 // (src, dst, kind) — path closed, left at exactly 1e-3, 1e-3 − ulp,
@@ -149,18 +149,17 @@ func checkServe(t *testing.T, in []byte) (runSkipped, exactEps int) {
 		for _, f := range c.Flows {
 			switch sc.next(8) {
 			case 0:
-				f.Sent = f.Size
+				c.Progress(f, f.Size)
 				done = append(done, f)
 			case 1:
-				f.Available = false
-				c.Invalidate()
+				c.SetAvailable(f, false)
 			case 2:
 				capped[f.Idx] = true
 			}
 		}
-		c.SendablePorts() // a fresh summary, which Finish cuts the flows out of in place
+		c.SendablePorts() // a fresh summary, which Complete cuts the flows out of in place
 		for _, f := range done {
-			c.Finish(f)
+			c.Complete(f, 0)
 		}
 		if len(c.SendableFlows()) > 0 {
 			active = append(active, c)

@@ -163,9 +163,8 @@ func TestCoFlowAvailable(t *testing.T) {
 		t.Fatal("unrelated coflow rejected")
 	}
 	// Done flows do not count.
-	c.Flows[0].Done = true
-	c.Flows[1].Done = true
-	c.Invalidate()
+	c.Complete(c.Flows[0], 0)
+	c.Complete(c.Flows[1], 0)
 	if !admits(t, f, c) {
 		t.Fatal("coflow with only done flows at busy port rejected")
 	}
@@ -175,12 +174,11 @@ func TestCoFlowAvailableSkipsUnavailableFlows(t *testing.T) {
 	f := New(4, 100)
 	f.Allocate(0, 0, 100)
 	c := coflow2x2()
-	for i := range c.Flows {
-		if c.Flows[i].Src == 0 {
-			c.Flows[i].Available = false
+	for _, fl := range c.Flows {
+		if fl.Src == 0 {
+			c.SetAvailable(fl, false)
 		}
 	}
-	c.Invalidate()
 	if !admits(t, f, c) {
 		t.Fatal("unavailable flows should not block admission")
 	}
@@ -228,11 +226,11 @@ func TestSignatureAdmissionEdge(t *testing.T) {
 					}
 					// A CoFlow through the direction under test (its other end at
 					// port 2, at line rate), and one on port 2 alone.
-					through := coflow.New(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 2, Dst: 2, Size: 1}, {Src: port, Dst: 2, Size: 1}}})
+					end := coflow.FlowSpec{Src: port, Dst: 2, Size: 1}
 					if ingress {
-						through.Flows[1].Src, through.Flows[1].Dst = 2, port
-						through.Invalidate()
+						end.Src, end.Dst = 2, port
 					}
+					through := coflow.New(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 2, Dst: 2, Size: 1}, end}})
 					if got := admits(t, f, through); got != tc.admit {
 						t.Fatalf("%d ports, port %d ingress=%v at %s: admitted %v, want %v", ports, port, ingress, tc.name, got, tc.admit)
 					}

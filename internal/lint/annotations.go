@@ -33,11 +33,6 @@ const (
 	// a kept map-based reference implementation.
 	NoteAllocOK = "alloc-ok"
 
-	// NoteProgressOK marks a write to coflow.Flow.Sent, Done or
-	// Available whose CoFlow is stamped (NoteProgress, Finish or
-	// Invalidate) by another function — the rationale names it.
-	NoteProgressOK = "progress-ok"
-
 	// NoteObsOK marks a sim.Config.Counters write (or other obs
 	// plumbing) outside the sanctioned packages as deliberate
 	// out-of-band wiring.

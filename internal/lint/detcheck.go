@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // detPackages are the determinism-critical packages: everything whose
@@ -25,13 +24,6 @@ var detPackages = []string{
 	"saath/internal/report",
 	"saath/internal/fabric",
 	"saath/internal/core",
-}
-
-// progressPackages also hold writers of coflow.Flow.Sent, Done and
-// Available — the coordinator merges agent reports into them — and get
-// the stamp rules, and only those, of detcheck.
-var progressPackages = []string{
-	"saath/internal/runtime",
 }
 
 // wallclockFuncs are the time-package functions whose results depend
@@ -63,33 +55,16 @@ var seededRandFuncs = map[string]bool{
 // Everything else needs a //saath:order-independent annotation or a
 // rewrite. Wall-clock reads feeding observability carry
 // //saath:wallclock; global math/rand has no escape hatch.
-//
-// It also keeps the CoFlow stamp contract: schedulers hold a decision
-// while a CoFlow's (CacheEpoch, ProgressStamp) stand, and the CoFlow's
-// pending/sendable summary is kept per epoch. So an assignment to
-// coflow.Flow.Sent must sit in a function that also calls NoteProgress
-// or Invalidate on a CoFlow, one to Flow.Done in a function that also
-// calls Finish or Invalidate, and one to Flow.Available in a function
-// that also calls Invalidate — or carry
-// //saath:progress-ok saying who does. A writer that changes a flow
-// silently would stale a held schedule or the summary and change results
-// with no test of its own to notice.
 var DetCheck = &Analyzer{
 	Name: "detcheck",
-	Doc:  "forbid wall-clock, global math/rand, order-dependent map iteration and unstamped Flow.Sent/Done/Available writes in determinism-critical packages",
+	Doc:  "forbid wall-clock, global math/rand and order-dependent map iteration in determinism-critical packages",
 	AppliesTo: func(path string) bool {
-		return pathIn(path, detPackages) || pathIn(path, progressPackages)
+		return pathIn(path, detPackages)
 	},
 	Run: runDetCheck,
 }
 
 func runDetCheck(pass *Pass) error {
-	for _, file := range pass.Files {
-		checkStampedWrites(pass, file)
-	}
-	if !pathIn(pass.Pkg.Path(), detPackages) {
-		return nil
-	}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -107,86 +82,6 @@ func runDetCheck(pass *Pass) error {
 		})
 	}
 	return nil
-}
-
-// checkStampedWrites flags every assignment to coflow.Flow.Sent in a
-// function that never calls NoteProgress or Invalidate on a CoFlow,
-// every one to Flow.Done in a function that never calls Finish or
-// Invalidate, and every one to Flow.Available in a function that never
-// calls Invalidate: Finish only takes finished flows out of the summary,
-// so it does not cover a flip.
-func checkStampedWrites(pass *Pass, file *ast.File) {
-	for _, d := range file.Decls {
-		fd, ok := d.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			continue
-		}
-		var sent, done, avail []ast.Expr
-		noted, finished, invalidated := false, false, false
-		write := func(e ast.Expr) {
-			switch {
-			case isCoflowMember(pass.TypesInfo, e, "Flow", "Sent"):
-				sent = append(sent, e)
-			case isCoflowMember(pass.TypesInfo, e, "Flow", "Done"):
-				done = append(done, e)
-			case isCoflowMember(pass.TypesInfo, e, "Flow", "Available"):
-				avail = append(avail, e)
-			}
-		}
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					write(lhs)
-				}
-			case *ast.IncDecStmt:
-				write(n.X)
-			case *ast.CallExpr:
-				noted = noted || isCoflowMember(pass.TypesInfo, n.Fun, "CoFlow", "NoteProgress")
-				finished = finished || isCoflowMember(pass.TypesInfo, n.Fun, "CoFlow", "Finish")
-				invalidated = invalidated || isCoflowMember(pass.TypesInfo, n.Fun, "CoFlow", "Invalidate")
-			}
-			return true
-		})
-		report := func(writes []ast.Expr, msg string) {
-			for _, w := range writes {
-				if !pass.Notes.Suppressed(pass.Fset, w.Pos(), fd, NoteProgressOK) {
-					pass.Reportf(w.Pos(), "%s", msg)
-				}
-			}
-		}
-		if !noted && !invalidated {
-			report(sent, "Flow.Sent is written in a function that calls neither NoteProgress nor Invalidate on the CoFlow; a scheduler holding its last decision would not see the bytes move (//saath:progress-ok naming who stamps it, if someone does)")
-		}
-		if !finished && !invalidated {
-			report(done, "Flow.Done is written in a function that calls neither Finish nor Invalidate on the CoFlow; its pending/sendable summary would go stale (//saath:progress-ok naming who does, if someone does)")
-		}
-		if !invalidated {
-			report(avail, "Flow.Available is written in a function that does not call Invalidate on the CoFlow (Finish does not rebuild the sendable lists); its pending/sendable summary would go stale (//saath:progress-ok naming who does, if someone does)")
-		}
-	}
-}
-
-// isCoflowMember reports whether e selects the field or method member
-// of the internal/coflow type named typ.
-func isCoflowMember(info *types.Info, e ast.Expr, typ, member string) bool {
-	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != member {
-		return false
-	}
-	selection := info.Selections[sel]
-	if selection == nil {
-		return false
-	}
-	recv := selection.Recv()
-	if p, ok := recv.(*types.Pointer); ok {
-		recv = p.Elem()
-	}
-	named, ok := recv.(*types.Named)
-	if !ok || named.Obj().Name() != typ || named.Obj().Pkg() == nil {
-		return false
-	}
-	return strings.HasSuffix(named.Obj().Pkg().Path(), "internal/coflow")
 }
 
 func checkDetCall(pass *Pass, file *ast.File, call *ast.CallExpr) {

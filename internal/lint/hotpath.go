@@ -30,8 +30,10 @@ import (
 // are not resolved, so each policy's Schedule and every cross-package
 // callee on the path (sched.ContentionIndex.Sync/K/Signature,
 // fabric.Fabric.Reset/Allocate/Release/SignatureAvailable/
-// EqualRateForCoFlow/OpenEnds, the cached coflow.CoFlow accessors)
-// carries its own //saath:hotpath root annotation.
+// EqualRateForCoFlow/OpenEnds, the cached coflow.CoFlow accessors and
+// the writers the engine and the coordinator call per flow —
+// Progress/Restart/SetAvailable/Complete/CompleteAll) carries its own
+// //saath:hotpath root annotation.
 var HotPath = &Analyzer{
 	Name: "hotpath",
 	Doc:  "forbid per-call allocation idioms and map accesses in //saath:hotpath functions and their intra-package callees",

@@ -6,9 +6,7 @@
 //   - determinism: study output must be byte-identical at any
 //     -parallel/-shard partition, so determinism-critical packages
 //     must not read the wall clock, draw from the global math/rand
-//     source, or let map iteration order leak into results — nor move
-//     a flow's bytes without stamping its CoFlow, which would stale a
-//     schedule held on that stamp (detcheck);
+//     source, or let map iteration order leak into results (detcheck);
 //   - hot path: the engine event-dispatch path and annotated
 //     scheduler hot functions must stay allocation-free at steady
 //     state and keep the dense-Idx-slice discipline instead of
@@ -29,7 +27,6 @@
 //
 //	//saath:wallclock         this wall-clock read is out-of-band by contract
 //	//saath:order-independent this map iteration cannot affect results
-//	//saath:progress-ok       this Flow.Sent/Done/Available write is stamped by the named caller
 //	//saath:hotpath           marks a function as a hot-path root
 //	//saath:alloc-ok          this allocation/map in a hot function is intentional
 //	//saath:obs-ok            this obs reference is sanctioned out-of-band plumbing

@@ -1,8 +1,6 @@
 // Package coflow is a typing stub for analyzer fixtures: hotpath
 // matches map keys against the FlowID/CoFlowID named types of any
-// package whose path ends in internal/coflow, and detcheck matches
-// Flow.Sent, Done and Available writes against CoFlow's stamping
-// methods.
+// package whose path ends in internal/coflow.
 package coflow
 
 type CoFlowID int64
@@ -11,15 +9,3 @@ type FlowID struct {
 	CoFlow CoFlowID
 	Index  int
 }
-
-type Flow struct {
-	Sent      int64
-	Done      bool
-	Available bool
-}
-
-type CoFlow struct{ Flows []*Flow }
-
-func (c *CoFlow) NoteProgress()         {}
-func (c *CoFlow) Invalidate()           {}
-func (c *CoFlow) Finish(flows ...*Flow) {}

@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"sort"
 	"time"
-
-	"saath/internal/coflow"
 )
 
 // --- wall clock ---
@@ -121,77 +119,4 @@ func mapAnnotated(m map[string]float64) float64 {
 		}
 	}
 	return worst
-}
-
-// --- progress stamp ---
-
-func sentUnstamped(f *coflow.Flow) {
-	f.Sent += 10 // want "Flow.Sent is written in a function that calls neither NoteProgress nor Invalidate"
-}
-
-func sentUnstampedForms(c *coflow.CoFlow) {
-	c.Flows[0].Sent++                          // want "Flow.Sent is written"
-	c.Flows[1].Sent, c.Flows[1].Done = 5, true // want "Flow.Sent is written" "Flow.Done is written"
-}
-
-func sentNoted(c *coflow.CoFlow, moved int64) {
-	for _, f := range c.Flows {
-		f.Sent += moved // the CoFlow is stamped below: no finding
-	}
-	c.NoteProgress()
-}
-
-func sentInvalidated(c *coflow.CoFlow) {
-	c.Flows[0].Sent, c.Flows[0].Done = 0, false // Invalidate covers it: no finding
-	c.Invalidate()
-}
-
-func sentFinishedOnly(c *coflow.CoFlow, f *coflow.Flow) {
-	f.Sent = 100 // want "Flow.Sent is written"
-	c.Finish(f)  // Finish stamps the summary, not the progress of the flows left
-}
-
-func sentReset(f *coflow.Flow) {
-	f.Sent = 0 //saath:progress-ok sentNoted, the only caller, stamps the CoFlow
-}
-
-func sentRead(f *coflow.Flow) int64 {
-	left := 100 - f.Sent // a read is not a write
-	return left
-}
-
-// --- flow state: Done and Available ---
-
-func doneUnstamped(f *coflow.Flow) {
-	f.Done = true // want "Flow.Done is written in a function that calls neither Finish nor Invalidate"
-}
-
-func availableUnstamped(c *coflow.CoFlow) {
-	c.Flows[0].Available = false // want "Flow.Available is written in a function that does not call Invalidate"
-}
-
-func doneNotedOnly(c *coflow.CoFlow, f *coflow.Flow) {
-	f.Sent, f.Done = 100, true // want "Flow.Done is written"
-	c.NoteProgress()           // a progress stamp does not cover the summary
-}
-
-func doneFinished(c *coflow.CoFlow, f *coflow.Flow) {
-	f.Done = true // Finish keeps the summary: no finding
-	c.Finish(f)
-}
-
-func availableFinishedOnly(c *coflow.CoFlow, f *coflow.Flow) {
-	f.Available = false // want "Flow.Available is written"
-	c.Finish(f)         // Finish takes finished flows out, it does not rebuild the sendable lists
-}
-
-func availableInvalidated(c *coflow.CoFlow) {
-	for _, f := range c.Flows {
-		f.Available = true // Invalidate covers it: no finding
-	}
-	c.Invalidate()
-}
-
-func availableEscaped(f *coflow.Flow) {
-	f.Available = false //saath:progress-ok availableInvalidated, the only caller, invalidates the CoFlow
 }

@@ -450,7 +450,9 @@ type forgetfulSched struct {
 func (s forgetfulSched) Schedule(snap *sched.Snapshot) *sched.RateVec {
 	if s.forget {
 		for _, c := range snap.Active {
-			c.NoteProgress()
+			if p := c.PendingFlows(); len(p) > 0 {
+				c.Progress(p[0], p[0].Sent()) // restated: the progress stamp moves
+			}
 		}
 		if snap.Alloc != nil {
 			snap.Alloc.Reset(snap.FlowCap)

@@ -471,21 +471,12 @@ func (c *Coordinator) mergeStatLocked(fs *FlowStat, now time.Time) {
 		return
 	}
 	f := lc.rt.Flows[fs.Index]
-	if coflow.Bytes(fs.Sent) > f.Sent {
-		f.Sent = coflow.Bytes(fs.Sent)
-		if f.Done {
-			lc.rt.Invalidate() // a finished flow's bytes are part of the cached summary
-		} else {
-			lc.rt.NoteProgress() // a pending flow's are what the queue rules read
-		}
+	if sent := coflow.Bytes(fs.Sent); sent > f.Sent() {
+		lc.rt.Progress(f, sent)
 	}
-	if f.Available != fs.Available {
-		f.Available = fs.Available
-		lc.rt.Invalidate()
-	}
-	if fs.Done && !f.Done {
-		f.DoneAt = coflow.Time(now.Sub(lc.registered) / time.Microsecond)
-		lc.rt.Finish(f)
+	lc.rt.SetAvailable(f, fs.Available)
+	if fs.Done && !f.Done() {
+		lc.rt.Complete(f, coflow.Time(now.Sub(lc.registered)/time.Microsecond))
 		c.finishing = append(c.finishing, lc)
 	}
 }
@@ -976,14 +967,7 @@ func (c *Coordinator) handleCoFlowByID(w http.ResponseWriter, r *http.Request) {
 			if i, ok := slices.BinarySearchFunc(c.snap.Active, old, byArrival); ok {
 				c.snap.Active[i] = lc.rt
 			}
-			for i, f := range lc.rt.Flows {
-				if i < len(old.Flows) && old.Flows[i].Size == f.Size {
-					f.Sent = old.Flows[i].Sent
-					f.Done = old.Flows[i].Done
-					f.DoneAt = old.Flows[i].DoneAt
-				}
-			}
-			lc.rt.Invalidate()
+			lc.rt.CarryOver(old)
 			c.space.Assign(lc.rt)
 			c.finishing = append(c.finishing, lc) // the new flow set may hold nothing but finished flows
 		}

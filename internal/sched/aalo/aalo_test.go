@@ -40,8 +40,7 @@ func TestQueueDemotionByTotalBytes(t *testing.T) {
 	// c1 arrived earlier but has sent 50 MB total (queue 1); fresh c2
 	// sits in queue 0 and takes the shared port.
 	c1 := mk(1, 0, coflow.FlowSpec{Src: 0, Dst: 2, Size: coflow.GB})
-	c1.Flows[0].Sent = 50 * coflow.MB
-	c1.NoteProgress()
+	c1.Progress(c1.Flows[0], 50*coflow.MB)
 	c2 := mk(2, 5, coflow.FlowSpec{Src: 0, Dst: 3, Size: coflow.GB})
 	alloc := a.Schedule(snap(4, c1, c2))
 	if alloc.Rate(c2.Flows[0].Idx) != fabric.DefaultPortRate {

@@ -333,9 +333,12 @@ func (fc *fuzzCoFlow) build() *coflow.CoFlow {
 	c.Arrived = fc.arrival
 	for i, f := range c.Flows {
 		fl := fc.flows[i]
-		f.Sent, f.Done, f.Available = fl.sent, fl.sent >= fl.size, !fl.withheld
+		c.Progress(f, fl.sent)
+		if fl.sent >= fl.size {
+			c.Complete(f, 0)
+		}
+		c.SetAvailable(f, !fl.withheld)
 	}
-	c.Invalidate()
 	if c.RefreshDone() {
 		return nil
 	}

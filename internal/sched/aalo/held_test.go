@@ -43,9 +43,8 @@ func (hc *heldCluster) arrive(now coflow.Time) {
 	c := coflow.New(spec)
 	c.Arrived = now
 	for _, f := range c.Flows {
-		f.Available = hc.rng.Intn(8) != 0
+		c.SetAvailable(f, hc.rng.Intn(8) != 0)
 	}
-	c.Invalidate()
 	hc.space.Assign(c)
 	hc.live = append(hc.live, c)
 }
@@ -54,10 +53,10 @@ func (hc *heldCluster) swap(i int) {
 	old := hc.live[i]
 	c := coflow.New(old.Spec)
 	c.Arrived = old.Arrived
+	c.CarryOver(old)
 	for j, f := range c.Flows {
-		f.Sent, f.Done, f.DoneAt, f.Available = old.Flows[j].Sent, old.Flows[j].Done, old.Flows[j].DoneAt, old.Flows[j].Available
+		c.SetAvailable(f, old.Flows[j].Available())
 	}
-	c.Invalidate()
 	hc.space.Release(old)
 	hc.space.Assign(c)
 	hc.live[i] = c
@@ -67,19 +66,16 @@ func (hc *heldCluster) advance(alloc *sched.RateVec, now, dt coflow.Time) {
 	still := hc.live[:0]
 	for _, c := range hc.live {
 		for _, f := range c.Flows {
-			if !f.Available && hc.rng.Intn(4) == 0 {
-				f.Available = true
-				c.Invalidate()
+			if !f.Available() && hc.rng.Intn(4) == 0 {
+				c.SetAvailable(f, true)
 			}
 			r := alloc.Rate(f.Idx)
-			if f.Done || r <= 0 {
+			if f.Done() || r <= 0 {
 				continue
 			}
-			f.Sent += r.Transfer(dt)
-			c.NoteProgress()
-			if f.Sent >= f.Size {
-				f.Sent, f.Done, f.DoneAt = f.Size, true, now+dt
-				c.Invalidate()
+			c.Progress(f, min(f.Size, f.Sent()+r.Transfer(dt)))
+			if f.Sent() == f.Size {
+				c.Complete(f, now+dt)
 			}
 		}
 		if c.RefreshDone() {

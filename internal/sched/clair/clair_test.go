@@ -48,7 +48,7 @@ func TestSRTFUsesRemainingNotTotal(t *testing.T) {
 	c, _ := New(SRTF)
 	// big has nearly finished: remaining 1 MB < small's 10 MB.
 	big := mk(1, coflow.FlowSpec{Src: 0, Dst: 2, Size: coflow.GB})
-	big.Flows[0].Sent = coflow.GB - coflow.MB
+	big.Progress(big.Flows[0], coflow.GB-coflow.MB)
 	small := mk(2, coflow.FlowSpec{Src: 0, Dst: 3, Size: 10 * coflow.MB})
 	alloc := c.Schedule(snap(4, big, small))
 	if alloc.Rate(big.Flows[0].Idx) != fabric.DefaultPortRate {

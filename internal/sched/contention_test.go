@@ -98,9 +98,8 @@ func TestContentionIndexTracksEpochs(t *testing.T) {
 	if k := kOf(x, active); k[1] != 1 || k[2] != 1 {
 		t.Fatalf("initial k = %v", k)
 	}
-	// b's only flow completes; with Invalidate the index must notice.
-	b.Flows[0].Done = true
-	b.Invalidate()
+	// b's only flow completes; the epoch moves and the index must notice.
+	b.Complete(b.Flows[0], 0)
 	if k := kOf(x, active); k[1] != 0 || k[2] != 0 {
 		t.Fatalf("post-completion k = %v, want zeros", k)
 	}
@@ -185,16 +184,13 @@ func TestContentionIndexMatchesReference(t *testing.T) {
 			case 2:
 				if len(active) > 0 {
 					c := active[rng.Intn(len(active))]
-					f := c.Flows[rng.Intn(len(c.Flows))]
-					f.Done = !f.Done
-					c.Invalidate()
+					c.Complete(c.Flows[rng.Intn(len(c.Flows))], 0) // nothing, if already done
 				}
 			case 3:
 				if len(active) > 0 {
 					c := active[rng.Intn(len(active))]
 					f := c.Flows[rng.Intn(len(c.Flows))]
-					f.Available = !f.Available
-					c.Invalidate()
+					c.SetAvailable(f, !f.Available())
 				}
 			case 4:
 				// Depart + arrive with no Sync in between: the LIFO
@@ -217,7 +213,8 @@ func TestContentionIndexMatchesReference(t *testing.T) {
 			case 6:
 				// The epoch moves and the sendable set stays.
 				if len(active) > 0 {
-					active[rng.Intn(len(active))].Invalidate()
+					c := active[rng.Intn(len(active))]
+					c.CarryOver(c) // restated as itself
 					unchanged++
 				}
 			case 7:
@@ -299,8 +296,8 @@ func BenchmarkContentionIndexSteadyState(b *testing.B) {
 
 // BenchmarkContentionIndexOneChanged is the steady state with one
 // CoFlow's sendable set moving per round, as a flow completing moves
-// it: a flow of it toggles between done and pending, so every round
-// rebuilds its signature and walks the other CoFlows' counts.
+// it: a flow of it toggles between held back and sendable, so every
+// round rebuilds its signature and walks the other CoFlows' counts.
 func BenchmarkContentionIndexOneChanged(b *testing.B) {
 	active := benchIndexCluster()
 	x := NewContentionIndex()
@@ -309,8 +306,7 @@ func BenchmarkContentionIndexOneChanged(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Flows[0].Done = !c.Flows[0].Done
-		c.Invalidate()
+		c.SetAvailable(c.Flows[0], !c.Flows[0].Available())
 		x.Sync(active)
 		for _, c := range active {
 			x.K(c)

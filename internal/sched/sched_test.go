@@ -45,8 +45,8 @@ func TestContentionIgnoresDoneAndUnavailable(t *testing.T) {
 	a := mkCoflow(1, 0, coflow.FlowSpec{Src: 0, Dst: 9, Size: 1})
 	b := mkCoflow(2, 0, coflow.FlowSpec{Src: 0, Dst: 8, Size: 1})
 	c := mkCoflow(3, 0, coflow.FlowSpec{Src: 0, Dst: 7, Size: 1})
-	b.Flows[0].Done = true
-	c.Flows[0].Available = false
+	b.Complete(b.Flows[0], 0)
+	c.SetAvailable(c.Flows[0], false)
 	k := Contention([]*coflow.CoFlow{a, b, c})
 	if k[1] != 0 {
 		t.Fatalf("k_1 = %d, want 0 (competitors done/unavailable)", k[1])

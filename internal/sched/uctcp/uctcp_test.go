@@ -55,8 +55,8 @@ func TestSkipsDoneAndUnavailable(t *testing.T) {
 		{Src: 0, Dst: 1, Size: 10},
 		{Src: 0, Dst: 2, Size: 10},
 	}})
-	c.Flows[0].Done = true
-	c.Flows[1].Available = false
+	c.Complete(c.Flows[0], 0)
+	c.SetAvailable(c.Flows[1], false)
 	snap := &sched.Snapshot{Active: []*coflow.CoFlow{c}, Fabric: fabric.New(3, 100)}
 	if alloc := u.Schedule(snap); alloc.Len() != 0 {
 		t.Fatalf("alloc = %v", alloc)
@@ -95,9 +95,8 @@ func (hc *heldCluster) arrive(now coflow.Time) {
 	c := coflow.New(spec)
 	c.Arrived = now
 	for _, f := range c.Flows {
-		f.Available = hc.rng.Intn(8) != 0
+		c.SetAvailable(f, hc.rng.Intn(8) != 0)
 	}
-	c.Invalidate()
 	hc.space.Assign(c)
 	hc.live = append(hc.live, c)
 }
@@ -106,10 +105,10 @@ func (hc *heldCluster) swap(i int) {
 	old := hc.live[i]
 	c := coflow.New(old.Spec)
 	c.Arrived = old.Arrived
+	c.CarryOver(old)
 	for j, f := range c.Flows {
-		f.Sent, f.Done, f.DoneAt, f.Available = old.Flows[j].Sent, old.Flows[j].Done, old.Flows[j].DoneAt, old.Flows[j].Available
+		c.SetAvailable(f, old.Flows[j].Available())
 	}
-	c.Invalidate()
 	hc.space.Release(old)
 	hc.space.Assign(c)
 	hc.live[i] = c
@@ -119,19 +118,16 @@ func (hc *heldCluster) advance(alloc *sched.RateVec, now, dt coflow.Time) {
 	still := hc.live[:0]
 	for _, c := range hc.live {
 		for _, f := range c.Flows {
-			if !f.Available && hc.rng.Intn(4) == 0 {
-				f.Available = true
-				c.Invalidate()
+			if !f.Available() && hc.rng.Intn(4) == 0 {
+				c.SetAvailable(f, true)
 			}
 			r := alloc.Rate(f.Idx)
-			if f.Done || r <= 0 {
+			if f.Done() || r <= 0 {
 				continue
 			}
-			f.Sent += r.Transfer(dt)
-			c.NoteProgress()
-			if f.Sent >= f.Size {
-				f.Sent, f.DoneAt = f.Size, now+dt
-				c.Finish(f)
+			c.Progress(f, min(f.Size, f.Sent()+r.Transfer(dt)))
+			if f.Sent() == f.Size {
+				c.Complete(f, now+dt)
 			}
 		}
 		if c.RefreshDone() {

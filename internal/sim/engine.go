@@ -346,8 +346,8 @@ type engine struct {
 	rateDriven bool
 
 	// finished holds one CoFlow's completions during the dense walk,
-	// until the walk is over and they are finished in its summary.
-	finished []*coflow.Flow
+	// until the walk is over and they are completed in its summary.
+	finished []coflow.Completion
 
 	// plan is what beginInterval last worked out from an allocation, and
 	// what it worked it out from; see heldPlan.
@@ -481,16 +481,11 @@ func (e *engine) applyPipelining(c *coflow.CoFlow) {
 	if p == nil {
 		return
 	}
-	changed := false
 	for _, f := range c.Flows {
 		if e.pipeRng.Float64() < p.Frac {
-			f.Available = false
+			c.SetAvailable(f, false)
 			e.unavail++
-			changed = true
 		}
-	}
-	if changed {
-		c.Invalidate()
 	}
 }
 
@@ -788,8 +783,8 @@ func (e *engine) activeSorted() []*coflow.CoFlow {
 
 // advance moves bytes for one interval and retires finished coflows.
 // Bytes move off the rated list when beginInterval built one, else by
-// walking every sendable flow; each completed flow is finished in its
-// CoFlow's summary (coflow.CoFlow.Finish). Then one
+// walking every sendable flow; each completed flow is completed in its
+// CoFlow's summary (coflow.CoFlow.Complete). Then one
 // pass in e.active order retires the finished — so Result.CoFlows keeps
 // admission order within an interval — and compacts the survivors into
 // the active slice in place (writes trail reads), so steady-state
@@ -797,8 +792,10 @@ func (e *engine) activeSorted() []*coflow.CoFlow {
 func (e *engine) advance(alloc *sched.RateVec, dt coflow.Time) {
 	if e.rateDriven {
 		for i := range e.rated {
-			if r := &e.rated[i]; r.rate > 0 && e.moveBytes(r.owner, r.f, r.rate, dt) {
-				r.owner.Finish(r.f)
+			if r := &e.rated[i]; r.rate > 0 {
+				if at, done := e.moveBytes(r.owner, r.f, r.rate, dt); done {
+					r.owner.Complete(r.f, at)
+				}
 			}
 		}
 	} else {
@@ -816,50 +813,46 @@ func (e *engine) advance(alloc *sched.RateVec, dt coflow.Time) {
 }
 
 // moveBytesDense advances every sendable flow of the active set that
-// holds a positive rate. A CoFlow's completions are finished together
-// after its walk, which Finish would otherwise shorten under it.
+// holds a positive rate. A CoFlow's completions are completed together
+// after its walk, which Complete would otherwise shorten under it.
 func (e *engine) moveBytesDense(alloc *sched.RateVec, dt coflow.Time) {
 	for _, c := range e.active {
 		done := e.finished[:0]
 		for _, f := range c.SendableFlows() {
-			if rate, ok := alloc.Get(f.Idx); ok && rate > 0 && e.moveBytes(c, f, rate, dt) {
-				done = append(done, f) //saath:alloc-ok amortized: grows to the widest CoFlow's completions in one interval
+			if rate, ok := alloc.Get(f.Idx); ok && rate > 0 {
+				if at, finished := e.moveBytes(c, f, rate, dt); finished {
+					done = append(done, coflow.Completion{Flow: f, At: at}) //saath:alloc-ok amortized: grows to the widest CoFlow's completions in one interval
+				}
 			}
 		}
 		if len(done) > 0 {
-			c.Finish(done...)
+			c.CompleteAll(done)
 			e.finished = done
 		}
 	}
 }
 
 // moveBytes sends owner's flow f at rate for dt and reports whether that
-// finished it, crediting the completion at its exact time inside the
-// interval. Every byte the engine moves, or takes back in a restart, goes
-// through here, so this is where the owner's progress is noted; on a
-// completion it leaves f with its final Sent and DoneAt for the caller
-// to Finish.
-func (e *engine) moveBytes(owner *coflow.CoFlow, f *coflow.Flow, rate coflow.Rate, dt coflow.Time) bool {
-	owner.NoteProgress()
+// finished it and when, crediting the completion at its exact time
+// inside the interval. Every byte the engine moves, or takes back in a
+// restart, goes through here; on a completion it records every byte
+// sent and leaves the Complete to the caller.
+func (e *engine) moveBytes(owner *coflow.CoFlow, f *coflow.Flow, rate coflow.Rate, dt coflow.Time) (coflow.Time, bool) {
 	eff := f.EffectiveRate(rate, e.cfg.PortRate)
 	moved := eff.Transfer(dt)
 	rem := f.Remaining()
 	if moved < rem {
-		f.Sent += moved
-		e.maybeRestart(f)
-		return false
+		owner.Progress(f, f.Sent()+moved)
+		e.maybeRestart(owner, f)
+		return 0, false
 	}
-	f.Sent = f.Size
-	f.DoneAt = e.now + eff.TimeToSend(rem)
-	if f.DoneAt > e.now+dt {
-		f.DoneAt = e.now + dt
-	}
-	return true
+	owner.Progress(f, f.Size)
+	return min(e.now+eff.TimeToSend(rem), e.now+dt), true
 }
 
 // maybeRestart applies a rolled one-time failure: the flow loses all
 // progress once it crosses the RestartAt fraction.
-func (e *engine) maybeRestart(f *coflow.Flow) {
+func (e *engine) maybeRestart(owner *coflow.CoFlow, f *coflow.Flow) {
 	d := e.cfg.Dynamics
 	if d == nil || !e.restartPending[f.Idx] {
 		return
@@ -868,9 +861,8 @@ func (e *engine) maybeRestart(f *coflow.Flow) {
 	if at <= 0 || at >= 1 {
 		at = 0.5
 	}
-	if float64(f.Sent) >= at*float64(f.Size) {
-		f.Sent = 0 //saath:progress-ok moveBytes, the only caller, has noted it
-		f.Restarted = true
+	if float64(f.Sent()) >= at*float64(f.Size) {
+		owner.Restart(f)
 		e.restartPending[f.Idx] = false
 	}
 }
@@ -907,8 +899,8 @@ func (e *engine) retire(c *coflow.CoFlow) {
 		e.flowResults = append(e.flowResults, FlowResult{
 			ID:     f.ID,
 			Size:   f.Size,
-			FCT:    f.DoneAt - c.Arrived,
-			DoneAt: f.DoneAt,
+			FCT:    f.DoneAt() - c.Arrived,
+			DoneAt: f.DoneAt(),
 		})
 	}
 	res.Flows = e.flowResults[first:len(e.flowResults):len(e.flowResults)]

@@ -233,15 +233,10 @@ func (e *engine) releaseDependents(c *coflow.CoFlow) {
 // fires at the first boundary past their delay, so no time check is
 // needed; the flips are idempotent and commutative.
 func (e *engine) injectAvail(c *coflow.CoFlow) {
-	changed := false
 	for _, f := range c.Flows {
-		if !f.Available {
-			f.Available = true
+		if !f.Available() {
+			c.SetAvailable(f, true)
 			e.unavail--
-			changed = true
 		}
-	}
-	if changed {
-		c.Invalidate()
 	}
 }

@@ -115,16 +115,11 @@ func (e *stepper) refreshAvailability(now coflow.Time) {
 		return
 	}
 	for _, c := range e.active {
-		changed := false
 		for _, f := range c.Flows {
-			if !f.Available && now >= c.Arrived+p.AvailDelay {
-				f.Available = true
+			if !f.Available() && now >= c.Arrived+p.AvailDelay {
+				c.SetAvailable(f, true)
 				e.unavail--
-				changed = true
 			}
-		}
-		if changed {
-			c.Invalidate()
 		}
 	}
 }

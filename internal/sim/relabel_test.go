@@ -38,8 +38,11 @@ var orderDependent = map[string]string{
 // policy may decide from, so every CoFlow's CCT must come out identical,
 // to the microsecond. It runs every registered policy on the Fig. 1, 4,
 // 8 and 17 micro traces and a small FB-shaped synthetic trace, three
-// permutations each. A policy in orderDependent must instead differ on
-// at least one of them.
+// permutations each, in three columns: the plain model, pipelining
+// (flows held back, then released: SetAvailable) and dynamics
+// (stragglers and mid-life restarts: Restart). Their draws are made per
+// flow in Flows order, so a relabelled trace rolls the same fates. A
+// policy in orderDependent must instead differ on at least one run.
 func TestPortRelabellingLeavesCCTs(t *testing.T) {
 	cfg := trace.DefaultFBConfig(3)
 	cfg.NumPorts, cfg.NumCoFlows, cfg.MaxLarge = 20, 60, coflow.GB
@@ -52,21 +55,31 @@ func TestPortRelabellingLeavesCCTs(t *testing.T) {
 			t.Errorf("orderDependent names %q: %v", name, err)
 		}
 	}
+	columns := []struct {
+		name string
+		cfg  Config
+	}{
+		{"plain", Config{}},
+		{"pipelining", Config{Pipelining: &Pipelining{Frac: 0.5, AvailDelay: 20 * coflow.Millisecond}}},
+		{"dynamics", Config{Dynamics: &Dynamics{StragglerProb: 0.3, Slowdown: 2, RestartProb: 0.2, RestartAt: 0.5}}},
+	}
 	for _, sn := range sched.Names() {
 		differs := false
-		for _, tr := range traces {
-			want := runOn(t, tr, sn, Config{}).CCTByID()
-			rng := rand.New(rand.NewSource(1))
-			for k := 0; k < 3; k++ {
-				perm := rng.Perm(tr.NumPorts)
-				got := runOn(t, relabel(tr, perm), sn, Config{}).CCTByID()
-				if maps.Equal(got, want) {
-					continue
+		for _, col := range columns {
+			for _, tr := range traces {
+				want := runOn(t, tr, sn, col.cfg).CCTByID()
+				rng := rand.New(rand.NewSource(1))
+				for k := 0; k < 3; k++ {
+					perm := rng.Perm(tr.NumPorts)
+					got := runOn(t, relabel(tr, perm), sn, col.cfg).CCTByID()
+					if maps.Equal(got, want) {
+						continue
+					}
+					if _, ok := orderDependent[sn]; !ok {
+						t.Errorf("%s (%s) on %s relabelled by %v: CCTs %v, unrelabelled %v", sn, col.name, tr.Name, perm, got, want)
+					}
+					differs = true
 				}
-				if _, ok := orderDependent[sn]; !ok {
-					t.Errorf("%s on %s relabelled by %v: CCTs %v, unrelabelled %v", sn, tr.Name, perm, got, want)
-				}
-				differs = true
 			}
 		}
 		if why, ok := orderDependent[sn]; ok && !differs {

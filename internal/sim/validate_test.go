@@ -34,7 +34,7 @@ func (r rogueScheduler) Schedule(snap *sched.Snapshot) *sched.RateVec {
 				// An index no live flow holds: past the engine's cap.
 				alloc.Set(snap.FlowCap+7, 1)
 			case "done":
-				f.Done = true
+				c.Complete(f, snap.Now)
 				alloc.Set(f.Idx, snap.Fabric.PortRate())
 			case "add":
 				// No single write is over the line; the two together are.

@@ -131,9 +131,8 @@ func (ls *liveSet) step(quiet bool, now coflow.Time) {
 		c := coflow.New(spec)
 		c.Arrived = now
 		for _, f := range c.Flows {
-			f.Available = ls.rng.Intn(6) != 0
+			c.SetAvailable(f, ls.rng.Intn(6) != 0)
 		}
-		c.Invalidate()
 		ls.space.Assign(c)
 		ls.live = append(ls.live, c)
 		ls.admitted++
@@ -142,20 +141,16 @@ func (ls *liveSet) step(quiet bool, now coflow.Time) {
 	for _, c := range ls.live {
 		for _, f := range c.PendingFlows() {
 			switch {
-			case !f.Available:
+			case !f.Available():
 				if !quiet && ls.rng.Intn(4) == 0 {
-					f.Available = true
-					c.Invalidate()
+					c.SetAvailable(f, true)
 				}
 			case quiet:
-				f.Sent = min(f.Size-1, f.Sent+coflow.MB/4)
-				c.NoteProgress()
+				c.Progress(f, min(f.Size-1, f.Sent()+coflow.MB/4))
 			default:
-				f.Sent = min(f.Size, f.Sent+coflow.MB)
-				c.NoteProgress()
-				if f.Sent == f.Size {
-					f.DoneAt = now
-					c.Finish(f)
+				c.Progress(f, min(f.Size, f.Sent()+coflow.MB))
+				if f.Sent() == f.Size {
+					c.Complete(f, now)
 				}
 			}
 		}
@@ -247,8 +242,8 @@ func TestSuiteObserveZeroAlloc(t *testing.T) {
 	i := 1
 	if n := testing.AllocsPerRun(200, func() {
 		iv.Index = i
-		if i%5 == 0 {
-			iv.Active[0].Invalidate()
+		if c := iv.Active[0]; i%5 == 0 {
+			c.CarryOver(c) // restated as itself: the epoch moves
 		}
 		s.Observe(iv)
 		i++

@@ -40,17 +40,18 @@ func TestQueueTrackerTransitions(t *testing.T) {
 		t.Fatalf("idle observation counted transitions: %d/%d", p, d)
 	}
 	// Total bytes cross the q0 threshold (100): one demotion.
-	c.Flows[0].Sent = 150
+	c.Progress(c.Flows[0], 150)
 	if p, d := qt.observe(active); p != 0 || d != 1 {
 		t.Fatalf("q0→q1 demotion: %d/%d, want 0/1", p, d)
 	}
 	// Cross the q1 threshold (1000): another demotion.
-	c.Flows[1].Sent = 2000
+	c.Progress(c.Flows[1], 2000)
 	if p, d := qt.observe(active); p != 0 || d != 1 {
 		t.Fatalf("q1→q2 demotion: %d/%d, want 0/1", p, d)
 	}
 	// A restart resets progress: promotion back to q0.
-	c.Flows[0].Sent, c.Flows[1].Sent = 0, 0
+	c.Restart(c.Flows[0])
+	c.Restart(c.Flows[1])
 	if p, d := qt.observe(active); p != 1 || d != 0 {
 		t.Fatalf("restart promotion: %d/%d, want 1/0", p, d)
 	}
@@ -67,7 +68,7 @@ func TestQueueTrackerTransitions(t *testing.T) {
 func TestQueueTrackerPlacementRules(t *testing.T) {
 	c := trackedCoflow(1)
 	coflow.EnsureIndexed([]*coflow.CoFlow{c})
-	c.Flows[0].Sent = 60 // total 60 < 100, but m_c·N = 120 ≥ 100
+	c.Progress(c.Flows[0], 60) // total 60 < 100, but m_c·N = 120 ≥ 100
 
 	total := newQueueTracker(testLadder(), false)
 	if q := total.place(c); q != 0 {
@@ -87,7 +88,7 @@ func TestQueueTrackerIndexRecycling(t *testing.T) {
 	old := trackedCoflow(1)
 	space.Assign(old)
 	oldIdx := old.Idx
-	old.Flows[0].Sent = 5000 // deep in q2
+	old.Progress(old.Flows[0], 5000) // deep in q2
 	qt.observe([]*coflow.CoFlow{old})
 	space.Release(old)
 
@@ -146,10 +147,10 @@ func suiteWithTransitions(t *testing.T, spec Spec) *Metrics {
 		Active: []*coflow.CoFlow{c}, Alloc: alloc, Admitted: 1,
 	}
 	s.Observe(iv)
-	c.Flows[0].Sent = 150
+	c.Progress(c.Flows[0], 150)
 	iv.Index, iv.Now = 1, coflow.Millisecond
 	s.Observe(iv)
-	c.Flows[0].Sent = 0
+	c.Progress(c.Flows[0], 0)
 	iv.Index, iv.Now = 2, 2*coflow.Millisecond
 	s.Observe(iv)
 	return s.Metrics()

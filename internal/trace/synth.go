@@ -88,11 +88,24 @@ func SynthFB(seed int64) *Trace { return Synthesize(DefaultFBConfig(seed), "fb-s
 // SynthOSP generates an OSP-like workload (see DefaultOSPConfig).
 func SynthOSP(seed int64) *Trace { return Synthesize(DefaultOSPConfig(seed), "osp-synth") }
 
+// Validate reports configurations Synthesize cannot generate from: too
+// few ports or a non-positive CoFlow count.
+func (cfg SynthConfig) Validate() error {
+	if cfg.NumPorts < 2 {
+		return fmt.Errorf("trace: synth config: NumPorts=%d, need >=2 (a flow needs a sender and a receiver)", cfg.NumPorts)
+	}
+	if cfg.NumCoFlows <= 0 {
+		return fmt.Errorf("trace: synth config: NumCoFlows=%d, need >0", cfg.NumCoFlows)
+	}
+	return nil
+}
+
 // Synthesize generates a trace from cfg. The same (cfg, name) always
-// yields byte-identical traces.
+// yields byte-identical traces. It panics on a configuration Validate
+// rejects: callers with configurations from outside check them first.
 func Synthesize(cfg SynthConfig, name string) *Trace {
-	if cfg.NumPorts <= 1 || cfg.NumCoFlows <= 0 {
-		panic(fmt.Sprintf("trace.Synthesize: bad config ports=%d coflows=%d", cfg.NumPorts, cfg.NumCoFlows))
+	if err := cfg.Validate(); err != nil {
+		panic("trace.Synthesize: " + err.Error())
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	t := &Trace{Name: name, NumPorts: cfg.NumPorts}

@@ -271,3 +271,50 @@ func TestSummarizeEmpty(t *testing.T) {
 		t.Fatalf("empty summary = %+v", s)
 	}
 }
+
+// TestSynthConfigValidation: a configuration Synthesize cannot generate
+// from fails Validate with an error naming the field, and Synthesize
+// panics with that same error; the family defaults, two ports and a zero
+// mean gap (every CoFlow at once) pass.
+func TestSynthConfigValidation(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*SynthConfig)
+		want   string // substring of the expected error; "" for valid
+	}{
+		{"fb default", func(*SynthConfig) {}, ""},
+		{"osp default", func(c *SynthConfig) { *c = DefaultOSPConfig(1) }, ""},
+		{"all at once", func(c *SynthConfig) { c.MeanInterArrival = 0 }, ""},
+		{"two ports", func(c *SynthConfig) { c.NumPorts = 2 }, ""},
+		{"one port", func(c *SynthConfig) { c.NumPorts = 1 }, "NumPorts=1"},
+		{"no ports", func(c *SynthConfig) { c.NumPorts = 0 }, "NumPorts=0"},
+		{"no coflows", func(c *SynthConfig) { c.NumCoFlows = 0 }, "NumCoFlows=0"},
+		{"negative coflows", func(c *SynthConfig) { c.NumCoFlows = -3 }, "NumCoFlows=-3"},
+	}
+	for _, tc := range cases {
+		cfg := DefaultFBConfig(1)
+		cfg.NumCoFlows = 5
+		tc.mutate(&cfg)
+		err := cfg.Validate()
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("%s: rejected: %v", tc.name, err)
+			} else if tr := Synthesize(cfg, tc.name); len(tr.Specs) != cfg.NumCoFlows {
+				t.Errorf("%s: %d coflows, want %d", tc.name, len(tr.Specs), cfg.NumCoFlows)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
+			continue
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != "trace.Synthesize: "+err.Error() {
+					t.Errorf("%s: Synthesize panicked with %v, want Validate's error", tc.name, r)
+				}
+			}()
+			Synthesize(cfg, tc.name)
+		}()
+	}
+}
