@@ -33,10 +33,11 @@ test-testbed:
 # Max-min filling: on any demands, caps and pre-drawn fabric, the rates
 # equal a round-by-round walk over every demand bit for bit. In-process
 # agents: under any churn script — registrations, deregistrations with
-# flows left lingering, updates that move senders, agents detached and
-# re-attached, flow indices reused across agents — the slot-table agents
-# hold the same flows as map-keyed reference agents and the coordinators
-# agree on every result. Aalo's fill: on any CoFlows over any queues,
+# flows left lingering, updates that move senders or resize a flow,
+# agents detached and re-attached, flow indices reused across agents —
+# the slot-table agents hold the same flows as map-keyed reference
+# agents, every flow ordered at the size the coordinator ordered, and
+# the coordinators agree on every result. Aalo's fill: on any CoFlows over any queues,
 # withheld and done flows, and any pre-drawn fabric (closed egresses,
 # residuals a hair from eps), the rates and the fabric left behind equal
 # the sort-and-walk-every-flow reference bit for bit. Saath's admission
@@ -46,6 +47,10 @@ test-testbed:
 # signature admission and the run-skipping walk grant what the flow scan
 # and the walk that asks every flow grant, rates, residuals and rated
 # list bit for bit.
+# Saath's contention index: under any script of arrivals, departures,
+# completions, holds, update() swaps, departures and arrivals with no
+# Sync between, and port ranges that grow mid-run, every k_c equals the
+# map-based reference after every Sync.
 # Minimising each new input is capped at 1 s (the default, 60 s, would
 # eat the whole budget on the first one).
 fuzz:
@@ -57,6 +62,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzInprocAgents$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/runtime/
 	$(GO) test -run '^$$' -fuzz '^FuzzAaloFill$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sched/aalo/
 	$(GO) test -run '^$$' -fuzz '^FuzzWorkConserve$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzContentionIndex$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sched/
 
 race:
 	$(GO) test -race -timeout 20m ./...

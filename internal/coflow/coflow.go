@@ -8,11 +8,12 @@
 // completion of its last flow.
 //
 // A CoFlow keeps a summary of its flows — the pending and sendable
-// lists, their compact (src, dst) view, and what the finished flows sent
-// — and carries two stamps: a mutation epoch (CacheEpoch) that moves
-// when a flow's Done or Available state changes or a finished flow's
-// figures are rewritten, and a progress stamp (ProgressStamp) that moves
-// when a pending flow's Sent does. Everything derived from a CoFlow is
+// lists, their compact (src, dst) view, what the finished flows sent,
+// and m_c, the most any one flow has sent — and carries two stamps: a
+// mutation epoch (CacheEpoch) that moves when a flow's Done or Available
+// state changes or a finished flow's figures are rewritten, and a
+// progress stamp (ProgressStamp) that moves when a pending flow's Sent
+// does. Everything derived from a CoFlow is
 // keyed on them. A flow's Sent, Done, DoneAt and Available are read
 // through its accessors and written only through its CoFlow, whose
 // writers move the stamps themselves:
@@ -275,9 +276,11 @@ type CoFlow struct {
 	Arrived Time // when it was released to the scheduler
 	Done    bool
 	// Summary flags, beside Done so the struct packs: every pending flow
-	// is Available (the sendable lists are pend's), and the list entries
-	// Complete has shifted since the last build.
+	// is Available (the sendable lists are pend's), maxSent must be found
+	// again by a pass over Flows, and the list entries Complete has
+	// shifted since the last build.
 	allAvail bool
+	maxStale bool
 	shifted  int32
 	DoneAt   Time
 
@@ -294,13 +297,15 @@ type CoFlow struct {
 	pend      []*Flow    // not-done flows, in Flows order
 	pendPorts []PortPair // pend's (Src, Dst), position for position
 	doneSum   Bytes      // Σ Sent over done flows
-	doneMax   Bytes      // max Sent over done flows
 	doneLast  Time       // max DoneAt over done flows
 	extra     *summaryExtra
 
 	// progress is the stamp Progress moves for a pending flow: the one
 	// thing the epoch does not cover.
 	progress uint64
+	// maxSent is m_c, the most any one flow has sent, kept by the
+	// writers that move Sent (see MaxSent); unless maxStale it is exact.
+	maxSent Bytes
 }
 
 // summaryExtra is the part of a CoFlow's summary that only some CoFlows
@@ -347,6 +352,13 @@ func New(spec *Spec) *CoFlow {
 //
 //saath:hotpath
 func (c *CoFlow) Progress(f *Flow, sent Bytes) {
+	if !c.maxStale {
+		if sent >= c.maxSent {
+			c.maxSent = sent
+		} else if f.sent == c.maxSent {
+			c.maxStale = true // the flow holding the maximum went down
+		}
+	}
 	f.sent = sent
 	if f.done {
 		c.epoch++
@@ -380,13 +392,16 @@ func (c *CoFlow) SetAvailable(f *Flow, v bool) {
 // CarryOver takes over an earlier flow set's progress when c restates
 // old: every flow of c whose index old has, at the same size, starts
 // from old's Sent, Done and DoneAt, and any other starts over. The epoch
-// moves, and the next read rebuilds the summary.
+// moves, and the next read rebuilds the summary; m_c is taken afresh on
+// the way.
 func (c *CoFlow) CarryOver(old *CoFlow) {
+	c.maxSent, c.maxStale = 0, false
 	for i, f := range c.Flows {
 		if i < len(old.Flows) && old.Flows[i].Size == f.Size {
 			o := old.Flows[i]
 			f.sent, f.done, f.doneAt = o.sent, o.done, o.doneAt
 		}
+		c.maxSent = max(c.maxSent, f.sent)
 	}
 	c.epoch++
 }
@@ -537,7 +552,6 @@ func (c *CoFlow) sweep(was uint64) {
 // was to the finished-flow figures.
 func (c *CoFlow) fold(f *Flow, was uint64) {
 	c.doneSum += f.sent
-	c.doneMax = max(c.doneMax, f.sent)
 	c.doneLast = max(c.doneLast, f.doneAt)
 	if x := c.extra; x != nil && x.medEpoch == was {
 		k, _ := slices.BinarySearch(x.doneSent, f.sent)
@@ -639,11 +653,10 @@ func (c *CoFlow) build() {
 	}
 	c.pend, c.pendPorts = c.pend[:0], c.pendPorts[:0]
 	c.allAvail, c.shifted = true, 0
-	c.doneSum, c.doneMax, c.doneLast = 0, 0, 0
+	c.doneSum, c.doneLast = 0, 0
 	for _, f := range c.Flows {
 		if f.done {
 			c.doneSum += f.sent
-			c.doneMax = max(c.doneMax, f.sent)
 			c.doneLast = max(c.doneLast, f.doneAt)
 			continue
 		}
@@ -684,18 +697,22 @@ func (c *CoFlow) Width() int { return len(c.Flows) }
 func (c *CoFlow) CCT() Time { return c.DoneAt - c.Arrived }
 
 // MaxSent returns m_c, the maximum bytes sent by any single flow —
-// Saath's queue-assignment signal (Eq. 1).
+// Saath's queue-assignment signal (Eq. 1). The writers that move Sent
+// keep it: Progress (and so Restart) raises it to a flow's new Sent when
+// that is at least the maximum, and marks it stale when the flow that
+// held the maximum goes down; CarryOver takes it afresh. MaxSent reads
+// it, and passes over Flows only when it is stale, which takes a
+// restart or a lower rewrite of the flow ahead.
 //
 //saath:hotpath
 func (c *CoFlow) MaxSent() Bytes {
-	c.sync()
-	m := c.doneMax
-	for _, f := range c.pend {
-		if f.sent > m {
-			m = f.sent
+	if c.maxStale {
+		c.maxSent, c.maxStale = 0, false
+		for _, f := range c.Flows {
+			c.maxSent = max(c.maxSent, f.sent)
 		}
 	}
-	return m
+	return c.maxSent
 }
 
 // TotalSent returns the sum of bytes sent by all flows — Aalo's

@@ -24,8 +24,10 @@ import (
 // under testdata/fuzz holds one input per mutation, a wide CoFlow
 // finished from the middle one flow at a time past Complete's shift
 // budget, batches in one call, a swap that leaves finished and pending
-// flows mixed, and an availability flip that nothing reads before the
-// next Complete.
+// flows mixed, an availability flip that nothing reads before the next
+// Complete, and the three moves of m_c that are not a raise: a restart
+// of the flow holding it, a CarryOver that resizes that flow, and a
+// finished flow's Sent rewritten.
 func FuzzProgressSummary(f *testing.F) {
 	f.Add([]byte{6, 0, 3, 1, 2, 2, 4, 17, 1, 4, 0, 0x11, 5})
 	f.Fuzz(func(t *testing.T, in []byte) {

@@ -90,10 +90,11 @@ func (a *InprocAgent) DataAddr() string { return "" }
 func (a *InprocAgent) Shut() {}
 
 // Deliver implements agentLink: adopt the new schedule. Orders are
-// copied into per-flow state; the message is not retained. An order
-// finds its flow through the slot table, checked against the flow's
-// wire name: an entry of another agent, or of another flow under a
-// reused index, is a miss.
+// copied into per-flow state — the rate, and a new size as the restart
+// the coordinator's CarryOver gave a flow update() resized — and the
+// message is not retained. An order finds its flow through the slot
+// table, checked against the flow's wire name: an entry of another
+// agent, or of another flow under a reused index, is a miss.
 //
 //saath:hotpath zero-alloc steady state guarded by TestCoordinatorBoundaryZeroAlloc
 func (a *InprocAgent) Deliver(msg *scheduleMsg) error {
@@ -112,7 +113,11 @@ func (a *InprocAgent) Deliver(msg *scheduleMsg) error {
 		if e.owner != a.id || a.flows[e.at].key != k {
 			*e = slotEntry{owner: a.id, at: a.file(k, o)}
 		}
-		a.flows[e.at].rate = o.RateBps
+		f := &a.flows[e.at]
+		if size := float64(o.Size); f.size != size { // resized by update(): restarted, as CarryOver does
+			f.size, f.sent, f.done = size, 0, false
+		}
+		f.rate = o.RateBps
 	}
 	return nil
 }

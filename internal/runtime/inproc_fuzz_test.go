@@ -39,7 +39,11 @@ func (a *mapAgent) Deliver(msg *scheduleMsg) error {
 			a.index[k] = at
 			a.flows = append(a.flows, inprocFlow{key: k, size: float64(o.Size)})
 		}
-		a.flows[at].rate = o.RateBps
+		f := &a.flows[at]
+		if size := float64(o.Size); f.size != size { // resized by update(): restarted, as CarryOver does
+			f.size, f.sent, f.done = size, 0, false
+		}
+		f.rate = o.RateBps
 	}
 	return nil
 }
@@ -96,13 +100,17 @@ func agentFlows(flows []inprocFlow) string {
 // whose flows may still linger), deregisters (the flows linger at their
 // agents and run out there), updates (a flow's sender may move, the
 // width may change), detaches a port's agent (it keeps its flows and
-// keeps stepping and reporting) and attaches a fresh one. Flow indices are reused all along, by flows at other
-// agents too. After every boundary every agent ever attached must hold
-// the same flows — (key, size, sent, rate, done) — on both sides, and
-// the coordinators must agree on Results(). The committed corpus holds
-// the case the ownership check in dropFlow exists for: a deregistered
-// coflow's flow finishing at one agent after its index went to a flow at
-// another.
+// keeps stepping and reporting), attaches a fresh one and resizes a
+// flow (a PUT of the same flows, one at another size, which restarts it
+// at the coordinator and so at its agent). Flow indices are reused all
+// along, by flows at other agents too. After every boundary every agent
+// ever attached must hold the same flows — (key, size, sent, rate,
+// done) — on both sides, every flow the coordinator ordered must be
+// held by its sender at the size ordered, and the coordinators must
+// agree on Results(). The committed corpus holds the case the
+// ownership check in dropFlow exists for — a deregistered coflow's flow
+// finishing at one agent after its index went to a flow at another —
+// and a flow resized after three boundaries.
 func FuzzInprocAgents(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 2, 5, 1, 0, 0, 0, 0, 2, 3, 2, 5, 5, 5, 5, 5, 5})
 	f.Add([]byte{0, 0, 1, 0, 1, 3, 0, 5, 3, 0, 5, 5, 4, 0, 6, 2, 0, 2, 1, 3, 4, 5, 0, 0, 5, 6, 5})
@@ -162,10 +170,16 @@ func FuzzInprocAgents(f *testing.F) {
 			pos++
 			return int(script[pos-1])
 		}
+		asJSON := func(sp *coflow.Spec) string {
+			var parts []string
+			for _, f := range sp.Flows {
+				parts = append(parts, fmt.Sprintf(`{"src":%d,"dst":%d,"size":%d}`, f.Src, f.Dst, f.Size))
+			}
+			return `{"flows":[` + strings.Join(parts, ",") + `]}`
+		}
 		flowsJSON := func() (string, *coflow.Spec) {
 			sp := &coflow.Spec{}
 			w := 1 + next()%3
-			var parts []string
 			for i := 0; i < w; i++ {
 				src, dst := next()%nPorts, next()%nPorts
 				if dst == src {
@@ -173,11 +187,10 @@ func FuzzInprocAgents(f *testing.F) {
 				}
 				size := (1 + next()%6) * 400_000
 				sp.Flows = append(sp.Flows, coflow.FlowSpec{Src: coflow.PortID(src), Dst: coflow.PortID(dst), Size: coflow.Bytes(size)})
-				parts = append(parts, fmt.Sprintf(`{"src":%d,"dst":%d,"size":%d}`, src, dst, size))
 			}
-			return `{"flows":[` + strings.Join(parts, ",") + `]}`, sp
+			return asJSON(sp), sp
 		}
-		rest := func(method string, id int, body string) {
+		rest := func(method string, id int, body string) int {
 			var codes [2]int
 			for i, sd := range []*side{slotSide, refSide} {
 				w := httptest.NewRecorder()
@@ -187,8 +200,10 @@ func FuzzInprocAgents(f *testing.F) {
 			if codes[0] != codes[1] {
 				t.Fatalf("%s /coflows/%d: %d with slot agents, %d with map agents", method, id, codes[0], codes[1])
 			}
+			return codes[0]
 		}
-		var ids []int // every ID registered, in order
+		var ids []int                   // every ID registered, in order
+		flows := map[int]*coflow.Spec{} // the flows each ID last registered or was updated to
 		// filed is what the slot table resolved to after the last round:
 		// index -> (agent, wire name). A report moves or clears only the
 		// entries of the flows it drops, so every entry whose flow its
@@ -258,6 +273,26 @@ func FuzzInprocAgents(f *testing.F) {
 			if live[0] != live[1] {
 				t.Fatalf("boundary %d: %d live with slot agents, %d with map agents", n, live[0], live[1])
 			}
+			// Against the coordinator, not another agent: every pending
+			// flow whose two agents are attached was ordered this
+			// boundary, and its sender holds it at the size ordered.
+			for _, cf := range slotSide.coord.snap.Active {
+				for _, f := range cf.PendingFlows() {
+					src, dst := slotSide.cur[f.Src], slotSide.cur[f.Dst]
+					if src < 0 || dst < 0 {
+						continue
+					}
+					k, size := flowKey{CoFlow: int64(cf.ID()), Index: f.ID.Index}, -1.0
+					for _, af := range slotSide.slots[src].flows {
+						if af.key == k {
+							size = af.size
+						}
+					}
+					if size != float64(f.Size) {
+						t.Fatalf("boundary %d: c%d/%d is %d bytes at the coordinator, %.0f at its agent (-1: not held)", n, k.CoFlow, k.Index, f.Size, size)
+					}
+				}
+			}
 			for i, a := range slotSide.slots {
 				if got, want := agentFlows(a.flows), agentFlows(refSide.refs[i].flows); got != want {
 					t.Fatalf("boundary %d, agent %d (port %d):\nslot agent %s\n map agent %s", n, i, a.port, got, want)
@@ -270,7 +305,7 @@ func FuzzInprocAgents(f *testing.F) {
 
 		n := 0
 		for pos < len(script) {
-			switch next() % 7 {
+			switch next() % 8 {
 			case 0: // register, under a fresh ID or again under an earlier one
 				id := len(ids) + 1
 				if r := next(); r%2 == 1 && len(ids) > 0 {
@@ -284,6 +319,9 @@ func FuzzInprocAgents(f *testing.F) {
 				if !errors.Is(slotErr, refErr) {
 					t.Fatalf("Register(c%d): %v with slot agents, %v with map agents", id, slotErr, refErr)
 				}
+				if slotErr == nil {
+					flows[id] = sp
+				}
 			case 1: // deregister: the coflow's flows linger at their agents
 				if len(ids) > 0 {
 					rest(http.MethodDelete, ids[next()%len(ids)], "")
@@ -291,8 +329,10 @@ func FuzzInprocAgents(f *testing.F) {
 			case 2: // update: same or new width, senders may move
 				if len(ids) > 0 {
 					id := ids[next()%len(ids)]
-					body, _ := flowsJSON()
-					rest(http.MethodPut, id, body)
+					body, sp := flowsJSON()
+					if rest(http.MethodPut, id, body) == http.StatusOK {
+						flows[id] = sp
+					}
 				}
 			case 3: // detach: the agent keeps its flows, stepping and reporting
 				p := next() % nPorts
@@ -309,6 +349,19 @@ func FuzzInprocAgents(f *testing.F) {
 			case 6:
 				boundary(n, false)
 				n++
+			case 7: // resize: the same flows, one of them at another size
+				if len(ids) > 0 {
+					id := ids[next()%len(ids)]
+					if flows[id] == nil {
+						break
+					}
+					sp := &coflow.Spec{Flows: slices.Clone(flows[id].Flows)}
+					f := &sp.Flows[next()%len(sp.Flows)]
+					f.Size += coflow.Bytes(1+next()%5) * 400_000
+					if rest(http.MethodPut, id, asJSON(sp)) == http.StatusOK {
+						flows[id] = sp
+					}
+				}
 			}
 		}
 		for end := n + 200; n < end; n++ {

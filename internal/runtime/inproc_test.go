@@ -2,8 +2,12 @@ package runtime
 
 import (
 	"errors"
+	"fmt"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -215,6 +219,52 @@ func TestDuplicateRegisterInproc(t *testing.T) {
 	}
 	if _, rejected := coord.AdmissionStats(); rejected != 0 {
 		t.Fatalf("duplicate counted as an admission rejection")
+	}
+}
+
+// TestInprocAgentFollowsResize: a PUT that resizes a flow restarts it
+// at the coordinator (CarryOver keeps progress only at an unchanged
+// size), and the in-process agent holding it must restart it too, not
+// finish the old size and report the new one done. One 50 MB flow runs
+// for three 8 ms boundaries, then is PUT at 80 MB: the 80 MB take at
+// least 671 ms at 1 Gbps from the PUT at 24 ms. An agent that kept the
+// old size finished the 50 MB at boundary 47, a CCT of 408 ms.
+func TestInprocAgentFollowsResize(t *testing.T) {
+	delta := 8 * time.Millisecond
+	coord, agents, vc := manualCoordinator(t, "saath", 2, delta, AdmissionConfig{})
+	if err := coord.Register(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 50 * coflow.MB}}}); err != nil {
+		t.Fatal(err)
+	}
+	boundary := func() int {
+		vc.Advance(delta)
+		for _, a := range agents {
+			a.Step(delta)
+		}
+		for _, a := range agents {
+			a.Report()
+		}
+		return coord.StepSchedule()
+	}
+	for i := 0; i < 3; i++ {
+		boundary()
+	}
+	w := httptest.NewRecorder()
+	body := fmt.Sprintf(`{"flows":[{"src":0,"dst":1,"size":%d}]}`, 80*coflow.MB)
+	coord.handleCoFlowByID(w, httptest.NewRequest(http.MethodPut, "/coflows/1", strings.NewReader(body)))
+	if w.Code != http.StatusOK && w.Code != http.StatusNoContent {
+		t.Fatalf("PUT /coflows/1: %d %s", w.Code, w.Body)
+	}
+	boundary()
+	if f := agents[0].flows; len(f) != 1 || f[0].size != float64(80*coflow.MB) || f[0].sent != 0 || f[0].done {
+		t.Fatalf("agent after the resized order: %s, want c1/0 restarted at 80 MB", agentFlows(f))
+	}
+	driveToCompletion(t, coord, agents, vc, delta, 1000)
+	res := coord.Results()
+	if len(res) != 1 || res[0].Bytes != 80*coflow.MB {
+		t.Fatalf("results = %+v, want coflow 1 with 80 MB", res)
+	}
+	if min := 24*time.Millisecond + time.Duration(coflow.GbpsRate(1).TimeToSend(80*coflow.MB))*time.Microsecond; res[0].CCT < min {
+		t.Fatalf("CCT %v: the resized flow finished before 80 MB could be sent (%v)", res[0].CCT, min)
 	}
 }
 

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"saath/internal/coflow"
@@ -312,4 +313,216 @@ func BenchmarkContentionIndexOneChanged(b *testing.B) {
 			x.K(c)
 		}
 	}
+}
+
+// BenchmarkContentionIndexWideMove is dense-burst's shape: 110 wide
+// CoFlows on 150 ports, each eight mappers by eight reducers plus one
+// flow from its first mapper to a receiver none of its other flows
+// enter. Each round one member's extra flow is held back or released —
+// the sendable set a completion of it leaves — so each round flips one
+// direction, the receiver's ingress, of one member, and walks the
+// members on that receiver.
+func BenchmarkContentionIndexWideMove(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	var active []*coflow.CoFlow
+	for i := 0; i < 110; i++ {
+		ports := rng.Perm(150)
+		mappers, reducers, extra := ports[:8], ports[8:16], ports[16]
+		spec := &coflow.Spec{ID: coflow.CoFlowID(i + 1)}
+		for _, r := range reducers {
+			for _, m := range mappers {
+				spec.Flows = append(spec.Flows, coflow.FlowSpec{Src: coflow.PortID(m), Dst: coflow.PortID(r), Size: coflow.MB})
+			}
+		}
+		spec.Flows = append(spec.Flows, coflow.FlowSpec{Src: coflow.PortID(mappers[0]), Dst: coflow.PortID(extra), Size: coflow.MB})
+		active = append(active, coflow.New(spec))
+	}
+	coflow.EnsureIndexed(active)
+	x := NewContentionIndex()
+	x.Sync(active)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := active[i%len(active)]
+		f := c.Flows[len(c.Flows)-1]
+		c.SetAvailable(f, !f.Available())
+		x.Sync(active)
+		for _, c := range active {
+			x.K(c)
+		}
+	}
+}
+
+// BenchmarkContentionIndexFewLive is sparse-longtail's shape: three
+// live CoFlows of up to four flows on 150 ports, and each round the
+// oldest departs and another arrives — below trackAt, where a change
+// visits every member rather than keep the member sets.
+func BenchmarkContentionIndexFewLive(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	var pool []*coflow.CoFlow
+	for i := 0; i < 64; i++ {
+		spec := &coflow.Spec{ID: coflow.CoFlowID(i + 1)}
+		for j := 0; j <= rng.Intn(4); j++ {
+			spec.Flows = append(spec.Flows, coflow.FlowSpec{Src: coflow.PortID(rng.Intn(150)), Dst: coflow.PortID(rng.Intn(150)), Size: coflow.MB})
+		}
+		pool = append(pool, coflow.New(spec))
+	}
+	space := coflow.NewIndexSpace()
+	active := pool[:3:3]
+	for _, c := range active {
+		space.Assign(c)
+	}
+	active = append([]*coflow.CoFlow(nil), active...)
+	x := NewContentionIndex()
+	x.Sync(active)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		space.Release(active[0])
+		copy(active, active[1:])
+		c := pool[(i+3)%len(pool)]
+		space.Assign(c)
+		active[len(active)-1] = c
+		x.Sync(active)
+		for _, c := range active {
+			x.K(c)
+		}
+	}
+}
+
+// FuzzContentionIndex drives one index through a script of changes to
+// an active set whose indices come from an IndexSpace, as the engine
+// and the coordinator hand them out, and after every Sync holds each
+// live CoFlow's K to the map-based Contention. The input is a seed byte
+// — the PRNG that places flows, and an initial port range of 2 to 31
+// ports, so signatures start one word wide — then (op, arg) byte pairs,
+// by op mod 8:
+//
+//   - 0 arrive: 1 + arg&15 CoFlows of 1 + (arg>>5)&3 flows each; with
+//     bit 4 of arg set every flow enters port 0, a direction every such
+//     member shares;
+//   - 1 depart: the CoFlow arg picks;
+//   - 2 complete: the flow arg picks finishes;
+//   - 3 hold or release: the flow arg picks flips Available;
+//   - 4 swap: update()'s CarryOver onto a new CoFlow under the same ID
+//     and Idx, on the same flows (even arg) or resized ones (odd: they
+//     start over);
+//   - 5 recycle: a departure and an arrival with no Sync between, the
+//     newcomer taking the departed CoFlow's Idx and, in the index, its
+//     slot;
+//   - 6 widen: the port range grows by 1 + arg and a CoFlow arrives on
+//     its new top port, re-striding every signature under live counts;
+//   - 7 Sync and check.
+//
+// The script ends with a Sync and check too. Arrivals stop at 400 live
+// CoFlows. The committed corpus under testdata/fuzz holds member slots
+// crossing 64 (member sets several words long), a move that flips a
+// direction every member shares, and a mid-run re-stride to a port
+// beyond the signatures' 32·words.
+func FuzzContentionIndex(f *testing.F) {
+	f.Add([]byte{5, 0, 0x23, 7, 0, 2, 1, 3, 2, 7, 0, 4, 3, 5, 1, 6, 40, 7, 0})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) == 0 || len(in) > 2<<10 {
+			t.Skip()
+		}
+		rng := rand.New(rand.NewSource(int64(in[0])))
+		nPorts := 2 + int(in[0])%30
+		x := NewContentionIndex()
+		space := coflow.NewIndexSpace()
+		var active []*coflow.CoFlow
+		nextID := coflow.CoFlowID(1)
+		arrive := func(width int, incast bool, top bool) {
+			if len(active) >= 400 {
+				return
+			}
+			spec := &coflow.Spec{ID: nextID}
+			nextID++
+			for j := 0; j < width; j++ {
+				fs := coflow.FlowSpec{Src: coflow.PortID(rng.Intn(nPorts)), Dst: coflow.PortID(rng.Intn(nPorts)), Size: 1}
+				if incast {
+					fs.Dst = 0
+				}
+				if top && j == 0 {
+					fs.Src = coflow.PortID(nPorts - 1)
+				}
+				spec.Flows = append(spec.Flows, fs)
+			}
+			c := coflow.New(spec)
+			space.Assign(c)
+			active = append(active, c)
+		}
+		depart := func(i int) int {
+			c := active[i]
+			active = append(active[:i], active[i+1:]...)
+			idx := c.Idx
+			space.Release(c)
+			return idx
+		}
+		flow := func(arg byte) (*coflow.CoFlow, *coflow.Flow) {
+			c := active[int(arg)%len(active)]
+			return c, c.Flows[int(arg)/len(active)%len(c.Flows)]
+		}
+		check := func(step int) {
+			coflow.EnsureIndexed(active)
+			x.Sync(active)
+			want := Contention(active)
+			for _, c := range active {
+				if got := x.K(c); got != want[c.ID()] {
+					t.Fatalf("step %d: k_%d = %d, reference %d (%d live, %d ports)", step, c.ID(), got, want[c.ID()], len(active), nPorts)
+				}
+			}
+		}
+		step := 0
+		for ops := in[1:]; len(ops) >= 2; step, ops = step+1, ops[2:] {
+			op, arg := ops[0], ops[1]
+			if len(active) == 0 && op%8 != 0 && op%8 != 6 && op%8 != 7 {
+				continue
+			}
+			switch op % 8 {
+			case 0:
+				for n := 1 + int(arg&15); n > 0; n-- {
+					arrive(1+int(arg>>5)&3, arg&16 != 0, false)
+				}
+			case 1:
+				depart(int(arg) % len(active))
+			case 2:
+				c, f := flow(arg)
+				c.Complete(f, 0) // nothing, if already done
+			case 3:
+				c, f := flow(arg)
+				c.SetAvailable(f, !f.Available())
+			case 4:
+				i := int(arg) % len(active)
+				old := active[i]
+				spec := old.Spec
+				if arg&1 == 1 {
+					spec = &coflow.Spec{ID: old.ID(), Flows: slices.Clone(old.Spec.Flows)}
+					for j := range spec.Flows {
+						spec.Flows[j].Size++
+					}
+				}
+				idx := old.Idx
+				space.Release(old)
+				c := coflow.New(spec)
+				space.Assign(c)
+				c.CarryOver(old)
+				if c.Idx != idx {
+					t.Fatalf("step %d: the swap moved Idx %d to %d", step, idx, c.Idx)
+				}
+				active[i] = c
+			case 5:
+				idx := depart(int(arg) % len(active))
+				arrive(1+int(arg>>5)&3, false, false)
+				if n := len(active); n > 0 && active[n-1].Idx != idx {
+					t.Fatalf("step %d: the newcomer got Idx %d, not the departed %d", step, active[n-1].Idx, idx)
+				}
+			case 6:
+				nPorts = min(nPorts+1+int(arg), 2048)
+				arrive(1+int(arg>>5)&3, false, true)
+			case 7:
+				check(step)
+			}
+		}
+		check(step)
+	})
 }

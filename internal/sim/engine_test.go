@@ -359,6 +359,53 @@ func TestSaathAblationExactCCTs(t *testing.T) {
 	}
 }
 
+// TestLWTFExactCCTs pins LWTF on the Fig. 1 and Fig. 8 traces to the
+// microsecond (model as TestFig4ExactCCTs: 125 bytes/µs per port, one
+// unit is 12,500,000 bytes = 100 ms, the schedule changes only at δ =
+// 8 ms boundaries, a port a flow frees stays idle to the next one).
+// LWTF orders by t·k — the bottleneck time left at line rate times k_c,
+// read from the contention index — ties by ID, and gives each flow in
+// that order the residual of its path, which here is a whole port or
+// none. Every receiver is distinct, so only senders contend.
+//
+// Fig. 1 (C1 on P1; C2 on P1, P2, P3; C3 on P2; C4 on P3; one unit per
+// flow; arrivals 0, 1, 2, 3 ms):
+//   - 0: C1 alone (k = 0) runs on P1.
+//   - 8 ms: C1 has 11,500,000 left: t·k = 0.092 s × 1. C3 and C4 are
+//     0.1 s × 1, C2 0.1 s × 3. C1 keeps P1, C3 takes P2, C4 takes P3,
+//     and C2 finds every sender full.
+//   - C1 ends at 100 ms: C1 = 100,000 µs. C3 and C4 run 100 ms from
+//     8 ms and end at 108 ms: C3 = 106,000 µs, C4 = 105,000.
+//   - 104 ms: C3 and C4 are 0.004 s × 1, C2 0.1 s × 2; C2's P1 flow
+//     takes the P1 C1 left, and ends at 204 ms.
+//   - 112 ms: C2's P2 and P3 flows take the ports C3 and C4 left at
+//     108 ms, and end at 212 ms: C2 = 211,000 µs.
+//
+// Fig. 8 (C2 on S1, S2 with 31,250,000 bytes per flow, arriving at 0;
+// C1 on S1 and C3 on S2 with one unit, at 1 and 2 ms):
+//   - 0: C2 alone (k = 0) runs on both.
+//   - 8 ms: C2 has 30,250,000 per flow left: 0.242 s × 2. C1 and C3 are
+//     0.1 s × 1, so they take S1 and S2 and C2 waits.
+//   - C1 and C3 run 100 ms from 8 ms and end at 108 ms: C1 = 107,000
+//     µs, C3 = 106,000.
+//   - 112 ms: C2 runs its 30,250,000 bytes per flow (242 ms) and ends at
+//     354 ms: C2 = 354,000 µs — Saath's Fig. 8 outcome
+//     (TestFig8ExactCCTs) for C2, with C1 and C3 40 ms sooner, since
+//     LWTF does not demote them at 10 MiB.
+func TestLWTFExactCCTs(t *testing.T) {
+	for _, tc := range []struct {
+		tr   *trace.Trace
+		want map[coflow.CoFlowID]coflow.Time
+	}{
+		{trace.Fig1Trace(), map[coflow.CoFlowID]coflow.Time{1: 100_000, 2: 211_000, 3: 106_000, 4: 105_000}}, // 1.00t, 2.11t, 1.06t, 1.05t
+		{trace.Fig8Trace(), map[coflow.CoFlowID]coflow.Time{1: 107_000, 2: 354_000, 3: 106_000}},             // 1.07t, 3.54t, 1.06t
+	} {
+		if got := runOn(t, tc.tr, "lwtf", Config{}).CCTByID(); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%s lwtf: CCTs %v µs, want %v", tc.tr.Name, got, tc.want)
+		}
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	tr := trace.Synthesize(smallSynth(1), "det")
 	a := runOn(t, tr, "saath", Config{})
