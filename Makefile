@@ -13,18 +13,18 @@ test:
 
 # Testbed suite under -race: coordinator-backed studies with
 # in-process agents — byte-identity across parallelism and sharding,
-# admission-drop determinism, the 10^4-agent coordinator-latency run,
-# and the agent-disconnect / stalled-agent paths in internal/runtime.
-# (The 10^5-agent scale test stays env-gated: SAATH_LONG=1.)
+# admission-drop determinism, the 10^4-agent coordinator-latency run —
+# and internal/runtime's coordinator under concurrent rounds,
+# registrations and agents attaching and detaching, plus its panic
+# containment. (The 10^5-agent scale test stays env-gated:
+# SAATH_LONG=1.)
 test-testbed:
 	$(GO) test -race -count=1 -timeout 10m ./internal/testbed/ ./internal/runtime/
 
 # Fuzz, 10 s per target, each from its committed seed corpus
 # (<package>/testdata/fuzz). The shard-dump reader: any input is
 # rejected with an error or decodes to a dump that re-encodes to the
-# same bytes, in memory proportional to the input. The coordinator's
-# POST /coflows path: nothing panics, malformed registrations get a 400,
-# an accepted one is live exactly once. The coflow-benchmark trace
+# same bytes, in memory proportional to the input. The coflow-benchmark trace
 # parser: any input is rejected with an error or parses to a trace that
 # Write + Parse round-trip. A CoFlow's pending/done summary: after any
 # interleaving of its writers — progress, completions, availability
@@ -36,8 +36,10 @@ test-testbed:
 # flows left lingering, updates that move senders or resize a flow,
 # agents detached and re-attached, flow indices reused across agents —
 # the slot-table agents hold the same flows as map-keyed reference
-# agents, every flow ordered at the size the coordinator ordered, and
-# the coordinators agree on every result. Aalo's fill: on any CoFlows over any queues,
+# agents, every flow ordered at the start and size the coordinator
+# ordered, no flow has more bytes sent than its port moves since it
+# last started, and the coordinators agree on every result. Aalo's
+# fill: on any CoFlows over any queues,
 # withheld and done flows, and any pre-drawn fabric (closed egresses,
 # residuals a hair from eps), the rates and the fabric left behind equal
 # the sort-and-walk-every-flow reference bit for bit. Saath's admission
@@ -55,7 +57,6 @@ test-testbed:
 # eat the whole budget on the first one).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadShard$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/study/
-	$(GO) test -run '^$$' -fuzz '^FuzzRegistrationJSON$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/runtime/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzProgressSummary$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/coflow/
 	$(GO) test -run '^$$' -fuzz '^FuzzMaxMinFair$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fabric/

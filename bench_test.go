@@ -10,7 +10,6 @@ package saath
 
 import (
 	"testing"
-	"time"
 
 	"saath/internal/coflow"
 	"saath/internal/fabric"
@@ -66,42 +65,6 @@ func BenchmarkSimulateQuickFB(b *testing.B) {
 	tr := trace.Synthesize(cfg, "bench-fb")
 	for i := 0; i < b.N; i++ {
 		if _, err := Simulate(tr, "saath", SimConfig{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPrototypeRegisterToComplete(b *testing.B) {
-	// One small CoFlow through the real coordinator/agent path; this
-	// measures prototype latency floor (control sync + data plane).
-	s, err := NewScheduler("saath", DefaultParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Scheduler: s, NumPorts: 2, PortRate: Rate(50e6), Delta: 5 * time.Millisecond,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	go coord.Serve()
-	defer coord.Close()
-	agents := make([]*Agent, 2)
-	for i := range agents {
-		agents[i], err = NewAgent(AgentConfig{Port: i, CoordinatorAddr: coord.ControlAddr(), StatsInterval: 5 * time.Millisecond})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer agents[i].Close()
-	}
-	client := NewClient(coord.HTTPAddr())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		spec := &Spec{ID: CoFlowID(i + 1), Flows: []FlowSpec{{Src: 0, Dst: 1, Size: 64 * KB}}}
-		if err := client.Register(spec); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := client.WaitForResults(i+1, 30*time.Second); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -22,7 +22,7 @@ import (
 // the paper's 8ms default.
 const benchStepDelta = 8 * time.Millisecond
 
-// benchTestbedCluster builds a Manual virtual-clock coordinator with
+// benchTestbedCluster builds a virtual-clock coordinator with
 // nPorts in-process agents, registers coflows wide enough to put
 // flows on every port — sized in petabytes so nothing completes
 // within any benchmark horizon — and pushes one schedule so every
@@ -36,13 +36,11 @@ func benchTestbedCluster(tb testing.TB, nPorts, nCoFlows int) (*Coordinator, []*
 	}
 	vc := runtime.NewVirtualClock(time.Unix(0, 0).UTC())
 	coord, err := NewCoordinator(CoordinatorConfig{
-		Scheduler: s, NumPorts: nPorts, PortRate: GbpsRate(1),
-		Delta: benchStepDelta, Clock: vc, Manual: true,
+		Scheduler: s, NumPorts: nPorts, PortRate: GbpsRate(1), Clock: vc,
 	})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tb.Cleanup(func() { coord.Close() })
 	agents := make([]*runtime.InprocAgent, nPorts)
 	for i := range agents {
 		if agents[i], err = coord.AttachInproc(i); err != nil {

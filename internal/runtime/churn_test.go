@@ -3,8 +3,6 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"sort"
 	"strings"
 	"sync"
@@ -24,13 +22,10 @@ type recLink struct {
 	round *[]string // the current round's deliveries, in delivery order
 }
 
-func (l *recLink) DataAddr() string { return "" }
-func (l *recLink) Shut()            {}
-
-func (l *recLink) Deliver(msg *scheduleMsg) error {
+func (l *recLink) Deliver(orders []FlowOrder) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "p%d[", l.port)
-	for i, o := range msg.Orders {
+	for i, o := range orders {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
@@ -38,7 +33,18 @@ func (l *recLink) Deliver(msg *scheduleMsg) error {
 	}
 	b.WriteByte(']')
 	*l.round = append(*l.round, b.String())
-	return l.inner.Deliver(msg)
+	l.inner.Deliver(orders)
+}
+
+// dropAgent detaches link from port, as an agent that leaves does,
+// unless a newer link already replaced it.
+func (c *Coordinator) dropAgent(port int, link agentLink) {
+	c.mu.Lock()
+	if c.agents[port] == link {
+		c.agents[port] = nil
+		c.nAgents--
+	}
+	c.mu.Unlock()
 }
 
 // recSched records the policy's view of the live set's lifecycle.
@@ -60,10 +66,10 @@ func (s recSched) Depart(c *coflow.CoFlow, now coflow.Time) {
 	s.Scheduler.Depart(c, now)
 }
 
-// TestCoordinatorChurnPinned drives one Manual coordinator through
-// every way its live set and agent table can change — an agent detaching
-// and re-attaching mid-run, a receiver that is not connected, DELETE,
-// PUT with the same and with a different width, a duplicate Register, a
+// TestCoordinatorChurnPinned drives one coordinator through every way
+// its live set and agent table can change — an agent detaching and
+// re-attaching mid-run, a receiver that is not attached, Deregister,
+// Update with the same and with a different width, a duplicate Register, a
 // MaxLive rejection — and pins what came out: Results(), the admission
 // counters, the Arrive/Depart (= index Assign/Release) sequence, and per
 // round the set of (port, orders) delivered. Every expected value below
@@ -88,12 +94,11 @@ func TestCoordinatorChurnPinned(t *testing.T) {
 	vc := NewVirtualClock(time.Unix(0, 0).UTC())
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Scheduler: recSched{pol, &lifecycle}, NumPorts: nPorts, PortRate: coflow.Rate(125e6),
-		Delta: delta, Clock: vc, Manual: true, Admission: AdmissionConfig{MaxLive: 4},
+		Clock: vc, Admission: AdmissionConfig{MaxLive: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { coord.Close() })
 
 	links := make([]*recLink, nPorts)
 	attach := func(port int) {
@@ -121,12 +126,17 @@ func TestCoordinatorChurnPinned(t *testing.T) {
 			}
 		}
 	}
-	rest := func(method, path, body string, want int) func() {
+	deregister := func(want error, id int) func() {
 		return func() {
-			w := httptest.NewRecorder()
-			coord.handleCoFlowByID(w, httptest.NewRequest(method, path, strings.NewReader(body)))
-			if w.Code != want {
-				t.Fatalf("%s %s = %d (%s), want %d", method, path, w.Code, strings.TrimSpace(w.Body.String()), want)
+			if err := coord.Deregister(coflow.CoFlowID(id)); !errors.Is(err, want) {
+				t.Fatalf("Deregister(c%d) = %v, want %v", id, err, want)
+			}
+		}
+	}
+	update := func(want error, sp *coflow.Spec) func() {
+		return func() {
+			if err := coord.Update(sp); !errors.Is(err, want) {
+				t.Fatalf("Update(c%d) = %v, want %v", sp.ID, err, want)
 			}
 		}
 	}
@@ -153,16 +163,16 @@ func TestCoordinatorChurnPinned(t *testing.T) {
 			register(nil, spec(5, fl(1, 3, 3*mb))),
 			register(ErrAdmission, spec(6, fl(2, 0, mb))),
 		},
-		{ // DELETE 4; DELETE unknown
-			rest(http.MethodDelete, "/coflows/4", "", http.StatusNoContent),
-			rest(http.MethodDelete, "/coflows/9", "", http.StatusNotFound),
+		{ // deregister 4; deregister unknown
+			deregister(nil, 4),
+			deregister(ErrUnknown, 9),
 		},
-		{ // PUT 1, same width
-			rest(http.MethodPut, "/coflows/1", fmt.Sprintf(`{"flows":[{"src":0,"dst":1,"size":%d},{"src":2,"dst":4,"size":%d}]}`, 6*mb, 3*mb), http.StatusOK),
+		{ // update 1, same width
+			update(nil, spec(1, fl(0, 1, 6*mb), fl(2, 4, 3*mb))),
 		},
-		{ // PUT 3, one flow wider; PUT unknown
-			rest(http.MethodPut, "/coflows/3", fmt.Sprintf(`{"flows":[{"src":0,"dst":5,"size":%d},{"src":3,"dst":4,"size":%d},{"src":4,"dst":1,"size":%d}]}`, 2*mb, 4*mb, mb), http.StatusOK),
-			rest(http.MethodPut, "/coflows/9", `{"flows":[{"src":0,"dst":1,"size":1}]}`, http.StatusNotFound),
+		{ // update 3, one flow wider; update unknown
+			update(nil, spec(3, fl(0, 5, 2*mb), fl(3, 4, 4*mb), fl(4, 1, mb))),
+			update(ErrUnknown, spec(9, fl(0, 1, 1))),
 		},
 		{ // attach port 5; register 7
 			func() { attach(5) },
@@ -308,16 +318,16 @@ var wantChurnPortOrder = []string{
 	"",
 }
 
-// TestUpdateEdgeCases: a PUT that leaves nothing but finished flows
+// TestUpdateEdgeCases: an Update that leaves nothing but finished flows
 // completes the coflow at the next boundary (no flow will ever report
-// again to trigger it), a PUT naming a port outside the fabric is
+// again to trigger it), an Update naming a port outside the fabric is
 // refused like the same registration would be — the spec reaches
-// port-indexed state either way — and a PUT that restates the coflow as
-// it stands is invisible in the schedules that follow.
+// port-indexed state either way — and an Update that restates the
+// coflow as it stands is invisible in the schedules that follow.
 func TestUpdateEdgeCases(t *testing.T) {
 	t.Run("restated", testUpdateRestated)
 	delta := 8 * time.Millisecond
-	coord, agents, vc := manualCoordinator(t, "saath", 4, delta, AdmissionConfig{})
+	coord, agents, vc := inprocCluster(t, "saath", 4, AdmissionConfig{})
 	const mb = 1_000_000
 	if err := coord.Register(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{
 		{Src: 0, Dst: 1, Size: mb}, {Src: 2, Dst: 3, Size: 50 * mb},
@@ -334,16 +344,11 @@ func TestUpdateEdgeCases(t *testing.T) {
 			t.Fatalf("boundary %d: live = %d, want 1", i, live)
 		}
 	}
-	put := func(body string) int {
-		w := httptest.NewRecorder()
-		coord.handleCoFlowByID(w, httptest.NewRequest(http.MethodPut, "/coflows/1", strings.NewReader(body)))
-		return w.Code
+	if err := coord.Update(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 4, Size: 1}}}); err == nil {
+		t.Fatal("Update with port 4 on a 4-port fabric accepted")
 	}
-	if code := put(`{"flows":[{"src":0,"dst":4,"size":1}]}`); code != http.StatusBadRequest {
-		t.Fatalf("PUT with port 4 on a 4-port fabric = %d, want 400", code)
-	}
-	if code := put(fmt.Sprintf(`{"flows":[{"src":0,"dst":1,"size":%d}]}`, mb)); code != http.StatusOK {
-		t.Fatalf("PUT narrowing to the finished flow = %d, want 200", code)
+	if err := coord.Update(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: mb}}}); err != nil {
+		t.Fatalf("Update narrowing to the finished flow: %v", err)
 	}
 	vc.Advance(delta)
 	if live := coord.StepSchedule(); live != 0 {
@@ -355,11 +360,11 @@ func TestUpdateEdgeCases(t *testing.T) {
 }
 
 // testUpdateRestated runs two coordinators through the same job in
-// lockstep; one takes a PUT, mid-run, that changes nothing. The swap
+// lockstep; one takes an Update, mid-run, that changes nothing. The swap
 // puts a new runtime coflow under the old one's indices while its flows
 // hold rates and one of them is mid-way into a straggler streak: port
 // 2's sender stalls over boundaries 14–19, coflow 1 gets its ports back
-// at 16, the PUT lands at 18 and the cap is due at 19. The policy
+// at 16, the Update lands at 18 and the cap is due at 19. The policy
 // follows the flows it rated by position under the holder of those
 // indices, so the streak carries over and the cap lands where the
 // twin's does; an observation lost to the swap would land it one
@@ -384,7 +389,7 @@ func testUpdateRestated(t *testing.T) {
 	for i := range sides {
 		sd := &side{}
 		var agents []*InprocAgent
-		sd.coord, agents, sd.vc = manualCoordinator(t, "saath", 4, delta, AdmissionConfig{})
+		sd.coord, agents, sd.vc = inprocCluster(t, "saath", 4, AdmissionConfig{})
 		for p, a := range agents {
 			l := &recLink{port: p, inner: a, round: &sd.round}
 			sd.links = append(sd.links, l)
@@ -413,18 +418,15 @@ func testUpdateRestated(t *testing.T) {
 				l.inner.Report()
 			}
 			if i == 0 && n == 18 {
-				w := httptest.NewRecorder()
-				body := fmt.Sprintf(`{"flows":[{"src":0,"dst":1,"size":%d},{"src":2,"dst":3,"size":%d}]}`, 40*mb, 25*mb)
-				sd.coord.handleCoFlowByID(w, httptest.NewRequest(http.MethodPut, "/coflows/1", strings.NewReader(body)))
-				if w.Code != http.StatusOK {
-					t.Fatalf("PUT = %d (%s)", w.Code, w.Body.String())
+				if err := sd.coord.Update(&coflow.Spec{ID: 1, Flows: specs[0].Flows}); err != nil {
+					t.Fatalf("Update: %v", err)
 				}
 			}
 			sd.round = sd.round[:0]
 			live = sd.coord.StepSchedule()
 		}
 		if got, want := strings.Join(sides[0].round, " "), strings.Join(sides[1].round, " "); got != want {
-			t.Fatalf("boundary %d: orders after the PUT\n%s\nwithout it\n%s", n, got, want)
+			t.Fatalf("boundary %d: orders after the Update\n%s\nwithout it\n%s", n, got, want)
 		}
 		if live == 0 {
 			break
@@ -432,7 +434,7 @@ func testUpdateRestated(t *testing.T) {
 	}
 	if got, want := sides[0].coord.Results(), sides[1].coord.Results(); len(got) != 2 || len(want) != 2 ||
 		got[0].CCT != want[0].CCT || got[1].CCT != want[1].CCT {
-		t.Fatalf("results %+v, without the PUT %+v", got, want)
+		t.Fatalf("results %+v, without the Update %+v", got, want)
 	}
 }
 
@@ -472,7 +474,7 @@ func (s forgetfulSched) Schedule(snap *sched.Snapshot) *sched.RateVec {
 // policy made to forget before every call. The job has what moves a
 // coordinator's schedule — registrations over time, agents reporting
 // bytes that carry coflows over queue thresholds, a sender stalling into
-// a straggler cap, a PUT, a DELETE, completions — and every boundary's
+// a straggler cap, an Update, a Deregister, completions — and every boundary's
 // orders must match to the end.
 func TestCoordinatorHeldScheduleMatchesFull(t *testing.T) {
 	const (
@@ -505,12 +507,11 @@ func TestCoordinatorHeldScheduleMatchesFull(t *testing.T) {
 				}
 				sd.coord, err = NewCoordinator(CoordinatorConfig{
 					Scheduler: forgetfulSched{Scheduler: inner, forget: i == 1, held: &sd.held},
-					NumPorts:  6, PortRate: coflow.Rate(125e6), Delta: delta, Clock: sd.vc, Manual: true,
+					NumPorts:  6, PortRate: coflow.Rate(125e6), Clock: sd.vc,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				t.Cleanup(func() { sd.coord.Close() })
 				for p := 0; p < 6; p++ {
 					a, err := sd.coord.AttachInproc(p)
 					if err != nil {
@@ -521,13 +522,6 @@ func TestCoordinatorHeldScheduleMatchesFull(t *testing.T) {
 					sd.coord.setAgent(p, l)
 				}
 				sides[i] = sd
-			}
-			request := func(sd *side, method, path, body string) {
-				w := httptest.NewRecorder()
-				sd.coord.handleCoFlowByID(w, httptest.NewRequest(method, path, strings.NewReader(body)))
-				if w.Code != http.StatusOK && w.Code != http.StatusNoContent {
-					t.Fatalf("%s %s = %d (%s)", method, path, w.Code, w.Body.String())
-				}
 			}
 			for n := 0; ; n++ {
 				if n > 400 {
@@ -553,9 +547,13 @@ func TestCoordinatorHeldScheduleMatchesFull(t *testing.T) {
 					}
 					switch n {
 					case 18: // update(): coflow 3's second flow resized, so restarted
-						request(sd, http.MethodPut, "/coflows/3", fmt.Sprintf(`{"flows":[{"src":4,"dst":5,"size":%d},{"src":0,"dst":5,"size":%d}]}`, 30*mb, 8*mb))
+						if err := sd.coord.Update(&coflow.Spec{ID: 3, Flows: []coflow.FlowSpec{{Src: 4, Dst: 5, Size: 30 * mb}, {Src: 0, Dst: 5, Size: 8 * mb}}}); err != nil {
+							t.Fatal(err)
+						}
 					case 40:
-						request(sd, http.MethodDelete, "/coflows/4", "")
+						if err := sd.coord.Deregister(4); err != nil {
+							t.Fatal(err)
+						}
 					}
 					sd.round = sd.round[:0]
 					live = sd.coord.StepSchedule()
@@ -613,13 +611,11 @@ func TestPolicyPanicCostsOneRound(t *testing.T) {
 	armed := false
 	vc := NewVirtualClock(time.Unix(0, 0).UTC())
 	coord, err := NewCoordinator(CoordinatorConfig{
-		Scheduler: panicOnce{inner, &armed}, NumPorts: 4, PortRate: coflow.Rate(125e6),
-		Delta: delta, Clock: vc, Manual: true,
+		Scheduler: panicOnce{inner, &armed}, NumPorts: 4, PortRate: coflow.Rate(125e6), Clock: vc,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { coord.Close() })
 	var agents []*InprocAgent
 	for p := 0; p < 4; p++ {
 		a, err := coord.AttachInproc(p)
@@ -691,18 +687,11 @@ func TestDepartPanicReleasesLocks(t *testing.T) {
 	armed := true
 	vc := NewVirtualClock(time.Unix(0, 0).UTC())
 	coord, err := NewCoordinator(CoordinatorConfig{
-		Scheduler: departPanicsOnce{inner, &armed}, NumPorts: 2, PortRate: coflow.Rate(125e6),
-		Delta: delta, Clock: vc, Manual: true,
+		Scheduler: departPanicsOnce{inner, &armed}, NumPorts: 2, PortRate: coflow.Rate(125e6), Clock: vc,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wedged := false // Close takes mu too: a wedged coordinator is left behind
-	t.Cleanup(func() {
-		if !wedged {
-			coord.Close()
-		}
-	})
 	var agents []*InprocAgent
 	for p := 0; p < 2; p++ {
 		a, err := coord.AttachInproc(p)
@@ -756,7 +745,6 @@ func TestDepartPanicReleasesLocks(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(10 * time.Second):
-		wedged = true
 		t.Fatal("the coordinator is wedged after the policy's Depart panic")
 	}
 	if live != 1 {
@@ -784,7 +772,7 @@ func TestDepartPanicReleasesLocks(t *testing.T) {
 // books consistent.
 func TestConcurrentRoundsRegistrationsAndLinks(t *testing.T) {
 	const nPorts, perWorker = 8, 50
-	coord, _, _ := manualCoordinator(t, "saath", nPorts, 8*time.Millisecond, AdmissionConfig{})
+	coord, _, _ := inprocCluster(t, "saath", nPorts, AdmissionConfig{})
 	var wg sync.WaitGroup
 	run := func(fn func(i int)) {
 		wg.Add(1)

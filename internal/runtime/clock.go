@@ -5,23 +5,13 @@ import (
 	"time"
 )
 
-// Clock abstracts the coordinator's time source. The real coordinator
-// runs on the wall clock; the testbed injects a VirtualClock so study
-// outputs are a pure function of the workload — byte-identical at any
-// parallelism or sharding — while wall-clock scheduling-latency
-// measurements stay out-of-band (see ScheduleLatency).
-type Clock interface {
-	Now() time.Time
-}
-
-// wallClock is the default Clock: time.Now.
-type wallClock struct{}
-
-func (wallClock) Now() time.Time { return time.Now() }
-
-// VirtualClock is a manually driven Clock. The zero value starts at the
-// Unix epoch; Set and Advance move it. Safe for concurrent use, though
-// testbed drivers are single-threaded per coordinator.
+// VirtualClock is the coordinator's time source, moved by the driver.
+// Study outputs read only it, so they are a pure function of the
+// workload — byte-identical at any parallelism or sharding — while
+// wall-clock scheduling-latency measurements stay out-of-band (see
+// ScheduleLatency). The zero value starts at the Unix epoch; Set and
+// Advance move it. Safe for concurrent use, though drivers are
+// single-threaded per coordinator.
 type VirtualClock struct {
 	mu sync.Mutex
 	t  time.Time

@@ -1,17 +1,28 @@
+// Package runtime is Saath's coordinator (§5), driven in process on a
+// virtual clock.
+//
+// A Coordinator holds the live CoFlows and, once per δ boundary
+// (StepSchedule), asks any sched.Scheduler for their rates and hands
+// each sending port its orders. Frameworks reach it through the three
+// CoFlow operations of §5: Register, Deregister and Update. One
+// InprocAgent per port stands in for a node's local agent: it holds the
+// flows it was ordered to send, moves them by rate × δ (Step) and
+// reports their progress back (Report, or ReportInproc for a batch).
+//
+// The driver owns time and δ (testbed.RunJob for studies): it moves the
+// VirtualClock, steps and reports the agents, then runs the boundary.
+// Agents therefore move bytes at the rates of the previous boundary —
+// one δ of control lag, the pipelining of the paper's prototype — and
+// every result is a pure function of the workload. Wall-clock time is
+// measured (ScheduleLatency, Phases) but never fed back.
 package runtime
 
 import (
 	"cmp"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
-	"net/http"
-	"runtime/debug"
 	"slices"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -23,13 +34,13 @@ import (
 // AdmissionConfig is the coordinator's admission-control front: a
 // token-bucket rate limit applied to coflow registrations at arrival
 // time, against live coordinator state. The zero value admits
-// everything (the prototype's historical behavior).
+// everything.
 //
 // Admission is an arrival-time decision by design — the lesson from
 // batch-dispatch systems is that load-aware decisions made against a
 // snapshot (or not at all) admit work the cluster cannot carry. A
-// rejected registration returns ErrAdmission (HTTP 429 on the REST
-// path); callers decide whether to drop or retry.
+// rejected registration returns ErrAdmission; callers decide whether to
+// drop or retry.
 type AdmissionConfig struct {
 	// RatePerSec is the sustained admission rate in coflows per second;
 	// 0 disables rate-based admission.
@@ -43,35 +54,19 @@ type AdmissionConfig struct {
 	MaxLive int
 }
 
-func (a AdmissionConfig) enabled() bool { return a.RatePerSec > 0 || a.MaxLive > 0 }
-
 // CoordinatorConfig configures the global coordinator.
 type CoordinatorConfig struct {
-	// Scheduler computes each interval's rates (any registered policy).
+	// Scheduler computes each boundary's rates (any registered policy).
 	Scheduler sched.Scheduler
-	// NumPorts is the cluster size; agents identify as ports 0..N-1.
+	// NumPorts is the cluster size; agents attach as ports 0..N-1.
 	NumPorts int
-	// PortRate is the per-port rate the scheduler may hand out. On a
-	// shared localhost testbed this is scaled down from 1 Gbps.
+	// PortRate is the per-port rate the scheduler may hand out (default
+	// 12.5e6 B/s, 100 Mbps).
 	PortRate coflow.Rate
-	// Delta is the schedule recomputation/sync interval (default 20ms
-	// on the prototype; the paper uses 8ms on dedicated VMs).
-	Delta time.Duration
-	// ControlAddr and HTTPAddr are listen addresses (host:port);
-	// ":0" picks free ports. Ignored in Manual mode.
-	ControlAddr string
-	HTTPAddr    string
-	// Clock is the coordinator's time source (nil: the wall clock).
-	// The testbed injects a VirtualClock so registration and
-	// completion times — and thus every study output — are a pure
-	// function of the workload.
-	Clock Clock
-	// Manual disables the network listeners and the background
-	// scheduling ticker: no sockets are bound, Serve must not be
-	// called, and the driver advances scheduling explicitly with
-	// StepSchedule. This is the testbed mode — in-process agents
-	// attach with AttachInproc and 10^5 of them fit in one process.
-	Manual bool
+	// Clock is the coordinator's time source. Registration and
+	// completion times — and thus every study output — are read from
+	// it, so they depend only on how the driver moves it.
+	Clock *VirtualClock
 	// Admission is the arrival-time admission-control front.
 	Admission AdmissionConfig
 }
@@ -83,20 +78,11 @@ func (c CoordinatorConfig) withDefaults() (CoordinatorConfig, error) {
 	if c.NumPorts <= 0 {
 		return c, errors.New("runtime: coordinator needs NumPorts > 0")
 	}
-	if c.PortRate <= 0 {
-		c.PortRate = coflow.Rate(12.5e6) // 100 Mbps-equivalent localhost default
-	}
-	if c.Delta <= 0 {
-		c.Delta = 20 * time.Millisecond
-	}
-	if c.ControlAddr == "" {
-		c.ControlAddr = "127.0.0.1:0"
-	}
-	if c.HTTPAddr == "" {
-		c.HTTPAddr = "127.0.0.1:0"
-	}
 	if c.Clock == nil {
-		c.Clock = wallClock{}
+		return c, errors.New("runtime: coordinator needs a clock")
+	}
+	if c.PortRate <= 0 {
+		c.PortRate = coflow.Rate(12.5e6)
 	}
 	if c.Admission.RatePerSec > 0 && c.Admission.Burst <= 0 {
 		c.Admission.Burst = int(c.Admission.RatePerSec)
@@ -111,8 +97,12 @@ func (c CoordinatorConfig) withDefaults() (CoordinatorConfig, error) {
 // front rejects a coflow (rate limit exceeded or live cap reached).
 var ErrAdmission = errors.New("runtime: admission rejected")
 
-// ErrDuplicate is returned by Register for an already-registered ID.
+// ErrDuplicate is returned by Register for an ID that is live.
 var ErrDuplicate = errors.New("runtime: coflow already registered")
+
+// ErrUnknown is returned by Deregister and Update for an ID that is not
+// live: never registered, deregistered, or completed.
+var ErrUnknown = errors.New("runtime: unknown coflow")
 
 // CoFlowResult is a completed CoFlow as measured by the coordinator.
 type CoFlowResult struct {
@@ -131,61 +121,42 @@ type liveCoFlow struct {
 	registered time.Time
 }
 
-// agentLink is the transport seam between the coordinator and one
-// agent: the TCP prototype (agentConn) and the in-process testbed
-// agent (InprocAgent) both implement it, so the scheduling core never
-// knows which transport it is pushing schedules into.
+// FlowOrder tells a sending agent to run one flow at a given rate.
+type FlowOrder struct {
+	CoFlow  int64
+	Index   int
+	DstPort int
+	Size    int64
+	RateBps float64 // bytes per second; 0 pauses the flow
+	// slot is the flow's dense index in the coordinator (coflow.Flow.Idx),
+	// where in-process agents look the flow up.
+	slot int32
+	// start is the flow's start stamp (Coordinator.starts): a flow the
+	// coordinator started afresh — registered again under a deregistered
+	// CoFlow's ID, or resized by Update — is a new flow to its agent.
+	start uint32
+}
+
+// agentLink is the seam between the coordinator and one port's agent:
+// an InprocAgent, or a test's wrapper around one.
 type agentLink interface {
-	// DataAddr is where peers dial to deliver this agent's flow bytes
-	// ("" for in-process agents — no data plane exists).
-	DataAddr() string
-	// Deliver pushes one schedule to the agent. It must not call back
-	// into the coordinator and must not retain msg or its orders past
-	// the call (the TCP link serializes, the inproc link copies). It runs
-	// under roundMu, which is what lets in-process agents share one slot
-	// table: each order carries its flow's dense index (FlowOrder.slot).
-	Deliver(msg *scheduleMsg) error
-	// Shut tears the link down after a delivery failure.
-	Shut()
+	// Deliver hands the agent its orders for one boundary. It runs under
+	// roundMu, must not call back into the coordinator and must not
+	// retain orders past the call. Each order carries its flow's dense
+	// index (FlowOrder.slot), which is what lets in-process agents share
+	// one slot table.
+	Deliver(orders []FlowOrder)
 }
 
-// agentConn is one connected TCP agent.
-type agentConn struct {
-	port     int
-	dataAddr string
-	conn     net.Conn
-	writeMu  sync.Mutex
-	// timeout bounds one schedule write; a stalled agent must not
-	// wedge the scheduling loop (tests shrink it).
-	timeout time.Duration
-}
-
-func (a *agentConn) DataAddr() string { return a.dataAddr }
-
-func (a *agentConn) Shut() { a.conn.Close() }
-
-func (a *agentConn) Deliver(msg *scheduleMsg) error {
-	a.writeMu.Lock()
-	defer a.writeMu.Unlock()
-	a.conn.SetWriteDeadline(time.Now().Add(a.timeout))
-	defer a.conn.SetWriteDeadline(time.Time{})
-	return writeFrame(a.conn, &envelope{Kind: kindSchedule, Schedule: msg})
-}
-
-// Coordinator is the global Saath coordinator daemon.
+// Coordinator is the global Saath coordinator. It is safe for
+// concurrent use.
 type Coordinator struct {
-	cfg      CoordinatorConfig
-	ctl      net.Listener
-	httpSrv  *http.Server
-	httpLn   net.Listener
-	stopped  chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+	cfg CoordinatorConfig
 
 	// roundMu serializes whole schedule rounds: the order buffers are
 	// reused, and a round's deliveries read them outside polMu and mu.
 	// Rounds and in-process reports take it, registrations do not, so a
-	// stalled delivery holds up the next round, never a registration. It
+	// slow delivery holds up the next round, never a registration. It
 	// guards orders (port p's buffer), touched (the ports holding orders
 	// this round, first touched first), sends, and the slot table the
 	// in-process agents find their flows by.
@@ -196,15 +167,14 @@ type Coordinator struct {
 	slots   slotTable
 
 	mu sync.Mutex
-	// agents is indexed by port (nil: not connected); setAgent/dropAgent
-	// are its only writers and keep nAgents its non-nil count.
+	// agents is indexed by port (nil: no agent attached); setAgent is its
+	// writer and keeps nAgents its non-nil count.
 	agents  []agentLink
 	nAgents int
-	// live is the ID lookup the wire feeds (stats reports, REST); its
-	// writers hold polMu and mu.
+	// live is the ID lookup reports and the CoFlow operations go through;
+	// its writers hold polMu and mu.
 	live    map[coflow.CoFlowID]*liveCoFlow
 	results []CoFlowResult
-	epoch   int64
 	// mergeSince is when the first in-process report since the last
 	// round came in (zero: none). The round charges the span up to its
 	// own start to the merge phase: one clock read per boundary, where
@@ -213,9 +183,9 @@ type Coordinator struct {
 
 	// snap is the scheduler's view, kept across rounds with its RateVec;
 	// snap.Active is the live set in (arrival, ID) order, maintained on
-	// Register / retire / DELETE / PUT and never rebuilt. finishing are
-	// the live CoFlows with a flow that finished since the last
-	// retirement pass. Both guarded by polMu.
+	// Register / retire / Deregister / Update and never rebuilt.
+	// finishing are the live CoFlows with a flow that finished since the
+	// last retirement pass. Both guarded by polMu.
 	snap      sched.Snapshot
 	finishing []*liveCoFlow
 
@@ -224,13 +194,23 @@ type Coordinator struct {
 	// that touches it already holds polMu for the Arrive/Depart call).
 	space *coflow.IndexSpace
 
+	// starts holds each live flow's start stamp by dense flow index, and
+	// started is the last stamp handed out: it moves whenever a flow
+	// starts afresh (Register, and an Update that resizes or adds the
+	// flow). Orders carry the stamp, agents key their flows by it, and a
+	// report of another stamp — a flow deregistered and registered again
+	// under the same ID, or one restarted by a resize — is dropped.
+	// Guarded by polMu.
+	starts  []uint32
+	started uint32
+
 	// fab is the scheduling fabric, reset each round; guarded by polMu.
 	fab *fabric.Fabric
 
 	// polMu serializes every call into the scheduling policy: Arrive
-	// (registration), Depart (completion, deregister) and Schedule
-	// (ticker or StepSchedule) run on different goroutines, and
-	// Scheduler implementations keep unsynchronized per-CoFlow state.
+	// (registration), Depart (completion, deregistration) and Schedule
+	// (StepSchedule) may run on different goroutines, and Scheduler
+	// implementations keep unsynchronized per-CoFlow state.
 	polMu sync.Mutex
 
 	// adm is the admission token bucket (nil: no rate admission).
@@ -246,236 +226,75 @@ type Coordinator struct {
 	schedMu    sync.Mutex
 	schedStats scheduleStats
 	phases     PhaseTotals
-	// failedRounds counts the ticker's rounds lost to a panic, and
-	// lastPanic holds the last one's value and stack (both under
-	// schedMu); see scheduleTick.
-	failedRounds int64
-	lastPanic    string
 }
 
 // PhaseTotals is the wall-clock time the coordinator has spent in each
 // phase of its δ boundaries since startup: folding agent reports into
-// flow state (for in-process agents, the span from a boundary's first
-// report to its schedule round), retiring completed CoFlows and
-// resetting the fabric, the Schedule calls, grouping the allocation
-// into per-agent orders, and pushing them. Out-of-band, like
-// ScheduleLatency.
+// flow state (the span from a boundary's first report to its schedule
+// round), retiring completed CoFlows and resetting the fabric, the
+// Schedule calls, grouping the allocation into per-agent orders, and
+// handing them over. Out-of-band, like ScheduleLatency.
 type PhaseTotals struct {
 	Merge, Retire, Schedule, Encode, Deliver time.Duration
 }
 
-// NewCoordinator validates the config and binds the listeners; call
-// Serve to start the control, HTTP and scheduling loops. In Manual
-// mode no listeners are bound and no loops exist — the caller attaches
-// in-process agents and drives scheduling with StepSchedule.
+// NewCoordinator validates the config and returns an idle coordinator:
+// the caller attaches in-process agents (AttachInproc) and drives
+// scheduling with StepSchedule.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
 	c := &Coordinator{
-		cfg:     cfg,
-		stopped: make(chan struct{}),
-		agents:  make([]agentLink, cfg.NumPorts),
-		live:    make(map[coflow.CoFlowID]*liveCoFlow),
-		orders:  make([][]FlowOrder, cfg.NumPorts),
-		space:   coflow.NewIndexSpace(),
-		fab:     fabric.New(cfg.NumPorts, cfg.PortRate),
+		cfg:    cfg,
+		agents: make([]agentLink, cfg.NumPorts),
+		live:   make(map[coflow.CoFlowID]*liveCoFlow),
+		orders: make([][]FlowOrder, cfg.NumPorts),
+		space:  coflow.NewIndexSpace(),
+		fab:    fabric.New(cfg.NumPorts, cfg.PortRate),
 	}
 	c.snap.Fabric = c.fab
 	if cfg.Admission.RatePerSec > 0 {
 		c.adm = newAdmissionBucket(cfg.Admission.RatePerSec, float64(cfg.Admission.Burst), cfg.Clock.Now)
 	}
-	if cfg.Manual {
-		return c, nil
-	}
-	ctl, err := net.Listen("tcp", cfg.ControlAddr)
-	if err != nil {
-		return nil, fmt.Errorf("runtime: control listen: %w", err)
-	}
-	httpLn, err := net.Listen("tcp", cfg.HTTPAddr)
-	if err != nil {
-		ctl.Close()
-		return nil, fmt.Errorf("runtime: http listen: %w", err)
-	}
-	c.ctl, c.httpLn = ctl, httpLn
-	mux := http.NewServeMux()
-	mux.HandleFunc("/coflows", c.handleCoFlows)
-	mux.HandleFunc("/coflows/", c.handleCoFlowByID)
-	mux.HandleFunc("/results", c.handleResults)
-	mux.HandleFunc("/status", c.handleStatus)
-	c.httpSrv = &http.Server{Handler: mux}
 	return c, nil
 }
 
-// ControlAddr returns the agents' dial address ("" in Manual mode).
-func (c *Coordinator) ControlAddr() string {
-	if c.ctl == nil {
-		return ""
-	}
-	return c.ctl.Addr().String()
-}
-
-// HTTPAddr returns the REST API base address ("" in Manual mode).
-func (c *Coordinator) HTTPAddr() string {
-	if c.httpLn == nil {
-		return ""
-	}
-	return c.httpLn.Addr().String()
-}
-
-// Serve runs the coordinator until Close. It always returns a non-nil
-// error (http.ErrServerClosed on clean shutdown).
-func (c *Coordinator) Serve() error {
-	if c.cfg.Manual {
-		return errors.New("runtime: manual coordinator has no serve loops (drive it with StepSchedule)")
-	}
-	c.wg.Add(2)
-	go func() {
-		defer c.wg.Done()
-		c.acceptAgents()
-	}()
-	go func() {
-		defer c.wg.Done()
-		c.scheduleLoop()
-	}()
-	return c.httpSrv.Serve(c.httpLn)
-}
-
-// Close stops all loops and closes every connection.
-func (c *Coordinator) Close() error {
-	c.stopOnce.Do(func() {
-		close(c.stopped)
-		if c.ctl != nil {
-			c.ctl.Close()
-		}
-		if c.httpSrv != nil {
-			c.httpSrv.Close()
-		}
-		if c.adm != nil {
-			c.adm.Close()
-		}
-		c.mu.Lock()
-		for _, a := range c.agents {
-			if a != nil {
-				a.Shut()
-			}
-		}
-		c.mu.Unlock()
-	})
-	c.wg.Wait()
-	return nil
-}
-
-func (c *Coordinator) acceptAgents() {
-	for {
-		conn, err := c.ctl.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			c.serveAgent(conn)
-		}()
-	}
-}
-
-// serveAgent handles one agent's control connection: a hello frame,
-// then a stream of stats reports. When the connection drops — agent
-// crash, network partition, stalled writes shed by Deliver — the port
-// deregisters on the way out, so the next schedule round sees the
-// reduced fabric instead of wedging on a dead link.
-func (c *Coordinator) serveAgent(conn net.Conn) {
-	defer conn.Close()
-	env, err := readFrame(conn)
-	if err != nil || env.Kind != kindHello || env.Hello == nil {
-		return
-	}
-	h := env.Hello
-	if h.Port < 0 || h.Port >= c.cfg.NumPorts {
-		return
-	}
-	a := &agentConn{port: h.Port, dataAddr: h.DataAddr, conn: conn, timeout: 2 * time.Second}
-	c.setAgent(h.Port, a)
-	for {
-		env, err := readFrame(conn)
-		if err != nil {
-			break
-		}
-		if env.Kind == kindStats && env.Stats != nil {
-			c.applyStats(env.Stats)
-		}
-	}
-	c.dropAgent(h.Port, a)
-}
-
-// setAgent makes link the agent of port (in [0, NumPorts)) and shuts
-// the link it replaces.
+// setAgent makes link the agent of port (in [0, NumPorts)).
 func (c *Coordinator) setAgent(port int, link agentLink) {
 	c.mu.Lock()
-	old := c.agents[port]
-	c.agents[port] = link
-	if old == nil {
+	if c.agents[port] == nil {
 		c.nAgents++
 	}
-	c.mu.Unlock()
-	if old != nil {
-		old.Shut()
-	}
-}
-
-// dropAgent detaches link from port unless a newer link already
-// replaced it.
-func (c *Coordinator) dropAgent(port int, link agentLink) {
-	c.mu.Lock()
-	if c.agents[port] == link {
-		c.agents[port] = nil
-		c.nAgents--
-	}
+	c.agents[port] = link
 	c.mu.Unlock()
 }
 
-// applyStats merges one TCP agent report and retires any completed
-// CoFlows immediately (the prototype path; the testbed retires once
-// per boundary in StepSchedule instead — see InprocAgent.Report).
-func (c *Coordinator) applyStats(s *statsMsg) {
-	now := c.cfg.Clock.Now()
-	c.polMu.Lock()
-	c.mu.Lock()
-	start := time.Now()
-	for i := range s.Flows {
-		c.mergeStatLocked(&s.Flows[i], now)
-	}
-	merged := time.Now()
-	c.retireLocked(now)
-	retired := time.Now()
-	c.mu.Unlock()
-	c.polMu.Unlock()
-	c.schedMu.Lock()
-	c.phases.Merge += merged.Sub(start)
-	c.phases.Retire += retired.Sub(merged)
-	c.schedMu.Unlock()
-}
-
-// mergeStatLocked folds one flow's reported progress into coordinator
-// state and queues its CoFlow for retireLocked if the flow finished.
-// Caller holds polMu and mu (it mutates runtime state the scheduler
-// reads). Zero-alloc: every flow of every agent report of every
-// boundary goes through here.
+// mergeStatLocked folds the progress of one agent's flow into
+// coordinator state and queues its CoFlow for retireLocked if the flow
+// finished. A flow of another start than the live one — a flow of a
+// CoFlow deregistered and registered again under the same ID, or the
+// old size of a flow Update resized — is not the live flow's progress
+// and is dropped. Caller holds polMu and mu (it mutates runtime state
+// the scheduler reads). Zero-alloc: every flow of every agent report of
+// every boundary goes through here.
 //
 //saath:hotpath zero-alloc steady state guarded by TestTestbedLayerGuards
-func (c *Coordinator) mergeStatLocked(fs *FlowStat, now time.Time) {
-	lc := c.live[coflow.CoFlowID(fs.CoFlow)] //saath:alloc-ok reports name flows by the wire's (coflow ID, index); the ID lookup is the one map on this path
-	if lc == nil || fs.Index < 0 || fs.Index >= len(lc.rt.Flows) {
+func (c *Coordinator) mergeStatLocked(af *inprocFlow, now time.Time) {
+	lc := c.live[coflow.CoFlowID(af.key.CoFlow)] //saath:alloc-ok agents name flows by (coflow ID, index); the ID lookup is the one map on this path
+	if lc == nil || af.key.Index >= len(lc.rt.Flows) {
 		return
 	}
-	f := lc.rt.Flows[fs.Index]
-	if sent := coflow.Bytes(fs.Sent); sent > f.Sent() {
+	f := lc.rt.Flows[af.key.Index]
+	if c.starts[f.Idx] != af.key.start {
+		return
+	}
+	if sent := coflow.Bytes(af.sent); sent > f.Sent() {
 		lc.rt.Progress(f, sent)
 	}
-	lc.rt.SetAvailable(f, fs.Available)
-	if fs.Done && !f.Done() {
+	lc.rt.SetAvailable(f, true)
+	if af.done && !f.Done() {
 		lc.rt.Complete(f, coflow.Time(now.Sub(lc.registered)/time.Microsecond))
 		c.finishing = append(c.finishing, lc)
 	}
@@ -515,10 +334,11 @@ func (c *Coordinator) retireLocked(now time.Time) {
 	c.finishing = c.finishing[:0]
 }
 
-// departLocked tells the policy a retired CoFlow is gone and drops it
-// from the live set. A Depart that panics still drops it, before the
-// panic goes on to the round's caller: its result is recorded, so it
-// must not stay live with nothing pending. Caller holds polMu and mu.
+// departLocked tells the policy a retired or deregistered CoFlow is gone
+// and drops it from the live set. A Depart that panics still drops it,
+// before the panic goes on to the caller: a retired CoFlow's result is
+// recorded, so it must not stay live with nothing pending. Caller holds
+// polMu and mu.
 func (c *Coordinator) departLocked(lc *liveCoFlow, now time.Time) {
 	defer c.dropLiveLocked(lc)
 	c.cfg.Scheduler.Depart(lc.rt, c.wallTime(now))
@@ -553,56 +373,20 @@ func (c *Coordinator) wallTime(t time.Time) coflow.Time {
 	return coflow.Time(t.UnixNano() / 1e3)
 }
 
-// scheduleLoop recomputes and pushes the schedule every δ (§5: the
-// coordinator and agents work pipelined — agents follow the previous
-// schedule until a new one arrives).
-func (c *Coordinator) scheduleLoop() {
-	ticker := time.NewTicker(c.cfg.Delta)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-c.stopped:
-			return
-		case <-ticker.C:
-		}
-		c.scheduleTick()
-	}
-}
-
-// scheduleTick is one ticker round. A round that panics — a policy bug
-// in Schedule or Depart — is recovered, counted and its panic value and
-// stack kept (FailedRounds, /status), and the loop ticks on: scheduleOnce
-// releases its locks on the way out, so the next round, registrations
-// and reports still get in, and agents keep the last orders they were
-// sent. StepSchedule, the caller-driven
-// round, lets the panic reach its caller instead.
-func (c *Coordinator) scheduleTick() {
-	defer func() {
-		if p := recover(); p != nil {
-			last := fmt.Sprintf("%v\n%s", p, debug.Stack())
-			c.schedMu.Lock()
-			c.failedRounds++
-			c.lastPanic = last
-			c.schedMu.Unlock()
-		}
-	}()
-	c.scheduleOnce()
-}
-
-// pendingSend is one computed schedule awaiting delivery; sends happen
-// after the policy locks are released so a slow or stalled agent can
-// never wedge the schedule round or block registrations.
+// pendingSend is one port's orders awaiting delivery; deliveries happen
+// after the policy locks are released, so a slow agent never holds up
+// registrations.
 type pendingSend struct {
-	port int
-	link agentLink
-	msg  scheduleMsg
+	link   agentLink
+	orders []FlowOrder
 }
 
 // StepSchedule runs one scheduling round now: retire completed
-// CoFlows, compute the schedule, push orders to connected agents. It
+// CoFlows, compute the schedule, hand orders to the attached agents. It
 // returns the number of still-live CoFlows after retirement. The
-// testbed driver calls this at every δ boundary of virtual time; under
-// Serve the background ticker calls the same path.
+// driver calls it at every δ boundary of virtual time. A policy that
+// panics — in Schedule, or in a Depart while retiring — hands the panic
+// to the caller with every lock released.
 func (c *Coordinator) StepSchedule() (live int) {
 	return c.scheduleOnce()
 }
@@ -638,14 +422,10 @@ func (c *Coordinator) scheduleOnce() (liveN int) {
 	if !c.mergeSince.IsZero() {
 		merge, c.mergeSince = t0.Sub(c.mergeSince), time.Time{}
 	}
-	// Boundary retirement: the testbed path reports stats without
-	// retiring (InprocAgent.Report), so completions are collected here,
-	// once per round, in ID order. The TCP path retired in applyStats
-	// already; this is then a no-op.
+	// Boundary retirement: reports do not retire (ReportInproc), so
+	// completions are collected here, once per round, in ID order.
 	c.retireLocked(now)
 	liveN = len(c.snap.Active)
-	c.epoch++
-	epoch := c.epoch
 	c.mu.Unlock()
 	muLocked = false
 	c.fab.Reset()
@@ -666,9 +446,8 @@ func (c *Coordinator) scheduleOnce() (liveN int) {
 	c.touched = c.touched[:0]
 	for _, cf := range c.snap.Active {
 		for _, f := range cf.PendingFlows() {
-			dst := c.agents[f.Dst]
-			if dst == nil {
-				continue // receiver not connected yet
+			if c.agents[f.Dst] == nil {
+				continue // receiver not attached yet
 			}
 			src := int(f.Src)
 			if len(c.orders[src]) == 0 {
@@ -678,17 +457,17 @@ func (c *Coordinator) scheduleOnce() (liveN int) {
 				CoFlow:  int64(cf.ID()),
 				Index:   f.ID.Index,
 				DstPort: int(f.Dst),
-				DstAddr: dst.DataAddr(),
 				Size:    int64(f.Size),
 				RateBps: float64(alloc.Rate(f.Idx)),
 				slot:    int32(f.Idx),
+				start:   c.starts[f.Idx],
 			})
 		}
 	}
 	c.sends = c.sends[:0]
 	for _, p := range c.touched {
 		if a := c.agents[p]; a != nil {
-			c.sends = append(c.sends, pendingSend{port: p, link: a, msg: scheduleMsg{Epoch: epoch, Orders: c.orders[p]}})
+			c.sends = append(c.sends, pendingSend{link: a, orders: c.orders[p]})
 		}
 	}
 	c.mu.Unlock()
@@ -696,16 +475,9 @@ func (c *Coordinator) scheduleOnce() (liveN int) {
 	muLocked, polLocked = false, false
 	t3 := time.Now()
 
-	// Deliver outside the policy locks, first-touched port first: a
-	// stalled TCP agent eats its own write deadline without blocking
-	// registrations, and a failed link is detached immediately so the
-	// scheduler sees the reduced fabric next round.
+	// Deliver outside the policy locks, first-touched port first.
 	for i := range c.sends {
-		s := &c.sends[i]
-		if err := s.link.Deliver(&s.msg); err != nil {
-			s.link.Shut()
-			c.dropAgent(s.port, s.link)
-		}
+		c.sends[i].link.Deliver(c.sends[i].orders)
 	}
 	t4 := time.Now()
 
@@ -730,16 +502,6 @@ func (c *Coordinator) Phases() PhaseTotals {
 	return p
 }
 
-// FailedRounds reports how many ticker rounds a panic cost since
-// startup, and the last such panic's value and goroutine stack ("" if
-// none). Both stay zero in Manual mode, where StepSchedule's caller sees
-// the panic.
-func (c *Coordinator) FailedRounds() (n int64, lastPanic string) {
-	c.schedMu.Lock()
-	defer c.schedMu.Unlock()
-	return c.failedRounds, c.lastPanic
-}
-
 // ScheduleLatency reports the coordinator's Table-2 cost: wall-clock
 // Schedule-call count, mean, max and P90. Out-of-band measurement —
 // never part of deterministic study output.
@@ -749,7 +511,7 @@ func (c *Coordinator) ScheduleLatency() (calls int, mean, max, p90 time.Duration
 	return c.schedStats.calls, c.schedStats.mean(), c.schedStats.max, c.schedStats.p90()
 }
 
-// AgentCount returns the number of connected agents.
+// AgentCount returns the number of attached agents.
 func (c *Coordinator) AgentCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -795,12 +557,13 @@ func (c *Coordinator) Results() []CoFlowResult {
 	return out
 }
 
-// Register admits and registers one CoFlow at the current clock time.
-// This is the arrival-time decision point: the admission bucket and
-// the live-coflow cap are consulted against live coordinator state the
-// instant the coflow arrives — not batched, not deferred to a schedule
-// round. Returns ErrAdmission on rejection, ErrDuplicate for a reused
-// ID, or a validation error.
+// Register is register() of §5: it admits and registers one CoFlow at
+// the current clock time, every flow starting afresh. This is the
+// arrival-time decision point: the admission bucket and the live-coflow
+// cap are consulted against live coordinator state the instant the
+// coflow arrives — not batched, not deferred to a schedule round.
+// Returns ErrAdmission on rejection, ErrDuplicate for a live ID, or a
+// validation error.
 func (c *Coordinator) Register(spec *coflow.Spec) error {
 	if err := c.checkSpec(spec); err != nil {
 		return err
@@ -830,11 +593,88 @@ func (c *Coordinator) Register(spec *coflow.Spec) error {
 	c.snap.Active = slices.Insert(c.snap.Active, at, rt)
 	c.mu.Unlock()
 	c.space.Assign(rt)
+	for _, f := range rt.Flows {
+		c.start(f, 0)
+	}
 	c.cfg.Scheduler.Arrive(rt, c.wallTime(now))
 	c.admMu.Lock()
 	c.nAdmitted++
 	c.admMu.Unlock()
 	return nil
+}
+
+// Deregister is deregister() of §5: the CoFlow leaves the live set
+// without a result. Its flows linger at their agents, which run them
+// out; their reports no longer match a live flow. Returns ErrUnknown
+// for an ID that is not live.
+func (c *Coordinator) Deregister(id coflow.CoFlowID) error {
+	c.polMu.Lock()
+	defer c.polMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	lc, ok := c.live[id]
+	if !ok {
+		return ErrUnknown
+	}
+	c.departLocked(lc, c.cfg.Clock.Now())
+	return nil
+}
+
+// Update is update() of §5: it replaces a live CoFlow's flow structure
+// (task migration, a restart after failure), keeping each flow's
+// progress by index where its size still matches (CoFlow.CarryOver); a
+// flow it resizes or adds starts afresh. Returns ErrUnknown for an ID
+// that is not live, or a validation error; either way nothing changes.
+func (c *Coordinator) Update(spec *coflow.Spec) error {
+	if err := c.checkSpec(spec); err != nil {
+		return err
+	}
+	c.polMu.Lock()
+	defer c.polMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	lc, ok := c.live[spec.ID]
+	if !ok {
+		return ErrUnknown
+	}
+	old := lc.rt
+	kept := make([]uint32, len(old.Flows))
+	for i, f := range old.Flows {
+		kept[i] = c.starts[f.Idx]
+	}
+	c.space.Release(old)
+	lc.spec = spec
+	lc.rt = coflow.New(spec)
+	lc.rt.Arrived = old.Arrived
+	// Same (arrival, ID), so the new runtime state takes the old one's
+	// place in the arrival order.
+	if i, ok := slices.BinarySearchFunc(c.snap.Active, old, byArrival); ok {
+		c.snap.Active[i] = lc.rt
+	}
+	lc.rt.CarryOver(old)
+	c.space.Assign(lc.rt)
+	for i, f := range lc.rt.Flows {
+		if i < len(old.Flows) && old.Flows[i].Size == f.Size { // CarryOver kept its progress
+			c.start(f, kept[i])
+		} else {
+			c.start(f, 0)
+		}
+	}
+	c.finishing = append(c.finishing, lc) // the new flow set may hold nothing but finished flows
+	return nil
+}
+
+// start files stamp as f's start stamp, or with stamp 0 a fresh one.
+// Caller holds polMu.
+func (c *Coordinator) start(f *coflow.Flow, stamp uint32) {
+	if n := f.Idx + 1; n > len(c.starts) {
+		c.starts = append(c.starts, make([]uint32, n-len(c.starts))...)
+	}
+	if stamp == 0 {
+		c.started++
+		stamp = c.started
+	}
+	c.starts[f.Idx] = stamp
 }
 
 // checkSpec is the gate every spec passes before it can reach the
@@ -855,168 +695,4 @@ func (c *Coordinator) reject() {
 	c.admMu.Lock()
 	c.nRejected++
 	c.admMu.Unlock()
-}
-
-// ---- REST API (the CoFlow operations of §5) ----
-
-// SpecJSON is the REST representation of a CoFlow registration.
-type SpecJSON struct {
-	ID    int64 `json:"id"`
-	Flows []struct {
-		Src  int   `json:"src"`
-		Dst  int   `json:"dst"`
-		Size int64 `json:"size"`
-	} `json:"flows"`
-}
-
-func (s SpecJSON) toSpec() (*coflow.Spec, error) {
-	spec := &coflow.Spec{ID: coflow.CoFlowID(s.ID)}
-	for _, f := range s.Flows {
-		spec.Flows = append(spec.Flows, coflow.FlowSpec{
-			Src: coflow.PortID(f.Src), Dst: coflow.PortID(f.Dst), Size: coflow.Bytes(f.Size),
-		})
-	}
-	return spec, spec.Validate()
-}
-
-// handleCoFlows implements POST /coflows — register(). Admission
-// rejections map to 429 so framework clients can distinguish "the
-// cluster is shedding load" from a malformed registration.
-func (c *Coordinator) handleCoFlows(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	var sj SpecJSON
-	if err := json.NewDecoder(r.Body).Decode(&sj); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	spec, err := sj.toSpec()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	switch err := c.Register(spec); {
-	case err == nil:
-		w.WriteHeader(http.StatusCreated)
-	case errors.Is(err, ErrDuplicate):
-		http.Error(w, err.Error(), http.StatusConflict)
-	case errors.Is(err, ErrAdmission):
-		http.Error(w, err.Error(), http.StatusTooManyRequests)
-	default:
-		http.Error(w, err.Error(), http.StatusBadRequest)
-	}
-}
-
-// handleCoFlowByID implements DELETE (deregister) and PUT (update) on
-// /coflows/{id}.
-func (c *Coordinator) handleCoFlowByID(w http.ResponseWriter, r *http.Request) {
-	idStr := strings.TrimPrefix(r.URL.Path, "/coflows/")
-	id, err := strconv.ParseInt(idStr, 10, 64)
-	if err != nil {
-		http.Error(w, "bad coflow id", http.StatusBadRequest)
-		return
-	}
-	switch r.Method {
-	case http.MethodDelete:
-		c.polMu.Lock()
-		c.mu.Lock()
-		lc, ok := c.live[coflow.CoFlowID(id)]
-		if ok {
-			c.cfg.Scheduler.Depart(lc.rt, c.wallTime(c.cfg.Clock.Now()))
-			c.dropLiveLocked(lc)
-		}
-		c.mu.Unlock()
-		c.polMu.Unlock()
-		if !ok {
-			http.Error(w, "unknown coflow", http.StatusNotFound)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	case http.MethodPut:
-		// update(): replace the flow structure (task migration /
-		// restart after failure, §5), preserving accumulated progress
-		// by flow index where sizes still match.
-		var sj SpecJSON
-		if err := json.NewDecoder(r.Body).Decode(&sj); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		sj.ID = id
-		spec, err := sj.toSpec()
-		if err == nil {
-			err = c.checkSpec(spec)
-		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		c.polMu.Lock()
-		defer c.polMu.Unlock()
-		c.mu.Lock()
-		lc, ok := c.live[coflow.CoFlowID(id)]
-		if ok {
-			old := lc.rt
-			c.space.Release(old)
-			lc.spec = spec
-			lc.rt = coflow.New(spec)
-			lc.rt.Arrived = old.Arrived
-			// Same (arrival, ID), so the new runtime state takes the old
-			// one's place in the arrival order.
-			if i, ok := slices.BinarySearchFunc(c.snap.Active, old, byArrival); ok {
-				c.snap.Active[i] = lc.rt
-			}
-			lc.rt.CarryOver(old)
-			c.space.Assign(lc.rt)
-			c.finishing = append(c.finishing, lc) // the new flow set may hold nothing but finished flows
-		}
-		c.mu.Unlock()
-		if !ok {
-			http.Error(w, "unknown coflow", http.StatusNotFound)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-	default:
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-	}
-}
-
-func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(c.Results())
-}
-
-func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	admitted, rejected := c.AdmissionStats()
-	failed, lastPanic := c.FailedRounds()
-	c.mu.Lock()
-	status := struct {
-		Agents       int      `json:"agents"`
-		Live         int      `json:"live"`
-		Completed    int      `json:"completed"`
-		Admitted     int64    `json:"admitted"`
-		Rejected     int64    `json:"rejected"`
-		FailedRounds int64    `json:"failedRounds"`
-		LastPanic    string   `json:"lastPanic,omitempty"`
-		Scheduler    string   `json:"scheduler"`
-		Policies     []string `json:"registeredPolicies"`
-	}{
-		Agents:       c.nAgents,
-		Live:         len(c.live),
-		Completed:    len(c.results),
-		Admitted:     admitted,
-		Rejected:     rejected,
-		FailedRounds: failed,
-		LastPanic:    lastPanic,
-		Scheduler:    c.cfg.Scheduler.Name(),
-		Policies:     sched.Names(),
-	}
-	c.mu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(status)
 }

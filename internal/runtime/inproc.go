@@ -8,8 +8,8 @@ import (
 // InprocAgent is a simulated agent living inside the coordinator's
 // process: no sockets, no goroutines, no data plane — just the flow
 // progress a real agent would accumulate, advanced in virtual time by
-// the testbed driver. 10^5 of them fit in one process, which is what
-// lets catalog studies measure the real coordinator at cluster scale.
+// the driver. 10^5 of them fit in one process, which is what lets
+// catalog studies measure the real coordinator at cluster scale.
 //
 // The driver contract is single-threaded per coordinator: the driver
 // interleaves Step and Report/ReportInproc calls with the coordinator's
@@ -29,14 +29,23 @@ type InprocAgent struct {
 	id    int32 // this agent's owner tag in slots
 }
 
+// flowKey names one start of a flow: its CoFlow's ID and its index
+// there, and the coordinator's start stamp (FlowOrder.start). An agent
+// holds one start per (CoFlow, index): a later one restarts the flow.
+type flowKey struct {
+	CoFlow int64
+	Index  int
+	start  uint32
+}
+
 // inprocFlow is one flow's sender-side state.
 type inprocFlow struct {
 	key  flowKey
 	slot int32   // the coordinator's Flow.Idx it is filed under in the slot table
+	done bool    // beside slot, so the flow stays 56 bytes
 	size float64 // total bytes
 	sent float64 // bytes moved so far (float: rate × δ accumulation)
 	rate float64 // current schedule's bytes/second
-	done bool
 }
 
 // slotTable is where a coordinator's in-process agents find a flow by
@@ -47,7 +56,7 @@ type inprocFlow struct {
 // not with ports × agents. An index is reused once its flow leaves the
 // coordinator, while the old flow may linger at its agent (a
 // deregistered CoFlow's flows run to completion there), so a reader
-// checks the flow an entry points at against the order's wire name. The
+// checks the flow an entry points at against the order's flowKey. The
 // table's invariant: an entry s that agent a owns points at a flow of a
 // filed under s (inprocFlow.slot). So a flow clears or moves only the
 // entry that points at it, never one its index has since passed to
@@ -69,8 +78,7 @@ func (t *slotTable) join() int32 {
 }
 
 // AttachInproc registers an in-process agent for the given port,
-// replacing any previous link. Used with Manual-mode coordinators by
-// the testbed (testbed.RunJob).
+// replacing any previous one.
 func (c *Coordinator) AttachInproc(port int) (*InprocAgent, error) {
 	if port < 0 || port >= c.cfg.NumPorts {
 		return nil, fmt.Errorf("runtime: inproc agent port %d outside [0, %d)", port, c.cfg.NumPorts)
@@ -83,29 +91,23 @@ func (c *Coordinator) AttachInproc(port int) (*InprocAgent, error) {
 	return a, nil
 }
 
-// DataAddr implements agentLink; in-process agents have no data plane.
-func (a *InprocAgent) DataAddr() string { return "" }
-
-// Shut implements agentLink; nothing to tear down.
-func (a *InprocAgent) Shut() {}
-
-// Deliver implements agentLink: adopt the new schedule. Orders are
-// copied into per-flow state — the rate, and a new size as the restart
-// the coordinator's CarryOver gave a flow update() resized — and the
-// message is not retained. An order finds its flow through the slot
-// table, checked against the flow's wire name: an entry of another
-// agent, or of another flow under a reused index, is a miss.
+// Deliver implements agentLink: adopt the new schedule. Each order's
+// rate is copied into its flow's state, and the orders are not
+// retained. An order finds its flow through the slot table, checked
+// against the flow's key: an entry of another agent, of another flow
+// under a reused index, or of an earlier start of the same flow is a
+// miss.
 //
 //saath:hotpath zero-alloc steady state guarded by TestCoordinatorBoundaryZeroAlloc
-func (a *InprocAgent) Deliver(msg *scheduleMsg) error {
+func (a *InprocAgent) Deliver(orders []FlowOrder) {
 	if a.slots == nil { // built outside AttachInproc: a table of its own
 		a.slots = &slotTable{} //saath:alloc-ok once per agent
 		a.id = a.slots.join()
 	}
 	t := a.slots
-	for i := range msg.Orders {
-		o := &msg.Orders[i]
-		k := flowKey{CoFlow: o.CoFlow, Index: o.Index}
+	for i := range orders {
+		o := &orders[i]
+		k := flowKey{CoFlow: o.CoFlow, Index: o.Index, start: o.start}
 		for int(o.slot) >= len(t.entries) {
 			t.entries = append(t.entries, slotEntry{}) //saath:alloc-ok grow path: the table follows FlowCap
 		}
@@ -113,26 +115,27 @@ func (a *InprocAgent) Deliver(msg *scheduleMsg) error {
 		if e.owner != a.id || a.flows[e.at].key != k {
 			*e = slotEntry{owner: a.id, at: a.file(k, o)}
 		}
-		f := &a.flows[e.at]
-		if size := float64(o.Size); f.size != size { // resized by update(): restarted, as CarryOver does
-			f.size, f.sent, f.done = size, 0, false
-		}
-		f.rate = o.RateBps
+		a.flows[e.at].rate = o.RateBps
 	}
-	return nil
 }
 
-// file returns where the flow named k sits in flows, now filed under
-// o's index: a miss in the slot table. The agent holds one flow per wire
-// name, as a map by name would: a flow it already holds — its index
-// since given to another flow, or the flow moved away and back by
-// update() while the old one lingered — is found by a walk over the
-// agent's flows and re-filed; otherwise the flow is added.
+// file returns where the flow k names sits in flows, now filed under
+// o's index: a miss in the slot table. The agent holds one flow per
+// (CoFlow, index), as a map by that name would: a flow it already holds
+// — its index since given to another flow, the flow moved away and back
+// by update() while the old one lingered, or an earlier start of it —
+// is found by a walk over the agent's flows and re-filed; otherwise the
+// flow is added. An earlier start — of a CoFlow since deregistered and
+// registered again under its ID, or of a flow update() resized — is
+// restarted as k at o's size, as the coordinator restarted it.
 func (a *InprocAgent) file(k flowKey, o *FlowOrder) int32 {
 	for j := range a.flows {
-		if f := &a.flows[j]; f.key == k {
+		if f := &a.flows[j]; f.key.CoFlow == k.CoFlow && f.key.Index == k.Index {
 			if e := &a.slots.entries[f.slot]; e.owner == a.id && int(e.at) == j {
 				*e = slotEntry{}
+			}
+			if f.key.start != k.start {
+				*f = inprocFlow{key: k, size: float64(o.Size)}
 			}
 			f.slot = o.slot
 			return int32(j)
@@ -143,9 +146,9 @@ func (a *InprocAgent) file(k flowKey, o *FlowOrder) int32 {
 }
 
 // Step advances every flow by dt at its current scheduled rate — the
-// work a real agent's token-bucket sender does in wall time, collapsed
-// to arithmetic. Progress is pipelined exactly like the prototype: a
-// flow moves bytes at the rate of the previous schedule push.
+// work a real agent's rate-limited sender does, collapsed to
+// arithmetic. Progress is pipelined: a flow moves bytes at the rate of
+// the previous schedule push.
 //
 //saath:hotpath zero-alloc steady state guarded by TestTestbedLayerGuards
 func (a *InprocAgent) Step(dt time.Duration) {
@@ -177,15 +180,13 @@ func (a *InprocAgent) Report() {
 }
 
 // ReportInproc pushes the flow progress of in-process agents attached
-// to c into the coordinator, the in-process equivalent of their
-// periodic TCP stats messages — without the messages: each flow's stat
-// is merged as it is read, agent by agent in the given order, under one
-// take of the round and policy locks and one clock read. Completed flows
-// are reported once (done=true) and then dropped from agent state —
-// delivery is synchronous, so the completion cannot be lost. Unlike the
-// TCP path a report does not retire: completions are collected once per
-// boundary in StepSchedule, in ID order across all of the boundary's
-// reports.
+// to c into the coordinator, an agent's periodic statistics report:
+// each flow is merged as it is read, agent by agent in the given order,
+// under one take of the round and policy locks and one clock read.
+// Completed flows are reported once and then dropped from agent state —
+// delivery is synchronous, so the completion cannot be lost. A report
+// does not retire: completions are collected once per boundary in
+// StepSchedule, in ID order across all of the boundary's reports.
 //
 //saath:hotpath zero-alloc steady state guarded by TestTestbedLayerGuards
 func (c *Coordinator) ReportInproc(agents []*InprocAgent) {
@@ -199,13 +200,7 @@ func (c *Coordinator) ReportInproc(agents []*InprocAgent) {
 	for _, a := range agents {
 		for i := 0; i < len(a.flows); {
 			f := &a.flows[i]
-			c.mergeStatLocked(&FlowStat{
-				CoFlow:    f.key.CoFlow,
-				Index:     f.key.Index,
-				Sent:      int64(f.sent),
-				Done:      f.done,
-				Available: true,
-			}, now)
+			c.mergeStatLocked(f, now)
 			if f.done {
 				a.dropFlow(i) // the last flow now sits at i
 			} else {

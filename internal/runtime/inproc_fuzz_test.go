@@ -4,8 +4,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"slices"
 	"strings"
 	"testing"
@@ -16,10 +14,11 @@ import (
 )
 
 // mapAgent is the in-process agent as it stood before the shared slot
-// table: it finds a flow by its wire name in a map of its own and
-// reports under the policy locks alone. It is the reference
-// FuzzInprocAgents holds InprocAgent (slot lookup, ownership-checked
-// drops, the batched ReportInproc) to. Step is InprocAgent's.
+// table: it finds a flow by its name — (CoFlow, index), without the
+// start — in a map of its own and reports under the policy locks alone.
+// It is the reference FuzzInprocAgents holds InprocAgent (slot lookup,
+// ownership-checked drops, the batched ReportInproc) to. Step is
+// InprocAgent's.
 type mapAgent struct {
 	InprocAgent
 	index map[flowKey]int
@@ -29,23 +28,25 @@ func newMapAgent(c *Coordinator) *mapAgent {
 	return &mapAgent{InprocAgent: InprocAgent{coord: c}, index: map[flowKey]int{}}
 }
 
-func (a *mapAgent) Deliver(msg *scheduleMsg) error {
-	for i := range msg.Orders {
-		o := &msg.Orders[i]
-		k := flowKey{CoFlow: o.CoFlow, Index: o.Index}
-		at, ok := a.index[k]
+// name is k without its start stamp: what mapAgent files flows under.
+func name(k flowKey) flowKey { return flowKey{CoFlow: k.CoFlow, Index: k.Index} }
+
+func (a *mapAgent) Deliver(orders []FlowOrder) {
+	for i := range orders {
+		o := &orders[i]
+		k := flowKey{CoFlow: o.CoFlow, Index: o.Index, start: o.start}
+		at, ok := a.index[name(k)]
 		if !ok {
 			at = len(a.flows)
-			a.index[k] = at
+			a.index[name(k)] = at
 			a.flows = append(a.flows, inprocFlow{key: k, size: float64(o.Size)})
 		}
 		f := &a.flows[at]
-		if size := float64(o.Size); f.size != size { // resized by update(): restarted, as CarryOver does
-			f.size, f.sent, f.done = size, 0, false
+		if f.key.start != k.start { // started afresh by the coordinator: restarted
+			*f = inprocFlow{key: k, size: float64(o.Size)}
 		}
 		f.rate = o.RateBps
 	}
-	return nil
 }
 
 func (a *mapAgent) Report() {
@@ -58,19 +59,16 @@ func (a *mapAgent) Report() {
 	c.mu.Lock()
 	for i := 0; i < len(a.flows); {
 		f := &a.flows[i]
-		c.mergeStatLocked(&FlowStat{
-			CoFlow: f.key.CoFlow, Index: f.key.Index,
-			Sent: int64(f.sent), Done: f.done, Available: true,
-		}, now)
+		c.mergeStatLocked(f, now)
 		if !f.done {
 			i++
 			continue
 		}
 		last := len(a.flows) - 1
-		delete(a.index, a.flows[i].key)
+		delete(a.index, name(a.flows[i].key))
 		if i != last {
 			a.flows[i] = a.flows[last]
-			a.index[a.flows[i].key] = i
+			a.index[name(a.flows[i].key)] = i
 		}
 		a.flows = a.flows[:last]
 	}
@@ -79,7 +77,7 @@ func (a *mapAgent) Report() {
 }
 
 // agentFlows is an agent's flow set in a comparable form: (key, size,
-// sent, rate, done) per flow, ordered by key.
+// sent, rate, done) per flow, ordered by name.
 func agentFlows(flows []inprocFlow) string {
 	fs := slices.Clone(flows)
 	slices.SortFunc(fs, func(a, b inprocFlow) int {
@@ -87,13 +85,13 @@ func agentFlows(flows []inprocFlow) string {
 	})
 	var b strings.Builder
 	for _, f := range fs {
-		fmt.Fprintf(&b, "c%d/%d %.0f/%.0f@%.0f done=%v; ", f.key.CoFlow, f.key.Index, f.sent, f.size, f.rate, f.done)
+		fmt.Fprintf(&b, "c%d/%d#%d %.0f/%.0f@%.0f done=%v; ", f.key.CoFlow, f.key.Index, f.key.start, f.sent, f.size, f.rate, f.done)
 	}
 	return b.String()
 }
 
-// FuzzInprocAgents drives one churn script through two Manual
-// coordinators in lockstep: one whose agents are InprocAgents — slot
+// FuzzInprocAgents drives one churn script through two coordinators
+// in lockstep: one whose agents are InprocAgents — slot
 // lookup in the table they share, reported in one ReportInproc per
 // boundary or one Report each — and one whose agents are the map-keyed
 // mapAgent. The script registers (under a fresh ID, or again under one
@@ -101,16 +99,19 @@ func agentFlows(flows []inprocFlow) string {
 // agents and run out there), updates (a flow's sender may move, the
 // width may change), detaches a port's agent (it keeps its flows and
 // keeps stepping and reporting), attaches a fresh one and resizes a
-// flow (a PUT of the same flows, one at another size, which restarts it
-// at the coordinator and so at its agent). Flow indices are reused all
-// along, by flows at other agents too. After every boundary every agent
-// ever attached must hold the same flows — (key, size, sent, rate,
-// done) — on both sides, every flow the coordinator ordered must be
-// held by its sender at the size ordered, and the coordinators must
-// agree on Results(). The committed corpus holds the case the
-// ownership check in dropFlow exists for — a deregistered coflow's flow
-// finishing at one agent after its index went to a flow at another —
-// and a flow resized after three boundaries.
+// flow (an Update of the same flows, one at another size, which
+// restarts it at the coordinator and so at its agent). Flow indices are
+// reused all along, by flows at other agents too. After every boundary
+// every agent ever attached must hold the same flows — (key, size,
+// sent, rate, done) — on both sides, every flow the coordinator ordered
+// must be held by its sender at the start and size ordered, no flow may
+// have more bytes sent at the coordinator than its port rate moves in
+// the virtual time since it last started (a report of an earlier start
+// taken as progress breaks this), and the coordinators must agree on
+// Results(). The committed corpus holds the case the ownership check in
+// dropFlow exists for — a deregistered coflow's flow finishing at one
+// agent after its index went to a flow at another — a flow resized
+// after three boundaries, and an ID registered again.
 func FuzzInprocAgents(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 2, 5, 1, 0, 0, 0, 0, 2, 3, 2, 5, 5, 5, 5, 5, 5})
 	f.Add([]byte{0, 0, 1, 0, 1, 3, 0, 5, 3, 0, 5, 5, 4, 0, 6, 2, 0, 2, 1, 3, 4, 5, 0, 0, 5, 6, 5})
@@ -119,8 +120,9 @@ func FuzzInprocAgents(f *testing.F) {
 			script = script[:256]
 		}
 		const (
-			nPorts = 6
-			delta  = 8 * time.Millisecond
+			nPorts   = 6
+			delta    = 8 * time.Millisecond
+			portRate = coflow.Rate(125e6)
 		)
 		type side struct {
 			coord *Coordinator
@@ -136,13 +138,11 @@ func FuzzInprocAgents(f *testing.F) {
 			}
 			sd := &side{vc: NewVirtualClock(time.Unix(0, 0).UTC()), cur: make([]int, nPorts)}
 			sd.coord, err = NewCoordinator(CoordinatorConfig{
-				Scheduler: s, NumPorts: nPorts, PortRate: coflow.Rate(125e6),
-				Delta: delta, Clock: sd.vc, Manual: true,
+				Scheduler: s, NumPorts: nPorts, PortRate: portRate, Clock: sd.vc,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(func() { sd.coord.Close() })
 			return sd
 		}
 		slotSide, refSide := newSide(), newSide()
@@ -170,15 +170,8 @@ func FuzzInprocAgents(f *testing.F) {
 			pos++
 			return int(script[pos-1])
 		}
-		asJSON := func(sp *coflow.Spec) string {
-			var parts []string
-			for _, f := range sp.Flows {
-				parts = append(parts, fmt.Sprintf(`{"src":%d,"dst":%d,"size":%d}`, f.Src, f.Dst, f.Size))
-			}
-			return `{"flows":[` + strings.Join(parts, ",") + `]}`
-		}
-		flowsJSON := func() (string, *coflow.Spec) {
-			sp := &coflow.Spec{}
+		newSpec := func(id int) *coflow.Spec {
+			sp := &coflow.Spec{ID: coflow.CoFlowID(id)}
 			w := 1 + next()%3
 			for i := 0; i < w; i++ {
 				src, dst := next()%nPorts, next()%nPorts
@@ -188,22 +181,29 @@ func FuzzInprocAgents(f *testing.F) {
 				size := (1 + next()%6) * 400_000
 				sp.Flows = append(sp.Flows, coflow.FlowSpec{Src: coflow.PortID(src), Dst: coflow.PortID(dst), Size: coflow.Bytes(size)})
 			}
-			return asJSON(sp), sp
+			return sp
 		}
-		rest := func(method string, id int, body string) int {
-			var codes [2]int
-			for i, sd := range []*side{slotSide, refSide} {
-				w := httptest.NewRecorder()
-				sd.coord.handleCoFlowByID(w, httptest.NewRequest(method, fmt.Sprintf("/coflows/%d", id), strings.NewReader(body)))
-				codes[i] = w.Code
+		// both applies one CoFlow operation to the two coordinators, which
+		// must answer alike.
+		both := func(what string, op func(*Coordinator) error) error {
+			slotErr, refErr := op(slotSide.coord), op(refSide.coord)
+			if !errors.Is(slotErr, refErr) {
+				t.Fatalf("%s: %v with slot agents, %v with map agents", what, slotErr, refErr)
 			}
-			if codes[0] != codes[1] {
-				t.Fatalf("%s /coflows/%d: %d with slot agents, %d with map agents", method, id, codes[0], codes[1])
-			}
-			return codes[0]
+			return slotErr
 		}
 		var ids []int                   // every ID registered, in order
 		flows := map[int]*coflow.Spec{} // the flows each ID last registered or was updated to
+		// startedAt is when each flow, by name, last started afresh at the
+		// coordinators: registered, or resized or added by an update.
+		startedAt := map[flowKey]time.Time{}
+		started := func(id int, sp *coflow.Spec, old *coflow.Spec) {
+			for i, f := range sp.Flows {
+				if old == nil || i >= len(old.Flows) || old.Flows[i].Size != f.Size {
+					startedAt[flowKey{CoFlow: int64(id), Index: i}] = slotSide.vc.Now()
+				}
+			}
+		}
 		// filed is what the slot table resolved to after the last round:
 		// index -> (agent, wire name). A report moves or clears only the
 		// entries of the flows it drops, so every entry whose flow its
@@ -282,14 +282,20 @@ func FuzzInprocAgents(f *testing.F) {
 					if src < 0 || dst < 0 {
 						continue
 					}
-					k, size := flowKey{CoFlow: int64(cf.ID()), Index: f.ID.Index}, -1.0
+					k, size := flowKey{CoFlow: int64(cf.ID()), Index: f.ID.Index, start: slotSide.coord.starts[f.Idx]}, -1.0
 					for _, af := range slotSide.slots[src].flows {
 						if af.key == k {
 							size = af.size
 						}
 					}
 					if size != float64(f.Size) {
-						t.Fatalf("boundary %d: c%d/%d is %d bytes at the coordinator, %.0f at its agent (-1: not held)", n, k.CoFlow, k.Index, f.Size, size)
+						t.Fatalf("boundary %d: c%d/%d#%d is %d bytes at the coordinator, %.0f at its agent (-1: not held)", n, k.CoFlow, k.Index, k.start, f.Size, size)
+					}
+				}
+				for _, f := range cf.Flows {
+					since := slotSide.vc.Now().Sub(startedAt[flowKey{CoFlow: int64(cf.ID()), Index: f.ID.Index}])
+					if max := float64(portRate) * since.Seconds(); float64(f.Sent()) > max+1 {
+						t.Fatalf("boundary %d: c%d/%d has %d bytes sent, more than the %.0f its port moves in the %v since it started", n, cf.ID(), f.ID.Index, f.Sent(), max, since)
 					}
 				}
 			}
@@ -313,24 +319,22 @@ func FuzzInprocAgents(f *testing.F) {
 				} else {
 					ids = append(ids, id)
 				}
-				_, sp := flowsJSON()
-				sp.ID = coflow.CoFlowID(id)
-				slotErr, refErr := slotSide.coord.Register(sp), refSide.coord.Register(sp)
-				if !errors.Is(slotErr, refErr) {
-					t.Fatalf("Register(c%d): %v with slot agents, %v with map agents", id, slotErr, refErr)
-				}
-				if slotErr == nil {
+				sp := newSpec(id)
+				if both(fmt.Sprintf("Register(c%d)", id), func(c *Coordinator) error { return c.Register(sp) }) == nil {
+					started(id, sp, nil)
 					flows[id] = sp
 				}
 			case 1: // deregister: the coflow's flows linger at their agents
 				if len(ids) > 0 {
-					rest(http.MethodDelete, ids[next()%len(ids)], "")
+					id := coflow.CoFlowID(ids[next()%len(ids)])
+					both(fmt.Sprintf("Deregister(c%d)", id), func(c *Coordinator) error { return c.Deregister(id) })
 				}
 			case 2: // update: same or new width, senders may move
 				if len(ids) > 0 {
 					id := ids[next()%len(ids)]
-					body, sp := flowsJSON()
-					if rest(http.MethodPut, id, body) == http.StatusOK {
+					sp := newSpec(id)
+					if both(fmt.Sprintf("Update(c%d)", id), func(c *Coordinator) error { return c.Update(sp) }) == nil {
+						started(id, sp, flows[id])
 						flows[id] = sp
 					}
 				}
@@ -355,10 +359,11 @@ func FuzzInprocAgents(f *testing.F) {
 					if flows[id] == nil {
 						break
 					}
-					sp := &coflow.Spec{Flows: slices.Clone(flows[id].Flows)}
+					sp := &coflow.Spec{ID: coflow.CoFlowID(id), Flows: slices.Clone(flows[id].Flows)}
 					f := &sp.Flows[next()%len(sp.Flows)]
 					f.Size += coflow.Bytes(1+next()%5) * 400_000
-					if rest(http.MethodPut, id, asJSON(sp)) == http.StatusOK {
+					if both(fmt.Sprintf("Update(c%d)", id), func(c *Coordinator) error { return c.Update(sp) }) == nil {
+						started(id, sp, flows[id])
 						flows[id] = sp
 					}
 				}

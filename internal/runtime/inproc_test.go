@@ -2,12 +2,6 @@ package runtime
 
 import (
 	"errors"
-	"fmt"
-	"net"
-	"net/http"
-	"net/http/httptest"
-	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -15,9 +9,9 @@ import (
 	"saath/internal/sched"
 )
 
-// manualCoordinator builds a Manual-mode coordinator on a virtual
-// clock with nPorts in-process agents attached.
-func manualCoordinator(t *testing.T, policy string, nPorts int, delta time.Duration, adm AdmissionConfig) (*Coordinator, []*InprocAgent, *VirtualClock) {
+// inprocCluster builds a coordinator on a virtual clock with nPorts
+// in-process agents attached.
+func inprocCluster(t *testing.T, policy string, nPorts int, adm AdmissionConfig) (*Coordinator, []*InprocAgent, *VirtualClock) {
 	t.Helper()
 	s, err := sched.New(policy, sched.DefaultParams())
 	if err != nil {
@@ -26,12 +20,11 @@ func manualCoordinator(t *testing.T, policy string, nPorts int, delta time.Durat
 	vc := NewVirtualClock(time.Unix(0, 0).UTC())
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Scheduler: s, NumPorts: nPorts, PortRate: coflow.Rate(125e6), // 1 Gbps
-		Delta: delta, Clock: vc, Manual: true, Admission: adm,
+		Clock: vc, Admission: adm,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { coord.Close() })
 	agents := make([]*InprocAgent, nPorts)
 	for i := range agents {
 		if agents[i], err = coord.AttachInproc(i); err != nil {
@@ -41,31 +34,38 @@ func manualCoordinator(t *testing.T, policy string, nPorts int, delta time.Durat
 	return coord, agents, vc
 }
 
+// boundary runs one δ boundary the way testbed.RunJob does: the clock
+// moves, every agent steps and reports, then the schedule round. It
+// returns the round's live count.
+func boundary(coord *Coordinator, agents []*InprocAgent, vc *VirtualClock, delta time.Duration) int {
+	vc.Advance(delta)
+	for _, a := range agents {
+		a.Step(delta)
+	}
+	for _, a := range agents {
+		a.Report()
+	}
+	return coord.StepSchedule()
+}
+
 // driveToCompletion advances virtual δ boundaries until every live
 // coflow completes (or maxSteps passes, which fails the test).
 func driveToCompletion(t *testing.T, coord *Coordinator, agents []*InprocAgent, vc *VirtualClock, delta time.Duration, maxSteps int) {
 	t.Helper()
 	for step := 0; step < maxSteps; step++ {
-		vc.Advance(delta)
-		for _, a := range agents {
-			a.Step(delta)
-		}
-		for _, a := range agents {
-			a.Report()
-		}
-		if live := coord.StepSchedule(); live == 0 && step > 0 {
+		if live := boundary(coord, agents, vc, delta); live == 0 && step > 0 {
 			return
 		}
 	}
 	t.Fatalf("coflows still live after %d boundaries", maxSteps)
 }
 
-// TestInprocEndToEnd: a coflow registered against a manual coordinator
+// TestInprocEndToEnd: a coflow registered against a coordinator
 // completes through the in-process agent path, with CCT measured in
 // virtual time only.
 func TestInprocEndToEnd(t *testing.T) {
 	delta := 8 * time.Millisecond
-	coord, agents, vc := manualCoordinator(t, "saath", 4, delta, AdmissionConfig{})
+	coord, agents, vc := inprocCluster(t, "saath", 4, AdmissionConfig{})
 	spec := &coflow.Spec{ID: 7, Flows: []coflow.FlowSpec{
 		{Src: 0, Dst: 1, Size: 4 * coflow.MB},
 		{Src: 2, Dst: 3, Size: 2 * coflow.MB},
@@ -93,7 +93,7 @@ func TestInprocEndToEnd(t *testing.T) {
 func TestInprocDeterminism(t *testing.T) {
 	run := func() []CoFlowResult {
 		delta := 8 * time.Millisecond
-		coord, agents, vc := manualCoordinator(t, "saath", 6, delta, AdmissionConfig{})
+		coord, agents, vc := inprocCluster(t, "saath", 6, AdmissionConfig{})
 		for id := 1; id <= 8; id++ {
 			spec := &coflow.Spec{ID: coflow.CoFlowID(id), Flows: []coflow.FlowSpec{
 				{Src: coflow.PortID(id % 6), Dst: coflow.PortID((id + 3) % 6), Size: coflow.Bytes(id) * coflow.MB},
@@ -121,7 +121,7 @@ func TestInprocDeterminism(t *testing.T) {
 // when completions land in a different order.
 func TestResultsSortedByID(t *testing.T) {
 	delta := 8 * time.Millisecond
-	coord, agents, vc := manualCoordinator(t, "saath", 4, delta, AdmissionConfig{})
+	coord, agents, vc := inprocCluster(t, "saath", 4, AdmissionConfig{})
 	// Bigger IDs get smaller flows, so they complete first.
 	for id := 1; id <= 4; id++ {
 		spec := &coflow.Spec{ID: coflow.CoFlowID(id), Flows: []coflow.FlowSpec{
@@ -151,9 +151,7 @@ func TestResultsSortedByID(t *testing.T) {
 // against the live token bucket — a burst beyond the bucket is shed at
 // arrival time, and later arrivals (after refill) are admitted again.
 func TestArrivalTimeAdmission(t *testing.T) {
-	delta := 10 * time.Millisecond
-	coord, _, vc := manualCoordinator(t, "saath", 4, delta,
-		AdmissionConfig{RatePerSec: 100, Burst: 2})
+	coord, _, vc := inprocCluster(t, "saath", 4, AdmissionConfig{RatePerSec: 100, Burst: 2})
 	mkSpec := func(id int) *coflow.Spec {
 		return &coflow.Spec{ID: coflow.CoFlowID(id), Flows: []coflow.FlowSpec{
 			{Src: 0, Dst: 1, Size: coflow.MB}}}
@@ -186,7 +184,7 @@ func TestArrivalTimeAdmission(t *testing.T) {
 // and opens up again once completions retire.
 func TestMaxLiveAdmission(t *testing.T) {
 	delta := 8 * time.Millisecond
-	coord, agents, vc := manualCoordinator(t, "saath", 4, delta, AdmissionConfig{MaxLive: 2})
+	coord, agents, vc := inprocCluster(t, "saath", 4, AdmissionConfig{MaxLive: 2})
 	mkSpec := func(id int) *coflow.Spec {
 		return &coflow.Spec{ID: coflow.CoFlowID(id), Flows: []coflow.FlowSpec{
 			{Src: 0, Dst: 1, Size: coflow.MB}}}
@@ -208,8 +206,7 @@ func TestMaxLiveAdmission(t *testing.T) {
 // TestDuplicateRegisterInproc: a duplicate ID is a structural error,
 // not an admission drop, and consumes no admission budget.
 func TestDuplicateRegisterInproc(t *testing.T) {
-	coord, _, _ := manualCoordinator(t, "saath", 2, 8*time.Millisecond,
-		AdmissionConfig{RatePerSec: 1000, Burst: 10})
+	coord, _, _ := inprocCluster(t, "saath", 2, AdmissionConfig{RatePerSec: 1000, Burst: 10})
 	spec := &coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: coflow.MB}}}
 	if err := coord.Register(spec); err != nil {
 		t.Fatal(err)
@@ -222,39 +219,26 @@ func TestDuplicateRegisterInproc(t *testing.T) {
 	}
 }
 
-// TestInprocAgentFollowsResize: a PUT that resizes a flow restarts it
-// at the coordinator (CarryOver keeps progress only at an unchanged
+// TestInprocAgentFollowsResize: an Update that resizes a flow restarts
+// it at the coordinator (CarryOver keeps progress only at an unchanged
 // size), and the in-process agent holding it must restart it too, not
 // finish the old size and report the new one done. One 50 MB flow runs
-// for three 8 ms boundaries, then is PUT at 80 MB: the 80 MB take at
-// least 671 ms at 1 Gbps from the PUT at 24 ms. An agent that kept the
-// old size finished the 50 MB at boundary 47, a CCT of 408 ms.
+// for three 8 ms boundaries, then is updated to 80 MB: the 80 MB take
+// at least 671 ms at 1 Gbps from the Update at 24 ms. An agent that kept
+// the old size finished the 50 MB at boundary 47, a CCT of 408 ms.
 func TestInprocAgentFollowsResize(t *testing.T) {
 	delta := 8 * time.Millisecond
-	coord, agents, vc := manualCoordinator(t, "saath", 2, delta, AdmissionConfig{})
+	coord, agents, vc := inprocCluster(t, "saath", 2, AdmissionConfig{})
 	if err := coord.Register(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 50 * coflow.MB}}}); err != nil {
 		t.Fatal(err)
 	}
-	boundary := func() int {
-		vc.Advance(delta)
-		for _, a := range agents {
-			a.Step(delta)
-		}
-		for _, a := range agents {
-			a.Report()
-		}
-		return coord.StepSchedule()
-	}
 	for i := 0; i < 3; i++ {
-		boundary()
+		boundary(coord, agents, vc, delta)
 	}
-	w := httptest.NewRecorder()
-	body := fmt.Sprintf(`{"flows":[{"src":0,"dst":1,"size":%d}]}`, 80*coflow.MB)
-	coord.handleCoFlowByID(w, httptest.NewRequest(http.MethodPut, "/coflows/1", strings.NewReader(body)))
-	if w.Code != http.StatusOK && w.Code != http.StatusNoContent {
-		t.Fatalf("PUT /coflows/1: %d %s", w.Code, w.Body)
+	if err := coord.Update(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 80 * coflow.MB}}}); err != nil {
+		t.Fatal(err)
 	}
-	boundary()
+	boundary(coord, agents, vc, delta)
 	if f := agents[0].flows; len(f) != 1 || f[0].size != float64(80*coflow.MB) || f[0].sent != 0 || f[0].done {
 		t.Fatalf("agent after the resized order: %s, want c1/0 restarted at 80 MB", agentFlows(f))
 	}
@@ -268,123 +252,79 @@ func TestInprocAgentFollowsResize(t *testing.T) {
 	}
 }
 
-// TestScheduleSurvivesStalledAgent: a TCP agent that stops reading
-// must not wedge the schedule round or block registrations — the
-// schedule is computed and delivered outside the policy locks, the
-// stalled link eats only its own write deadline, and the dead port is
-// deregistered so the scheduler sees the reduced fabric.
-func TestScheduleSurvivesStalledAgent(t *testing.T) {
-	s, err := sched.New("saath", sched.DefaultParams())
-	if err != nil {
+// TestResizeDropsTheOldCount: an Update that resizes a flow after a
+// round and before the next report restarts the flow at the
+// coordinator, while its agent still holds the old size until the next
+// round's orders. That report — here the old size run out, flagged
+// done — is of the earlier start: it must not count as progress of the
+// restarted flow, and must not complete it. One 3 MB flow moves 2 MB
+// over three boundaries and is updated to 10 MB; the next report
+// finishes the 3 MB.
+func TestResizeDropsTheOldCount(t *testing.T) {
+	delta := 8 * time.Millisecond
+	coord, agents, vc := inprocCluster(t, "saath", 2, AdmissionConfig{})
+	const mb = 1_000_000 // one δ of a 1 Gbps port
+	if err := coord.Register(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 3 * mb}}}); err != nil {
 		t.Fatal(err)
 	}
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Scheduler: s, NumPorts: 2, PortRate: coflow.Rate(1e6),
-		Delta: time.Hour, Manual: true, // drive rounds by hand
-	})
-	if err != nil {
+	for i := 0; i < 3; i++ {
+		boundary(coord, agents, vc, delta)
+	}
+	if err := coord.Update(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 10 * mb}}}); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { coord.Close() })
-
-	// Port 1: a healthy in-process receiver.
-	if _, err := coord.AttachInproc(1); err != nil {
-		t.Fatal(err)
+	vc.Advance(delta)
+	agents[0].Step(delta)
+	if f := agents[0].flows; len(f) != 1 || !f[0].done || f[0].sent != 3*mb {
+		t.Fatalf("agent before the next round: %s, want the old 3 MB run out", agentFlows(f))
 	}
-	// Port 0: a stalled TCP agent — a pipe nobody reads, with a short
-	// write deadline so the test stays fast.
-	us, them := net.Pipe()
-	t.Cleanup(func() { us.Close(); them.Close() })
-	stalled := &agentConn{port: 0, dataAddr: "stalled:0", conn: us, timeout: 50 * time.Millisecond}
-	coord.setAgent(0, stalled)
-
-	spec := &coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 10 * coflow.MB}}}
-	if err := coord.Register(spec); err != nil {
-		t.Fatal(err)
+	agents[0].Report()
+	if f := coord.live[1].rt.Flows[0]; f.Sent() != 0 || f.Done() {
+		t.Fatalf("the restarted flow took the old start's report: sent %d, done %v", f.Sent(), f.Done())
 	}
-
-	// The round must complete despite the stalled link, and while the
-	// round's deliveries are in flight a registration must not block:
-	// run a second Register concurrently with StepSchedule.
-	stepDone := make(chan struct{})
-	go func() {
-		coord.StepSchedule()
-		close(stepDone)
-	}()
-	regDone := make(chan error, 1)
-	go func() {
-		spec2 := &coflow.Spec{ID: 2, Flows: []coflow.FlowSpec{{Src: 1, Dst: 0, Size: coflow.MB}}}
-		regDone <- coord.Register(spec2)
-	}()
-	select {
-	case err := <-regDone:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Register blocked behind a stalled agent's schedule delivery")
+	if live := coord.StepSchedule(); live != 1 {
+		t.Fatalf("live = %d after the old start's done report, want 1", live)
 	}
-	select {
-	case <-stepDone:
-	case <-time.After(5 * time.Second):
-		t.Fatal("StepSchedule wedged on a stalled agent")
-	}
-
-	// The stalled port was shed.
-	deadline := time.Now().Add(2 * time.Second)
-	for coord.AgentCount() != 1 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n := coord.AgentCount(); n != 1 {
-		t.Fatalf("stalled agent still registered: %d agents", n)
-	}
-	// And the next round runs cleanly against the reduced fabric.
-	done := make(chan struct{})
-	go func() { coord.StepSchedule(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("schedule round after shedding still wedged")
+	driveToCompletion(t, coord, agents, vc, delta, 100)
+	// Updated at 24 ms, the 10 MB need ten δ of sending behind one δ of
+	// control lag: the round at 112 ms retires it.
+	if res := coord.Results(); len(res) != 1 || res[0].CCT != 112*time.Millisecond {
+		t.Fatalf("results = %+v, want coflow 1 at a CCT of 112ms", res)
 	}
 }
 
-// TestAgentDisconnectNoGoroutineLeak: agents connecting and dropping
-// must not leave serveAgent goroutines behind once the coordinator
-// closes.
-func TestAgentDisconnectNoGoroutineLeak(t *testing.T) {
-	s, err := sched.New("saath", sched.DefaultParams())
-	if err != nil {
+// TestReregisteredIDStartsAfresh: a CoFlow registered again under the ID
+// of a deregistered one is a new CoFlow to its agents. One 8 MB flow
+// runs five 8 ms boundaries (its agent holds 4 MB sent) and is
+// deregistered; ID 1 is registered again with the same flow. The next
+// report is the lingering flow's, and the next order names the same
+// flow at its agent: neither may carry the old bytes over, so the CCT is
+// at least 8 MB at line rate, rounded up to δ. An agent that kept the
+// lingering flow's count completed it in 40 ms.
+func TestReregisteredIDStartsAfresh(t *testing.T) {
+	delta := 8 * time.Millisecond
+	coord, agents, vc := inprocCluster(t, "saath", 2, AdmissionConfig{})
+	spec := &coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 8 * coflow.MB}}}
+	if err := coord.Register(spec); err != nil {
 		t.Fatal(err)
 	}
-	before := runtime.NumGoroutine()
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Scheduler: s, NumPorts: 8, PortRate: coflow.Rate(1e6), Delta: 5 * time.Millisecond,
-	})
-	if err != nil {
+	for i := 0; i < 5; i++ {
+		boundary(coord, agents, vc, delta)
+	}
+	if f := agents[0].flows; len(f) != 1 || f[0].sent != 4_000_000 {
+		t.Fatalf("agent after five boundaries: %s, want 4 MB sent", agentFlows(f))
+	}
+	if err := coord.Deregister(1); err != nil {
 		t.Fatal(err)
 	}
-	go coord.Serve()
-	for i := 0; i < 8; i++ {
-		a, err := NewAgent(AgentConfig{Port: i, CoordinatorAddr: coord.ControlAddr(), StatsInterval: 5 * time.Millisecond})
-		if err != nil {
-			t.Fatal(err)
-		}
-		a.Close() // immediate disconnect, mid-run from the coordinator's view
+	if err := coord.Register(spec); err != nil {
+		t.Fatal(err)
 	}
-	deadline := time.Now().Add(3 * time.Second)
-	for coord.AgentCount() != 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n := coord.AgentCount(); n != 0 {
-		t.Fatalf("%d dead agents still registered", n)
-	}
-	coord.Close() // wg.Wait inside: serveAgent goroutines must all exit
-	deadline = time.Now().Add(3 * time.Second)
-	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before+2 {
-		t.Fatalf("goroutines leaked: %d before, %d after close", before, n)
+	driveToCompletion(t, coord, agents, vc, delta, 100)
+	lineRate := time.Duration(coflow.GbpsRate(1).TimeToSend(spec.Flows[0].Size)) * time.Microsecond
+	min := (lineRate + delta - 1) / delta * delta
+	if res := coord.Results(); len(res) != 1 || res[0].CCT < min {
+		t.Fatalf("results = %+v, want coflow 1 at a CCT of at least %v", res, min)
 	}
 }
 
@@ -397,7 +337,7 @@ func TestInprocScaleTenThousand(t *testing.T) {
 	}
 	const ports = 10000
 	delta := 8 * time.Millisecond
-	coord, agents, vc := manualCoordinator(t, "saath", ports, delta, AdmissionConfig{})
+	coord, agents, vc := inprocCluster(t, "saath", ports, AdmissionConfig{})
 	for id := 1; id <= 50; id++ {
 		spec := &coflow.Spec{ID: coflow.CoFlowID(id), Flows: []coflow.FlowSpec{
 			{Src: coflow.PortID((id * 13) % ports), Dst: coflow.PortID((id*29 + 1) % ports), Size: 8 * coflow.MB},
@@ -423,7 +363,7 @@ func TestInprocScaleTenThousand(t *testing.T) {
 // phase of a boundary that did work has time against it too.
 func TestPhasesScheduleTotalExact(t *testing.T) {
 	delta := 8 * time.Millisecond
-	coord, agents, vc := manualCoordinator(t, "saath", 6, delta, AdmissionConfig{})
+	coord, agents, vc := inprocCluster(t, "saath", 6, AdmissionConfig{})
 	for id := 1; id <= 7; id++ {
 		spec := &coflow.Spec{ID: coflow.CoFlowID(id), Flows: []coflow.FlowSpec{
 			{Src: coflow.PortID(id % 6), Dst: coflow.PortID((id + 1) % 6), Size: coflow.Bytes(id) * coflow.MB},

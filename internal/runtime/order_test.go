@@ -1,10 +1,6 @@
 package runtime
 
 import (
-	"fmt"
-	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -35,8 +31,8 @@ func (o *orderChecked) Schedule(snap *sched.Snapshot) *sched.RateVec {
 // TestSnapshotActiveInArrivalOrder: a coordinator hands every Schedule
 // call its live CoFlows in (arrival, ID) order through churn —
 // registrations in one boundary out of ID order, a later one with the
-// lowest ID, DELETE, and PUTs that swap a CoFlow for a new one with the
-// same or another width (update()).
+// lowest ID, Deregister, and Updates that swap a CoFlow for a new one
+// with the same or another width.
 func TestSnapshotActiveInArrivalOrder(t *testing.T) {
 	const (
 		nPorts = 6
@@ -50,45 +46,41 @@ func TestSnapshotActiveInArrivalOrder(t *testing.T) {
 	o := &orderChecked{Scheduler: pol, t: t}
 	vc := NewVirtualClock(time.Unix(0, 0).UTC())
 	coord, err := NewCoordinator(CoordinatorConfig{
-		Scheduler: o, NumPorts: nPorts, PortRate: coflow.Rate(125e6),
-		Delta: delta, Clock: vc, Manual: true,
+		Scheduler: o, NumPorts: nPorts, PortRate: coflow.Rate(125e6), Clock: vc,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { coord.Close() })
 	agents := make([]*InprocAgent, nPorts)
 	for p := range agents {
 		if agents[p], err = coord.AttachInproc(p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	register := func(id int, flows ...coflow.FlowSpec) func() {
-		return func() {
-			if err := coord.Register(&coflow.Spec{ID: coflow.CoFlowID(id), Flows: flows}); err != nil {
-				t.Fatalf("Register(c%d): %v", id, err)
-			}
-		}
-	}
 	fl := func(src, dst, size int) coflow.FlowSpec {
 		return coflow.FlowSpec{Src: coflow.PortID(src), Dst: coflow.PortID(dst), Size: coflow.Bytes(size)}
 	}
-	rest := func(method string, id int, body string, want int) func() {
-		return func() {
-			w := httptest.NewRecorder()
-			coord.handleCoFlowByID(w, httptest.NewRequest(method, fmt.Sprintf("/coflows/%d", id), strings.NewReader(body)))
-			if w.Code != want {
-				t.Fatalf("%s c%d = %d (%s), want %d", method, id, w.Code, strings.TrimSpace(w.Body.String()), want)
-			}
+	op := func(what string, id int, err error) {
+		if err != nil {
+			t.Fatalf("%s(c%d): %v", what, id, err)
 		}
+	}
+	register := func(id int, flows ...coflow.FlowSpec) func() {
+		return func() { op("Register", id, coord.Register(&coflow.Spec{ID: coflow.CoFlowID(id), Flows: flows})) }
+	}
+	deregister := func(id int) func() {
+		return func() { op("Deregister", id, coord.Deregister(coflow.CoFlowID(id))) }
+	}
+	update := func(id int, flows ...coflow.FlowSpec) func() {
+		return func() { op("Update", id, coord.Update(&coflow.Spec{ID: coflow.CoFlowID(id), Flows: flows})) }
 	}
 	steps := [][]func(){
 		{register(5, fl(0, 1, 6*mb)), register(2, fl(0, 2, 3*mb), fl(1, 3, 2*mb)), register(9, fl(2, 0, 20*mb))},
 		{register(3, fl(3, 4, 5*mb), fl(0, 5, mb))},
-		{rest(http.MethodDelete, 5, "", http.StatusNoContent)},
-		{rest(http.MethodPut, 2, fmt.Sprintf(`{"flows":[{"src":0,"dst":2,"size":%d},{"src":4,"dst":1,"size":%d},{"src":5,"dst":3,"size":%d}]}`, 3*mb, 2*mb, mb), http.StatusOK)},
+		{deregister(5)},
+		{update(2, fl(0, 2, 3*mb), fl(4, 1, 2*mb), fl(5, 3, mb))},
 		{register(1, fl(1, 0, 2*mb)), register(7, fl(5, 4, 3*mb))},
-		{rest(http.MethodPut, 9, fmt.Sprintf(`{"flows":[{"src":2,"dst":0,"size":%d}]}`, 20*mb), http.StatusOK)},
+		{update(9, fl(2, 0, 20*mb))},
 	}
 	for n := 0; ; n++ {
 		if n > 100 {

@@ -1,77 +1,29 @@
 package runtime
 
 import (
-	"context"
 	"sync"
 	"time"
 )
 
-// tokenBucket paces a flow's writes to the coordinator-assigned rate.
-// The rate may be changed at any time by a new schedule; a rate of
-// zero pauses the flow (Take blocks until a positive rate arrives or
-// the bucket is closed).
-//
-// The same bucket also backs the coordinator's admission-control front
-// (units become coflows per second instead of bytes per second, and
-// admission uses the non-blocking TryTake). The time source is
-// injectable so admission decisions under a VirtualClock refill
+// tokenBucket is the coordinator's admission-control front: tokens are
+// coflows, accruing at rate per second up to burst, and a registration
+// that finds none is rejected, not queued (TryTake). The time source is
+// injectable, so decisions under a VirtualClock refill
 // deterministically.
 type tokenBucket struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
 	now    func() time.Time
 	rate   float64 // units per second
 	tokens float64
 	burst  float64
 	last   time.Time
-	closed bool
 }
 
-// newTokenBucket creates a paused bucket (rate 0, empty) with the
-// given maximum burst, running on the wall clock.
-func newTokenBucket(burst float64) *tokenBucket {
-	return newTokenBucketClock(burst, time.Now)
-}
-
-// newTokenBucketClock is newTokenBucket with an injectable time
-// source (nil falls back to time.Now).
-func newTokenBucketClock(burst float64, now func() time.Time) *tokenBucket {
-	if now == nil {
-		now = time.Now
-	}
-	b := &tokenBucket{burst: burst, now: now, last: now()}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// newAdmissionBucket creates a bucket for admission control: rate
-// units/second, a full burst of initial budget (so the first burst of
-// arrivals is admitted), driven by the given time source.
+// newAdmissionBucket creates a bucket of rate units/second with a full
+// burst of initial budget (so the first burst of arrivals is admitted),
+// driven by the given time source.
 func newAdmissionBucket(rate, burst float64, now func() time.Time) *tokenBucket {
-	b := newTokenBucketClock(burst, now)
-	b.rate = rate
-	b.tokens = burst
-	return b
-}
-
-// SetRate updates the pacing rate in units per second.
-func (b *tokenBucket) SetRate(bps float64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.refillLocked(b.now())
-	if bps < 0 {
-		bps = 0
-	}
-	b.rate = bps
-	b.cond.Broadcast()
-}
-
-// Close releases all waiters; Take returns false afterwards.
-func (b *tokenBucket) Close() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.closed = true
-	b.cond.Broadcast()
+	return &tokenBucket{now: now, rate: rate, tokens: burst, burst: burst, last: now()}
 }
 
 func (b *tokenBucket) refillLocked(now time.Time) {
@@ -86,79 +38,15 @@ func (b *tokenBucket) refillLocked(now time.Time) {
 }
 
 // TryTake consumes n units if the accumulated budget covers them right
-// now, without blocking. This is the admission-control path: a coflow
-// arriving past the configured rate is rejected, not queued.
+// now, without blocking: a coflow arriving past the configured rate is
+// rejected, not queued.
 func (b *tokenBucket) TryTake(n int) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.closed {
-		return false
-	}
 	b.refillLocked(b.now())
 	if b.tokens >= float64(n) {
 		b.tokens -= float64(n)
 		return true
 	}
 	return false
-}
-
-// Take blocks until n bytes of budget are available (or the bucket is
-// closed, returning false). Large n are granted in a single wait once
-// the accumulated budget covers them, so n should not exceed burst.
-func (b *tokenBucket) Take(n int) bool {
-	return b.take(nil, n)
-}
-
-// TakeCtx is Take with cancellation: it returns false as soon as ctx
-// is done, even while paused at rate zero.
-func (b *tokenBucket) TakeCtx(ctx context.Context, n int) bool {
-	if ctx == nil {
-		return b.take(nil, n)
-	}
-	// Wake any cond.Wait pause when the context fires, so a paused
-	// flow unblocks immediately instead of waiting for a rate change.
-	stop := context.AfterFunc(ctx, func() {
-		b.mu.Lock()
-		b.cond.Broadcast()
-		b.mu.Unlock()
-	})
-	defer stop()
-	return b.take(ctx, n)
-}
-
-func (b *tokenBucket) take(ctx context.Context, n int) bool {
-	need := float64(n)
-	if need > b.burst {
-		need = b.burst // never wait for more than the bucket can hold
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for {
-		if b.closed {
-			return false
-		}
-		if ctx != nil && ctx.Err() != nil {
-			return false
-		}
-		b.refillLocked(b.now())
-		if b.tokens >= need {
-			b.tokens -= float64(n)
-			return true
-		}
-		if b.rate <= 0 {
-			b.cond.Wait() // paused: wait for SetRate, Close or ctx
-			continue
-		}
-		// Sleep roughly until enough tokens accrue, then re-check.
-		wait := time.Duration((need - b.tokens) / b.rate * float64(time.Second))
-		if wait < 500*time.Microsecond {
-			wait = 500 * time.Microsecond
-		}
-		if wait > 50*time.Millisecond {
-			wait = 50 * time.Millisecond // stay responsive to rate changes
-		}
-		b.mu.Unlock()
-		time.Sleep(wait)
-		b.mu.Lock()
-	}
 }

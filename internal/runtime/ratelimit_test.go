@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"context"
 	"sync"
 	"testing"
 	"time"
@@ -29,9 +28,10 @@ func (f *fakeNow) advance(d time.Duration) {
 // spent by TryTake, all in fake time.
 func TestTokenBucketRefill(t *testing.T) {
 	fc := &fakeNow{t: time.Unix(0, 0)}
-	b := newTokenBucketClock(1000, fc.now)
-	b.SetRate(100) // 100 units/s
-
+	b := newAdmissionBucket(100, 1000, fc.now) // 100 units/s
+	if !b.TryTake(1000) {
+		t.Fatal("a new bucket did not start full")
+	}
 	if b.TryTake(1) {
 		t.Fatal("empty bucket granted a token")
 	}
@@ -48,8 +48,7 @@ func TestTokenBucketRefill(t *testing.T) {
 // matter how long it idles.
 func TestTokenBucketBurstCap(t *testing.T) {
 	fc := &fakeNow{t: time.Unix(0, 0)}
-	b := newTokenBucketClock(50, fc.now)
-	b.SetRate(1000)
+	b := newAdmissionBucket(1000, 50, fc.now)
 	fc.advance(time.Hour) // would be 3.6M tokens uncapped
 	if !b.TryTake(50) {
 		t.Fatal("burst-sized take failed after a long idle")
@@ -78,73 +77,6 @@ func TestTokenBucketRejection(t *testing.T) {
 	}
 	if b.TryTake(1) {
 		t.Fatal("second take granted from one refilled token")
-	}
-}
-
-// TestTokenBucketTakeCtxCancel: a TakeCtx paused at rate zero unblocks
-// promptly when the context is cancelled, returning false.
-func TestTokenBucketTakeCtxCancel(t *testing.T) {
-	b := newTokenBucket(1000) // rate 0: paused
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan bool, 1)
-	go func() { done <- b.TakeCtx(ctx, 10) }()
-	select {
-	case <-done:
-		t.Fatal("TakeCtx returned before cancel on a paused bucket")
-	case <-time.After(20 * time.Millisecond):
-	}
-	cancel()
-	select {
-	case ok := <-done:
-		if ok {
-			t.Fatal("cancelled TakeCtx returned true")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("TakeCtx did not unblock on cancel")
-	}
-}
-
-// TestTokenBucketTakeCtxAlreadyCancelled: a dead context fails fast.
-func TestTokenBucketTakeCtxAlreadyCancelled(t *testing.T) {
-	b := newTokenBucket(1000)
-	b.SetRate(1e9)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if b.TakeCtx(ctx, 1) {
-		t.Fatal("TakeCtx granted under a cancelled context")
-	}
-}
-
-// TestTokenBucketCloseUnblocksTakeCtx: Close releases context waiters
-// the same way it releases plain Take waiters.
-func TestTokenBucketCloseUnblocksTakeCtx(t *testing.T) {
-	b := newTokenBucket(1000)
-	done := make(chan bool, 1)
-	go func() { done <- b.TakeCtx(context.Background(), 10) }()
-	time.Sleep(10 * time.Millisecond)
-	b.Close()
-	select {
-	case ok := <-done:
-		if ok {
-			t.Fatal("closed bucket granted a take")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("TakeCtx did not unblock on Close")
-	}
-	if b.TryTake(0) {
-		t.Fatal("TryTake succeeded on a closed bucket")
-	}
-}
-
-// TestTokenBucketNegativeRate: a negative SetRate clamps to paused
-// instead of draining tokens backwards.
-func TestTokenBucketNegativeRate(t *testing.T) {
-	fc := &fakeNow{t: time.Unix(0, 0)}
-	b := newTokenBucketClock(100, fc.now)
-	b.SetRate(-5)
-	fc.advance(time.Second)
-	if b.TryTake(1) {
-		t.Fatal("negative rate accrued tokens")
 	}
 }
 

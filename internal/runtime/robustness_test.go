@@ -1,9 +1,7 @@
 package runtime
 
 import (
-	"net"
-	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,169 +9,119 @@ import (
 	"saath/internal/sched"
 )
 
-// TestCoordinatorSchedulesWithNoAgents: registering CoFlows before any
-// agent connects must not crash or wedge the scheduling loop; once
-// agents appear the CoFlow completes.
-func TestCoordinatorSchedulesWithNoAgents(t *testing.T) {
-	s, _ := sched.New("saath", sched.DefaultParams())
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Scheduler: s, NumPorts: 2, PortRate: coflow.Rate(20e6), Delta: 10 * time.Millisecond,
-	})
+// TestCoordinatorSurvivesAgentCrash: a sending agent that drops
+// mid-transfer must not wedge the coordinator — the rounds go on
+// against the reduced agent table — and a replacement attached on its
+// port picks the flow up (it resends from zero; the coordinator keeps
+// the larger count it was told) until the CoFlow completes.
+func TestCoordinatorSurvivesAgentCrash(t *testing.T) {
+	const delta = 8 * time.Millisecond
+	coord, agents, vc := inprocCluster(t, "saath", 2, AdmissionConfig{})
+	if err := coord.Register(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 4 * coflow.MB}}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		boundary(coord, agents, vc, delta)
+	}
+	coord.dropAgent(0, agents[0]) // the sender crashes: never stepped again
+	for i := 0; i < 3; i++ {
+		if live := boundary(coord, agents[1:], vc, delta); live != 1 {
+			t.Fatalf("round %d after the crash: live = %d, want 1", i, live)
+		}
+	}
+	if n := coord.AgentCount(); n != 1 {
+		t.Fatalf("AgentCount = %d after the crash, want 1", n)
+	}
+	replacement, err := coord.AttachInproc(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	go coord.Serve()
-	t.Cleanup(func() { coord.Close() })
-	client := NewClient(coord.HTTPAddr())
-	spec := &coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 200 * coflow.KB}}}
-	if err := client.Register(spec); err != nil {
+	driveToCompletion(t, coord, []*InprocAgent{replacement, agents[1]}, vc, delta, 100)
+	if res := coord.Results(); len(res) != 1 || res[0].ID != 1 {
+		t.Fatalf("results = %+v, want coflow 1", res)
+	}
+}
+
+// TestCoordinatorIgnoresRogueAgent: an agent for a port outside the
+// fabric is refused, and the agent table stays as it was.
+func TestCoordinatorIgnoresRogueAgent(t *testing.T) {
+	coord, _, _ := inprocCluster(t, "saath", 2, AdmissionConfig{})
+	for _, port := range []int{2, 99, -1} {
+		if _, err := coord.AttachInproc(port); err == nil {
+			t.Fatalf("agent for port %d on a 2-port fabric attached", port)
+		}
+	}
+	if n := coord.AgentCount(); n != 2 {
+		t.Fatalf("AgentCount = %d, want 2", n)
+	}
+}
+
+// stalledLink is an agent whose deliveries do not return until the test
+// releases them.
+type stalledLink struct {
+	entered chan struct{} // closed by the first delivery
+	once    sync.Once
+	release chan struct{}
+}
+
+func (l *stalledLink) Deliver([]FlowOrder) {
+	l.once.Do(func() { close(l.entered) })
+	<-l.release
+}
+
+// TestScheduleSurvivesStalledAgent: a round's deliveries run outside the
+// policy and state locks, so an agent that stalls in its delivery holds
+// up that round — and the next one, which waits on the round lock — but
+// never a registration or the coordinator's counters; once it returns,
+// the next round runs.
+func TestScheduleSurvivesStalledAgent(t *testing.T) {
+	s, err := sched.New("saath", sched.DefaultParams())
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Scheduling ticks happen with zero agents; nothing should complete.
-	time.Sleep(50 * time.Millisecond)
-	if res, _ := client.Results(); len(res) != 0 {
-		t.Fatalf("completed without agents: %v", res)
+	vc := NewVirtualClock(time.Unix(0, 0).UTC())
+	coord, err := NewCoordinator(CoordinatorConfig{Scheduler: s, NumPorts: 2, PortRate: coflow.Rate(1e6), Clock: vc})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Bring the agents up late; the flow must now drain.
-	for i := 0; i < 2; i++ {
-		a, err := NewAgent(AgentConfig{Port: i, CoordinatorAddr: coord.ControlAddr(), StatsInterval: 10 * time.Millisecond})
+	if _, err := coord.AttachInproc(1); err != nil {
+		t.Fatal(err)
+	}
+	stalled := &stalledLink{entered: make(chan struct{}), release: make(chan struct{})}
+	coord.setAgent(0, stalled)
+	if err := coord.Register(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 10 * coflow.MB}}}); err != nil {
+		t.Fatal(err)
+	}
+	stepDone := make(chan struct{})
+	go func() {
+		coord.StepSchedule()
+		close(stepDone)
+	}()
+	<-stalled.entered
+
+	regDone := make(chan error, 1)
+	go func() {
+		err := coord.Register(&coflow.Spec{ID: 2, Flows: []coflow.FlowSpec{{Src: 1, Dst: 0, Size: coflow.MB}}})
+		coord.LiveCount()
+		coord.AgentCount()
+		coord.AdmissionStats()
+		regDone <- err
+	}()
+	select {
+	case err := <-regDone:
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { a.Close() })
+	case <-time.After(10 * time.Second):
+		t.Fatal("Register blocked behind a stalled agent's delivery")
 	}
-	if _, err := client.WaitForResults(1, 15*time.Second); err != nil {
-		t.Fatal(err)
+	close(stalled.release)
+	select {
+	case <-stepDone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("StepSchedule did not return once the delivery did")
 	}
-}
-
-// TestCoordinatorSurvivesAgentCrash: an agent dropping mid-transfer
-// must not wedge the coordinator; its replacement finishes the flow
-// (the sender restarts from its own progress tracking — here the new
-// agent resends from zero, which the byte-counting receiver tolerates).
-func TestCoordinatorSurvivesAgentCrash(t *testing.T) {
-	s, _ := sched.New("saath", sched.DefaultParams())
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Scheduler: s, NumPorts: 2, PortRate: coflow.Rate(5e6), Delta: 10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go coord.Serve()
-	t.Cleanup(func() { coord.Close() })
-
-	recv, err := NewAgent(AgentConfig{Port: 1, CoordinatorAddr: coord.ControlAddr(), StatsInterval: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { recv.Close() })
-
-	victim, err := NewAgent(AgentConfig{Port: 0, CoordinatorAddr: coord.ControlAddr(), StatsInterval: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	client := NewClient(coord.HTTPAddr())
-	spec := &coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 2 * coflow.MB}}}
-	if err := client.Register(spec); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(100 * time.Millisecond) // let some bytes move
-	victim.Close()                     // crash the sender
-
-	// The coordinator sheds the dead connection and keeps scheduling.
-	deadline := time.Now().Add(5 * time.Second)
-	for coord.AgentCount() != 1 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if coord.AgentCount() != 1 {
-		t.Fatalf("dead agent still counted: %d", coord.AgentCount())
-	}
-
-	// A replacement agent for port 0 picks the flow back up.
-	replacement, err := NewAgent(AgentConfig{Port: 0, CoordinatorAddr: coord.ControlAddr(), StatsInterval: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { replacement.Close() })
-	if _, err := client.WaitForResults(1, 30*time.Second); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestGarbageOnControlPort: random bytes on the control listener must
-// not take the coordinator down.
-func TestGarbageOnControlPort(t *testing.T) {
-	s, _ := sched.New("saath", sched.DefaultParams())
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Scheduler: s, NumPorts: 2, PortRate: coflow.Rate(20e6), Delta: 10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go coord.Serve()
-	t.Cleanup(func() { coord.Close() })
-	conn, err := net.Dial("tcp", coord.ControlAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn.Write([]byte("\x00\x00\x00\x05hello garbage that is not a frame"))
-	conn.Close()
-	time.Sleep(50 * time.Millisecond)
-	// Coordinator still serves HTTP.
-	if _, err := NewClient(coord.HTTPAddr()).Status(); err != nil {
-		t.Fatalf("coordinator down after garbage: %v", err)
-	}
-}
-
-// alwaysPanics is a policy whose Schedule is broken outright.
-type alwaysPanics struct {
-	sched.Scheduler
-	calls atomic.Int64
-}
-
-func (p *alwaysPanics) Schedule(*sched.Snapshot) *sched.RateVec {
-	p.calls.Add(1)
-	panic("policy bug")
-}
-
-// TestServePolicyPanicCostsTheRound: under Serve a policy panic is the
-// ticker's to recover — it costs that round, is counted, and the loop
-// ticks on — so the process survives a policy that panics on every
-// round, registrations and /status still get answered afterwards, and
-// /status shows the last panic's value and where it was raised.
-func TestServePolicyPanicCostsTheRound(t *testing.T) {
-	inner, err := sched.New("saath", sched.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol := &alwaysPanics{Scheduler: inner}
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Scheduler: pol, NumPorts: 2, PortRate: coflow.Rate(20e6), Delta: 5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go coord.Serve()
-	t.Cleanup(func() { coord.Close() })
-	client := NewClient(coord.HTTPAddr())
-	if err := client.Register(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: coflow.MB}}}); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 5*time.Second, func() bool { n, _ := coord.FailedRounds(); return n >= 3 })
-	if err := client.Register(&coflow.Spec{ID: 2, Flows: []coflow.FlowSpec{{Src: 1, Dst: 0, Size: coflow.MB}}}); err != nil {
-		t.Fatalf("registration after the policy's panics: %v", err)
-	}
-	st, err := client.Status()
-	if err != nil {
-		t.Fatalf("/status after the policy's panics: %v", err)
-	}
-	if live := int(st["live"].(float64)); live != 2 {
-		t.Fatalf("/status live = %d, want 2", live)
-	}
-	if failed := int64(st["failedRounds"].(float64)); failed < 3 || failed > pol.calls.Load() {
-		t.Fatalf("/status failedRounds = %d, want between 3 and the %d Schedule calls", failed, pol.calls.Load())
-	}
-	if last, _ := st["lastPanic"].(string); !strings.HasPrefix(last, "policy bug\n") || !strings.Contains(last, "alwaysPanics).Schedule") {
-		t.Fatalf("/status lastPanic = %q, want the panic value and a stack through the policy", last)
+	if live := coord.StepSchedule(); live != 2 {
+		t.Fatalf("the round after the stall saw %d live coflows, want 2", live)
 	}
 }

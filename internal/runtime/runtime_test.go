@@ -1,9 +1,8 @@
 package runtime
 
 import (
-	"bytes"
-	"net"
-	"strings"
+	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,335 +12,176 @@ import (
 	_ "saath/internal/core" // register saath
 )
 
-// cluster spins up a coordinator plus n in-process agents and tears
-// everything down with the test.
-func cluster(t *testing.T, n int, schedName string, rate coflow.Rate) (*Coordinator, []*Agent, *Client) {
-	t.Helper()
-	s, err := sched.New(schedName, sched.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Scheduler: s,
-		NumPorts:  n,
-		PortRate:  rate,
-		Delta:     10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go coord.Serve()
-	t.Cleanup(func() { coord.Close() })
-
-	agents := make([]*Agent, n)
-	for i := 0; i < n; i++ {
-		a, err := NewAgent(AgentConfig{
-			Port:            i,
-			CoordinatorAddr: coord.ControlAddr(),
-			StatsInterval:   10 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		agents[i] = a
-		t.Cleanup(func() { a.Close() })
-	}
-	waitFor(t, 2*time.Second, func() bool { return coord.AgentCount() == n })
-	return coord, agents, NewClient(coord.HTTPAddr())
-}
-
-func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition not met in time")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	in := &envelope{Kind: kindStats, Stats: &statsMsg{Port: 3, Flows: []FlowStat{
-		{CoFlow: 7, Index: 1, Sent: 1234, Done: true, Available: true},
-	}}}
-	if err := writeFrame(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := readFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Kind != kindStats || out.Stats.Port != 3 || out.Stats.Flows[0].Sent != 1234 {
-		t.Fatalf("round trip = %+v", out)
-	}
-}
-
-func TestFrameRejectsOversize(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := readFrame(&buf); err == nil {
-		t.Fatal("oversize frame accepted")
-	}
-}
-
-func TestDataHeaderRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeDataHeader(&buf, dataHeader{CoFlow: 9, Index: 2, Size: 555}); err != nil {
-		t.Fatal(err)
-	}
-	h, err := readDataHeader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.CoFlow != 9 || h.Index != 2 || h.Size != 555 {
-		t.Fatalf("header = %+v", h)
-	}
-}
-
-func TestTokenBucketPacing(t *testing.T) {
-	b := newTokenBucket(64 << 10)
-	b.SetRate(1e6) // 1 MB/s
-	start := time.Now()
-	total := 0
-	for total < 100_000 {
-		if !b.Take(10_000) {
-			t.Fatal("bucket closed unexpectedly")
-		}
-		total += 10_000
-	}
-	elapsed := time.Since(start).Seconds()
-	// 100 KB at 1 MB/s ≈ 0.1 s minus the initial burst allowance.
-	if elapsed < 0.02 || elapsed > 0.6 {
-		t.Fatalf("pacing off: %d bytes in %.3fs", total, elapsed)
-	}
-}
-
-func TestTokenBucketPauseAndClose(t *testing.T) {
-	b := newTokenBucket(1024)
-	done := make(chan bool, 1)
-	go func() { done <- b.Take(512) }()
-	select {
-	case <-done:
-		t.Fatal("Take returned while paused")
-	case <-time.After(30 * time.Millisecond):
-	}
-	b.Close()
-	select {
-	case ok := <-done:
-		if ok {
-			t.Fatal("Take returned true after Close")
-		}
-	case <-time.After(time.Second):
-		t.Fatal("Take did not unblock on Close")
-	}
-}
-
-func TestTokenBucketRateChangeUnblocks(t *testing.T) {
-	b := newTokenBucket(1 << 20)
-	got := make(chan bool, 1)
-	go func() { got <- b.Take(1000) }()
-	time.Sleep(20 * time.Millisecond)
-	b.SetRate(10e6)
-	select {
-	case ok := <-got:
-		if !ok {
-			t.Fatal("Take failed")
-		}
-	case <-time.After(time.Second):
-		t.Fatal("Take did not resume after SetRate")
-	}
-}
-
 func TestCoordinatorRejectsBadConfig(t *testing.T) {
-	if _, err := NewCoordinator(CoordinatorConfig{}); err == nil {
+	vc := NewVirtualClock(time.Unix(0, 0).UTC())
+	if _, err := NewCoordinator(CoordinatorConfig{Clock: vc, NumPorts: 2}); err == nil {
 		t.Fatal("nil scheduler accepted")
 	}
 	s, _ := sched.New("saath", sched.DefaultParams())
-	if _, err := NewCoordinator(CoordinatorConfig{Scheduler: s}); err == nil {
+	if _, err := NewCoordinator(CoordinatorConfig{Scheduler: s, Clock: vc}); err == nil {
 		t.Fatal("zero ports accepted")
 	}
-}
-
-func TestAgentRejectsBadConfig(t *testing.T) {
-	if _, err := NewAgent(AgentConfig{}); err == nil {
-		t.Fatal("missing coordinator addr accepted")
-	}
-	if _, err := NewAgent(AgentConfig{CoordinatorAddr: "127.0.0.1:1"}); err == nil {
-		t.Fatal("unreachable coordinator accepted")
+	if _, err := NewCoordinator(CoordinatorConfig{Scheduler: s, NumPorts: 2}); err == nil {
+		t.Fatal("nil clock accepted")
 	}
 }
 
-func TestEndToEndSingleCoFlow(t *testing.T) {
-	coord, agents, client := cluster(t, 2, "saath", coflow.Rate(20e6))
-	spec := &coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{
-		{Src: 0, Dst: 1, Size: 400 * coflow.KB},
-	}}
-	if err := client.Register(spec); err != nil {
-		t.Fatal(err)
-	}
-	res, err := client.WaitForResults(1, 10*time.Second)
+// TestCoordinatorSchedulesWithNoAgents: rounds over CoFlows registered
+// before any agent attaches must not crash or complete anything; once
+// the agents attach, the CoFlow completes.
+func TestCoordinatorSchedulesWithNoAgents(t *testing.T) {
+	const delta = 8 * time.Millisecond
+	s, _ := sched.New("saath", sched.DefaultParams())
+	vc := NewVirtualClock(time.Unix(0, 0).UTC())
+	coord, err := NewCoordinator(CoordinatorConfig{Scheduler: s, NumPorts: 2, PortRate: coflow.Rate(125e6), Clock: vc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res[0].ID != 1 || res[0].Bytes != 400*coflow.KB || res[0].Width != 1 {
-		t.Fatalf("result = %+v", res[0])
+	if err := coord.Register(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 2 * coflow.MB}}}); err != nil {
+		t.Fatal(err)
 	}
-	// 400 KiB at 20 MB/s ≈ 20 ms; allow generous slack for localhost
-	// scheduling jitter but catch run-away CCTs.
-	if res[0].CCT < 10*time.Millisecond || res[0].CCT > 5*time.Second {
-		t.Fatalf("CCT = %v", res[0].CCT)
+	for i := 0; i < 5; i++ {
+		if live := boundary(coord, nil, vc, delta); live != 1 {
+			t.Fatalf("boundary %d without agents: live = %d, want 1", i, live)
+		}
 	}
-	// Bytes actually crossed the data plane.
-	if got := agents[1].Received(1, 0); got != int64(400*coflow.KB) {
-		t.Fatalf("received %d bytes", got)
-	}
-	calls, mean, max, _ := coord.ScheduleLatency()
-	if calls == 0 || mean <= 0 || max < mean {
-		t.Fatalf("overhead stats: calls=%d mean=%v max=%v", calls, mean, max)
-	}
-}
-
-func TestEndToEndMultipleCoFlows(t *testing.T) {
-	_, _, client := cluster(t, 4, "saath", coflow.Rate(20e6))
-	specs := []*coflow.Spec{
-		{ID: 1, Flows: []coflow.FlowSpec{
-			{Src: 0, Dst: 2, Size: 200 * coflow.KB},
-			{Src: 1, Dst: 3, Size: 200 * coflow.KB},
-		}},
-		{ID: 2, Flows: []coflow.FlowSpec{
-			{Src: 0, Dst: 3, Size: 100 * coflow.KB},
-		}},
-		{ID: 3, Flows: []coflow.FlowSpec{
-			{Src: 1, Dst: 2, Size: 100 * coflow.KB},
-		}},
-	}
-	for _, s := range specs {
-		if err := client.Register(s); err != nil {
+	agents := make([]*InprocAgent, 2)
+	for p := range agents {
+		if agents[p], err = coord.AttachInproc(p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res, err := client.WaitForResults(len(specs), 15*time.Second)
+	driveToCompletion(t, coord, agents, vc, delta, 100)
+	if res := coord.Results(); len(res) != 1 || res[0].ID != 1 {
+		t.Fatalf("results = %+v, want coflow 1", res)
+	}
+}
+
+// TestRateEnforcementShapesThroughput: agents move a flow at the rate
+// it was ordered, never faster: with the port rate capped at 2 MB/s, a
+// 1 MB flow takes its size/rate (524 ms) behind one δ of control lag,
+// rounded up to δ.
+func TestRateEnforcementShapesThroughput(t *testing.T) {
+	const delta = 8 * time.Millisecond
+	s, _ := sched.New("saath", sched.DefaultParams())
+	vc := NewVirtualClock(time.Unix(0, 0).UTC())
+	rate := coflow.Rate(2e6)
+	coord, err := NewCoordinator(CoordinatorConfig{Scheduler: s, NumPorts: 2, PortRate: rate, Clock: vc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := map[coflow.CoFlowID]bool{}
-	for _, r := range res {
-		seen[r.ID] = true
-		if r.CCT <= 0 {
-			t.Errorf("coflow %d CCT %v", r.ID, r.CCT)
+	agents := make([]*InprocAgent, 2)
+	for p := range agents {
+		if agents[p], err = coord.AttachInproc(p); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if !seen[1] || !seen[2] || !seen[3] {
-		t.Fatalf("missing completions: %+v", res)
+	if err := coord.Register(&coflow.Spec{ID: 30, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: coflow.MB}}}); err != nil {
+		t.Fatal(err)
+	}
+	driveToCompletion(t, coord, agents, vc, delta, 1000)
+	send := time.Duration(rate.TimeToSend(coflow.MB)) * time.Microsecond
+	want := delta + (send+delta-1)/delta*delta
+	if res := coord.Results(); len(res) != 1 || res[0].CCT != want {
+		t.Fatalf("results = %+v, want coflow 30 at a CCT of %v", res, want)
 	}
 }
 
-func TestRESTValidation(t *testing.T) {
-	_, _, client := cluster(t, 2, "saath", coflow.Rate(20e6))
-	// Port out of range.
-	bad := &coflow.Spec{ID: 9, Flows: []coflow.FlowSpec{{Src: 0, Dst: 99, Size: 1}}}
-	if err := client.Register(bad); err == nil {
-		t.Fatal("out-of-range port accepted")
-	}
-	// Duplicate registration.
-	ok := &coflow.Spec{ID: 10, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 100 * coflow.MB}}}
-	if err := client.Register(ok); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.Register(ok); err == nil || !strings.Contains(err.Error(), "409") {
-		t.Fatalf("duplicate accepted: %v", err)
-	}
-	// Deregister works, second time 404s.
-	if err := client.Deregister(10); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.Deregister(10); err == nil {
-		t.Fatal("double deregister accepted")
-	}
-	if err := client.Deregister(12345); err == nil {
-		t.Fatal("unknown deregister accepted")
-	}
-}
-
+// TestUpdatePreservesProgress: an Update that adds a flow (task
+// migration) keeps the bytes the unchanged flow has sent, and the
+// CoFlow completes at its new width.
 func TestUpdatePreservesProgress(t *testing.T) {
-	_, _, client := cluster(t, 3, "saath", coflow.Rate(5e6))
-	spec := &coflow.Spec{ID: 20, Flows: []coflow.FlowSpec{
-		{Src: 0, Dst: 1, Size: 2 * coflow.MB},
-	}}
-	if err := client.Register(spec); err != nil {
+	const delta = 8 * time.Millisecond
+	coord, agents, vc := inprocCluster(t, "saath", 3, AdmissionConfig{})
+	first := coflow.FlowSpec{Src: 0, Dst: 1, Size: 20 * coflow.MB}
+	if err := coord.Register(&coflow.Spec{ID: 20, Flows: []coflow.FlowSpec{first}}); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond) // let some bytes move
-	// Task migration: add a second flow, keep the first.
-	upd := &coflow.Spec{ID: 20, Flows: []coflow.FlowSpec{
-		{Src: 0, Dst: 1, Size: 2 * coflow.MB},
-		{Src: 2, Dst: 1, Size: 100 * coflow.KB},
-	}}
-	if err := client.Update(upd); err != nil {
+	for i := 0; i < 4; i++ {
+		boundary(coord, agents, vc, delta)
+	}
+	sent := coord.live[20].rt.Flows[0].Sent()
+	if sent == 0 {
+		t.Fatal("no bytes moved before the update")
+	}
+	if err := coord.Update(&coflow.Spec{ID: 20, Flows: []coflow.FlowSpec{first, {Src: 2, Dst: 1, Size: 100 * coflow.KB}}}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := client.WaitForResults(1, 15*time.Second)
-	if err != nil {
-		t.Fatal(err)
+	if got := coord.live[20].rt.Flows[0].Sent(); got != sent {
+		t.Fatalf("the kept flow has %d bytes sent after the update, %d before", got, sent)
 	}
-	if res[0].Width != 2 {
-		t.Fatalf("updated width = %d", res[0].Width)
-	}
-	if err := client.Update(&coflow.Spec{ID: 999, Flows: upd.Flows}); err == nil {
-		t.Fatal("update of unknown coflow accepted")
+	driveToCompletion(t, coord, agents, vc, delta, 1000)
+	if res := coord.Results(); len(res) != 1 || res[0].Width != 2 {
+		t.Fatalf("results = %+v, want coflow 20 at width 2", res)
 	}
 }
 
-func TestStatusEndpoint(t *testing.T) {
-	_, _, client := cluster(t, 2, "saath", coflow.Rate(20e6))
-	st, err := client.Status()
-	if err != nil {
+// TestCoFlowOperationsValidate holds register(), deregister() and
+// update() to their answers on a 4-port coordinator with coflow 1 live:
+// a spec with a port outside [0, 4) or negative, no flows or a negative
+// size is refused, and so is a live ID; a zero-size flow is accepted.
+// Deregister and Update of an ID that is not live return ErrUnknown.
+// Every refusal leaves the live set as it was, and a refused Update
+// leaves coflow 1 — its spec, its runtime state, its flows' progress and
+// its place in snap.Active — exactly as it was.
+func TestCoFlowOperationsValidate(t *testing.T) {
+	const delta = 8 * time.Millisecond
+	coord, agents, vc := inprocCluster(t, "saath", 4, AdmissionConfig{})
+	live := &coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 50 * coflow.MB}, {Src: 2, Dst: 3, Size: 50 * coflow.MB}}}
+	if err := coord.Register(live); err != nil {
 		t.Fatal(err)
 	}
-	if st["scheduler"] != "saath" {
-		t.Fatalf("status = %v", st)
+	for i := 0; i < 3; i++ {
+		boundary(coord, agents, vc, delta)
 	}
-	if int(st["agents"].(float64)) != 2 {
-		t.Fatalf("agents = %v", st["agents"])
+	spec := func(id coflow.CoFlowID, src, dst int, size coflow.Bytes) *coflow.Spec {
+		return &coflow.Spec{ID: id, Flows: []coflow.FlowSpec{{Src: coflow.PortID(src), Dst: coflow.PortID(dst), Size: size}}}
 	}
-}
-
-func TestCoordinatorIgnoresRogueAgent(t *testing.T) {
-	coord, _, _ := cluster(t, 2, "saath", coflow.Rate(20e6))
-	// Out-of-range port in hello: connection is dropped, agent count
-	// stays at 2.
-	conn, err := net.Dial("tcp", coord.ControlAddr())
-	if err != nil {
-		t.Fatal(err)
+	refused := errors.New("any validation error")
+	cases := []struct {
+		name string
+		op   func() error
+		want error // nil: accepted; refused: any error but the typed ones
+	}{
+		{"register src out of range", func() error { return coord.Register(spec(2, 4, 1, coflow.MB)) }, refused},
+		{"register dst out of range", func() error { return coord.Register(spec(2, 0, 4, coflow.MB)) }, refused},
+		{"register negative src", func() error { return coord.Register(spec(2, -1, 1, coflow.MB)) }, refused},
+		{"register negative dst", func() error { return coord.Register(spec(2, 0, -1, coflow.MB)) }, refused},
+		{"register no flows", func() error { return coord.Register(&coflow.Spec{ID: 2}) }, refused},
+		{"register negative size", func() error { return coord.Register(spec(2, 0, 1, -5)) }, refused},
+		{"register live ID", func() error { return coord.Register(spec(1, 0, 1, coflow.MB)) }, ErrDuplicate},
+		{"register zero size", func() error { return coord.Register(spec(3, 2, 2, 0)) }, nil},
+		{"deregister unknown", func() error { return coord.Deregister(12345) }, ErrUnknown},
+		{"deregister", func() error { return coord.Deregister(3) }, nil},
+		{"deregister twice", func() error { return coord.Deregister(3) }, ErrUnknown},
+		{"update unknown", func() error { return coord.Update(spec(999, 0, 1, coflow.MB)) }, ErrUnknown},
+		{"update src out of range", func() error { return coord.Update(spec(1, 4, 1, coflow.MB)) }, refused},
+		{"update dst out of range", func() error { return coord.Update(spec(1, 0, 4, coflow.MB)) }, refused},
+		{"update negative port", func() error { return coord.Update(spec(1, -1, 1, coflow.MB)) }, refused},
+		{"update no flows", func() error { return coord.Update(&coflow.Spec{ID: 1}) }, refused},
 	}
-	defer conn.Close()
-	writeFrame(conn, &envelope{Kind: kindHello, Hello: &helloMsg{Port: 99, DataAddr: "x"}})
-	time.Sleep(50 * time.Millisecond)
-	if coord.AgentCount() != 2 {
-		t.Fatalf("agent count = %d", coord.AgentCount())
+	lc := coord.live[1]
+	rt, sent := lc.rt, []coflow.Bytes{lc.rt.Flows[0].Sent(), lc.rt.Flows[1].Sent()}
+	if sent[0] == 0 || sent[1] == 0 {
+		t.Fatalf("coflow 1 moved no bytes before the table (%v): a refused Update could not be told from a restart", sent)
 	}
-}
-
-func TestRateEnforcementShapesThroughput(t *testing.T) {
-	// With the port rate capped low, a 1 MB flow must take at least
-	// size/rate seconds; verifies the token bucket honours schedules.
-	_, _, client := cluster(t, 2, "saath", coflow.Rate(2e6)) // 2 MB/s
-	spec := &coflow.Spec{ID: 30, Flows: []coflow.FlowSpec{
-		{Src: 0, Dst: 1, Size: coflow.MB},
-	}}
-	start := time.Now()
-	if err := client.Register(spec); err != nil {
-		t.Fatal(err)
-	}
-	res, err := client.WaitForResults(1, 20*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	minTime := 300 * time.Millisecond // 1 MiB at 2 MB/s ≈ 0.52s; allow burst slack
-	if res[0].CCT < minTime || elapsed < minTime {
-		t.Fatalf("flow finished too fast for the rate cap: cct=%v", res[0].CCT)
+	for _, tc := range cases {
+		liveBefore, active := coord.LiveCount(), slices.Clone(coord.snap.Active)
+		err := tc.op()
+		switch {
+		case tc.want == nil && err != nil:
+			t.Errorf("%s: %v, want accepted", tc.name, err)
+		case tc.want == refused && (err == nil || errors.Is(err, ErrDuplicate) || errors.Is(err, ErrUnknown) || errors.Is(err, ErrAdmission)):
+			t.Errorf("%s: %v, want a validation error", tc.name, err)
+		case tc.want != nil && tc.want != refused && !errors.Is(err, tc.want):
+			t.Errorf("%s: %v, want %v", tc.name, err, tc.want)
+		}
+		if err != nil && coord.LiveCount() != liveBefore {
+			t.Errorf("%s: refused, but the live count moved from %d to %d", tc.name, liveBefore, coord.LiveCount())
+		}
+		if err != nil && (coord.live[1] != lc || lc.spec != live || lc.rt != rt || len(rt.Flows) != 2 ||
+			rt.Flows[0].Sent() != sent[0] || rt.Flows[1].Sent() != sent[1] || !slices.Equal(coord.snap.Active, active)) {
+			t.Errorf("%s: refused, but coflow 1 or snap.Active changed", tc.name)
+		}
 	}
 }

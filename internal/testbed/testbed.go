@@ -1,5 +1,5 @@
 // Package testbed executes catalog studies through the real
-// coordinator instead of the simulator: every job builds a Manual-mode
+// coordinator instead of the simulator: every job builds a
 // runtime.Coordinator on a virtual clock, attaches one in-process
 // agent per port (no sockets — 10^5 agents fit in one process), and
 // drives δ sync boundaries until the workload completes. The study
@@ -85,15 +85,12 @@ func RunJob(j sweep.Job, tc Config) (*sim.Result, obs.RuntimeRecord, error) {
 		Scheduler: s,
 		NumPorts:  tr.NumPorts,
 		PortRate:  portRate,
-		Delta:     dt,
 		Clock:     vc,
-		Manual:    true,
 		Admission: tc.Admission,
 	})
 	if err != nil {
 		return nil, rec, fmt.Errorf("testbed: job %s: %w", j.Key(), err)
 	}
-	defer coord.Close()
 
 	agents := make([]*rt.InprocAgent, tr.NumPorts)
 	for i := range agents {

@@ -11,10 +11,10 @@
 // clairvoyant SCF/SRTF/LWTF, UC-TCP), the simulator, the speedup
 // statistics, the sweep engine, the declarative study layer (NewStudy:
 // experiment grids executed in-process or as mergeable shards), and
-// the distributed coordinator/agent prototype. Everything else — the
-// testbed job body, observability, capacity analytics — is reached
-// through the CLIs (cmd/saath-sim) or, inside this module, through the
-// internal packages directly.
+// the coordinator, driven in process on a virtual clock. Everything
+// else — the testbed job body, observability, capacity analytics — is
+// reached through the CLIs (cmd/saath-sim) or, inside this module,
+// through the internal packages directly.
 //
 // Quick start (see examples/quickstart for a runnable version):
 //
@@ -26,6 +26,7 @@ package saath
 
 import (
 	"context"
+	"time"
 
 	"saath/internal/coflow"
 	"saath/internal/runtime"
@@ -234,19 +235,16 @@ func MergeStudyShards(st *Study, dumps ...*StudyShardDump) (*StudyResult, error)
 	return study.MergeShards(st, dumps...)
 }
 
-// Prototype (distributed runtime) types.
+// Coordinator types (§5).
 type (
-	// Coordinator is the global coordinator daemon.
+	// Coordinator is the global coordinator: Register / Deregister /
+	// Update, AttachInproc for one in-process agent per port, and
+	// StepSchedule once per δ boundary.
 	Coordinator = runtime.Coordinator
 	// CoordinatorConfig configures the coordinator.
 	CoordinatorConfig = runtime.CoordinatorConfig
-	// Agent is a per-node local agent.
-	Agent = runtime.Agent
-	// AgentConfig configures an agent.
-	AgentConfig = runtime.AgentConfig
-	// Client is the framework-facing REST client (register /
-	// deregister / update).
-	Client = runtime.Client
+	// VirtualClock is the coordinator's time source, moved by the caller.
+	VirtualClock = runtime.VirtualClock
 )
 
 // DefaultParams returns the paper's default configuration: K=10 queues,
@@ -301,14 +299,10 @@ func SummarizeSpeedup(base, target *SimResult) SpeedupSummary {
 	return stats.Summarize(Speedups(base, target))
 }
 
-// NewCoordinator starts the prototype's global coordinator.
+// NewCoordinator returns an idle global coordinator.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	return runtime.NewCoordinator(cfg)
 }
 
-// NewAgent starts a prototype local agent.
-func NewAgent(cfg AgentConfig) (*Agent, error) { return runtime.NewAgent(cfg) }
-
-// NewClient returns a framework-facing REST client for a coordinator's
-// HTTP address.
-func NewClient(httpAddr string) *Client { return runtime.NewClient(httpAddr) }
+// NewVirtualClock returns a virtual clock frozen at start.
+func NewVirtualClock(start time.Time) *VirtualClock { return runtime.NewVirtualClock(start) }

@@ -169,34 +169,42 @@ func TestPublicPrototypeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	vc := NewVirtualClock(time.Unix(0, 0).UTC())
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Scheduler: s,
 		NumPorts:  2,
 		PortRate:  Rate(20e6),
-		Delta:     10 * time.Millisecond,
+		Clock:     vc,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	go coord.Serve()
-	defer coord.Close()
-	for i := 0; i < 2; i++ {
-		a, err := NewAgent(AgentConfig{Port: i, CoordinatorAddr: coord.ControlAddr(), StatsInterval: 10 * time.Millisecond})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer a.Close()
-	}
-	client := NewClient(coord.HTTPAddr())
-	spec := &Spec{ID: 1, Flows: []FlowSpec{{Src: 0, Dst: 1, Size: 200 * KB}}}
-	if err := client.Register(spec); err != nil {
-		t.Fatal(err)
-	}
-	res, err := client.WaitForResults(1, 15*time.Second)
+	sender, err := coord.AttachInproc(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res[0].ID != 1 || res[0].CCT <= 0 {
-		t.Fatalf("result = %+v", res[0])
+	if _, err := coord.AttachInproc(1); err != nil {
+		t.Fatal(err)
+	}
+	spec := &Spec{ID: 1, Flows: []FlowSpec{{Src: 0, Dst: 1, Size: 200 * KB}}}
+	if err := coord.Register(spec); err != nil {
+		t.Fatal(err)
+	}
+	const delta = 10 * time.Millisecond
+	coord.StepSchedule()
+	for n := 0; coord.LiveCount() > 0; n++ {
+		if n > 100 {
+			t.Fatal("coflow still live after 100 boundaries")
+		}
+		vc.Advance(delta)
+		sender.Step(delta)
+		sender.Report()
+		coord.StepSchedule()
+	}
+	res := coord.Results()
+	// 200 KiB at 20 MB/s is 10.24 ms of sending: two boundaries behind
+	// the first schedule.
+	if len(res) != 1 || res[0].ID != 1 || res[0].CCT != 2*delta {
+		t.Fatalf("results = %+v, want coflow 1 at a CCT of %v", res, 2*delta)
 	}
 }
