@@ -32,8 +32,8 @@ test-testbed:
 # scan of its flows.
 # Max-min filling: on any demands, caps and pre-drawn fabric, the rates
 # equal a round-by-round walk over every demand bit for bit. In-process
-# agents: under any churn script — registrations, deregistrations with
-# flows left lingering, updates that move senders or resize a flow,
+# agents: under any churn script — registrations, deregistrations whose
+# flows their agents drop at the next report, updates that move senders or resize a flow,
 # agents detached and re-attached, flow indices reused across agents —
 # the slot-table agents hold the same flows as map-keyed reference
 # agents, every flow ordered at the start and size the coordinator
@@ -89,12 +89,14 @@ bench:
 # non-race build — alloc counts skip themselves under -race): the one
 # table of allocation guards against BENCH_baseline.json plus the
 # rated-flows counter guard (bench_guards_test.go), the engine's, the
-# telemetry path's (the engine's probe emission and the Suite's Observe)
-# and the latency histogram's steady-state zero-alloc guards, and the
-# grid-key uniqueness pin the seed-derivation contract rests on. Counts
-# only: timings belong to `make perf`.
+# telemetry path's (the engine's probe emission and the Suite's Observe),
+# the latency histogram's and a CoFlow's completion path's steady-state
+# zero-alloc guards, and the grid-key uniqueness pin the seed-derivation
+# contract rests on. They are what holds the hot path allocation-free:
+# saath-vet has no allocation rule. Counts only: timings belong to
+# `make perf`.
 guards:
-	$(GO) test -count=1 -run 'Guards$$|ZeroAlloc$$|^TestEpochCostsRatedFlows$$|^TestGridJobKeyUniqueness$$' . ./internal/sim/ ./internal/sweep/ ./internal/obs/ ./internal/telemetry/
+	$(GO) test -count=1 -run 'Guards$$|ZeroAlloc$$|^TestEpochCostsRatedFlows$$|^TestGridJobKeyUniqueness$$' . ./internal/sim/ ./internal/sweep/ ./internal/obs/ ./internal/telemetry/ ./internal/coflow/
 
 fmt:
 	gofmt -w .
@@ -106,14 +108,14 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-# saath-vet is the project's own analyzer suite (detcheck, hotpath,
-# obscheck — see internal/lint). It must report zero unsuppressed
-# findings over the whole tree; any new finding fails the build. It runs
-# both ways it can: as its own driver, and built as a `go vet -vettool`,
-# the path CI's lint job takes. The analyzer unit tests ride along so
-# broken fixtures fail here too.
+# saath-vet is the project's own analyzer suite (detcheck, hotpath —
+# see internal/lint): only the rules whose defect no test can see, a
+# map range whose order can reach study bytes and a map access on the
+# hot path. Built as a `go vet -vettool`, it must report zero
+# unsuppressed findings over the whole tree; any new finding fails the
+# build. The analyzer unit tests ride along so broken fixtures fail
+# here too.
 lint:
-	$(GO) run ./cmd/saath-vet ./...
 	$(GO) build -o bin/saath-vet ./cmd/saath-vet
 	$(GO) vet -vettool=$(CURDIR)/bin/saath-vet ./...
 	$(GO) test -count=1 ./internal/lint/

@@ -109,14 +109,15 @@ func allocGuards() []allocGuard {
 	}
 	// Every policy's steady-state Schedule round allocates at most half
 	// of what it did on the map path; Saath's — queue counts, buckets,
-	// contention vector, allocation vector, ordering — nothing at all.
-	// These rounds schedule afresh; the policies that hold their previous
-	// decision over a boundary that changed nothing get a row for that
-	// round too, and it allocates nothing either.
+	// contention vector, allocation vector, ordering — Aalo's, UC-TCP's
+	// and Varys' (max-min filling included) nothing at all. These rounds
+	// schedule afresh; the policies that hold their previous decision
+	// over a boundary that changed nothing get a row for that round too,
+	// and it allocates nothing either.
 	for _, policy := range benchPolicies {
-		factor := 0.5
-		if policy == "saath" {
-			factor = 0
+		factor := 0.0
+		if policy == "lwtf" {
+			factor = 0.5
 		}
 		guards = append(guards, allocGuard{"TestScheduleAllocGuards", "schedule_round", policy, 3, factor,
 			func(tb testing.TB) func() { return benchSchedCluster(tb, policy, 500, 150) }})

@@ -1,31 +1,29 @@
-// Command saath-vet runs the repo's invariant analyzers (detcheck,
-// hotpath, obscheck — see internal/lint) over Go packages.
+// Command saath-vet runs the repo's invariant analyzers (detcheck and
+// hotpath — see internal/lint) as a go vet tool:
 //
-// Standalone (the way `make lint` runs it):
+//	go build -o bin/saath-vet ./cmd/saath-vet
+//	go vet -vettool=$PWD/bin/saath-vet ./...
 //
-//	saath-vet ./...
-//	saath-vet -analyzers detcheck -json ./internal/sched/...
+// cmd/go probes the tool (-V=full for its cache ID, -flags for the
+// flags it may forward: none), then invokes it once per package with a
+// JSON config file of pre-parsed file lists and export-data paths. The
+// protocol is re-implemented here because the usual unitchecker entry
+// point lives in golang.org/x/tools, which this repo does not depend
+// on.
 //
-// It also speaks the cmd/go vettool protocol, so the same binary
-// plugs into the standard vet driver:
-//
-//	go build -o /tmp/saath-vet ./cmd/saath-vet
-//	go vet -vettool=/tmp/saath-vet ./...
-//
-// In vettool mode cmd/go invokes the binary once per package with a
-// JSON config file of pre-parsed file lists and export-data paths;
-// the re-implementation here (vettool.go) exists because the usual
-// unitchecker entry point lives in golang.org/x/tools, which this
-// repo does not depend on.
-//
-// Exit status: 0 with no findings, 1 with findings, 2 on failure to
+// Exit status: 0 with no findings, 2 with findings or on failure to
 // load or analyze.
 package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io"
 	"os"
 	"strings"
 
@@ -33,83 +31,130 @@ import (
 )
 
 func main() {
-	// cmd/go probes vettools twice before handing them a config
-	// file: -V=full for the tool's cache ID and -flags for the
-	// tool-specific flags it may forward. Both must be answered
-	// before normal flag parsing so stray diagnostics don't corrupt
-	// the probe output.
-	if len(os.Args) == 2 && strings.HasPrefix(os.Args[1], "-V") {
+	switch {
+	case len(os.Args) == 2 && strings.HasPrefix(os.Args[1], "-V"):
 		fmt.Printf("saath-vet version saath-dev buildID=none\n")
-		return
-	}
-	if len(os.Args) == 2 && os.Args[1] == "-flags" {
+	case len(os.Args) == 2 && os.Args[1] == "-flags":
 		fmt.Println("[]")
-		return
-	}
-	if len(os.Args) == 2 && strings.HasSuffix(os.Args[1], ".cfg") {
+	case len(os.Args) == 2 && strings.HasSuffix(os.Args[1], ".cfg"):
 		os.Exit(runVettool(os.Args[1]))
+	default:
+		fmt.Fprintln(os.Stderr, "usage: go vet -vettool=$(which saath-vet) [packages]")
+		os.Exit(2)
 	}
+}
 
-	var (
-		jsonOut  = flag.Bool("json", false, "emit findings as JSON")
-		names    = flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
-		listOnly = flag.Bool("list", false, "list analyzers and exit")
-	)
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: saath-vet [flags] [packages]\n\n")
-		flag.PrintDefaults()
+// vetConfig mirrors the JSON config cmd/go hands a -vettool for each
+// package (see cmd/go/internal/work's vet action). Only the fields
+// the analyzers need are decoded.
+type vetConfig struct {
+	Compiler                  string
+	ImportPath                string
+	GoFiles                   []string
+	ImportMap                 map[string]string
+	PackageFile               map[string]string
+	VetxOnly                  bool
+	VetxOutput                string
+	GoVersion                 string
+	SucceedOnTypecheckFailure bool
+}
+
+// runVettool checks one package under cmd/go's vettool protocol:
+// parse the pre-listed files, type-check against the export data
+// paths cmd/go supplies, run the suite, print findings to stderr.
+// The vetx facts file must exist afterward or cmd/go errors out; the
+// suite exchanges no facts, so an empty file is written.
+func runVettool(cfgPath string) int {
+	data, err := os.ReadFile(cfgPath)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
 	}
-	flag.Parse()
-
-	analyzers := lint.Analyzers()
-	if *listOnly {
-		for _, a := range analyzers {
-			fmt.Printf("%-10s %s\n", a.Name, a.Doc)
+	var cfg vetConfig
+	if err := json.Unmarshal(data, &cfg); err != nil {
+		fmt.Fprintf(os.Stderr, "saath-vet: parsing %s: %v\n", cfgPath, err)
+		return 2
+	}
+	if cfg.VetxOutput != "" {
+		if err := os.WriteFile(cfg.VetxOutput, []byte("saath-vet: no facts\n"), 0o666); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 2
 		}
-		return
 	}
-	if *names != "" {
-		var err error
-		analyzers, err = lint.ByName(strings.Split(*names, ","))
+	if cfg.VetxOnly {
+		return 0
+	}
+
+	fset := token.NewFileSet()
+	var files []*ast.File
+	for _, name := range cfg.GoFiles {
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			if cfg.SucceedOnTypecheckFailure {
+				return 0
+			}
+			fmt.Fprintln(os.Stderr, err)
+			return 2
+		}
+		files = append(files, f)
+	}
+
+	imp := importer.ForCompiler(fset, cfg.Compiler, func(path string) (io.ReadCloser, error) {
+		if mapped, ok := cfg.ImportMap[path]; ok {
+			path = mapped
+		}
+		file, ok := cfg.PackageFile[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	})
+	info := lint.NewInfo()
+	tconf := types.Config{Importer: imp}
+	if cfg.GoVersion != "" {
+		tconf.GoVersion = cfg.GoVersion
+	}
+	tpkg, err := tconf.Check(cfg.ImportPath, fset, files, info)
+	if err != nil {
+		if cfg.SucceedOnTypecheckFailure {
+			return 0
+		}
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+
+	pkg := &lint.Package{
+		Path:  cfg.ImportPath,
+		Fset:  fset,
+		Files: files,
+		Types: tpkg,
+		Info:  info,
+		Notes: lint.ParseAnnotations(fset, files),
+	}
+	var findings []lint.Finding
+	for _, a := range lint.Analyzers() {
+		fs, err := lint.RunPackage(a, pkg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return 2
+		}
+		for _, f := range fs {
+			// cmd/go also hands the vettool each package's test variant.
+			// Tests are out of scope by policy — they may read maps in
+			// any order and off the hot path — so findings in _test.go
+			// files are dropped.
+			if strings.HasSuffix(f.Pos.Filename, "_test.go") {
+				continue
+			}
+			findings = append(findings, f)
 		}
 	}
-
-	patterns := flag.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	wd, err := os.Getwd()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	findings, err := lint.Run(wd, patterns, analyzers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if *jsonOut {
-		if findings == nil {
-			findings = []lint.Finding{}
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Println(f)
-		}
+	lint.SortFindings(findings)
+	for _, f := range findings {
+		fmt.Fprintln(os.Stderr, f)
 	}
 	if len(findings) > 0 {
-		if !*jsonOut {
-			fmt.Fprintf(os.Stderr, "saath-vet: %d finding(s)\n", len(findings))
-		}
-		os.Exit(1)
+		return 2
 	}
+	return 0
 }

@@ -649,7 +649,7 @@ func (c *CoFlow) sync() {
 //saath:hotpath
 func (c *CoFlow) build() {
 	if c.pendPorts == nil {
-		c.pendPorts = make([]PortPair, 0, len(c.Flows)) //saath:alloc-ok once per CoFlow, on its first read
+		c.pendPorts = make([]PortPair, 0, len(c.Flows)) // once per CoFlow, on its first read
 	}
 	c.pend, c.pendPorts = c.pend[:0], c.pendPorts[:0]
 	c.allAvail, c.shifted = true, 0
@@ -671,8 +671,8 @@ func (c *CoFlow) build() {
 		x.send, x.sendPorts = x.send[:0], x.sendPorts[:0]
 		for i, f := range c.pend {
 			if f.available {
-				x.send = append(x.send, f)                        //saath:alloc-ok grows with the sendable set: once per CoFlow, and again if Complete trimmed its front
-				x.sendPorts = append(x.sendPorts, c.pendPorts[i]) //saath:alloc-ok as above
+				x.send = append(x.send, f) // grows with the sendable set: once per CoFlow, and again if Complete trimmed its front
+				x.sendPorts = append(x.sendPorts, c.pendPorts[i])
 			}
 		}
 	}
@@ -682,7 +682,7 @@ func (c *CoFlow) build() {
 // extras returns the CoFlow's summaryExtra, allocating it on first use.
 func (c *CoFlow) extras() *summaryExtra {
 	if c.extra == nil {
-		c.extra = &summaryExtra{} //saath:alloc-ok once per CoFlow that holds a flow back or asks DoneMedian
+		c.extra = &summaryExtra{} // once per CoFlow that holds a flow back or asks DoneMedian
 	}
 	return c.extra
 }
@@ -763,7 +763,7 @@ func (c *CoFlow) DoneMedian() Bytes {
 	x := c.extras()
 	if c.epoch == 0 || x.medEpoch != c.epoch {
 		if x.doneSent == nil {
-			x.doneSent = make([]Bytes, 0, len(c.Flows)) //saath:alloc-ok once per CoFlow, on its first ask
+			x.doneSent = make([]Bytes, 0, len(c.Flows)) // once per CoFlow, on its first ask
 		}
 		ys := x.doneSent[:0]
 		for _, f := range c.Flows {

@@ -451,11 +451,14 @@ func TestProgressSummaryMatchesFullScan(t *testing.T) {
 	}
 }
 
-// TestFinishAllocatesNothing: a completion costs the flow — Complete
-// updates a fresh summary, the sorted done list included, in place. Each
-// run finishes every flow of its own CoFlow, out of order and with reads
-// in between, so every Complete meets a fresh summary.
-func TestFinishAllocatesNothing(t *testing.T) {
+// TestCompleteAllZeroAlloc: a completion costs the flows it completes —
+// CompleteAll (and Complete, which it calls for a batch of one) updates
+// a fresh summary, the sorted done list included, in place. Each run
+// finishes every flow of its own CoFlow, out of order, in batches of
+// one, two and three with reads in between, so every batch meets a
+// fresh summary; each flow is first restarted halfway (Restart), as a
+// straggler is under dynamics.
+func TestCompleteAllZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
@@ -470,14 +473,21 @@ func TestFinishAllocatesNothing(t *testing.T) {
 		cs[i].SetAvailable(cs[i].Flows[width/2], false)
 		cs[i].DoneMedian() // builds the summary and the done list
 	}
+	batch := make([]Completion, 0, 3)
 	next := 0
 	allocs := testing.AllocsPerRun(runs, func() {
 		c := cs[next]
 		next++
-		for k := 0; k < width; k++ {
-			f := c.Flows[(k*7)%width]
-			c.Progress(f, f.Size)
-			c.Complete(f, Time(k))
+		for k, size := 0, 1; k < width; k, size = k+size, size%3+1 {
+			batch = batch[:0]
+			for j := k; j < k+size; j++ {
+				f := c.Flows[(j*7)%width]
+				c.Progress(f, f.Size/2)
+				c.Restart(f)
+				c.Progress(f, f.Size)
+				batch = append(batch, Completion{Flow: f, At: Time(j)})
+			}
+			c.CompleteAll(batch)
 			_ = c.SendablePorts()
 			_ = c.DoneMedian()
 		}

@@ -299,8 +299,6 @@ func (s *Saath) QueueOf(id coflow.CoFlowID) (int, bool) {
 // growScratch sizes the per-interval scratch for this snapshot's index
 // caps. Growth only happens on arrival epochs; steady-state ticks pass
 // straight through.
-//
-//saath:alloc-ok amortized grow path, empty on steady-state ticks
 func (s *Saath) growScratch(snap *sched.Snapshot) {
 	k := s.params.Queues.NumQueues
 	if len(s.queueCount) != k {
@@ -461,7 +459,7 @@ func (s *Saath) Schedule(snap *sched.Snapshot) *sched.RateVec {
 	}
 	s.lastTime = snap.Now
 	last.issued.End(snap, alloc)
-	last.active = append(last.active[:0], snap.Active...) //saath:alloc-ok amortized: grows with the live set, on arrival epochs
+	last.active = append(last.active[:0], snap.Active...) // amortized: grows with the live set, on arrival epochs
 	last.rated, last.capsMoved = len(s.rated), false
 	return alloc
 }

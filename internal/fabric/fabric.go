@@ -170,8 +170,7 @@ func (f *Fabric) Allocate(src, dst coflow.PortID, r coflow.Rate) {
 }
 
 // Release returns rate r to the src→dst path, clamped at line rate.
-//
-//saath:hotpath
+// No policy calls it: tests use it to leave a path a given residual.
 func (f *Fabric) Release(src, dst coflow.PortID, r coflow.Rate) {
 	if r < 0 {
 		panic(fmt.Sprintf("fabric: negative release %v", r))

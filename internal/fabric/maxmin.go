@@ -41,13 +41,13 @@ type mmSide struct {
 // demands.
 func (s *mmSide) size(numPorts, demands int) {
 	if len(s.count) < numPorts {
-		s.residual = make([]coflow.Rate, numPorts) //saath:alloc-ok sized once per fabric
-		s.count = make([]int32, numPorts)          //saath:alloc-ok sized once per fabric
-		s.first = make([]int32, numPorts)          //saath:alloc-ok sized once per fabric
-		s.end = make([]int32, numPorts)            //saath:alloc-ok sized once per fabric
+		s.residual = make([]coflow.Rate, numPorts) // sized once per fabric
+		s.count = make([]int32, numPorts)          // sized once per fabric
+		s.first = make([]int32, numPorts)          // sized once per fabric
+		s.end = make([]int32, numPorts)            // sized once per fabric
 	}
 	if cap(s.members) < demands {
-		s.members = make([]int32, demands) //saath:alloc-ok grows to the largest call, then reused
+		s.members = make([]int32, demands) // grows to the largest call, then reused
 	}
 	s.members = s.members[:demands]
 	s.ports = s.ports[:0]
@@ -133,7 +133,7 @@ func (f *Fabric) MaxMinFairInto(dst []coflow.Rate, demands []Demand) []coflow.Ra
 	eg.size(f.numPorts, len(demands))
 	in.size(f.numPorts, len(demands))
 	if cap(m.active) < len(demands) {
-		m.active = make([]bool, len(demands)) //saath:alloc-ok grows to the largest call, then reused
+		m.active = make([]bool, len(demands)) // grows to the largest call, then reused
 	}
 	active := m.active[:len(demands)]
 	m.capped = m.capped[:0]

@@ -10,12 +10,6 @@ import (
 // comment of the form //saath:<name> — no space after //, like other
 // Go tool directives — optionally followed by free-text rationale.
 const (
-	// NoteWallclock marks a wall-clock read (time.Now and friends) in
-	// a determinism-critical package as out-of-band by contract: it
-	// may feed observability (spans, schedule-latency counters,
-	// progress meters) but never study output bytes.
-	NoteWallclock = "wallclock"
-
 	// NoteOrderIndependent marks a map-range loop whose iteration
 	// order provably cannot affect results (and which the analyzer's
 	// structural heuristics cannot prove safe on their own).
@@ -23,20 +17,15 @@ const (
 
 	// NoteHotPath on a function's doc comment marks it as a hot-path
 	// root: the function and everything it statically calls within
-	// the same package must follow the zero-alloc, dense-Idx-slice
-	// steady-state discipline.
+	// the same package must keep its state in dense Idx- or
+	// port-indexed slices, not maps.
 	NoteHotPath = "hotpath"
 
-	// NoteAllocOK marks an allocation (or a map[FlowID]-keyed value)
-	// inside a hot function as intentional: a setup/grow path, an
-	// arrival- or completion-path allocation outside steady state, or
-	// a kept map-based reference implementation.
-	NoteAllocOK = "alloc-ok"
-
-	// NoteObsOK marks a sim.Config.Counters write (or other obs
-	// plumbing) outside the sanctioned packages as deliberate
-	// out-of-band wiring.
-	NoteObsOK = "obs-ok"
+	// NoteMapOK marks a map access (or a map[FlowID]-keyed value)
+	// inside a hot function as intentional: a lookup by an ID the
+	// caller only has as an ID, or retire- and arrival-path work
+	// outside steady state.
+	NoteMapOK = "map-ok"
 )
 
 const notePrefix = "//saath:"
@@ -106,8 +95,8 @@ func ParseAnnotations(fset *token.FileSet, files []*ast.File) *Annotations {
 }
 
 // directiveName extracts the annotation name from a //saath: comment,
-// tolerating trailing rationale text ("//saath:wallclock — progress
-// meter only").
+// tolerating trailing rationale text ("//saath:map-ok retire path
+// only").
 func directiveName(text string) (string, bool) {
 	if !strings.HasPrefix(text, notePrefix) {
 		return "", false

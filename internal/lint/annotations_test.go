@@ -9,33 +9,32 @@ import (
 
 const annotationSrc = `package p
 
-import "time"
+import "sort"
 
-// Elapsed measures wall time for reporting.
+// Whole sorts its input.
 //
-//saath:wallclock reporting only
-func Elapsed() time.Duration {
-	start := time.Now()
-	return time.Since(start)
+//saath:order-independent sorted before return
+func Whole(xs []int) {
+	sort.Ints(xs)
 }
 
-func Inline() time.Time {
-	//saath:wallclock
-	return time.Now()
+func Inline(xs []int) {
+	//saath:order-independent
+	sort.Ints(xs)
 }
 
-func Trailing() time.Time {
-	return time.Now() //saath:wallclock with a rationale
+func Trailing(xs []int) {
+	sort.Ints(xs) //saath:order-independent with a rationale
 }
 
-func Bare() time.Time {
-	return time.Now()
+func Bare(xs []int) {
+	sort.Ints(xs)
 }
 
 //saath:hotpath
 func Hot() {}
 
-// not a directive: saath:wallclock must start the comment.
+// not a directive: saath:order-independent must start the comment.
 func Unmarked() {}
 `
 
@@ -75,19 +74,19 @@ func callPosIn(t *testing.T, fset *token.FileSet, fd *ast.FuncDecl) token.Pos {
 
 func TestAnnotationsFuncLevel(t *testing.T) {
 	_, f, notes := parseAnnotationSrc(t)
-	if !notes.Func(funcNamed(f, "Elapsed"), NoteWallclock) {
-		t.Error("Elapsed should carry a func-level wallclock note")
+	if !notes.Func(funcNamed(f, "Whole"), NoteOrderIndependent) {
+		t.Error("Whole should carry a func-level order-independent note")
 	}
-	if notes.Func(funcNamed(f, "Elapsed"), NoteHotPath) {
-		t.Error("Elapsed should not carry a hotpath note")
+	if notes.Func(funcNamed(f, "Whole"), NoteHotPath) {
+		t.Error("Whole should not carry a hotpath note")
 	}
 	if !notes.Func(funcNamed(f, "Hot"), NoteHotPath) {
 		t.Error("Hot should carry a hotpath note")
 	}
-	if notes.Func(funcNamed(f, "Bare"), NoteWallclock) {
+	if notes.Func(funcNamed(f, "Bare"), NoteOrderIndependent) {
 		t.Error("Bare has no annotations")
 	}
-	if notes.Func(funcNamed(f, "Unmarked"), NoteWallclock) {
+	if notes.Func(funcNamed(f, "Unmarked"), NoteOrderIndependent) {
 		t.Error("a mid-comment mention is not a directive")
 	}
 }
@@ -97,33 +96,33 @@ func TestAnnotationsLineLevel(t *testing.T) {
 
 	// Line-above suppression.
 	inline := callPosIn(t, fset, funcNamed(f, "Inline"))
-	if !notes.At(fset, inline, NoteWallclock) {
-		t.Error("line-above //saath:wallclock should suppress the next line")
+	if !notes.At(fset, inline, NoteOrderIndependent) {
+		t.Error("line-above //saath:order-independent should suppress the next line")
 	}
 	// Same-line trailing suppression, with trailing rationale text.
 	trailing := callPosIn(t, fset, funcNamed(f, "Trailing"))
-	if !notes.At(fset, trailing, NoteWallclock) {
-		t.Error("trailing //saath:wallclock should suppress its own line")
+	if !notes.At(fset, trailing, NoteOrderIndependent) {
+		t.Error("trailing //saath:order-independent should suppress its own line")
 	}
-	if notes.At(fset, trailing, NoteAllocOK) {
-		t.Error("wallclock note must not satisfy an alloc-ok query")
+	if notes.At(fset, trailing, NoteMapOK) {
+		t.Error("an order-independent note must not satisfy a map-ok query")
 	}
 	// No annotation anywhere near Bare's call.
 	bare := callPosIn(t, fset, funcNamed(f, "Bare"))
-	if notes.At(fset, bare, NoteWallclock) {
-		t.Error("Bare's time.Now has no annotation")
+	if notes.At(fset, bare, NoteOrderIndependent) {
+		t.Error("Bare's call has no annotation")
 	}
 }
 
 func TestSuppressedCombinesLineAndFunc(t *testing.T) {
 	fset, f, notes := parseAnnotationSrc(t)
-	elapsed := funcNamed(f, "Elapsed")
-	pos := callPosIn(t, fset, elapsed)
-	if !notes.Suppressed(fset, pos, elapsed, NoteWallclock) {
+	whole := funcNamed(f, "Whole")
+	pos := callPosIn(t, fset, whole)
+	if !notes.Suppressed(fset, pos, whole, NoteOrderIndependent) {
 		t.Error("func-level note should suppress calls inside the function")
 	}
 	bare := funcNamed(f, "Bare")
-	if notes.Suppressed(fset, callPosIn(t, fset, bare), bare, NoteWallclock) {
+	if notes.Suppressed(fset, callPosIn(t, fset, bare), bare, NoteOrderIndependent) {
 		t.Error("Bare is unsuppressed")
 	}
 }
@@ -133,12 +132,11 @@ func TestDirectiveName(t *testing.T) {
 		in, want string
 		ok       bool
 	}{
-		{"//saath:wallclock", "wallclock", true},
-		{"//saath:wallclock reporting only", "wallclock", true},
-		{"//saath:alloc-ok\tamortized growth", "alloc-ok", true},
-		{"//saath:order-independent", "order-independent", true},
+		{"//saath:hotpath", "hotpath", true},
+		{"//saath:order-independent sorted before return", "order-independent", true},
+		{"//saath:map-ok\tretire path only", "map-ok", true},
 		{"//saath:", "", false},
-		{"// saath:wallclock", "", false},
+		{"// saath:hotpath", "", false},
 		{"// plain comment", "", false},
 	}
 	for _, c := range cases {

@@ -128,7 +128,6 @@ func (l *fixtureLoader) load(path string) (*Package, error) {
 	}
 	pkg := &Package{
 		Path:  path,
-		Dir:   dir,
 		Fset:  l.fset,
 		Files: files,
 		Types: tpkg,

@@ -1,35 +1,29 @@
 // Package lint is saath's repo-specific static-analysis suite. It
-// enforces, at the source level, the three standing invariants that
-// the golden and AllocsPerRun tests otherwise catch only after the
-// fact:
+// holds only the rules whose defect no test can see: each analyzer's
+// doc comment names the mutation that passes every tier-1 test and that
+// the rule flags. Everything else the repo's invariants forbid — an
+// allocation on the hot path, a wall-clock read or a global math/rand
+// draw reaching study bytes, observability feeding study output — fails
+// an allocation guard or a byte-identity golden, so it has no rule here.
 //
-//   - determinism: study output must be byte-identical at any
-//     -parallel/-shard partition, so determinism-critical packages
-//     must not read the wall clock, draw from the global math/rand
-//     source, or let map iteration order leak into results (detcheck);
-//   - hot path: the engine event-dispatch path and annotated
-//     scheduler hot functions must stay allocation-free at steady
-//     state and keep the dense-Idx-slice discipline instead of
-//     map[FlowID]-keyed state (hotpath);
-//   - out-of-band observability: obs plumbing (sim.Config.Counters,
-//     obs.* types) must not leak into study-output-affecting packages
-//     (obscheck).
+//   - determinism: a range over a map whose order can reach results in
+//     a determinism-critical package (detcheck);
+//   - hot path: a map index, map range or map keyed by
+//     coflow.FlowID/CoFlowID in a //saath:hotpath function or its
+//     intra-package callees (hotpath).
 //
 // The suite follows the go/analysis model (Analyzer / Pass / Report)
 // but is built purely on the standard library: golang.org/x/tools is
 // not vendored here, so the framework below is a minimal structural
-// clone and the driver in cmd/saath-vet loads packages itself via
-// `go list -export` plus go/types instead of x/tools/go/packages.
+// clone, and cmd/saath-vet speaks cmd/go's vettool protocol itself.
 // Should x/tools become available, the analyzers port mechanically —
 // only the Pass plumbing changes.
 //
 // Escape hatches are explicit source annotations (see annotations.go):
 //
-//	//saath:wallclock         this wall-clock read is out-of-band by contract
 //	//saath:order-independent this map iteration cannot affect results
 //	//saath:hotpath           marks a function as a hot-path root
-//	//saath:alloc-ok          this allocation/map in a hot function is intentional
-//	//saath:obs-ok            this obs reference is sanctioned out-of-band plumbing
+//	//saath:map-ok            this map access in a hot function is intentional
 package lint
 
 import (
@@ -80,43 +74,37 @@ type Diagnostic struct {
 
 // A Finding is a resolved diagnostic, ready to print.
 type Finding struct {
-	Analyzer string         `json:"analyzer"`
-	Pos      token.Position `json:"pos"`
-	Message  string         `json:"message"`
+	Analyzer string
+	Pos      token.Position
+	Message  string
 }
 
 func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s (%s)", f.Pos, f.Message, f.Analyzer)
 }
 
-// Analyzers returns the full saath-vet suite.
-func Analyzers() []*Analyzer {
-	return []*Analyzer{DetCheck, HotPath, ObsCheck}
+// A Package is one type-checked package ready for analysis.
+type Package struct {
+	Path  string // import path
+	Fset  *token.FileSet
+	Files []*ast.File
+	Types *types.Package
+	Info  *types.Info
+	Notes *Annotations
 }
 
-// ByName returns the named analyzers, or an error naming the unknown
-// one.
-func ByName(names []string) ([]*Analyzer, error) {
-	all := Analyzers()
-	var out []*Analyzer
-	for _, n := range names {
-		found := false
-		for _, a := range all {
-			if a.Name == n {
-				out = append(out, a)
-				found = true
-				break
-			}
-		}
-		if !found {
-			known := make([]string, len(all))
-			for i, a := range all {
-				known[i] = a.Name
-			}
-			return nil, fmt.Errorf("lint: unknown analyzer %q (have %s)", n, strings.Join(known, ", "))
-		}
+// NewInfo returns a types.Info with every map the analyzers consult.
+func NewInfo() *types.Info {
+	return &types.Info{
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
 	}
-	return out, nil
+}
+
+// Analyzers returns the full saath-vet suite.
+func Analyzers() []*Analyzer {
+	return []*Analyzer{DetCheck, HotPath}
 }
 
 // RunPackage applies one analyzer to one loaded package and returns
@@ -145,27 +133,6 @@ func RunPackage(a *Analyzer, pkg *Package) ([]Finding, error) {
 	if err := a.Run(pass); err != nil {
 		return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.Path, err)
 	}
-	return out, nil
-}
-
-// Run loads the packages matching patterns (relative to dir) and
-// applies every analyzer, returning findings sorted by position.
-func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Finding, error) {
-	pkgs, err := Load(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	var out []Finding
-	for _, pkg := range pkgs {
-		for _, a := range analyzers {
-			fs, err := RunPackage(a, pkg)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, fs...)
-		}
-	}
-	SortFindings(out)
 	return out, nil
 }
 

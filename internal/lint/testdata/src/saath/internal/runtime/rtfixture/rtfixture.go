@@ -1,18 +1,12 @@
 // Package rtfixture proves the detcheck package allowlist: its path
-// sits under saath/internal/runtime, where wall-clock time is
-// out-of-band by contract, so nothing here is flagged.
+// sits under saath/internal/runtime, whose state never reaches a
+// study's bytes, so nothing here is flagged.
 package rtfixture
 
-import "time"
-
-func Deadline(timeout time.Duration) time.Time {
-	return time.Now().Add(timeout) // allowlisted package: no finding
-}
-
-func Spin(m map[string]int) int {
-	n := 0
-	for _, v := range m {
-		n += v
+func Sum(m map[string]float64) float64 {
+	sum := 0.0
+	for _, v := range m { // allowlisted package: no finding
+		sum += v
 	}
-	return n
+	return sum
 }

@@ -2,57 +2,7 @@
 // saath/internal/sim, a determinism-critical prefix.
 package detfixture
 
-import (
-	"math/rand"
-	"sort"
-	"time"
-)
-
-// --- wall clock ---
-
-func wallClock() time.Duration {
-	start := time.Now()      // want "time.Now reads the wall clock"
-	return time.Since(start) // want "time.Since reads the wall clock"
-}
-
-func wallClockSleep() {
-	time.Sleep(time.Millisecond) // want "time.Sleep reads the wall clock"
-}
-
-func wallClockLineAccepted() time.Time {
-	//saath:wallclock suppressed: out-of-band by contract
-	return time.Now()
-}
-
-func wallClockTrailingAccepted() time.Time {
-	t := time.Now() //saath:wallclock
-	return t
-}
-
-// wallClockFuncAccepted is exempt wholesale via its doc comment.
-//
-//saath:wallclock the whole helper is out-of-band
-func wallClockFuncAccepted() time.Duration {
-	start := time.Now()
-	return time.Since(start)
-}
-
-// --- global math/rand ---
-
-func globalRand() int {
-	return rand.Intn(10) // want "process-global random source"
-}
-
-func globalRandFloat() float64 {
-	return rand.Float64() // want "process-global random source"
-}
-
-func seededRand(seed int64) int {
-	r := rand.New(rand.NewSource(seed)) // constructors are fine
-	return r.Intn(10)                   // method on a seeded *rand.Rand is fine
-}
-
-// --- map iteration order ---
+import "sort"
 
 func mapOrderLeaks(m map[string]int) []int {
 	var out []int

@@ -273,22 +273,24 @@ func (c *Coordinator) setAgent(port int, link agentLink) {
 
 // mergeStatLocked folds the progress of one agent's flow into
 // coordinator state and queues its CoFlow for retireLocked if the flow
-// finished. A flow of another start than the live one — a flow of a
-// CoFlow deregistered and registered again under the same ID, or the
-// old size of a flow Update resized — is not the live flow's progress
-// and is dropped. Caller holds polMu and mu (it mutates runtime state
+// finished, and reports whether the flow is a live one. A flow of no
+// live CoFlow (deregistered), of an index Update removed, or of another
+// start than the live one — a flow of a CoFlow deregistered and
+// registered again under the same ID, or the old size of a flow Update
+// resized — is not the live flow's progress: nothing is merged, and the
+// agent drops it. Caller holds polMu and mu (it mutates runtime state
 // the scheduler reads). Zero-alloc: every flow of every agent report of
 // every boundary goes through here.
 //
 //saath:hotpath zero-alloc steady state guarded by TestTestbedLayerGuards
-func (c *Coordinator) mergeStatLocked(af *inprocFlow, now time.Time) {
-	lc := c.live[coflow.CoFlowID(af.key.CoFlow)] //saath:alloc-ok agents name flows by (coflow ID, index); the ID lookup is the one map on this path
+func (c *Coordinator) mergeStatLocked(af *inprocFlow, now time.Time) bool {
+	lc := c.live[coflow.CoFlowID(af.key.CoFlow)] //saath:map-ok agents name flows by (coflow ID, index); the ID lookup is the one map on this path
 	if lc == nil || af.key.Index >= len(lc.rt.Flows) {
-		return
+		return false
 	}
 	f := lc.rt.Flows[af.key.Index]
 	if c.starts[f.Idx] != af.key.start {
-		return
+		return false
 	}
 	if sent := coflow.Bytes(af.sent); sent > f.Sent() {
 		lc.rt.Progress(f, sent)
@@ -298,6 +300,7 @@ func (c *Coordinator) mergeStatLocked(af *inprocFlow, now time.Time) {
 		lc.rt.Complete(f, coflow.Time(now.Sub(lc.registered)/time.Microsecond))
 		c.finishing = append(c.finishing, lc)
 	}
+	return true
 }
 
 // retireLocked moves completed CoFlows from live to results. Caller
@@ -317,7 +320,7 @@ func (c *Coordinator) retireLocked(now time.Time) {
 	for _, lc := range c.finishing {
 		// An entry may be of a CoFlow deregistered since, with flows still
 		// to go, or retired by an earlier entry of this pass.
-		if c.live[lc.spec.ID] != lc || !lc.rt.RefreshDone() { //saath:alloc-ok completion path: once per finished flow, not per boundary
+		if c.live[lc.spec.ID] != lc || !lc.rt.RefreshDone() { //saath:map-ok completion path: once per finished flow, not per boundary
 			continue
 		}
 		c.results = append(c.results, CoFlowResult{
@@ -357,8 +360,6 @@ func byArrival(a, b *coflow.CoFlow) int {
 // dropLiveLocked takes a retired or deregistered CoFlow out of the ID
 // lookup, the arrival order and the index space; the caller has told
 // the scheduler. Caller holds polMu and mu.
-//
-//saath:alloc-ok completion path: once per departing CoFlow, not per boundary
 func (c *Coordinator) dropLiveLocked(lc *liveCoFlow) {
 	delete(c.live, lc.spec.ID)
 	if i, ok := slices.BinarySearchFunc(c.snap.Active, lc.rt, byArrival); ok {
@@ -604,9 +605,9 @@ func (c *Coordinator) Register(spec *coflow.Spec) error {
 }
 
 // Deregister is deregister() of §5: the CoFlow leaves the live set
-// without a result. Its flows linger at their agents, which run them
-// out; their reports no longer match a live flow. Returns ErrUnknown
-// for an ID that is not live.
+// without a result. Its flows stay at their agents until their next
+// report, which matches no live flow, so the agents drop them. Returns
+// ErrUnknown for an ID that is not live.
 func (c *Coordinator) Deregister(id coflow.CoFlowID) error {
 	c.polMu.Lock()
 	defer c.polMu.Unlock()

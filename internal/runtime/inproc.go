@@ -54,11 +54,12 @@ type inprocFlow struct {
 // flow's position in that agent's flows. One table serves every agent
 // of a coordinator, so it grows with the flow indices in use (FlowCap),
 // not with ports × agents. An index is reused once its flow leaves the
-// coordinator, while the old flow may linger at its agent (a
-// deregistered CoFlow's flows run to completion there), so a reader
-// checks the flow an entry points at against the order's flowKey. The
-// table's invariant: an entry s that agent a owns points at a flow of a
-// filed under s (inprocFlow.slot). So a flow clears or moves only the
+// coordinator, while the old flow may stay at its agent until its next
+// report drops it, so a reader checks the flow an entry points at
+// against the order's flowKey. And a flow Update moved to another
+// sender, or whose agent was replaced at its port, stays at its old
+// agent, which runs it out. The table's invariant: an entry s that
+// agent a owns points at a flow of a filed under s (inprocFlow.slot). So a flow clears or moves only the
 // entry that points at it, never one its index has since passed to
 // another flow or agent. Guarded by the coordinator's roundMu.
 type slotTable struct {
@@ -101,7 +102,7 @@ func (c *Coordinator) AttachInproc(port int) (*InprocAgent, error) {
 //saath:hotpath zero-alloc steady state guarded by TestCoordinatorBoundaryZeroAlloc
 func (a *InprocAgent) Deliver(orders []FlowOrder) {
 	if a.slots == nil { // built outside AttachInproc: a table of its own
-		a.slots = &slotTable{} //saath:alloc-ok once per agent
+		a.slots = &slotTable{} // once per agent
 		a.id = a.slots.join()
 	}
 	t := a.slots
@@ -109,7 +110,7 @@ func (a *InprocAgent) Deliver(orders []FlowOrder) {
 		o := &orders[i]
 		k := flowKey{CoFlow: o.CoFlow, Index: o.Index, start: o.start}
 		for int(o.slot) >= len(t.entries) {
-			t.entries = append(t.entries, slotEntry{}) //saath:alloc-ok grow path: the table follows FlowCap
+			t.entries = append(t.entries, slotEntry{}) // grow path: the table follows FlowCap
 		}
 		e := &t.entries[o.slot]
 		if e.owner != a.id || a.flows[e.at].key != k {
@@ -141,7 +142,7 @@ func (a *InprocAgent) file(k flowKey, o *FlowOrder) int32 {
 			return int32(j)
 		}
 	}
-	a.flows = append(a.flows, inprocFlow{key: k, slot: o.slot, size: float64(o.Size)}) //saath:alloc-ok grow path
+	a.flows = append(a.flows, inprocFlow{key: k, slot: o.slot, size: float64(o.Size)}) // grow path
 	return int32(len(a.flows) - 1)
 }
 
@@ -184,7 +185,10 @@ func (a *InprocAgent) Report() {
 // each flow is merged as it is read, agent by agent in the given order,
 // under one take of the round and policy locks and one clock read.
 // Completed flows are reported once and then dropped from agent state —
-// delivery is synchronous, so the completion cannot be lost. A report
+// delivery is synchronous, so the completion cannot be lost — and so is
+// a flow whose report matches no live flow (its CoFlow deregistered, or
+// the flow removed or restarted by Update): no later order names it,
+// and a flow paused at rate 0 would otherwise stay for ever. A report
 // does not retire: completions are collected once per boundary in
 // StepSchedule, in ID order across all of the boundary's reports.
 //
@@ -200,8 +204,7 @@ func (c *Coordinator) ReportInproc(agents []*InprocAgent) {
 	for _, a := range agents {
 		for i := 0; i < len(a.flows); {
 			f := &a.flows[i]
-			c.mergeStatLocked(f, now)
-			if f.done {
+			if !c.mergeStatLocked(f, now) || f.done {
 				a.dropFlow(i) // the last flow now sits at i
 			} else {
 				i++

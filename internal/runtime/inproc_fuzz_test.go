@@ -59,8 +59,7 @@ func (a *mapAgent) Report() {
 	c.mu.Lock()
 	for i := 0; i < len(a.flows); {
 		f := &a.flows[i]
-		c.mergeStatLocked(f, now)
-		if !f.done {
+		if c.mergeStatLocked(f, now) && !f.done {
 			i++
 			continue
 		}
@@ -95,10 +94,11 @@ func agentFlows(flows []inprocFlow) string {
 // lookup in the table they share, reported in one ReportInproc per
 // boundary or one Report each — and one whose agents are the map-keyed
 // mapAgent. The script registers (under a fresh ID, or again under one
-// whose flows may still linger), deregisters (the flows linger at their
-// agents and run out there), updates (a flow's sender may move, the
-// width may change), detaches a port's agent (it keeps its flows and
-// keeps stepping and reporting), attaches a fresh one and resizes a
+// whose flows may still linger), deregisters (the flows stay at their
+// agents until their next report, which drops them), updates (a flow's
+// sender may move, the width may change), detaches a port's agent (it
+// keeps its flows and keeps stepping and reporting), attaches a fresh
+// one and resizes a
 // flow (an Update of the same flows, one at another size, which
 // restarts it at the coordinator and so at its agent). Flow indices are
 // reused all along, by flows at other agents too. After every boundary
@@ -109,9 +109,9 @@ func agentFlows(flows []inprocFlow) string {
 // the virtual time since it last started (a report of an earlier start
 // taken as progress breaks this), and the coordinators must agree on
 // Results(). The committed corpus holds the case the ownership check in
-// dropFlow exists for — a deregistered coflow's flow finishing at one
-// agent after its index went to a flow at another — a flow resized
-// after three boundaries, and an ID registered again.
+// dropFlow exists for — an agent replaced at its port runs out a flow
+// after the flow's entry went to the new agent — a flow resized after
+// three boundaries, and an ID registered again.
 func FuzzInprocAgents(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 2, 5, 1, 0, 0, 0, 0, 2, 3, 2, 5, 5, 5, 5, 5, 5})
 	f.Add([]byte{0, 0, 1, 0, 1, 3, 0, 5, 3, 0, 5, 5, 4, 0, 6, 2, 0, 2, 1, 3, 4, 5, 0, 0, 5, 6, 5})
@@ -324,7 +324,7 @@ func FuzzInprocAgents(f *testing.F) {
 					started(id, sp, nil)
 					flows[id] = sp
 				}
-			case 1: // deregister: the coflow's flows linger at their agents
+			case 1: // deregister: the coflow's flows stay at their agents until their next report
 				if len(ids) > 0 {
 					id := coflow.CoFlowID(ids[next()%len(ids)])
 					both(fmt.Sprintf("Deregister(c%d)", id), func(c *Coordinator) error { return c.Deregister(id) })

@@ -328,6 +328,45 @@ func TestReregisteredIDStartsAfresh(t *testing.T) {
 	}
 }
 
+// TestDeregisteredFlowLeavesItsAgent: a flow paused at its last order
+// is dropped by its agent once its CoFlow is deregistered. Two 20 MB
+// flows share one port pair, so Saath runs one and pauses the other;
+// the paused CoFlow is deregistered after three boundaries. Its flow's
+// next report matches no live flow, and once nothing is live the agent
+// holds nothing. An agent that dropped only finished flows kept the
+// paused one, at rate 0, for ever.
+func TestDeregisteredFlowLeavesItsAgent(t *testing.T) {
+	delta := 8 * time.Millisecond
+	coord, agents, vc := inprocCluster(t, "saath", 2, AdmissionConfig{})
+	for id := coflow.CoFlowID(1); id <= 2; id++ {
+		if err := coord.Register(&coflow.Spec{ID: id, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 20 * coflow.MB}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		boundary(coord, agents, vc, delta)
+	}
+	var paused coflow.CoFlowID
+	for _, f := range agents[0].flows {
+		if f.rate == 0 {
+			paused = coflow.CoFlowID(f.key.CoFlow)
+		}
+	}
+	if n := agents[0].FlowCount(); n != 2 || paused == 0 {
+		t.Fatalf("agent after three boundaries: %s, want one flow running and one paused", agentFlows(agents[0].flows))
+	}
+	if err := coord.Deregister(paused); err != nil {
+		t.Fatal(err)
+	}
+	driveToCompletion(t, coord, agents, vc, delta, 1000)
+	if res := coord.Results(); len(res) != 1 || res[0].ID == paused {
+		t.Fatalf("results = %+v, want only the running coflow", res)
+	}
+	if n := agents[0].FlowCount(); n != 0 {
+		t.Fatalf("agent holds %d flows with nothing live: %s", n, agentFlows(agents[0].flows))
+	}
+}
+
 // TestInprocScaleTenThousand: 10^4 in-process agents, one coordinator,
 // one process — the Table-2 scale point — completes a small workload
 // promptly in virtual time.

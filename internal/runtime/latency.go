@@ -30,7 +30,7 @@ func (s *scheduleStats) record(d time.Duration) {
 	}
 	if len(s.samples) < schedSampleCap {
 		if cap(s.samples) < schedSampleCap {
-			//saath:alloc-ok one-time reservoir preallocation
+			// one-time reservoir preallocation
 			s.samples = append(make([]time.Duration, 0, schedSampleCap), s.samples...)
 		}
 		s.samples = append(s.samples, d)

@@ -139,7 +139,7 @@ func (x *ContentionIndex) join(idx int) {
 		if s >= 64*x.setWords {
 			x.widen()
 		}
-		x.slots = append(x.slots, -1) //saath:alloc-ok amortized growth when the live set passes every earlier one
+		x.slots = append(x.slots, -1) // amortized growth when the live set passes every earlier one
 	}
 	x.slots[s] = int32(idx)
 	x.held[s>>6] |= 1 << (s & 63)
@@ -164,8 +164,6 @@ func (x *ContentionIndex) leave(idx int) {
 
 // track builds every direction's member set from the members'
 // signatures.
-//
-//saath:alloc-ok when the live set grows to trackAt, and the sets have outgrown their last size
 func (x *ContentionIndex) track() {
 	if n := 64 * x.words * x.setWords; len(x.dirs) != n {
 		x.dirs = make([]uint64, n)
@@ -187,8 +185,6 @@ func (x *ContentionIndex) track() {
 }
 
 // grow makes room for CoFlow indices below n.
-//
-//saath:alloc-ok amortized growth on arrival epochs, never at steady state
 func (x *ContentionIndex) grow(n int) {
 	for len(x.states) < n {
 		x.states = append(x.states, cfOcc{})
@@ -199,8 +195,6 @@ func (x *ContentionIndex) grow(n int) {
 }
 
 // widen doubles the slots every slot bitset covers.
-//
-//saath:alloc-ok amortized growth when the live set passes every earlier one
 func (x *ContentionIndex) widen() {
 	sw := max(2*x.setWords, 1)
 	if x.tracked {
@@ -217,8 +211,6 @@ func (x *ContentionIndex) widen() {
 
 // restride widens every signature to cover bit b, and, while the member
 // sets are kept, gives each new direction an empty one.
-//
-//saath:alloc-ok amortized growth when a port beyond every earlier one shows up
 func (x *ContentionIndex) restride(b int) {
 	words := max(2*x.words, b/64+1)
 	sigs := make([]uint64, len(x.states)*words)

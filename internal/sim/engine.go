@@ -506,12 +506,12 @@ func (e *engine) beginInterval() (*sched.RateVec, error) {
 	c := e.cfg.Counters
 	var start time.Time
 	if c != nil {
-		start = time.Now() //saath:wallclock schedule-latency measurement, out-of-band counters only
+		start = time.Now() // schedule-latency measurement, out-of-band counters only
 	}
 	alloc := e.sched.Schedule(&e.snap)
 	if c != nil {
 		c.Epochs++
-		c.Schedule.Observe(time.Since(start)) //saath:wallclock
+		c.Schedule.Observe(time.Since(start))
 	}
 	e.result.Intervals++
 
@@ -712,9 +712,9 @@ func (e *engine) sumRatesDense(alloc *sched.RateVec) float64 {
 func (e *engine) validateAllocation(alloc *sched.RateVec) error {
 	np := e.fab.NumPorts()
 	if len(e.valEgress) < np {
-		//saath:alloc-ok amortized ledger growth, skipped at steady state
+		// amortized ledger growth, skipped at steady state
 		e.valEgress = make([]float64, np)
-		e.valIngress = make([]float64, np) //saath:alloc-ok
+		e.valIngress = make([]float64, np)
 	}
 	egress, ingress := e.valEgress[:np], e.valIngress[:np]
 	for _, p := range e.valPorts {
@@ -821,7 +821,7 @@ func (e *engine) moveBytesDense(alloc *sched.RateVec, dt coflow.Time) {
 		for _, f := range c.SendableFlows() {
 			if rate, ok := alloc.Get(f.Idx); ok && rate > 0 {
 				if at, finished := e.moveBytes(c, f, rate, dt); finished {
-					done = append(done, coflow.Completion{Flow: f, At: at}) //saath:alloc-ok amortized: grows to the widest CoFlow's completions in one interval
+					done = append(done, coflow.Completion{Flow: f, At: at}) // amortized: grows to the widest CoFlow's completions in one interval
 				}
 			}
 		}
@@ -876,8 +876,8 @@ func (e *engine) retire(c *coflow.CoFlow) {
 	// event pops once this interval finishes, before the boundary that
 	// should admit the dependents (releaseDependents clamps to the
 	// post-interval clock).
-	if len(e.dependents[c.ID()]) > 0 { //saath:alloc-ok once per CoFlow at retirement; DAG gates name CoFlows not yet admitted, so by ID
-		e.doneAt[c.ID()] = c.DoneAt //saath:alloc-ok as above
+	if len(e.dependents[c.ID()]) > 0 { //saath:map-ok once per CoFlow at retirement; DAG gates name CoFlows not yet admitted, so by ID
+		e.doneAt[c.ID()] = c.DoneAt //saath:map-ok as above
 		e.pushEvent(event{time: c.DoneAt, kind: eventFlowDone, co: c})
 	}
 	e.sched.Depart(c, e.now)

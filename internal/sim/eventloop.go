@@ -196,7 +196,7 @@ func (e *engine) admitSpec(p *pendingSpec, now coflow.Time) {
 // first boundary at or after both its trace arrival and its last
 // dependency's completion.
 //
-//saath:alloc-ok runs once per gating CoFlow of a DAG trace, on its completion event; the gates name CoFlows by ID
+//saath:map-ok runs once per gating CoFlow of a DAG trace, on its completion event; the gates name CoFlows by ID
 func (e *engine) releaseDependents(c *coflow.CoFlow) {
 	for _, idx := range e.dependents[c.ID()] {
 		p := &e.pending[idx]

@@ -319,7 +319,7 @@ func (r *Result) RuntimeReport() *obs.RuntimeReport {
 // simulations finish — sim.Run is not interruptible) and marks
 // never-started jobs with the context error. Run never returns nil.
 func Run(ctx context.Context, jobs []Job, opts Options) *Result {
-	start := time.Now() //saath:wallclock Result.Elapsed is reporting-only, never study bytes
+	start := time.Now() // Result.Elapsed is reporting-only, never study bytes
 	workers := opts.Parallel
 	if workers <= 0 {
 		workers = runtime.NumCPU()
@@ -377,7 +377,7 @@ dispatch:
 			deliver(jr)
 		}
 	}
-	return &Result{Jobs: out, Elapsed: time.Since(start)} //saath:wallclock
+	return &Result{Jobs: out, Elapsed: time.Since(start)}
 }
 
 // runJob is the one job boundary: it runs the job's body (Job.Exec,
@@ -390,7 +390,7 @@ dispatch:
 // receives, whichever way the body leaves.
 func runJob(ctx context.Context, j Job, rec *obs.Recorder) (jr JobResult) {
 	jr = JobResult{Job: j}
-	start := time.Now() //saath:wallclock JobResult.Elapsed is reporting-only, never study bytes
+	start := time.Now() // JobResult.Elapsed is reporting-only, never study bytes
 	var span *obs.Span
 	var counters *obs.EngineCounters
 	if rec.Enabled() {
@@ -402,7 +402,7 @@ func runJob(ctx context.Context, j Job, rec *obs.Recorder) (jr JobResult) {
 			jr.Res, jr.Metrics, jr.Runtime = nil, nil, nil
 			jr.Err = fmt.Errorf("sweep: job %s panicked: %v%s", j.Key(), p, panicSite())
 		}
-		jr.Elapsed = time.Since(start) //saath:wallclock
+		jr.Elapsed = time.Since(start)
 		if !rec.Enabled() {
 			return
 		}

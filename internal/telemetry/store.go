@@ -29,7 +29,7 @@ func NewRing(capacity int) *Ring {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	return &Ring{buf: make([]Point, capacity)} //saath:alloc-ok construction; Observe gets here only on first sight of a tracked CoFlow, at most Spec.ProgressCoFlows times a run
+	return &Ring{buf: make([]Point, capacity)} // construction; Observe gets here only on first sight of a tracked CoFlow, at most Spec.ProgressCoFlows times a run
 }
 
 // Push appends p, evicting the oldest point when full.

@@ -414,8 +414,8 @@ func (s *Suite) Observe(iv *Interval) {
 // maintained incrementally — per Active slot.
 func (s *Suite) occupy(iv *Interval) {
 	if cap(s.egOcc) < iv.NumPorts {
-		s.egOcc = make([]int, iv.NumPorts) //saath:alloc-ok sized once, on the first interval
-		s.inOcc = make([]int, iv.NumPorts) //saath:alloc-ok sized once, on the first interval
+		s.egOcc = make([]int, iv.NumPorts) // sized once, on the first interval
+		s.inOcc = make([]int, iv.NumPorts) // sized once, on the first interval
 	}
 	eg, in := s.egOcc[:iv.NumPorts], s.inOcc[:iv.NumPorts]
 	clear(eg)

@@ -80,7 +80,8 @@ func (qt *queueTracker) observe(active []*coflow.CoFlow) (promotions, demotions 
 	return promotions, demotions
 }
 
-//saath:alloc-ok amortized growth when the live CoFlow index space widens, never at steady state
+// grow makes room for CoFlow indices below n: amortized growth when the
+// live CoFlow index space widens, never at steady state.
 func (qt *queueTracker) grow(n int) {
 	if cap(qt.prevQ) >= n {
 		old := len(qt.prevQ)
@@ -165,7 +166,8 @@ func (h *Heatmap) ObserveN(occ []int, n int64) {
 	}
 }
 
-//saath:alloc-ok sizes the port dimension once, on the first observation
+// growPorts sizes the port dimension to n ports, once, on the first
+// observation.
 func (h *Heatmap) growPorts(n int) {
 	for p := len(h.counts); p < n; p++ {
 		h.counts = append(h.counts, make([]int64, len(h.bounds)))
