@@ -53,9 +53,8 @@ type allocGuard struct {
 	layer, op string // BENCH_baseline.json section and entry
 	runs      int
 	// factor is the allowed multiple of the recorded allocs/op: 1.25 for
-	// drift (which is exactly zero where the record is zero), 0.5 where
-	// the record is the slower design the layer replaced, 0 where the
-	// contract is no allocation at all whatever the record says.
+	// drift (which is exactly zero where the record is zero), 0 where
+	// the contract is no allocation at all whatever the record says.
 	factor float64
 	build  func(tb testing.TB) func() // warms up, returns the measured step
 }
@@ -92,34 +91,30 @@ func allocGuards() []allocGuard {
 		{"TestObsLayerGuards", "obs_layer", "span_record", 100, 1.25, step(func() { recordJobSpan() })},
 		{"TestTestbedLayerGuards", "testbed_layer", "agent_step", 200, 1.25, func(tb testing.TB) func() {
 			_, agents := benchTestbedCluster(tb, 64, 4)
-			return func() { agents[0].Step(benchStepDelta); agents[0].Report() }
+			return func() { agents[0].Step(benchStepDelta); agents[0].Report(0) }
 		}},
 		{"TestTestbedLayerGuards", "testbed_layer", "report_batch", 200, 1.25, func(tb testing.TB) func() {
 			coord, agents := benchTestbedCluster(tb, 64, 4)
-			return func() { coord.ReportInproc(agents) }
+			return func() { coord.ReportInproc(agents, 0) }
 		}},
 		{"TestCoordinatorBoundaryZeroAlloc", "testbed_layer", "boundary", 200, 1.25, func(tb testing.TB) func() {
 			coord, _ := benchTestbedCluster(tb, 64, 4)
-			coord.StepSchedule() // the cluster's first round grew the buffers; this one settles the scheduler's
-			return func() { coord.StepSchedule() }
+			coord.StepSchedule(0) // the cluster's first round grew the buffers; this one settles the scheduler's
+			return func() { coord.StepSchedule(0) }
 		}},
 		{"TestTraceAllocGuards", "trace_layer", "synth_fb", 10, 1.25, step(func() { SynthFB(1) })},
 		{"TestTraceAllocGuards", "trace_layer", "synth_incast", 10, 1.25, step(func() { trace.SynthIncast(1) })},
 		{"TestTraceAllocGuards", "trace_layer", "mix_300", 10, 1.25, step(func() { benchMix(1) })},
 	}
-	// Every policy's steady-state Schedule round allocates at most half
-	// of what it did on the map path; Saath's — queue counts, buckets,
-	// contention vector, allocation vector, ordering — Aalo's, UC-TCP's
-	// and Varys' (max-min filling included) nothing at all. These rounds
-	// schedule afresh; the policies that hold their previous decision
-	// over a boundary that changed nothing get a row for that round too,
-	// and it allocates nothing either.
+	// Every policy's steady-state Schedule round allocates nothing:
+	// Saath's — queue counts, buckets, contention vector, allocation
+	// vector, ordering — Aalo's, UC-TCP's, Varys' (max-min filling
+	// included) and LWTF's (Γ and the contention index) alike. These
+	// rounds schedule afresh; the policies that hold their previous
+	// decision over a boundary that changed nothing get a row for that
+	// round too, and it allocates nothing either.
 	for _, policy := range benchPolicies {
-		factor := 0.0
-		if policy == "lwtf" {
-			factor = 0.5
-		}
-		guards = append(guards, allocGuard{"TestScheduleAllocGuards", "schedule_round", policy, 3, factor,
+		guards = append(guards, allocGuard{"TestScheduleAllocGuards", "schedule_round", policy, 3, 0,
 			func(tb testing.TB) func() { return benchSchedCluster(tb, policy, 500, 150) }})
 	}
 	for _, policy := range []string{"saath", "aalo", "uc-tcp"} {
@@ -183,16 +178,16 @@ func TestCoordinatorBoundaryZeroAlloc(t *testing.T) {
 			for p := 0; p < 64; p++ {
 				spec.Flows = append(spec.Flows, FlowSpec{Src: PortID(p), Dst: PortID((p + 1) % 64), Size: Bytes(1) << 50})
 			}
-			if err := coord.Register(spec); err != nil {
+			if err := coord.Register(spec, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
 		step := func() {
 			for _, a := range agents[:64] {
 				a.Step(benchStepDelta)
-				a.Report()
+				a.Report(0)
 			}
-			coord.StepSchedule()
+			coord.StepSchedule(0)
 		}
 		step()
 		step()

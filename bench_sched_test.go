@@ -67,7 +67,7 @@ func benchSchedRounds(tb testing.TB, policy string, n, p int) (full, held func()
 		s.Schedule(snap)
 	}
 	full = func() {
-		active[0].CarryOver(active[0]) // restated as itself: the epoch moves
+		active[0].CarryOver(active[0], nil) // restated as itself: the epoch moves
 		held()
 	}
 	full() // warm scratch so measurements see the steady state

@@ -13,16 +13,15 @@ package saath
 
 import (
 	"testing"
-	"time"
 
 	"saath/internal/runtime"
 )
 
 // benchStepDelta is the sync interval the step benchmarks advance by,
 // the paper's 8ms default.
-const benchStepDelta = 8 * time.Millisecond
+const benchStepDelta = 8 * Millisecond
 
-// benchTestbedCluster builds a virtual-clock coordinator with
+// benchTestbedCluster builds a coordinator on virtual time with
 // nPorts in-process agents, registers coflows wide enough to put
 // flows on every port — sized in petabytes so nothing completes
 // within any benchmark horizon — and pushes one schedule so every
@@ -34,9 +33,8 @@ func benchTestbedCluster(tb testing.TB, nPorts, nCoFlows int) (*Coordinator, []*
 	if err != nil {
 		tb.Fatal(err)
 	}
-	vc := runtime.NewVirtualClock(time.Unix(0, 0).UTC())
 	coord, err := NewCoordinator(CoordinatorConfig{
-		Scheduler: s, NumPorts: nPorts, PortRate: GbpsRate(1), Clock: vc,
+		Scheduler: s, NumPorts: nPorts, PortRate: GbpsRate(1),
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -54,14 +52,14 @@ func benchTestbedCluster(tb testing.TB, nPorts, nCoFlows int) (*Coordinator, []*
 				Src: PortID(p), Dst: PortID((p + 1) % nPorts), Size: Bytes(1) << 50,
 			})
 		}
-		if err := coord.Register(spec); err != nil {
+		if err := coord.Register(spec, 0); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	coord.StepSchedule()
+	coord.StepSchedule(0)
 	for _, a := range agents {
 		a.Step(benchStepDelta)
-		a.Report()
+		a.Report(0)
 	}
 	return coord, agents
 }
@@ -76,7 +74,7 @@ func BenchmarkTestbedAgentStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.Step(benchStepDelta)
-		a.Report()
+		a.Report(0)
 	}
 }
 
@@ -85,14 +83,14 @@ func BenchmarkTestbedAgentStep(b *testing.B) {
 // coordinator retires, schedules, encodes and delivers.
 func BenchmarkTestbedBoundary(b *testing.B) {
 	coord, agents := benchTestbedCluster(b, 64, 4)
-	coord.StepSchedule() // settle the scheduler's own buffers
+	coord.StepSchedule(0) // settle the scheduler's own buffers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, a := range agents {
 			a.Step(benchStepDelta)
-			a.Report()
+			a.Report(0)
 		}
-		coord.StepSchedule()
+		coord.StepSchedule(0)
 	}
 }

@@ -30,7 +30,8 @@
 //     place; CompleteAll finishes the completions of one walk together;
 //     a flow already done is left as it is;
 //   - CarryOver(old) takes over an earlier flow set's progress when a
-//     CoFlow is restated, moving the epoch.
+//     CoFlow is restated — flow by flow, where the sender and size
+//     stand — moving the epoch.
 //
 // With both stamps unchanged, nothing a scheduler's queue rule reads has
 // moved, and the schedulers hold their decisions on exactly that
@@ -390,16 +391,23 @@ func (c *CoFlow) SetAvailable(f *Flow, v bool) {
 }
 
 // CarryOver takes over an earlier flow set's progress when c restates
-// old: every flow of c whose index old has, at the same size, starts
-// from old's Sent, Done and DoneAt, and any other starts over. The epoch
-// moves, and the next read rebuilds the summary; m_c is taken afresh on
-// the way.
-func (c *CoFlow) CarryOver(old *CoFlow) {
+// old. A flow of c is the same start as old's flow at its index when
+// the two have the same sender and size: it starts from old's Sent,
+// Done and DoneAt. Any other — a flow moved to another sender, resized,
+// or new — starts over. A non-nil carried, one entry per flow of c,
+// gets the answer flow by flow, for a caller that keeps per-start state
+// of its own. The epoch moves, and the next read rebuilds the summary;
+// m_c is taken afresh on the way.
+func (c *CoFlow) CarryOver(old *CoFlow, carried []bool) {
 	c.maxSent, c.maxStale = 0, false
 	for i, f := range c.Flows {
-		if i < len(old.Flows) && old.Flows[i].Size == f.Size {
+		same := i < len(old.Flows) && old.Flows[i].Src == f.Src && old.Flows[i].Size == f.Size
+		if same {
 			o := old.Flows[i]
 			f.sent, f.done, f.doneAt = o.sent, o.done, o.doneAt
+		}
+		if carried != nil {
+			carried[i] = same
 		}
 		c.maxSent = max(c.maxSent, f.sent)
 	}
@@ -828,37 +836,4 @@ func (c *CoFlow) SendablePorts() []PortPair {
 		return c.pendPorts
 	}
 	return c.extra.sendPorts
-}
-
-// BottleneckRemaining returns Γ, the minimum time to finish the CoFlow
-// if every port ran at full capacity bw dedicated to it: the max over
-// ports of remaining bytes at that port divided by bw. This is the
-// clairvoyant SEBF ordering key (Varys).
-func (c *CoFlow) BottleneckRemaining(bw Rate) Time {
-	if bw <= 0 {
-		return maxTime
-	}
-	srcRem := make(map[PortID]Bytes)
-	dstRem := make(map[PortID]Bytes)
-	for _, f := range c.Flows {
-		if f.done {
-			continue
-		}
-		srcRem[f.Src] += f.Remaining()
-		dstRem[f.Dst] += f.Remaining()
-	}
-	var worst Bytes
-	//saath:order-independent max over map values is commutative
-	for _, b := range srcRem {
-		if b > worst {
-			worst = b
-		}
-	}
-	//saath:order-independent max over map values is commutative
-	for _, b := range dstRem {
-		if b > worst {
-			worst = b
-		}
-	}
-	return bw.TimeToSend(worst)
 }

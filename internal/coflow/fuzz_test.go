@@ -90,7 +90,7 @@ func FuzzProgressSummary(f *testing.F) {
 				if f := pick(arg, false); f != nil {
 					c.Progress(f, f.Sent()+Bytes(arg))
 				}
-			case 6: // update(): a new flow set, progress carried where sizes match
+			case 6: // update(): a new flow set, progress carried where senders and sizes match
 				next := &Spec{ID: 1, Flows: slices.Clone(c.Spec.Flows)}
 				next.Flows[int(arg)%len(next.Flows)].Size += Bytes(arg%3) * 10
 				if arg&1 == 1 {
@@ -98,9 +98,10 @@ func FuzzProgressSummary(f *testing.F) {
 				}
 				old := c
 				c = New(next)
-				c.CarryOver(old)
+				carried := make([]bool, len(c.Flows))
+				c.CarryOver(old, carried)
 				for i, f := range c.Flows {
-					if i < len(old.Flows) && old.Flows[i].Size == f.Size {
+					if carried[i] {
 						c.SetAvailable(f, old.Flows[i].Available())
 					}
 				}

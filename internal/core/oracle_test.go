@@ -172,9 +172,10 @@ func (tc *trackingCluster) swap(i int) {
 	tc.space.Release(old)
 	c := coflow.New(spec)
 	c.Arrived = old.Arrived
-	c.CarryOver(old)
+	carried := make([]bool, len(c.Flows))
+	c.CarryOver(old, carried)
 	for j, f := range c.Flows {
-		if j < len(old.Flows) && old.Flows[j].Size == f.Size {
+		if carried[j] {
 			c.SetAvailable(f, old.Flows[j].Available())
 			if k, ok := tc.slow[old.Flows[j]]; ok {
 				tc.slow[f] = k

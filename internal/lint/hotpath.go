@@ -36,7 +36,10 @@ import (
 // OpenEnds/MaxMinFairInto, the cached coflow.CoFlow accessors and the
 // writers the engine and the coordinator call per flow —
 // Progress/Restart/SetAvailable/Complete/CompleteAll) carries its own
-// //saath:hotpath root annotation.
+// //saath:hotpath root annotation. The coordinator's roots are its
+// boundary (runtime.Coordinator.StepSchedule, with retire below it),
+// the report path (ReportInproc, mergeStat) and the agent's
+// Deliver/Step/Report.
 var HotPath = &Analyzer{
 	Name: "hotpath",
 	Doc:  "forbid map accesses in //saath:hotpath functions and their intra-package callees",

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -39,12 +38,10 @@ func (l *recLink) Deliver(orders []FlowOrder) {
 // dropAgent detaches link from port, as an agent that leaves does,
 // unless a newer link already replaced it.
 func (c *Coordinator) dropAgent(port int, link agentLink) {
-	c.mu.Lock()
 	if c.agents[port] == link {
 		c.agents[port] = nil
 		c.nAgents--
 	}
-	c.mu.Unlock()
 }
 
 // recSched records the policy's view of the live set's lifecycle.
@@ -83,7 +80,7 @@ func (s recSched) Depart(c *coflow.CoFlow, now coflow.Time) {
 func TestCoordinatorChurnPinned(t *testing.T) {
 	const (
 		nPorts = 6
-		delta  = 8 * time.Millisecond
+		delta  = 8 * coflow.Millisecond
 		mb     = 1_000_000 // one δ of a 1 Gbps port
 	)
 	var lifecycle, round []string
@@ -91,10 +88,10 @@ func TestCoordinatorChurnPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vc := NewVirtualClock(time.Unix(0, 0).UTC())
+	var now coflow.Time
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Scheduler: recSched{pol, &lifecycle}, NumPorts: nPorts, PortRate: coflow.Rate(125e6),
-		Clock: vc, Admission: AdmissionConfig{MaxLive: 4},
+		Admission: AdmissionConfig{MaxLive: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -121,14 +118,14 @@ func TestCoordinatorChurnPinned(t *testing.T) {
 	}
 	register := func(want error, sp *coflow.Spec) func() {
 		return func() {
-			if err := coord.Register(sp); !errors.Is(err, want) {
+			if err := coord.Register(sp, now); !errors.Is(err, want) {
 				t.Fatalf("Register(c%d) = %v, want %v", sp.ID, err, want)
 			}
 		}
 	}
 	deregister := func(want error, id int) func() {
 		return func() {
-			if err := coord.Deregister(coflow.CoFlowID(id)); !errors.Is(err, want) {
+			if err := coord.Deregister(coflow.CoFlowID(id), now); !errors.Is(err, want) {
 				t.Fatalf("Deregister(c%d) = %v, want %v", id, err, want)
 			}
 		}
@@ -185,7 +182,7 @@ func TestCoordinatorChurnPinned(t *testing.T) {
 		if n > 60 {
 			t.Fatalf("still live after %d boundaries", n)
 		}
-		vc.Advance(delta)
+		now += delta
 		for _, l := range links {
 			if l != nil {
 				l.inner.Step(delta)
@@ -193,7 +190,7 @@ func TestCoordinatorChurnPinned(t *testing.T) {
 		}
 		for _, l := range links {
 			if l != nil {
-				l.inner.Report()
+				l.inner.Report(now)
 			}
 		}
 		if n < len(steps) {
@@ -202,7 +199,7 @@ func TestCoordinatorChurnPinned(t *testing.T) {
 			}
 		}
 		round = round[:0]
-		live := coord.StepSchedule()
+		live := coord.StepSchedule(now)
 		var ports []string
 		for _, d := range round {
 			ports = append(ports, d[1:strings.IndexByte(d, '[')])
@@ -237,7 +234,7 @@ func TestCoordinatorChurnPinned(t *testing.T) {
 	var gotResults []string
 	for _, r := range coord.Results() {
 		gotResults = append(gotResults, fmt.Sprintf("c%d reg%v cct%v w%d b%d",
-			r.ID, r.RegisteredAt.Sub(time.Unix(0, 0)), r.CCT, r.Width, r.Bytes))
+			r.ID, time.Duration(r.RegisteredAt)*time.Microsecond, time.Duration(r.CCT)*time.Microsecond, r.Width, r.Bytes))
 	}
 	diff("results", gotResults, wantChurnResults)
 	if admitted, rejected := coord.AdmissionStats(); admitted != 7 || rejected != 1 {
@@ -326,21 +323,21 @@ var wantChurnPortOrder = []string{
 // coflow as it stands is invisible in the schedules that follow.
 func TestUpdateEdgeCases(t *testing.T) {
 	t.Run("restated", testUpdateRestated)
-	delta := 8 * time.Millisecond
-	coord, agents, vc := inprocCluster(t, "saath", 4, AdmissionConfig{})
+	delta := 8 * coflow.Millisecond
+	coord, agents, now := inprocCluster(t, "saath", 4, AdmissionConfig{})
 	const mb = 1_000_000
 	if err := coord.Register(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{
 		{Src: 0, Dst: 1, Size: mb}, {Src: 2, Dst: 3, Size: 50 * mb},
-	}}); err != nil {
+	}}, *now); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ { // flow 0 finishes, flow 1 has most of its bytes to go
-		vc.Advance(delta)
+		*now += delta
 		for _, a := range agents {
 			a.Step(delta)
-			a.Report()
+			a.Report(*now)
 		}
-		if live := coord.StepSchedule(); live != 1 {
+		if live := coord.StepSchedule(*now); live != 1 {
 			t.Fatalf("boundary %d: live = %d, want 1", i, live)
 		}
 	}
@@ -350,8 +347,8 @@ func TestUpdateEdgeCases(t *testing.T) {
 	if err := coord.Update(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: mb}}}); err != nil {
 		t.Fatalf("Update narrowing to the finished flow: %v", err)
 	}
-	vc.Advance(delta)
-	if live := coord.StepSchedule(); live != 0 {
+	*now += delta
+	if live := coord.StepSchedule(*now); live != 0 {
 		t.Fatalf("live = %d after the update left only a finished flow, want 0", live)
 	}
 	if res := coord.Results(); len(res) != 1 || res[0].ID != 1 || res[0].Width != 1 {
@@ -372,7 +369,7 @@ func TestUpdateEdgeCases(t *testing.T) {
 // must match to the end.
 func testUpdateRestated(t *testing.T) {
 	const (
-		delta = 8 * time.Millisecond
+		delta = 8 * coflow.Millisecond
 		mb    = 1_000_000
 	)
 	specs := []*coflow.Spec{
@@ -382,21 +379,21 @@ func testUpdateRestated(t *testing.T) {
 	type side struct {
 		coord *Coordinator
 		links []*recLink
-		vc    *VirtualClock
+		now   *coflow.Time
 		round []string
 	}
 	var sides [2]*side
 	for i := range sides {
 		sd := &side{}
 		var agents []*InprocAgent
-		sd.coord, agents, sd.vc = inprocCluster(t, "saath", 4, AdmissionConfig{})
+		sd.coord, agents, sd.now = inprocCluster(t, "saath", 4, AdmissionConfig{})
 		for p, a := range agents {
 			l := &recLink{port: p, inner: a, round: &sd.round}
 			sd.links = append(sd.links, l)
 			sd.coord.setAgent(p, l)
 		}
 		for _, sp := range specs {
-			if err := sd.coord.Register(sp); err != nil {
+			if err := sd.coord.Register(sp, *sd.now); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -408,14 +405,14 @@ func testUpdateRestated(t *testing.T) {
 		}
 		live := 0
 		for i, sd := range sides {
-			sd.vc.Advance(delta)
+			*sd.now += delta
 			for p, l := range sd.links {
 				if stalled := p == 2 && n >= 14 && n < 20; !stalled {
 					l.inner.Step(delta)
 				}
 			}
 			for _, l := range sd.links {
-				l.inner.Report()
+				l.inner.Report(*sd.now)
 			}
 			if i == 0 && n == 18 {
 				if err := sd.coord.Update(&coflow.Spec{ID: 1, Flows: specs[0].Flows}); err != nil {
@@ -423,7 +420,7 @@ func testUpdateRestated(t *testing.T) {
 				}
 			}
 			sd.round = sd.round[:0]
-			live = sd.coord.StepSchedule()
+			live = sd.coord.StepSchedule(*sd.now)
 		}
 		if got, want := strings.Join(sides[0].round, " "), strings.Join(sides[1].round, " "); got != want {
 			t.Fatalf("boundary %d: orders after the Update\n%s\nwithout it\n%s", n, got, want)
@@ -478,7 +475,7 @@ func (s forgetfulSched) Schedule(snap *sched.Snapshot) *sched.RateVec {
 // orders must match to the end.
 func TestCoordinatorHeldScheduleMatchesFull(t *testing.T) {
 	const (
-		delta = 8 * time.Millisecond
+		delta = 8 * coflow.Millisecond
 		mb    = 1_000_000
 	)
 	specs := []*coflow.Spec{
@@ -494,20 +491,20 @@ func TestCoordinatorHeldScheduleMatchesFull(t *testing.T) {
 			type side struct {
 				coord *Coordinator
 				links []*recLink
-				vc    *VirtualClock
+				now   coflow.Time
 				round []string
 				held  int
 			}
 			var sides [2]*side
 			for i := range sides {
-				sd := &side{vc: NewVirtualClock(time.Unix(0, 0).UTC())}
+				sd := &side{}
 				inner, err := sched.New(policy, sched.DefaultParams())
 				if err != nil {
 					t.Fatal(err)
 				}
 				sd.coord, err = NewCoordinator(CoordinatorConfig{
 					Scheduler: forgetfulSched{Scheduler: inner, forget: i == 1, held: &sd.held},
-					NumPorts:  6, PortRate: coflow.Rate(125e6), Clock: sd.vc,
+					NumPorts:  6, PortRate: coflow.Rate(125e6),
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -531,19 +528,19 @@ func TestCoordinatorHeldScheduleMatchesFull(t *testing.T) {
 				for _, sd := range sides {
 					for i, sp := range specs {
 						if registerAt[i] == n {
-							if err := sd.coord.Register(sp); err != nil {
+							if err := sd.coord.Register(sp, sd.now); err != nil {
 								t.Fatal(err)
 							}
 						}
 					}
-					sd.vc.Advance(delta)
+					sd.now += delta
 					for p, l := range sd.links {
 						if stalled := p == 2 && n >= 14 && n < 20; !stalled {
 							l.inner.Step(delta)
 						}
 					}
 					for _, l := range sd.links {
-						l.inner.Report()
+						l.inner.Report(sd.now)
 					}
 					switch n {
 					case 18: // update(): coflow 3's second flow resized, so restarted
@@ -551,12 +548,12 @@ func TestCoordinatorHeldScheduleMatchesFull(t *testing.T) {
 							t.Fatal(err)
 						}
 					case 40:
-						if err := sd.coord.Deregister(4); err != nil {
+						if err := sd.coord.Deregister(4, sd.now); err != nil {
 							t.Fatal(err)
 						}
 					}
 					sd.round = sd.round[:0]
-					live = sd.coord.StepSchedule()
+					live = sd.coord.StepSchedule(sd.now)
 				}
 				if got, want := strings.Join(sides[0].round, " "), strings.Join(sides[1].round, " "); got != want {
 					t.Fatalf("boundary %d: orders\n%s\nwith nothing held\n%s", n, got, want)
@@ -600,18 +597,18 @@ func (p panicOnce) Schedule(snap *sched.Snapshot) *sched.RateVec {
 
 // TestPolicyPanicCostsOneRound: a policy panic inside a schedule round
 // reaches the round's caller and leaves the coordinator usable — the
-// policy lock is released on the way out, so the next round, a
-// registration and a report all get in, and the job completes.
+// next registration, report and round go on as usual, and the job
+// completes.
 func TestPolicyPanicCostsOneRound(t *testing.T) {
-	const delta = 8 * time.Millisecond
+	const delta = 8 * coflow.Millisecond
 	inner, err := sched.New("saath", sched.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	armed := false
-	vc := NewVirtualClock(time.Unix(0, 0).UTC())
+	var now coflow.Time
 	coord, err := NewCoordinator(CoordinatorConfig{
-		Scheduler: panicOnce{inner, &armed}, NumPorts: 4, PortRate: coflow.Rate(125e6), Clock: vc,
+		Scheduler: panicOnce{inner, &armed}, NumPorts: 4, PortRate: coflow.Rate(125e6),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -624,10 +621,10 @@ func TestPolicyPanicCostsOneRound(t *testing.T) {
 		}
 		agents = append(agents, a)
 	}
-	if err := coord.Register(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 3_000_000}}}); err != nil {
+	if err := coord.Register(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 3_000_000}}}, now); err != nil {
 		t.Fatal(err)
 	}
-	coord.StepSchedule()
+	coord.StepSchedule(now)
 
 	armed = true
 	func() {
@@ -636,23 +633,14 @@ func TestPolicyPanicCostsOneRound(t *testing.T) {
 				t.Fatalf("the round recovered %v, want the policy's panic", r)
 			}
 		}()
-		vc.Advance(delta)
-		coord.StepSchedule()
+		now += delta
+		coord.StepSchedule(now)
 	}()
 
-	registered := make(chan error, 1)
-	go func() {
-		registered <- coord.Register(&coflow.Spec{ID: 2, Flows: []coflow.FlowSpec{{Src: 2, Dst: 3, Size: 3_000_000}}})
-	}()
-	select {
-	case err := <-registered:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("the coordinator is wedged after the policy's panic")
+	if err := coord.Register(&coflow.Spec{ID: 2, Flows: []coflow.FlowSpec{{Src: 2, Dst: 3, Size: 3_000_000}}}, now); err != nil {
+		t.Fatal(err)
 	}
-	driveToCompletion(t, coord, agents, vc, delta, 50)
+	driveToCompletion(t, coord, agents, &now, delta, 50)
 	if n := coord.CompletedCount(); n != 2 {
 		t.Fatalf("%d coflows completed, want 2", n)
 	}
@@ -672,22 +660,21 @@ func (p departPanicsOnce) Depart(c *coflow.CoFlow, now coflow.Time) {
 	p.Scheduler.Depart(c, now)
 }
 
-// TestDepartPanicReleasesLocks: a policy panic in Depart, which a round
-// calls under mu while retiring, reaches the round's caller with mu and
-// the policy lock released — the next registration and round get in
-// instead of wedging behind a lock the panic took with it — and with the
-// CoFlow retired all the same: its result recorded, out of the live set,
-// and the next CoFlow scheduled to completion beside nothing else.
-func TestDepartPanicReleasesLocks(t *testing.T) {
-	const delta = 8 * time.Millisecond
+// TestDepartPanicRetiresTheCoFlow: a policy panic in Depart, which a
+// round calls while retiring, reaches the round's caller with the
+// CoFlow retired all the same — its result recorded, out of the live
+// set — and the next registration and round go on as usual: the next
+// CoFlow is scheduled to completion beside nothing else.
+func TestDepartPanicRetiresTheCoFlow(t *testing.T) {
+	const delta = 8 * coflow.Millisecond
 	inner, err := sched.New("saath", sched.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	armed := true
-	vc := NewVirtualClock(time.Unix(0, 0).UTC())
+	var now coflow.Time
 	coord, err := NewCoordinator(CoordinatorConfig{
-		Scheduler: departPanicsOnce{inner, &armed}, NumPorts: 2, PortRate: coflow.Rate(125e6), Clock: vc,
+		Scheduler: departPanicsOnce{inner, &armed}, NumPorts: 2, PortRate: coflow.Rate(125e6),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -700,7 +687,7 @@ func TestDepartPanicReleasesLocks(t *testing.T) {
 		}
 		agents = append(agents, a)
 	}
-	if err := coord.Register(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 100_000}}}); err != nil {
+	if err := coord.Register(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 100_000}}}, now); err != nil {
 		t.Fatal(err)
 	}
 	panicked := false
@@ -714,14 +701,7 @@ func TestDepartPanicReleasesLocks(t *testing.T) {
 					panicked = true
 				}
 			}()
-			vc.Advance(delta)
-			for _, a := range agents {
-				a.Step(delta)
-			}
-			for _, a := range agents {
-				a.Report()
-			}
-			coord.StepSchedule()
+			boundary(coord, agents, &now, delta)
 		}()
 	}
 	if !panicked {
@@ -730,90 +710,16 @@ func TestDepartPanicReleasesLocks(t *testing.T) {
 	if n, res := coord.LiveCount(), coord.Results(); n != 0 || len(res) != 1 || res[0].ID != 1 {
 		t.Fatalf("after the panicking Depart: %d live, results %+v; want 0 live and coflow 1's result", n, res)
 	}
-	done := make(chan error, 1)
-	live := -1
-	go func() {
-		err := coord.Register(&coflow.Spec{ID: 2, Flows: []coflow.FlowSpec{{Src: 1, Dst: 0, Size: 100_000}}})
-		if err == nil {
-			live = coord.StepSchedule()
-		}
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("the coordinator is wedged after the policy's Depart panic")
+	if err := coord.Register(&coflow.Spec{ID: 2, Flows: []coflow.FlowSpec{{Src: 1, Dst: 0, Size: 100_000}}}, now); err != nil {
+		t.Fatal(err)
 	}
-	if live != 1 {
+	if live := coord.StepSchedule(now); live != 1 {
 		t.Fatalf("the round after the panic saw %d live coflows, want 1 (coflow 2 alone)", live)
 	}
 	for step := 0; step < 50 && len(coord.Results()) < 2; step++ {
-		vc.Advance(delta)
-		for _, a := range agents {
-			a.Step(delta)
-		}
-		for _, a := range agents {
-			a.Report()
-		}
-		coord.StepSchedule()
+		boundary(coord, agents, &now, delta)
 	}
 	if res := coord.Results(); len(res) != 2 || res[1].ID != 2 {
 		t.Fatalf("results %+v: coflow 2 was not scheduled to completion after the panic", res)
-	}
-}
-
-// TestConcurrentRoundsRegistrationsAndLinks: schedule rounds reuse the
-// coordinator's order buffers, so rounds racing each other, racing
-// registrations and racing links that come and go must stay
-// data-race-free (run under -race by `make test-testbed`) and leave the
-// books consistent.
-func TestConcurrentRoundsRegistrationsAndLinks(t *testing.T) {
-	const nPorts, perWorker = 8, 50
-	coord, _, _ := inprocCluster(t, "saath", nPorts, AdmissionConfig{})
-	var wg sync.WaitGroup
-	run := func(fn func(i int)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				fn(i)
-			}
-		}()
-	}
-	run(func(int) { coord.StepSchedule() })
-	run(func(int) { coord.StepSchedule() })
-	for w := 0; w < 2; w++ {
-		run(func(i int) {
-			id := coflow.CoFlowID(w*perWorker + i + 1)
-			err := coord.Register(&coflow.Spec{ID: id, Flows: []coflow.FlowSpec{
-				{Src: coflow.PortID(i % nPorts), Dst: coflow.PortID((i + 3) % nPorts), Size: coflow.MB},
-			}})
-			if err != nil {
-				t.Error(err)
-			}
-		})
-	}
-	run(func(int) { // port 7's link keeps being replaced and dropped
-		var sink []string
-		l := &recLink{port: 7, inner: &InprocAgent{}, round: &sink}
-		coord.setAgent(7, l)
-		coord.dropAgent(7, l)
-	})
-	run(func(int) { coord.AgentCount(); coord.LiveCount(); coord.Phases(); coord.Results() })
-	wg.Wait()
-
-	if live, want := coord.StepSchedule(), 2*perWorker; live != want || coord.LiveCount() != want {
-		t.Fatalf("live = %d / %d, want %d", live, coord.LiveCount(), want)
-	}
-	if n := coord.AgentCount(); n != nPorts-1 {
-		t.Fatalf("AgentCount = %d, want %d (port 7 ended dropped)", n, nPorts-1)
-	}
-	for i := 1; i < len(coord.snap.Active); i++ {
-		if byArrival(coord.snap.Active[i-1], coord.snap.Active[i]) >= 0 {
-			t.Fatalf("active list out of (arrival, ID) order at %d", i)
-		}
 	}
 }

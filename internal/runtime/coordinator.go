@@ -1,5 +1,5 @@
-// Package runtime is Saath's coordinator (§5), driven in process on a
-// virtual clock.
+// Package runtime is Saath's coordinator (§5), driven in process on
+// virtual time.
 //
 // A Coordinator holds the live CoFlows and, once per δ boundary
 // (StepSchedule), asks any sched.Scheduler for their rates and hands
@@ -9,12 +9,16 @@
 // flows it was ordered to send, moves them by rate × δ (Step) and
 // reports their progress back (Report, or ReportInproc for a batch).
 //
-// The driver owns time and δ (testbed.RunJob for studies): it moves the
-// VirtualClock, steps and reports the agents, then runs the boundary.
-// Agents therefore move bytes at the rates of the previous boundary —
-// one δ of control lag, the pipelining of the paper's prototype — and
-// every result is a pure function of the workload. Wall-clock time is
-// measured (ScheduleLatency, Phases) but never fed back.
+// A Coordinator and its agents have one owner, the driver, and one time
+// axis, the scheduler's coflow.Time: like the simulator's engine and
+// every sched.Scheduler, they are a state machine that nothing else
+// calls, and every operation takes the virtual time it happens at. The
+// driver (testbed.RunJob for studies) owns time and δ: it steps and
+// reports the agents, then runs the boundary. Agents therefore move
+// bytes at the rates of the previous boundary — one δ of control lag,
+// the pipelining of the paper's prototype — and every result is a pure
+// function of the workload. Wall-clock time is measured
+// (ScheduleLatency, Phases) but never fed back.
 package runtime
 
 import (
@@ -23,7 +27,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"saath/internal/coflow"
@@ -63,10 +66,6 @@ type CoordinatorConfig struct {
 	// PortRate is the per-port rate the scheduler may hand out (default
 	// 12.5e6 B/s, 100 Mbps).
 	PortRate coflow.Rate
-	// Clock is the coordinator's time source. Registration and
-	// completion times — and thus every study output — are read from
-	// it, so they depend only on how the driver moves it.
-	Clock *VirtualClock
 	// Admission is the arrival-time admission-control front.
 	Admission AdmissionConfig
 }
@@ -77,9 +76,6 @@ func (c CoordinatorConfig) withDefaults() (CoordinatorConfig, error) {
 	}
 	if c.NumPorts <= 0 {
 		return c, errors.New("runtime: coordinator needs NumPorts > 0")
-	}
-	if c.Clock == nil {
-		return c, errors.New("runtime: coordinator needs a clock")
 	}
 	if c.PortRate <= 0 {
 		c.PortRate = coflow.Rate(12.5e6)
@@ -104,21 +100,22 @@ var ErrDuplicate = errors.New("runtime: coflow already registered")
 // live: never registered, deregistered, or completed.
 var ErrUnknown = errors.New("runtime: unknown coflow")
 
-// CoFlowResult is a completed CoFlow as measured by the coordinator.
+// CoFlowResult is a completed CoFlow as measured by the coordinator, in
+// virtual time.
 type CoFlowResult struct {
-	ID           coflow.CoFlowID `json:"id"`
-	RegisteredAt time.Time       `json:"registeredAt"`
-	CompletedAt  time.Time       `json:"completedAt"`
-	CCT          time.Duration   `json:"cct"`
-	Width        int             `json:"width"`
-	Bytes        coflow.Bytes    `json:"bytes"`
+	ID           coflow.CoFlowID
+	RegisteredAt coflow.Time
+	CompletedAt  coflow.Time
+	CCT          coflow.Time
+	Width        int
+	Bytes        coflow.Bytes
 }
 
-// liveCoFlow is the coordinator's state for one registered CoFlow.
+// liveCoFlow is the coordinator's state for one registered CoFlow; its
+// registration time is rt.Arrived.
 type liveCoFlow struct {
-	spec       *coflow.Spec
-	rt         *coflow.CoFlow
-	registered time.Time
+	spec *coflow.Spec
+	rt   *coflow.CoFlow
 }
 
 // FlowOrder tells a sending agent to run one flow at a given rate.
@@ -140,82 +137,71 @@ type FlowOrder struct {
 // agentLink is the seam between the coordinator and one port's agent:
 // an InprocAgent, or a test's wrapper around one.
 type agentLink interface {
-	// Deliver hands the agent its orders for one boundary. It runs under
-	// roundMu, must not call back into the coordinator and must not
-	// retain orders past the call. Each order carries its flow's dense
+	// Deliver hands the agent its orders for one boundary. It must not
+	// call back into the coordinator and must not retain orders past the
+	// call. Each order carries its flow's dense
 	// index (FlowOrder.slot), which is what lets in-process agents share
 	// one slot table.
 	Deliver(orders []FlowOrder)
 }
 
-// Coordinator is the global Saath coordinator. It is safe for
-// concurrent use.
+// Coordinator is the global Saath coordinator. It has one owner, the
+// driver, and nothing in it locks: no two of its methods may run at
+// once.
 type Coordinator struct {
 	cfg CoordinatorConfig
 
-	// roundMu serializes whole schedule rounds: the order buffers are
-	// reused, and a round's deliveries read them outside polMu and mu.
-	// Rounds and in-process reports take it, registrations do not, so a
-	// slow delivery holds up the next round, never a registration. It
-	// guards orders (port p's buffer), touched (the ports holding orders
-	// this round, first touched first), sends, and the slot table the
-	// in-process agents find their flows by.
-	roundMu sync.Mutex
-	orders  [][]FlowOrder
-	touched []int
-	sends   []pendingSend
-	slots   slotTable
-
-	mu sync.Mutex
 	// agents is indexed by port (nil: no agent attached); setAgent is its
-	// writer and keeps nAgents its non-nil count.
+	// writer and keeps nAgents its non-nil count. inproc is the
+	// in-process agent AttachInproc attached last at each port: the
+	// reports of an agent it replaced merge nothing.
 	agents  []agentLink
 	nAgents int
-	// live is the ID lookup reports and the CoFlow operations go through;
-	// its writers hold polMu and mu.
+	inproc  []*InprocAgent
+
+	// orders is port p's order buffer and touched the ports holding
+	// orders this round, first touched first; both are reused every
+	// round. slots is the table the in-process agents find their flows
+	// in.
+	orders  [][]FlowOrder
+	touched []int
+	slots   slotTable
+
+	// live is the ID lookup reports and the CoFlow operations go through.
 	live    map[coflow.CoFlowID]*liveCoFlow
 	results []CoFlowResult
-	// mergeSince is when the first in-process report since the last
-	// round came in (zero: none). The round charges the span up to its
-	// own start to the merge phase: one clock read per boundary, where
-	// one per report would cost more than the merge it times.
+	// mergeSince is the wall-clock time the first in-process report since
+	// the last round came in (zero: none). The round charges the span up
+	// to its own start to the merge phase: one clock read per boundary,
+	// where one per report would cost more than the merge it times.
 	mergeSince time.Time
 
 	// snap is the scheduler's view, kept across rounds with its RateVec;
 	// snap.Active is the live set in (arrival, ID) order, maintained on
 	// Register / retire / Deregister / Update and never rebuilt.
 	// finishing are the live CoFlows with a flow that finished since the
-	// last retirement pass. Both guarded by polMu.
+	// last retirement pass.
 	snap      sched.Snapshot
 	finishing []*liveCoFlow
 
 	// space assigns the dense flow/coflow indices the scheduler's
-	// allocation vector is keyed by; guarded by polMu (every caller
-	// that touches it already holds polMu for the Arrive/Depart call).
+	// allocation vector is keyed by.
 	space *coflow.IndexSpace
 
 	// starts holds each live flow's start stamp by dense flow index, and
 	// started is the last stamp handed out: it moves whenever a flow
-	// starts afresh (Register, and an Update that resizes or adds the
-	// flow). Orders carry the stamp, agents key their flows by it, and a
-	// report of another stamp — a flow deregistered and registered again
-	// under the same ID, or one restarted by a resize — is dropped.
-	// Guarded by polMu.
+	// starts afresh (Register, and an Update that moves, resizes or adds
+	// the flow). Orders carry the stamp, agents key their flows by it,
+	// and a report of another stamp — a flow deregistered and registered
+	// again under the same ID, or one an Update restarted — is dropped.
 	starts  []uint32
 	started uint32
 
-	// fab is the scheduling fabric, reset each round; guarded by polMu.
+	// fab is the scheduling fabric, reset each round.
 	fab *fabric.Fabric
-
-	// polMu serializes every call into the scheduling policy: Arrive
-	// (registration), Depart (completion, deregistration) and Schedule
-	// (StepSchedule) may run on different goroutines, and Scheduler
-	// implementations keep unsynchronized per-CoFlow state.
-	polMu sync.Mutex
 
 	// adm is the admission token bucket (nil: no rate admission).
 	adm       *tokenBucket
-	admMu     sync.Mutex
 	nAdmitted int64
 	nRejected int64
 
@@ -223,7 +209,6 @@ type Coordinator struct {
 	// with a bounded P90 reservoir; phases splits the rest of a
 	// boundary. This is measurement, not simulation state — it never
 	// feeds back into scheduling decisions or results.
-	schedMu    sync.Mutex
 	schedStats scheduleStats
 	phases     PhaseTotals
 }
@@ -238,9 +223,9 @@ type PhaseTotals struct {
 	Merge, Retire, Schedule, Encode, Deliver time.Duration
 }
 
-// NewCoordinator validates the config and returns an idle coordinator:
-// the caller attaches in-process agents (AttachInproc) and drives
-// scheduling with StepSchedule.
+// NewCoordinator validates the config and returns an idle coordinator
+// at virtual time 0: the caller attaches in-process agents
+// (AttachInproc) and drives scheduling with StepSchedule.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -249,6 +234,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:    cfg,
 		agents: make([]agentLink, cfg.NumPorts),
+		inproc: make([]*InprocAgent, cfg.NumPorts),
 		live:   make(map[coflow.CoFlowID]*liveCoFlow),
 		orders: make([][]FlowOrder, cfg.NumPorts),
 		space:  coflow.NewIndexSpace(),
@@ -256,34 +242,31 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	c.snap.Fabric = c.fab
 	if cfg.Admission.RatePerSec > 0 {
-		c.adm = newAdmissionBucket(cfg.Admission.RatePerSec, float64(cfg.Admission.Burst), cfg.Clock.Now)
+		c.adm = newAdmissionBucket(cfg.Admission.RatePerSec, float64(cfg.Admission.Burst))
 	}
 	return c, nil
 }
 
 // setAgent makes link the agent of port (in [0, NumPorts)).
 func (c *Coordinator) setAgent(port int, link agentLink) {
-	c.mu.Lock()
 	if c.agents[port] == nil {
 		c.nAgents++
 	}
 	c.agents[port] = link
-	c.mu.Unlock()
 }
 
-// mergeStatLocked folds the progress of one agent's flow into
-// coordinator state and queues its CoFlow for retireLocked if the flow
-// finished, and reports whether the flow is a live one. A flow of no
-// live CoFlow (deregistered), of an index Update removed, or of another
-// start than the live one — a flow of a CoFlow deregistered and
-// registered again under the same ID, or the old size of a flow Update
+// mergeStat folds the progress of one agent's flow into coordinator
+// state at virtual time now and queues its CoFlow for retire if the
+// flow finished, and reports whether the flow is a live one. A flow of
+// no live CoFlow (deregistered), of an index Update removed, or of
+// another start than the live one — a flow of a CoFlow deregistered and
+// registered again under the same ID, or a flow Update moved or
 // resized — is not the live flow's progress: nothing is merged, and the
-// agent drops it. Caller holds polMu and mu (it mutates runtime state
-// the scheduler reads). Zero-alloc: every flow of every agent report of
-// every boundary goes through here.
+// agent drops it. Zero-alloc: every flow of every agent report of every
+// boundary goes through here.
 //
 //saath:hotpath zero-alloc steady state guarded by TestTestbedLayerGuards
-func (c *Coordinator) mergeStatLocked(af *inprocFlow, now time.Time) bool {
+func (c *Coordinator) mergeStat(af *inprocFlow, now coflow.Time) bool {
 	lc := c.live[coflow.CoFlowID(af.key.CoFlow)] //saath:map-ok agents name flows by (coflow ID, index); the ID lookup is the one map on this path
 	if lc == nil || af.key.Index >= len(lc.rt.Flows) {
 		return false
@@ -297,22 +280,22 @@ func (c *Coordinator) mergeStatLocked(af *inprocFlow, now time.Time) bool {
 	}
 	lc.rt.SetAvailable(f, true)
 	if af.done && !f.Done() {
-		lc.rt.Complete(f, coflow.Time(now.Sub(lc.registered)/time.Microsecond))
+		lc.rt.Complete(f, now-lc.rt.Arrived)
 		c.finishing = append(c.finishing, lc)
 	}
 	return true
 }
 
-// retireLocked moves completed CoFlows from live to results. Caller
-// holds polMu and mu. Only the CoFlows in finishing — one entry per
-// flow that finished — are looked at, so a pass costs those flows, not
-// the live set; and they are processed in ID order: the results append
-// order and — critically — the IndexSpace release order are both
-// deterministic, so later index assignments (and any scheduler
-// tie-break that touches them) cannot drift with report order.
+// retire moves completed CoFlows from live to results at virtual time
+// now. Only the CoFlows in finishing — one entry per flow that finished
+// — are looked at, so a pass costs those flows, not the live set; and
+// they are processed in ID order: the results append order and —
+// critically — the IndexSpace release order are both deterministic, so
+// later index assignments (and any scheduler tie-break that touches
+// them) cannot drift with report order.
 //
 //saath:hotpath zero-alloc steady state guarded by TestCoordinatorBoundaryZeroAlloc
-func (c *Coordinator) retireLocked(now time.Time) {
+func (c *Coordinator) retire(now coflow.Time) {
 	if len(c.finishing) == 0 {
 		return
 	}
@@ -325,26 +308,25 @@ func (c *Coordinator) retireLocked(now time.Time) {
 		}
 		c.results = append(c.results, CoFlowResult{
 			ID:           lc.spec.ID,
-			RegisteredAt: lc.registered,
+			RegisteredAt: lc.rt.Arrived,
 			CompletedAt:  now,
-			CCT:          now.Sub(lc.registered),
+			CCT:          now - lc.rt.Arrived,
 			Width:        lc.rt.Width(),
 			Bytes:        lc.spec.TotalSize(),
 		})
-		c.departLocked(lc, now)
+		c.depart(lc, now)
 	}
 	clear(c.finishing)
 	c.finishing = c.finishing[:0]
 }
 
-// departLocked tells the policy a retired or deregistered CoFlow is gone
-// and drops it from the live set. A Depart that panics still drops it,
+// depart tells the policy a retired or deregistered CoFlow is gone and
+// drops it from the live set. A Depart that panics still drops it,
 // before the panic goes on to the caller: a retired CoFlow's result is
-// recorded, so it must not stay live with nothing pending. Caller holds
-// polMu and mu.
-func (c *Coordinator) departLocked(lc *liveCoFlow, now time.Time) {
-	defer c.dropLiveLocked(lc)
-	c.cfg.Scheduler.Depart(lc.rt, c.wallTime(now))
+// recorded, so it must not stay live with nothing pending.
+func (c *Coordinator) depart(lc *liveCoFlow, now coflow.Time) {
+	defer c.dropLive(lc)
+	c.cfg.Scheduler.Depart(lc.rt, now)
 }
 
 // byArrival is sched.ByArrival's order, the one snap.Active is kept in;
@@ -357,10 +339,10 @@ func byArrival(a, b *coflow.CoFlow) int {
 	return cmp.Compare(a.ID(), b.ID())
 }
 
-// dropLiveLocked takes a retired or deregistered CoFlow out of the ID
-// lookup, the arrival order and the index space; the caller has told
-// the scheduler. Caller holds polMu and mu.
-func (c *Coordinator) dropLiveLocked(lc *liveCoFlow) {
+// dropLive takes a retired or deregistered CoFlow out of the ID lookup,
+// the arrival order and the index space; the caller has told the
+// scheduler.
+func (c *Coordinator) dropLive(lc *liveCoFlow) {
 	delete(c.live, lc.spec.ID)
 	if i, ok := slices.BinarySearchFunc(c.snap.Active, lc.rt, byArrival); ok {
 		c.snap.Active = slices.Delete(c.snap.Active, i, i+1)
@@ -368,56 +350,20 @@ func (c *Coordinator) dropLiveLocked(lc *liveCoFlow) {
 	c.space.Release(lc.rt)
 }
 
-// wallTime maps clock time to the scheduler's Time axis (µs since the
-// clock's epoch; only deltas matter to schedulers).
-func (c *Coordinator) wallTime(t time.Time) coflow.Time {
-	return coflow.Time(t.UnixNano() / 1e3)
-}
-
-// pendingSend is one port's orders awaiting delivery; deliveries happen
-// after the policy locks are released, so a slow agent never holds up
-// registrations.
-type pendingSend struct {
-	link   agentLink
-	orders []FlowOrder
-}
-
-// StepSchedule runs one scheduling round now: retire completed
-// CoFlows, compute the schedule, hand orders to the attached agents. It
-// returns the number of still-live CoFlows after retirement. The
-// driver calls it at every δ boundary of virtual time. A policy that
-// panics — in Schedule, or in a Depart while retiring — hands the panic
-// to the caller with every lock released.
-func (c *Coordinator) StepSchedule() (live int) {
-	return c.scheduleOnce()
-}
-
-// scheduleOnce is one δ boundary. Its cost contract: work follows the
-// live flows and the ports they touch — never NumPorts, apart from one
-// word per 32 ports in the fabric reset — and a boundary whose live set
-// did not change allocates nothing.
+// StepSchedule runs one δ boundary at virtual time now: retire completed
+// CoFlows, compute the schedule, hand orders to the attached agents,
+// first-touched port first. It returns the number of still-live
+// CoFlows after retirement. A policy that panics — in Schedule, or in a
+// Depart while retiring — hands the panic to the caller, and the next
+// boundary runs as usual.
+//
+// Its cost contract: work follows the live flows and the ports they
+// touch — never NumPorts, apart from one word per 32 ports in the
+// fabric reset — and a boundary whose live set did not change allocates
+// nothing.
 //
 //saath:hotpath zero-alloc steady state guarded by TestCoordinatorBoundaryZeroAlloc
-func (c *Coordinator) scheduleOnce() (liveN int) {
-	c.roundMu.Lock()
-	defer c.roundMu.Unlock()
-	now := c.cfg.Clock.Now()
-	c.polMu.Lock()
-	// A policy that panics — in Schedule, or in a Depart under mu — must
-	// not take the locks with it: the panic is this round's caller's to
-	// see, and the next round, registration or report still has to get
-	// in.
-	polLocked, muLocked := true, false
-	defer func() {
-		if muLocked {
-			c.mu.Unlock()
-		}
-		if polLocked {
-			c.polMu.Unlock()
-		}
-	}()
-	c.mu.Lock()
-	muLocked = true
+func (c *Coordinator) StepSchedule(now coflow.Time) (live int) {
 	t0 := time.Now()
 	var merge time.Duration
 	if !c.mergeSince.IsZero() {
@@ -425,22 +371,17 @@ func (c *Coordinator) scheduleOnce() (liveN int) {
 	}
 	// Boundary retirement: reports do not retire (ReportInproc), so
 	// completions are collected here, once per round, in ID order.
-	c.retireLocked(now)
-	liveN = len(c.snap.Active)
-	c.mu.Unlock()
-	muLocked = false
+	c.retire(now)
+	live = len(c.snap.Active)
 	c.fab.Reset()
-	c.snap.Now = c.wallTime(now)
+	c.snap.Now = now
 	c.snap.FlowCap, c.snap.CoFlowCap = c.space.FlowCap(), c.space.CoFlowCap()
 	t1 := time.Now()
 	alloc := c.cfg.Scheduler.Schedule(&c.snap)
 	t2 := time.Now()
 
 	// Group orders by sending agent. Every pending flow gets an order
-	// (rate 0 pauses), so agents always track the newest rates. mu is
-	// held for the agent table only; nothing in here blocks.
-	c.mu.Lock()
-	muLocked = true
+	// (rate 0 pauses), so agents always track the newest rates.
 	for _, p := range c.touched {
 		c.orders[p] = c.orders[p][:0]
 	}
@@ -465,39 +406,26 @@ func (c *Coordinator) scheduleOnce() (liveN int) {
 			})
 		}
 	}
-	c.sends = c.sends[:0]
+	t3 := time.Now()
 	for _, p := range c.touched {
 		if a := c.agents[p]; a != nil {
-			c.sends = append(c.sends, pendingSend{link: a, orders: c.orders[p]})
+			a.Deliver(c.orders[p])
 		}
-	}
-	c.mu.Unlock()
-	c.polMu.Unlock()
-	muLocked, polLocked = false, false
-	t3 := time.Now()
-
-	// Deliver outside the policy locks, first-touched port first.
-	for i := range c.sends {
-		c.sends[i].link.Deliver(c.sends[i].orders)
 	}
 	t4 := time.Now()
 
-	c.schedMu.Lock()
 	c.schedStats.record(t2.Sub(t1))
 	c.phases.Merge += merge
 	c.phases.Retire += t1.Sub(t0)
 	c.phases.Encode += t3.Sub(t2)
 	c.phases.Deliver += t4.Sub(t3)
-	c.schedMu.Unlock()
-	return liveN
+	return live
 }
 
 // Phases reports where the coordinator's boundary time went so far.
 // Schedule is read from the latency recorder, so it is exactly the sum
 // ScheduleLatency's mean divides.
 func (c *Coordinator) Phases() PhaseTotals {
-	c.schedMu.Lock()
-	defer c.schedMu.Unlock()
 	p := c.phases
 	p.Schedule = c.schedStats.total
 	return p
@@ -507,133 +435,96 @@ func (c *Coordinator) Phases() PhaseTotals {
 // Schedule-call count, mean, max and P90. Out-of-band measurement —
 // never part of deterministic study output.
 func (c *Coordinator) ScheduleLatency() (calls int, mean, max, p90 time.Duration) {
-	c.schedMu.Lock()
-	defer c.schedMu.Unlock()
 	return c.schedStats.calls, c.schedStats.mean(), c.schedStats.max, c.schedStats.p90()
 }
 
 // AgentCount returns the number of attached agents.
-func (c *Coordinator) AgentCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.nAgents
-}
+func (c *Coordinator) AgentCount() int { return c.nAgents }
 
 // LiveCount returns the number of admitted, not-yet-completed CoFlows.
-func (c *Coordinator) LiveCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.live)
-}
+func (c *Coordinator) LiveCount() int { return len(c.live) }
 
 // CompletedCount returns the number of completed CoFlows.
-func (c *Coordinator) CompletedCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.results)
-}
+func (c *Coordinator) CompletedCount() int { return len(c.results) }
 
 // AdmissionStats returns the admission-control counters: coflows
 // admitted and rejected since startup.
 func (c *Coordinator) AdmissionStats() (admitted, rejected int64) {
-	c.admMu.Lock()
-	defer c.admMu.Unlock()
 	return c.nAdmitted, c.nRejected
 }
 
-// Results returns a snapshot of completed CoFlows, sorted by coflow ID
+// Results returns a copy of the completed CoFlows, sorted by coflow ID
 // with completion time as the tie-break — a deterministic order, so
 // exports built on it are byte-stable regardless of retirement
 // interleaving.
 func (c *Coordinator) Results() []CoFlowResult {
-	c.mu.Lock()
 	out := append([]CoFlowResult(nil), c.results...)
-	c.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].ID != out[j].ID {
 			return out[i].ID < out[j].ID
 		}
-		return out[i].CompletedAt.Before(out[j].CompletedAt)
+		return out[i].CompletedAt < out[j].CompletedAt
 	})
 	return out
 }
 
 // Register is register() of §5: it admits and registers one CoFlow at
-// the current clock time, every flow starting afresh. This is the
+// virtual time now, every flow starting afresh. This is the
 // arrival-time decision point: the admission bucket and the live-coflow
 // cap are consulted against live coordinator state the instant the
 // coflow arrives — not batched, not deferred to a schedule round.
 // Returns ErrAdmission on rejection, ErrDuplicate for a live ID, or a
 // validation error.
-func (c *Coordinator) Register(spec *coflow.Spec) error {
+func (c *Coordinator) Register(spec *coflow.Spec, now coflow.Time) error {
 	if err := c.checkSpec(spec); err != nil {
 		return err
 	}
-	now := c.cfg.Clock.Now()
-	rt := coflow.New(spec)
-	rt.Arrived = c.wallTime(now)
-	c.polMu.Lock()
-	defer c.polMu.Unlock()
-	c.mu.Lock()
 	if _, dup := c.live[spec.ID]; dup {
-		c.mu.Unlock()
 		return ErrDuplicate
 	}
-	if c.cfg.Admission.MaxLive > 0 && len(c.live) >= c.cfg.Admission.MaxLive {
-		c.mu.Unlock()
-		c.reject()
+	if c.cfg.Admission.MaxLive > 0 && len(c.live) >= c.cfg.Admission.MaxLive ||
+		c.adm != nil && !c.adm.TryTake(1, now) {
+		c.nRejected++
 		return ErrAdmission
 	}
-	if c.adm != nil && !c.adm.TryTake(1) {
-		c.mu.Unlock()
-		c.reject()
-		return ErrAdmission
-	}
-	c.live[spec.ID] = &liveCoFlow{spec: spec, rt: rt, registered: now}
+	rt := coflow.New(spec)
+	rt.Arrived = now
+	c.live[spec.ID] = &liveCoFlow{spec: spec, rt: rt}
 	at, _ := slices.BinarySearchFunc(c.snap.Active, rt, byArrival)
 	c.snap.Active = slices.Insert(c.snap.Active, at, rt)
-	c.mu.Unlock()
 	c.space.Assign(rt)
 	for _, f := range rt.Flows {
 		c.start(f, 0)
 	}
-	c.cfg.Scheduler.Arrive(rt, c.wallTime(now))
-	c.admMu.Lock()
+	c.cfg.Scheduler.Arrive(rt, now)
 	c.nAdmitted++
-	c.admMu.Unlock()
 	return nil
 }
 
-// Deregister is deregister() of §5: the CoFlow leaves the live set
-// without a result. Its flows stay at their agents until their next
-// report, which matches no live flow, so the agents drop them. Returns
-// ErrUnknown for an ID that is not live.
-func (c *Coordinator) Deregister(id coflow.CoFlowID) error {
-	c.polMu.Lock()
-	defer c.polMu.Unlock()
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// Deregister is deregister() of §5: the CoFlow leaves the live set at
+// virtual time now, without a result. Its flows stay at their agents
+// until their next report, which matches no live flow, so the agents
+// drop them. Returns ErrUnknown for an ID that is not live.
+func (c *Coordinator) Deregister(id coflow.CoFlowID, now coflow.Time) error {
 	lc, ok := c.live[id]
 	if !ok {
 		return ErrUnknown
 	}
-	c.departLocked(lc, c.cfg.Clock.Now())
+	c.depart(lc, now)
 	return nil
 }
 
 // Update is update() of §5: it replaces a live CoFlow's flow structure
-// (task migration, a restart after failure), keeping each flow's
-// progress by index where its size still matches (CoFlow.CarryOver); a
-// flow it resizes or adds starts afresh. Returns ErrUnknown for an ID
-// that is not live, or a validation error; either way nothing changes.
+// (task migration, a restart after failure). A flow that is the same
+// start as the one it replaces — same index, sender and size, as
+// CoFlow.CarryOver decides — keeps its progress and its start stamp; a
+// flow it moves to another sender, resizes or adds starts afresh.
+// Returns ErrUnknown for an ID that is not live, or a validation error;
+// either way nothing changes.
 func (c *Coordinator) Update(spec *coflow.Spec) error {
 	if err := c.checkSpec(spec); err != nil {
 		return err
 	}
-	c.polMu.Lock()
-	defer c.polMu.Unlock()
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	lc, ok := c.live[spec.ID]
 	if !ok {
 		return ErrUnknown
@@ -652,21 +543,21 @@ func (c *Coordinator) Update(spec *coflow.Spec) error {
 	if i, ok := slices.BinarySearchFunc(c.snap.Active, old, byArrival); ok {
 		c.snap.Active[i] = lc.rt
 	}
-	lc.rt.CarryOver(old)
+	carried := make([]bool, len(spec.Flows))
+	lc.rt.CarryOver(old, carried)
 	c.space.Assign(lc.rt)
 	for i, f := range lc.rt.Flows {
-		if i < len(old.Flows) && old.Flows[i].Size == f.Size { // CarryOver kept its progress
-			c.start(f, kept[i])
-		} else {
-			c.start(f, 0)
+		var stamp uint32 // 0: a fresh start
+		if carried[i] {
+			stamp = kept[i]
 		}
+		c.start(f, stamp)
 	}
 	c.finishing = append(c.finishing, lc) // the new flow set may hold nothing but finished flows
 	return nil
 }
 
 // start files stamp as f's start stamp, or with stamp 0 a fresh one.
-// Caller holds polMu.
 func (c *Coordinator) start(f *coflow.Flow, stamp uint32) {
 	if n := f.Idx + 1; n > len(c.starts) {
 		c.starts = append(c.starts, make([]uint32, n-len(c.starts))...)
@@ -690,10 +581,4 @@ func (c *Coordinator) checkSpec(spec *coflow.Spec) error {
 		}
 	}
 	return nil
-}
-
-func (c *Coordinator) reject() {
-	c.admMu.Lock()
-	c.nRejected++
-	c.admMu.Unlock()
 }

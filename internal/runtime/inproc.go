@@ -3,6 +3,8 @@ package runtime
 import (
 	"fmt"
 	"time"
+
+	"saath/internal/coflow"
 )
 
 // InprocAgent is a simulated agent living inside the coordinator's
@@ -11,12 +13,11 @@ import (
 // the driver. 10^5 of them fit in one process, which is what lets
 // catalog studies measure the real coordinator at cluster scale.
 //
-// The driver contract is single-threaded per coordinator: the driver
-// interleaves Step and Report/ReportInproc calls with the coordinator's
-// StepSchedule (which synchronously delivers orders back into the
-// agent). Deliver and the reports run under the coordinator's roundMu,
-// which also guards the slot table the agents share; Step touches only
-// the agent's own flows.
+// Agents share their coordinator's one owner: the driver interleaves
+// Step and Report/ReportInproc calls with the coordinator's
+// StepSchedule, which delivers orders back into the agents. Step
+// touches only the agent's own flows; Deliver and the reports also
+// touch the slot table the coordinator's agents share.
 type InprocAgent struct {
 	port  int
 	coord *Coordinator
@@ -58,10 +59,11 @@ type inprocFlow struct {
 // report drops it, so a reader checks the flow an entry points at
 // against the order's flowKey. And a flow Update moved to another
 // sender, or whose agent was replaced at its port, stays at its old
-// agent, which runs it out. The table's invariant: an entry s that
-// agent a owns points at a flow of a filed under s (inprocFlow.slot). So a flow clears or moves only the
-// entry that points at it, never one its index has since passed to
-// another flow or agent. Guarded by the coordinator's roundMu.
+// agent until that agent's next report drops it. The table's invariant:
+// an entry s that agent a owns points at a flow of a filed under s
+// (inprocFlow.slot). So a flow clears or moves only the entry that
+// points at it, never one its index has since passed to another flow or
+// agent.
 type slotTable struct {
 	entries []slotEntry
 	agents  int32 // owner tags handed out so far; 0 tags no agent
@@ -79,15 +81,14 @@ func (t *slotTable) join() int32 {
 }
 
 // AttachInproc registers an in-process agent for the given port,
-// replacing any previous one.
+// replacing any previous one: the reports of an agent it replaced merge
+// nothing, and drop its flows.
 func (c *Coordinator) AttachInproc(port int) (*InprocAgent, error) {
 	if port < 0 || port >= c.cfg.NumPorts {
 		return nil, fmt.Errorf("runtime: inproc agent port %d outside [0, %d)", port, c.cfg.NumPorts)
 	}
-	a := &InprocAgent{port: port, coord: c, slots: &c.slots}
-	c.roundMu.Lock()
-	a.id = c.slots.join()
-	c.roundMu.Unlock()
+	a := &InprocAgent{port: port, coord: c, slots: &c.slots, id: c.slots.join()}
+	c.inproc[port] = a
 	c.setAgent(port, a)
 	return a, nil
 }
@@ -101,10 +102,6 @@ func (c *Coordinator) AttachInproc(port int) (*InprocAgent, error) {
 //
 //saath:hotpath zero-alloc steady state guarded by TestCoordinatorBoundaryZeroAlloc
 func (a *InprocAgent) Deliver(orders []FlowOrder) {
-	if a.slots == nil { // built outside AttachInproc: a table of its own
-		a.slots = &slotTable{} // once per agent
-		a.id = a.slots.join()
-	}
 	t := a.slots
 	for i := range orders {
 		o := &orders[i]
@@ -146,14 +143,17 @@ func (a *InprocAgent) file(k flowKey, o *FlowOrder) int32 {
 	return int32(len(a.flows) - 1)
 }
 
-// Step advances every flow by dt at its current scheduled rate — the
-// work a real agent's rate-limited sender does, collapsed to
-// arithmetic. Progress is pipelined: a flow moves bytes at the rate of
-// the previous schedule push.
+// Step advances every flow by dt of virtual time at its current
+// scheduled rate — the work a real agent's rate-limited sender does,
+// collapsed to arithmetic. Progress is pipelined: a flow moves bytes at
+// the rate of the previous schedule push.
 //
 //saath:hotpath zero-alloc steady state guarded by TestTestbedLayerGuards
-func (a *InprocAgent) Step(dt time.Duration) {
-	sec := dt.Seconds()
+func (a *InprocAgent) Step(dt coflow.Time) {
+	// Duration.Seconds, not float64(dt)/1e6: for a dt over a second the
+	// two can differ in the last bit, and every pinned result was taken
+	// with the former.
+	sec := (time.Duration(dt) * time.Microsecond).Seconds()
 	for i := range a.flows {
 		f := &a.flows[i]
 		if f.done || f.rate <= 0 {
@@ -168,52 +168,47 @@ func (a *InprocAgent) Step(dt time.Duration) {
 	}
 }
 
-// Report pushes this agent's flow progress into the coordinator: a
-// ReportInproc of this one agent.
+// Report pushes this agent's flow progress into the coordinator at
+// virtual time now: a ReportInproc of this one agent.
 //
 //saath:hotpath zero-alloc steady state guarded by TestTestbedLayerGuards
-func (a *InprocAgent) Report() {
+func (a *InprocAgent) Report(now coflow.Time) {
 	if len(a.flows) == 0 {
 		return
 	}
 	one := [1]*InprocAgent{a}
-	a.coord.ReportInproc(one[:])
+	a.coord.ReportInproc(one[:], now)
 }
 
 // ReportInproc pushes the flow progress of in-process agents attached
-// to c into the coordinator, an agent's periodic statistics report:
-// each flow is merged as it is read, agent by agent in the given order,
-// under one take of the round and policy locks and one clock read.
-// Completed flows are reported once and then dropped from agent state —
-// delivery is synchronous, so the completion cannot be lost — and so is
-// a flow whose report matches no live flow (its CoFlow deregistered, or
-// the flow removed or restarted by Update): no later order names it,
-// and a flow paused at rate 0 would otherwise stay for ever. A report
-// does not retire: completions are collected once per boundary in
-// StepSchedule, in ID order across all of the boundary's reports.
+// to c into the coordinator at virtual time now, an agent's periodic
+// statistics report: each flow is merged as it is read, agent by agent
+// in the given order. Completed flows are reported once and then
+// dropped from agent state — delivery is synchronous, so the completion
+// cannot be lost — and so is a flow whose report matches no live flow
+// (its CoFlow deregistered, or the flow removed or restarted by Update)
+// and every flow of an agent AttachInproc has since replaced at its
+// port: no later order names it there, and a flow paused at rate 0
+// would otherwise stay for ever. A report does not retire: completions
+// are collected once per boundary in StepSchedule, in ID order across
+// all of the boundary's reports.
 //
 //saath:hotpath zero-alloc steady state guarded by TestTestbedLayerGuards
-func (c *Coordinator) ReportInproc(agents []*InprocAgent) {
-	now := c.cfg.Clock.Now()
-	c.roundMu.Lock()
-	c.polMu.Lock()
-	c.mu.Lock()
+func (c *Coordinator) ReportInproc(agents []*InprocAgent, now coflow.Time) {
 	if c.mergeSince.IsZero() {
 		c.mergeSince = time.Now()
 	}
 	for _, a := range agents {
+		replaced := c.inproc[a.port] != a
 		for i := 0; i < len(a.flows); {
 			f := &a.flows[i]
-			if !c.mergeStatLocked(f, now) || f.done {
+			if replaced || !c.mergeStat(f, now) || f.done {
 				a.dropFlow(i) // the last flow now sits at i
 			} else {
 				i++
 			}
 		}
 	}
-	c.mu.Unlock()
-	c.polMu.Unlock()
-	c.roundMu.Unlock()
 }
 
 // dropFlow swap-removes flows[i], clearing its slot entry and moving the

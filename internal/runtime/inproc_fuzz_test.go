@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"saath/internal/coflow"
 	"saath/internal/sched"
@@ -15,17 +14,19 @@ import (
 
 // mapAgent is the in-process agent as it stood before the shared slot
 // table: it finds a flow by its name — (CoFlow, index), without the
-// start — in a map of its own and reports under the policy locks alone.
-// It is the reference FuzzInprocAgents holds InprocAgent (slot lookup,
+// start — in a map of its own and reports one flow at a time. It is the
+// reference FuzzInprocAgents holds InprocAgent (slot lookup,
 // ownership-checked drops, the batched ReportInproc) to. Step is
-// InprocAgent's.
+// InprocAgent's. replaced is set once a newer agent is attached at its
+// port: its reports then merge nothing and drop every flow.
 type mapAgent struct {
 	InprocAgent
-	index map[flowKey]int
+	index    map[flowKey]int
+	replaced bool
 }
 
-func newMapAgent(c *Coordinator) *mapAgent {
-	return &mapAgent{InprocAgent: InprocAgent{coord: c}, index: map[flowKey]int{}}
+func newMapAgent(c *Coordinator, port int) *mapAgent {
+	return &mapAgent{InprocAgent: InprocAgent{coord: c, port: port}, index: map[flowKey]int{}}
 }
 
 // name is k without its start stamp: what mapAgent files flows under.
@@ -49,17 +50,10 @@ func (a *mapAgent) Deliver(orders []FlowOrder) {
 	}
 }
 
-func (a *mapAgent) Report() {
-	if len(a.flows) == 0 {
-		return
-	}
-	c := a.coord
-	now := c.cfg.Clock.Now()
-	c.polMu.Lock()
-	c.mu.Lock()
+func (a *mapAgent) Report(now coflow.Time) {
 	for i := 0; i < len(a.flows); {
 		f := &a.flows[i]
-		if c.mergeStatLocked(f, now) && !f.done {
+		if !a.replaced && a.coord.mergeStat(f, now) && !f.done {
 			i++
 			continue
 		}
@@ -71,8 +65,6 @@ func (a *mapAgent) Report() {
 		}
 		a.flows = a.flows[:last]
 	}
-	c.mu.Unlock()
-	c.polMu.Unlock()
 }
 
 // agentFlows is an agent's flow set in a comparable form: (key, size,
@@ -95,12 +87,14 @@ func agentFlows(flows []inprocFlow) string {
 // boundary or one Report each — and one whose agents are the map-keyed
 // mapAgent. The script registers (under a fresh ID, or again under one
 // whose flows may still linger), deregisters (the flows stay at their
-// agents until their next report, which drops them), updates (a flow's
-// sender may move, the width may change), detaches a port's agent (it
-// keeps its flows and keeps stepping and reporting), attaches a fresh
-// one and resizes a
-// flow (an Update of the same flows, one at another size, which
-// restarts it at the coordinator and so at its agent). Flow indices are
+// agents until their next report, which drops them), updates (the
+// width may change, and a flow moved to another sender starts afresh,
+// so its old sender's next report drops it), detaches a port's agent
+// (it keeps its flows and keeps stepping and reporting), attaches a
+// fresh one (the agent it replaces still steps and reports, and its
+// next report drops every flow it holds) and resizes a flow (an Update
+// of the same flows, one at another size, which restarts it at the
+// coordinator and so at its agent). Flow indices are
 // reused all along, by flows at other agents too. After every boundary
 // every agent ever attached must hold the same flows — (key, size,
 // sent, rate, done) — on both sides, every flow the coordinator ordered
@@ -109,7 +103,7 @@ func agentFlows(flows []inprocFlow) string {
 // the virtual time since it last started (a report of an earlier start
 // taken as progress breaks this), and the coordinators must agree on
 // Results(). The committed corpus holds the case the ownership check in
-// dropFlow exists for — an agent replaced at its port runs out a flow
+// dropFlow exists for — an agent replaced at its port drops a flow
 // after the flow's entry went to the new agent — a flow resized after
 // three boundaries, and an ID registered again.
 func FuzzInprocAgents(f *testing.F) {
@@ -121,12 +115,12 @@ func FuzzInprocAgents(f *testing.F) {
 		}
 		const (
 			nPorts   = 6
-			delta    = 8 * time.Millisecond
+			delta    = 8 * coflow.Millisecond
 			portRate = coflow.Rate(125e6)
 		)
 		type side struct {
 			coord *Coordinator
-			vc    *VirtualClock
+			now   coflow.Time
 			slots []*InprocAgent // slot side: every agent ever attached, in attach order
 			refs  []*mapAgent    // reference side: the same
 			cur   []int          // port -> index of its attached agent (-1: none)
@@ -136,9 +130,9 @@ func FuzzInprocAgents(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sd := &side{vc: NewVirtualClock(time.Unix(0, 0).UTC()), cur: make([]int, nPorts)}
+			sd := &side{cur: make([]int, nPorts)}
 			sd.coord, err = NewCoordinator(CoordinatorConfig{
-				Scheduler: s, NumPorts: nPorts, PortRate: portRate, Clock: sd.vc,
+				Scheduler: s, NumPorts: nPorts, PortRate: portRate,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -153,7 +147,10 @@ func FuzzInprocAgents(f *testing.F) {
 			}
 			slotSide.cur[p] = len(slotSide.slots)
 			slotSide.slots = append(slotSide.slots, a)
-			r := newMapAgent(refSide.coord)
+			for _, old := range refSide.refs {
+				old.replaced = old.replaced || old.port == p
+			}
+			r := newMapAgent(refSide.coord, p)
 			refSide.coord.setAgent(p, r)
 			refSide.cur[p] = len(refSide.refs)
 			refSide.refs = append(refSide.refs, r)
@@ -195,12 +192,13 @@ func FuzzInprocAgents(f *testing.F) {
 		var ids []int                   // every ID registered, in order
 		flows := map[int]*coflow.Spec{} // the flows each ID last registered or was updated to
 		// startedAt is when each flow, by name, last started afresh at the
-		// coordinators: registered, or resized or added by an update.
-		startedAt := map[flowKey]time.Time{}
+		// coordinators: registered, or moved, resized or added by an
+		// update.
+		startedAt := map[flowKey]coflow.Time{}
 		started := func(id int, sp *coflow.Spec, old *coflow.Spec) {
 			for i, f := range sp.Flows {
-				if old == nil || i >= len(old.Flows) || old.Flows[i].Size != f.Size {
-					startedAt[flowKey{CoFlow: int64(id), Index: i}] = slotSide.vc.Now()
+				if old == nil || i >= len(old.Flows) || old.Flows[i].Src != f.Src || old.Flows[i].Size != f.Size {
+					startedAt[flowKey{CoFlow: int64(id), Index: i}] = slotSide.now
 				}
 			}
 		}
@@ -231,16 +229,16 @@ func FuzzInprocAgents(f *testing.F) {
 		boundary := func(n int, batched bool) {
 			var live [2]int
 			for i, sd := range []*side{slotSide, refSide} {
-				sd.vc.Advance(delta)
+				sd.now += delta
 				if i == 0 {
 					for _, a := range sd.slots {
 						a.Step(delta)
 					}
 					if batched {
-						sd.coord.ReportInproc(sd.slots)
+						sd.coord.ReportInproc(sd.slots, sd.now)
 					} else {
 						for _, a := range sd.slots {
-							a.Report()
+							a.Report(sd.now)
 						}
 					}
 					table(n, "after the reports")
@@ -256,10 +254,10 @@ func FuzzInprocAgents(f *testing.F) {
 						a.Step(delta)
 					}
 					for _, a := range sd.refs {
-						a.Report()
+						a.Report(sd.now)
 					}
 				}
-				live[i] = sd.coord.StepSchedule()
+				live[i] = sd.coord.StepSchedule(sd.now)
 			}
 			table(n, "after the round")
 			clear(filed)
@@ -293,7 +291,7 @@ func FuzzInprocAgents(f *testing.F) {
 					}
 				}
 				for _, f := range cf.Flows {
-					since := slotSide.vc.Now().Sub(startedAt[flowKey{CoFlow: int64(cf.ID()), Index: f.ID.Index}])
+					since := slotSide.now - startedAt[flowKey{CoFlow: int64(cf.ID()), Index: f.ID.Index}]
 					if max := float64(portRate) * since.Seconds(); float64(f.Sent()) > max+1 {
 						t.Fatalf("boundary %d: c%d/%d has %d bytes sent, more than the %.0f its port moves in the %v since it started", n, cf.ID(), f.ID.Index, f.Sent(), max, since)
 					}
@@ -320,14 +318,14 @@ func FuzzInprocAgents(f *testing.F) {
 					ids = append(ids, id)
 				}
 				sp := newSpec(id)
-				if both(fmt.Sprintf("Register(c%d)", id), func(c *Coordinator) error { return c.Register(sp) }) == nil {
+				if both(fmt.Sprintf("Register(c%d)", id), func(c *Coordinator) error { return c.Register(sp, slotSide.now) }) == nil {
 					started(id, sp, nil)
 					flows[id] = sp
 				}
 			case 1: // deregister: the coflow's flows stay at their agents until their next report
 				if len(ids) > 0 {
 					id := coflow.CoFlowID(ids[next()%len(ids)])
-					both(fmt.Sprintf("Deregister(c%d)", id), func(c *Coordinator) error { return c.Deregister(id) })
+					both(fmt.Sprintf("Deregister(c%d)", id), func(c *Coordinator) error { return c.Deregister(id, slotSide.now) })
 				}
 			case 2: // update: same or new width, senders may move
 				if len(ids) > 0 {

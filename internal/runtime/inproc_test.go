@@ -9,18 +9,17 @@ import (
 	"saath/internal/sched"
 )
 
-// inprocCluster builds a coordinator on a virtual clock with nPorts
-// in-process agents attached.
-func inprocCluster(t *testing.T, policy string, nPorts int, adm AdmissionConfig) (*Coordinator, []*InprocAgent, *VirtualClock) {
+// inprocCluster builds a coordinator with nPorts in-process agents
+// attached, and the virtual time its driver moves, at 0.
+func inprocCluster(t *testing.T, policy string, nPorts int, adm AdmissionConfig) (*Coordinator, []*InprocAgent, *coflow.Time) {
 	t.Helper()
 	s, err := sched.New(policy, sched.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	vc := NewVirtualClock(time.Unix(0, 0).UTC())
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Scheduler: s, NumPorts: nPorts, PortRate: coflow.Rate(125e6), // 1 Gbps
-		Clock: vc, Admission: adm,
+		Admission: adm,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -31,29 +30,29 @@ func inprocCluster(t *testing.T, policy string, nPorts int, adm AdmissionConfig)
 			t.Fatal(err)
 		}
 	}
-	return coord, agents, vc
+	return coord, agents, new(coflow.Time)
 }
 
-// boundary runs one δ boundary the way testbed.RunJob does: the clock
+// boundary runs one δ boundary the way testbed.RunJob does: time
 // moves, every agent steps and reports, then the schedule round. It
 // returns the round's live count.
-func boundary(coord *Coordinator, agents []*InprocAgent, vc *VirtualClock, delta time.Duration) int {
-	vc.Advance(delta)
+func boundary(coord *Coordinator, agents []*InprocAgent, now *coflow.Time, delta coflow.Time) int {
+	*now += delta
 	for _, a := range agents {
 		a.Step(delta)
 	}
 	for _, a := range agents {
-		a.Report()
+		a.Report(*now)
 	}
-	return coord.StepSchedule()
+	return coord.StepSchedule(*now)
 }
 
 // driveToCompletion advances virtual δ boundaries until every live
 // coflow completes (or maxSteps passes, which fails the test).
-func driveToCompletion(t *testing.T, coord *Coordinator, agents []*InprocAgent, vc *VirtualClock, delta time.Duration, maxSteps int) {
+func driveToCompletion(t *testing.T, coord *Coordinator, agents []*InprocAgent, now *coflow.Time, delta coflow.Time, maxSteps int) {
 	t.Helper()
 	for step := 0; step < maxSteps; step++ {
-		if live := boundary(coord, agents, vc, delta); live == 0 && step > 0 {
+		if live := boundary(coord, agents, now, delta); live == 0 && step > 0 {
 			return
 		}
 	}
@@ -64,26 +63,26 @@ func driveToCompletion(t *testing.T, coord *Coordinator, agents []*InprocAgent, 
 // completes through the in-process agent path, with CCT measured in
 // virtual time only.
 func TestInprocEndToEnd(t *testing.T) {
-	delta := 8 * time.Millisecond
-	coord, agents, vc := inprocCluster(t, "saath", 4, AdmissionConfig{})
+	delta := 8 * coflow.Millisecond
+	coord, agents, now := inprocCluster(t, "saath", 4, AdmissionConfig{})
 	spec := &coflow.Spec{ID: 7, Flows: []coflow.FlowSpec{
 		{Src: 0, Dst: 1, Size: 4 * coflow.MB},
 		{Src: 2, Dst: 3, Size: 2 * coflow.MB},
 	}}
-	if err := coord.Register(spec); err != nil {
+	if err := coord.Register(spec, *now); err != nil {
 		t.Fatal(err)
 	}
-	driveToCompletion(t, coord, agents, vc, delta, 10000)
+	driveToCompletion(t, coord, agents, now, delta, 10000)
 	res := coord.Results()
 	if len(res) != 1 || res[0].ID != 7 {
 		t.Fatalf("results = %+v, want coflow 7", res)
 	}
 	// 4 MB at 1 Gbps is ~32ms of service plus the one-δ schedule push
 	// lag; virtual CCT must land in that ballpark, not at wall scale.
-	if res[0].CCT < 32*time.Millisecond || res[0].CCT > 200*time.Millisecond {
+	if res[0].CCT < 32*coflow.Millisecond || res[0].CCT > 200*coflow.Millisecond {
 		t.Fatalf("virtual CCT %v outside the plausible window", res[0].CCT)
 	}
-	if got := res[0].RegisteredAt; !got.Equal(time.Unix(0, 0).UTC()) {
+	if got := res[0].RegisteredAt; got != 0 {
 		t.Fatalf("RegisteredAt = %v, want the virtual epoch", got)
 	}
 }
@@ -92,18 +91,18 @@ func TestInprocEndToEnd(t *testing.T) {
 // results — byte-for-byte the same completion times in virtual time.
 func TestInprocDeterminism(t *testing.T) {
 	run := func() []CoFlowResult {
-		delta := 8 * time.Millisecond
-		coord, agents, vc := inprocCluster(t, "saath", 6, AdmissionConfig{})
+		delta := 8 * coflow.Millisecond
+		coord, agents, now := inprocCluster(t, "saath", 6, AdmissionConfig{})
 		for id := 1; id <= 8; id++ {
 			spec := &coflow.Spec{ID: coflow.CoFlowID(id), Flows: []coflow.FlowSpec{
 				{Src: coflow.PortID(id % 6), Dst: coflow.PortID((id + 3) % 6), Size: coflow.Bytes(id) * coflow.MB},
 			}}
-			vc.Advance(time.Millisecond)
-			if err := coord.Register(spec); err != nil {
+			*now += coflow.Millisecond
+			if err := coord.Register(spec, *now); err != nil {
 				t.Fatal(err)
 			}
 		}
-		driveToCompletion(t, coord, agents, vc, delta, 10000)
+		driveToCompletion(t, coord, agents, now, delta, 10000)
 		return coord.Results()
 	}
 	a, b := run(), run()
@@ -120,18 +119,18 @@ func TestInprocDeterminism(t *testing.T) {
 // TestResultsSortedByID: results come back ordered by coflow ID even
 // when completions land in a different order.
 func TestResultsSortedByID(t *testing.T) {
-	delta := 8 * time.Millisecond
-	coord, agents, vc := inprocCluster(t, "saath", 4, AdmissionConfig{})
+	delta := 8 * coflow.Millisecond
+	coord, agents, now := inprocCluster(t, "saath", 4, AdmissionConfig{})
 	// Bigger IDs get smaller flows, so they complete first.
 	for id := 1; id <= 4; id++ {
 		spec := &coflow.Spec{ID: coflow.CoFlowID(id), Flows: []coflow.FlowSpec{
 			{Src: coflow.PortID(id - 1), Dst: coflow.PortID(id % 4), Size: coflow.Bytes(5-id) * 4 * coflow.MB},
 		}}
-		if err := coord.Register(spec); err != nil {
+		if err := coord.Register(spec, *now); err != nil {
 			t.Fatal(err)
 		}
 	}
-	driveToCompletion(t, coord, agents, vc, delta, 10000)
+	driveToCompletion(t, coord, agents, now, delta, 10000)
 	res := coord.Results()
 	if len(res) != 4 {
 		t.Fatalf("want 4 results, got %d", len(res))
@@ -142,7 +141,7 @@ func TestResultsSortedByID(t *testing.T) {
 		}
 	}
 	// And the larger flow of coflow 1 must not have completed first.
-	if !res[3].CompletedAt.Before(res[0].CompletedAt) {
+	if res[3].CompletedAt >= res[0].CompletedAt {
 		t.Fatal("expected coflow 4 (smallest) to finish before coflow 1 (largest); sort is hiding nothing")
 	}
 }
@@ -151,7 +150,7 @@ func TestResultsSortedByID(t *testing.T) {
 // against the live token bucket — a burst beyond the bucket is shed at
 // arrival time, and later arrivals (after refill) are admitted again.
 func TestArrivalTimeAdmission(t *testing.T) {
-	coord, _, vc := inprocCluster(t, "saath", 4, AdmissionConfig{RatePerSec: 100, Burst: 2})
+	coord, _, now := inprocCluster(t, "saath", 4, AdmissionConfig{RatePerSec: 100, Burst: 2})
 	mkSpec := func(id int) *coflow.Spec {
 		return &coflow.Spec{ID: coflow.CoFlowID(id), Flows: []coflow.FlowSpec{
 			{Src: 0, Dst: 1, Size: coflow.MB}}}
@@ -159,7 +158,7 @@ func TestArrivalTimeAdmission(t *testing.T) {
 	// Burst of 4 at t=0: bucket depth 2 admits exactly 2.
 	var rejected int
 	for id := 1; id <= 4; id++ {
-		if err := coord.Register(mkSpec(id)); errors.Is(err, ErrAdmission) {
+		if err := coord.Register(mkSpec(id), *now); errors.Is(err, ErrAdmission) {
 			rejected++
 		} else if err != nil {
 			t.Fatal(err)
@@ -170,8 +169,8 @@ func TestArrivalTimeAdmission(t *testing.T) {
 	}
 	// 30ms later the bucket refilled 3 tokens: the next arrival is
 	// admitted — the decision tracks live state, not a batch snapshot.
-	vc.Advance(30 * time.Millisecond)
-	if err := coord.Register(mkSpec(5)); err != nil {
+	*now += 30 * coflow.Millisecond
+	if err := coord.Register(mkSpec(5), *now); err != nil {
 		t.Fatalf("post-refill arrival rejected: %v", err)
 	}
 	admitted, rej := coord.AdmissionStats()
@@ -183,22 +182,22 @@ func TestArrivalTimeAdmission(t *testing.T) {
 // TestMaxLiveAdmission: the live-coflow cap rejects at arrival time
 // and opens up again once completions retire.
 func TestMaxLiveAdmission(t *testing.T) {
-	delta := 8 * time.Millisecond
-	coord, agents, vc := inprocCluster(t, "saath", 4, AdmissionConfig{MaxLive: 2})
+	delta := 8 * coflow.Millisecond
+	coord, agents, now := inprocCluster(t, "saath", 4, AdmissionConfig{MaxLive: 2})
 	mkSpec := func(id int) *coflow.Spec {
 		return &coflow.Spec{ID: coflow.CoFlowID(id), Flows: []coflow.FlowSpec{
 			{Src: 0, Dst: 1, Size: coflow.MB}}}
 	}
 	for id := 1; id <= 2; id++ {
-		if err := coord.Register(mkSpec(id)); err != nil {
+		if err := coord.Register(mkSpec(id), *now); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := coord.Register(mkSpec(3)); !errors.Is(err, ErrAdmission) {
+	if err := coord.Register(mkSpec(3), *now); !errors.Is(err, ErrAdmission) {
 		t.Fatalf("third concurrent coflow: err = %v, want ErrAdmission", err)
 	}
-	driveToCompletion(t, coord, agents, vc, delta, 10000)
-	if err := coord.Register(mkSpec(4)); err != nil {
+	driveToCompletion(t, coord, agents, now, delta, 10000)
+	if err := coord.Register(mkSpec(4), *now); err != nil {
 		t.Fatalf("arrival after retirement rejected: %v", err)
 	}
 }
@@ -208,10 +207,10 @@ func TestMaxLiveAdmission(t *testing.T) {
 func TestDuplicateRegisterInproc(t *testing.T) {
 	coord, _, _ := inprocCluster(t, "saath", 2, AdmissionConfig{RatePerSec: 1000, Burst: 10})
 	spec := &coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: coflow.MB}}}
-	if err := coord.Register(spec); err != nil {
+	if err := coord.Register(spec, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := coord.Register(spec); !errors.Is(err, ErrDuplicate) {
+	if err := coord.Register(spec, 0); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("duplicate register: err = %v, want ErrDuplicate", err)
 	}
 	if _, rejected := coord.AdmissionStats(); rejected != 0 {
@@ -227,27 +226,27 @@ func TestDuplicateRegisterInproc(t *testing.T) {
 // at least 671 ms at 1 Gbps from the Update at 24 ms. An agent that kept
 // the old size finished the 50 MB at boundary 47, a CCT of 408 ms.
 func TestInprocAgentFollowsResize(t *testing.T) {
-	delta := 8 * time.Millisecond
-	coord, agents, vc := inprocCluster(t, "saath", 2, AdmissionConfig{})
-	if err := coord.Register(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 50 * coflow.MB}}}); err != nil {
+	delta := 8 * coflow.Millisecond
+	coord, agents, now := inprocCluster(t, "saath", 2, AdmissionConfig{})
+	if err := coord.Register(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 50 * coflow.MB}}}, *now); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		boundary(coord, agents, vc, delta)
+		boundary(coord, agents, now, delta)
 	}
 	if err := coord.Update(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 80 * coflow.MB}}}); err != nil {
 		t.Fatal(err)
 	}
-	boundary(coord, agents, vc, delta)
+	boundary(coord, agents, now, delta)
 	if f := agents[0].flows; len(f) != 1 || f[0].size != float64(80*coflow.MB) || f[0].sent != 0 || f[0].done {
 		t.Fatalf("agent after the resized order: %s, want c1/0 restarted at 80 MB", agentFlows(f))
 	}
-	driveToCompletion(t, coord, agents, vc, delta, 1000)
+	driveToCompletion(t, coord, agents, now, delta, 1000)
 	res := coord.Results()
 	if len(res) != 1 || res[0].Bytes != 80*coflow.MB {
 		t.Fatalf("results = %+v, want coflow 1 with 80 MB", res)
 	}
-	if min := 24*time.Millisecond + time.Duration(coflow.GbpsRate(1).TimeToSend(80*coflow.MB))*time.Microsecond; res[0].CCT < min {
+	if min := 24*coflow.Millisecond + coflow.GbpsRate(1).TimeToSend(80*coflow.MB); res[0].CCT < min {
 		t.Fatalf("CCT %v: the resized flow finished before 80 MB could be sent (%v)", res[0].CCT, min)
 	}
 }
@@ -261,34 +260,34 @@ func TestInprocAgentFollowsResize(t *testing.T) {
 // over three boundaries and is updated to 10 MB; the next report
 // finishes the 3 MB.
 func TestResizeDropsTheOldCount(t *testing.T) {
-	delta := 8 * time.Millisecond
-	coord, agents, vc := inprocCluster(t, "saath", 2, AdmissionConfig{})
+	delta := 8 * coflow.Millisecond
+	coord, agents, now := inprocCluster(t, "saath", 2, AdmissionConfig{})
 	const mb = 1_000_000 // one δ of a 1 Gbps port
-	if err := coord.Register(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 3 * mb}}}); err != nil {
+	if err := coord.Register(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 3 * mb}}}, *now); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		boundary(coord, agents, vc, delta)
+		boundary(coord, agents, now, delta)
 	}
 	if err := coord.Update(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 10 * mb}}}); err != nil {
 		t.Fatal(err)
 	}
-	vc.Advance(delta)
+	*now += delta
 	agents[0].Step(delta)
 	if f := agents[0].flows; len(f) != 1 || !f[0].done || f[0].sent != 3*mb {
 		t.Fatalf("agent before the next round: %s, want the old 3 MB run out", agentFlows(f))
 	}
-	agents[0].Report()
+	agents[0].Report(*now)
 	if f := coord.live[1].rt.Flows[0]; f.Sent() != 0 || f.Done() {
 		t.Fatalf("the restarted flow took the old start's report: sent %d, done %v", f.Sent(), f.Done())
 	}
-	if live := coord.StepSchedule(); live != 1 {
+	if live := coord.StepSchedule(*now); live != 1 {
 		t.Fatalf("live = %d after the old start's done report, want 1", live)
 	}
-	driveToCompletion(t, coord, agents, vc, delta, 100)
+	driveToCompletion(t, coord, agents, now, delta, 100)
 	// Updated at 24 ms, the 10 MB need ten δ of sending behind one δ of
 	// control lag: the round at 112 ms retires it.
-	if res := coord.Results(); len(res) != 1 || res[0].CCT != 112*time.Millisecond {
+	if res := coord.Results(); len(res) != 1 || res[0].CCT != 112*coflow.Millisecond {
 		t.Fatalf("results = %+v, want coflow 1 at a CCT of 112ms", res)
 	}
 }
@@ -302,26 +301,26 @@ func TestResizeDropsTheOldCount(t *testing.T) {
 // at least 8 MB at line rate, rounded up to δ. An agent that kept the
 // lingering flow's count completed it in 40 ms.
 func TestReregisteredIDStartsAfresh(t *testing.T) {
-	delta := 8 * time.Millisecond
-	coord, agents, vc := inprocCluster(t, "saath", 2, AdmissionConfig{})
+	delta := 8 * coflow.Millisecond
+	coord, agents, now := inprocCluster(t, "saath", 2, AdmissionConfig{})
 	spec := &coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 8 * coflow.MB}}}
-	if err := coord.Register(spec); err != nil {
+	if err := coord.Register(spec, *now); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		boundary(coord, agents, vc, delta)
+		boundary(coord, agents, now, delta)
 	}
 	if f := agents[0].flows; len(f) != 1 || f[0].sent != 4_000_000 {
 		t.Fatalf("agent after five boundaries: %s, want 4 MB sent", agentFlows(f))
 	}
-	if err := coord.Deregister(1); err != nil {
+	if err := coord.Deregister(1, *now); err != nil {
 		t.Fatal(err)
 	}
-	if err := coord.Register(spec); err != nil {
+	if err := coord.Register(spec, *now); err != nil {
 		t.Fatal(err)
 	}
-	driveToCompletion(t, coord, agents, vc, delta, 100)
-	lineRate := time.Duration(coflow.GbpsRate(1).TimeToSend(spec.Flows[0].Size)) * time.Microsecond
+	driveToCompletion(t, coord, agents, now, delta, 100)
+	lineRate := coflow.GbpsRate(1).TimeToSend(spec.Flows[0].Size)
 	min := (lineRate + delta - 1) / delta * delta
 	if res := coord.Results(); len(res) != 1 || res[0].CCT < min {
 		t.Fatalf("results = %+v, want coflow 1 at a CCT of at least %v", res, min)
@@ -336,15 +335,15 @@ func TestReregisteredIDStartsAfresh(t *testing.T) {
 // holds nothing. An agent that dropped only finished flows kept the
 // paused one, at rate 0, for ever.
 func TestDeregisteredFlowLeavesItsAgent(t *testing.T) {
-	delta := 8 * time.Millisecond
-	coord, agents, vc := inprocCluster(t, "saath", 2, AdmissionConfig{})
+	delta := 8 * coflow.Millisecond
+	coord, agents, now := inprocCluster(t, "saath", 2, AdmissionConfig{})
 	for id := coflow.CoFlowID(1); id <= 2; id++ {
-		if err := coord.Register(&coflow.Spec{ID: id, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 20 * coflow.MB}}}); err != nil {
+		if err := coord.Register(&coflow.Spec{ID: id, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 20 * coflow.MB}}}, *now); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 3; i++ {
-		boundary(coord, agents, vc, delta)
+		boundary(coord, agents, now, delta)
 	}
 	var paused coflow.CoFlowID
 	for _, f := range agents[0].flows {
@@ -355,15 +354,83 @@ func TestDeregisteredFlowLeavesItsAgent(t *testing.T) {
 	if n := agents[0].FlowCount(); n != 2 || paused == 0 {
 		t.Fatalf("agent after three boundaries: %s, want one flow running and one paused", agentFlows(agents[0].flows))
 	}
-	if err := coord.Deregister(paused); err != nil {
+	if err := coord.Deregister(paused, *now); err != nil {
 		t.Fatal(err)
 	}
-	driveToCompletion(t, coord, agents, vc, delta, 1000)
+	driveToCompletion(t, coord, agents, now, delta, 1000)
 	if res := coord.Results(); len(res) != 1 || res[0].ID == paused {
 		t.Fatalf("results = %+v, want only the running coflow", res)
 	}
 	if n := agents[0].FlowCount(); n != 0 {
 		t.Fatalf("agent holds %d flows with nothing live: %s", n, agentFlows(agents[0].flows))
+	}
+}
+
+// TestUpdateMovedFlowRunsAtItsNewSender: an Update that moves a flow to
+// another sender starts it afresh, so the old sender's next report
+// merges nothing and drops it, and the flow completes on the new
+// sender's count alone. One 20 MB flow runs 0→1 for three 8 ms
+// boundaries and is moved to 2→1 at 24 ms; agent 2 gets its order at
+// 32 ms and needs 168 ms at 1 Gbps, so the round at 200 ms retires it.
+// An old sender that kept running the flow completed it at 176 ms.
+func TestUpdateMovedFlowRunsAtItsNewSender(t *testing.T) {
+	delta := 8 * coflow.Millisecond
+	coord, agents, now := inprocCluster(t, "saath", 3, AdmissionConfig{})
+	if err := coord.Register(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 20 * coflow.MB}}}, *now); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		boundary(coord, agents, now, delta)
+	}
+	if err := coord.Update(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 2, Dst: 1, Size: 20 * coflow.MB}}}); err != nil {
+		t.Fatal(err)
+	}
+	if f := coord.live[1].rt.Flows[0]; f.Sent() != 0 {
+		t.Fatalf("the moved flow kept %d bytes sent from its old sender", f.Sent())
+	}
+	boundary(coord, agents, now, delta)
+	if n := agents[0].FlowCount(); n != 0 {
+		t.Fatalf("the old sender holds %s after its report, want nothing", agentFlows(agents[0].flows))
+	}
+	driveToCompletion(t, coord, agents, now, delta, 100)
+	if res := coord.Results(); len(res) != 1 || res[0].CCT != 200*coflow.Millisecond {
+		t.Fatalf("results = %+v, want coflow 1 at a CCT of 200ms", res)
+	}
+}
+
+// TestReplacedAgentMergesNothing: once AttachInproc replaces a port's
+// agent, the old agent's reports merge nothing and drop its flows, even
+// if it goes on stepping and reporting. One 20 MB flow runs 0→1 for
+// three 8 ms boundaries (2 MB sent), then port 0 gets a new agent. It
+// gets the flow's order at 32 ms and sends all 20 MB from zero; the two
+// boundaries its count takes to pass the 2 MB the coordinator holds look
+// like a stall to Saath, which caps the flow and ramps it back up over
+// four more, so the round at 232 ms retires it. An old agent whose
+// reports still merged completed the flow at 176 ms.
+func TestReplacedAgentMergesNothing(t *testing.T) {
+	delta := 8 * coflow.Millisecond
+	coord, agents, now := inprocCluster(t, "saath", 2, AdmissionConfig{})
+	if err := coord.Register(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 20 * coflow.MB}}}, *now); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		boundary(coord, agents, now, delta)
+	}
+	replacement, err := coord.AttachInproc(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agents = append(agents, replacement) // the old agent goes on stepping and reporting
+	boundary(coord, agents, now, delta)
+	if n := agents[0].FlowCount(); n != 0 {
+		t.Fatalf("the replaced agent holds %s after its report, want nothing", agentFlows(agents[0].flows))
+	}
+	if f := coord.live[1].rt.Flows[0]; f.Sent() != 2_000_000 {
+		t.Fatalf("the flow has %d bytes sent after the replaced agent's report, want the 2 MB of before", f.Sent())
+	}
+	driveToCompletion(t, coord, agents, now, delta, 100)
+	if res := coord.Results(); len(res) != 1 || res[0].CCT != 232*coflow.Millisecond {
+		t.Fatalf("results = %+v, want coflow 1 at a CCT of 232ms", res)
 	}
 }
 
@@ -375,17 +442,17 @@ func TestInprocScaleTenThousand(t *testing.T) {
 		t.Skip("10^4-agent scale test skipped in -short mode")
 	}
 	const ports = 10000
-	delta := 8 * time.Millisecond
-	coord, agents, vc := inprocCluster(t, "saath", ports, AdmissionConfig{})
+	delta := 8 * coflow.Millisecond
+	coord, agents, now := inprocCluster(t, "saath", ports, AdmissionConfig{})
 	for id := 1; id <= 50; id++ {
 		spec := &coflow.Spec{ID: coflow.CoFlowID(id), Flows: []coflow.FlowSpec{
 			{Src: coflow.PortID((id * 13) % ports), Dst: coflow.PortID((id*29 + 1) % ports), Size: 8 * coflow.MB},
 		}}
-		if err := coord.Register(spec); err != nil {
+		if err := coord.Register(spec, *now); err != nil {
 			t.Fatal(err)
 		}
 	}
-	driveToCompletion(t, coord, agents, vc, delta, 2000)
+	driveToCompletion(t, coord, agents, now, delta, 2000)
 	if n := coord.CompletedCount(); n != 50 {
 		t.Fatalf("completed %d/50", n)
 	}
@@ -401,18 +468,18 @@ func TestInprocScaleTenThousand(t *testing.T) {
 // mean and can never fall below the slowest single call. Every other
 // phase of a boundary that did work has time against it too.
 func TestPhasesScheduleTotalExact(t *testing.T) {
-	delta := 8 * time.Millisecond
-	coord, agents, vc := inprocCluster(t, "saath", 6, AdmissionConfig{})
+	delta := 8 * coflow.Millisecond
+	coord, agents, now := inprocCluster(t, "saath", 6, AdmissionConfig{})
 	for id := 1; id <= 7; id++ {
 		spec := &coflow.Spec{ID: coflow.CoFlowID(id), Flows: []coflow.FlowSpec{
 			{Src: coflow.PortID(id % 6), Dst: coflow.PortID((id + 1) % 6), Size: coflow.Bytes(id) * coflow.MB},
 			{Src: coflow.PortID((id + 2) % 6), Dst: coflow.PortID((id + 4) % 6), Size: coflow.Bytes(8-id) * coflow.MB},
 		}}
-		if err := coord.Register(spec); err != nil {
+		if err := coord.Register(spec, *now); err != nil {
 			t.Fatal(err)
 		}
 	}
-	driveToCompletion(t, coord, agents, vc, delta, 10000)
+	driveToCompletion(t, coord, agents, now, delta, 10000)
 
 	calls, mean, max, _ := coord.ScheduleLatency()
 	ph := coord.Phases()

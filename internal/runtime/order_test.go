@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"testing"
-	"time"
 
 	"saath/internal/coflow"
 	"saath/internal/sched"
@@ -36,7 +35,7 @@ func (o *orderChecked) Schedule(snap *sched.Snapshot) *sched.RateVec {
 func TestSnapshotActiveInArrivalOrder(t *testing.T) {
 	const (
 		nPorts = 6
-		delta  = 8 * time.Millisecond
+		delta  = 8 * coflow.Millisecond
 		mb     = 1_000_000
 	)
 	pol, err := sched.New("aalo", sched.DefaultParams())
@@ -44,9 +43,9 @@ func TestSnapshotActiveInArrivalOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := &orderChecked{Scheduler: pol, t: t}
-	vc := NewVirtualClock(time.Unix(0, 0).UTC())
+	var now coflow.Time
 	coord, err := NewCoordinator(CoordinatorConfig{
-		Scheduler: o, NumPorts: nPorts, PortRate: coflow.Rate(125e6), Clock: vc,
+		Scheduler: o, NumPorts: nPorts, PortRate: coflow.Rate(125e6),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -66,10 +65,10 @@ func TestSnapshotActiveInArrivalOrder(t *testing.T) {
 		}
 	}
 	register := func(id int, flows ...coflow.FlowSpec) func() {
-		return func() { op("Register", id, coord.Register(&coflow.Spec{ID: coflow.CoFlowID(id), Flows: flows})) }
+		return func() { op("Register", id, coord.Register(&coflow.Spec{ID: coflow.CoFlowID(id), Flows: flows}, now)) }
 	}
 	deregister := func(id int) func() {
-		return func() { op("Deregister", id, coord.Deregister(coflow.CoFlowID(id))) }
+		return func() { op("Deregister", id, coord.Deregister(coflow.CoFlowID(id), now)) }
 	}
 	update := func(id int, flows ...coflow.FlowSpec) func() {
 		return func() { op("Update", id, coord.Update(&coflow.Spec{ID: coflow.CoFlowID(id), Flows: flows})) }
@@ -86,17 +85,17 @@ func TestSnapshotActiveInArrivalOrder(t *testing.T) {
 		if n > 100 {
 			t.Fatalf("still live after %d boundaries", n)
 		}
-		vc.Advance(delta)
+		now += delta
 		for _, a := range agents {
 			a.Step(delta)
 		}
-		coord.ReportInproc(agents)
+		coord.ReportInproc(agents, now)
 		if n < len(steps) {
 			for _, op := range steps[n] {
 				op()
 			}
 		}
-		if coord.StepSchedule() == 0 && n >= len(steps) {
+		if coord.StepSchedule(now) == 0 && n >= len(steps) {
 			break
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"slices"
 	"testing"
-	"time"
 
 	"saath/internal/coflow"
 	"saath/internal/sched"
@@ -13,16 +12,12 @@ import (
 )
 
 func TestCoordinatorRejectsBadConfig(t *testing.T) {
-	vc := NewVirtualClock(time.Unix(0, 0).UTC())
-	if _, err := NewCoordinator(CoordinatorConfig{Clock: vc, NumPorts: 2}); err == nil {
+	if _, err := NewCoordinator(CoordinatorConfig{NumPorts: 2}); err == nil {
 		t.Fatal("nil scheduler accepted")
 	}
 	s, _ := sched.New("saath", sched.DefaultParams())
-	if _, err := NewCoordinator(CoordinatorConfig{Scheduler: s, Clock: vc}); err == nil {
+	if _, err := NewCoordinator(CoordinatorConfig{Scheduler: s}); err == nil {
 		t.Fatal("zero ports accepted")
-	}
-	if _, err := NewCoordinator(CoordinatorConfig{Scheduler: s, NumPorts: 2}); err == nil {
-		t.Fatal("nil clock accepted")
 	}
 }
 
@@ -30,18 +25,18 @@ func TestCoordinatorRejectsBadConfig(t *testing.T) {
 // before any agent attaches must not crash or complete anything; once
 // the agents attach, the CoFlow completes.
 func TestCoordinatorSchedulesWithNoAgents(t *testing.T) {
-	const delta = 8 * time.Millisecond
+	const delta = 8 * coflow.Millisecond
 	s, _ := sched.New("saath", sched.DefaultParams())
-	vc := NewVirtualClock(time.Unix(0, 0).UTC())
-	coord, err := NewCoordinator(CoordinatorConfig{Scheduler: s, NumPorts: 2, PortRate: coflow.Rate(125e6), Clock: vc})
+	var now coflow.Time
+	coord, err := NewCoordinator(CoordinatorConfig{Scheduler: s, NumPorts: 2, PortRate: coflow.Rate(125e6)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := coord.Register(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 2 * coflow.MB}}}); err != nil {
+	if err := coord.Register(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 2 * coflow.MB}}}, now); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if live := boundary(coord, nil, vc, delta); live != 1 {
+		if live := boundary(coord, nil, &now, delta); live != 1 {
 			t.Fatalf("boundary %d without agents: live = %d, want 1", i, live)
 		}
 	}
@@ -51,7 +46,7 @@ func TestCoordinatorSchedulesWithNoAgents(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	driveToCompletion(t, coord, agents, vc, delta, 100)
+	driveToCompletion(t, coord, agents, &now, delta, 100)
 	if res := coord.Results(); len(res) != 1 || res[0].ID != 1 {
 		t.Fatalf("results = %+v, want coflow 1", res)
 	}
@@ -62,11 +57,11 @@ func TestCoordinatorSchedulesWithNoAgents(t *testing.T) {
 // 1 MB flow takes its size/rate (524 ms) behind one δ of control lag,
 // rounded up to δ.
 func TestRateEnforcementShapesThroughput(t *testing.T) {
-	const delta = 8 * time.Millisecond
+	const delta = 8 * coflow.Millisecond
 	s, _ := sched.New("saath", sched.DefaultParams())
-	vc := NewVirtualClock(time.Unix(0, 0).UTC())
+	var now coflow.Time
 	rate := coflow.Rate(2e6)
-	coord, err := NewCoordinator(CoordinatorConfig{Scheduler: s, NumPorts: 2, PortRate: rate, Clock: vc})
+	coord, err := NewCoordinator(CoordinatorConfig{Scheduler: s, NumPorts: 2, PortRate: rate})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +71,11 @@ func TestRateEnforcementShapesThroughput(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := coord.Register(&coflow.Spec{ID: 30, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: coflow.MB}}}); err != nil {
+	if err := coord.Register(&coflow.Spec{ID: 30, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: coflow.MB}}}, now); err != nil {
 		t.Fatal(err)
 	}
-	driveToCompletion(t, coord, agents, vc, delta, 1000)
-	send := time.Duration(rate.TimeToSend(coflow.MB)) * time.Microsecond
+	driveToCompletion(t, coord, agents, &now, delta, 1000)
+	send := rate.TimeToSend(coflow.MB)
 	want := delta + (send+delta-1)/delta*delta
 	if res := coord.Results(); len(res) != 1 || res[0].CCT != want {
 		t.Fatalf("results = %+v, want coflow 30 at a CCT of %v", res, want)
@@ -91,14 +86,14 @@ func TestRateEnforcementShapesThroughput(t *testing.T) {
 // migration) keeps the bytes the unchanged flow has sent, and the
 // CoFlow completes at its new width.
 func TestUpdatePreservesProgress(t *testing.T) {
-	const delta = 8 * time.Millisecond
-	coord, agents, vc := inprocCluster(t, "saath", 3, AdmissionConfig{})
+	const delta = 8 * coflow.Millisecond
+	coord, agents, now := inprocCluster(t, "saath", 3, AdmissionConfig{})
 	first := coflow.FlowSpec{Src: 0, Dst: 1, Size: 20 * coflow.MB}
-	if err := coord.Register(&coflow.Spec{ID: 20, Flows: []coflow.FlowSpec{first}}); err != nil {
+	if err := coord.Register(&coflow.Spec{ID: 20, Flows: []coflow.FlowSpec{first}}, *now); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		boundary(coord, agents, vc, delta)
+		boundary(coord, agents, now, delta)
 	}
 	sent := coord.live[20].rt.Flows[0].Sent()
 	if sent == 0 {
@@ -110,7 +105,7 @@ func TestUpdatePreservesProgress(t *testing.T) {
 	if got := coord.live[20].rt.Flows[0].Sent(); got != sent {
 		t.Fatalf("the kept flow has %d bytes sent after the update, %d before", got, sent)
 	}
-	driveToCompletion(t, coord, agents, vc, delta, 1000)
+	driveToCompletion(t, coord, agents, now, delta, 1000)
 	if res := coord.Results(); len(res) != 1 || res[0].Width != 2 {
 		t.Fatalf("results = %+v, want coflow 20 at width 2", res)
 	}
@@ -125,14 +120,14 @@ func TestUpdatePreservesProgress(t *testing.T) {
 // leaves coflow 1 — its spec, its runtime state, its flows' progress and
 // its place in snap.Active — exactly as it was.
 func TestCoFlowOperationsValidate(t *testing.T) {
-	const delta = 8 * time.Millisecond
-	coord, agents, vc := inprocCluster(t, "saath", 4, AdmissionConfig{})
+	const delta = 8 * coflow.Millisecond
+	coord, agents, now := inprocCluster(t, "saath", 4, AdmissionConfig{})
 	live := &coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 50 * coflow.MB}, {Src: 2, Dst: 3, Size: 50 * coflow.MB}}}
-	if err := coord.Register(live); err != nil {
+	if err := coord.Register(live, *now); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		boundary(coord, agents, vc, delta)
+		boundary(coord, agents, now, delta)
 	}
 	spec := func(id coflow.CoFlowID, src, dst int, size coflow.Bytes) *coflow.Spec {
 		return &coflow.Spec{ID: id, Flows: []coflow.FlowSpec{{Src: coflow.PortID(src), Dst: coflow.PortID(dst), Size: size}}}
@@ -143,17 +138,17 @@ func TestCoFlowOperationsValidate(t *testing.T) {
 		op   func() error
 		want error // nil: accepted; refused: any error but the typed ones
 	}{
-		{"register src out of range", func() error { return coord.Register(spec(2, 4, 1, coflow.MB)) }, refused},
-		{"register dst out of range", func() error { return coord.Register(spec(2, 0, 4, coflow.MB)) }, refused},
-		{"register negative src", func() error { return coord.Register(spec(2, -1, 1, coflow.MB)) }, refused},
-		{"register negative dst", func() error { return coord.Register(spec(2, 0, -1, coflow.MB)) }, refused},
-		{"register no flows", func() error { return coord.Register(&coflow.Spec{ID: 2}) }, refused},
-		{"register negative size", func() error { return coord.Register(spec(2, 0, 1, -5)) }, refused},
-		{"register live ID", func() error { return coord.Register(spec(1, 0, 1, coflow.MB)) }, ErrDuplicate},
-		{"register zero size", func() error { return coord.Register(spec(3, 2, 2, 0)) }, nil},
-		{"deregister unknown", func() error { return coord.Deregister(12345) }, ErrUnknown},
-		{"deregister", func() error { return coord.Deregister(3) }, nil},
-		{"deregister twice", func() error { return coord.Deregister(3) }, ErrUnknown},
+		{"register src out of range", func() error { return coord.Register(spec(2, 4, 1, coflow.MB), *now) }, refused},
+		{"register dst out of range", func() error { return coord.Register(spec(2, 0, 4, coflow.MB), *now) }, refused},
+		{"register negative src", func() error { return coord.Register(spec(2, -1, 1, coflow.MB), *now) }, refused},
+		{"register negative dst", func() error { return coord.Register(spec(2, 0, -1, coflow.MB), *now) }, refused},
+		{"register no flows", func() error { return coord.Register(&coflow.Spec{ID: 2}, *now) }, refused},
+		{"register negative size", func() error { return coord.Register(spec(2, 0, 1, -5), *now) }, refused},
+		{"register live ID", func() error { return coord.Register(spec(1, 0, 1, coflow.MB), *now) }, ErrDuplicate},
+		{"register zero size", func() error { return coord.Register(spec(3, 2, 2, 0), *now) }, nil},
+		{"deregister unknown", func() error { return coord.Deregister(12345, *now) }, ErrUnknown},
+		{"deregister", func() error { return coord.Deregister(3, *now) }, nil},
+		{"deregister twice", func() error { return coord.Deregister(3, *now) }, ErrUnknown},
 		{"update unknown", func() error { return coord.Update(spec(999, 0, 1, coflow.MB)) }, ErrUnknown},
 		{"update src out of range", func() error { return coord.Update(spec(1, 4, 1, coflow.MB)) }, refused},
 		{"update dst out of range", func() error { return coord.Update(spec(1, 0, 4, coflow.MB)) }, refused},

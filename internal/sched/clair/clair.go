@@ -36,11 +36,12 @@ const (
 )
 
 // Clair is a clairvoyant global-priority scheduler. The ordering
-// scratch (key vector, order slice) is reused across intervals, and
-// LWTF's contention comes from the incremental index.
+// scratch (key vector, order slice, Γ's per-port sums) is reused across
+// intervals, and LWTF's contention comes from the incremental index.
 type Clair struct {
 	policy Policy
 	cindex *sched.ContentionIndex
+	gamma  sched.Bottleneck
 	keys   []float64 // by CoFlow.Idx
 	order  []*coflow.CoFlow
 }
@@ -117,9 +118,9 @@ func (c *Clair) computeKeys(snap *sched.Snapshot) {
 		case SRTF:
 			c.keys[cf.Idx] = float64(cf.TotalRemaining())
 		case SJFDuration:
-			c.keys[cf.Idx] = cf.BottleneckRemaining(rate).Seconds()
+			c.keys[cf.Idx] = c.gamma.Gamma(cf, rate).Seconds()
 		case LWTF:
-			t := cf.BottleneckRemaining(rate).Seconds()
+			t := c.gamma.Gamma(cf, rate).Seconds()
 			c.keys[cf.Idx] = t * float64(c.cindex.K(cf))
 		}
 	}

@@ -215,7 +215,7 @@ func TestContentionIndexMatchesReference(t *testing.T) {
 				// The epoch moves and the sendable set stays.
 				if len(active) > 0 {
 					c := active[rng.Intn(len(active))]
-					c.CarryOver(c) // restated as itself
+					c.CarryOver(c, nil) // restated as itself
 					unchanged++
 				}
 			case 7:
@@ -505,7 +505,7 @@ func FuzzContentionIndex(f *testing.F) {
 				space.Release(old)
 				c := coflow.New(spec)
 				space.Assign(c)
-				c.CarryOver(old)
+				c.CarryOver(old, nil)
 				if c.Idx != idx {
 					t.Fatalf("step %d: the swap moved Idx %d to %d", step, idx, c.Idx)
 				}

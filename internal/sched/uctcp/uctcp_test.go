@@ -105,7 +105,7 @@ func (hc *heldCluster) swap(i int) {
 	old := hc.live[i]
 	c := coflow.New(old.Spec)
 	c.Arrived = old.Arrived
-	c.CarryOver(old)
+	c.CarryOver(old, nil)
 	for j, f := range c.Flows {
 		c.SetAvailable(f, old.Flows[j].Available())
 	}

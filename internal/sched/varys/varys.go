@@ -26,14 +26,14 @@ import (
 // across intervals so scheduling stays off the heap.
 type Varys struct {
 	gammas    []coflow.Time // SEBF key by CoFlow.Idx
+	gamma     sched.Bottleneck
 	order     []*coflow.CoFlow
 	leftovers []*coflow.CoFlow
 
-	// Per-port accumulators (sized to the fabric) plus the lists of
-	// ports touched, for O(touched) clearing.
-	portBytes []coflow.Bytes // bottleneck: remaining bytes per port direction
-	portNeed  []coflow.Rate  // MADD: rate demand per port direction
-	touched   []int32
+	// MADD's rate demand per port direction (sized to the fabric) plus
+	// the list of directions touched, for O(touched) clearing.
+	portNeed []coflow.Rate
+	touched  []int32
 
 	rates   []coflow.Rate
 	demands []fabric.Demand
@@ -67,39 +67,12 @@ func portSlot(p coflow.PortID, ingress bool, numPorts int) int {
 	return int(p)
 }
 
-// bottleneck computes Γ — the CoFlow's completion time if every port
-// ran dedicated at full rate — equivalently to
-// coflow.BottleneckRemaining but against reusable per-port arrays. It
-// walks the pending flows only; the per-port sums are integers, so they
-// do not depend on the order they are taken in.
-func (v *Varys) bottleneck(c *coflow.CoFlow, np int, bw coflow.Rate) coflow.Time {
-	v.touched = v.touched[:0]
-	for _, f := range c.PendingFlows() {
-		for _, slot := range [2]int{portSlot(f.Src, false, np), portSlot(f.Dst, true, np)} {
-			if v.portBytes[slot] == 0 {
-				v.touched = append(v.touched, int32(slot))
-			}
-			v.portBytes[slot] += f.Remaining()
-		}
-	}
-	var worst coflow.Bytes
-	for _, slot := range v.touched {
-		if b := v.portBytes[slot]; b > worst {
-			worst = b
-		}
-		v.portBytes[slot] = 0
-	}
-	return bw.TimeToSend(worst)
-}
-
 // Schedule admits CoFlows in SEBF order with MADD rates, then
 // backfills residual capacity max-min fairly across unscheduled flows.
 func (v *Varys) Schedule(snap *sched.Snapshot) *sched.RateVec {
 	alloc := snap.Allocation()
 	fab := snap.Fabric
-	np := fab.NumPorts()
-	if len(v.portBytes) < 2*np {
-		v.portBytes = make([]coflow.Bytes, 2*np)
+	if np := fab.NumPorts(); len(v.portNeed) < 2*np {
 		v.portNeed = make([]coflow.Rate, 2*np)
 	}
 	for len(v.gammas) < snap.CoFlowCap {
@@ -108,7 +81,7 @@ func (v *Varys) Schedule(snap *sched.Snapshot) *sched.RateVec {
 	rate := fab.PortRate()
 	v.order = append(v.order[:0], snap.Active...)
 	for _, c := range v.order {
-		v.gammas[c.Idx] = v.bottleneck(c, np, rate)
+		v.gammas[c.Idx] = v.gamma.Gamma(c, rate)
 	}
 	// SEBF order: ascending Γ, ties by ID.
 	slices.SortStableFunc(v.order, func(a, b *coflow.CoFlow) int {

@@ -1,56 +1,13 @@
 package sim
 
-import (
-	"fmt"
-
-	"saath/internal/sched"
-	"saath/internal/trace"
-)
-
-// Engine is a reusable, validated simulation engine: one Config,
-// any number of independent Run calls. Engines are stateless between
-// runs and safe to share across goroutines as long as each Run gets
-// its own trace clone and scheduler instance (the same contract the
-// free Run function has always had).
-type Engine interface {
-	// Run replays tr under scheduler s and returns the outcome. The
-	// trace is mutated during simulation — pass a private clone when
-	// the caller retains it.
-	Run(tr *trace.Trace, s sched.Scheduler) (*Result, error)
-	// Config returns the engine's validated configuration (defaults
-	// not yet applied — zero fields still mean "paper default").
-	Config() Config
-}
-
-// New validates cfg and returns its Engine: configuration mistakes
-// (negative δ, out-of-range dynamics fractions) surface here as
-// descriptive errors instead of being silently defaulted or exploding
-// mid-run.
-func New(cfg Config) (Engine, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return simEngine{cfg: cfg}, nil
-}
-
-// simEngine implements Engine; the per-run state lives in the
-// unexported engine struct built inside Run.
-type simEngine struct {
-	cfg Config
-}
-
-func (e simEngine) Config() Config { return e.cfg }
-
-func (e simEngine) Run(tr *trace.Trace, s sched.Scheduler) (*Result, error) {
-	return run(tr, s, e.cfg)
-}
+import "fmt"
 
 // Validate reports configuration errors: negative Delta/PortRate/
 // Horizon, out-of-range Dynamics/Pipelining probabilities and
 // fractions. Zero values are not errors — they mean "use the paper
-// default" throughout (see withDefaults). Run and New both call it, so
-// a bad config fails at construction with a message naming the field
-// rather than mid-simulation.
+// default" throughout (see withDefaults). Run calls it first, so a bad
+// config fails before the trace is loaded with a message naming the
+// field rather than mid-simulation.
 func (c Config) Validate() error {
 	if c.Delta < 0 {
 		return fmt.Errorf("sim: negative Delta %v", c.Delta)

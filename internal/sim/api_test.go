@@ -49,12 +49,9 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestNewRejectsBadConfig pins validation to construction time for
-// both entry points: New and the one-shot Run.
+// TestNewRejectsBadConfig pins validation to the entry point: Run
+// refuses a bad config before it simulates anything.
 func TestNewRejectsBadConfig(t *testing.T) {
-	if _, err := New(Config{Delta: -1}); err == nil {
-		t.Error("New accepted a negative Delta")
-	}
 	s, err := sched.New("saath", sched.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
@@ -65,30 +62,4 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := Run(tr, s, Config{Dynamics: &Dynamics{StragglerProb: 2}}); err == nil {
 		t.Error("Run accepted an out-of-range StragglerProb")
 	}
-}
-
-// TestEngineReusable runs one Engine twice and requires identical
-// results: engines hold no per-run state.
-func TestEngineReusable(t *testing.T) {
-	eng, err := New(Config{Delta: 4 * coflow.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := eng.Config().Delta; got != 4*coflow.Millisecond {
-		t.Fatalf("engine config delta = %v", got)
-	}
-	tr := trace.Synthesize(smallSynth(4), "reuse")
-	var results [2]*Result
-	for i := range results {
-		s, err := sched.New("saath", sched.DefaultParams())
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := eng.Run(tr.Clone(), s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results[i] = res
-	}
-	sameResult(t, "reuse", results[0], results[1])
 }

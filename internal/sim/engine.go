@@ -8,11 +8,11 @@
 // (stragglers, restarts after failures) and models pipelined data
 // availability, exercising §4.3.
 //
-// # Entry points
+// # Entry point
 //
-// New(Config) builds a reusable Engine; Run is the one-shot form.
-// Config.Validate rejects malformed configurations (negative δ,
-// out-of-range dynamics fractions) at construction.
+// Run replays one trace under one scheduler. It first calls
+// Config.Validate, which rejects malformed configurations (negative δ,
+// out-of-range dynamics fractions).
 //
 // # One run loop
 //
@@ -225,9 +225,9 @@ func (r *Result) AvgCCT() float64 {
 	return sum / float64(len(r.CoFlows))
 }
 
-// Run replays tr under scheduler s. It is the one-shot convenience form
-// of New(cfg) followed by Engine.Run, with the same construction-time
-// validation.
+// Run replays tr under scheduler s, once cfg passes Validate. The
+// trace is mutated during simulation — pass a private clone when the
+// caller retains it.
 func Run(tr *trace.Trace, s sched.Scheduler, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

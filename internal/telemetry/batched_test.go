@@ -243,7 +243,7 @@ func TestSuiteObserveZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() {
 		iv.Index = i
 		if c := iv.Active[0]; i%5 == 0 {
-			c.CarryOver(c) // restated as itself: the epoch moves
+			c.CarryOver(c, nil) // restated as itself: the epoch moves
 		}
 		s.Observe(iv)
 		i++

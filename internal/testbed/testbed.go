@@ -1,6 +1,6 @@
 // Package testbed executes catalog studies through the real
 // coordinator instead of the simulator: every job builds a
-// runtime.Coordinator on a virtual clock, attaches one in-process
+// runtime.Coordinator on virtual time, attaches one in-process
 // agent per port (no sockets — 10^5 agents fit in one process), and
 // drives δ sync boundaries until the workload completes. The study
 // output (CCTs, makespan) is a pure function of the workload in
@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"time"
 
 	"saath/internal/coflow"
 	"saath/internal/obs"
@@ -30,21 +29,23 @@ import (
 )
 
 // Config controls one testbed job execution: the coordinator's
-// admission front and the runaway guard.
+// admission front.
 type Config struct {
 	// Admission is the coordinator's arrival-time admission front; the
 	// zero value admits everything.
 	Admission rt.AdmissionConfig
-	// MaxBoundaries aborts a job that fails to drain (<=0: derived
-	// from the job's Horizon, or 1<<20 boundaries).
-	MaxBoundaries int
 }
+
+// maxBoundaries bounds a job whose sim.Config sets no Horizon.
+const maxBoundaries = 1 << 20
 
 // RunJob executes one sweep job through the real coordinator and
 // returns the simulator-shaped result (virtual time only — it feeds
 // the same Summary/shard-merge machinery as simulator jobs) plus the
 // out-of-band runtime record. The returned record is valid even on
-// error (identity fields filled).
+// error (identity fields filled). A job still live past its
+// sim.Config.Horizon, as in the simulator, fails with the horizon
+// guard.
 func RunJob(j sweep.Job, tc Config) (*sim.Result, obs.RuntimeRecord, error) {
 	rec := obs.RuntimeRecord{
 		Index: j.Index, Trace: j.Trace, Variant: j.Variant,
@@ -74,18 +75,10 @@ func RunJob(j sweep.Job, tc Config) (*sim.Result, obs.RuntimeRecord, error) {
 	if portRate <= 0 {
 		portRate = coflow.GbpsRate(1)
 	}
-	dt := time.Duration(delta) * time.Microsecond
-
-	// The virtual epoch is fixed: every timestamp the coordinator
-	// takes is relative to it, so results are independent of when (and
-	// where) the job runs.
-	epoch := time.Unix(0, 0).UTC()
-	vc := rt.NewVirtualClock(epoch)
 	coord, err := rt.NewCoordinator(rt.CoordinatorConfig{
 		Scheduler: s,
 		NumPorts:  tr.NumPorts,
 		PortRate:  portRate,
-		Clock:     vc,
 		Admission: tc.Admission,
 	})
 	if err != nil {
@@ -100,13 +93,9 @@ func RunJob(j sweep.Job, tc Config) (*sim.Result, obs.RuntimeRecord, error) {
 	}
 	rec.Ports, rec.Agents = tr.NumPorts, len(agents)
 
-	maxB := tc.MaxBoundaries
-	if maxB <= 0 {
-		if j.Config.Horizon > 0 {
-			maxB = int(j.Config.Horizon/delta) + 1
-		} else {
-			maxB = 1 << 20
-		}
+	maxB := maxBoundaries
+	if j.Config.Horizon > 0 {
+		maxB = int(j.Config.Horizon/delta) + 1
 	}
 
 	specs := tr.Specs // arrival-sorted
@@ -129,7 +118,7 @@ func RunJob(j sweep.Job, tc Config) (*sim.Result, obs.RuntimeRecord, error) {
 			// pushed at the previous boundary — the same one-δ
 			// pipelining lag the real agents have.
 			for _, p := range busy {
-				agents[p].Step(dt)
+				agents[p].Step(delta)
 			}
 		}
 		// Arrivals inside the interval register at their exact virtual
@@ -138,8 +127,7 @@ func RunJob(j sweep.Job, tc Config) (*sim.Result, obs.RuntimeRecord, error) {
 		for cur < len(specs) && specs[cur].Arrival <= bound {
 			sp := specs[cur]
 			cur++
-			vc.Set(epoch.Add(time.Duration(sp.Arrival) * time.Microsecond))
-			if err := coord.Register(sp); errors.Is(err, rt.ErrAdmission) {
+			if err := coord.Register(sp, sp.Arrival); errors.Is(err, rt.ErrAdmission) {
 				continue
 			} else if err != nil {
 				return nil, rec, fmt.Errorf("testbed: job %s: register coflow %d: %w", j.Key(), sp.ID, err)
@@ -151,15 +139,14 @@ func RunJob(j sweep.Job, tc Config) (*sim.Result, obs.RuntimeRecord, error) {
 				}
 			}
 		}
-		vc.Set(epoch.Add(time.Duration(bound) * time.Microsecond))
 		if n > 0 {
 			reporting = reporting[:0]
 			for _, p := range busy {
 				reporting = append(reporting, agents[p])
 			}
-			coord.ReportInproc(reporting)
+			coord.ReportInproc(reporting, bound)
 		}
-		live := coord.StepSchedule()
+		live := coord.StepSchedule(bound)
 		boundaries++
 		busy = slices.DeleteFunc(busy, func(p int) bool {
 			isBusy[p] = agents[p].FlowCount() > 0
@@ -179,18 +166,15 @@ func RunJob(j sweep.Job, tc Config) (*sim.Result, obs.RuntimeRecord, error) {
 	}
 	res.CoFlows = make([]sim.CoFlowResult, 0, len(results))
 	for _, r := range results {
-		done := coflow.Time(r.CompletedAt.Sub(epoch) / time.Microsecond)
 		res.CoFlows = append(res.CoFlows, sim.CoFlowResult{
 			ID:      r.ID,
-			Arrival: coflow.Time(r.RegisteredAt.Sub(epoch) / time.Microsecond), // registered at its exact virtual arrival
-			DoneAt:  done,
-			CCT:     coflow.Time(r.CCT / time.Microsecond),
+			Arrival: r.RegisteredAt, // registered at its exact virtual arrival
+			DoneAt:  r.CompletedAt,
+			CCT:     r.CCT,
 			Width:   r.Width,
 			Bytes:   r.Bytes,
 		})
-		if done > res.Makespan {
-			res.Makespan = done
-		}
+		res.Makespan = max(res.Makespan, r.CompletedAt)
 	}
 	// Wall-clock coordinator measurements go into the runtime record
 	// only — res must stay a pure function of the workload.

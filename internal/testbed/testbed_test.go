@@ -103,10 +103,12 @@ func TestRunJobRejectsSimulatorOnlyFeatures(t *testing.T) {
 	}
 }
 
-// TestRunJobHorizonGuard: a job that cannot drain within the boundary
-// budget errors out instead of spinning forever.
+// TestRunJobHorizonGuard: a job that cannot drain within its
+// sim.Config.Horizon errors out instead of spinning forever.
 func TestRunJobHorizonGuard(t *testing.T) {
-	if _, _, err := RunJob(synthJob("tb-horizon", 8, 20), Config{MaxBoundaries: 3}); err == nil || !strings.Contains(err.Error(), "horizon") {
+	j := synthJob("tb-horizon", 8, 20)
+	j.Config.Horizon = 3 * 8 * coflow.Millisecond // three δ boundaries
+	if _, _, err := RunJob(j, Config{}); err == nil || !strings.Contains(err.Error(), "horizon") {
 		t.Fatalf("err = %v, want horizon guard", err)
 	}
 }

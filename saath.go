@@ -11,7 +11,7 @@
 // clairvoyant SCF/SRTF/LWTF, UC-TCP), the simulator, the speedup
 // statistics, the sweep engine, the declarative study layer (NewStudy:
 // experiment grids executed in-process or as mergeable shards), and
-// the coordinator, driven in process on a virtual clock. Everything
+// the coordinator, driven in process on virtual time. Everything
 // else — the testbed job body, observability, capacity analytics — is
 // reached through the CLIs (cmd/saath-sim) or, inside this module,
 // through the internal packages directly.
@@ -26,7 +26,6 @@ package saath
 
 import (
 	"context"
-	"time"
 
 	"saath/internal/coflow"
 	"saath/internal/runtime"
@@ -237,14 +236,12 @@ func MergeStudyShards(st *Study, dumps ...*StudyShardDump) (*StudyResult, error)
 
 // Coordinator types (§5).
 type (
-	// Coordinator is the global coordinator: Register / Deregister /
-	// Update, AttachInproc for one in-process agent per port, and
-	// StepSchedule once per δ boundary.
+	// Coordinator is the global coordinator, driven by one caller on
+	// virtual time: Register / Deregister / Update, AttachInproc for one
+	// in-process agent per port, and StepSchedule once per δ boundary.
 	Coordinator = runtime.Coordinator
 	// CoordinatorConfig configures the coordinator.
 	CoordinatorConfig = runtime.CoordinatorConfig
-	// VirtualClock is the coordinator's time source, moved by the caller.
-	VirtualClock = runtime.VirtualClock
 )
 
 // DefaultParams returns the paper's default configuration: K=10 queues,
@@ -303,6 +300,3 @@ func SummarizeSpeedup(base, target *SimResult) SpeedupSummary {
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	return runtime.NewCoordinator(cfg)
 }
-
-// NewVirtualClock returns a virtual clock frozen at start.
-func NewVirtualClock(start time.Time) *VirtualClock { return runtime.NewVirtualClock(start) }

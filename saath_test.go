@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestSchedulersRegistered(t *testing.T) {
@@ -169,12 +168,10 @@ func TestPublicPrototypeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vc := NewVirtualClock(time.Unix(0, 0).UTC())
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Scheduler: s,
 		NumPorts:  2,
 		PortRate:  Rate(20e6),
-		Clock:     vc,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -187,19 +184,20 @@ func TestPublicPrototypeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := &Spec{ID: 1, Flows: []FlowSpec{{Src: 0, Dst: 1, Size: 200 * KB}}}
-	if err := coord.Register(spec); err != nil {
+	var now Time
+	if err := coord.Register(spec, now); err != nil {
 		t.Fatal(err)
 	}
-	const delta = 10 * time.Millisecond
-	coord.StepSchedule()
+	const delta = 10 * Millisecond
+	coord.StepSchedule(now)
 	for n := 0; coord.LiveCount() > 0; n++ {
 		if n > 100 {
 			t.Fatal("coflow still live after 100 boundaries")
 		}
-		vc.Advance(delta)
+		now += delta
 		sender.Step(delta)
-		sender.Report()
-		coord.StepSchedule()
+		sender.Report(now)
+		coord.StepSchedule(now)
 	}
 	res := coord.Results()
 	// 200 KiB at 20 MB/s is 10.24 ms of sending: two boundaries behind
