@@ -23,9 +23,10 @@ test:
 # Max-min filling: on any demands, caps and pre-drawn fabric, the rates
 # equal a round-by-round walk over every demand bit for bit. In-process
 # agents: under any churn script — registrations, deregistrations whose
-# flows their agents drop at the next report, updates that move senders or resize a flow,
-# agents detached, and replaced ones whose flows they drop at the next
-# report, flow indices reused across agents —
+# flows their agents drop at the next report, updates that move senders
+# or resize a flow, agents detached (they go on stepping and reporting)
+# and fresh ones attached to the detached ports (an attached port
+# refuses a second agent), flow indices reused across agents —
 # the slot-table agents hold the same flows as map-keyed reference
 # agents, every flow ordered at the start and size the coordinator
 # ordered, no flow has more bytes sent than its port moves since it

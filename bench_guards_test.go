@@ -104,7 +104,6 @@ func allocGuards() []allocGuard {
 		}},
 		{"TestTraceAllocGuards", "trace_layer", "synth_fb", 10, 1.25, step(func() { SynthFB(1) })},
 		{"TestTraceAllocGuards", "trace_layer", "synth_incast", 10, 1.25, step(func() { trace.SynthIncast(1) })},
-		{"TestTraceAllocGuards", "trace_layer", "mix_300", 10, 1.25, step(func() { benchMix(1) })},
 	}
 	// Every policy's steady-state Schedule round allocates nothing:
 	// Saath's — queue counts, buckets, contention vector, allocation

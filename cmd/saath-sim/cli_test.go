@@ -46,10 +46,11 @@ func cliSource(name string, ports, coflows int) sweep.TraceSource {
 }
 
 func init() {
-	// The catalog's headline study at test scale: two workloads × the
-	// paper's four schedulers × three seeds, aalo baseline, the same
-	// derived tables.
-	study.Register("headline-cli", "headline-shaped study at test scale", func() (*study.Study, error) {
+	// A Fig 9-shaped study at test scale — two workloads × the paper's
+	// four schedulers — with three seeds and a CCT CDF on top, so the
+	// re-exec'd main() is driven through a multi-seed grid and every
+	// derived table kind it renders.
+	study.Register("headline-cli", "Fig 9-shaped study at test scale, three seeds and a CDF", func() (*study.Study, error) {
 		return study.New("headline-cli",
 			study.WithTraces(cliSource("fb-tiny", 10, 16), cliSource("osp-tiny", 14, 16)),
 			study.WithSchedulers("aalo", "varys", "uc-tcp", "saath"),

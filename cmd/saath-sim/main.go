@@ -14,8 +14,7 @@
 //
 // The -trace flag accepts "fb" (synthetic Facebook-like), "osp"
 // (synthetic OSP-like), "incast" / "broadcast" (synthetic fan-in /
-// fan-out hotspot workloads), "mix" (fb and incast deterministically
-// interleaved, see trace.SynthMix), or a path to a file in the
+// fan-out hotspot workloads), or a path to a file in the
 // coflow-benchmark format. When more than one scheduler is given, the
 // first is the baseline for speedup reporting. -seed takes a
 // comma-separated list: synthetic workloads are regenerated per seed
@@ -95,7 +94,7 @@ import (
 
 func main() {
 	var (
-		traceArg = flag.String("trace", "fb", `workload: "fb", "osp", "incast", "broadcast", "mix", or a coflow-benchmark file path`)
+		traceArg = flag.String("trace", "fb", `workload: "fb", "osp", "incast", "broadcast", or a coflow-benchmark file path`)
 		seeds    = flag.String("seed", "1", "comma-separated seeds; each regenerates the synthetic workload")
 		scheds   = flag.String("sched", "aalo,saath", "comma-separated schedulers; first is the speedup baseline")
 		delta    = flag.Duration("delta", 8*time.Millisecond, "schedule recomputation interval δ")
@@ -461,7 +460,7 @@ func metricsStride(step time.Duration, delta coflow.Time) int {
 // synthetic family (regenerated per sweep seed) rather than a file.
 func isSynthetic(arg string) bool {
 	switch arg {
-	case "fb", "osp", "incast", "broadcast", "mix":
+	case "fb", "osp", "incast", "broadcast":
 		return true
 	}
 	return false
@@ -490,8 +489,6 @@ func loadTrace(arg string, seed int64) (*trace.Trace, error) {
 		return trace.SynthIncast(seed), nil
 	case "broadcast":
 		return trace.SynthBroadcast(seed), nil
-	case "mix":
-		return trace.SynthMix(seed), nil
 	default:
 		return trace.ParseFile(arg)
 	}

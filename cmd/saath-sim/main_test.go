@@ -29,7 +29,7 @@ func TestMetricsStride(t *testing.T) {
 }
 
 func TestIsSynthetic(t *testing.T) {
-	for _, name := range []string{"fb", "osp", "incast", "broadcast", "mix"} {
+	for _, name := range []string{"fb", "osp", "incast", "broadcast"} {
 		if !isSynthetic(name) {
 			t.Errorf("isSynthetic(%q) = false", name)
 		}
@@ -97,10 +97,6 @@ func TestLoadTrace(t *testing.T) {
 	bcast, err := loadTrace("broadcast", 1)
 	if err != nil || bcast.NumPorts != 60 {
 		t.Fatalf("broadcast: %v", err)
-	}
-	mix, err := loadTrace("mix", 1)
-	if err != nil || mix.NumPorts != 150 { // the FB component's port space
-		t.Fatalf("mix: %v", err)
 	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.txt")

@@ -27,7 +27,7 @@ import (
 
 func main() {
 	var (
-		kind     = flag.String("kind", "fb", `workload family: "fb", "osp", "incast", "broadcast", "mix", or "custom"`)
+		kind     = flag.String("kind", "fb", `workload family: "fb", "osp", "incast", "broadcast", or "custom"`)
 		seed     = flag.Int64("seed", 1, "generator seed")
 		out      = flag.String("out", "-", `output path ("-" for stdout)`)
 		ports    = flag.Int("ports", 0, "[custom/incast/broadcast] cluster size (0 = family default)")
@@ -59,8 +59,6 @@ func main() {
 		if tr, err = trace.SynthesizeBroadcast(cfg, "broadcast"); err != nil {
 			fatal(err)
 		}
-	case "mix":
-		tr = trace.SynthMix(*seed)
 	case "custom":
 		cfg := trace.DefaultFBConfig(*seed)
 		if *ports > 0 {

@@ -66,7 +66,7 @@ func CapacityTable(title string, cells []Cell) *report.Table {
 // and trace names: the first "key=value" pair with a numeric value
 // prefix in the variant ("A=2", "deg=12,hot=2", "delta=8ms"), else the
 // same rule on the trace name's "@"-suffix ("fb@A=2"), else a trailing
-// integer in the trace name ("mix-incast25" → 25). Reported ok=false
+// integer in the trace name ("incast25" → 25). Reported ok=false
 // when no numeric axis exists ("policy=lcof", plain "fb").
 func AxisValue(variant, trace string) (float64, bool) {
 	if v, ok := axisFromPairs(variant); ok {
@@ -120,7 +120,7 @@ done:
 	return v, err == nil
 }
 
-// trailingNumber parses a trailing integer run ("mix-incast25" → 25).
+// trailingNumber parses a trailing integer run ("incast25" → 25).
 func trailingNumber(s string) (float64, bool) {
 	end := len(s)
 	start := end

@@ -151,61 +151,6 @@ func SampledCDFTable(title, xLabel string, cdf []stats.CDFPoint, n int) *Table {
 	return CDFTable(title, xLabel, sampled)
 }
 
-// XYTable renders a paired (x, y) series as a two-column table, the
-// shape of the telemetry time-series figures. xs and ys must have
-// equal length.
-func XYTable(title, xLabel, yLabel string, xs, ys []float64) *Table {
-	t := &Table{Title: title, Headers: []string{xLabel, yLabel}}
-	for i := range xs {
-		t.AddRow(fmt.Sprintf("%.4g", xs[i]), fmt.Sprintf("%.4g", ys[i]))
-	}
-	return t
-}
-
-// SampledXYTable downsamples an (x, y) series to at most n rows
-// (always keeping the last), keeping long time series readable in
-// terminal output.
-func SampledXYTable(title, xLabel, yLabel string, xs, ys []float64, n int) *Table {
-	idx := sampleIndices(len(xs), n)
-	if idx == nil {
-		return XYTable(title, xLabel, yLabel, xs, ys)
-	}
-	sx := make([]float64, len(idx))
-	sy := make([]float64, len(idx))
-	for i, j := range idx {
-		sx[i], sy[i] = xs[j], ys[j]
-	}
-	return XYTable(title, xLabel, yLabel, sx, sy)
-}
-
-// BucketTable renders histogram buckets — one row per upper bound with
-// its count and the cumulative fraction — plus an overflow row when
-// any observation exceeded the last bound.
-func BucketTable(title, xLabel string, uppers []float64, counts []int64, overflow int64) *Table {
-	t := &Table{Title: title, Headers: []string{"≤ " + xLabel, "count", "cum frac"}}
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
-	total += overflow
-	var cum int64
-	addRow := func(label string, c int64) {
-		cum += c
-		frac := 0.0
-		if total > 0 {
-			frac = float64(cum) / float64(total)
-		}
-		t.AddRow(label, c, fmt.Sprintf("%.4f", frac))
-	}
-	for i, u := range uppers {
-		addRow(fmt.Sprintf("%.4g", u), counts[i])
-	}
-	if overflow > 0 {
-		addRow("+Inf", overflow)
-	}
-	return t
-}
-
 // HeatmapRow is one labeled row of a heatmap table: occupancy-bucket
 // counts (per ascending upper bound, plus overflow above the last
 // bound) and exact scalar statistics.

@@ -91,6 +91,14 @@ func TestSampledCDFTable(t *testing.T) {
 	if len(small.Rows) != 5 {
 		t.Fatalf("small rows = %d", len(small.Rows))
 	}
+	// n == 1 must not panic (regression: int(NaN) index) and keeps the
+	// last point; n <= 0 keeps everything.
+	if one := SampledCDFTable("t", "x", cdf[:10], 1); len(one.Rows) != 1 || one.Rows[0][0] != "9" {
+		t.Fatalf("n=1 rows = %v", one.Rows)
+	}
+	if all := SampledCDFTable("t", "x", cdf[:10], 0); len(all.Rows) != 10 {
+		t.Fatalf("n=0 rows = %d", len(all.Rows))
+	}
 }
 
 func TestSpeedupBar(t *testing.T) {
@@ -104,46 +112,5 @@ func TestSpeedupBar(t *testing.T) {
 	}
 	if tbl.Rows[0][0] != "varys" || tbl.Rows[1][0] != "aalo" {
 		t.Fatalf("order = %v", tbl.Rows)
-	}
-}
-
-func TestSampledXYTable(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	ys := []float64{0, 10, 20, 30, 40, 50, 60, 70, 80, 90}
-	full := XYTable("t", "x", "y", xs, ys)
-	if len(full.Rows) != 10 {
-		t.Fatalf("XYTable rows = %d", len(full.Rows))
-	}
-	down := SampledXYTable("t", "x", "y", xs, ys, 4)
-	if len(down.Rows) != 4 {
-		t.Fatalf("sampled rows = %d, want 4", len(down.Rows))
-	}
-	if got := down.Rows[3][0]; got != "9" {
-		t.Fatalf("last sampled x = %q, want 9", got)
-	}
-	// n == 1 must not panic (regression: int(NaN) index) and keeps the
-	// last point; n <= 0 and n >= len keep everything.
-	if one := SampledXYTable("t", "x", "y", xs, ys, 1); len(one.Rows) != 1 || one.Rows[0][0] != "9" {
-		t.Fatalf("n=1 rows = %v", one.Rows)
-	}
-	if all := SampledXYTable("t", "x", "y", xs, ys, 0); len(all.Rows) != 10 {
-		t.Fatalf("n=0 rows = %d", len(all.Rows))
-	}
-}
-
-func TestBucketTable(t *testing.T) {
-	tbl := BucketTable("h", "k_c", []float64{1, 2, 4}, []int64{2, 1, 1}, 1)
-	if len(tbl.Rows) != 4 { // 3 buckets + overflow
-		t.Fatalf("rows = %d", len(tbl.Rows))
-	}
-	if tbl.Rows[3][0] != "+Inf" || tbl.Rows[3][2] != "1.0000" {
-		t.Fatalf("overflow row = %v", tbl.Rows[3])
-	}
-	if tbl.Rows[0][2] != "0.4000" { // 2 of 5 cumulative
-		t.Fatalf("first cum frac = %v", tbl.Rows[0])
-	}
-	noOverflow := BucketTable("h", "x", []float64{1}, []int64{3}, 0)
-	if len(noOverflow.Rows) != 1 {
-		t.Fatalf("overflow row rendered with zero overflow: %v", noOverflow.Rows)
 	}
 }

@@ -152,12 +152,9 @@ type Coordinator struct {
 	cfg CoordinatorConfig
 
 	// agents is indexed by port (nil: no agent attached); setAgent is its
-	// writer and keeps nAgents its non-nil count. inproc is the
-	// in-process agent AttachInproc attached last at each port: the
-	// reports of an agent it replaced merge nothing.
+	// writer and keeps nAgents its non-nil count.
 	agents  []agentLink
 	nAgents int
-	inproc  []*InprocAgent
 
 	// orders is port p's order buffer and touched the ports holding
 	// orders this round, first touched first; both are reused every
@@ -234,7 +231,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:    cfg,
 		agents: make([]agentLink, cfg.NumPorts),
-		inproc: make([]*InprocAgent, cfg.NumPorts),
 		live:   make(map[coflow.CoFlowID]*liveCoFlow),
 		orders: make([][]FlowOrder, cfg.NumPorts),
 		space:  coflow.NewIndexSpace(),

@@ -58,12 +58,11 @@ type inprocFlow struct {
 // coordinator, while the old flow may stay at its agent until its next
 // report drops it, so a reader checks the flow an entry points at
 // against the order's flowKey. And a flow Update moved to another
-// sender, or whose agent was replaced at its port, stays at its old
-// agent until that agent's next report drops it. The table's invariant:
-// an entry s that agent a owns points at a flow of a filed under s
-// (inprocFlow.slot). So a flow clears or moves only the entry that
-// points at it, never one its index has since passed to another flow or
-// agent.
+// sender stays at its old agent until that agent's next report drops
+// it. The table's invariant: an entry s that agent a owns points at a
+// flow of a filed under s (inprocFlow.slot). So a flow clears or moves
+// only the entry that points at it, never one its index has since
+// passed to another flow or agent.
 type slotTable struct {
 	entries []slotEntry
 	agents  int32 // owner tags handed out so far; 0 tags no agent
@@ -80,15 +79,17 @@ func (t *slotTable) join() int32 {
 	return t.agents
 }
 
-// AttachInproc registers an in-process agent for the given port,
-// replacing any previous one: the reports of an agent it replaced merge
-// nothing, and drop its flows.
+// AttachInproc registers an in-process agent for the given port. A
+// port holds one agent: attaching to a port whose agent is attached is
+// an error, so no agent is ever replaced.
 func (c *Coordinator) AttachInproc(port int) (*InprocAgent, error) {
 	if port < 0 || port >= c.cfg.NumPorts {
 		return nil, fmt.Errorf("runtime: inproc agent port %d outside [0, %d)", port, c.cfg.NumPorts)
 	}
+	if c.agents[port] != nil {
+		return nil, fmt.Errorf("runtime: inproc agent port %d already has an agent attached", port)
+	}
 	a := &InprocAgent{port: port, coord: c, slots: &c.slots, id: c.slots.join()}
-	c.inproc[port] = a
 	c.setAgent(port, a)
 	return a, nil
 }
@@ -186,10 +187,9 @@ func (a *InprocAgent) Report(now coflow.Time) {
 // in the given order. Completed flows are reported once and then
 // dropped from agent state — delivery is synchronous, so the completion
 // cannot be lost — and so is a flow whose report matches no live flow
-// (its CoFlow deregistered, or the flow removed or restarted by Update)
-// and every flow of an agent AttachInproc has since replaced at its
-// port: no later order names it there, and a flow paused at rate 0
-// would otherwise stay for ever. A report does not retire: completions
+// (its CoFlow deregistered, or the flow removed or restarted by Update):
+// no later order names it there, and a flow paused at rate 0 would
+// otherwise stay for ever. A report does not retire: completions
 // are collected once per boundary in StepSchedule, in ID order across
 // all of the boundary's reports.
 //
@@ -199,10 +199,9 @@ func (c *Coordinator) ReportInproc(agents []*InprocAgent, now coflow.Time) {
 		c.mergeSince = time.Now()
 	}
 	for _, a := range agents {
-		replaced := c.inproc[a.port] != a
 		for i := 0; i < len(a.flows); {
 			f := &a.flows[i]
-			if replaced || !c.mergeStat(f, now) || f.done {
+			if !c.mergeStat(f, now) || f.done {
 				a.dropFlow(i) // the last flow now sits at i
 			} else {
 				i++

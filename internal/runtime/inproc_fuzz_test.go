@@ -17,12 +17,10 @@ import (
 // start — in a map of its own and reports one flow at a time. It is the
 // reference FuzzInprocAgents holds InprocAgent (slot lookup,
 // ownership-checked drops, the batched ReportInproc) to. Step is
-// InprocAgent's. replaced is set once a newer agent is attached at its
-// port: its reports then merge nothing and drop every flow.
+// InprocAgent's.
 type mapAgent struct {
 	InprocAgent
-	index    map[flowKey]int
-	replaced bool
+	index map[flowKey]int
 }
 
 func newMapAgent(c *Coordinator, port int) *mapAgent {
@@ -53,7 +51,7 @@ func (a *mapAgent) Deliver(orders []FlowOrder) {
 func (a *mapAgent) Report(now coflow.Time) {
 	for i := 0; i < len(a.flows); {
 		f := &a.flows[i]
-		if !a.replaced && a.coord.mergeStat(f, now) && !f.done {
+		if a.coord.mergeStat(f, now) && !f.done {
 			i++
 			continue
 		}
@@ -91,21 +89,24 @@ func agentFlows(flows []inprocFlow) string {
 // width may change, and a flow moved to another sender starts afresh,
 // so its old sender's next report drops it), detaches a port's agent
 // (it keeps its flows and keeps stepping and reporting), attaches a
-// fresh one (the agent it replaces still steps and reports, and its
-// next report drops every flow it holds) and resizes a flow (an Update
-// of the same flows, one at another size, which restarts it at the
-// coordinator and so at its agent). Flow indices are
-// reused all along, by flows at other agents too. After every boundary
+// fresh one to a port whose agent is detached (at an attached port
+// AttachInproc must refuse) and resizes a flow (an Update of the same
+// flows, one at another size, which restarts it at the coordinator and
+// so at its agent). Flow indices are reused all along, by flows at
+// other agents too. After every boundary
 // every agent ever attached must hold the same flows — (key, size,
 // sent, rate, done) — on both sides, every flow the coordinator ordered
 // must be held by its sender at the start and size ordered, no flow may
 // have more bytes sent at the coordinator than its port rate moves in
 // the virtual time since it last started (a report of an earlier start
 // taken as progress breaks this), and the coordinators must agree on
-// Results(). The committed corpus holds the case the ownership check in
-// dropFlow exists for — an agent replaced at its port drops a flow
-// after the flow's entry went to the new agent — a flow resized after
-// three boundaries, and an ID registered again.
+// Results(). The committed corpus holds the cases the two ownership
+// checks in dropFlow exist for — an agent detaches, a fresh one takes
+// its port and the flow's entry, and the old agent then finishes the
+// flow, or swap-removes another over it (an Update cannot set this up:
+// the old sender's next report drops a moved flow before the new
+// sender's orders file it) — a flow resized after three boundaries, and
+// an ID registered again.
 func FuzzInprocAgents(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 2, 5, 1, 0, 0, 0, 0, 2, 3, 2, 5, 5, 5, 5, 5, 5})
 	f.Add([]byte{0, 0, 1, 0, 1, 3, 0, 5, 3, 0, 5, 5, 4, 0, 6, 2, 0, 2, 1, 3, 4, 5, 0, 0, 5, 6, 5})
@@ -147,9 +148,6 @@ func FuzzInprocAgents(f *testing.F) {
 			}
 			slotSide.cur[p] = len(slotSide.slots)
 			slotSide.slots = append(slotSide.slots, a)
-			for _, old := range refSide.refs {
-				old.replaced = old.replaced || old.port == p
-			}
 			r := newMapAgent(refSide.coord, p)
 			refSide.coord.setAgent(p, r)
 			refSide.cur[p] = len(refSide.refs)
@@ -343,8 +341,12 @@ func FuzzInprocAgents(f *testing.F) {
 					refSide.coord.dropAgent(p, refSide.refs[i])
 					slotSide.cur[p], refSide.cur[p] = -1, -1
 				}
-			case 4: // attach a fresh agent, replacing any
-				attach(next() % nPorts)
+			case 4: // attach a fresh agent to a detached port; an attached one refuses
+				if p := next() % nPorts; slotSide.cur[p] < 0 {
+					attach(p)
+				} else if _, err := slotSide.coord.AttachInproc(p); err == nil {
+					t.Fatalf("AttachInproc(%d) replaced the attached agent", p)
+				}
 			case 5:
 				boundary(n, true)
 				n++

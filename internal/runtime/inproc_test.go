@@ -398,42 +398,6 @@ func TestUpdateMovedFlowRunsAtItsNewSender(t *testing.T) {
 	}
 }
 
-// TestReplacedAgentMergesNothing: once AttachInproc replaces a port's
-// agent, the old agent's reports merge nothing and drop its flows, even
-// if it goes on stepping and reporting. One 20 MB flow runs 0→1 for
-// three 8 ms boundaries (2 MB sent), then port 0 gets a new agent. It
-// gets the flow's order at 32 ms and sends all 20 MB from zero; the two
-// boundaries its count takes to pass the 2 MB the coordinator holds look
-// like a stall to Saath, which caps the flow and ramps it back up over
-// four more, so the round at 232 ms retires it. An old agent whose
-// reports still merged completed the flow at 176 ms.
-func TestReplacedAgentMergesNothing(t *testing.T) {
-	delta := 8 * coflow.Millisecond
-	coord, agents, now := inprocCluster(t, "saath", 2, AdmissionConfig{})
-	if err := coord.Register(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 20 * coflow.MB}}}, *now); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		boundary(coord, agents, now, delta)
-	}
-	replacement, err := coord.AttachInproc(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agents = append(agents, replacement) // the old agent goes on stepping and reporting
-	boundary(coord, agents, now, delta)
-	if n := agents[0].FlowCount(); n != 0 {
-		t.Fatalf("the replaced agent holds %s after its report, want nothing", agentFlows(agents[0].flows))
-	}
-	if f := coord.live[1].rt.Flows[0]; f.Sent() != 2_000_000 {
-		t.Fatalf("the flow has %d bytes sent after the replaced agent's report, want the 2 MB of before", f.Sent())
-	}
-	driveToCompletion(t, coord, agents, now, delta, 100)
-	if res := coord.Results(); len(res) != 1 || res[0].CCT != 232*coflow.Millisecond {
-		t.Fatalf("results = %+v, want coflow 1 at a CCT of 232ms", res)
-	}
-}
-
 // TestInprocScaleTenThousand: 10^4 in-process agents, one coordinator,
 // one process — the Table-2 scale point — completes a small workload
 // promptly in virtual time.

@@ -40,12 +40,13 @@ func TestCoordinatorSurvivesAgentCrash(t *testing.T) {
 }
 
 // TestCoordinatorIgnoresRogueAgent: an agent for a port outside the
-// fabric is refused, and the agent table stays as it was.
+// fabric, or for a port whose agent is attached, is refused, and the
+// agent table stays as it was.
 func TestCoordinatorIgnoresRogueAgent(t *testing.T) {
 	coord, _, _ := inprocCluster(t, "saath", 2, AdmissionConfig{})
-	for _, port := range []int{2, 99, -1} {
+	for _, port := range []int{2, 99, -1, 0, 1} {
 		if _, err := coord.AttachInproc(port); err == nil {
-			t.Fatalf("agent for port %d on a 2-port fabric attached", port)
+			t.Fatalf("AttachInproc(%d) on a 2-port fabric with both agents attached succeeded", port)
 		}
 	}
 	if n := coord.AgentCount(); n != 2 {

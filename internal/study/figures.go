@@ -43,7 +43,7 @@ func init() {
 	Register("fig14", "Fig 14: sensitivity to S, E, δ, arrival scaling and the deadline factor on FB",
 		func() (*Study, error) { return Fig14(fb) })
 	Register("fig17", "Fig 17: duration-ordered SJF against contention-aware LWTF on the Appendix A example", Fig17)
-	Register("ablations", "design ablations on FB: work conservation, the LCoF contention metric, dynamics SRTF",
+	Register("ablations", "§4 design ablations on FB: work conservation, LCoF's k_c against CoFlow width, §4.3's straggler SRTF",
 		func() (*Study, error) { return Ablations(fb) })
 }
 

@@ -12,7 +12,6 @@ import (
 	"saath/internal/coflow"
 	"saath/internal/report"
 	"saath/internal/sweep"
-	"saath/internal/telemetry"
 	"saath/internal/trace"
 
 	_ "saath/internal/sched/clair" // register scf/srtf/sjf-duration/lwtf (fig3, fig17)
@@ -588,39 +587,5 @@ func TestCoFlowColumnMatchesTrace(t *testing.T) {
 	}
 	if multi == 0 {
 		t.Fatal("no multi-flow coflows in the quick FB trace")
-	}
-}
-
-// TestTelemetryDrilldown: the per-run drilldown incast-telemetry
-// renders shows the hot-port queue series and the contention histogram
-// of every run, identically at any worker count.
-func TestTelemetryDrilldown(t *testing.T) {
-	renderAt := func(parallel int) string {
-		st, err := New("drill",
-			WithTraces(tinySource("tiny")),
-			WithSchedulers("aalo", "saath"),
-			WithTelemetry(telemetry.Spec{Enabled: true}),
-			WithDerived(derivedTelemetryDrilldown("tiny")))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := st.Run(context.Background(), Pool{Parallel: parallel})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tables, err := res.Tables()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return render(t, tables)
-	}
-	serial := renderAt(1)
-	for _, want := range []string{"ingress queue max", "contention k_c", "aalo, seed 1", "saath, seed 1"} {
-		if !strings.Contains(serial, want) {
-			t.Fatalf("drilldown missing %q:\n%s", want, serial)
-		}
-	}
-	if parallel := renderAt(8); parallel != serial {
-		t.Fatalf("drilldown differs across parallelism:\n--- 1 ---\n%s\n--- 8 ---\n%s", serial, parallel)
 	}
 }

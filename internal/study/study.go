@@ -10,7 +10,7 @@
 // baseline typos fail before any simulation runs), compiled to a
 // sweep.Grid, and executed on a pluggable Runner:
 //
-//	st, err := study.New("headline",
+//	st, err := study.New("fb-seeds",
 //	    study.WithTraces(sweep.SynthSource("fb", trace.SynthFB)),
 //	    study.WithSchedulers("aalo", "saath"),
 //	    study.WithSeeds(1, 2, 3),

@@ -208,41 +208,6 @@ func (m *Metrics) FindHistogram(name string) *HistogramDump {
 	return nil
 }
 
-// SeriesTable renders the named series as a time/value table,
-// downsampled to at most maxRows points. Returns nil if the series is
-// absent.
-func (m *Metrics) SeriesTable(title, name string, maxRows int) *report.Table {
-	s := m.FindSeries(name)
-	if s == nil {
-		return nil
-	}
-	xs := make([]float64, len(s.Points))
-	ys := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		xs[i], ys[i] = p.T, p.V
-	}
-	label := name
-	if s.Unit != "" {
-		label = name + " (" + s.Unit + ")"
-	}
-	return report.SampledXYTable(title, "t (s)", label, xs, ys, maxRows)
-}
-
-// HistogramTable renders the named histogram with per-bucket counts
-// and cumulative fractions. Returns nil if the histogram is absent.
-func (m *Metrics) HistogramTable(title, name string) *report.Table {
-	h := m.FindHistogram(name)
-	if h == nil {
-		return nil
-	}
-	uppers := make([]float64, len(h.Buckets))
-	counts := make([]int64, len(h.Buckets))
-	for i, b := range h.Buckets {
-		uppers[i], counts[i] = b.LE, b.Count
-	}
-	return report.BucketTable(title, name, uppers, counts, h.Overflow)
-}
-
 // FindHeatmap returns the named heatmap dump, or nil.
 func (m *Metrics) FindHeatmap(name string) *HeatmapDump {
 	for i := range m.Heatmaps {

@@ -61,7 +61,7 @@ func init() {
 		buildCoordinatorLatency)
 
 	study.Register("overload",
-		"offered coflow rate vs arrival-time admission drops through the coordinator's token-bucket front",
+		"ROADMAP 25(c)'s admission front, the one behaviour the engine lacks: offered coflow rate vs arrival-time drops at the coordinator's token bucket",
 		buildOverload)
 
 	study.Register("fig15",

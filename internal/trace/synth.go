@@ -454,9 +454,9 @@ func min(a, b int) int {
 }
 
 // saltSeed mixes a base seed with a label into a stable non-zero RNG
-// seed (FNV-1a), so sibling generator families (incast vs broadcast,
-// the components of a mix) draw from independent streams while staying
-// a pure function of the caller's seed.
+// seed (FNV-1a), so sibling generator families (incast vs broadcast)
+// draw from independent streams while staying a pure function of the
+// caller's seed.
 func saltSeed(seed int64, label string) int64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%s", seed, label)
