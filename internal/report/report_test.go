@@ -91,14 +91,6 @@ func TestSampledCDFTable(t *testing.T) {
 	if len(small.Rows) != 5 {
 		t.Fatalf("small rows = %d", len(small.Rows))
 	}
-	// n == 1 must not panic (regression: int(NaN) index) and keeps the
-	// last point; n <= 0 keeps everything.
-	if one := SampledCDFTable("t", "x", cdf[:10], 1); len(one.Rows) != 1 || one.Rows[0][0] != "9" {
-		t.Fatalf("n=1 rows = %v", one.Rows)
-	}
-	if all := SampledCDFTable("t", "x", cdf[:10], 0); len(all.Rows) != 10 {
-		t.Fatalf("n=0 rows = %d", len(all.Rows))
-	}
 }
 
 func TestSpeedupBar(t *testing.T) {
@@ -112,5 +104,35 @@ func TestSpeedupBar(t *testing.T) {
 	}
 	if tbl.Rows[0][0] != "varys" || tbl.Rows[1][0] != "aalo" {
 		t.Fatalf("order = %v", tbl.Rows)
+	}
+}
+
+// TestSampledXYTable holds sampleIndices, the downsampler the deleted
+// (x, y) table shared with SampledCDFTable, to the cases it was tested
+// on there: a 10-point series sampled to 4 keeps 4 points and the last;
+// n == 1 must not panic (regression: int(NaN) index) and keeps the last
+// point; n <= 0 and n >= len keep everything.
+func TestSampledXYTable(t *testing.T) {
+	if idx := sampleIndices(10, 4); len(idx) != 4 || idx[0] != 0 || idx[3] != 9 {
+		t.Fatalf("sampleIndices(10, 4) = %v, want 4 indices from 0 to 9", idx)
+	}
+	if idx := sampleIndices(10, 1); len(idx) != 1 || idx[0] != 9 {
+		t.Fatalf("sampleIndices(10, 1) = %v, want [9]", idx)
+	}
+	for _, n := range []int{0, -1, 10, 11} {
+		if idx := sampleIndices(10, n); idx != nil {
+			t.Fatalf("sampleIndices(10, %d) = %v, want nil (keep everything)", n, idx)
+		}
+	}
+	var xs []float64
+	for i := 0; i < 10; i++ {
+		xs = append(xs, float64(i))
+	}
+	cdf := stats.CDF(xs)
+	if one := SampledCDFTable("t", "x", cdf, 1); len(one.Rows) != 1 || one.Rows[0][0] != "9" {
+		t.Fatalf("n=1 rows = %v", one.Rows)
+	}
+	if all := SampledCDFTable("t", "x", cdf, 0); len(all.Rows) != 10 {
+		t.Fatalf("n=0 rows = %d", len(all.Rows))
 	}
 }

@@ -398,6 +398,42 @@ func TestUpdateMovedFlowRunsAtItsNewSender(t *testing.T) {
 	}
 }
 
+// TestReplacedAgentMergesNothing: an attached agent cannot be replaced,
+// so the attempt changes nothing. One 20 MB flow runs 0→1 for three
+// 8 ms boundaries (2 MB sent); AttachInproc(0) then returns an error
+// and attaches no agent, the attached agent's reports go on merging,
+// and the round at 176 ms retires the flow, as if the attempt had never
+// been made. Before AttachInproc refused an attached port, a
+// replacement resent the flow from zero and the round at 232 ms
+// retired it.
+func TestReplacedAgentMergesNothing(t *testing.T) {
+	delta := 8 * coflow.Millisecond
+	coord, agents, now := inprocCluster(t, "saath", 2, AdmissionConfig{})
+	if err := coord.Register(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 20 * coflow.MB}}}, *now); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		boundary(coord, agents, now, delta)
+	}
+	if replacement, err := coord.AttachInproc(0); err == nil || replacement != nil {
+		t.Fatalf("AttachInproc(0) over the attached agent = %v, %v; want an error", replacement, err)
+	}
+	if n := coord.AgentCount(); n != 2 {
+		t.Fatalf("AgentCount = %d after the refused attach, want 2", n)
+	}
+	boundary(coord, agents, now, delta)
+	if n := agents[0].FlowCount(); n != 1 {
+		t.Fatalf("the attached agent holds %s after its report, want the flow", agentFlows(agents[0].flows))
+	}
+	if f := coord.live[1].rt.Flows[0]; f.Sent() <= 2_000_000 {
+		t.Fatalf("the flow has %d bytes sent after the attached agent's report, want more than the 2 MB of before", f.Sent())
+	}
+	driveToCompletion(t, coord, agents, now, delta, 100)
+	if res := coord.Results(); len(res) != 1 || res[0].CCT != 176*coflow.Millisecond {
+		t.Fatalf("results = %+v, want coflow 1 at a CCT of 176ms", res)
+	}
+}
+
 // TestInprocScaleTenThousand: 10^4 in-process agents, one coordinator,
 // one process — the Table-2 scale point — completes a small workload
 // promptly in virtual time.
