@@ -85,8 +85,9 @@ bench:
 # the latency histogram's and a CoFlow's completion path's steady-state
 # zero-alloc guards, and the grid-key uniqueness pin the seed-derivation
 # contract rests on. They are what holds the hot path allocation-free:
-# saath-vet has no allocation rule. Counts only: timings belong to
-# `make perf`.
+# saath-vet has no allocation rule. Allocation counts, plus one byte
+# total (a dense replay's, which holds the dense tables' growth rule);
+# timings belong to `make perf`.
 guards:
 	$(GO) test -count=1 -run 'Guards$$|ZeroAlloc$$|^TestEpochCostsRatedFlows$$|^TestGridJobKeyUniqueness$$' . ./internal/sim/ ./internal/sweep/ ./internal/obs/ ./internal/telemetry/ ./internal/coflow/
 

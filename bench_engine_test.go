@@ -6,11 +6,39 @@ package saath
 // alive: the run loop takes arrivals off its cursor and runs epochs
 // only while work is active, so the run's allocations are its per-coflow
 // bookkeeping. BENCH_baseline.json's "engine_layer" section records
-// that count and bench_guards_test.go holds the replay to it. Wall-clock
-// is not asserted here — timings belong to `go run ./bench` (make
-// perf), never to tier-1.
+// that count and bench_guards_test.go holds the replay to it. The dense
+// burst is the other shape: a hundred wide coflows 5 ms apart, so
+// thousands of flow indices are live at once and the tables keyed by
+// them grow through most of the replay; the section records the bytes
+// that replay allocates. Wall-clock is not asserted here — timings
+// belong to `go run ./bench` (make perf), never to tier-1.
 
-import "testing"
+import (
+	"testing"
+
+	"saath/internal/trace"
+)
+
+// denseBurstTrace builds a dense burst on 150 ports: 100 coflows, mostly
+// wide and large, arriving 5 ms apart, so the live set peaks in the
+// hundreds of flows per port.
+func denseBurstTrace() *Trace {
+	return trace.Synthesize(trace.SynthConfig{
+		Seed:             1,
+		NumPorts:         150,
+		NumCoFlows:       100,
+		MeanInterArrival: 5 * Millisecond,
+		SingleFlowFrac:   0.05,
+		EqualLengthFrac:  0.50 / 0.77,
+		WideFracNarrowCF: 0.80,
+		SmallFracNarrow:  0.20,
+		SmallFracWide:    0.20,
+		MinSmall:         1 * MB,
+		MaxSmall:         100 * MB,
+		MinLarge:         100 * MB,
+		MaxLarge:         2 * GB,
+	}, "dense-burst")
+}
 
 // sparseTailTrace builds the sparse long-tail workload: single-flow
 // coflows arriving every 64ms (8δ at the default δ=8ms) over rotating

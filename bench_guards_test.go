@@ -3,24 +3,34 @@ package saath
 // The allocation and counter guards of every layer, in one table over
 // one schema. BENCH_baseline.json records, per layer and operation,
 // the allocations one steady-state run of it made when the layer
-// landed; each row below re-measures its operation and fails past the
-// row's multiple of that record. Counts are deterministic, so they may
-// gate tier-1; timings never do — they belong to `go run ./bench`.
-// `make guards` runs these plus the in-package zero-alloc guards.
+// landed — or, for a row that guards bytes, the bytes it allocated;
+// each row below re-measures its operation and fails past the row's
+// multiple of that record. Counts and byte totals are deterministic,
+// so they may gate tier-1; timings never do — they belong to
+// `go run ./bench`. `make guards` runs these plus the in-package
+// zero-alloc guards.
 
 import (
 	"encoding/json"
 	"os"
+	"runtime"
 	"testing"
 
 	"saath/internal/obs"
 	"saath/internal/trace"
 )
 
-// loadBaseline reads BENCH_baseline.json: layer → operation →
-// allocs/op. The file's prose fields ("recorded", "workload", ...) are
-// not sections and are skipped.
-func loadBaseline(t *testing.T) map[string]map[string]float64 {
+// baseline is one operation's record: allocations per run, or bytes
+// allocated per run. A row guards whichever its operation records.
+type baseline struct {
+	AllocsPerOp *float64 `json:"allocs_per_op"`
+	BytesPerOp  *float64 `json:"bytes_per_op"`
+}
+
+// loadBaseline reads BENCH_baseline.json: layer → operation → record.
+// The file's prose fields ("recorded", "workload", ...) are not
+// sections and are skipped.
+func loadBaseline(t *testing.T) map[string]map[string]baseline {
 	t.Helper()
 	raw, err := os.ReadFile("BENCH_baseline.json")
 	if err != nil {
@@ -30,20 +40,29 @@ func loadBaseline(t *testing.T) map[string]map[string]float64 {
 	if err := json.Unmarshal(raw, &fields); err != nil {
 		t.Fatal(err)
 	}
-	base := map[string]map[string]float64{}
+	base := map[string]map[string]baseline{}
 	for layer, field := range fields {
-		var ops map[string]struct {
-			AllocsPerOp float64 `json:"allocs_per_op"`
-		}
-		if json.Unmarshal(field, &ops) != nil {
-			continue
-		}
-		base[layer] = map[string]float64{}
-		for op, rec := range ops {
-			base[layer][op] = rec.AllocsPerOp
+		var ops map[string]baseline
+		if json.Unmarshal(field, &ops) == nil {
+			base[layer] = ops
 		}
 	}
 	return base
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the average number of
+// bytes f allocates per call, after one warm-up call, on one P so no
+// other goroutine's allocations land in the window.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // allocGuard is one row: the operation a layer's cost contract is
@@ -52,9 +71,9 @@ type allocGuard struct {
 	test      string // the Test function that runs the row
 	layer, op string // BENCH_baseline.json section and entry
 	runs      int
-	// factor is the allowed multiple of the recorded allocs/op: 1.25 for
-	// drift (which is exactly zero where the record is zero), 0 where
-	// the contract is no allocation at all whatever the record says.
+	// factor is the allowed multiple of the record: 1.25 for drift
+	// (which is exactly zero where the record is zero), 0 where the
+	// contract is no allocation at all whatever the record says.
 	factor float64
 	build  func(tb testing.TB) func() // warms up, returns the measured step
 }
@@ -77,6 +96,17 @@ func allocGuards() []allocGuard {
 		}},
 		{"TestEngineLayerGuards", "engine_layer", "event_sparse", 1, 1.25, func(tb testing.TB) func() {
 			tr := sparseTailTrace()
+			return func() {
+				if _, err := Simulate(tr, "saath", SimConfig{}); err != nil {
+					tb.Fatal(err)
+				}
+			}
+		}},
+		// The bytes a dense replay allocates: tables keyed by flow and
+		// CoFlow index grow through coflow.Grow, doubling, where growing
+		// them an element at a time costs several times their final size.
+		{"TestEngineLayerGuards", "engine_layer", "replay_dense", 1, 1.10, func(tb testing.TB) func() {
+			tr := denseBurstTrace()
 			return func() {
 				if _, err := Simulate(tr, "saath", SimConfig{}); err != nil {
 					tb.Fatal(err)
@@ -135,15 +165,20 @@ func checkAllocGuards(t *testing.T) {
 			continue
 		}
 		ran++
-		recorded, ok := base[g.layer][g.op]
-		if !ok {
+		b := base[g.layer][g.op]
+		rec, unit, measure := b.AllocsPerOp, "allocs/op", testing.AllocsPerRun
+		if b.BytesPerOp != nil {
+			rec, unit, measure = b.BytesPerOp, "bytes/op", bytesPerRun
+		}
+		if rec == nil {
 			t.Errorf("%s.%s: missing from BENCH_baseline.json", g.layer, g.op)
 			continue
 		}
-		got := testing.AllocsPerRun(g.runs, g.build(t))
-		t.Logf("%s.%s: %.0f allocs/op (recorded %.0f)", g.layer, g.op, got, recorded)
+		recorded := *rec
+		got := measure(g.runs, g.build(t))
+		t.Logf("%s.%s: %.0f %s (recorded %.0f)", g.layer, g.op, got, unit, recorded)
 		if limit := recorded * g.factor; got > limit {
-			t.Errorf("%s.%s: %.1f allocs/op, want <= %.1f (%.2f x the recorded %.0f)", g.layer, g.op, got, limit, g.factor, recorded)
+			t.Errorf("%s.%s: %.1f %s, want <= %.1f (%.2f x the recorded %.0f)", g.layer, g.op, got, unit, limit, g.factor, recorded)
 		}
 	}
 	if ran == 0 {

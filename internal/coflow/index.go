@@ -42,6 +42,10 @@ func (s *IndexSpace) Release(c *CoFlow) {
 	if c.Idx < 0 {
 		return
 	}
+	// Room for every flow first, so the appends below never grow the
+	// list by append's own rule.
+	free := len(s.flowFree)
+	s.flowFree = Grow(s.flowFree, free+len(c.Flows))[:free]
 	for i := len(c.Flows) - 1; i >= 0; i-- {
 		f := c.Flows[i]
 		if f.Idx >= 0 {
@@ -49,8 +53,37 @@ func (s *IndexSpace) Release(c *CoFlow) {
 			f.Idx = -1
 		}
 	}
-	s.coflowFree = append(s.coflowFree, c.Idx)
+	s.coflowFree = Grow(s.coflowFree, len(s.coflowFree)+1)
+	s.coflowFree[len(s.coflowFree)-1] = c.Idx
 	c.Idx = -1
+}
+
+// Grow returns s lengthened to n elements, every new one zero, or s
+// itself when it already holds n. The tables keyed by a dense index
+// grow with the index space, which creeps up by a CoFlow's width per
+// arrival, so a reallocation at least doubles the capacity: append's
+// 1.25x past 256 elements would copy a table many times its final size.
+// Elements re-exposed within the capacity are zeroed too, so a table
+// truncated between calls grows back clean.
+func Grow[T any](s []T, n int) []T {
+	if len(s) >= n {
+		return s
+	}
+	return grow(s, n)
+}
+
+// grow is Grow's reallocating half, kept out of line so that Grow's
+// length check inlines at every caller at the cost of one compare.
+//
+//go:noinline
+func grow[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		clear(s[len(s):n])
+		return s[:n]
+	}
+	g := make([]T, n, max(n, 2*cap(s)))
+	copy(g, s)
+	return g
 }
 
 // FlowCap returns an exclusive upper bound on every live flow index —

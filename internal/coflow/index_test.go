@@ -1,6 +1,9 @@
 package coflow
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func indexedCoflow(id CoFlowID, width int) *CoFlow {
 	spec := &Spec{ID: id}
@@ -57,6 +60,40 @@ func TestIndexSpaceDoubleAssignPanics(t *testing.T) {
 		}
 	}()
 	s.Assign(c)
+}
+
+// TestGrow: Grow lengthens to n with every new element zero — also
+// the ones a truncation left behind in the capacity — at least doubles
+// the capacity when it reallocates, and never shrinks a slice.
+func TestGrow(t *testing.T) {
+	cases := []struct {
+		name    string
+		in      []int
+		n       int
+		want    []int
+		minCap  int
+		inPlace bool // the result shares in's backing array
+	}{
+		{"nil", nil, 3, []int{0, 0, 0}, 3, false},
+		{"n below len is a no-op", []int{1, 2, 3}, 2, []int{1, 2, 3}, 3, true},
+		{"n at len is a no-op", []int{1, 2, 3}, 3, []int{1, 2, 3}, 3, true},
+		{"negative n is a no-op", []int{1}, -1, []int{1}, 1, true},
+		{"truncated slice grows back zeroed", []int{1, 2, 3, 4, 5}[:2], 4, []int{1, 2, 0, 0}, 5, true},
+		{"one past cap doubles", []int{1, 2, 3}, 4, []int{1, 2, 3, 0}, 6, false},
+		{"far past cap takes n", []int{1, 2, 3}, 10, []int{1, 2, 3, 0, 0, 0, 0, 0, 0, 0}, 10, false},
+	}
+	for _, c := range cases {
+		got := Grow(c.in, c.n)
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s: Grow(%v, %d) = %v, want %v", c.name, c.in, c.n, got, c.want)
+		}
+		if cap(got) < c.minCap || cap(got) < cap(c.in) || len(got) < len(c.in) {
+			t.Errorf("%s: len/cap %d/%d from %d/%d, want cap >= %d and no shrinking", c.name, len(got), cap(got), len(c.in), cap(c.in), c.minCap)
+		}
+		if shared := cap(c.in) > 0 && &got[:cap(got)][cap(got)-1] == &c.in[:cap(c.in)][cap(c.in)-1]; shared != c.inPlace {
+			t.Errorf("%s: result shares the input's array = %v, want %v", c.name, shared, c.inPlace)
+		}
+	}
 }
 
 func TestEnsureIndexedPreservesAndFills(t *testing.T) {

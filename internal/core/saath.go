@@ -248,9 +248,7 @@ func (s *Saath) Arrive(c *coflow.CoFlow, now coflow.Time) {
 	if c.Idx < 0 {
 		return
 	}
-	for len(s.states) <= c.Idx {
-		s.states = append(s.states, coflowState{})
-	}
+	s.states = coflow.Grow(s.states, c.Idx+1)
 	// Deadline is set on first Schedule, when the queue population
 	// C_q is known; mark it unset.
 	s.states[c.Idx] = coflowState{c: c, enteredAt: now, deadline: -1}
@@ -309,15 +307,9 @@ func (s *Saath) growScratch(snap *sched.Snapshot) {
 			s.queueCount[i] = 0
 		}
 	}
-	for len(s.kc) < snap.CoFlowCap {
-		s.kc = append(s.kc, 0)
-	}
-	for len(s.states) < snap.CoFlowCap {
-		s.states = append(s.states, coflowState{})
-	}
-	for len(s.tracks) < snap.FlowCap {
-		s.tracks = append(s.tracks, flowTrack{})
-	}
+	s.kc = coflow.Grow(s.kc, snap.CoFlowCap)
+	s.states = coflow.Grow(s.states, snap.CoFlowCap)
+	s.tracks = coflow.Grow(s.tracks, snap.FlowCap)
 }
 
 // Schedule computes the next interval's allocation, following Fig. 7:

@@ -119,11 +119,7 @@ func (s *mmSide) compact() {
 //
 //saath:hotpath
 func (f *Fabric) MaxMinFairInto(dst []coflow.Rate, demands []Demand) []coflow.Rate {
-	rates := dst
-	for len(rates) < len(demands) {
-		rates = append(rates, 0)
-	}
-	rates = rates[:len(demands)] // every demand's rate is set when it freezes
+	rates := coflow.Grow(dst, len(demands))[:len(demands)] // every demand's rate is set when it freezes
 	if len(demands) == 0 {
 		return rates
 	}

@@ -63,27 +63,11 @@ func CapacityTable(title string, cells []Cell) *report.Table {
 }
 
 // AxisValue extracts a numeric sweep coordinate from a cell's variant
-// and trace names: the first "key=value" pair with a numeric value
-// prefix in the variant ("A=2", "deg=12,hot=2", "delta=8ms"), else the
-// same rule on the trace name's "@"-suffix ("fb@A=2"), else a trailing
-// integer in the trace name ("incast25" → 25). Reported ok=false
-// when no numeric axis exists ("policy=lcof", plain "fb").
-func AxisValue(variant, trace string) (float64, bool) {
-	if v, ok := axisFromPairs(variant); ok {
-		return v, true
-	}
-	if _, suffix, ok := strings.Cut(trace, "@"); ok {
-		if v, ok := axisFromPairs(suffix); ok {
-			return v, true
-		}
-	}
-	return trailingNumber(trace)
-}
-
-// axisFromPairs scans comma-separated "k=v" pairs for the first
-// numeric value prefix.
-func axisFromPairs(s string) (float64, bool) {
-	for _, pair := range strings.Split(s, ",") {
+// name: the first comma-separated "key=value" pair with a numeric value
+// prefix ("A=2", "deg=12,hot=2", "delta=8ms"). Reported ok=false when
+// no numeric axis exists ("policy=lcof", no variant).
+func AxisValue(variant string) (float64, bool) {
+	for _, pair := range strings.Split(variant, ",") {
 		_, val, ok := strings.Cut(pair, "=")
 		if !ok {
 			continue
@@ -117,20 +101,6 @@ done:
 		return 0, false
 	}
 	v, err := strconv.ParseFloat(s[:end], 64)
-	return v, err == nil
-}
-
-// trailingNumber parses a trailing integer run ("incast25" → 25).
-func trailingNumber(s string) (float64, bool) {
-	end := len(s)
-	start := end
-	for start > 0 && s[start-1] >= '0' && s[start-1] <= '9' {
-		start--
-	}
-	if start == end {
-		return 0, false
-	}
-	v, err := strconv.ParseFloat(s[start:end], 64)
 	return v, err == nil
 }
 
@@ -185,20 +155,15 @@ func SaturationSeriesOf(cells []Cell, tol float64) []SaturationSeries {
 	var order []*group
 	index := make(map[string]*group)
 	for _, c := range cells {
-		axis, ok := AxisValue(c.Variant, c.Trace)
+		axis, ok := AxisValue(c.Variant)
 		if !ok {
 			continue
 		}
-		// The axis came from the variant when the variant parses; the
-		// series' fixed label is whichever part does NOT carry the axis.
-		workload := c.Trace
-		if _, fromVariant := axisFromPairs(c.Variant); !fromVariant {
-			workload = c.Variant
-		}
-		key := workload + "|" + c.Scheduler
+		// The variant carries the axis; the trace is the series' label.
+		key := c.Trace + "|" + c.Scheduler
 		g, seen := index[key]
 		if !seen {
-			g = &group{workload: workload, scheduler: c.Scheduler}
+			g = &group{workload: c.Trace, scheduler: c.Scheduler}
 			index[key] = g
 			order = append(order, g)
 		}

@@ -215,23 +215,23 @@ func TestDetectKnee(t *testing.T) {
 
 func TestAxisValue(t *testing.T) {
 	cases := []struct {
-		variant, trace string
-		want           float64
-		ok             bool
+		variant string
+		want    float64
+		ok      bool
 	}{
-		{"A=2", "fb", 2, true},
-		{"A=0.5", "fb", 0.5, true},
-		{"deg=12,hot=2,skew=0", "fan", 12, true},
-		{"delta=8ms", "fb", 8, true},
-		{"policy=lcof", "incast", 0, false},
-		{"", "fb@A=4", 4, true},
-		{"", "mix-incast25", 25, true},
-		{"", "fb", 0, false},
+		{"A=2", 2, true},
+		{"A=0.5", 0.5, true},
+		{"deg=12,hot=2,skew=0", 12, true},
+		{"delta=8ms", 8, true},
+		{"policy=lcof", 0, false},
+		// Only the variant is read: a cell with none has no axis,
+		// whatever its trace is called ("fb@A=4", "mix-incast25").
+		{"", 0, false},
 	}
 	for _, c := range cases {
-		got, ok := AxisValue(c.variant, c.trace)
+		got, ok := AxisValue(c.variant)
 		if ok != c.ok || (ok && got != c.want) {
-			t.Errorf("AxisValue(%q, %q) = %v, %v; want %v, %v", c.variant, c.trace, got, ok, c.want, c.ok)
+			t.Errorf("AxisValue(%q) = %v, %v; want %v, %v", c.variant, got, ok, c.want, c.ok)
 		}
 	}
 }

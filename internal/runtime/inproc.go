@@ -107,9 +107,7 @@ func (a *InprocAgent) Deliver(orders []FlowOrder) {
 	for i := range orders {
 		o := &orders[i]
 		k := flowKey{CoFlow: o.CoFlow, Index: o.Index, start: o.start}
-		for int(o.slot) >= len(t.entries) {
-			t.entries = append(t.entries, slotEntry{}) // grow path: the table follows FlowCap
-		}
+		t.entries = coflow.Grow(t.entries, int(o.slot)+1) // the table follows FlowCap
 		e := &t.entries[o.slot]
 		if e.owner != a.id || a.flows[e.at].key != k {
 			*e = slotEntry{owner: a.id, at: a.file(k, o)}

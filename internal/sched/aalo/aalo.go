@@ -136,10 +136,7 @@ const eps = 1e-3
 func (a *Aalo) Schedule(snap *sched.Snapshot) *sched.RateVec {
 	prev, hold := a.issued.Begin(snap)
 	hold = hold && len(snap.Active) == len(a.last)
-	for len(a.last) < len(snap.Active) {
-		a.last = append(a.last, placed{})
-	}
-	a.last = a.last[:len(snap.Active)]
+	a.last = coflow.Grow(a.last, len(snap.Active))[:len(snap.Active)]
 	for i, c := range snap.Active {
 		p := &a.last[i]
 		epoch, progress := c.CacheEpoch(), c.ProgressStamp()
@@ -168,9 +165,7 @@ func (a *Aalo) Schedule(snap *sched.Snapshot) *sched.RateVec {
 // inlining them into the walk.
 func (a *Aalo) fill(fab *fabric.Fabric, alloc *sched.RateVec) {
 	np := fab.NumPorts()
-	for len(a.byPort) < np {
-		a.byPort = append(a.byPort, nil)
-	}
+	a.byPort = coflow.Grow(a.byPort, np)
 	for p := 0; p < np; p++ {
 		a.byPort[p] = a.byPort[p][:0]
 	}

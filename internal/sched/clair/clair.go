@@ -104,9 +104,7 @@ func (c *Clair) Schedule(snap *sched.Snapshot) *sched.RateVec {
 // computeKeys fills the ordering key for every active CoFlow into the
 // dense key vector.
 func (c *Clair) computeKeys(snap *sched.Snapshot) {
-	for len(c.keys) < snap.CoFlowCap {
-		c.keys = append(c.keys, 0)
-	}
+	c.keys = coflow.Grow(c.keys, snap.CoFlowCap)
 	rate := snap.Fabric.PortRate()
 	if c.policy == LWTF {
 		c.cindex.Sync(snap.Active)

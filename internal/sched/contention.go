@@ -186,12 +186,8 @@ func (x *ContentionIndex) track() {
 
 // grow makes room for CoFlow indices below n.
 func (x *ContentionIndex) grow(n int) {
-	for len(x.states) < n {
-		x.states = append(x.states, cfOcc{})
-	}
-	for len(x.sigs) < n*x.words {
-		x.sigs = append(x.sigs, 0)
-	}
+	x.states = coflow.Grow(x.states, n)
+	x.sigs = coflow.Grow(x.sigs, n*x.words)
 }
 
 // widen doubles the slots every slot bitset covers.

@@ -32,15 +32,13 @@ type RateVec struct {
 // NewRateVec returns a vector with capacity for flow indices [0, n).
 // It grows on demand if written past n.
 func NewRateVec(n int) *RateVec {
-	v := &RateVec{epoch: 1}
-	v.grow(n)
-	return v
+	return &RateVec{rates: make([]coflow.Rate, n), stamp: make([]uint32, n), epoch: 1}
 }
 
 // Reset clears the vector and ensures capacity for indices [0, n),
 // without releasing memory: O(1) plus any growth.
 func (v *RateVec) Reset(n int) {
-	v.grow(n)
+	v.rates, v.stamp = coflow.Grow(v.rates, n), coflow.Grow(v.stamp, n)
 	v.touched = v.touched[:0]
 	v.content++
 	v.epoch++
@@ -48,22 +46,6 @@ func (v *RateVec) Reset(n int) {
 		clear(v.stamp)
 		v.epoch = 1
 	}
-}
-
-// grow makes room for indices below n, at least doubling: the index
-// space creeps up by a CoFlow's width per arrival, and growing to the
-// exact size would copy both slices on every one. Slots at or past the
-// size asked for carry no current stamp, so they read as unset.
-func (v *RateVec) grow(n int) {
-	if n <= len(v.stamp) {
-		return
-	}
-	n = max(n, 2*len(v.stamp))
-	rates := make([]coflow.Rate, n)
-	stamp := make([]uint32, n)
-	copy(rates, v.rates)
-	copy(stamp, v.stamp)
-	v.rates, v.stamp = rates, stamp
 }
 
 // Len returns the number of flows with a rate set this epoch.
@@ -103,7 +85,7 @@ func (v *RateVec) Set(idx int, r coflow.Rate) {
 		panic(fmt.Sprintf("sched: RateVec.Set on unindexed flow (idx %d)", idx))
 	}
 	if idx >= len(v.stamp) {
-		v.grow(idx + 1)
+		v.rates, v.stamp = coflow.Grow(v.rates, idx+1), coflow.Grow(v.stamp, idx+1)
 	}
 	v.content++
 	if v.stamp[idx] != v.epoch {

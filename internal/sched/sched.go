@@ -266,10 +266,7 @@ type slotStamp struct {
 //saath:hotpath
 func (s *SlotStamps) Same(active []*coflow.CoFlow) bool {
 	same := s.valid && len(active) == len(s.last)
-	for len(s.last) < len(active) {
-		s.last = append(s.last, slotStamp{})
-	}
-	s.last = s.last[:len(active)]
+	s.last = coflow.Grow(s.last, len(active))[:len(active)]
 	for i, c := range active {
 		st := slotStamp{c, c.CacheEpoch()}
 		same = same && st.epoch != 0 && st == s.last[i]

@@ -75,9 +75,7 @@ func (v *Varys) Schedule(snap *sched.Snapshot) *sched.RateVec {
 	if np := fab.NumPorts(); len(v.portNeed) < 2*np {
 		v.portNeed = make([]coflow.Rate, 2*np)
 	}
-	for len(v.gammas) < snap.CoFlowCap {
-		v.gammas = append(v.gammas, 0)
-	}
+	v.gammas = coflow.Grow(v.gammas, snap.CoFlowCap)
 	rate := fab.PortRate()
 	v.order = append(v.order[:0], snap.Active...)
 	for _, c := range v.order {

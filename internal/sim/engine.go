@@ -443,10 +443,8 @@ func (e *engine) admitOne(p *pendingSpec, now coflow.Time) *coflow.CoFlow {
 	}
 	e.space.Assign(c)
 	// The Flow.Idx-keyed tables grow together, before anything reads them.
-	for len(e.valFlows) < e.space.FlowCap() {
-		e.valFlows = append(e.valFlows, flowSlot{})
-		e.restartPending = append(e.restartPending, false)
-	}
+	e.valFlows = coflow.Grow(e.valFlows, e.space.FlowCap())
+	e.restartPending = coflow.Grow(e.restartPending, e.space.FlowCap())
 	for _, f := range c.Flows {
 		e.valFlows[f.Idx] = flowSlot{f: f, owner: c}
 	}
@@ -588,9 +586,7 @@ func (e *engine) planInterval(alloc *sched.RateVec) {
 // order, place. Policies rate a CoFlow's flows in Flows order, so a run
 // comes out ascending as placed; one that does not is sorted.
 func (e *engine) buildRated(alloc *sched.RateVec) {
-	for len(e.ratedRun) < e.space.CoFlowCap() {
-		e.ratedRun = append(e.ratedRun, 0)
-	}
+	e.ratedRun = coflow.Grow(e.ratedRun, e.space.CoFlowCap())
 	raw, run := e.ratedRaw[:0], e.ratedRun
 	alloc.Range(func(idx int, r coflow.Rate) bool {
 		if idx >= len(e.valFlows) {

@@ -121,7 +121,7 @@ func TestCapacityCatalogStudy(t *testing.T) {
 	}
 	axes := map[float64]bool{}
 	for _, j := range jobs {
-		v, ok := obs.AxisValue(j.Variant, j.Trace)
+		v, ok := obs.AxisValue(j.Variant)
 		if !ok {
 			t.Fatalf("job %s has no numeric load axis", j.Key())
 		}

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
 	"slices"
 
 	"saath/internal/coflow"
@@ -456,7 +457,7 @@ func (d *shardDecoder) metrics() *telemetry.Metrics {
 // as a confusing merge error. MergeShardDir wraps every error with the
 // dump's path.
 func ReadShard(rd io.Reader) (*ShardDump, error) {
-	b, err := io.ReadAll(rd)
+	b, err := readAll(rd)
 	if err != nil {
 		return nil, fmt.Errorf("study: bad shard dump: %w", err)
 	}
@@ -468,6 +469,37 @@ func ReadShard(rd io.Reader) (*ShardDump, error) {
 		return nil, fmt.Errorf("study: bad shard dump: %w", err)
 	}
 	return dump, nil
+}
+
+// readAll reads rd to EOF into one buffer sized the way os.ReadFile
+// sizes its own: the length rd has left, when it can tell it (Len for
+// a bytes.Buffer or bytes.Reader, Stat for a file), plus one byte to
+// meet EOF. A reader that cannot tell, or tells short, still gets read
+// whole; only its buffer grows the way io.ReadAll's does.
+func readAll(rd io.Reader) ([]byte, error) {
+	size := 0
+	switch r := rd.(type) {
+	case interface{ Len() int }:
+		size = r.Len()
+	case *os.File:
+		if fi, err := r.Stat(); err == nil && int64(int(fi.Size())) == fi.Size() {
+			size = int(fi.Size())
+		}
+	}
+	b := make([]byte, 0, max(size+1, 512))
+	for {
+		n, err := rd.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 func decodeShard(b []byte) (*ShardDump, error) {

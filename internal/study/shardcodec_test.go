@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -279,7 +280,8 @@ func TestShardSeedCorpusDecodes(t *testing.T) {
 // dump — and either way the reader allocates in proportion to the input
 // (no length prefix is trusted beyond the bytes that follow it). Every
 // input is also tried with its checksum fixed up, so mutations explore
-// the decoder rather than dying at the CRC. The committed corpus under
+// the decoder rather than dying at the CRC, and read both through a
+// reader that tells its length and one that hides it. The committed corpus under
 // testdata/fuzz holds a real dump, truncations of it and an old JSON
 // dump.
 func FuzzReadShard(f *testing.F) {
@@ -289,21 +291,25 @@ func FuzzReadShard(f *testing.F) {
 	f.Add([]byte(oldJSONDump))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, in := range [][]byte{data, fixChecksum(data)} {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			d, err := ReadShard(bytes.NewReader(in))
-			runtime.ReadMemStats(&after)
-			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(in)+1<<20); got > limit {
-				t.Fatalf("reading %d bytes allocated %d (limit %d)", len(in), got, limit)
-			}
-			if err != nil {
-				continue
-			}
-			if err := d.shape(); err != nil {
-				t.Fatalf("accepted dump fails shape(): %v", err)
-			}
-			if !bytes.Equal(encodeDump(t, d), in) {
-				t.Fatal("accepted dump re-encodes to different bytes")
+			// Both read paths: a reader that tells its length (the
+			// buffer is sized up front) and one that hides it.
+			for _, rd := range []io.Reader{bytes.NewReader(in), struct{ io.Reader }{bytes.NewReader(in)}} {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				d, err := ReadShard(rd)
+				runtime.ReadMemStats(&after)
+				if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(in)+1<<20); got > limit {
+					t.Fatalf("reading %d bytes through %T allocated %d (limit %d)", len(in), rd, got, limit)
+				}
+				if err != nil {
+					continue
+				}
+				if err := d.shape(); err != nil {
+					t.Fatalf("accepted dump fails shape(): %v", err)
+				}
+				if !bytes.Equal(encodeDump(t, d), in) {
+					t.Fatal("accepted dump re-encodes to different bytes")
+				}
 			}
 		}
 	})

@@ -519,9 +519,9 @@ func DerivedPortHeatmap(title string, maxPorts int) Derived {
 // DerivedCapacityReport renders the full capacity report over the
 // study's cells: completed coflows per simulated second with pooled
 // CCT percentiles per cell, the saturation table — knee detection over
-// the numeric load axis (variant or trace-name sweeps, see
-// obs.AxisValue), with a hint row when the study has none — and the
-// per-point load-curve detail. tol <= 0 uses obs.DefaultKneeTolerance.
+// the numeric load axis (a variant sweep, see obs.AxisValue), with a
+// hint row when the study has none — and the per-point load-curve
+// detail. tol <= 0 uses obs.DefaultKneeTolerance.
 func DerivedCapacityReport(title string, tol float64) Derived {
 	return func(st *Study, sum *sweep.Summary) ([]*report.Table, error) {
 		return obs.CapacityReport(title, sum.CapacityCells(), tol), nil

@@ -83,24 +83,11 @@ func (qt *queueTracker) observe(active []*coflow.CoFlow) (promotions, demotions 
 // grow makes room for CoFlow indices below n: amortized growth when the
 // live CoFlow index space widens, never at steady state.
 func (qt *queueTracker) grow(n int) {
-	if cap(qt.prevQ) >= n {
-		old := len(qt.prevQ)
-		qt.prevQ = qt.prevQ[:n]
-		qt.prevID = qt.prevID[:n]
-		for i := old; i < n; i++ {
-			qt.prevQ[i] = -1
-		}
-		return
+	old := len(qt.prevQ)
+	qt.prevQ, qt.prevID = coflow.Grow(qt.prevQ, n), coflow.Grow(qt.prevID, n)
+	for i := old; i < n; i++ {
+		qt.prevQ[i] = -1
 	}
-	grown := n * 2
-	pq := make([]int16, grown)
-	pid := make([]coflow.CoFlowID, grown)
-	copy(pq, qt.prevQ)
-	copy(pid, qt.prevID)
-	for i := len(qt.prevQ); i < grown; i++ {
-		pq[i] = -1
-	}
-	qt.prevQ, qt.prevID = pq[:n], pid[:n]
 }
 
 // DefaultOccupancyBounds suits per-port queue-occupancy distributions:
@@ -169,14 +156,12 @@ func (h *Heatmap) ObserveN(occ []int, n int64) {
 // growPorts sizes the port dimension to n ports, once, on the first
 // observation.
 func (h *Heatmap) growPorts(n int) {
-	for p := len(h.counts); p < n; p++ {
-		h.counts = append(h.counts, make([]int64, len(h.bounds)))
+	old := len(h.counts)
+	h.counts = coflow.Grow(h.counts, n)
+	for p := old; p < n; p++ {
+		h.counts[p] = make([]int64, len(h.bounds))
 	}
-	for len(h.overflow) < n {
-		h.overflow = append(h.overflow, 0)
-		h.sum = append(h.sum, 0)
-		h.max = append(h.max, 0)
-	}
+	h.overflow, h.sum, h.max = coflow.Grow(h.overflow, n), coflow.Grow(h.sum, n), coflow.Grow(h.max, n)
 }
 
 // Export dumps the heatmap.
