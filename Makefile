@@ -19,7 +19,8 @@ test:
 # Write + Parse round-trip. A CoFlow's pending/done summary: after any
 # interleaving of its writers — progress, completions, availability
 # flips, restarts and update() swaps — every accessor equals a full
-# scan of its flows.
+# scan of its flows, and a CoFlow re-admitted on the storage a retired
+# one left (coflow.Spares) equals a fresh one.
 # Max-min filling: on any demands, caps and pre-drawn fabric, the rates
 # equal a round-by-round walk over every demand bit for bit. In-process
 # agents: under any churn script — registrations, deregistrations whose
@@ -30,7 +31,8 @@ test:
 # the slot-table agents hold the same flows as map-keyed reference
 # agents, every flow ordered at the start and size the coordinator
 # ordered, no flow has more bytes sent than its port moves since it
-# last started, and the coordinators agree on every result. Aalo's
+# last started, no two live CoFlows share a flow, and the coordinators
+# agree on every result. Aalo's
 # fill: on any CoFlows over any queues,
 # withheld and done flows, and any pre-drawn fabric (closed egresses,
 # residuals a hair from eps), the rates and the fabric left behind equal

@@ -10,7 +10,8 @@ package saath
 // burst is the other shape: a hundred wide coflows 5 ms apart, so
 // thousands of flow indices are live at once and the tables keyed by
 // them grow through most of the replay; the section records the bytes
-// that replay allocates. Wall-clock is not asserted here — timings
+// that replay allocates, and those of a sparse-longtail-shaped replay,
+// whose CoFlows arrive one or two live at a time. Wall-clock is not asserted here — timings
 // belong to `go run ./bench` (make perf), never to tier-1.
 
 import (
@@ -38,6 +39,30 @@ func denseBurstTrace() *Trace {
 		MinLarge:         100 * MB,
 		MaxLarge:         2 * GB,
 	}, "dense-burst")
+}
+
+// sparseLongtailTrace builds a trace shaped like the benchmark's
+// sparse-longtail workload at a tenth of its length: 2,000 small
+// CoFlows, mostly narrow, 400 ms apart on 150 ports, so one or two are
+// live at a time. A replay that hands each retired CoFlow's flow storage
+// to the next arrival allocates the flows of that live set, not of the
+// trace.
+func sparseLongtailTrace() *Trace {
+	return trace.Synthesize(trace.SynthConfig{
+		Seed:             1,
+		NumPorts:         150,
+		NumCoFlows:       2000,
+		MeanInterArrival: 400 * Millisecond,
+		SingleFlowFrac:   0.23,
+		EqualLengthFrac:  0.50 / 0.77,
+		WideFracNarrowCF: 0.05,
+		SmallFracNarrow:  1,
+		SmallFracWide:    1,
+		MinSmall:         1 * MB,
+		MaxSmall:         20 * MB,
+		MinLarge:         20 * MB,
+		MaxLarge:         20 * MB,
+	}, "sparse-longtail")
 }
 
 // sparseTailTrace builds the sparse long-tail workload: single-flow

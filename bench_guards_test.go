@@ -113,6 +113,17 @@ func allocGuards() []allocGuard {
 				}
 			}
 		}},
+		// The bytes a sparse replay allocates: each retired CoFlow's flow
+		// storage backs a later arrival, so with one or two CoFlows live the
+		// replay allocates a few CoFlows' flows, not the trace's.
+		{"TestEngineLayerGuards", "engine_layer", "replay_sparse", 1, 1.10, func(tb testing.TB) func() {
+			tr := sparseLongtailTrace()
+			return func() {
+				if _, err := Simulate(tr, "saath", SimConfig{}); err != nil {
+					tb.Fatal(err)
+				}
+			}
+		}},
 		{"TestObsLayerGuards", "obs_layer", "counter_step", 100, 1.25, func(testing.TB) func() {
 			var c obs.EngineCounters
 			i := 0
@@ -126,6 +137,9 @@ func allocGuards() []allocGuard {
 		{"TestTestbedLayerGuards", "testbed_layer", "report_batch", 200, 1.25, func(tb testing.TB) func() {
 			coord, agents := benchTestbedCluster(tb, 64, 4)
 			return func() { coord.ReportInproc(agents, 0) }
+		}},
+		{"TestTestbedLayerGuards", "testbed_layer", "register_retire", 200, 1.25, func(tb testing.TB) func() {
+			return benchRegisterRetire(tb)
 		}},
 		{"TestCoordinatorBoundaryZeroAlloc", "testbed_layer", "boundary", 200, 1.25, func(tb testing.TB) func() {
 			coord, _ := benchTestbedCluster(tb, 64, 4)

@@ -64,6 +64,33 @@ func benchTestbedCluster(tb testing.TB, nPorts, nCoFlows int) (*Coordinator, []*
 	return coord, agents
 }
 
+// benchRegisterRetire returns one CoFlow's life on a 64-port cluster
+// with nothing else live: Register a four-flow CoFlow, one boundary to
+// order its flows, its agents step and report them finished, one
+// boundary to retire it. Each cycle registers the CoFlow again, so from
+// the second on it is drawn on the flow storage the last one left.
+func benchRegisterRetire(tb testing.TB) func() {
+	coord, agents := benchTestbedCluster(tb, 64, 0)
+	spec := &Spec{ID: 1}
+	for p := 0; p < 4; p++ {
+		spec.Flows = append(spec.Flows, FlowSpec{Src: PortID(2 * p), Dst: PortID(2*p + 1), Size: 100 * KB})
+	}
+	busy := agents[:8]
+	return func() {
+		if err := coord.Register(spec, 0); err != nil {
+			tb.Fatal(err)
+		}
+		coord.StepSchedule(0)
+		for _, a := range busy {
+			a.Step(benchStepDelta)
+		}
+		coord.ReportInproc(busy, 0)
+		if coord.StepSchedule(0) != 0 {
+			tb.Fatal("the CoFlow did not retire in one boundary")
+		}
+	}
+}
+
 // BenchmarkTestbedAgentStep measures one agent's steady-state boundary
 // work — advance every held flow by δ, push the progress report into
 // the coordinator — on a 64-port cluster with 4 flows per agent.

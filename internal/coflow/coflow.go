@@ -41,6 +41,7 @@ package coflow
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -307,6 +308,11 @@ type CoFlow struct {
 	// maxSent is m_c, the most any one flow has sent, kept by the
 	// writers that move Sent (see MaxSent); unless maxStale it is exact.
 	maxSent Bytes
+
+	// store is the flow storage Flows and pend are cut from: 2n pointers
+	// for some n >= the width, the first n into one slab of flows and the
+	// rest pend's array. Spares.Put hands it on whole.
+	store []*Flow
 }
 
 // summaryExtra is the part of a CoFlow's summary that only some CoFlows
@@ -323,15 +329,87 @@ type summaryExtra struct {
 // unless the caller marks them otherwise. The flows live in one slab,
 // and Flows shares one array with the pending list's storage, so a
 // CoFlow costs three allocations whatever its width, and its first read
-// one more (the pending flows' port pairs).
-func New(spec *Spec) *CoFlow {
+// one more (the pending flows' port pairs). New is an empty Spares' New.
+func New(spec *Spec) *CoFlow { return newCoFlow(spec, spare{}) }
+
+// Spares is a free list of retired CoFlows' flow storage — the flows,
+// the pointer array Flows and the pending list share, the port view and
+// the summary's optional lists — handed to later arrivals. A replay
+// that returns each retired CoFlow (Put) and draws each arrival (New)
+// allocates storage for its live set, not for every CoFlow of its
+// trace. The CoFlow header is always fresh: holders key on the *CoFlow
+// and its epoch, and a reused header could pass a newcomer off as a
+// departed CoFlow. The zero value is an empty list; a Spares has one
+// owner.
+type Spares struct {
+	// classes holds storage by width class: storage for n flows sits in
+	// class bits.Len(n)-1, so class k holds widths in [2^k, 2^(k+1)).
+	classes [][]spare
+}
+
+// spare is one retired CoFlow's storage.
+type spare struct {
+	flows []*Flow    // CoFlow.store
+	ports []PortPair // pendPorts' array, as far as cuts left it
+	extra *summaryExtra
+}
+
+// New is New(spec) on storage a retired CoFlow left, when a class holds
+// some wide enough: the top of the spec width's own class if it fits,
+// else the top of the class above, which always does. Otherwise it
+// allocates exactly the spec's width, as New does. Either way the
+// CoFlow is indistinguishable from New's.
+func (s *Spares) New(spec *Spec) *CoFlow {
+	w := len(spec.Flows)
+	k := bits.Len(uint(w)) - 1 // w's class; -1 for no flows
+	for top := k + 1; k >= 0 && k <= top && k < len(s.classes); k++ {
+		cl := s.classes[k]
+		if n := len(cl); n > 0 && len(cl[n-1].flows) >= 2*w {
+			sp := cl[n-1]
+			cl[n-1] = spare{}
+			s.classes[k] = cl[:n-1]
+			return newCoFlow(spec, sp)
+		}
+	}
+	return newCoFlow(spec, spare{})
+}
+
+// Put takes a retired CoFlow's storage for later arrivals. The CoFlow
+// keeps its header — its ID, times and stamps — and loses its flows:
+// Flows is nil afterwards, so a stale read fails rather than reading a
+// later CoFlow's flows. Only a CoFlow nothing reads the flows of any
+// more may be put; one New did not make is left as it is.
+func (s *Spares) Put(c *CoFlow) {
+	if len(c.store) == 0 {
+		return
+	}
+	k := bits.Len(uint(len(c.store)/2)) - 1
+	if k >= len(s.classes) {
+		s.classes = append(s.classes, make([][]spare, k+1-len(s.classes))...)
+	}
+	s.classes[k] = append(s.classes[k], spare{flows: c.store, ports: c.pendPorts, extra: c.extra})
+	c.Flows, c.pend, c.pendPorts, c.extra, c.store = nil, nil, nil, nil, nil
+}
+
+// newCoFlow builds a CoFlow for spec on storage sp, allocating it when
+// sp has none. Every flow is written afresh and every list starts
+// empty; a list too short for the width is dropped, so that its first
+// use allocates it at the width, as on fresh storage.
+func newCoFlow(spec *Spec, sp spare) *CoFlow {
 	w := len(spec.Flows)
 	c := &CoFlow{Spec: spec, Idx: -1, Arrived: spec.Arrival, epoch: 1}
-	slab := make([]Flow, w)
-	ptrs := make([]*Flow, 2*w)
-	c.Flows, c.pend = ptrs[:w:w], ptrs[w:w]
+	if sp.flows == nil {
+		slab := make([]Flow, w)
+		sp.flows = make([]*Flow, 2*w)
+		for i := range slab {
+			sp.flows[i] = &slab[i]
+		}
+	}
+	n := len(sp.flows) / 2
+	c.store = sp.flows
+	c.Flows, c.pend = sp.flows[:w:w], sp.flows[n:n]
 	for i, fs := range spec.Flows {
-		slab[i] = Flow{
+		*c.Flows[i] = Flow{
 			ID:        FlowID{CoFlow: spec.ID, Index: i},
 			Idx:       -1,
 			Src:       fs.Src,
@@ -340,7 +418,17 @@ func New(spec *Spec) *CoFlow {
 			available: true,
 			Slowdown:  1,
 		}
-		c.Flows[i] = &slab[i]
+	}
+	if cap(sp.ports) >= w {
+		c.pendPorts = sp.ports[:0]
+	}
+	if x := sp.extra; x != nil {
+		done := x.doneSent
+		*x = summaryExtra{send: x.send[:0], sendPorts: x.sendPorts[:0]}
+		if cap(done) >= w {
+			x.doneSent = done[:0]
+		}
+		c.extra = x
 	}
 	return c
 }

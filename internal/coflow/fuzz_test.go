@@ -16,9 +16,15 @@ import (
 // so Complete meets fresh and stale summaries, with and without its
 // sorted done list.
 //
+// A step may also first retire the CoFlow through a free list (Spares)
+// and re-admit one of another width on what it left, which must equal
+// New's; an update()-style swap retires the old flow set there too, so
+// the list holds storage of several widths.
+//
 // The input is a width byte (a quarter of the width) followed by (op,
 // arg) byte pairs. The op's low three bits pick the mutation, bit 3 skips
-// the step's reads and bit 4 asks DoneMedian; arg picks the flow (by
+// the step's reads, bit 4 asks DoneMedian and bit 5 retires and
+// re-admits first, at a width arg sets; arg picks the flow (by
 // where along Flows to start looking), the bytes or the batch size (and,
 // by its low bit, whether a batch is one call). The committed corpus
 // under testdata/fuzz holds one input per mutation, a wide CoFlow
@@ -27,7 +33,8 @@ import (
 // flows mixed, an availability flip that nothing reads before the next
 // Complete, and the three moves of m_c that are not a raise: a restart
 // of the flow holding it, a CarryOver that resizes that flow, and a
-// finished flow's Sent rewritten.
+// finished flow's Sent rewritten; and CoFlows re-admitted on the
+// storage of one that did all of that.
 func FuzzProgressSummary(f *testing.F) {
 	f.Add([]byte{6, 0, 3, 1, 2, 2, 4, 17, 1, 4, 0, 0x11, 5})
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -39,7 +46,8 @@ func FuzzProgressSummary(f *testing.F) {
 		for i := 0; i < width; i++ {
 			spec.Flows = append(spec.Flows, FlowSpec{Src: PortID(i % 7), Dst: PortID(i % 5), Size: Bytes(100 + 37*(i%11))})
 		}
-		c := New(spec)
+		var spares Spares
+		c := spares.New(spec)
 		pick := func(arg byte, pending bool) *Flow { // from arg/256 of the way along
 			for k, at := 0, int(arg)*len(c.Flows)/256; k < len(c.Flows); k++ {
 				f := c.Flows[(at+k)%len(c.Flows)]
@@ -51,6 +59,19 @@ func FuzzProgressSummary(f *testing.F) {
 		}
 		for step, ops := 0, in[1:]; len(ops) >= 2; step, ops = step+1, ops[2:] {
 			op, arg := ops[0], ops[1]
+			if op&32 != 0 { // retire, and re-admit at up to twice the input's width on what it left
+				w := 1 + int(arg)*width/128
+				spares.Put(c)
+				if c.Flows != nil {
+					t.Fatalf("step %d: a retired CoFlow keeps its flows", step)
+				}
+				next := &Spec{ID: CoFlowID(step + 2)}
+				for i := 0; i < w; i++ {
+					next.Flows = append(next.Flows, FlowSpec{Src: PortID(i % 7), Dst: PortID(i % 5), Size: Bytes(100 + 37*((i+int(arg))%11))})
+				}
+				c = spares.New(next)
+				sameAsNew(t, c)
+			}
 			switch op & 7 {
 			case 0: // bytes move on a pending flow
 				if f := pick(arg, true); f != nil {
@@ -105,6 +126,7 @@ func FuzzProgressSummary(f *testing.F) {
 						c.SetAvailable(f, old.Flows[i].Available())
 					}
 				}
+				spares.Put(old)
 			case 7: // Complete on a flow that is no longer pending: left as it is
 				if f := pick(arg, false); f != nil {
 					c.Complete(f, Time(step))

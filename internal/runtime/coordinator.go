@@ -182,8 +182,10 @@ type Coordinator struct {
 	finishing []*liveCoFlow
 
 	// space assigns the dense flow/coflow indices the scheduler's
-	// allocation vector is keyed by.
-	space *coflow.IndexSpace
+	// allocation vector is keyed by; spares is the flow storage of
+	// departed CoFlows, which registrations draw from.
+	space  *coflow.IndexSpace
+	spares coflow.Spares
 
 	// starts holds each live flow's start stamp by dense flow index, and
 	// started is the last stamp handed out: it moves whenever a flow
@@ -336,14 +338,17 @@ func byArrival(a, b *coflow.CoFlow) int {
 }
 
 // dropLive takes a retired or deregistered CoFlow out of the ID lookup,
-// the arrival order and the index space; the caller has told the
-// scheduler.
+// the arrival order and the index space, and hands its flow storage to
+// later registrations; the caller has told the scheduler. A finishing
+// entry may still name lc, but the retire pass skips a CoFlow that is
+// not live before it reads its flows.
 func (c *Coordinator) dropLive(lc *liveCoFlow) {
 	delete(c.live, lc.spec.ID)
 	if i, ok := slices.BinarySearchFunc(c.snap.Active, lc.rt, byArrival); ok {
 		c.snap.Active = slices.Delete(c.snap.Active, i, i+1)
 	}
 	c.space.Release(lc.rt)
+	c.spares.Put(lc.rt)
 }
 
 // StepSchedule runs one δ boundary at virtual time now: retire completed
@@ -483,7 +488,7 @@ func (c *Coordinator) Register(spec *coflow.Spec, now coflow.Time) error {
 		c.nRejected++
 		return ErrAdmission
 	}
-	rt := coflow.New(spec)
+	rt := c.spares.New(spec)
 	rt.Arrived = now
 	c.live[spec.ID] = &liveCoFlow{spec: spec, rt: rt}
 	at, _ := slices.BinarySearchFunc(c.snap.Active, rt, byArrival)
@@ -539,6 +544,9 @@ func (c *Coordinator) Update(spec *coflow.Spec) error {
 	if i, ok := slices.BinarySearchFunc(c.snap.Active, old, byArrival); ok {
 		c.snap.Active[i] = lc.rt
 	}
+	// old's flow storage is not handed on (spares): the policy has not
+	// been told of the swap, and its kept state may name old until its
+	// next Schedule.
 	carried := make([]bool, len(spec.Flows))
 	lc.rt.CarryOver(old, carried)
 	c.space.Assign(lc.rt)

@@ -106,7 +106,10 @@ func agentFlows(flows []inprocFlow) string {
 // flow, or swap-removes another over it (an Update cannot set this up:
 // the old sender's next report drops a moved flow before the new
 // sender's orders file it) — a flow resized after three boundaries, and
-// an ID registered again.
+// an ID registered again. After every operation, no two live CoFlows of
+// either coordinator may share a Flow, and every live flow must be the
+// one its spec names; the corpus churns deregistrations and
+// registrations for that.
 func FuzzInprocAgents(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 2, 5, 1, 0, 0, 0, 0, 2, 3, 2, 5, 5, 5, 5, 5, 5})
 	f.Add([]byte{0, 0, 1, 0, 1, 3, 0, 5, 3, 0, 5, 5, 4, 0, 6, 2, 0, 2, 1, 3, 4, 5, 0, 0, 5, 6, 5})
@@ -305,8 +308,29 @@ func FuzzInprocAgents(f *testing.F) {
 			}
 		}
 
+		// distinct holds a coordinator's live CoFlows apart: no two share a
+		// Flow — flow storage passes from departed CoFlows to registrations
+		// — and each live flow is its spec's.
+		distinct := func(when string, c *Coordinator) {
+			owner := map[*coflow.Flow]coflow.CoFlowID{}
+			for id, lc := range c.live {
+				if len(lc.rt.Flows) != len(lc.spec.Flows) {
+					t.Fatalf("%s: c%d has %d flows, its spec %d", when, id, len(lc.rt.Flows), len(lc.spec.Flows))
+				}
+				for i, f := range lc.rt.Flows {
+					if other, ok := owner[f]; ok {
+						t.Fatalf("%s: c%d and c%d share flow %v", when, other, id, f.ID)
+					}
+					owner[f] = id
+					if fs := lc.spec.Flows[i]; f.Src != fs.Src || f.Dst != fs.Dst || f.Size != fs.Size || f.ID != (coflow.FlowID{CoFlow: id, Index: i}) {
+						t.Fatalf("%s: c%d flow %d is %v %d->%d %d bytes, its spec %d->%d %d", when, id, i, f.ID, f.Src, f.Dst, f.Size, fs.Src, fs.Dst, fs.Size)
+					}
+				}
+			}
+		}
+
 		n := 0
-		for pos < len(script) {
+		for op := 0; pos < len(script); op++ {
 			switch next() % 8 {
 			case 0: // register, under a fresh ID or again under an earlier one
 				id := len(ids) + 1
@@ -368,6 +392,9 @@ func FuzzInprocAgents(f *testing.F) {
 					}
 				}
 			}
+			when := fmt.Sprintf("op %d", op)
+			distinct(when, slotSide.coord)
+			distinct(when, refSide.coord)
 		}
 		for end := n + 200; n < end; n++ {
 			boundary(n, n%2 == 0)

@@ -289,6 +289,9 @@ type engine struct {
 	// space hands out the dense flow/coflow indices that key the
 	// allocation vector and every per-flow scratch array.
 	space *coflow.IndexSpace
+	// spares is the flow storage of retired CoFlows, which admitOne draws
+	// arrivals from.
+	spares coflow.Spares
 
 	pending []pendingSpec
 	active  []*coflow.CoFlow
@@ -432,7 +435,7 @@ func (e *engine) admitOne(p *pendingSpec, now coflow.Time) *coflow.CoFlow {
 	if c := e.cfg.Counters; c != nil {
 		c.Admitted++
 	}
-	c := coflow.New(p.spec)
+	c := e.spares.New(p.spec)
 	c.Arrived = now
 	if p.spec.Arrival > 0 && len(p.spec.DependsOn) == 0 {
 		// Standalone CoFlows are charged from their trace arrival,
@@ -872,7 +875,8 @@ func (e *engine) retire(c *coflow.CoFlow) {
 	// event pops once this interval finishes, before the boundary that
 	// should admit the dependents (releaseDependents clamps to the
 	// post-interval clock).
-	if len(e.dependents[c.ID()]) > 0 { //saath:map-ok once per CoFlow at retirement; DAG gates name CoFlows not yet admitted, so by ID
+	gates := len(e.dependents[c.ID()]) > 0 //saath:map-ok once per CoFlow at retirement; DAG gates name CoFlows not yet admitted, so by ID
+	if gates {
 		e.doneAt[c.ID()] = c.DoneAt //saath:map-ok as above
 		e.pushEvent(event{time: c.DoneAt, kind: eventFlowDone, co: c})
 	}
@@ -901,4 +905,10 @@ func (e *engine) retire(c *coflow.CoFlow) {
 	}
 	res.Flows = e.flowResults[first:len(e.flowResults):len(e.flowResults)]
 	e.result.CoFlows = append(e.result.CoFlows, res)
+	// Its storage backs a later arrival, unless a queued completion event
+	// still names it. (An availability injection never does: a CoFlow
+	// with flows held back cannot finish before they are released.)
+	if !gates {
+		e.spares.Put(c)
+	}
 }

@@ -5,7 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"saath/internal/coflow"
 )
@@ -110,10 +110,11 @@ func Synthesize(cfg SynthConfig, name string) *Trace {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	t := &Trace{Name: name, NumPorts: cfg.NumPorts}
 	var clock coflow.Time
+	var perm []int
 	for i := 0; i < cfg.NumCoFlows; i++ {
 		gap := coflow.Time(rng.ExpFloat64() * float64(cfg.MeanInterArrival))
 		clock += gap
-		spec := synthCoflow(rng, cfg, coflow.CoFlowID(i), clock)
+		spec := synthCoflow(rng, &perm, cfg, coflow.CoFlowID(i), clock)
 		t.Specs = append(t.Specs, spec)
 	}
 	t.SortByArrival()
@@ -123,7 +124,8 @@ func Synthesize(cfg SynthConfig, name string) *Trace {
 	return t
 }
 
-func synthCoflow(rng *rand.Rand, cfg SynthConfig, id coflow.CoFlowID, arrival coflow.Time) *coflow.Spec {
+// synthCoflow draws one CoFlow; perm is samplePorts' buffer.
+func synthCoflow(rng *rand.Rand, perm *[]int, cfg SynthConfig, id coflow.CoFlowID, arrival coflow.Time) *coflow.Spec {
 	single := rng.Float64() < cfg.SingleFlowFrac
 
 	var mappers, reducers int
@@ -166,8 +168,8 @@ func synthCoflow(rng *rand.Rand, cfg SynthConfig, id coflow.CoFlowID, arrival co
 		total = coflow.Bytes(width) // at least one byte per flow
 	}
 
-	srcs := samplePorts(rng, cfg.NumPorts, mappers)
-	dsts := samplePorts(rng, cfg.NumPorts, reducers)
+	srcs := samplePorts(rng, perm, cfg.NumPorts, mappers)
+	dsts := samplePorts(rng, perm, cfg.NumPorts, reducers)
 
 	equal := single || rng.Float64() < cfg.EqualLengthFrac
 	reducerShare := make([]float64, reducers)
@@ -337,9 +339,10 @@ func synthesizeFan(cfg FanConfig, name string, incast bool) (*Trace, error) {
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	hot := samplePorts(rng, cfg.NumPorts, cfg.NumPorts) // all ports, shuffled then sorted
+	var perm []int
+	hot := samplePorts(rng, &perm, cfg.NumPorts, cfg.NumPorts) // all ports, shuffled then sorted
 	if cfg.Hotspots > 0 && cfg.Hotspots < len(hot) {
-		hot = samplePorts(rng, cfg.NumPorts, cfg.Hotspots)
+		hot = samplePorts(rng, &perm, cfg.NumPorts, cfg.Hotspots)
 	}
 
 	t := &Trace{Name: name, NumPorts: cfg.NumPorts}
@@ -347,7 +350,7 @@ func synthesizeFan(cfg FanConfig, name string, incast bool) (*Trace, error) {
 	for i := 0; i < cfg.NumCoFlows; i++ {
 		clock += coflow.Time(rng.ExpFloat64() * float64(cfg.MeanInterArrival))
 		root := hot[rng.Intn(len(hot))]
-		peers := samplePeers(rng, cfg.NumPorts, cfg.Degree, root)
+		peers := samplePeers(rng, &perm, cfg.NumPorts, cfg.Degree, root)
 		total := logUniformBytes(rng, cfg.MinSize, cfg.MaxSize)
 		if total < coflow.Bytes(cfg.Degree) {
 			total = coflow.Bytes(cfg.Degree)
@@ -376,13 +379,13 @@ func synthesizeFan(cfg FanConfig, name string, incast bool) (*Trace, error) {
 }
 
 // samplePeers draws n distinct ports from [0, numPorts) excluding
-// exclude, sorted ascending.
-func samplePeers(rng *rand.Rand, numPorts, n int, exclude coflow.PortID) []coflow.PortID {
+// exclude, sorted ascending; perm is permute's buffer.
+func samplePeers(rng *rand.Rand, perm *[]int, numPorts, n int, exclude coflow.PortID) []coflow.PortID {
 	if n > numPorts-1 {
 		n = numPorts - 1
 	}
 	out := make([]coflow.PortID, 0, n)
-	for _, p := range rng.Perm(numPorts) {
+	for _, p := range permute(rng, perm, numPorts) {
 		if coflow.PortID(p) == exclude {
 			continue
 		}
@@ -391,7 +394,7 @@ func samplePeers(rng *rand.Rand, numPorts, n int, exclude coflow.PortID) []coflo
 			break
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -416,18 +419,33 @@ func skewedShares(rng *rand.Rand, n int, sigma float64) []float64 {
 	return shares
 }
 
-// samplePorts draws n distinct ports uniformly from [0, numPorts).
-func samplePorts(rng *rand.Rand, numPorts, n int) []coflow.PortID {
+// samplePorts draws n distinct ports uniformly from [0, numPorts);
+// perm is permute's buffer.
+func samplePorts(rng *rand.Rand, perm *[]int, numPorts, n int) []coflow.PortID {
 	if n > numPorts {
 		n = numPorts
 	}
-	perm := rng.Perm(numPorts)[:n]
-	sort.Ints(perm)
+	drawn := permute(rng, perm, numPorts)[:n]
+	slices.Sort(drawn)
 	out := make([]coflow.PortID, n)
-	for i, p := range perm {
+	for i, p := range drawn {
 		out[i] = coflow.PortID(p)
 	}
 	return out
+}
+
+// permute is rng.Perm(n) — math/rand's own loop, so the same draws and
+// the same permutation — into *buf, which it keeps for the next call: a
+// synthesized trace draws a permutation of its ports per CoFlow.
+func permute(rng *rand.Rand, buf *[]int, n int) []int {
+	m := slices.Grow((*buf)[:0], n)[:n]
+	for i := range m {
+		j := rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	*buf = m
+	return m
 }
 
 func logUniform(rng *rand.Rand, lo, hi float64) float64 {
