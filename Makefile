@@ -18,21 +18,20 @@ test:
 # parser: any input is rejected with an error or parses to a trace that
 # Write + Parse round-trip. A CoFlow's pending/done summary: after any
 # interleaving of its writers — progress, completions, availability
-# flips, restarts and update() swaps — every accessor equals a full
-# scan of its flows, and a CoFlow re-admitted on the storage a retired
-# one left (coflow.Spares) equals a fresh one.
+# flips and restarts — every accessor equals a full scan of its flows,
+# and a CoFlow re-admitted on the storage a retired one left
+# (coflow.Spares) equals a fresh one.
 # Max-min filling: on any demands, caps and pre-drawn fabric, the rates
 # equal a round-by-round walk over every demand bit for bit. In-process
-# agents: under any churn script — registrations, deregistrations whose
-# flows their agents drop at the next report, updates that move senders
-# or resize a flow, agents detached (they go on stepping and reporting)
-# and fresh ones attached to the detached ports (an attached port
-# refuses a second agent), flow indices reused across agents —
+# agents: under any churn script — registrations, IDs registered again
+# after their CoFlow retired, agents detached (they go on stepping and
+# reporting) and fresh ones attached to the detached ports (an attached
+# port refuses a second agent), flow indices reused across agents —
 # the slot-table agents hold the same flows as map-keyed reference
-# agents, every flow ordered at the start and size the coordinator
-# ordered, no flow has more bytes sent than its port moves since it
-# last started, no two live CoFlows share a flow, and the coordinators
-# agree on every result. Aalo's
+# agents, every flow ordered under the registration and at the size the
+# coordinator ordered, no flow has more bytes sent than its port moves
+# since its CoFlow was registered, no two live CoFlows share a flow, and
+# the coordinators agree on every result. Aalo's
 # fill: on any CoFlows over any queues,
 # withheld and done flows, and any pre-drawn fabric (closed egresses,
 # residuals a hair from eps), the rates and the fabric left behind equal
@@ -44,9 +43,9 @@ test:
 # and the walk that asks every flow grant, rates, residuals and rated
 # list bit for bit.
 # Saath's contention index: under any script of arrivals, departures,
-# completions, holds, update() swaps, departures and arrivals with no
-# Sync between, and port ranges that grow mid-run, every k_c equals the
-# map-based reference after every Sync.
+# completions, holds, CoFlows replaced under their index, departures
+# and arrivals with no Sync between, and port ranges that grow mid-run,
+# every k_c equals the map-based reference after every Sync.
 # Minimising each new input is capped at 1 s (the default, 60 s, would
 # eat the whole budget on the first one).
 fuzz:

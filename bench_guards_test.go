@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"saath/internal/obs"
+	"saath/internal/sweep"
 	"saath/internal/trace"
 )
 
@@ -90,7 +91,7 @@ func allocGuards() []allocGuard {
 			}
 		}},
 		{"TestSweepAllocGuards", "sweep_layer", "summary_add", 100, 1.25, func(tb testing.TB) func() {
-			jr, sum := benchJobResult(tb), NewSweepSummary()
+			jr, sum := benchJobResult(tb), sweep.NewSummary()
 			sum.Add(jr) // warm the entry map
 			return func() { sum.Add(jr) }
 		}},
@@ -131,8 +132,8 @@ func allocGuards() []allocGuard {
 		}},
 		{"TestObsLayerGuards", "obs_layer", "span_record", 100, 1.25, step(func() { recordJobSpan() })},
 		{"TestTestbedLayerGuards", "testbed_layer", "agent_step", 200, 1.25, func(tb testing.TB) func() {
-			_, agents := benchTestbedCluster(tb, 64, 4)
-			return func() { agents[0].Step(benchStepDelta); agents[0].Report(0) }
+			coord, agents := benchTestbedCluster(tb, 64, 4)
+			return func() { agents[0].Step(benchStepDelta); coord.ReportInproc(agents[:1], 0) }
 		}},
 		{"TestTestbedLayerGuards", "testbed_layer", "report_batch", 200, 1.25, func(tb testing.TB) func() {
 			coord, agents := benchTestbedCluster(tb, 64, 4)
@@ -146,7 +147,7 @@ func allocGuards() []allocGuard {
 			coord.StepSchedule(0) // the cluster's first round grew the buffers; this one settles the scheduler's
 			return func() { coord.StepSchedule(0) }
 		}},
-		{"TestTraceAllocGuards", "trace_layer", "synth_fb", 10, 1.25, step(func() { SynthFB(1) })},
+		{"TestTraceAllocGuards", "trace_layer", "synth_fb", 10, 1.25, step(func() { trace.SynthFB(1) })},
 		{"TestTraceAllocGuards", "trace_layer", "synth_incast", 10, 1.25, step(func() { trace.SynthIncast(1) })},
 	}
 	// Every policy's steady-state Schedule round allocates nothing:
@@ -233,8 +234,8 @@ func TestCoordinatorBoundaryZeroAlloc(t *testing.T) {
 		step := func() {
 			for _, a := range agents[:64] {
 				a.Step(benchStepDelta)
-				a.Report(0)
 			}
+			coord.ReportInproc(agents[:64], 0)
 			coord.StepSchedule(0)
 		}
 		step()

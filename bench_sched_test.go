@@ -51,7 +51,7 @@ func benchSchedRounds(tb testing.TB, policy string, n, p int) (full, held func()
 		space.Assign(active[i])
 	}
 	fab := fabric.New(p, fabric.DefaultPortRate)
-	s, err := NewScheduler(policy, DefaultParams())
+	s, err := sched.New(policy, DefaultParams())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -67,7 +67,9 @@ func benchSchedRounds(tb testing.TB, policy string, n, p int) (full, held func()
 		s.Schedule(snap)
 	}
 	full = func() {
-		active[0].CarryOver(active[0], nil) // restated as itself: the epoch moves
+		f := active[0].Flows[0] // held back and released again: the epoch moves
+		active[0].SetAvailable(f, false)
+		active[0].SetAvailable(f, true)
 		held()
 	}
 	full() // warm scratch so measurements see the steady state

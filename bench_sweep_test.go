@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"saath/internal/coflow"
+	"saath/internal/sweep"
 )
 
 // benchSweepSource is the tiny deterministic workload behind the
@@ -35,13 +36,13 @@ func benchSweepSource(name string) TraceSource {
 
 // benchSweepGrid is the 24-job expansion subject: 2 traces × 2
 // variants × 3 seeds × 2 schedulers.
-func benchSweepGrid() SweepGrid {
+func benchSweepGrid() sweep.Grid {
 	p := DefaultParams()
-	return SweepGrid{
+	return sweep.Grid{
 		Traces:     []TraceSource{benchSweepSource("bench-a"), benchSweepSource("bench-b")},
 		Schedulers: []string{"aalo", "saath"},
 		Seeds:      []int64{1, 2, 3},
-		Variants: []SweepVariant{
+		Variants: []sweep.Variant{
 			{Name: "delta=8ms", Params: p, Config: SimConfig{Delta: 8 * coflow.Millisecond}},
 			{Name: "delta=16ms", Params: p, Config: SimConfig{Delta: 16 * coflow.Millisecond}},
 		},
@@ -50,14 +51,14 @@ func benchSweepGrid() SweepGrid {
 
 // benchJobResult produces one completed job for Summary digestion
 // measurements.
-func benchJobResult(tb testing.TB) SweepJobResult {
+func benchJobResult(tb testing.TB) sweep.JobResult {
 	tb.Helper()
 	g := benchSweepGrid()
 	g.Traces = g.Traces[:1]
 	g.Schedulers = g.Schedulers[:1]
 	g.Seeds = g.Seeds[:1]
 	g.Variants = g.Variants[:1]
-	res := RunSweep(context.Background(), g.Jobs(), SweepOptions{Parallel: 1})
+	res := sweep.Run(context.Background(), g.Jobs(), sweep.Options{Parallel: 1})
 	if err := res.FirstErr(); err != nil {
 		tb.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func BenchmarkSweepGridJobs(b *testing.B) {
 // pays).
 func BenchmarkSweepSummaryAdd(b *testing.B) {
 	jr := benchJobResult(b)
-	sum := NewSweepSummary()
+	sum := sweep.NewSummary()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

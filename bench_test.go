@@ -51,7 +51,7 @@ func BenchmarkMaxMinFair(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fab.MaxMinFair(demands)
+		fab.MaxMinFairInto(nil, demands)
 	}
 }
 

@@ -14,7 +14,9 @@ package saath
 import (
 	"testing"
 
+	"saath/internal/coflow"
 	"saath/internal/runtime"
+	"saath/internal/sched"
 )
 
 // benchStepDelta is the sync interval the step benchmarks advance by,
@@ -27,14 +29,14 @@ const benchStepDelta = 8 * Millisecond
 // within any benchmark horizon — and pushes one schedule so every
 // agent holds rated flows. After one warm-up Step+Report per agent
 // everything is steady state.
-func benchTestbedCluster(tb testing.TB, nPorts, nCoFlows int) (*Coordinator, []*runtime.InprocAgent) {
+func benchTestbedCluster(tb testing.TB, nPorts, nCoFlows int) (*runtime.Coordinator, []*runtime.InprocAgent) {
 	tb.Helper()
-	s, err := NewScheduler("saath", DefaultParams())
+	s, err := sched.New("saath", DefaultParams())
 	if err != nil {
 		tb.Fatal(err)
 	}
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Scheduler: s, NumPorts: nPorts, PortRate: GbpsRate(1),
+	coord, err := runtime.NewCoordinator(runtime.CoordinatorConfig{
+		Scheduler: s, NumPorts: nPorts, PortRate: coflow.GbpsRate(1),
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -59,8 +61,8 @@ func benchTestbedCluster(tb testing.TB, nPorts, nCoFlows int) (*Coordinator, []*
 	coord.StepSchedule(0)
 	for _, a := range agents {
 		a.Step(benchStepDelta)
-		a.Report(0)
 	}
+	coord.ReportInproc(agents, 0)
 	return coord, agents
 }
 
@@ -95,13 +97,12 @@ func benchRegisterRetire(tb testing.TB) func() {
 // work — advance every held flow by δ, push the progress report into
 // the coordinator — on a 64-port cluster with 4 flows per agent.
 func BenchmarkTestbedAgentStep(b *testing.B) {
-	_, agents := benchTestbedCluster(b, 64, 4)
-	a := agents[0]
+	coord, agents := benchTestbedCluster(b, 64, 4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Step(benchStepDelta)
-		a.Report(0)
+		agents[0].Step(benchStepDelta)
+		coord.ReportInproc(agents[:1], 0)
 	}
 }
 
@@ -116,8 +117,8 @@ func BenchmarkTestbedBoundary(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, a := range agents {
 			a.Step(benchStepDelta)
-			a.Report(0)
 		}
+		coord.ReportInproc(agents, 0)
 		coord.StepSchedule(0)
 	}
 }

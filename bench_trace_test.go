@@ -20,7 +20,7 @@ import (
 func BenchmarkTraceSynthFB(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if tr := SynthFB(1); len(tr.Specs) == 0 {
+		if tr := trace.SynthFB(1); len(tr.Specs) == 0 {
 			b.Fatal("empty trace")
 		}
 	}

@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"saath/internal/telemetry"
 )
 
 func goldenSynthConfig(seed int64) SynthConfig {
@@ -42,11 +44,12 @@ type runSignature struct {
 
 func signatureOf(t *testing.T, tr *Trace, scheduler string, cfg SimConfig) runSignature {
 	t.Helper()
-	res, m, err := SimulateWithTelemetry(tr, scheduler, cfg, TelemetrySpec{Enabled: true, Seed: 7})
+	suite := telemetry.NewSuite(TelemetrySpec{Enabled: true, Seed: 7})
+	res, err := SimulateWith(tr, scheduler, DefaultParams(), cfg.WithProbe(suite))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(m)
+	b, err := json.Marshal(suite.Metrics())
 	if err != nil {
 		t.Fatal(err)
 	}

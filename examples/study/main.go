@@ -2,9 +2,10 @@
 // seeded draws of an FB-like workload, with telemetry and derived
 // tables — as one composable saath.NewStudy, and run it on the
 // in-process pool. The same declaration shards across machines: run it
-// with saath.StudySharded{Index: i, Count: n} per process, export each
-// Result with WriteShard, and reassemble with saath.MergeStudyShards —
-// the merged tables are byte-identical to this single-process run.
+// with saath.StudySharded{Index: i, Count: n} per process and export
+// each Result with WriteShard; merged, the tables are byte-identical to
+// this single-process run (saath-sim -shard / -merge does both for the
+// catalog studies).
 //
 //	go run ./examples/study
 package main
@@ -42,7 +43,6 @@ func main() {
 	// The declaration: validated up front (a typo'd scheduler or a
 	// baseline outside the list fails here, before any simulation).
 	st, err := saath.NewStudy("quickstart",
-		saath.WithDescription("aalo vs saath on a small FB-like mix, two seeds, with telemetry"),
 		saath.WithTraces(source),
 		saath.WithSchedulers("aalo", "saath"),
 		saath.WithSeeds(1, 2),

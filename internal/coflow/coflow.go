@@ -28,10 +28,7 @@
 //   - Complete(f, at) finishes a pending flow at its last Progress,
 //     moving the epoch and, while the summary is fresh, updating it in
 //     place; CompleteAll finishes the completions of one walk together;
-//     a flow already done is left as it is;
-//   - CarryOver(old) takes over an earlier flow set's progress when a
-//     CoFlow is restated — flow by flow, where the sender and size
-//     stand — moving the epoch.
+//     a flow already done is left as it is.
 //
 // With both stamps unchanged, nothing a scheduler's queue rule reads has
 // moved, and the schedulers hold their decisions on exactly that
@@ -172,17 +169,6 @@ func (s *Spec) TotalSize() Bytes {
 	return total
 }
 
-// MaxFlowSize returns the largest flow size, or zero for an empty spec.
-func (s *Spec) MaxFlowSize() Bytes {
-	var m Bytes
-	for _, f := range s.Flows {
-		if f.Size > m {
-			m = f.Size
-		}
-	}
-	return m
-}
-
 // Validate reports structural problems: no flows, negative sizes, or
 // negative port IDs.
 func (s *Spec) Validate() error {
@@ -294,13 +280,12 @@ type CoFlow struct {
 	// scalars plus the lists of flows still live; the per-interval
 	// accessors then read only the pending flows' Sent, which is the one
 	// thing that moves inside an epoch.
-	epoch     uint64
-	fresh     uint64     // epoch the summary below was computed at
-	pend      []*Flow    // not-done flows, in Flows order
-	pendPorts []PortPair // pend's (Src, Dst), position for position
-	doneSum   Bytes      // Σ Sent over done flows
-	doneLast  Time       // max DoneAt over done flows
-	extra     *summaryExtra
+	epoch    uint64
+	fresh    uint64  // epoch the summary below was computed at
+	pend     []*Flow // not-done flows, in Flows order
+	doneSum  Bytes   // Σ Sent over done flows
+	doneLast Time    // max DoneAt over done flows
+	extra    *summaryExtra
 
 	// progress is the stamp Progress moves for a pending flow: the one
 	// thing the epoch does not cover.
@@ -311,8 +296,11 @@ type CoFlow struct {
 
 	// store is the flow storage Flows and pend are cut from: 2n pointers
 	// for some n >= the width, the first n into one slab of flows and the
-	// rest pend's array. Spares.Put hands it on whole.
+	// rest pend's array. ports is the (Src, Dst) array beside pend's, one
+	// entry per pointer, allocated on the first read: pendPorts is the
+	// stretch of it at pend's position. Spares.Put hands both on whole.
 	store []*Flow
+	ports []PortPair
 }
 
 // summaryExtra is the part of a CoFlow's summary that only some CoFlows
@@ -350,7 +338,7 @@ type Spares struct {
 // spare is one retired CoFlow's storage.
 type spare struct {
 	flows []*Flow    // CoFlow.store
-	ports []PortPair // pendPorts' array, as far as cuts left it
+	ports []PortPair // CoFlow.ports
 	extra *summaryExtra
 }
 
@@ -387,8 +375,8 @@ func (s *Spares) Put(c *CoFlow) {
 	if k >= len(s.classes) {
 		s.classes = append(s.classes, make([][]spare, k+1-len(s.classes))...)
 	}
-	s.classes[k] = append(s.classes[k], spare{flows: c.store, ports: c.pendPorts, extra: c.extra})
-	c.Flows, c.pend, c.pendPorts, c.extra, c.store = nil, nil, nil, nil, nil
+	s.classes[k] = append(s.classes[k], spare{flows: c.store, ports: c.ports, extra: c.extra})
+	c.Flows, c.pend, c.extra, c.store, c.ports = nil, nil, nil, nil, nil
 }
 
 // newCoFlow builds a CoFlow for spec on storage sp, allocating it when
@@ -419,9 +407,7 @@ func newCoFlow(spec *Spec, sp spare) *CoFlow {
 			Slowdown:  1,
 		}
 	}
-	if cap(sp.ports) >= w {
-		c.pendPorts = sp.ports[:0]
-	}
+	c.ports = sp.ports
 	if x := sp.extra; x != nil {
 		done := x.doneSent
 		*x = summaryExtra{send: x.send[:0], sendPorts: x.sendPorts[:0]}
@@ -475,30 +461,6 @@ func (c *CoFlow) SetAvailable(f *Flow, v bool) {
 		return
 	}
 	f.available = v
-	c.epoch++
-}
-
-// CarryOver takes over an earlier flow set's progress when c restates
-// old. A flow of c is the same start as old's flow at its index when
-// the two have the same sender and size: it starts from old's Sent,
-// Done and DoneAt. Any other — a flow moved to another sender, resized,
-// or new — starts over. A non-nil carried, one entry per flow of c,
-// gets the answer flow by flow, for a caller that keeps per-start state
-// of its own. The epoch moves, and the next read rebuilds the summary;
-// m_c is taken afresh on the way.
-func (c *CoFlow) CarryOver(old *CoFlow, carried []bool) {
-	c.maxSent, c.maxStale = 0, false
-	for i, f := range c.Flows {
-		same := i < len(old.Flows) && old.Flows[i].Src == f.Src && old.Flows[i].Size == f.Size
-		if same {
-			o := old.Flows[i]
-			f.sent, f.done, f.doneAt = o.sent, o.done, o.doneAt
-		}
-		if carried != nil {
-			carried[i] = same
-		}
-		c.maxSent = max(c.maxSent, f.sent)
-	}
 	c.epoch++
 }
 
@@ -607,7 +569,7 @@ func (c *CoFlow) cutOut(f *Flow, was uint64) bool {
 	if inSend {
 		x.send, x.sendPorts = cut(x.send, x.sendPorts, j)
 	}
-	c.pend, c.pendPorts = cut(c.pend, c.pendPorts, i)
+	c.pend, _ = cut(c.pend, c.pendPorts(), i)
 	c.fold(f, was)
 	return true
 }
@@ -615,18 +577,18 @@ func (c *CoFlow) cutOut(f *Flow, was uint64) bool {
 // sweep drops every entry now Done from the lists of a fresh summary at
 // epoch was, folding each into the finished-flow figures.
 func (c *CoFlow) sweep(was uint64) {
-	n := 0
+	n, ports := 0, c.pendPorts()
 	for i, f := range c.pend {
 		if f.done {
 			c.fold(f, was)
 			continue
 		}
 		if n != i {
-			c.pend[n], c.pendPorts[n] = f, c.pendPorts[i]
+			c.pend[n], ports[n] = f, ports[i]
 		}
 		n++
 	}
-	c.pend, c.pendPorts = c.pend[:n], c.pendPorts[:n]
+	c.pend = c.pend[:n]
 	if c.allAvail {
 		return
 	}
@@ -744,10 +706,11 @@ func (c *CoFlow) sync() {
 //
 //saath:hotpath
 func (c *CoFlow) build() {
-	if c.pendPorts == nil {
-		c.pendPorts = make([]PortPair, 0, len(c.Flows)) // once per CoFlow, on its first read
+	if c.ports == nil {
+		c.ports = make([]PortPair, len(c.store)/2) // once per CoFlow storage, on its first read
 	}
-	c.pend, c.pendPorts = c.pend[:0], c.pendPorts[:0]
+	c.pend = c.pend[:0]
+	ports := c.pendPorts() // empty, with room for every flow pend can hold
 	c.allAvail, c.shifted = true, 0
 	c.doneSum, c.doneLast = 0, 0
 	for _, f := range c.Flows {
@@ -757,7 +720,7 @@ func (c *CoFlow) build() {
 			continue
 		}
 		c.pend = append(c.pend, f)
-		c.pendPorts = append(c.pendPorts, PortPair{int32(f.Src), int32(f.Dst)})
+		ports = append(ports, PortPair{int32(f.Src), int32(f.Dst)})
 		if !f.available {
 			c.allAvail = false
 		}
@@ -768,7 +731,7 @@ func (c *CoFlow) build() {
 		for i, f := range c.pend {
 			if f.available {
 				x.send = append(x.send, f) // grows with the sendable set: once per CoFlow, and again if Complete trimmed its front
-				x.sendPorts = append(x.sendPorts, c.pendPorts[i])
+				x.sendPorts = append(x.sendPorts, ports[i])
 			}
 		}
 	}
@@ -796,7 +759,7 @@ func (c *CoFlow) CCT() Time { return c.DoneAt - c.Arrived }
 // Saath's queue-assignment signal (Eq. 1). The writers that move Sent
 // keep it: Progress (and so Restart) raises it to a flow's new Sent when
 // that is at least the maximum, and marks it stale when the flow that
-// held the maximum goes down; CarryOver takes it afresh. MaxSent reads
+// held the maximum goes down. MaxSent reads
 // it, and passes over Flows only when it is stale, which takes a
 // restart or a lower rewrite of the flow ahead.
 //
@@ -921,7 +884,16 @@ func (c *CoFlow) SendableFlows() []*Flow {
 func (c *CoFlow) SendablePorts() []PortPair {
 	c.sync()
 	if c.allAvail {
-		return c.pendPorts
+		return c.pendPorts()
 	}
 	return c.extra.sendPorts
+}
+
+// pendPorts is pend's (Src, Dst), position for position: the stretch of
+// ports at pend's position in store. Only a cut from the front moves
+// pend's start, and it moves the view's start alike; pend's capacity,
+// which runs to the end of store, says how far both have moved.
+func (c *CoFlow) pendPorts() []PortPair {
+	at := len(c.store)/2 - cap(c.pend)
+	return c.ports[at : at+len(c.pend)]
 }

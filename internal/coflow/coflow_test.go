@@ -92,9 +92,6 @@ func TestSpecAccessors(t *testing.T) {
 	if s.TotalSize() != 100*MB {
 		t.Fatalf("TotalSize = %d", s.TotalSize())
 	}
-	if s.MaxFlowSize() != 40*MB {
-		t.Fatalf("MaxFlowSize = %d", s.MaxFlowSize())
-	}
 }
 
 func TestSpecValidate(t *testing.T) {
@@ -207,9 +204,6 @@ func TestWriterStamps(t *testing.T) {
 		{"CompleteAll/finished", true, func(c *CoFlow, f *Flow) {
 			c.CompleteAll([]Completion{{f, Second}, {f, Second}})
 		}, false, false},
-		{"CarryOver/pending", false, func(c *CoFlow, f *Flow) { c.CarryOver(New(c.Spec), nil) }, true, false},
-		{"CarryOver/finished", true, func(c *CoFlow, f *Flow) { c.CarryOver(New(c.Spec), nil) }, true, false},
-		{"CarryOver/no-op", false, func(c *CoFlow, f *Flow) { c.CarryOver(c, nil) }, true, false},
 	}
 	for _, r := range rows {
 		c := New(spec2x2())

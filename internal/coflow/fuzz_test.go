@@ -9,8 +9,7 @@ import (
 // its writers — bytes moving on pending flows (Progress), completions
 // (Complete one flow, several one call each, or CompleteAll several in
 // one call), availability flips (SetAvailable), rewrites of a finished
-// flow's Sent (Progress), update()-style swaps to a new flow set
-// (CarryOver), restarts (Restart) — and after every step that reads,
+// flow's Sent (Progress), restarts (Restart) — and after every step that reads,
 // checks every summary accessor against a from-scratch pass over Flows.
 // Reads are skipped on some steps and DoneMedian is asked only on some,
 // so Complete meets fresh and stale summaries, with and without its
@@ -18,23 +17,22 @@ import (
 //
 // A step may also first retire the CoFlow through a free list (Spares)
 // and re-admit one of another width on what it left, which must equal
-// New's; an update()-style swap retires the old flow set there too, so
-// the list holds storage of several widths.
+// New's.
 //
 // The input is a width byte (a quarter of the width) followed by (op,
-// arg) byte pairs. The op's low three bits pick the mutation, bit 3 skips
+// arg) byte pairs. The op's low three bits pick the mutation (6, which
+// swapped in a restated flow set, is retired and does nothing), bit 3 skips
 // the step's reads, bit 4 asks DoneMedian and bit 5 retires and
 // re-admits first, at a width arg sets; arg picks the flow (by
 // where along Flows to start looking), the bytes or the batch size (and,
 // by its low bit, whether a batch is one call). The committed corpus
 // under testdata/fuzz holds one input per mutation, a wide CoFlow
 // finished from the middle one flow at a time past Complete's shift
-// budget, batches in one call, a swap that leaves finished and pending
-// flows mixed, an availability flip that nothing reads before the next
-// Complete, and the three moves of m_c that are not a raise: a restart
-// of the flow holding it, a CarryOver that resizes that flow, and a
-// finished flow's Sent rewritten; and CoFlows re-admitted on the
-// storage of one that did all of that.
+// budget, batches in one call, an availability flip that nothing reads
+// before the next Complete, and the two moves of m_c that are not a
+// raise: a restart of the flow holding it and a finished flow's Sent
+// rewritten; and CoFlows re-admitted on the storage of one that did all
+// of that.
 func FuzzProgressSummary(f *testing.F) {
 	f.Add([]byte{6, 0, 3, 1, 2, 2, 4, 17, 1, 4, 0, 0x11, 5})
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -111,22 +109,6 @@ func FuzzProgressSummary(f *testing.F) {
 				if f := pick(arg, false); f != nil {
 					c.Progress(f, f.Sent()+Bytes(arg))
 				}
-			case 6: // update(): a new flow set, progress carried where senders and sizes match
-				next := &Spec{ID: 1, Flows: slices.Clone(c.Spec.Flows)}
-				next.Flows[int(arg)%len(next.Flows)].Size += Bytes(arg%3) * 10
-				if arg&1 == 1 {
-					next.Flows = append(next.Flows, FlowSpec{Src: PortID(arg % 7), Dst: PortID(arg % 5), Size: 500})
-				}
-				old := c
-				c = New(next)
-				carried := make([]bool, len(c.Flows))
-				c.CarryOver(old, carried)
-				for i, f := range c.Flows {
-					if carried[i] {
-						c.SetAvailable(f, old.Flows[i].Available())
-					}
-				}
-				spares.Put(old)
 			case 7: // Complete on a flow that is no longer pending: left as it is
 				if f := pick(arg, false); f != nil {
 					c.Complete(f, Time(step))

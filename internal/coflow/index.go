@@ -34,10 +34,11 @@ func (s *IndexSpace) Assign(c *CoFlow) {
 }
 
 // Release returns c's indices to the free lists and marks c and its
-// flows unindexed. Flows are released in reverse order so that an
-// immediate re-Assign of an equally-wide CoFlow reproduces the same
-// per-flow index mapping (the coordinator's update() path relies on
-// this to keep per-flow bookkeeping aligned).
+// flows unindexed. Flows are released in reverse order, so an immediate
+// re-Assign of an equally-wide CoFlow reproduces the same per-flow index
+// mapping. Every later index assignment follows from this order, and
+// with it every scheduler tie-break that reads an index: reversing it
+// would move results.
 func (s *IndexSpace) Release(c *CoFlow) {
 	if c.Idx < 0 {
 		return

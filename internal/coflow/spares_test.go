@@ -41,7 +41,7 @@ func sameAsNew(t *testing.T, c *CoFlow) {
 			extra = []any{x.medEpoch, len(x.send), len(x.sendPorts), len(x.doneSent)}
 		}
 		return []any{c.Spec, c.Idx, c.Arrived, c.Done, c.DoneAt, c.allAvail, c.maxStale, c.shifted,
-			c.epoch, c.fresh, c.doneSum, c.doneLast, c.progress, c.maxSent, len(c.pend), len(c.pendPorts), extra}
+			c.epoch, c.fresh, c.doneSum, c.doneLast, c.progress, c.maxSent, len(c.pend), len(c.pendPorts()), extra}
 	}
 	same := func(when string) {
 		t.Helper()
@@ -169,5 +169,33 @@ func TestSparesHitAllocatesOnlyHeader(t *testing.T) {
 	})
 	if allocs != 1 {
 		t.Fatalf("a draw on retired storage allocated %.1f times, want 1 (the header)", allocs)
+	}
+}
+
+// TestSparesKeepsFrontCutPorts: a CoFlow whose flows complete from the
+// front, each Complete moving the start of its pending list and port
+// view, hands its whole port array on, so a redraw at its width
+// allocates its header and nothing else.
+func TestSparesKeepsFrontCutPorts(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	var spares Spares
+	spec := widthSpec(1, 8, 0)
+	life := func() {
+		c := spares.New(spec)
+		c.SendablePorts() // the first read builds the port view
+		for _, f := range c.Flows {
+			c.Progress(f, f.Size)
+			c.Complete(f, Millisecond)
+		}
+		if !c.RefreshDone() {
+			t.Fatal("the CoFlow did not finish")
+		}
+		spares.Put(c)
+	}
+	life()
+	if n := testing.AllocsPerRun(100, life); n != 1 {
+		t.Fatalf("a redrawn CoFlow allocates %v objects over its life, want 1: its header", n)
 	}
 }

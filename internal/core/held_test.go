@@ -106,7 +106,7 @@ func dump(v *sched.RateVec) string {
 // decision must leave exactly what the full path would. The twins go
 // through oracle_test.go's random cluster — arrivals and departures with
 // index recycling, stragglers and their caps, restarts, withheld flows,
-// repeated boundaries, update() swaps, work conservation on and off —
+// repeated boundaries, work conservation on and off —
 // in busy and quiet stretches, plus everything else a hold condition
 // guards: a CoFlow left out of one boundary's list, a fabric handed over
 // partly drawn, a new fabric at another line rate, a returned vector
@@ -126,12 +126,9 @@ func TestHeldScheduleMatchesFull(t *testing.T) {
 		rate := fabric.DefaultPortRate
 		for step := 0; step < 400; step++ {
 			now := coflow.Time(step) * delta
-			quiet := step/20%2 == 1 // arrivals and swaps come in bursts
+			quiet := step/20%2 == 1 // arrivals come in bursts
 			for n := tc.rng.Intn(3); !quiet && n > 0 && len(tc.live) < 12; n-- {
 				tc.arrive(now, tw.held, tw.full)
-			}
-			if len(tc.live) > 0 && tc.rng.Intn(10) == 0 && !quiet {
-				tc.swap(tc.rng.Intn(len(tc.live)))
 			}
 			active := tc.live
 			if len(active) > 1 && rng.Intn(4) == 0 { // one CoFlow sits this boundary out
@@ -169,11 +166,9 @@ func TestHeldScheduleMatchesFull(t *testing.T) {
 	}
 }
 
-// TestHeldScheduleConditions scripts two boundaries the random run above
-// reaches too rarely to count on, each after a quiet one that must have
-// reissued: a starvation deadline passing with nothing else changed, and
-// a flow relisted onto the rated list between two calls that both see
-// the same live set.
+// TestHeldScheduleConditions scripts a boundary the random run above
+// reaches too rarely to count on, after a quiet one that must have
+// reissued: a starvation deadline passing with nothing else changed.
 func TestHeldScheduleConditions(t *testing.T) {
 	const delta = 8 * coflow.Millisecond
 	build := func(space *coflow.IndexSpace, id coflow.CoFlowID, flows ...coflow.FlowSpec) *coflow.CoFlow {
@@ -203,41 +198,6 @@ func TestHeldScheduleConditions(t *testing.T) {
 			if want := min(i, 1); tw.reissued != want {
 				t.Errorf("after call %d: %d reissued, want %d", i, tw.reissued, want)
 			}
-		}
-	})
-	t.Run("relisted", func(t *testing.T) {
-		// update() narrows x, orphaning the rated track of its second flow;
-		// y arrives onto that index — Arrive relists it — but is not listed
-		// in the boundary that follows, which otherwise repeats the last.
-		space := coflow.NewIndexSpace()
-		tw := newHeldTwins(t, 4, nil)
-		x := build(space, 1, coflow.FlowSpec{Src: 0, Dst: 1, Size: coflow.GB}, coflow.FlowSpec{Src: 2, Dst: 3, Size: coflow.GB})
-		tw.held.Arrive(x, 0)
-		tw.full.Arrive(x, 0)
-		live := []*coflow.CoFlow{x}
-		move := func(alloc *sched.RateVec) { // every flow keeps up with its rate: no caps
-			for _, f := range live[0].Flows {
-				live[0].Progress(f, f.Sent()+alloc.Rate(f.Idx).Transfer(delta))
-			}
-		}
-		move(tw.schedule("wide", 0, live, live, space.FlowCap(), space.CoFlowCap(), nil))
-
-		space.Release(x)
-		narrow := build(space, 1, coflow.FlowSpec{Src: 0, Dst: 1, Size: coflow.GB})
-		narrow.Progress(narrow.Flows[0], x.Flows[0].Sent())
-		live[0] = narrow
-		move(tw.schedule("narrowed", delta, live, live, space.FlowCap(), space.CoFlowCap(), nil))
-		move(tw.schedule("quiet", 2*delta, live, live, space.FlowCap(), space.CoFlowCap(), nil))
-
-		y := build(space, 2, coflow.FlowSpec{Src: 2, Dst: 3, Size: coflow.GB})
-		if y.Flows[0].Idx != 1 || tw.held.tracks[1].lastAlloc <= 0 {
-			t.Fatalf("y's flow took index %d, track %+v: not onto the orphaned rated track", y.Flows[0].Idx, tw.held.tracks[1])
-		}
-		tw.held.Arrive(y, 3*delta)
-		tw.full.Arrive(y, 3*delta)
-		tw.schedule("relisted", 3*delta, live, []*coflow.CoFlow{narrow, y}, space.FlowCap(), space.CoFlowCap(), nil)
-		if tw.reissued != 2 {
-			t.Errorf("%d boundaries reissued, want the quiet one and the relisted one", tw.reissued)
 		}
 	})
 }

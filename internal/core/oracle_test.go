@@ -87,8 +87,8 @@ func (s *Saath) forget() {
 // rated list: observe everything first (step (0) reads only tracks and
 // flows, so it commutes with the queue assignment ahead of it), run
 // Schedule with nothing left for it to observe — an empty list and no
-// rated track for relist to find; the record walk rewrites every one of
-// those baselines anyway — then record everything. Nothing is held: the
+// rated track; the record walk rewrites every one of those baselines
+// anyway — then record everything. Nothing is held: the
 // held path re-records off the list this empties.
 func (s *Saath) scheduleFullWalks(snap *sched.Snapshot) *sched.RateVec {
 	s.forget()
@@ -106,8 +106,8 @@ func (s *Saath) scheduleFullWalks(snap *sched.Snapshot) *sched.RateVec {
 }
 
 // trackingCluster is a small live set driven through arrivals, byte
-// movement, stragglers, restarts, pipelined availability, coordinator
-// style swaps and departures, with indices recycled through one
+// movement, stragglers, restarts, pipelined availability and
+// departures, with indices recycled through one
 // IndexSpace as the engine and the coordinator recycle them.
 type trackingCluster struct {
 	rng    *rand.Rand
@@ -153,37 +153,6 @@ func (tc *trackingCluster) arrive(now coflow.Time, scheds ...*Saath) {
 	for _, s := range scheds {
 		s.Arrive(c, now)
 	}
-}
-
-// swap is the coordinator's update(): a new runtime CoFlow under the
-// same ID takes the old one's place and indices with no Depart/Arrive,
-// keeping progress where sizes match. The new flow set may be narrower
-// (orphaning rated indices for later arrivals to find), wider, or resize
-// a flow — restarting it, finished or not.
-func (tc *trackingCluster) swap(i int) {
-	old := tc.live[i]
-	spec := tc.newSpec(old.ID(), max(1, old.Width()+tc.rng.Intn(3)-1))
-	for j, f := range old.Flows[:min(old.Width(), spec.Width())] {
-		spec.Flows[j].Src, spec.Flows[j].Dst = f.Src, f.Dst
-		if tc.rng.Intn(3) > 0 {
-			spec.Flows[j].Size = f.Size
-		}
-	}
-	tc.space.Release(old)
-	c := coflow.New(spec)
-	c.Arrived = old.Arrived
-	carried := make([]bool, len(c.Flows))
-	c.CarryOver(old, carried)
-	for j, f := range c.Flows {
-		if carried[j] {
-			c.SetAvailable(f, old.Flows[j].Available())
-			if k, ok := tc.slow[old.Flows[j]]; ok {
-				tc.slow[f] = k
-			}
-		}
-	}
-	tc.space.Assign(c)
-	tc.live[i] = c
 }
 
 // advance moves bytes at the allocated rates for dt, retires what
@@ -242,17 +211,13 @@ func TestRateDrivenTrackingMatchesFullWalks(t *testing.T) {
 			{Fabric: fabric.New(tc.ports, fabric.DefaultPortRate)},
 			{Fabric: fabric.New(tc.ports, fabric.DefaultPortRate)},
 		}
-		capped, swapped := 0, 0
+		capped := 0
 		for step := 0; step < 400; step++ {
 			now := coflow.Time(step) * delta
 			// Departures of the last interval freed indices; arrivals in
 			// the same boundary take them over.
 			for n := tc.rng.Intn(3); n > 0 && len(tc.live) < 12; n-- {
 				tc.arrive(now, prod, ref)
-			}
-			if len(tc.live) > 0 && tc.rng.Intn(10) == 0 {
-				tc.swap(tc.rng.Intn(len(tc.live)))
-				swapped++
 			}
 			for _, snap := range snaps {
 				snap.Fabric.Reset()
@@ -285,8 +250,8 @@ func TestRateDrivenTrackingMatchesFullWalks(t *testing.T) {
 			}
 			tc.advance(got, now, delta, prod, ref)
 		}
-		if capped == 0 || swapped == 0 {
-			t.Errorf("seed %d: %d capped tracks, %d swaps — the run never reached them", seed, capped, swapped)
+		if capped == 0 {
+			t.Errorf("seed %d: no capped track — the run never reached one", seed)
 		}
 	}
 }

@@ -67,7 +67,7 @@ func (s *Saath) workConserveUnfiltered(fab *fabric.Fabric, missed []*coflow.CoFl
 // queue's bucket — repaired from the previous call's order — holds the
 // same CoFlows in the same order as a bucket built from the listed
 // CoFlows and sorted from scratch. The cluster is oracle_test.go's:
-// arrivals, departures with index reuse, update() swaps, restarts,
+// arrivals, departures with index reuse, restarts,
 // withheld flows; on slow ports, so CoFlows wait long enough for their
 // starvation deadlines to pass, under LCoF (whose k_c moves with every
 // sendable set), its width proxy, and FIFO. Holding is switched off by
@@ -92,9 +92,6 @@ func TestRepairedOrderMatchesFreshSort(t *testing.T) {
 			now := coflow.Time(step) * delta
 			for n := tc.rng.Intn(3); n > 0 && len(tc.live) < 24; n-- {
 				tc.arrive(now, s)
-			}
-			if len(tc.live) > 0 && tc.rng.Intn(10) == 0 {
-				tc.swap(tc.rng.Intn(len(tc.live)))
 			}
 			snap.Fabric.Reset()
 			snap.Now, snap.Active = now, tc.live

@@ -44,8 +44,7 @@
 // then. The walks over every pending flow that this replaced live in
 // oracle_test.go; TestRateDrivenTrackingMatchesFullWalks holds the two
 // equal — rates, caps, streaks, queue history, deadlines — through
-// arrivals, departures with index reuse, restarts, withheld flows and
-// the coordinator's update() swaps.
+// arrivals, departures with index reuse, restarts and withheld flows.
 //
 // Schedule runs every δ and most boundaries give it nothing new to
 // decide from, so it keeps its last decision. Per CoFlow it keeps the
@@ -87,8 +86,7 @@ type Saath struct {
 	lastTime coflow.Time // previous Schedule invocation, for rate observation
 
 	// rated names every live flow whose track carries a rate (lastAlloc
-	// > 0): the flows the previous Schedule rated, plus any relist found.
-	// Straggler tracking visits these and nothing else, so it costs the
+	// > 0): the flows the previous Schedule rated. Straggler tracking visits these and nothing else, so it costs the
 	// flows that were served, not every pending flow. observeProgress
 	// empties it into observed, where a held Schedule finds the flows to
 	// rate again.
@@ -137,7 +135,7 @@ type coflowState struct {
 type lastDecision struct {
 	issued sched.Issued     // the vector returned and the fabric it was drawn from
 	active []*coflow.CoFlow // snap.Active, copied: the caller reuses its array
-	rated  int              // len(s.rated) on return, before any relist
+	rated  int              // len(s.rated) on return
 	// capsMoved is set when observeProgress changes a track's estCap;
 	// Schedule takes it down once it has scheduled with the new caps.
 	// (Depart clears caps too, but of a CoFlow that then leaves active.)
@@ -158,25 +156,10 @@ type flowTrack struct {
 
 // ratedRef names a rated flow by position — owner's CoFlow.Idx, then
 // FlowID.Index within it — and is resolved through states at the next
-// Schedule. A CoFlow swapped in under the same indices (the
-// coordinator's update()) resolves to its new flows; one that departed
-// resolves to nothing, or to a successor whose tracks Depart cleared.
+// Schedule. One whose CoFlow departed resolves to nothing, or to a
+// successor under the same index whose tracks Depart cleared.
 type ratedRef struct {
 	coflow, flow int32
-}
-
-// relist puts c's flows that inherit a rated track on the rated list.
-// Depart clears a CoFlow's tracks, so a flow index normally reaches its
-// next holder clean; update() hands indices over without a Depart — a
-// finished flow restarted under its old index, a dropped flow's index
-// taken by a later arrival — and the new holder is then observed against
-// the track it found, as any pending flow with a rated track is.
-func (s *Saath) relist(c *coflow.CoFlow) {
-	for _, f := range c.Flows {
-		if f.Idx >= 0 && f.Idx < len(s.tracks) && s.tracks[f.Idx].lastAlloc > 0 {
-			s.rated = append(s.rated, ratedRef{coflow: int32(c.Idx), flow: int32(f.ID.Index)})
-		}
-	}
 }
 
 // New builds a Saath scheduler. Use sched.DefaultParams for the full
@@ -236,9 +219,6 @@ func init() {
 // Name identifies the configured variant.
 func (s *Saath) Name() string { return s.name }
 
-// Params exposes the normalized configuration (read-only use).
-func (s *Saath) Params() sched.Params { return s.params }
-
 // Arrive registers a CoFlow; every CoFlow starts in the highest
 // priority queue with a fresh FIFO-derived deadline. The CoFlow must
 // already hold its dense index (the engine and the coordinator assign
@@ -252,46 +232,19 @@ func (s *Saath) Arrive(c *coflow.CoFlow, now coflow.Time) {
 	// Deadline is set on first Schedule, when the queue population
 	// C_q is known; mark it unset.
 	s.states[c.Idx] = coflowState{c: c, enteredAt: now, deadline: -1}
-	s.relist(c)
 }
 
-// Depart forgets a finished or withdrawn CoFlow. Flow tracks are
-// cleared by index so a later reuse of the index starts fresh.
+// Depart forgets a finished CoFlow. Flow tracks are cleared by index so
+// a later reuse of the index starts fresh.
 func (s *Saath) Depart(c *coflow.CoFlow, now coflow.Time) {
-	if st := s.lookup(c.Idx, c.ID()); st != nil {
-		*st = coflowState{}
+	if c.Idx >= 0 && c.Idx < len(s.states) && s.states[c.Idx].c == c {
+		s.states[c.Idx] = coflowState{}
 	}
 	for _, f := range c.Flows {
 		if f.Idx >= 0 && f.Idx < len(s.tracks) {
 			s.tracks[f.Idx] = flowTrack{}
 		}
 	}
-}
-
-// lookup returns the state slot idx if CoFlow id holds it. Holders are
-// matched by ID, not pointer: the coordinator's update() swaps in a new
-// runtime CoFlow under the same ID and index, and its queue history
-// carries over.
-func (s *Saath) lookup(idx int, id coflow.CoFlowID) *coflowState {
-	if idx < 0 || idx >= len(s.states) {
-		return nil
-	}
-	if st := &s.states[idx]; st.c != nil && st.c.ID() == id {
-		return st
-	}
-	return nil
-}
-
-// QueueOf reports the CoFlow's current queue (for tests and the
-// prototype's introspection endpoint). Second result is false for
-// unknown CoFlows.
-func (s *Saath) QueueOf(id coflow.CoFlowID) (int, bool) {
-	for i := range s.states {
-		if st := s.lookup(i, id); st != nil {
-			return st.queue, true
-		}
-	}
-	return 0, false
 }
 
 // growScratch sizes the per-interval scratch for this snapshot's index
@@ -342,14 +295,9 @@ func (s *Saath) Schedule(snap *sched.Snapshot) *sched.RateVec {
 	// through the holders refreshed here.
 	queueCount := s.queueCount
 	for i, c := range snap.Active {
-		st := s.lookup(c.Idx, c.ID())
-		if st == nil { // defensive: simulator always calls Arrive first
-			st = &s.states[c.Idx]
-			*st = coflowState{enteredAt: snap.Now, deadline: -1}
-		}
-		if st.c != c { // swapped in by update(), or never announced
-			st.c, st.epoch = c, 0
-			s.relist(c)
+		st := &s.states[c.Idx]
+		if st.c != c { // defensive: the engine and the coordinator call Arrive first
+			*st = coflowState{c: c, enteredAt: snap.Now, deadline: -1}
 		}
 		st.listed = s.gen
 		// The queue rules read what the epoch and the progress stamp
@@ -497,8 +445,7 @@ func (s *Saath) serve(fab *fabric.Fabric, bucket []*coflow.CoFlow, alloc *sched.
 // reissue is Schedule's way out when nothing it decides from has changed
 // since the previous call: the vector goes out again as it is, and the
 // flows that call rated — observeProgress just moved them, in order,
-// from rated to observed, ahead of anything relisted since — are
-// recorded again at their rates with today's Sent as the baseline. Every
+// from rated to observed — are recorded again at their rates with today's Sent as the baseline. Every
 // track, the rated list and lastTime end up as the full path would leave
 // them. The fabric is not drawn down; see sched.Snapshot.Fabric.
 func (s *Saath) reissue(alloc *sched.RateVec, now coflow.Time) *sched.RateVec {
@@ -537,7 +484,7 @@ func (s *Saath) observeProgress(snap *sched.Snapshot) {
 	for _, ref := range s.rated {
 		c := s.states[ref.coflow].c
 		if c == nil || int(ref.flow) >= len(c.Flows) {
-			continue // departed, or narrowed by an update
+			continue // departed, its index maybe taken by a narrower arrival
 		}
 		// A finished flow's track is never read again (caps apply to
 		// sendable flows) and Depart clears it.

@@ -219,6 +219,17 @@ func TestPerFlowThresholdDemotesFaster(t *testing.T) {
 	}
 }
 
+// QueueOf reports the queue of the live CoFlow with the given ID; the
+// second result is false for an unknown one.
+func (s *Saath) QueueOf(id coflow.CoFlowID) (int, bool) {
+	for _, st := range s.states {
+		if st.c != nil && st.c.ID() == id {
+			return st.queue, true
+		}
+	}
+	return 0, false
+}
+
 func TestQueueOfUnknown(t *testing.T) {
 	s := newSaath(t, nil)
 	if _, ok := s.QueueOf(99); ok {

@@ -266,7 +266,7 @@ func TestMaxMinFairSingleBottleneck(t *testing.T) {
 	f := New(4, 100)
 	// Three flows out of port 0: fair share 33.3 each.
 	d := []Demand{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: 0, Dst: 3}}
-	rates := f.MaxMinFair(d)
+	rates := f.MaxMinFairInto(nil, d)
 	for i, r := range rates {
 		if math.Abs(float64(r)-100.0/3) > 1e-6 {
 			t.Fatalf("rate[%d] = %v, want 33.33", i, r)
@@ -281,7 +281,7 @@ func TestMaxMinFairTwoLevels(t *testing.T) {
 	// C should get the leftover 50 at port 3, then rise to port 1's
 	// free egress... port 3 ingress caps B+C at 100, so C gets 50.
 	d := []Demand{{Src: 0, Dst: 2}, {Src: 0, Dst: 3}, {Src: 1, Dst: 3}}
-	rates := f.MaxMinFair(d)
+	rates := f.MaxMinFairInto(nil, d)
 	want := []float64{50, 50, 50}
 	for i := range rates {
 		if math.Abs(float64(rates[i])-want[i]) > 1e-6 {
@@ -293,7 +293,7 @@ func TestMaxMinFairTwoLevels(t *testing.T) {
 func TestMaxMinFairRespectsCaps(t *testing.T) {
 	f := New(4, 100)
 	d := []Demand{{Src: 0, Dst: 1, Cap: 10}, {Src: 0, Dst: 2}}
-	rates := f.MaxMinFair(d)
+	rates := f.MaxMinFairInto(nil, d)
 	if math.Abs(float64(rates[0])-10) > 1e-6 {
 		t.Fatalf("capped rate = %v", rates[0])
 	}
@@ -304,11 +304,11 @@ func TestMaxMinFairRespectsCaps(t *testing.T) {
 
 func TestMaxMinFairEmptyAndSaturated(t *testing.T) {
 	f := New(2, 100)
-	if got := f.MaxMinFair(nil); len(got) != 0 {
+	if got := f.MaxMinFairInto(nil, nil); len(got) != 0 {
 		t.Fatal("nil demands")
 	}
 	f.Allocate(0, 1, 100)
-	rates := f.MaxMinFair([]Demand{{Src: 0, Dst: 1}})
+	rates := f.MaxMinFairInto(nil, []Demand{{Src: 0, Dst: 1}})
 	if rates[0] != 0 {
 		t.Fatalf("saturated rate = %v", rates[0])
 	}
@@ -333,7 +333,7 @@ func TestMaxMinFairProperties(t *testing.T) {
 				demands[i].Cap = coflow.Rate(rng.Intn(80) + 1)
 			}
 		}
-		rates := f.MaxMinFair(demands)
+		rates := f.MaxMinFairInto(nil, demands)
 
 		eg := make([]float64, nPorts)
 		in := make([]float64, nPorts)

@@ -11,13 +11,6 @@ type Demand struct {
 	Cap coflow.Rate
 }
 
-// MaxMinFair computes the max-min fair rate for each demand; see
-// MaxMinFairInto. Prefer MaxMinFairInto on hot paths — it reuses the
-// caller's result slice.
-func (f *Fabric) MaxMinFair(demands []Demand) []coflow.Rate {
-	return f.MaxMinFairInto(nil, demands)
-}
-
 // maxMinScratch is MaxMinFairInto's working state, kept on the Fabric
 // and reused across calls so progressive filling stays off the heap.
 type maxMinScratch struct {

@@ -1,12 +1,6 @@
 package obs
 
-import (
-	"fmt"
-	"time"
-
-	"saath/internal/report"
-	"saath/internal/telemetry"
-)
+import "time"
 
 // NumEventKinds is the size of the engine's event-kind enum. The
 // EventsByKind array is indexed by internal/sim's eventKind values;
@@ -72,25 +66,6 @@ func (h *LatencyHist) Merge(other *LatencyHist) {
 	h.Overflow += other.Overflow
 }
 
-// Dump exports the histogram through the telemetry dump type, values
-// in nanoseconds.
-func (h *LatencyHist) Dump(name string) telemetry.HistogramDump {
-	d := telemetry.HistogramDump{
-		Name:     name,
-		Count:    h.Count,
-		Sum:      float64(h.SumNs),
-		Max:      float64(h.MaxNs),
-		Overflow: h.Overflow,
-		Buckets:  make([]telemetry.Bucket, latencyBuckets),
-	}
-	bound := float64(latencyBaseNs)
-	for i := range h.Buckets {
-		d.Buckets[i] = telemetry.Bucket{LE: bound, Count: h.Buckets[i]}
-		bound *= 4
-	}
-	return d
-}
-
 // EngineCounters is the engine's introspection sink: attach one per
 // run via sim.Config.Counters and the run loop counts into it. Every
 // field update is a nil-checked integer increment — the disabled path
@@ -150,57 +125,4 @@ func (c *EngineCounters) Merge(other *EngineCounters) {
 	c.FlowsWalked += other.FlowsWalked
 	c.HeldEpochs += other.HeldEpochs
 	c.Schedule.Merge(&other.Schedule)
-}
-
-// counterValue is one named scalar of the counter set.
-type counterValue struct {
-	Name  string
-	Value int64
-}
-
-// scalars returns the counter name/value pairs in stable render order.
-func (c *EngineCounters) scalars() []counterValue {
-	out := []counterValue{
-		{"engine_epochs", c.Epochs},
-		{"engine_admitted", c.Admitted},
-		{"engine_retired", c.Retired},
-		{"engine_events_dispatched", c.EventsDispatched},
-	}
-	for i, n := range EventKindNames {
-		out = append(out, counterValue{"engine_events_" + n, c.EventsByKind[i]})
-	}
-	return append(out,
-		counterValue{"engine_heap_pushes", c.HeapPushes},
-		counterValue{"engine_heap_max", c.HeapMax},
-		counterValue{"engine_rated_flows", c.RatedFlows},
-		counterValue{"engine_flows_walked", c.FlowsWalked},
-		counterValue{"engine_held_epochs", c.HeldEpochs})
-}
-
-// Metrics exports the counters through the existing telemetry dump
-// types: each counter as a single-point series, the schedule-call
-// latency as a histogram — so every renderer and JSON consumer built
-// for telemetry.Metrics works on engine introspection unchanged.
-func (c *EngineCounters) Metrics() *telemetry.Metrics {
-	m := &telemetry.Metrics{Intervals: c.Epochs, Sampled: c.Epochs}
-	for _, s := range c.scalars() {
-		v := float64(s.Value)
-		m.Series = append(m.Series, telemetry.SeriesDump{Name: s.Name, Count: 1, Mean: v, Max: v, Last: v})
-	}
-	m.Histograms = append(m.Histograms, c.Schedule.Dump("engine_schedule_latency_ns"))
-	return m
-}
-
-// Table renders the counters and latency summary as one report table.
-func (c *EngineCounters) Table(title string) *report.Table {
-	t := &report.Table{Title: title, Headers: []string{"counter", "value"}}
-	for _, s := range c.scalars() {
-		t.AddRow(s.Name, s.Value)
-	}
-	if c.Schedule.Count > 0 {
-		mean := time.Duration(c.Schedule.SumNs / c.Schedule.Count)
-		t.AddRow("schedule_latency_mean", fmt.Sprintf("%v", mean))
-		t.AddRow("schedule_latency_max", fmt.Sprintf("%v", time.Duration(c.Schedule.MaxNs)))
-	}
-	return t
 }

@@ -32,11 +32,10 @@ type ManifestTotals struct {
 }
 
 // Manifest is one run's collected observability: per-job records in
-// grid order, top-level phase spans, and the aggregate totals.
+// grid order and the aggregate totals.
 type Manifest struct {
 	Study  string         `json:"study,omitempty"`
 	Jobs   []JobRecord    `json:"jobs"`
-	Spans  []*Span        `json:"spans,omitempty"`
 	Totals ManifestTotals `json:"totals"`
 	// Runtime is the testbed jobs' coordinator measurements
 	// (schedule latency, admission counts) when the run went through
@@ -52,15 +51,14 @@ func (m *Manifest) WriteJSON(w io.Writer) error {
 }
 
 // Recorder is the thread-safe collection point the sweep layer feeds:
-// workers record one JobRecord per job, the driver opens top-level
-// spans, Manifest snapshots everything. A nil *Recorder is the
+// workers record one JobRecord per job (and testbed jobs a
+// RuntimeRecord), Manifest snapshots everything. A nil *Recorder is the
 // disabled state — every method is a nil-safe no-op, so call sites
 // thread one pointer through unconditionally.
 type Recorder struct {
 	mu      sync.Mutex
 	study   string
 	jobs    []JobRecord
-	spans   []*Span
 	runtime []RuntimeRecord
 }
 
@@ -71,19 +69,6 @@ func NewRecorder(study string) *Recorder {
 
 // Enabled reports whether records will be kept (false on nil).
 func (r *Recorder) Enabled() bool { return r != nil }
-
-// Span opens a top-level phase span registered with the recorder; the
-// caller Ends it. Returns nil on a disabled recorder.
-func (r *Recorder) Span(name string) *Span {
-	if r == nil {
-		return nil
-	}
-	s := StartSpan(name)
-	r.mu.Lock()
-	r.spans = append(r.spans, s)
-	r.mu.Unlock()
-	return s
-}
 
 // RecordJob stores one job's digest. Safe for concurrent use; no-op on
 // a disabled recorder.
@@ -117,12 +102,11 @@ func (r *Recorder) Manifest() *Manifest {
 	}
 	r.mu.Lock()
 	jobs := append([]JobRecord(nil), r.jobs...)
-	spans := append([]*Span(nil), r.spans...)
 	rt := append([]RuntimeRecord(nil), r.runtime...)
 	study := r.study
 	r.mu.Unlock()
 	sort.Slice(jobs, func(i, j int) bool { return jobs[i].Index < jobs[j].Index })
-	m := &Manifest{Study: study, Jobs: jobs, Spans: spans}
+	m := &Manifest{Study: study, Jobs: jobs}
 	if len(rt) > 0 {
 		rep := &RuntimeReport{Records: rt}
 		rep.Sort()

@@ -29,13 +29,6 @@ func TestLatencyHistObserve(t *testing.T) {
 	if h.MaxNs != int64(10*time.Second) {
 		t.Errorf("max = %d", h.MaxNs)
 	}
-	d := h.Dump("lat")
-	if d.Count != 4 || len(d.Buckets) != latencyBuckets || d.Buckets[0].LE != 1000 {
-		t.Errorf("dump = %+v", d)
-	}
-	if got := d.Quantile(0.5); got != 4000 {
-		t.Errorf("p50 = %v, want 4000 (second bucket bound)", got)
-	}
 }
 
 func TestLatencyHistObserveZeroAlloc(t *testing.T) {
@@ -62,30 +55,6 @@ func TestEngineCountersMergeAndExports(t *testing.T) {
 	if sum.Epochs != 13 || sum.HeapMax != 7 || sum.HeapPushes != 20 || sum.EventsByKind[1] != 7 || sum.HeldEpochs != 7 {
 		t.Errorf("merge = %+v", sum)
 	}
-
-	m := a.Metrics()
-	if m.Intervals != 10 {
-		t.Errorf("metrics intervals = %d", m.Intervals)
-	}
-	if s := m.FindSeries("engine_events_arrival"); s == nil || s.Last != 5 {
-		t.Errorf("events_arrival series = %+v", s)
-	}
-	if s := m.FindSeries("engine_held_epochs"); s == nil || s.Last != 6 {
-		t.Errorf("held_epochs series = %+v", s)
-	}
-	if h := m.FindHistogram("engine_schedule_latency_ns"); h == nil || h.Count != 1 {
-		t.Errorf("latency histogram = %+v", h)
-	}
-	tbl := a.Table("counters")
-	var buf bytes.Buffer
-	if err := tbl.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"engine_epochs", "engine_heap_max", "schedule_latency_mean"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("table missing %q:\n%s", want, buf.String())
-		}
-	}
 }
 
 func TestSpanLifecycleAndNilSafety(t *testing.T) {
@@ -100,8 +69,8 @@ func TestSpanLifecycleAndNilSafety(t *testing.T) {
 	if root.DurNs != before {
 		t.Error("second End changed duration")
 	}
-	if root.Find("job") == nil || root.Find("absent") != nil {
-		t.Error("Find misbehaves")
+	if len(root.Children) != 2 || root.Children[1].Name != "run" || root.Children[1].Children[0] != grand {
+		t.Errorf("span tree = %+v", root)
 	}
 	if child.Duration() < 0 {
 		t.Error("negative duration")
@@ -112,8 +81,8 @@ func TestSpanLifecycleAndNilSafety(t *testing.T) {
 		t.Error("nil Child should return nil")
 	}
 	nilSpan.End() // must not panic
-	if nilSpan.Find("x") != nil || nilSpan.Duration() != 0 {
-		t.Error("nil span accessors misbehave")
+	if nilSpan.Duration() != 0 {
+		t.Error("nil span has a duration")
 	}
 }
 
@@ -122,7 +91,6 @@ func TestRecorderManifest(t *testing.T) {
 	if !rec.Enabled() {
 		t.Fatal("recorder should be enabled")
 	}
-	top := rec.Span("sweep")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -140,11 +108,10 @@ func TestRecorderManifest(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	top.End()
 
 	m := rec.Manifest()
-	if m.Study != "demo" || len(m.Jobs) != 8 || len(m.Spans) != 1 {
-		t.Fatalf("manifest shape: study=%q jobs=%d spans=%d", m.Study, len(m.Jobs), len(m.Spans))
+	if m.Study != "demo" || len(m.Jobs) != 8 {
+		t.Fatalf("manifest shape: study=%q jobs=%d", m.Study, len(m.Jobs))
 	}
 	for i, j := range m.Jobs {
 		if j.Index != i {
@@ -175,9 +142,6 @@ func TestRecorderManifest(t *testing.T) {
 		t.Error("nil recorder reports enabled")
 	}
 	disabled.RecordJob(JobRecord{}) // must not panic
-	if disabled.Span("x") != nil {
-		t.Error("nil recorder Span should be nil")
-	}
 	if dm := disabled.Manifest(); dm == nil || len(dm.Jobs) != 0 {
 		t.Error("nil recorder manifest should be empty, non-nil")
 	}
@@ -307,9 +271,6 @@ func TestProfilesStartStop(t *testing.T) {
 		Mem:   filepath.Join(dir, "mem.pprof"),
 		Trace: filepath.Join(dir, "trace.out"),
 	}
-	if !p.Any() {
-		t.Fatal("Any() = false")
-	}
 	stop, err := p.Start()
 	if err != nil {
 		t.Fatal(err)
@@ -329,9 +290,6 @@ func TestProfilesStartStop(t *testing.T) {
 		if fi.Size() == 0 {
 			t.Errorf("%s is empty", path)
 		}
-	}
-	if (Profiles{}).Any() {
-		t.Error("zero Profiles reports Any")
 	}
 	stop2, err := Profiles{}.Start()
 	if err != nil || stop2 == nil {

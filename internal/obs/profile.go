@@ -17,9 +17,6 @@ type Profiles struct {
 	Trace string // runtime execution trace path
 }
 
-// Any reports whether any profile output is requested.
-func (p Profiles) Any() bool { return p.CPU != "" || p.Mem != "" || p.Trace != "" }
-
 // Start begins CPU profiling and execution tracing as requested. The
 // returned stop flushes and closes everything — including the heap
 // profile, which is captured at stop time after a GC — and must be

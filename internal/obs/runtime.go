@@ -63,14 +63,6 @@ func (r *RuntimeReport) Sort() {
 	sort.Slice(r.Records, func(i, j int) bool { return r.Records[i].Index < r.Records[j].Index })
 }
 
-// Merge appends another report's records (shard reassembly).
-func (r *RuntimeReport) Merge(other *RuntimeReport) {
-	if other == nil {
-		return
-	}
-	r.Records = append(r.Records, other.Records...)
-}
-
 // RuntimeTable renders the schedule-latency report in the shape of the
 // paper's Table 2: per job, cluster size against the coordinator's
 // per-Schedule wall-clock cost. Wall times are measurements of this

@@ -50,20 +50,3 @@ func (s *Span) Duration() time.Duration {
 	}
 	return time.Duration(s.DurNs)
 }
-
-// Find returns the first span named name in a depth-first walk of s
-// and its children, or nil.
-func (s *Span) Find(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	if s.Name == name {
-		return s
-	}
-	for _, c := range s.Children {
-		if m := c.Find(name); m != nil {
-			return m
-		}
-	}
-	return nil
-}

@@ -1,10 +1,9 @@
-// Package report renders experiment output: fixed-width ASCII tables
-// for terminal inspection and CSV for plotting, matching the rows and
-// series of the paper's tables and figures.
+// Package report renders experiment output as fixed-width ASCII tables
+// for terminal inspection, matching the rows and series of the paper's
+// tables and figures.
 package report
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -70,42 +69,6 @@ func (t *Table) Render(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// CSV writes the table as comma-separated values (quotes cells that
-// contain commas or quotes).
-func (t *Table) CSV(w io.Writer) error {
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if strings.ContainsAny(cell, ",\"\n") {
-				cell = `"` + strings.ReplaceAll(cell, `"`, `""`) + `"`
-			}
-			b.WriteString(cell)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Headers)
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// JSON writes the table as one indented JSON object — the
-// machine-readable sibling of CSV for result export.
-func (t *Table) JSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Title   string     `json:"title,omitempty"`
-		Headers []string   `json:"headers"`
-		Rows    [][]string `json:"rows"`
-	}{t.Title, t.Headers, t.Rows})
 }
 
 // CDFTable renders an empirical CDF as a two-column table, the shape

@@ -1,32 +1,11 @@
 package report
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
 	"saath/internal/stats"
 )
-
-func TestTableJSON(t *testing.T) {
-	tbl := &Table{Title: "demo", Headers: []string{"name", "value"}}
-	tbl.AddRow("alpha", 1.5)
-	var sb strings.Builder
-	if err := tbl.JSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	var got struct {
-		Title   string     `json:"title"`
-		Headers []string   `json:"headers"`
-		Rows    [][]string `json:"rows"`
-	}
-	if err := json.Unmarshal([]byte(sb.String()), &got); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, sb.String())
-	}
-	if got.Title != "demo" || len(got.Headers) != 2 || len(got.Rows) != 1 || got.Rows[0][1] != "1.500" {
-		t.Fatalf("round-trip mismatch: %+v", got)
-	}
-}
 
 func TestTableRender(t *testing.T) {
 	tbl := &Table{Title: "demo", Headers: []string{"name", "value"}}
@@ -45,19 +24,6 @@ func TestTableRender(t *testing.T) {
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 5 { // title + header + sep + 2 rows
 		t.Fatalf("line count = %d:\n%s", len(lines), out)
-	}
-}
-
-func TestTableCSV(t *testing.T) {
-	tbl := &Table{Headers: []string{"a", "b"}}
-	tbl.AddRow(`with,comma`, `with"quote`)
-	var sb strings.Builder
-	if err := tbl.CSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, `"with,comma"`) || !strings.Contains(out, `"with""quote"`) {
-		t.Fatalf("csv escaping wrong:\n%s", out)
 	}
 }
 

@@ -3,9 +3,9 @@
 //
 // A Coordinator holds the live CoFlows and, once per δ boundary
 // (StepSchedule), asks any sched.Scheduler for their rates and hands
-// each sending port its orders. Frameworks reach it through the three
-// CoFlow operations of §5: Register, Deregister and Update. One
-// InprocAgent per port stands in for a node's local agent: it holds the
+// each sending port its orders. Frameworks reach it through §5's
+// register() (Register); a CoFlow leaves when its last flow completes.
+// One InprocAgent per port stands in for a node's local agent: it holds the
 // flows it was ordered to send, moves them by rate × δ (Step) and
 // reports their progress back (Report, or ReportInproc for a batch).
 //
@@ -96,10 +96,6 @@ var ErrAdmission = errors.New("runtime: admission rejected")
 // ErrDuplicate is returned by Register for an ID that is live.
 var ErrDuplicate = errors.New("runtime: coflow already registered")
 
-// ErrUnknown is returned by Deregister and Update for an ID that is not
-// live: never registered, deregistered, or completed.
-var ErrUnknown = errors.New("runtime: unknown coflow")
-
 // CoFlowResult is a completed CoFlow as measured by the coordinator, in
 // virtual time.
 type CoFlowResult struct {
@@ -109,13 +105,6 @@ type CoFlowResult struct {
 	CCT          coflow.Time
 	Width        int
 	Bytes        coflow.Bytes
-}
-
-// liveCoFlow is the coordinator's state for one registered CoFlow; its
-// registration time is rt.Arrived.
-type liveCoFlow struct {
-	spec *coflow.Spec
-	rt   *coflow.CoFlow
 }
 
 // FlowOrder tells a sending agent to run one flow at a given rate.
@@ -128,9 +117,8 @@ type FlowOrder struct {
 	// slot is the flow's dense index in the coordinator (coflow.Flow.Idx),
 	// where in-process agents look the flow up.
 	slot int32
-	// start is the flow's start stamp (Coordinator.starts): a flow the
-	// coordinator started afresh — registered again under a deregistered
-	// CoFlow's ID, or resized by Update — is a new flow to its agent.
+	// start is the stamp of the flow's registration (Coordinator.starts):
+	// a CoFlow registered again under an ID is new to the agents.
 	start uint32
 }
 
@@ -151,10 +139,8 @@ type agentLink interface {
 type Coordinator struct {
 	cfg CoordinatorConfig
 
-	// agents is indexed by port (nil: no agent attached); setAgent is its
-	// writer and keeps nAgents its non-nil count.
-	agents  []agentLink
-	nAgents int
+	// agents is indexed by port (nil: no agent attached).
+	agents []agentLink
 
 	// orders is port p's order buffer and touched the ports holding
 	// orders this round, first touched first; both are reused every
@@ -164,8 +150,9 @@ type Coordinator struct {
 	touched []int
 	slots   slotTable
 
-	// live is the ID lookup reports and the CoFlow operations go through.
-	live    map[coflow.CoFlowID]*liveCoFlow
+	// live is the ID lookup reports and registrations go through; a
+	// CoFlow's registration time is its Arrived.
+	live    map[coflow.CoFlowID]*coflow.CoFlow
 	results []CoFlowResult
 	// mergeSince is the wall-clock time the first in-process report since
 	// the last round came in (zero: none). The round charges the span up
@@ -175,11 +162,11 @@ type Coordinator struct {
 
 	// snap is the scheduler's view, kept across rounds with its RateVec;
 	// snap.Active is the live set in (arrival, ID) order, maintained on
-	// Register / retire / Deregister / Update and never rebuilt.
+	// Register and retire and never rebuilt.
 	// finishing are the live CoFlows with a flow that finished since the
 	// last retirement pass.
 	snap      sched.Snapshot
-	finishing []*liveCoFlow
+	finishing []*coflow.CoFlow
 
 	// space assigns the dense flow/coflow indices the scheduler's
 	// allocation vector is keyed by; spares is the flow storage of
@@ -187,12 +174,12 @@ type Coordinator struct {
 	space  *coflow.IndexSpace
 	spares coflow.Spares
 
-	// starts holds each live flow's start stamp by dense flow index, and
-	// started is the last stamp handed out: it moves whenever a flow
-	// starts afresh (Register, and an Update that moves, resizes or adds
-	// the flow). Orders carry the stamp, agents key their flows by it,
-	// and a report of another stamp — a flow deregistered and registered
-	// again under the same ID, or one an Update restarted — is dropped.
+	// starts holds each live CoFlow's registration stamp by dense CoFlow
+	// index, and started is the last stamp handed out. Orders carry the
+	// stamp, agents key their flows by it, and a report of another stamp
+	// is dropped: a copy of a flow that an agent kept after its CoFlow
+	// retired — one a detached agent holds — is not the flow of a CoFlow
+	// registered again under the same ID.
 	starts  []uint32
 	started uint32
 
@@ -233,7 +220,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:    cfg,
 		agents: make([]agentLink, cfg.NumPorts),
-		live:   make(map[coflow.CoFlowID]*liveCoFlow),
+		live:   make(map[coflow.CoFlowID]*coflow.CoFlow),
 		orders: make([][]FlowOrder, cfg.NumPorts),
 		space:  coflow.NewIndexSpace(),
 		fab:    fabric.New(cfg.NumPorts, cfg.PortRate),
@@ -245,41 +232,28 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	return c, nil
 }
 
-// setAgent makes link the agent of port (in [0, NumPorts)).
-func (c *Coordinator) setAgent(port int, link agentLink) {
-	if c.agents[port] == nil {
-		c.nAgents++
-	}
-	c.agents[port] = link
-}
-
 // mergeStat folds the progress of one agent's flow into coordinator
 // state at virtual time now and queues its CoFlow for retire if the
 // flow finished, and reports whether the flow is a live one. A flow of
-// no live CoFlow (deregistered), of an index Update removed, or of
-// another start than the live one — a flow of a CoFlow deregistered and
-// registered again under the same ID, or a flow Update moved or
-// resized — is not the live flow's progress: nothing is merged, and the
+// no live CoFlow, or of another registration than the live one under
+// its ID, is not the live flow's progress: nothing is merged, and the
 // agent drops it. Zero-alloc: every flow of every agent report of every
 // boundary goes through here.
 //
 //saath:hotpath zero-alloc steady state guarded by TestTestbedLayerGuards
 func (c *Coordinator) mergeStat(af *inprocFlow, now coflow.Time) bool {
-	lc := c.live[coflow.CoFlowID(af.key.CoFlow)] //saath:map-ok agents name flows by (coflow ID, index); the ID lookup is the one map on this path
-	if lc == nil || af.key.Index >= len(lc.rt.Flows) {
+	cf := c.live[coflow.CoFlowID(af.key.CoFlow)] //saath:map-ok agents name flows by (coflow ID, index); the ID lookup is the one map on this path
+	if cf == nil || c.starts[cf.Idx] != af.key.start {
 		return false
 	}
-	f := lc.rt.Flows[af.key.Index]
-	if c.starts[f.Idx] != af.key.start {
-		return false
-	}
+	f := cf.Flows[af.key.Index]
 	if sent := coflow.Bytes(af.sent); sent > f.Sent() {
-		lc.rt.Progress(f, sent)
+		cf.Progress(f, sent)
 	}
-	lc.rt.SetAvailable(f, true)
+	cf.SetAvailable(f, true)
 	if af.done && !f.Done() {
-		lc.rt.Complete(f, now-lc.rt.Arrived)
-		c.finishing = append(c.finishing, lc)
+		cf.Complete(f, now-cf.Arrived)
+		c.finishing = append(c.finishing, cf)
 	}
 	return true
 }
@@ -297,34 +271,34 @@ func (c *Coordinator) retire(now coflow.Time) {
 	if len(c.finishing) == 0 {
 		return
 	}
-	slices.SortFunc(c.finishing, func(a, b *liveCoFlow) int { return cmp.Compare(a.spec.ID, b.spec.ID) })
-	for _, lc := range c.finishing {
-		// An entry may be of a CoFlow deregistered since, with flows still
-		// to go, or retired by an earlier entry of this pass.
-		if c.live[lc.spec.ID] != lc || !lc.rt.RefreshDone() { //saath:map-ok completion path: once per finished flow, not per boundary
+	slices.SortFunc(c.finishing, func(a, b *coflow.CoFlow) int { return cmp.Compare(a.ID(), b.ID()) })
+	for _, cf := range c.finishing {
+		// An entry may be of a CoFlow retired by an earlier entry of this
+		// pass: its header stays readable, and it is no longer live.
+		if c.live[cf.ID()] != cf || !cf.RefreshDone() { //saath:map-ok completion path: once per finished flow, not per boundary
 			continue
 		}
 		c.results = append(c.results, CoFlowResult{
-			ID:           lc.spec.ID,
-			RegisteredAt: lc.rt.Arrived,
+			ID:           cf.ID(),
+			RegisteredAt: cf.Arrived,
 			CompletedAt:  now,
-			CCT:          now - lc.rt.Arrived,
-			Width:        lc.rt.Width(),
-			Bytes:        lc.spec.TotalSize(),
+			CCT:          now - cf.Arrived,
+			Width:        cf.Width(),
+			Bytes:        cf.Spec.TotalSize(),
 		})
-		c.depart(lc, now)
+		c.depart(cf, now)
 	}
 	clear(c.finishing)
 	c.finishing = c.finishing[:0]
 }
 
-// depart tells the policy a retired or deregistered CoFlow is gone and
-// drops it from the live set. A Depart that panics still drops it,
-// before the panic goes on to the caller: a retired CoFlow's result is
-// recorded, so it must not stay live with nothing pending.
-func (c *Coordinator) depart(lc *liveCoFlow, now coflow.Time) {
-	defer c.dropLive(lc)
-	c.cfg.Scheduler.Depart(lc.rt, now)
+// depart tells the policy a retired CoFlow is gone and drops it from
+// the live set. A Depart that panics still drops it, before the panic
+// goes on to the caller: a retired CoFlow's result is recorded, so it
+// must not stay live with nothing pending.
+func (c *Coordinator) depart(cf *coflow.CoFlow, now coflow.Time) {
+	defer c.dropLive(cf)
+	c.cfg.Scheduler.Depart(cf, now)
 }
 
 // byArrival is sched.ByArrival's order, the one snap.Active is kept in;
@@ -337,18 +311,18 @@ func byArrival(a, b *coflow.CoFlow) int {
 	return cmp.Compare(a.ID(), b.ID())
 }
 
-// dropLive takes a retired or deregistered CoFlow out of the ID lookup,
-// the arrival order and the index space, and hands its flow storage to
-// later registrations; the caller has told the scheduler. A finishing
-// entry may still name lc, but the retire pass skips a CoFlow that is
-// not live before it reads its flows.
-func (c *Coordinator) dropLive(lc *liveCoFlow) {
-	delete(c.live, lc.spec.ID)
-	if i, ok := slices.BinarySearchFunc(c.snap.Active, lc.rt, byArrival); ok {
+// dropLive takes a retired CoFlow out of the ID lookup, the arrival
+// order and the index space, and hands its flow storage to later
+// registrations; the caller has told the scheduler. A finishing entry
+// may still name cf, but the retire pass skips a CoFlow that is not
+// live before it reads its flows.
+func (c *Coordinator) dropLive(cf *coflow.CoFlow) {
+	delete(c.live, cf.ID())
+	if i, ok := slices.BinarySearchFunc(c.snap.Active, cf, byArrival); ok {
 		c.snap.Active = slices.Delete(c.snap.Active, i, i+1)
 	}
-	c.space.Release(lc.rt)
-	c.spares.Put(lc.rt)
+	c.space.Release(cf)
+	c.spares.Put(cf)
 }
 
 // StepSchedule runs one δ boundary at virtual time now: retire completed
@@ -388,6 +362,7 @@ func (c *Coordinator) StepSchedule(now coflow.Time) (live int) {
 	}
 	c.touched = c.touched[:0]
 	for _, cf := range c.snap.Active {
+		start := c.starts[cf.Idx]
 		for _, f := range cf.PendingFlows() {
 			if c.agents[f.Dst] == nil {
 				continue // receiver not attached yet
@@ -403,7 +378,7 @@ func (c *Coordinator) StepSchedule(now coflow.Time) (live int) {
 				Size:    int64(f.Size),
 				RateBps: float64(alloc.Rate(f.Idx)),
 				slot:    int32(f.Idx),
-				start:   c.starts[f.Idx],
+				start:   start,
 			})
 		}
 	}
@@ -439,15 +414,6 @@ func (c *Coordinator) ScheduleLatency() (calls int, mean, max, p90 time.Duration
 	return c.schedStats.calls, c.schedStats.mean(), c.schedStats.max, c.schedStats.p90()
 }
 
-// AgentCount returns the number of attached agents.
-func (c *Coordinator) AgentCount() int { return c.nAgents }
-
-// LiveCount returns the number of admitted, not-yet-completed CoFlows.
-func (c *Coordinator) LiveCount() int { return len(c.live) }
-
-// CompletedCount returns the number of completed CoFlows.
-func (c *Coordinator) CompletedCount() int { return len(c.results) }
-
 // AdmissionStats returns the admission-control counters: coflows
 // admitted and rejected since startup.
 func (c *Coordinator) AdmissionStats() (admitted, rejected int64) {
@@ -470,7 +436,7 @@ func (c *Coordinator) Results() []CoFlowResult {
 }
 
 // Register is register() of §5: it admits and registers one CoFlow at
-// virtual time now, every flow starting afresh. This is the
+// virtual time now, under a fresh registration stamp. This is the
 // arrival-time decision point: the admission bucket and the live-coflow
 // cap are consulted against live coordinator state the instant the
 // coflow arrives — not batched, not deferred to a schedule round.
@@ -488,89 +454,18 @@ func (c *Coordinator) Register(spec *coflow.Spec, now coflow.Time) error {
 		c.nRejected++
 		return ErrAdmission
 	}
-	rt := c.spares.New(spec)
-	rt.Arrived = now
-	c.live[spec.ID] = &liveCoFlow{spec: spec, rt: rt}
-	at, _ := slices.BinarySearchFunc(c.snap.Active, rt, byArrival)
-	c.snap.Active = slices.Insert(c.snap.Active, at, rt)
-	c.space.Assign(rt)
-	for _, f := range rt.Flows {
-		c.start(f, 0)
-	}
-	c.cfg.Scheduler.Arrive(rt, now)
+	cf := c.spares.New(spec)
+	cf.Arrived = now
+	c.live[spec.ID] = cf
+	at, _ := slices.BinarySearchFunc(c.snap.Active, cf, byArrival)
+	c.snap.Active = slices.Insert(c.snap.Active, at, cf)
+	c.space.Assign(cf)
+	c.starts = coflow.Grow(c.starts, cf.Idx+1)
+	c.started++
+	c.starts[cf.Idx] = c.started
+	c.cfg.Scheduler.Arrive(cf, now)
 	c.nAdmitted++
 	return nil
-}
-
-// Deregister is deregister() of §5: the CoFlow leaves the live set at
-// virtual time now, without a result. Its flows stay at their agents
-// until their next report, which matches no live flow, so the agents
-// drop them. Returns ErrUnknown for an ID that is not live.
-func (c *Coordinator) Deregister(id coflow.CoFlowID, now coflow.Time) error {
-	lc, ok := c.live[id]
-	if !ok {
-		return ErrUnknown
-	}
-	c.depart(lc, now)
-	return nil
-}
-
-// Update is update() of §5: it replaces a live CoFlow's flow structure
-// (task migration, a restart after failure). A flow that is the same
-// start as the one it replaces — same index, sender and size, as
-// CoFlow.CarryOver decides — keeps its progress and its start stamp; a
-// flow it moves to another sender, resizes or adds starts afresh.
-// Returns ErrUnknown for an ID that is not live, or a validation error;
-// either way nothing changes.
-func (c *Coordinator) Update(spec *coflow.Spec) error {
-	if err := c.checkSpec(spec); err != nil {
-		return err
-	}
-	lc, ok := c.live[spec.ID]
-	if !ok {
-		return ErrUnknown
-	}
-	old := lc.rt
-	kept := make([]uint32, len(old.Flows))
-	for i, f := range old.Flows {
-		kept[i] = c.starts[f.Idx]
-	}
-	c.space.Release(old)
-	lc.spec = spec
-	lc.rt = coflow.New(spec)
-	lc.rt.Arrived = old.Arrived
-	// Same (arrival, ID), so the new runtime state takes the old one's
-	// place in the arrival order.
-	if i, ok := slices.BinarySearchFunc(c.snap.Active, old, byArrival); ok {
-		c.snap.Active[i] = lc.rt
-	}
-	// old's flow storage is not handed on (spares): the policy has not
-	// been told of the swap, and its kept state may name old until its
-	// next Schedule.
-	carried := make([]bool, len(spec.Flows))
-	lc.rt.CarryOver(old, carried)
-	c.space.Assign(lc.rt)
-	for i, f := range lc.rt.Flows {
-		var stamp uint32 // 0: a fresh start
-		if carried[i] {
-			stamp = kept[i]
-		}
-		c.start(f, stamp)
-	}
-	c.finishing = append(c.finishing, lc) // the new flow set may hold nothing but finished flows
-	return nil
-}
-
-// start files stamp as f's start stamp, or with stamp 0 a fresh one.
-func (c *Coordinator) start(f *coflow.Flow, stamp uint32) {
-	if n := f.Idx + 1; n > len(c.starts) {
-		c.starts = append(c.starts, make([]uint32, n-len(c.starts))...)
-	}
-	if stamp == 0 {
-		c.started++
-		stamp = c.started
-	}
-	c.starts[f.Idx] = stamp
 }
 
 // checkSpec is the gate every spec passes before it can reach the

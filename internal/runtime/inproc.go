@@ -14,14 +14,12 @@ import (
 // catalog studies measure the real coordinator at cluster scale.
 //
 // Agents share their coordinator's one owner: the driver interleaves
-// Step and Report/ReportInproc calls with the coordinator's
-// StepSchedule, which delivers orders back into the agents. Step
-// touches only the agent's own flows; Deliver and the reports also
-// touch the slot table the coordinator's agents share.
+// Step and ReportInproc calls with the coordinator's StepSchedule,
+// which delivers orders back into the agents. Step touches only the
+// agent's own flows; Deliver and the reports also touch the slot table
+// the coordinator's agents share.
 type InprocAgent struct {
-	port  int
-	coord *Coordinator
-	// flows is dense: Step and Report walk it front to back, a completed
+	// flows is dense: Step and ReportInproc walk it front to back, a completed
 	// flow is swap-removed. slots finds a flow by the coordinator's dense
 	// flow index, which every order carries; it is touched only when
 	// orders arrive and when a flow completes.
@@ -30,9 +28,9 @@ type InprocAgent struct {
 	id    int32 // this agent's owner tag in slots
 }
 
-// flowKey names one start of a flow: its CoFlow's ID and its index
-// there, and the coordinator's start stamp (FlowOrder.start). An agent
-// holds one start per (CoFlow, index): a later one restarts the flow.
+// flowKey names one flow of one registration: its CoFlow's ID and its
+// index there, and the stamp of the CoFlow's registration
+// (FlowOrder.start).
 type flowKey struct {
 	CoFlow int64
 	Index  int
@@ -55,14 +53,13 @@ type inprocFlow struct {
 // flow's position in that agent's flows. One table serves every agent
 // of a coordinator, so it grows with the flow indices in use (FlowCap),
 // not with ports × agents. An index is reused once its flow leaves the
-// coordinator, while the old flow may stay at its agent until its next
-// report drops it, so a reader checks the flow an entry points at
-// against the order's flowKey. And a flow Update moved to another
-// sender stays at its old agent until that agent's next report drops
-// it. The table's invariant: an entry s that agent a owns points at a
-// flow of a filed under s (inprocFlow.slot). So a flow clears or moves
-// only the entry that points at it, never one its index has since
-// passed to another flow or agent.
+// coordinator, while a copy of the flow may stay at an agent until its
+// next report drops it — a detached agent's, whose port's new agent
+// took the entry — so a reader checks the flow an entry points at
+// against the order's flowKey. The table's invariant: an entry s that
+// agent a owns points at a flow of a filed under s (inprocFlow.slot).
+// So a flow clears or moves only the entry that points at it, never one
+// its index has since passed to another flow or agent.
 type slotTable struct {
 	entries []slotEntry
 	agents  int32 // owner tags handed out so far; 0 tags no agent
@@ -89,17 +86,21 @@ func (c *Coordinator) AttachInproc(port int) (*InprocAgent, error) {
 	if c.agents[port] != nil {
 		return nil, fmt.Errorf("runtime: inproc agent port %d already has an agent attached", port)
 	}
-	a := &InprocAgent{port: port, coord: c, slots: &c.slots, id: c.slots.join()}
-	c.setAgent(port, a)
+	a := &InprocAgent{slots: &c.slots, id: c.slots.join()}
+	c.agents[port] = a
 	return a, nil
 }
 
 // Deliver implements agentLink: adopt the new schedule. Each order's
 // rate is copied into its flow's state, and the orders are not
 // retained. An order finds its flow through the slot table, checked
-// against the flow's key: an entry of another agent, of another flow
-// under a reused index, or of an earlier start of the same flow is a
-// miss.
+// against the flow's key: a miss — an entry of no agent, of another
+// agent, or of another flow under a reused index — files the flow anew.
+// Only the agent attached at a flow's sender is ordered it, and a
+// detached agent is never ordered again, so no other agent takes the
+// entry of a flow an agent is still ordered: a miss is never a flow
+// the agent holds (FuzzInprocAgents holds this against agents that key
+// flows by name).
 //
 //saath:hotpath zero-alloc steady state guarded by TestCoordinatorBoundaryZeroAlloc
 func (a *InprocAgent) Deliver(orders []FlowOrder) {
@@ -110,36 +111,11 @@ func (a *InprocAgent) Deliver(orders []FlowOrder) {
 		t.entries = coflow.Grow(t.entries, int(o.slot)+1) // the table follows FlowCap
 		e := &t.entries[o.slot]
 		if e.owner != a.id || a.flows[e.at].key != k {
-			*e = slotEntry{owner: a.id, at: a.file(k, o)}
+			a.flows = append(a.flows, inprocFlow{key: k, slot: o.slot, size: float64(o.Size)}) // grow path
+			*e = slotEntry{owner: a.id, at: int32(len(a.flows) - 1)}
 		}
 		a.flows[e.at].rate = o.RateBps
 	}
-}
-
-// file returns where the flow k names sits in flows, now filed under
-// o's index: a miss in the slot table. The agent holds one flow per
-// (CoFlow, index), as a map by that name would: a flow it already holds
-// — its index since given to another flow, the flow moved away and back
-// by update() while the old one lingered, or an earlier start of it —
-// is found by a walk over the agent's flows and re-filed; otherwise the
-// flow is added. An earlier start — of a CoFlow since deregistered and
-// registered again under its ID, or of a flow update() resized — is
-// restarted as k at o's size, as the coordinator restarted it.
-func (a *InprocAgent) file(k flowKey, o *FlowOrder) int32 {
-	for j := range a.flows {
-		if f := &a.flows[j]; f.key.CoFlow == k.CoFlow && f.key.Index == k.Index {
-			if e := &a.slots.entries[f.slot]; e.owner == a.id && int(e.at) == j {
-				*e = slotEntry{}
-			}
-			if f.key.start != k.start {
-				*f = inprocFlow{key: k, size: float64(o.Size)}
-			}
-			f.slot = o.slot
-			return int32(j)
-		}
-	}
-	a.flows = append(a.flows, inprocFlow{key: k, slot: o.slot, size: float64(o.Size)}) // grow path
-	return int32(len(a.flows) - 1)
 }
 
 // Step advances every flow by dt of virtual time at its current
@@ -167,27 +143,15 @@ func (a *InprocAgent) Step(dt coflow.Time) {
 	}
 }
 
-// Report pushes this agent's flow progress into the coordinator at
-// virtual time now: a ReportInproc of this one agent.
-//
-//saath:hotpath zero-alloc steady state guarded by TestTestbedLayerGuards
-func (a *InprocAgent) Report(now coflow.Time) {
-	if len(a.flows) == 0 {
-		return
-	}
-	one := [1]*InprocAgent{a}
-	a.coord.ReportInproc(one[:], now)
-}
-
 // ReportInproc pushes the flow progress of in-process agents attached
 // to c into the coordinator at virtual time now, an agent's periodic
 // statistics report: each flow is merged as it is read, agent by agent
 // in the given order. Completed flows are reported once and then
 // dropped from agent state — delivery is synchronous, so the completion
-// cannot be lost — and so is a flow whose report matches no live flow
-// (its CoFlow deregistered, or the flow removed or restarted by Update):
-// no later order names it there, and a flow paused at rate 0 would
-// otherwise stay for ever. A report does not retire: completions
+// cannot be lost — and so is a flow whose report matches no live flow (a
+// copy that outlived its CoFlow at a detached agent): no later order
+// names it, and a flow paused at rate 0 would otherwise stay for ever.
+// A report does not retire: completions
 // are collected once per boundary in StepSchedule, in ID order across
 // all of the boundary's reports.
 //

@@ -20,11 +20,12 @@ import (
 // InprocAgent's.
 type mapAgent struct {
 	InprocAgent
+	coord *Coordinator
 	index map[flowKey]int
 }
 
-func newMapAgent(c *Coordinator, port int) *mapAgent {
-	return &mapAgent{InprocAgent: InprocAgent{coord: c, port: port}, index: map[flowKey]int{}}
+func newMapAgent(c *Coordinator) *mapAgent {
+	return &mapAgent{coord: c, index: map[flowKey]int{}}
 }
 
 // name is k without its start stamp: what mapAgent files flows under.
@@ -40,11 +41,7 @@ func (a *mapAgent) Deliver(orders []FlowOrder) {
 			a.index[name(k)] = at
 			a.flows = append(a.flows, inprocFlow{key: k, size: float64(o.Size)})
 		}
-		f := &a.flows[at]
-		if f.key.start != k.start { // started afresh by the coordinator: restarted
-			*f = inprocFlow{key: k, size: float64(o.Size)}
-		}
-		f.rate = o.RateBps
+		a.flows[at].rate = o.RateBps
 	}
 }
 
@@ -82,36 +79,35 @@ func agentFlows(flows []inprocFlow) string {
 // FuzzInprocAgents drives one churn script through two coordinators
 // in lockstep: one whose agents are InprocAgents — slot
 // lookup in the table they share, reported in one ReportInproc per
-// boundary or one Report each — and one whose agents are the map-keyed
+// boundary or one per agent — and one whose agents are the map-keyed
 // mapAgent. The script registers (under a fresh ID, or again under one
-// whose flows may still linger), deregisters (the flows stay at their
-// agents until their next report, which drops them), updates (the
-// width may change, and a flow moved to another sender starts afresh,
-// so its old sender's next report drops it), detaches a port's agent
-// (it keeps its flows and keeps stepping and reporting), attaches a
-// fresh one to a port whose agent is detached (at an attached port
-// AttachInproc must refuse) and resizes a flow (an Update of the same
-// flows, one at another size, which restarts it at the coordinator and
-// so at its agent). Flow indices are reused all along, by flows at
-// other agents too. After every boundary
+// that may have retired while a detached agent's copy of its flows
+// lingers), detaches a port's agent (it keeps its flows and keeps
+// stepping and reporting) and attaches a fresh one to a port whose
+// agent is detached (at an attached port AttachInproc must refuse).
+// Ops 1, 2 and 7, which deregistered, updated and resized a CoFlow, are
+// retired and do nothing, so every committed input keeps its meaning.
+// Flow indices are reused all along, by flows at other agents too.
+// After every boundary
 // every agent ever attached must hold the same flows — (key, size,
 // sent, rate, done) — on both sides, every flow the coordinator ordered
-// must be held by its sender at the start and size ordered, no flow may
-// have more bytes sent at the coordinator than its port rate moves in
-// the virtual time since it last started (a report of an earlier start
-// taken as progress breaks this), and the coordinators must agree on
-// Results(). The committed corpus holds the cases the two ownership
-// checks in dropFlow exist for — an agent detaches, a fresh one takes
-// its port and the flow's entry, and the old agent then finishes the
-// flow, or swap-removes another over it (an Update cannot set this up:
-// the old sender's next report drops a moved flow before the new
-// sender's orders file it) — a flow resized after three boundaries, and
-// an ID registered again. After every operation, no two live CoFlows of
-// either coordinator may share a Flow, and every live flow must be the
-// one its spec names; the corpus churns deregistrations and
-// registrations for that.
+// must be held by its sender under its registration and at the size
+// ordered, no flow may have more bytes sent at the coordinator than its
+// port rate moves in the virtual time since it was registered (a report
+// of an earlier registration taken as progress breaks this), and the
+// coordinators must agree on Results(). The committed corpus holds the
+// cases the two ownership checks in dropFlow exist for — an agent
+// detaches, a fresh one takes its port and the flow's entry, and the
+// old agent then finishes the flow, or swap-removes another over it —
+// an ID registered again, and a copy of a flow that a detached agent
+// still runs, reported after its CoFlow retired and its ID was
+// registered again (the registration stamp drops it). After every
+// operation, no two live
+// CoFlows of either coordinator may share a Flow, and every live flow
+// must be the one its spec names; the corpus churns completions,
+// retirements and registrations for that.
 func FuzzInprocAgents(f *testing.F) {
-	f.Add([]byte{0, 0, 0, 0, 1, 2, 5, 1, 0, 0, 0, 0, 2, 3, 2, 5, 5, 5, 5, 5, 5})
+	f.Add([]byte{0, 0, 0, 0, 1, 2, 5, 0, 0, 0, 2, 3, 2, 5, 5, 5, 5, 5, 5})
 	f.Add([]byte{0, 0, 1, 0, 1, 3, 0, 5, 3, 0, 5, 5, 4, 0, 6, 2, 0, 2, 1, 3, 4, 5, 0, 0, 5, 6, 5})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 256 {
@@ -151,8 +147,8 @@ func FuzzInprocAgents(f *testing.F) {
 			}
 			slotSide.cur[p] = len(slotSide.slots)
 			slotSide.slots = append(slotSide.slots, a)
-			r := newMapAgent(refSide.coord, p)
-			refSide.coord.setAgent(p, r)
+			r := newMapAgent(refSide.coord)
+			refSide.coord.agents[p] = r
 			refSide.cur[p] = len(refSide.refs)
 			refSide.refs = append(refSide.refs, r)
 		}
@@ -190,19 +186,10 @@ func FuzzInprocAgents(f *testing.F) {
 			}
 			return slotErr
 		}
-		var ids []int                   // every ID registered, in order
-		flows := map[int]*coflow.Spec{} // the flows each ID last registered or was updated to
-		// startedAt is when each flow, by name, last started afresh at the
-		// coordinators: registered, or moved, resized or added by an
-		// update.
-		startedAt := map[flowKey]coflow.Time{}
-		started := func(id int, sp *coflow.Spec, old *coflow.Spec) {
-			for i, f := range sp.Flows {
-				if old == nil || i >= len(old.Flows) || old.Flows[i].Src != f.Src || old.Flows[i].Size != f.Size {
-					startedAt[flowKey{CoFlow: int64(id), Index: i}] = slotSide.now
-				}
-			}
-		}
+		var ids []int // every ID registered, in order
+		// registeredAt is when each ID was last registered at the
+		// coordinators.
+		registeredAt := map[int64]coflow.Time{}
 		// filed is what the slot table resolved to after the last round:
 		// index -> (agent, wire name). A report moves or clears only the
 		// entries of the flows it drops, so every entry whose flow its
@@ -238,8 +225,8 @@ func FuzzInprocAgents(f *testing.F) {
 					if batched {
 						sd.coord.ReportInproc(sd.slots, sd.now)
 					} else {
-						for _, a := range sd.slots {
-							a.Report(sd.now)
+						for i := range sd.slots {
+							sd.coord.ReportInproc(sd.slots[i:i+1], sd.now)
 						}
 					}
 					table(n, "after the reports")
@@ -281,7 +268,7 @@ func FuzzInprocAgents(f *testing.F) {
 					if src < 0 || dst < 0 {
 						continue
 					}
-					k, size := flowKey{CoFlow: int64(cf.ID()), Index: f.ID.Index, start: slotSide.coord.starts[f.Idx]}, -1.0
+					k, size := flowKey{CoFlow: int64(cf.ID()), Index: f.ID.Index, start: slotSide.coord.starts[cf.Idx]}, -1.0
 					for _, af := range slotSide.slots[src].flows {
 						if af.key == k {
 							size = af.size
@@ -291,16 +278,16 @@ func FuzzInprocAgents(f *testing.F) {
 						t.Fatalf("boundary %d: c%d/%d#%d is %d bytes at the coordinator, %.0f at its agent (-1: not held)", n, k.CoFlow, k.Index, k.start, f.Size, size)
 					}
 				}
+				since := slotSide.now - registeredAt[int64(cf.ID())]
 				for _, f := range cf.Flows {
-					since := slotSide.now - startedAt[flowKey{CoFlow: int64(cf.ID()), Index: f.ID.Index}]
 					if max := float64(portRate) * since.Seconds(); float64(f.Sent()) > max+1 {
-						t.Fatalf("boundary %d: c%d/%d has %d bytes sent, more than the %.0f its port moves in the %v since it started", n, cf.ID(), f.ID.Index, f.Sent(), max, since)
+						t.Fatalf("boundary %d: c%d/%d has %d bytes sent, more than the %.0f its port moves in the %v since it was registered", n, cf.ID(), f.ID.Index, f.Sent(), max, since)
 					}
 				}
 			}
 			for i, a := range slotSide.slots {
 				if got, want := agentFlows(a.flows), agentFlows(refSide.refs[i].flows); got != want {
-					t.Fatalf("boundary %d, agent %d (port %d):\nslot agent %s\n map agent %s", n, i, a.port, got, want)
+					t.Fatalf("boundary %d, agent %d:\nslot agent %s\n map agent %s", n, i, got, want)
 				}
 			}
 			if got, want := fmt.Sprint(slotSide.coord.Results()), fmt.Sprint(refSide.coord.Results()); got != want {
@@ -313,16 +300,16 @@ func FuzzInprocAgents(f *testing.F) {
 		// — and each live flow is its spec's.
 		distinct := func(when string, c *Coordinator) {
 			owner := map[*coflow.Flow]coflow.CoFlowID{}
-			for id, lc := range c.live {
-				if len(lc.rt.Flows) != len(lc.spec.Flows) {
-					t.Fatalf("%s: c%d has %d flows, its spec %d", when, id, len(lc.rt.Flows), len(lc.spec.Flows))
+			for id, cf := range c.live {
+				if len(cf.Flows) != len(cf.Spec.Flows) {
+					t.Fatalf("%s: c%d has %d flows, its spec %d", when, id, len(cf.Flows), len(cf.Spec.Flows))
 				}
-				for i, f := range lc.rt.Flows {
+				for i, f := range cf.Flows {
 					if other, ok := owner[f]; ok {
 						t.Fatalf("%s: c%d and c%d share flow %v", when, other, id, f.ID)
 					}
 					owner[f] = id
-					if fs := lc.spec.Flows[i]; f.Src != fs.Src || f.Dst != fs.Dst || f.Size != fs.Size || f.ID != (coflow.FlowID{CoFlow: id, Index: i}) {
+					if fs := cf.Spec.Flows[i]; f.Src != fs.Src || f.Dst != fs.Dst || f.Size != fs.Size || f.ID != (coflow.FlowID{CoFlow: id, Index: i}) {
 						t.Fatalf("%s: c%d flow %d is %v %d->%d %d bytes, its spec %d->%d %d", when, id, i, f.ID, f.Src, f.Dst, f.Size, fs.Src, fs.Dst, fs.Size)
 					}
 				}
@@ -341,22 +328,7 @@ func FuzzInprocAgents(f *testing.F) {
 				}
 				sp := newSpec(id)
 				if both(fmt.Sprintf("Register(c%d)", id), func(c *Coordinator) error { return c.Register(sp, slotSide.now) }) == nil {
-					started(id, sp, nil)
-					flows[id] = sp
-				}
-			case 1: // deregister: the coflow's flows stay at their agents until their next report
-				if len(ids) > 0 {
-					id := coflow.CoFlowID(ids[next()%len(ids)])
-					both(fmt.Sprintf("Deregister(c%d)", id), func(c *Coordinator) error { return c.Deregister(id, slotSide.now) })
-				}
-			case 2: // update: same or new width, senders may move
-				if len(ids) > 0 {
-					id := ids[next()%len(ids)]
-					sp := newSpec(id)
-					if both(fmt.Sprintf("Update(c%d)", id), func(c *Coordinator) error { return c.Update(sp) }) == nil {
-						started(id, sp, flows[id])
-						flows[id] = sp
-					}
+					registeredAt[int64(id)] = slotSide.now
 				}
 			case 3: // detach: the agent keeps its flows, stepping and reporting
 				p := next() % nPorts
@@ -377,20 +349,6 @@ func FuzzInprocAgents(f *testing.F) {
 			case 6:
 				boundary(n, false)
 				n++
-			case 7: // resize: the same flows, one of them at another size
-				if len(ids) > 0 {
-					id := ids[next()%len(ids)]
-					if flows[id] == nil {
-						break
-					}
-					sp := &coflow.Spec{ID: coflow.CoFlowID(id), Flows: slices.Clone(flows[id].Flows)}
-					f := &sp.Flows[next()%len(sp.Flows)]
-					f.Size += coflow.Bytes(1+next()%5) * 400_000
-					if both(fmt.Sprintf("Update(c%d)", id), func(c *Coordinator) error { return c.Update(sp) }) == nil {
-						started(id, sp, flows[id])
-						flows[id] = sp
-					}
-				}
 			}
 			when := fmt.Sprintf("op %d", op)
 			distinct(when, slotSide.coord)
@@ -398,7 +356,7 @@ func FuzzInprocAgents(f *testing.F) {
 		}
 		for end := n + 200; n < end; n++ {
 			boundary(n, n%2 == 0)
-			if slotSide.coord.LiveCount() == 0 {
+			if len(slotSide.coord.live) == 0 {
 				break
 			}
 		}

@@ -41,9 +41,7 @@ func boundary(coord *Coordinator, agents []*InprocAgent, now *coflow.Time, delta
 	for _, a := range agents {
 		a.Step(delta)
 	}
-	for _, a := range agents {
-		a.Report(*now)
-	}
+	coord.ReportInproc(agents, *now)
 	return coord.StepSchedule(*now)
 }
 
@@ -218,183 +216,39 @@ func TestDuplicateRegisterInproc(t *testing.T) {
 	}
 }
 
-// TestInprocAgentFollowsResize: an Update that resizes a flow restarts
-// it at the coordinator (CarryOver keeps progress only at an unchanged
-// size), and the in-process agent holding it must restart it too, not
-// finish the old size and report the new one done. One 50 MB flow runs
-// for three 8 ms boundaries, then is updated to 80 MB: the 80 MB take
-// at least 671 ms at 1 Gbps from the Update at 24 ms. An agent that kept
-// the old size finished the 50 MB at boundary 47, a CCT of 408 ms.
-func TestInprocAgentFollowsResize(t *testing.T) {
-	delta := 8 * coflow.Millisecond
-	coord, agents, now := inprocCluster(t, "saath", 2, AdmissionConfig{})
-	if err := coord.Register(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 50 * coflow.MB}}}, *now); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		boundary(coord, agents, now, delta)
-	}
-	if err := coord.Update(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 80 * coflow.MB}}}); err != nil {
-		t.Fatal(err)
-	}
-	boundary(coord, agents, now, delta)
-	if f := agents[0].flows; len(f) != 1 || f[0].size != float64(80*coflow.MB) || f[0].sent != 0 || f[0].done {
-		t.Fatalf("agent after the resized order: %s, want c1/0 restarted at 80 MB", agentFlows(f))
-	}
-	driveToCompletion(t, coord, agents, now, delta, 1000)
-	res := coord.Results()
-	if len(res) != 1 || res[0].Bytes != 80*coflow.MB {
-		t.Fatalf("results = %+v, want coflow 1 with 80 MB", res)
-	}
-	if min := 24*coflow.Millisecond + coflow.GbpsRate(1).TimeToSend(80*coflow.MB); res[0].CCT < min {
-		t.Fatalf("CCT %v: the resized flow finished before 80 MB could be sent (%v)", res[0].CCT, min)
-	}
-}
-
-// TestResizeDropsTheOldCount: an Update that resizes a flow after a
-// round and before the next report restarts the flow at the
-// coordinator, while its agent still holds the old size until the next
-// round's orders. That report — here the old size run out, flagged
-// done — is of the earlier start: it must not count as progress of the
-// restarted flow, and must not complete it. One 3 MB flow moves 2 MB
-// over three boundaries and is updated to 10 MB; the next report
-// finishes the 3 MB.
-func TestResizeDropsTheOldCount(t *testing.T) {
-	delta := 8 * coflow.Millisecond
-	coord, agents, now := inprocCluster(t, "saath", 2, AdmissionConfig{})
-	const mb = 1_000_000 // one δ of a 1 Gbps port
-	if err := coord.Register(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 3 * mb}}}, *now); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		boundary(coord, agents, now, delta)
-	}
-	if err := coord.Update(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 10 * mb}}}); err != nil {
-		t.Fatal(err)
-	}
-	*now += delta
-	agents[0].Step(delta)
-	if f := agents[0].flows; len(f) != 1 || !f[0].done || f[0].sent != 3*mb {
-		t.Fatalf("agent before the next round: %s, want the old 3 MB run out", agentFlows(f))
-	}
-	agents[0].Report(*now)
-	if f := coord.live[1].rt.Flows[0]; f.Sent() != 0 || f.Done() {
-		t.Fatalf("the restarted flow took the old start's report: sent %d, done %v", f.Sent(), f.Done())
-	}
-	if live := coord.StepSchedule(*now); live != 1 {
-		t.Fatalf("live = %d after the old start's done report, want 1", live)
-	}
-	driveToCompletion(t, coord, agents, now, delta, 100)
-	// Updated at 24 ms, the 10 MB need ten δ of sending behind one δ of
-	// control lag: the round at 112 ms retires it.
-	if res := coord.Results(); len(res) != 1 || res[0].CCT != 112*coflow.Millisecond {
-		t.Fatalf("results = %+v, want coflow 1 at a CCT of 112ms", res)
-	}
-}
-
 // TestReregisteredIDStartsAfresh: a CoFlow registered again under the ID
-// of a deregistered one is a new CoFlow to its agents. One 8 MB flow
-// runs five 8 ms boundaries (its agent holds 4 MB sent) and is
-// deregistered; ID 1 is registered again with the same flow. The next
-// report is the lingering flow's, and the next order names the same
-// flow at its agent: neither may carry the old bytes over, so the CCT is
-// at least 8 MB at line rate, rounded up to δ. An agent that kept the
-// lingering flow's count completed it in 40 ms.
+// of one that completed and retired is a new CoFlow at its agent. One
+// 8 MiB flow runs 0→1 at 1 Gbps: 67 ms of sending, nine δ behind one δ
+// of control lag, so the round 80 ms after its registration retires it
+// and its agent holds nothing. ID 1 is then registered again with the
+// same flow, which its agent is ordered from zero bytes and retires
+// 80 ms later, as the first time: a retired CoFlow's storage backs the
+// newcomer (coflow.Spares), and nothing of the first run carries over.
 func TestReregisteredIDStartsAfresh(t *testing.T) {
 	delta := 8 * coflow.Millisecond
 	coord, agents, now := inprocCluster(t, "saath", 2, AdmissionConfig{})
 	spec := &coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 8 * coflow.MB}}}
-	if err := coord.Register(spec, *now); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
+	for run := 0; run < 2; run++ {
+		if err := coord.Register(spec, *now); err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
 		boundary(coord, agents, now, delta)
-	}
-	if f := agents[0].flows; len(f) != 1 || f[0].sent != 4_000_000 {
-		t.Fatalf("agent after five boundaries: %s, want 4 MB sent", agentFlows(f))
-	}
-	if err := coord.Deregister(1, *now); err != nil {
-		t.Fatal(err)
-	}
-	if err := coord.Register(spec, *now); err != nil {
-		t.Fatal(err)
-	}
-	driveToCompletion(t, coord, agents, now, delta, 100)
-	lineRate := coflow.GbpsRate(1).TimeToSend(spec.Flows[0].Size)
-	min := (lineRate + delta - 1) / delta * delta
-	if res := coord.Results(); len(res) != 1 || res[0].CCT < min {
-		t.Fatalf("results = %+v, want coflow 1 at a CCT of at least %v", res, min)
-	}
-}
-
-// TestDeregisteredFlowLeavesItsAgent: a flow paused at its last order
-// is dropped by its agent once its CoFlow is deregistered. Two 20 MB
-// flows share one port pair, so Saath runs one and pauses the other;
-// the paused CoFlow is deregistered after three boundaries. Its flow's
-// next report matches no live flow, and once nothing is live the agent
-// holds nothing. An agent that dropped only finished flows kept the
-// paused one, at rate 0, for ever.
-func TestDeregisteredFlowLeavesItsAgent(t *testing.T) {
-	delta := 8 * coflow.Millisecond
-	coord, agents, now := inprocCluster(t, "saath", 2, AdmissionConfig{})
-	for id := coflow.CoFlowID(1); id <= 2; id++ {
-		if err := coord.Register(&coflow.Spec{ID: id, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 20 * coflow.MB}}}, *now); err != nil {
-			t.Fatal(err)
+		if f := agents[0].flows; len(f) != 1 || f[0].sent != 0 || f[0].size != float64(spec.Flows[0].Size) {
+			t.Fatalf("run %d: agent after the first order: %s, want c1/0 at 0 of 8 MiB", run, agentFlows(f))
+		}
+		driveToCompletion(t, coord, agents, now, delta, 100)
+		if n := agents[0].FlowCount(); n != 0 {
+			t.Fatalf("run %d: agent holds %s after the retirement, want nothing", run, agentFlows(agents[0].flows))
 		}
 	}
-	for i := 0; i < 3; i++ {
-		boundary(coord, agents, now, delta)
+	res := coord.Results()
+	if len(res) != 2 {
+		t.Fatalf("results = %+v, want coflow 1 twice", res)
 	}
-	var paused coflow.CoFlowID
-	for _, f := range agents[0].flows {
-		if f.rate == 0 {
-			paused = coflow.CoFlowID(f.key.CoFlow)
+	for i, r := range res {
+		if r.ID != 1 || r.CCT != 80*coflow.Millisecond {
+			t.Fatalf("result %d = %+v, want coflow 1 at a CCT of 80ms", i, r)
 		}
-	}
-	if n := agents[0].FlowCount(); n != 2 || paused == 0 {
-		t.Fatalf("agent after three boundaries: %s, want one flow running and one paused", agentFlows(agents[0].flows))
-	}
-	if err := coord.Deregister(paused, *now); err != nil {
-		t.Fatal(err)
-	}
-	driveToCompletion(t, coord, agents, now, delta, 1000)
-	if res := coord.Results(); len(res) != 1 || res[0].ID == paused {
-		t.Fatalf("results = %+v, want only the running coflow", res)
-	}
-	if n := agents[0].FlowCount(); n != 0 {
-		t.Fatalf("agent holds %d flows with nothing live: %s", n, agentFlows(agents[0].flows))
-	}
-}
-
-// TestUpdateMovedFlowRunsAtItsNewSender: an Update that moves a flow to
-// another sender starts it afresh, so the old sender's next report
-// merges nothing and drops it, and the flow completes on the new
-// sender's count alone. One 20 MB flow runs 0→1 for three 8 ms
-// boundaries and is moved to 2→1 at 24 ms; agent 2 gets its order at
-// 32 ms and needs 168 ms at 1 Gbps, so the round at 200 ms retires it.
-// An old sender that kept running the flow completed it at 176 ms.
-func TestUpdateMovedFlowRunsAtItsNewSender(t *testing.T) {
-	delta := 8 * coflow.Millisecond
-	coord, agents, now := inprocCluster(t, "saath", 3, AdmissionConfig{})
-	if err := coord.Register(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 20 * coflow.MB}}}, *now); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		boundary(coord, agents, now, delta)
-	}
-	if err := coord.Update(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{{Src: 2, Dst: 1, Size: 20 * coflow.MB}}}); err != nil {
-		t.Fatal(err)
-	}
-	if f := coord.live[1].rt.Flows[0]; f.Sent() != 0 {
-		t.Fatalf("the moved flow kept %d bytes sent from its old sender", f.Sent())
-	}
-	boundary(coord, agents, now, delta)
-	if n := agents[0].FlowCount(); n != 0 {
-		t.Fatalf("the old sender holds %s after its report, want nothing", agentFlows(agents[0].flows))
-	}
-	driveToCompletion(t, coord, agents, now, delta, 100)
-	if res := coord.Results(); len(res) != 1 || res[0].CCT != 200*coflow.Millisecond {
-		t.Fatalf("results = %+v, want coflow 1 at a CCT of 200ms", res)
 	}
 }
 
@@ -418,14 +272,14 @@ func TestReplacedAgentMergesNothing(t *testing.T) {
 	if replacement, err := coord.AttachInproc(0); err == nil || replacement != nil {
 		t.Fatalf("AttachInproc(0) over the attached agent = %v, %v; want an error", replacement, err)
 	}
-	if n := coord.AgentCount(); n != 2 {
-		t.Fatalf("AgentCount = %d after the refused attach, want 2", n)
+	if coord.agents[0] != agents[0] || coord.agents[1] != agents[1] {
+		t.Fatal("the refused attach changed the attached agents")
 	}
 	boundary(coord, agents, now, delta)
 	if n := agents[0].FlowCount(); n != 1 {
 		t.Fatalf("the attached agent holds %s after its report, want the flow", agentFlows(agents[0].flows))
 	}
-	if f := coord.live[1].rt.Flows[0]; f.Sent() <= 2_000_000 {
+	if f := coord.live[1].Flows[0]; f.Sent() <= 2_000_000 {
 		t.Fatalf("the flow has %d bytes sent after the attached agent's report, want more than the 2 MB of before", f.Sent())
 	}
 	driveToCompletion(t, coord, agents, now, delta, 100)
@@ -453,7 +307,7 @@ func TestInprocScaleTenThousand(t *testing.T) {
 		}
 	}
 	driveToCompletion(t, coord, agents, now, delta, 2000)
-	if n := coord.CompletedCount(); n != 50 {
+	if n := len(coord.Results()); n != 50 {
 		t.Fatalf("completed %d/50", n)
 	}
 	calls, mean, _, _ := coord.ScheduleLatency()

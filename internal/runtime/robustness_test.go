@@ -26,8 +26,8 @@ func TestCoordinatorSurvivesAgentCrash(t *testing.T) {
 			t.Fatalf("round %d after the crash: live = %d, want 1", i, live)
 		}
 	}
-	if n := coord.AgentCount(); n != 1 {
-		t.Fatalf("AgentCount = %d after the crash, want 1", n)
+	if coord.agents[0] != nil || coord.agents[1] != agents[1] {
+		t.Fatal("the agent table after the crash is not port 1's agent alone")
 	}
 	replacement, err := coord.AttachInproc(0)
 	if err != nil {
@@ -43,13 +43,13 @@ func TestCoordinatorSurvivesAgentCrash(t *testing.T) {
 // fabric, or for a port whose agent is attached, is refused, and the
 // agent table stays as it was.
 func TestCoordinatorIgnoresRogueAgent(t *testing.T) {
-	coord, _, _ := inprocCluster(t, "saath", 2, AdmissionConfig{})
+	coord, agents, _ := inprocCluster(t, "saath", 2, AdmissionConfig{})
 	for _, port := range []int{2, 99, -1, 0, 1} {
 		if _, err := coord.AttachInproc(port); err == nil {
 			t.Fatalf("AttachInproc(%d) on a 2-port fabric with both agents attached succeeded", port)
 		}
 	}
-	if n := coord.AgentCount(); n != 2 {
-		t.Fatalf("AgentCount = %d, want 2", n)
+	if coord.agents[0] != agents[0] || coord.agents[1] != agents[1] {
+		t.Fatal("a refused attach changed the agent table")
 	}
 }

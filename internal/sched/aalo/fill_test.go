@@ -132,7 +132,7 @@ func spreadParams() sched.Params {
 
 // TestFillMatchesReference holds fill to fillReference bit for bit
 // through TestHeldScheduleMatchesFull's churn — arrivals, progress,
-// completions, withheld flows released, update() swaps, a CoFlow left
+// completions, withheld flows released, swaps, a CoFlow left
 // out of a boundary — on fabrics handed over partly drawn: an egress
 // closed before the call, and residuals within a hair of eps. With the
 // default ladder the CoFlows sit in the first queues; with spreadParams

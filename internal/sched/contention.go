@@ -67,9 +67,8 @@ const trackAt = 16
 
 // cfOcc is the index's state for one CoFlow.Idx. The holder is
 // compared by pointer, so an Idx handed to another CoFlow between two
-// Syncs — a departure and an arrival, or the coordinator's update()
-// swap — is seen as a change of that Idx's signature, under the same
-// slot.
+// Syncs — a departure and an arrival — is seen as a change of that
+// Idx's signature, under the same slot.
 type cfOcc struct {
 	c      *coflow.CoFlow
 	epoch  uint64 // c.CacheEpoch when the signature was last rebuilt

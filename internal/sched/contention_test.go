@@ -112,8 +112,8 @@ func TestContentionIndexTracksEpochs(t *testing.T) {
 
 // TestContentionIndexMatchesReference drives random clusters through
 // random per-epoch mutations (completions, availability flips,
-// arrivals, departures, epoch moves that change nothing, update()-style
-// swaps) and asserts the incremental index agrees with the reference
+// arrivals, departures, epoch moves that change nothing, a CoFlow
+// replaced under its ID and Idx) and asserts the incremental index agrees with the reference
 // Contention implementation after every round. Indices come from an
 // IndexSpace, as in the engine, so a departure followed by an arrival
 // hands the newcomer the departed CoFlow's Idx between two Syncs, and
@@ -215,12 +215,14 @@ func TestContentionIndexMatchesReference(t *testing.T) {
 				// The epoch moves and the sendable set stays.
 				if len(active) > 0 {
 					c := active[rng.Intn(len(active))]
-					c.CarryOver(c, nil) // restated as itself
+					f := c.Flows[0]
+					c.SetAvailable(f, !f.Available()) // held back and released again
+					c.SetAvailable(f, !f.Available())
 					unchanged++
 				}
 			case 7:
-				// The coordinator's update(): a new CoFlow under the same
-				// ID takes the old one's Idx, on the same ports or others.
+				// A replacement between two Syncs: a new CoFlow under the
+				// same ID takes the old one's Idx, on the same ports or others.
 				if len(active) > 0 {
 					i := rng.Intn(len(active))
 					old := active[i]
@@ -404,9 +406,9 @@ func BenchmarkContentionIndexFewLive(b *testing.B) {
 //   - 1 depart: the CoFlow arg picks;
 //   - 2 complete: the flow arg picks finishes;
 //   - 3 hold or release: the flow arg picks flips Available;
-//   - 4 swap: update()'s CarryOver onto a new CoFlow under the same ID
-//     and Idx, on the same flows (even arg) or resized ones (odd: they
-//     start over);
+//   - 4 replace: a new CoFlow under the same ID takes the old one's Idx
+//     with no Sync between, on the same flows (even arg) or resized ones
+//     (odd);
 //   - 5 recycle: a departure and an arrival with no Sync between, the
 //     newcomer taking the departed CoFlow's Idx and, in the index, its
 //     slot;
@@ -505,9 +507,8 @@ func FuzzContentionIndex(f *testing.F) {
 				space.Release(old)
 				c := coflow.New(spec)
 				space.Assign(c)
-				c.CarryOver(old, nil)
 				if c.Idx != idx {
-					t.Fatalf("step %d: the swap moved Idx %d to %d", step, idx, c.Idx)
+					t.Fatalf("step %d: the replacement moved Idx %d to %d", step, idx, c.Idx)
 				}
 				active[i] = c
 			case 5:

@@ -73,7 +73,8 @@ func (u *UCTCP) forget() {
 // heldCluster is a small live set for the twin test: CoFlows arrive,
 // move bytes at the rates they were given, finish flow by flow, have
 // flows withheld and released, and are swapped for a new runtime CoFlow
-// under the same ID and indices, as the coordinator's update() does.
+// in the same state under the same ID and indices, which the policy
+// must tell apart by pointer.
 type heldCluster struct {
 	rng    *rand.Rand
 	ports  int
@@ -105,9 +106,13 @@ func (hc *heldCluster) swap(i int) {
 	old := hc.live[i]
 	c := coflow.New(old.Spec)
 	c.Arrived = old.Arrived
-	c.CarryOver(old, nil)
 	for j, f := range c.Flows {
-		c.SetAvailable(f, old.Flows[j].Available())
+		o := old.Flows[j]
+		c.Progress(f, o.Sent())
+		if o.Done() {
+			c.Complete(f, o.DoneAt())
+		}
+		c.SetAvailable(f, o.Available())
 	}
 	hc.space.Release(old)
 	hc.space.Assign(c)

@@ -349,7 +349,12 @@ func TestHeldPlanKey(t *testing.T) {
 		{"another vector under the same stamp", func() *sched.RateVec { twin.Set(2, 7); return twin }},
 		{"an admission", func() *sched.RateVec { e.admitted++; return twin }},
 		{"a retirement", func() *sched.RateVec { e.result.CoFlows = append(e.result.CoFlows, CoFlowResult{}); return twin }},
-		{"a sendable set", func() *sched.RateVec { e.active[1].CarryOver(e.active[1], nil); return twin }},
+		{"a sendable set", func() *sched.RateVec {
+			c := e.active[1]
+			c.SetAvailable(c.Flows[0], !c.Flows[0].Available()) // held back and released again
+			c.SetAvailable(c.Flows[0], !c.Flows[0].Available())
+			return twin
+		}},
 		{"no vector", func() *sched.RateVec { return nil }},
 	}
 	for _, st := range steps {

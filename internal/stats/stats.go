@@ -177,21 +177,6 @@ const (
 	BinWidthBoundary = 10
 )
 
-func (b Bin) String() string {
-	switch b {
-	case Bin1:
-		return "bin-1 (small, narrow)"
-	case Bin2:
-		return "bin-2 (small, wide)"
-	case Bin3:
-		return "bin-3 (large, narrow)"
-	case Bin4:
-		return "bin-4 (large, wide)"
-	default:
-		return "bin-?"
-	}
-}
-
 // AssignBin buckets a CoFlow by total size and width per Table 1.
 func AssignBin(size coflow.Bytes, width int) Bin {
 	small := size <= BinSizeBoundary

@@ -191,14 +191,6 @@ func TestAssignBin(t *testing.T) {
 			t.Errorf("AssignBin(%d, %d) = %v, want %v", tc.size, tc.width, got, tc.want)
 		}
 	}
-	for b := Bin1; b <= Bin4; b++ {
-		if b.String() == "bin-?" {
-			t.Errorf("bin %d has no name", b)
-		}
-	}
-	if Bin(9).String() != "bin-?" {
-		t.Fatal("unknown bin name")
-	}
 }
 
 func TestJCTModel(t *testing.T) {

@@ -85,7 +85,6 @@ func init() {
 				}
 			}
 			return New("fan-degree",
-				WithDescription("how fan-in width and hotspot concentration drive queue buildup and CCT"),
 				WithTraces(sweep.SynthSource("fan", func(seed int64) *trace.Trace {
 					// Placeholder draw; every variant regenerates it with
 					// its own degree/hotspot/skew point (MutateSeeded).
@@ -128,7 +127,6 @@ func init() {
 				})
 			}
 			return New("capacity",
-				WithDescription("saturation knee and sustainable coflows/s per scheduler on a reduced FB workload"),
 				WithTraces(sweep.SynthSource("fb-cap", func(seed int64) *trace.Trace {
 					// Placeholder draw; every variant regenerates it at its
 					// own offered rate (MutateSeeded).

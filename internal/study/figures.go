@@ -424,7 +424,6 @@ func Fig14(fb sweep.TraceSource) (*Study, error) {
 		})
 	}
 	return New("fig14",
-		WithDescription("§6.3 sensitivity: S, E, δ, arrival scaling, deadline factor"),
 		WithTraces(fb),
 		WithSimConfig(figureConfig),
 		WithParamGrid(variants...),

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"slices"
 	"testing"
 
 	"saath/internal/obs"
@@ -66,7 +67,7 @@ func TestObservabilityNeutralGolden(t *testing.T) {
 		t.Errorf("manifest counters empty: %+v", m.Totals.Counters)
 	}
 	for _, j := range m.Jobs {
-		if j.Span.Find("run") == nil {
+		if !slices.ContainsFunc(j.Span.Children, func(c *obs.Span) bool { return c.Name == "run" }) {
 			t.Fatalf("job %d missing run span", j.Index)
 		}
 	}

@@ -46,19 +46,18 @@ import (
 // Study is a validated, immutable experiment declaration. Build one
 // with New; the zero value is not usable.
 type Study struct {
-	name        string
-	description string
-	traces      []sweep.TraceSource
-	schedulers  []string
-	seeds       []int64
-	variants    []sweep.Variant
-	params      sched.Params
-	paramsSet   bool
-	config      sim.Config
-	telemetry   telemetry.Spec
-	baseline    string
-	derived     []Derived
-	exec        sweep.ExecFunc
+	name       string
+	traces     []sweep.TraceSource
+	schedulers []string
+	seeds      []int64
+	variants   []sweep.Variant
+	params     sched.Params
+	paramsSet  bool
+	config     sim.Config
+	telemetry  telemetry.Spec
+	baseline   string
+	derived    []Derived
+	exec       sweep.ExecFunc
 }
 
 // Option configures a Study under construction. Options returning an
@@ -85,12 +84,6 @@ func New(name string, opts ...Option) (*Study, error) {
 		return nil, fmt.Errorf("study %s: %w", name, err)
 	}
 	return st, nil
-}
-
-// WithDescription attaches a one-line human description (shown by the
-// CLI study listings).
-func WithDescription(d string) Option {
-	return func(st *Study) error { st.description = d; return nil }
 }
 
 // WithTraces appends workload sources (see sweep.FixedTrace and
@@ -300,9 +293,6 @@ func (st *Study) allSchedulers() []string {
 // Name returns the study's name.
 func (st *Study) Name() string { return st.name }
 
-// Description returns the one-line description (may be empty).
-func (st *Study) Description() string { return st.description }
-
 // Baseline returns the speedup baseline scheduler ("" if unset).
 func (st *Study) Baseline() string { return st.baseline }
 
@@ -371,10 +361,6 @@ func (st *Study) effectiveParams() sched.Params {
 // sweep.Grid.Jobs). Every call re-expands; the jobs are cheap
 // closures, not simulations.
 func (st *Study) Jobs() []sweep.Job { return st.Grid().Jobs() }
-
-// Fingerprint hashes the study's expanded grid — the identity a shard
-// dump must match to merge (see ShardDump.KeysHash).
-func (st *Study) Fingerprint() string { return gridFingerprint(st.Jobs()) }
 
 // Run executes the study on the given runner (nil: an in-process Pool
 // with default parallelism) and aggregates into a Summary. The

@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,6 +13,11 @@ import (
 // TestObserverCollectsManifest runs the determinism grid with a
 // recorder attached and checks the manifest: one record per job in
 // grid order, phase spans present, counters filled.
+// hasPhase reports whether a job span has a phase child named name.
+func hasPhase(s *obs.Span, name string) bool {
+	return slices.ContainsFunc(s.Children, func(c *obs.Span) bool { return c.Name == name })
+}
+
 func TestObserverCollectsManifest(t *testing.T) {
 	jobs := testGrid().Jobs()
 	rec := obs.NewRecorder("test-grid")
@@ -27,7 +33,7 @@ func TestObserverCollectsManifest(t *testing.T) {
 		if jrec.Index != i {
 			t.Fatalf("manifest job %d has index %d (not grid order)", i, jrec.Index)
 		}
-		if jrec.Span == nil || jrec.Span.Find("run") == nil || jrec.Span.Find("trace-synth") == nil {
+		if jrec.Span == nil || !hasPhase(jrec.Span, "run") || !hasPhase(jrec.Span, "trace-synth") {
 			t.Fatalf("job %d missing phase spans: %+v", i, jrec.Span)
 		}
 		if jrec.Span.Duration() <= 0 {

@@ -15,20 +15,6 @@ import (
 // presentation only and never feeds aggregated output.
 type ProgressFunc func(done, total int, jr JobResult)
 
-// ProgressPrinter returns a ProgressFunc that prints one line per
-// completed job to w — the verbose per-job view; CLIProgress builds
-// the throttled aggregate view both CLIs use by default.
-func ProgressPrinter(w io.Writer) ProgressFunc {
-	return func(done, total int, jr JobResult) {
-		status := "ok"
-		if jr.Err != nil {
-			status = jr.Err.Error()
-		}
-		fmt.Fprintf(w, "  [%d/%d] %s (%.1fs) %s\n",
-			done, total, jr.Job.Key(), jr.Elapsed.Seconds(), status)
-	}
-}
-
 // defaultProgressEvery throttles the aggregate progress line.
 const defaultProgressEvery = 500 * time.Millisecond
 

@@ -62,8 +62,8 @@ func (s *Suite) observeEach(iv *Interval) {
 	egMean, egMax := busyEach(eg, s.hEgress)
 	inMean, inMax := busyEach(in, s.hIngress)
 	if s.heatEg != nil {
-		s.heatEg.Observe(eg)
-		s.heatIn.Observe(in)
+		s.heatEg.ObserveN(eg, 1)
+		s.heatIn.ObserveN(in, 1)
 	}
 
 	f := &s.fixed
@@ -243,7 +243,9 @@ func TestSuiteObserveZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() {
 		iv.Index = i
 		if c := iv.Active[0]; i%5 == 0 {
-			c.CarryOver(c, nil) // restated as itself: the epoch moves
+			f := c.Flows[0] // held back and released again: the epoch moves
+			c.SetAvailable(f, !f.Available())
+			c.SetAvailable(f, !f.Available())
 		}
 		s.Observe(iv)
 		i++

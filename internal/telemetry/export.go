@@ -3,7 +3,6 @@ package telemetry
 import (
 	"math"
 	"sort"
-	"strconv"
 
 	"saath/internal/report"
 )
@@ -36,14 +35,6 @@ type HistogramDump struct {
 	Max      float64  `json:"max"`
 	Buckets  []Bucket `json:"buckets"`
 	Overflow int64    `json:"overflow,omitempty"`
-}
-
-// Mean returns the exact mean observation.
-func (h *HistogramDump) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return h.Sum / float64(h.Count)
 }
 
 // Quantile estimates the q-quantile as the upper bound of the bucket
@@ -216,20 +207,6 @@ func (m *Metrics) FindHeatmap(name string) *HeatmapDump {
 		}
 	}
 	return nil
-}
-
-// HeatmapTable renders the named per-port occupancy heatmap, one row
-// per port (busiest first by total occupancy, at most maxPorts rows,
-// idle ports dropped). Returns nil if the heatmap is absent.
-func (m *Metrics) HeatmapTable(title, name string, maxPorts int) *report.Table {
-	h := m.FindHeatmap(name)
-	if h == nil {
-		return nil
-	}
-	rows := HeatmapRows(h, maxPorts, func(p *HeatmapPortDump) string {
-		return strconv.Itoa(p.Port)
-	})
-	return report.HeatmapTable(title, "port", h.Bounds, rows)
 }
 
 // HeatmapRows converts a heatmap dump into report rows: ports with any

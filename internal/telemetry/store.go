@@ -97,23 +97,10 @@ func (r *Reservoir) Push(p Point) {
 	}
 }
 
-// Seen returns the number of points offered so far.
-func (r *Reservoir) Seen() int64 { return r.seen }
-
 // sample returns the retained points sorted by stream position.
 func (r *Reservoir) sample() []indexed {
 	out := append([]indexed(nil), r.items...)
 	sort.Slice(out, func(i, j int) bool { return out[i].idx < out[j].idx })
-	return out
-}
-
-// Points returns the retained points in stream order.
-func (r *Reservoir) Points() []Point {
-	s := r.sample()
-	out := make([]Point, len(s))
-	for i, it := range s {
-		out[i] = it.p
-	}
 	return out
 }
 
@@ -155,9 +142,6 @@ func (s *Series) Record(t coflow.Time, v float64) {
 	s.res.Push(p)
 }
 
-// Count returns the number of recorded samples.
-func (s *Series) Count() int64 { return s.count }
-
 // Mean returns the exact mean over every recorded sample.
 func (s *Series) Mean() float64 {
 	if s.count == 0 {
@@ -165,9 +149,6 @@ func (s *Series) Mean() float64 {
 	}
 	return s.sum / float64(s.count)
 }
-
-// Max returns the exact maximum over every recorded sample.
-func (s *Series) Max() float64 { return s.max }
 
 // Export merges the reservoir (full-run coverage) with the ring (exact
 // tail), deduplicated by stream position, into one dump.
@@ -249,16 +230,6 @@ func (h *Histogram) AddN(v float64, n int64) {
 	}
 	h.overflow += n
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.total }
-
-// Mean returns the exact mean observation.
-func (h *Histogram) Mean() float64 { d := h.Export(); return d.Mean() }
-
-// Quantile estimates the q-quantile (0..1); see HistogramDump.Quantile
-// for the estimate's semantics.
-func (h *Histogram) Quantile(q float64) float64 { d := h.Export(); return d.Quantile(q) }
 
 // Export dumps the histogram.
 func (h *Histogram) Export() HistogramDump {

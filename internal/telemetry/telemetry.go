@@ -322,16 +322,6 @@ func (s *Suite) addSeries(name, unit string) *Series {
 	return sr
 }
 
-// Series returns the named series, or nil.
-func (s *Suite) Series(name string) *Series {
-	for _, sr := range s.order {
-		if sr.name == name {
-			return sr
-		}
-	}
-	return nil
-}
-
 // Observe implements Probe.
 //
 //saath:hotpath

@@ -120,12 +120,9 @@ func NewHeatmap(name string, bounds []float64) *Heatmap {
 	return &Heatmap{name: name, bounds: append([]float64(nil), bounds...)}
 }
 
-// Observe records one interval's per-port occupancy vector. The first
-// observation sizes the port dimension; occ must keep its length for
-// the rest of the run (one simulation, one fabric).
-func (h *Heatmap) Observe(occ []int) { h.ObserveN(occ, 1) }
-
-// ObserveN records n intervals of the same occupancy vector at once.
+// ObserveN records n intervals of the same per-port occupancy vector.
+// The first observation sizes the port dimension; occ must keep its
+// length for the rest of the run (one simulation, one fabric).
 func (h *Heatmap) ObserveN(occ []int, n int64) {
 	if n <= 0 {
 		return

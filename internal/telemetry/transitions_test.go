@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"saath/internal/coflow"
@@ -105,8 +106,8 @@ func TestQueueTrackerIndexRecycling(t *testing.T) {
 
 func TestHeatmap(t *testing.T) {
 	h := NewHeatmap("hm", []float64{0, 1, 4})
-	h.Observe([]int{0, 1, 3})
-	h.Observe([]int{0, 2, 9})
+	h.ObserveN([]int{0, 1, 3}, 1)
+	h.ObserveN([]int{0, 2, 9}, 1)
 	d := h.Export()
 	if d.Intervals != 2 || len(d.Ports) != 3 {
 		t.Fatalf("dump = %+v", d)
@@ -189,9 +190,9 @@ func TestSuiteQueueTransitionsAndHeatmap(t *testing.T) {
 		t.Fatalf("ingress port 2 = %+v", p)
 	}
 	// The heatmap drilldown renders, busiest port first.
-	tbl := m.HeatmapTable("hm", HeatmapIngressOccupancy, 2)
-	if tbl == nil || len(tbl.Rows) == 0 || tbl.Rows[0][0] != "2" {
-		t.Fatalf("heatmap table = %+v", tbl)
+	rows := HeatmapRows(in, 2, func(p *HeatmapPortDump) string { return strconv.Itoa(p.Port) })
+	if len(rows) == 0 || rows[0].Label != "2" {
+		t.Fatalf("heatmap rows = %+v", rows)
 	}
 	// Everything round-trips through JSON without loss (the shard-merge
 	// byte-identity contract).
@@ -226,7 +227,7 @@ func TestSuiteTransitionsDisabledByDefault(t *testing.T) {
 
 func TestHeatmapRowsOrdering(t *testing.T) {
 	h := NewHeatmap("hm", nil)
-	h.Observe([]int{5, 0, 9, 9})
+	h.ObserveN([]int{5, 0, 9, 9}, 1)
 	d := h.Export()
 	rows := HeatmapRows(&d, 2, func(p *HeatmapPortDump) string { return "p" })
 	if len(rows) != 2 {

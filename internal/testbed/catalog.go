@@ -81,7 +81,6 @@ func buildCoordinatorLatency() (*study.Study, error) {
 		})
 	}
 	return study.New("coordinator-latency",
-		study.WithDescription("schedule-latency vs cluster size on the system path; the latency table itself is out-of-band (obs runtime section)"),
 		study.WithExec(Exec(Config{})),
 		study.WithTraces(sweep.SynthSource("fb-lat", func(seed int64) *trace.Trace {
 			// Placeholder draw; every variant regenerates it at its
@@ -111,7 +110,6 @@ func buildOverload() (*study.Study, error) {
 		})
 	}
 	return study.New("overload",
-		study.WithDescription("a fixed coflow population offered at swept rates against a 50/s token bucket: drops are arrival-time decisions on the system path"),
 		study.WithExec(Exec(Config{Admission: rt.AdmissionConfig{RatePerSec: 50, Burst: 15}})),
 		study.WithTraces(sweep.SynthSource("fb-overload", func(seed int64) *trace.Trace {
 			return trace.Synthesize(overloadCfg(seed), "fb-overload")

@@ -19,19 +19,6 @@ const (
 	UnequalLength
 )
 
-func (c FlowLengthClass) String() string {
-	switch c {
-	case SingleFlow:
-		return "single"
-	case EqualLength:
-		return "equal"
-	case UnequalLength:
-		return "unequal"
-	default:
-		return "unknown"
-	}
-}
-
 // equalTolerance is the relative spread under which flow lengths count
 // as equal; the FB trace stores integer megabytes, so division by the
 // mapper count introduces sub-percent rounding we must ignore.

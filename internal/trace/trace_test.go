@@ -228,9 +228,6 @@ func TestClassify(t *testing.T) {
 	if Classify(unequal) != UnequalLength {
 		t.Fatal("unequal misclassified")
 	}
-	if SingleFlow.String() != "single" || EqualLength.String() != "equal" || UnequalLength.String() != "unequal" {
-		t.Fatal("bad class names")
-	}
 }
 
 func TestNormalizedSizeStdDev(t *testing.T) {

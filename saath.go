@@ -9,26 +9,22 @@
 // CoFlows, time/byte units), the scheduling policies (Saath and the
 // baselines it is evaluated against: Aalo, Varys' SEBF+MADD,
 // clairvoyant SCF/SRTF/LWTF, UC-TCP), the simulator, the speedup
-// statistics, the sweep engine, the declarative study layer (NewStudy:
-// experiment grids executed in-process or as mergeable shards), and
-// the coordinator, driven in process on virtual time. Everything
-// else — the testbed job body, observability, capacity analytics — is
-// reached through the CLIs (cmd/saath-sim) or, inside this module,
-// through the internal packages directly.
+// statistics and the declarative study layer (NewStudy: experiment
+// grids executed in-process or as mergeable shards). Everything else —
+// the sweep engine, the coordinator and its testbed, observability,
+// capacity analytics — is reached through the CLIs (cmd/saath-sim) or,
+// inside this module, through the internal packages directly.
 //
 // Quick start (see examples/quickstart for a runnable version):
 //
-//	tr := saath.SynthFB(1)                       // FB-like workload
+//	tr := saath.Synthesize(cfg, "fb")            // cfg: a saath.SynthConfig
 //	res, _ := saath.Simulate(tr, "saath", saath.SimConfig{})
 //	base, _ := saath.Simulate(tr, "aalo", saath.SimConfig{})
 //	fmt.Println(saath.SummarizeSpeedup(base, res)) // e.g. "1.5x median ..."
 package saath
 
 import (
-	"context"
-
 	"saath/internal/coflow"
-	"saath/internal/runtime"
 	"saath/internal/sched"
 	"saath/internal/sim"
 	"saath/internal/stats"
@@ -74,18 +70,10 @@ const (
 	GB          = coflow.GB
 )
 
-// GbpsRate converts gigabits per second to a Rate.
-func GbpsRate(gbps float64) Rate { return coflow.GbpsRate(gbps) }
-
-// Scheduling types.
-type (
-	// Scheduler is a global CoFlow scheduling policy.
-	Scheduler = sched.Scheduler
-	// Params carries scheduler knobs (queue ladder, deadline factor,
-	// feature toggles); see Params.Queues for the priority-queue
-	// ladder (K, S, E).
-	Params = sched.Params
-)
+// Params carries scheduler knobs (queue ladder, deadline factor,
+// feature toggles); see Params.Queues for the priority-queue ladder
+// (K, S, E).
+type Params = sched.Params
 
 // Simulation types.
 type (
@@ -104,79 +92,20 @@ type (
 	SpeedupSummary = stats.SpeedupSummary
 )
 
-// Parallel sweep engine types (internal/sweep): declarative
-// trace × scheduler × seed × variant grids executed on a bounded
-// worker pool with deterministic aggregation.
-type (
-	// SweepGrid declares a sweep as a cross product.
-	SweepGrid = sweep.Grid
-	// SweepJob is one simulation of a sweep.
-	SweepJob = sweep.Job
-	// SweepVariant is one parameter point of a sweep.
-	SweepVariant = sweep.Variant
-	// SweepOptions controls the worker pool and progress streaming.
-	SweepOptions = sweep.Options
-	// SweepResult holds per-job outcomes in grid order.
-	SweepResult = sweep.Result
-	// SweepJobResult pairs a job with its outcome.
-	SweepJobResult = sweep.JobResult
-	// SweepCollector receives completed jobs as they finish.
-	SweepCollector = sweep.Collector
-	// SweepSummary is the thread-safe aggregate collector (CCT and
-	// speedup tables, JSON export).
-	SweepSummary = sweep.Summary
-	// TraceSource names a workload and builds seeded instances of it.
-	TraceSource = sweep.TraceSource
-)
+// TraceSource names a workload and builds seeded instances of it, one
+// per study job (internal/sweep).
+type TraceSource = sweep.TraceSource
 
-// RunSweep executes jobs on a bounded worker pool; see SweepGrid.Jobs
-// for expanding a declarative grid. Results are deterministic: the
-// same jobs produce identical aggregates at any parallelism.
-func RunSweep(ctx context.Context, jobs []SweepJob, opts SweepOptions) *SweepResult {
-	return sweep.Run(ctx, jobs, opts)
-}
-
-// NewSweepSummary returns an empty aggregate collector for RunSweep.
-func NewSweepSummary() *SweepSummary { return sweep.NewSummary() }
-
-// SynthSource builds a seeded synthetic workload per sweep job.
+// SynthSource builds a seeded synthetic workload per study job.
 func SynthSource(name string, gen func(seed int64) *Trace) TraceSource {
 	return sweep.SynthSource(name, gen)
 }
 
-// Streaming telemetry types (internal/telemetry): per-interval
-// time-series metrics out of the simulator in bounded memory, with
-// deterministic downsampling so sweep exports are byte-identical at
-// any parallelism.
-type (
-	// TelemetrySpec configures the standard collector suite; set it on
-	// SweepGrid.Telemetry or WithTelemetry to collect metrics for every
-	// job.
-	TelemetrySpec = telemetry.Spec
-	// TelemetryMetrics is one run's exported telemetry.
-	TelemetryMetrics = telemetry.Metrics
-)
-
-// SimulateWithTelemetry replays tr under the named scheduler with the
-// paper's default parameters and a telemetry suite attached, returning
-// both the simulation result and the exported per-interval metrics.
-// A spec with Enabled false runs the plain simulation and returns nil
-// metrics.
-func SimulateWithTelemetry(tr *Trace, scheduler string, cfg SimConfig, spec TelemetrySpec) (*SimResult, *TelemetryMetrics, error) {
-	var suite *telemetry.Suite
-	if spec.Enabled {
-		suite = telemetry.NewSuite(spec)
-		cfg = cfg.WithProbe(suite)
-	}
-	res, err := SimulateWith(tr, scheduler, DefaultParams(), cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	if suite == nil {
-		return res, nil, nil
-	}
-	return res, suite.Metrics(), nil
-}
+// TelemetrySpec configures the streaming telemetry suite
+// (internal/telemetry: per-interval time-series metrics in bounded
+// memory, downsampled deterministically); set it with WithTelemetry to
+// collect metrics for every job of a study.
+type TelemetrySpec = telemetry.Spec
 
 // Declarative study types (internal/study): one composable experiment
 // layer over sweep, telemetry and report. A Study is declared once
@@ -190,16 +119,11 @@ type (
 	// StudyOption configures a Study under construction (see the
 	// With* constructors below).
 	StudyOption = study.Option
-	// StudyResult is one study execution: aggregate summary, raw
-	// per-job results (live runs), derived tables.
-	StudyResult = study.Result
 	// StudyPool is the in-process bounded worker-pool runner.
 	StudyPool = study.Pool
-	// StudySharded runs shard i of n of a study's grid; see
-	// MergeStudyShards for reassembly.
+	// StudySharded runs shard i of n of a study's grid; saath-sim
+	// -merge reassembles the shards.
 	StudySharded = study.Sharded
-	// StudyShardDump is the serialized output of one sharded run.
-	StudyShardDump = study.ShardDump
 )
 
 // NewStudy builds and validates a declarative study; see the study
@@ -210,13 +134,12 @@ func NewStudy(name string, opts ...StudyOption) (*Study, error) {
 
 // Study option constructors, re-exported from internal/study.
 var (
-	WithDescription = study.WithDescription
-	WithTraces      = study.WithTraces
-	WithSchedulers  = study.WithSchedulers
-	WithSeeds       = study.WithSeeds
-	WithTelemetry   = study.WithTelemetry
-	WithBaseline    = study.WithBaseline
-	WithDerived     = study.WithDerived
+	WithTraces     = study.WithTraces
+	WithSchedulers = study.WithSchedulers
+	WithSeeds      = study.WithSeeds
+	WithTelemetry  = study.WithTelemetry
+	WithBaseline   = study.WithBaseline
+	WithDerived    = study.WithDerived
 )
 
 // Derived-table constructors for WithDerived.
@@ -227,43 +150,10 @@ var (
 	DerivedCCTCDF    = study.DerivedCCTCDF
 )
 
-// MergeStudyShards reassembles a full study result from shard dumps,
-// validating completeness; the merged summary and telemetry exports
-// are byte-identical to a single-process run of the same study.
-func MergeStudyShards(st *Study, dumps ...*StudyShardDump) (*StudyResult, error) {
-	return study.MergeShards(st, dumps...)
-}
-
-// Coordinator types (§5).
-type (
-	// Coordinator is the global coordinator, driven by one caller on
-	// virtual time: Register / Deregister / Update, AttachInproc for one
-	// in-process agent per port, and StepSchedule once per δ boundary.
-	Coordinator = runtime.Coordinator
-	// CoordinatorConfig configures the coordinator.
-	CoordinatorConfig = runtime.CoordinatorConfig
-)
-
 // DefaultParams returns the paper's default configuration: K=10 queues,
 // S=10MB start threshold, E=10 growth, d=2 deadline factor, and every
 // Saath feature enabled.
 func DefaultParams() Params { return sched.DefaultParams() }
-
-// Schedulers lists the registered scheduling policies: "saath" and its
-// ablation variants, "aalo", "varys", "scf", "srtf", "sjf-duration",
-// "lwtf", and "uc-tcp".
-func Schedulers() []string { return sched.Names() }
-
-// NewScheduler instantiates a registered policy.
-func NewScheduler(name string, p Params) (Scheduler, error) { return sched.New(name, p) }
-
-// LoadTrace reads a trace file in the public coflow-benchmark format
-// (the format of the Facebook trace the paper replays).
-func LoadTrace(path string) (*Trace, error) { return trace.ParseFile(path) }
-
-// SynthFB generates the Facebook-like synthetic workload: 150 ports,
-// 526 CoFlows, the published width/length-dispersion mix.
-func SynthFB(seed int64) *Trace { return trace.SynthFB(seed) }
 
 // Synthesize generates a workload from an explicit configuration.
 func Synthesize(cfg SynthConfig, name string) *Trace { return trace.Synthesize(cfg, name) }
@@ -294,9 +184,4 @@ func Speedups(base, target *SimResult) []float64 {
 // median + P10/P90 presentation.
 func SummarizeSpeedup(base, target *SimResult) SpeedupSummary {
 	return stats.Summarize(Speedups(base, target))
-}
-
-// NewCoordinator returns an idle global coordinator.
-func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
-	return runtime.NewCoordinator(cfg)
 }

@@ -6,11 +6,17 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"saath/internal/coflow"
+	"saath/internal/runtime"
+	"saath/internal/sched"
+	"saath/internal/sweep"
+	"saath/internal/trace"
 )
 
 func TestSchedulersRegistered(t *testing.T) {
 	have := map[string]bool{}
-	for _, n := range Schedulers() {
+	for _, n := range sched.Names() {
 		have[n] = true
 	}
 	for _, want := range []string{
@@ -19,7 +25,7 @@ func TestSchedulersRegistered(t *testing.T) {
 		"sjf-duration", "lwtf", "uc-tcp",
 	} {
 		if !have[want] {
-			t.Errorf("scheduler %q not registered (have %v)", want, Schedulers())
+			t.Errorf("scheduler %q not registered (have %v)", want, sched.Names())
 		}
 	}
 }
@@ -35,7 +41,7 @@ func TestPublicSweepFlow(t *testing.T) {
 		MinSmall: 100 * KB, MaxSmall: MB,
 		MinLarge: MB, MaxLarge: 10 * MB,
 	}
-	grid := SweepGrid{
+	grid := sweep.Grid{
 		Traces: []TraceSource{SynthSource("tiny", func(seed int64) *Trace {
 			c := cfg
 			c.Seed = seed
@@ -49,8 +55,8 @@ func TestPublicSweepFlow(t *testing.T) {
 	if len(jobs) != 4 {
 		t.Fatalf("jobs = %d, want 4", len(jobs))
 	}
-	sum := NewSweepSummary()
-	res := RunSweep(context.Background(), jobs, SweepOptions{Parallel: 4, Collectors: []SweepCollector{sum}})
+	sum := sweep.NewSummary()
+	res := sweep.Run(context.Background(), jobs, sweep.Options{Parallel: 4, Collectors: []sweep.Collector{sum}})
 	if err := res.FirstErr(); err != nil {
 		t.Fatal(err)
 	}
@@ -61,10 +67,10 @@ func TestPublicSweepFlow(t *testing.T) {
 }
 
 func TestNewSchedulerErrors(t *testing.T) {
-	if _, err := NewScheduler("nope", DefaultParams()); err == nil {
+	if _, err := sched.New("nope", DefaultParams()); err == nil {
 		t.Fatal("unknown scheduler accepted")
 	}
-	s, err := NewScheduler("saath", DefaultParams())
+	s, err := sched.New("saath", DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +134,7 @@ func TestSimulateWithCustomParams(t *testing.T) {
 }
 
 func TestSimulateDoesNotMutateTrace(t *testing.T) {
-	tr := SynthFB(2)
+	tr := trace.SynthFB(2)
 	before := tr.Specs[0].Arrival
 	if _, err := Simulate(&Trace{Name: "sub", NumPorts: tr.NumPorts, Specs: tr.Specs[:10]}, "uc-tcp", SimConfig{}); err != nil {
 		t.Fatal(err)
@@ -145,30 +151,30 @@ func TestLoadTraceRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := LoadTrace(path)
+	tr, err := trace.ParseFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tr.Specs) != 1 || tr.Specs[0].TotalSize() != 2*MB {
 		t.Fatalf("trace = %+v", tr.Specs)
 	}
-	if _, err := LoadTrace(filepath.Join(dir, "missing.txt")); err == nil {
+	if _, err := trace.ParseFile(filepath.Join(dir, "missing.txt")); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }
 
 func TestGbpsRate(t *testing.T) {
-	if GbpsRate(1) != Rate(125e6) {
+	if coflow.GbpsRate(1) != Rate(125e6) {
 		t.Fatal("unit conversion")
 	}
 }
 
 func TestPublicPrototypeEndToEnd(t *testing.T) {
-	s, err := NewScheduler("saath", DefaultParams())
+	s, err := sched.New("saath", DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := NewCoordinator(CoordinatorConfig{
+	coord, err := runtime.NewCoordinator(runtime.CoordinatorConfig{
 		Scheduler: s,
 		NumPorts:  2,
 		PortRate:  Rate(20e6),
@@ -189,15 +195,14 @@ func TestPublicPrototypeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	const delta = 10 * Millisecond
-	coord.StepSchedule(now)
-	for n := 0; coord.LiveCount() > 0; n++ {
+	for n, live := 0, coord.StepSchedule(now); live > 0; n++ {
 		if n > 100 {
 			t.Fatal("coflow still live after 100 boundaries")
 		}
 		now += delta
 		sender.Step(delta)
-		sender.Report(now)
-		coord.StepSchedule(now)
+		coord.ReportInproc([]*runtime.InprocAgent{sender}, now)
+		live = coord.StepSchedule(now)
 	}
 	res := coord.Results()
 	// 200 KiB at 20 MB/s is 10.24 ms of sending: two boundaries behind
