@@ -27,8 +27,10 @@ test:
 # after their CoFlow retired, agents detached (they go on stepping and
 # reporting) and fresh ones attached to the detached ports (an attached
 # port refuses a second agent), flow indices reused across agents —
-# the slot-table agents hold the same flows as map-keyed reference
-# agents, every flow ordered under the registration and at the size the
+# the agents that keep their flows in the shared slot table list, in
+# the same order, the same flows as map-keyed reference agents that
+# keep their own, every owned entry is listed once by its owner, every
+# flow is ordered under the registration and at the size the
 # coordinator ordered, no flow has more bytes sent than its port moves
 # since its CoFlow was registered, no two live CoFlows share a flow, and
 # the coordinators agree on every result. Aalo's
@@ -86,8 +88,11 @@ bench:
 # the latency histogram's and a CoFlow's completion path's steady-state
 # zero-alloc guards, and the grid-key uniqueness pin the seed-derivation
 # contract rests on. They are what holds the hot path allocation-free:
-# saath-vet has no allocation rule. Allocation counts, plus one byte
-# total (a dense replay's, which holds the dense tables' growth rule);
+# saath-vet has no allocation rule. Allocation counts, plus three byte
+# totals: a dense replay's, which holds the dense tables' growth rule, a
+# sparse replay's, which holds the reuse of retired CoFlows' flow
+# storage, and a thousand-agent testbed job's, which holds the
+# coordinator's one order buffer and the agents' shared slot table;
 # timings belong to `make perf`.
 guards:
 	$(GO) test -count=1 -run 'Guards$$|ZeroAlloc$$|^TestEpochCostsRatedFlows$$|^TestGridJobKeyUniqueness$$' . ./internal/sim/ ./internal/sweep/ ./internal/obs/ ./internal/telemetry/ ./internal/coflow/

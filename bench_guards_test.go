@@ -142,6 +142,11 @@ func allocGuards() []allocGuard {
 		{"TestTestbedLayerGuards", "testbed_layer", "register_retire", 200, 1.25, func(tb testing.TB) func() {
 			return benchRegisterRetire(tb)
 		}},
+		// The bytes one testbed job allocates on a thousand-agent cluster:
+		// the coordinator's orders go out of one buffer and its agents keep
+		// their flows in the one slot table they share, so the job allocates
+		// with its live flows, not with its agents.
+		{"TestTestbedLayerGuards", "testbed_layer", "runjob", 1, 1.10, benchRunJob},
 		{"TestCoordinatorBoundaryZeroAlloc", "testbed_layer", "boundary", 200, 1.25, func(tb testing.TB) func() {
 			coord, _ := benchTestbedCluster(tb, 64, 4)
 			coord.StepSchedule(0) // the cluster's first round grew the buffers; this one settles the scheduler's

@@ -17,6 +17,9 @@ import (
 	"saath/internal/coflow"
 	"saath/internal/runtime"
 	"saath/internal/sched"
+	"saath/internal/sweep"
+	"saath/internal/testbed"
+	"saath/internal/trace"
 )
 
 // benchStepDelta is the sync interval the step benchmarks advance by,
@@ -89,6 +92,51 @@ func benchRegisterRetire(tb testing.TB) func() {
 		coord.ReportInproc(busy, 0)
 		if coord.StepSchedule(0) != 0 {
 			tb.Fatal("the CoFlow did not retire in one boundary")
+		}
+	}
+}
+
+// testbedTrace builds a trace shaped like the benchmark's
+// coordinator-testbed workload at half its scale: 1,000 ports, one
+// agent each, and 1,000 CoFlows 15 ms apart, sized to drain in a few
+// simulated seconds.
+func testbedTrace() *Trace {
+	return trace.Synthesize(trace.SynthConfig{
+		Seed:             1,
+		NumPorts:         1000,
+		NumCoFlows:       1000,
+		MeanInterArrival: 15 * Millisecond,
+		SingleFlowFrac:   0.23,
+		EqualLengthFrac:  0.50 / 0.77,
+		WideFracNarrowCF: 0.34 / 0.77,
+		SmallFracNarrow:  0.54 / 0.66,
+		SmallFracWide:    0.14 / 0.34,
+		MinSmall:         2 * MB,
+		MaxSmall:         8 * MB,
+		MinLarge:         8 * MB,
+		MaxLarge:         48 * MB,
+	}, "testbed")
+}
+
+// benchRunJob returns one testbed.RunJob of testbedTrace under saath:
+// a coordinator and its thousand in-process agents from attach to the
+// last retirement.
+func benchRunJob(tb testing.TB) func() {
+	tr := testbedTrace()
+	job := sweep.Job{
+		Trace:     tr.Name,
+		Scheduler: "saath",
+		Seed:      1,
+		Params:    DefaultParams(),
+		Gen:       func() *trace.Trace { return tr },
+	}
+	return func() {
+		res, _, err := testbed.RunJob(job, testbed.Config{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if len(res.CoFlows) != len(tr.Specs) {
+			tb.Fatalf("%d of %d CoFlows completed", len(res.CoFlows), len(tr.Specs))
 		}
 	}
 }

@@ -39,7 +39,7 @@ import (
 // //saath:hotpath root annotation. The coordinator's roots are its
 // boundary (runtime.Coordinator.StepSchedule, with retire below it),
 // the report path (ReportInproc, mergeStat) and the agent's
-// Deliver/Step/Report.
+// Deliver/Step.
 var HotPath = &Analyzer{
 	Name: "hotpath",
 	Doc:  "forbid map accesses in //saath:hotpath functions and their intra-package callees",

@@ -3,15 +3,12 @@ package obs
 import "time"
 
 // NumEventKinds is the size of the engine's event-kind enum. The
-// EventsByKind array is indexed by internal/sim's eventKind values;
-// the alignment is pinned by TestEventKindNamesAligned in that
-// package (sim imports obs, never the reverse).
+// EventsByKind array is indexed by internal/sim's eventKind values, in
+// their declaration order: exact-time completions, trace arrivals,
+// availability injections, schedule epochs. internal/sim fails to
+// compile unless its enum has this many kinds (sim imports obs, never
+// the reverse).
 const NumEventKinds = 4
-
-// EventKindNames labels EventsByKind slots in declaration order of the
-// engine's eventKind enum: exact-time completions, trace arrivals,
-// availability injections, schedule epochs.
-var EventKindNames = [NumEventKinds]string{"flow_done", "arrival", "avail", "epoch"}
 
 // latencyBuckets is the fixed bucket count of LatencyHist: powers of 4
 // from 1µs, so the top bucket bound is ~262ms — generously above any
@@ -82,7 +79,7 @@ type EngineCounters struct {
 	Admitted int64 `json:"admitted"`
 	Retired  int64 `json:"retired"`
 	// EventsDispatched counts run-loop dispatches; EventsByKind splits
-	// them by eventKind (see EventKindNames).
+	// them by eventKind (see NumEventKinds).
 	EventsDispatched int64                `json:"events_dispatched,omitempty"`
 	EventsByKind     [NumEventKinds]int64 `json:"events_by_kind"`
 	// HeapPushes counts event-heap insertions (trace arrivals come from

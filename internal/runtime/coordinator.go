@@ -7,7 +7,8 @@
 // register() (Register); a CoFlow leaves when its last flow completes.
 // One InprocAgent per port stands in for a node's local agent: it holds the
 // flows it was ordered to send, moves them by rate × δ (Step) and
-// reports their progress back (Report, or ReportInproc for a batch).
+// reports their progress back (ReportInproc, one batch of agents per
+// call).
 //
 // A Coordinator and its agents have one owner, the driver, and one time
 // axis, the scheduler's coflow.Time: like the simulator's engine and
@@ -142,17 +143,23 @@ type Coordinator struct {
 	// agents is indexed by port (nil: no agent attached).
 	agents []agentLink
 
-	// orders is port p's order buffer and touched the ports holding
-	// orders this round, first touched first; both are reused every
-	// round. slots is the table the in-process agents find their flows
-	// in.
-	orders  [][]FlowOrder
+	// orders holds a round's orders, bucketed by sending port in the
+	// order of touched, the ports holding orders this round, first
+	// touched first. ends is indexed by port: a touched port's bucket
+	// ends there (it is zero for every port off touched between rounds).
+	// All three are reused every round. slots is the table the in-process
+	// agents keep their flows in.
+	orders  []FlowOrder
 	touched []int
+	ends    []int32
 	slots   slotTable
 
-	// live is the ID lookup reports and registrations go through; a
-	// CoFlow's registration time is its Arrived.
+	// live is the ID lookup registrations and retirements go through; a
+	// CoFlow's registration time is its Arrived. bySlot is the live
+	// CoFlow that owns each dense flow index (nil: none), where reports
+	// find their flow.
 	live    map[coflow.CoFlowID]*coflow.CoFlow
+	bySlot  []*coflow.CoFlow
 	results []CoFlowResult
 	// mergeSince is the wall-clock time the first in-process report since
 	// the last round came in (zero: none). The round charges the span up
@@ -221,7 +228,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		cfg:    cfg,
 		agents: make([]agentLink, cfg.NumPorts),
 		live:   make(map[coflow.CoFlowID]*coflow.CoFlow),
-		orders: make([][]FlowOrder, cfg.NumPorts),
 		space:  coflow.NewIndexSpace(),
 		fab:    fabric.New(cfg.NumPorts, cfg.PortRate),
 	}
@@ -232,18 +238,20 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	return c, nil
 }
 
-// mergeStat folds the progress of one agent's flow into coordinator
-// state at virtual time now and queues its CoFlow for retire if the
-// flow finished, and reports whether the flow is a live one. A flow of
-// no live CoFlow, or of another registration than the live one under
-// its ID, is not the live flow's progress: nothing is merged, and the
-// agent drops it. Zero-alloc: every flow of every agent report of every
-// boundary goes through here.
+// mergeStat folds the progress of one agent's flow, filed under the
+// dense flow index slot, into coordinator state at virtual time now and
+// queues its CoFlow for retire if the flow finished, and reports
+// whether the flow is a live one. A flow of no live CoFlow, or of
+// another registration than the live one under its ID, is not the live
+// flow's progress: nothing is merged, and the agent drops it. Within a
+// registration a flow keeps its index, so the CoFlow that owns slot is
+// the only one a live flow filed there can be of. Zero-alloc: every
+// flow of every agent report of every boundary goes through here.
 //
 //saath:hotpath zero-alloc steady state guarded by TestTestbedLayerGuards
-func (c *Coordinator) mergeStat(af *inprocFlow, now coflow.Time) bool {
-	cf := c.live[coflow.CoFlowID(af.key.CoFlow)] //saath:map-ok agents name flows by (coflow ID, index); the ID lookup is the one map on this path
-	if cf == nil || c.starts[cf.Idx] != af.key.start {
+func (c *Coordinator) mergeStat(slot int32, af *inprocFlow, now coflow.Time) bool {
+	cf := c.bySlot[slot]
+	if cf == nil || int64(cf.ID()) != af.key.CoFlow || c.starts[cf.Idx] != af.key.start {
 		return false
 	}
 	f := cf.Flows[af.key.Index]
@@ -311,13 +319,16 @@ func byArrival(a, b *coflow.CoFlow) int {
 	return cmp.Compare(a.ID(), b.ID())
 }
 
-// dropLive takes a retired CoFlow out of the ID lookup, the arrival
-// order and the index space, and hands its flow storage to later
-// registrations; the caller has told the scheduler. A finishing entry
-// may still name cf, but the retire pass skips a CoFlow that is not
-// live before it reads its flows.
+// dropLive takes a retired CoFlow out of the ID lookup, the slot
+// lookup, the arrival order and the index space, and hands its flow
+// storage to later registrations; the caller has told the scheduler. A
+// finishing entry may still name cf, but the retire pass skips a CoFlow
+// that is not live before it reads its flows.
 func (c *Coordinator) dropLive(cf *coflow.CoFlow) {
 	delete(c.live, cf.ID())
+	for _, f := range cf.Flows {
+		c.bySlot[f.Idx] = nil
+	}
 	if i, ok := slices.BinarySearchFunc(c.snap.Active, cf, byArrival); ok {
 		c.snap.Active = slices.Delete(c.snap.Active, i, i+1)
 	}
@@ -355,23 +366,43 @@ func (c *Coordinator) StepSchedule(now coflow.Time) (live int) {
 	alloc := c.cfg.Scheduler.Schedule(&c.snap)
 	t2 := time.Now()
 
-	// Group orders by sending agent. Every pending flow gets an order
-	// (rate 0 pauses), so agents always track the newest rates.
+	// Group orders by sending agent, in one buffer. Every pending flow
+	// gets an order (rate 0 pauses), so agents always track the newest
+	// rates. A stable counting pass: the first walk counts each sender's
+	// orders, touching senders in walk order, and the second writes each
+	// order at its sender's cursor, so a port's orders keep walk order.
 	for _, p := range c.touched {
-		c.orders[p] = c.orders[p][:0]
+		c.ends[p] = 0
 	}
 	c.touched = c.touched[:0]
+	n := int32(0)
 	for _, cf := range c.snap.Active {
-		start := c.starts[cf.Idx]
 		for _, f := range cf.PendingFlows() {
 			if c.agents[f.Dst] == nil {
 				continue // receiver not attached yet
 			}
 			src := int(f.Src)
-			if len(c.orders[src]) == 0 {
+			c.ends = coflow.Grow(c.ends, src+1) // the counts follow the ports touched
+			if c.ends[src] == 0 {
 				c.touched = append(c.touched, src)
 			}
-			c.orders[src] = append(c.orders[src], FlowOrder{
+			c.ends[src]++
+			n++
+		}
+	}
+	at := int32(0)
+	for _, p := range c.touched {
+		at, c.ends[p] = at+c.ends[p], at // the bucket's start: its cursor
+	}
+	c.orders = coflow.Grow(c.orders, int(n))
+	for _, cf := range c.snap.Active {
+		start := c.starts[cf.Idx]
+		for _, f := range cf.PendingFlows() {
+			if c.agents[f.Dst] == nil {
+				continue
+			}
+			end := &c.ends[f.Src]
+			c.orders[*end] = FlowOrder{
 				CoFlow:  int64(cf.ID()),
 				Index:   f.ID.Index,
 				DstPort: int(f.Dst),
@@ -379,14 +410,17 @@ func (c *Coordinator) StepSchedule(now coflow.Time) (live int) {
 				RateBps: float64(alloc.Rate(f.Idx)),
 				slot:    int32(f.Idx),
 				start:   start,
-			})
+			}
+			*end++ // past the pass, the bucket's end
 		}
 	}
 	t3 := time.Now()
+	from := int32(0)
 	for _, p := range c.touched {
 		if a := c.agents[p]; a != nil {
-			a.Deliver(c.orders[p])
+			a.Deliver(c.orders[from:c.ends[p]:c.ends[p]])
 		}
+		from = c.ends[p]
 	}
 	t4 := time.Now()
 
@@ -460,6 +494,10 @@ func (c *Coordinator) Register(spec *coflow.Spec, now coflow.Time) error {
 	at, _ := slices.BinarySearchFunc(c.snap.Active, cf, byArrival)
 	c.snap.Active = slices.Insert(c.snap.Active, at, cf)
 	c.space.Assign(cf)
+	c.bySlot = coflow.Grow(c.bySlot, c.space.FlowCap())
+	for _, f := range cf.Flows {
+		c.bySlot[f.Idx] = cf
+	}
 	c.starts = coflow.Grow(c.starts, cf.Idx+1)
 	c.started++
 	c.starts[cf.Idx] = c.started

@@ -15,15 +15,15 @@ import (
 //
 // Agents share their coordinator's one owner: the driver interleaves
 // Step and ReportInproc calls with the coordinator's StepSchedule,
-// which delivers orders back into the agents. Step touches only the
-// agent's own flows; Deliver and the reports also touch the slot table
-// the coordinator's agents share.
+// which delivers orders back into the agents. An agent's flow state
+// lives in the slot table its coordinator's agents share; the agent
+// itself lists the slots it filed flows under.
 type InprocAgent struct {
-	// flows is dense: Step and ReportInproc walk it front to back, a completed
-	// flow is swap-removed. slots finds a flow by the coordinator's dense
-	// flow index, which every order carries; it is touched only when
-	// orders arrive and when a flow completes.
-	flows []inprocFlow
+	// held lists the slots the agent filed a flow under, in filing order:
+	// Step and ReportInproc walk it front to back, and a report
+	// swap-removes the slots it drops. An entry another agent has since
+	// taken is skipped by Step and dropped by the next report.
+	held  []int32
 	slots *slotTable
 	id    int32 // this agent's owner tag in slots
 }
@@ -40,26 +40,22 @@ type flowKey struct {
 // inprocFlow is one flow's sender-side state.
 type inprocFlow struct {
 	key  flowKey
-	slot int32   // the coordinator's Flow.Idx it is filed under in the slot table
-	done bool    // beside slot, so the flow stays 56 bytes
+	done bool
 	size float64 // total bytes
 	sent float64 // bytes moved so far (float: rate × δ accumulation)
 	rate float64 // current schedule's bytes/second
 }
 
-// slotTable is where a coordinator's in-process agents find a flow by
-// the coordinator's dense flow index (FlowOrder.slot): entry s names
-// the agent that holds the flow last ordered under index s and the
-// flow's position in that agent's flows. One table serves every agent
-// of a coordinator, so it grows with the flow indices in use (FlowCap),
-// not with ports × agents. An index is reused once its flow leaves the
-// coordinator, while a copy of the flow may stay at an agent until its
-// next report drops it — a detached agent's, whose port's new agent
-// took the entry — so a reader checks the flow an entry points at
-// against the order's flowKey. The table's invariant: an entry s that
-// agent a owns points at a flow of a filed under s (inprocFlow.slot).
-// So a flow clears or moves only the entry that points at it, never one
-// its index has since passed to another flow or agent.
+// slotTable holds the flows of a coordinator's in-process agents by the
+// coordinator's dense flow index (FlowOrder.slot): entry s is the flow
+// last ordered under index s and the agent that holds it. One table
+// serves every agent of a coordinator, so it grows with the flow
+// indices in use (FlowCap), not with ports × agents. An index is
+// reused once its flow leaves the coordinator, and an order for it
+// takes the entry over, from whichever agent held it: a detached
+// agent's copy of a flow is lost to it once its port's new agent is
+// ordered the flow, or another flow is ordered under the index. The
+// table's invariant: an agent lists every entry it owns exactly once.
 type slotTable struct {
 	entries []slotEntry
 	agents  int32 // owner tags handed out so far; 0 tags no agent
@@ -67,7 +63,7 @@ type slotTable struct {
 
 type slotEntry struct {
 	owner int32 // the holding agent's id; 0: none
-	at    int32 // the flow's position in the owner's flows
+	flow  inprocFlow
 }
 
 // join hands out the owner tag of a new agent.
@@ -93,14 +89,17 @@ func (c *Coordinator) AttachInproc(port int) (*InprocAgent, error) {
 
 // Deliver implements agentLink: adopt the new schedule. Each order's
 // rate is copied into its flow's state, and the orders are not
-// retained. An order finds its flow through the slot table, checked
-// against the flow's key: a miss — an entry of no agent, of another
-// agent, or of another flow under a reused index — files the flow anew.
-// Only the agent attached at a flow's sender is ordered it, and a
-// detached agent is never ordered again, so no other agent takes the
-// entry of a flow an agent is still ordered: a miss is never a flow
-// the agent holds (FuzzInprocAgents holds this against agents that key
-// flows by name).
+// retained. An order finds its flow in the slot table under the
+// order's slot, checked against the flow's key: a miss — an entry of no
+// agent, of another agent, or of another flow under a reused index —
+// files the flow anew there, and the agent lists the slot unless it
+// already does. Only the agent attached at a flow's sender is ordered
+// it, and a detached agent is never ordered again, so no other agent
+// takes the entry of a flow an agent is still ordered. An agent that
+// holds flows must be reported before its next orders: a report drops
+// every slot whose flow has left the coordinator, so an entry it lost
+// is never ordered back to it while its list still names it
+// (FuzzInprocAgents holds both against agents that key flows by name).
 //
 //saath:hotpath zero-alloc steady state guarded by TestCoordinatorBoundaryZeroAlloc
 func (a *InprocAgent) Deliver(orders []FlowOrder) {
@@ -110,18 +109,21 @@ func (a *InprocAgent) Deliver(orders []FlowOrder) {
 		k := flowKey{CoFlow: o.CoFlow, Index: o.Index, start: o.start}
 		t.entries = coflow.Grow(t.entries, int(o.slot)+1) // the table follows FlowCap
 		e := &t.entries[o.slot]
-		if e.owner != a.id || a.flows[e.at].key != k {
-			a.flows = append(a.flows, inprocFlow{key: k, slot: o.slot, size: float64(o.Size)}) // grow path
-			*e = slotEntry{owner: a.id, at: int32(len(a.flows) - 1)}
+		if e.owner != a.id {
+			a.held = append(a.held, o.slot) // grow path
+		} else if e.flow.key == k {
+			e.flow.rate = o.RateBps
+			continue
 		}
-		a.flows[e.at].rate = o.RateBps
+		*e = slotEntry{owner: a.id, flow: inprocFlow{key: k, size: float64(o.Size), rate: o.RateBps}}
 	}
 }
 
 // Step advances every flow by dt of virtual time at its current
 // scheduled rate — the work a real agent's rate-limited sender does,
 // collapsed to arithmetic. Progress is pipelined: a flow moves bytes at
-// the rate of the previous schedule push.
+// the rate of the previous schedule push. A slot whose entry another
+// agent has taken is skipped; the next report drops it.
 //
 //saath:hotpath zero-alloc steady state guarded by TestTestbedLayerGuards
 func (a *InprocAgent) Step(dt coflow.Time) {
@@ -129,9 +131,11 @@ func (a *InprocAgent) Step(dt coflow.Time) {
 	// two can differ in the last bit, and every pinned result was taken
 	// with the former.
 	sec := (time.Duration(dt) * time.Microsecond).Seconds()
-	for i := range a.flows {
-		f := &a.flows[i]
-		if f.done || f.rate <= 0 {
+	t := a.slots
+	for _, s := range a.held {
+		e := &t.entries[s]
+		f := &e.flow
+		if e.owner != a.id || f.done || f.rate <= 0 {
 			continue
 		}
 		f.sent += f.rate * sec
@@ -151,20 +155,22 @@ func (a *InprocAgent) Step(dt coflow.Time) {
 // cannot be lost — and so is a flow whose report matches no live flow (a
 // copy that outlived its CoFlow at a detached agent): no later order
 // names it, and a flow paused at rate 0 would otherwise stay for ever.
-// A report does not retire: completions
-// are collected once per boundary in StepSchedule, in ID order across
-// all of the boundary's reports.
+// A slot whose entry another agent has taken is dropped unreported. A
+// report does not retire: completions are collected once per boundary
+// in StepSchedule, in ID order across all of the boundary's reports.
 //
 //saath:hotpath zero-alloc steady state guarded by TestTestbedLayerGuards
 func (c *Coordinator) ReportInproc(agents []*InprocAgent, now coflow.Time) {
 	if c.mergeSince.IsZero() {
 		c.mergeSince = time.Now()
 	}
+	t := &c.slots
 	for _, a := range agents {
-		for i := 0; i < len(a.flows); {
-			f := &a.flows[i]
-			if !c.mergeStat(f, now) || f.done {
-				a.dropFlow(i) // the last flow now sits at i
+		for i := 0; i < len(a.held); {
+			s := a.held[i]
+			e := &t.entries[s]
+			if e.owner != a.id || !c.mergeStat(s, &e.flow, now) || e.flow.done {
+				a.drop(i) // the last slot now sits at i
 			} else {
 				i++
 			}
@@ -172,22 +178,16 @@ func (c *Coordinator) ReportInproc(agents []*InprocAgent, now coflow.Time) {
 	}
 }
 
-// dropFlow swap-removes flows[i], clearing its slot entry and moving the
-// last flow's, each only if it still belongs to that flow.
-func (a *InprocAgent) dropFlow(i int) {
-	last := len(a.flows) - 1
-	t := a.slots
-	if e := &t.entries[a.flows[i].slot]; e.owner == a.id && int(e.at) == i {
-		*e = slotEntry{}
+// drop swap-removes held[i], and frees its entry if the agent still
+// owns it.
+func (a *InprocAgent) drop(i int) {
+	if e := &a.slots.entries[a.held[i]]; e.owner == a.id {
+		e.owner = 0
 	}
-	if i != last {
-		a.flows[i] = a.flows[last]
-		if e := &t.entries[a.flows[i].slot]; e.owner == a.id && int(e.at) == last {
-			e.at = int32(i)
-		}
-	}
-	a.flows = a.flows[:last]
+	last := len(a.held) - 1
+	a.held[i] = a.held[last]
+	a.held = a.held[:last]
 }
 
 // FlowCount returns the number of flows the agent currently tracks.
-func (a *InprocAgent) FlowCount() int { return len(a.flows) }
+func (a *InprocAgent) FlowCount() int { return len(a.held) }

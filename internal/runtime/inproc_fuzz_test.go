@@ -7,29 +7,50 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"saath/internal/coflow"
 	"saath/internal/sched"
 )
 
 // mapAgent is the in-process agent as it stood before the shared slot
-// table: it finds a flow by its name — (CoFlow, index), without the
-// start — in a map of its own and reports one flow at a time. It is the
-// reference FuzzInprocAgents holds InprocAgent (slot lookup,
-// ownership-checked drops, the batched ReportInproc) to. Step is
-// InprocAgent's.
+// table: it keeps its own flows, finds one by its name — (CoFlow,
+// index), without the start — in a map of its own, steps them with a
+// copy of the slot agent's arithmetic and reports one flow at a time.
+// It is the reference FuzzInprocAgents holds InprocAgent (flow state in
+// the shared table, the slot lists, the batched ReportInproc) to. It
+// records each order's slot, so the slot-keyed mergeStat serves it
+// too, and the one rule the shared table imposes on its side's agents
+// in holders: the agent last ordered under a slot holds that flow, and
+// a flow of another agent's under the slot is no longer held — it is
+// not stepped, and its next report drops it.
 type mapAgent struct {
-	InprocAgent
-	coord *Coordinator
-	index map[flowKey]int
+	coord   *Coordinator
+	flows   []mapFlow
+	index   map[flowKey]int
+	holders map[int32]holding // shared by a side's agents
 }
 
-func newMapAgent(c *Coordinator) *mapAgent {
-	return &mapAgent{coord: c, index: map[flowKey]int{}}
+// mapFlow is a mapAgent's flow and the slot it was ordered under.
+type mapFlow struct {
+	inprocFlow
+	slot int32
+}
+
+// holding is who was last ordered a slot's flow, and which flow.
+type holding struct {
+	a *mapAgent
+	k flowKey
+}
+
+func newMapAgent(c *Coordinator, holders map[int32]holding) *mapAgent {
+	return &mapAgent{coord: c, index: map[flowKey]int{}, holders: holders}
 }
 
 // name is k without its start stamp: what mapAgent files flows under.
 func name(k flowKey) flowKey { return flowKey{CoFlow: k.CoFlow, Index: k.Index} }
+
+func (a *mapAgent) holds(f *mapFlow) bool { return a.holders[f.slot] == holding{a, f.key} }
 
 func (a *mapAgent) Deliver(orders []FlowOrder) {
 	for i := range orders {
@@ -39,18 +60,37 @@ func (a *mapAgent) Deliver(orders []FlowOrder) {
 		if !ok {
 			at = len(a.flows)
 			a.index[name(k)] = at
-			a.flows = append(a.flows, inprocFlow{key: k, size: float64(o.Size)})
+			a.flows = append(a.flows, mapFlow{inprocFlow{key: k, size: float64(o.Size)}, o.slot})
 		}
 		a.flows[at].rate = o.RateBps
+		a.holders[o.slot] = holding{a, a.flows[at].key}
+	}
+}
+
+func (a *mapAgent) Step(dt coflow.Time) {
+	sec := (time.Duration(dt) * time.Microsecond).Seconds()
+	for i := range a.flows {
+		f := &a.flows[i]
+		if !a.holds(f) || f.done || f.rate <= 0 {
+			continue
+		}
+		f.sent += f.rate * sec
+		if f.sent >= f.size-1e-6 {
+			f.sent = f.size
+			f.done = true
+		}
 	}
 }
 
 func (a *mapAgent) Report(now coflow.Time) {
 	for i := 0; i < len(a.flows); {
 		f := &a.flows[i]
-		if a.coord.mergeStat(f, now) && !f.done {
+		if a.holds(f) && a.coord.mergeStat(f.slot, &f.inprocFlow, now) && !f.done {
 			i++
 			continue
+		}
+		if a.holds(f) {
+			delete(a.holders, f.slot)
 		}
 		last := len(a.flows) - 1
 		delete(a.index, name(a.flows[i].key))
@@ -60,6 +100,45 @@ func (a *mapAgent) Report(now coflow.Time) {
 		}
 		a.flows = a.flows[:last]
 	}
+}
+
+// list is a mapAgent's flows in a comparable form, in its own order: a
+// flow it holds as agentFlows prints it, one another agent took as "-".
+func (a *mapAgent) list() string {
+	var b strings.Builder
+	for i := range a.flows {
+		if f := &a.flows[i]; a.holds(f) {
+			b.WriteString(agentFlows([]inprocFlow{f.inprocFlow}))
+		} else {
+			b.WriteString("-; ")
+		}
+	}
+	return b.String()
+}
+
+// slotList is an InprocAgent's list in mapAgent.list's form.
+func slotList(a *InprocAgent) string {
+	var b strings.Builder
+	for _, s := range a.held {
+		if e := a.slots.entries[s]; e.owner == a.id {
+			b.WriteString(agentFlows([]inprocFlow{e.flow}))
+		} else {
+			b.WriteString("-; ")
+		}
+	}
+	return b.String()
+}
+
+// heldFlows is the state of the flows an InprocAgent holds: the entries
+// it lists and still owns, in its list's order.
+func heldFlows(a *InprocAgent) []inprocFlow {
+	var fs []inprocFlow
+	for _, s := range a.held {
+		if e := a.slots.entries[s]; e.owner == a.id {
+			fs = append(fs, e.flow)
+		}
+	}
+	return fs
 }
 
 // agentFlows is an agent's flow set in a comparable form: (key, size,
@@ -77,32 +156,37 @@ func agentFlows(flows []inprocFlow) string {
 }
 
 // FuzzInprocAgents drives one churn script through two coordinators
-// in lockstep: one whose agents are InprocAgents — slot
-// lookup in the table they share, reported in one ReportInproc per
-// boundary or one per agent — and one whose agents are the map-keyed
-// mapAgent. The script registers (under a fresh ID, or again under one
-// that may have retired while a detached agent's copy of its flows
-// lingers), detaches a port's agent (it keeps its flows and keeps
-// stepping and reporting) and attaches a fresh one to a port whose
-// agent is detached (at an attached port AttachInproc must refuse).
-// Ops 1, 2 and 7, which deregistered, updated and resized a CoFlow, are
-// retired and do nothing, so every committed input keeps its meaning.
-// Flow indices are reused all along, by flows at other agents too.
-// After every boundary
-// every agent ever attached must hold the same flows — (key, size,
-// sent, rate, done) — on both sides, every flow the coordinator ordered
-// must be held by its sender under its registration and at the size
-// ordered, no flow may have more bytes sent at the coordinator than its
+// in lockstep: one whose agents are InprocAgents — flow state in the
+// slot table they share, reported in one ReportInproc per boundary or
+// one per agent — and one whose agents are the map-keyed mapAgent,
+// which keeps its own flows. The script registers (under a fresh ID, or
+// again under one that may have retired while a detached agent's copy
+// of its flows lingers), detaches a port's agent (it keeps its flows
+// and keeps stepping and reporting) and attaches a fresh one to a port
+// whose agent is detached (at an attached port AttachInproc must
+// refuse). Ops 1, 2 and 7, which deregistered, updated and resized a
+// CoFlow, are retired and do nothing, so every committed input keeps
+// its meaning. Flow indices are reused all along, by flows at other
+// agents too. After every boundary every agent ever attached must list
+// the same flows in the same order — (key, size, sent, rate, done) per
+// flow it holds, a mark per flow another agent took — on both sides;
+// every owned entry of the slot table must be listed exactly once, by
+// its owner, and no agent may list a slot twice, after the reports and
+// after the round; the reports must leave every entry an agent still
+// lists holding the same flow; every flow the coordinator ordered must
+// be held by its sender under its registration and at the size
+// ordered; no flow may have more bytes sent at the coordinator than its
 // port rate moves in the virtual time since it was registered (a report
-// of an earlier registration taken as progress breaks this), and the
+// of an earlier registration taken as progress breaks this); and the
 // coordinators must agree on Results(). The committed corpus holds the
-// cases the two ownership checks in dropFlow exist for — an agent
-// detaches, a fresh one takes its port and the flow's entry, and the
-// old agent then finishes the flow, or swap-removes another over it —
-// an ID registered again, and a copy of a flow that a detached agent
-// still runs, reported after its CoFlow retired and its ID was
-// registered again (the registration stamp drops it). After every
-// operation, no two live
+// cases the owner checks in Step and the report walk exist for — an
+// agent detaches, a fresh one is ordered its flow and takes the entry,
+// and the old agent goes on stepping and reporting (its name is from
+// when the old agent kept a copy of its own and finished the flow) or
+// swap-removes another slot over the taken one — an ID registered
+// again, and a copy of a flow that a detached agent still runs,
+// reported after its CoFlow retired and its ID was registered again
+// (the registration stamp drops it). After every operation, no two live
 // CoFlows of either coordinator may share a Flow, and every live flow
 // must be the one its spec names; the corpus churns completions,
 // retirements and registrations for that.
@@ -140,6 +224,7 @@ func FuzzInprocAgents(f *testing.F) {
 			return sd
 		}
 		slotSide, refSide := newSide(), newSide()
+		holders := map[int32]holding{} // the reference side's
 		attach := func(p int) {
 			a, err := slotSide.coord.AttachInproc(p)
 			if err != nil {
@@ -147,7 +232,7 @@ func FuzzInprocAgents(f *testing.F) {
 			}
 			slotSide.cur[p] = len(slotSide.slots)
 			slotSide.slots = append(slotSide.slots, a)
-			r := newMapAgent(refSide.coord)
+			r := newMapAgent(refSide.coord, holders)
 			refSide.coord.agents[p] = r
 			refSide.cur[p] = len(refSide.refs)
 			refSide.refs = append(refSide.refs, r)
@@ -190,27 +275,37 @@ func FuzzInprocAgents(f *testing.F) {
 		// registeredAt is when each ID was last registered at the
 		// coordinators.
 		registeredAt := map[int64]coflow.Time{}
-		// filed is what the slot table resolved to after the last round:
-		// index -> (agent, wire name). A report moves or clears only the
-		// entries of the flows it drops, so every entry whose flow its
-		// agent still holds must resolve to it after the next reports.
+		// filed is what the slot table held after the last round: index ->
+		// (agent, wire name) for every entry its owner lists. A report
+		// frees only the entries of the slots it drops, so every entry an
+		// agent still lists must hold the same flow for it after the next
+		// reports.
 		type filing struct {
 			a *InprocAgent
 			k flowKey
 		}
 		filed := map[int32]filing{}
+		// table holds the slot table to its invariant: every owned entry
+		// is listed exactly once, by its owner, and no agent lists a slot
+		// twice.
 		table := func(n int, when string) {
 			owners := map[int32]*InprocAgent{}
 			for _, a := range slotSide.slots {
 				owners[a.id] = a
+				listed := map[int32]bool{}
+				for _, s := range a.held {
+					if listed[s] {
+						t.Fatalf("boundary %d, %s: agent %d lists slot %d twice", n, when, a.id, s)
+					}
+					listed[s] = true
+				}
 			}
 			for s, e := range slotSide.coord.slots.entries {
 				if e.owner == 0 {
 					continue
 				}
-				a := owners[e.owner]
-				if int(e.at) >= len(a.flows) || a.flows[e.at].slot != int32(s) {
-					t.Fatalf("boundary %d, %s: entry %d points at flow %d of agent %d, not filed under it", n, when, s, e.at, e.owner)
+				if a := owners[e.owner]; a == nil || !slices.Contains(a.held, int32(s)) {
+					t.Fatalf("boundary %d, %s: entry %d of agent %d is not on its list", n, when, s, e.owner)
 				}
 			}
 		}
@@ -231,10 +326,8 @@ func FuzzInprocAgents(f *testing.F) {
 					}
 					table(n, "after the reports")
 					for s, fl := range filed {
-						for j := range fl.a.flows {
-							if e := sd.coord.slots.entries[s]; fl.a.flows[j].key == fl.k && (e.owner != fl.a.id || int(e.at) != j) {
-								t.Fatalf("boundary %d: the reports lost entry %d of c%d/%d at agent %d", n, s, fl.k.CoFlow, fl.k.Index, fl.a.id)
-							}
+						if e := sd.coord.slots.entries[s]; slices.Contains(fl.a.held, s) && (e.owner != fl.a.id || e.flow.key != fl.k) {
+							t.Fatalf("boundary %d: the reports lost entry %d of c%d/%d at agent %d", n, s, fl.k.CoFlow, fl.k.Index, fl.a.id)
 						}
 					}
 				} else {
@@ -250,9 +343,9 @@ func FuzzInprocAgents(f *testing.F) {
 			table(n, "after the round")
 			clear(filed)
 			for _, a := range slotSide.slots {
-				for j, f := range a.flows {
-					if e := slotSide.coord.slots.entries[f.slot]; e.owner == a.id && int(e.at) == j {
-						filed[f.slot] = filing{a, f.key}
+				for _, s := range a.held {
+					if e := slotSide.coord.slots.entries[s]; e.owner == a.id {
+						filed[s] = filing{a, e.flow.key}
 					}
 				}
 			}
@@ -269,7 +362,7 @@ func FuzzInprocAgents(f *testing.F) {
 						continue
 					}
 					k, size := flowKey{CoFlow: int64(cf.ID()), Index: f.ID.Index, start: slotSide.coord.starts[cf.Idx]}, -1.0
-					for _, af := range slotSide.slots[src].flows {
+					for _, af := range heldFlows(slotSide.slots[src]) {
 						if af.key == k {
 							size = af.size
 						}
@@ -286,7 +379,7 @@ func FuzzInprocAgents(f *testing.F) {
 				}
 			}
 			for i, a := range slotSide.slots {
-				if got, want := agentFlows(a.flows), agentFlows(refSide.refs[i].flows); got != want {
+				if got, want := slotList(a), refSide.refs[i].list(); got != want {
 					t.Fatalf("boundary %d, agent %d:\nslot agent %s\n map agent %s", n, i, got, want)
 				}
 			}

@@ -233,12 +233,12 @@ func TestReregisteredIDStartsAfresh(t *testing.T) {
 			t.Fatalf("run %d: %v", run, err)
 		}
 		boundary(coord, agents, now, delta)
-		if f := agents[0].flows; len(f) != 1 || f[0].sent != 0 || f[0].size != float64(spec.Flows[0].Size) {
+		if f := heldFlows(agents[0]); len(f) != 1 || f[0].sent != 0 || f[0].size != float64(spec.Flows[0].Size) {
 			t.Fatalf("run %d: agent after the first order: %s, want c1/0 at 0 of 8 MiB", run, agentFlows(f))
 		}
 		driveToCompletion(t, coord, agents, now, delta, 100)
 		if n := agents[0].FlowCount(); n != 0 {
-			t.Fatalf("run %d: agent holds %s after the retirement, want nothing", run, agentFlows(agents[0].flows))
+			t.Fatalf("run %d: agent holds %s after the retirement, want nothing", run, agentFlows(heldFlows(agents[0])))
 		}
 	}
 	res := coord.Results()
@@ -277,7 +277,7 @@ func TestReplacedAgentMergesNothing(t *testing.T) {
 	}
 	boundary(coord, agents, now, delta)
 	if n := agents[0].FlowCount(); n != 1 {
-		t.Fatalf("the attached agent holds %s after its report, want the flow", agentFlows(agents[0].flows))
+		t.Fatalf("the attached agent holds %s after its report, want the flow", agentFlows(heldFlows(agents[0])))
 	}
 	if f := coord.live[1].Flows[0]; f.Sent() <= 2_000_000 {
 		t.Fatalf("the flow has %d bytes sent after the attached agent's report, want more than the 2 MB of before", f.Sent())

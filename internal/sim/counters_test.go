@@ -9,26 +9,6 @@ import (
 	"saath/internal/trace"
 )
 
-// TestEventKindNamesAligned pins obs.EventKindNames to the engine's
-// eventKind enum: same size, declaration-order labels. The obs package
-// cannot import sim, so the alignment is enforced here.
-func TestEventKindNamesAligned(t *testing.T) {
-	if got := int(eventEpoch) + 1; got != obs.NumEventKinds {
-		t.Fatalf("eventKind enum has %d values, obs.NumEventKinds = %d", got, obs.NumEventKinds)
-	}
-	want := map[eventKind]string{
-		eventFlowDone: "flow_done",
-		eventArrival:  "arrival",
-		eventAvail:    "avail",
-		eventEpoch:    "epoch",
-	}
-	for kind, name := range want {
-		if got := obs.EventKindNames[kind]; got != name {
-			t.Errorf("EventKindNames[%d] = %q, want %q", kind, got, name)
-		}
-	}
-}
-
 // countersTrace exercises every event kind: a DAG edge (flow_done),
 // staggered arrivals, and pipelined availability.
 func countersTrace() *trace.Trace {

@@ -1,6 +1,9 @@
 package sim
 
-import "saath/internal/coflow"
+import (
+	"saath/internal/coflow"
+	"saath/internal/obs"
+)
 
 // The discrete-event core: a deterministic min-heap of typed events.
 //
@@ -37,6 +40,11 @@ const (
 	// eventEpoch recomputes the global schedule at a δ boundary.
 	eventEpoch
 )
+
+// The run loop counts events in obs.EngineCounters.EventsByKind, an
+// array indexed by eventKind (obs cannot import sim): this fails to
+// compile unless the enum has exactly obs.NumEventKinds kinds.
+var _ = [1]struct{}{}[obs.NumEventKinds-1-int(eventEpoch)]
 
 // event is one scheduled occurrence. Payload fields are a union: spec
 // indexes e.pending for arrivals, co names the CoFlow for
