@@ -113,8 +113,10 @@ func (r Rate) TimeToSend(b Bytes) Time {
 const maxTime = Time(1) << 62
 
 // PortID identifies a cluster node. Each node owns one egress (sender)
-// port and one ingress (receiver) port on the non-blocking fabric.
-type PortID int
+// port and one ingress (receiver) port on the non-blocking fabric. It is
+// 32 bits wide, as PortPair is: a trace names at most math.MaxInt32
+// ports (trace.Parse and Trace.Validate refuse more).
+type PortID int32
 
 // CoFlowID identifies a CoFlow. IDs are unique within a trace.
 type CoFlowID int64
@@ -190,8 +192,12 @@ func (s *Spec) Validate() error {
 }
 
 // Flow is the runtime state of one flow during simulation or execution.
+// It is 56 bytes on a 64-bit platform (TestFlowLayout pins it): Idx,
+// the two 32-bit ports, Size, sent, doneAt and Slowdown fill six words,
+// and the flow's position and its three flags share the seventh. A flow
+// does not repeat its CoFlow's ID: its Index and the owning CoFlow name
+// it (CoFlow.FlowID).
 type Flow struct {
-	ID FlowID
 	// Idx is the flow's dense runtime index, assigned by an IndexSpace
 	// at admission (or by EnsureIndexed as a fallback). It keys the
 	// scheduler's allocation vector (sched.RateVec) and per-flow scratch
@@ -203,19 +209,23 @@ type Flow struct {
 
 	// Progress, written through the owning CoFlow (see the package doc)
 	// and read through the accessors below.
-	sent      Bytes // bytes moved so far
-	doneAt    Time
+	sent   Bytes // bytes moved so far
+	doneAt Time
+
+	// Slowdown > 1 models a straggler whose achievable rate is divided
+	// by the factor; Restarted marks a flow whose progress was reset by
+	// a node failure. Both are injected by the simulator's dynamics
+	// layer.
+	Slowdown float64
+
+	index     int32 // position in the CoFlow's Flows (see Index)
 	done      bool
 	available bool // data ready to send (pipelined frameworks, §4.3)
-
-	// Restarted marks a flow whose progress was reset by a node
-	// failure; Slowdown > 1 models a straggler whose achievable rate
-	// is divided by the factor. Both are injected by the simulator's
-	// dynamics layer. (The flags sit together so the struct packs into
-	// 80 bytes.)
 	Restarted bool
-	Slowdown  float64
 }
+
+// Index returns the flow's position in its CoFlow's Flows and Spec.Flows.
+func (f *Flow) Index() int { return int(f.index) }
 
 // Sent returns the bytes the flow has moved so far.
 func (f *Flow) Sent() Bytes { return f.sent }
@@ -398,8 +408,8 @@ func newCoFlow(spec *Spec, sp spare) *CoFlow {
 	c.Flows, c.pend = sp.flows[:w:w], sp.flows[n:n]
 	for i, fs := range spec.Flows {
 		*c.Flows[i] = Flow{
-			ID:        FlowID{CoFlow: spec.ID, Index: i},
 			Idx:       -1,
+			index:     int32(i),
 			Src:       fs.Src,
 			Dst:       fs.Dst,
 			Size:      fs.Size,
@@ -477,7 +487,7 @@ type Completion struct {
 // and joins the finished-flow sum, maximum, last completion and, once
 // DoneMedian has been asked for, its sorted list.
 //
-// The flow is found by binary search on FlowID.Index and cut out of the
+// The flow is found by binary search on its Index and cut out of the
 // lists by shifting their shorter side (cut): what a wide CoFlow whose
 // flows finish one at a time needs. The entries shifted between two
 // builds are bounded by shiftBudget per flow of the CoFlow; past that,
@@ -637,7 +647,7 @@ const shiftBudget = 4
 // positions while few flows have finished. A batch finished from either
 // end finds each flow at an end of the window.
 func position(flows []*Flow, width int, f *Flow) (int, bool) {
-	k := f.ID.Index
+	k := f.Index()
 	lo, hi := max(0, k-(width-len(flows))), min(k+1, len(flows))
 	switch {
 	case lo >= hi:
@@ -647,7 +657,7 @@ func position(flows []*Flow, width int, f *Flow) (int, bool) {
 	case flows[hi-1] == f:
 		return hi - 1, true
 	}
-	i, ok := slices.BinarySearchFunc(flows[lo:hi], k, func(g *Flow, t int) int { return cmp.Compare(g.ID.Index, t) })
+	i, ok := slices.BinarySearchFunc(flows[lo:hi], k, func(g *Flow, t int) int { return cmp.Compare(g.Index(), t) })
 	i += lo
 	return i, ok && flows[i] == f
 }
@@ -748,6 +758,9 @@ func (c *CoFlow) extras() *summaryExtra {
 
 // ID returns the CoFlow's identifier.
 func (c *CoFlow) ID() CoFlowID { return c.Spec.ID }
+
+// FlowID names f, one of the CoFlow's flows.
+func (c *CoFlow) FlowID(f *Flow) FlowID { return FlowID{CoFlow: c.Spec.ID, Index: f.Index()} }
 
 // Width returns the number of flows.
 func (c *CoFlow) Width() int { return len(c.Flows) }

@@ -5,7 +5,24 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestFlowLayout pins the per-flow records every layer holds: a Flow is
+// 56 bytes and a FlowSpec 16 on a 64-bit platform. A field added, or
+// one moved out of the packing Flow's doc comment describes, shows here
+// first.
+func TestFlowLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the layout is pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Flow{}); got != 56 {
+		t.Errorf("Flow is %d bytes, want 56", got)
+	}
+	if got := unsafe.Sizeof(FlowSpec{}); got != 16 {
+		t.Errorf("FlowSpec is %d bytes, want 16", got)
+	}
+}
 
 func spec2x2() *Spec {
 	return &Spec{
@@ -132,8 +149,8 @@ func TestNewRuntimeState(t *testing.T) {
 		if f.Slowdown != 1 {
 			t.Errorf("flow %d slowdown = %v", i, f.Slowdown)
 		}
-		if f.ID.CoFlow != 7 || f.ID.Index != i {
-			t.Errorf("flow %d bad id %v", i, f.ID)
+		if id := c.FlowID(f); id.CoFlow != 7 || id.Index != i || f.Index() != i {
+			t.Errorf("flow %d bad id %v", i, id)
 		}
 	}
 }

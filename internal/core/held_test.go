@@ -79,7 +79,7 @@ func (tw *heldTwins) schedule(where string, now coflow.Time, active, live []*cof
 	for _, c := range live {
 		for _, f := range c.Flows {
 			if f.Idx < len(tw.held.tracks) && tw.held.tracks[f.Idx] != tw.full.tracks[f.Idx] {
-				tw.t.Fatalf("%s: flow %v track %+v, full path %+v", where, f.ID, tw.held.tracks[f.Idx], tw.full.tracks[f.Idx])
+				tw.t.Fatalf("%s: flow %v track %+v, full path %+v", where, c.FlowID(f), tw.held.tracks[f.Idx], tw.full.tracks[f.Idx])
 			}
 		}
 	}

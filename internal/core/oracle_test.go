@@ -241,7 +241,7 @@ func TestRateDrivenTrackingMatchesFullWalks(t *testing.T) {
 					a, b := prod.tracks[f.Idx], ref.tracks[f.Idx]
 					if a.lastAlloc != b.lastAlloc || a.estCap != b.estCap || a.lagStreak != b.lagStreak ||
 						(a.lastAlloc > 0 && a.lastSent != b.lastSent) {
-						t.Fatalf("%s: flow %v track %+v, full walks %+v", where, f.ID, a, b)
+						t.Fatalf("%s: flow %v track %+v, full walks %+v", where, c.FlowID(f), a, b)
 					}
 					if a.estCap > 0 {
 						capped++

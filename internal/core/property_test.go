@@ -126,7 +126,7 @@ func TestNoOversubscriptionProperty(t *testing.T) {
 				t.Fatalf("trial %d: alloc for unknown flow index %d", trial, idx)
 			}
 			if !f.Sendable() {
-				t.Fatalf("trial %d: alloc for non-sendable flow %v", trial, f.ID)
+				t.Fatalf("trial %d: alloc for non-sendable flow index %d", trial, idx)
 			}
 			egress[f.Src] += float64(r)
 			ingress[f.Dst] += float64(r)
@@ -170,7 +170,7 @@ func TestWorkConservationProperty(t *testing.T) {
 				free := float64(fab.PathFree(f.Src, f.Dst))
 				if free > eps {
 					t.Fatalf("trial %d: flow %v idle with %.0f B/s free on its path",
-						trial, f.ID, free)
+						trial, c.FlowID(f), free)
 				}
 			}
 		}

@@ -536,7 +536,7 @@ func (s *Saath) recordAllocation(c *coflow.CoFlow, f *coflow.Flow, rate coflow.R
 	tr := &s.tracks[f.Idx]
 	tr.lastSent = f.Sent()
 	tr.lastAlloc = rate
-	s.rated = append(s.rated, ratedRef{coflow: int32(c.Idx), flow: int32(f.ID.Index)})
+	s.rated = append(s.rated, ratedRef{coflow: int32(c.Idx), flow: int32(f.Index())})
 }
 
 // targetQueue returns the queue a CoFlow belongs in right now.

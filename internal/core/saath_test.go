@@ -117,7 +117,7 @@ func TestAllOrNoneBlocksWhenAnyPortBusy(t *testing.T) {
 	}
 	for _, f := range c2.Flows {
 		if r := alloc.Rate(f.Idx); r != 0 {
-			t.Errorf("all-or-none violated: c2 flow %v got %v", f.ID, r)
+			t.Errorf("all-or-none violated: c2 flow %v got %v", c2.FlowID(f), r)
 		}
 	}
 }

@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"saath/internal/coflow"
@@ -111,8 +110,8 @@ type CoFlowResult struct {
 // FlowOrder tells a sending agent to run one flow at a given rate.
 type FlowOrder struct {
 	CoFlow  int64
-	Index   int
-	DstPort int
+	Index   int32
+	DstPort coflow.PortID
 	Size    int64
 	RateBps float64 // bytes per second; 0 pauses the flow
 	// slot is the flow's dense index in the coordinator (coflow.Flow.Idx),
@@ -249,7 +248,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 // flow of every agent report of every boundary goes through here.
 //
 //saath:hotpath zero-alloc steady state guarded by TestTestbedLayerGuards
-func (c *Coordinator) mergeStat(slot int32, af *inprocFlow, now coflow.Time) bool {
+func (c *Coordinator) mergeStat(slot int32, af *slotEntry, now coflow.Time) bool {
 	cf := c.bySlot[slot]
 	if cf == nil || int64(cf.ID()) != af.key.CoFlow || c.starts[cf.Idx] != af.key.start {
 		return false
@@ -286,14 +285,16 @@ func (c *Coordinator) retire(now coflow.Time) {
 		if c.live[cf.ID()] != cf || !cf.RefreshDone() { //saath:map-ok completion path: once per finished flow, not per boundary
 			continue
 		}
-		c.results = append(c.results, CoFlowResult{
+		n := len(c.results)
+		c.results = coflow.Grow(c.results, n+1) // doubles: the results are kept for the job
+		c.results[n] = CoFlowResult{
 			ID:           cf.ID(),
 			RegisteredAt: cf.Arrived,
 			CompletedAt:  now,
 			CCT:          now - cf.Arrived,
 			Width:        cf.Width(),
 			Bytes:        cf.Spec.TotalSize(),
-		})
+		}
 		c.depart(cf, now)
 	}
 	clear(c.finishing)
@@ -404,8 +405,8 @@ func (c *Coordinator) StepSchedule(now coflow.Time) (live int) {
 			end := &c.ends[f.Src]
 			c.orders[*end] = FlowOrder{
 				CoFlow:  int64(cf.ID()),
-				Index:   f.ID.Index,
-				DstPort: int(f.Dst),
+				Index:   int32(f.Index()),
+				DstPort: f.Dst,
 				Size:    int64(f.Size),
 				RateBps: float64(alloc.Rate(f.Idx)),
 				slot:    int32(f.Idx),
@@ -454,19 +455,19 @@ func (c *Coordinator) AdmissionStats() (admitted, rejected int64) {
 	return c.nAdmitted, c.nRejected
 }
 
-// Results returns a copy of the completed CoFlows, sorted by coflow ID
-// with completion time as the tie-break — a deterministic order, so
-// exports built on it are byte-stable regardless of retirement
-// interleaving.
+// Results returns the completed CoFlows, sorted by coflow ID with
+// completion time as the tie-break — a deterministic order, so exports
+// built on it are byte-stable regardless of retirement interleaving.
+// The list is the coordinator's own, sorted in place and clipped: the
+// coordinator only appends to it, and no two results share an ID and a
+// completion time, so it reads the same until a later boundary retires
+// a CoFlow and the next Results call sorts that in. Copy it to keep it
+// past that.
 func (c *Coordinator) Results() []CoFlowResult {
-	out := append([]CoFlowResult(nil), c.results...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].ID != out[j].ID {
-			return out[i].ID < out[j].ID
-		}
-		return out[i].CompletedAt < out[j].CompletedAt
+	slices.SortFunc(c.results, func(a, b CoFlowResult) int {
+		return cmp.Or(cmp.Compare(a.ID, b.ID), cmp.Compare(a.CompletedAt, b.CompletedAt))
 	})
-	return out
+	return slices.Clip(c.results)
 }
 
 // Register is register() of §5: it admits and registers one CoFlow at

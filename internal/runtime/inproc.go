@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"saath/internal/coflow"
@@ -33,17 +34,8 @@ type InprocAgent struct {
 // (FlowOrder.start).
 type flowKey struct {
 	CoFlow int64
-	Index  int
+	Index  int32
 	start  uint32
-}
-
-// inprocFlow is one flow's sender-side state.
-type inprocFlow struct {
-	key  flowKey
-	done bool
-	size float64 // total bytes
-	sent float64 // bytes moved so far (float: rate × δ accumulation)
-	rate float64 // current schedule's bytes/second
 }
 
 // slotTable holds the flows of a coordinator's in-process agents by the
@@ -61,9 +53,16 @@ type slotTable struct {
 	agents  int32 // owner tags handed out so far; 0 tags no agent
 }
 
+// slotEntry is one flow's sender-side state and, in a slotTable, the
+// agent that holds it. It is 48 bytes (TestSlotEntryLayout): owner and
+// done share the word after the key.
 type slotEntry struct {
+	key   flowKey
 	owner int32 // the holding agent's id; 0: none
-	flow  inprocFlow
+	done  bool
+	size  float64 // total bytes
+	sent  float64 // bytes moved so far (float: rate × δ accumulation)
+	rate  float64 // current schedule's bytes/second
 }
 
 // join hands out the owner tag of a new agent.
@@ -110,12 +109,17 @@ func (a *InprocAgent) Deliver(orders []FlowOrder) {
 		t.entries = coflow.Grow(t.entries, int(o.slot)+1) // the table follows FlowCap
 		e := &t.entries[o.slot]
 		if e.owner != a.id {
-			a.held = append(a.held, o.slot) // grow path
-		} else if e.flow.key == k {
-			e.flow.rate = o.RateBps
+			if len(a.held) == cap(a.held) {
+				// Room for every order left, so a Deliver grows the list
+				// at most once.
+				a.held = slices.Grow(a.held, len(orders)-i)
+			}
+			a.held = append(a.held, o.slot)
+		} else if e.key == k {
+			e.rate = o.RateBps
 			continue
 		}
-		*e = slotEntry{owner: a.id, flow: inprocFlow{key: k, size: float64(o.Size), rate: o.RateBps}}
+		*e = slotEntry{key: k, owner: a.id, size: float64(o.Size), rate: o.RateBps}
 	}
 }
 
@@ -134,15 +138,14 @@ func (a *InprocAgent) Step(dt coflow.Time) {
 	t := a.slots
 	for _, s := range a.held {
 		e := &t.entries[s]
-		f := &e.flow
-		if e.owner != a.id || f.done || f.rate <= 0 {
+		if e.owner != a.id || e.done || e.rate <= 0 {
 			continue
 		}
-		f.sent += f.rate * sec
+		e.sent += e.rate * sec
 		// Sub-byte float residue must not strand a finished flow.
-		if f.sent >= f.size-1e-6 {
-			f.sent = f.size
-			f.done = true
+		if e.sent >= e.size-1e-6 {
+			e.sent = e.size
+			e.done = true
 		}
 	}
 }
@@ -169,7 +172,7 @@ func (c *Coordinator) ReportInproc(agents []*InprocAgent, now coflow.Time) {
 		for i := 0; i < len(a.held); {
 			s := a.held[i]
 			e := &t.entries[s]
-			if e.owner != a.id || !c.mergeStat(s, &e.flow, now) || e.flow.done {
+			if e.owner != a.id || !c.mergeStat(s, e, now) || e.done {
 				a.drop(i) // the last slot now sits at i
 			} else {
 				i++

@@ -31,9 +31,10 @@ type mapAgent struct {
 	holders map[int32]holding // shared by a side's agents
 }
 
-// mapFlow is a mapAgent's flow and the slot it was ordered under.
+// mapFlow is a mapAgent's flow and the slot it was ordered under. The
+// entry's owner is unused: holders stands in for it.
 type mapFlow struct {
-	inprocFlow
+	slotEntry
 	slot int32
 }
 
@@ -60,7 +61,7 @@ func (a *mapAgent) Deliver(orders []FlowOrder) {
 		if !ok {
 			at = len(a.flows)
 			a.index[name(k)] = at
-			a.flows = append(a.flows, mapFlow{inprocFlow{key: k, size: float64(o.Size)}, o.slot})
+			a.flows = append(a.flows, mapFlow{slotEntry{key: k, size: float64(o.Size)}, o.slot})
 		}
 		a.flows[at].rate = o.RateBps
 		a.holders[o.slot] = holding{a, a.flows[at].key}
@@ -85,7 +86,7 @@ func (a *mapAgent) Step(dt coflow.Time) {
 func (a *mapAgent) Report(now coflow.Time) {
 	for i := 0; i < len(a.flows); {
 		f := &a.flows[i]
-		if a.holds(f) && a.coord.mergeStat(f.slot, &f.inprocFlow, now) && !f.done {
+		if a.holds(f) && a.coord.mergeStat(f.slot, &f.slotEntry, now) && !f.done {
 			i++
 			continue
 		}
@@ -108,7 +109,7 @@ func (a *mapAgent) list() string {
 	var b strings.Builder
 	for i := range a.flows {
 		if f := &a.flows[i]; a.holds(f) {
-			b.WriteString(agentFlows([]inprocFlow{f.inprocFlow}))
+			b.WriteString(agentFlows([]slotEntry{f.slotEntry}))
 		} else {
 			b.WriteString("-; ")
 		}
@@ -121,7 +122,7 @@ func slotList(a *InprocAgent) string {
 	var b strings.Builder
 	for _, s := range a.held {
 		if e := a.slots.entries[s]; e.owner == a.id {
-			b.WriteString(agentFlows([]inprocFlow{e.flow}))
+			b.WriteString(agentFlows([]slotEntry{e}))
 		} else {
 			b.WriteString("-; ")
 		}
@@ -131,11 +132,11 @@ func slotList(a *InprocAgent) string {
 
 // heldFlows is the state of the flows an InprocAgent holds: the entries
 // it lists and still owns, in its list's order.
-func heldFlows(a *InprocAgent) []inprocFlow {
-	var fs []inprocFlow
+func heldFlows(a *InprocAgent) []slotEntry {
+	var fs []slotEntry
 	for _, s := range a.held {
 		if e := a.slots.entries[s]; e.owner == a.id {
-			fs = append(fs, e.flow)
+			fs = append(fs, e)
 		}
 	}
 	return fs
@@ -143,9 +144,9 @@ func heldFlows(a *InprocAgent) []inprocFlow {
 
 // agentFlows is an agent's flow set in a comparable form: (key, size,
 // sent, rate, done) per flow, ordered by name.
-func agentFlows(flows []inprocFlow) string {
+func agentFlows(flows []slotEntry) string {
 	fs := slices.Clone(flows)
-	slices.SortFunc(fs, func(a, b inprocFlow) int {
+	slices.SortFunc(fs, func(a, b slotEntry) int {
 		return cmp.Or(cmp.Compare(a.key.CoFlow, b.key.CoFlow), cmp.Compare(a.key.Index, b.key.Index))
 	})
 	var b strings.Builder
@@ -326,7 +327,7 @@ func FuzzInprocAgents(f *testing.F) {
 					}
 					table(n, "after the reports")
 					for s, fl := range filed {
-						if e := sd.coord.slots.entries[s]; slices.Contains(fl.a.held, s) && (e.owner != fl.a.id || e.flow.key != fl.k) {
+						if e := sd.coord.slots.entries[s]; slices.Contains(fl.a.held, s) && (e.owner != fl.a.id || e.key != fl.k) {
 							t.Fatalf("boundary %d: the reports lost entry %d of c%d/%d at agent %d", n, s, fl.k.CoFlow, fl.k.Index, fl.a.id)
 						}
 					}
@@ -345,7 +346,7 @@ func FuzzInprocAgents(f *testing.F) {
 			for _, a := range slotSide.slots {
 				for _, s := range a.held {
 					if e := slotSide.coord.slots.entries[s]; e.owner == a.id {
-						filed[s] = filing{a, e.flow.key}
+						filed[s] = filing{a, e.key}
 					}
 				}
 			}
@@ -361,7 +362,7 @@ func FuzzInprocAgents(f *testing.F) {
 					if src < 0 || dst < 0 {
 						continue
 					}
-					k, size := flowKey{CoFlow: int64(cf.ID()), Index: f.ID.Index, start: slotSide.coord.starts[cf.Idx]}, -1.0
+					k, size := flowKey{CoFlow: int64(cf.ID()), Index: int32(f.Index()), start: slotSide.coord.starts[cf.Idx]}, -1.0
 					for _, af := range heldFlows(slotSide.slots[src]) {
 						if af.key == k {
 							size = af.size
@@ -374,7 +375,7 @@ func FuzzInprocAgents(f *testing.F) {
 				since := slotSide.now - registeredAt[int64(cf.ID())]
 				for _, f := range cf.Flows {
 					if max := float64(portRate) * since.Seconds(); float64(f.Sent()) > max+1 {
-						t.Fatalf("boundary %d: c%d/%d has %d bytes sent, more than the %.0f its port moves in the %v since it was registered", n, cf.ID(), f.ID.Index, f.Sent(), max, since)
+						t.Fatalf("boundary %d: c%d/%d has %d bytes sent, more than the %.0f its port moves in the %v since it was registered", n, cf.ID(), f.Index(), f.Sent(), max, since)
 					}
 				}
 			}
@@ -399,11 +400,11 @@ func FuzzInprocAgents(f *testing.F) {
 				}
 				for i, f := range cf.Flows {
 					if other, ok := owner[f]; ok {
-						t.Fatalf("%s: c%d and c%d share flow %v", when, other, id, f.ID)
+						t.Fatalf("%s: c%d and c%d share flow %v", when, other, id, cf.FlowID(f))
 					}
 					owner[f] = id
-					if fs := cf.Spec.Flows[i]; f.Src != fs.Src || f.Dst != fs.Dst || f.Size != fs.Size || f.ID != (coflow.FlowID{CoFlow: id, Index: i}) {
-						t.Fatalf("%s: c%d flow %d is %v %d->%d %d bytes, its spec %d->%d %d", when, id, i, f.ID, f.Src, f.Dst, f.Size, fs.Src, fs.Dst, fs.Size)
+					if fs := cf.Spec.Flows[i]; f.Src != fs.Src || f.Dst != fs.Dst || f.Size != fs.Size || cf.FlowID(f) != (coflow.FlowID{CoFlow: id, Index: i}) {
+						t.Fatalf("%s: c%d flow %d is %v %d->%d %d bytes, its spec %d->%d %d", when, id, i, cf.FlowID(f), f.Src, f.Dst, f.Size, fs.Src, fs.Dst, fs.Size)
 					}
 				}
 			}

@@ -4,10 +4,26 @@ import (
 	"errors"
 	"testing"
 	"time"
+	"unsafe"
 
 	"saath/internal/coflow"
 	"saath/internal/sched"
 )
+
+// TestSlotEntryLayout pins the coordinator's per-flow records on a
+// 64-bit platform: a slot-table entry is 48 bytes (owner and done share
+// the word after the key) and an order 40.
+func TestSlotEntryLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the layout is pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(slotEntry{}); got != 48 {
+		t.Errorf("slotEntry is %d bytes, want 48", got)
+	}
+	if got := unsafe.Sizeof(FlowOrder{}); got != 40 {
+		t.Errorf("FlowOrder is %d bytes, want 40", got)
+	}
+}
 
 // inprocCluster builds a coordinator with nPorts in-process agents
 // attached, and the virtual time its driver moves, at 0.

@@ -88,17 +88,17 @@ func TestDetachedAgentLosesATakenSlot(t *testing.T) {
 		t.Fatalf("c2's flow has index %d, want the reused 0", f.Idx)
 	}
 	boundary(coord, running, now, delta)
-	if e := coord.slots.entries[0]; e.owner != agents[2].id || e.flow.key.CoFlow != 2 {
-		t.Fatalf("entry 0 is c%d at agent %d, want c2 at port 2's agent", e.flow.key.CoFlow, e.owner)
+	if e := coord.slots.entries[0]; e.owner != agents[2].id || e.key.CoFlow != 2 {
+		t.Fatalf("entry 0 is c%d at agent %d, want c2 at port 2's agent", e.key.CoFlow, e.owner)
 	}
 	if n := crashed.FlowCount(); n != 1 {
 		t.Fatalf("the crashed agent lists %d slots, want the one it was ordered", n)
 	}
 
 	*now += delta
-	before := coord.slots.entries[0].flow
+	before := coord.slots.entries[0]
 	crashed.Step(delta)
-	if after := coord.slots.entries[0].flow; after != before {
+	if after := coord.slots.entries[0]; after != before {
 		t.Fatalf("the crashed agent stepped c2's flow: %+v, was %+v", after, before)
 	}
 	sent := coord.live[2].Flows[0].Sent()

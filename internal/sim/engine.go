@@ -621,7 +621,7 @@ func (e *engine) buildRated(alloc *sched.RateVec) {
 	ascending := true
 	for i := range rated {
 		run[rated[i].owner.Idx] = 0
-		if i > 0 && rated[i].owner == rated[i-1].owner && rated[i].f.ID.Index < rated[i-1].f.ID.Index {
+		if i > 0 && rated[i].owner == rated[i-1].owner && rated[i].f.Index() < rated[i-1].f.Index() {
 			ascending = false
 		}
 	}
@@ -634,7 +634,7 @@ func (e *engine) buildRated(alloc *sched.RateVec) {
 			hi++
 		}
 		slices.SortFunc(rated[lo:hi], func(a, b ratedFlow) int {
-			return cmp.Compare(a.f.ID.Index, b.f.ID.Index)
+			return cmp.Compare(a.f.Index(), b.f.Index())
 		})
 		lo = hi
 	}
@@ -726,16 +726,16 @@ func (e *engine) validateAllocation(alloc *sched.RateVec) error {
 			err = fmt.Errorf("schedule names unknown flow index %d", idx)
 			return false
 		}
-		f := e.valFlows[idx].f
+		f, owner := e.valFlows[idx].f, e.valFlows[idx].owner
 		if r < 0 {
-			err = fmt.Errorf("negative rate %v for flow %v", r, f.ID)
+			err = fmt.Errorf("negative rate %v for flow %v", r, owner.FlowID(f))
 			return false
 		}
 		if r == 0 {
 			return true
 		}
 		if !f.Sendable() {
-			err = fmt.Errorf("rate %v for non-sendable flow %v", r, f.ID)
+			err = fmt.Errorf("rate %v for non-sendable flow %v", r, owner.FlowID(f))
 			return false
 		}
 		// A ledger only grows, so a port enters the list once: when the
@@ -897,7 +897,7 @@ func (e *engine) retire(c *coflow.CoFlow) {
 	first := len(e.flowResults)
 	for _, f := range c.Flows {
 		e.flowResults = append(e.flowResults, FlowResult{
-			ID:     f.ID,
+			ID:     c.FlowID(f),
 			Size:   f.Size,
 			FCT:    f.DoneAt() - c.Arrived,
 			DoneAt: f.DoneAt(),

@@ -129,7 +129,7 @@ func flowsDiffer(a, b *engine) string {
 	for i, c := range a.active {
 		for j, f := range c.Flows {
 			g := b.active[i].Flows[j]
-			if f.ID != g.ID || f.Sent() != g.Sent() || f.Done() != g.Done() || f.DoneAt() != g.DoneAt() || f.Restarted != g.Restarted {
+			if c.FlowID(f) != b.active[i].FlowID(g) || f.Sent() != g.Sent() || f.Done() != g.Done() || f.DoneAt() != g.DoneAt() || f.Restarted != g.Restarted {
 				return fmt.Sprintf("flow %+v, twin %+v", *f, *g)
 			}
 		}

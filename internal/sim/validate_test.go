@@ -56,13 +56,15 @@ func rogueTrace() *trace.Trace {
 }
 
 func TestValidationCatchesRogueSchedulers(t *testing.T) {
+	// The audits of one flow name it as its CoFlow and position.
+	names := map[string]string{"negative": "negative rate -1 for flow c1/f0", "done": "for non-sendable flow c1/f0"}
 	for _, mode := range []string{"oversubscribe", "negative", "unknown", "done"} {
 		_, err := Run(rogueTrace(), rogueScheduler{mode: mode}, Config{})
 		if err == nil {
 			t.Errorf("mode %q: rogue allocation accepted", mode)
 			continue
 		}
-		if !strings.Contains(err.Error(), "sim:") {
+		if !strings.Contains(err.Error(), "sim:") || !strings.Contains(err.Error(), names[mode]) {
 			t.Errorf("mode %q: unexpected error %v", mode, err)
 		}
 	}

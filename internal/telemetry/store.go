@@ -50,13 +50,13 @@ func (r *Ring) Len() int {
 	return r.head
 }
 
-// Points returns the stored points oldest-first.
-func (r *Ring) Points() []Point {
-	out := make([]Point, 0, r.Len())
+// Halves returns the stored points oldest-first, as the ring holds
+// them: older, then newer. Both alias the ring.
+func (r *Ring) Halves() (older, newer []Point) {
 	if r.full {
-		out = append(out, r.buf[r.head:]...)
+		older = r.buf[r.head:]
 	}
-	return append(out, r.buf[:r.head]...)
+	return older, r.buf[:r.head]
 }
 
 // indexed pairs a point with its position in the stream so reservoir
@@ -70,8 +70,11 @@ type indexed struct {
 // algorithm R). The RNG is seeded explicitly, so for a fixed seed and
 // input sequence the retained sample is identical on every run — the
 // property that keeps sweep output byte-identical at any parallelism.
+// A stream that never fills the reservoir draws nothing, so the RNG is
+// made at the first push past capacity, where the first draw is.
 type Reservoir struct {
-	rng   *rand.Rand
+	rng   *rand.Rand // nil until the stream overflows
+	seed  int64
 	seen  int64
 	items []indexed
 	cap   int
@@ -82,15 +85,21 @@ func NewReservoir(capacity int, seed int64) *Reservoir {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	return &Reservoir{rng: rand.New(rand.NewSource(seed)), cap: capacity}
+	return &Reservoir{seed: seed, cap: capacity}
 }
 
 // Push offers p to the reservoir.
 func (r *Reservoir) Push(p Point) {
 	r.seen++
 	if len(r.items) < r.cap {
+		if r.items == nil {
+			r.items = make([]indexed, 0, r.cap) // once: the sample is kept whole
+		}
 		r.items = append(r.items, indexed{idx: r.seen - 1, p: p})
 		return
+	}
+	if r.rng == nil {
+		r.rng = rand.New(rand.NewSource(r.seed))
 	}
 	if j := r.rng.Int63n(r.seen); j < int64(r.cap) {
 		r.items[j] = indexed{idx: r.seen - 1, p: p}
@@ -153,16 +162,17 @@ func (s *Series) Mean() float64 {
 // Export merges the reservoir (full-run coverage) with the ring (exact
 // tail), deduplicated by stream position, into one dump.
 func (s *Series) Export() SeriesDump {
-	tail := s.ring.Points()
-	tailStart := s.count - int64(len(tail))
+	n := s.ring.Len()
+	tailStart := s.count - int64(n)
 	sample := s.res.sample()
-	pts := make([]Point, 0, len(sample)+len(tail))
+	pts := make([]Point, 0, len(sample)+n)
 	for _, it := range sample {
 		if it.idx < tailStart {
 			pts = append(pts, it.p)
 		}
 	}
-	pts = append(pts, tail...)
+	older, newer := s.ring.Halves()
+	pts = append(append(pts, older...), newer...)
 	return SeriesDump{
 		Name:   s.name,
 		Unit:   s.unit,

@@ -190,7 +190,7 @@ func synthCoflow(rng *rand.Rand, perm *[]int, cfg SynthConfig, id coflow.CoFlowI
 		}
 	}
 
-	spec := &coflow.Spec{ID: id, Arrival: arrival}
+	spec := &coflow.Spec{ID: id, Arrival: arrival, Flows: make([]coflow.FlowSpec, 0, width)}
 	for r := 0; r < reducers; r++ {
 		perFlow := coflow.Bytes(float64(total) * reducerShare[r] / float64(mappers))
 		if perFlow <= 0 {

@@ -18,10 +18,12 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -36,11 +38,14 @@ type Trace struct {
 	Specs    []*coflow.Spec
 }
 
-// Validate checks the trace's structural invariants: ports in range,
-// valid specs, unique IDs.
+// Validate checks the trace's structural invariants: a port count that
+// coflow.PortID can number, ports in range, valid specs, unique IDs.
 func (t *Trace) Validate() error {
 	if t.NumPorts <= 0 {
 		return fmt.Errorf("trace %q: non-positive port count %d", t.Name, t.NumPorts)
+	}
+	if t.NumPorts > math.MaxInt32 {
+		return fmt.Errorf("trace %q: port count %d beyond %d", t.Name, t.NumPorts, math.MaxInt32)
 	}
 	seen := make(map[coflow.CoFlowID]bool, len(t.Specs))
 	for _, s := range t.Specs {
@@ -103,7 +108,9 @@ func (t *Trace) TotalBytes() coflow.Bytes {
 	return total
 }
 
-// Parse reads a trace in coflow-benchmark format.
+// Parse reads a trace in coflow-benchmark format. Ports are 32-bit
+// (coflow.PortID): a port number or port count above math.MaxInt32 is
+// an error, never wrapped onto a port in range.
 func Parse(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24) // wide coflows produce long lines
@@ -187,11 +194,11 @@ func parseCoflowLine(fields []string, line int) (*coflow.Spec, error) {
 	}
 	mappers := make([]coflow.PortID, numMappers)
 	for i := range mappers {
-		p, err := strconv.Atoi(fields[pos+i])
+		p, err := parsePort(fields[pos+i])
 		if err != nil {
 			return nil, bad("bad mapper port %q: %v", fields[pos+i], err)
 		}
-		mappers[i] = coflow.PortID(p)
+		mappers[i] = p
 	}
 	pos += numMappers
 	numReducers, err := strconv.Atoi(fields[pos])
@@ -214,7 +221,7 @@ func parseCoflowLine(fields []string, line int) (*coflow.Spec, error) {
 		if colon < 0 {
 			return nil, bad("reducer entry %q missing ':'", entry)
 		}
-		rp, err := strconv.Atoi(entry[:colon])
+		rp, err := parsePort(entry[:colon])
 		if err != nil {
 			return nil, bad("bad reducer port in %q: %v", entry, err)
 		}
@@ -232,10 +239,16 @@ func parseCoflowLine(fields []string, line int) (*coflow.Spec, error) {
 			perFlow = 1 // the replayer still opens the flow; keep it observable
 		}
 		for _, mp := range mappers {
-			spec.Flows = append(spec.Flows, coflow.FlowSpec{Src: mp, Dst: coflow.PortID(rp), Size: perFlow})
+			spec.Flows = append(spec.Flows, coflow.FlowSpec{Src: mp, Dst: rp, Size: perFlow})
 		}
 	}
 	return spec, nil
+}
+
+// parsePort reads a port number that fits coflow.PortID.
+func parsePort(s string) (coflow.PortID, error) {
+	p, err := strconv.ParseInt(s, 10, 32)
+	return coflow.PortID(p), err
 }
 
 // ParseFile reads a trace file in coflow-benchmark format.
@@ -258,41 +271,60 @@ func ParseFile(path string) (*Trace, error) {
 // distinct sources and each reducer's size is the sum of its incoming
 // flows. Traces not generated from an m×r grid still round-trip their
 // per-port totals.
+//
+// A CoFlow's flows are copied into one scratch list reused across the
+// trace and sorted by sender, then by receiver: the runs are the distinct
+// senders and each receiver's flows. A table indexed by port would cost
+// memory in the largest port number, up to 2^31 entries in a valid
+// trace, where the list costs the widest CoFlow.
 func Write(w io.Writer, t *Trace) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "%d %d\n", t.NumPorts, len(t.Specs))
+	line := strconv.AppendInt(nil, int64(t.NumPorts), 10)
+	line = append(line, ' ')
+	line = strconv.AppendInt(line, int64(len(t.Specs)), 10)
+	line = append(line, '\n')
+	bw.Write(line)
+	var fs []coflow.FlowSpec
 	for _, s := range t.Specs {
-		srcSet := make(map[coflow.PortID]bool)
-		dstBytes := make(map[coflow.PortID]coflow.Bytes)
-		for _, f := range s.Flows {
-			srcSet[f.Src] = true
-			dstBytes[f.Dst] += f.Size
+		fs = append(fs[:0], s.Flows...)
+		slices.SortFunc(fs, func(a, b coflow.FlowSpec) int { return cmp.Compare(a.Src, b.Src) })
+		line = strconv.AppendInt(line[:0], int64(s.ID), 10)
+		line = append(line, ' ')
+		line = strconv.AppendInt(line, int64(s.Arrival/coflow.Millisecond), 10)
+		line = append(line, ' ')
+		line = strconv.AppendInt(line, int64(runs(fs, func(f coflow.FlowSpec) coflow.PortID { return f.Src })), 10)
+		for i, f := range fs {
+			if i == 0 || f.Src != fs[i-1].Src {
+				line = append(line, ' ')
+				line = strconv.AppendInt(line, int64(f.Src), 10)
+			}
 		}
-		srcs := sortedPorts(srcSet)
-		dsts := make([]coflow.PortID, 0, len(dstBytes))
-		for p := range dstBytes {
-			dsts = append(dsts, p)
+		slices.SortFunc(fs, func(a, b coflow.FlowSpec) int { return cmp.Compare(a.Dst, b.Dst) })
+		line = append(line, ' ')
+		line = strconv.AppendInt(line, int64(runs(fs, func(f coflow.FlowSpec) coflow.PortID { return f.Dst })), 10)
+		for i := 0; i < len(fs); {
+			p, sum := fs[i].Dst, coflow.Bytes(0)
+			for ; i < len(fs) && fs[i].Dst == p; i++ {
+				sum += fs[i].Size
+			}
+			line = append(line, ' ')
+			line = strconv.AppendInt(line, int64(p), 10)
+			line = append(line, ':')
+			line = strconv.AppendFloat(line, float64(sum)/float64(coflow.MB), 'g', -1, 64)
 		}
-		sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-
-		fmt.Fprintf(bw, "%d %d %d", s.ID, int64(s.Arrival/coflow.Millisecond), len(srcs))
-		for _, p := range srcs {
-			fmt.Fprintf(bw, " %d", p)
-		}
-		fmt.Fprintf(bw, " %d", len(dsts))
-		for _, p := range dsts {
-			fmt.Fprintf(bw, " %d:%g", p, float64(dstBytes[p])/float64(coflow.MB))
-		}
-		fmt.Fprintln(bw)
+		line = append(line, '\n')
+		bw.Write(line)
 	}
 	return bw.Flush()
 }
 
-func sortedPorts(set map[coflow.PortID]bool) []coflow.PortID {
-	out := make([]coflow.PortID, 0, len(set))
-	for p := range set {
-		out = append(out, p)
+// runs counts the runs of equal ports in fs, which is sorted by port.
+func runs(fs []coflow.FlowSpec, port func(coflow.FlowSpec) coflow.PortID) int {
+	n := 0
+	for i := range fs {
+		if i == 0 || port(fs[i]) != port(fs[i-1]) {
+			n++
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return n
 }

@@ -80,6 +80,10 @@ func TestParseErrors(t *testing.T) {
 		{"arrival overflows", "4 1\n0 9223372036854775807 1 0 1 1:1\n"},
 		{"NaN size", "4 1\n0 0 1 0 1 1:NaN\n"},
 		{"2^53 bytes", "4 1\n0 0 1 0 2 1:5e9 2:5e9\n"},
+		// A port is 32 bits: 2^32+3 and 2^32+2 must not wrap onto 3 and 2.
+		{"mapper port beyond 32 bits", "4 1\n0 0 1 4294967299 1 1:1\n"},
+		{"reducer port beyond 32 bits", "4 1\n0 0 1 0 1 4294967298:1\n"},
+		{"port count beyond 32 bits", "2147483648 1\n0 0 1 0 1 1:1\n"},
 	}
 	for _, tc := range cases {
 		if _, err := Parse(strings.NewReader(tc.in)); err == nil {
