@@ -16,6 +16,8 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"testing"
+
+	"saath/internal/coflow"
 )
 
 // dagTrace builds a small diamond-dependency workload: two root
@@ -119,8 +121,9 @@ func TestEngineModePerCoFlowIdentical(t *testing.T) {
 			h := sha256.New()
 			for _, c := range res.CoFlows {
 				fmt.Fprintf(h, "%d %d %d %d|", c.ID, c.Arrival, c.DoneAt, c.CCT)
-				for _, f := range c.Flows {
-					fmt.Fprintf(h, "%v %d %d %d;", f.ID, f.Size, f.FCT, f.DoneAt)
+				for j, f := range c.Flows {
+					id := coflow.FlowID{CoFlow: c.ID, Index: j}
+					fmt.Fprintf(h, "%v %d %d %d;", id, f.Size, f.DoneAt-c.Arrival, f.DoneAt)
 				}
 			}
 			if got := fmt.Sprintf("%x", h.Sum(nil)); got != g.want {

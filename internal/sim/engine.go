@@ -170,15 +170,16 @@ type Pipelining struct {
 	AvailDelay coflow.Time
 }
 
-// FlowResult records one flow's fate.
+// FlowResult records one flow's fate. Row j of a CoFlowResult's Flows
+// is the flow with ID coflow.FlowID{CoFlow: c.ID, Index: j}, and its
+// FCT is DoneAt − c.Arrival; neither is stored.
 type FlowResult struct {
-	ID     coflow.FlowID
 	Size   coflow.Bytes
-	FCT    coflow.Time // DoneAt − CoFlow arrival
 	DoneAt coflow.Time
 }
 
-// CoFlowResult records one CoFlow's fate.
+// CoFlowResult records one CoFlow's fate. Flows lists its flows in the
+// spec's flow order, so a row's position is the flow's index.
 type CoFlowResult struct {
 	ID      coflow.CoFlowID
 	Arrival coflow.Time
@@ -896,12 +897,7 @@ func (e *engine) retire(c *coflow.CoFlow) {
 	}
 	first := len(e.flowResults)
 	for _, f := range c.Flows {
-		e.flowResults = append(e.flowResults, FlowResult{
-			ID:     c.FlowID(f),
-			Size:   f.Size,
-			FCT:    f.DoneAt() - c.Arrived,
-			DoneAt: f.DoneAt(),
-		})
+		e.flowResults = append(e.flowResults, FlowResult{Size: f.Size, DoneAt: f.DoneAt()})
 	}
 	res.Flows = e.flowResults[first:len(e.flowResults):len(e.flowResults)]
 	e.result.CoFlows = append(e.result.CoFlows, res)

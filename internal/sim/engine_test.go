@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"saath/internal/coflow"
 	"saath/internal/obs"
@@ -15,6 +16,17 @@ import (
 	_ "saath/internal/sched/uctcp" // register uc-tcp
 	_ "saath/internal/sched/varys" // register varys
 )
+
+// TestFlowResultLayout pins a result row at two words: the ID and FCT
+// are derived from the row's position and the CoFlow's arrival.
+func TestFlowResultLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the layout is pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(FlowResult{}); got != 16 {
+		t.Errorf("FlowResult is %d bytes, want 16", got)
+	}
+}
 
 func runOn(t *testing.T, tr *trace.Trace, scheduler string, cfg Config) *Result {
 	t.Helper()

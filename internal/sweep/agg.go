@@ -52,8 +52,9 @@ type CoFlowRecord struct {
 	// SizeDev is the normalized stddev of the flow sizes (Fig 2b, and
 	// with Width the coflow's trace.ClassOf).
 	SizeDev float64
-	// FCTDev is the normalized stddev of the flows' completion times,
-	// the out-of-sync metric of Figs 2c and 13; 0 for a single flow.
+	// FCTDev is the normalized stddev of the flows' completion times
+	// (each flow's DoneAt − the coflow's Arrival), the out-of-sync
+	// metric of Figs 2c and 13; 0 for a single flow.
 	FCTDev float64
 }
 
@@ -72,7 +73,7 @@ func coflowRecords(r *sim.Result, xs []float64) ([]CoFlowRecord, []float64) {
 		if len(c.Flows) > 1 {
 			xs = xs[:0]
 			for _, f := range c.Flows {
-				xs = append(xs, f.FCT.Seconds())
+				xs = append(xs, (f.DoneAt - c.Arrival).Seconds())
 			}
 			rec.FCTDev = stats.NormStdDev(xs)
 		}

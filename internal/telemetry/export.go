@@ -161,11 +161,16 @@ type Metrics struct {
 func (s *Suite) Metrics() *Metrics {
 	s.flush()
 	m := &Metrics{Intervals: s.intervals, Sampled: s.sampled}
+	m.Series = make([]SeriesDump, 0, len(s.order)+len(s.progress))
+	var d SeriesDump
+	var scratch []indexed // every series' reservoir sorts here in turn
 	for _, sr := range s.order {
-		m.Series = append(m.Series, sr.Export())
+		d, scratch = sr.Export(scratch)
+		m.Series = append(m.Series, d)
 	}
 	for i := range s.progress {
-		m.Series = append(m.Series, s.progress[i].series.Export())
+		d, scratch = s.progress[i].series.Export(scratch)
+		m.Series = append(m.Series, d)
 	}
 	for _, h := range []*Histogram{s.hEgress, s.hIngress, s.hContention} {
 		m.Histograms = append(m.Histograms, h.Export())

@@ -1,9 +1,10 @@
 package telemetry
 
 import (
+	"cmp"
 	"hash/fnv"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"saath/internal/coflow"
 )
@@ -106,10 +107,12 @@ func (r *Reservoir) Push(p Point) {
 	}
 }
 
-// sample returns the retained points sorted by stream position.
-func (r *Reservoir) sample() []indexed {
-	out := append([]indexed(nil), r.items...)
-	sort.Slice(out, func(i, j int) bool { return out[i].idx < out[j].idx })
+// sample copies the retained points into scratch, reusing its storage,
+// and returns them sorted by stream position. The reservoir's own slots
+// keep their order, so sampling mid-run leaves later pushes unchanged.
+func (r *Reservoir) sample(scratch []indexed) []indexed {
+	out := append(scratch[:0], r.items...)
+	slices.SortFunc(out, func(a, b indexed) int { return cmp.Compare(a.idx, b.idx) })
 	return out
 }
 
@@ -160,11 +163,13 @@ func (s *Series) Mean() float64 {
 }
 
 // Export merges the reservoir (full-run coverage) with the ring (exact
-// tail), deduplicated by stream position, into one dump.
-func (s *Series) Export() SeriesDump {
+// tail), deduplicated by stream position, into one dump. The reservoir
+// is sorted in scratch (nil is fine), which it returns for the next
+// series to reuse.
+func (s *Series) Export(scratch []indexed) (SeriesDump, []indexed) {
 	n := s.ring.Len()
 	tailStart := s.count - int64(n)
-	sample := s.res.sample()
+	sample := s.res.sample(scratch)
 	pts := make([]Point, 0, len(sample)+n)
 	for _, it := range sample {
 		if it.idx < tailStart {
@@ -181,7 +186,7 @@ func (s *Series) Export() SeriesDump {
 		Max:    s.max,
 		Last:   s.last,
 		Points: pts,
-	}
+	}, sample
 }
 
 // Histogram is a fixed-bucket histogram over non-negative values:

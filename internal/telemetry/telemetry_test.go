@@ -67,7 +67,7 @@ func TestReservoirDeterminism(t *testing.T) {
 		for i := 0; i < n; i++ {
 			r.Push(Point{T: float64(i), V: float64(i * i)})
 		}
-		return r.sample()
+		return r.sample(nil)
 	}
 	a, b := sample(42, 10_000), sample(42, 10_000)
 	if !reflect.DeepEqual(a, b) {
@@ -92,13 +92,35 @@ func TestReservoirDeterminism(t *testing.T) {
 	}
 }
 
+// TestExportMidRunLeavesTheSample: Export sorts a copy of the reservoir
+// in a scratch the caller hands on, never the reservoir's own slots,
+// whose order decides which point a later push evicts. A series exported
+// mid-run must end exactly as one that never was.
+func TestExportMidRunLeavesTheSample(t *testing.T) {
+	exported, plain := newSeries("x", "u", 4, 8, 1), newSeries("x", "u", 4, 8, 1)
+	var scratch []indexed
+	for i := 0; i < 1000; i++ {
+		at, v := coflow.Time(i)*coflow.Millisecond, float64(i%37)
+		exported.Record(at, v)
+		plain.Record(at, v)
+		if i%50 == 49 {
+			_, scratch = exported.Export(scratch)
+		}
+	}
+	got, _ := exported.Export(scratch)
+	want, _ := plain.Export(nil)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("exported mid-run: %+v\nnever exported: %+v", got.Points, want.Points)
+	}
+}
+
 func TestSeriesExportMergesReservoirAndTail(t *testing.T) {
 	s := newSeries("x", "u", 8, 8, 1)
 	const n = 1000
 	for i := 0; i < n; i++ {
 		s.Record(coflow.Time(i)*coflow.Millisecond, float64(i))
 	}
-	d := s.Export()
+	d, _ := s.Export(nil)
 	if d.Count != n {
 		t.Fatalf("Count = %d, want %d", d.Count, n)
 	}

@@ -87,16 +87,41 @@ func (t *Trace) ScaleArrivals(factor float64) {
 }
 
 // Clone deep-copies the trace so that callers may mutate arrivals or
-// sizes without affecting the original.
+// sizes without affecting the original. The specs are carved from one
+// slab and their flow lists from another (DependsOn lists from a third,
+// made only when some spec has one); each list's capacity is clipped to
+// its length, so an append to one clone's list reallocates instead of
+// writing into its neighbour's. An empty list clones to nil.
 func (t *Trace) Clone() *Trace {
+	flows, deps := 0, 0
+	for _, s := range t.Specs {
+		flows += len(s.Flows)
+		deps += len(s.DependsOn)
+	}
 	out := &Trace{Name: t.Name, NumPorts: t.NumPorts, Specs: make([]*coflow.Spec, len(t.Specs))}
+	specs := make([]coflow.Spec, len(t.Specs))
+	flowSlab := make([]coflow.FlowSpec, 0, flows)
+	depSlab := make([]coflow.CoFlowID, 0, deps) // no allocation when deps == 0
 	for i, s := range t.Specs {
-		cp := *s
-		cp.Flows = append([]coflow.FlowSpec(nil), s.Flows...)
-		cp.DependsOn = append([]coflow.CoFlowID(nil), s.DependsOn...)
-		out.Specs[i] = &cp
+		cp := &specs[i]
+		*cp = *s
+		cp.Flows, flowSlab = carve(flowSlab, s.Flows)
+		cp.DependsOn, depSlab = carve(depSlab, s.DependsOn)
+		out.Specs[i] = cp
 	}
 	return out
+}
+
+// carve copies src to the end of slab, which has room for it, and
+// returns the copy with its capacity clipped (nil when src is empty)
+// and the grown slab.
+func carve[T any](slab, src []T) ([]T, []T) {
+	if len(src) == 0 {
+		return nil, slab
+	}
+	n := len(slab)
+	slab = append(slab, src...)
+	return slab[n:len(slab):len(slab)], slab
 }
 
 // TotalBytes sums every flow of every CoFlow.

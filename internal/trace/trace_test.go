@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -148,6 +150,37 @@ func TestCloneIsDeep(t *testing.T) {
 	cp.Specs[0].Arrival = 0
 	if tr.Specs[0].Flows[0].Size == 999 || tr.Specs[0].Arrival == 0 {
 		t.Fatal("Clone shares state with original")
+	}
+}
+
+// TestCloneListsAreIsolated appends to every cloned spec's lists: they
+// share slabs with their neighbours', so a clipped capacity is all that
+// keeps an append from writing into the next spec or the original.
+func TestCloneListsAreIsolated(t *testing.T) {
+	tr := &Trace{Name: "dag", NumPorts: 4, Specs: []*coflow.Spec{
+		{ID: 1, Flows: []coflow.FlowSpec{{Src: 0, Dst: 1, Size: 10}}},
+		{ID: 2, Flows: []coflow.FlowSpec{{Src: 1, Dst: 2, Size: 20}, {Src: 2, Dst: 3, Size: 30}}, DependsOn: []coflow.CoFlowID{1}},
+		{ID: 3, Flows: []coflow.FlowSpec{{Src: 3, Dst: 0, Size: 40}}, DependsOn: []coflow.CoFlowID{1, 2}},
+		{ID: 4},
+	}}
+	want := tr.Clone()
+	cp := tr.Clone()
+	if s := cp.Specs[3]; s.Flows != nil || s.DependsOn != nil || cp.Specs[0].DependsOn != nil {
+		t.Fatalf("empty lists clone to %v, %v and %v, want nil", s.Flows, s.DependsOn, cp.Specs[0].DependsOn)
+	}
+	extra := coflow.FlowSpec{Src: 3, Dst: 3, Size: 999}
+	for _, s := range cp.Specs {
+		s.Flows = append(s.Flows, extra)
+		s.DependsOn = append(s.DependsOn, 999)
+	}
+	for i, s := range cp.Specs {
+		w := want.Specs[i]
+		if !slices.Equal(s.Flows, append(slices.Clone(w.Flows), extra)) || !slices.Equal(s.DependsOn, append(slices.Clone(w.DependsOn), 999)) {
+			t.Errorf("clone's spec %d is %+v after the appends, want %+v plus one", i, s, w)
+		}
+	}
+	if !reflect.DeepEqual(tr, want) {
+		t.Errorf("original is %+v after appends to its clone, want %+v", tr, want)
 	}
 }
 
