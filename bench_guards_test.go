@@ -18,6 +18,7 @@ import (
 
 	"saath/internal/obs"
 	"saath/internal/sweep"
+	"saath/internal/telemetry"
 	"saath/internal/trace"
 )
 
@@ -125,6 +126,20 @@ func allocGuards() []allocGuard {
 				}
 			}
 		}},
+		// The bytes one telemetry-probed replay and its export allocate
+		// with the zero spec in the study-grid bench's shape: every series
+		// keeps its scalars, and no ring, reservoir, RNG or progress series
+		// is made unless a raw export asks for points.
+		{"TestTelemetryLayerGuards", "telemetry_layer", "replay_probed", 1, 1.10, func(tb testing.TB) func() {
+			tr := sparseLongtailTrace()
+			return func() {
+				suite := telemetry.NewSuite(TelemetrySpec{Enabled: true, QueueTransitions: true, PortHeatmap: true})
+				if _, err := Simulate(tr, "saath", SimConfig{}.WithProbe(suite)); err != nil {
+					tb.Fatal(err)
+				}
+				suite.Metrics()
+			}
+		}},
 		{"TestObsLayerGuards", "obs_layer", "counter_step", 100, 1.25, func(testing.TB) func() {
 			var c obs.EngineCounters
 			i := 0
@@ -206,19 +221,21 @@ func checkAllocGuards(t *testing.T) {
 	}
 }
 
-func TestScheduleAllocGuards(t *testing.T) { checkAllocGuards(t) }
-func TestSweepAllocGuards(t *testing.T)    { checkAllocGuards(t) }
-func TestEngineLayerGuards(t *testing.T)   { checkAllocGuards(t) }
-func TestObsLayerGuards(t *testing.T)      { checkAllocGuards(t) }
-func TestTestbedLayerGuards(t *testing.T)  { checkAllocGuards(t) }
-func TestTraceAllocGuards(t *testing.T)    { checkAllocGuards(t) }
+func TestScheduleAllocGuards(t *testing.T)  { checkAllocGuards(t) }
+func TestSweepAllocGuards(t *testing.T)     { checkAllocGuards(t) }
+func TestEngineLayerGuards(t *testing.T)    { checkAllocGuards(t) }
+func TestObsLayerGuards(t *testing.T)       { checkAllocGuards(t) }
+func TestTelemetryLayerGuards(t *testing.T) { checkAllocGuards(t) }
+func TestTestbedLayerGuards(t *testing.T)   { checkAllocGuards(t) }
+func TestTraceAllocGuards(t *testing.T)     { checkAllocGuards(t) }
 
 // TestCoordinatorBoundaryZeroAlloc enforces the coordinator's side of
 // the cost contract: with the live set settled, a StepSchedule — retire
-// pass, Schedule over the retained snapshot, per-port order buffers,
-// in-process delivery — allocates exactly nothing (the table's boundary
-// row); and the same live set costs the same on a cluster with 64 times
-// the ports, i.e. a boundary does not pay for idle ports.
+// pass, Schedule over the retained snapshot, the one reused order
+// buffer (Coordinator.orders, bucketed by sender), in-process delivery
+// — allocates exactly nothing (the table's boundary row); and the same
+// live set costs the same on a cluster with 64 times the ports, i.e. a
+// boundary does not pay for idle ports.
 func TestCoordinatorBoundaryZeroAlloc(t *testing.T) {
 	checkAllocGuards(t)
 

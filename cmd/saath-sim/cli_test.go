@@ -206,3 +206,69 @@ func TestInterruptedRunFlushesManifest(t *testing.T) {
 		t.Errorf("manifest of study %q holds %d finished jobs of 60, want a partial run", m.Study, finished)
 	}
 }
+
+// TestMetricsOutCarriesPoints: -metrics-out on a flag-built grid asks
+// for series points; two shards given the flag merge, given it again,
+// into the direct run's bytes; and a merge given the flag refuses
+// shards that ran without it, which collected no points.
+func TestMetricsOutCarriesPoints(t *testing.T) {
+	dir := t.TempDir()
+	path := func(f string) string { return filepath.Join(dir, f) }
+	grid := []string{"-trace", "incast", "-sched", "aalo,saath", "-seed", "1,2", "-parallel", "2"}
+	with := func(args ...string) []string { return append(append([]string(nil), grid...), args...) }
+
+	run(t, with("-metrics-out", path("direct.json"))...)
+	direct, err := os.ReadFile(path("direct.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct {
+		Jobs []struct {
+			Metrics struct {
+				Series []struct {
+					Name   string
+					Points []json.RawMessage
+				}
+			}
+		}
+	}
+	if err := json.Unmarshal(direct, &m); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Jobs) != 4 {
+		t.Fatalf("%d jobs exported, want 4", len(m.Jobs))
+	}
+	for _, j := range m.Jobs {
+		progress := 0
+		for _, s := range j.Metrics.Series {
+			if len(s.Points) == 0 {
+				t.Fatalf("series %s exported no points", s.Name)
+			}
+			if strings.HasPrefix(s.Name, "progress/") {
+				progress++
+			}
+		}
+		if progress == 0 {
+			t.Fatal("no progress series exported")
+		}
+	}
+
+	for _, sh := range []string{"0/2", "1/2"} {
+		run(t, with("-shard", sh, "-out", path("points"), "-metrics-out", path("unwritten.json"))...)
+		run(t, with("-shard", sh, "-out", path("plain"), "-metrics")...)
+	}
+	if _, err := os.Stat(path("unwritten.json")); !os.IsNotExist(err) {
+		t.Errorf("a -shard run wrote its -metrics-out file (%v)", err)
+	}
+	run(t, with("-merge", path("points"), "-metrics-out", path("merged.json"))...)
+	if merged, err := os.ReadFile(path("merged.json")); err != nil || !bytes.Equal(merged, direct) {
+		t.Errorf("-shard + -merge -metrics-out bytes differ from the direct run (%v)", err)
+	}
+
+	var stderr bytes.Buffer
+	cmd := child(t, with("-merge", path("plain"), "-metrics-out", path("refused.json"))...)
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err == nil || !strings.Contains(stderr.String(), "fingerprint mismatch") {
+		t.Errorf("merging shards run without -metrics-out: %v, stderr %q; want a fingerprint mismatch", err, stderr.String())
+	}
+}

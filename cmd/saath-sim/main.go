@@ -23,10 +23,10 @@
 // -metrics streams per-interval telemetry (queue occupancy, fabric
 // utilization, head-of-line blocking, contention histograms,
 // queue-transition counters against the configured K/S/E ladder, and
-// per-port occupancy heatmaps) out of every simulation, prints the
-// condensed tables, and -metrics-out exports the full series as JSON
-// (or CSV with a .csv path). The export is byte-identical at any
-// -parallel setting:
+// per-port occupancy heatmaps) out of every simulation and prints the
+// condensed tables. -metrics-out exports it as JSON (or CSV with a .csv
+// path), with each series' points and progress series, collected only
+// then. The export is byte-identical at any -parallel setting:
 //
 //	saath-sim -trace incast -sched aalo,saath -metrics -metrics-out m.json
 //
@@ -55,7 +55,8 @@
 // i/n simulates only the i-th of n stripes of the grid and writes a
 // mergeable partial dump into -out; -merge reads the dumps back (run
 // with the SAME workload/scheduler flags or -study name) and renders
-// output byte-identical to the unsharded run:
+// output byte-identical to the unsharded run. A shard run writes no
+// -json or -metrics-out file; its -merge run does:
 //
 //	saath-sim -trace fb -seed 1,2 -shard 0/2 -out shards   # machine A
 //	saath-sim -trace fb -seed 1,2 -shard 1/2 -out shards   # machine B
@@ -105,7 +106,7 @@ func main() {
 		queues   = flag.Int("K", 10, "number of priority queues")
 		deadline = flag.Float64("d", 2, "starvation deadline factor")
 		parallel = flag.Int("parallel", runtime.NumCPU(), "simulations running at once")
-		jsonPath = flag.String("json", "", `write per-run results as JSON to this file ("-" for stdout)`)
+		jsonPath = flag.String("json", "", `write per-run results as JSON to this file ("-" for stdout); a -shard run writes none, its -merge run does`)
 		progress = flag.Bool("progress", false, "print a throttled aggregate progress line to stderr")
 		list     = flag.Bool("list", false, "list registered schedulers and exit")
 
@@ -117,7 +118,7 @@ func main() {
 
 		metrics     = flag.Bool("metrics", false, "collect per-interval telemetry (queue occupancy, contention histograms)")
 		metricsStep = flag.Duration("metrics-interval", 0, "telemetry sampling interval (rounded to a multiple of δ; 0 = every interval)")
-		metricsOut  = flag.String("metrics-out", "", `write per-job telemetry to this path (.csv for CSV, otherwise JSON; "-" for stdout); implies -metrics`)
+		metricsOut  = flag.String("metrics-out", "", `write per-job telemetry to this path (.csv for CSV, otherwise JSON; "-" for stdout); implies -metrics. A flag-built grid then also collects each series' points and progress series; a -study exports what the study declares. A -shard run collects the points but writes no file: give the flag to its -merge run too`)
 
 		studyName = flag.String("study", "", "run a registered study from the catalog instead of the flag-built grid (see -studies)")
 		studies   = flag.Bool("studies", false, "list registered studies and exit")
@@ -165,7 +166,7 @@ func main() {
 			traceArg: *traceArg, seeds: *seeds, scheds: *scheds,
 			delta: *delta, rateGbps: *rateGbps, arrival: *arrival,
 			start: *start, growth: *growth, queues: *queues, deadline: *deadline,
-			metrics: *metrics, metricsStep: *metricsStep,
+			metrics: *metrics, points: *metricsOut != "", metricsStep: *metricsStep,
 			describe: *mergeDir == "", // the banner line, skipped when only merging
 		})
 	}
@@ -204,9 +205,6 @@ func main() {
 	if sharded {
 		if sh, err = study.ParseShard(*shardArg); err != nil {
 			fatal(err)
-		}
-		if *jsonPath != "" || *metricsOut != "" {
-			fmt.Fprintln(os.Stderr, "saath-sim: -json/-metrics-out apply to the full study; export them from the -merge run")
 		}
 	}
 	sh.Pool = study.Pool{
@@ -271,6 +269,7 @@ type flagGrid struct {
 	growth, deadline        float64
 	queues                  int
 	metrics                 bool
+	points                  bool // -metrics-out: collect series points and progress too
 	metricsStep             time.Duration
 	describe                bool
 }
@@ -361,7 +360,7 @@ func studyFromFlags(fg flagGrid) (*study.Study, error) {
 		study.WithSimConfig(cfg),
 	}
 	if fg.metrics {
-		opts = append(opts, study.WithTelemetry(telemetry.Spec{
+		spec := telemetry.Spec{
 			Enabled: true,
 			Stride:  metricsStride(fg.metricsStep, cfg.Delta),
 			// Observe queue transitions against the ladder the CLI's
@@ -370,7 +369,13 @@ func studyFromFlags(fg flagGrid) (*study.Study, error) {
 			QueueTransitions: true,
 			TransitionQueues: params.Queues,
 			PortHeatmap:      true,
-		}))
+		}
+		if fg.points {
+			// What only the raw export reads: each series' 256-point exact
+			// tail and 256-point whole-run sample, and 4 CoFlows' progress.
+			spec.RingCap, spec.ReservoirCap, spec.ProgressCoFlows = 256, 256, 4
+		}
+		opts = append(opts, study.WithTelemetry(spec))
 	}
 	if len(names) > 1 {
 		opts = append(opts, study.WithBaseline(names[0]))

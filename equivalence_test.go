@@ -44,7 +44,8 @@ type runSignature struct {
 
 func signatureOf(t *testing.T, tr *Trace, scheduler string, cfg SimConfig) runSignature {
 	t.Helper()
-	suite := telemetry.NewSuite(TelemetrySpec{Enabled: true, Seed: 7})
+	// Points and progress series too, so the goldens cover the raw export.
+	suite := telemetry.NewSuite(TelemetrySpec{Enabled: true, Seed: 7, RingCap: 256, ReservoirCap: 256, ProgressCoFlows: 4})
 	res, err := SimulateWith(tr, scheduler, DefaultParams(), cfg.WithProbe(suite))
 	if err != nil {
 		t.Fatal(err)

@@ -15,13 +15,16 @@ import (
 
 // Percentile returns the p-th percentile (0..100) of xs using linear
 // interpolation between order statistics. It returns NaN for empty
-// input.
+// input. xs is left as it is; an unsorted one is sorted in a copy.
 func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
 	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
+	cp := xs
+	if !sort.Float64sAreSorted(xs) {
+		cp = append([]float64(nil), xs...)
+		sort.Float64s(cp)
+	}
 	if p <= 0 {
 		return cp[0]
 	}

@@ -31,9 +31,12 @@ func TestPercentile(t *testing.T) {
 
 func TestPercentileDoesNotMutate(t *testing.T) {
 	xs := []float64{3, 1, 2}
-	Percentile(xs, 50)
+	got := Percentile(xs, 40)
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
 		t.Fatal("input mutated")
+	}
+	if want := Percentile([]float64{1, 2, 3}, 40); got != want {
+		t.Fatalf("unsorted P40 = %v, sorted %v", got, want)
 	}
 }
 

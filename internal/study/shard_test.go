@@ -14,8 +14,8 @@ import (
 )
 
 // shardStudy is the golden-test subject: saath + aalo over two seeds
-// with full telemetry, the shape the ISSUE's acceptance criterion
-// names.
+// with full telemetry, points and progress series included, so they
+// ride the codec and the merge too.
 func shardStudy(t *testing.T) *Study {
 	t.Helper()
 	st, err := New("shard-golden",
@@ -23,7 +23,7 @@ func shardStudy(t *testing.T) *Study {
 		WithSchedulers("aalo", "saath"),
 		WithSeeds(1, 2),
 		WithBaseline("aalo"),
-		WithTelemetry(telemetry.Spec{Enabled: true}))
+		WithTelemetry(telemetry.Spec{Enabled: true, RingCap: 256, ReservoirCap: 256, ProgressCoFlows: 4}))
 	if err != nil {
 		t.Fatal(err)
 	}

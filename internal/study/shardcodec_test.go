@@ -31,6 +31,7 @@ func smallDump(t testing.TB) []byte {
 		WithSeeds(1, 2),
 		WithTelemetry(telemetry.Spec{
 			Enabled: true, Stride: 16, ProgressCoFlows: 1,
+			RingCap: 256, ReservoirCap: 256, // the codec's point path
 			QueueTransitions: true, PortHeatmap: true,
 		}))
 	if err != nil {

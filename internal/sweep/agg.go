@@ -117,8 +117,10 @@ func (s *Summary) Add(jr JobResult) {
 		e.metrics.Ports = r.Ports
 		e.metrics.Intervals = r.Intervals
 		e.metrics.AvgCCT = r.AvgCCT()
-		e.metrics.P50CCT = stats.Percentile(e.ccts, 50)
-		e.metrics.P90CCT = stats.Percentile(e.ccts, 90)
+		sorted := append([]float64(nil), e.ccts...) // e.ccts keeps result order
+		sort.Float64s(sorted)
+		e.metrics.P50CCT = stats.Percentile(sorted, 50)
+		e.metrics.P90CCT = stats.Percentile(sorted, 90)
 		e.metrics.Makespan = r.Makespan.Seconds()
 		e.metrics.Utilization = r.AvgEgressUtilization
 	}

@@ -25,11 +25,8 @@ type Ring struct {
 	full bool
 }
 
-// NewRing returns a ring holding at most capacity points.
+// NewRing returns a ring holding at most capacity (> 0) points.
 func NewRing(capacity int) *Ring {
-	if capacity <= 0 {
-		capacity = 1
-	}
 	return &Ring{buf: make([]Point, capacity)} // construction; Observe gets here only on first sight of a tracked CoFlow, at most Spec.ProgressCoFlows times a run
 }
 
@@ -41,14 +38,6 @@ func (r *Ring) Push(p Point) {
 		r.head = 0
 		r.full = true
 	}
-}
-
-// Len returns the number of stored points.
-func (r *Ring) Len() int {
-	if r.full {
-		return len(r.buf)
-	}
-	return r.head
 }
 
 // Halves returns the stored points oldest-first, as the ring holds
@@ -81,11 +70,8 @@ type Reservoir struct {
 	cap   int
 }
 
-// NewReservoir returns a reservoir of the given capacity and RNG seed.
+// NewReservoir returns a reservoir of the given capacity (> 0) and seed.
 func NewReservoir(capacity int, seed int64) *Reservoir {
-	if capacity <= 0 {
-		capacity = 1
-	}
 	return &Reservoir{seed: seed, cap: capacity}
 }
 
@@ -116,9 +102,10 @@ func (r *Reservoir) sample(scratch []indexed) []indexed {
 	return out
 }
 
-// Series is one bounded-memory metric stream: a reservoir covering the
-// whole run, a ring holding the exact tail, and running scalar
-// statistics that stay exact regardless of downsampling.
+// Series is one bounded-memory metric stream: running scalar
+// statistics that stay exact regardless of downsampling and, where its
+// capacity is non-zero, a reservoir covering the whole run and a ring
+// holding the exact tail.
 type Series struct {
 	name string
 	unit string
@@ -128,30 +115,36 @@ type Series struct {
 	max   float64
 	last  float64
 
-	ring *Ring
-	res  *Reservoir
+	ring *Ring      // nil: no tail points
+	res  *Reservoir // nil: no whole-run sample
 }
 
 func newSeries(name, unit string, ringCap, resCap int, seed int64) *Series {
-	return &Series{
-		name: name,
-		unit: unit,
-		ring: NewRing(ringCap),
-		res:  NewReservoir(resCap, mixSeed(seed, name)),
+	s := &Series{name: name, unit: unit}
+	if ringCap > 0 {
+		s.ring = NewRing(ringCap)
 	}
+	if resCap > 0 {
+		s.res = NewReservoir(resCap, mixSeed(seed, name))
+	}
+	return s
 }
 
 // Record appends one sample at simulated time t.
 func (s *Series) Record(t coflow.Time, v float64) {
-	p := Point{T: t.Seconds(), V: v}
 	s.count++
 	s.sum += v
 	if v > s.max || s.count == 1 {
 		s.max = v
 	}
 	s.last = v
-	s.ring.Push(p)
-	s.res.Push(p)
+	p := Point{T: t.Seconds(), V: v}
+	if s.ring != nil {
+		s.ring.Push(p)
+	}
+	if s.res != nil {
+		s.res.Push(p)
+	}
 }
 
 // Mean returns the exact mean over every recorded sample.
@@ -163,30 +156,31 @@ func (s *Series) Mean() float64 {
 }
 
 // Export merges the reservoir (full-run coverage) with the ring (exact
-// tail), deduplicated by stream position, into one dump. The reservoir
-// is sorted in scratch (nil is fine), which it returns for the next
-// series to reuse.
+// tail), deduplicated by stream position, into one dump; a series with
+// neither exports its scalars and nil Points. The reservoir is sorted in
+// scratch (nil is fine), which it returns for the next series to reuse.
 func (s *Series) Export(scratch []indexed) (SeriesDump, []indexed) {
-	n := s.ring.Len()
-	tailStart := s.count - int64(n)
-	sample := s.res.sample(scratch)
-	pts := make([]Point, 0, len(sample)+n)
+	d := SeriesDump{Name: s.name, Unit: s.unit, Count: s.count, Mean: s.Mean(), Max: s.max, Last: s.last}
+	if s.ring == nil && s.res == nil {
+		return d, scratch // Points stays nil: none were collected
+	}
+	var older, newer []Point
+	if s.ring != nil {
+		older, newer = s.ring.Halves()
+	}
+	sample := scratch[:0]
+	if s.res != nil {
+		sample = s.res.sample(scratch)
+	}
+	tailStart := s.count - int64(len(older)+len(newer))
+	d.Points = make([]Point, 0, len(sample)+len(older)+len(newer))
 	for _, it := range sample {
 		if it.idx < tailStart {
-			pts = append(pts, it.p)
+			d.Points = append(d.Points, it.p)
 		}
 	}
-	older, newer := s.ring.Halves()
-	pts = append(append(pts, older...), newer...)
-	return SeriesDump{
-		Name:   s.name,
-		Unit:   s.unit,
-		Count:  s.count,
-		Mean:   s.Mean(),
-		Max:    s.max,
-		Last:   s.last,
-		Points: pts,
-	}, sample
+	d.Points = append(append(d.Points, older...), newer...)
+	return d, sample
 }
 
 // Histogram is a fixed-bucket histogram over non-negative values:

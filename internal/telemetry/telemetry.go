@@ -10,11 +10,13 @@
 // paper's narrative needs — per-port queue occupancy, fabric
 // utilization, active/admitted/completed CoFlow counts, per-CoFlow
 // progress, head-of-line blocking, and contention (k_c) histograms —
-// and stores them in bounded memory: fixed-capacity ring buffers for
-// the exact tail of each series plus deterministic downsampling
-// reservoirs (seeded from the job identity) covering the whole run.
-// Million-interval simulations therefore stay flat on RSS, and sweep
-// exports stay byte-identical at any worker count.
+// and stores them in bounded memory. Each series keeps exact scalars
+// (count, mean, max, last), all the derived tables read. Only when a raw
+// export asks (Spec) does it keep points too — a fixed-capacity ring of
+// the exact tail and a deterministic downsampling reservoir (seeded from
+// the job identity) over the whole run — and per-CoFlow progress series.
+// Million-interval simulations therefore stay flat on RSS, and exports
+// stay byte-identical at any worker count.
 //
 // An interval costs what changed since the last one. Port occupancy,
 // its busy-port statistics and k_c depend only on which flows of the
@@ -96,7 +98,8 @@ type Probe interface {
 }
 
 // Spec configures a Suite. The zero value is disabled; set Enabled and
-// leave the rest zero for defaults.
+// leave the rest zero for what the derived tables read. Points and
+// progress series are for a raw export, and collected only when asked.
 type Spec struct {
 	// Enabled turns collection on. A disabled spec builds no probe.
 	Enabled bool
@@ -106,16 +109,15 @@ type Spec struct {
 	// keyed off the interval index, so it is deterministic.
 	Stride int
 
-	// RingCap bounds each series' exact-tail ring buffer (default 256).
+	// RingCap bounds each series' exact-tail ring buffer (zero: none).
 	RingCap int
 
 	// ReservoirCap bounds each series' whole-run downsampling
-	// reservoir (default 256).
+	// reservoir (zero: none, and no RNG).
 	ReservoirCap int
 
 	// ProgressCoFlows bounds the number of per-CoFlow progress series
-	// (the first N admitted CoFlows are tracked; default 4, negative
-	// disables).
+	// (the first N admitted CoFlows are tracked; zero: none).
 	ProgressCoFlows int
 
 	// Seed drives the downsampling reservoirs. Sweep jobs derive it
@@ -149,15 +151,6 @@ type Spec struct {
 func (s Spec) withDefaults() Spec {
 	if s.Stride < 1 {
 		s.Stride = 1
-	}
-	if s.RingCap <= 0 {
-		s.RingCap = 256
-	}
-	if s.ReservoirCap <= 0 {
-		s.ReservoirCap = 256
-	}
-	if s.ProgressCoFlows == 0 {
-		s.ProgressCoFlows = 4
 	}
 	if s.Seed == 0 {
 		s.Seed = 1
@@ -253,8 +246,8 @@ type Suite struct {
 
 	// progress holds the first Spec.ProgressCoFlows admitted CoFlows in
 	// admission order (the export order). Observe finds a CoFlow's entry
-	// by scanning it: the cap is a handful (default 4), cheaper than
-	// hashing every active CoFlow every interval.
+	// by scanning it: the cap is a handful (saath-sim asks for 4),
+	// cheaper than hashing every active CoFlow every interval.
 	progress  []progressEntry
 	intervals int64 // intervals observed (pre-stride)
 	sampled   int64 // intervals recorded (post-stride)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"saath/internal/coflow"
@@ -12,14 +13,14 @@ import (
 
 func TestRingWraparound(t *testing.T) {
 	r := NewRing(4)
-	if got := r.Len(); got != 0 {
-		t.Fatalf("empty ring Len = %d", got)
+	if got := len(points(r)); got != 0 {
+		t.Fatalf("empty ring holds %d points", got)
 	}
 	for i := 0; i < 3; i++ {
 		r.Push(Point{T: float64(i), V: float64(i)})
 	}
-	if got := r.Len(); got != 3 {
-		t.Fatalf("Len = %d, want 3", got)
+	if got := len(points(r)); got != 3 {
+		t.Fatalf("ring holds %d points, want 3", got)
 	}
 	pts := points(r)
 	if pts[0].T != 0 || pts[2].T != 2 {
@@ -31,8 +32,8 @@ func TestRingWraparound(t *testing.T) {
 	for i := 3; i < 11; i++ {
 		r.Push(Point{T: float64(i), V: float64(i)})
 	}
-	if got := r.Len(); got != 4 {
-		t.Fatalf("post-wrap Len = %d, want 4", got)
+	if got := len(points(r)); got != 4 {
+		t.Fatalf("post-wrap ring holds %d points, want 4", got)
 	}
 	pts = points(r)
 	want := []float64{7, 8, 9, 10}
@@ -47,15 +48,6 @@ func TestRingWraparound(t *testing.T) {
 func points(r *Ring) []Point {
 	older, newer := r.Halves()
 	return append(append([]Point(nil), older...), newer...)
-}
-
-func TestRingZeroCapacity(t *testing.T) {
-	r := NewRing(0) // clamped to 1
-	r.Push(Point{T: 1})
-	r.Push(Point{T: 2})
-	if got := points(r); len(got) != 1 || got[0].T != 2 {
-		t.Fatalf("points = %v, want just the last", got)
-	}
 }
 
 // TestReservoirDeterminism: a fixed seed and input stream must retain
@@ -216,7 +208,7 @@ func fakeInterval(idx int) *Interval {
 }
 
 func TestSuiteObserve(t *testing.T) {
-	s := NewSuite(Spec{Enabled: true, Seed: 7})
+	s := NewSuite(Spec{Enabled: true, Seed: 7, ProgressCoFlows: 4})
 	for i := 0; i < 5; i++ {
 		s.Observe(fakeInterval(i))
 	}
@@ -247,13 +239,56 @@ func TestSuiteObserve(t *testing.T) {
 	if h == nil || h.Count != 10 || h.Quantile(0.5) != 1 {
 		t.Fatalf("contention hist = %+v", h)
 	}
-	// Progress series exist for both coflows (default cap 4).
+	// Progress series exist for both coflows (ProgressCoFlows 4).
 	if sr := m.FindSeries(ProgressPrefix + "1"); sr == nil || sr.Count != 5 {
 		t.Fatalf("progress/1 = %+v", sr)
 	}
 	// Export is valid JSON.
 	if _, err := json.Marshal(m); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestZeroSpecKeepsScalars: the zero spec exports every series a suite
+// with points does, with the same exact scalars, but no points and no
+// progress series.
+func TestZeroSpecKeepsScalars(t *testing.T) {
+	observe := func(spec Spec) *Metrics {
+		s := NewSuite(spec)
+		for i := 0; i < 300; i++ {
+			s.Observe(fakeInterval(i))
+		}
+		return s.Metrics()
+	}
+	base := Spec{Enabled: true, Seed: 7, QueueTransitions: true, PortHeatmap: true}
+	full := base
+	full.RingCap, full.ReservoirCap, full.ProgressCoFlows = 16, 16, 4
+	got, want := observe(base), observe(full)
+
+	var fixed []SeriesDump
+	for _, sr := range want.Series {
+		if !strings.HasPrefix(sr.Name, ProgressPrefix) {
+			fixed = append(fixed, sr)
+		}
+	}
+	if len(fixed) == len(want.Series) {
+		t.Fatal("the suite with points recorded no progress series")
+	}
+	if len(got.Series) != len(fixed) {
+		t.Fatalf("zero spec exports %d series, want the %d fixed ones", len(got.Series), len(fixed))
+	}
+	for i, sr := range got.Series {
+		w := fixed[i]
+		if sr.Name != w.Name || sr.Unit != w.Unit || sr.Count != w.Count || sr.Count != 300 ||
+			sr.Mean != w.Mean || sr.Max != w.Max || sr.Last != w.Last {
+			t.Errorf("series %d = %+v, want the scalars of %+v", i, sr, w)
+		}
+		if sr.Points != nil || len(w.Points) == 0 {
+			t.Errorf("%s: %d points, want none (%d with points asked for)", sr.Name, len(sr.Points), len(w.Points))
+		}
+	}
+	if !reflect.DeepEqual(got.Histograms, want.Histograms) || !reflect.DeepEqual(got.Heatmaps, want.Heatmaps) {
+		t.Error("histograms or heatmaps depend on the points spec")
 	}
 }
 

@@ -103,8 +103,9 @@ func SynthSource(name string, gen func(seed int64) *Trace) TraceSource {
 
 // TelemetrySpec configures the streaming telemetry suite
 // (internal/telemetry: per-interval time-series metrics in bounded
-// memory, downsampled deterministically); set it with WithTelemetry to
-// collect metrics for every job of a study.
+// memory); set it with WithTelemetry to collect metrics for every job
+// of a study. Points (RingCap, ReservoirCap) and progress series
+// (ProgressCoFlows) are collected only when asked for, for a raw export.
 type TelemetrySpec = telemetry.Spec
 
 // Declarative study types (internal/study): one composable experiment
