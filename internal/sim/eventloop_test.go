@@ -236,8 +236,8 @@ func diamondTrace() *trace.Trace {
 // synthetic trace plus the DAG diamond, in plain, Dynamics and
 // Pipelining configurations, must produce the reference stepper's
 // Result field for field and its telemetry stream byte for byte (the
-// exported metrics JSON holds every per-interval series the probes
-// observed).
+// suites ask for points and progress series, so the exported metrics
+// JSON holds every per-interval series the probes observed).
 func TestEngineMatchesReferenceStepper(t *testing.T) {
 	configs := []struct {
 		name string
@@ -252,8 +252,8 @@ func TestEngineMatchesReferenceStepper(t *testing.T) {
 		}}},
 	}
 	check := func(t *testing.T, tr *trace.Trace, scheduler string, cfg Config) {
-		refSuite := telemetry.NewSuite(telemetry.Spec{Enabled: true, Seed: 7})
-		gotSuite := telemetry.NewSuite(telemetry.Spec{Enabled: true, Seed: 7})
+		spec := telemetry.Spec{Enabled: true, Seed: 7, RingCap: 256, ReservoirCap: 256, ProgressCoFlows: 4}
+		refSuite, gotSuite := telemetry.NewSuite(spec), telemetry.NewSuite(spec)
 		ref, _ := replay(t, runReference, tr, scheduler, cfg.WithProbe(refSuite))
 		got, _ := replay(t, Run, tr, scheduler, cfg.WithProbe(gotSuite))
 		sameResult(t, tr.Name, ref, got)

@@ -28,12 +28,18 @@ func telemetryTrace(seed int64) *trace.Trace {
 	return tr
 }
 
+// pointsSpec asks for points and progress series as well, so the
+// tests below cover every per-interval series the probes record.
+func pointsSpec(seed int64) telemetry.Spec {
+	return telemetry.Spec{Enabled: true, Seed: seed, RingCap: 256, ReservoirCap: 256, ProgressCoFlows: 4}
+}
+
 func runWithSuite(t testing.TB, seed int64) (*Result, *telemetry.Metrics) {
 	s, err := sched.New("aalo", sched.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	suite := telemetry.NewSuite(telemetry.Spec{Enabled: true, Seed: 7})
+	suite := telemetry.NewSuite(pointsSpec(7))
 	res, err := Run(telemetryTrace(seed), s, Config{Probes: []telemetry.Probe{suite}})
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +107,7 @@ func TestUtilizationUnchangedByProbes(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2, _ := sched.New("aalo", sched.DefaultParams())
-	suite := telemetry.NewSuite(telemetry.Spec{Enabled: true, Seed: 1})
+	suite := telemetry.NewSuite(pointsSpec(1))
 	probed, err := Run(telemetryTrace(1), s2, Config{Probes: []telemetry.Probe{suite}})
 	if err != nil {
 		t.Fatal(err)

@@ -13,9 +13,14 @@ import (
 	"saath/internal/telemetry"
 )
 
+// shardTelemetry is the golden-test subject's telemetry: points and
+// progress series included, so they ride the codec and the merge too.
+// The drifted studies below share it, so each differs from the subject
+// only where it means to.
+var shardTelemetry = telemetry.Spec{Enabled: true, RingCap: 256, ReservoirCap: 256, ProgressCoFlows: 4}
+
 // shardStudy is the golden-test subject: saath + aalo over two seeds
-// with full telemetry, points and progress series included, so they
-// ride the codec and the merge too.
+// with full telemetry.
 func shardStudy(t *testing.T) *Study {
 	t.Helper()
 	st, err := New("shard-golden",
@@ -23,7 +28,7 @@ func shardStudy(t *testing.T) *Study {
 		WithSchedulers("aalo", "saath"),
 		WithSeeds(1, 2),
 		WithBaseline("aalo"),
-		WithTelemetry(telemetry.Spec{Enabled: true, RingCap: 256, ReservoirCap: 256, ProgressCoFlows: 4}))
+		WithTelemetry(shardTelemetry))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +207,7 @@ func TestMergeValidation(t *testing.T) {
 		WithTraces(tinySource("tiny")),
 		WithSchedulers("aalo", "saath"),
 		WithSeeds(1, 2),
-		WithTelemetry(telemetry.Spec{Enabled: true}))
+		WithTelemetry(shardTelemetry))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +221,7 @@ func TestMergeValidation(t *testing.T) {
 		WithTraces(tinySource("tiny")),
 		WithSchedulers("aalo", "saath"),
 		WithSeeds(1, 3), // seed 3 instead of 2
-		WithTelemetry(telemetry.Spec{Enabled: true}))
+		WithTelemetry(shardTelemetry))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +238,7 @@ func TestMergeValidation(t *testing.T) {
 		WithSeeds(1, 2),
 		WithBaseline("aalo"),
 		WithSimConfig(sim.Config{PortRate: coflow.GbpsRate(10)}),
-		WithTelemetry(telemetry.Spec{Enabled: true}))
+		WithTelemetry(shardTelemetry))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +284,7 @@ func TestMergeShardDirFailureModes(t *testing.T) {
 		WithSchedulers("aalo", "saath"),
 		WithSeeds(1, 3),
 		WithBaseline("aalo"),
-		WithTelemetry(telemetry.Spec{Enabled: true}))
+		WithTelemetry(shardTelemetry))
 	if err != nil {
 		t.Fatal(err)
 	}

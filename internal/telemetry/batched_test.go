@@ -231,12 +231,14 @@ func TestBatchedSuiteMatchesPerInterval(t *testing.T) {
 }
 
 // TestSuiteObserveZeroAlloc: once the live set has been seen, an
-// Observe — moved or not — allocates nothing.
+// Observe — moved or not, rings, reservoirs and progress series
+// included — allocates nothing.
 func TestSuiteObserveZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	s := NewSuite(Spec{Enabled: true, Seed: 1, QueueTransitions: true, PortHeatmap: true})
+	s := NewSuite(Spec{Enabled: true, Seed: 1, QueueTransitions: true, PortHeatmap: true,
+		RingCap: 256, ReservoirCap: 256, ProgressCoFlows: 4})
 	iv := fakeInterval(0)
 	s.Observe(iv)
 	i := 1
