@@ -265,10 +265,28 @@ func TestMetricsOutCarriesPoints(t *testing.T) {
 		t.Errorf("-shard + -merge -metrics-out bytes differ from the direct run (%v)", err)
 	}
 
-	var stderr bytes.Buffer
-	cmd := child(t, with("-merge", path("plain"), "-metrics-out", path("refused.json"))...)
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err == nil || !strings.Contains(stderr.String(), "fingerprint mismatch") {
-		t.Errorf("merging shards run without -metrics-out: %v, stderr %q; want a fingerprint mismatch", err, stderr.String())
+	// A merge on the other side of -metrics-out from its shards is
+	// refused, and the refusal names the flag, both ways round.
+	for _, c := range []struct {
+		shards string
+		flags  []string
+		says   string
+	}{
+		{"plain", []string{"-metrics-out", path("refused.json")}, "run without -metrics-out"},
+		{"points", []string{"-metrics"}, "run with -metrics-out"},
+	} {
+		var stderr bytes.Buffer
+		cmd := child(t, with(append([]string{"-merge", path(c.shards)}, c.flags...)...)...)
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		if err == nil || !strings.Contains(stderr.String(), "fingerprint mismatch") {
+			t.Errorf("merging %s shards with %v: %v, stderr %q; want a fingerprint mismatch", c.shards, c.flags, err, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), c.says) {
+			t.Errorf("merging %s shards with %v: stderr %q does not say the shards were %s", c.shards, c.flags, stderr.String(), c.says)
+		}
+	}
+	if _, err := os.Stat(path("refused.json")); !os.IsNotExist(err) {
+		t.Errorf("a refused merge wrote its -metrics-out file (%v)", err)
 	}
 }

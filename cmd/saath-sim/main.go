@@ -159,16 +159,17 @@ func main() {
 		st  *study.Study
 		err error
 	)
+	fg := flagGrid{
+		traceArg: *traceArg, seeds: *seeds, scheds: *scheds,
+		delta: *delta, rateGbps: *rateGbps, arrival: *arrival,
+		start: *start, growth: *growth, queues: *queues, deadline: *deadline,
+		metrics: *metrics, points: *metricsOut != "", metricsStep: *metricsStep,
+		describe: *mergeDir == "", // the banner line, skipped when only merging
+	}
 	if *studyName != "" {
 		st, err = study.Build(*studyName)
 	} else {
-		st, err = studyFromFlags(flagGrid{
-			traceArg: *traceArg, seeds: *seeds, scheds: *scheds,
-			delta: *delta, rateGbps: *rateGbps, arrival: *arrival,
-			start: *start, growth: *growth, queues: *queues, deadline: *deadline,
-			metrics: *metrics, points: *metricsOut != "", metricsStep: *metricsStep,
-			describe: *mergeDir == "", // the banner line, skipped when only merging
-		})
+		st, err = studyFromFlags(fg)
 	}
 	if err != nil {
 		fatal(err)
@@ -185,6 +186,9 @@ func main() {
 		}
 		res, err := study.MergeShardDir(st, *mergeDir)
 		if err != nil {
+			if *studyName == "" {
+				err = pointsHint(err, fg, *mergeDir)
+			}
 			fatal(err)
 		}
 		out.render(res)
@@ -258,6 +262,28 @@ func main() {
 		exit(1)
 	}
 	exit(0)
+}
+
+// pointsHint names -metrics-out as the cause of a failed merge of a
+// flag-built grid when the shards were run on the other side of it:
+// -metrics-out decides whether the grid collects series points, which
+// the grid fingerprint covers. If the grid with points flipped merges,
+// that was the only fault; any other failure keeps err.
+func pointsHint(err error, fg flagGrid, dir string) error {
+	fg.points = !fg.points
+	fg.metrics = fg.metrics || fg.points // -metrics-out implies -metrics
+	st, ferr := studyFromFlags(fg)
+	if ferr != nil {
+		return err
+	}
+	if _, ferr := study.MergeShardDir(st, dir); ferr != nil {
+		return err
+	}
+	with := "without"
+	if fg.points {
+		with = "with"
+	}
+	return fmt.Errorf("%w: the shards were run %s -metrics-out; -merge needs the same flag", err, with)
 }
 
 // flagGrid carries the flag values studyFromFlags compiles.

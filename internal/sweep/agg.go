@@ -1,6 +1,8 @@
 package sweep
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -222,36 +224,49 @@ func (s *Summary) Metrics() []JobMetrics {
 	return out
 }
 
-// WriteJSON exports the per-job metrics as indented JSON. Output is
-// deterministic for a given grid.
+// WriteJSON exports the per-job metrics as {"jobs": [...]}: the bytes
+// encoding/json gives for them, streamed a job at a time (writeJobs).
+// Output is deterministic for a given grid.
 func (s *Summary) WriteJSON(w io.Writer) error {
-	jobs := s.Metrics()
-	return encodeIndented(w, func(jw *jsonWriter) {
-		jw.beginObject()
-		jw.key("jobs")
-		writeArray(jw, jobs, func(m *JobMetrics) { m.writeJSON(jw) })
-		jw.endObject()
-	})
+	return writeJobs(w, s.Metrics())
 }
 
-// writeJSON emits m as its json tags declare it.
-func (m *JobMetrics) writeJSON(w *jsonWriter) {
-	w.beginObject()
-	w.identity(m.Trace, m.Variant, m.Scheduler, m.Seed)
-	if m.Error != "" {
-		w.strField("error", m.Error)
+// writeJobs writes {"jobs": jobs} byte for byte as an Encoder with
+// SetIndent("", "  ") writes the whole document, without holding it
+// in memory: the envelope by hand, each job through one reused Encoder
+// whose prefix puts it at its depth. Every job is first encoded to
+// io.Discard, so an unsupported value (NaN, ±Inf) fails with
+// encoding/json's error before a byte is written, as Encode does.
+func writeJobs[T any](w io.Writer, jobs []T) error {
+	check := json.NewEncoder(io.Discard)
+	for i := range jobs {
+		if err := check.Encode(&jobs[i]); err != nil {
+			return err
+		}
 	}
-	w.intField("coflows", int64(m.CoFlows))
-	if m.Ports != 0 {
-		w.intField("ports", int64(m.Ports))
+	if len(jobs) == 0 {
+		list, _ := json.Marshal(jobs) // null or []; an empty list cannot fail
+		_, err := fmt.Fprintf(w, "{\n  \"jobs\": %s\n}\n", list)
+		return err
 	}
-	w.intField("intervals", int64(m.Intervals))
-	w.floatField("avg_cct_s", m.AvgCCT)
-	w.floatField("p50_cct_s", m.P50CCT)
-	w.floatField("p90_cct_s", m.P90CCT)
-	w.floatField("makespan_s", m.Makespan)
-	w.floatField("avg_egress_utilization", m.Utilization)
-	w.endObject()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("    ", "  ")
+	buf.WriteString("{\n  \"jobs\": [\n    ")
+	for i := range jobs {
+		if i > 0 {
+			buf.WriteString(",\n    ")
+		}
+		if err := enc.Encode(&jobs[i]); err != nil {
+			return err
+		}
+		if _, err := w.Write(buf.Bytes()[:buf.Len()-1]); err != nil { // less Encode's newline
+			return err
+		}
+		buf.Reset()
+	}
+	_, err := io.WriteString(w, "\n  ]\n}\n")
+	return err
 }
 
 // cell groups jobs sharing (trace, variant, scheduler); seeds pool.

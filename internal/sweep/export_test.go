@@ -12,12 +12,14 @@ import (
 	"saath/internal/telemetry"
 )
 
-// The exporters write JSON by hand; these tests hold them to
-// encoding/json's bytes for the same structs — the reference the
-// exports were defined by and every export golden was recorded from.
+// The exporters stream encoding/json's bytes a job at a time, the
+// {"jobs": ...} envelope written around them; these tests hold them to
+// one whole-document Encoder's bytes and errors for the same structs —
+// the reference the exports are defined by and every export golden
+// was recorded from.
 
-// reference renders the two exports the way they were written before
-// the direct writer: reflection, SetIndent.
+// reference renders the two exports as one document each: reflection,
+// SetIndent.
 func reference(t *testing.T, s *Summary) (summary, metrics []byte, sumErr, metErr error) {
 	t.Helper()
 	enc := func(v any) ([]byte, error) {
@@ -86,8 +88,8 @@ var (
 		1e21, 9.999999999999999e20, 1e-6, 9.99999e-7, 1e-7, -1e-7, 1.5e-10, 1e100, 1e-100,
 		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, 2.2250738585072014e-308,
 		float64(1 << 53), 4503599627370497.5, 5e-324,
-		// Either side of the writer's integer path, which takes integral
-		// values strictly inside ±1e15 and never −0.
+		// Integral values either side of ±1e15, where a hand-rolled
+		// formatter would take an integer shortcut, and −0.
 		1e15, -1e15, 1e15 - 1, -(1e15 - 1), 1e15 + 1, 1e15 - 0.5, -1e15 + 0.5, 42, -42, 1e16,
 	}
 	awkwardStrings = []string{
@@ -96,8 +98,9 @@ var (
 	}
 )
 
-// TestExportersMatchEncodingJSONTable walks the cases the writer
-// special-cases or could get wrong one at a time.
+// TestExportersMatchEncodingJSONTable walks the cases the per-job
+// streaming could get wrong one at a time: the envelope, nil and empty
+// lists, omitempty, float and string formatting.
 func TestExportersMatchEncodingJSONTable(t *testing.T) {
 	checkAgainstReference(t, "empty summary", NewSummary())
 
@@ -183,8 +186,8 @@ func TestExportersRejectNonFinite(t *testing.T) {
 	}
 	for i, set := range positions {
 		for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-			// Enough well-formed jobs ahead of the bad one that a writer
-			// without the validating pass would have flushed some.
+			// Enough well-formed jobs ahead of the bad one that an
+			// exporter without the validating pass would have written some.
 			var entries []Entry
 			for j := 0; j < 3; j++ {
 				pts := make([]telemetry.Point, 2000)
@@ -213,7 +216,8 @@ func TestExportersRejectNonFinite(t *testing.T) {
 // TestExportersMatchEncodingJSONRandom fills the exported structs by
 // reflection — every field, whatever is added to them later — from a
 // seeded source, and compares a few hundred summaries. A field the
-// writer does not know about shows up as a difference here.
+// per-job encoding renders unlike the whole document shows up as a
+// difference here.
 func TestExportersMatchEncodingJSONRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for round := 0; round < 300; round++ {

@@ -41,95 +41,12 @@ func (s *Summary) Telemetry() []JobTelemetry {
 	return out
 }
 
-// WriteMetricsJSON exports every job's telemetry as indented JSON in
-// grid order. Like WriteJSON, the output is a pure function of the
-// grid — byte-identical at any parallelism.
+// WriteMetricsJSON exports every job's telemetry as {"jobs": [...]} in
+// grid order: the bytes encoding/json gives for them, streamed a job at
+// a time (writeJobs). Like WriteJSON, the output is a pure function of
+// the grid — byte-identical at any parallelism.
 func (s *Summary) WriteMetricsJSON(w io.Writer) error {
-	jobs := s.Telemetry()
-	return encodeIndented(w, func(jw *jsonWriter) {
-		jw.beginObject()
-		jw.key("jobs")
-		writeArray(jw, jobs, func(jt *JobTelemetry) {
-			jw.beginObject()
-			jw.identity(jt.Trace, jt.Variant, jt.Scheduler, jt.Seed)
-			jw.key("metrics")
-			writeMetrics(jw, jt.Metrics)
-			jw.endObject()
-		})
-		jw.endObject()
-	})
-}
-
-// writeMetrics emits m as telemetry's json tags declare it: a nil slice
-// is null, an empty one [], and omitempty fields vanish when zero.
-func writeMetrics(w *jsonWriter, m *telemetry.Metrics) {
-	w.beginObject()
-	w.intField("intervals", m.Intervals)
-	w.intField("sampled", m.Sampled)
-	w.key("series")
-	writeArray(w, m.Series, func(s *telemetry.SeriesDump) {
-		w.beginObject()
-		w.strField("name", s.Name)
-		if s.Unit != "" {
-			w.strField("unit", s.Unit)
-		}
-		w.intField("count", s.Count)
-		w.floatField("mean", s.Mean)
-		w.floatField("max", s.Max)
-		w.floatField("last", s.Last)
-		w.key("points")
-		writeArray(w, s.Points, func(p *telemetry.Point) {
-			w.beginObject()
-			w.floatField("t", p.T)
-			w.floatField("v", p.V)
-			w.endObject()
-		})
-		w.endObject()
-	})
-	w.key("histograms")
-	writeArray(w, m.Histograms, func(h *telemetry.HistogramDump) {
-		w.beginObject()
-		w.strField("name", h.Name)
-		w.intField("count", h.Count)
-		w.floatField("sum", h.Sum)
-		w.floatField("max", h.Max)
-		w.key("buckets")
-		writeArray(w, h.Buckets, func(b *telemetry.Bucket) {
-			w.beginObject()
-			w.floatField("le", b.LE)
-			w.intField("count", b.Count)
-			w.endObject()
-		})
-		if h.Overflow != 0 {
-			w.intField("overflow", h.Overflow)
-		}
-		w.endObject()
-	})
-	if len(m.Heatmaps) > 0 {
-		w.key("heatmaps")
-		writeArray(w, m.Heatmaps, func(h *telemetry.HeatmapDump) {
-			w.beginObject()
-			w.strField("name", h.Name)
-			w.key("bounds")
-			writeArray(w, h.Bounds, func(b *float64) { w.float(*b) })
-			w.intField("intervals", h.Intervals)
-			w.key("ports")
-			writeArray(w, h.Ports, func(p *telemetry.HeatmapPortDump) {
-				w.beginObject()
-				w.intField("port", int64(p.Port))
-				w.key("counts")
-				writeArray(w, p.Counts, func(c *int64) { w.int(*c) })
-				if p.Overflow != 0 {
-					w.intField("overflow", p.Overflow)
-				}
-				w.intField("sum", p.Sum)
-				w.intField("max", p.Max)
-				w.endObject()
-			})
-			w.endObject()
-		})
-	}
-	w.endObject()
+	return writeJobs(w, s.Telemetry())
 }
 
 // WriteMetricsCSV exports every job's telemetry as flat CSV rows —

@@ -23,6 +23,10 @@ var latencyPorts = []int{1000, 4000, 10000}
 // multiples of the base arrival rate of overloadCfg.
 var overloadLoads = []float64{0.5, 1, 2, 4}
 
+// overloadAdmission is the overload study's admission bucket: 50
+// coflows a second sustained, bursts of 15.
+var overloadAdmission = rt.AdmissionConfig{RatePerSec: 50, Burst: 15}
+
 // overloadOffered is the fixed coflow count every overload variant
 // offers; only the rate at which they arrive changes, so drops are a
 // pure function of rate against the admission bucket.
@@ -110,7 +114,7 @@ func buildOverload() (*study.Study, error) {
 		})
 	}
 	return study.New("overload",
-		study.WithExec(Exec(Config{Admission: rt.AdmissionConfig{RatePerSec: 50, Burst: 15}})),
+		study.WithExec(Exec(Config{Admission: overloadAdmission})),
 		study.WithTraces(sweep.SynthSource("fb-overload", func(seed int64) *trace.Trace {
 			return trace.Synthesize(overloadCfg(seed), "fb-overload")
 		})),

@@ -12,6 +12,7 @@ import (
 	_ "saath/internal/sched/uctcp" // register uc-tcp
 	_ "saath/internal/sched/varys" // register varys
 	"saath/internal/sim"
+	"saath/internal/study"
 	"saath/internal/sweep"
 	"saath/internal/trace"
 )
@@ -42,7 +43,9 @@ func equivalenceTrace(seed int64) func() *trace.Trace {
 // next δ boundary. Both apply a boundary's schedule over the interval
 // after it; the simulator reports a completion at its exact time, the
 // coordinator at the report that follows it. A policy in
-// maxMinExceptions must instead miss on at least one CoFlow.
+// maxMinExceptions must instead miss on at least one CoFlow. The
+// overload study's jobs hold the relation under admission, against
+// the simulator on the trace filtered to the admitted CoFlows.
 func TestTestbedIsSimulatorAtDelta(t *testing.T) {
 	const delta = 8 * coflow.Millisecond
 	for name := range maxMinExceptions {
@@ -89,6 +92,54 @@ func TestTestbedIsSimulatorAtDelta(t *testing.T) {
 		}
 		if why, ok := maxMinExceptions[sn]; ok && misses == 0 {
 			t.Errorf("%s (recorded as an exception: %s) now holds the relation on every CoFlow: take it off maxMinExceptions", sn, why)
+		}
+	}
+
+	// Under admission, on the overload study's inputs (saath at four
+	// loads against its 50/s, burst-15 bucket): the coflows the
+	// coordinator admits complete as the simulator completes the trace
+	// filtered to them, observed at δ, and the job ends at the boundary
+	// that follows both the last arrival and the last completion.
+	st, err := study.Build("overload")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range st.Jobs() {
+		got, rr, err := RunJob(j, Config{Admission: overloadAdmission})
+		if err != nil {
+			t.Fatalf("%s: testbed: %v", j.Key(), err)
+		}
+		tb := got.CCTByID()
+		tr := j.Gen()
+		var lastArrival coflow.Time
+		admitted := tr.Specs[:0]
+		for _, sp := range tr.Specs {
+			lastArrival = max(lastArrival, sp.Arrival)
+			if _, ok := tb[sp.ID]; ok {
+				admitted = append(admitted, sp)
+			}
+		}
+		tr.Specs = admitted
+		if rr.Admitted != int64(len(admitted)) || len(admitted) != len(got.CoFlows) {
+			t.Errorf("%s: %d admitted, %d of the trace's CoFlows completed through the testbed, %d results", j.Key(), rr.Admitted, len(admitted), len(got.CoFlows))
+		}
+		s, err := sched.New(j.Scheduler, j.Params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sim.Run(tr, s, j.Config)
+		if err != nil {
+			t.Fatalf("%s: sim: %v", j.Key(), err)
+		}
+		delta := j.Config.Delta
+		for _, c := range want.CoFlows {
+			if atDelta := (c.DoneAt+delta-1)/delta*delta - c.Arrival; tb[c.ID] != atDelta {
+				t.Errorf("%s: CoFlow %d has testbed CCT %v, want the simulator's %v rounded up to δ: %v", j.Key(), c.ID, tb[c.ID], c.CCT, atDelta)
+			}
+		}
+		end := max((lastArrival+delta-1)/delta*delta, got.Makespan)
+		if want := int(end/delta) + 1; got.Intervals != want {
+			t.Errorf("%s: %d boundaries, want %d (last arrival %v, last completion %v)", j.Key(), got.Intervals, want, lastArrival, got.Makespan)
 		}
 	}
 }
