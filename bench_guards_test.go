@@ -171,6 +171,10 @@ func allocGuards() []allocGuard {
 			coord.StepSchedule(0) // the cluster's first round grew the buffers; this one settles the scheduler's
 			return func() { coord.StepSchedule(0) }
 		}},
+		// One shard dump encoded and read back: the codec walks the carried
+		// structs by reflection, held to the hand-written codec it
+		// replaced (bench_study_test.go).
+		{"TestStudyLayerGuards", "study_layer", "shard_roundtrip", 20, 1.25, benchShardRoundTrip},
 		{"TestTraceAllocGuards", "trace_layer", "synth_fb", 10, 1.25, step(func() { trace.SynthFB(1) })},
 		{"TestTraceAllocGuards", "trace_layer", "synth_incast", 10, 1.25, step(func() { trace.SynthIncast(1) })},
 	}
@@ -232,6 +236,7 @@ func TestObsLayerGuards(t *testing.T)       { checkAllocGuards(t) }
 func TestTelemetryLayerGuards(t *testing.T) { checkAllocGuards(t) }
 func TestTestbedLayerGuards(t *testing.T)   { checkAllocGuards(t) }
 func TestTraceAllocGuards(t *testing.T)     { checkAllocGuards(t) }
+func TestStudyLayerGuards(t *testing.T)     { checkAllocGuards(t) }
 
 // TestCoordinatorBoundaryZeroAlloc enforces the coordinator's side of
 // the cost contract: with the live set settled, a StepSchedule — retire

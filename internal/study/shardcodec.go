@@ -1,6 +1,7 @@
 package study
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -8,11 +9,10 @@ import (
 	"io"
 	"math"
 	"os"
+	"reflect"
 	"slices"
 
-	"saath/internal/coflow"
 	"saath/internal/sweep"
-	"saath/internal/telemetry"
 )
 
 // The shard dump is an internal, versioned binary format — the one
@@ -23,16 +23,26 @@ import (
 //	per entry: uint32 record length (> 0) | record
 //	uint32 0 | entry count | CRC-32C of every preceding byte
 //
-// Integers are zigzag varints, lengths uvarints, floats raw
-// little-endian IEEE-754 bits (so every value, including -0 and NaN
-// payloads, survives exactly), strings and lists length-prefixed. A
-// list's prefix is its length plus one, zero meaning nil: exports render
-// nil and empty slices differently (null vs []), so the distinction
-// must survive a merge. cct_by_id is written in ascending ID order,
-// which makes the bytes a pure function of the dump; the per-coflow
-// column follows it in result order. Version 2 added that column. The reader accepts
-// exactly what the writer produces: any other encoding of the same
-// value (an over-long varint, unsorted IDs) is rejected.
+// A record is one sweep.Entry: the carried structs themselves — Entry,
+// JobMetrics, each CoFlowRecord, the telemetry dumps — walked field by
+// field in declaration order under one fixed rule per kind:
+//
+//	int, int64  zigzag varint; an int must fit the platform int
+//	float64     8 raw little-endian IEEE-754 bytes, so -0 and NaN payloads survive
+//	string      uvarint length | bytes
+//	slice       list prefix, 0 for nil else length+1 | elements
+//	pointer     presence byte, 0 or 1 | pointee
+//	map         list prefix | (key, value) varints in ascending key order
+//
+// The header follows the same rules. Exports render nil and empty
+// slices differently (null vs []), so the list prefix keeps them apart
+// through a merge; sorted map keys make the bytes a pure function of
+// the dump. The reader accepts exactly what the writer produces: any
+// other encoding of the same value (an over-long varint, keys out of
+// order) is rejected. No field is listed by hand, so any change to a
+// carried struct changes the format and bumps shardVersion; the
+// layout test (TestShardLayoutPinned) records each version's fields
+// and fails until it is bumped. Version 2 added the per-coflow column.
 const (
 	shardMagic   = "saathshd"
 	shardVersion = 2
@@ -54,7 +64,7 @@ func (d *ShardDump) Encode(w io.Writer) error {
 	for i := range d.Entries {
 		e.b = append(e.b, 0, 0, 0, 0)
 		start := len(e.b)
-		e.entry(&d.Entries[i])
+		e.value(reflect.ValueOf(&d.Entries[i]).Elem())
 		binary.LittleEndian.PutUint32(e.b[start-4:], uint32(len(e.b)-start))
 		// One entry in memory at a time: a shard's telemetry is megabytes.
 		e.flush()
@@ -67,10 +77,11 @@ func (d *ShardDump) Encode(w io.Writer) error {
 }
 
 type shardEncoder struct {
-	w   io.Writer
-	b   []byte
-	crc uint32 // of everything flushed so far
-	err error
+	w     io.Writer
+	b     []byte
+	crc   uint32     // of everything flushed so far
+	pairs [][2]int64 // a map's entries, sorted by key
+	err   error
 }
 
 // flush writes out the pending bytes, folding them into the checksum.
@@ -102,125 +113,92 @@ func (e *shardEncoder) list(n int, isNil bool) {
 	e.length(n + 1)
 }
 
-func (e *shardEncoder) entry(en *sweep.Entry) {
-	e.int(int64(en.Index))
-	m := &en.Metrics
-	e.str(m.Trace)
-	e.str(m.Variant)
-	e.str(m.Scheduler)
-	e.int(m.Seed)
-	e.str(m.Error)
-	e.int(int64(m.CoFlows))
-	e.int(int64(m.Ports))
-	e.int(int64(m.Intervals))
-	e.float(m.AvgCCT)
-	e.float(m.P50CCT)
-	e.float(m.P90CCT)
-	e.float(m.Makespan)
-	e.float(m.Utilization)
-
-	e.list(len(en.CCTs), en.CCTs == nil)
-	for _, v := range en.CCTs {
-		e.float(v)
+// value appends v under its kind's rule.
+func (e *shardEncoder) value(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Int, reflect.Int64:
+		e.int(v.Int())
+	case reflect.Float64:
+		e.float(v.Float())
+	case reflect.String:
+		e.str(v.String())
+	case reflect.Struct:
+		for i := range v.NumField() {
+			e.value(v.Field(i))
+		}
+	case reflect.Slice:
+		e.list(v.Len(), v.IsNil())
+		for i := range v.Len() {
+			e.value(v.Index(i))
+		}
+	case reflect.Pointer:
+		if v.IsNil() {
+			e.b = append(e.b, 0)
+			return
+		}
+		e.b = append(e.b, 1)
+		e.value(v.Elem())
+	case reflect.Map:
+		e.list(v.Len(), v.IsNil())
+		k, x := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+		e.pairs = e.pairs[:0]
+		for it := v.MapRange(); it.Next(); {
+			k.SetIterKey(it)
+			x.SetIterValue(it)
+			e.pairs = append(e.pairs, [2]int64{k.Int(), x.Int()})
+		}
+		slices.SortFunc(e.pairs, func(a, b [2]int64) int { return cmp.Compare(a[0], b[0]) })
+		for _, p := range e.pairs {
+			e.int(p[0])
+			e.int(p[1])
+		}
 	}
-	e.list(len(en.CCTByID), en.CCTByID == nil)
-	ids := make([]coflow.CoFlowID, 0, len(en.CCTByID))
-	for id := range en.CCTByID {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		e.int(int64(id))
-		e.int(int64(en.CCTByID[id]))
-	}
-	e.list(len(en.CoFlows), en.CoFlows == nil)
-	for _, r := range en.CoFlows {
-		e.int(int64(r.ID))
-		e.int(int64(r.Width))
-		e.int(int64(r.Bytes))
-		e.float(r.SizeDev)
-		e.float(r.FCTDev)
-	}
-
-	if en.Telemetry == nil {
-		e.b = append(e.b, 0)
-		return
-	}
-	e.b = append(e.b, 1)
-	e.metrics(en.Telemetry)
 }
 
-func (e *shardEncoder) metrics(m *telemetry.Metrics) {
-	e.int(m.Intervals)
-	e.int(m.Sampled)
-	e.list(len(m.Series), m.Series == nil)
-	for i := range m.Series {
-		s := &m.Series[i]
-		e.str(s.Name)
-		e.str(s.Unit)
-		e.int(s.Count)
-		e.float(s.Mean)
-		e.float(s.Max)
-		e.float(s.Last)
-		e.list(len(s.Points), s.Points == nil)
-		for _, p := range s.Points {
-			e.float(p.T)
-			e.float(p.V)
-		}
+// shardSizes holds, for every type the walk meets under sweep.Entry,
+// the encoded size of its zero value: the fewest bytes one element of
+// a list of it takes. A list prefix claiming more elements than the
+// bytes left could hold is rejected before anything is allocated for
+// it, which bounds the reader's memory by its input. Filling the table
+// at start-up holds every carried type to the rules, so a field no
+// rule covers fails here, not mid-dump. It is read-only afterwards.
+var shardSizes = map[reflect.Type]int{}
+
+func init() { shardSize(reflect.TypeFor[sweep.Entry]()) }
+
+func shardSize(t reflect.Type) int {
+	if n, ok := shardSizes[t]; ok {
+		return n
 	}
-	e.list(len(m.Histograms), m.Histograms == nil)
-	for i := range m.Histograms {
-		h := &m.Histograms[i]
-		e.str(h.Name)
-		e.int(h.Count)
-		e.float(h.Sum)
-		e.float(h.Max)
-		e.list(len(h.Buckets), h.Buckets == nil)
-		for _, b := range h.Buckets {
-			e.float(b.LE)
-			e.int(b.Count)
-		}
-		e.int(h.Overflow)
-	}
-	e.list(len(m.Heatmaps), m.Heatmaps == nil)
-	for i := range m.Heatmaps {
-		h := &m.Heatmaps[i]
-		e.str(h.Name)
-		e.list(len(h.Bounds), h.Bounds == nil)
-		for _, b := range h.Bounds {
-			e.float(b)
-		}
-		e.int(h.Intervals)
-		e.list(len(h.Ports), h.Ports == nil)
-		for j := range h.Ports {
-			p := &h.Ports[j]
-			e.int(int64(p.Port))
-			e.list(len(p.Counts), p.Counts == nil)
-			for _, c := range p.Counts {
-				e.int(c)
+	n := 1 // a zero varint, an empty string, a nil list or map, an absent pointee
+	switch t.Kind() {
+	case reflect.Int, reflect.Int64, reflect.String:
+	case reflect.Float64:
+		n = 8
+	case reflect.Slice, reflect.Pointer:
+		shardSize(t.Elem())
+	case reflect.Map: // integer keys and values: the pairs are sorted by key
+		for _, kv := range []reflect.Type{t.Key(), t.Elem()} {
+			if kv.Kind() != reflect.Int && kv.Kind() != reflect.Int64 {
+				panic(fmt.Sprintf("study: shard format: no rule for %s", t))
 			}
-			e.int(p.Overflow)
-			e.int(p.Sum)
-			e.int(p.Max)
+			shardSize(kv)
 		}
+	case reflect.Struct:
+		n = 0
+		for i := range t.NumField() {
+			f := t.Field(i)
+			if !f.IsExported() {
+				panic(fmt.Sprintf("study: shard format: %s.%s is unexported", t, f.Name))
+			}
+			n += shardSize(f.Type)
+		}
+	default:
+		panic(fmt.Sprintf("study: shard format: no rule for %s", t))
 	}
+	shardSizes[t] = n
+	return n
 }
-
-// Minimum encoded sizes of list elements: a list prefix claiming more
-// elements than the bytes left could hold is rejected before anything
-// is allocated for it, which bounds the reader's memory by its input.
-const (
-	minFloat    = 8
-	minVarint   = 1
-	minPoint    = 2 * minFloat
-	minIDPair   = 2 * minVarint
-	minRecord   = 3*minVarint + 2*minFloat
-	minSeries   = 2 + minVarint + 3*minFloat + 1 // name, unit, count, mean/max/last, points
-	minBucket   = minFloat + minVarint
-	minHist     = 1 + minVarint + 2*minFloat + 1 + minVarint
-	minHeatPort = 5 * minVarint
-	minHeatmap  = 1 + 1 + minVarint + 1
-)
 
 var (
 	errShardTruncated = errors.New("truncated")
@@ -321,130 +299,64 @@ func (d *shardDecoder) list(elem int) (n int, ok bool) {
 	return n, d.err == nil
 }
 
-func (d *shardDecoder) floats() []float64 {
-	n, ok := d.list(minFloat)
-	if !ok {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.float()
-	}
-	return out
-}
-
-func (d *shardDecoder) entry(en *sweep.Entry) {
-	en.Index = d.intN()
-	m := &en.Metrics
-	m.Trace = d.str()
-	m.Variant = d.str()
-	m.Scheduler = d.str()
-	m.Seed = d.int()
-	m.Error = d.str()
-	m.CoFlows = d.intN()
-	m.Ports = d.intN()
-	m.Intervals = d.intN()
-	m.AvgCCT = d.float()
-	m.P50CCT = d.float()
-	m.P90CCT = d.float()
-	m.Makespan = d.float()
-	m.Utilization = d.float()
-
-	en.CCTs = d.floats()
-	if n, ok := d.list(minIDPair); ok {
-		en.CCTByID = make(map[coflow.CoFlowID]coflow.Time, n)
-		var prev coflow.CoFlowID
+// value reads v, which must be settable, under its kind's rule. After
+// a failure it reads zero values, as every read does.
+func (d *shardDecoder) value(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Int:
+		v.SetInt(int64(d.intN()))
+	case reflect.Int64:
+		v.SetInt(d.int())
+	case reflect.Float64:
+		v.SetFloat(d.float())
+	case reflect.String:
+		v.SetString(d.str())
+	case reflect.Struct:
+		for i := range v.NumField() {
+			d.value(v.Field(i))
+		}
+	case reflect.Slice:
+		n, ok := d.list(shardSizes[v.Type().Elem()])
+		if !ok {
+			return
+		}
+		if n == 0 {
+			v.Set(reflect.MakeSlice(v.Type(), 0, 0))
+			return
+		}
+		v.Grow(n)
+		v.SetLen(n)
+		for i := range n {
+			d.value(v.Index(i))
+		}
+	case reflect.Pointer:
+		switch s := d.take(1); {
+		case s == nil:
+		case s[0] == 1:
+			v.Set(reflect.New(v.Type().Elem()))
+			d.value(v.Elem())
+		case s[0] != 0:
+			d.fail(errShardEncoding)
+		}
+	case reflect.Map:
+		t := v.Type()
+		n, ok := d.list(shardSizes[t.Key()] + shardSizes[t.Elem()])
+		if !ok {
+			return
+		}
+		v.Set(reflect.MakeMapWithSize(t, n))
+		k, x := reflect.New(t.Key()).Elem(), reflect.New(t.Elem()).Elem()
+		var prev int64
 		for i := 0; i < n && d.err == nil; i++ {
-			id := coflow.CoFlowID(d.int())
-			if i > 0 && id <= prev {
+			d.value(k)
+			if i > 0 && k.Int() <= prev {
 				d.fail(errShardEncoding)
 			}
-			prev = id
-			en.CCTByID[id] = coflow.Time(d.int())
+			prev = k.Int()
+			d.value(x)
+			v.SetMapIndex(k, x)
 		}
 	}
-	if n, ok := d.list(minRecord); ok {
-		en.CoFlows = make([]sweep.CoFlowRecord, n)
-		for i := range en.CoFlows {
-			en.CoFlows[i] = sweep.CoFlowRecord{
-				ID: coflow.CoFlowID(d.int()), Width: d.intN(), Bytes: coflow.Bytes(d.int()),
-				SizeDev: d.float(), FCTDev: d.float(),
-			}
-		}
-	}
-
-	switch s := d.take(1); {
-	case s == nil:
-	case s[0] == 1:
-		en.Telemetry = d.metrics()
-	case s[0] != 0:
-		d.fail(errShardEncoding)
-	}
-}
-
-func (d *shardDecoder) metrics() *telemetry.Metrics {
-	m := &telemetry.Metrics{Intervals: d.int(), Sampled: d.int()}
-	if n, ok := d.list(minSeries); ok {
-		m.Series = make([]telemetry.SeriesDump, n)
-		for i := range m.Series {
-			s := &m.Series[i]
-			s.Name = d.str()
-			s.Unit = d.str()
-			s.Count = d.int()
-			s.Mean = d.float()
-			s.Max = d.float()
-			s.Last = d.float()
-			if n, ok := d.list(minPoint); ok {
-				s.Points = make([]telemetry.Point, n)
-				for j := range s.Points {
-					s.Points[j] = telemetry.Point{T: d.float(), V: d.float()}
-				}
-			}
-		}
-	}
-	if n, ok := d.list(minHist); ok {
-		m.Histograms = make([]telemetry.HistogramDump, n)
-		for i := range m.Histograms {
-			h := &m.Histograms[i]
-			h.Name = d.str()
-			h.Count = d.int()
-			h.Sum = d.float()
-			h.Max = d.float()
-			if n, ok := d.list(minBucket); ok {
-				h.Buckets = make([]telemetry.Bucket, n)
-				for j := range h.Buckets {
-					h.Buckets[j] = telemetry.Bucket{LE: d.float(), Count: d.int()}
-				}
-			}
-			h.Overflow = d.int()
-		}
-	}
-	if n, ok := d.list(minHeatmap); ok {
-		m.Heatmaps = make([]telemetry.HeatmapDump, n)
-		for i := range m.Heatmaps {
-			h := &m.Heatmaps[i]
-			h.Name = d.str()
-			h.Bounds = d.floats()
-			h.Intervals = d.int()
-			if n, ok := d.list(minHeatPort); ok {
-				h.Ports = make([]telemetry.HeatmapPortDump, n)
-				for j := range h.Ports {
-					p := &h.Ports[j]
-					p.Port = d.intN()
-					if n, ok := d.list(minVarint); ok {
-						p.Counts = make([]int64, n)
-						for k := range p.Counts {
-							p.Counts[k] = d.int()
-						}
-					}
-					p.Overflow = d.int()
-					p.Sum = d.int()
-					p.Max = d.int()
-				}
-			}
-		}
-	}
-	return m
 }
 
 // ReadShard parses and shape-checks one shard dump. Failures are
@@ -542,7 +454,7 @@ func decodeShard(b []byte) (*ShardDump, error) {
 		// neither read into the next record nor leave bytes unread.
 		dump.Entries = append(dump.Entries, sweep.Entry{})
 		d.off, d.end = d.off-len(rec), d.off
-		d.entry(&dump.Entries[len(dump.Entries)-1])
+		d.value(reflect.ValueOf(&dump.Entries[len(dump.Entries)-1]).Elem())
 		if d.err == nil && d.off != d.end {
 			d.fail(errShardEncoding)
 		}

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -314,4 +315,229 @@ func FuzzReadShard(f *testing.F) {
 			}
 		}
 	})
+}
+
+// filler sets every field under a value from rng: each scalar
+// non-zero and each pointer set. In full mode each list and map holds
+// one to three elements; otherwise a list comes out nil, empty or full
+// at random, and nils and empties count those.
+type filler struct {
+	rng           *rand.Rand
+	full          bool
+	nils, empties int
+}
+
+func (f *filler) fill(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Int, reflect.Int64:
+		x := int64(f.rng.Uint64()>>f.rng.IntN(64)) | 1
+		if f.rng.IntN(2) == 0 {
+			x = -x
+		}
+		v.SetInt(x)
+	case reflect.Float64:
+		x := math.Float64frombits(f.rng.Uint64())
+		if math.IsNaN(x) || x == 0 { // NaN is never DeepEqual to itself
+			x = 0.5
+		}
+		v.SetFloat(x)
+	case reflect.String:
+		b := make([]byte, 1+f.rng.IntN(8))
+		for i := range b {
+			b[i] = byte(f.rng.Uint32())
+		}
+		v.SetString(string(b))
+	case reflect.Struct:
+		for i := range v.NumField() {
+			f.fill(v.Field(i))
+		}
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		f.fill(v.Elem())
+	case reflect.Slice, reflect.Map:
+		n := 1 + f.rng.IntN(3)
+		if !f.full {
+			switch f.rng.IntN(3) {
+			case 0:
+				f.nils++
+				return
+			case 1:
+				f.empties++
+				n = 0
+			}
+		}
+		if v.Kind() == reflect.Slice {
+			v.Set(reflect.MakeSlice(v.Type(), n, n))
+			for i := range n {
+				f.fill(v.Index(i))
+			}
+			return
+		}
+		v.Set(reflect.MakeMap(v.Type()))
+		k, x := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+		for v.Len() < n {
+			f.fill(k)
+			f.fill(x)
+			v.SetMapIndex(k, x)
+		}
+	default:
+		panic("filler: no rule for " + v.Type().String())
+	}
+}
+
+// requireFilled fails unless every field under v is non-zero and every
+// list under it non-empty.
+func requireFilled(t *testing.T, v reflect.Value, path string) {
+	t.Helper()
+	if v.IsZero() || (v.Kind() == reflect.Slice || v.Kind() == reflect.Map) && v.Len() == 0 {
+		t.Fatalf("%s is zero or empty", path)
+	}
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := range v.NumField() {
+			requireFilled(t, v.Field(i), path+"."+v.Type().Field(i).Name)
+		}
+	case reflect.Pointer:
+		requireFilled(t, v.Elem(), path)
+	case reflect.Slice:
+		for i := range v.Len() {
+			requireFilled(t, v.Index(i), fmt.Sprintf("%s[%d]", path, i))
+		}
+	}
+}
+
+// TestShardCodecRandomRoundTrip: the walk carries whatever the carried
+// structs hold. Every field is filled by reflection — so a field added
+// to any of them is covered with no edit here — half the entries with
+// every field non-zero and every list full, the rest with nil, empty
+// and full lists mixed. The dump reads back DeepEqual and re-encodes to
+// the same bytes.
+func TestShardCodecRandomRoundTrip(t *testing.T) {
+	for seed := range uint64(8) {
+		f := &filler{rng: rand.New(rand.NewPCG(seed, 58))}
+		dump := &ShardDump{Study: "random", Of: 1, Jobs: 32, KeysHash: strings.Repeat("ab", 32)}
+		for i := range dump.Jobs {
+			var en sweep.Entry
+			f.full = i%2 == 0
+			f.fill(reflect.ValueOf(&en).Elem())
+			if f.full {
+				requireFilled(t, reflect.ValueOf(en), "Entry")
+			}
+			en.Index = i
+			dump.Entries = append(dump.Entries, en)
+		}
+		if f.nils == 0 || f.empties == 0 {
+			t.Fatalf("seed %d: %d nil and %d empty lists, want both", seed, f.nils, f.empties)
+		}
+		enc := encodeDump(t, dump)
+		got, err := ReadShard(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !reflect.DeepEqual(got, dump) {
+			t.Fatalf("seed %d: the dump does not survive the codec unchanged", seed)
+		}
+		if !bytes.Equal(encodeDump(t, got), enc) {
+			t.Fatalf("seed %d: re-encoding the decoded dump changes its bytes", seed)
+		}
+	}
+}
+
+// shardLayouts records, per shardVersion, what the codec walks: every
+// field under sweep.Entry in declaration order, with its kind. A
+// recorded layout is never edited. A change to a carried struct bumps
+// shardVersion, regenerates testdata/two-job.shard and the FuzzReadShard
+// corpus, and records the new layout under the new version.
+var shardLayouts = map[int]string{
+	2: `Entry.Index int
+Entry.Metrics.Trace string
+Entry.Metrics.Variant string
+Entry.Metrics.Scheduler string
+Entry.Metrics.Seed int64
+Entry.Metrics.Error string
+Entry.Metrics.CoFlows int
+Entry.Metrics.Ports int
+Entry.Metrics.Intervals int
+Entry.Metrics.AvgCCT float64
+Entry.Metrics.P50CCT float64
+Entry.Metrics.P90CCT float64
+Entry.Metrics.Makespan float64
+Entry.Metrics.Utilization float64
+Entry.CCTs slice
+Entry.CCTs[] float64
+Entry.CCTByID map[int64]int64
+Entry.CoFlows slice
+Entry.CoFlows[].ID int64
+Entry.CoFlows[].Width int
+Entry.CoFlows[].Bytes int64
+Entry.CoFlows[].SizeDev float64
+Entry.CoFlows[].FCTDev float64
+Entry.Telemetry pointer
+Entry.Telemetry.Intervals int64
+Entry.Telemetry.Sampled int64
+Entry.Telemetry.Series slice
+Entry.Telemetry.Series[].Name string
+Entry.Telemetry.Series[].Unit string
+Entry.Telemetry.Series[].Count int64
+Entry.Telemetry.Series[].Mean float64
+Entry.Telemetry.Series[].Max float64
+Entry.Telemetry.Series[].Last float64
+Entry.Telemetry.Series[].Points slice
+Entry.Telemetry.Series[].Points[].T float64
+Entry.Telemetry.Series[].Points[].V float64
+Entry.Telemetry.Histograms slice
+Entry.Telemetry.Histograms[].Name string
+Entry.Telemetry.Histograms[].Count int64
+Entry.Telemetry.Histograms[].Sum float64
+Entry.Telemetry.Histograms[].Max float64
+Entry.Telemetry.Histograms[].Buckets slice
+Entry.Telemetry.Histograms[].Buckets[].LE float64
+Entry.Telemetry.Histograms[].Buckets[].Count int64
+Entry.Telemetry.Histograms[].Overflow int64
+Entry.Telemetry.Heatmaps slice
+Entry.Telemetry.Heatmaps[].Name string
+Entry.Telemetry.Heatmaps[].Bounds slice
+Entry.Telemetry.Heatmaps[].Bounds[] float64
+Entry.Telemetry.Heatmaps[].Intervals int64
+Entry.Telemetry.Heatmaps[].Ports slice
+Entry.Telemetry.Heatmaps[].Ports[].Port int
+Entry.Telemetry.Heatmaps[].Ports[].Counts slice
+Entry.Telemetry.Heatmaps[].Ports[].Counts[] int64
+Entry.Telemetry.Heatmaps[].Ports[].Overflow int64
+Entry.Telemetry.Heatmaps[].Ports[].Sum int64
+Entry.Telemetry.Heatmaps[].Ports[].Max int64
+`,
+}
+
+// TestShardLayoutPinned: a carried struct cannot change under a
+// shardVersion that dumps on disk were written with.
+func TestShardLayoutPinned(t *testing.T) {
+	var b strings.Builder
+	shardLayout(&b, "Entry", reflect.TypeFor[sweep.Entry]())
+	if want, ok := shardLayouts[shardVersion]; !ok || b.String() != want {
+		t.Errorf("the structs the shard codec carries no longer match the layout recorded for version %d: "+
+			"bump shardVersion, regenerate testdata/two-job.shard and the fuzz corpus, and record this layout under the new version:\n%s",
+			shardVersion, b.String())
+	}
+}
+
+// shardLayout writes one line per value the walk meets under t: its
+// path and kind.
+func shardLayout(b *strings.Builder, path string, t reflect.Type) {
+	switch t.Kind() {
+	case reflect.Struct:
+		for i := range t.NumField() {
+			shardLayout(b, path+"."+t.Field(i).Name, t.Field(i).Type)
+		}
+	case reflect.Slice:
+		fmt.Fprintf(b, "%s slice\n", path)
+		shardLayout(b, path+"[]", t.Elem())
+	case reflect.Pointer:
+		fmt.Fprintf(b, "%s pointer\n", path)
+		shardLayout(b, path, t.Elem())
+	case reflect.Map:
+		fmt.Fprintf(b, "%s map[%s]%s\n", path, t.Key().Kind(), t.Elem().Kind())
+	default:
+		fmt.Fprintf(b, "%s %s\n", path, t.Kind())
+	}
 }

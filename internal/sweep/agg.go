@@ -35,12 +35,22 @@ type JobMetrics struct {
 	Utilization float64 `json:"avg_egress_utilization"`
 }
 
-type jobEntry struct {
-	metrics   JobMetrics
-	ccts      []float64                       // per-coflow CCT seconds, result order
-	byID      map[coflow.CoFlowID]coflow.Time // for cross-scheduler speedup matching
-	coflows   []CoFlowRecord                  // per-coflow shape column, result order
-	telemetry *telemetry.Metrics              // per-interval series, when enabled
+// Entry is one job's digest, the one shape the Summary keeps it in and
+// a shard dump carries it in. CCTs holds per-CoFlow completion times
+// in simulation-result order (order matters: pooled means accumulate
+// floats in this order, so a restored Summary reproduces table bytes
+// exactly); CCTByID keys the same values by CoFlow for cross-scheduler
+// speedup matching, in exact integer microseconds; CoFlows is the
+// per-coflow shape column in the same result order. A sharded study
+// run exports its entries and a merge restores them — see
+// internal/study.
+type Entry struct {
+	Index     int
+	Metrics   JobMetrics
+	CCTs      []float64
+	CCTByID   map[coflow.CoFlowID]coflow.Time
+	CoFlows   []CoFlowRecord
+	Telemetry *telemetry.Metrics
 }
 
 // CoFlowRecord is one coflow's shape and out-of-sync digest, taken
@@ -90,84 +100,59 @@ func coflowRecords(r *sim.Result, xs []float64) ([]CoFlowRecord, []float64) {
 // so it is independent of execution interleaving.
 type Summary struct {
 	mu      sync.Mutex
-	entries map[int]*jobEntry
-	scratch []float64 // coflowRecords' buffer, reused across Add calls
+	entries map[int]*Entry // by grid index
+	scratch []float64      // coflowRecords' buffer, reused across Add calls
 }
 
 // NewSummary returns an empty Summary.
 func NewSummary() *Summary {
-	return &Summary{entries: make(map[int]*jobEntry)}
+	return &Summary{entries: make(map[int]*Entry)}
 }
 
 // Add digests one completed job. Safe for concurrent use.
 func (s *Summary) Add(jr JobResult) {
-	e := &jobEntry{metrics: JobMetrics{
+	e := &Entry{Index: jr.Job.Index, Metrics: JobMetrics{
 		Trace:     jr.Job.Trace,
 		Variant:   jr.Job.Variant,
 		Scheduler: jr.Job.Scheduler,
 		Seed:      jr.Job.Seed,
 	}}
 	if jr.Err != nil {
-		e.metrics.Error = jr.Err.Error()
+		e.Metrics.Error = jr.Err.Error()
 	} else if r := jr.Res; r != nil {
-		e.ccts = make([]float64, len(r.CoFlows))
+		e.CCTs = make([]float64, len(r.CoFlows))
 		for i, c := range r.CoFlows {
-			e.ccts[i] = c.CCT.Seconds()
+			e.CCTs[i] = c.CCT.Seconds()
 		}
-		e.byID = r.CCTByID()
-		e.metrics.CoFlows = len(r.CoFlows)
-		e.metrics.Ports = r.Ports
-		e.metrics.Intervals = r.Intervals
-		e.metrics.AvgCCT = r.AvgCCT()
-		sorted := append([]float64(nil), e.ccts...) // e.ccts keeps result order
+		e.CCTByID = r.CCTByID()
+		e.Metrics.CoFlows = len(r.CoFlows)
+		e.Metrics.Ports = r.Ports
+		e.Metrics.Intervals = r.Intervals
+		e.Metrics.AvgCCT = r.AvgCCT()
+		sorted := append([]float64(nil), e.CCTs...) // e.CCTs keeps result order
 		sort.Float64s(sorted)
-		e.metrics.P50CCT = stats.Percentile(sorted, 50)
-		e.metrics.P90CCT = stats.Percentile(sorted, 90)
-		e.metrics.Makespan = r.Makespan.Seconds()
-		e.metrics.Utilization = r.AvgEgressUtilization
+		e.Metrics.P50CCT = stats.Percentile(sorted, 50)
+		e.Metrics.P90CCT = stats.Percentile(sorted, 90)
+		e.Metrics.Makespan = r.Makespan.Seconds()
+		e.Metrics.Utilization = r.AvgEgressUtilization
 	}
-	e.telemetry = jr.Metrics
+	e.Telemetry = jr.Metrics
 	s.mu.Lock()
 	if jr.Err == nil && jr.Res != nil {
-		e.coflows, s.scratch = coflowRecords(jr.Res, s.scratch)
+		e.CoFlows, s.scratch = coflowRecords(jr.Res, s.scratch)
 	}
 	s.entries[jr.Job.Index] = e
 	s.mu.Unlock()
 }
 
-// Entry is the serializable snapshot of one job's digest: everything
-// the Summary keeps per job. CCTs holds
-// per-CoFlow completion times in simulation-result order (order
-// matters: pooled means accumulate floats in this order, so a restored
-// Summary reproduces table bytes exactly); CCTByID keys the same
-// values by CoFlow for cross-scheduler speedup matching, in exact
-// integer microseconds; CoFlows is the per-coflow shape column in the
-// same result order. A sharded study run exports its entries and a
-// merge restores them — see internal/study.
-type Entry struct {
-	Index     int
-	Metrics   JobMetrics
-	CCTs      []float64
-	CCTByID   map[coflow.CoFlowID]coflow.Time
-	CoFlows   []CoFlowRecord
-	Telemetry *telemetry.Metrics
-}
-
 // Entries snapshots every digested job in grid order. The snapshot
 // shares slices and maps with the Summary; callers must not mutate it.
 func (s *Summary) Entries() []Entry {
-	s.mu.Lock()
-	idx := make([]int, 0, len(s.entries))
-	for i := range s.entries {
-		idx = append(idx, i)
+	sorted := s.sorted()
+	out := make([]Entry, len(sorted))
+	for i, e := range sorted {
+		out[i] = *e
 	}
-	sort.Ints(idx)
-	out := make([]Entry, len(idx))
-	for i, j := range idx {
-		e := s.entries[j]
-		out[i] = Entry{Index: j, Metrics: e.metrics, CCTs: e.ccts, CCTByID: e.byID, CoFlows: e.coflows, Telemetry: e.telemetry}
-	}
-	s.mu.Unlock()
 	return out
 }
 
@@ -186,7 +171,7 @@ func (s *Summary) Restore(entries ...Entry) error {
 			return fmt.Errorf("sweep: restore: duplicate job index %d (%s|%s|%d|%s)",
 				e.Index, e.Metrics.Trace, e.Metrics.Variant, e.Metrics.Seed, e.Metrics.Scheduler)
 		}
-		s.entries[e.Index] = &jobEntry{metrics: e.Metrics, ccts: e.CCTs, byID: e.CCTByID, coflows: e.CoFlows, telemetry: e.Telemetry}
+		s.entries[e.Index] = &e
 	}
 	return nil
 }
@@ -199,7 +184,7 @@ func (s *Summary) Len() int {
 }
 
 // sorted returns the entries in grid order.
-func (s *Summary) sorted() []*jobEntry {
+func (s *Summary) sorted() []*Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	idx := make([]int, 0, len(s.entries))
@@ -207,7 +192,7 @@ func (s *Summary) sorted() []*jobEntry {
 		idx = append(idx, i)
 	}
 	sort.Ints(idx)
-	out := make([]*jobEntry, len(idx))
+	out := make([]*Entry, len(idx))
 	for i, j := range idx {
 		out[i] = s.entries[j]
 	}
@@ -219,7 +204,7 @@ func (s *Summary) Metrics() []JobMetrics {
 	entries := s.sorted()
 	out := make([]JobMetrics, len(entries))
 	for i, e := range entries {
-		out[i] = e.metrics
+		out[i] = e.Metrics
 	}
 	return out
 }
@@ -285,7 +270,7 @@ func (s *Summary) cells() []*cell {
 	var order []*cell
 	index := make(map[string]*cell)
 	for _, e := range s.sorted() {
-		m := e.metrics
+		m := e.Metrics
 		if m.Error != "" {
 			continue
 		}
@@ -296,7 +281,7 @@ func (s *Summary) cells() []*cell {
 			index[key] = c
 			order = append(order, c)
 		}
-		c.ccts = append(c.ccts, e.ccts...)
+		c.ccts = append(c.ccts, e.CCTs...)
 		c.utilSum += m.Utilization
 		c.makespanSum += m.Makespan
 		if m.Makespan > 0 {
@@ -395,10 +380,10 @@ func (s *Summary) SpeedupTable(title, baseline string) *report.Table {
 	}
 	entries := s.sorted()
 	// baseline runs keyed by (trace, variant, seed)
-	base := make(map[string]*jobEntry)
+	base := make(map[string]*Entry)
 	for _, e := range entries {
-		if e.metrics.Scheduler == baseline && e.metrics.Error == "" {
-			base[fmt.Sprintf("%s|%s|%d", e.metrics.Trace, e.metrics.Variant, e.metrics.Seed)] = e
+		if e.Metrics.Scheduler == baseline && e.Metrics.Error == "" {
+			base[fmt.Sprintf("%s|%s|%d", e.Metrics.Trace, e.Metrics.Variant, e.Metrics.Seed)] = e
 		}
 	}
 	type group struct {
@@ -408,7 +393,7 @@ func (s *Summary) SpeedupTable(title, baseline string) *report.Table {
 	var order []*group
 	index := make(map[string]*group)
 	for _, e := range entries {
-		m := e.metrics
+		m := e.Metrics
 		if m.Error != "" || m.Scheduler == baseline {
 			continue
 		}
@@ -424,7 +409,7 @@ func (s *Summary) SpeedupTable(title, baseline string) *report.Table {
 			index[key] = g
 			order = append(order, g)
 		}
-		g.speedups = append(g.speedups, stats.Speedups(b.byID, e.byID)...)
+		g.speedups = append(g.speedups, stats.Speedups(b.CCTByID, e.CCTByID)...)
 	}
 	for _, g := range order {
 		sum := stats.Summarize(g.speedups)

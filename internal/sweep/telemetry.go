@@ -26,16 +26,16 @@ type JobTelemetry struct {
 func (s *Summary) Telemetry() []JobTelemetry {
 	var out []JobTelemetry
 	for _, e := range s.sorted() {
-		if e.telemetry == nil {
+		if e.Telemetry == nil {
 			continue
 		}
-		m := e.metrics
+		m := e.Metrics
 		out = append(out, JobTelemetry{
 			Trace:     m.Trace,
 			Variant:   m.Variant,
 			Scheduler: m.Scheduler,
 			Seed:      m.Seed,
-			Metrics:   e.telemetry,
+			Metrics:   e.Telemetry,
 		})
 	}
 	return out
@@ -128,10 +128,10 @@ func (s *Summary) TelemetryTable(title string) *report.Table {
 	var order []*telemetryCell
 	index := make(map[string]*telemetryCell)
 	for _, e := range s.sorted() {
-		if e.telemetry == nil {
+		if e.Telemetry == nil {
 			continue
 		}
-		m := e.metrics
+		m := e.Metrics
 		key := m.Trace + "|" + m.Variant + "|" + m.Scheduler
 		tc, ok := index[key]
 		if !ok {
@@ -140,23 +140,23 @@ func (s *Summary) TelemetryTable(title string) *report.Table {
 			order = append(order, tc)
 		}
 		tc.n++
-		tc.sampled += e.telemetry.Sampled
-		if sr := e.telemetry.FindSeries(telemetry.SeriesEgressQueueMax); sr != nil && sr.Max > tc.egPeak {
+		tc.sampled += e.Telemetry.Sampled
+		if sr := e.Telemetry.FindSeries(telemetry.SeriesEgressQueueMax); sr != nil && sr.Max > tc.egPeak {
 			tc.egPeak = sr.Max
 		}
-		if sr := e.telemetry.FindSeries(telemetry.SeriesIngressQueueMax); sr != nil && sr.Max > tc.inPeak {
+		if sr := e.Telemetry.FindSeries(telemetry.SeriesIngressQueueMax); sr != nil && sr.Max > tc.inPeak {
 			tc.inPeak = sr.Max
 		}
-		if sr := e.telemetry.FindSeries(telemetry.SeriesEgressQueueMean); sr != nil {
+		if sr := e.Telemetry.FindSeries(telemetry.SeriesEgressQueueMean); sr != nil {
 			tc.egMeanSum += sr.Mean
 		}
-		if sr := e.telemetry.FindSeries(telemetry.SeriesIngressQueueMean); sr != nil {
+		if sr := e.Telemetry.FindSeries(telemetry.SeriesIngressQueueMean); sr != nil {
 			tc.inMeanSum += sr.Mean
 		}
-		if sr := e.telemetry.FindSeries(telemetry.SeriesBlockedCoFlows); sr != nil {
+		if sr := e.Telemetry.FindSeries(telemetry.SeriesBlockedCoFlows); sr != nil {
 			tc.blockedSum += sr.Mean
 		}
-		if h := e.telemetry.FindHistogram(telemetry.HistContention); h != nil {
+		if h := e.Telemetry.FindHistogram(telemetry.HistContention); h != nil {
 			if tc.contention == nil {
 				tc.contention = h.Clone()
 			} else {
@@ -207,14 +207,14 @@ func (s *Summary) QueueTransitionTable(title string) *report.Table {
 	var order []*transitionCell
 	index := make(map[string]*transitionCell)
 	for _, e := range s.sorted() {
-		if e.telemetry == nil {
+		if e.Telemetry == nil {
 			continue
 		}
-		demos := e.telemetry.FindSeries(telemetry.SeriesQueueDemotions)
+		demos := e.Telemetry.FindSeries(telemetry.SeriesQueueDemotions)
 		if demos == nil {
 			continue // transitions not collected for this job
 		}
-		m := e.metrics
+		m := e.Metrics
 		key := m.Trace + "|" + m.Variant + "|" + m.Scheduler
 		tc, ok := index[key]
 		if !ok {
@@ -223,12 +223,12 @@ func (s *Summary) QueueTransitionTable(title string) *report.Table {
 			order = append(order, tc)
 		}
 		tc.n++
-		tc.sampled += e.telemetry.Sampled
+		tc.sampled += e.Telemetry.Sampled
 		tc.demotions += demos.Mean * float64(demos.Count)
-		if promos := e.telemetry.FindSeries(telemetry.SeriesQueuePromotions); promos != nil {
+		if promos := e.Telemetry.FindSeries(telemetry.SeriesQueuePromotions); promos != nil {
 			tc.promotions += promos.Mean * float64(promos.Count)
 		}
-		if h := e.telemetry.FindHistogram(telemetry.HistQueueLevel); h != nil {
+		if h := e.Telemetry.FindHistogram(telemetry.HistQueueLevel); h != nil {
 			tc.observations += h.Count
 			if tc.level == nil {
 				tc.level = h.Clone()
@@ -287,15 +287,15 @@ func (s *Summary) PortHeatmapTable(title string, maxPorts int) *report.Table {
 		}
 	}
 	for _, e := range s.sorted() {
-		if e.telemetry == nil {
+		if e.Telemetry == nil {
 			continue
 		}
-		eg := e.telemetry.FindHeatmap(telemetry.HeatmapEgressOccupancy)
-		in := e.telemetry.FindHeatmap(telemetry.HeatmapIngressOccupancy)
+		eg := e.Telemetry.FindHeatmap(telemetry.HeatmapEgressOccupancy)
+		in := e.Telemetry.FindHeatmap(telemetry.HeatmapIngressOccupancy)
 		if eg == nil && in == nil {
 			continue
 		}
-		m := e.metrics
+		m := e.Metrics
 		key := m.Trace + "|" + m.Variant + "|" + m.Scheduler
 		hc, ok := index[key]
 		if !ok {

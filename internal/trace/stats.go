@@ -1,9 +1,8 @@
 package trace
 
 import (
-	"math"
-
 	"saath/internal/coflow"
+	"saath/internal/stats"
 )
 
 // FlowLengthClass partitions CoFlows by flow-length dispersion, the
@@ -51,27 +50,7 @@ func NormalizedSizeStdDev(s *coflow.Spec) float64 {
 	for i, f := range s.Flows {
 		sizes[i] = float64(f.Size)
 	}
-	return normStdDev(sizes)
-}
-
-func normStdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	mean := sum / float64(len(xs))
-	if mean == 0 {
-		return 0
-	}
-	var ss float64
-	for _, x := range xs {
-		d := x - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss/float64(len(xs))) / mean
+	return stats.NormStdDev(sizes)
 }
 
 // Summary aggregates the trace-shape statistics reported in §2.3.

@@ -464,13 +464,6 @@ func logUniformBytes(rng *rand.Rand, lo, hi coflow.Bytes) coflow.Bytes {
 	return b
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // saltSeed mixes a base seed with a label into a stable non-zero RNG
 // seed (FNV-1a), so sibling generator families (incast vs broadcast)
 // draw from independent streams while staying a pure function of the

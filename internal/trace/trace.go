@@ -40,6 +40,7 @@ type Trace struct {
 
 // Validate checks the trace's structural invariants: a port count that
 // coflow.PortID can number, ports in range, valid specs, unique IDs.
+// Spec and port errors are reported before a duplicate ID.
 func (t *Trace) Validate() error {
 	if t.NumPorts <= 0 {
 		return fmt.Errorf("trace %q: non-positive port count %d", t.Name, t.NumPorts)
@@ -47,20 +48,24 @@ func (t *Trace) Validate() error {
 	if t.NumPorts > math.MaxInt32 {
 		return fmt.Errorf("trace %q: port count %d beyond %d", t.Name, t.NumPorts, math.MaxInt32)
 	}
-	seen := make(map[coflow.CoFlowID]bool, len(t.Specs))
-	for _, s := range t.Specs {
+	ids := make([]coflow.CoFlowID, len(t.Specs))
+	for j, s := range t.Specs {
 		if err := s.Validate(); err != nil {
 			return fmt.Errorf("trace %q: %w", t.Name, err)
 		}
-		if seen[s.ID] {
-			return fmt.Errorf("trace %q: duplicate coflow id %d", t.Name, s.ID)
-		}
-		seen[s.ID] = true
 		for i, f := range s.Flows {
 			if int(f.Src) >= t.NumPorts || int(f.Dst) >= t.NumPorts {
 				return fmt.Errorf("trace %q coflow %d flow %d: port out of range (src=%d dst=%d, ports=%d)",
 					t.Name, s.ID, i, f.Src, f.Dst, t.NumPorts)
 			}
+		}
+		ids[j] = s.ID
+	}
+	// Duplicates sit side by side in one sorted copy of the IDs.
+	slices.Sort(ids)
+	for i := 1; i < len(ids); i++ {
+		if ids[i] == ids[i-1] {
+			return fmt.Errorf("trace %q: duplicate coflow id %d", t.Name, ids[i])
 		}
 	}
 	return nil

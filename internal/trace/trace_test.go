@@ -299,6 +299,32 @@ func TestMicroTraces(t *testing.T) {
 	}
 }
 
+// TestValidateDuplicateID: a repeated coflow ID is named in the error,
+// wherever in the trace its twin sits; a spec or port error elsewhere
+// in the trace is reported first.
+func TestValidateDuplicateID(t *testing.T) {
+	spec := func(id coflow.CoFlowID, dst coflow.PortID) *coflow.Spec {
+		return &coflow.Spec{ID: id, Flows: []coflow.FlowSpec{{Src: 0, Dst: dst, Size: 1}}}
+	}
+	tr := &Trace{Name: "dup", NumPorts: 2, Specs: []*coflow.Spec{spec(7, 1), spec(3, 1), spec(-2, 1), spec(3, 1), spec(5, 1)}}
+	if err := tr.Validate(); err == nil || err.Error() != `trace "dup": duplicate coflow id 3` {
+		t.Errorf("duplicate id 3: err = %v", err)
+	}
+	tr.Specs[3].ID = 4
+	if err := tr.Validate(); err != nil {
+		t.Errorf("unique ids: %v", err)
+	}
+	tr.Specs[3].ID = 3
+	tr.Specs = append(tr.Specs, spec(9, 2))
+	if err := tr.Validate(); err == nil || !strings.Contains(err.Error(), "coflow 9 flow 0: port out of range") {
+		t.Errorf("port error behind a duplicate: err = %v", err)
+	}
+	tr.Specs[len(tr.Specs)-1] = &coflow.Spec{ID: 9}
+	if err := tr.Validate(); err == nil || !strings.Contains(err.Error(), "coflow 9: no flows") {
+		t.Errorf("spec error behind a duplicate: err = %v", err)
+	}
+}
+
 func TestSummarizeEmpty(t *testing.T) {
 	s := Summarize(&Trace{NumPorts: 4})
 	if s.NumCoFlows != 0 || s.TotalBytes != 0 {
