@@ -96,6 +96,9 @@ func allocGuards() []allocGuard {
 			sum.Add(jr) // warm the entry map
 			return func() { sum.Add(jr) }
 		}},
+		// Rendering every Summary table over the bench grid with telemetry
+		// on: the cost of the one cell grouping the tables fold.
+		{"TestSweepAllocGuards", "sweep_layer", "summary_tables", 20, 1.25, benchSummaryTables},
 		{"TestEngineLayerGuards", "engine_layer", "event_sparse", 1, 1.25, func(tb testing.TB) func() {
 			tr := sparseTailTrace()
 			return func() {

@@ -3,19 +3,22 @@ package saath
 // Sweep-layer microbenchmarks and their allocation-regression guard.
 // The scheduling hot path is already pinned by bench_sched_test.go;
 // this file guards the orchestration layer on top of it — grid
-// expansion and per-job Summary digestion — so full-scale studies
-// (thousands of jobs, sharded across processes) do not silently grow
-// per-job overhead. BENCH_baseline.json's "sweep_layer" section
-// records the allocation counts at the Study-API introduction; the
-// guard (bench_guards_test.go) fails if a change regresses either path
-// past 1.25x of that baseline.
+// expansion, per-job Summary digestion and the tables rendered from
+// the digests — so full-scale studies (thousands of jobs, sharded
+// across processes) do not silently grow per-job overhead.
+// BENCH_baseline.json's "sweep_layer" section records their allocation
+// counts; the guard (bench_guards_test.go) fails if a change regresses
+// any of them past 1.25x of that record.
 
 import (
 	"context"
+	"io"
 	"testing"
 
 	"saath/internal/coflow"
+	"saath/internal/report"
 	"saath/internal/sweep"
+	"saath/internal/telemetry"
 )
 
 // benchSweepSource is the tiny deterministic workload behind the
@@ -63,6 +66,33 @@ func benchJobResult(tb testing.TB) sweep.JobResult {
 		tb.Fatal(err)
 	}
 	return res.Jobs[0]
+}
+
+// benchSummaryTables runs the 24-job bench grid once with every
+// telemetry consumer on and returns the step the summary_tables guard
+// measures: rendering each of the Summary's tables from its entries.
+func benchSummaryTables(tb testing.TB) func() {
+	tb.Helper()
+	g := benchSweepGrid()
+	g.Telemetry = telemetry.Spec{Enabled: true, QueueTransitions: true, PortHeatmap: true}
+	sum := sweep.NewSummary()
+	res := sweep.Run(context.Background(), g.Jobs(), sweep.Options{Parallel: 1, Collectors: []sweep.Collector{sum}})
+	if err := res.FirstErr(); err != nil {
+		tb.Fatal(err)
+	}
+	return func() {
+		for _, t := range []*report.Table{
+			sum.CCTTable("cct"),
+			sum.SpeedupTable("speedup", "aalo"),
+			sum.TelemetryTable("telemetry"),
+			sum.QueueTransitionTable("transitions"),
+			sum.PortHeatmapTable("heatmap", 4),
+		} {
+			if err := t.Render(io.Discard); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
 }
 
 // BenchmarkSweepGridJobs measures expanding the 24-job declarative

@@ -36,13 +36,16 @@ type Cell struct {
 	Utilization float64
 }
 
-// Workload renders the cell's workload label (trace plus variant),
-// matching the Summary tables' label rule.
-func (c Cell) Workload() string {
-	if c.Variant == "" {
-		return c.Trace
+// Workload renders the cell's workload label (WorkloadLabel).
+func (c Cell) Workload() string { return WorkloadLabel(c.Trace, c.Variant) }
+
+// WorkloadLabel is the workload column of every per-cell table: the
+// trace, then the variant when the cell has one.
+func WorkloadLabel(trace, variant string) string {
+	if variant == "" {
+		return trace
 	}
-	return c.Trace + " " + c.Variant
+	return trace + " " + variant
 }
 
 // CapacityTable renders the per-cell throughput/latency table — the
@@ -148,23 +151,24 @@ func SaturationSeriesOf(cells []Cell, tol float64) []SaturationSeries {
 		label           string
 		ports           int
 	}
+	type key struct{ workload, scheduler string }
 	type group struct {
-		workload, scheduler string
-		points              []point
+		key
+		points []point
 	}
 	var order []*group
-	index := make(map[string]*group)
+	index := make(map[key]*group)
 	for _, c := range cells {
 		axis, ok := AxisValue(c.Variant)
 		if !ok {
 			continue
 		}
 		// The variant carries the axis; the trace is the series' label.
-		key := c.Trace + "|" + c.Scheduler
-		g, seen := index[key]
+		k := key{c.Trace, c.Scheduler}
+		g, seen := index[k]
 		if !seen {
-			g = &group{workload: c.Trace, scheduler: c.Scheduler}
-			index[key] = g
+			g = &group{key: k}
+			index[k] = g
 			order = append(order, g)
 		}
 		g.points = append(g.points, point{load: axis, p99: c.P99CCT, thru: c.Throughput, label: c.Workload(), ports: c.Ports})

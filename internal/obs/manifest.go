@@ -19,6 +19,9 @@ type JobRecord struct {
 	Error     string          `json:"error,omitempty"`
 	Span      *Span           `json:"span,omitempty"`
 	Counters  *EngineCounters `json:"counters,omitempty"`
+	// Runtime is a testbed job's coordinator measurement, nil for a
+	// simulator job; the manifest lists it under Manifest.Runtime.
+	Runtime *RuntimeRecord `json:"-"`
 }
 
 // ManifestTotals aggregates the run: job counts, summed job wall-clock
@@ -51,15 +54,13 @@ func (m *Manifest) WriteJSON(w io.Writer) error {
 }
 
 // Recorder is the thread-safe collection point the sweep layer feeds:
-// workers record one JobRecord per job (and testbed jobs a
-// RuntimeRecord), Manifest snapshots everything. A nil *Recorder is the
-// disabled state — every method is a nil-safe no-op, so call sites
-// thread one pointer through unconditionally.
+// workers record one JobRecord per job, Manifest snapshots everything.
+// A nil *Recorder is the disabled state — every method is a nil-safe
+// no-op, so call sites thread one pointer through unconditionally.
 type Recorder struct {
-	mu      sync.Mutex
-	study   string
-	jobs    []JobRecord
-	runtime []RuntimeRecord
+	mu    sync.Mutex
+	study string
+	jobs  []JobRecord
 }
 
 // NewRecorder returns an enabled recorder labeled with the study name.
@@ -81,17 +82,6 @@ func (r *Recorder) RecordJob(rec JobRecord) {
 	r.mu.Unlock()
 }
 
-// RecordRuntime stores one testbed job's coordinator measurements.
-// Safe for concurrent use; no-op on a disabled recorder.
-func (r *Recorder) RecordRuntime(rec RuntimeRecord) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.runtime = append(r.runtime, rec)
-	r.mu.Unlock()
-}
-
 // Manifest snapshots the collected state: job records sorted by grid
 // index (arrival order is execution interleaving; the manifest is not
 // byte-pinned, but grid order keeps it stable enough to diff), totals
@@ -102,19 +92,19 @@ func (r *Recorder) Manifest() *Manifest {
 	}
 	r.mu.Lock()
 	jobs := append([]JobRecord(nil), r.jobs...)
-	rt := append([]RuntimeRecord(nil), r.runtime...)
 	study := r.study
 	r.mu.Unlock()
 	sort.Slice(jobs, func(i, j int) bool { return jobs[i].Index < jobs[j].Index })
 	m := &Manifest{Study: study, Jobs: jobs}
-	if len(rt) > 0 {
-		rep := &RuntimeReport{Records: rt}
-		rep.Sort()
-		m.Runtime = rep
-	}
 	m.Totals.Jobs = len(jobs)
 	for i := range jobs {
 		j := &jobs[i]
+		if j.Runtime != nil {
+			if m.Runtime == nil {
+				m.Runtime = &RuntimeReport{}
+			}
+			m.Runtime.Records = append(m.Runtime.Records, *j.Runtime)
+		}
 		if j.Error != "" {
 			m.Totals.Failed++
 		}

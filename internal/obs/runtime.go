@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 
 	"saath/internal/report"
 )
@@ -55,12 +54,6 @@ type RuntimeRecord struct {
 // manifest: one record per job, grid order.
 type RuntimeReport struct {
 	Records []RuntimeRecord `json:"records"`
-}
-
-// Sort orders records by grid index (execution interleaving lands them
-// in arbitrary order under parallelism).
-func (r *RuntimeReport) Sort() {
-	sort.Slice(r.Records, func(i, j int) bool { return r.Records[i].Index < r.Records[j].Index })
 }
 
 // RuntimeTable renders the schedule-latency report in the shape of the

@@ -508,9 +508,12 @@ func Ablations(fb sweep.TraceSource) (*Study, error) {
 		}))
 }
 
-// cells indexes a study's runs by (trace, variant, scheduler): figure
-// tables read single-seed cells.
-type cells map[string]*sweep.Entry
+// cells indexes a study's runs by cell: figure tables read
+// single-seed cells.
+type cells map[cellKey]*sweep.Entry
+
+// cellKey names a run by trace, variant and scheduler.
+type cellKey struct{ trace, variant, scheduler string }
 
 // cellsOf indexes sum, failing on the first failed job — a figure
 // indexes every cell of its grid, so a partial result errors here
@@ -523,10 +526,10 @@ func cellsOf(st *Study, sum *sweep.Summary) (cells, error) {
 		if m.Error != "" {
 			return nil, fmt.Errorf("figure %s: job %s|%s|%d|%s: %s", st.name, m.Trace, m.Variant, m.Seed, m.Scheduler, m.Error)
 		}
-		c[m.Trace+"|"+m.Variant+"|"+m.Scheduler] = &entries[i]
+		c[cellKey{m.Trace, m.Variant, m.Scheduler}] = &entries[i]
 	}
 	return c, nil
 }
 
 // get returns the run of scheduler sn on trace tr under variant v.
-func (c cells) get(tr, v, sn string) *sweep.Entry { return c[tr+"|"+v+"|"+sn] }
+func (c cells) get(tr, v, sn string) *sweep.Entry { return c[cellKey{tr, v, sn}] }

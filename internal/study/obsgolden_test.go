@@ -75,11 +75,12 @@ func TestObservabilityNeutralGolden(t *testing.T) {
 	// Shard + merge with an observer on every shard.
 	var dumps []*ShardDump
 	for i := 0; i < 2; i++ {
-		sh := Sharded{Index: i, Count: 2, Pool: Pool{
+		sh := Sharded{Index: i, Count: 2}
+		sh.Pool = Pool{
 			Parallel: 2,
 			Observer: obs.NewRecorder(st.Name()),
-			Progress: sweep.CLIProgress(true, io.Discard, nil),
-		}}
+			Progress: sweep.CLIProgress(true, io.Discard, sh.Jobs(st.Jobs())),
+		}
 		res, err := st.Run(ctx, sh)
 		if err != nil {
 			t.Fatal(err)

@@ -2,12 +2,15 @@ package study
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"saath/internal/coflow"
 	"saath/internal/sched"
 	"saath/internal/sim"
+	"saath/internal/stats"
 	"saath/internal/sweep"
 	"saath/internal/telemetry"
 	"saath/internal/trace"
@@ -247,5 +250,67 @@ func TestRegistryCatalog(t *testing.T) {
 	}
 	if _, err := Build("no-such-study"); err == nil {
 		t.Error("unknown study name accepted")
+	}
+}
+
+// TestCellsKeepSeparatorNames runs a study whose trace and variant
+// names contain "|" — traces "a|b" and "a" under variants "c" and
+// "b|c", the shape of fig14's variant names — and checks that its four
+// cells render as four: one CCT row per (cell, scheduler) with that
+// cell's run and coflow counts, and one speedup row per cell, each
+// matched against the baseline run of its own cell.
+func TestCellsKeepSeparatorNames(t *testing.T) {
+	source := func(name string, gen func() *trace.Trace) sweep.TraceSource {
+		return sweep.TraceSource{Name: name, Gen: func(int64) *trace.Trace { return gen() }}
+	}
+	st, err := New("separators",
+		WithTraces(source("a|b", trace.Fig1Trace), source("a", trace.Fig4Trace)),
+		WithSchedulers("aalo", "saath"),
+		WithParamGrid(sweep.Variant{Name: "c"}, sweep.Variant{Name: "b|c"}),
+		WithBaseline("aalo"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := st.Run(context.Background(), Pool{Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Err(); err != nil {
+		t.Fatal(err)
+	}
+	sum := res.Summary()
+
+	type cell struct{ workload, coflows string }
+	cells := []cell{{"a|b c", "4"}, {"a|b b|c", "4"}, {"a c", "3"}, {"a b|c", "3"}}
+	var want [][]string
+	for _, c := range cells {
+		for _, sn := range []string{"aalo", "saath"} {
+			want = append(want, []string{c.workload, sn, "1", c.coflows})
+		}
+	}
+	var got [][]string
+	for _, row := range sum.CCTTable("cct").Rows {
+		got = append(got, row[:4])
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("CCT rows (workload, scheduler, runs, coflows) =\n%q\nwant\n%q", got, want)
+	}
+
+	// Each saath run over the aalo run of its own cell, summarized as
+	// the speedup table renders it.
+	entries := sum.Entries()
+	want = nil
+	for i := 0; i < len(entries); i += 2 {
+		base, run := entries[i], entries[i+1]
+		if base.Metrics.Scheduler != "aalo" || run.Metrics.Scheduler != "saath" {
+			t.Fatalf("entries %d, %d are %s, %s; want aalo, saath", i, i+1, base.Metrics.Scheduler, run.Metrics.Scheduler)
+		}
+		s := stats.Summarize(stats.Speedups(base.CCTByID, run.CCTByID))
+		want = append(want, []string{cells[i/2].workload, "saath",
+			fmt.Sprintf("%.2f", s.P10), fmt.Sprintf("%.2f", s.Median),
+			fmt.Sprintf("%.2f", s.P90), fmt.Sprintf("%.2f", s.Mean), cells[i/2].coflows})
+	}
+	if got := sum.SpeedupTable("speedup", "aalo").Rows; !reflect.DeepEqual(got, want) {
+		t.Errorf("speedup rows =\n%q\nwant\n%q", got, want)
 	}
 }

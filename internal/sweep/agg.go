@@ -98,6 +98,11 @@ func coflowRecords(r *sim.Result, xs []float64) ([]CoFlowRecord, []float64) {
 // into CCT/utilization tables, speedup-vs-baseline distributions and a
 // JSON export. All derived output iterates jobs in grid-index order,
 // so it is independent of execution interleaving.
+//
+// Every table pools by cell: the jobs sharing a trace, variant and
+// scheduler, whatever their seeds. A table keeps the jobs it can read
+// (completed ones, or those carrying its telemetry); each cell's row
+// sits at the grid position of its first kept job.
 type Summary struct {
 	mu      sync.Mutex
 	entries map[int]*Entry // by grid index
@@ -254,11 +259,51 @@ func writeJobs[T any](w io.Writer, jobs []T) error {
 	return err
 }
 
-// cell groups jobs sharing (trace, variant, scheduler); seeds pool.
+// cellKey names one pooled cell: the jobs sharing a trace, variant
+// and scheduler, whatever their seeds. A struct, so names may hold any
+// byte, "|" included.
+type cellKey struct{ trace, variant, scheduler string }
+
+// label renders the cell's workload column (obs.WorkloadLabel).
+func (k cellKey) label() string { return obs.WorkloadLabel(k.trace, k.variant) }
+
+// group is one cell's kept entries, in grid order.
+type group struct {
+	cellKey
+	entries []*Entry
+}
+
+// groups pools the entries keep accepts by cell, cells and entries in
+// grid order: the one grouping every table folds (see Summary).
+func (s *Summary) groups(keep func(*Entry) bool) []group {
+	var out []group
+	at := make(map[cellKey]int)
+	for _, e := range s.sorted() {
+		if !keep(e) {
+			continue
+		}
+		m := &e.Metrics
+		k := cellKey{m.Trace, m.Variant, m.Scheduler}
+		i, ok := at[k]
+		if !ok {
+			i = len(out)
+			at[k] = i
+			out = append(out, group{cellKey: k})
+		}
+		out[i].entries = append(out[i].entries, e)
+	}
+	return out
+}
+
+// succeeded keeps the jobs that completed.
+func succeeded(e *Entry) bool { return e.Metrics.Error == "" }
+
+// cell is one cell's completed jobs folded: pooled CCTs and the sums
+// the tables average over its n runs.
 type cell struct {
-	trace, variant, scheduler string
-	ccts                      []float64
-	utilSum, makespanSum      float64
+	cellKey
+	ccts                 []float64
+	utilSum, makespanSum float64
 	// thruSum accumulates per-job completed-coflows-per-second for the
 	// capacity report; ports is the cell's cluster size.
 	thruSum float64
@@ -266,47 +311,29 @@ type cell struct {
 	n       int
 }
 
-func (s *Summary) cells() []*cell {
-	var order []*cell
-	index := make(map[string]*cell)
-	for _, e := range s.sorted() {
-		m := e.Metrics
-		if m.Error != "" {
-			continue
+func (s *Summary) cells() []cell {
+	groups := s.groups(succeeded)
+	out := make([]cell, len(groups))
+	for i, g := range groups {
+		c := &out[i]
+		c.cellKey, c.n = g.cellKey, len(g.entries)
+		for _, e := range g.entries {
+			m := &e.Metrics
+			c.ccts = append(c.ccts, e.CCTs...)
+			c.utilSum += m.Utilization
+			c.makespanSum += m.Makespan
+			if m.Makespan > 0 {
+				c.thruSum += float64(m.CoFlows) / m.Makespan
+			}
+			c.ports = max(c.ports, m.Ports)
 		}
-		key := m.Trace + "|" + m.Variant + "|" + m.Scheduler
-		c, ok := index[key]
-		if !ok {
-			c = &cell{trace: m.Trace, variant: m.Variant, scheduler: m.Scheduler}
-			index[key] = c
-			order = append(order, c)
-		}
-		c.ccts = append(c.ccts, e.CCTs...)
-		c.utilSum += m.Utilization
-		c.makespanSum += m.Makespan
-		if m.Makespan > 0 {
-			c.thruSum += float64(m.CoFlows) / m.Makespan
-		}
-		if m.Ports > c.ports {
-			c.ports = m.Ports
-		}
-		c.n++
 	}
-	return order
-}
-
-// cellLabel renders the grouping columns, omitting the variant column
-// entirely when no job used one.
-func (c *cell) label() string {
-	if c.variant == "" {
-		return c.trace
-	}
-	return c.trace + " " + c.variant
+	return out
 }
 
 // CCTGroup pools one (trace, variant, scheduler) cell's per-CoFlow
-// CCTs across seeds, in first-seen grid order — the grouping behind
-// CCTTable, exported so derived consumers (study CDF tables) share one
+// CCTs across seeds, in grid order — the grouping behind CCTTable,
+// exported so derived consumers (study CDF tables) share one
 // implementation of the cell key and label rules.
 type CCTGroup struct {
 	Label     string // trace plus variant, as rendered in tables
@@ -328,7 +355,7 @@ func (s *Summary) CCTGroups() []CCTGroup {
 // CapacityCells exports the pooled per-cell capacity measurements for
 // the obs capacity report: throughput (completed coflows per simulated
 // second, averaged over seeds), the pooled CCT percentiles, cluster
-// size. Cells follow first-seen grid order; errored jobs are skipped.
+// size. Cells follow grid order; errored jobs are skipped.
 func (s *Summary) CapacityCells() []obs.Cell {
 	cells := s.cells()
 	out := make([]obs.Cell, len(cells))
@@ -372,48 +399,34 @@ func (s *Summary) CCTTable(title string) *report.Table {
 
 // SpeedupTable renders the per-CoFlow speedup of every non-baseline
 // scheduler over baseline, matched per (trace, variant, seed) so each
-// CoFlow is compared against itself under the same workload draw.
+// CoFlow is compared against itself under the same workload draw. A
+// run without a completed baseline run is left out.
 func (s *Summary) SpeedupTable(title, baseline string) *report.Table {
 	t := &report.Table{
 		Title:   title,
 		Headers: []string{"workload", "scheduler", "p10", "median", "p90", "mean", "n"},
 	}
-	entries := s.sorted()
-	// baseline runs keyed by (trace, variant, seed)
-	base := make(map[string]*Entry)
-	for _, e := range entries {
-		if e.Metrics.Scheduler == baseline && e.Metrics.Error == "" {
-			base[fmt.Sprintf("%s|%s|%d", e.Metrics.Trace, e.Metrics.Variant, e.Metrics.Seed)] = e
+	type draw struct {
+		trace, variant string
+		seed           int64
+	}
+	drawOf := func(e *Entry) draw { return draw{e.Metrics.Trace, e.Metrics.Variant, e.Metrics.Seed} }
+	base := make(map[draw]*Entry)
+	for _, e := range s.sorted() {
+		if e.Metrics.Scheduler == baseline && succeeded(e) {
+			base[drawOf(e)] = e
 		}
 	}
-	type group struct {
-		label, scheduler string
-		speedups         []float64
+	matched := func(e *Entry) bool {
+		return e.Metrics.Scheduler != baseline && succeeded(e) && base[drawOf(e)] != nil
 	}
-	var order []*group
-	index := make(map[string]*group)
-	for _, e := range entries {
-		m := e.Metrics
-		if m.Error != "" || m.Scheduler == baseline {
-			continue
+	for _, g := range s.groups(matched) {
+		var speedups []float64
+		for _, e := range g.entries {
+			speedups = append(speedups, stats.Speedups(base[drawOf(e)].CCTByID, e.CCTByID)...)
 		}
-		b, ok := base[fmt.Sprintf("%s|%s|%d", m.Trace, m.Variant, m.Seed)]
-		if !ok {
-			continue
-		}
-		key := m.Trace + "|" + m.Variant + "|" + m.Scheduler
-		g, gok := index[key]
-		if !gok {
-			c := &cell{trace: m.Trace, variant: m.Variant}
-			g = &group{label: c.label(), scheduler: m.Scheduler}
-			index[key] = g
-			order = append(order, g)
-		}
-		g.speedups = append(g.speedups, stats.Speedups(b.CCTByID, e.CCTByID)...)
-	}
-	for _, g := range order {
-		sum := stats.Summarize(g.speedups)
-		t.AddRow(g.label, g.scheduler,
+		sum := stats.Summarize(speedups)
+		t.AddRow(g.label(), g.scheduler,
 			fmt.Sprintf("%.2f", sum.P10), fmt.Sprintf("%.2f", sum.Median),
 			fmt.Sprintf("%.2f", sum.P90), fmt.Sprintf("%.2f", sum.Mean), sum.N)
 	}

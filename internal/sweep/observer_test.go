@@ -63,8 +63,7 @@ func TestObserverDoesNotPerturbSummary(t *testing.T) {
 
 	sum := NewSummary()
 	rec := obs.NewRecorder("test-grid")
-	meter := NewProgressMeter(&bytes.Buffer{}, 0)
-	meter.SetJobs(jobs)
+	meter := NewProgressMeter(&bytes.Buffer{}, 0, jobs)
 	res := Run(context.Background(), jobs, Options{
 		Parallel:   8,
 		Collectors: []Collector{sum},

@@ -3,7 +3,6 @@ package sweep
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -18,12 +17,10 @@ type ProgressFunc func(done, total int, jr JobResult)
 // defaultProgressEvery throttles the aggregate progress line.
 const defaultProgressEvery = 500 * time.Millisecond
 
-// ProgressMeter aggregates sweep progress into a throttled line:
+// ProgressMeter aggregates one sweep's progress into a throttled line:
 // done/total, completion rate, ETA, variants finished, failures — with
-// a per-variant breakdown on the final print. One meter serves one
-// sweep at a time; a reused meter resets itself when a new sweep's
-// first job completes. It relies on Run's delivery: serialized, with
-// done strictly increasing from 1.
+// a per-variant breakdown on the final print. It relies on Run's
+// delivery: serialized, with done strictly increasing from 1.
 type ProgressMeter struct {
 	mu    sync.Mutex
 	w     io.Writer
@@ -35,19 +32,28 @@ type ProgressMeter struct {
 	failed    int
 
 	// Per-group completion, keyed by variant name (or trace name for
-	// unnamed variants), in first-seen job order.
+	// unnamed variants), groups in job order.
 	groupTotal map[string]int
 	groupDone  map[string]int
 	groupOrder []string
 }
 
-// NewProgressMeter builds a meter writing to w, printing at most once
-// per every (<=0 takes the half-second default).
-func NewProgressMeter(w io.Writer, every time.Duration) *ProgressMeter {
+// NewProgressMeter builds a meter over the sweep's jobs writing to w,
+// printing at most once per every (<=0 takes the half-second default).
+func NewProgressMeter(w io.Writer, every time.Duration, jobs []Job) *ProgressMeter {
 	if every <= 0 {
 		every = defaultProgressEvery
 	}
-	return &ProgressMeter{w: w, every: every, now: time.Now}
+	m := &ProgressMeter{w: w, every: every, now: time.Now,
+		groupTotal: make(map[string]int), groupDone: make(map[string]int)}
+	for _, j := range jobs {
+		g := j.Group()
+		if m.groupTotal[g] == 0 {
+			m.groupOrder = append(m.groupOrder, g)
+		}
+		m.groupTotal[g]++
+	}
+	return m
 }
 
 // Group labels the job's progress bucket: the variant name, or the
@@ -59,51 +65,20 @@ func (j Job) Group() string {
 	return j.Trace
 }
 
-// SetJobs precomputes the per-variant totals from the sweep's job
-// list, enabling the "variants m/n" column and the final breakdown.
-// Optional: without it the meter learns groups as jobs complete and
-// reports no group totals.
-func (m *ProgressMeter) SetJobs(jobs []Job) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.groupTotal = make(map[string]int)
-	m.groupDone = make(map[string]int)
-	m.groupOrder = nil
-	for _, j := range jobs {
-		g := j.Group()
-		if m.groupTotal[g] == 0 {
-			m.groupOrder = append(m.groupOrder, g)
-		}
-		m.groupTotal[g]++
-	}
-}
-
 // Progress is the ProgressFunc: feed it to Options.Progress.
 func (m *ProgressMeter) Progress(done, total int, jr JobResult) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	now := m.now()
 	if done == 1 {
-		// First completion of a (possibly re-run) sweep: anchor the rate
-		// clock at the job's start so rate/ETA don't divide by ~zero.
+		// Anchor the rate clock at the first job's start so rate/ETA
+		// don't divide by ~zero.
 		m.start = now.Add(-jr.Elapsed)
-		m.lastPrint = time.Time{}
-		m.failed = 0
-		for g := range m.groupDone {
-			delete(m.groupDone, g)
-		}
 	}
 	if jr.Err != nil {
 		m.failed++
 	}
-	if m.groupDone == nil {
-		m.groupDone = make(map[string]int)
-	}
-	group := jr.Job.Group()
-	if m.groupTotal[group] == 0 && m.groupDone[group] == 0 {
-		m.groupOrder = append(m.groupOrder, group)
-	}
-	m.groupDone[group]++
+	m.groupDone[jr.Job.Group()]++
 
 	final := done >= total
 	if !final && !m.lastPrint.IsZero() && now.Sub(m.lastPrint) < m.every {
@@ -129,11 +104,10 @@ func (m *ProgressMeter) printLine(done, total int, now time.Time) {
 		eta := time.Duration(float64(total-done) / rate * float64(time.Second))
 		fmt.Fprintf(&b, " | eta %s", eta.Round(time.Second))
 	}
-	if n := len(m.groupTotal); n > 1 {
+	if n := len(m.groupOrder); n > 1 {
 		doneGroups := 0
-		//saath:order-independent counting completed groups is commutative
-		for g, t := range m.groupTotal {
-			if m.groupDone[g] >= t {
+		for _, g := range m.groupOrder {
+			if m.groupDone[g] >= m.groupTotal[g] {
 				doneGroups++
 			}
 		}
@@ -145,38 +119,23 @@ func (m *ProgressMeter) printLine(done, total int, now time.Time) {
 	fmt.Fprintln(m.w, b.String())
 }
 
-// printGroups emits the final per-variant completion breakdown in
-// stable first-seen order.
+// printGroups emits the final per-variant completion breakdown in job
+// order.
 func (m *ProgressMeter) printGroups() {
 	if len(m.groupOrder) < 2 {
 		return
 	}
-	order := m.groupOrder
-	if len(m.groupTotal) == 0 {
-		// Groups learned on the fly arrive in completion order; sort for
-		// a stable final report.
-		order = append([]string(nil), m.groupOrder...)
-		sort.Strings(order)
-	}
-	for _, g := range order {
-		total := m.groupTotal[g]
-		if total == 0 {
-			total = m.groupDone[g]
-		}
-		fmt.Fprintf(m.w, "    %-24s %d/%d\n", g, m.groupDone[g], total)
+	for _, g := range m.groupOrder {
+		fmt.Fprintf(m.w, "    %-24s %d/%d\n", g, m.groupDone[g], m.groupTotal[g])
 	}
 }
 
 // CLIProgress is the single -progress hookup shared by the CLIs: nil
-// when disabled, otherwise a throttled aggregate meter over the
-// sweep's jobs (pass nil jobs when the list is not known up front).
+// when disabled, otherwise a fresh throttled meter over the sweep's
+// jobs.
 func CLIProgress(enabled bool, w io.Writer, jobs []Job) ProgressFunc {
 	if !enabled {
 		return nil
 	}
-	m := NewProgressMeter(w, 0)
-	if len(jobs) > 0 {
-		m.SetJobs(jobs)
-	}
-	return m.Progress
+	return NewProgressMeter(w, 0, jobs).Progress
 }

@@ -24,10 +24,9 @@ func meterJobs(variants ...string) (out []Job) {
 func TestProgressMeterThrottlesAndSummarizes(t *testing.T) {
 	var buf bytes.Buffer
 	clock := newFakeClock()
-	m := NewProgressMeter(&buf, time.Second)
-	m.now = clock.now
 	jobs := meterJobs("A=1", "A=1", "A=2", "A=2")
-	m.SetJobs(jobs)
+	m := NewProgressMeter(&buf, time.Second, jobs)
+	m.now = clock.now
 
 	m.Progress(1, 4, jobResult(jobs[0], nil)) // first completion always prints
 	if got := strings.Count(buf.String(), "\n"); got != 1 {
@@ -70,10 +69,9 @@ func TestProgressMeterThrottlesAndSummarizes(t *testing.T) {
 func TestProgressMeterRatesAndFailures(t *testing.T) {
 	var buf bytes.Buffer
 	clock := newFakeClock()
-	m := NewProgressMeter(&buf, time.Second)
-	m.now = clock.now
 	jobs := meterJobs("", "")
-	m.SetJobs(jobs)
+	m := NewProgressMeter(&buf, time.Second, jobs)
+	m.now = clock.now
 
 	// First completion anchors the rate clock at now - Elapsed (1s), so
 	// 1 job in 1s = 1.0 jobs/s.
@@ -94,26 +92,6 @@ func TestProgressMeterRatesAndFailures(t *testing.T) {
 	// breakdown.
 	if strings.Contains(buf.String(), "variants") {
 		t.Errorf("single-group sweep printed variant column:\n%s", buf.String())
-	}
-}
-
-func TestProgressMeterResetsBetweenSweeps(t *testing.T) {
-	var buf bytes.Buffer
-	clock := newFakeClock()
-	m := NewProgressMeter(&buf, time.Second)
-	m.now = clock.now
-	jobs := meterJobs("A=1")
-	m.SetJobs(jobs)
-	m.Progress(1, 1, jobResult(jobs[0], &errString{"boom"}))
-
-	buf.Reset()
-	clock.advance(time.Hour)
-	m.Progress(1, 1, jobResult(jobs[0], nil)) // fresh sweep, done==1 resets
-	if strings.Contains(buf.String(), "failed") {
-		t.Errorf("failure count leaked across sweeps:\n%s", buf.String())
-	}
-	if !strings.Contains(buf.String(), "1.0 jobs/s") {
-		t.Errorf("rate clock not re-anchored:\n%s", buf.String())
 	}
 }
 

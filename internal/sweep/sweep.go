@@ -211,8 +211,10 @@ type Job struct {
 // worker of any process.
 type ExecFunc func(j Job, jr *JobResult, span *obs.Span, counters *obs.EngineCounters) error
 
-// Key identifies the job's cell in the grid (everything but the
-// index), used for seed derivation and aggregation grouping.
+// Key identifies the job in the grid (everything but the index): the
+// salt of its seed derivation. It keeps its "|"-joined format because
+// DeriveSeed and the grid fingerprint hash it, so changing it would
+// re-key every digest.
 func (j Job) Key() string {
 	return fmt.Sprintf("%s|%s|%d|%s", j.Trace, j.Variant, j.Seed, j.Scheduler)
 }
@@ -382,12 +384,13 @@ dispatch:
 
 // runJob is the one job boundary: it runs the job's body (Job.Exec,
 // the simulator by default) and owns what every body shares — the
-// Elapsed stamp, the obs span / job record / runtime record, the skip
-// once ctx is cancelled, and panic containment: a panic in a
-// scheduler, the allocation audit or the coordinator costs this job an
-// error naming where it blew up, never the worker or its siblings. The
-// result is named so the deferred stamp lands in what the caller
-// receives, whichever way the body leaves.
+// Elapsed stamp, the obs span and job record (which carries any
+// runtime record), the skip once ctx is cancelled, and panic
+// containment: a panic in a scheduler, the allocation audit or the
+// coordinator costs this job an error naming where it blew up, never
+// the worker or its siblings. The result is named so the deferred
+// stamp lands in what the caller receives, whichever way the body
+// leaves.
 func runJob(ctx context.Context, j Job, rec *obs.Recorder) (jr JobResult) {
 	jr = JobResult{Job: j}
 	start := time.Now() // JobResult.Elapsed is reporting-only, never study bytes
@@ -420,10 +423,8 @@ func runJob(ctx context.Context, j Job, rec *obs.Recorder) (jr JobResult) {
 			Error:     errStr,
 			Span:      span,
 			Counters:  counters,
+			Runtime:   jr.Runtime,
 		})
-		if jr.Runtime != nil {
-			rec.RecordRuntime(*jr.Runtime)
-		}
 	}()
 	if err := ctx.Err(); err != nil {
 		jr.Err = fmt.Errorf("sweep: job %s skipped: %w", j.Key(), err)

@@ -164,7 +164,7 @@ func TestDeterminismAcrossParallelism(t *testing.T) {
 func TestJobElapsedReachesCaller(t *testing.T) {
 	jobs := testGrid().Jobs()[:4]
 	var buf bytes.Buffer
-	m := NewProgressMeter(&buf, 0)
+	m := NewProgressMeter(&buf, 0, jobs)
 	var first time.Time // the meter's clock reading at the first completion
 	m.now = func() time.Time {
 		now := time.Now()

@@ -105,18 +105,22 @@ func csvCell(cell string) string {
 	return cell
 }
 
-// telemetryCell pools one (trace, variant, scheduler) group's metrics
-// across seeds for the summary table.
-type telemetryCell struct {
-	cell       cell
-	n          int
-	sampled    int64
-	egPeak     float64 // max over jobs of peak egress occupancy
-	inPeak     float64
-	egMeanSum  float64 // sum over jobs of whole-run mean occupancy
-	inMeanSum  float64
-	blockedSum float64 // sum over jobs of mean blocked-coflow count
-	contention *telemetry.HistogramDump
+// pool folds src into the cell's pooled dump *dst: a clone of the
+// first, merged into after, so no entry's own dump is written to. A
+// nil src leaves *dst as it is.
+func pool[D interface {
+	comparable
+	Clone() D
+	Merge(D)
+}](dst *D, src D) {
+	var none D
+	switch {
+	case src == none:
+	case *dst == none:
+		*dst = src.Clone()
+	default:
+		(*dst).Merge(src)
+	}
 }
 
 // TelemetryTable condenses per-job telemetry into one row per (trace,
@@ -125,76 +129,49 @@ type telemetryCell struct {
 // head-of-line-blocked CoFlow count, and contention (k_c) median/P90
 // from the pooled histogram — the saath-sim -metrics terminal view.
 func (s *Summary) TelemetryTable(title string) *report.Table {
-	var order []*telemetryCell
-	index := make(map[string]*telemetryCell)
-	for _, e := range s.sorted() {
-		if e.Telemetry == nil {
-			continue
-		}
-		m := e.Metrics
-		key := m.Trace + "|" + m.Variant + "|" + m.Scheduler
-		tc, ok := index[key]
-		if !ok {
-			tc = &telemetryCell{cell: cell{trace: m.Trace, variant: m.Variant, scheduler: m.Scheduler}}
-			index[key] = tc
-			order = append(order, tc)
-		}
-		tc.n++
-		tc.sampled += e.Telemetry.Sampled
-		if sr := e.Telemetry.FindSeries(telemetry.SeriesEgressQueueMax); sr != nil && sr.Max > tc.egPeak {
-			tc.egPeak = sr.Max
-		}
-		if sr := e.Telemetry.FindSeries(telemetry.SeriesIngressQueueMax); sr != nil && sr.Max > tc.inPeak {
-			tc.inPeak = sr.Max
-		}
-		if sr := e.Telemetry.FindSeries(telemetry.SeriesEgressQueueMean); sr != nil {
-			tc.egMeanSum += sr.Mean
-		}
-		if sr := e.Telemetry.FindSeries(telemetry.SeriesIngressQueueMean); sr != nil {
-			tc.inMeanSum += sr.Mean
-		}
-		if sr := e.Telemetry.FindSeries(telemetry.SeriesBlockedCoFlows); sr != nil {
-			tc.blockedSum += sr.Mean
-		}
-		if h := e.Telemetry.FindHistogram(telemetry.HistContention); h != nil {
-			if tc.contention == nil {
-				tc.contention = h.Clone()
-			} else {
-				tc.contention.Merge(h)
-			}
-		}
-	}
 	t := &report.Table{
 		Title: title,
 		Headers: []string{"workload", "scheduler", "runs", "intervals",
 			"egress q mean/peak", "ingress q mean/peak", "blocked mean", "k_c p50", "k_c p90"},
 	}
-	for _, tc := range order {
-		p50, p90 := "-", "-"
-		if tc.contention != nil && tc.contention.Count > 0 {
-			p50 = fmt.Sprintf("%.0f", tc.contention.Quantile(0.50))
-			p90 = fmt.Sprintf("%.0f", tc.contention.Quantile(0.90))
+	for _, g := range s.groups(func(e *Entry) bool { return e.Telemetry != nil }) {
+		var sampled int64
+		var egPeak, inPeak float64                   // max over jobs of peak occupancy
+		var egMeanSum, inMeanSum, blockedSum float64 // sums over jobs of whole-run means
+		var contention *telemetry.HistogramDump
+		for _, e := range g.entries {
+			tm := e.Telemetry
+			sampled += tm.Sampled
+			if sr := tm.FindSeries(telemetry.SeriesEgressQueueMax); sr != nil && sr.Max > egPeak {
+				egPeak = sr.Max
+			}
+			if sr := tm.FindSeries(telemetry.SeriesIngressQueueMax); sr != nil && sr.Max > inPeak {
+				inPeak = sr.Max
+			}
+			if sr := tm.FindSeries(telemetry.SeriesEgressQueueMean); sr != nil {
+				egMeanSum += sr.Mean
+			}
+			if sr := tm.FindSeries(telemetry.SeriesIngressQueueMean); sr != nil {
+				inMeanSum += sr.Mean
+			}
+			if sr := tm.FindSeries(telemetry.SeriesBlockedCoFlows); sr != nil {
+				blockedSum += sr.Mean
+			}
+			pool(&contention, tm.FindHistogram(telemetry.HistContention))
 		}
-		n := float64(tc.n)
-		t.AddRow(tc.cell.label(), tc.cell.scheduler, tc.n, tc.sampled,
-			fmt.Sprintf("%.1f/%.0f", tc.egMeanSum/n, tc.egPeak),
-			fmt.Sprintf("%.1f/%.0f", tc.inMeanSum/n, tc.inPeak),
-			fmt.Sprintf("%.2f", tc.blockedSum/n),
+		p50, p90 := "-", "-"
+		if contention != nil && contention.Count > 0 {
+			p50 = fmt.Sprintf("%.0f", contention.Quantile(0.50))
+			p90 = fmt.Sprintf("%.0f", contention.Quantile(0.90))
+		}
+		n := float64(len(g.entries))
+		t.AddRow(g.label(), g.scheduler, len(g.entries), sampled,
+			fmt.Sprintf("%.1f/%.0f", egMeanSum/n, egPeak),
+			fmt.Sprintf("%.1f/%.0f", inMeanSum/n, inPeak),
+			fmt.Sprintf("%.2f", blockedSum/n),
 			p50, p90)
 	}
 	return t
-}
-
-// transitionCell pools one (trace, variant, scheduler) group's
-// queue-transition telemetry across seeds.
-type transitionCell struct {
-	cell         cell
-	n            int
-	sampled      int64
-	promotions   float64 // exact per-job totals (series mean × count)
-	demotions    float64
-	observations int64 // (coflow, interval) placements
-	level        *telemetry.HistogramDump
 }
 
 // QueueTransitionTable condenses the Fig. 4-style queue-transition
@@ -204,67 +181,43 @@ type transitionCell struct {
 // (median / P90 / max). Cells whose jobs ran without
 // Spec.QueueTransitions are skipped.
 func (s *Summary) QueueTransitionTable(title string) *report.Table {
-	var order []*transitionCell
-	index := make(map[string]*transitionCell)
-	for _, e := range s.sorted() {
-		if e.Telemetry == nil {
-			continue
-		}
-		demos := e.Telemetry.FindSeries(telemetry.SeriesQueueDemotions)
-		if demos == nil {
-			continue // transitions not collected for this job
-		}
-		m := e.Metrics
-		key := m.Trace + "|" + m.Variant + "|" + m.Scheduler
-		tc, ok := index[key]
-		if !ok {
-			tc = &transitionCell{cell: cell{trace: m.Trace, variant: m.Variant, scheduler: m.Scheduler}}
-			index[key] = tc
-			order = append(order, tc)
-		}
-		tc.n++
-		tc.sampled += e.Telemetry.Sampled
-		tc.demotions += demos.Mean * float64(demos.Count)
-		if promos := e.Telemetry.FindSeries(telemetry.SeriesQueuePromotions); promos != nil {
-			tc.promotions += promos.Mean * float64(promos.Count)
-		}
-		if h := e.Telemetry.FindHistogram(telemetry.HistQueueLevel); h != nil {
-			tc.observations += h.Count
-			if tc.level == nil {
-				tc.level = h.Clone()
-			} else {
-				tc.level.Merge(h)
-			}
-		}
-	}
 	t := &report.Table{
 		Title: title,
 		Headers: []string{"workload", "scheduler", "runs", "intervals",
 			"promotions", "demotions", "demote/1k ivs", "level p50", "level p90", "level max"},
 	}
-	for _, tc := range order {
+	collected := func(e *Entry) bool {
+		return e.Telemetry != nil && e.Telemetry.FindSeries(telemetry.SeriesQueueDemotions) != nil
+	}
+	for _, g := range s.groups(collected) {
+		var sampled int64
+		var promotions, demotions float64 // exact per-job totals (series mean × count)
+		var level *telemetry.HistogramDump
+		for _, e := range g.entries {
+			tm := e.Telemetry
+			sampled += tm.Sampled
+			demos := tm.FindSeries(telemetry.SeriesQueueDemotions)
+			demotions += demos.Mean * float64(demos.Count)
+			if promos := tm.FindSeries(telemetry.SeriesQueuePromotions); promos != nil {
+				promotions += promos.Mean * float64(promos.Count)
+			}
+			pool(&level, tm.FindHistogram(telemetry.HistQueueLevel))
+		}
 		p50, p90, max := "-", "-", "-"
-		if tc.level != nil && tc.level.Count > 0 {
-			p50 = fmt.Sprintf("%.0f", tc.level.Quantile(0.50))
-			p90 = fmt.Sprintf("%.0f", tc.level.Quantile(0.90))
-			max = fmt.Sprintf("%.0f", tc.level.Max)
+		if level != nil && level.Count > 0 {
+			p50 = fmt.Sprintf("%.0f", level.Quantile(0.50))
+			p90 = fmt.Sprintf("%.0f", level.Quantile(0.90))
+			max = fmt.Sprintf("%.0f", level.Max)
 		}
 		rate := "-"
-		if tc.sampled > 0 {
-			rate = fmt.Sprintf("%.1f", tc.demotions/float64(tc.sampled)*1000)
+		if sampled > 0 {
+			rate = fmt.Sprintf("%.1f", demotions/float64(sampled)*1000)
 		}
-		t.AddRow(tc.cell.label(), tc.cell.scheduler, tc.n, tc.sampled,
-			fmt.Sprintf("%.0f", tc.promotions), fmt.Sprintf("%.0f", tc.demotions),
+		t.AddRow(g.label(), g.scheduler, len(g.entries), sampled,
+			fmt.Sprintf("%.0f", promotions), fmt.Sprintf("%.0f", demotions),
 			rate, p50, p90, max)
 	}
 	return t
-}
-
-// heatmapCell pools one (trace, variant, scheduler) group's heatmaps.
-type heatmapCell struct {
-	cell   cell
-	egress *telemetry.HeatmapDump
-	ingres *telemetry.HeatmapDump
 }
 
 // PortHeatmapTable condenses the per-port occupancy heatmaps into one
@@ -274,57 +227,33 @@ type heatmapCell struct {
 // sampled intervals spent in each occupancy bucket. Cells whose jobs
 // ran without Spec.PortHeatmap are skipped.
 func (s *Summary) PortHeatmapTable(title string, maxPorts int) *report.Table {
-	var order []*heatmapCell
-	index := make(map[string]*heatmapCell)
-	merge := func(dst **telemetry.HeatmapDump, src *telemetry.HeatmapDump) {
-		if src == nil {
-			return
-		}
-		if *dst == nil {
-			*dst = src.Clone()
-		} else {
-			(*dst).Merge(src)
-		}
-	}
-	for _, e := range s.sorted() {
-		if e.Telemetry == nil {
-			continue
-		}
-		eg := e.Telemetry.FindHeatmap(telemetry.HeatmapEgressOccupancy)
-		in := e.Telemetry.FindHeatmap(telemetry.HeatmapIngressOccupancy)
-		if eg == nil && in == nil {
-			continue
-		}
-		m := e.Metrics
-		key := m.Trace + "|" + m.Variant + "|" + m.Scheduler
-		hc, ok := index[key]
-		if !ok {
-			hc = &heatmapCell{cell: cell{trace: m.Trace, variant: m.Variant, scheduler: m.Scheduler}}
-			index[key] = hc
-			order = append(order, hc)
-		}
-		merge(&hc.egress, eg)
-		merge(&hc.ingres, in)
+	collected := func(e *Entry) bool {
+		return e.Telemetry != nil && (e.Telemetry.FindHeatmap(telemetry.HeatmapEgressOccupancy) != nil ||
+			e.Telemetry.FindHeatmap(telemetry.HeatmapIngressOccupancy) != nil)
 	}
 	var bounds []float64
 	var rows []report.HeatmapRow
-	for _, hc := range order {
+	for _, g := range s.groups(collected) {
+		var egress, ingress *telemetry.HeatmapDump
+		for _, e := range g.entries {
+			pool(&egress, e.Telemetry.FindHeatmap(telemetry.HeatmapEgressOccupancy))
+			pool(&ingress, e.Telemetry.FindHeatmap(telemetry.HeatmapIngressOccupancy))
+		}
 		for _, side := range []struct {
 			name string
 			hm   *telemetry.HeatmapDump
-		}{{"egress", hc.egress}, {"ingress", hc.ingres}} {
+		}{{"egress", egress}, {"ingress", ingress}} {
 			if side.hm == nil {
 				continue
 			}
 			if bounds == nil {
 				bounds = side.hm.Bounds
 			}
-			prefix := fmt.Sprintf("%s %s %s", hc.cell.label(), hc.cell.scheduler, side.name)
+			prefix := fmt.Sprintf("%s %s %s", g.label(), g.scheduler, side.name)
 			rows = append(rows, telemetry.HeatmapRows(side.hm, maxPorts, func(p *telemetry.HeatmapPortDump) string {
 				return fmt.Sprintf("%s p%d", prefix, p.Port)
 			})...)
 		}
 	}
-	t := report.HeatmapTable(title, "workload scheduler side port", bounds, rows)
-	return t
+	return report.HeatmapTable(title, "workload scheduler side port", bounds, rows)
 }
