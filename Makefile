@@ -48,6 +48,11 @@ test:
 # completions, holds, CoFlows replaced under their index, departures
 # and arrivals with no Sync between, and port ranges that grow mid-run,
 # every k_c equals the map-based reference after every Sync.
+# A simulator workspace: any pair of small jobs — random traces, DAG
+# gates, policies, Dynamics, Pipelining, horizons that end a run with
+# CoFlows live — run one after the other on one workspace returns, each,
+# the result, error, telemetry export and dense indices of a run on a
+# fresh workspace.
 # Minimising each new input is capped at 1 s (the default, 60 s, would
 # eat the whole budget on the first one).
 fuzz:
@@ -59,6 +64,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAaloFill$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sched/aalo/
 	$(GO) test -run '^$$' -fuzz '^FuzzWorkConserve$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzContentionIndex$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sched/
+	$(GO) test -run '^$$' -fuzz '^FuzzWorkspaceReuse$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sim/
 
 race:
 	$(GO) test -race -timeout 20m ./...

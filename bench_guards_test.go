@@ -17,6 +17,8 @@ import (
 	"testing"
 
 	"saath/internal/obs"
+	"saath/internal/sched"
+	"saath/internal/sim"
 	"saath/internal/sweep"
 	"saath/internal/telemetry"
 	"saath/internal/trace"
@@ -125,6 +127,27 @@ func allocGuards() []allocGuard {
 			tr := sparseLongtailTrace()
 			return func() {
 				if _, err := Simulate(tr, "saath", SimConfig{}); err != nil {
+					tb.Fatal(err)
+				}
+			}
+		}},
+		// The bytes the same dense replay allocates on a workspace that
+		// already ran it (bytesPerRun's warm-up call): the flow storage,
+		// the index space, the dense tables and ledgers, the allocation
+		// vector, the scratch lists and the event heap a run leaves back
+		// the next run on its workspace, so what is left is mostly the
+		// trace clone, the results and the scheduler. Carrying no flow
+		// storage, index space free lists, flow table or allocation vector
+		// fails it.
+		{"TestEngineLayerGuards", "engine_layer", "replay_reused", 1, 1.10, func(tb testing.TB) func() {
+			tr := denseBurstTrace()
+			var ws sim.Workspace
+			return func() {
+				s, err := sched.New("saath", DefaultParams())
+				if err != nil {
+					tb.Fatal(err)
+				}
+				if _, err := ws.Run(tr.Clone(), s, SimConfig{}); err != nil {
 					tb.Fatal(err)
 				}
 			}

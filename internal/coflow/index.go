@@ -21,6 +21,13 @@ type IndexSpace struct {
 // NewIndexSpace returns an empty index space.
 func NewIndexSpace() *IndexSpace { return &IndexSpace{} }
 
+// Reset empties the space and keeps its free lists' storage: the next
+// Assign hands out the indices a new space would, in the same order.
+// No CoFlow may hold an index of the space any more.
+func (s *IndexSpace) Reset() {
+	*s = IndexSpace{flowFree: s.flowFree[:0], coflowFree: s.coflowFree[:0]}
+}
+
 // Assign gives c and every one of its flows a dense index. It panics
 // if c already holds an index — double admission is a wiring bug.
 func (s *IndexSpace) Assign(c *CoFlow) {

@@ -310,16 +310,6 @@ func (c *Coordinator) depart(cf *coflow.CoFlow, now coflow.Time) {
 	c.cfg.Scheduler.Depart(cf, now)
 }
 
-// byArrival is sched.ByArrival's order, the one snap.Active is kept in;
-// (arrival, ID) is unique among live CoFlows, so a binary search lands
-// on exactly one position.
-func byArrival(a, b *coflow.CoFlow) int {
-	if a.Arrived != b.Arrived {
-		return cmp.Compare(a.Arrived, b.Arrived)
-	}
-	return cmp.Compare(a.ID(), b.ID())
-}
-
 // dropLive takes a retired CoFlow out of the ID lookup, the slot
 // lookup, the arrival order and the index space, and hands its flow
 // storage to later registrations; the caller has told the scheduler. A
@@ -330,7 +320,9 @@ func (c *Coordinator) dropLive(cf *coflow.CoFlow) {
 	for _, f := range cf.Flows {
 		c.bySlot[f.Idx] = nil
 	}
-	if i, ok := slices.BinarySearchFunc(c.snap.Active, cf, byArrival); ok {
+	// snap.Active is in sched.ArrivalOrder, and (arrival, ID) is unique
+	// among live CoFlows, so the search lands on exactly one position.
+	if i, ok := slices.BinarySearchFunc(c.snap.Active, cf, sched.ArrivalOrder); ok {
 		c.snap.Active = slices.Delete(c.snap.Active, i, i+1)
 	}
 	c.space.Release(cf)
@@ -492,7 +484,7 @@ func (c *Coordinator) Register(spec *coflow.Spec, now coflow.Time) error {
 	cf := c.spares.New(spec)
 	cf.Arrived = now
 	c.live[spec.ID] = cf
-	at, _ := slices.BinarySearchFunc(c.snap.Active, cf, byArrival)
+	at, _ := slices.BinarySearchFunc(c.snap.Active, cf, sched.ArrivalOrder)
 	c.snap.Active = slices.Insert(c.snap.Active, at, cf)
 	c.space.Assign(cf)
 	c.bySlot = coflow.Grow(c.bySlot, c.space.FlowCap())

@@ -186,16 +186,20 @@ func (p Params) Normalize() (Params, error) {
 	return p, nil
 }
 
-// ByArrival sorts CoFlows in place by (arrival, ID): the canonical
-// FIFO order used by Aalo and by Saath's deadline bookkeeping. It
-// allocates nothing, so the engine calls it every interval.
+// ArrivalOrder compares two CoFlows by (arrival, ID): the canonical
+// FIFO order used by Aalo and by Saath's deadline bookkeeping, and the
+// order Snapshot.Active is in.
+func ArrivalOrder(a, b *coflow.CoFlow) int {
+	if a.Arrived != b.Arrived {
+		return cmp.Compare(a.Arrived, b.Arrived)
+	}
+	return cmp.Compare(a.ID(), b.ID())
+}
+
+// ByArrival sorts CoFlows in place by ArrivalOrder. It allocates
+// nothing, so the engine calls it every interval.
 func ByArrival(cs []*coflow.CoFlow) {
-	slices.SortStableFunc(cs, func(a, b *coflow.CoFlow) int {
-		if a.Arrived != b.Arrived {
-			return cmp.Compare(a.Arrived, b.Arrived)
-		}
-		return cmp.Compare(a.ID(), b.ID())
-	})
+	slices.SortStableFunc(cs, ArrivalOrder)
 }
 
 // Factory builds a scheduler from parameters.

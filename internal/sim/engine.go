@@ -10,9 +10,10 @@
 //
 // # Entry point
 //
-// Run replays one trace under one scheduler. It first calls
-// Config.Validate, which rejects malformed configurations (negative δ,
-// out-of-range dynamics fractions).
+// Workspace.Run replays one trace under one scheduler, on the storage
+// earlier runs on the same Workspace left; Run does it on a fresh one.
+// Either first calls Config.Validate, which rejects malformed
+// configurations (negative δ, out-of-range dynamics fractions).
 //
 // # One run loop
 //
@@ -226,44 +227,33 @@ func (r *Result) AvgCCT() float64 {
 	return sum / float64(len(r.CoFlows))
 }
 
-// Run replays tr under scheduler s, once cfg passes Validate. The
-// trace is mutated during simulation — pass a private clone when the
-// caller retains it.
+// Run replays tr under scheduler s, once cfg passes Validate, on a
+// fresh Workspace. It only reads tr — the engine copies each spec's
+// flows into the CoFlows it runs — so tr may be replayed again.
 func Run(tr *trace.Trace, s sched.Scheduler, cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return run(tr, s, cfg)
+	return new(Workspace).Run(tr, s, cfg)
 }
 
-// run replays tr on a fresh engine. cfg has already passed Validate.
-func run(tr *trace.Trace, s sched.Scheduler, cfg Config) (*Result, error) {
-	e, err := newEngine(tr, s, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.runEvents(); err != nil {
-		return nil, err
-	}
-	return e.result, nil
-}
-
-// newEngine builds the per-run engine state with the trace loaded.
-func newEngine(tr *trace.Trace, s sched.Scheduler, cfg Config) (*engine, error) {
+// newEngine builds the per-run engine state with the trace loaded, on
+// the storage w holds. The engine takes that storage and leaves w empty
+// until the run hands it back, so a run that never does leaves nothing
+// of itself in w.
+func (w *Workspace) newEngine(tr *trace.Trace, s sched.Scheduler, cfg Config) (*engine, error) {
 	cfg = cfg.withDefaults()
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
 	e := &engine{
-		cfg:   cfg,
-		sched: s,
-		fab:   fabric.New(tr.NumPorts, cfg.PortRate),
-		space: coflow.NewIndexSpace(),
+		Workspace: *w,
+		cfg:       cfg,
+		sched:     s,
+		fab:       fabric.New(tr.NumPorts, cfg.PortRate),
 		result: &Result{
 			Scheduler: s.Name(), Trace: tr.Name, Ports: tr.NumPorts,
 			CoFlows: make([]CoFlowResult, 0, len(tr.Specs)),
 		},
 	}
+	*w = Workspace{}
 	e.snap.Fabric = e.fab
 	if cfg.Dynamics != nil {
 		e.dynRng = rand.New(rand.NewSource(cfg.Dynamics.Seed))
@@ -281,21 +271,17 @@ type pendingSpec struct {
 	queued bool // DAG-gated spec whose arrival event is already scheduled
 }
 
+// engine is one run's state. Its storage is the Workspace it embeds,
+// taken for the run; the rest is the run's own.
 type engine struct {
+	Workspace
+
 	cfg    Config
 	sched  sched.Scheduler
 	fab    *fabric.Fabric
 	result *Result
 
-	// space hands out the dense flow/coflow indices that key the
-	// allocation vector and every per-flow scratch array.
-	space *coflow.IndexSpace
-	// spares is the flow storage of retired CoFlows, which admitOne draws
-	// arrivals from.
-	spares coflow.Spares
-
 	pending []pendingSpec
-	active  []*coflow.CoFlow
 
 	// flowResults is the one slab every CoFlowResult.Flows is carved
 	// from, sized at load to the trace's flow count.
@@ -321,48 +307,19 @@ type engine struct {
 	// the probe path allocates nothing in the engine itself.
 	ivScratch telemetry.Interval
 
-	// restartPending marks flows rolled for a one-time mid-life restart,
-	// by Flow.Idx; retire clears a CoFlow's slots with its indices.
-	restartPending []bool
-
-	// Per-interval scratch state, reused across intervals so the hot
-	// loop allocates nothing: the snapshot (whose Alloc vector the
-	// scheduler reuses), the sorted-active scratch, and the dense
-	// validation ledgers with the ports whose ledger is non-zero.
-	// valFlows maps Flow.Idx to the live flow holding it and its CoFlow,
-	// maintained at admission and retirement.
-	snap        sched.Snapshot
-	snapScratch []*coflow.CoFlow
-	valFlows    []flowSlot
-	valEgress   []float64
-	valIngress  []float64
-	valPorts    []coflow.PortID
-
-	// The interval's rated list (see rateDriven): the sendable flows
-	// holding a rate, in observeInterval's summation order. rateDriven
-	// says whether the plan in force — this interval's, or the earlier
-	// one beginInterval kept for it — runs over the list; ratedRaw is the
-	// list before ordering, ratedRun the per-CoFlow.Idx run counts and
-	// offsets that order it, all zero between builds.
-	rated      []ratedFlow
-	ratedRaw   []ratedFlow
-	ratedRun   []int32
+	// rateDriven says whether the plan in force — this interval's, or the
+	// earlier one beginInterval kept for it — runs over the rated list.
 	rateDriven bool
-
-	// finished holds one CoFlow's completions during the dense walk,
-	// until the walk is over and they are completed in its summary.
-	finished []coflow.Completion
 
 	// plan is what beginInterval last worked out from an allocation, and
 	// what it worked it out from; see heldPlan.
 	plan intervalPlan
 
 	// Run-loop state: the arrival cursor (indices of dependency-free
-	// specs in admission order, and how many have been taken), the event
-	// heap, and whether it holds the single pending schedule epoch.
+	// specs in admission order, and how many have been taken), and
+	// whether the event heap holds the single pending schedule epoch.
 	arrivals     []int32
 	cursor       int
-	evq          eventQueue
 	epochPending bool
 
 	now coflow.Time
@@ -774,10 +731,16 @@ func (e *engine) validateAllocation(alloc *sched.RateVec) error {
 }
 
 // activeSorted snapshots the active set in arrival order for the
-// scheduler, reusing one scratch slice across intervals.
+// scheduler, reusing one scratch slice across intervals. Admissions
+// keep the active set in that order unless a DAG release or a trace not
+// sorted by (arrival, ID) puts a CoFlow ahead of an earlier one, and a
+// stable sort leaves a sorted slice as it is, so the sort runs only when
+// the check finds the slice out of order.
 func (e *engine) activeSorted() []*coflow.CoFlow {
 	e.snapScratch = append(e.snapScratch[:0], e.active...)
-	sched.ByArrival(e.snapScratch)
+	if !slices.IsSortedFunc(e.snapScratch, sched.ArrivalOrder) {
+		sched.ByArrival(e.snapScratch)
+	}
 	return e.snapScratch
 }
 

@@ -126,7 +126,6 @@ func observeFixture(probes []telemetry.Probe) (*engine, *sched.RateVec) {
 	e := &engine{
 		cfg:    cfg,
 		fab:    fabric.New(4, cfg.PortRate),
-		space:  coflow.NewIndexSpace(),
 		result: &Result{Intervals: 1},
 	}
 	c := coflow.New(&coflow.Spec{ID: 1, Flows: []coflow.FlowSpec{

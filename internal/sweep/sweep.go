@@ -315,7 +315,8 @@ func (r *Result) RuntimeReport() *obs.RuntimeReport {
 	return rep
 }
 
-// Run executes jobs on a bounded worker pool. A job failing — or
+// Run executes jobs on a bounded worker pool. Each worker runs its
+// simulator jobs on one sim.Workspace in turn. A job failing — or
 // panicking — records its error in the corresponding slot and does not
 // stop the sweep; cancelling ctx stops handing out new jobs (in-flight
 // simulations finish — sim.Run is not interruptible) and marks
@@ -354,8 +355,9 @@ func Run(ctx context.Context, jobs []Job, opts Options) *Result {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var ws sim.Workspace
 			for i := range feed {
-				jr := runJob(ctx, jobs[i], opts.Observer)
+				jr := runJob(ctx, jobs[i], opts.Observer, &ws)
 				out[i], ran[i] = jr, true
 				deliver(jr)
 			}
@@ -383,15 +385,15 @@ dispatch:
 }
 
 // runJob is the one job boundary: it runs the job's body (Job.Exec,
-// the simulator by default) and owns what every body shares — the
-// Elapsed stamp, the obs span and job record (which carries any
-// runtime record), the skip once ctx is cancelled, and panic
+// or the simulator on the worker's workspace ws) and owns what every
+// body shares — the Elapsed stamp, the obs span and job record (which
+// carries any runtime record), the skip once ctx is cancelled, and panic
 // containment: a panic in a scheduler, the allocation audit or the
 // coordinator costs this job an error naming where it blew up, never
 // the worker or its siblings. The result is named so the deferred
 // stamp lands in what the caller receives, whichever way the body
 // leaves.
-func runJob(ctx context.Context, j Job, rec *obs.Recorder) (jr JobResult) {
+func runJob(ctx context.Context, j Job, rec *obs.Recorder, ws *sim.Workspace) (jr JobResult) {
 	jr = JobResult{Job: j}
 	start := time.Now() // JobResult.Elapsed is reporting-only, never study bytes
 	var span *obs.Span
@@ -430,11 +432,11 @@ func runJob(ctx context.Context, j Job, rec *obs.Recorder) (jr JobResult) {
 		jr.Err = fmt.Errorf("sweep: job %s skipped: %w", j.Key(), err)
 		return jr
 	}
-	exec := j.Exec
-	if exec == nil {
-		exec = simulate
+	if j.Exec != nil {
+		jr.Err = j.Exec(j, &jr, span, counters)
+	} else {
+		jr.Err = simulate(j, &jr, span, counters, ws)
 	}
-	jr.Err = exec(j, &jr, span, counters)
 	return jr
 }
 
@@ -461,13 +463,13 @@ func panicSite() string {
 	return b.String()
 }
 
-// simulate is the default job body: one simulator run. It derives
+// simulate is the default job body: one simulator run, on ws. It derives
 // deterministic RNG seeds for dynamics/pipelining/telemetry from the
 // job identity when the caller left them zero (so every cell of a grid
 // gets distinct but reproducible noise), and times the job's phases
 // (trace synthesis, run loop, metrics export) under span — all
 // out-of-band, never touching the seeds or results.
-func simulate(j Job, jr *JobResult, span *obs.Span, counters *obs.EngineCounters) error {
+func simulate(j Job, jr *JobResult, span *obs.Span, counters *obs.EngineCounters, ws *sim.Workspace) error {
 	if j.Gen == nil {
 		return fmt.Errorf("sweep: job %s has no trace generator", j.Key())
 	}
@@ -506,7 +508,7 @@ func simulate(j Job, jr *JobResult, span *obs.Span, counters *obs.EngineCounters
 	tr := j.Gen()
 	synth.End()
 	runSpan := span.Child("run")
-	res, err := sim.Run(tr, s, cfg)
+	res, err := ws.Run(tr, s, cfg)
 	runSpan.End()
 	if err != nil {
 		return fmt.Errorf("sweep: job %s: %w", j.Key(), err)

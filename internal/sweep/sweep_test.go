@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -259,6 +261,90 @@ func TestCancellation(t *testing.T) {
 	}
 	if res.Completed()+len(failed) != len(jobs) {
 		t.Fatalf("completed %d + failed %d != %d", res.Completed(), len(failed), len(jobs))
+	}
+}
+
+// midRunPanic is Saath until the first boundary with three CoFlows
+// live, where it panics the way a scheduler bug would: the run stops
+// with flows indexed, the audit's ledgers drawn and CoFlows holding flow
+// storage.
+type midRunPanic struct{ sched.Scheduler }
+
+func (p midRunPanic) Schedule(snap *sched.Snapshot) *sched.RateVec {
+	if len(snap.Active) >= 3 {
+		panic("sweep-test-panic: scheduler bug")
+	}
+	return p.Scheduler.Schedule(snap)
+}
+
+// oversubscriber hands every flow of every live CoFlow the full line
+// rate, which the engine's audit rejects naming the lowest
+// oversubscribed port.
+type oversubscriber struct{ sched.Scheduler }
+
+func (oversubscriber) Schedule(snap *sched.Snapshot) *sched.RateVec {
+	alloc := snap.Allocation()
+	for _, c := range snap.Active {
+		for _, f := range c.Flows {
+			alloc.Set(f.Idx, snap.Fabric.PortRate())
+		}
+	}
+	return alloc
+}
+
+func init() {
+	sched.Register("sweep-test-panic", func(p sched.Params) (sched.Scheduler, error) {
+		inner, err := sched.New("saath", p)
+		return midRunPanic{inner}, err
+	})
+	sched.Register("sweep-test-oversubscribe", func(p sched.Params) (sched.Scheduler, error) {
+		inner, err := sched.New("saath", p)
+		return oversubscriber{inner}, err
+	})
+}
+
+// TestPanicLeavesWorkerFresh: on one worker, the jobs after one whose
+// policy panicked mid-run return what a fresh sim.Run returns — the
+// audit right after it fails on the port a fresh run's does, though the
+// panic left that port's ledger drawn — and so do the jobs before it,
+// which run on the storage the job before each left. Every CoFlow of
+// the trace sends from port 0, so every audit draws its ledger and the
+// oversubscriber's first audit fails there.
+func TestPanicLeavesWorkerFresh(t *testing.T) {
+	fanOut := &trace.Trace{Name: "fan-out", NumPorts: 8}
+	for i := range 12 {
+		fanOut.Specs = append(fanOut.Specs, &coflow.Spec{
+			ID: coflow.CoFlowID(i + 1), Arrival: coflow.Time(i) * 2 * coflow.Millisecond,
+			Flows: []coflow.FlowSpec{{Src: 0, Dst: coflow.PortID(1 + i%7), Size: 5 * coflow.MB}},
+		})
+	}
+	g := Grid{
+		Traces:     []TraceSource{FixedTrace(fanOut)},
+		Schedulers: []string{"saath", "aalo", "sweep-test-panic", "sweep-test-oversubscribe", "saath"},
+		Params:     sched.DefaultParams(),
+	}
+	res := Run(context.Background(), g.Jobs(), Options{Parallel: 1})
+	for i, jr := range res.Jobs {
+		if jr.Job.Scheduler == "sweep-test-panic" {
+			if jr.Err == nil || !strings.Contains(jr.Err.Error(), "sweep-test-panic: scheduler bug") {
+				t.Fatalf("job %d: error %v, want the policy's panic", i, jr.Err)
+			}
+			continue
+		}
+		s, err := sched.New(jr.Job.Scheduler, jr.Job.Params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sim.Run(jr.Job.Gen(), s, jr.Job.Config)
+		if err != nil {
+			err = fmt.Errorf("sweep: job %s: %w", jr.Job.Key(), err)
+		}
+		if fmt.Sprint(jr.Err) != fmt.Sprint(err) {
+			t.Errorf("job %d (%s): error %v, a fresh sim.Run's %v", i, jr.Job.Scheduler, jr.Err, err)
+		}
+		if !reflect.DeepEqual(jr.Res, want) {
+			t.Errorf("job %d (%s): result differs from a fresh sim.Run's", i, jr.Job.Scheduler)
+		}
 	}
 }
 
